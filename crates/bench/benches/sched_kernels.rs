@@ -1,16 +1,77 @@
 //! Micro-benches for the scheduling kernels: one full `schedule()`
 //! pass per scheduler at two load levels (the Fig. 5 regime, without
-//! the Optimal solver). Runs on the vendored `dpack_bench::micro`
-//! harness (`--smoke` for the CI rot guard).
+//! the Optimal solver), then the DPack pass stage by stage on the two
+//! instance shapes of the repo's benchmark (`offline_micro`, and one
+//! cycle's pending set of `online_alibaba`), so the stage split can be
+//! read without the traced benchmark run. Runs on the vendored
+//! `dpack_bench::micro` harness (`--smoke` for the CI rot guard).
 
-use dpack_bench::micro::Micro;
-use dpack_core::schedulers::{DPack, Dpf, Fcfs, GreedyArea, Scheduler};
+use dpack_bench::micro::{Micro, MicroConfig};
+use dpack_core::problem::{pack, Block, PackingRule, ProblemState};
+use dpack_core::schedulers::{sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, Scheduler};
+use orchestrator::ParallelDPack;
+use workloads::alibaba::{self, AlibabaDpConfig};
 use workloads::curves::CurveLibrary;
 use workloads::microbenchmark::{generate, MicrobenchmarkConfig};
 
+/// The `offline_micro` instance: 20 000 tasks over 100 blocks.
+fn micro_shaped(lib: &CurveLibrary, smoke: bool) -> ProblemState {
+    let (n_tasks, n_blocks) = if smoke { (400, 20) } else { (20_000, 100) };
+    let cfg = MicrobenchmarkConfig {
+        n_tasks,
+        n_blocks,
+        mu_blocks: 10.0,
+        sigma_blocks: 3.0,
+        sigma_alpha: 4.0,
+        eps_min: 0.01,
+        ..Default::default()
+    };
+    generate(lib, &cfg, 7)
+}
+
+/// What one `online_alibaba` cycle sees: ~3 000 pending Alibaba-DP
+/// tasks over 45 blocks with a fifth of their budget unlocked.
+fn alibaba_shaped(smoke: bool) -> ProblemState {
+    let (n_tasks, n_blocks) = if smoke { (300, 20) } else { (3_000, 45) };
+    let w = alibaba::generate(
+        &AlibabaDpConfig {
+            n_blocks,
+            n_tasks,
+            ..Default::default()
+        },
+        7,
+    );
+    let blocks = w
+        .blocks
+        .into_iter()
+        .map(|b| Block::new(b.id, b.capacity.scale(0.2), b.arrival))
+        .collect();
+    ProblemState::new(w.grid, blocks, w.tasks).expect("generated instance is well-formed")
+}
+
+/// One row per stage of `DPack::schedule` on `state`.
+fn stages(m: &mut Micro, shape: &str, state: &ProblemState) {
+    let dpack = DPack::default();
+    let best = dpack.best_alphas(state);
+    let eff = dpack.efficiencies(state, &best);
+    let order = sort_by_efficiency(state, &eff);
+    m.bench(&format!("{shape}/best_alphas"), || dpack.best_alphas(state));
+    m.bench(&format!("{shape}/efficiencies"), || {
+        dpack.efficiencies(state, &best)
+    });
+    m.bench(&format!("{shape}/pack"), || {
+        pack(state, &order, PackingRule::Skip)
+    });
+    m.bench(&format!("{shape}/schedule"), || dpack.schedule(state));
+    let parallel = ParallelDPack::new(dpack, 2);
+    m.bench(&format!("{shape}/ParallelDPack(2)"), || {
+        parallel.schedule(state)
+    });
+}
+
 fn main() {
     let lib = CurveLibrary::standard();
-    let mut m = Micro::new("sched_kernels — full schedule() passes");
+    let mut m = Micro::new("sched_kernels — full schedule() passes, then DPack stages");
     for &n in &[1000usize, 5000] {
         let cfg = MicrobenchmarkConfig {
             n_tasks: n,
@@ -31,5 +92,8 @@ fn main() {
         });
         m.bench(&format!("schedule/FCFS/{n}"), || Fcfs.schedule(&state));
     }
+    let smoke = MicroConfig::from_args().smoke;
+    stages(&mut m, "micro 20000x100", &micro_shaped(&lib, smoke));
+    stages(&mut m, "alibaba 3000x45", &alibaba_shaped(smoke));
     m.finish();
 }

@@ -37,6 +37,7 @@
 //! ```
 
 pub mod compute;
+mod dense;
 pub mod metrics;
 pub mod online;
 pub mod problem;

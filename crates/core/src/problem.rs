@@ -5,6 +5,8 @@ use std::time::Duration;
 
 use dp_accounting::{AlphaGrid, RdpCurve};
 
+use crate::dense::Dense;
+
 /// Task identifier, unique within a workload.
 pub type TaskId = u64;
 
@@ -112,6 +114,10 @@ pub struct ProblemState {
     blocks: std::sync::Arc<BTreeMap<BlockId, RdpCurve>>,
     /// Pending tasks, in arrival order.
     tasks: Vec<Task>,
+    /// The index-typed view the scheduler kernels run on.
+    dense: Dense,
+    /// Task indices sorted by `(id, index)`, for [`ProblemState::task`].
+    by_id: Vec<u32>,
 }
 
 impl ProblemState {
@@ -121,7 +127,8 @@ impl ProblemState {
     /// # Errors
     ///
     /// Rejects duplicate block ids, tasks referencing unknown blocks,
-    /// grid mismatches, and non-positive or non-finite task weights.
+    /// grid mismatches, non-positive or non-finite task weights, and
+    /// negative or NaN demands.
     pub fn new(
         grid: AlphaGrid,
         blocks: Vec<Block>,
@@ -129,22 +136,11 @@ impl ProblemState {
     ) -> Result<Self, ProblemError> {
         let mut map = BTreeMap::new();
         for b in blocks {
-            if b.capacity.grid() != &grid {
-                return Err(ProblemError(format!(
-                    "block {} is on a different grid",
-                    b.id
-                )));
-            }
             if map.insert(b.id, b.capacity).is_some() {
                 return Err(ProblemError(format!("duplicate block id {}", b.id)));
             }
         }
-        let state = Self {
-            grid,
-            blocks: std::sync::Arc::new(map),
-            tasks: Vec::new(),
-        };
-        state.with_tasks(tasks)
+        Self::from_available(grid, map, tasks)
     }
 
     /// Builds a state directly from available-capacity curves (used by
@@ -170,50 +166,16 @@ impl ProblemState {
         available: std::sync::Arc<BTreeMap<BlockId, RdpCurve>>,
         tasks: Vec<Task>,
     ) -> Result<Self, ProblemError> {
-        for (id, c) in available.iter() {
-            if c.grid() != &grid {
-                return Err(ProblemError(format!("block {id} is on a different grid")));
-            }
-        }
-        let state = Self {
+        let dense = Dense::build(&grid, &available, &tasks)?;
+        let mut by_id: Vec<u32> = (0..tasks.len() as u32).collect();
+        by_id.sort_unstable_by_key(|&i| (tasks[i as usize].id, i));
+        Ok(Self {
             grid,
             blocks: available,
-            tasks: Vec::new(),
-        };
-        state.with_tasks(tasks)
-    }
-
-    fn with_tasks(mut self, tasks: Vec<Task>) -> Result<Self, ProblemError> {
-        for t in &tasks {
-            if t.demand.grid() != &self.grid {
-                return Err(ProblemError(format!(
-                    "task {} is on a different grid",
-                    t.id
-                )));
-            }
-            if !t.weight.is_finite() || t.weight <= 0.0 {
-                return Err(ProblemError(format!(
-                    "task {} has invalid weight {}",
-                    t.id, t.weight
-                )));
-            }
-            if t.blocks.is_empty() {
-                return Err(ProblemError(format!("task {} requests no blocks", t.id)));
-            }
-            for b in &t.blocks {
-                if !self.blocks.contains_key(b) {
-                    return Err(ProblemError(format!(
-                        "task {} requests unknown block {b}",
-                        t.id
-                    )));
-                }
-            }
-            if t.demand.values().iter().any(|d| *d < 0.0) {
-                return Err(ProblemError(format!("task {} has negative demand", t.id)));
-            }
-        }
-        self.tasks = tasks;
-        Ok(self)
+            tasks,
+            dense,
+            by_id,
+        })
     }
 
     /// The alpha grid shared by all curves.
@@ -231,9 +193,23 @@ impl ProblemState {
         &self.tasks
     }
 
+    /// The position in [`ProblemState::tasks`] of the (first) task with
+    /// this id, if pending — a binary search.
+    pub fn index_of(&self, id: TaskId) -> Option<usize> {
+        let at = self
+            .by_id
+            .partition_point(|&i| self.tasks[i as usize].id < id);
+        let i = *self.by_id.get(at)? as usize;
+        (self.tasks[i].id == id).then_some(i)
+    }
+
     /// A task by id, if pending.
     pub fn task(&self, id: TaskId) -> Option<&Task> {
-        self.tasks.iter().find(|t| t.id == id)
+        self.index_of(id).map(|i| &self.tasks[i])
+    }
+
+    pub(crate) fn dense(&self) -> &Dense {
+        &self.dense
     }
 }
 
@@ -284,33 +260,8 @@ pub enum PackingRule {
 /// ordering-based scheduler so that efficiency differences come from the
 /// ordering (and packing rule) alone.
 pub fn pack(state: &ProblemState, ordered: &[usize], rule: PackingRule) -> Vec<TaskId> {
-    let mut used: BTreeMap<BlockId, RdpCurve> = BTreeMap::new();
-    let mut scheduled = Vec::new();
-    let n_orders = state.grid().len();
-    for &idx in ordered {
-        let task = &state.tasks()[idx];
-        let fits_all_blocks = task.blocks.iter().all(|b| {
-            let cap = &state.blocks()[b];
-            let zero = RdpCurve::zero(state.grid());
-            let u = used.get(b).unwrap_or(&zero);
-            (0..n_orders)
-                .any(|a| dp_accounting::fits(u.epsilon(a) + task.demand.epsilon(a), cap.epsilon(a)))
-        });
-        if fits_all_blocks {
-            for b in &task.blocks {
-                let entry = used
-                    .entry(*b)
-                    .or_insert_with(|| RdpCurve::zero(state.grid()));
-                *entry = entry
-                    .compose(&task.demand)
-                    .expect("demands share the state grid");
-            }
-            scheduled.push(task.id);
-        } else if rule == PackingRule::Stop {
-            break;
-        }
-    }
-    scheduled
+    let taken = state.dense().pack(ordered, rule);
+    taken.into_iter().map(|t| state.tasks()[t].id).collect()
 }
 
 /// [`pack`] with [`PackingRule::Skip`] — the default greedy discipline.

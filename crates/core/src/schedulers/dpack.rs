@@ -3,8 +3,9 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crate::problem::{greedy_pack, Allocation, BlockId, ProblemState};
-use crate::schedulers::{finish_allocation, sort_by_efficiency, Scheduler};
+use crate::dense::{fan_out, Dense, Sweep};
+use crate::problem::{Allocation, BlockId, PackingRule, ProblemState};
+use crate::schedulers::{allocate, sort_by_efficiency, Scheduler};
 use knapsack::{
     fptas::fptas_value, greedy::greedy_with_best_item, greedy::unit_profit_exact, Item,
 };
@@ -101,96 +102,92 @@ impl DPack {
         }
     }
 
-    /// `COMPUTE_BEST_ALPHA` of Alg. 1 for a single block: the grid index
-    /// of the order whose single-block knapsack packs the most weight,
-    /// or `None` when no order is usable or no task requests the block.
-    ///
-    /// Exposed separately so callers (e.g. the orchestrator substrate)
-    /// can parallelize the per-block computation — the dominant cost of
-    /// a DPack cycle.
-    pub fn best_alpha_for_block(&self, state: &ProblemState, block: BlockId) -> Option<usize> {
-        let cap = state.blocks().get(&block)?;
-        let requesters: Vec<usize> = state
-            .tasks()
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.blocks.contains(&block))
-            .map(|(i, _)| i)
-            .collect();
-        if requesters.is_empty() {
-            return None;
-        }
-        let mut best_alpha: Option<usize> = None;
-        let mut best_value = f64::NEG_INFINITY;
-        for a in 0..state.grid().len() {
-            let c = cap.epsilon(a);
-            if c <= 0.0 {
-                continue;
-            }
-            let items: Vec<Item> = requesters
-                .iter()
-                .map(|&i| {
-                    let t = &state.tasks()[i];
-                    Item {
-                        weight: t.demand.epsilon(a),
-                        profit: t.weight,
-                    }
-                })
-                .collect();
-            let value = self.solve_single_block(&items, c);
-            if value > best_value {
-                best_value = value;
-                best_alpha = Some(a);
-            }
-        }
-        best_alpha
-    }
-
     /// `COMPUTE_BEST_ALPHA` of Alg. 1 for every block: returns, per block,
     /// the grid index of the order whose single-block knapsack packs the
     /// most weight, or `None` when no order is usable or no task requests
     /// the block.
     pub fn best_alphas(&self, state: &ProblemState) -> BTreeMap<BlockId, Option<usize>> {
-        // Group requesting task indices per block.
-        let mut requesters: BTreeMap<BlockId, Vec<usize>> = BTreeMap::new();
-        for (i, t) in state.tasks().iter().enumerate() {
-            for b in &t.blocks {
-                requesters.entry(*b).or_default().push(i);
-            }
-        }
-        let n_orders = state.grid().len();
-        let mut best = BTreeMap::new();
-        for (block_id, cap) in state.blocks() {
-            let Some(tasks) = requesters.get(block_id) else {
-                best.insert(*block_id, None);
-                continue;
-            };
-            let mut best_alpha: Option<usize> = None;
-            let mut best_value = f64::NEG_INFINITY;
-            for a in 0..n_orders {
-                let c = cap.epsilon(a);
-                if c <= 0.0 {
-                    continue;
-                }
-                let items: Vec<Item> = tasks
-                    .iter()
-                    .map(|&i| {
-                        let t = &state.tasks()[i];
-                        Item {
-                            weight: t.demand.epsilon(a),
-                            profit: t.weight,
+        self.best_alphas_threaded(state, 1)
+    }
+
+    /// [`DPack::best_alphas`] with the orders — whose knapsacks are
+    /// independent — split over `threads` threads. Same result for any
+    /// thread count.
+    pub fn best_alphas_threaded(
+        &self,
+        state: &ProblemState,
+        threads: usize,
+    ) -> BTreeMap<BlockId, Option<usize>> {
+        let best = self.dense_best_alphas(state.dense(), threads);
+        state.blocks().keys().copied().zip(best).collect()
+    }
+
+    /// Best alpha per block index. One pass per order fills in every
+    /// block's knapsack value at that order; a block keeps the first
+    /// order that reaches its highest value.
+    fn dense_best_alphas(&self, dense: &Dense, threads: usize) -> Vec<Option<usize>> {
+        // Equal weights everywhere: every knapsack is "longest prefix
+        // by ascending demand", and one sweep per order finds them all.
+        // Otherwise each (block, order) knapsack is solved on its own
+        // over the block's requester list.
+        let sweep = self.oracle == KnapsackOracle::Auto && dense.uniform_weight();
+        let by_block = (!sweep).then(|| dense.by_block());
+        // Worker `w` takes orders `w`, `w + threads`, …: low orders
+        // are often unusable and cost nothing, so strides balance
+        // where contiguous ranges would not.
+        let threads = threads.clamp(1, dense.n_orders().max(1));
+        let mut parts = fan_out(threads, |w| {
+            let mut best: Best = vec![(f64::NEG_INFINITY, None); dense.n_blocks()];
+            let (mut sweeper, mut items) = (Sweep::default(), Vec::new());
+            for a in (w..dense.n_orders()).step_by(threads) {
+                match &by_block {
+                    None => {
+                        for (j, value) in sweeper.run(dense, a).enumerate() {
+                            offer(&mut best, j, a, value);
                         }
-                    })
-                    .collect();
-                let value = self.solve_single_block(&items, c);
-                if value > best_value {
-                    best_value = value;
-                    best_alpha = Some(a);
+                    }
+                    Some(lists) => self.solve_order(dense, lists, a, &mut items, &mut best),
                 }
             }
-            best.insert(*block_id, best_alpha);
+            best
+        })
+        .into_iter();
+        // The first order reaching the highest value wins, whichever
+        // worker saw it.
+        let mut best = parts.next().expect("at least one worker");
+        for part in parts {
+            for (mine, theirs) in best.iter_mut().zip(part) {
+                if theirs.0 > mine.0 || (theirs.0 == mine.0 && theirs.1 < mine.1) {
+                    *mine = theirs;
+                }
+            }
         }
-        best
+        best.into_iter().map(|(_, alpha)| alpha).collect()
+    }
+
+    /// Solves order `a`'s knapsack of every block that is usable there,
+    /// over the block's requesters in ascending task order.
+    fn solve_order(
+        &self,
+        dense: &Dense,
+        (starts, members): &(Vec<usize>, Vec<u32>),
+        a: usize,
+        items: &mut Vec<Item>,
+        best: &mut Best,
+    ) {
+        for j in 0..dense.n_blocks() {
+            let capacity = dense.capacity(j)[a];
+            let requesters = &members[starts[j]..starts[j + 1]];
+            if capacity <= 0.0 || requesters.is_empty() {
+                continue;
+            }
+            items.clear();
+            items.extend(requesters.iter().map(|&t| Item {
+                weight: dense.demand(t as usize)[a],
+                profit: dense.weight(t as usize),
+            }));
+            offer(best, j, a, self.solve_single_block(items, capacity));
+        }
     }
 
     /// `COMPUTE_EFFICIENCY` of Alg. 1 (Eq. 6) for every task, given the
@@ -200,29 +197,64 @@ impl DPack {
         state: &ProblemState,
         best_alphas: &BTreeMap<BlockId, Option<usize>>,
     ) -> Vec<f64> {
-        state
-            .tasks()
-            .iter()
-            .map(|t| {
-                let mut denom = 0.0;
-                for b in &t.blocks {
-                    match best_alphas.get(b).copied().flatten() {
-                        Some(a) => {
-                            let c = state.blocks()[b].epsilon(a);
-                            denom += t.demand.epsilon(a) / c;
-                        }
-                        // A requested block with no usable order makes
-                        // the task unschedulable.
-                        None => return 0.0,
-                    }
-                }
-                if denom == 0.0 {
-                    f64::INFINITY
-                } else {
-                    t.weight / denom
-                }
-            })
-            .collect()
+        let best: Vec<Option<usize>> = state
+            .blocks()
+            .keys()
+            .map(|b| best_alphas.get(b).copied().flatten())
+            .collect();
+        dense_efficiencies(state.dense(), &best)
+    }
+
+    /// [`Scheduler::schedule`] with the best-alpha step on `threads`
+    /// threads; the allocation does not depend on the thread count.
+    pub fn schedule_threaded(&self, state: &ProblemState, threads: usize) -> Allocation {
+        let started = Instant::now();
+        let dense = state.dense();
+        let best = self.dense_best_alphas(dense, threads);
+        let eff = dense_efficiencies(dense, &best);
+        let order = sort_by_efficiency(state, &eff);
+        allocate(state, &order, PackingRule::Skip, started)
+    }
+}
+
+/// Eq. 6 over the dense view: a task is charged, per requested block,
+/// its demand at that block's best alpha relative to the capacity there.
+fn dense_efficiencies(dense: &Dense, best: &[Option<usize>]) -> Vec<f64> {
+    let at_best: Vec<Option<(usize, f64)>> = best
+        .iter()
+        .enumerate()
+        .map(|(j, alpha)| alpha.map(|a| (a, dense.capacity(j)[a])))
+        .collect();
+    (0..dense.n_tasks())
+        .map(|t| {
+            let demand = dense.demand(t);
+            let mut denom = 0.0;
+            for &j in dense.blocks_of(t) {
+                // A requested block with no usable order makes the
+                // task unschedulable.
+                let Some((a, capacity)) = at_best[j as usize] else {
+                    return 0.0;
+                };
+                denom += demand[a] / capacity;
+            }
+            if denom == 0.0 {
+                f64::INFINITY
+            } else {
+                dense.weight(t) / denom
+            }
+        })
+        .collect()
+}
+
+/// Per block, the highest knapsack value seen so far and the first
+/// order that reached it.
+type Best = Vec<(f64, Option<usize>)>;
+
+/// Records block `j`'s knapsack value at order `a`; a block's orders
+/// must be offered in ascending order.
+fn offer(best: &mut Best, j: usize, a: usize, value: f64) {
+    if value > best[j].0 {
+        best[j] = (value, Some(a));
     }
 }
 
@@ -232,12 +264,7 @@ impl Scheduler for DPack {
     }
 
     fn schedule(&self, state: &ProblemState) -> Allocation {
-        let started = Instant::now();
-        let best = self.best_alphas(state);
-        let eff = self.efficiencies(state, &best);
-        let order = sort_by_efficiency(state, &eff);
-        let scheduled = greedy_pack(state, &order);
-        finish_allocation(state, scheduled, started, None)
+        self.schedule_threaded(state, 1)
     }
 }
 
@@ -380,16 +407,5 @@ mod tests {
     #[should_panic(expected = "eta must be in")]
     fn with_eta_rejects_out_of_range() {
         DPack::with_eta(2.0);
-    }
-
-    #[test]
-    fn per_block_best_alpha_agrees_with_batch() {
-        let state = crate::scenarios::fig3_state();
-        let d = DPack::default();
-        let batch = d.best_alphas(&state);
-        for (block, expected) in batch {
-            assert_eq!(d.best_alpha_for_block(&state, block), expected);
-        }
-        assert_eq!(d.best_alpha_for_block(&state, 99), None);
     }
 }

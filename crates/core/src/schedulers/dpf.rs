@@ -1,9 +1,11 @@
 //! DPF: Dominating Privacy-block Fairness (the baseline of §3.1–3.2).
 
+use std::ops::Range;
 use std::time::Instant;
 
-use crate::problem::{pack, Allocation, PackingRule, ProblemState, Task};
-use crate::schedulers::{finish_allocation, sort_by_efficiency, Scheduler};
+use crate::dense::{fan_out, Dense};
+use crate::problem::{Allocation, PackingRule, ProblemState, Task};
+use crate::schedulers::{allocate, sort_by_efficiency, Scheduler};
 use dp_accounting::RdpCurve;
 
 /// The fairness-oriented scheduler of PrivateKube, viewed as a greedy
@@ -24,6 +26,25 @@ use dp_accounting::RdpCurve;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dpf;
 
+/// The largest `demand/capacity` ratio over one block's
+/// positive-capacity orders; `f64::INFINITY` when none is usable.
+fn block_share(demand: &[f64], capacity: &[f64]) -> f64 {
+    let (mut lowest, mut highest) = (f64::INFINITY, 0.0f64);
+    for (d, c) in demand.iter().zip(capacity) {
+        if *c > 0.0 {
+            let share = d / c;
+            (lowest, highest) = (lowest.min(share), highest.max(share));
+        }
+    }
+    // DPF's max is over all usable (j, α) pairs of d/c; the lowest
+    // ratio only tells whether any order is usable at all.
+    if lowest == f64::INFINITY {
+        f64::INFINITY
+    } else {
+        highest
+    }
+}
+
 /// The dominant share of a task against the given capacities: the
 /// largest `demand/capacity` ratio across its requested blocks and the
 /// positive-capacity orders. Returns `f64::INFINITY` when a requested
@@ -34,52 +55,55 @@ pub fn dominant_share(
 ) -> f64 {
     let mut share = 0.0f64;
     for b in &task.blocks {
-        let cap = match capacities.get(b) {
-            Some(c) => c,
-            None => return f64::INFINITY,
+        let Some(cap) = capacities.get(b) else {
+            return f64::INFINITY;
         };
-        let mut block_best = f64::INFINITY;
-        for (a, _) in cap.grid().iter() {
-            let c = cap.epsilon(a);
-            if c > 0.0 {
-                block_best = block_best.min(task.demand.epsilon(a) / c);
-            }
-        }
-        if block_best == f64::INFINITY {
+        let block = block_share(task.demand.values(), cap.values());
+        if block == f64::INFINITY {
             return f64::INFINITY; // No usable order on this block.
         }
-        // DPF's max is over all usable (j, α) pairs of d/c; within a
-        // block the relevant share is the largest ratio, not the
-        // smallest.
-        let mut block_max = 0.0f64;
-        for (a, _) in cap.grid().iter() {
-            let c = cap.epsilon(a);
-            if c > 0.0 {
-                block_max = block_max.max(task.demand.epsilon(a) / c);
-            }
-        }
-        share = share.max(block_max);
+        share = share.max(block);
     }
     share
 }
 
-/// Computes the DPF efficiency (inverse weighted dominant share) of
-/// every pending task.
-fn dpf_efficiencies(state: &ProblemState) -> Vec<f64> {
-    state
-        .tasks()
-        .iter()
+/// The DPF efficiency (inverse weighted dominant share) of tasks
+/// `tasks` of the dense view.
+fn dpf_efficiencies(dense: &Dense, tasks: Range<usize>) -> Vec<f64> {
+    tasks
         .map(|t| {
-            let share = dominant_share(t, state.blocks());
-            if share == f64::INFINITY {
-                0.0
-            } else if share == 0.0 {
+            let mut share = 0.0f64;
+            for &j in dense.blocks_of(t) {
+                let block = block_share(dense.demand(t), dense.capacity(j as usize));
+                if block == f64::INFINITY {
+                    return 0.0;
+                }
+                share = share.max(block);
+            }
+            if share == 0.0 {
                 f64::INFINITY
             } else {
-                t.weight / share
+                dense.weight(t) / share
             }
         })
         .collect()
+}
+
+/// One DPF pass: smallest weighted dominant share first, packed under
+/// `rule`, with the per-task shares computed on `threads` threads. The
+/// allocation does not depend on the thread count.
+pub fn dpf_schedule(state: &ProblemState, rule: PackingRule, threads: usize) -> Allocation {
+    let started = Instant::now();
+    let dense = state.dense();
+    let n = dense.n_tasks();
+    let threads = threads.clamp(1, n.max(1));
+    let chunk = n.div_ceil(threads);
+    let eff = fan_out(threads, |w| {
+        dpf_efficiencies(dense, (w * chunk).min(n)..((w + 1) * chunk).min(n))
+    })
+    .concat();
+    let order = sort_by_efficiency(state, &eff);
+    allocate(state, &order, rule, started)
 }
 
 impl Scheduler for Dpf {
@@ -88,11 +112,7 @@ impl Scheduler for Dpf {
     }
 
     fn schedule(&self, state: &ProblemState) -> Allocation {
-        let started = Instant::now();
-        let eff = dpf_efficiencies(state);
-        let order = sort_by_efficiency(state, &eff);
-        let scheduled = pack(state, &order, PackingRule::Skip);
-        finish_allocation(state, scheduled, started, None)
+        dpf_schedule(state, PackingRule::Skip, 1)
     }
 }
 
@@ -119,11 +139,7 @@ impl Scheduler for DpfStrict {
     }
 
     fn schedule(&self, state: &ProblemState) -> Allocation {
-        let started = Instant::now();
-        let eff = dpf_efficiencies(state);
-        let order = sort_by_efficiency(state, &eff);
-        let scheduled = pack(state, &order, PackingRule::Stop);
-        finish_allocation(state, scheduled, started, None)
+        dpf_schedule(state, PackingRule::Stop, 1)
     }
 }
 

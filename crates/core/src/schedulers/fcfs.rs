@@ -2,8 +2,8 @@
 
 use std::time::Instant;
 
-use crate::problem::{greedy_pack, Allocation, ProblemState};
-use crate::schedulers::{finish_allocation, Scheduler};
+use crate::problem::{Allocation, PackingRule, ProblemState};
+use crate::schedulers::{allocate, Scheduler};
 
 /// Allocates tasks strictly in arrival order (ties by id), skipping any
 /// task that no longer fits. No prioritization of low-demand tasks —
@@ -26,8 +26,7 @@ impl Scheduler for Fcfs {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(ta.id.cmp(&tb.id))
         });
-        let scheduled = greedy_pack(state, &order);
-        finish_allocation(state, scheduled, started, None)
+        allocate(state, &order, PackingRule::Skip, started)
     }
 }
 

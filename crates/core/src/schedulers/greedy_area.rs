@@ -3,8 +3,8 @@
 
 use std::time::Instant;
 
-use crate::problem::{greedy_pack, Allocation, ProblemState};
-use crate::schedulers::{finish_allocation, sort_by_efficiency, Scheduler};
+use crate::problem::{Allocation, PackingRule, ProblemState};
+use crate::schedulers::{allocate, sort_by_efficiency, Scheduler};
 
 /// Greedy scheduler ordering tasks by
 ///
@@ -31,19 +31,16 @@ impl Scheduler for GreedyArea {
 
     fn schedule(&self, state: &ProblemState) -> Allocation {
         let started = Instant::now();
-        let eff: Vec<f64> = state
-            .tasks()
-            .iter()
+        let dense = state.dense();
+        let eff: Vec<f64> = (0..dense.n_tasks())
             .map(|t| {
                 let mut denom = 0.0;
-                for b in &t.blocks {
-                    let cap = &state.blocks()[b];
+                for &j in dense.blocks_of(t) {
                     let mut usable = false;
-                    for (a, _) in cap.grid().iter() {
-                        let c = cap.epsilon(a);
-                        if c > 0.0 {
+                    for (d, c) in dense.demand(t).iter().zip(dense.capacity(j as usize)) {
+                        if *c > 0.0 {
                             usable = true;
-                            denom += t.demand.epsilon(a) / c;
+                            denom += d / c;
                         }
                     }
                     if !usable {
@@ -53,13 +50,12 @@ impl Scheduler for GreedyArea {
                 if denom == 0.0 {
                     f64::INFINITY
                 } else {
-                    t.weight / denom
+                    dense.weight(t) / denom
                 }
             })
             .collect();
         let order = sort_by_efficiency(state, &eff);
-        let scheduled = greedy_pack(state, &order);
-        finish_allocation(state, scheduled, started, None)
+        allocate(state, &order, PackingRule::Skip, started)
     }
 }
 

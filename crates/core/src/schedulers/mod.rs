@@ -7,12 +7,14 @@ mod greedy_area;
 mod optimal;
 
 pub use dpack::{DPack, KnapsackOracle};
-pub use dpf::{dominant_share, Dpf, DpfStrict};
+pub use dpf::{dominant_share, dpf_schedule, Dpf, DpfStrict};
 pub use fcfs::Fcfs;
 pub use greedy_area::GreedyArea;
 pub use optimal::Optimal;
 
-use crate::problem::{Allocation, ProblemState};
+use std::time::Instant;
+
+use crate::problem::{Allocation, PackingRule, ProblemState, TaskId};
 
 /// A privacy-budget scheduler.
 ///
@@ -31,43 +33,62 @@ pub trait Scheduler {
 
 /// Sorts task indices by descending efficiency, breaking ties by arrival
 /// time then id — the deterministic ordering used by every greedy
-/// scheduler in this crate (public so external scheduler wrappers, such
-/// as the orchestrator's parallel variants, order identically).
+/// scheduler in this crate (public so external scheduler wrappers order
+/// identically).
 pub fn sort_by_efficiency(state: &ProblemState, eff: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..state.tasks().len()).collect();
-    order.sort_by(|&a, &b| {
-        eff[b]
-            .partial_cmp(&eff[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(
-                state.tasks()[a]
-                    .arrival
-                    .partial_cmp(&state.tasks()[b].arrival)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-            .then(state.tasks()[a].id.cmp(&state.tasks()[b].id))
-    });
-    order
+    // Each task's keys are gathered into one tuple of integers that
+    // orders as the floats do, so the sort compares adjacent words
+    // instead of chasing `Task`s. The index as last key is what a
+    // stable sort of the indices would yield.
+    let mut keyed: Vec<(u64, u64, TaskId, usize)> = state
+        .tasks()
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (!order_bits(eff[i]), order_bits(t.arrival), t.id, i))
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|key| key.3).collect()
 }
 
-/// Builds an [`Allocation`] from scheduled ids, filling in the weights
+/// A `u64` that orders as `x` does among non-NaN floats, with -0.0 and
+/// 0.0 equal as they compare (NaNs land beyond the infinities).
+fn order_bits(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// Builds an [`Allocation`] from the indices (into `state.tasks()`) of
+/// the scheduled tasks, in allocation order, filling in ids, weights
 /// and timing.
 pub fn finish_allocation(
     state: &ProblemState,
-    scheduled: Vec<crate::problem::TaskId>,
-    started: std::time::Instant,
+    taken: &[usize],
+    started: Instant,
     proven_optimal: Option<bool>,
 ) -> Allocation {
-    let total_weight = scheduled
-        .iter()
-        .map(|id| state.task(*id).map_or(0.0, |t| t.weight))
-        .sum();
+    let tasks = state.tasks();
     Allocation {
-        scheduled,
-        total_weight,
+        scheduled: taken.iter().map(|&t| tasks[t].id).collect(),
+        total_weight: taken.iter().map(|&t| tasks[t].weight).sum(),
         runtime: started.elapsed(),
         proven_optimal,
     }
+}
+
+/// Packs `order` under `rule` and wraps the result up — the tail every
+/// ordering-based scheduler shares.
+pub(crate) fn allocate(
+    state: &ProblemState,
+    order: &[usize],
+    rule: PackingRule,
+    started: Instant,
+) -> Allocation {
+    let taken = state.dense().pack(order, rule);
+    finish_allocation(state, &taken, started, None)
 }
 
 #[cfg(test)]

@@ -32,29 +32,19 @@ impl Optimal {
 
     /// Builds the [`PrivacyInstance`] corresponding to a problem state.
     pub fn instance(state: &ProblemState) -> PrivacyInstance {
-        let block_ids: Vec<_> = state.blocks().keys().copied().collect();
-        let n_orders = state.grid().len();
-        let capacity: Vec<Vec<f64>> = block_ids
-            .iter()
-            .map(|b| state.blocks()[b].values().to_vec())
+        let dense = state.dense();
+        let capacity: Vec<Vec<f64>> = (0..dense.n_blocks())
+            .map(|j| dense.capacity(j).to_vec())
             .collect();
-        let items: Vec<PrivacyItem> = state
-            .tasks()
-            .iter()
+        let items: Vec<PrivacyItem> = (0..dense.n_tasks())
             .map(|t| {
-                let demand: Vec<Vec<f64>> = block_ids
-                    .iter()
-                    .map(|b| {
-                        if t.blocks.contains(b) {
-                            t.demand.values().to_vec()
-                        } else {
-                            vec![0.0; n_orders]
-                        }
-                    })
-                    .collect();
+                let mut demand = vec![vec![0.0; dense.n_orders()]; dense.n_blocks()];
+                for &j in dense.blocks_of(t) {
+                    demand[j as usize] = dense.demand(t).to_vec();
+                }
                 PrivacyItem {
                     demand,
-                    profit: t.weight,
+                    profit: dense.weight(t),
                 }
             })
             .collect();
@@ -73,19 +63,19 @@ impl Scheduler for Optimal {
         // Warm-start the search with the DPack allocation so that a
         // budget-limited solve never reports a solution below the
         // heuristic it benchmarks against.
-        let warm_ids = DPack::default().schedule(state).scheduled;
-        let warm: Vec<usize> = warm_ids
+        let warm: Vec<usize> = DPack::default()
+            .schedule(state)
+            .scheduled
             .iter()
-            .filter_map(|id| state.tasks().iter().position(|t| t.id == *id))
+            .filter_map(|id| state.index_of(*id))
             .collect();
         let outcome = solve_with_warm_start(&inst, self.limits, Some(&warm));
-        let scheduled = outcome
-            .solution
-            .selected
-            .iter()
-            .map(|&i| state.tasks()[i].id)
-            .collect();
-        finish_allocation(state, scheduled, started, Some(outcome.proven_optimal))
+        finish_allocation(
+            state,
+            &outcome.solution.selected,
+            started,
+            Some(outcome.proven_optimal),
+        )
     }
 }
 

@@ -1,0 +1,361 @@
+//! The dense scheduler kernels against a literal transcription of
+//! Alg. 1 and `CANRUN`.
+//!
+//! The schedulers run on an index-typed view of the problem with one
+//! global demand sweep per order; the reference below does what the
+//! paper's pseudo-code says, block by block over id-keyed maps. Both
+//! must allocate the same tasks in the same order with the same
+//! `total_weight` to the last bit, on instances built to hit the
+//! corners: equal and unequal weights, duplicate demand curves (ties at
+//! every order), `0.0`, `-0.0` and `+inf` demands, depleted orders,
+//! blocks nobody requests, sparse block ids, single-order grids
+//! (Prop. 4) and the stop-at-first-misfit rule.
+
+use std::collections::BTreeMap;
+
+use dp_accounting::{fits, AlphaGrid, RdpCurve};
+use dpack_check::{
+    bools, check_cases, floats, ints, prop_assert_eq, vecs, weighted, PropResult, Strategy,
+};
+use dpack_core::problem::{pack, Block, BlockId, PackingRule, ProblemState, Task, TaskId};
+use dpack_core::schedulers::{
+    sort_by_efficiency, DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Scheduler,
+};
+use knapsack::{dp::integer_profit_exact, fptas::fptas_value, greedy::unit_profit_exact, Item};
+
+const CASES: u32 = 192;
+
+type Caps = BTreeMap<BlockId, RdpCurve>;
+/// Scheduled ids in order, and their summed weight.
+type Outcome = (Vec<TaskId>, f64);
+
+// ---- The reference: Alg. 1 and CANRUN as written, under 50 lines. ----
+
+/// `COMPUTE_BEST_ALPHA` for one block: the first usable order whose
+/// single-block knapsack over the block's requesters is worth most,
+/// by DPack's default oracle (prefix / integer DP / FPTAS for n ≤ 300).
+fn ref_best_alpha(caps: &Caps, tasks: &[Task], block: BlockId) -> Option<usize> {
+    let requesters: Vec<&Task> = tasks.iter().filter(|t| t.blocks.contains(&block)).collect();
+    let (mut best, mut best_value) = (None, f64::NEG_INFINITY);
+    for a in 0..caps[&block].grid().len() {
+        let c = caps[&block].epsilon(a);
+        if c <= 0.0 || requesters.is_empty() {
+            continue;
+        }
+        let item = |t: &&Task| Item {
+            weight: t.demand.epsilon(a),
+            profit: t.weight,
+        };
+        let items: Vec<Item> = requesters.iter().map(item).collect();
+        let value = unit_profit_exact(&items, c)
+            .or_else(|| integer_profit_exact(&items, c, 2_000_000))
+            .map_or_else(|| fptas_value(&items, c, 1.0 / 3.0), |s| s.profit);
+        if value > best_value {
+            (best, best_value) = (Some(a), value);
+        }
+    }
+    best
+}
+
+/// Eq. 6: weight over the summed demand shares at each block's best alpha.
+fn ref_dpack_efficiency(caps: &Caps, t: &Task, best: &BTreeMap<BlockId, Option<usize>>) -> f64 {
+    let share = |b: &BlockId| best[b].map(|a| t.demand.epsilon(a) / caps[b].epsilon(a));
+    let shares: Option<Vec<f64>> = t.blocks.iter().map(share).collect();
+    ref_metric(t.weight, shares.map(|s| s.into_iter().sum()))
+}
+
+/// The greedy loop of Alg. 1: "if CANRUN then run", in `order`.
+fn ref_canrun(caps: &Caps, tasks: &[Task], order: &[usize], rule: PackingRule) -> Outcome {
+    let mut used: BTreeMap<BlockId, Vec<f64>> = BTreeMap::new();
+    let mut run: Vec<&Task> = Vec::new();
+    for t in order.iter().map(|&i| &tasks[i]) {
+        let d = t.demand.values();
+        let can_run = t.blocks.iter().all(|b| {
+            let u = |a| used.get(b).map_or(0.0, |u| u[a]);
+            (0..d.len()).any(|a| fits(u(a) + d[a], caps[b].epsilon(a)))
+        });
+        if can_run {
+            for b in &t.blocks {
+                let u = used.entry(*b).or_insert_with(|| vec![0.0; d.len()]);
+                (0..d.len()).for_each(|a| u[a] += d[a]);
+            }
+            run.push(t);
+        } else if rule == PackingRule::Stop {
+            break;
+        }
+    }
+    let weight = run.iter().map(|t| t.weight).sum();
+    (run.iter().map(|t| t.id).collect(), weight)
+}
+
+// ---- The baselines' metrics and the shared ordering, as written. ------
+
+/// Descending metric, then arrival, then id.
+fn ref_order(tasks: &[Task], metric: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by(|&x, &y| {
+        metric[y]
+            .partial_cmp(&metric[x])
+            .unwrap()
+            .then(tasks[x].arrival.partial_cmp(&tasks[y].arrival).unwrap())
+            .then(tasks[x].id.cmp(&tasks[y].id))
+    });
+    order
+}
+
+/// `d/c` over a task's requested blocks and their usable orders, or
+/// `None` if some requested block has no usable order.
+fn ref_shares(caps: &Caps, t: &Task) -> Option<Vec<f64>> {
+    let mut shares = Vec::new();
+    for b in &t.blocks {
+        let usable: Vec<f64> = (0..t.demand.values().len())
+            .filter(|&a| caps[b].epsilon(a) > 0.0)
+            .map(|a| t.demand.epsilon(a) / caps[b].epsilon(a))
+            .collect();
+        if usable.is_empty() {
+            return None;
+        }
+        shares.extend(usable);
+    }
+    Some(shares)
+}
+
+/// `weight / denom` with the schedulers' conventions at the ends.
+fn ref_metric(weight: f64, denom: Option<f64>) -> f64 {
+    let Some(denom) = denom else {
+        return 0.0; // A requested block with no usable order.
+    };
+    if denom == f64::INFINITY {
+        0.0
+    } else if denom == 0.0 {
+        f64::INFINITY
+    } else {
+        weight / denom
+    }
+}
+
+// ---- Instances. -------------------------------------------------------
+
+/// Non-contiguous ids up to the end of the id space.
+const SPARSE_IDS: [BlockId; 6] = [2, 3, 17, 1_000, 1 << 40, u64::MAX];
+/// Unequal weights: integers (the exact DP oracle) and one fraction
+/// (the FPTAS).
+const WEIGHTS: [f64; 4] = [1.0, 2.0, 3.0, 0.75];
+
+/// (orders, sparse ids, equal weights, capacities, demand palette,
+/// tasks as (palette entry, weight pick, block mask, arrival)).
+type Spec = (
+    usize,
+    bool,
+    bool,
+    Vec<Vec<f64>>,
+    Vec<Vec<f64>>,
+    Vec<(usize, usize, u8, u8)>,
+);
+
+fn build(spec: &Spec) -> (AlphaGrid, Caps, Vec<Task>) {
+    let (n_orders, sparse, equal_weights, caps, palette, task_specs) = spec;
+    let grid = AlphaGrid::new([2.0, 4.0, 8.0, 16.0][..*n_orders].to_vec()).unwrap();
+    let ids: Vec<BlockId> = (0..caps.len())
+        .map(|j| if *sparse { SPARSE_IDS[j] } else { j as BlockId })
+        .collect();
+    let curve = |values: &Vec<f64>| RdpCurve::new(&grid, values[..*n_orders].to_vec()).unwrap();
+    let caps: Caps = ids.iter().copied().zip(caps.iter().map(curve)).collect();
+    let tasks = task_specs
+        .iter()
+        .enumerate()
+        .map(|(i, &(entry, weight, mask, arrival))| {
+            let mut blocks: Vec<BlockId> = (0..ids.len())
+                .filter(|j| mask >> j & 1 == 1)
+                .map(|j| ids[j])
+                .collect();
+            if blocks.is_empty() {
+                blocks.push(ids[mask as usize % ids.len()]);
+            }
+            let weight = if *equal_weights { 1.5 } else { WEIGHTS[weight] };
+            // Ids are distinct but not in task order.
+            let id = (i as TaskId * 7 + 3) % 31;
+            let demand = curve(&palette[entry % palette.len()]);
+            Task::new(id, weight, blocks, demand, arrival as f64)
+        })
+        .collect();
+    (grid, caps, tasks)
+}
+
+fn spec() -> impl Strategy<Value = Spec> {
+    let capacity = weighted(vec![(1, -1.0), (1, 0.0), (1, 0.4), (2, 1.0), (2, 2.5)]);
+    // Few distinct demand curves, so whole curves repeat across tasks.
+    let demand = floats(0.0..1.2).prop_map(|x| match (x * 100.0) as u32 % 10 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => 0.25,
+        _ => x,
+    });
+    (
+        ints(1usize..5),
+        bools(),
+        bools(),
+        vecs(vecs(capacity, 4..5), 1..7),
+        vecs(vecs(demand, 4..5), 1..5),
+        vecs(
+            (
+                ints(0usize..4),
+                ints(0usize..4),
+                ints(0u8..64),
+                ints(0u8..3),
+            ),
+            0..31,
+        ),
+    )
+}
+
+// ---- Properties. ------------------------------------------------------
+
+fn same(what: &str, got: &dpack_core::Allocation, want: &Outcome) -> PropResult {
+    prop_assert_eq!(&got.scheduled, &want.0, "{what}: scheduled ids and order");
+    prop_assert_eq!(
+        got.total_weight.to_bits(),
+        want.1.to_bits(),
+        "{what}: total_weight"
+    );
+    Ok(())
+}
+
+/// Every scheduler on the dense view against the reference.
+fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResult {
+    let state = ProblemState::from_available(grid, caps.clone(), tasks.clone()).unwrap();
+    let skip = PackingRule::Skip;
+
+    // DPack: best alphas, Eq. 6, order, CANRUN.
+    let best: BTreeMap<BlockId, Option<usize>> = caps
+        .keys()
+        .map(|b| (*b, ref_best_alpha(&caps, &tasks, *b)))
+        .collect();
+    let dpack = DPack::default();
+    prop_assert_eq!(&dpack.best_alphas(&state), &best);
+    prop_assert_eq!(&dpack.best_alphas_threaded(&state, 3), &best);
+    let eff: Vec<f64> = tasks
+        .iter()
+        .map(|t| ref_dpack_efficiency(&caps, t, &best))
+        .collect();
+    prop_assert_eq!(
+        dpack
+            .efficiencies(&state, &best)
+            .iter()
+            .map(|e| e.to_bits())
+            .collect::<Vec<_>>(),
+        eff.iter().map(|e| e.to_bits()).collect::<Vec<_>>()
+    );
+    let order = ref_order(&tasks, &eff);
+    prop_assert_eq!(&sort_by_efficiency(&state, &eff), &order);
+    let want = ref_canrun(&caps, &tasks, &order, skip);
+    same("DPack", &dpack.schedule(&state), &want)?;
+    same(
+        "DPack on 3 threads",
+        &dpack.schedule_threaded(&state, 3),
+        &want,
+    )?;
+    prop_assert_eq!(&pack(&state, &order, skip), &want.0);
+    prop_assert_eq!(
+        &pack(&state, &order, PackingRule::Stop),
+        &ref_canrun(&caps, &tasks, &order, PackingRule::Stop).0
+    );
+
+    // DPF, skip and strict: weight over the largest share.
+    let eff: Vec<f64> = tasks
+        .iter()
+        .map(|t| {
+            let dominant = ref_shares(&caps, t).map(|s| s.into_iter().fold(0.0, f64::max));
+            ref_metric(t.weight, dominant)
+        })
+        .collect();
+    let order = ref_order(&tasks, &eff);
+    same(
+        "DPF",
+        &Dpf.schedule(&state),
+        &ref_canrun(&caps, &tasks, &order, skip),
+    )?;
+    let strict = ref_canrun(&caps, &tasks, &order, PackingRule::Stop);
+    same("DPF(strict)", &DpfStrict.schedule(&state), &strict)?;
+
+    // Greedy area: weight over the summed shares.
+    let eff: Vec<f64> = tasks
+        .iter()
+        .map(|t| ref_metric(t.weight, ref_shares(&caps, t).map(|s| s.into_iter().sum())))
+        .collect();
+    let order = ref_order(&tasks, &eff);
+    same(
+        "GreedyArea",
+        &GreedyArea.schedule(&state),
+        &ref_canrun(&caps, &tasks, &order, skip),
+    )?;
+
+    // FCFS: arrival, then id.
+    let order = ref_order(&tasks, &vec![0.0; tasks.len()]);
+    same(
+        "FCFS",
+        &Fcfs.schedule(&state),
+        &ref_canrun(&caps, &tasks, &order, skip),
+    )?;
+
+    Ok(())
+}
+
+#[test]
+fn dense_schedulers_match_the_literal_algorithm() {
+    check_cases(
+        "dense_schedulers_match_the_literal_algorithm",
+        CASES,
+        spec(),
+        |spec| {
+            let (grid, caps, tasks) = build(spec);
+            let state =
+                ProblemState::from_available(grid.clone(), caps.clone(), tasks.clone()).unwrap();
+            // Tasks are found by id wherever they sit.
+            for (i, t) in tasks.iter().enumerate() {
+                prop_assert_eq!(state.index_of(t.id), Some(i));
+            }
+            prop_assert_eq!(state.task(31), None);
+            matches_reference(grid, caps, tasks)
+        },
+    );
+}
+
+/// With one order DPack's metric is the area metric (Prop. 4), so on
+/// single-order grids the two schedulers allocate identically.
+#[test]
+fn single_order_dpack_is_greedy_area() {
+    check_cases("single_order_dpack_is_greedy_area", CASES, spec(), |spec| {
+        let mut spec = spec.clone();
+        spec.0 = 1;
+        let (grid, caps, tasks) = build(&spec);
+        let state = ProblemState::from_available(grid, caps, tasks).unwrap();
+        let (dpack, area) = (
+            DPack::default().schedule(&state),
+            GreedyArea.schedule(&state),
+        );
+        prop_assert_eq!(&dpack.scheduled, &area.scheduled);
+        prop_assert_eq!(dpack.total_weight.to_bits(), area.total_weight.to_bits());
+        Ok(())
+    });
+}
+
+#[test]
+fn hand_built_block_lists_and_nan_demands() {
+    let grid = AlphaGrid::single(2.0).unwrap();
+    let blocks = |ids: &[BlockId]| -> Vec<Block> {
+        ids.iter()
+            .map(|id| Block::new(*id, RdpCurve::constant(&grid, 1.0), 0.0))
+            .collect()
+    };
+    let state = |blocks, task: &Task| ProblemState::new(grid.clone(), blocks, vec![task.clone()]);
+    let mut task = Task::new(0, 1.0, vec![5], RdpCurve::constant(&grid, 0.6), 0.0);
+    // The fields are public: a block list may bypass `Task::new`'s sort.
+    task.blocks = vec![9, 5];
+    let allocation = DPack::default().schedule(&state(blocks(&[5, 9]), &task).unwrap());
+    assert_eq!(allocation.scheduled, vec![0]);
+    assert!(state(blocks(&[5]), &task).is_err(), "unknown block 9");
+    task.demand = RdpCurve::from_fn(&grid, |_| f64::NAN);
+    assert!(state(blocks(&[5, 9]), &task).is_err(), "NaN demand");
+}

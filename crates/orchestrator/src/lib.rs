@@ -11,9 +11,10 @@
 //! * a configurable [`LatencyModel`] injecting per-operation service
 //!   latencies (list/watch, status writes, commit round-trips), and
 //! * [`parallel::ParallelDPack`] / [`parallel::ParallelDpf`] scheduler
-//!   wrappers that fan the per-block / per-task metric computations out
-//!   over `std::thread::scope` worker threads, as the Go implementation
-//!   does with goroutines.
+//!   wrappers that run `dpack-core`'s kernels with a thread count — the
+//!   per-order best-alpha passes and per-task shares fan out over
+//!   `std::thread::scope` workers, as the Go implementation does with
+//!   goroutines.
 //!
 //! The scheduling *decisions* are bit-identical to the single-threaded
 //! `dpack-core` schedulers — parallelism and latency only affect the

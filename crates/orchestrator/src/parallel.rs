@@ -1,20 +1,18 @@
 //! Parallelized scheduler wrappers.
 //!
-//! The Go implementation parallelizes DPack's per-block best-alpha
-//! knapsacks and DPF's per-task dominant-share computation (§6.4: "the
-//! DPack (and DPF) algorithms are parallelized"). These wrappers do the
-//! same with [`std::thread::scope`] worker threads, and are
-//! decision-identical to their single-threaded counterparts: the
-//! parallel phase only computes per-block / per-task metrics; ordering
-//! and packing stay sequential and deterministic.
+//! The Go implementation parallelizes DPack's best-alpha knapsacks and
+//! DPF's per-task dominant-share computation (§6.4: "the DPack (and
+//! DPF) algorithms are parallelized"). These wrappers run the same
+//! `dpack-core` kernels with a thread count: DPack's independent
+//! per-order passes and DPF's per-task shares fan out over
+//! [`std::thread::scope`] workers, while ordering and packing stay
+//! sequential and deterministic, so decisions are identical to the
+//! single-threaded schedulers.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-use dpack_core::problem::{greedy_pack, pack, Allocation, BlockId, PackingRule, ProblemState};
-use dpack_core::schedulers::{
-    dominant_share, finish_allocation, sort_by_efficiency, DPack, Scheduler,
-};
+use dpack_core::problem::{Allocation, BlockId, PackingRule, ProblemState};
+use dpack_core::schedulers::{dpf_schedule, DPack, Scheduler};
 
 /// Validates and stores a worker-thread count.
 fn check_threads(threads: usize) -> usize {
@@ -22,8 +20,8 @@ fn check_threads(threads: usize) -> usize {
     threads
 }
 
-/// DPack with the per-block best-alpha computation fanned out over a
-/// scoped thread pool.
+/// DPack with the best-alpha computation fanned out over scoped
+/// threads.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelDPack {
     inner: DPack,
@@ -50,29 +48,7 @@ impl ParallelDPack {
 
     /// Computes best alphas for all blocks in parallel.
     pub fn parallel_best_alphas(&self, state: &ProblemState) -> BTreeMap<BlockId, Option<usize>> {
-        let block_ids: Vec<BlockId> = state.blocks().keys().copied().collect();
-        if block_ids.is_empty() {
-            return BTreeMap::new();
-        }
-        let chunk = block_ids.len().div_ceil(self.threads);
-        let mut results: Vec<Vec<(BlockId, Option<usize>)>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = block_ids
-                .chunks(chunk)
-                .map(|ids| {
-                    let inner = self.inner;
-                    s.spawn(move || {
-                        ids.iter()
-                            .map(|&b| (b, inner.best_alpha_for_block(state, b)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("best-alpha worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
+        self.inner.best_alphas_threaded(state, self.threads)
     }
 }
 
@@ -82,17 +58,12 @@ impl Scheduler for ParallelDPack {
     }
 
     fn schedule(&self, state: &ProblemState) -> Allocation {
-        let started = Instant::now();
-        let best = self.parallel_best_alphas(state);
-        let eff = self.inner.efficiencies(state, &best);
-        let order = sort_by_efficiency(state, &eff);
-        let scheduled = greedy_pack(state, &order);
-        finish_allocation(state, scheduled, started, None)
+        self.inner.schedule_threaded(state, self.threads)
     }
 }
 
-/// DPF with the per-task dominant-share computation fanned out over a
-/// scoped thread pool.
+/// DPF with the per-task dominant-share computation fanned out over
+/// scoped threads.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelDpf {
     threads: usize,
@@ -134,31 +105,7 @@ impl Scheduler for ParallelDpf {
     }
 
     fn schedule(&self, state: &ProblemState) -> Allocation {
-        let started = Instant::now();
-        let n = state.tasks().len();
-        let mut eff = vec![0.0f64; n];
-        if n > 0 {
-            let chunk = n.div_ceil(self.threads);
-            std::thread::scope(|s| {
-                for (slot, tasks) in eff.chunks_mut(chunk).zip(state.tasks().chunks(chunk)) {
-                    s.spawn(move || {
-                        for (e, t) in slot.iter_mut().zip(tasks) {
-                            let share = dominant_share(t, state.blocks());
-                            *e = if share == f64::INFINITY {
-                                0.0
-                            } else if share == 0.0 {
-                                f64::INFINITY
-                            } else {
-                                t.weight / share
-                            };
-                        }
-                    });
-                }
-            });
-        }
-        let order = sort_by_efficiency(state, &eff);
-        let scheduled = pack(state, &order, self.rule);
-        finish_allocation(state, scheduled, started, None)
+        dpf_schedule(state, self.rule, self.threads)
     }
 }
 

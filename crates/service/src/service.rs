@@ -1087,34 +1087,35 @@ impl BudgetService {
         now: f64,
         target: CommitTarget,
     ) -> (Vec<(TenantId, AllocatedTask)>, usize, Duration) {
-        let tenant_of: std::collections::BTreeMap<TaskId, TenantId> = subs
-            .iter()
-            .map(|(tenant, task, _)| (task.id, *tenant))
-            .collect();
-        let trace_of: std::collections::BTreeMap<TaskId, TraceContext> = subs
-            .iter()
-            .filter_map(|(_, task, trace)| trace.map(|t| (task.id, t)))
-            .collect();
-        let tasks: Vec<Task> = subs.into_iter().map(|(_, task, _)| task).collect();
+        // Tenants and trace contexts stay in task order beside the
+        // state, so a grant finds them by the task's index in it.
+        let mut tenants = Vec::with_capacity(subs.len());
+        let mut traces = Vec::with_capacity(subs.len());
+        let mut tasks = Vec::with_capacity(subs.len());
+        for (tenant, task, trace) in subs {
+            tenants.push(tenant);
+            traces.push(trace);
+            tasks.push(task);
+        }
         let state =
             ProblemState::from_available_shared(self.ledger.grid().clone(), available, tasks)
                 .expect("admission validated every pending task");
         let allocation = self.config.scheduler.schedule(&state, threads);
-        let scheduled: Vec<&Task> = allocation
+        let indices: Vec<usize> = allocation
             .scheduled
             .iter()
-            .map(|id| state.task(*id).expect("scheduler only returns state tasks"))
+            .map(|id| {
+                state
+                    .index_of(*id)
+                    .expect("scheduler only returns state tasks")
+            })
             .collect();
+        let scheduled: Vec<&Task> = indices.iter().map(|&i| &state.tasks()[i]).collect();
         // Pin the scheduled tasks' trace contexts for the commit: the
         // ledger and replication layers run on this thread and read
         // the scoped set to record their WAL-flush / ship spans
         // without any signature change on the commit path.
-        let pinned = scoped_traces(
-            scheduled
-                .iter()
-                .filter_map(|t| trace_of.get(&t.id).copied())
-                .collect(),
-        );
+        let pinned = scoped_traces(indices.iter().filter_map(|&i| traces[i]).collect());
         let outcomes = match target {
             CommitTarget::Local(shard) => self.ledger.commit_shard_batch(shard, &scheduled),
             CommitTarget::Cross => self.ledger.commit_cross_batch(&scheduled),
@@ -1122,10 +1123,10 @@ impl BudgetService {
         drop(pinned);
         let mut granted = Vec::new();
         let mut released = 0usize;
-        for (task, outcome) in scheduled.iter().zip(outcomes) {
+        for ((task, &i), outcome) in scheduled.iter().zip(&indices).zip(outcomes) {
             match outcome {
                 CommitOutcome::Committed => granted.push((
-                    tenant_of[&task.id],
+                    tenants[i],
                     AllocatedTask {
                         id: task.id,
                         weight: task.weight,

@@ -90,6 +90,17 @@ for b in ablation filters knapsack_solvers rdp_accounting sched_kernels; do
   cargo bench -q -p dpack-bench --bench "${b}" -- --smoke
 done
 
+# The repo's one benchmark (BENCHMARK.json) is a workspace of its own
+# under benchmark/, so nothing above builds it: a signature change in
+# a crate it drives would break it unnoticed. Smoke-run all five
+# workloads with every output check on (~3 s; the run fails on a
+# failed check), then its own tests (catalogue vs BENCHMARK.json, seed
+# determinism). It writes only under benchmark/target and
+# benchmark/results, both ignored.
+echo "==> benchmark/ crate (smoke run, contract and seed tests)"
+benchmark/run.sh --smoke
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # Perf trajectory: record durable vs non-durable service throughput
 # (group commit vs per-record sync vs in-memory) for this PR. The
 # binary itself asserts the group-commit sync bound

@@ -43,6 +43,31 @@ fn parallel_dpack_is_bit_identical_on_the_microbenchmark() {
     }
 }
 
+/// The repo benchmark's `offline_micro` instances (`benchmark/src/
+/// inputs.rs`): the allocation counts every earlier kernel produced on
+/// them, so a kernel change that moves the paper's metric fails here
+/// before it reaches the benchmark.
+#[test]
+fn benchmark_instances_allocate_their_pinned_counts() {
+    let lib = CurveLibrary::standard();
+    for (seed, allocated) in [(7, 1_437), (11, 1_450)] {
+        let config = MicrobenchmarkConfig {
+            n_tasks: 20_000,
+            n_blocks: 100,
+            mu_blocks: 10.0,
+            sigma_blocks: 3.0,
+            sigma_alpha: 4.0,
+            eps_min: 0.01,
+            ..Default::default()
+        };
+        let state = generate(&lib, &config, seed);
+        let seq = DPack::default().schedule(&state);
+        assert_eq!(seq.scheduled.len(), allocated, "seed {seed}");
+        let par = ParallelDPack::new(DPack::default(), 2).schedule(&state);
+        assert_eq!(par.scheduled, seq.scheduled, "seed {seed}");
+    }
+}
+
 #[test]
 fn parallel_dpf_is_bit_identical_on_the_microbenchmark() {
     for seed in [1, 42] {
