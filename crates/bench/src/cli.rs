@@ -12,34 +12,6 @@ pub struct Args {
     pub full: bool,
     /// Output directory for CSVs (`--out`, default `results`).
     pub out_dir: String,
-    /// Run the Kubernetes-profile latency sweep too (`--latency`,
-    /// service benches only).
-    pub latency: bool,
-    /// Measure the remote (TCP-loopback) submission surface instead of
-    /// the in-process sweeps (`--remote`, service benches only).
-    pub remote: bool,
-    /// Measure observability overhead (instrumentation on vs off) and
-    /// report latency percentiles instead of the sweeps (`--obs`,
-    /// service benches only).
-    pub obs: bool,
-    /// Measure distributed-tracing overhead (every submission traced
-    /// vs none, instrumentation live in both legs) instead of the
-    /// sweeps (`--traced`, service benches only).
-    pub traced: bool,
-    /// Run the million-block tiered-ledger scaling measurement instead
-    /// of the sweeps (`--million`, service benches only).
-    pub million: bool,
-    /// Measure the quorum-replicated grant path against the standalone
-    /// durable one, plus the failover-to-first-grant time
-    /// (`--replicated`, service benches only).
-    pub replicated: bool,
-    /// Write a machine-readable summary to this path (`--json <path>`,
-    /// service benches only).
-    pub json: Option<String>,
-    /// With `--replicated`, also run the three-node cluster leg —
-    /// automatic leader election after a primary kill — and write its
-    /// summary to this path (`--cluster-json <path>`).
-    pub cluster_json: Option<String>,
 }
 
 impl Default for Args {
@@ -49,14 +21,6 @@ impl Default for Args {
             panel: None,
             full: false,
             out_dir: "results".into(),
-            latency: false,
-            remote: false,
-            obs: false,
-            traced: false,
-            million: false,
-            replicated: false,
-            json: None,
-            cluster_json: None,
         }
     }
 }
@@ -94,26 +58,7 @@ impl Args {
                 "--out" => {
                     args.out_dir = it.next().unwrap_or_else(|| panic!("--out needs a path"));
                 }
-                "--latency" => args.latency = true,
-                "--remote" => args.remote = true,
-                "--obs" => args.obs = true,
-                "--traced" => args.traced = true,
-                "--million" => args.million = true,
-                "--replicated" => args.replicated = true,
-                "--json" => {
-                    args.json = Some(it.next().unwrap_or_else(|| panic!("--json needs a path")));
-                }
-                "--cluster-json" => {
-                    args.cluster_json = Some(
-                        it.next()
-                            .unwrap_or_else(|| panic!("--cluster-json needs a path")),
-                    );
-                }
-                other => panic!(
-                    "unknown flag {other} \
-                     (expected --seed/--panel/--full/--out/--latency/--remote/--obs/\
-                     --traced/--million/--replicated/--json/--cluster-json)"
-                ),
+                other => panic!("unknown flag {other} (expected --seed/--panel/--full/--out)"),
             }
         }
         args
@@ -144,38 +89,13 @@ mod tests {
 
     #[test]
     fn all_flags() {
-        let a = parse(&[
-            "--seed",
-            "7",
-            "--panel",
-            "b",
-            "--full",
-            "--out",
-            "tmp",
-            "--latency",
-            "--remote",
-            "--obs",
-            "--traced",
-            "--million",
-            "--replicated",
-            "--json",
-            "out.json",
-            "--cluster-json",
-            "cluster.json",
-        ]);
+        let a = parse(&["--seed", "7", "--panel", "b", "--full", "--out", "tmp"]);
         assert_eq!(a.seed, 7);
         assert_eq!(a.panel, Some('b'));
         assert!(a.full);
         assert_eq!(a.out_dir, "tmp");
         assert!(!a.wants_panel('a'));
         assert!(a.wants_panel('b'));
-        assert!(a.latency);
-        assert!(a.remote);
-        assert!(a.traced);
-        assert!(a.million);
-        assert!(a.replicated);
-        assert_eq!(a.json.as_deref(), Some("out.json"));
-        assert_eq!(a.cluster_json.as_deref(), Some("cluster.json"));
     }
 
     #[test]

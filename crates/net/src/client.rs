@@ -612,9 +612,6 @@ pub struct ClientPool {
     available: Condvar,
     size: usize,
     connector: Box<dyn Fn() -> Result<NetClient, NetError> + Send + Sync>,
-    /// Overall bound on [`ClientPool::try_get`]'s wait-or-redial loop;
-    /// `None` waits forever (the [`ClientPool::get`] behavior).
-    deadline: Option<Duration>,
 }
 
 impl ClientPool {
@@ -657,43 +654,6 @@ impl ClientPool {
         Self::with_connector(move || Self::probe(&addrs), size)
     }
 
-    /// [`ClientPool::connect_failover`] with a bounded patience:
-    /// the initial probe retries (no candidate may be primary yet —
-    /// e.g. an election in flight) until `deadline`, and every later
-    /// [`ClientPool::try_get`] gives up with [`NetError::Timeout`]
-    /// after the same bound instead of redialing forever. A cluster
-    /// that never elects a primary becomes a typed error, not a hang.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] when the deadline expires before any
-    /// candidate answers as primary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0` or `addrs` is empty.
-    pub fn connect_failover_deadline(
-        addrs: Vec<SocketAddr>,
-        size: usize,
-        deadline: Duration,
-    ) -> Result<Self, NetError> {
-        assert!(!addrs.is_empty(), "failover needs at least one candidate");
-        let started = std::time::Instant::now();
-        loop {
-            let candidates = addrs.clone();
-            match Self::with_connector(move || Self::probe(&candidates), size) {
-                Ok(mut pool) => {
-                    pool.deadline = Some(deadline);
-                    return Ok(pool);
-                }
-                Err(_) if started.elapsed() < deadline => {
-                    std::thread::sleep(REDIAL_BACKOFF);
-                }
-                Err(_) => return Err(NetError::Timeout),
-            }
-        }
-    }
-
     /// Builds a pool over an arbitrary connector (the seam the tests
     /// use to inject loopback or hostile connections).
     ///
@@ -718,7 +678,6 @@ impl ClientPool {
             available: Condvar::new(),
             size,
             connector: Box::new(connector),
-            deadline: None,
         })
     }
 
@@ -788,65 +747,6 @@ impl ClientPool {
                 }
             }
             state = self.available.wait(state).expect("pool lock poisoned");
-        }
-    }
-
-    /// [`ClientPool::get`] with the pool's deadline applied (set by
-    /// [`ClientPool::connect_failover_deadline`]): waiting for an idle
-    /// connection and redialing after discards both give up with
-    /// [`NetError::Timeout`] once the bound expires. A pool built
-    /// without a deadline never times out here.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] when the deadline expires before a
-    /// connection could be checked out or redialed.
-    pub fn try_get(&self) -> Result<PooledClient<'_>, NetError> {
-        let Some(deadline) = self.deadline else {
-            return Ok(self.get());
-        };
-        let started = std::time::Instant::now();
-        let mut state = self.state.lock().expect("pool lock poisoned");
-        loop {
-            if let Some(client) = state.idle.pop() {
-                return Ok(PooledClient {
-                    pool: self,
-                    client: Some(client),
-                });
-            }
-            if started.elapsed() >= deadline {
-                return Err(NetError::Timeout);
-            }
-            if state.total < self.size {
-                state.total += 1;
-                drop(state);
-                match (self.connector)() {
-                    Ok(client) => {
-                        return Ok(PooledClient {
-                            pool: self,
-                            client: Some(client),
-                        })
-                    }
-                    Err(_) => {
-                        let mut relocked = self.state.lock().expect("pool lock poisoned");
-                        relocked.total -= 1;
-                        let (s, _) = self
-                            .available
-                            .wait_timeout(relocked, REDIAL_BACKOFF)
-                            .expect("pool lock poisoned");
-                        state = s;
-                        continue;
-                    }
-                }
-            }
-            let remaining = deadline
-                .saturating_sub(started.elapsed())
-                .min(REDIAL_BACKOFF);
-            let (s, _) = self
-                .available
-                .wait_timeout(state, remaining.max(Duration::from_millis(1)))
-                .expect("pool lock poisoned");
-            state = s;
         }
     }
 

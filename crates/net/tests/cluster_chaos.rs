@@ -44,8 +44,20 @@ const N: usize = 3;
 const SHARDS: usize = 2;
 const BLOCKS: u64 = 8;
 /// Virtual time advances in 5ms steps; heartbeats every 10ms, a peer
-/// is down after 3 misses, elections fire 30ms + 10ms×id after that.
+/// is down after 3 misses, elections fire 30ms + 10ms×id after the
+/// first miss (a `Suspect` leader already counts as no leader).
 const TICK: u64 = 5_000_000;
+const HEARTBEAT: u64 = 2 * TICK;
+const ELECTION_BASE: u64 = 6 * TICK;
+const ELECTION_STAGGER: u64 = 2 * TICK;
+/// Ticks from a leader kill to a writable successor, derived from the
+/// cluster's timing: one heartbeat period until a survivor's ping
+/// misses (which drops its leader belief and arms the election
+/// timeout — the miss threshold only relabels the peer `Down`), the
+/// election timeout of the worst-placed candidate, and two ticks for
+/// promotion plus the other survivor's resync.
+const FAILOVER_BOUND_TICKS: u64 =
+    (HEARTBEAT + ELECTION_BASE + ELECTION_STAGGER * (N as u64 - 1)) / TICK + 2;
 const CASES: u32 = 4;
 
 fn grid() -> AlphaGrid {
@@ -203,10 +215,10 @@ impl Cluster {
             durability: DurabilityOptions::default(),
             quorum: 1,
             majority: 2,
-            heartbeat_nanos: 2 * TICK,
+            heartbeat_nanos: HEARTBEAT,
             miss_threshold: 3,
-            election_base_nanos: 6 * TICK,
-            election_stagger_nanos: 2 * TICK,
+            election_base_nanos: ELECTION_BASE,
+            election_stagger_nanos: ELECTION_STAGGER,
             ship_timeout: None,
         };
         let node = ClusterNode::new(
@@ -265,8 +277,9 @@ impl Cluster {
 
     /// Ticks until exactly one node leads **and** its replicator has
     /// at least `live` rejoined replicas (so ships can reach quorum).
-    fn await_leader(&mut self, live: usize) -> Result<usize, Failed> {
-        for _ in 0..400 {
+    /// Returns the leader and the ticks it took.
+    fn await_leader(&mut self, live: usize) -> Result<(usize, u64), Failed> {
+        for waited in 1..=400 {
             self.tick();
             let primaries = self.primaries();
             if primaries.len() > 1 {
@@ -278,7 +291,7 @@ impl Cluster {
                     .and_then(|n| n.core().replicator())
                     .is_some_and(|r| r.live() >= live);
                 if ready {
-                    return Ok(leader);
+                    return Ok((leader, waited));
                 }
             }
         }
@@ -353,7 +366,7 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
             // must elect on its own (node 0's shorter stagger and the
             // all-equal ballots make it the term-1 winner, but the
             // assertion is only "exactly one").
-            let leader_a = cluster.await_leader(2)?;
+            let (leader_a, _) = cluster.await_leader(2)?;
             let mut client = dial(&cluster.net, leader_a)
                 .map_err(|e| Failed::new(format!("dial bootstrap leader: {e}")))?;
             for b in 0..BLOCKS {
@@ -372,8 +385,12 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
             // win the next term, promote from its shipped stream, and
             // resync the other survivor — automatically.
             cluster.kill(leader_a);
-            let leader_b = cluster.await_leader(1)?;
+            let (leader_b, waited) = cluster.await_leader(1)?;
             prop_assert!(leader_b != leader_a, "the dead node cannot lead");
+            prop_assert!(
+                waited <= FAILOVER_BOUND_TICKS,
+                "failover took {waited} ticks, bound is {FAILOVER_BOUND_TICKS}"
+            );
             // Resubmitting every acked task is refused as a duplicate:
             // the promoted fold carries the full record history, so no
             // acked grant was lost and none is double-charged.
@@ -425,8 +442,12 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
             // elect a third leader; its fold is snapshot + suffix, and
             // fresh grants keep landing exactly once.
             cluster.kill(leader_b);
-            let leader_d = cluster.await_leader(1)?;
+            let (leader_d, waited) = cluster.await_leader(1)?;
             prop_assert!(leader_d != leader_b, "the dead node cannot lead");
+            prop_assert!(
+                waited <= FAILOVER_BOUND_TICKS,
+                "second failover took {waited} ticks, bound is {FAILOVER_BOUND_TICKS}"
+            );
             let batch: Vec<Task> = (32..40).map(|id| task(id, demand_of(id))).collect();
             for (t, o) in batch.iter().zip(cluster.submit(leader_d, &batch)?) {
                 prop_assert!(o.is_granted(), "storm task {} refused: {o}", t.id);

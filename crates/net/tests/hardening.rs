@@ -399,3 +399,42 @@ fn a_secured_node_refuses_and_counts_bad_handshakes() {
     assert_eq!(rejected(), 3);
     server.stop();
 }
+
+/// A wire `RegisterBlock` carries its capacity bit-verbatim, so `+inf`
+/// at any order — a filter that would never refuse anything — must be
+/// refused with the stable `block-rejected` code, leave nothing
+/// registered, and leave the connection usable.
+#[test]
+fn a_non_finite_block_capacity_is_rejected_over_the_wire() {
+    let service = service(2, 1);
+    let server = NetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let g = grid();
+    for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+        for order in 0..g.len() {
+            let mut eps = vec![1.0; g.len()];
+            eps[order] = bad;
+            let block = Block::new(7, RdpCurve::new(&g, eps).expect("not NaN"), 0.0);
+            let err = client
+                .register_block(&block)
+                .expect_err("non-finite capacity");
+            assert!(
+                matches!(
+                    err,
+                    NetError::Remote {
+                        code: ErrorCode::BlockRejected,
+                        ..
+                    }
+                ),
+                "capacity {bad} at order {order}: {err:?}"
+            );
+        }
+    }
+    assert!(!service.ledger().contains(7));
+    assert!(!client.is_broken(), "a refusal is a reply, not a cut line");
+    client
+        .register_block(&Block::new(7, RdpCurve::constant(&g, 1.0), 0.0))
+        .expect("the same connection still registers a sane block");
+    assert!(service.ledger().contains(7));
+    server.stop();
+}

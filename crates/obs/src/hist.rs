@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn same_octave_latencies_keep_distinct_quantiles() {
-        // The BENCH_6 regression: grant latencies clustered around
+        // A regression once shipped: grant latencies clustered around
         // 27.5 ms all sit inside the octave [2^24, 2^25), where the
         // old power-of-two buckets reported p50 == p99. The linear
         // sub-buckets must keep a spread distinguishable.

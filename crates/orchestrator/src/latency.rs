@@ -12,10 +12,7 @@ use std::time::{Duration, Instant};
 ///
 /// Uses a sleep for macroscopic waits and a spin for sub-millisecond
 /// ones, so injected latencies are reasonably accurate at both scales.
-/// Public so other service layers (the orchestrator service loop and
-/// `dpack-service`'s admission/commit pipeline) charge latencies with
-/// identical semantics instead of duplicating the timing logic.
-pub fn busy_wait(d: Duration) {
+pub(crate) fn busy_wait(d: Duration) {
     if d == Duration::ZERO {
         return;
     }

@@ -26,7 +26,7 @@ pub mod parallel;
 pub mod service;
 
 pub use driver::CycleLoop;
-pub use latency::{busy_wait, LatencyModel};
+pub use latency::LatencyModel;
 pub use parallel::{ParallelDPack, ParallelDpf};
 pub use service::{CycleReport, Orchestrator, OrchestratorConfig, OrchestratorService};
 

@@ -2,7 +2,7 @@
 
 use dpack_core::problem::{Allocation, ProblemState};
 use dpack_core::schedulers::{DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Scheduler};
-use orchestrator::{LatencyModel, ParallelDPack, ParallelDpf};
+use orchestrator::{ParallelDPack, ParallelDpf};
 
 use crate::stats::StatsRetention;
 
@@ -66,11 +66,6 @@ pub struct DurabilityOptions {
     /// (`None` = only when [`crate::BudgetService::compact`] is called
     /// explicitly).
     pub snapshot_every_cycles: Option<u64>,
-    /// Group commit (default): a scheduling cycle stages its grants'
-    /// records per shard and flushes them with one write + one sync
-    /// per shard per cycle. `false` reverts to one sync per record —
-    /// the pre-batching baseline the benches compare against.
-    pub group_commit: bool,
 }
 
 impl Default for DurabilityOptions {
@@ -78,7 +73,6 @@ impl Default for DurabilityOptions {
         Self {
             segment_bytes: 1 << 20,
             snapshot_every_cycles: Some(64),
-            group_commit: true,
         }
     }
 }
@@ -135,10 +129,6 @@ pub struct ServiceConfig {
     pub ingest_batch: usize,
     /// The scheduling policy.
     pub scheduler: SchedulerChoice,
-    /// Injected per-operation service latencies. Defaults to zero — the
-    /// in-process service measures its real overheads; inject the
-    /// orchestrator's Kubernetes-like profile to reproduce Fig. 8.
-    pub latency: LatencyModel,
     /// How much per-event stats history to retain. The always-on
     /// default is a bounded window; the simulator backend overrides it
     /// to [`StatsRetention::Unbounded`] for allocation-for-allocation
@@ -159,7 +149,6 @@ impl Default for ServiceConfig {
             tenant_quota: usize::MAX,
             ingest_batch: usize::MAX,
             scheduler: SchedulerChoice::DPack,
-            latency: LatencyModel::zero(),
             retention: StatsRetention::Window(65_536),
         }
     }
@@ -205,7 +194,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ServiceConfig::default();
         assert!(c.shards >= 1 && c.workers >= 1);
-        assert_eq!(c.latency, LatencyModel::zero());
         let s = ServiceConfig::sequential();
         assert_eq!((s.shards, s.workers), (1, 1));
         let d = DurabilityOptions::default();

@@ -232,9 +232,6 @@ pub struct ShardedLedger {
     /// Snapshot-cache traffic (served from cache vs rebuilt).
     snap_hits: AtomicU64,
     snap_misses: AtomicU64,
-    /// Whether batched commits flush with one group-commit sync per
-    /// shard (the default) or one sync per record (the baseline).
-    group_commit: bool,
     /// Whether [`ShardedLedger::enable_tier`] has run.
     tiered: bool,
     /// Tier traffic (mirrors the obs families so
@@ -323,7 +320,6 @@ impl ShardedLedger {
             compactions: AtomicU64::new(0),
             snap_hits: AtomicU64::new(0),
             snap_misses: AtomicU64::new(0),
-            group_commit: true,
             tiered: false,
             tier_hits: AtomicU64::new(0),
             tier_faults: AtomicU64::new(0),
@@ -775,7 +771,6 @@ impl ShardedLedger {
         let recorder = &obs.recorder;
         recorder.record(EventKind::RecoveryStarted, shards as u64, 0);
         let mut ledger = Self::new(grid, shards, unlock_period, unlock_steps);
-        ledger.group_commit = opts.group_commit;
         let wal_opts = WalOptions {
             segment_bytes: opts.segment_bytes,
         };
@@ -1021,6 +1016,16 @@ impl ShardedLedger {
         if !block.arrival.is_finite() {
             return Err(ProblemError(format!(
                 "block {} arrival must be finite",
+                block.id
+            )));
+        }
+        // Same for the capacity: `+inf` at any order is a filter that
+        // never refuses (Prop. 6 holds vacuously), and `RdpCurve::new`
+        // only rules out NaN. Negative finite values stay legal —
+        // `block_capacity` produces them at low orders.
+        if block.capacity.values().iter().any(|c| !c.is_finite()) {
+            return Err(ProblemError(format!(
+                "block {} capacity must be finite at every order",
                 block.id
             )));
         }
@@ -1434,12 +1439,8 @@ impl ShardedLedger {
     /// the *whole* batch, which is sound because a failed
     /// `append_batch` is guaranteed to resurface nothing.
     ///
-    /// With [`DurabilityOptions::group_commit`] off (the benchmark
-    /// baseline) or on a non-durable ledger, this degrades to the
-    /// sequential per-task path under the same single lock hold.
-    ///
-    /// [`DurabilityOptions::group_commit`]:
-    /// crate::config::DurabilityOptions::group_commit
+    /// On a non-durable ledger there is nothing to flush, so this is
+    /// the sequential per-task path under the same single lock hold.
     ///
     /// # Panics
     ///
@@ -1479,7 +1480,7 @@ impl ShardedLedger {
         shard: usize,
         tasks: &[&Task],
     ) -> Vec<CommitOutcome> {
-        if stripe.wal.is_none() || !self.group_commit {
+        if stripe.wal.is_none() {
             return tasks
                 .iter()
                 .map(|task| self.commit_one_local(stripe, shard, task))
@@ -1563,38 +1564,15 @@ impl ShardedLedger {
         outcomes
     }
 
-    /// The sequential (non-batched) local commit: check, write-ahead
-    /// with its own sync when durable, mutate. One task, lock already
-    /// held.
+    /// The sequential local commit of a non-durable ledger: check,
+    /// mutate. One task, lock already held.
     fn commit_one_local(&self, stripe: &mut Shard, shard: usize, task: &Task) -> CommitOutcome {
+        debug_assert!(stripe.wal.is_none(), "durable grants flush as a batch");
         if !self.ensure_hot(stripe, task.id, &task.blocks, shard) {
             return CommitOutcome::Released;
         }
         for b in &task.blocks {
             if !lookup(&stripe.blocks, task.id, *b).check(&task.demand) {
-                return CommitOutcome::Released;
-            }
-        }
-        if let Some(wal) = stripe.wal.as_mut() {
-            stripe.scratch.clear();
-            durability::encode_apply_into(
-                &mut stripe.scratch,
-                task.id,
-                task.demand.values(),
-                &task.blocks,
-            );
-            let flush = self
-                .telemetry
-                .as_ref()
-                .and_then(LedgerTelemetry::flush_started);
-            if wal.append(&stripe.scratch).is_err() {
-                self.wal_failures.fetch_add(1, Ordering::Relaxed);
-                return CommitOutcome::Released;
-            }
-            if let Some(t) = &self.telemetry {
-                t.record_flush(flush, shard as u64);
-            }
-            if !self.ship(ReplStream::Shard(shard as u32), &[&stripe.scratch]) {
                 return CommitOutcome::Released;
             }
         }
@@ -1623,7 +1601,7 @@ impl ShardedLedger {
     /// after that task's decision is durable.
     ///
     /// Falls back to per-task [`ShardedLedger::commit_task`] on a
-    /// non-durable ledger or with group commit off.
+    /// non-durable ledger.
     ///
     /// # Panics
     ///
@@ -1643,7 +1621,7 @@ impl ShardedLedger {
 
     /// The 2PC round [`ShardedLedger::commit_cross_batch`] times.
     fn commit_cross_batch_inner(&self, tasks: &[&Task]) -> Vec<CommitOutcome> {
-        if self.coord.is_none() || !self.group_commit {
+        if self.coord.is_none() {
             return tasks.iter().map(|t| self.commit_task(t)).collect();
         }
 
@@ -2065,7 +2043,25 @@ mod tests {
                 "arrival {arrival} registered"
             );
         }
+        // A non-finite capacity at any order is a filter that never
+        // refuses (or never grants); negative finite values are what
+        // `block_capacity` yields at low orders and stay legal.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            for order in 0..g.len() {
+                let mut eps = vec![1.0; g.len()];
+                eps[order] = bad;
+                let capacity = RdpCurve::new(&g, eps).unwrap();
+                assert!(
+                    l.register_block(Block::new(101, capacity, 0.0)).is_err(),
+                    "capacity {bad} at order {order} registered"
+                );
+            }
+        }
         assert!(!l.contains(101));
+        let mut eps = vec![1.0; g.len()];
+        eps[0] = -0.5;
+        l.register_block(Block::new(101, RdpCurve::new(&g, eps).unwrap(), 0.0))
+            .expect("negative finite capacity is legal");
     }
 
     #[test]
@@ -2478,35 +2474,6 @@ mod tests {
             );
             assert_states_bit_identical(&l, &recovered);
         }
-    }
-
-    #[test]
-    fn group_commit_off_restores_the_per_record_baseline() {
-        let sim = SimStorage::new();
-        let l = ShardedLedger::open_durable(
-            grid(),
-            4,
-            1.0,
-            1,
-            &sim,
-            DurabilityOptions {
-                group_commit: false,
-                ..DurabilityOptions::default()
-            },
-        )
-        .unwrap();
-        for j in 0..8u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
-                .unwrap();
-        }
-        let tasks: Vec<Task> = (0..4u64).map(|i| task(i, vec![1], 0.2)).collect();
-        let refs: Vec<&Task> = tasks.iter().collect();
-        let outcomes = l.commit_shard_batch(1, &refs);
-        assert!(outcomes.iter().all(|o| *o == CommitOutcome::Committed));
-        let stats = l.durability_stats().unwrap();
-        assert_eq!(stats.batches, 0, "baseline must not batch");
-        assert_eq!(stats.sync_calls, 8 + 4, "one sync per record");
-        assert_states_bit_identical(&l, &durable(&sim.surviving()));
     }
 
     #[test]

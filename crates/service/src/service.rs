@@ -36,8 +36,7 @@ use dpack_core::online::AllocatedTask;
 use dpack_core::problem::{Block, ProblemError, ProblemState, Task, TaskId};
 use dpack_obs::trace::{scoped_traces, span_id, SpanKind};
 use dpack_obs::{EventKind, Obs, TraceContext};
-use dpack_wal::{FsStorage, WalError, WalStorage};
-use orchestrator::busy_wait;
+use dpack_wal::{WalError, WalStorage};
 
 use crate::admission::{AdmissionError, AdmissionQueue, Submission, TenantId};
 use crate::config::{DurabilityOptions, ServiceConfig, TierConfig};
@@ -292,20 +291,6 @@ impl BudgetService {
         Ok(Self::from_parts(ledger, config, Some(opts), obs))
     }
 
-    /// [`BudgetService::recover`] against a filesystem directory.
-    ///
-    /// # Errors
-    ///
-    /// See [`BudgetService::recover`].
-    pub fn recover_dir(
-        grid: AlphaGrid,
-        config: ServiceConfig,
-        dir: &std::path::Path,
-        opts: DurabilityOptions,
-    ) -> Result<Self, WalError> {
-        Self::recover(grid, config, &FsStorage::new(dir)?, opts)
-    }
-
     fn from_parts(
         mut ledger: ShardedLedger,
         config: ServiceConfig,
@@ -437,24 +422,6 @@ impl BudgetService {
         // serializing producers through it would defeat the striping.
         let validated = self.validate(&task);
         self.admit(tenant, task, validated, None)
-    }
-
-    /// [`BudgetService::submit`] under a distributed-trace context:
-    /// the grant's root span opens at admission and every layer it
-    /// touches (cycle phases, WAL flush, replication) records child
-    /// spans into the node's [`dpack_obs::SpanRing`].
-    ///
-    /// # Errors
-    ///
-    /// [`AdmissionError`] exactly as [`BudgetService::submit`].
-    pub fn submit_traced(
-        &self,
-        tenant: TenantId,
-        task: Task,
-        trace: TraceContext,
-    ) -> Result<(), AdmissionError> {
-        let validated = self.validate(&task);
-        self.admit(tenant, task, validated, Some(trace))
     }
 
     /// The admission tail shared by [`BudgetService::submit`] and
@@ -642,7 +609,9 @@ impl BudgetService {
     }
 
     /// [`BudgetService::submit_async`] under a distributed-trace
-    /// context; see [`BudgetService::submit_traced`].
+    /// context: the grant's root span opens at admission and every
+    /// layer it touches (cycle phases, WAL flush, replication) records
+    /// child spans into the node's [`dpack_obs::SpanRing`].
     ///
     /// # Errors
     ///
@@ -730,12 +699,10 @@ impl BudgetService {
         // with tick T an empty cycle is exactly 4·T long with each
         // phase exactly T — the timing tests assert this.
         let t_start = self.obs.now_nanos();
-        let lat = self.config.latency;
 
         // Phase 1a: ingest the admission queue into the pending set.
         let batch = self.queue.drain(self.config.ingest_batch);
         let ingested = batch.len();
-        busy_wait(lat.per_task_ingest * ingested as u32);
         let queue_depth = self.queue.len();
 
         // Phase 1b: evict timed-out tasks (same rule as the engine:
@@ -760,10 +727,6 @@ impl BudgetService {
             self.partition(&pending)
         };
         let t_ingest = self.obs.now_nanos();
-
-        // Snapshot cost: one budget read per block plus the fixed
-        // per-cycle charge.
-        busy_wait(lat.per_block_read * self.ledger.n_blocks() as u32 + lat.per_cycle);
 
         // Phase 2: shard-local cycles on scoped worker threads. Each
         // worker owns a disjoint set of shards, so snapshots and
@@ -836,7 +799,6 @@ impl BudgetService {
         // Phase 4: bookkeeping.
         let local_granted: usize = shard_results.iter().map(|r| r.granted.len()).sum();
         let granted_total = local_granted + cross_granted.len();
-        busy_wait(lat.per_commit * granted_total as u32);
 
         let granted_ids: std::collections::BTreeSet<TaskId> = shard_results
             .iter()
@@ -1829,8 +1791,8 @@ mod tests {
         // Three tasks admitted together but granted one per cycle
         // (gradual unlocking rations the block): their manual-clock
         // latencies differ by whole cycles, so the histogram must
-        // report p50 < p99 — the regression BENCH_6 caught was a
-        // bucket scheme coarse enough to collapse such a spread.
+        // report p50 < p99 — a bucket scheme coarse enough to
+        // collapse such a spread once shipped.
         const TICK: u64 = 1_000;
         let (obs, _clock) = Obs::manual(TICK);
         let config = ServiceConfig {

@@ -65,8 +65,7 @@ pub struct CycleStats {
     /// Summed scheduler runtimes (CPU view — per-shard runtimes add up
     /// even when they overlap on worker threads).
     pub algorithm: Duration,
-    /// Wall-clock duration of the whole cycle, including injected
-    /// service latency.
+    /// Wall-clock duration of the whole cycle.
     pub total: Duration,
 }
 
@@ -119,13 +118,6 @@ pub struct DurabilityStats {
     pub batch_min: u64,
     /// Largest flushed batch.
     pub batch_max: u64,
-}
-
-impl DurabilityStats {
-    /// Mean records per flushed batch (`None` before the first batch).
-    pub fn records_per_batch_mean(&self) -> Option<f64> {
-        (self.batches > 0).then(|| self.batched_records as f64 / self.batches as f64)
-    }
 }
 
 /// Per-tenant counters.

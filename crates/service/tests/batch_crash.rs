@@ -61,7 +61,6 @@ fn opts() -> DurabilityOptions {
         // away (crash-mid-compaction is the recovery suite's job).
         segment_bytes: 512,
         snapshot_every_cycles: None,
-        ..DurabilityOptions::default()
     }
 }
 
@@ -327,5 +326,60 @@ fn crashes_aimed_inside_a_specific_batch_drop_it_wholesale() {
             }
             Ok(())
         },
+    );
+}
+
+/// The group-commit sync bound at service level: however many
+/// shard-local grants a cycle makes, each shard flushes them with at
+/// most one write + one sync, so after `C` cycles on `S` shards the
+/// grant path has spent at most `S × C` syncs in at most `S × C`
+/// batches — not one per grant.
+#[test]
+fn shard_local_grants_cost_at_most_one_sync_per_shard_per_cycle() {
+    const CYCLES: u64 = 6;
+    const PER_BLOCK: u64 = 3;
+    let sim = SimStorage::new();
+    let service = BudgetService::recover(grid(), config(), &sim, opts()).expect("open");
+    for j in 0..N_BLOCKS {
+        service
+            .register_block(Block::new(j, RdpCurve::constant(&grid(), 8.0), 0.0))
+            .expect("unique blocks");
+    }
+    let mut next_id = 0u64;
+    for step in 1..=CYCLES {
+        for j in 0..N_BLOCKS {
+            for _ in 0..PER_BLOCK {
+                next_id += 1;
+                let t = Task::new(
+                    next_id,
+                    1.0,
+                    vec![j],
+                    RdpCurve::constant(&grid(), 0.01),
+                    0.0,
+                );
+                service.submit(0, t).expect("admitted");
+            }
+        }
+        service.run_cycle(step as f64);
+    }
+    let granted = service.stats().granted.len() as u64;
+    assert_eq!(granted, CYCLES * N_BLOCKS * PER_BLOCK, "everything fits");
+
+    let stats = service.stats().durability.expect("durable service");
+    let bound = SHARDS as u64 * CYCLES;
+    assert!(
+        granted > bound,
+        "the bound must be tighter than one per grant"
+    );
+    assert_eq!(stats.batched_records, granted, "every grant rode a batch");
+    assert!(
+        stats.sync_calls - N_BLOCKS <= bound,
+        "grant path spent {} syncs, bound is {bound}",
+        stats.sync_calls - N_BLOCKS
+    );
+    assert!(
+        stats.batches <= bound,
+        "{} batches > {bound}",
+        stats.batches
     );
 }

@@ -120,7 +120,6 @@ fn drive_service(
             DurabilityOptions {
                 segment_bytes: 256,
                 snapshot_every_cycles: Some(5),
-                ..DurabilityOptions::default()
             },
         )
         .expect("fresh sim storage opens")

@@ -32,7 +32,7 @@ use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, Failed, PropRe
 use dpack_core::problem::{Block, BlockId, Task, TaskId};
 use dpack_service::durability::{decode_snapshot, BlockState, CoordRecord, ShardRecord};
 use dpack_service::obs::{Event, EventKind};
-use dpack_service::wal::{SimStorage, Wal, WalOptions, WalStorage};
+use dpack_service::wal::{FsStorage, SimStorage, Wal, WalOptions, WalStorage};
 use dpack_service::{
     BudgetService, DurabilityOptions, SchedulerChoice, ServiceConfig, StatsRetention,
 };
@@ -64,11 +64,10 @@ fn config() -> ServiceConfig {
 fn opts() -> DurabilityOptions {
     DurabilityOptions {
         // Small segments + frequent snapshots: rotation and compaction
-        // both happen inside every case's lifetime; group commit on
-        // (the default), so the crash sweep exercises batched flushes.
+        // both happen inside every case's lifetime, and the crash
+        // sweep exercises group-committed (batched) flushes.
         segment_bytes: 512,
         snapshot_every_cycles: Some(3),
-        ..DurabilityOptions::default()
     }
 }
 
@@ -531,15 +530,19 @@ fn uncrashed_service_recovers_bit_identically_to_the_live_ledger() {
     );
 }
 
-/// The filesystem path end to end: a service writes through
-/// `recover_dir`, restarts from the same directory, and the rebooted
+/// The filesystem path end to end: a service writes through an
+/// `FsStorage`, restarts from the same directory, and the rebooted
 /// ledger is bit-identical — all inside the panic-safe [`TempDir`].
 ///
 /// [`TempDir`]: dpack_service::wal::TempDir
 #[test]
 fn fs_backed_service_recovers_across_restart() {
     let tmp = dpack_service::wal::TempDir::new("svc-restart").expect("tempdir");
-    let first = BudgetService::recover_dir(grid(), config(), tmp.path(), opts()).expect("open");
+    let open = || {
+        let storage = FsStorage::new(tmp.path()).expect("storage");
+        BudgetService::recover(grid(), config(), &storage, opts())
+    };
+    let first = open().expect("open");
     for j in 0..N_BLOCKS {
         first
             .register_block(Block::new(
@@ -567,8 +570,7 @@ fn fs_backed_service_recovers_across_restart() {
     assert!(first.stats().durability.unwrap().records > 0);
     drop(first);
 
-    let rebooted =
-        BudgetService::recover_dir(grid(), config(), tmp.path(), opts()).expect("reopen");
+    let rebooted = open().expect("reopen");
     let recovered_states = rebooted.ledger().block_states();
     assert_eq!(recovered_states.len(), live_states.len());
     for (id, got) in &recovered_states {

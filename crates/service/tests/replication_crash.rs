@@ -58,7 +58,6 @@ fn opts() -> DurabilityOptions {
         // compaction, so grants are identified by surviving records.
         segment_bytes: 512,
         snapshot_every_cycles: None,
-        ..DurabilityOptions::default()
     }
 }
 

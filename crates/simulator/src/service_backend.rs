@@ -27,10 +27,10 @@ use crate::{replay_workload, ReplayEvent, SimulationConfig, SimulationResult};
 /// (queue capacity, tenant quota, ingest batch): a trace replay is
 /// single-threaded, so backpressure would deadlock it, and admission
 /// limits are a live-service concern — exercised by the service's own
-/// tests and the `service_throughput` bench. Stats retention is forced
-/// to [`StatsRetention::Unbounded`]: simulator parity compares the run
-/// allocation-for-allocation with the engine, which needs the full
-/// per-event logs (the bounded window is for always-on deployments).
+/// tests. Stats retention is forced to [`StatsRetention::Unbounded`]:
+/// simulator parity compares the run allocation-for-allocation with
+/// the engine, which needs the full per-event logs (the bounded
+/// window is for always-on deployments).
 /// All tasks are submitted as tenant 0 (workload traces carry no
 /// tenant labels).
 ///
