@@ -107,11 +107,8 @@ impl Block {
 #[derive(Debug, Clone)]
 pub struct ProblemState {
     grid: AlphaGrid,
-    /// Available capacity per block. Shared, not owned: the service's
-    /// cycle-stable snapshot cache hands the same map to many cycles,
-    /// so the state must not force a per-cycle deep copy of every
-    /// curve ([`ProblemState::from_available_shared`]).
-    blocks: std::sync::Arc<BTreeMap<BlockId, RdpCurve>>,
+    /// Available capacity per block.
+    blocks: BTreeMap<BlockId, RdpCurve>,
     /// Pending tasks, in arrival order.
     tasks: Vec<Task>,
     /// The index-typed view the scheduler kernels run on.
@@ -144,26 +141,15 @@ impl ProblemState {
     }
 
     /// Builds a state directly from available-capacity curves (used by
-    /// the online engine, which computes unlocked capacities itself).
-    pub fn from_available(
-        grid: AlphaGrid,
-        available: BTreeMap<BlockId, RdpCurve>,
-        tasks: Vec<Task>,
-    ) -> Result<Self, ProblemError> {
-        Self::from_available_shared(grid, std::sync::Arc::new(available), tasks)
-    }
-
-    /// [`ProblemState::from_available`] over an already-shared capacity
-    /// map — the zero-copy path for callers that cache snapshots (the
-    /// service's striped ledger serves one `Arc` per shard per cycle;
-    /// cloning every curve into an owned map would undo that).
+    /// the online engine and the budget service, which compute unlocked
+    /// capacities themselves).
     ///
     /// # Errors
     ///
-    /// The same validation as [`ProblemState::from_available`].
-    pub fn from_available_shared(
+    /// The same validation as [`ProblemState::new`].
+    pub fn from_available(
         grid: AlphaGrid,
-        available: std::sync::Arc<BTreeMap<BlockId, RdpCurve>>,
+        available: BTreeMap<BlockId, RdpCurve>,
         tasks: Vec<Task>,
     ) -> Result<Self, ProblemError> {
         let dense = Dense::build(&grid, &available, &tasks)?;
@@ -185,7 +171,7 @@ impl ProblemState {
 
     /// Available capacity per block, keyed by block id.
     pub fn blocks(&self) -> &BTreeMap<BlockId, RdpCurve> {
-        self.blocks.as_ref()
+        &self.blocks
     }
 
     /// The pending tasks.

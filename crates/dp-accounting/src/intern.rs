@@ -1,4 +1,4 @@
-//! Process-wide curve interning and delta-composed consumption.
+//! Process-wide curve interning.
 //!
 //! At "one block per user-day" scale the ledger holds millions of
 //! blocks, but almost all of them share a handful of distinct curves:
@@ -14,21 +14,14 @@
 //! [`CurveInterner::resolve`] returns exactly the interned bits — the
 //! property the ledger's bit-identical recovery contract needs.
 //!
-//! [`DeltaCurve`] represents a consumption curve as an interned base
-//! plus an ordered list of interned demand deltas. Materializing
-//! replays the additions in order with the same per-order arithmetic
-//! as [`RdpCurve::compose`], so a delta-composed consumption equals
-//! the eagerly-composed `Vec<f64>` bit for bit (floating-point
-//! addition is order-sensitive; the order is preserved, so the bits
-//! are too — the property suite sweeps this).
+//! The table never frees, so intern only what is *shared*: capacity
+//! and demand policies, not per-block state such as consumption.
 
 use std::collections::HashMap;
 use std::num::NonZeroU32;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::alpha::AlphaGrid;
 use crate::curve::RdpCurve;
-use crate::error::AccountingError;
 
 /// A compact handle to an interned curve. `NonZeroU32` keeps
 /// `Option<CurveId>` pointer-free and 4 bytes wide.
@@ -121,20 +114,6 @@ impl CurveInterner {
         )
     }
 
-    /// [`CurveInterner::resolve`] rebuilt as a curve on `grid`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the interned vector's length does not match
-    /// the grid (an id interned under a different grid).
-    pub fn resolve_curve(
-        &self,
-        id: CurveId,
-        grid: &AlphaGrid,
-    ) -> Result<RdpCurve, AccountingError> {
-        RdpCurve::new(grid, self.resolve(id).to_vec())
-    }
-
     /// Number of distinct curves interned so far.
     pub fn len(&self) -> usize {
         self.state
@@ -147,75 +126,6 @@ impl CurveInterner {
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// A consumption curve stored as `base ⊕ delta_1 ⊕ … ⊕ delta_n` over
-/// interned ids: the base is the consumption bits at the moment the
-/// owner switched to delta form (zero for a fresh block), and each
-/// delta is one committed demand, in commit order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaCurve {
-    base: CurveId,
-    deltas: Vec<CurveId>,
-}
-
-impl DeltaCurve {
-    /// A delta curve anchored at `base` with no deltas yet.
-    pub fn new(base: CurveId) -> Self {
-        Self {
-            base,
-            deltas: Vec::new(),
-        }
-    }
-
-    /// The anchor id.
-    pub fn base(&self) -> CurveId {
-        self.base
-    }
-
-    /// The composed demand ids, in commit order.
-    pub fn deltas(&self) -> &[CurveId] {
-        &self.deltas
-    }
-
-    /// Appends one committed demand.
-    pub fn push(&mut self, delta: CurveId) {
-        self.deltas.push(delta);
-    }
-
-    /// Replays `base + Σ deltas` order-by-order, in push order — the
-    /// same additions, in the same order, as composing the full
-    /// vectors eagerly, so the result is bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any delta's length differs from the base's (ids
-    /// interned under different grids mixed into one delta curve).
-    pub fn materialize(&self, interner: &CurveInterner) -> Vec<f64> {
-        let mut out = interner.resolve(self.base).to_vec();
-        for id in &self.deltas {
-            let delta = interner.resolve(*id);
-            assert_eq!(delta.len(), out.len(), "delta on a different grid");
-            for (acc, d) in out.iter_mut().zip(delta.iter()) {
-                *acc += *d;
-            }
-        }
-        out
-    }
-
-    /// [`DeltaCurve::materialize`] as a curve on `grid`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the materialized vector does not match the
-    /// grid's length.
-    pub fn materialize_curve(
-        &self,
-        interner: &CurveInterner,
-        grid: &AlphaGrid,
-    ) -> Result<RdpCurve, AccountingError> {
-        RdpCurve::new(grid, self.materialize(interner))
     }
 }
 
@@ -246,25 +156,6 @@ mod tests {
         for (a, b) in values.iter().zip(back.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn delta_materialization_matches_eager_composition_bitwise() {
-        let g = AlphaGrid::new(vec![2.0, 4.0, 8.0]).unwrap();
-        let i = CurveInterner::new();
-        let base = RdpCurve::new(&g, vec![0.1, 0.07, 1e-9]).unwrap();
-        let mut delta = DeltaCurve::new(i.intern_curve(&base));
-        let mut eager = base.clone();
-        for k in 0..17 {
-            let d = RdpCurve::from_fn(&g, |a| 0.013 * a + k as f64 * 1e-5);
-            delta.push(i.intern_curve(&d));
-            eager = eager.compose(&d).unwrap();
-        }
-        let materialized = delta.materialize(&i);
-        for (a, b) in materialized.iter().zip(eager.values()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(delta.deltas().len(), 17);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use convert::{block_capacity, rdp_to_dp, DpGuarantee};
 pub use curve::RdpCurve;
 pub use error::AccountingError;
 pub use filter::{FilterDecision, PureDpFilter, RenyiFilter};
-pub use intern::{CurveId, CurveInterner, DeltaCurve};
+pub use intern::{CurveId, CurveInterner};
 pub use pure::PureDpAccountant;
 
 /// Relative tolerance used for floating-point budget comparisons.

@@ -496,10 +496,6 @@ impl ServiceCore {
                 )
             }
             Request::Snapshot { now } => {
-                // The uncached path on purpose: a tenant polling
-                // snapshots at arbitrary `now`s must not evict the
-                // per-shard cycle-stable cache the scheduling loop
-                // relies on.
                 let ledger = service.ledger();
                 let blocks = (0..ledger.n_shards())
                     .flat_map(|s| ledger.snapshot_shard_uncached(s, now))

@@ -38,6 +38,7 @@ use std::fmt;
 use dp_accounting::AlphaGrid;
 use dpack_core::problem::Task;
 use dpack_obs::{Event, EventKind, HistogramSnapshot, Sample, Span, SpanKind, TraceContext, Value};
+use dpack_service::wal::log::{fnv1a, FNV_INIT};
 use dpack_service::AdmissionError;
 
 use crate::error::{ErrorCode, NetError};
@@ -57,17 +58,6 @@ pub const MAX_FRAME: u32 = 1 << 24;
 /// larger than [`MAX_FRAME`] (rejection outcomes are bigger than the
 /// malformed tasks that cause them).
 pub const MAX_BATCH_TASKS: u32 = 4096;
-
-const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut hash = state;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// Frames a payload into `out`.
 ///

@@ -6,6 +6,13 @@
 //! and commits that touch different shards never contend — the striped
 //! layout from the PrivateKube service design, rebuilt in-process.
 //!
+//! This module is striping, locking, write-ahead logging and
+//! replication. *Where* a shard keeps its blocks — all in memory, or a
+//! bounded hot set over a spilled cold tier — is the `BlockStore`'s
+//! business (`store.rs`): the ledger reads and commits through it and
+//! never sees a cold block. Snapshots are computed from the store on
+//! every call; nothing is cached between cycles.
+//!
 //! A task whose blocks span several shards is committed with a
 //! two-phase protocol: all involved shard locks are acquired in
 //! ascending shard order (a global order, so concurrent cross-shard
@@ -35,23 +42,24 @@
 //! intact: a failed flush releases the whole batch and recovery is
 //! guaranteed to resurface none of it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use dp_accounting::{AlphaGrid, CurveId, CurveInterner, DeltaCurve, RdpCurve};
+use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_core::online::BlockLedger;
 use dpack_core::problem::{Block, BlockId, ProblemError, Task, TaskId};
-use dpack_wal::tier::{EntryRef, SegmentOptions, SegmentStore};
 use dpack_wal::{Wal, WalError, WalOptions, WalStorage};
 
 use dpack_obs::trace::{span_id, with_active_traces, SpanKind, SpanRing};
-use dpack_obs::{Clock, Counter, EventKind, FlightRecorder, Gauge, Histogram, Obs};
+use dpack_obs::{Clock, EventKind, FlightRecorder, Histogram, Obs};
 
 use crate::config::{DurabilityOptions, TierConfig};
 use crate::durability::{self, BlockState, CoordRecord, ShardRecord};
 use crate::replication::{ReplStream, ReplicationSink};
 use crate::stats::DurabilityStats;
+use crate::store::{BlockStore, TierActivity, TierMeter};
 
 /// Observability hooks the ledger reports into (attached by
 /// [`ShardedLedger::instrument`]; absent on an un-instrumented
@@ -67,16 +75,6 @@ struct LedgerTelemetry {
     recorder: FlightRecorder,
     /// Where traced commits record their WAL-flush spans.
     spans: SpanRing,
-    /// Tier traffic families (`dpack_tier_*`): hot hits, fault-ins,
-    /// spilled blocks, failed spill writes, and the current hot/cold
-    /// occupancy gauges. Registered unconditionally so scrapes always
-    /// expose the families; they only move on a tiered ledger.
-    tier_hits: Counter,
-    tier_faults: Counter,
-    tier_spilled: Counter,
-    tier_spill_failures: Counter,
-    tier_hot: Gauge,
-    tier_cold: Gauge,
 }
 
 /// The WAL-flush span salt for coordinator-log appends — mirrors the
@@ -117,12 +115,12 @@ impl LedgerTelemetry {
     }
 }
 
-/// One stripe: its block ledgers plus (when durable) its own log. The
-/// log lives *inside* the lock so append order always equals mutation
+/// One stripe: its blocks plus (when durable) its own log. The log
+/// lives *inside* the lock so append order always equals mutation
 /// order — the property that makes recovery bit-identical.
 #[derive(Debug, Default)]
 struct Shard {
-    blocks: BTreeMap<BlockId, BlockLedger>,
+    blocks: BlockStore,
     wal: Option<Wal>,
     /// Reusable staging buffer for a cycle's batched records: cleared
     /// per batch, never shrunk, so the steady-state commit path does
@@ -130,76 +128,39 @@ struct Shard {
     scratch: Vec<u8>,
     /// Record boundaries into `scratch` (kept alongside it for reuse).
     bounds: Vec<usize>,
-    /// Cycle-stable snapshot cache (see
-    /// [`ShardedLedger::snapshot_shard_shared`]).
-    snap: Option<SnapCache>,
-    /// Set by every mutation (registration, commit, recovery replay);
-    /// a set flag invalidates `snap` until the next rebuild. Spilling
-    /// and faulting-in deliberately do NOT set it: they change where a
-    /// block's state lives, never a bit of what it is, so a cached
-    /// view taken mid-spill stays exact.
-    dirty: bool,
-    /// Tiered block storage (`None` = everything stays hot, the
-    /// pre-tiering behavior — which is why the existing suites run
-    /// unmodified).
-    tier: Option<TierState>,
 }
 
-/// The in-memory summary of a spilled block: enough to compute its
-/// available curve, persisted form, and soundness **bit-identically**
-/// without touching the spill file. The curve state is interned —
-/// `total` is a [`CurveId`] (million blocks share a handful of
-/// capacity policies) and `consumed` a [`DeltaCurve`] whose base holds
-/// the exact consumption bits at spill time — so a cold block costs
-/// tens of bytes instead of the hot form's filter + curve clones.
-/// While cold the delta list stays empty: commits fault the block in
-/// first, so all consumption arithmetic happens in hot, full-vector
-/// form.
-#[derive(Debug)]
-struct ColdBlock {
-    /// Where the full [`BlockState`] lives in the shard's segment
-    /// store (the fault-in source).
-    entry: EntryRef,
-    arrival: f64,
-    granted: u64,
-    total: CurveId,
-    consumed: DeltaCurve,
+/// A shard locked by a path that may grow its hot set (registration,
+/// commits). Dropping it is the one point where the store is handed
+/// back, so the hot-tier bound is restored *there* — on every return
+/// path, including refused and released commits that faulted blocks in
+/// and charged nothing.
+struct Checkout<'a> {
+    stripe: MutexGuard<'a, Shard>,
+    tier: &'a TierMeter,
 }
 
-/// Per-shard tiering state, inside the shard mutex like everything
-/// else the commit paths mutate.
-#[derive(Debug)]
-struct TierState {
-    store: SegmentStore,
-    /// Spill once the hot map exceeds this…
-    hot_capacity: usize,
-    /// …down to this (< `hot_capacity`, so spills batch).
-    low_water: usize,
-    /// Recency clock: bumped on every touch.
-    epoch: u64,
-    /// Hot block → last-touch epoch (keys mirror the hot map).
-    touch: BTreeMap<BlockId, u64>,
-    /// Spilled block → in-memory summary. A hash map: at million-block
-    /// scale the fault/spill paths hit this once per cold access, and
-    /// no caller depends on its order (collectors sort where it shows).
-    cold: HashMap<BlockId, ColdBlock>,
+impl Deref for Checkout<'_> {
+    type Target = Shard;
+
+    fn deref(&self) -> &Shard {
+        &self.stripe
+    }
 }
 
-/// Blocks per segment-store write during a spill: bounds the encode
-/// buffer while keeping fs spills down to a few syncs per event.
-const SPILL_BATCH: usize = 512;
+impl DerefMut for Checkout<'_> {
+    fn deref_mut(&mut self) -> &mut Shard {
+        &mut self.stripe
+    }
+}
 
-/// A cached available-capacity view of one shard.
-#[derive(Debug)]
-struct SnapCache {
-    /// The virtual time the view was computed at.
-    now: f64,
-    /// Whether every block was fully unlocked at `now` — the §3.4
-    /// fraction is monotone in `now` and `available` is independent of
-    /// `now` once it reaches 1, so a fully-unlocked clean view stays
-    /// bit-exact for every later `now`.
-    all_unlocked: bool,
-    view: Arc<BTreeMap<BlockId, RdpCurve>>,
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        // A panicking commit poisons the lock anyway; no I/O for it.
+        if !std::thread::panicking() {
+            self.stripe.blocks.spill(self.tier);
+        }
+    }
 }
 
 /// The sharded ledger: `S` lock-striped maps of block ledgers.
@@ -229,43 +190,11 @@ pub struct ShardedLedger {
     /// history a promoted service rejects failover resubmissions with.
     recovered_grants: BTreeSet<TaskId>,
     compactions: AtomicU64,
-    /// Snapshot-cache traffic (served from cache vs rebuilt).
-    snap_hits: AtomicU64,
-    snap_misses: AtomicU64,
     /// Whether [`ShardedLedger::enable_tier`] has run.
     tiered: bool,
-    /// Tier traffic (mirrors the obs families so
-    /// [`ShardedLedger::tier_activity`] works un-instrumented).
-    tier_hits: AtomicU64,
-    tier_faults: AtomicU64,
-    tier_spilled: AtomicU64,
-    tier_spill_failures: AtomicU64,
-    tier_hot_blocks: AtomicU64,
-    tier_cold_blocks: AtomicU64,
+    /// Tier occupancy and traffic, summed over the shards' stores.
+    tier: TierMeter,
     telemetry: Option<LedgerTelemetry>,
-}
-
-/// Point-in-time tier occupancy and cumulative traffic (see
-/// [`ShardedLedger::tier_activity`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierActivity {
-    /// Blocks currently in the hot (in-memory) working set.
-    pub hot_blocks: u64,
-    /// Blocks currently spilled cold.
-    pub cold_blocks: u64,
-    /// Commit-path accesses served from the hot set.
-    pub hits: u64,
-    /// Commit-path accesses that faulted a cold block in.
-    pub faults: u64,
-    /// Blocks ever spilled (a block re-spilled counts again).
-    pub spilled: u64,
-    /// Failed spill writes or failed fault-in reads (the affected
-    /// blocks stayed hot / their grants were released, respectively).
-    pub spill_failures: u64,
-    /// Live spill segment files across shards.
-    pub segments: u64,
-    /// Live (non-released) spill bytes across shards.
-    pub spill_bytes: u64,
 }
 
 /// The outcome of a (two-phase) commit attempt.
@@ -318,15 +247,8 @@ impl ShardedLedger {
             repl_failures: AtomicU64::new(0),
             recovered_grants: BTreeSet::new(),
             compactions: AtomicU64::new(0),
-            snap_hits: AtomicU64::new(0),
-            snap_misses: AtomicU64::new(0),
             tiered: false,
-            tier_hits: AtomicU64::new(0),
-            tier_faults: AtomicU64::new(0),
-            tier_spilled: AtomicU64::new(0),
-            tier_spill_failures: AtomicU64::new(0),
-            tier_hot_blocks: AtomicU64::new(0),
-            tier_cold_blocks: AtomicU64::new(0),
+            tier: TierMeter::default(),
             telemetry: None,
         }
     }
@@ -369,18 +291,12 @@ impl ShardedLedger {
             recorder: obs.recorder.clone(),
             spans: obs.spans.clone(),
             clock,
-            tier_hits: obs.registry.counter("dpack_tier_hits_total", ""),
-            tier_faults: obs.registry.counter("dpack_tier_faults_total", ""),
-            tier_spilled: obs.registry.counter("dpack_tier_spilled_total", ""),
-            tier_spill_failures: obs.registry.counter("dpack_tier_spill_failures_total", ""),
-            tier_hot: obs.registry.gauge("dpack_tier_hot_blocks", ""),
-            tier_cold: obs.registry.gauge("dpack_tier_cold_blocks", ""),
         });
-        self.sync_tier_gauges();
+        self.tier.instrument(obs);
     }
 
     /// Enables tiered block storage: each shard gets a checksummed
-    /// [`SegmentStore`] under `storage` (`tier-<s>`, sibling to the
+    /// segment store under `storage` (`tier-<s>`, sibling to the
     /// WAL's `shard-<s>`, so a shared fault-injecting storage covers
     /// both), and blocks beyond [`TierConfig::hot_capacity`] spill
     /// least-recently-touched first. Spill space is ephemeral — the
@@ -401,34 +317,13 @@ impl ShardedLedger {
         storage: &dyn WalStorage,
         config: TierConfig,
     ) -> Result<(), WalError> {
-        let hot_capacity = config.hot_capacity.max(1);
-        let mut hot_total = 0u64;
         for (s, shard) in self.shards.iter_mut().enumerate() {
             let shard = shard.get_mut().expect("enable tier before sharing");
-            let store = SegmentStore::open_with(
-                storage.sub(&tier_dir(s))?,
-                SegmentOptions {
-                    segment_bytes: config.segment_bytes,
-                },
-            )?;
-            shard.tier = Some(TierState {
-                store,
-                hot_capacity,
-                low_water: hot_capacity - hot_capacity / 8,
-                epoch: 0,
-                touch: shard.blocks.keys().map(|id| (*id, 0)).collect(),
-                cold: HashMap::new(),
-            });
-            hot_total += shard.blocks.len() as u64;
+            shard
+                .blocks
+                .enable_tier(storage.sub(&tier_dir(s))?, config, &self.tier)?;
         }
         self.tiered = true;
-        self.tier_hot_blocks.store(hot_total, Ordering::Relaxed);
-        // A recovered ledger may hold far more than the bound (recovery
-        // materializes everything hot); restore it right away.
-        for s in 0..self.shards.len() {
-            let mut guard = self.lock(s);
-            self.maybe_spill(&mut guard);
-        }
         Ok(())
     }
 
@@ -443,237 +338,22 @@ impl ShardedLedger {
         if !self.tiered {
             return None;
         }
-        let mut segments = 0u64;
-        let mut spill_bytes = 0u64;
+        let mut activity = self.tier.activity();
         for s in 0..self.shards.len() {
-            if let Some(tier) = &self.lock(s).tier {
-                segments += tier.store.segment_count() as u64;
-                spill_bytes += tier.store.bytes() - tier.store.dead_bytes();
-            }
+            let (segments, bytes) = self.lock(s).blocks.spill_footprint();
+            activity.segments += segments;
+            activity.spill_bytes += bytes;
         }
-        Some(TierActivity {
-            hot_blocks: self.tier_hot_blocks.load(Ordering::Relaxed),
-            cold_blocks: self.tier_cold_blocks.load(Ordering::Relaxed),
-            hits: self.tier_hits.load(Ordering::Relaxed),
-            faults: self.tier_faults.load(Ordering::Relaxed),
-            spilled: self.tier_spilled.load(Ordering::Relaxed),
-            spill_failures: self.tier_spill_failures.load(Ordering::Relaxed),
-            segments,
-            spill_bytes,
-        })
-    }
-
-    fn sync_tier_gauges(&self) {
-        if let Some(t) = &self.telemetry {
-            t.tier_hot
-                .set_u64(self.tier_hot_blocks.load(Ordering::Relaxed));
-            t.tier_cold
-                .set_u64(self.tier_cold_blocks.load(Ordering::Relaxed));
-        }
-    }
-
-    /// A cold block's persisted-form state, materialized from the
-    /// in-memory interned summary — exact bits, no disk read.
-    fn cold_state(&self, id: BlockId, cold: &ColdBlock) -> BlockState {
-        let interner = CurveInterner::global();
-        BlockState {
-            id,
-            arrival: cold.arrival,
-            total: interner.resolve(cold.total).to_vec(),
-            consumed: cold.consumed.materialize(interner),
-            granted: cold.granted,
-        }
-    }
-
-    /// A cold block rebuilt as a [`BlockLedger`] — the *same* restore
-    /// path recovery uses, which is what makes every derived quantity
-    /// (available curves, soundness) bit-identical to the pre-spill
-    /// hot state.
-    fn cold_ledger(&self, id: BlockId, cold: &ColdBlock) -> BlockLedger {
-        self.cold_state(id, cold)
-            .to_ledger(&self.grid)
-            .expect("spilled state was a valid ledger")
-    }
-
-    /// Faults every cold block of `task` homed on `shard` back into
-    /// the hot map (commits always run on hot, full-vector state).
-    /// Returns `false` — caller releases the task — if a spill read
-    /// fails verification; the summary stays cold and intact, so a
-    /// later compaction rewrite or retry can still serve it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a block is in neither tier (the commit paths'
-    /// unregistered-block contract).
-    fn ensure_hot(
-        &self,
-        stripe: &mut Shard,
-        task: TaskId,
-        blocks: &[BlockId],
-        shard: usize,
-    ) -> bool {
-        let Shard {
-            blocks: hot, tier, ..
-        } = stripe;
-        let Some(tier) = tier else {
-            return true;
-        };
-        for b in blocks {
-            if self.shard_of(*b) != shard {
-                continue;
-            }
-            if hot.contains_key(b) {
-                self.tier_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.tier_hits.inc();
-                }
-                touch(tier, *b);
-                continue;
-            }
-            let Some(cold) = tier.cold.get(b) else {
-                panic!("task {task} references unregistered block {b}");
-            };
-            let faulted = tier
-                .store
-                .read(&cold.entry)
-                .map_err(WalError::Io)
-                .and_then(|payload| {
-                    durability::decode_snapshot(&payload)?
-                        .into_iter()
-                        .find(|s| s.id == *b)
-                        .ok_or_else(|| {
-                            WalError::Corrupt(format!("spill entry for block {b} holds another id"))
-                        })
-                })
-                .and_then(|state| state.to_ledger(&self.grid));
-            let Ok(entry) = faulted else {
-                self.tier_spill_failures.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.tier_spill_failures.inc();
-                }
-                return false;
-            };
-            let cold = tier.cold.remove(b).expect("present above");
-            let _ = tier.store.release(&cold.entry);
-            hot.insert(*b, entry);
-            touch(tier, *b);
-            self.tier_faults.fetch_add(1, Ordering::Relaxed);
-            self.tier_hot_blocks.fetch_add(1, Ordering::Relaxed);
-            self.tier_cold_blocks.fetch_sub(1, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.tier_faults.inc();
-            }
-        }
-        self.sync_tier_gauges();
-        true
-    }
-
-    /// Spills least-recently-touched hot blocks down to the low-water
-    /// mark once the hot map exceeds its bound. Writes go in
-    /// [`SPILL_BATCH`]-sized batched appends (one sync each on the fs
-    /// backend); a failed write keeps the victims hot — the tier is an
-    /// optimization, never a correctness dependency. Does not mark the
-    /// shard dirty: a block's bits don't change by moving tier.
-    fn maybe_spill(&self, stripe: &mut Shard) {
-        let Shard {
-            blocks: hot, tier, ..
-        } = stripe;
-        let Some(tier) = tier else {
-            return;
-        };
-        if hot.len() <= tier.hot_capacity {
-            return;
-        }
-        let excess = hot.len() - tier.low_water.min(tier.hot_capacity);
-        let mut order: Vec<(u64, BlockId)> = tier.touch.iter().map(|(id, e)| (*e, *id)).collect();
-        order.sort_unstable();
-        order.truncate(excess);
-        let interner = CurveInterner::global();
-        for chunk in order.chunks(SPILL_BATCH) {
-            let payloads: Vec<Vec<u8>> = chunk
-                .iter()
-                .map(|(_, id)| {
-                    let b = hot.get(id).expect("victims come from the hot map");
-                    durability::encode_snapshot(&[block_state(*id, b)])
-                })
-                .collect();
-            let views: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-            let refs = match tier.store.append_batch(&views) {
-                Ok(refs) => refs,
-                Err(_) => {
-                    self.tier_spill_failures.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &self.telemetry {
-                        t.tier_spill_failures.inc();
-                    }
-                    break;
-                }
-            };
-            for ((_, id), entry) in chunk.iter().zip(refs) {
-                let b = hot.remove(id).expect("victims come from the hot map");
-                tier.touch.remove(id);
-                tier.cold.insert(
-                    *id,
-                    ColdBlock {
-                        entry,
-                        arrival: b.arrival(),
-                        granted: b.granted_count(),
-                        total: interner.intern(b.total().values()),
-                        consumed: DeltaCurve::new(interner.intern(b.consumed().values())),
-                    },
-                );
-            }
-            let n = chunk.len() as u64;
-            self.tier_spilled.fetch_add(n, Ordering::Relaxed);
-            self.tier_hot_blocks.fetch_sub(n, Ordering::Relaxed);
-            self.tier_cold_blocks.fetch_add(n, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.tier_spilled.add(n);
-            }
-        }
-        self.sync_tier_gauges();
-    }
-
-    /// Rewrites a shard's cold entries when released (dead) bytes
-    /// dominate its spill files — from the in-memory summaries, so the
-    /// rewrite costs no reads and reproduces the exact original
-    /// payloads. Part of [`ShardedLedger::compact`].
-    fn compact_tier(&self, stripe: &mut Shard) -> Result<(), WalError> {
-        let Some(tier) = &mut stripe.tier else {
-            return Ok(());
-        };
-        let dead = tier.store.dead_bytes();
-        if tier.cold.is_empty() || dead * 2 <= tier.store.bytes() {
-            return Ok(());
-        }
-        let mut ids: Vec<BlockId> = tier.cold.keys().copied().collect();
-        ids.sort_unstable(); // Deterministic rewrite order.
-                             // Seal the active segment first: every segment being drained is
-                             // then non-active, so releasing its last live entry deletes it.
-        tier.store.rotate();
-        for chunk in ids.chunks(SPILL_BATCH) {
-            let payloads: Vec<Vec<u8>> = chunk
-                .iter()
-                .map(|id| durability::encode_snapshot(&[self.cold_state(*id, &tier.cold[id])]))
-                .collect();
-            let views: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-            let refs = tier.store.append_batch(&views)?;
-            for (id, entry) in chunk.iter().zip(refs) {
-                let cold = tier.cold.get_mut(id).expect("listed above");
-                let old = cold.entry;
-                cold.entry = entry;
-                tier.store.release(&old)?;
-            }
-        }
-        Ok(())
+        Some(activity)
     }
 
     /// Available curves for exactly `ids` on one shard at `now` — the
     /// demand-driven view scheduling cycles read on a tiered ledger,
     /// so a cycle's snapshot cost scales with the blocks its tasks
-    /// reference rather than with every block registered. Cold blocks
-    /// are materialized from their in-memory summaries (no disk I/O,
-    /// bit-identical to the hot computation); ids homed on other
-    /// shards are skipped.
+    /// reference rather than with every block registered. Bit-identical
+    /// to [`ShardedLedger::snapshot_shard_uncached`] on the ids it
+    /// covers, wherever they reside; ids that are unknown or homed on
+    /// other shards are skipped.
     pub fn snapshot_blocks(
         &self,
         shard: usize,
@@ -681,25 +361,15 @@ impl ShardedLedger {
         ids: &[BlockId],
     ) -> BTreeMap<BlockId, RdpCurve> {
         let guard = self.lock(shard);
-        let mut view = BTreeMap::new();
-        for id in ids {
-            if self.shard_of(*id) != shard {
-                continue;
-            }
-            if let Some(b) = guard.blocks.get(id) {
-                view.insert(*id, b.available(now, self.unlock_period, self.unlock_steps));
-            } else if let Some(cold) = guard.tier.as_ref().and_then(|t| t.cold.get(id)) {
-                view.insert(
-                    *id,
-                    self.cold_ledger(*id, cold).available(
-                        now,
-                        self.unlock_period,
-                        self.unlock_steps,
-                    ),
-                );
-            }
-        }
-        view
+        ids.iter()
+            .filter(|id| self.shard_of(**id) == shard)
+            .filter_map(|id| {
+                let curve = guard
+                    .blocks
+                    .with_block(*id, &self.grid, |b| self.available(b, now))?;
+                Some((*id, curve))
+            })
+            .collect()
     }
 
     /// [`ShardedLedger::snapshot_blocks`] across all shards (one lock
@@ -809,7 +479,7 @@ impl ShardedLedger {
             if let Some(snapshot) = &recovered.snapshot {
                 for state in durability::decode_snapshot(snapshot)? {
                     let entry = state.to_ledger(&ledger.grid)?;
-                    shard.blocks.insert(state.id, entry);
+                    shard.blocks.put(state.id, entry, &ledger.tier);
                 }
             }
             for record in &recovered.records {
@@ -821,9 +491,8 @@ impl ShardedLedger {
                     } => {
                         let capacity = RdpCurve::new(&ledger.grid, capacity)
                             .map_err(|e| WalError::Corrupt(format!("block {id}: {e}")))?;
-                        shard
-                            .blocks
-                            .insert(id, BlockLedger::new(Block::new(id, capacity, arrival)));
+                        let entry = BlockLedger::new(Block::new(id, capacity, arrival));
+                        shard.blocks.put(id, entry, &ledger.tier);
                     }
                     ShardRecord::Apply {
                         task,
@@ -924,19 +593,7 @@ impl ShardedLedger {
     /// payloads and the ship counters agree.
     pub fn shard_snapshot_payloads(&self) -> Vec<Vec<u8>> {
         (0..self.shards.len())
-            .map(|s| {
-                let guard = self.lock(s);
-                let mut states: Vec<BlockState> = guard
-                    .blocks
-                    .iter()
-                    .map(|(id, b)| block_state(*id, b))
-                    .collect();
-                if let Some(tier) = &guard.tier {
-                    states.extend(tier.cold.iter().map(|(id, c)| self.cold_state(*id, c)));
-                }
-                states.sort_by_key(|s| s.id);
-                durability::encode_snapshot(&states)
-            })
+            .map(|s| durability::encode_snapshot(&self.lock(s).blocks.states()))
             .collect()
     }
 
@@ -993,6 +650,19 @@ impl ShardedLedger {
             .expect("ledger shard lock poisoned")
     }
 
+    /// [`ShardedLedger::lock`] for a path that may grow the hot set.
+    fn checkout(&self, shard: usize) -> Checkout<'_> {
+        Checkout {
+            stripe: self.lock(shard),
+            tier: &self.tier,
+        }
+    }
+
+    /// The §3.4 unlocked-minus-consumed capacity of one block at `now`.
+    fn available(&self, block: &BlockLedger, now: f64) -> RdpCurve {
+        block.available(now, self.unlock_period, self.unlock_steps)
+    }
+
     /// Registers a newly arrived block on its shard, durably when the
     /// ledger has a WAL (the registration is logged before it becomes
     /// visible).
@@ -1029,13 +699,8 @@ impl ShardedLedger {
                 block.id
             )));
         }
-        let mut shard = self.lock(self.shard_of(block.id));
-        if shard.blocks.contains_key(&block.id)
-            || shard
-                .tier
-                .as_ref()
-                .is_some_and(|t| t.cold.contains_key(&block.id))
-        {
+        let mut shard = self.checkout(self.shard_of(block.id));
+        if shard.blocks.contains(block.id) {
             return Err(ProblemError(format!("duplicate block id {}", block.id)));
         }
         if let Some(wal) = shard.wal.as_mut() {
@@ -1060,202 +725,71 @@ impl ShardedLedger {
                 )));
             }
         }
-        let id = block.id;
-        shard.blocks.insert(id, BlockLedger::new(block));
-        shard.dirty = true;
-        if shard.tier.is_some() {
-            touch(shard.tier.as_mut().expect("checked above"), id);
-            self.tier_hot_blocks.fetch_add(1, Ordering::Relaxed);
-            self.maybe_spill(&mut shard);
-        }
+        shard
+            .blocks
+            .put(block.id, BlockLedger::new(block), &self.tier);
         Ok(())
     }
 
     /// Whether a block is registered (in either tier).
     pub fn contains(&self, block: BlockId) -> bool {
-        let guard = self.lock(self.shard_of(block));
-        guard.blocks.contains_key(&block)
-            || guard
-                .tier
-                .as_ref()
-                .is_some_and(|t| t.cold.contains_key(&block))
+        self.lock(self.shard_of(block)).blocks.contains(block)
     }
 
     /// Total number of registered blocks, hot and cold (sums across
     /// shards).
     pub fn n_blocks(&self) -> usize {
         (0..self.shards.len())
-            .map(|s| {
-                let guard = self.lock(s);
-                guard.blocks.len() + guard.tier.as_ref().map_or(0, |t| t.cold.len())
-            })
+            .map(|s| self.lock(s).blocks.len())
             .sum()
     }
 
     /// Snapshots one shard's available capacities at time `now` (§3.4
-    /// unlocked-minus-consumed), holding only that shard's lock.
-    ///
-    /// This is the shared, cache-backed view scheduling cycles read:
-    /// a clean shard (no commit or registration since the last
-    /// snapshot) at the same `now` — or at any later `now` once every
-    /// block is fully unlocked — serves the cached `Arc` instead of
-    /// recomputing and re-allocating every block's curve. Results are
-    /// bit-identical to [`ShardedLedger::snapshot_shard_uncached`] by
-    /// construction (a valid cache entry *is* a previous uncached
-    /// computation whose inputs have not changed), which the cache
-    /// suite asserts value-for-value.
-    pub fn snapshot_shard_shared(
-        &self,
-        shard: usize,
-        now: f64,
-    ) -> Arc<BTreeMap<BlockId, RdpCurve>> {
-        let mut guard = self.lock(shard);
-        self.shard_snapshot_locked(&mut guard, now)
-    }
-
-    /// [`ShardedLedger::snapshot_shard_shared`] with the lock already
-    /// held.
-    fn shard_snapshot_locked(
-        &self,
-        guard: &mut Shard,
-        now: f64,
-    ) -> Arc<BTreeMap<BlockId, RdpCurve>> {
-        if !guard.dirty {
-            if let Some(cache) = &guard.snap {
-                if cache.now.to_bits() == now.to_bits() || (cache.all_unlocked && now >= cache.now)
-                {
-                    self.snap_hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(&cache.view);
-                }
-            }
-        }
-        self.snap_misses.fetch_add(1, Ordering::Relaxed);
-        let mut view: BTreeMap<BlockId, RdpCurve> = guard
-            .blocks
-            .iter()
-            .map(|(id, b)| (*id, b.available(now, self.unlock_period, self.unlock_steps)))
-            .collect();
-        let mut all_unlocked = guard
-            .blocks
-            .values()
-            .all(|b| b.unlocked_fraction(now, self.unlock_period, self.unlock_steps) >= 1.0);
-        if let Some(tier) = &guard.tier {
-            // Cold blocks join from their summaries — same restore +
-            // available code path as the hot entries had pre-spill, so
-            // the view is bit-identical to an untiered ledger's.
-            for (id, cold) in &tier.cold {
-                let ledger = self.cold_ledger(*id, cold);
-                all_unlocked = all_unlocked
-                    && ledger.unlocked_fraction(now, self.unlock_period, self.unlock_steps) >= 1.0;
-                view.insert(
-                    *id,
-                    ledger.available(now, self.unlock_period, self.unlock_steps),
-                );
-            }
-        }
-        let view = Arc::new(view);
-        guard.snap = Some(SnapCache {
-            now,
-            all_unlocked,
-            view: Arc::clone(&view),
-        });
-        guard.dirty = false;
-        view
-    }
-
-    /// One shard's available capacities as an owned map (clones out of
-    /// the shared view; hot paths use
-    /// [`ShardedLedger::snapshot_shard_shared`]).
-    pub fn snapshot_shard(&self, shard: usize, now: f64) -> BTreeMap<BlockId, RdpCurve> {
-        (*self.snapshot_shard_shared(shard, now)).clone()
-    }
-
-    /// The cache-free reference computation: always recomputes every
-    /// block's available curve under the shard lock. The cache suite
-    /// asserts [`ShardedLedger::snapshot_shard_shared`] against this
-    /// path bit-for-bit; production callers should prefer the cached
-    /// one.
+    /// unlocked-minus-consumed), holding only that shard's lock: every
+    /// block's curve is recomputed under it, so the cost scales with
+    /// the blocks registered on the shard. This is the whole-shard view
+    /// an untiered scheduling cycle reads. (The name dates from a
+    /// per-shard cache that never hit; the benchmark crate calls it,
+    /// so it stays until a benchmark PR renames both.)
     pub fn snapshot_shard_uncached(&self, shard: usize, now: f64) -> BTreeMap<BlockId, RdpCurve> {
-        let guard = self.lock(shard);
-        let mut view: BTreeMap<BlockId, RdpCurve> = guard
-            .blocks
-            .iter()
-            .map(|(id, b)| (*id, b.available(now, self.unlock_period, self.unlock_steps)))
-            .collect();
-        if let Some(tier) = &guard.tier {
-            // Identical cold handling to the cached path: both
-            // materialize from the summary, so neither can drift.
-            for (id, cold) in &tier.cold {
-                view.insert(
-                    *id,
-                    self.cold_ledger(*id, cold).available(
-                        now,
-                        self.unlock_period,
-                        self.unlock_steps,
-                    ),
-                );
-            }
-        }
+        let mut view = BTreeMap::new();
+        self.lock(shard).blocks.for_each(&self.grid, |id, b| {
+            view.insert(id, self.available(b, now));
+        });
         view
     }
 
     /// Snapshots all shards' available capacities at time `now`, taking
-    /// shard locks one at a time. Clean shards are served from the
-    /// per-shard cache (the cross-shard pass re-reads the ledger right
-    /// after the shard-local commits, so shards untouched by those
-    /// commits cost a map extend, not a recompute).
+    /// shard locks one at a time.
     pub fn snapshot_all(&self, now: f64) -> BTreeMap<BlockId, RdpCurve> {
         let mut all = BTreeMap::new();
         for s in 0..self.shards.len() {
-            let view = self.snapshot_shard_shared(s, now);
-            all.extend(view.iter().map(|(id, c)| (*id, c.clone())));
+            all.extend(self.snapshot_shard_uncached(s, now));
         }
         all
-    }
-
-    /// Snapshot-cache counters: `(served from cache, rebuilt)`.
-    pub fn snapshot_cache_counters(&self) -> (u64, u64) {
-        (
-            self.snap_hits.load(Ordering::Relaxed),
-            self.snap_misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Total (initial) capacities of all blocks, for fairness metrics.
     pub fn total_capacities(&self) -> BTreeMap<BlockId, RdpCurve> {
-        let mut all = BTreeMap::new();
-        for s in 0..self.shards.len() {
-            let guard = self.lock(s);
-            all.extend(guard.blocks.iter().map(|(id, b)| (*id, b.total().clone())));
-            if let Some(tier) = &guard.tier {
-                let interner = CurveInterner::global();
-                for (id, cold) in &tier.cold {
-                    let total = interner
-                        .resolve_curve(cold.total, &self.grid)
-                        .expect("interned under the ledger grid");
-                    all.insert(*id, total);
-                }
-            }
-        }
-        all
+        self.block_states()
+            .into_iter()
+            .map(|(id, state)| {
+                let total = RdpCurve::new(&self.grid, state.total)
+                    .expect("registered under the ledger grid");
+                (id, total)
+            })
+            .collect()
     }
 
     /// Every block's persisted-form state (arrival, capacity,
     /// consumption bit patterns, grant count) — the recovery suites
-    /// compare these across crash/recover runs. Cold blocks
-    /// materialize from their summaries, exact to the bit.
+    /// compare these across crash/recover runs, wherever each block
+    /// resides.
     pub fn block_states(&self) -> BTreeMap<BlockId, BlockState> {
         let mut all = BTreeMap::new();
         for s in 0..self.shards.len() {
-            let guard = self.lock(s);
-            for (id, b) in guard.blocks.iter() {
-                all.insert(*id, block_state(*id, b));
-            }
-            if let Some(tier) = &guard.tier {
-                for (id, cold) in &tier.cold {
-                    all.insert(*id, self.cold_state(*id, cold));
-                }
-            }
+            let states = self.lock(s).blocks.states();
+            all.extend(states.into_iter().map(|state| (state.id, state)));
         }
         all
     }
@@ -1282,15 +816,12 @@ impl ShardedLedger {
         involved.sort_unstable();
         involved.dedup();
 
-        let mut guards: BTreeMap<usize, MutexGuard<'_, Shard>> = BTreeMap::new();
-        for s in &involved {
-            guards.insert(*s, self.lock(*s));
-        }
+        let mut guards: BTreeMap<usize, Checkout<'_>> =
+            involved.iter().map(|s| (*s, self.checkout(*s))).collect();
 
-        // Tier fault-in: commits run on hot, full-vector state.
         for s in &involved {
             let stripe = guards.get_mut(s).expect("locked above");
-            if !self.ensure_hot(stripe, task.id, &task.blocks, *s) {
+            if !self.ensure_hot(stripe, task, *s) {
                 return CommitOutcome::Released;
             }
         }
@@ -1298,11 +829,7 @@ impl ShardedLedger {
         // Phase 1: check every filter under the locks.
         for b in &task.blocks {
             let shard = &guards[&self.shard_of(*b)];
-            let ledger = shard
-                .blocks
-                .get(b)
-                .unwrap_or_else(|| panic!("task {} references unregistered block {b}", task.id));
-            if !ledger.check(&task.demand) {
+            if !shard.blocks.hot(task.id, *b).check(&task.demand) {
                 return CommitOutcome::Released;
             }
         }
@@ -1320,15 +847,10 @@ impl ShardedLedger {
             let shard = guards.get_mut(&self.shard_of(*b)).expect("locked above");
             shard
                 .blocks
-                .get_mut(b)
+                .hot_mut(*b)
                 .expect("checked in phase 1")
                 .commit(&task.demand)
                 .expect("filter re-check cannot fail under the held locks");
-            shard.dirty = true;
-        }
-        // Fault-ins may have grown a hot set past its bound.
-        for stripe in guards.values_mut() {
-            self.maybe_spill(stripe);
         }
         CommitOutcome::Committed
     }
@@ -1339,7 +861,7 @@ impl ShardedLedger {
         &self,
         task: &Task,
         involved: &[usize],
-        guards: &mut BTreeMap<usize, MutexGuard<'_, Shard>>,
+        guards: &mut BTreeMap<usize, Checkout<'_>>,
     ) -> bool {
         let demand = task.demand.values().to_vec();
         if let [only] = involved {
@@ -1453,11 +975,11 @@ impl ShardedLedger {
         debug_assert!(tasks
             .iter()
             .all(|t| t.blocks.iter().all(|b| self.shard_of(*b) == shard)));
-        let mut guard = self.lock(shard);
+        let mut guard = self.checkout(shard);
         let held = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
         let durable = guard.wal.is_some();
         let outcomes = self.commit_shard_batch_locked(&mut guard, shard, tasks);
-        self.maybe_spill(&mut guard);
+        drop(guard); // Spills: part of the hold the histogram reports.
         if let (Some(t), Some(held)) = (&self.telemetry, held) {
             t.lock_hold.record(t.clock.now_nanos().saturating_sub(held));
             let committed = outcomes
@@ -1496,13 +1018,13 @@ impl ShardedLedger {
         stripe.bounds.clear();
         stripe.bounds.push(0);
         for (i, task) in tasks.iter().enumerate() {
-            if !self.ensure_hot(stripe, task.id, &task.blocks, shard) {
+            if !self.ensure_hot(stripe, task, shard) {
                 continue;
             }
             let granted = task.blocks.iter().all(|b| {
                 shadow
                     .get(b)
-                    .unwrap_or_else(|| lookup(&stripe.blocks, task.id, *b))
+                    .unwrap_or_else(|| stripe.blocks.hot(task.id, *b))
                     .check(&task.demand)
             });
             if !granted {
@@ -1518,7 +1040,7 @@ impl ShardedLedger {
             for b in &task.blocks {
                 shadow
                     .entry(*b)
-                    .or_insert_with(|| lookup(&stripe.blocks, task.id, *b).clone())
+                    .or_insert_with(|| stripe.blocks.hot(task.id, *b).clone())
                     .commit(&task.demand)
                     .expect("checked against the shadow");
             }
@@ -1555,9 +1077,8 @@ impl ShardedLedger {
             return outcomes;
         }
         for (b, entry) in shadow {
-            stripe.blocks.insert(b, entry);
+            stripe.blocks.put(b, entry, &self.tier);
         }
-        stripe.dirty = true;
         for i in staged {
             outcomes[i] = CommitOutcome::Committed;
         }
@@ -1568,23 +1089,22 @@ impl ShardedLedger {
     /// mutate. One task, lock already held.
     fn commit_one_local(&self, stripe: &mut Shard, shard: usize, task: &Task) -> CommitOutcome {
         debug_assert!(stripe.wal.is_none(), "durable grants flush as a batch");
-        if !self.ensure_hot(stripe, task.id, &task.blocks, shard) {
+        if !self.ensure_hot(stripe, task, shard) {
             return CommitOutcome::Released;
         }
         for b in &task.blocks {
-            if !lookup(&stripe.blocks, task.id, *b).check(&task.demand) {
+            if !stripe.blocks.hot(task.id, *b).check(&task.demand) {
                 return CommitOutcome::Released;
             }
         }
         for b in &task.blocks {
             stripe
                 .blocks
-                .get_mut(b)
+                .hot_mut(*b)
                 .expect("checked above")
                 .commit(&task.demand)
                 .expect("filter re-check cannot fail under the held lock");
         }
-        stripe.dirty = true;
         CommitOutcome::Committed
     }
 
@@ -1629,8 +1149,8 @@ impl ShardedLedger {
             .iter()
             .flat_map(|t| t.blocks.iter().map(|b| self.shard_of(*b)))
             .collect();
-        let mut guards: BTreeMap<usize, MutexGuard<'_, Shard>> =
-            involved.iter().map(|s| (*s, self.lock(*s))).collect();
+        let mut guards: BTreeMap<usize, Checkout<'_>> =
+            involved.iter().map(|s| (*s, self.checkout(*s))).collect();
         for stripe in guards.values_mut() {
             stripe.scratch.clear();
             stripe.bounds.clear();
@@ -1648,8 +1168,8 @@ impl ShardedLedger {
             task_shards.sort_unstable();
             task_shards.dedup();
             let hot = task_shards.iter().all(|s| {
-                let stripe = &mut **guards.get_mut(s).expect("locked above");
-                self.ensure_hot(stripe, task.id, &task.blocks, *s)
+                let stripe = guards.get_mut(s).expect("locked above");
+                self.ensure_hot(stripe, task, *s)
             });
             if !hot {
                 continue;
@@ -1657,7 +1177,7 @@ impl ShardedLedger {
             let granted = task.blocks.iter().all(|b| {
                 shadow
                     .get(b)
-                    .unwrap_or_else(|| lookup(&guards[&self.shard_of(*b)].blocks, task.id, *b))
+                    .unwrap_or_else(|| guards[&self.shard_of(*b)].blocks.hot(task.id, *b))
                     .check(&task.demand)
             });
             if !granted {
@@ -1685,9 +1205,7 @@ impl ShardedLedger {
             for b in &task.blocks {
                 shadow
                     .entry(*b)
-                    .or_insert_with(|| {
-                        lookup(&guards[&self.shard_of(*b)].blocks, task.id, *b).clone()
-                    })
+                    .or_insert_with(|| guards[&self.shard_of(*b)].blocks.hot(task.id, *b).clone())
                     .commit(&task.demand)
                     .expect("checked against the shadow");
             }
@@ -1789,18 +1307,13 @@ impl ShardedLedger {
                     let stripe = guards.get_mut(&self.shard_of(*b)).expect("locked above");
                     stripe
                         .blocks
-                        .get_mut(b)
+                        .hot_mut(*b)
                         .expect("checked while staging")
                         .commit(&task.demand)
                         .expect("staged arithmetic cannot diverge");
-                    stripe.dirty = true;
                 }
                 outcomes[*i] = CommitOutcome::Committed;
             }
-        }
-        drop(coord);
-        for stripe in guards.values_mut() {
-            self.maybe_spill(stripe);
         }
         outcomes
     }
@@ -1830,7 +1343,7 @@ impl ShardedLedger {
         // dead entries, so the cold tier's disk footprint tracks its
         // live set even on a non-durable ledger.
         for shard in &mut guards {
-            self.compact_tier(shard)?;
+            shard.blocks.compact_spill()?;
         }
         let Some(coord) = &self.coord else {
             return Ok(());
@@ -1841,19 +1354,9 @@ impl ShardedLedger {
                 .as_mut()
                 .expect("durable ledger has a wal per shard");
             wal.repair()?;
-            let mut states: Vec<BlockState> = shard
-                .blocks
-                .iter()
-                .map(|(id, b)| block_state(*id, b))
-                .collect();
-            // Cold blocks fold into the snapshot from their summaries —
-            // no fault-in needed, and the WAL stays the only durable
-            // copy of every block regardless of tier residency.
-            if let Some(tier) = &shard.tier {
-                states.extend(tier.cold.iter().map(|(id, c)| self.cold_state(*id, c)));
-            }
-            states.sort_by_key(|s| s.id);
-            let payload = durability::encode_snapshot(&states);
+            // Every block, whichever tier holds it: the WAL stays the
+            // only durable copy regardless of residency.
+            let payload = durability::encode_snapshot(&shard.blocks.states());
             shard
                 .wal
                 .as_mut()
@@ -1902,19 +1405,11 @@ impl ShardedLedger {
     pub fn unsound_blocks(&self) -> Vec<BlockId> {
         let mut bad = Vec::new();
         for s in 0..self.shards.len() {
-            let guard = self.lock(s);
-            for (id, b) in guard.blocks.iter() {
+            self.lock(s).blocks.for_each(&self.grid, |id, b| {
                 if !b.is_sound() {
-                    bad.push(*id);
+                    bad.push(id);
                 }
-            }
-            if let Some(tier) = &guard.tier {
-                for (id, cold) in &tier.cold {
-                    if !self.cold_ledger(*id, cold).is_sound() {
-                        bad.push(*id);
-                    }
-                }
-            }
+            });
         }
         bad.sort_unstable();
         bad
@@ -1924,43 +1419,17 @@ impl ShardedLedger {
     /// per requested block).
     pub fn granted_count(&self) -> u64 {
         (0..self.shards.len())
-            .map(|s| {
-                let guard = self.lock(s);
-                guard
-                    .blocks
-                    .values()
-                    .map(|b| b.granted_count())
-                    .sum::<u64>()
-                    + guard
-                        .tier
-                        .as_ref()
-                        .map_or(0, |t| t.cold.values().map(|c| c.granted).sum())
-            })
+            .map(|s| self.lock(s).blocks.granted())
             .sum()
     }
-}
 
-/// Bumps a hot block's recency epoch.
-fn touch(tier: &mut TierState, id: BlockId) {
-    tier.epoch += 1;
-    tier.touch.insert(id, tier.epoch);
-}
-
-/// Resolves a block or panics with the commit paths' shared contract:
-/// admission validates block existence, and blocks are never removed.
-fn lookup(blocks: &BTreeMap<BlockId, BlockLedger>, task: TaskId, b: BlockId) -> &BlockLedger {
-    blocks
-        .get(&b)
-        .unwrap_or_else(|| panic!("task {task} references unregistered block {b}"))
-}
-
-fn block_state(id: BlockId, b: &BlockLedger) -> BlockState {
-    BlockState {
-        id,
-        arrival: b.arrival(),
-        total: b.total().values().to_vec(),
-        consumed: b.consumed().values().to_vec(),
-        granted: b.granted_count(),
+    /// Faults `task`'s cold blocks homed on `shard` back in — commits
+    /// run on hot, full-vector state. `false` = release the task.
+    fn ensure_hot(&self, stripe: &mut Shard, task: &Task, shard: usize) -> bool {
+        let homed = task.blocks.iter().filter(|b| self.shard_of(**b) == shard);
+        stripe
+            .blocks
+            .ensure_hot(task.id, homed.copied(), &self.grid, &self.tier)
     }
 }
 
@@ -1975,7 +1444,7 @@ fn replay_apply(
     let demand = RdpCurve::new(grid, demand.to_vec())
         .map_err(|e| WalError::Corrupt(format!("task {task}: {e}")))?;
     for b in blocks {
-        let entry = shard.blocks.get_mut(b).ok_or_else(|| {
+        let entry = shard.blocks.hot_mut(*b).ok_or_else(|| {
             WalError::Corrupt(format!("task {task} charges unregistered block {b}"))
         })?;
         entry
@@ -2121,95 +1590,6 @@ mod tests {
             l.commit_task(&task(999, vec![3], 0.25)),
             CommitOutcome::Released
         );
-    }
-
-    /// Bit-identity of the cached snapshot path against the reference
-    /// (always-recompute) path, at a given time.
-    fn assert_snapshots_bit_identical(l: &ShardedLedger, now: f64) {
-        for s in 0..l.n_shards() {
-            let cached = l.snapshot_shard_shared(s, now);
-            let reference = l.snapshot_shard_uncached(s, now);
-            assert_eq!(
-                cached.keys().collect::<Vec<_>>(),
-                reference.keys().collect::<Vec<_>>(),
-                "shard {s} at now={now}"
-            );
-            for (id, want) in &reference {
-                let got = &cached[id];
-                let bits =
-                    |c: &RdpCurve| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got), bits(want), "shard {s} block {id} at now={now}");
-            }
-        }
-    }
-
-    #[test]
-    fn cached_snapshots_match_the_cloning_path_bit_identically() {
-        // Gradual unlocking (4 steps) + interleaved mutations: every
-        // combination of {cache cold, cache warm, dirty, time moved,
-        // fully unlocked} must serve exactly what a recompute serves.
-        let g = grid();
-        let l = ShardedLedger::new(g.clone(), 4, 1.0, 4);
-        for j in 0..8u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&g, 1.0), 0.2 * j as f64))
-                .unwrap();
-        }
-        let mut id = 100u64;
-        for step in 1..=12u64 {
-            let now = step as f64 * 0.75;
-            assert_snapshots_bit_identical(&l, now);
-            // Same now again: served from cache, still identical.
-            assert_snapshots_bit_identical(&l, now);
-            // Mutate a couple of shards, then re-check at the same now.
-            l.commit_task(&task(id, vec![step % 8], 0.01));
-            l.commit_task(&task(id + 1, vec![step % 8, (step + 1) % 8], 0.01));
-            id += 2;
-            assert_snapshots_bit_identical(&l, now);
-        }
-        let (hits, misses) = l.snapshot_cache_counters();
-        assert!(hits > 0, "the warm re-reads must hit the cache");
-        assert!(misses > 0, "mutations must invalidate");
-    }
-
-    #[test]
-    fn clean_fully_unlocked_shards_serve_the_cache_across_cycles() {
-        let g = grid();
-        // unlock_steps = 1: available is independent of `now` from the
-        // start, so a clean shard should rebuild exactly once no matter
-        // how many cycle times read it.
-        let l = ShardedLedger::new(g.clone(), 2, 1.0, 1);
-        for j in 0..4u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&g, 1.0), 0.0))
-                .unwrap();
-        }
-        let first = l.snapshot_shard_shared(0, 1.0);
-        for step in 2..=20u64 {
-            let again = l.snapshot_shard_shared(0, step as f64);
-            assert!(
-                Arc::ptr_eq(&first, &again),
-                "clean shard must reuse its view"
-            );
-        }
-        let (hits, misses) = l.snapshot_cache_counters();
-        assert_eq!((hits, misses), (19, 1));
-        // A commit invalidates; the rebuilt view reflects it and the
-        // reference path agrees bit-for-bit.
-        l.commit_task(&task(0, vec![0], 0.5));
-        let rebuilt = l.snapshot_shard_shared(0, 21.0);
-        assert!(!Arc::ptr_eq(&first, &rebuilt));
-        assert_snapshots_bit_identical(&l, 21.0);
-        // Still-locked ledgers must NOT reuse across time: with 4
-        // unlock steps the view at t=1 and t=2 differ.
-        let locked = ShardedLedger::new(g.clone(), 1, 1.0, 4);
-        locked
-            .register_block(Block::new(0, RdpCurve::constant(&g, 1.0), 0.0))
-            .unwrap();
-        let early = l.snapshot_shard_shared(0, 21.0); // Warm unrelated cache.
-        drop(early);
-        let at1 = locked.snapshot_shard_shared(0, 1.0);
-        let at2 = locked.snapshot_shard_shared(0, 2.0);
-        assert!((at1[&0].epsilon(0) - 0.25).abs() < 1e-12);
-        assert!((at2[&0].epsilon(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -2578,18 +1958,56 @@ mod tests {
 
     #[test]
     fn snapshots_taken_mid_spill_stay_bit_identical() {
-        // Fully-unlocked single shard: a clean shard's cached view is
-        // reusable across time, which lets us pin that *spilling does
-        // not invalidate it* — a block's bits don't change by moving
-        // tier, so the pre-spill view must keep serving verbatim.
+        // A block's bits don't change by moving tier: the whole-shard
+        // view taken before the spill (all hot) equals the one taken
+        // after it (mostly rebuilt from cold summaries), under gradual
+        // unlocking and with some blocks charged. The step-by-step
+        // version against an untiered twin is the
+        // `tiered_views_match_an_untiered_twin` property.
         let g = grid();
-        let mut l = ShardedLedger::new(g.clone(), 1, 1.0, 1);
+        let mut l = ShardedLedger::new(g.clone(), 1, 1.0, 4);
         for j in 0..12u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&g, 1.0), 0.0))
+            l.register_block(Block::new(j, RdpCurve::constant(&g, 1.0), 0.3 * j as f64))
                 .unwrap();
         }
-        let before = l.snapshot_shard_shared(0, 1.0);
+        for j in 0..6u64 {
+            l.commit_task(&task(j, vec![j, j + 6], 0.02 * (j + 1) as f64));
+        }
+        let before = l.snapshot_shard_uncached(0, 2.1);
+        l.enable_tier(
+            &SimStorage::new(),
+            TierConfig {
+                hot_capacity: 2,
+                segment_bytes: 512,
+            },
+        )
+        .unwrap();
+        assert!(l.tier_activity().unwrap().cold_blocks >= 10);
+        let after = l.snapshot_shard_uncached(0, 2.1);
+        assert_eq!(before.len(), 12);
+        assert_eq!(
+            before.keys().collect::<Vec<_>>(),
+            after.keys().collect::<Vec<_>>()
+        );
+        let bits = |c: &RdpCurve| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (id, want) in &before {
+            assert_eq!(bits(&after[id]), bits(want), "block {id}");
+        }
+    }
+
+    #[test]
+    fn refused_commits_keep_the_hot_tier_bound() {
+        // Every return path hands the shards back within the bound —
+        // also the ones that faulted blocks in and then charged nothing
+        // (a refused filter check, an empty staged batch).
         let sim = SimStorage::new();
+        let mut l =
+            ShardedLedger::open_durable(grid(), 2, 1.0, 1, &sim, DurabilityOptions::default())
+                .unwrap();
+        for j in 0..64u64 {
+            l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
+                .unwrap();
+        }
         l.enable_tier(
             &sim,
             TierConfig {
@@ -2598,51 +2016,23 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(l.tier_activity().unwrap().cold_blocks >= 10);
-        let after = l.snapshot_shard_shared(0, 2.0);
-        assert!(
-            Arc::ptr_eq(&before, &after),
-            "a spill must not invalidate the cached view"
-        );
-        // And the cached (pre-spill) view matches an uncached rebuild
-        // that reads the cold summaries — bit for bit.
-        assert_snapshots_bit_identical(&l, 2.0);
-
-        // Under gradual unlocking the cold path runs every recompute;
-        // it must agree with the hot path at every stage, including
-        // right after commits shuffle blocks between tiers.
-        let mut locked = ShardedLedger::new(g.clone(), 2, 1.0, 4);
-        for j in 0..12u64 {
-            locked
-                .register_block(Block::new(j, RdpCurve::constant(&g, 1.0), 0.3 * j as f64))
-                .unwrap();
+        let bound = 2 * l.n_shards() as u64;
+        assert!(l.tier_activity().unwrap().hot_blocks <= bound);
+        // Over-capacity cross-shard demands over distinct cold blocks.
+        for i in 0..15u64 {
+            let t = task(i, vec![2 * i, 2 * i + 1], 1.5);
+            assert_eq!(l.commit_task(&t), CommitOutcome::Released);
+            let hot = l.tier_activity().unwrap().hot_blocks;
+            assert!(hot <= bound, "commit_task left {hot} hot blocks");
         }
-        locked
-            .enable_tier(
-                &SimStorage::new(),
-                TierConfig {
-                    hot_capacity: 2,
-                    segment_bytes: 512,
-                },
-            )
-            .unwrap();
-        for step in 1..=8u64 {
-            let now = step as f64 * 0.7;
-            assert_snapshots_bit_identical(&locked, now);
-            locked.commit_task(&task(499 + step, vec![step % 12, (step + 5) % 12], 0.02));
-            assert_snapshots_bit_identical(&locked, now);
-            // The demand-driven view agrees with the full snapshot on
-            // the ids it covers, wherever they reside.
-            let ids: Vec<BlockId> = vec![step % 12, (step + 3) % 12, 400];
-            let partial = locked.snapshot_blocks_all(now, &ids);
-            let full = locked.snapshot_all(now);
-            assert_eq!(partial.len(), 2, "unknown ids are skipped");
-            for (b, got) in &partial {
-                let bits =
-                    |c: &RdpCurve| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got), bits(&full[b]), "block {b} at now={now}");
-            }
+        for i in 15..30u64 {
+            let t = task(i, vec![2 * i, 2 * i + 1], 1.5);
+            assert_eq!(l.commit_cross_batch(&[&t]), [CommitOutcome::Released]);
+            let hot = l.tier_activity().unwrap().hot_blocks;
+            assert!(hot <= bound, "commit_cross_batch left {hot} hot blocks");
         }
+        assert!(l.tier_activity().unwrap().faults >= 60);
+        assert_eq!(l.granted_count(), 0);
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub mod ledger;
 pub mod replication;
 pub mod service;
 pub mod stats;
+mod store;
 mod telemetry;
 pub mod ticket;
 
@@ -85,10 +86,11 @@ pub use dpack_obs as obs;
 
 pub use admission::{AdmissionError, AdmissionQueue, Submission, TenantId};
 pub use config::{DurabilityOptions, SchedulerChoice, ServiceConfig, TierConfig};
-pub use ledger::{CommitOutcome, ShardedLedger, TierActivity};
+pub use ledger::{CommitOutcome, ShardedLedger};
 pub use replication::{ReplShipError, ReplStream, ReplicaApplyError, ReplicaWal, ReplicationSink};
 pub use service::{BudgetService, ServiceHandle};
 pub use stats::{
     CycleStats, DurabilityStats, ServiceStats, StatsRetention, StatsSummary, TenantStats,
 };
+pub use store::TierActivity;
 pub use ticket::{Decision, SubmissionTicket};

@@ -48,11 +48,9 @@ use crate::ticket::{Decision, SubmissionTicket, TicketCell};
 /// A tenant-tagged task on its way through a scheduling cycle,
 /// carrying its distributed-trace context (if traced).
 type TaggedTask = (TenantId, Task, Option<TraceContext>);
-/// A shared available-capacity snapshot, keyed by block id — shard
-/// cycles read the ledger's cycle-stable cached views without cloning
-/// curves.
-type Snapshot =
-    Arc<std::collections::BTreeMap<dpack_core::problem::BlockId, dp_accounting::RdpCurve>>;
+/// An available-capacity snapshot, keyed by block id: read from the
+/// ledger once per scheduling pass and moved into its `ProblemState`.
+type Snapshot = std::collections::BTreeMap<dpack_core::problem::BlockId, dp_accounting::RdpCurve>;
 
 /// The deduplicated union of block ids a set of tagged tasks touches —
 /// the key set of a tiered cycle's demand-driven snapshot.
@@ -773,13 +771,12 @@ impl BudgetService {
         let mut released: usize = shard_results.iter().map(|r| r.released).sum();
         let mut algorithm: Duration = shard_results.iter().map(|r| r.algorithm).sum();
         if !cross_tasks.is_empty() {
+            // Same view selection as `run_shard_cycle`.
             let snapshot = if self.ledger.tier_enabled() {
-                Arc::new(
-                    self.ledger
-                        .snapshot_blocks_all(now, &referenced_blocks(&cross_tasks)),
-                )
+                self.ledger
+                    .snapshot_blocks_all(now, &referenced_blocks(&cross_tasks))
             } else {
-                Arc::new(self.ledger.snapshot_all(now))
+                self.ledger.snapshot_all(now)
             };
             let (granted, rel, algo) = self.schedule_and_commit(
                 snapshot,
@@ -1059,9 +1056,8 @@ impl BudgetService {
             traces.push(trace);
             tasks.push(task);
         }
-        let state =
-            ProblemState::from_available_shared(self.ledger.grid().clone(), available, tasks)
-                .expect("admission validated every pending task");
+        let state = ProblemState::from_available(self.ledger.grid().clone(), available, tasks)
+            .expect("admission validated every pending task");
         let allocation = self.config.scheduler.schedule(&state, threads);
         let indices: Vec<usize> = allocation
             .scheduled
@@ -1106,18 +1102,21 @@ impl BudgetService {
     /// tasks single-threaded, commit grants against its own lock in
     /// one group-committed batch.
     fn run_shard_cycle(&self, shard: usize, subs: Vec<TaggedTask>, now: f64) -> ShardResult {
-        // On a tiered ledger the full per-shard view would fault or
-        // materialize every cold block; the demand-driven view reads
-        // exactly the blocks this cycle's tasks reference (identical
-        // bits for those blocks, so decisions don't change — the
-        // schedulers never look at unreferenced blocks).
+        // Two views, selected by what the ledger is, both measured.
+        // Tiered (`tiered_zipf`, 50 000 blocks): the whole-shard view
+        // would rebuild every cold block from its summary each cycle,
+        // so read exactly the blocks this cycle's tasks reference —
+        // identical bits for those blocks, and the schedulers never
+        // look at unreferenced ones, so decisions don't change.
+        // Untiered (`online_alibaba`, 45 blocks, ~3 200 pending tasks):
+        // the whole-shard view is cheaper than sorting the pending
+        // tasks' block references — the demand-driven view everywhere
+        // lost every pair there (`decisions_per_s` −3.7 %).
         let snapshot = if self.ledger.tier_enabled() {
-            Arc::new(
-                self.ledger
-                    .snapshot_blocks(shard, now, &referenced_blocks(&subs)),
-            )
+            self.ledger
+                .snapshot_blocks(shard, now, &referenced_blocks(&subs))
         } else {
-            self.ledger.snapshot_shard_shared(shard, now)
+            self.ledger.snapshot_shard_uncached(shard, now)
         };
         let (granted, released, algorithm) =
             self.schedule_and_commit(snapshot, subs, 1, now, CommitTarget::Local(shard));

@@ -263,10 +263,12 @@ fn parse_name(name: &str) -> Option<(bool, u64)> {
         .map(|seq| (is_snap, seq))
 }
 
-/// FNV-1a 64 — the same stable, dependency-free hash the check runner
-/// uses for seeds. Shared with the tier segment store ([`crate::tier`])
-/// so both on-disk formats carry the same checksum discipline.
-pub(crate) fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a 64, folded over `bytes` from `state` (start at
+/// [`FNV_INIT`]) — the same stable, dependency-free hash the check
+/// runner uses for seeds. Shared with the tier segment store
+/// ([`crate::tier`]) and the `dpack-net` wire frames, so the on-disk
+/// and on-wire formats carry one checksum.
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     let mut hash = state;
     for b in bytes {
         hash ^= u64::from(*b);
@@ -275,7 +277,8 @@ pub(crate) fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-pub(crate) const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: the `state` a fresh [`fnv1a`] starts at.
+pub const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Frames a payload into `out`: magic, length, checksum, payload.
 fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {

@@ -64,6 +64,9 @@ if [ -n "${adhoc_new}" ]; then
   exit 1
 fi
 
+# The ruler simplicity PRs are measured with; printed, no threshold.
+echo "==> non-test lines: $(scripts/loc.sh | tail -n 1 | awk '{print $1}') (scripts/loc.sh)"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
