@@ -3,11 +3,13 @@
 //! the Optimal solver), then the DPack pass stage by stage on the two
 //! instance shapes of the repo's benchmark (`offline_micro`, and one
 //! cycle's pending set of `online_alibaba`), so the stage split can be
-//! read without the traced benchmark run. Runs on the vendored
+//! read without the traced benchmark run; and, on the second shape, what
+//! it costs to bring the state from one cycle to the next — rebuilt
+//! from the pending tasks, or kept and edited. Runs on the vendored
 //! `dpack_bench::micro` harness (`--smoke` for the CI rot guard).
 
 use dpack_bench::micro::{Micro, MicroConfig};
-use dpack_core::problem::{pack, Block, PackingRule, ProblemState};
+use dpack_core::problem::{pack, Block, PackingRule, ProblemState, Task};
 use dpack_core::schedulers::{sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, Scheduler};
 use orchestrator::ParallelDPack;
 use workloads::alibaba::{self, AlibabaDpConfig};
@@ -30,23 +32,64 @@ fn micro_shaped(lib: &CurveLibrary, smoke: bool) -> ProblemState {
 }
 
 /// What one `online_alibaba` cycle sees: ~3 000 pending Alibaba-DP
-/// tasks over 45 blocks with a fifth of their budget unlocked.
-fn alibaba_shaped(smoke: bool) -> ProblemState {
+/// tasks over 45 blocks with a fifth of their budget unlocked. Also
+/// returns as many tasks again, over the same blocks, to arrive later.
+fn alibaba_shaped(smoke: bool) -> (ProblemState, Vec<Task>) {
     let (n_tasks, n_blocks) = if smoke { (300, 20) } else { (3_000, 45) };
-    let w = alibaba::generate(
-        &AlibabaDpConfig {
-            n_blocks,
-            n_tasks,
-            ..Default::default()
-        },
-        7,
-    );
+    let config = AlibabaDpConfig {
+        n_blocks,
+        n_tasks,
+        ..Default::default()
+    };
+    let w = alibaba::generate(&config, 7);
     let blocks = w
         .blocks
         .into_iter()
         .map(|b| Block::new(b.id, b.capacity.scale(0.2), b.arrival))
         .collect();
-    ProblemState::new(w.grid, blocks, w.tasks).expect("generated instance is well-formed")
+    let state =
+        ProblemState::new(w.grid, blocks, w.tasks).expect("generated instance is well-formed");
+    (state, alibaba::generate(&config, 8).tasks)
+}
+
+/// One in ten tasks leaves and as many arrive, step after step: the
+/// next cycle's state rebuilt from the pending tasks (cloned, as a
+/// cycle that keeps them elsewhere must) against the same state kept
+/// and edited in place. Both read a fresh copy of the capacities and
+/// clone their arrivals.
+fn carry_over(m: &mut Micro, shape: &str, state: &ProblemState, arrivals: &[Task]) {
+    let churn = state.tasks().len() / 10;
+    let keeps = |step: usize, n: usize| (0..n).map(move |i| i % 10 != step % 10);
+    let arriving = |step: usize| {
+        let from = step * churn % (arrivals.len() - churn + 1);
+        arrivals[from..from + churn].iter().cloned()
+    };
+
+    let (mut pending, mut step) = (state.tasks().to_vec(), 0);
+    m.bench(&format!("{shape}/carry-over/from_available"), || {
+        let mut keep = keeps(step, pending.len());
+        pending.retain(|_| keep.next().expect("one flag per task"));
+        pending.extend(arriving(step));
+        step += 1;
+        let (grid, available) = (state.grid().clone(), state.blocks().clone());
+        ProblemState::from_available(grid, available, pending.clone()).expect("same blocks")
+    });
+
+    let (mut kept, mut step) = (state.clone(), 0);
+    m.bench(
+        &format!("{shape}/carry-over/retain+push+set_available"),
+        || {
+            let keep: Vec<bool> = keeps(step, kept.tasks().len()).collect();
+            kept.retain_tasks(&keep);
+            for task in arriving(step) {
+                kept.push_task(task).expect("same blocks");
+            }
+            step += 1;
+            kept.set_available(state.blocks().clone())
+                .expect("same blocks");
+            kept.tasks().len()
+        },
+    );
 }
 
 /// One row per stage of `DPack::schedule` on `state`.
@@ -94,6 +137,8 @@ fn main() {
     }
     let smoke = MicroConfig::from_args().smoke;
     stages(&mut m, "micro 20000x100", &micro_shaped(&lib, smoke));
-    stages(&mut m, "alibaba 3000x45", &alibaba_shaped(smoke));
+    let (alibaba, arrivals) = alibaba_shaped(smoke);
+    stages(&mut m, "alibaba 3000x45", &alibaba);
+    carry_over(&mut m, "alibaba 3000x45", &alibaba, &arrivals);
     m.finish();
 }

@@ -1,12 +1,19 @@
 //! The dense view of a [`crate::ProblemState`] that the scheduler
 //! kernels run on.
 //!
-//! Built once, while the state validates its tasks: block ids become
-//! `u32` indices (their rank in the capacity map), every task's block
-//! list becomes a CSR row, and demands and capacities become flat
-//! row-major `f64` matrices. The kernels — `DPack`'s best-alpha sweep
-//! and Eq. 6 metric, DPF's dominant shares, the `CANRUN` packing loop —
-//! then touch no map and allocate nothing per task.
+//! Kept in step with the state, row by row: block ids become `u32`
+//! indices (their rank in the capacity map), every task's block list
+//! becomes a CSR row, and demands and capacities become flat row-major
+//! `f64` matrices. The kernels — `DPack`'s best-alpha sweep and Eq. 6
+//! metric, DPF's dominant shares, the `CANRUN` packing loop — then
+//! touch no map and allocate nothing per task.
+//!
+//! The view changes in three ways only: [`Dense::push_task`] appends
+//! one validated row, [`Dense::retain_tasks`] compacts rows out in
+//! place, and [`Dense::set_available`] overwrites the capacities. Task
+//! order is never permuted, so a view that lived through any sequence
+//! of the three equals, bit for bit, one built from scratch over the
+//! same tasks.
 
 use std::collections::BTreeMap;
 
@@ -19,6 +26,8 @@ use crate::problem::{BlockId, PackingRule, ProblemError, Task};
 #[derive(Debug, Clone)]
 pub(crate) struct Dense {
     n_orders: usize,
+    /// Block ids, ascending; a block's position is its index.
+    block_ids: Vec<BlockId>,
     /// CSR row starts: task `t` requests blocks
     /// `cols[rows[t]..rows[t + 1]]`.
     rows: Vec<u32>,
@@ -33,84 +42,176 @@ pub(crate) struct Dense {
     uniform_weight: bool,
 }
 
+fn too_large() -> ProblemError {
+    ProblemError("instance exceeds u32 indices".into())
+}
+
 impl Dense {
-    /// Validates `tasks` against `blocks` and builds the view.
+    /// The view of no blocks and no tasks.
+    pub(crate) fn empty(n_orders: usize) -> Self {
+        Self {
+            n_orders,
+            block_ids: Vec::new(),
+            rows: vec![0],
+            cols: Vec::new(),
+            demand: Vec::new(),
+            weight: Vec::new(),
+            capacity: Vec::new(),
+            requesters: Vec::new(),
+            uniform_weight: true,
+        }
+    }
+
+    /// Makes room for `tasks` more rows.
+    pub(crate) fn reserve(&mut self, tasks: usize) {
+        self.rows.reserve(tasks);
+        self.demand.reserve(tasks * self.n_orders);
+        self.weight.reserve(tasks);
+    }
+
+    /// Overwrites the capacity matrix with `blocks`. The task rows stay
+    /// as they are when the block ids are unchanged or only extended
+    /// at the end; otherwise their block indices are renumbered.
+    ///
+    /// # Errors
+    ///
+    /// Rejects curves off `grid`, more blocks than `u32` indices, and a
+    /// block set without a block some task requests. The view is
+    /// unchanged on error.
+    pub(crate) fn set_available(
+        &mut self,
+        grid: &AlphaGrid,
+        blocks: &BTreeMap<BlockId, RdpCurve>,
+    ) -> Result<(), ProblemError> {
+        if let Some((id, _)) = blocks.iter().find(|(_, c)| c.grid() != grid) {
+            return Err(ProblemError(format!("block {id} is on a different grid")));
+        }
+        u32::try_from(blocks.len()).map_err(|_| too_large())?;
+        let ids: Vec<BlockId> = blocks.keys().copied().collect();
+        if ids.starts_with(&self.block_ids) {
+            self.requesters.resize(ids.len(), 0);
+        } else {
+            // Old index → new index; an old block nobody requests may go.
+            let mut moved = Vec::with_capacity(self.block_ids.len());
+            for (id, &n) in self.block_ids.iter().zip(&self.requesters) {
+                match ids.binary_search(id) {
+                    Ok(j) => moved.push(j as u32),
+                    Err(_) if n == 0 => moved.push(u32::MAX),
+                    Err(_) => {
+                        return Err(ProblemError(format!(
+                            "block {id} is gone but {n} pending tasks request it"
+                        )))
+                    }
+                }
+            }
+            let mut requesters = vec![0u32; ids.len()];
+            for (&j, &n) in moved.iter().zip(&self.requesters) {
+                if n > 0 {
+                    requesters[j as usize] = n;
+                }
+            }
+            for j in &mut self.cols {
+                *j = moved[*j as usize];
+            }
+            self.requesters = requesters;
+        }
+        self.capacity.clear();
+        self.capacity.reserve(ids.len() * self.n_orders);
+        self.block_ids = ids;
+        for c in blocks.values() {
+            self.capacity.extend_from_slice(c.values());
+        }
+        Ok(())
+    }
+
+    /// Validates `t` against the blocks and appends its row — the one
+    /// place rows are built.
     ///
     /// # Errors
     ///
     /// Rejects curves off `grid`, non-positive or non-finite weights,
     /// empty block lists, unknown blocks, negative or NaN demands, and
-    /// instances too large for `u32` indices.
-    pub(crate) fn build(
-        grid: &AlphaGrid,
-        blocks: &BTreeMap<BlockId, RdpCurve>,
-        tasks: &[Task],
-    ) -> Result<Self, ProblemError> {
-        let n_orders = grid.len();
-        let mut block_ids = Vec::with_capacity(blocks.len());
-        let mut capacity = Vec::with_capacity(blocks.len() * n_orders);
-        for (id, c) in blocks {
-            if c.grid() != grid {
-                return Err(ProblemError(format!("block {id} is on a different grid")));
-            }
-            block_ids.push(*id);
-            capacity.extend_from_slice(c.values());
+    /// instances too large for `u32` indices. The view is unchanged on
+    /// error.
+    pub(crate) fn push_task(&mut self, grid: &AlphaGrid, t: &Task) -> Result<(), ProblemError> {
+        if t.demand.grid() != grid {
+            return Err(ProblemError(format!(
+                "task {} is on a different grid",
+                t.id
+            )));
         }
-        let too_large = || ProblemError("instance exceeds u32 indices".into());
-        u32::try_from(tasks.len().max(block_ids.len())).map_err(|_| too_large())?;
-        let mut rows = Vec::with_capacity(tasks.len() + 1);
-        let mut cols = Vec::new();
-        let mut demand = Vec::with_capacity(tasks.len() * n_orders);
-        let mut weight = Vec::with_capacity(tasks.len());
-        let mut requesters = vec![0u32; block_ids.len()];
-        rows.push(0);
-        for t in tasks {
-            if t.demand.grid() != grid {
+        if !t.weight.is_finite() || t.weight <= 0.0 {
+            return Err(ProblemError(format!(
+                "task {} has invalid weight {}",
+                t.id, t.weight
+            )));
+        }
+        if t.blocks.is_empty() {
+            return Err(ProblemError(format!("task {} requests no blocks", t.id)));
+        }
+        if t.demand.values().iter().any(|d| d.is_nan() || *d < 0.0) {
+            return Err(ProblemError(format!(
+                "task {} has negative or NaN demand",
+                t.id
+            )));
+        }
+        let row = self.cols.len();
+        u32::try_from(self.n_tasks() + 1).map_err(|_| too_large())?;
+        let end = u32::try_from(row + t.blocks.len()).map_err(|_| too_large())?;
+        // Only an unknown block can fail from here on, and it takes
+        // back what the row had written.
+        for b in &t.blocks {
+            let Ok(j) = self.block_ids.binary_search(b) else {
+                for j in self.cols.drain(row..) {
+                    self.requesters[j as usize] -= 1;
+                }
                 return Err(ProblemError(format!(
-                    "task {} is on a different grid",
+                    "task {} requests unknown block {b}",
                     t.id
                 )));
-            }
-            if !t.weight.is_finite() || t.weight <= 0.0 {
-                return Err(ProblemError(format!(
-                    "task {} has invalid weight {}",
-                    t.id, t.weight
-                )));
-            }
-            if t.blocks.is_empty() {
-                return Err(ProblemError(format!("task {} requests no blocks", t.id)));
-            }
-            for b in &t.blocks {
-                let Ok(j) = block_ids.binary_search(b) else {
-                    return Err(ProblemError(format!(
-                        "task {} requests unknown block {b}",
-                        t.id
-                    )));
-                };
-                requesters[j] += 1;
-                cols.push(j as u32);
-            }
-            if t.demand.values().iter().any(|d| d.is_nan() || *d < 0.0) {
-                return Err(ProblemError(format!(
-                    "task {} has negative or NaN demand",
-                    t.id
-                )));
-            }
-            rows.push(u32::try_from(cols.len()).map_err(|_| too_large())?);
-            demand.extend_from_slice(t.demand.values());
-            weight.push(t.weight);
+            };
+            self.requesters[j] += 1;
+            self.cols.push(j as u32);
         }
-        let uniform_weight = weight.windows(2).all(|w| w[0] == w[1]);
-        Ok(Self {
-            n_orders,
-            rows,
-            cols,
-            demand,
-            weight,
-            capacity,
-            requesters,
-            uniform_weight,
-        })
+        self.rows.push(end);
+        self.demand.extend_from_slice(t.demand.values());
+        self.uniform_weight &= self.weight.first().is_none_or(|w| *w == t.weight);
+        self.weight.push(t.weight);
+        Ok(())
+    }
+
+    /// Drops every task `t` with `!keep[t]`, moving the rows behind it
+    /// up — a run of kept tasks at a time; the kept tasks stay in order.
+    pub(crate) fn retain_tasks(&mut self, keep: &[bool]) {
+        let k = self.n_orders;
+        // Where the next kept task and its block list go.
+        let (mut tasks, mut cols) = (0, 0);
+        let mut t = 0;
+        while t < keep.len() {
+            let run = keep[t..].iter().take_while(|kept| **kept).count();
+            let (from, to) = (self.rows[t] as usize, self.rows[t + run] as usize);
+            self.cols.copy_within(from..to, cols);
+            self.demand.copy_within(t * k..(t + run) * k, tasks * k);
+            self.weight.copy_within(t..t + run, tasks);
+            let moved_up = (from - cols) as u32;
+            for i in 0..run {
+                self.rows[tasks + i] = self.rows[t + i] - moved_up;
+            }
+            (tasks, cols, t) = (tasks + run, cols + to - from, t + run);
+            // The task that ended the run, if any, goes.
+            if t < keep.len() {
+                for &j in &self.cols[self.rows[t] as usize..self.rows[t + 1] as usize] {
+                    self.requesters[j as usize] -= 1;
+                }
+                t += 1;
+            }
+        }
+        self.rows[tasks] = cols as u32;
+        self.rows.truncate(tasks + 1);
+        self.cols.truncate(cols);
+        self.demand.truncate(tasks * k);
+        self.weight.truncate(tasks);
+        self.uniform_weight = self.weight.windows(2).all(|w| w[0] == w[1]);
     }
 
     pub(crate) fn n_tasks(&self) -> usize {

@@ -100,20 +100,33 @@ impl Block {
     }
 }
 
-/// A snapshot of the scheduling problem handed to a [`crate::Scheduler`]:
-/// the pending tasks and each block's *available* capacity (total for the
-/// offline case; the unlocked-minus-consumed capacity `c_t` of §3.4 for
-/// the online case).
+/// The scheduling problem handed to a [`crate::Scheduler`]: the pending
+/// tasks and each block's *available* capacity (total for the offline
+/// case; the unlocked-minus-consumed capacity `c_t` of §3.4 for the
+/// online case).
+///
+/// A state is either built once ([`ProblemState::new`],
+/// [`ProblemState::from_available`]) or kept alive across scheduling
+/// rounds, as the budget service's pending lanes do: arrivals are
+/// appended with [`ProblemState::push_task`], granted and evicted tasks
+/// compacted out with [`ProblemState::retain_tasks`], and each round's
+/// capacities written over the last with
+/// [`ProblemState::set_available`]. Tasks are never reordered, so a
+/// long-lived state is indistinguishable — to every scheduler, bit for
+/// bit — from one built from scratch over the same tasks.
 #[derive(Debug, Clone)]
 pub struct ProblemState {
     grid: AlphaGrid,
-    /// Available capacity per block.
+    /// Available capacity per block, as last set.
     blocks: BTreeMap<BlockId, RdpCurve>,
-    /// Pending tasks, in arrival order.
+    /// Pending tasks, in arrival (push) order.
     tasks: Vec<Task>,
-    /// The index-typed view the scheduler kernels run on.
+    /// The index-typed view the scheduler kernels run on, one row per
+    /// task; every mutation of `tasks` and `blocks` goes through it
+    /// first, so the two never disagree.
     dense: Dense,
-    /// Task indices sorted by `(id, index)`, for [`ProblemState::task`].
+    /// Task indices sorted by `(id, index)`, for [`ProblemState::task`];
+    /// kept sorted by insertion and compaction, never re-sorted.
     by_id: Vec<u32>,
 }
 
@@ -142,7 +155,8 @@ impl ProblemState {
 
     /// Builds a state directly from available-capacity curves (used by
     /// the online engine and the budget service, which compute unlocked
-    /// capacities themselves).
+    /// capacities themselves): the empty state, its capacities set,
+    /// each task pushed.
     ///
     /// # Errors
     ///
@@ -152,7 +166,13 @@ impl ProblemState {
         available: BTreeMap<BlockId, RdpCurve>,
         tasks: Vec<Task>,
     ) -> Result<Self, ProblemError> {
-        let dense = Dense::build(&grid, &available, &tasks)?;
+        let mut dense = Dense::empty(grid.len());
+        dense.set_available(&grid, &available)?;
+        dense.reserve(tasks.len());
+        for t in &tasks {
+            dense.push_task(&grid, t)?;
+        }
+        // One sort here instead of one sorted insertion per task.
         let mut by_id: Vec<u32> = (0..tasks.len() as u32).collect();
         by_id.sort_unstable_by_key(|&i| (tasks[i as usize].id, i));
         Ok(Self {
@@ -162,6 +182,74 @@ impl ProblemState {
             dense,
             by_id,
         })
+    }
+
+    /// Appends a task behind the pending ones.
+    ///
+    /// # Errors
+    ///
+    /// The per-task validation of [`ProblemState::new`], against the
+    /// blocks last set; a refused task leaves the state as it was.
+    pub fn push_task(&mut self, task: Task) -> Result<(), ProblemError> {
+        self.dense.push_task(&self.grid, &task)?;
+        // Behind every task of the same id: the new index is the largest.
+        let at = self
+            .by_id
+            .partition_point(|&i| self.tasks[i as usize].id <= task.id);
+        self.by_id.insert(at, self.tasks.len() as u32);
+        self.tasks.push(task);
+        Ok(())
+    }
+
+    /// Drops every task whose flag in `keep` (one per task, in
+    /// [`ProblemState::tasks`] order) is `false`. The kept tasks close
+    /// ranks in place and stay in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `keep` holds exactly one flag per task.
+    pub fn retain_tasks(&mut self, keep: &[bool]) {
+        assert_eq!(keep.len(), self.tasks.len(), "one flag per task");
+        if keep.iter().all(|kept| *kept) {
+            return;
+        }
+        self.dense.retain_tasks(keep);
+        // Where each task lands; the map is monotone, so `by_id` stays
+        // sorted.
+        let moved: Vec<u32> = keep
+            .iter()
+            .scan(0u32, |next, &kept| {
+                let at = *next;
+                *next += u32::from(kept);
+                Some(at)
+            })
+            .collect();
+        self.by_id.retain_mut(|i| {
+            let old = *i as usize;
+            *i = moved[old];
+            keep[old]
+        });
+        let mut flags = keep.iter();
+        self.tasks
+            .retain(|_| *flags.next().expect("one flag per task"));
+    }
+
+    /// Replaces every block's available capacity. Pending tasks keep
+    /// their rows when the block ids are the old ones, or the old ones
+    /// with new ids behind them; any other change of the id set
+    /// renumbers the rows' block indices (unrequested blocks may go).
+    ///
+    /// # Errors
+    ///
+    /// Rejects curves on a different grid and a block set that lacks a
+    /// block some pending task requests; the state is unchanged then.
+    pub fn set_available(
+        &mut self,
+        available: BTreeMap<BlockId, RdpCurve>,
+    ) -> Result<(), ProblemError> {
+        self.dense.set_available(&self.grid, &available)?;
+        self.blocks = available;
+        Ok(())
     }
 
     /// The alpha grid shared by all curves.

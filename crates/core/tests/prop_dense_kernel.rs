@@ -10,12 +10,21 @@
 //! every order), `0.0`, `-0.0` and `+inf` demands, depleted orders,
 //! blocks nobody requests, sparse block ids, single-order grids
 //! (Prop. 4) and the stop-at-first-misfit rule.
+//!
+//! A state may also outlive a scheduling round — tasks pushed, tasks
+//! compacted out, capacities written over — as the budget service's
+//! pending lanes do. The last property drives one through a drawn
+//! sequence of those edits and holds it, after every edit, against the
+//! state built from scratch over the same tasks: every field to the
+//! bit, every scheduler's output, and nothing changed by a refused
+//! edit.
 
 use std::collections::BTreeMap;
 
 use dp_accounting::{fits, AlphaGrid, RdpCurve};
 use dpack_check::{
-    bools, check_cases, floats, ints, prop_assert_eq, vecs, weighted, PropResult, Strategy,
+    bools, check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, weighted, PropResult,
+    Strategy,
 };
 use dpack_core::problem::{pack, Block, BlockId, PackingRule, ProblemState, Task, TaskId};
 use dpack_core::schedulers::{
@@ -358,4 +367,140 @@ fn hand_built_block_lists_and_nan_demands() {
     assert!(state(blocks(&[5]), &task).is_err(), "unknown block 9");
     task.demand = RdpCurve::from_fn(&grid, |_| f64::NAN);
     assert!(state(blocks(&[5, 9]), &task).is_err(), "NaN demand");
+}
+
+// ---- A long-lived state against a rebuild. ----------------------------
+
+/// Ids, order and `total_weight` bits of every scheduler on `state`.
+fn all_schedules(state: &ProblemState) -> Vec<(Vec<TaskId>, u64)> {
+    let schedulers: [&dyn Scheduler; 5] = [&DPack::default(), &Dpf, &DpfStrict, &GreedyArea, &Fcfs];
+    schedulers
+        .iter()
+        .map(|s| s.schedule(state))
+        .map(|a| (a.scheduled, a.total_weight.to_bits()))
+        .collect()
+}
+
+/// `state` is what `from_available` builds over `tasks` and `caps`:
+/// the same fields — the dense view included; `Debug` prints an `f64`
+/// so that it reads back to the same bits, sign of zero and all, and no
+/// NaN gets in — and the same schedules.
+fn same_as_rebuilt(state: &ProblemState, caps: &Caps, tasks: &[Task]) -> PropResult {
+    let rebuilt =
+        ProblemState::from_available(state.grid().clone(), caps.clone(), tasks.to_vec()).unwrap();
+    prop_assert_eq!(format!("{state:?}"), format!("{rebuilt:?}"));
+    for t in tasks {
+        prop_assert_eq!(state.index_of(t.id), rebuilt.index_of(t.id));
+    }
+    prop_assert_eq!(all_schedules(state), all_schedules(&rebuilt));
+    Ok(())
+}
+
+/// A task no state may take, `kind` picking what is wrong with it; its
+/// block list starts with `known`, so a row is under way when the fault
+/// is met.
+fn unacceptable(grid: &AlphaGrid, known: BlockId, kind: u8) -> Task {
+    let fine = RdpCurve::constant(grid, 0.25);
+    let curve = |x: f64| RdpCurve::from_fn(grid, |_| x);
+    let off_grid = RdpCurve::constant(&AlphaGrid::single(64.0).unwrap(), 0.25);
+    let mut task = match kind % 8 {
+        0 => Task::new(99, 1.0, vec![known], curve(f64::NAN), 0.0),
+        1 => Task::new(99, 1.0, vec![known], curve(-0.25), 0.0),
+        2 => Task::new(99, 1.0, vec![known], off_grid, 0.0),
+        3 => Task::new(99, 0.0, vec![known], fine, 0.0),
+        4 => Task::new(99, f64::NAN, vec![known], fine, 0.0),
+        5 => Task::new(99, f64::INFINITY, vec![known], fine, 0.0),
+        6 => Task::new(99, 1.0, vec![], fine, 0.0),
+        _ => Task::new(99, 1.0, vec![known], fine, 0.0),
+    };
+    if kind % 8 == 7 {
+        task.blocks.push(12_345); // Registered nowhere.
+    }
+    task
+}
+
+/// A state driven through a drawn sequence of `push_task`,
+/// `retain_tasks` and `set_available` equals, after every step, the
+/// state built from scratch over the tasks and capacities it should
+/// hold by then; and a step the state refuses changes nothing.
+#[test]
+fn a_long_lived_state_equals_a_rebuilt_one() {
+    let steps = vecs((ints(0u8..8), ints(0u8..64)), 0..28);
+    check_cases(
+        "a_long_lived_state_equals_a_rebuilt_one",
+        CASES,
+        (spec(), steps),
+        |(spec, steps)| {
+            let (grid, universe, pool) = build(spec);
+            let ids: Vec<BlockId> = universe.keys().copied().collect();
+            // Every other block to begin with, so later ones come in at
+            // the end and in the middle.
+            let mut caps: Caps = universe.clone().into_iter().step_by(2).collect();
+            let mut tasks: Vec<Task> = Vec::new();
+            let mut pool = pool.into_iter();
+            let mut state = ProblemState::from_available(grid.clone(), caps.clone(), vec![])
+                .expect("no tasks to refuse");
+            for &(step, arg) in steps {
+                let before = format!("{state:?}");
+                match step {
+                    // An arrival, asking for what it can of its blocks.
+                    0..=2 => {
+                        let (Some(mut task), Some(first)) = (pool.next(), caps.keys().next())
+                        else {
+                            continue;
+                        };
+                        task.blocks.retain(|b| caps.contains_key(b));
+                        if task.blocks.is_empty() {
+                            task.blocks.push(*first);
+                        }
+                        prop_assert_eq!(state.push_task(task.clone()), Ok(()));
+                        tasks.push(task);
+                    }
+                    // A refused arrival.
+                    3 => {
+                        let known = *caps.keys().next().unwrap_or(&0);
+                        let refused = state.push_task(unacceptable(&grid, known, arg));
+                        prop_assert!(refused.is_err(), "kind {} was taken", arg % 8);
+                        prop_assert_eq!(format!("{state:?}"), before);
+                    }
+                    // Departures: a drawn pattern, the first, the last, all.
+                    4 | 5 => {
+                        let n = tasks.len();
+                        let keep: Vec<bool> = (0..n)
+                            .map(|i| match (step, arg % 3) {
+                                (4, _) => arg >> (i % 6) & 1 == 1,
+                                (_, 0) => i != 0,
+                                (_, 1) => i != n - 1,
+                                _ => false,
+                            })
+                            .collect();
+                        state.retain_tasks(&keep);
+                        let mut flags = keep.iter();
+                        tasks.retain(|_| *flags.next().unwrap());
+                    }
+                    // New capacities, with one block more or one less.
+                    _ => {
+                        let toggled = ids[arg as usize % ids.len()];
+                        let mut next: Caps = caps
+                            .keys()
+                            .map(|b| (*b, universe[&ids[(arg / 8) as usize % ids.len()]].clone()))
+                            .collect();
+                        if next.remove(&toggled).is_none() {
+                            next.insert(toggled, universe[&toggled].clone());
+                        }
+                        let requested = tasks.iter().any(|t| t.blocks.contains(&toggled));
+                        if caps.contains_key(&toggled) && requested {
+                            prop_assert!(state.set_available(next).is_err());
+                            prop_assert_eq!(format!("{state:?}"), before);
+                        } else {
+                            prop_assert_eq!(state.set_available(next.clone()), Ok(()));
+                            caps = next;
+                        }
+                    }
+                }
+                same_as_rebuilt(&state, &caps, &tasks)?;
+            }
+            Ok(())
+        },
+    );
 }

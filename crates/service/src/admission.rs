@@ -32,14 +32,14 @@ pub struct Submission {
     pub tenant: TenantId,
     /// The task requesting budget.
     pub task: Task,
-    /// Telemetry-clock admission stamp (nanos), carried with the task
-    /// through the pending set so closing the
+    /// Telemetry-clock admission stamp (nanos), carried beside the
+    /// task through its pending lane so closing the
     /// `dpack_grant_latency_nanos` span at grant time costs no lookup.
     /// Meaningful only while observability is live; 0 otherwise.
     pub admitted_nanos: u64,
     /// Distributed-trace context, if the submitter asked for this
-    /// grant to be traced. Rides the same pending-set path as
-    /// `admitted_nanos`: no side table, no lookup at grant time.
+    /// grant to be traced. Rides the same path as `admitted_nanos`:
+    /// no side table, no lookup at grant time.
     pub trace: Option<TraceContext>,
 }
 
@@ -161,8 +161,14 @@ impl AdmissionQueue {
     /// Drains up to `max` submissions in FIFO order.
     pub fn drain(&self, max: usize) -> Vec<Submission> {
         let mut queue = self.lock();
-        let n = queue.len().min(max);
-        queue.drain(..n).collect()
+        if max >= queue.len() {
+            // Everything goes: swap the deque out and convert it after
+            // the lock every submitter pushes under is released.
+            let all = std::mem::take(&mut *queue);
+            drop(queue);
+            return all.into();
+        }
+        queue.drain(..max).collect()
     }
 
     /// Current queue depth.

@@ -3,37 +3,52 @@
 //! A [`BudgetService`] is driven entirely through `&self` — producers
 //! submit tasks and register blocks from any thread while the
 //! scheduling loop runs cycles; all interior state is behind the
-//! striped ledger locks, the admission-queue lock, and a pending-set
-//! lock. Cycles themselves are serialized by a cycle lock (two
-//! overlapping cycles would double-schedule the same pending tasks);
-//! everything else stays concurrent.
+//! striped ledger locks, the admission-queue lock, and the cycle lock.
+//! Cycles are serialized by the cycle lock (two overlapping cycles
+//! would double-schedule the same pending tasks), and so is block
+//! registration, so the block set is fixed for the length of a cycle;
+//! submissions stay concurrent throughout.
+//!
+//! The pending set lives in **lanes** the cycle lock owns: one per
+//! shard for tasks whose blocks all live there, and one for tasks
+//! spanning shards. A lane is a [`ProblemState`] that survives from
+//! cycle to cycle — tasks and their dense scheduler rows, in arrival
+//! order — with each task's tenant, admission stamp and trace context
+//! beside it. A submission is routed to its lane once, when it is
+//! ingested, and *moved* in; from then on a cycle only writes the
+//! lane's capacities over with a fresh ledger snapshot, schedules,
+//! commits, and compacts out what was granted or evicted. Nothing is
+//! cloned, re-partitioned or rebuilt for a task that merely waits.
 //!
 //! One cycle runs four phases, mirroring the §6.4 "scheduling
 //! procedure" (ingest → snapshot → algorithm → commit):
 //!
-//! 1. **Ingest** — drain the admission queue into the pending set and
-//!    evict timed-out tasks.
-//! 2. **Shard-local scheduling** — tasks whose blocks live on a single
-//!    shard are scheduled per shard by [`std::thread::scope`] workers,
-//!    each worker snapshotting and committing against only its shards'
-//!    locks, so shards proceed in parallel without contention.
-//! 3. **Cross-shard scheduling** — tasks spanning shards are scheduled
+//! 1. **Ingest** — drain the admission queue into the lanes and evict
+//!    timed-out tasks.
+//! 2. **Shard-local scheduling** — each shard lane is scheduled by
+//!    [`std::thread::scope`] workers, each worker snapshotting and
+//!    committing against only its shards' locks, so shards proceed in
+//!    parallel without contention.
+//! 3. **Cross-shard scheduling** — the cross lane is scheduled
 //!    sequentially over a fresh global snapshot and committed with the
 //!    ledger's two-phase protocol: all-or-nothing across shards.
-//! 4. **Bookkeeping** — granted tasks leave the pending set; stats
-//!    record the cycle's volumes and phase timings.
+//! 4. **Bookkeeping** — tickets resolve, granted and evicted ids stop
+//!    being live; stats record the cycle's volumes and phase timings.
 //!
-//! With one shard and one worker the loop degenerates to exactly the
-//! [`OnlineEngine`](dpack_core::online::OnlineEngine) semantics, which
-//! the equivalence tests assert allocation-for-allocation.
+//! Lanes never reorder their tasks, so every pass sees exactly the
+//! state a from-scratch rebuild over the same pending tasks would
+//! give. With one shard and one worker the loop therefore degenerates
+//! to the [`OnlineEngine`](dpack_core::online::OnlineEngine)
+//! semantics — the engine does rebuild every step — which the
+//! equivalence tests assert allocation-for-allocation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dp_accounting::AlphaGrid;
 use dpack_core::online::AllocatedTask;
-use dpack_core::problem::{Block, ProblemError, ProblemState, Task, TaskId};
+use dpack_core::problem::{Block, BlockId, ProblemError, ProblemState, Task, TaskId};
 use dpack_obs::trace::{scoped_traces, span_id, SpanKind};
 use dpack_obs::{EventKind, Obs, TraceContext};
 use dpack_wal::{WalError, WalStorage};
@@ -45,26 +60,106 @@ use crate::stats::{CycleStats, ServiceStats};
 use crate::telemetry::ServiceTelemetry;
 use crate::ticket::{Decision, SubmissionTicket, TicketCell};
 
-/// A tenant-tagged task on its way through a scheduling cycle,
-/// carrying its distributed-trace context (if traced).
-type TaggedTask = (TenantId, Task, Option<TraceContext>);
 /// An available-capacity snapshot, keyed by block id: read from the
-/// ledger once per scheduling pass and moved into its `ProblemState`.
-type Snapshot = std::collections::BTreeMap<dpack_core::problem::BlockId, dp_accounting::RdpCurve>;
+/// ledger once per scheduling pass and moved into the lane's state.
+type Snapshot = std::collections::BTreeMap<BlockId, dp_accounting::RdpCurve>;
 
-/// The deduplicated union of block ids a set of tagged tasks touches —
-/// the key set of a tiered cycle's demand-driven snapshot.
-fn referenced_blocks(subs: &[TaggedTask]) -> Vec<dpack_core::problem::BlockId> {
-    let mut ids: Vec<_> = subs
-        .iter()
-        .flat_map(|(_, t, _)| t.blocks.iter().copied())
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
+/// What rides beside a pending task: who submitted it, when (telemetry
+/// clock, see [`Submission::admitted_nanos`]), and its distributed-trace
+/// context if traced.
+#[derive(Debug, Clone, Copy)]
+struct Tag {
+    tenant: TenantId,
+    admitted_nanos: u64,
+    trace: Option<TraceContext>,
 }
 
-/// Which ledger batch-commit path a scheduling pass feeds.
+/// The pending tasks of one shard — or, for the cross lane, those that
+/// span shards — kept across cycles.
+struct Lane {
+    /// The tasks and their scheduler rows, in arrival order. The
+    /// capacities are those of the lane's last pass.
+    state: ProblemState,
+    /// One per task of `state`, in its order.
+    tags: Vec<Tag>,
+    /// Ingested this cycle. They enter `state` in the lane's pass,
+    /// once it holds a snapshot taken after their blocks registered.
+    arrivals: Vec<Submission>,
+}
+
+impl Lane {
+    fn new(grid: &AlphaGrid) -> Self {
+        let state = ProblemState::from_available(grid.clone(), Snapshot::new(), Vec::new())
+            .expect("the empty state is valid");
+        Self {
+            state,
+            tags: Vec::new(),
+            arrivals: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.state.tasks().len() + self.arrivals.len()
+    }
+
+    /// Drops the tasks whose flag in `keep` is `false`, and their tags.
+    fn retain(&mut self, keep: &[bool]) {
+        self.state.retain_tasks(keep);
+        let mut flags = keep.iter();
+        self.tags
+            .retain(|_| *flags.next().expect("one flag per task"));
+    }
+
+    /// Evicts what timed out by `now` (the engine's rule: `now −
+    /// arrival > timeout`), this cycle's arrivals included, so a stale
+    /// submission can be evicted on its first cycle.
+    fn evict_expired(&mut self, now: f64, evicted: &mut Vec<(TenantId, TaskId)>) {
+        let mut expired = |tenant: TenantId, t: &Task| {
+            let expired = t.timeout.is_some_and(|dt| now - t.arrival > dt);
+            if expired {
+                evicted.push((tenant, t.id));
+            }
+            expired
+        };
+        let pending = self.state.tasks().iter().zip(&self.tags);
+        let keep: Vec<bool> = pending
+            .map(|(task, tag)| !expired(tag.tenant, task))
+            .collect();
+        self.retain(&keep);
+        self.arrivals.retain(|s| !expired(s.tenant, &s.task));
+    }
+
+    /// The deduplicated union of block ids the lane's tasks touch — the
+    /// key set of a tiered cycle's demand-driven snapshot.
+    fn referenced_blocks(&self) -> Vec<BlockId> {
+        let tasks = self.state.tasks().iter();
+        let mut ids: Vec<_> = tasks
+            .chain(self.arrivals.iter().map(|s| &s.task))
+            .flat_map(|t| t.blocks.iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+}
+
+/// Every lane of a service: what the cycle lock guards.
+struct Lanes {
+    /// By shard.
+    shards: Vec<Lane>,
+    cross: Lane,
+}
+
+impl Lanes {
+    /// Tasks pending over all lanes.
+    fn len(&self) -> usize {
+        self.shards.iter().chain([&self.cross]).map(Lane::len).sum()
+    }
+}
+
+/// Which lane a scheduling pass runs, and so which ledger batch-commit
+/// path it feeds.
+#[derive(Clone, Copy)]
 enum CommitTarget {
     /// Shard-local grants, batched under that shard's lock.
     Local(usize),
@@ -72,10 +167,15 @@ enum CommitTarget {
     Cross,
 }
 
-/// One shard worker's cycle outcome.
-struct ShardResult {
-    shard: usize,
-    granted: Vec<(TenantId, AllocatedTask)>,
+/// A committed grant on its way to the cycle's bookkeeping.
+struct Grant {
+    tag: Tag,
+    task: AllocatedTask,
+}
+
+/// One lane's pass.
+struct Pass {
+    granted: Vec<Grant>,
     released: usize,
     algorithm: Duration,
 }
@@ -108,7 +208,6 @@ pub struct BudgetService {
     durability: Option<DurabilityOptions>,
     ledger: ShardedLedger,
     queue: AdmissionQueue,
-    pending: Mutex<Vec<Submission>>,
     live: Mutex<LiveTasks>,
     stats: Mutex<ServiceStats>,
     /// Completion cells for [`BudgetService::submit_async`] tasks, keyed
@@ -122,7 +221,12 @@ pub struct BudgetService {
     /// idempotently resubmitting in-flight work after failover cannot
     /// double-charge a grant the promoted ledger already holds.
     recovered_granted: std::collections::BTreeSet<TaskId>,
-    cycle_lock: Mutex<()>,
+    /// Serializes cycles and block registrations, and owns the pending
+    /// lanes: only a running cycle touches them.
+    cycle_lock: Mutex<Lanes>,
+    /// Tasks in the lanes, as the running (or else the last) cycle
+    /// last counted them.
+    pending: AtomicUsize,
     /// Cycles started (drives the compaction cadence without touching
     /// the stats lock).
     cycles_run: AtomicU64,
@@ -305,16 +409,22 @@ impl BudgetService {
         let mut stats = ServiceStats::with_retention(config.retention);
         stats.durability = ledger.durability_stats();
         let telemetry = ServiceTelemetry::new(&obs);
+        let lanes = Lanes {
+            shards: (0..ledger.n_shards())
+                .map(|_| Lane::new(ledger.grid()))
+                .collect(),
+            cross: Lane::new(ledger.grid()),
+        };
         Self {
             ledger,
             durability,
             queue: AdmissionQueue::new(config.queue_capacity),
-            pending: Mutex::new(Vec::new()),
             live: Mutex::new(LiveTasks::default()),
             tickets: Mutex::new(std::collections::BTreeMap::new()),
             recovered_granted,
             stats: Mutex::new(stats),
-            cycle_lock: Mutex::new(()),
+            cycle_lock: Mutex::new(lanes),
+            pending: AtomicUsize::new(0),
             cycles_run: AtomicU64::new(0),
             failed_compactions: AtomicU64::new(0),
             obs,
@@ -391,10 +501,14 @@ impl BudgetService {
         f()
     }
 
-    /// Registers a data block on its shard. Callable from any thread.
+    /// Registers a data block on its shard. Callable from any thread,
+    /// but not *during* a cycle: registration takes the cycle lock, so
+    /// it waits for a running cycle to end and the block set is fixed
+    /// for the length of every cycle — which is what lets a pending
+    /// lane keep its tasks' block indices from pass to pass.
     ///
-    /// Registration takes the cycle lock: its durable append ships on
-    /// the same per-shard replication stream as cycle flushes, and
+    /// The lock is there for replication: a registration's durable
+    /// append ships on the same per-shard stream as cycle flushes, and
     /// serializing the two keeps every replica's sequence vector a
     /// prefix of the primary's (which leader election compares).
     ///
@@ -667,9 +781,10 @@ impl BudgetService {
         self.queue.len()
     }
 
-    /// Tasks ingested but not yet granted or evicted.
+    /// Tasks ingested but not yet granted or evicted, as of the last
+    /// cycle's end (during a cycle: as of its ingest phase).
     pub fn pending_count(&self) -> usize {
-        self.pending.lock().expect("pending lock poisoned").len()
+        self.pending.load(Ordering::Relaxed)
     }
 
     /// A clone of the full statistics record so far. This copies the
@@ -686,10 +801,12 @@ impl BudgetService {
     }
 
     /// Runs one scheduling cycle at virtual time `now`. Concurrent
-    /// calls are serialized; submissions and block registrations stay
-    /// concurrent throughout.
+    /// calls are serialized, and so are block registrations (see
+    /// [`BudgetService::register_block`]): the cycle sees one block set
+    /// from start to end. Submissions stay concurrent throughout.
     pub fn run_cycle(&self, now: f64) -> CycleStats {
-        let _cycle = self.cycle_lock.lock().expect("cycle lock poisoned");
+        let mut lanes = self.cycle_lock.lock().expect("cycle lock poisoned");
+        let lanes = &mut *lanes;
         let cycle_index = self.cycles_run.fetch_add(1, Ordering::Relaxed) + 1;
         // Five telemetry-clock reads bound the cycle's phases: t0
         // (start), after ingest/evict, after the shard-local pass,
@@ -698,135 +815,101 @@ impl BudgetService {
         // phase exactly T — the timing tests assert this.
         let t_start = self.obs.now_nanos();
 
-        // Phase 1a: ingest the admission queue into the pending set.
+        // Phase 1a: ingest the admission queue, moving each submission
+        // to the lane it stays in until granted or evicted.
         let batch = self.queue.drain(self.config.ingest_batch);
         let ingested = batch.len();
         let queue_depth = self.queue.len();
-
-        // Phase 1b: evict timed-out tasks (same rule as the engine:
-        // `now − arrival > timeout`, applied after ingest so a stale
-        // submission can be evicted on its first cycle).
-        let mut evicted: Vec<(TenantId, TaskId)> = Vec::new();
-        let (shard_tasks, cross_tasks) = {
-            let mut pending = self.pending.lock().expect("pending lock poisoned");
-            for mut s in batch {
-                if s.task.timeout.is_none() {
-                    s.task.timeout = self.config.default_timeout;
-                }
-                pending.push(s);
+        for mut s in batch {
+            if s.task.timeout.is_none() {
+                s.task.timeout = self.config.default_timeout;
             }
-            pending.retain(|s| match s.task.timeout {
-                Some(dt) if now - s.task.arrival > dt => {
-                    evicted.push((s.tenant, s.task.id));
-                    false
-                }
-                _ => true,
-            });
-            self.partition(&pending)
-        };
+            let first = self.ledger.shard_of(s.task.blocks[0]);
+            let local = s
+                .task
+                .blocks
+                .iter()
+                .all(|b| self.ledger.shard_of(*b) == first);
+            let lane = if local {
+                &mut lanes.shards[first]
+            } else {
+                &mut lanes.cross
+            };
+            lane.arrivals.push(s);
+        }
+
+        // Phase 1b: evict timed-out tasks, lane by lane and in arrival
+        // order within a lane.
+        let mut evicted: Vec<(TenantId, TaskId)> = Vec::new();
+        for lane in lanes.shards.iter_mut().chain([&mut lanes.cross]) {
+            lane.evict_expired(now, &mut evicted);
+        }
+        self.pending.store(lanes.len(), Ordering::Relaxed);
         let t_ingest = self.obs.now_nanos();
 
-        // Phase 2: shard-local cycles on scoped worker threads. Each
-        // worker owns a disjoint set of shards, so snapshots and
-        // commits on different workers never share a lock. Work items
-        // move into their worker (the partition clone is the only
-        // per-cycle task copy).
-        let work: Vec<(usize, Vec<TaggedTask>)> = shard_tasks
-            .into_iter()
+        // Phase 2: shard-local passes on scoped worker threads. Each
+        // worker owns a disjoint run of shard lanes, so snapshots and
+        // commits on different workers never share a lock.
+        let mut work: Vec<(usize, &mut Lane)> = lanes
+            .shards
+            .iter_mut()
             .enumerate()
-            .filter(|(_, tasks)| !tasks.is_empty())
+            .filter(|(_, lane)| lane.len() > 0)
             .collect();
         let n_threads = self.config.workers.min(work.len()).max(1);
         let chunk = work.len().div_ceil(n_threads).max(1);
-        let mut thread_work: Vec<Vec<(usize, Vec<TaggedTask>)>> = Vec::new();
-        let mut work = work.into_iter().peekable();
-        while work.peek().is_some() {
-            thread_work.push(work.by_ref().take(chunk).collect());
-        }
-        debug_assert!(thread_work.len() <= n_threads);
-        let mut shard_results: Vec<ShardResult> = Vec::new();
+        // In ascending shard order: the deterministic commit order for
+        // the record.
+        let mut passes: Vec<Pass> = Vec::new();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = thread_work
-                .into_iter()
+            let handles: Vec<_> = work
+                .chunks_mut(chunk)
                 .map(|items| {
                     scope.spawn(move || {
                         items
-                            .into_iter()
-                            .map(|(shard, subs)| self.run_shard_cycle(shard, subs, now))
-                            .collect::<Vec<ShardResult>>()
+                            .iter_mut()
+                            .map(|(shard, lane)| {
+                                self.run_lane(lane, CommitTarget::Local(*shard), 1, now)
+                            })
+                            .collect::<Vec<Pass>>()
                     })
                 })
                 .collect();
             for h in handles {
-                shard_results.extend(h.join().expect("shard worker panicked"));
+                passes.extend(h.join().expect("shard worker panicked"));
             }
         });
-        // Deterministic commit order for the record: ascending shard.
-        shard_results.sort_by_key(|r| r.shard);
+        let local_granted: usize = passes.iter().map(|p| p.granted.len()).sum();
         let t_local = self.obs.now_nanos();
 
         // Phase 3: cross-shard pass over a fresh global snapshot (which
         // reflects the local commits), two-phase-committed.
-        let mut cross_granted: Vec<(TenantId, AllocatedTask)> = Vec::new();
-        let mut released: usize = shard_results.iter().map(|r| r.released).sum();
-        let mut algorithm: Duration = shard_results.iter().map(|r| r.algorithm).sum();
-        if !cross_tasks.is_empty() {
-            // Same view selection as `run_shard_cycle`.
-            let snapshot = if self.ledger.tier_enabled() {
-                self.ledger
-                    .snapshot_blocks_all(now, &referenced_blocks(&cross_tasks))
-            } else {
-                self.ledger.snapshot_all(now)
-            };
-            let (granted, rel, algo) = self.schedule_and_commit(
-                snapshot,
-                cross_tasks,
-                self.config.workers,
-                now,
-                CommitTarget::Cross,
-            );
-            cross_granted = granted;
-            released += rel;
-            algorithm += algo;
+        if lanes.cross.len() > 0 {
+            let threads = self.config.workers;
+            passes.push(self.run_lane(&mut lanes.cross, CommitTarget::Cross, threads, now));
         }
         // Commit point of the cycle: every grant below was decided by
         // here, so this timestamp closes the grant-latency spans.
         let t_cross = self.obs.now_nanos();
 
         // Phase 4: bookkeeping.
-        let local_granted: usize = shard_results.iter().map(|r| r.granted.len()).sum();
-        let granted_total = local_granted + cross_granted.len();
+        let released: usize = passes.iter().map(|p| p.released).sum();
+        let algorithm: Duration = passes.iter().map(|p| p.algorithm).sum();
+        let granted: Vec<Grant> = passes.into_iter().flat_map(|p| p.granted).collect();
+        let pending_after = lanes.len();
+        self.pending.store(pending_after, Ordering::Relaxed);
 
-        let granted_ids: std::collections::BTreeSet<TaskId> = shard_results
-            .iter()
-            .flat_map(|r| r.granted.iter().map(|(_, a)| a.id))
-            .chain(cross_granted.iter().map(|(_, a)| a.id))
-            .collect();
-        let mut traced_grants: Vec<(TraceContext, u64)> = Vec::new();
-        let pending_after = {
-            // The sweep that drops granted submissions also closes
-            // their latency spans — the stamp travels in the
-            // submission, so no per-task lookup is needed. Traced
-            // grants are collected here and their service-side spans
-            // recorded once `t_end` is known.
-            let latency_live = self.telemetry.grant_latency.is_enabled();
-            let mut pending = self.pending.lock().expect("pending lock poisoned");
-            pending.retain(|s| {
-                if !granted_ids.contains(&s.task.id) {
-                    return true;
-                }
-                if latency_live {
-                    self.telemetry
-                        .grant_latency
-                        .record(t_cross.saturating_sub(s.admitted_nanos));
-                }
-                if let Some(ctx) = s.trace {
-                    traced_grants.push((ctx, s.admitted_nanos));
-                }
-                false
-            });
-            pending.len()
-        };
+        // Close the latency spans of the grants — the stamp travelled
+        // with the task, so no per-task lookup is needed. Traced
+        // grants' service-side spans are recorded once `t_end` is
+        // known.
+        if self.telemetry.grant_latency.is_enabled() {
+            for g in &granted {
+                self.telemetry
+                    .grant_latency
+                    .record(t_cross.saturating_sub(g.tag.admitted_nanos));
+            }
+        }
         // Resolve submit_async completion handles now that the
         // decisions are committed (taken with no other lock held; the
         // submit path takes this lock before the live/stats locks).
@@ -838,14 +921,10 @@ impl BudgetService {
         {
             let mut tickets = self.tickets.lock().expect("ticket map lock poisoned");
             if !tickets.is_empty() {
-                let granted = shard_results
-                    .iter()
-                    .flat_map(|r| r.granted.iter())
-                    .chain(cross_granted.iter());
-                for (_, alloc) in granted {
-                    if let Some(cell) = tickets.remove(&alloc.id) {
+                for Grant { task, .. } in &granted {
+                    if let Some(cell) = tickets.remove(&task.id) {
                         cell.resolve(Decision::Granted {
-                            allocated_at: alloc.allocated_at,
+                            allocated_at: task.allocated_at,
                         });
                     }
                 }
@@ -864,15 +943,11 @@ impl BudgetService {
         // it creates no ordering cycle.
         {
             let mut live = self.live.lock().expect("live-task lock poisoned");
-            let granted_iter = shard_results
-                .iter()
-                .flat_map(|r| r.granted.iter())
-                .chain(cross_granted.iter());
-            for (tenant, a) in granted_iter {
-                live.release(*tenant, a.id);
+            for Grant { tag, task } in &granted {
+                live.release(tag.tenant, task.id);
                 self.obs
                     .recorder
-                    .record(EventKind::TaskGranted, a.id, now.to_bits());
+                    .record(EventKind::TaskGranted, task.id, now.to_bits());
             }
             for (tenant, id) in &evicted {
                 live.release(*tenant, *id);
@@ -902,7 +977,7 @@ impl BudgetService {
         // gauges re-export the durability counters).
         let t_end = self.obs.now_nanos();
         self.telemetry.cycles.inc();
-        self.telemetry.granted.add(granted_total as u64);
+        self.telemetry.granted.add(granted.len() as u64);
         self.telemetry.evicted.add(evicted.len() as u64);
         self.telemetry.queue_depth.set_u64(queue_depth as u64);
         self.telemetry.pending_tasks.set_u64(pending_after as u64);
@@ -937,7 +1012,10 @@ impl BudgetService {
         // spans recorded during the commit — and the replica-side
         // spans recorded on other nodes — parent onto these without
         // any id exchange.
-        for (ctx, admitted) in traced_grants {
+        let traced = granted
+            .iter()
+            .filter_map(|g| Some((g.tag.trace?, g.tag.admitted_nanos)));
+        for (ctx, admitted) in traced {
             let spans = &self.obs.spans;
             let cycle_span = span_id(ctx.trace, SpanKind::Cycle, 0);
             spans.record(ctx.trace, ctx.span, 0, SpanKind::Grant, admitted, t_end, 0);
@@ -982,7 +1060,7 @@ impl BudgetService {
             ingested,
             evicted: evicted.len(),
             local_granted,
-            cross_granted: cross_granted.len(),
+            cross_granted: granted.len() - local_granted,
             released,
             queue_depth,
             pending_after,
@@ -990,15 +1068,11 @@ impl BudgetService {
             total: Duration::from_nanos(t_end.saturating_sub(t_start)),
         };
         let mut stats = self.stats.lock().expect("stats lock poisoned");
-        for (tenant, alloc) in shard_results
-            .into_iter()
-            .flat_map(|r| r.granted)
-            .chain(cross_granted)
-        {
-            let t = stats.tenants.entry(tenant).or_default();
+        for Grant { tag, task } in granted {
+            let t = stats.tenants.entry(tag.tenant).or_default();
             t.granted += 1;
-            t.granted_weight += alloc.weight;
-            stats.record_granted(alloc);
+            t.granted_weight += task.weight;
+            stats.record_granted(task);
         }
         stats.released += released as u64;
         for (_, id) in evicted {
@@ -1010,55 +1084,51 @@ impl BudgetService {
         cycle
     }
 
-    /// Splits the pending set into per-shard buckets (tasks whose
-    /// blocks all live on one shard) and the cross-shard remainder,
-    /// preserving submission order within each bucket. This clone is
-    /// the only per-task copy a cycle makes.
-    fn partition(&self, pending: &[Submission]) -> (Vec<Vec<TaggedTask>>, Vec<TaggedTask>) {
-        let mut shard_tasks: Vec<Vec<TaggedTask>> = vec![Vec::new(); self.ledger.n_shards()];
-        let mut cross = Vec::new();
-        for s in pending {
-            let first = self.ledger.shard_of(s.task.blocks[0]);
-            if s.task
-                .blocks
-                .iter()
-                .all(|b| self.ledger.shard_of(*b) == first)
-            {
-                shard_tasks[first].push((s.tenant, s.task.clone(), s.trace));
-            } else {
-                cross.push((s.tenant, s.task.clone(), s.trace));
+    /// One lane's pass: write a fresh snapshot's capacities over the
+    /// lane's state, let this cycle's arrivals in, schedule, and commit
+    /// the selected grants through the ledger **as one batch** — a
+    /// cycle's grants on one shard cost one write-ahead sync
+    /// (shard-local batch under that shard's lock; cross-shard intents
+    /// join their home shard's batch, decisions stay per-attempt). What
+    /// commits leaves the lane; everything else waits in place.
+    fn run_lane(&self, lane: &mut Lane, target: CommitTarget, threads: usize, now: f64) -> Pass {
+        // Two views, selected by what the ledger is, both measured.
+        // Tiered (`tiered_zipf`, 50 000 blocks): the whole-shard view
+        // would rebuild every cold block from its summary each cycle,
+        // so read exactly the blocks the lane's tasks reference —
+        // identical bits for those blocks, and the schedulers never
+        // look at unreferenced ones, so decisions don't change.
+        // Untiered (`online_alibaba`, 45 blocks, ~3 200 pending tasks):
+        // the whole-shard view is cheaper than sorting the pending
+        // tasks' block references — the demand-driven view everywhere
+        // lost every pair there (`decisions_per_s` −3.7 %) — and its
+        // ids only ever grow, so the lane's rows stay as they are.
+        let ledger = &self.ledger;
+        let snapshot = match (target, ledger.tier_enabled()) {
+            (CommitTarget::Local(shard), true) => {
+                ledger.snapshot_blocks(shard, now, &lane.referenced_blocks())
             }
+            (CommitTarget::Local(shard), false) => ledger.snapshot_shard_uncached(shard, now),
+            (CommitTarget::Cross, true) => {
+                ledger.snapshot_blocks_all(now, &lane.referenced_blocks())
+            }
+            (CommitTarget::Cross, false) => ledger.snapshot_all(now),
+        };
+        lane.state
+            .set_available(snapshot)
+            .expect("blocks are never unregistered");
+        for s in lane.arrivals.drain(..) {
+            lane.tags.push(Tag {
+                tenant: s.tenant,
+                admitted_nanos: s.admitted_nanos,
+                trace: s.trace,
+            });
+            lane.state
+                .push_task(s.task)
+                .expect("admission validated every pending task");
         }
-        (shard_tasks, cross)
-    }
-
-    /// Schedules `subs` over `available` capacities and commits the
-    /// selected grants through the ledger **as one batch**: a cycle's
-    /// grants on one shard cost one write-ahead sync (shard-local
-    /// batch under that shard's lock; cross-shard intents join their
-    /// home shard's batch, decisions stay per-attempt). Tasks move
-    /// into the snapshot state; commits read them back out of it.
-    fn schedule_and_commit(
-        &self,
-        available: Snapshot,
-        subs: Vec<TaggedTask>,
-        threads: usize,
-        now: f64,
-        target: CommitTarget,
-    ) -> (Vec<(TenantId, AllocatedTask)>, usize, Duration) {
-        // Tenants and trace contexts stay in task order beside the
-        // state, so a grant finds them by the task's index in it.
-        let mut tenants = Vec::with_capacity(subs.len());
-        let mut traces = Vec::with_capacity(subs.len());
-        let mut tasks = Vec::with_capacity(subs.len());
-        for (tenant, task, trace) in subs {
-            tenants.push(tenant);
-            traces.push(trace);
-            tasks.push(task);
-        }
-        let state = ProblemState::from_available(self.ledger.grid().clone(), available, tasks)
-            .expect("admission validated every pending task");
-        let allocation = self.config.scheduler.schedule(&state, threads);
+        let state = &lane.state;
+        let allocation = self.config.scheduler.schedule(state, threads);
         let indices: Vec<usize> = allocation
             .scheduled
             .iter()
@@ -1073,58 +1143,37 @@ impl BudgetService {
         // ledger and replication layers run on this thread and read
         // the scoped set to record their WAL-flush / ship spans
         // without any signature change on the commit path.
-        let pinned = scoped_traces(indices.iter().filter_map(|&i| traces[i]).collect());
+        let pinned = scoped_traces(indices.iter().filter_map(|&i| lane.tags[i].trace).collect());
         let outcomes = match target {
-            CommitTarget::Local(shard) => self.ledger.commit_shard_batch(shard, &scheduled),
-            CommitTarget::Cross => self.ledger.commit_cross_batch(&scheduled),
+            CommitTarget::Local(shard) => ledger.commit_shard_batch(shard, &scheduled),
+            CommitTarget::Cross => ledger.commit_cross_batch(&scheduled),
         };
         drop(pinned);
+        let mut keep = vec![true; state.tasks().len()];
         let mut granted = Vec::new();
         let mut released = 0usize;
         for ((task, &i), outcome) in scheduled.iter().zip(&indices).zip(outcomes) {
             match outcome {
-                CommitOutcome::Committed => granted.push((
-                    tenants[i],
-                    AllocatedTask {
-                        id: task.id,
-                        weight: task.weight,
-                        arrival: task.arrival,
-                        allocated_at: now,
-                    },
-                )),
+                CommitOutcome::Committed => {
+                    keep[i] = false;
+                    granted.push(Grant {
+                        tag: lane.tags[i],
+                        task: AllocatedTask {
+                            id: task.id,
+                            weight: task.weight,
+                            arrival: task.arrival,
+                            allocated_at: now,
+                        },
+                    });
+                }
                 CommitOutcome::Released => released += 1,
             }
         }
-        (granted, released, allocation.runtime)
-    }
-
-    /// One shard's cycle: snapshot its blocks, schedule its local
-    /// tasks single-threaded, commit grants against its own lock in
-    /// one group-committed batch.
-    fn run_shard_cycle(&self, shard: usize, subs: Vec<TaggedTask>, now: f64) -> ShardResult {
-        // Two views, selected by what the ledger is, both measured.
-        // Tiered (`tiered_zipf`, 50 000 blocks): the whole-shard view
-        // would rebuild every cold block from its summary each cycle,
-        // so read exactly the blocks this cycle's tasks reference —
-        // identical bits for those blocks, and the schedulers never
-        // look at unreferenced ones, so decisions don't change.
-        // Untiered (`online_alibaba`, 45 blocks, ~3 200 pending tasks):
-        // the whole-shard view is cheaper than sorting the pending
-        // tasks' block references — the demand-driven view everywhere
-        // lost every pair there (`decisions_per_s` −3.7 %).
-        let snapshot = if self.ledger.tier_enabled() {
-            self.ledger
-                .snapshot_blocks(shard, now, &referenced_blocks(&subs))
-        } else {
-            self.ledger.snapshot_shard_uncached(shard, now)
-        };
-        let (granted, released, algorithm) =
-            self.schedule_and_commit(snapshot, subs, 1, now, CommitTarget::Local(shard));
-        ShardResult {
-            shard,
+        lane.retain(&keep);
+        Pass {
             granted,
             released,
-            algorithm,
+            algorithm: allocation.runtime,
         }
     }
 }

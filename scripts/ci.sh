@@ -79,6 +79,13 @@ cargo build --release
 echo "==> cargo test -q (DPACK_CHECK_CASES=${DPACK_CHECK_CASES})"
 cargo test -q
 
+# The service keeps its pending tasks' scheduler rows alive across
+# cycles and edits them in place; this suite is the only thing between
+# a wrong incremental row and a silently different schedule, and it is
+# cheap (0.04 s at 64 cases), so it runs once more at 2000.
+echo "==> prop_dense_kernel at DPACK_CHECK_CASES=2000"
+DPACK_CHECK_CASES=2000 cargo test -q -p dpack-core --test prop_dense_kernel
+
 # The vendored micro-benches must keep compiling *and running*; smoke
 # mode runs each benchmark for exactly one iteration.
 echo "==> vendored micro-benches (smoke mode)"
