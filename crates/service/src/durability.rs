@@ -1,13 +1,15 @@
 //! WAL record formats for the durable ledger.
 //!
 //! Each ledger shard owns one `dpack-wal` log; a coordinator log holds
-//! the cross-shard two-phase-commit decisions. The records:
+//! the cross-shard two-phase-commit decisions. This module is the
+//! formats only — who appends what, when, and what a failed append
+//! undoes is `journal.rs`, the one module that uses them. The records:
 //!
 //! * Shard log — [`ShardRecord::Block`] (a registration),
 //!   [`ShardRecord::Apply`] (a single-shard grant, logged *before* the
-//!   in-memory filter mutation), and [`ShardRecord::Intent`] (this
-//!   shard's slice of a cross-shard grant, logged before the
-//!   coordinator decision).
+//!   staged filter mutation becomes visible), and
+//!   [`ShardRecord::Intent`] (this shard's slice of a cross-shard
+//!   grant, logged before the coordinator decision).
 //! * Coordinator log — [`CoordRecord::Commit`] / [`CoordRecord::Abort`]
 //!   keyed by a service-unique *attempt id*, so a task id reused after
 //!   a grant (ids become reusable once resolved) can never alias an
@@ -44,7 +46,7 @@ pub enum ShardRecord {
         capacity: Vec<f64>,
     },
     /// A single-shard grant: `demand` charged on `blocks`, all owned by
-    /// this shard. Durable before the in-memory mutation.
+    /// this shard. Durable before the mutation becomes visible.
     Apply {
         /// The granted task.
         task: TaskId,
@@ -228,17 +230,9 @@ const TAG_ABORT: u8 = 2;
 impl ShardRecord {
     /// Serializes the record into a fresh buffer (cold paths; the
     /// commit paths stage into a reusable scratch via
-    /// [`ShardRecord::encode_into`]).
+    /// [`encode_apply_into`] and [`encode_intent_into`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Serializes the record by appending to `buf` — no allocation
-    /// beyond the buffer's own growth, so a scheduling cycle can stage
-    /// every grant of a shard into one scratch buffer.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Self::Block {
                 id,
@@ -246,33 +240,23 @@ impl ShardRecord {
                 capacity,
             } => {
                 buf.push(TAG_BLOCK);
-                put_u64(buf, *id);
-                put_f64(buf, *arrival);
-                put_f64s(buf, capacity);
+                put_u64(&mut buf, *id);
+                put_f64(&mut buf, *arrival);
+                put_f64s(&mut buf, capacity);
             }
             Self::Apply {
                 task,
                 demand,
                 blocks,
-            } => {
-                buf.push(TAG_APPLY);
-                put_u64(buf, *task);
-                put_f64s(buf, demand);
-                put_u64s(buf, blocks);
-            }
+            } => encode_apply_into(&mut buf, *task, demand, blocks),
             Self::Intent {
                 attempt,
                 task,
                 demand,
                 blocks,
-            } => {
-                buf.push(TAG_INTENT);
-                put_u64(buf, *attempt);
-                put_u64(buf, *task);
-                put_f64s(buf, demand);
-                put_u64s(buf, blocks);
-            }
+            } => encode_intent_into(&mut buf, *attempt, *task, demand, blocks),
         }
+        buf
     }
 
     /// Deserializes a record.
@@ -309,20 +293,15 @@ impl ShardRecord {
 impl CoordRecord {
     /// Serializes the record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(17);
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Serializes the record by appending to `buf`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let (tag, attempt, task) = match self {
             Self::Commit { attempt, task } => (TAG_COMMIT, *attempt, *task),
             Self::Abort { attempt, task } => (TAG_ABORT, *attempt, *task),
         };
+        let mut buf = Vec::with_capacity(17);
         buf.push(tag);
-        put_u64(buf, attempt);
-        put_u64(buf, task);
+        put_u64(&mut buf, attempt);
+        put_u64(&mut buf, task);
+        buf
     }
 
     /// Deserializes a record.

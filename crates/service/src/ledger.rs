@@ -6,58 +6,60 @@
 //! and commits that touch different shards never contend — the striped
 //! layout from the PrivateKube service design, rebuilt in-process.
 //!
-//! This module is striping, locking, write-ahead logging and
-//! replication. *Where* a shard keeps its blocks — all in memory, or a
-//! bounded hot set over a spilled cold tier — is the `BlockStore`'s
-//! business (`store.rs`): the ledger reads and commits through it and
-//! never sees a cold block. Snapshots are computed from the store on
-//! every call; nothing is cached between cycles.
+//! This module is striping, locking and the commit protocol. *Where* a
+//! shard keeps its blocks — all in memory, or a bounded hot set over a
+//! spilled cold tier — is the `BlockStore`'s business (`store.rs`): the
+//! ledger never sees a cold block. *How* a grant becomes durable —
+//! records, group commit, coordinator decisions, shipping, recovery —
+//! is the `Journal`'s (`journal.rs`): the ledger never sees a record.
+//! Snapshots are computed from the store on every call; nothing is
+//! cached between cycles.
 //!
-//! A task whose blocks span several shards is committed with a
-//! two-phase protocol: all involved shard locks are acquired in
-//! ascending shard order (a global order, so concurrent cross-shard
-//! commits cannot deadlock), every filter is checked, and only if *all*
-//! grant is the demand consumed anywhere. Otherwise nothing is charged
-//! and the task is released back to the caller.
+//! # One commit path
+//!
+//! Every grant, on every kind of ledger, takes the same route. The
+//! involved shard locks are acquired in ascending shard order (a global
+//! order, so concurrent commits cannot deadlock). Under them each task
+//! of the batch is *staged* in order: its cold blocks are faulted in,
+//! every requested filter is checked, and only if **all** grant is the
+//! demand consumed — on the real filters, so the next task's check sees
+//! it. Otherwise nothing is charged anywhere and the task is released
+//! back to the caller. [`ShardedLedger::commit_shard_batch`] (one lock)
+//! and [`ShardedLedger::commit_cross_batch`] (the union of the batch's
+//! locks) are the entry points; [`ShardedLedger::commit_task`] is a
+//! batch of one.
 //!
 //! # Durability
 //!
-//! A ledger opened with [`ShardedLedger::open_durable`] writes ahead:
-//! each shard owns a `dpack-wal` log appended *under the shard lock and
-//! before the in-memory mutation*, and a coordinator log records the
-//! cross-shard two-phase-commit decisions (see [`crate::durability`]
-//! for the record formats and the recovery argument). A failed append
-//! releases the task instead of charging it — an unlogged grant must
-//! never reach the filters — and [`ShardedLedger::compact`] folds the
-//! logs into per-shard snapshots at a global quiescent point.
-//!
-//! The grant path is **batch-first**: a scheduling cycle commits its
-//! shard-local grants through [`ShardedLedger::commit_shard_batch`]
-//! (stage → one group-committed flush → mutate) and its cross-shard
-//! grants through [`ShardedLedger::commit_cross_batch`] (intents join
-//! their home shard's batch; each decision stays a single synchronous
-//! coordinator append), so durable throughput pays about one sync per
-//! shard per cycle instead of one per record. [`Wal::append_batch`]'s
-//! all-or-nothing acknowledgement is what keeps the recovery argument
-//! intact: a failed flush releases the whole batch and recovery is
-//! guaranteed to resurface none of it.
+//! A ledger opened with [`ShardedLedger::open_durable`] has a journal,
+//! which adds two steps. While staging, the first touch of a block
+//! saves its entry as a **pre-image**; after staging, the journal makes
+//! the batch durable — one group-committed flush per shard, plus one
+//! synchronous coordinator decision per cross-shard attempt (see
+//! [`crate::durability`] for the records and the recovery argument), so
+//! durable throughput pays about one sync per shard per cycle. Staged
+//! mutations are invisible until the locks are released, and the locks
+//! are not released before the flush outcome is known: whatever did not
+//! become durable is undone by putting the pre-images back, bit for bit
+//! — an unlogged grant never becomes visible, and a failed flush, which
+//! recovery is guaranteed to resurface nothing of, releases its whole
+//! batch. [`ShardedLedger::compact`] folds the logs into per-shard
+//! snapshots at a global quiescent point.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_core::online::BlockLedger;
 use dpack_core::problem::{Block, BlockId, ProblemError, Task, TaskId};
-use dpack_wal::{Wal, WalError, WalOptions, WalStorage};
+use dpack_wal::{WalError, WalStorage};
 
-use dpack_obs::trace::{span_id, with_active_traces, SpanKind, SpanRing};
-use dpack_obs::{Clock, EventKind, FlightRecorder, Histogram, Obs};
+use dpack_obs::{Clock, Histogram, Obs};
 
 use crate::config::{DurabilityOptions, TierConfig};
-use crate::durability::{self, BlockState, CoordRecord, ShardRecord};
-use crate::replication::{ReplStream, ReplicationSink};
+use crate::durability::{self, BlockState};
+use crate::journal::{self, Journal, Replay, ShardLog};
+use crate::replication::ReplicationSink;
 use crate::stats::DurabilityStats;
 use crate::store::{BlockStore, TierActivity, TierMeter};
 
@@ -72,96 +74,46 @@ struct LedgerTelemetry {
     lock_hold: Histogram,
     /// `dpack_cross_commit_nanos`: one whole 2PC round.
     cross_commit: Histogram,
-    recorder: FlightRecorder,
-    /// Where traced commits record their WAL-flush spans.
-    spans: SpanRing,
 }
 
-/// The WAL-flush span salt for coordinator-log appends — mirrors the
-/// coordinator's wire stream id, so one constant names the stream in
-/// spans, replication frames, and lag gauges alike.
-const COORD_FLUSH_SALT: u64 = u32::MAX as u64;
-
-impl LedgerTelemetry {
-    /// Opens a WAL-flush span: reads the clock only when the thread
-    /// has trace contexts pinned, so untraced commits (and the
-    /// deterministic manual-clock suites, which count clock reads)
-    /// see zero extra reads.
-    fn flush_started(&self) -> Option<u64> {
-        let mut started = None;
-        with_active_traces(|_| started = Some(self.clock.now_nanos()));
-        started
-    }
-
-    /// Closes the WAL-flush span for every pinned trace. `salt`
-    /// distinguishes the flushed log (shard index, or the coordinator
-    /// stream id) and doubles as the span's attribute.
-    fn record_flush(&self, started: Option<u64>, salt: u64) {
-        let Some(start) = started else { return };
-        let end = self.clock.now_nanos();
-        with_active_traces(|ctxs| {
-            for ctx in ctxs {
-                self.spans.record(
-                    ctx.trace,
-                    span_id(ctx.trace, SpanKind::WalFlush, salt),
-                    span_id(ctx.trace, SpanKind::Cycle, 0),
-                    SpanKind::WalFlush,
-                    start,
-                    end,
-                    salt,
-                );
-            }
-        });
-    }
-}
-
-/// One stripe: its blocks plus (when durable) its own log. The log
-/// lives *inside* the lock so append order always equals mutation
-/// order — the property that makes recovery bit-identical.
+/// One stripe: its blocks plus (when durable) its own log.
 #[derive(Debug, Default)]
 struct Shard {
     blocks: BlockStore,
-    wal: Option<Wal>,
-    /// Reusable staging buffer for a cycle's batched records: cleared
-    /// per batch, never shrunk, so the steady-state commit path does
-    /// no per-record (or even per-cycle) allocation.
-    scratch: Vec<u8>,
-    /// Record boundaries into `scratch` (kept alongside it for reuse).
-    bounds: Vec<usize>,
+    log: Option<ShardLog>,
 }
 
-/// A shard locked by a path that may grow its hot set (registration,
-/// commits). Dropping it is the one point where the store is handed
-/// back, so the hot-tier bound is restored *there* — on every return
-/// path, including refused and released commits that faulted blocks in
-/// and charged nothing.
-struct Checkout<'a> {
-    stripe: MutexGuard<'a, Shard>,
+/// The shards a commit holds locked, ascending by shard. A commit may
+/// grow their hot sets; dropping this is the one point where the
+/// stores are handed back, so the hot-tier bound is restored *there* —
+/// on every return path, including refused and released commits that
+/// faulted blocks in and charged nothing.
+struct Held<'a> {
+    shards: Vec<(usize, MutexGuard<'a, Shard>)>,
     tier: &'a TierMeter,
 }
 
-impl Deref for Checkout<'_> {
-    type Target = Shard;
-
-    fn deref(&self) -> &Shard {
-        &self.stripe
+impl Held<'_> {
+    fn shard(&mut self, shard: usize) -> &mut Shard {
+        let at = self.shards.binary_search_by_key(&shard, |(s, _)| *s);
+        &mut self.shards[at.expect("a commit locks every shard its tasks touch")].1
     }
 }
 
-impl DerefMut for Checkout<'_> {
-    fn deref_mut(&mut self) -> &mut Shard {
-        &mut self.stripe
-    }
-}
-
-impl Drop for Checkout<'_> {
+impl Drop for Held<'_> {
     fn drop(&mut self) {
-        // A panicking commit poisons the lock anyway; no I/O for it.
+        // A panicking commit poisons the locks anyway; no I/O for it.
         if !std::thread::panicking() {
-            self.stripe.blocks.spill(self.tier);
+            for (_, stripe) in &mut self.shards {
+                stripe.blocks.spill(self.tier);
+            }
         }
     }
 }
+
+/// What the blocks a durable batch touched held before it, so that
+/// whatever the journal fails to make durable can be undone exactly.
+type PreImages = BTreeMap<BlockId, BlockLedger>;
 
 /// The sharded ledger: `S` lock-striped maps of block ledgers.
 #[derive(Debug)]
@@ -170,26 +122,12 @@ pub struct ShardedLedger {
     unlock_period: f64,
     unlock_steps: u32,
     shards: Vec<Mutex<Shard>>,
-    /// Cross-shard 2PC decision log; locked *after* shard locks
-    /// (commit) and compact takes the same order, so no cycle exists.
-    coord: Option<Mutex<Wal>>,
-    /// Next cross-shard attempt id (unique across recoveries).
-    next_attempt: AtomicU64,
-    /// Grants released because a WAL append failed.
-    wal_failures: AtomicU64,
-    /// Where every durable append is shipped before it is acknowledged
-    /// (see [`crate::replication`]); `None` on an unreplicated ledger.
-    repl: Option<Arc<dyn ReplicationSink>>,
-    /// Work released because a ship failed *after* its local append
-    /// succeeded — those records live on this primary's disk but were
-    /// never acknowledged, which is why a replicated primary hands
-    /// over to a promoted replica instead of recovering itself.
-    repl_failures: AtomicU64,
+    /// The write-ahead half of a durable ledger (`None` in memory).
+    journal: Option<Journal>,
     /// Task ids whose grants recovery re-applied, drained once by
     /// [`ShardedLedger::take_recovered_grants`] — the duplicate
     /// history a promoted service rejects failover resubmissions with.
     recovered_grants: BTreeSet<TaskId>,
-    compactions: AtomicU64,
     /// Whether [`ShardedLedger::enable_tier`] has run.
     tiered: bool,
     /// Tier occupancy and traffic, summed over the shards' stores.
@@ -208,16 +146,6 @@ pub enum CommitOutcome {
     /// the task should stay pending.
     Released,
 }
-
-pub(crate) fn shard_dir(shard: usize) -> String {
-    format!("shard-{shard}")
-}
-
-fn tier_dir(shard: usize) -> String {
-    format!("tier-{shard}")
-}
-
-pub(crate) const COORD_DIR: &str = "coord";
 
 impl ShardedLedger {
     /// Creates an in-memory (non-durable) ledger with `shards` stripes
@@ -240,13 +168,8 @@ impl ShardedLedger {
             unlock_period,
             unlock_steps,
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            coord: None,
-            next_attempt: AtomicU64::new(0),
-            wal_failures: AtomicU64::new(0),
-            repl: None,
-            repl_failures: AtomicU64::new(0),
+            journal: None,
             recovered_grants: BTreeSet::new(),
-            compactions: AtomicU64::new(0),
             tiered: false,
             tier: TierMeter::default(),
             telemetry: None,
@@ -262,35 +185,15 @@ impl ShardedLedger {
         if !obs.is_enabled() && obs.recorder.capacity() == 0 {
             return;
         }
-        let clock = Arc::clone(obs.clock());
-        let append_nanos = obs.registry.histogram("dpack_wal_append_nanos", "");
-        let batch_records = obs.registry.histogram("dpack_wal_batch_records", "");
-        for shard in &mut self.shards {
+        let logs = self.shards.iter_mut().filter_map(|shard| {
             let shard = shard.get_mut().expect("instrument before sharing");
-            if let Some(wal) = &mut shard.wal {
-                wal.instrument(dpack_wal::WalTelemetry {
-                    clock: Arc::clone(&clock),
-                    append_nanos: append_nanos.clone(),
-                    batch_records: batch_records.clone(),
-                });
-            }
-        }
-        if let Some(coord) = &mut self.coord {
-            coord
-                .get_mut()
-                .expect("instrument before sharing")
-                .instrument(dpack_wal::WalTelemetry {
-                    clock: Arc::clone(&clock),
-                    append_nanos,
-                    batch_records,
-                });
-        }
+            shard.log.as_mut()
+        });
+        journal::instrument(obs, self.journal.as_mut(), logs);
         self.telemetry = Some(LedgerTelemetry {
             lock_hold: obs.registry.histogram("dpack_shard_lock_hold_nanos", ""),
             cross_commit: obs.registry.histogram("dpack_cross_commit_nanos", ""),
-            recorder: obs.recorder.clone(),
-            spans: obs.spans.clone(),
-            clock,
+            clock: Arc::clone(obs.clock()),
         });
         self.tier.instrument(obs);
     }
@@ -321,7 +224,7 @@ impl ShardedLedger {
             let shard = shard.get_mut().expect("enable tier before sharing");
             shard
                 .blocks
-                .enable_tier(storage.sub(&tier_dir(s))?, config, &self.tier)?;
+                .enable_tier(storage.sub(&format!("tier-{s}"))?, config, &self.tier)?;
         }
         self.tiered = true;
         Ok(())
@@ -388,7 +291,9 @@ impl ShardedLedger {
     /// unconditionally, `Intent` records iff the coordinator committed
     /// their attempt (presumed abort otherwise) — reproducing the
     /// pre-crash filter state bit-identically. On empty storage this
-    /// is simply a fresh durable ledger.
+    /// is simply a fresh durable ledger. Every recovery step lands in
+    /// `obs`'s flight recorder (pass [`Obs::off`] to record nothing),
+    /// so a post-crash dump reconstructs exactly what recovery did.
     ///
     /// # Errors
     ///
@@ -407,131 +312,39 @@ impl ShardedLedger {
         unlock_steps: u32,
         storage: &dyn WalStorage,
         opts: DurabilityOptions,
-    ) -> Result<Self, WalError> {
-        Self::open_durable_obs(
-            grid,
-            shards,
-            unlock_period,
-            unlock_steps,
-            storage,
-            opts,
-            &Obs::off(),
-        )
-    }
-
-    /// [`ShardedLedger::open_durable`] with an observability context:
-    /// every recovery step lands in the flight recorder (started →
-    /// coordinator fold → per-shard replays, with one
-    /// [`EventKind::RecoveryApplied`] per re-applied grant → finished),
-    /// so a post-crash dump reconstructs exactly what recovery did.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedLedger::open_durable`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn open_durable_obs(
-        grid: AlphaGrid,
-        shards: usize,
-        unlock_period: f64,
-        unlock_steps: u32,
-        storage: &dyn WalStorage,
-        opts: DurabilityOptions,
         obs: &Obs,
     ) -> Result<Self, WalError> {
-        let recorder = &obs.recorder;
-        recorder.record(EventKind::RecoveryStarted, shards as u64, 0);
         let mut ledger = Self::new(grid, shards, unlock_period, unlock_steps);
-        let wal_opts = WalOptions {
-            segment_bytes: opts.segment_bytes,
-        };
-
-        // Coordinator first: shard replay needs the decided set.
-        let (coord, recovered) = Wal::open(storage.sub(COORD_DIR)?, wal_opts)?;
-        let mut committed: BTreeSet<u64> = BTreeSet::new();
-        let mut max_attempt: Option<u64> = None;
-        for record in &recovered.records {
-            match CoordRecord::decode(record)? {
-                CoordRecord::Commit { attempt, .. } => {
-                    committed.insert(attempt);
-                    max_attempt = max_attempt.max(Some(attempt));
-                }
-                CoordRecord::Abort { attempt, .. } => {
-                    max_attempt = max_attempt.max(Some(attempt));
-                }
-            }
+        let (journal, logs) = Journal::open(storage, shards, opts, &obs.recorder, |s, event| {
+            ledger.replay(s, event)
+        })?;
+        for (shard, log) in ledger.shards.iter_mut().zip(logs) {
+            shard.get_mut().expect("fresh ledger").log = Some(log);
         }
-        recorder.record(
-            EventKind::RecoveryCoordinator,
-            committed.len() as u64,
-            max_attempt.unwrap_or(0),
-        );
-        ledger.coord = Some(Mutex::new(coord));
-
-        let mut total_blocks = 0u64;
-        for s in 0..shards {
-            let (wal, recovered) = Wal::open(storage.sub(&shard_dir(s))?, wal_opts)?;
-            recorder.record(
-                EventKind::RecoveryShard,
-                s as u64,
-                recovered.records.len() as u64,
-            );
-            let shard = ledger.shards[s].get_mut().expect("fresh ledger");
-            if let Some(snapshot) = &recovered.snapshot {
-                for state in durability::decode_snapshot(snapshot)? {
-                    let entry = state.to_ledger(&ledger.grid)?;
-                    shard.blocks.put(state.id, entry, &ledger.tier);
-                }
-            }
-            for record in &recovered.records {
-                match ShardRecord::decode(record)? {
-                    ShardRecord::Block {
-                        id,
-                        arrival,
-                        capacity,
-                    } => {
-                        let capacity = RdpCurve::new(&ledger.grid, capacity)
-                            .map_err(|e| WalError::Corrupt(format!("block {id}: {e}")))?;
-                        let entry = BlockLedger::new(Block::new(id, capacity, arrival));
-                        shard.blocks.put(id, entry, &ledger.tier);
-                    }
-                    ShardRecord::Apply {
-                        task,
-                        demand,
-                        blocks,
-                    } => {
-                        replay_apply(&ledger.grid, shard, task, &demand, &blocks)?;
-                        ledger.recovered_grants.insert(task);
-                        recorder.record(EventKind::RecoveryApplied, task, 0);
-                    }
-                    ShardRecord::Intent {
-                        attempt,
-                        task,
-                        demand,
-                        blocks,
-                    } => {
-                        max_attempt = max_attempt.max(Some(attempt));
-                        if committed.contains(&attempt) {
-                            replay_apply(&ledger.grid, shard, task, &demand, &blocks)?;
-                            ledger.recovered_grants.insert(task);
-                            // Attempt ids start at 0; shift so 0 can
-                            // mean "shard-local" in the event payload.
-                            recorder.record(EventKind::RecoveryApplied, task, attempt + 1);
-                        }
-                    }
-                }
-            }
-            total_blocks += shard.blocks.len() as u64;
-            shard.wal = Some(wal);
-        }
-        recorder.record(EventKind::RecoveryFinished, total_blocks, 0);
-
-        ledger.next_attempt = AtomicU64::new(max_attempt.map_or(0, |a| a + 1));
+        ledger.journal = Some(journal);
         Ok(ledger)
     }
 
-    /// Whether this ledger writes ahead.
-    pub fn is_durable(&self) -> bool {
-        self.coord.is_some()
+    /// Applies one recovered fact to `shard`, in the journal's order.
+    fn replay(&mut self, shard: usize, event: Replay) -> Result<(), WalError> {
+        let blocks = &mut self.shards[shard].get_mut().expect("fresh ledger").blocks;
+        match event {
+            Replay::Block(state) => blocks.put(state.id, state.to_ledger(&self.grid)?, &self.tier),
+            Replay::Grant(task, demand, charged) => {
+                let demand = RdpCurve::new(&self.grid, demand)
+                    .map_err(|e| WalError::Corrupt(format!("task {task}: {e}")))?;
+                for b in charged {
+                    let entry = blocks.hot_mut(b).ok_or_else(|| {
+                        WalError::Corrupt(format!("task {task} charges unregistered block {b}"))
+                    })?;
+                    entry.commit(&demand).map_err(|e| {
+                        WalError::Corrupt(format!("task {task} replay rejected: {e}"))
+                    })?;
+                }
+                self.recovered_grants.insert(task);
+            }
+        }
+        Ok(())
     }
 
     /// Attaches a replication sink: from now on every durable append —
@@ -550,14 +363,10 @@ impl ShardedLedger {
     /// bootstrap/catch-up is future work.
     pub fn set_replication(&mut self, sink: Arc<dyn ReplicationSink>) {
         assert!(
-            self.is_durable(),
-            "replication ships the write-ahead stream; open the ledger durable first"
-        );
-        assert!(
-            self.n_blocks() == 0 && self.next_attempt.load(Ordering::Relaxed) == 0,
+            self.n_blocks() == 0 && self.journal.as_ref().is_none_or(Journal::no_attempts),
             "attach replication to a fresh ledger (replica bootstrap is not supported)"
         );
-        self.repl = Some(sink);
+        self.set_replication_resumed(sink);
     }
 
     /// [`ShardedLedger::set_replication`] for a **promoted** ledger:
@@ -573,16 +382,10 @@ impl ShardedLedger {
     ///
     /// Panics on a non-durable ledger.
     pub fn set_replication_resumed(&mut self, sink: Arc<dyn ReplicationSink>) {
-        assert!(
-            self.is_durable(),
-            "replication ships the write-ahead stream; open the ledger durable first"
-        );
-        self.repl = Some(sink);
-    }
-
-    /// Whether a replication sink is attached.
-    pub fn is_replicated(&self) -> bool {
-        self.repl.is_some()
+        self.journal
+            .as_mut()
+            .expect("replication ships the write-ahead stream; open the ledger durable first")
+            .attach_sink(sink);
     }
 
     /// Per-shard snapshot payloads of the current block states — the
@@ -606,29 +409,6 @@ impl ShardedLedger {
         std::mem::take(&mut self.recovered_grants)
     }
 
-    /// Work released because a replication ship failed after its local
-    /// append succeeded.
-    pub fn replication_failures(&self) -> u64 {
-        self.repl_failures.load(Ordering::Relaxed)
-    }
-
-    /// Ships locally appended records to the replication sink; `true`
-    /// without one. A `false` releases the caller's work: the records
-    /// are on the local disk but quorum durability — the ack
-    /// precondition — was not reached.
-    fn ship(&self, stream: ReplStream, records: &[&[u8]]) -> bool {
-        match &self.repl {
-            None => true,
-            Some(sink) => match sink.ship(stream, records) {
-                Ok(()) => true,
-                Err(_) => {
-                    self.repl_failures.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-            },
-        }
-    }
-
     /// The alpha grid all curves share.
     pub fn grid(&self) -> &AlphaGrid {
         &self.grid
@@ -650,10 +430,11 @@ impl ShardedLedger {
             .expect("ledger shard lock poisoned")
     }
 
-    /// [`ShardedLedger::lock`] for a path that may grow the hot set.
-    fn checkout(&self, shard: usize) -> Checkout<'_> {
-        Checkout {
-            stripe: self.lock(shard),
+    /// Locks `shards` for a commit — ascending, the global lock order
+    /// that makes concurrent cross-shard commits deadlock-free.
+    fn hold(&self, shards: impl IntoIterator<Item = usize>) -> Held<'_> {
+        Held {
+            shards: shards.into_iter().map(|s| (s, self.lock(s))).collect(),
             tier: &self.tier,
         }
     }
@@ -699,35 +480,19 @@ impl ShardedLedger {
                 block.id
             )));
         }
-        let mut shard = self.checkout(self.shard_of(block.id));
+        let mut shard = self.lock(self.shard_of(block.id));
         if shard.blocks.contains(block.id) {
             return Err(ProblemError(format!("duplicate block id {}", block.id)));
         }
-        if let Some(wal) = shard.wal.as_mut() {
-            let record = ShardRecord::Block {
-                id: block.id,
-                arrival: block.arrival,
-                capacity: block.capacity.values().to_vec(),
-            }
-            .encode();
-            if let Err(e) = wal.append(&record) {
-                self.wal_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(ProblemError(format!(
-                    "block {} not registered: {e}",
-                    block.id
-                )));
-            }
-            let stream = ReplStream::Shard(self.shard_of(block.id) as u32);
-            if !self.ship(stream, &[&record]) {
-                return Err(ProblemError(format!(
-                    "block {} not registered: replication quorum not reached",
-                    block.id
-                )));
-            }
+        if let (Some(journal), Some(log)) = (&self.journal, shard.log.as_mut()) {
+            journal
+                .log_block(log, &block)
+                .map_err(|e| ProblemError(format!("block {} not registered: {e}", block.id)))?;
         }
-        shard
-            .blocks
-            .put(block.id, BlockLedger::new(block), &self.tier);
+        // The one new hot block may push the store past its bound.
+        let blocks = &mut shard.blocks;
+        blocks.put(block.id, BlockLedger::new(block), &self.tier);
+        blocks.spill(&self.tier);
         Ok(())
     }
 
@@ -794,154 +559,111 @@ impl ShardedLedger {
         all
     }
 
-    /// Two-phase commit of a task's demand across all its blocks.
-    ///
-    /// Locks the involved shards in ascending shard order, checks every
-    /// block's filter, and consumes on all of them only if all grant —
-    /// the task either commits everywhere or nowhere. On a durable
-    /// ledger the grant is logged before any mutation: a single-shard
-    /// task appends one `Apply` record; a cross-shard task appends an
-    /// `Intent` per involved shard and then the coordinator's `Commit`
-    /// (any append failure releases the task, appending a best-effort
-    /// `Abort` so readers of the log can tell the attempt died).
+    /// Commits one task as a batch of one — a shard batch when all its
+    /// blocks live on one shard, a cross batch otherwise: it commits
+    /// everywhere or nowhere.
     ///
     /// # Panics
     ///
     /// Panics if the task references an unregistered block (admission
     /// validates block existence, and blocks are never removed).
     pub fn commit_task(&self, task: &Task) -> CommitOutcome {
-        // Involved shards, ascending and deduplicated: the global lock
-        // order that makes concurrent cross-shard commits deadlock-free.
-        let mut involved: Vec<usize> = task.blocks.iter().map(|b| self.shard_of(*b)).collect();
-        involved.sort_unstable();
-        involved.dedup();
+        let mut shards = task.blocks.iter().map(|b| self.shard_of(*b));
+        match shards.next() {
+            Some(home) if shards.all(|s| s == home) => self.commit_shard_batch(home, &[task])[0],
+            _ => self.commit_cross_batch(&[task])[0],
+        }
+    }
 
-        let mut guards: BTreeMap<usize, Checkout<'_>> =
-            involved.iter().map(|s| (*s, self.checkout(*s))).collect();
-
-        for s in &involved {
-            let stripe = guards.get_mut(s).expect("locked above");
-            if !self.ensure_hot(stripe, task, *s) {
+    /// Stages one task under the held locks — the one check → consume
+    /// sequence every commit runs (see the module docs). `Released` =
+    /// nothing changed.
+    fn stage(
+        &self,
+        held: &mut Held<'_>,
+        task: &Task,
+        pre: Option<&mut PreImages>,
+    ) -> CommitOutcome {
+        for b in &task.blocks {
+            let blocks = &mut held.shard(self.shard_of(*b)).blocks;
+            if !blocks.ensure_hot(task.id, [*b], &self.grid, &self.tier) {
                 return CommitOutcome::Released;
             }
         }
-
-        // Phase 1: check every filter under the locks.
         for b in &task.blocks {
-            let shard = &guards[&self.shard_of(*b)];
-            if !shard.blocks.hot(task.id, *b).check(&task.demand) {
+            let stripe = held.shard(self.shard_of(*b));
+            if !stripe.blocks.hot(task.id, *b).check(&task.demand) {
                 return CommitOutcome::Released;
             }
         }
-
-        // Write-ahead phase: the grant must be durable before any
-        // filter mutates. Still under every involved lock, so log
-        // order is mutation order.
-        if self.coord.is_some() && !self.log_grant(task, &involved, &mut guards) {
-            return CommitOutcome::Released;
-        }
-
-        // Phase 2: consume on every block; cannot fail after phase 1
-        // because we still hold every involved lock.
-        for b in &task.blocks {
-            let shard = guards.get_mut(&self.shard_of(*b)).expect("locked above");
-            shard
-                .blocks
-                .hot_mut(*b)
-                .expect("checked in phase 1")
-                .commit(&task.demand)
-                .expect("filter re-check cannot fail under the held locks");
-        }
+        self.charge(held, task, pre);
         CommitOutcome::Committed
     }
 
-    /// Appends the write-ahead records for a checked grant. Returns
-    /// `false` (caller releases) if any append fails.
-    fn log_grant(
-        &self,
-        task: &Task,
-        involved: &[usize],
-        guards: &mut BTreeMap<usize, Checkout<'_>>,
-    ) -> bool {
-        let demand = task.demand.values().to_vec();
-        if let [only] = involved {
-            let record = ShardRecord::Apply {
-                task: task.id,
-                demand,
-                blocks: task.blocks.clone(),
+    /// Consumes a checked task's demand on the real filters, saving a
+    /// block's entry in `pre` on its first touch. Cannot fail after the
+    /// check: every involved lock is still held.
+    fn charge(&self, held: &mut Held<'_>, task: &Task, mut pre: Option<&mut PreImages>) {
+        for b in &task.blocks {
+            let stripe = held.shard(self.shard_of(*b));
+            let entry = stripe.blocks.hot_mut(*b).expect("checked while staging");
+            if let Some(pre) = pre.as_deref_mut() {
+                pre.entry(*b).or_insert_with(|| entry.clone());
             }
-            .encode();
-            let wal = guards
-                .get_mut(only)
-                .expect("locked above")
-                .wal
-                .as_mut()
-                .expect("durable ledger has a wal per shard");
-            if wal.append(&record).is_err() {
-                self.wal_failures.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            return self.ship(ReplStream::Shard(*only as u32), &[&record]);
+            entry
+                .commit(&task.demand)
+                .expect("filter re-check cannot fail under the held locks");
         }
+    }
 
-        let attempt = self.next_attempt.fetch_add(1, Ordering::Relaxed);
-        let coord = self.coord.as_ref().expect("checked by caller");
-        for s in involved {
-            let blocks: Vec<BlockId> = task
-                .blocks
-                .iter()
-                .copied()
-                .filter(|b| self.shard_of(*b) == *s)
-                .collect();
-            let record = ShardRecord::Intent {
-                attempt,
-                task: task.id,
-                demand: demand.clone(),
-                blocks,
+    /// Puts the pre-images back. Their blocks are all still hot:
+    /// nothing spills before the locks drop.
+    fn restore(&self, held: &mut Held<'_>, pre: PreImages) {
+        for (b, entry) in pre {
+            let stripe = held.shard(self.shard_of(b));
+            *stripe.blocks.hot_mut(b).expect("staged blocks stay hot") = entry;
+        }
+    }
+
+    /// Stages `tasks` in order and, on a durable ledger, has the journal
+    /// make the granted ones durable — as one shard's `Apply` batch
+    /// (`local`) or as a two-phase commit. The journal answers with how
+    /// many leading grants are decided; short of all, the pre-images go
+    /// back, that prefix is charged again in staging order — the state
+    /// log replay reproduces — and the rest is released.
+    fn commit_held(&self, held: &mut Held<'_>, tasks: &[&Task], local: bool) -> Vec<CommitOutcome> {
+        let mut pre = self.journal.as_ref().map(|_| PreImages::new());
+        let mut outcomes: Vec<CommitOutcome> = tasks
+            .iter()
+            .map(|task| self.stage(held, task, pre.as_mut()))
+            .collect();
+        let (Some(journal), Some(pre)) = (&self.journal, pre) else {
+            return outcomes;
+        };
+        let staged: Vec<usize> = (0..tasks.len())
+            .filter(|i| outcomes[*i] == CommitOutcome::Committed)
+            .collect();
+        let granted: Vec<&Task> = staged.iter().map(|i| tasks[*i]).collect();
+        let mut logs: Vec<&mut ShardLog> = held
+            .shards
+            .iter_mut()
+            .map(|(_, stripe)| stripe.log.as_mut().expect("durable shards have a log"))
+            .collect();
+        let decided = if local {
+            journal.commit_local(logs[0], &granted)
+        } else {
+            journal.commit_cross(&mut logs, &granted, |b| self.shard_of(b))
+        };
+        if decided < staged.len() {
+            self.restore(held, pre);
+            for task in &granted[..decided] {
+                self.charge(held, task, None);
             }
-            .encode();
-            let wal = guards
-                .get_mut(s)
-                .expect("locked above")
-                .wal
-                .as_mut()
-                .expect("durable ledger has a wal per shard");
-            let appended = wal.append(&record).is_ok();
-            if !appended || !self.ship(ReplStream::Shard(*s as u32), &[&record]) {
-                // Presumed abort: without a coordinator Commit these
-                // intents charge nothing on recovery. The Abort record
-                // is advisory (and itself best-effort, shipped or not).
-                if !appended {
-                    self.wal_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                let abort = CoordRecord::Abort {
-                    attempt,
-                    task: task.id,
-                }
-                .encode();
-                let mut coord = coord.lock().expect("coordinator lock poisoned");
-                if coord.append(&abort).is_ok() {
-                    let _ = self.ship(ReplStream::Coordinator, &[&abort]);
-                }
-                return false;
+            for i in &staged[decided..] {
+                outcomes[*i] = CommitOutcome::Released;
             }
         }
-        let commit = CoordRecord::Commit {
-            attempt,
-            task: task.id,
-        }
-        .encode();
-        let mut coord = coord.lock().expect("coordinator lock poisoned");
-        if coord.append(&commit).is_err() {
-            // The decision never became durable: recovery will presume
-            // abort, so the in-memory state must not change either.
-            self.wal_failures.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        // The decision counts only once it is quorum-durable: a failed
-        // ship releases the grant, and promotion (which never sees this
-        // Commit) presumes abort — consistent with the release.
-        self.ship(ReplStream::Coordinator, &[&commit])
+        outcomes
     }
 
     /// Commits a scheduling cycle's shard-local grants as **one
@@ -949,20 +671,10 @@ impl ShardedLedger {
     /// lock. Every task must have all of its blocks on `shard` (the
     /// cycle's partition guarantees it).
     ///
-    /// Semantics match committing the tasks one by one in order: each
-    /// task's filter check sees the consumption of the tasks staged
-    /// before it (a shadow copy of the touched block ledgers carries
-    /// that state), and the outcomes vector lines up with `tasks`. On
-    /// a durable ledger the staged records flush with one write + one
-    /// sync ([`Wal::append_batch`]); only then do the real filters
-    /// mutate — by swapping the shadow in, so the in-memory state is
-    /// bit-for-bit the state the staging arithmetic computed and the
-    /// state replaying the batch reproduces. A failed flush releases
-    /// the *whole* batch, which is sound because a failed
-    /// `append_batch` is guaranteed to resurface nothing.
-    ///
-    /// On a non-durable ledger there is nothing to flush, so this is
-    /// the sequential per-task path under the same single lock hold.
+    /// Semantics match committing the tasks one by one in order, and
+    /// the outcomes line up with `tasks`. On a durable ledger the
+    /// granted tasks flush with one write + one sync; a failed flush
+    /// releases the *whole* batch.
     ///
     /// # Panics
     ///
@@ -975,153 +687,25 @@ impl ShardedLedger {
         debug_assert!(tasks
             .iter()
             .all(|t| t.blocks.iter().all(|b| self.shard_of(*b) == shard)));
-        let mut guard = self.checkout(shard);
-        let held = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
-        let durable = guard.wal.is_some();
-        let outcomes = self.commit_shard_batch_locked(&mut guard, shard, tasks);
-        drop(guard); // Spills: part of the hold the histogram reports.
-        if let (Some(t), Some(held)) = (&self.telemetry, held) {
-            t.lock_hold.record(t.clock.now_nanos().saturating_sub(held));
-            let committed = outcomes
-                .iter()
-                .filter(|o| matches!(o, CommitOutcome::Committed))
-                .count() as u64;
-            if durable && committed > 0 {
-                t.recorder
-                    .record(EventKind::BatchFlushed, shard as u64, committed);
-            }
+        let mut held = self.hold([shard]);
+        let since = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
+        let outcomes = self.commit_held(&mut held, tasks, true);
+        drop(held); // Spills: part of the hold the histogram reports.
+        if let (Some(t), Some(since)) = (&self.telemetry, since) {
+            t.lock_hold
+                .record(t.clock.now_nanos().saturating_sub(since));
         }
         outcomes
     }
 
-    /// [`ShardedLedger::commit_shard_batch`] under an already-held
-    /// shard lock.
-    fn commit_shard_batch_locked(
-        &self,
-        stripe: &mut Shard,
-        shard: usize,
-        tasks: &[&Task],
-    ) -> Vec<CommitOutcome> {
-        if stripe.wal.is_none() {
-            return tasks
-                .iter()
-                .map(|task| self.commit_one_local(stripe, shard, task))
-                .collect();
-        }
-
-        // Stage: check against the shadow, encode into the reusable
-        // scratch, consume on the shadow.
-        let mut outcomes = vec![CommitOutcome::Released; tasks.len()];
-        let mut shadow: BTreeMap<BlockId, BlockLedger> = BTreeMap::new();
-        let mut staged: Vec<usize> = Vec::with_capacity(tasks.len());
-        stripe.scratch.clear();
-        stripe.bounds.clear();
-        stripe.bounds.push(0);
-        for (i, task) in tasks.iter().enumerate() {
-            if !self.ensure_hot(stripe, task, shard) {
-                continue;
-            }
-            let granted = task.blocks.iter().all(|b| {
-                shadow
-                    .get(b)
-                    .unwrap_or_else(|| stripe.blocks.hot(task.id, *b))
-                    .check(&task.demand)
-            });
-            if !granted {
-                continue;
-            }
-            durability::encode_apply_into(
-                &mut stripe.scratch,
-                task.id,
-                task.demand.values(),
-                &task.blocks,
-            );
-            stripe.bounds.push(stripe.scratch.len());
-            for b in &task.blocks {
-                shadow
-                    .entry(*b)
-                    .or_insert_with(|| stripe.blocks.hot(task.id, *b).clone())
-                    .commit(&task.demand)
-                    .expect("checked against the shadow");
-            }
-            staged.push(i);
-        }
-        if staged.is_empty() {
-            return outcomes;
-        }
-
-        // Flush: one write, one sync, then (and only then) mutate.
-        let views: Vec<&[u8]> = stripe
-            .bounds
-            .windows(2)
-            .map(|w| &stripe.scratch[w[0]..w[1]])
-            .collect();
-        let wal = stripe.wal.as_mut().expect("checked above");
-        let flush = self
-            .telemetry
-            .as_ref()
-            .and_then(LedgerTelemetry::flush_started);
-        if wal.append_batch(&views).is_err() {
-            // All-or-nothing: no record of this batch survives, so
-            // releasing every staged grant keeps live ≡ recovered.
-            self.wal_failures.fetch_add(1, Ordering::Relaxed);
-            return outcomes;
-        }
-        if let Some(t) = &self.telemetry {
-            t.record_flush(flush, shard as u64);
-        }
-        // One ship per flush: quorum durability rides the same batch
-        // boundary as the fsync. A failed ship releases the whole
-        // batch (locally durable, never acknowledged).
-        if !self.ship(ReplStream::Shard(shard as u32), &views) {
-            return outcomes;
-        }
-        for (b, entry) in shadow {
-            stripe.blocks.put(b, entry, &self.tier);
-        }
-        for i in staged {
-            outcomes[i] = CommitOutcome::Committed;
-        }
-        outcomes
-    }
-
-    /// The sequential local commit of a non-durable ledger: check,
-    /// mutate. One task, lock already held.
-    fn commit_one_local(&self, stripe: &mut Shard, shard: usize, task: &Task) -> CommitOutcome {
-        debug_assert!(stripe.wal.is_none(), "durable grants flush as a batch");
-        if !self.ensure_hot(stripe, task, shard) {
-            return CommitOutcome::Released;
-        }
-        for b in &task.blocks {
-            if !stripe.blocks.hot(task.id, *b).check(&task.demand) {
-                return CommitOutcome::Released;
-            }
-        }
-        for b in &task.blocks {
-            stripe
-                .blocks
-                .hot_mut(*b)
-                .expect("checked above")
-                .commit(&task.demand)
-                .expect("filter re-check cannot fail under the held lock");
-        }
-        CommitOutcome::Committed
-    }
-
-    /// Commits a scheduling cycle's cross-shard grants as one batch:
-    /// the union of involved shard locks is taken in ascending order
-    /// (the same global order as everything else, so still
-    /// deadlock-free), each granted task's per-shard `Intent` records
-    /// join their home shard's staged batch, the batches flush with
-    /// one sync per shard — and then each attempt is decided by its
-    /// own **single synchronous** coordinator `Commit` append, exactly
-    /// as in the per-task path, so the presumed-abort recovery
-    /// argument is untouched: an intent whose decision never became
-    /// durable charges nothing. Real filters mutate per task only
-    /// after that task's decision is durable.
-    ///
-    /// Falls back to per-task [`ShardedLedger::commit_task`] on a
-    /// non-durable ledger.
+    /// Commits a scheduling cycle's cross-shard grants as one batch
+    /// under the union of the involved shard locks, with the semantics
+    /// of [`ShardedLedger::commit_shard_batch`]. On a durable ledger
+    /// each granted task's per-shard `Intent` records join their home
+    /// shard's flush (one sync per shard), and then each attempt is
+    /// decided by its own **single synchronous** coordinator `Commit`
+    /// append — presumed abort: an intent whose decision never became
+    /// durable charges nothing, on recovery or in memory.
     ///
     /// # Panics
     ///
@@ -1130,272 +714,59 @@ impl ShardedLedger {
         if tasks.is_empty() {
             return Vec::new();
         }
-        let started = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
-        let outcomes = self.commit_cross_batch_inner(tasks);
-        if let (Some(t), Some(started)) = (&self.telemetry, started) {
-            t.cross_commit
-                .record(t.clock.now_nanos().saturating_sub(started));
-        }
-        outcomes
-    }
-
-    /// The 2PC round [`ShardedLedger::commit_cross_batch`] times.
-    fn commit_cross_batch_inner(&self, tasks: &[&Task]) -> Vec<CommitOutcome> {
-        if self.coord.is_none() {
-            return tasks.iter().map(|t| self.commit_task(t)).collect();
-        }
-
+        let since = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
         let involved: BTreeSet<usize> = tasks
             .iter()
             .flat_map(|t| t.blocks.iter().map(|b| self.shard_of(*b)))
             .collect();
-        let mut guards: BTreeMap<usize, Checkout<'_>> =
-            involved.iter().map(|s| (*s, self.checkout(*s))).collect();
-        for stripe in guards.values_mut() {
-            stripe.scratch.clear();
-            stripe.bounds.clear();
-            stripe.bounds.push(0);
-        }
-
-        // Stage every grantable task: shadow-checked, intents encoded
-        // into each home shard's scratch.
-        let mut outcomes = vec![CommitOutcome::Released; tasks.len()];
-        let mut shadow: BTreeMap<BlockId, BlockLedger> = BTreeMap::new();
-        let mut staged: Vec<(usize, u64)> = Vec::new(); // (task index, attempt)
-        for (i, task) in tasks.iter().enumerate() {
-            let mut task_shards: Vec<usize> =
-                task.blocks.iter().map(|b| self.shard_of(*b)).collect();
-            task_shards.sort_unstable();
-            task_shards.dedup();
-            let hot = task_shards.iter().all(|s| {
-                let stripe = guards.get_mut(s).expect("locked above");
-                self.ensure_hot(stripe, task, *s)
-            });
-            if !hot {
-                continue;
-            }
-            let granted = task.blocks.iter().all(|b| {
-                shadow
-                    .get(b)
-                    .unwrap_or_else(|| guards[&self.shard_of(*b)].blocks.hot(task.id, *b))
-                    .check(&task.demand)
-            });
-            if !granted {
-                continue;
-            }
-            let attempt = self.next_attempt.fetch_add(1, Ordering::Relaxed);
-            for s in task_shards {
-                let blocks: Vec<BlockId> = task
-                    .blocks
-                    .iter()
-                    .copied()
-                    .filter(|b| self.shard_of(*b) == s)
-                    .collect();
-                let stripe = &mut **guards.get_mut(&s).expect("locked above");
-                durability::encode_intent_into(
-                    &mut stripe.scratch,
-                    attempt,
-                    task.id,
-                    task.demand.values(),
-                    &blocks,
-                );
-                let end = stripe.scratch.len();
-                stripe.bounds.push(end);
-            }
-            for b in &task.blocks {
-                shadow
-                    .entry(*b)
-                    .or_insert_with(|| guards[&self.shard_of(*b)].blocks.hot(task.id, *b).clone())
-                    .commit(&task.demand)
-                    .expect("checked against the shadow");
-            }
-            staged.push((i, attempt));
-        }
-        if staged.is_empty() {
-            return outcomes;
-        }
-
-        // Flush each home shard's intent batch: one sync (and one
-        // replication ship) per shard.
-        let coord = self.coord.as_ref().expect("checked above");
-        for (s, stripe) in guards.iter_mut() {
-            let stripe = &mut **stripe;
-            if stripe.scratch.is_empty() {
-                continue;
-            }
-            let views: Vec<&[u8]> = stripe
-                .bounds
-                .windows(2)
-                .map(|w| &stripe.scratch[w[0]..w[1]])
-                .collect();
-            let wal = stripe
-                .wal
-                .as_mut()
-                .expect("durable ledger has a wal per shard");
-            let flush = self
-                .telemetry
-                .as_ref()
-                .and_then(LedgerTelemetry::flush_started);
-            let appended = wal.append_batch(&views).is_ok();
-            if appended {
-                if let Some(t) = &self.telemetry {
-                    t.record_flush(flush, *s as u64);
-                }
-            }
-            if !appended || !self.ship(ReplStream::Shard(*s as u32), &views) {
-                // Presumed abort: no attempt in this batch got (or
-                // will get) a durable decision, so nothing is charged
-                // anywhere — on recovery or in memory. The aborts are
-                // advisory, as in the per-task path.
-                if !appended {
-                    self.wal_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut coord = coord.lock().expect("coordinator lock poisoned");
-                for (i, attempt) in &staged {
-                    let abort = CoordRecord::Abort {
-                        attempt: *attempt,
-                        task: tasks[*i].id,
-                    }
-                    .encode();
-                    if coord.append(&abort).is_ok() {
-                        let _ = self.ship(ReplStream::Coordinator, &[&abort]);
-                    }
-                }
-                return outcomes;
-            }
-        }
-
-        // Decide: one synchronous coordinator append per attempt, then
-        // — once per cross batch, not per attempt — one replication
-        // ship of the whole decided prefix. The real filters mutate
-        // (in staging order) only for attempts whose decision is both
-        // locally durable and quorum-replicated.
-        let mut coord = coord.lock().expect("coordinator lock poisoned");
-        let mut decided: Vec<(usize, Vec<u8>)> = Vec::with_capacity(staged.len());
-        let flush = self
-            .telemetry
-            .as_ref()
-            .and_then(LedgerTelemetry::flush_started);
-        for (i, attempt) in staged {
-            let mut decision = Vec::with_capacity(17);
-            CoordRecord::Commit {
-                attempt,
-                task: tasks[i].id,
-            }
-            .encode_into(&mut decision);
-            if coord.append(&decision).is_err() {
-                // The coordinator log is broken: this and every later
-                // attempt presumes abort; earlier commits stand.
-                self.wal_failures.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            decided.push((i, decision));
-        }
-        if !decided.is_empty() {
-            if let Some(t) = &self.telemetry {
-                t.record_flush(flush, COORD_FLUSH_SALT);
-            }
-        }
-        let shipped = decided.is_empty() || {
-            let views: Vec<&[u8]> = decided.iter().map(|(_, d)| d.as_slice()).collect();
-            self.ship(ReplStream::Coordinator, &views)
-        };
-        if shipped {
-            for (i, _) in &decided {
-                let task = tasks[*i];
-                for b in &task.blocks {
-                    let stripe = guards.get_mut(&self.shard_of(*b)).expect("locked above");
-                    stripe
-                        .blocks
-                        .hot_mut(*b)
-                        .expect("checked while staging")
-                        .commit(&task.demand)
-                        .expect("staged arithmetic cannot diverge");
-                }
-                outcomes[*i] = CommitOutcome::Committed;
-            }
+        let outcomes = self.commit_held(&mut self.hold(involved), tasks, false);
+        if let (Some(t), Some(since)) = (&self.telemetry, since) {
+            t.cross_commit
+                .record(t.clock.now_nanos().saturating_sub(since));
         }
         outcomes
     }
 
     /// Folds the logs into per-shard snapshots and truncates the
-    /// coordinator, at a global quiescent point (all shard locks plus
-    /// the coordinator, in the commit path's order). Shards are
-    /// snapshotted before the coordinator is truncated — a crash
-    /// anywhere inside leaves a recoverable mix of old segments,
-    /// snapshots, and a coordinator that is at worst a superset of
-    /// what the surviving intents need.
+    /// coordinator, at a global quiescent point (all shard locks, then
+    /// the coordinator's — the commit path's order). A log broken by
+    /// an earlier failed append is repaired first, so a *transient*
+    /// storage fault (ENOSPC, EIO) only suppresses grants until the
+    /// next compaction cycle instead of until a process restart.
     ///
-    /// A log broken by an earlier failed append is
-    /// [repaired](Wal::repair) first, so a *transient* storage fault
-    /// (ENOSPC, EIO) only suppresses grants until the next compaction
-    /// cycle instead of until a process restart.
-    ///
-    /// No-op on a non-durable ledger.
+    /// On a non-durable ledger this is tier maintenance only.
     ///
     /// # Errors
     ///
-    /// The first WAL error; shards already compacted stay compacted.
+    /// The first WAL error, counted in
+    /// [`DurabilityStats::failed_compactions`]; shards already
+    /// compacted stay compacted.
     pub fn compact(&self) -> Result<(), WalError> {
         let mut guards: Vec<MutexGuard<'_, Shard>> =
             (0..self.shards.len()).map(|s| self.lock(s)).collect();
         // Tier maintenance first: rewrite spill segments dominated by
         // dead entries, so the cold tier's disk footprint tracks its
         // live set even on a non-durable ledger.
-        for shard in &mut guards {
-            shard.blocks.compact_spill()?;
-        }
-        let Some(coord) = &self.coord else {
-            return Ok(());
+        let spills = guards.iter_mut().try_for_each(|s| s.blocks.compact_spill());
+        let Some(journal) = &self.journal else {
+            return spills;
         };
-        for shard in &mut guards {
-            let wal = shard
-                .wal
-                .as_mut()
-                .expect("durable ledger has a wal per shard");
-            wal.repair()?;
-            // Every block, whichever tier holds it: the WAL stays the
-            // only durable copy regardless of residency.
-            let payload = durability::encode_snapshot(&shard.blocks.states());
-            shard
-                .wal
-                .as_mut()
-                .expect("durable ledger has a wal per shard")
-                .snapshot(&payload)?;
-        }
-        // Last: every live intent is now baked into a shard snapshot,
-        // so the decision log can restart empty.
-        let mut coord = coord.lock().expect("coordinator lock poisoned");
-        coord.repair()?;
-        coord.snapshot(&[])?;
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        // Every block, whichever tier holds it: the WAL stays the only
+        // durable copy regardless of residency.
+        let shards = guards.iter_mut().map(|shard| {
+            let states = shard.blocks.states();
+            let log = shard.log.as_mut().expect("durable shards have a log");
+            (log, states)
+        });
+        journal.compact(spills, shards)
     }
 
     /// Write-ahead activity counters (`None` for an in-memory ledger).
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        let coord = self.coord.as_ref()?;
-        let mut stats = DurabilityStats {
-            failed_appends: self.wal_failures.load(Ordering::Relaxed),
-            failed_ships: self.repl_failures.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            ..DurabilityStats::default()
-        };
-        let mut counters = dpack_wal::WalCounters::default();
-        for s in 0..self.shards.len() {
-            if let Some(wal) = &self.lock(s).wal {
-                counters.absorb(wal.counters());
-            }
-        }
-        counters.absorb(coord.lock().expect("coordinator lock poisoned").counters());
-        stats.records = counters.records;
-        stats.bytes = counters.bytes;
-        stats.sync_calls = counters.syncs;
-        stats.batches = counters.batches;
-        stats.batched_records = counters.batched_records;
-        stats.batch_min = counters.batch_min;
-        stats.batch_max = counters.batch_max;
-        Some(stats)
+        let journal = self.journal.as_ref()?;
+        let shard_counters = (0..self.shards.len())
+            .filter_map(|s| self.lock(s).log.as_ref().map(ShardLog::counters));
+        Some(journal.stats(shard_counters))
     }
 
     /// The Prop. 6 soundness invariant over the whole ledger: every
@@ -1422,55 +793,32 @@ impl ShardedLedger {
             .map(|s| self.lock(s).blocks.granted())
             .sum()
     }
-
-    /// Faults `task`'s cold blocks homed on `shard` back in — commits
-    /// run on hot, full-vector state. `false` = release the task.
-    fn ensure_hot(&self, stripe: &mut Shard, task: &Task, shard: usize) -> bool {
-        let homed = task.blocks.iter().filter(|b| self.shard_of(**b) == shard);
-        stripe
-            .blocks
-            .ensure_hot(task.id, homed.copied(), &self.grid, &self.tier)
-    }
-}
-
-/// Replays one logged grant on a shard being recovered.
-fn replay_apply(
-    grid: &AlphaGrid,
-    shard: &mut Shard,
-    task: u64,
-    demand: &[f64],
-    blocks: &[BlockId],
-) -> Result<(), WalError> {
-    let demand = RdpCurve::new(grid, demand.to_vec())
-        .map_err(|e| WalError::Corrupt(format!("task {task}: {e}")))?;
-    for b in blocks {
-        let entry = shard.blocks.hot_mut(*b).ok_or_else(|| {
-            WalError::Corrupt(format!("task {task} charges unregistered block {b}"))
-        })?;
-        entry
-            .commit(&demand)
-            .map_err(|e| WalError::Corrupt(format!("task {task} replay rejected: {e}")))?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::{CoordRecord, ShardRecord};
+    use crate::replication::{ReplShipError, ReplStream};
     use dp_accounting::AlphaGrid;
     use dpack_wal::SimStorage;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn grid() -> AlphaGrid {
         AlphaGrid::new(vec![2.0, 8.0]).unwrap()
     }
 
-    fn ledger(shards: usize) -> ShardedLedger {
-        let g = grid();
-        let l = ShardedLedger::new(g.clone(), shards, 1.0, 1);
+    /// Registers blocks `0..8` at unit capacity.
+    fn register(l: &ShardedLedger) {
         for j in 0..8u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&g, 1.0), 0.0))
+            l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                 .unwrap();
         }
+    }
+
+    fn ledger(shards: usize) -> ShardedLedger {
+        let l = ShardedLedger::new(grid(), shards, 1.0, 1);
+        register(&l);
         l
     }
 
@@ -1488,7 +836,6 @@ mod tests {
             assert!(l.contains(j));
         }
         assert!(!l.contains(99));
-        assert!(!l.is_durable());
         assert_eq!(l.durability_stats(), None);
     }
 
@@ -1600,14 +947,23 @@ mod tests {
     }
 
     fn durable(storage: &SimStorage) -> ShardedLedger {
-        ShardedLedger::open_durable(grid(), 4, 1.0, 1, storage, DurabilityOptions::default())
-            .unwrap()
+        ShardedLedger::open_durable(
+            grid(),
+            4,
+            1.0,
+            1,
+            storage,
+            DurabilityOptions::default(),
+            &Obs::off(),
+        )
+        .unwrap()
     }
 
-    fn assert_states_bit_identical(a: &ShardedLedger, b: &ShardedLedger) {
-        let (sa, sb) = (a.block_states(), b.block_states());
+    type States = BTreeMap<BlockId, BlockState>;
+
+    fn assert_bits(sa: &States, sb: &States) {
         assert_eq!(sa.keys().collect::<Vec<_>>(), sb.keys().collect::<Vec<_>>());
-        for (id, x) in &sa {
+        for (id, x) in sa {
             let y = &sb[id];
             assert_eq!(x.granted, y.granted, "block {id} grant count");
             assert_eq!(x.arrival.to_bits(), y.arrival.to_bits());
@@ -1615,6 +971,10 @@ mod tests {
             assert_eq!(bits(&x.total), bits(&y.total), "block {id} total");
             assert_eq!(bits(&x.consumed), bits(&y.consumed), "block {id} consumed");
         }
+    }
+
+    fn assert_states_bit_identical(a: &ShardedLedger, b: &ShardedLedger) {
+        assert_bits(&a.block_states(), &b.block_states());
     }
 
     #[test]
@@ -1625,7 +985,7 @@ mod tests {
             l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                 .unwrap();
         }
-        assert!(l.is_durable());
+        assert!(l.durability_stats().is_some());
         l.commit_task(&task(0, vec![2], 0.3));
         l.commit_task(&task(1, vec![0, 1, 2], 0.25)); // Cross-shard.
         l.commit_task(&task(2, vec![5], 0.7));
@@ -1744,12 +1104,64 @@ mod tests {
         assert_eq!(recovered.granted_count(), 3);
     }
 
-    /// Committing the same tasks one by one — the semantics the batch
-    /// paths must reproduce decision-for-decision and bit-for-bit.
-    fn sequential_reference(tasks: &[Task]) -> (Vec<CommitOutcome>, ShardedLedger) {
-        let l = ledger(4);
-        let outcomes = tasks.iter().map(|t| l.commit_task(t)).collect();
-        (outcomes, l)
+    /// The semantics every commit path must reproduce decision for
+    /// decision and bit for bit, sharing nothing with the ledger: plain
+    /// block entries in a map, tasks taken one by one — check every
+    /// requested block, then charge them all.
+    struct Model(BTreeMap<BlockId, BlockLedger>);
+
+    impl Model {
+        /// Blocks `0..8` at unit capacity, like [`ledger`].
+        fn new() -> Self {
+            let fresh = |j| BlockLedger::new(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0));
+            Self((0..8u64).map(|j| (j, fresh(j))).collect())
+        }
+
+        fn commit(&mut self, tasks: &[Task]) -> Vec<CommitOutcome> {
+            let mut one = |t: &Task| {
+                if !t.blocks.iter().all(|b| self.0[b].check(&t.demand)) {
+                    return CommitOutcome::Released;
+                }
+                for b in &t.blocks {
+                    self.0.get_mut(b).unwrap().commit(&t.demand).unwrap();
+                }
+                CommitOutcome::Committed
+            };
+            tasks.iter().map(&mut one).collect()
+        }
+
+        fn states(&self) -> States {
+            let state = |(id, b): (&BlockId, &BlockLedger)| BlockState {
+                id: *id,
+                arrival: b.arrival(),
+                total: b.total().values().to_vec(),
+                consumed: b.consumed().values().to_vec(),
+                granted: b.granted_count(),
+            };
+            self.0.iter().map(|e| (*e.0, state(e))).collect()
+        }
+    }
+
+    /// One ledger of each kind the one commit path serves, blocks
+    /// `0..8` registered: in memory, durable, and durable + tiered with
+    /// one hot block per shard — fewer than the batches below touch.
+    fn every_kind() -> Vec<(ShardedLedger, Option<SimStorage>)> {
+        let plain = SimStorage::new();
+        let durable_only = durable(&plain);
+        register(&durable_only);
+        let spilling = SimStorage::new();
+        let mut tiered = durable(&spilling);
+        register(&tiered);
+        let one_hot = TierConfig {
+            hot_capacity: 1,
+            segment_bytes: 512,
+        };
+        tiered.enable_tier(&spilling, one_hot).unwrap();
+        vec![
+            (ledger(4), None),
+            (durable_only, Some(plain)),
+            (tiered, Some(spilling)),
+        ]
     }
 
     #[test]
@@ -1762,24 +1174,16 @@ mod tests {
             task(2, vec![1], 0.6), // Refused: 0.6 + 0.6 > 1.0.
             task(3, vec![1], 0.4), // Fits exactly.
         ];
-        let (want, reference) = sequential_reference(&tasks);
+        let mut model = Model::new();
+        let want = model.commit(&tasks);
+        assert_eq!(want[2], CommitOutcome::Released);
 
-        for durable_storage in [None, Some(SimStorage::new())] {
-            let l = match &durable_storage {
-                Some(sim) => durable(sim),
-                None => ledger(4),
-            };
-            for j in 0..8u64 {
-                if !l.contains(j) {
-                    l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
-                        .unwrap();
-                }
-            }
+        for (l, storage) in every_kind() {
             let refs: Vec<&Task> = tasks.iter().collect();
             let outcomes = l.commit_shard_batch(1, &refs);
             assert_eq!(outcomes, want);
-            assert_states_bit_identical(&l, &reference);
-            if let Some(sim) = &durable_storage {
+            assert_bits(&l.block_states(), &model.states());
+            if let Some(sim) = &storage {
                 // One flush for the whole batch, and recovery agrees.
                 let stats = l.durability_stats().unwrap();
                 assert_eq!(stats.batches, 1);
@@ -1792,29 +1196,270 @@ mod tests {
 
     #[test]
     fn cross_batch_matches_sequential_commits_and_recovers() {
+        // Two blocks per shard, so the tiered ledger faults mid-batch.
         let tasks = vec![
-            task(0, vec![0, 1], 0.6),
+            task(0, vec![0, 1, 4], 0.6),
             task(1, vec![1, 2, 3], 0.5), // Refused on block 1.
-            task(2, vec![2, 3], 0.8),
-            task(3, vec![0, 1], 0.4), // Fits exactly after task 0.
+            task(2, vec![2, 3, 6, 7], 0.8),
+            task(3, vec![0, 1, 5], 0.4), // Fits exactly after task 0.
         ];
-        let (want, reference) = sequential_reference(&tasks);
+        let mut model = Model::new();
+        let want = model.commit(&tasks);
+        assert_eq!(want[1], CommitOutcome::Released);
+
+        for (l, storage) in every_kind() {
+            let refs: Vec<&Task> = tasks.iter().collect();
+            let outcomes = l.commit_cross_batch(&refs);
+            assert_eq!(outcomes, want);
+            assert_bits(&l.block_states(), &model.states());
+            assert!(l.unsound_blocks().is_empty());
+            if let Some(sim) = &storage {
+                // Intents batched per home shard (the blocks span all
+                // four), decisions one synchronous append per attempt.
+                let stats = l.durability_stats().unwrap();
+                assert_eq!(stats.batches, 4, "{stats:?}");
+                assert_eq!(stats.sync_calls, 8 + 4 + 3, "{stats:?}");
+                assert_states_bit_identical(&l, &durable(&sim.surviving()));
+            }
+        }
+    }
+
+    /// Registers blocks `0..8` on `l` and charges it — shard-locally and
+    /// across shards, so pre-images are not blank blocks. Returns the
+    /// model that agrees with it and the two batches the restore tests
+    /// run on it: four tasks on shard 1, and four across shards 0–2
+    /// (three attempts; the second task is refused on block 1).
+    fn charged(l: &ShardedLedger) -> (Model, Vec<Task>, Vec<Task>) {
+        register(l);
+        let prior = [task(90, vec![1], 0.1), task(91, vec![0, 1, 2], 0.1)];
+        let mut model = Model::new();
+        for t in &prior {
+            assert_eq!(l.commit_task(t), CommitOutcome::Committed);
+        }
+        model.commit(&prior);
+        assert_bits(&l.block_states(), &model.states());
+        let local = (0..4u64).map(|i| task(i, vec![1, 5], 0.05)).collect();
+        let cross = vec![
+            task(10, vec![0, 1], 0.3),
+            task(11, vec![1, 2], 0.9),
+            task(12, vec![0, 1, 2], 0.1),
+            task(13, vec![2, 0], 0.2),
+        ];
+        (model, local, cross)
+    }
+
+    #[test]
+    fn a_failed_flush_restores_the_pre_batch_bits() {
         let sim = SimStorage::new();
         let l = durable(&sim);
-        for j in 0..8u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
-                .unwrap();
-        }
-        let refs: Vec<&Task> = tasks.iter().collect();
-        let outcomes = l.commit_cross_batch(&refs);
-        assert_eq!(outcomes, want);
-        assert_states_bit_identical(&l, &reference);
-        // Intents batched per home shard (blocks 0..4 span shards
-        // 0..4), decisions one synchronous append per attempt.
-        let stats = l.durability_stats().unwrap();
-        assert!(stats.batches >= 2, "{stats:?}");
+        let (mut model, local, cross) = charged(&l);
+        let (local_refs, cross_refs): (Vec<&Task>, Vec<&Task>) =
+            (local.iter().collect(), cross.iter().collect());
+
+        // An ENOSPC-like fault: both batches stage, fail to flush, and
+        // must leave no trace in memory.
+        sim.set_append_errors(true);
+        let failures = l.durability_stats().unwrap().failed_appends;
+        let released = [CommitOutcome::Released; 4];
+        assert_eq!(l.commit_shard_batch(1, &local_refs), released);
+        assert_bits(&l.block_states(), &model.states());
+        assert_eq!(l.commit_cross_batch(&cross_refs), released);
+        assert_bits(&l.block_states(), &model.states());
+        assert!(l.durability_stats().unwrap().failed_appends >= failures + 2);
+
+        // Healed and repaired, the very same batches commit, and
+        // recovery agrees with the live ledger and the model.
+        sim.set_append_errors(false);
+        l.compact().unwrap();
+        assert_eq!(l.commit_shard_batch(1, &local_refs), model.commit(&local));
+        assert_eq!(l.commit_cross_batch(&cross_refs), model.commit(&cross));
+        assert_eq!(l.granted_count(), (1 + 3) + 4 * 2 + (2 + 3 + 2));
+        assert_bits(&l.block_states(), &model.states());
         assert_states_bit_identical(&l, &durable(&sim.surviving()));
-        assert!(l.unsound_blocks().is_empty());
+    }
+
+    #[test]
+    fn a_crash_between_decisions_keeps_exactly_the_decided_prefix() {
+        // What one coordinator decision (a 17-byte record) and the
+        // whole cross batch cost on disk; the decisions come last.
+        let decision = {
+            let probe = SimStorage::new();
+            let (mut wal, _) =
+                dpack_wal::Wal::open(Box::new(probe.clone()), Default::default()).unwrap();
+            wal.append(&[0; 17]).unwrap();
+            probe.bytes_written()
+        };
+        let batch = {
+            let probe = SimStorage::new();
+            let l = durable(&probe);
+            let (_, _, cross) = charged(&l);
+            let before = probe.bytes_written();
+            l.commit_cross_batch(&cross.iter().collect::<Vec<_>>());
+            probe.bytes_written() - before
+        };
+        // Tear the first, second, third of the three decisions.
+        for decided in 0..3usize {
+            let sim = SimStorage::new();
+            let l = durable(&sim);
+            let (mut model, _, cross) = charged(&l);
+            sim.arm_crash_after(batch - (3 - decided as u64) * decision + decision / 2);
+            let outcomes = l.commit_cross_batch(&cross.iter().collect::<Vec<_>>());
+            assert!(sim.crashed());
+            // Attempts are tasks 10, 12, 13; task 11 is refused.
+            let mut want = [CommitOutcome::Released; 4];
+            let kept: Vec<Task> = [0, 2, 3][..decided]
+                .iter()
+                .map(|i| {
+                    want[*i] = CommitOutcome::Committed;
+                    cross[*i].clone()
+                })
+                .collect();
+            assert_eq!(outcomes, want, "{decided} decided");
+            model.commit(&kept);
+            assert_bits(&l.block_states(), &model.states());
+            assert_states_bit_identical(&l, &durable(&sim.surviving()));
+        }
+    }
+
+    /// A replica that keeps every ship it accepts and refuses exactly
+    /// the one [`FlakySink::refuse_in`] names.
+    #[derive(Debug, Default)]
+    struct FlakySink {
+        accepted: Mutex<Vec<(ReplStream, Vec<Vec<u8>>)>>,
+        ships: AtomicU64,
+        refused: AtomicU64,
+    }
+
+    impl ReplicationSink for FlakySink {
+        fn ship(&self, stream: ReplStream, records: &[&[u8]]) -> Result<(), ReplShipError> {
+            if self.ships.fetch_add(1, Ordering::Relaxed) + 1
+                == self.refused.load(Ordering::Relaxed)
+            {
+                return Err(ReplShipError::Sink("refused".into()));
+            }
+            let records = records.iter().map(|r| r.to_vec()).collect();
+            self.accepted.lock().unwrap().push((stream, records));
+            Ok(())
+        }
+    }
+
+    impl FlakySink {
+        /// Refuses the `n`-th ship from now.
+        fn refuse_in(&self, n: u64) {
+            let next = self.ships.load(Ordering::Relaxed) + n;
+            self.refused.store(next, Ordering::Relaxed);
+        }
+
+        /// What a replica promoted from the accepted records holds:
+        /// `Apply` records charged unconditionally, `Intent` records
+        /// iff a `Commit` for their attempt was accepted too.
+        fn fold(&self) -> States {
+            let accepted = self.accepted.lock().unwrap();
+            let records = |coordinator: bool| {
+                accepted
+                    .iter()
+                    .filter(move |(stream, _)| (*stream == ReplStream::Coordinator) == coordinator)
+                    .flat_map(|(_, records)| records)
+            };
+            let committed: BTreeSet<u64> = records(true)
+                .filter_map(|r| match CoordRecord::decode(r).unwrap() {
+                    CoordRecord::Commit { attempt, .. } => Some(attempt),
+                    CoordRecord::Abort { .. } => None,
+                })
+                .collect();
+            let mut replica = Model(BTreeMap::new());
+            for record in records(false) {
+                let (demand, blocks) = match ShardRecord::decode(record).unwrap() {
+                    ShardRecord::Block {
+                        id,
+                        arrival,
+                        capacity,
+                    } => {
+                        let capacity = RdpCurve::new(&grid(), capacity).unwrap();
+                        let entry = BlockLedger::new(Block::new(id, capacity, arrival));
+                        replica.0.insert(id, entry);
+                        continue;
+                    }
+                    ShardRecord::Apply { demand, blocks, .. } => (demand, blocks),
+                    ShardRecord::Intent {
+                        attempt,
+                        demand,
+                        blocks,
+                        ..
+                    } if committed.contains(&attempt) => (demand, blocks),
+                    ShardRecord::Intent { .. } => continue,
+                };
+                let demand = RdpCurve::new(&grid(), demand).unwrap();
+                for b in blocks {
+                    replica.0.get_mut(&b).unwrap().commit(&demand).unwrap();
+                }
+            }
+            replica.states()
+        }
+    }
+
+    #[test]
+    fn a_refused_ship_restores_the_pre_batch_bits() {
+        // (cross batch?, which of its ships is refused): the shard
+        // batch's only ship; the cross batch's second intent ship (its
+        // attempts span shards 0, 1, 2); its decision ship.
+        for (cross_batch, refused) in [(false, 1), (true, 2), (true, 4)] {
+            let sink = Arc::new(FlakySink::default());
+            let mut l = durable(&SimStorage::new());
+            l.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
+            let (mut model, local, cross) = charged(&l);
+            let batch = if cross_batch { &cross } else { &local };
+            let refs: Vec<&Task> = batch.iter().collect();
+            let commit = |refs: &[&Task]| {
+                if cross_batch {
+                    l.commit_cross_batch(refs)
+                } else {
+                    l.commit_shard_batch(1, refs)
+                }
+            };
+            assert_bits(&sink.fold(), &l.block_states());
+
+            sink.refuse_in(refused);
+            assert_eq!(commit(&refs), [CommitOutcome::Released; 4], "{refused}");
+            assert_bits(&l.block_states(), &model.states());
+            assert_eq!(l.durability_stats().unwrap().failed_ships, 1);
+            // The replicas hold whatever shipped before the refusal —
+            // intents without a decision at most — and fold to the
+            // same state. (Local recovery is not asserted: a replicated
+            // primary hands over, it never restarts from its own log.)
+            assert_bits(&sink.fold(), &l.block_states());
+
+            // The stream goes on: the same batch now commits.
+            assert_eq!(commit(&refs), model.commit(batch));
+            assert_bits(&l.block_states(), &model.states());
+            assert_bits(&sink.fold(), &l.block_states());
+        }
+    }
+
+    #[test]
+    fn cross_batch_flushes_show_in_the_flight_recorder() {
+        let (obs, _clock) = Obs::manual(1);
+        let sim = SimStorage::new();
+        let opts = DurabilityOptions::default();
+        let mut l = ShardedLedger::open_durable(grid(), 4, 1.0, 1, &sim, opts, &obs).unwrap();
+        l.instrument(&obs);
+        let (_, _, cross) = charged(&l);
+        let flushed = || -> Vec<(u64, u64)> {
+            let events = obs.recorder.dump();
+            let flushes = events
+                .iter()
+                .filter(|e| e.kind == dpack_obs::EventKind::BatchFlushed);
+            flushes.map(|e| (e.a, e.b)).collect()
+        };
+        // So far: one shard-local grant on shard 1 and one three-shard
+        // attempt. Registrations and decisions are singleton appends,
+        // not group commits, and leave no event.
+        assert_eq!(flushed(), [(1, 1), (0, 1), (1, 1), (2, 1)]);
+        // Tasks 10 and 12 span shards 0 and 1: one group commit of two
+        // intents on each (task 11 is refused and logs nothing).
+        let refs: Vec<&Task> = cross[..3].iter().collect();
+        assert_eq!(l.commit_cross_batch(&refs)[1], CommitOutcome::Released);
+        assert_eq!(flushed()[4..], [(0, 2), (1, 2), (2, 1)]);
     }
 
     #[test]
@@ -2001,9 +1646,16 @@ mod tests {
         // also the ones that faulted blocks in and then charged nothing
         // (a refused filter check, an empty staged batch).
         let sim = SimStorage::new();
-        let mut l =
-            ShardedLedger::open_durable(grid(), 2, 1.0, 1, &sim, DurabilityOptions::default())
-                .unwrap();
+        let mut l = ShardedLedger::open_durable(
+            grid(),
+            2,
+            1.0,
+            1,
+            &sim,
+            DurabilityOptions::default(),
+            &Obs::off(),
+        )
+        .unwrap();
         for j in 0..64u64 {
             l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                 .unwrap();
@@ -2038,9 +1690,16 @@ mod tests {
     #[test]
     fn durable_tiered_ledger_recovers_bit_identically() {
         let sim = SimStorage::new();
-        let mut l =
-            ShardedLedger::open_durable(grid(), 4, 1.0, 1, &sim, DurabilityOptions::default())
-                .unwrap();
+        let mut l = ShardedLedger::open_durable(
+            grid(),
+            4,
+            1.0,
+            1,
+            &sim,
+            DurabilityOptions::default(),
+            &Obs::off(),
+        )
+        .unwrap();
         for j in 0..24u64 {
             l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                 .unwrap();
@@ -2074,9 +1733,16 @@ mod tests {
     #[test]
     fn crashes_under_a_tiered_durable_ledger_recover_bit_identically() {
         let run = |sim: &SimStorage| -> ShardedLedger {
-            let mut l =
-                ShardedLedger::open_durable(grid(), 4, 1.0, 1, sim, DurabilityOptions::default())
-                    .unwrap();
+            let mut l = ShardedLedger::open_durable(
+                grid(),
+                4,
+                1.0,
+                1,
+                sim,
+                DurabilityOptions::default(),
+                &Obs::off(),
+            )
+            .unwrap();
             for j in 0..16u64 {
                 l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                     .unwrap();
@@ -2107,6 +1773,7 @@ mod tests {
                 1,
                 &probe,
                 DurabilityOptions::default(),
+                &Obs::off(),
             )
             .unwrap();
             for j in 0..16u64 {

@@ -24,13 +24,18 @@
 //! * **Durability** — a service opened with [`BudgetService::recover`]
 //!   writes ahead through `dpack-wal`: every grant is logged (per-shard
 //!   commit records; cross-shard grants via intent/commit/abort
-//!   two-phase records) before any filter mutates, and recovery
-//!   rebuilds the exact pre-crash ledger from snapshot + replay. The
-//!   grant path is batch-first: a cycle's grants on one shard flush as
-//!   a single group-committed write + sync
+//!   two-phase records) before it becomes visible, and recovery
+//!   rebuilds the exact pre-crash ledger from snapshot + replay. There
+//!   is one commit path: a batch is staged on the filters under the
+//!   shard locks, a durable ledger saving a pre-image of each block it
+//!   touches, and a cycle's grants on one shard flush as a single
+//!   group-committed write + sync
 //!   ([`ShardedLedger::commit_shard_batch`]), amortizing the fsync
-//!   that would otherwise gate durable throughput. See [`durability`]
-//!   for the record formats and crash-ordering argument.
+//!   that would otherwise gate durable throughput; what did not become
+//!   durable is undone from the pre-images before the locks drop. The
+//!   private `journal` module is the one place that knows records,
+//!   group commit, coordinator decisions and replication shipping; see
+//!   [`durability`] for the record formats and crash-ordering argument.
 //!
 //! With `S = 1` shard and one worker the loop is decision-identical to
 //! [`dpack_core::online::OnlineEngine`]; the scheduling algorithms
@@ -66,6 +71,7 @@
 pub mod admission;
 pub mod config;
 pub mod durability;
+mod journal;
 pub mod ledger;
 pub mod replication;
 pub mod service;

@@ -13,7 +13,7 @@
 //! 2. **ship** the appended records — one [`ReplicationSink::ship`]
 //!    call per local append/batch, on the stream named after the log it
 //!    went to ([`ReplStream::Shard`] or [`ReplStream::Coordinator`]),
-//! 3. **acknowledge** (mutate the in-memory filters / return the
+//! 3. **acknowledge** (keep the staged filter mutations / return the
 //!    grant) only if the ship succeeded.
 //!
 //! A sink implementation forwards each ship to N replicas and reports
@@ -73,7 +73,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use dpack_wal::{Wal, WalError, WalOptions, WalStorage};
 
-use crate::ledger::{shard_dir, COORD_DIR};
+use crate::journal::{shard_dir, COORD_DIR};
 
 /// Root sidecar: the term of the primary whose resync installed this
 /// replica's state (its *lineage*). 8 little-endian bytes. Absent or

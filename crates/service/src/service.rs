@@ -230,7 +230,6 @@ pub struct BudgetService {
     /// Cycles started (drives the compaction cadence without touching
     /// the stats lock).
     cycles_run: AtomicU64,
-    failed_compactions: AtomicU64,
     /// The observability context (registry + flight recorder + clock).
     obs: Arc<Obs>,
     telemetry: ServiceTelemetry,
@@ -313,7 +312,7 @@ impl BudgetService {
         opts: DurabilityOptions,
         obs: Arc<Obs>,
     ) -> Result<Self, WalError> {
-        let mut ledger = ShardedLedger::open_durable_obs(
+        let mut ledger = ShardedLedger::open_durable(
             grid,
             config.shards,
             config.unlock_period,
@@ -379,7 +378,7 @@ impl BudgetService {
         tier: TierConfig,
     ) -> Result<Self, WalError> {
         let obs = Obs::wall();
-        let mut ledger = ShardedLedger::open_durable_obs(
+        let mut ledger = ShardedLedger::open_durable(
             grid,
             config.shards,
             config.unlock_period,
@@ -426,7 +425,6 @@ impl BudgetService {
             cycle_lock: Mutex::new(lanes),
             pending: AtomicUsize::new(0),
             cycles_run: AtomicU64::new(0),
-            failed_compactions: AtomicU64::new(0),
             obs,
             telemetry,
             config,
@@ -447,11 +445,7 @@ impl BudgetService {
     ///
     /// The first WAL error encountered.
     pub fn compact(&self) -> Result<(), WalError> {
-        let result = self.ledger.compact();
-        if result.is_err() {
-            self.failed_compactions.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        self.ledger.compact()
     }
 
     /// The service configuration.
@@ -967,10 +961,7 @@ impl BudgetService {
                 let _ = self.compact();
             }
         }
-        let durability = self.ledger.durability_stats().map(|mut d| {
-            d.failed_compactions = self.failed_compactions.load(Ordering::Relaxed);
-            d
-        });
+        let durability = self.ledger.durability_stats();
 
         // Close the cycle's spans and publish the cycle-level registry
         // values (counters mirror the ServiceStats fields; the WAL

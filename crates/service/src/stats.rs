@@ -93,7 +93,8 @@ pub struct DurabilityStats {
     /// Write-ahead failures that released work instead of charging it
     /// — nonzero means the storage crashed or errored. Counts failure
     /// *events*, not released grants: one failed group-commit flush
-    /// releases its whole batch but counts once.
+    /// releases its whole batch but counts once (and so does each
+    /// advisory `Abort` a still-failing coordinator log then refuses).
     pub failed_appends: u64,
     /// Replication ships that failed (quorum lost or a replica refused
     /// a batch) and released work a local append had already accepted.

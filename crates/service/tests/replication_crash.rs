@@ -160,7 +160,10 @@ fn drive_replicated(
         .iter()
         .map(|a| (a.id, admitted[&a.id].clone()))
         .collect();
-    let failed_ships = service.ledger().replication_failures();
+    let failed_ships = service
+        .ledger()
+        .durability_stats()
+        .map_or(0, |d| d.failed_ships);
     Ok((acked, service.ledger().block_states(), failed_ships))
 }
 

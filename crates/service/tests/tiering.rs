@@ -244,6 +244,7 @@ fn tiered_views_match_an_untiered_twin() {
                         *unlock_steps,
                         storage,
                         opts,
+                        &dpack_service::obs::Obs::off(),
                     )
                     .unwrap()
                 } else {

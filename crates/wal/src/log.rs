@@ -522,7 +522,7 @@ impl Wal {
     /// Re-scans the storage and resumes a [broken](WalError::Broken)
     /// log: truncates the torn tail a failed append left behind and
     /// accepts appends again. The caller's in-memory state is already
-    /// consistent with the repaired log — a mutation only ever follows
+    /// consistent with the repaired log — a mutation only ever outlives
     /// an acknowledged append, and repair removes only unacknowledged
     /// bytes. No-op on a healthy log.
     ///

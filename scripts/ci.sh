@@ -36,6 +36,18 @@ if grep -rn "criterion-benches" --include="*.rs" --include="*.toml" \
   exit 1
 fi
 
+echo "==> checking the ledger stays behind its journal"
+# ledger.rs stages on the filters and asks journal.rs whether the batch
+# became durable; records, group commit and WAL options are the
+# journal's alone, and the per-record and in-memory commit forks stay
+# deleted. Tests below `#[cfg(test)]` may name anything.
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/service/src/ledger.rs \
+  | grep -E 'ShardRecord|CoordRecord|append_batch|WalOptions|log_grant|commit_one_local'; then
+  echo "ERROR: crates/service/src/ledger.rs names journal-side machinery (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking new counter structs go through dpack-obs"
 # New metrics belong in the dpack-obs registry (named, labelled,
 # scrapable), not in one-off counter structs. The legacy pre-obs
@@ -85,6 +97,14 @@ cargo test -q
 # cheap (0.04 s at 64 cases), so it runs once more at 2000.
 echo "==> prop_dense_kernel at DPACK_CHECK_CASES=2000"
 DPACK_CHECK_CASES=2000 cargo test -q -p dpack-core --test prop_dense_kernel
+
+# Every commit stages on the real filters and undoes what the journal
+# could not make durable; these four suites are all that stands between
+# a wrong restore and a silently overdrawn block, and they are cheap
+# (~20 s at 500 cases), so they run once more at 500.
+echo "==> batch_crash, recovery, replication_crash, tiering at DPACK_CHECK_CASES=500"
+DPACK_CHECK_CASES=500 cargo test -q -p dpack-service \
+  --test batch_crash --test recovery --test replication_crash --test tiering
 
 # The vendored micro-benches must keep compiling *and running*; smoke
 # mode runs each benchmark for exactly one iteration.
