@@ -107,7 +107,7 @@ impl Block {
 ///
 /// A state is either built once ([`ProblemState::new`],
 /// [`ProblemState::from_available`]) or kept alive across scheduling
-/// rounds, as the budget service's pending lanes do: arrivals are
+/// rounds, as the budget service's pending set does: arrivals are
 /// appended with [`ProblemState::push_task`], granted and evicted tasks
 /// compacted out with [`ProblemState::retain_tasks`], and each round's
 /// capacities written over the last with

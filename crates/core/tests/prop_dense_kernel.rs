@@ -13,7 +13,7 @@
 //!
 //! A state may also outlive a scheduling round — tasks pushed, tasks
 //! compacted out, capacities written over — as the budget service's
-//! pending lanes do. The last property drives one through a drawn
+//! pending set does. The last property drives one through a drawn
 //! sequence of those edits and holds it, after every edit, against the
 //! state built from scratch over the same tasks: every field to the
 //! bit, every scheduler's output, and nothing changed by a refused

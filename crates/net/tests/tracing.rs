@@ -291,8 +291,8 @@ fn traced_grants_assemble_into_exact_cross_node_trees_and_status_lag_matches_the
     // tree is predictable — and any propagation bug breaks it.
     let phases = [
         SpanKind::PhaseIngest,
-        SpanKind::PhaseLocal,
-        SpanKind::PhaseCross,
+        SpanKind::PhaseDecide,
+        SpanKind::PhaseCommit,
         SpanKind::PhaseFinalize,
     ];
     for (t, ctx) in &traced {

@@ -56,10 +56,10 @@ pub enum SpanKind {
     Cycle = 3,
     /// Cycle phase: queue drain + eviction sweep.
     PhaseIngest = 4,
-    /// Cycle phase: shard-local schedule + commit.
-    PhaseLocal = 5,
-    /// Cycle phase: cross-shard schedule + 2PC commit.
-    PhaseCross = 6,
+    /// Cycle phase: ledger snapshot + the one scheduling pass.
+    PhaseDecide = 5,
+    /// Cycle phase: per-shard batch commits + cross-shard 2PC commit.
+    PhaseCommit = 6,
     /// Cycle phase: ticket resolution + bookkeeping.
     PhaseFinalize = 7,
     /// One shard's group-commit WAL append + fsync (`a` = shard).
@@ -85,8 +85,8 @@ impl SpanKind {
             2 => Self::QueueWait,
             3 => Self::Cycle,
             4 => Self::PhaseIngest,
-            5 => Self::PhaseLocal,
-            6 => Self::PhaseCross,
+            5 => Self::PhaseDecide,
+            6 => Self::PhaseCommit,
             7 => Self::PhaseFinalize,
             8 => Self::WalFlush,
             9 => Self::ReplShip,
@@ -103,8 +103,8 @@ impl SpanKind {
             Self::QueueWait => "queue_wait",
             Self::Cycle => "cycle",
             Self::PhaseIngest => "phase_ingest",
-            Self::PhaseLocal => "phase_local",
-            Self::PhaseCross => "phase_cross",
+            Self::PhaseDecide => "phase_decide",
+            Self::PhaseCommit => "phase_commit",
             Self::PhaseFinalize => "phase_finalize",
             Self::WalFlush => "wal_flush",
             Self::ReplShip => "repl_ship",

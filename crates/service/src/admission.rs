@@ -33,7 +33,7 @@ pub struct Submission {
     /// The task requesting budget.
     pub task: Task,
     /// Telemetry-clock admission stamp (nanos), carried beside the
-    /// task through its pending lane so closing the
+    /// task through the pending set so closing the
     /// `dpack_grant_latency_nanos` span at grant time costs no lookup.
     /// Meaningful only while observability is live; 0 otherwise.
     pub admitted_nanos: u64,

@@ -107,8 +107,12 @@ impl Default for TierConfig {
 pub struct ServiceConfig {
     /// Ledger shard count `S` (blocks are striped `id mod S`).
     pub shards: usize,
-    /// Worker threads `W` driving per-shard cycles and the cross-shard
-    /// scheduler's metric fan-out.
+    /// Worker threads `W`. A cycle's one scheduling pass fans its
+    /// metric computation — DPack's alpha orders, DPF's per-task shares
+    /// — out over them, and the commit deals its per-shard grant
+    /// batches over them so different shards' write-ahead syncs
+    /// overlap. The cycle thread is one of the `W`. Never changes a
+    /// decision.
     pub workers: usize,
     /// Scheduling period `T` in virtual time units (used by the
     /// background service loop to advance virtual time).
@@ -155,9 +159,10 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A single-shard, single-worker configuration — decision-identical
-    /// to driving a [`dpack_core::online::OnlineEngine`] directly,
-    /// which the equivalence tests assert.
+    /// A single-shard, single-worker configuration: no striping, no
+    /// threads. (Every configuration decides what a
+    /// [`dpack_core::online::OnlineEngine`] decides; this one also
+    /// charges each block in the engine's order, bit for bit.)
     pub fn sequential() -> Self {
         Self {
             shards: 1,

@@ -250,37 +250,23 @@ impl ShardedLedger {
         Some(activity)
     }
 
-    /// Available curves for exactly `ids` on one shard at `now` — the
-    /// demand-driven view scheduling cycles read on a tiered ledger,
-    /// so a cycle's snapshot cost scales with the blocks its tasks
-    /// reference rather than with every block registered. Bit-identical
-    /// to [`ShardedLedger::snapshot_shard_uncached`] on the ids it
-    /// covers, wherever they reside; ids that are unknown or homed on
-    /// other shards are skipped.
-    pub fn snapshot_blocks(
-        &self,
-        shard: usize,
-        now: f64,
-        ids: &[BlockId],
-    ) -> BTreeMap<BlockId, RdpCurve> {
-        let guard = self.lock(shard);
-        ids.iter()
-            .filter(|id| self.shard_of(**id) == shard)
-            .filter_map(|id| {
+    /// Available curves for exactly `ids` at `now`, taking shard locks
+    /// one at a time — the demand-driven view scheduling cycles read on
+    /// a tiered ledger, so a cycle's snapshot cost scales with the
+    /// blocks its tasks reference rather than with every block
+    /// registered. Bit-identical to [`ShardedLedger::snapshot_all`] on
+    /// the ids it covers, wherever they reside; unknown ids are skipped.
+    pub fn snapshot_blocks_all(&self, now: f64, ids: &[BlockId]) -> BTreeMap<BlockId, RdpCurve> {
+        let mut all = BTreeMap::new();
+        for shard in 0..self.shards.len() {
+            let guard = self.lock(shard);
+            let homed = ids.iter().filter(|id| self.shard_of(**id) == shard);
+            all.extend(homed.filter_map(|id| {
                 let curve = guard
                     .blocks
                     .with_block(*id, &self.grid, |b| self.available(b, now))?;
                 Some((*id, curve))
-            })
-            .collect()
-    }
-
-    /// [`ShardedLedger::snapshot_blocks`] across all shards (one lock
-    /// at a time) — the cross-shard pass's demand-driven view.
-    pub fn snapshot_blocks_all(&self, now: f64, ids: &[BlockId]) -> BTreeMap<BlockId, RdpCurve> {
-        let mut all = BTreeMap::new();
-        for s in 0..self.shards.len() {
-            all.extend(self.snapshot_blocks(s, now, ids));
+            }));
         }
         all
     }
@@ -568,11 +554,19 @@ impl ShardedLedger {
     /// Panics if the task references an unregistered block (admission
     /// validates block existence, and blocks are never removed).
     pub fn commit_task(&self, task: &Task) -> CommitOutcome {
-        let mut shards = task.blocks.iter().map(|b| self.shard_of(*b));
-        match shards.next() {
-            Some(home) if shards.all(|s| s == home) => self.commit_shard_batch(home, &[task])[0],
-            _ => self.commit_cross_batch(&[task])[0],
+        match self.home_shard(task) {
+            Some(home) => self.commit_shard_batch(home, &[task])[0],
+            None => self.commit_cross_batch(&[task])[0],
         }
+    }
+
+    /// The one shard all of a task's blocks live on — such a task can
+    /// ride [`ShardedLedger::commit_shard_batch`] — or `None` when its
+    /// blocks span shards (or it has none).
+    pub fn home_shard(&self, task: &Task) -> Option<usize> {
+        let mut shards = task.blocks.iter().map(|b| self.shard_of(*b));
+        let home = shards.next()?;
+        shards.all(|s| s == home).then_some(home)
     }
 
     /// Stages one task under the held locks — the one check → consume

@@ -12,11 +12,11 @@
 //! * [`AdmissionQueue`] — a bounded multi-tenant submission queue with
 //!   backpressure and per-tenant quotas; [`BudgetService::submit`]
 //!   validates tasks against the ledger before they are queued.
-//! * [`BudgetService`] — the batched scheduling loop: per-cycle,
-//!   shard-local tasks are scheduled by `std::thread::scope` workers in
-//!   parallel (one shard's snapshot/commit never touches another
-//!   shard's lock), then cross-shard tasks run through a sequential
-//!   pass committed all-or-nothing.
+//! * [`BudgetService`] — the batched scheduling loop: per cycle, one
+//!   scheduling pass over every pending task (Alg. 1 wants each block's
+//!   best alpha from *all* its requesters), then a striped commit —
+//!   the grants on one shard as one batch per shard, dealt over scoped
+//!   worker threads, and the grants spanning shards all-or-nothing.
 //! * [`ServiceStats`] / [`CycleStats`] — throughput, queue depth, cycle
 //!   latency and per-tenant grant rates, consumable by the bench
 //!   binaries and convertible to the engine's
@@ -37,10 +37,12 @@
 //!   group commit, coordinator decisions and replication shipping; see
 //!   [`durability`] for the record formats and crash-ordering argument.
 //!
-//! With `S = 1` shard and one worker the loop is decision-identical to
-//! [`dpack_core::online::OnlineEngine`]; the scheduling algorithms
-//! themselves are the unmodified `dpack-core` schedulers, fanned out
-//! through the orchestrator's parallel wrappers.
+//! At every shard and worker count the loop is decision-identical to
+//! [`dpack_core::online::OnlineEngine`]: one pass per cycle decides
+//! over every pending task, and only the commit is striped (the one
+//! last-bit condition at `S > 1` is in the [`service`] module docs).
+//! The scheduling algorithms themselves are the unmodified `dpack-core`
+//! schedulers, fanned out through the orchestrator's parallel wrappers.
 //!
 //! # Examples
 //!

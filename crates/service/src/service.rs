@@ -9,44 +9,63 @@
 //! registration, so the block set is fixed for the length of a cycle;
 //! submissions stay concurrent throughout.
 //!
-//! The pending set lives in **lanes** the cycle lock owns: one per
-//! shard for tasks whose blocks all live there, and one for tasks
-//! spanning shards. A lane is a [`ProblemState`] that survives from
-//! cycle to cycle — tasks and their dense scheduler rows, in arrival
-//! order — with each task's tenant, admission stamp and trace context
-//! beside it. A submission is routed to its lane once, when it is
-//! ingested, and *moved* in; from then on a cycle only writes the
-//! lane's capacities over with a fresh ledger snapshot, schedules,
-//! commits, and compacts out what was granted or evicted. Nothing is
-//! cloned, re-partitioned or rebuilt for a task that merely waits.
+//! **Decide globally, commit striped.** The paper's scheduler (§3,
+//! Alg. 1) picks each block's best alpha from *all* of the block's
+//! requesters and packs in one global efficiency order, so the service
+//! keeps **one** pending set and runs **one** scheduling pass per cycle
+//! over the whole ledger, however many shards the ledger has. Striping
+//! stays where it pays: submit-time validation, registration, snapshot
+//! reads and the commit each take only the shard locks they need.
+//!
+//! The pending set is a [`ProblemState`] the cycle lock owns and that
+//! survives from cycle to cycle — tasks and their dense scheduler rows,
+//! in arrival order — with each task's tenant, admission stamp and
+//! trace context beside it. A submission is *moved* in when it is
+//! ingested; from then on a cycle only writes the state's capacities
+//! over with a fresh ledger snapshot, schedules, commits, and compacts
+//! out what was granted or evicted. Nothing is cloned or rebuilt for a
+//! task that merely waits.
 //!
 //! One cycle runs four phases, mirroring the §6.4 "scheduling
 //! procedure" (ingest → snapshot → algorithm → commit):
 //!
-//! 1. **Ingest** — drain the admission queue into the lanes and evict
-//!    timed-out tasks.
-//! 2. **Shard-local scheduling** — each shard lane is scheduled by
-//!    [`std::thread::scope`] workers, each worker snapshotting and
-//!    committing against only its shards' locks, so shards proceed in
-//!    parallel without contention.
-//! 3. **Cross-shard scheduling** — the cross lane is scheduled
-//!    sequentially over a fresh global snapshot and committed with the
-//!    ledger's two-phase protocol: all-or-nothing across shards.
-//! 4. **Bookkeeping** — tickets resolve, granted and evicted ids stop
+//! 1. **Ingest** — drain the admission queue into the pending set and
+//!    evict timed-out tasks, in arrival order.
+//! 2. **Decide** — one snapshot of every shard, one pass of the
+//!    configured scheduler over every pending task; its alpha orders
+//!    (or DPF's per-task shares) fan out over the worker threads.
+//! 3. **Commit** — the pass's grants split by shard set. Grants whose
+//!    blocks all live on one shard go to the ledger as one batch per
+//!    shard, the batches fanned out over the workers so different
+//!    shards' write-ahead syncs overlap; then the grants spanning
+//!    shards commit as one two-phase batch, all-or-nothing per task.
+//! 4. **Finalize** — tickets resolve, granted and evicted ids stop
 //!    being live; stats record the cycle's volumes and phase timings.
 //!
-//! Lanes never reorder their tasks, so every pass sees exactly the
-//! state a from-scratch rebuild over the same pending tasks would
-//! give. With one shard and one worker the loop therefore degenerates
-//! to the [`OnlineEngine`](dpack_core::online::OnlineEngine)
-//! semantics — the engine does rebuild every step — which the
-//! equivalence tests assert allocation-for-allocation.
+//! The pending set never reorders its tasks, so the pass sees exactly
+//! the state a from-scratch rebuild over the same pending tasks would
+//! give, and the shard count and worker count change neither the
+//! snapshot nor the pass: at every `S` and `W` the service allocates
+//! what the [`OnlineEngine`](dpack_core::online::OnlineEngine) — which
+//! does rebuild every step — allocates: same ids, same order, same
+//! steps, same evictions, which the equivalence sweep asserts. The
+//! bit-level claim is **per block**: a block is charged its shard-local
+//! grants in allocation order, then its spanning grants in allocation
+//! order — the order its shard's log replays, so recovery is
+//! bit-identical — where the engine charges one global allocation
+//! order. The two `f64` sums can differ in the last bit at `S > 1`, the
+//! one condition on the allocation claim: a selected task that fills a
+//! block to that last bit of the filter's tolerance edge can pass the
+//! pass's check and fail the ledger's. The filter releases it
+//! ([`CycleStats::released`]); it stays pending and is granted a cycle
+//! later than the engine grants it. No block is overdrawn either way.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dp_accounting::AlphaGrid;
+use dpack_core::fan_out;
 use dpack_core::online::AllocatedTask;
 use dpack_core::problem::{Block, BlockId, ProblemError, ProblemState, Task, TaskId};
 use dpack_obs::trace::{scoped_traces, span_id, SpanKind};
@@ -61,7 +80,7 @@ use crate::telemetry::ServiceTelemetry;
 use crate::ticket::{Decision, SubmissionTicket, TicketCell};
 
 /// An available-capacity snapshot, keyed by block id: read from the
-/// ledger once per scheduling pass and moved into the lane's state.
+/// ledger once per cycle and moved into the pending state.
 type Snapshot = std::collections::BTreeMap<BlockId, dp_accounting::RdpCurve>;
 
 /// What rides beside a pending task: who submitted it, when (telemetry
@@ -74,20 +93,20 @@ struct Tag {
     trace: Option<TraceContext>,
 }
 
-/// The pending tasks of one shard — or, for the cross lane, those that
-/// span shards — kept across cycles.
-struct Lane {
+/// Every pending task of the service, kept across cycles: what the
+/// cycle lock guards.
+struct Pending {
     /// The tasks and their scheduler rows, in arrival order. The
-    /// capacities are those of the lane's last pass.
+    /// capacities are those of the last pass.
     state: ProblemState,
     /// One per task of `state`, in its order.
     tags: Vec<Tag>,
-    /// Ingested this cycle. They enter `state` in the lane's pass,
+    /// Ingested this cycle. They enter `state` in the decide phase,
     /// once it holds a snapshot taken after their blocks registered.
     arrivals: Vec<Submission>,
 }
 
-impl Lane {
+impl Pending {
     fn new(grid: &AlphaGrid) -> Self {
         let state = ProblemState::from_available(grid.clone(), Snapshot::new(), Vec::new())
             .expect("the empty state is valid");
@@ -129,8 +148,8 @@ impl Lane {
         self.arrivals.retain(|s| !expired(s.tenant, &s.task));
     }
 
-    /// The deduplicated union of block ids the lane's tasks touch — the
-    /// key set of a tiered cycle's demand-driven snapshot.
+    /// The deduplicated union of block ids the pending tasks touch —
+    /// the key set of a tiered cycle's demand-driven snapshot.
     fn referenced_blocks(&self) -> Vec<BlockId> {
         let tasks = self.state.tasks().iter();
         let mut ids: Vec<_> = tasks
@@ -143,41 +162,21 @@ impl Lane {
     }
 }
 
-/// Every lane of a service: what the cycle lock guards.
-struct Lanes {
-    /// By shard.
-    shards: Vec<Lane>,
-    cross: Lane,
-}
-
-impl Lanes {
-    /// Tasks pending over all lanes.
-    fn len(&self) -> usize {
-        self.shards.iter().chain([&self.cross]).map(Lane::len).sum()
-    }
-}
-
-/// Which lane a scheduling pass runs, and so which ledger batch-commit
-/// path it feeds.
-#[derive(Clone, Copy)]
-enum CommitTarget {
-    /// Shard-local grants, batched under that shard's lock.
-    Local(usize),
-    /// Cross-shard grants, two-phase-committed as a batch.
-    Cross,
-}
-
 /// A committed grant on its way to the cycle's bookkeeping.
 struct Grant {
     tag: Tag,
     task: AllocatedTask,
 }
 
-/// One lane's pass.
-struct Pass {
+/// What a cycle's commit phase did with the pass's selection.
+struct Committed {
+    /// In allocation order.
     granted: Vec<Grant>,
+    /// How many of them committed as part of a shard batch; the rest
+    /// took the two-phase path.
+    local: usize,
+    /// Selected, then released by a filter or a failed flush.
     released: usize,
-    algorithm: Duration,
 }
 
 /// Tasks currently *live* — queued or pending. Ids are the commit
@@ -222,10 +221,10 @@ pub struct BudgetService {
     /// double-charge a grant the promoted ledger already holds.
     recovered_granted: std::collections::BTreeSet<TaskId>,
     /// Serializes cycles and block registrations, and owns the pending
-    /// lanes: only a running cycle touches them.
-    cycle_lock: Mutex<Lanes>,
-    /// Tasks in the lanes, as the running (or else the last) cycle
-    /// last counted them.
+    /// set: only a running cycle touches it.
+    cycle_lock: Mutex<Pending>,
+    /// Tasks pending, as the running (or else the last) cycle last
+    /// counted them.
     pending: AtomicUsize,
     /// Cycles started (drives the compaction cadence without touching
     /// the stats lock).
@@ -408,12 +407,7 @@ impl BudgetService {
         let mut stats = ServiceStats::with_retention(config.retention);
         stats.durability = ledger.durability_stats();
         let telemetry = ServiceTelemetry::new(&obs);
-        let lanes = Lanes {
-            shards: (0..ledger.n_shards())
-                .map(|_| Lane::new(ledger.grid()))
-                .collect(),
-            cross: Lane::new(ledger.grid()),
-        };
+        let pending = Pending::new(ledger.grid());
         Self {
             ledger,
             durability,
@@ -422,7 +416,7 @@ impl BudgetService {
             tickets: Mutex::new(std::collections::BTreeMap::new()),
             recovered_granted,
             stats: Mutex::new(stats),
-            cycle_lock: Mutex::new(lanes),
+            cycle_lock: Mutex::new(pending),
             pending: AtomicUsize::new(0),
             cycles_run: AtomicU64::new(0),
             obs,
@@ -498,8 +492,8 @@ impl BudgetService {
     /// Registers a data block on its shard. Callable from any thread,
     /// but not *during* a cycle: registration takes the cycle lock, so
     /// it waits for a running cycle to end and the block set is fixed
-    /// for the length of every cycle — which is what lets a pending
-    /// lane keep its tasks' block indices from pass to pass.
+    /// for the length of every cycle — which is what lets the pending
+    /// state keep its tasks' block indices from pass to pass.
     ///
     /// The lock is there for replication: a registration's durable
     /// append ships on the same per-shard stream as cycle flushes, and
@@ -799,98 +793,50 @@ impl BudgetService {
     /// [`BudgetService::register_block`]): the cycle sees one block set
     /// from start to end. Submissions stay concurrent throughout.
     pub fn run_cycle(&self, now: f64) -> CycleStats {
-        let mut lanes = self.cycle_lock.lock().expect("cycle lock poisoned");
-        let lanes = &mut *lanes;
+        let mut pending = self.cycle_lock.lock().expect("cycle lock poisoned");
+        let pending = &mut *pending;
         let cycle_index = self.cycles_run.fetch_add(1, Ordering::Relaxed) + 1;
         // Five telemetry-clock reads bound the cycle's phases: t0
-        // (start), after ingest/evict, after the shard-local pass,
-        // after the cross pass, and at the end. Under a ManualClock
-        // with tick T an empty cycle is exactly 4·T long with each
-        // phase exactly T — the timing tests assert this.
+        // (start), after ingest/evict, after the scheduling pass, after
+        // the commit, and at the end. Under a ManualClock with tick T
+        // an empty cycle is exactly 4·T long with each phase exactly T
+        // — the timing tests assert this.
         let t_start = self.obs.now_nanos();
 
-        // Phase 1a: ingest the admission queue, moving each submission
-        // to the lane it stays in until granted or evicted.
+        // Phase 1: ingest the admission queue, then evict timed-out
+        // tasks in arrival order.
         let batch = self.queue.drain(self.config.ingest_batch);
         let ingested = batch.len();
         let queue_depth = self.queue.len();
-        for mut s in batch {
-            if s.task.timeout.is_none() {
-                s.task.timeout = self.config.default_timeout;
-            }
-            let first = self.ledger.shard_of(s.task.blocks[0]);
-            let local = s
-                .task
-                .blocks
-                .iter()
-                .all(|b| self.ledger.shard_of(*b) == first);
-            let lane = if local {
-                &mut lanes.shards[first]
-            } else {
-                &mut lanes.cross
-            };
-            lane.arrivals.push(s);
-        }
-
-        // Phase 1b: evict timed-out tasks, lane by lane and in arrival
-        // order within a lane.
+        pending.arrivals.extend(batch.into_iter().map(|mut s| {
+            s.task.timeout = s.task.timeout.or(self.config.default_timeout);
+            s
+        }));
         let mut evicted: Vec<(TenantId, TaskId)> = Vec::new();
-        for lane in lanes.shards.iter_mut().chain([&mut lanes.cross]) {
-            lane.evict_expired(now, &mut evicted);
-        }
-        self.pending.store(lanes.len(), Ordering::Relaxed);
+        pending.evict_expired(now, &mut evicted);
+        self.pending.store(pending.len(), Ordering::Relaxed);
         let t_ingest = self.obs.now_nanos();
 
-        // Phase 2: shard-local passes on scoped worker threads. Each
-        // worker owns a disjoint run of shard lanes, so snapshots and
-        // commits on different workers never share a lock.
-        let mut work: Vec<(usize, &mut Lane)> = lanes
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, lane)| lane.len() > 0)
-            .collect();
-        let n_threads = self.config.workers.min(work.len()).max(1);
-        let chunk = work.len().div_ceil(n_threads).max(1);
-        // In ascending shard order: the deterministic commit order for
-        // the record.
-        let mut passes: Vec<Pass> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .chunks_mut(chunk)
-                .map(|items| {
-                    scope.spawn(move || {
-                        items
-                            .iter_mut()
-                            .map(|(shard, lane)| {
-                                self.run_lane(lane, CommitTarget::Local(*shard), 1, now)
-                            })
-                            .collect::<Vec<Pass>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                passes.extend(h.join().expect("shard worker panicked"));
-            }
-        });
-        let local_granted: usize = passes.iter().map(|p| p.granted.len()).sum();
-        let t_local = self.obs.now_nanos();
+        // Phase 2: one pass over every pending task.
+        let (selected, algorithm) = if pending.len() > 0 {
+            self.decide(pending, now)
+        } else {
+            (Vec::new(), Duration::ZERO)
+        };
+        let t_decide = self.obs.now_nanos();
 
-        // Phase 3: cross-shard pass over a fresh global snapshot (which
-        // reflects the local commits), two-phase-committed.
-        if lanes.cross.len() > 0 {
-            let threads = self.config.workers;
-            passes.push(self.run_lane(&mut lanes.cross, CommitTarget::Cross, threads, now));
-        }
+        // Phase 3: the striped commit.
+        let Committed {
+            granted,
+            local: local_granted,
+            released,
+        } = self.commit(pending, &selected, now);
         // Commit point of the cycle: every grant below was decided by
         // here, so this timestamp closes the grant-latency spans.
-        let t_cross = self.obs.now_nanos();
+        let t_commit = self.obs.now_nanos();
 
         // Phase 4: bookkeeping.
-        let released: usize = passes.iter().map(|p| p.released).sum();
-        let algorithm: Duration = passes.iter().map(|p| p.algorithm).sum();
-        let granted: Vec<Grant> = passes.into_iter().flat_map(|p| p.granted).collect();
-        let pending_after = lanes.len();
+        let pending_after = pending.len();
         self.pending.store(pending_after, Ordering::Relaxed);
 
         // Close the latency spans of the grants — the stamp travelled
@@ -901,7 +847,7 @@ impl BudgetService {
             for g in &granted {
                 self.telemetry
                     .grant_latency
-                    .record(t_cross.saturating_sub(g.tag.admitted_nanos));
+                    .record(t_commit.saturating_sub(g.tag.admitted_nanos));
             }
         }
         // Resolve submit_async completion handles now that the
@@ -984,14 +930,14 @@ impl BudgetService {
             .phase_ingest
             .record(t_ingest.saturating_sub(t_start));
         self.telemetry
-            .phase_local
-            .record(t_local.saturating_sub(t_ingest));
+            .phase_decide
+            .record(t_decide.saturating_sub(t_ingest));
         self.telemetry
-            .phase_cross
-            .record(t_cross.saturating_sub(t_local));
+            .phase_commit
+            .record(t_commit.saturating_sub(t_decide));
         self.telemetry
             .phase_finalize
-            .record(t_end.saturating_sub(t_cross));
+            .record(t_end.saturating_sub(t_commit));
         self.telemetry
             .cycle_nanos
             .record(t_end.saturating_sub(t_start));
@@ -1030,9 +976,9 @@ impl BudgetService {
             );
             for (kind, lo, hi) in [
                 (SpanKind::PhaseIngest, t_start, t_ingest),
-                (SpanKind::PhaseLocal, t_ingest, t_local),
-                (SpanKind::PhaseCross, t_local, t_cross),
-                (SpanKind::PhaseFinalize, t_cross, t_end),
+                (SpanKind::PhaseDecide, t_ingest, t_decide),
+                (SpanKind::PhaseCommit, t_decide, t_commit),
+                (SpanKind::PhaseFinalize, t_commit, t_end),
             ] {
                 spans.record(
                     ctx.trace,
@@ -1075,52 +1021,47 @@ impl BudgetService {
         cycle
     }
 
-    /// One lane's pass: write a fresh snapshot's capacities over the
-    /// lane's state, let this cycle's arrivals in, schedule, and commit
-    /// the selected grants through the ledger **as one batch** — a
-    /// cycle's grants on one shard cost one write-ahead sync
-    /// (shard-local batch under that shard's lock; cross-shard intents
-    /// join their home shard's batch, decisions stay per-attempt). What
-    /// commits leaves the lane; everything else waits in place.
-    fn run_lane(&self, lane: &mut Lane, target: CommitTarget, threads: usize, now: f64) -> Pass {
+    /// The decide phase: write a fresh snapshot's capacities over the
+    /// pending state, let this cycle's arrivals in, and run the
+    /// configured scheduler once over all of it. Returns the selected
+    /// tasks' positions in the state, in allocation order, and the
+    /// scheduler's runtime.
+    fn decide(&self, pending: &mut Pending, now: f64) -> (Vec<usize>, Duration) {
         // Two views, selected by what the ledger is, both measured.
-        // Tiered (`tiered_zipf`, 50 000 blocks): the whole-shard view
+        // Tiered (`tiered_zipf`, 50 000 blocks): the whole-ledger view
         // would rebuild every cold block from its summary each cycle,
-        // so read exactly the blocks the lane's tasks reference —
+        // so read exactly the blocks the pending tasks reference —
         // identical bits for those blocks, and the schedulers never
         // look at unreferenced ones, so decisions don't change.
         // Untiered (`online_alibaba`, 45 blocks, ~3 200 pending tasks):
-        // the whole-shard view is cheaper than sorting the pending
+        // the whole-ledger view is cheaper than sorting the pending
         // tasks' block references — the demand-driven view everywhere
         // lost every pair there (`decisions_per_s` −3.7 %) — and its
-        // ids only ever grow, so the lane's rows stay as they are.
+        // ids only ever grow, so the pending rows stay as they are.
         let ledger = &self.ledger;
-        let snapshot = match (target, ledger.tier_enabled()) {
-            (CommitTarget::Local(shard), true) => {
-                ledger.snapshot_blocks(shard, now, &lane.referenced_blocks())
-            }
-            (CommitTarget::Local(shard), false) => ledger.snapshot_shard_uncached(shard, now),
-            (CommitTarget::Cross, true) => {
-                ledger.snapshot_blocks_all(now, &lane.referenced_blocks())
-            }
-            (CommitTarget::Cross, false) => ledger.snapshot_all(now),
+        let snapshot = if ledger.tier_enabled() {
+            ledger.snapshot_blocks_all(now, &pending.referenced_blocks())
+        } else {
+            ledger.snapshot_all(now)
         };
-        lane.state
+        pending
+            .state
             .set_available(snapshot)
             .expect("blocks are never unregistered");
-        for s in lane.arrivals.drain(..) {
-            lane.tags.push(Tag {
+        for s in pending.arrivals.drain(..) {
+            pending.tags.push(Tag {
                 tenant: s.tenant,
                 admitted_nanos: s.admitted_nanos,
                 trace: s.trace,
             });
-            lane.state
+            pending
+                .state
                 .push_task(s.task)
                 .expect("admission validated every pending task");
         }
-        let state = &lane.state;
-        let allocation = self.config.scheduler.schedule(state, threads);
-        let indices: Vec<usize> = allocation
+        let state = &pending.state;
+        let allocation = self.config.scheduler.schedule(state, self.config.workers);
+        let selected = allocation
             .scheduled
             .iter()
             .map(|id| {
@@ -1129,42 +1070,93 @@ impl BudgetService {
                     .expect("scheduler only returns state tasks")
             })
             .collect();
-        let scheduled: Vec<&Task> = indices.iter().map(|&i| &state.tasks()[i]).collect();
-        // Pin the scheduled tasks' trace contexts for the commit: the
-        // ledger and replication layers run on this thread and read
-        // the scoped set to record their WAL-flush / ship spans
-        // without any signature change on the commit path.
-        let pinned = scoped_traces(indices.iter().filter_map(|&i| lane.tags[i].trace).collect());
-        let outcomes = match target {
-            CommitTarget::Local(shard) => ledger.commit_shard_batch(shard, &scheduled),
-            CommitTarget::Cross => ledger.commit_cross_batch(&scheduled),
-        };
-        drop(pinned);
-        let mut keep = vec![true; state.tasks().len()];
-        let mut granted = Vec::new();
-        let mut released = 0usize;
-        for ((task, &i), outcome) in scheduled.iter().zip(&indices).zip(outcomes) {
-            match outcome {
-                CommitOutcome::Committed => {
-                    keep[i] = false;
-                    granted.push(Grant {
-                        tag: lane.tags[i],
-                        task: AllocatedTask {
-                            id: task.id,
-                            weight: task.weight,
-                            arrival: task.arrival,
-                            allocated_at: now,
-                        },
-                    });
-                }
-                CommitOutcome::Released => released += 1,
+        (selected, allocation.runtime)
+    }
+
+    /// The commit phase: the pass's selection, split by shard set. The
+    /// tasks whose blocks all live on one shard commit as **one batch
+    /// per shard** — a cycle's grants on one shard cost one write-ahead
+    /// sync — with the batches dealt over the worker threads (the cycle
+    /// thread takes the first share), so different shards' syncs
+    /// overlap. Then the tasks spanning shards commit as one two-phase
+    /// batch: their intents join their home shards' flushes, decisions
+    /// stay per-attempt. Every selected task fits the snapshot together
+    /// with all the others, so the order between the two groups decides
+    /// nothing; within a group, tasks keep their allocation order. What
+    /// commits leaves the pending set; everything else waits in place.
+    fn commit(&self, pending: &mut Pending, selected: &[usize], now: f64) -> Committed {
+        let ledger = &self.ledger;
+        let (tasks, tags) = (pending.state.tasks(), &pending.tags);
+        // Positions in `selected`, per shard and for the spanning group.
+        let mut local: Vec<Vec<usize>> = vec![Vec::new(); ledger.n_shards()];
+        let mut spanning: Vec<usize> = Vec::new();
+        for (at, &i) in selected.iter().enumerate() {
+            match ledger.home_shard(&tasks[i]) {
+                Some(home) => local[home].push(at),
+                None => spanning.push(at),
             }
         }
-        lane.retain(&keep);
-        Pass {
+        // One group's commit. The group's trace contexts are pinned on
+        // the committing thread: the ledger and replication layers read
+        // the scoped set to record their WAL-flush / ship spans without
+        // any signature change on the commit path.
+        let commit_group = |group: &[usize], shard: Option<usize>| {
+            let batch: Vec<&Task> = group.iter().map(|&at| &tasks[selected[at]]).collect();
+            let traces = group.iter().filter_map(|&at| tags[selected[at]].trace);
+            let _pinned = scoped_traces(traces.collect());
+            match shard {
+                Some(shard) => ledger.commit_shard_batch(shard, &batch),
+                None => ledger.commit_cross_batch(&batch),
+            }
+        };
+        let batches: Vec<(usize, &[usize])> = local
+            .iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(shard, group)| (shard, group.as_slice()))
+            .collect();
+        let threads = self.config.workers.min(batches.len()).max(1);
+        let mut outcomes = vec![CommitOutcome::Released; selected.len()];
+        let shares = fan_out(threads, |w| {
+            let mine = batches.iter().skip(w).step_by(threads);
+            mine.flat_map(|&(shard, group)| {
+                group.iter().copied().zip(commit_group(group, Some(shard)))
+            })
+            .collect::<Vec<_>>()
+        });
+        for (at, outcome) in shares.into_iter().flatten() {
+            outcomes[at] = outcome;
+        }
+        let n_local = outcomes
+            .iter()
+            .filter(|o| **o == CommitOutcome::Committed)
+            .count();
+        for (&at, outcome) in spanning.iter().zip(commit_group(&spanning, None)) {
+            outcomes[at] = outcome;
+        }
+
+        let mut keep = vec![true; tasks.len()];
+        let mut granted = Vec::new();
+        for (&i, outcome) in selected.iter().zip(&outcomes) {
+            if *outcome == CommitOutcome::Committed {
+                keep[i] = false;
+                granted.push(Grant {
+                    tag: tags[i],
+                    task: AllocatedTask {
+                        id: tasks[i].id,
+                        weight: tasks[i].weight,
+                        arrival: tasks[i].arrival,
+                        allocated_at: now,
+                    },
+                });
+            }
+        }
+        let released = selected.len() - granted.len();
+        pending.retain(&keep);
+        Committed {
             granted,
+            local: n_local,
             released,
-            algorithm: allocation.runtime,
         }
     }
 }
@@ -1777,7 +1769,7 @@ mod tests {
         // its total is exactly 4 ticks and each phase exactly 1.
         assert_eq!(cycle.total, Duration::from_nanos(4 * TICK));
         let snap = obs.registry.snapshot();
-        for phase in ["ingest", "local", "cross", "finalize"] {
+        for phase in ["ingest", "decide", "commit", "finalize"] {
             let labels = format!("phase=\"{phase}\"");
             let h = snap
                 .histogram("dpack_cycle_phase_nanos", &labels)
@@ -1799,9 +1791,9 @@ mod tests {
             .unwrap();
         // Clock read #1: the admission stamp (returns 0).
         service.submit(7, simple_task(42, vec![0], 0.3)).unwrap();
-        // Cycle reads: t0, t_ingest, two lock-hold reads inside the
-        // shard batch commit, t_local, t_cross, t_end — 7 reads, so
-        // t_cross is read #7 = 6 ticks after the stamp.
+        // Cycle reads: t0, t_ingest, t_decide, two lock-hold reads
+        // inside the shard batch commit, t_commit, t_end — 7 reads, so
+        // t_commit is read #7 = 6 ticks after the stamp.
         let cycle = service.run_cycle(1.0);
         assert_eq!(cycle.granted(), 1);
         assert_eq!(cycle.total, Duration::from_nanos(6 * TICK));
@@ -1811,10 +1803,10 @@ mod tests {
         let hold = snap.histogram("dpack_shard_lock_hold_nanos", "").unwrap();
         assert_eq!((hold.count, hold.sum), (1, TICK));
         // The phase the commit ran in absorbed its two extra reads.
-        let local = snap
-            .histogram("dpack_cycle_phase_nanos", "phase=\"local\"")
+        let commit = snap
+            .histogram("dpack_cycle_phase_nanos", "phase=\"commit\"")
             .unwrap();
-        assert_eq!((local.count, local.sum), (1, 3 * TICK));
+        assert_eq!((commit.count, commit.sum), (1, 3 * TICK));
         // The flight recorder saw admission then grant, in order.
         let events = obs.recorder.dump();
         let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();

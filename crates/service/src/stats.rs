@@ -51,19 +51,20 @@ pub struct CycleStats {
     pub ingested: usize,
     /// Tasks evicted by timeout this cycle.
     pub evicted: usize,
-    /// Tasks granted by shard-local scheduling.
+    /// Grants committed in a shard batch: every block on one shard.
     pub local_granted: usize,
-    /// Tasks granted by the cross-shard pass.
+    /// Grants committed by the two-phase path: blocks on several shards.
     pub cross_granted: usize,
     /// Tasks the schedulers selected but a filter released (stay
-    /// pending; 0 in single-writer operation).
+    /// pending). 0 in single-writer operation, unless at `S > 1` a
+    /// task fills a block to the last bit of its `f64` sum (see the
+    /// [`service`](crate::service) module docs); it is granted next cycle.
     pub released: usize,
     /// Admission-queue depth after the ingest phase.
     pub queue_depth: usize,
     /// Pending tasks after the cycle.
     pub pending_after: usize,
-    /// Summed scheduler runtimes (CPU view — per-shard runtimes add up
-    /// even when they overlap on worker threads).
+    /// Runtime of the cycle's scheduling pass.
     pub algorithm: Duration,
     /// Wall-clock duration of the whole cycle.
     pub total: Duration,
@@ -191,8 +192,8 @@ pub struct ServiceStats {
     pub rejected_quota: u64,
     /// Submissions rejected by validation (unknown block, wrong grid).
     pub rejected_invalid: u64,
-    /// Granted tasks in commit order (shard-ascending within a cycle,
-    /// then the cross-shard pass), bounded by the retention window.
+    /// Granted tasks in allocation order, bounded by the retention
+    /// window.
     pub granted: VecDeque<AllocatedTask>,
     /// Lifetime grant count (exact under any retention).
     pub granted_total: u64,

@@ -55,8 +55,8 @@ pub(crate) struct ServiceTelemetry {
     pub grant_latency: Histogram,
     pub cycle_nanos: Histogram,
     pub phase_ingest: Histogram,
-    pub phase_local: Histogram,
-    pub phase_cross: Histogram,
+    pub phase_decide: Histogram,
+    pub phase_commit: Histogram,
     pub phase_finalize: Histogram,
 }
 
@@ -81,8 +81,8 @@ impl ServiceTelemetry {
             grant_latency: r.histogram("dpack_grant_latency_nanos", ""),
             cycle_nanos: r.histogram("dpack_cycle_nanos", ""),
             phase_ingest: r.histogram("dpack_cycle_phase_nanos", "phase=\"ingest\""),
-            phase_local: r.histogram("dpack_cycle_phase_nanos", "phase=\"local\""),
-            phase_cross: r.histogram("dpack_cycle_phase_nanos", "phase=\"cross\""),
+            phase_decide: r.histogram("dpack_cycle_phase_nanos", "phase=\"decide\""),
+            phase_commit: r.histogram("dpack_cycle_phase_nanos", "phase=\"commit\""),
             phase_finalize: r.histogram("dpack_cycle_phase_nanos", "phase=\"finalize\""),
         }
     }

@@ -142,8 +142,7 @@ fn sequential_service_reproduces_the_online_engine_exactly() {
 
 #[test]
 fn shard_count_does_not_break_soundness_or_liveness() {
-    // The same small workload across shard counts: grants can differ
-    // (the sharded discipline is local-first), but soundness and basic
+    // The same small workload across shard counts: soundness and basic
     // liveness must hold everywhere.
     let lib = CurveLibrary::standard();
     let state = generate(

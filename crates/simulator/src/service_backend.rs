@@ -5,10 +5,9 @@
 //! The same deterministic event loop as [`crate::simulate`] — block
 //! arrivals, task arrivals, scheduling ticks every `T` — but arrivals
 //! register/submit into a [`BudgetService`] and ticks run its batched
-//! cycle. With one shard and one worker the allocations are identical
-//! to the engine backend; with more shards the service's local-first
-//! discipline applies (single-shard tasks schedule per shard in
-//! parallel, cross-shard tasks go through the two-phase pass).
+//! cycle. The allocations are identical to the engine backend at every
+//! shard and worker count: the service decides in one global pass and
+//! only its commit is striped.
 
 use std::time::Instant;
 

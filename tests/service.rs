@@ -1,14 +1,18 @@
-//! Cross-crate decision-equivalence tests on the microbenchmark
-//! workload: the orchestrator's parallel scheduler wrappers and the
-//! sharded service's S=1 loop must be bit-identical to the
-//! single-threaded `dpack-core` schedulers.
+//! Cross-crate decision-equivalence tests on the microbenchmark and
+//! Alibaba-DP workloads: the orchestrator's parallel scheduler wrappers
+//! must be bit-identical to the single-threaded `dpack-core`
+//! schedulers, and the service — at any shard and worker count — must
+//! allocate what the online engine allocates.
 
 use dpack::core::schedulers::{DPack, Dpf, DpfStrict, Scheduler};
 use dpack::gen::curves::CurveLibrary;
 use dpack::gen::microbenchmark::{generate, MicrobenchmarkConfig};
 use dpack::orchestration::{ParallelDPack, ParallelDpf};
 use dpack::service::{SchedulerChoice, ServiceConfig};
-use dpack::sim::{BackendKind, SchedulerKind, SimulationSpec, WorkloadKind};
+use dpack::sim::{
+    replay_workload, simulate, BackendKind, ReplayEvent, SchedulerKind, SimulationConfig,
+    SimulationSpec, WorkloadKind,
+};
 
 fn micro_state(n_tasks: usize, seed: u64) -> dpack::core::problem::ProblemState {
     let lib = CurveLibrary::standard();
@@ -116,8 +120,6 @@ fn service_backend_at_one_shard_matches_the_engine_backend() {
 
 #[test]
 fn sharded_service_backend_stays_sound_on_the_microbenchmark() {
-    // Grants may differ from the engine under sharding (local-first
-    // discipline); soundness and conservation must not.
     let wl = SimulationSpec {
         workload: WorkloadKind::Microbenchmark,
         n_blocks: 8,
@@ -140,4 +142,63 @@ fn sharded_service_backend_stays_sound_on_the_microbenchmark() {
         result.allocated() + result.final_pending,
         result.n_submitted
     );
+}
+
+/// The repo benchmark's `online_alibaba` instance (`benchmark/src/
+/// inputs.rs`, replayed as `benchmark/src/workloads/online_alibaba.rs`
+/// does: T = 1, 50 unlock steps, timeout 10): the paper's count on it
+/// is the engine's, and the service must reach it at one shard and at
+/// its default sharding alike — the same tasks at the same steps — so a
+/// cycle change that schedules worse at S > 1 fails here before it
+/// reaches the benchmark.
+#[test]
+fn alibaba_instance_allocates_the_engine_count_at_every_sharding() {
+    use dpack::gen::alibaba::{generate, AlibabaDpConfig};
+    let sim = SimulationConfig {
+        scheduling_period: 1.0,
+        unlock_steps: 50,
+        task_timeout: Some(10.0),
+        drain_steps: 12,
+    };
+    // Full size, so ~5 s per seed in the debug profile: one thread each.
+    let pin = |seed: u64, allocated: usize| {
+        let config = AlibabaDpConfig {
+            n_blocks: 45,
+            n_tasks: 20_000,
+            ..AlibabaDpConfig::default()
+        };
+        let workload = generate(&config, seed);
+        let engine = simulate(&workload, DPack::default(), &sim);
+        assert_eq!(engine.allocated(), allocated, "seed {seed}");
+        for (shards, workers) in [(1, 1), (4, 2)] {
+            let service = dpack::service::BudgetService::with_obs(
+                workload.grid.clone(),
+                ServiceConfig {
+                    shards,
+                    workers,
+                    unlock_steps: sim.unlock_steps,
+                    default_timeout: sim.task_timeout,
+                    queue_capacity: usize::MAX,
+                    retention: dpack::service::StatsRetention::Unbounded,
+                    ..ServiceConfig::default()
+                },
+                dpack::service::obs::Obs::off(),
+            );
+            replay_workload(&workload, &sim, |event| match event {
+                ReplayEvent::Block(b) => service.register_block(b.clone()).expect("unique"),
+                ReplayEvent::Task(t) => service.submit(0, t.clone()).expect("admitted"),
+                ReplayEvent::Tick(now) => drop(service.run_cycle(now)),
+            });
+            assert_eq!(
+                service.stats().to_online().allocated,
+                engine.stats.allocated,
+                "seed {seed}, S = {shards}, W = {workers}"
+            );
+            assert!(service.ledger().unsound_blocks().is_empty());
+        }
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| pin(7, 2_738));
+        pin(11, 2_716);
+    });
 }
