@@ -408,7 +408,7 @@ impl Sweep {
 /// Runs `f(0)` on the calling thread and `f(1)`, …, `f(threads - 1)` on
 /// scoped workers, returning the results in that order. Each call picks
 /// its share of the work from its number.
-pub fn fan_out<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub(crate) fn fan_out<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
         let f = &f;
         let workers: Vec<_> = (1..threads).map(|w| scope.spawn(move || f(w))).collect();

@@ -44,7 +44,6 @@ pub mod problem;
 pub mod scenarios;
 pub mod schedulers;
 
-pub use dense::fan_out;
 pub use online::{BlockLedger, OnlineConfig, OnlineEngine, OnlineStats};
 pub use problem::{Allocation, Block, BlockId, ProblemState, Task, TaskId};
 pub use schedulers::{DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Optimal, Scheduler};

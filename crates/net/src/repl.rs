@@ -5,16 +5,20 @@
 //! in [`dpack_service::replication`]; this module is the transport for
 //! it. A [`Replicator`] holds one pipelined [`NetClient`] link per
 //! replica and implements [`ReplicationSink`]: each
-//! [`ReplicationSink::ship`] call sends the batch to **every up
-//! replica first, then collects durability acks** — one round-trip per
-//! group-commit flush regardless of the replica count. The ship
-//! succeeds iff acks reach the configured quorum; every acknowledged
-//! grant is durable on every replica that acked it.
+//! [`ReplicationSink::ship_all`] round sends **every stream's batch to
+//! every up replica first** — per replica all the frames back to back
+//! — **then collects the durability acks**: one
+//! round-trip per commit step regardless of the shard and replica
+//! counts ([`ReplicationSink::ship`] is a round of one). Sequence
+//! numbers and quorum counts stay per stream: a batch is shipped iff
+//! its own stream's acks reach the configured quorum, and every
+//! acknowledged grant is durable on every replica that acked it.
 //!
-//! Links are **self-healing**: a replica whose link fails (send error,
-//! broken stream, refused batch, bad ack, expired
-//! [`Replicator::with_ship_timeout`] deadline) drops to `Suspect` and
-//! stops receiving ships, but [`Replicator::tend`] — called
+//! Links are **self-healing**: a replica whose link fails anywhere in
+//! a round (send error, broken stream, refused batch, bad ack, expired
+//! [`Replicator::with_ship_timeout`] deadline) drops to `Suspect` once,
+//! none of its later acks are waited for — a round waits at most one
+//! timeout per link — and it stops receiving ships, but [`Replicator::tend`] — called
 //! periodically by whatever drives the node (a
 //! [`crate::ClusterNode`] step, or a test) — redials it with capped
 //! exponential backoff. A redialed replica whose durable state still
@@ -58,6 +62,7 @@ use dpack_obs::{Clock, Counter, EventKind, FlightRecorder, Gauge, Histogram, Obs
 use dpack_service::wal::{WalError, WalStorage};
 use dpack_service::{
     BudgetService, ReplShipError, ReplStream, ReplicaApplyError, ReplicaWal, ReplicationSink,
+    ShipBatch,
 };
 
 use crate::client::NetClient;
@@ -455,7 +460,8 @@ enum Probe {
 /// The primary's [`ReplicationSink`] over [`NetClient`] links.
 ///
 /// Per-stream sequence numbers are assigned here (the ledger serializes
-/// ships per stream, so a fetch-add suffices). Attach it to a **fresh**
+/// rounds per stream, and a round carries a stream at most once, so a
+/// fetch-add suffices). Attach it to a **fresh**
 /// ledger ([`dpack_service::ShardedLedger::set_replication`]) or — for
 /// a promoted primary resuming an existing stream — build it with
 /// [`Replicator::resume`] and attach with
@@ -495,6 +501,10 @@ pub struct Replicator {
     redials_total: Counter,
     resyncs_total: Counter,
     live_replicas: Gauge,
+    /// Pipelined quorum rounds ([`ReplicationSink::ship_all`] calls);
+    /// `shipped_batches` counts the per-stream batches they carried.
+    ship_rounds: Counter,
+    /// Send → last ack collected, per round.
     quorum_wait_nanos: Histogram,
 }
 
@@ -689,6 +699,7 @@ impl Replicator {
             redials_total: obs.registry.counter("dpack_repl_redials_total", ""),
             resyncs_total: obs.registry.counter("dpack_repl_resyncs_total", ""),
             live_replicas: obs.registry.gauge("dpack_repl_live_replicas", ""),
+            ship_rounds: obs.registry.counter("dpack_repl_ship_rounds_total", ""),
             quorum_wait_nanos: obs.registry.histogram("dpack_repl_quorum_wait_nanos", ""),
             links,
         };
@@ -696,10 +707,10 @@ impl Replicator {
         this
     }
 
-    /// Bounds how long a ship waits for any single replica's ack; an
+    /// Bounds how long a ship round waits for any single replica — one
     /// expired bound marks that replica `Suspect` (counted in
-    /// `dpack_repl_ship_timeout_total`) instead of wedging the commit
-    /// path behind a hung peer. Applies to current and future
+    /// `dpack_repl_ship_timeout_total`) and ends the wait for it,
+    /// instead of wedging the commit path behind a hung peer. Applies to current and future
     /// connections.
     #[must_use]
     pub fn with_ship_timeout(mut self, timeout: Duration) -> Self {
@@ -986,34 +997,80 @@ impl Replicator {
     }
 }
 
+/// One batch of a ship round, addressed and sequenced.
+struct InFlight<'a> {
+    batch: &'a ShipBatch<'a>,
+    /// The stream's wire address and its slot in the seq/lag vectors.
+    wire: u32,
+    slot: usize,
+    seq: u64,
+    /// Replicas that durably acknowledged it.
+    acked: usize,
+    /// On a traced batch, the ack that completed its quorum is the one
+    /// the commit was waiting for: (clock reading, link ordinal),
+    /// attributing the quorum wait to its slowest contributor.
+    /// Untraced batches never take the extra clock reads.
+    quorum_closed: Option<(u64, usize)>,
+}
+
 impl ReplicationSink for Replicator {
+    /// A round of one, on behalf of the thread's pinned traces.
     fn ship(&self, stream: ReplStream, records: &[&[u8]]) -> Result<(), ReplShipError> {
-        let (shard_wire, slot) = match stream {
-            ReplStream::Shard(s) => (s, s as usize),
-            ReplStream::Coordinator => (REPL_COORD_STREAM, self.n_shards),
+        let mut traces = Vec::new();
+        with_active_traces(|ctxs| traces.extend_from_slice(ctxs));
+        let batch = ShipBatch {
+            stream,
+            records,
+            traces: &traces,
         };
-        debug_assert!(slot < self.seqs.len(), "stream outside the attached ledger");
+        self.ship_all(&[batch]).remove(0)
+    }
+
+    /// One pipelined quorum round for every batch: per up link, every
+    /// batch's `Replicate` frame goes out back to back, then every ack
+    /// is collected — one round-trip per round, whatever the number of
+    /// streams and replicas. Sequence numbers, quorum counts and
+    /// `acked` watermarks stay per stream; a link that fails anywhere
+    /// in the round drops to `Suspect` once and its remaining acks are
+    /// not waited for, so a round waits at most one ship timeout per
+    /// link.
+    fn ship_all(&self, batches: &[ShipBatch<'_>]) -> Vec<Result<(), ReplShipError>> {
+        let lost = |acked| ReplShipError::QuorumLost {
+            acked,
+            quorum: self.quorum,
+        };
         if self.is_deposed() {
-            self.ship_failures.inc();
-            return Err(ReplShipError::QuorumLost {
-                acked: 0,
-                quorum: self.quorum,
-            });
+            self.ship_failures.add(batches.len() as u64);
+            return batches.iter().map(|_| Err(lost(0))).collect();
         }
         let term = self.term();
-        let seq = self.seqs[slot].fetch_add(1, Ordering::Relaxed) + 1;
         let started = self.clock.now_nanos();
-        self.shipped_batches.inc();
-        self.shipped_records.add(records.len() as u64);
-        // The traces pinned by the committing cycle, if any: their
-        // bare ids ride the wire so each replica can derive its
-        // append span, and the ship/quorum spans are recorded here.
-        let mut traced: Vec<dpack_obs::TraceContext> = Vec::new();
-        with_active_traces(|ctxs| traced.extend_from_slice(ctxs));
-        let trace_ids: Vec<u64> = traced.iter().map(|c| c.trace).collect();
+        self.ship_rounds.inc();
+        let mut flights: Vec<InFlight<'_>> = batches
+            .iter()
+            .map(|batch| {
+                let (wire, slot) = match batch.stream {
+                    ReplStream::Shard(s) => (s, s as usize),
+                    ReplStream::Coordinator => (REPL_COORD_STREAM, self.n_shards),
+                };
+                debug_assert!(slot < self.seqs.len(), "stream outside the attached ledger");
+                self.shipped_batches.inc();
+                self.shipped_records.add(batch.records.len() as u64);
+                InFlight {
+                    batch,
+                    wire,
+                    slot,
+                    seq: self.seqs[slot].fetch_add(1, Ordering::Relaxed) + 1,
+                    acked: 0,
+                    quorum_closed: None,
+                }
+            })
+            .collect();
 
-        // Phase 1: pipeline the batch to every up replica; a send
-        // failure marks the link Suspect on the spot.
+        // Phase 1: pipeline the round to every up replica; a send
+        // failure marks the link Suspect on the spot. The traced
+        // grants' bare ids ride the wire so each replica can derive
+        // its append span.
         let mut handles = Vec::with_capacity(self.links.len());
         for link in &self.links {
             if link.status() != LINK_UP {
@@ -1021,63 +1078,53 @@ impl ReplicationSink for Replicator {
                 continue;
             }
             let mut client = link.client.lock().expect("replica link lock poisoned");
-            let handle = client.as_mut().and_then(|c| {
-                c.replicate_nowait(
-                    term,
-                    shard_wire,
-                    seq,
-                    records.iter().map(|r| r.to_vec()).collect(),
-                    trace_ids.clone(),
-                )
-                .ok()
+            let sent: Option<Vec<_>> = client.as_mut().and_then(|c| {
+                let send = |flight: &InFlight<'_>| {
+                    let records = flight.batch.records.iter().map(|r| r.to_vec()).collect();
+                    let traces = flight.batch.traces.iter().map(|ctx| ctx.trace).collect();
+                    c.replicate_nowait(term, flight.wire, flight.seq, records, traces)
+                        .ok()
+                };
+                flights.iter().map(send).collect()
             });
-            if handle.is_none() {
+            if sent.is_none() {
                 *client = None;
                 self.suspect(link);
             }
-            handles.push(handle);
+            handles.push(sent);
         }
 
-        // Phase 2: collect durability acks. An errored wait, a
-        // mismatched ack, or a `durable` short of `seq` all mean the
-        // replica can no longer be trusted to hold the acked prefix —
-        // Suspect, pending a redial and (if needed) resync. A
+        // Phase 2: collect durability acks, link by link, in send
+        // order. An errored wait, a mismatched ack, or a `durable`
+        // short of `seq` all mean the replica can no longer be trusted
+        // to hold the acked prefix — Suspect, pending a redial and (if
+        // needed) resync, and none of its later acks count. A
         // stale-term refusal means *we* are the untrustworthy side.
-        let mut acked = 0usize;
-        // On a traced ship, the ack that completes the quorum is the
-        // one the commit was waiting for: (clock reading, link
-        // ordinal), attributing the quorum wait to its slowest
-        // contributor. Untraced ships never take the extra reads.
-        let mut quorum_closed: Option<(u64, usize)> = None;
-        for (ordinal, (link, handle)) in self.links.iter().zip(handles).enumerate() {
-            let Some(handle) = handle else { continue };
-            let mut client = link.client.lock().expect("replica link lock poisoned");
-            let outcome = client.as_mut().map(|c| c.wait_replicate_ack(handle));
-            match outcome {
-                Some(Ok((s, q, durable))) if s == shard_wire && q == seq && durable >= seq => {
-                    acked += 1;
-                    link.acked[slot].fetch_max(durable, Ordering::AcqRel);
-                    if !traced.is_empty() && acked == self.quorum {
-                        quorum_closed = Some((self.clock.now_nanos(), ordinal));
+        for (ordinal, (link, sent)) in self.links.iter().zip(handles).enumerate() {
+            let Some(sent) = sent else { continue };
+            let mut guard = link.client.lock().expect("replica link lock poisoned");
+            for (flight, handle) in flights.iter_mut().zip(sent) {
+                let Some(client) = guard.as_mut() else { break };
+                match client.wait_replicate_ack(handle) {
+                    Ok((s, q, durable))
+                        if s == flight.wire && q == flight.seq && durable >= flight.seq =>
+                    {
+                        flight.acked += 1;
+                        link.acked[flight.slot].fetch_max(durable, Ordering::AcqRel);
+                        if !flight.batch.traces.is_empty() && flight.acked == self.quorum {
+                            flight.quorum_closed = Some((self.clock.now_nanos(), ordinal));
+                        }
+                        continue;
                     }
+                    Err(NetError::Timeout) => self.ship_timeout_total.inc(),
+                    Err(NetError::Remote {
+                        code: ErrorCode::StaleTerm,
+                        ..
+                    }) => self.deposed.store(true, Ordering::Release),
+                    _ => {}
                 }
-                Some(Err(NetError::Timeout)) => {
-                    self.ship_timeout_total.inc();
-                    *client = None;
-                    self.suspect(link);
-                }
-                Some(Err(NetError::Remote {
-                    code: ErrorCode::StaleTerm,
-                    ..
-                })) => {
-                    self.deposed.store(true, Ordering::Release);
-                    *client = None;
-                    self.suspect(link);
-                }
-                _ => {
-                    *client = None;
-                    self.suspect(link);
-                }
+                *guard = None;
+                self.suspect(link);
             }
         }
 
@@ -1085,40 +1132,41 @@ impl ReplicationSink for Replicator {
         let ended = self.clock.now_nanos();
         self.quorum_wait_nanos.record(ended.saturating_sub(started));
         self.refresh_lag();
-        let stream_salt = u64::from(shard_wire);
-        for ctx in &traced {
-            let ship_span = span_id(ctx.trace, SpanKind::ReplShip, stream_salt);
-            self.spans.record(
-                ctx.trace,
-                ship_span,
-                span_id(ctx.trace, SpanKind::Cycle, 0),
-                SpanKind::ReplShip,
-                started,
-                ended,
-                stream_salt,
-            );
-            if let Some((closed_at, ordinal)) = quorum_closed {
+        let deposed = self.is_deposed();
+        let outcome = |flight: InFlight<'_>| {
+            let stream_salt = u64::from(flight.wire);
+            for ctx in flight.batch.traces {
+                let ship_span = span_id(ctx.trace, SpanKind::ReplShip, stream_salt);
                 self.spans.record(
                     ctx.trace,
-                    span_id(ctx.trace, SpanKind::QuorumWait, stream_salt),
                     ship_span,
-                    SpanKind::QuorumWait,
+                    span_id(ctx.trace, SpanKind::Cycle, 0),
+                    SpanKind::ReplShip,
                     started,
-                    closed_at,
-                    ordinal as u64,
+                    ended,
+                    stream_salt,
                 );
+                if let Some((closed_at, ordinal)) = flight.quorum_closed {
+                    self.spans.record(
+                        ctx.trace,
+                        span_id(ctx.trace, SpanKind::QuorumWait, stream_salt),
+                        ship_span,
+                        SpanKind::QuorumWait,
+                        started,
+                        closed_at,
+                        ordinal as u64,
+                    );
+                }
             }
-        }
-        if acked >= self.quorum && !self.is_deposed() {
-            self.acked_batches.inc();
-            Ok(())
-        } else {
-            self.ship_failures.inc();
-            Err(ReplShipError::QuorumLost {
-                acked,
-                quorum: self.quorum,
-            })
-        }
+            if flight.acked >= self.quorum && !deposed {
+                self.acked_batches.inc();
+                Ok(())
+            } else {
+                self.ship_failures.inc();
+                Err(lost(flight.acked))
+            }
+        };
+        flights.into_iter().map(outcome).collect()
     }
 }
 
@@ -1358,6 +1406,64 @@ mod tests {
         assert!(repl.is_deposed());
         assert!(repl.ship(ReplStream::Shard(0), &[b"r2"]).is_err());
         assert_eq!(node.wal().durable_seq(ReplStream::Shard(0)), 0);
+    }
+
+    /// Four one-record batches, one per shard stream of an S = 4
+    /// ledger.
+    fn four_streams() -> Vec<ShipBatch<'static>> {
+        const RECORDS: [&[&[u8]]; 4] = [&[b"s0"], &[b"s1"], &[b"s2"], &[b"s3"]];
+        (0..4u32)
+            .map(|s| ShipBatch {
+                stream: ReplStream::Shard(s),
+                records: RECORDS[s as usize],
+                traces: &[],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_round_ships_every_stream_and_counts_once() {
+        let (node_a, client_a) = loopback_replica(&SimStorage::new(), 4);
+        let (node_b, client_b) = loopback_replica(&SimStorage::new(), 4);
+        let nodes = [node_a, node_b];
+        let obs = Obs::wall();
+        let repl = Replicator::over_clients(vec![client_a, client_b], 2, 4, &obs);
+
+        let outcomes = repl.ship_all(&four_streams());
+        assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+        // A single-stream `ship` is a round of one, and per-stream
+        // sequences advance independently.
+        repl.ship(ReplStream::Shard(2), &[b"again"]).unwrap();
+        assert_eq!(repl.vector(), [1, 1, 2, 1, 0]);
+        for node in &nodes {
+            assert_eq!(node.wal().vector(), repl.vector());
+        }
+        let metrics = obs.registry.snapshot();
+        assert_eq!(metrics.counter_total("dpack_repl_ship_rounds_total"), 2);
+        assert_eq!(metrics.counter_total("dpack_repl_shipped_batches_total"), 5);
+        assert_eq!(metrics.counter_total("dpack_repl_acked_batches_total"), 5);
+    }
+
+    #[test]
+    fn a_deposed_replicator_fails_every_batch_of_a_round() {
+        let sim = SimStorage::new();
+        let (node, client) = loopback_replica(&sim, 4);
+        node.observe_term(5);
+        let obs = Obs::wall();
+        let repl = Replicator::over_clients(vec![client], 1, 4, &obs);
+        let lost = Err(ReplShipError::QuorumLost {
+            acked: 0,
+            quorum: 1,
+        });
+        // The first refusal deposes; no batch of the round survives it,
+        // and the next round fails without touching the wire.
+        assert_eq!(repl.ship_all(&four_streams()), vec![lost.clone(); 4]);
+        assert!(repl.is_deposed());
+        assert_eq!(repl.ship_all(&four_streams()), vec![lost; 4]);
+        assert_eq!(node.wal().vector(), [0; 5]);
+        let metrics = obs.registry.snapshot();
+        assert_eq!(metrics.counter_total("dpack_repl_ship_rounds_total"), 1);
+        assert_eq!(metrics.counter_total("dpack_repl_ship_failures_total"), 8);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! fast-path rejoin, state loss, full resync — under a [`ManualClock`]
 //! so every backoff window is crossed deliberately.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,7 +16,10 @@ use dpack_net::{
     Transport,
 };
 use dpack_service::wal::SimStorage;
-use dpack_service::{BudgetService, DurabilityOptions, ReplStream, ReplicationSink, ServiceConfig};
+use dpack_service::{
+    BudgetService, DurabilityOptions, ReplShipError, ReplStream, ReplicationSink, ServiceConfig,
+    ShipBatch,
+};
 
 /// A loopback transport whose acks can be made to hang: with the flag
 /// set, `recv_frame` surfaces [`NetError::Timeout`] — exactly what a
@@ -216,4 +219,177 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
         assert_eq!(metrics.counter_total(name), want, "{name}");
     }
     assert_eq!(live_gauge(), 1);
+}
+
+/// One round of four one-record batches, one per shard stream.
+fn four_streams() -> Vec<ShipBatch<'static>> {
+    const RECORDS: [&[&[u8]]; 4] = [&[b"s0"], &[b"s1"], &[b"s2"], &[b"s3"]];
+    (0..4u32)
+        .map(|s| ShipBatch {
+            stream: ReplStream::Shard(s),
+            records: RECORDS[s as usize],
+            traces: &[],
+        })
+        .collect()
+}
+
+#[test]
+fn a_hung_replica_costs_a_round_one_timeout_not_one_per_frame() {
+    let (obs, clock) = Obs::manual(0);
+    let node = Arc::new(ReplicaNode::open(&SimStorage::new(), 4, 1 << 16, Obs::wall()).unwrap());
+    let hang = Arc::new(AtomicBool::new(false));
+    let connector: Connector = {
+        let (node, hang) = (Arc::clone(&node), Arc::clone(&hang));
+        Box::new(move || {
+            Ok(NetClient::new(Box::new(HangableTransport {
+                inner: LoopbackTransport::with_core(ServiceCore::replica(Arc::clone(&node))),
+                hang: Arc::clone(&hang),
+            })))
+        })
+    };
+    let repl =
+        Replicator::with_connectors(vec![(([127, 0, 0, 1], 0).into(), connector)], 1, 4, &obs)
+            .with_ship_timeout(Duration::from_millis(100));
+    assert!(repl.tend(clock.now_nanos(), None));
+    assert_eq!(repl.live(), 1);
+
+    // All four frames are delivered, no ack comes back: the first wait
+    // times out, the link drops to Suspect, and the other three acks
+    // are not waited for — the round costs one timeout, not four.
+    hang.store(true, Ordering::Release);
+    let outcomes = repl.ship_all(&four_streams());
+    assert!(outcomes.iter().all(Result::is_err), "{outcomes:?}");
+    assert_eq!(repl.live(), 0);
+    let metrics = obs.registry.snapshot();
+    assert_eq!(metrics.counter_total("dpack_repl_ship_timeout_total"), 1);
+    assert_eq!(metrics.counter_total("dpack_repl_ship_failures_total"), 4);
+    assert_eq!(node.wal().vector(), repl.vector(), "the frames did land");
+}
+
+/// A loopback transport to a replica whose log starts failing when the
+/// `break_at`-th frame of the connection arrives, and that counts the
+/// acks waited for.
+struct BreaksMidRound {
+    inner: LoopbackTransport,
+    sim: SimStorage,
+    sent: usize,
+    break_at: usize,
+    waits: Arc<AtomicUsize>,
+}
+
+impl Transport for BreaksMidRound {
+    fn send_frame(&mut self, payload: &[u8]) -> Result<(), NetError> {
+        self.sent += 1;
+        if self.sent == self.break_at {
+            self.sim.set_append_errors(true);
+        }
+        self.inner.send_frame(payload)
+    }
+
+    fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        self.waits.fetch_add(1, Ordering::Relaxed);
+        self.inner.recv_frame()
+    }
+}
+
+#[test]
+fn a_replica_that_dies_mid_round_is_suspected_once_and_resyncs_to_the_primary_vector() {
+    const SHARDS: usize = 4;
+    let (obs, clock) = Obs::manual(0);
+    let config = ServiceConfig {
+        shards: SHARDS,
+        unlock_steps: 1,
+        ..ServiceConfig::default()
+    };
+    let service = BudgetService::recover_with_obs(
+        grid(),
+        config,
+        &SimStorage::new(),
+        DurabilityOptions::default(),
+        Arc::clone(&obs),
+    )
+    .expect("fresh primary");
+
+    // Two replicas at quorum 1: `steady` acks everything, `flaky`
+    // breaks on the third frame of its first connection.
+    let open = |sim: &SimStorage| {
+        Arc::new(ReplicaNode::open(sim, SHARDS, 1 << 16, Obs::wall()).expect("replica"))
+    };
+    let (sim_steady, sim_flaky) = (SimStorage::new(), SimStorage::new());
+    let (steady, flaky) = (open(&sim_steady), open(&sim_flaky));
+    let waits = Arc::new(AtomicUsize::new(0));
+    let steady_connector: Connector = {
+        let node = Arc::clone(&steady);
+        Box::new(move || {
+            Ok(NetClient::new(Box::new(LoopbackTransport::with_core(
+                ServiceCore::replica(Arc::clone(&node)),
+            ))))
+        })
+    };
+    let flaky_connector: Connector = {
+        let (node, sim, waits) = (Arc::clone(&flaky), sim_flaky.clone(), Arc::clone(&waits));
+        let dials = AtomicUsize::new(0);
+        Box::new(move || {
+            // Frame 1 is the rejoin heartbeat; frames 2.. are the round.
+            let first = dials.fetch_add(1, Ordering::Relaxed) == 0;
+            Ok(NetClient::new(Box::new(BreaksMidRound {
+                inner: LoopbackTransport::with_core(ServiceCore::replica(Arc::clone(&node))),
+                sim: sim.clone(),
+                sent: 0,
+                break_at: if first { 1 + 3 } else { usize::MAX },
+                waits: Arc::clone(&waits),
+            })))
+        })
+    };
+    let addr = |port: u16| ([127, 0, 0, 1], port).into();
+    let repl = Replicator::with_connectors(
+        vec![(addr(1), steady_connector), (addr(2), flaky_connector)],
+        1,
+        SHARDS,
+        &obs,
+    )
+    .with_ship_timeout(Duration::from_millis(100));
+    assert!(repl.tend(clock.now_nanos(), Some(&service)));
+    assert_eq!(repl.live(), 2);
+    let probes = waits.swap(0, Ordering::Relaxed);
+    assert_eq!(probes, 1, "the rejoin heartbeat");
+
+    // One round of four streams. The flaky replica applies shards 0
+    // and 1, refuses shard 2 — and is dropped right there: its fourth
+    // ack is never waited for, and it is suspected exactly once.
+    let outcomes: Vec<Result<(), ReplShipError>> = repl.ship_all(&four_streams());
+    assert!(
+        outcomes.iter().all(Result::is_ok),
+        "quorum 1 holds on the steady replica: {outcomes:?}"
+    );
+    assert_eq!(
+        waits.load(Ordering::Relaxed),
+        3,
+        "acks 1–3 waited, ack 4 not"
+    );
+    assert_eq!(repl.live(), 1);
+    assert_eq!(steady.wal().vector(), repl.vector());
+    assert_eq!(flaky.wal().vector(), [1, 1, 0, 0, 0]);
+    let suspected = repl.peer_status();
+    assert_eq!((suspected[0].state, suspected[1].state), (0, 1));
+    assert_eq!(suspected[1].lag, [0, 0, 1, 1, 0]);
+
+    // Its disk heals; the next due tend redials, sees the lagging
+    // vector and resyncs it to the primary's.
+    sim_flaky.set_append_errors(false);
+    clock.advance(BASE_BACKOFF);
+    assert!(repl.tend(clock.now_nanos(), Some(&service)));
+    assert_eq!(repl.live(), 2);
+    assert_eq!(flaky.wal().vector(), repl.vector());
+    assert_eq!(repl.vector(), [1, 1, 1, 1, 0]);
+    let metrics = obs.registry.snapshot();
+    for (name, want) in [
+        ("dpack_repl_ship_rounds_total", 1),
+        ("dpack_repl_shipped_batches_total", 4),
+        ("dpack_repl_acked_batches_total", 4),
+        ("dpack_repl_ship_failures_total", 0),
+        ("dpack_repl_resyncs_total", 1),
+    ] {
+        assert_eq!(metrics.counter_total(name), want, "{name}");
+    }
 }

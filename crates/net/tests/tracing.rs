@@ -36,11 +36,12 @@ fn grid() -> AlphaGrid {
 
 /// One shard keeps the expected tree single-stream: one WAL flush and
 /// one ship per grant, which is what the exact span-set assertion
-/// below pins.
-fn service_config() -> ServiceConfig {
+/// below pins. Four shards and two workers put a cycle's grants on
+/// several streams of one ship round, appended on different threads.
+fn service_config(shards: usize) -> ServiceConfig {
     ServiceConfig {
-        shards: 1,
-        workers: 1,
+        shards,
+        workers: shards.min(2),
         unlock_steps: 1,
         retention: StatsRetention::Unbounded,
         ..ServiceConfig::default()
@@ -126,7 +127,7 @@ struct Cluster {
 }
 
 impl Cluster {
-    fn new() -> Self {
+    fn new(shards: usize) -> Self {
         let net = Net::new();
         let mut nodes = Vec::with_capacity(N);
         let mut clocks = Vec::with_capacity(N);
@@ -147,7 +148,7 @@ impl Cluster {
             let config = ClusterConfig {
                 node_id: i as u64,
                 grid: grid(),
-                service: service_config(),
+                service: service_config(shards),
                 durability: DurabilityOptions::default(),
                 quorum: 1,
                 majority: 2,
@@ -236,7 +237,7 @@ impl Cluster {
 #[test]
 #[allow(clippy::too_many_lines)]
 fn traced_grants_assemble_into_exact_cross_node_trees_and_status_lag_matches_the_ledgers() {
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::new(1);
     let leader = cluster.await_leader(2);
     let leader_id = leader as u64;
     let replicas: Vec<u64> = (0..N as u64).filter(|&i| i != leader_id).collect();
@@ -500,4 +501,93 @@ fn traced_grants_assemble_into_exact_cross_node_trees_and_status_lag_matches_the
         .expect("live peer listed");
     assert_eq!(live.state, 0, "the surviving replica stays Up");
     assert_eq!(live.lag, vec![0; status.vector.len()]);
+}
+
+/// On a four-shard ledger one cycle's grants ride one ship round on
+/// several streams. A traced grant must get the flush, ship and
+/// quorum-wait spans of **its own** streams only — its block's shard
+/// for a shard-local grant; its blocks' shards plus the coordinator
+/// for a spanning one — and each replica append must parent onto a
+/// ship span that exists.
+#[test]
+fn on_four_shards_a_traced_grant_is_shipped_on_its_own_streams_only() {
+    const SHARDS: u64 = 4;
+    const COORD: u64 = u32::MAX as u64;
+    let mut cluster = Cluster::new(SHARDS as usize);
+    let leader = cluster.await_leader(2);
+    let mut client = dial(&cluster.net, leader).expect("dial leader");
+    for b in 0..BLOCKS {
+        client
+            .register_block(&Block::new(b, RdpCurve::constant(&grid(), 8.0), 0.0))
+            .expect("register block");
+    }
+
+    // Eight shard-local tasks, two per shard, and one spanning shards
+    // 1 and 2 — all traced, all granted by the same cycle.
+    let tracer = Tracer::seeded(0x5A4D);
+    let mut traced: Vec<(Task, Vec<u64>, TraceContext)> = (0..8)
+        .map(|id| (task(id), vec![id % SHARDS], tracer.start()))
+        .collect();
+    let spanning = Task::new(8, 1.0, vec![1, 2], RdpCurve::constant(&grid(), 0.25), 0.0);
+    traced.push((spanning, vec![1, 2, COORD], tracer.start()));
+    let mut handles = Vec::new();
+    for (t, _, ctx) in &traced {
+        let handle = client.submit_traced_nowait(7, t, *ctx);
+        handles.push((t.id, handle.expect("submit traced")));
+    }
+    cluster.settle_granted(&mut client, handles);
+    let repl = cluster.nodes[leader]
+        .core()
+        .replicator()
+        .expect("replicator");
+    assert_eq!(
+        repl.vector(),
+        [2, 3, 3, 2, 1],
+        "registration + one local batch per shard + one intent batch on 1 and 2 + one decision"
+    );
+
+    let dumps: Vec<Vec<Span>> = (0..N)
+        .map(|i| {
+            let mut node = dial(&cluster.net, i).expect("dial node");
+            node.span_dump_all().expect("span dump")
+        })
+        .collect();
+    let trees = assemble_trees(dumps);
+    assert_eq!(trees.len(), traced.len());
+    for (t, streams, ctx) in &traced {
+        let tree = trees
+            .iter()
+            .find(|tr| tr.trace == ctx.trace)
+            .expect("one tree per traced task");
+        assert!(tree.is_complete(2), "task {} tree: {tree:?}", t.id);
+        let addressed = |kind: SpanKind| -> Vec<(u64, u64)> {
+            let mut spans: Vec<(u64, u64)> =
+                tree.of_kind(kind).iter().map(|s| (s.span, s.a)).collect();
+            spans.sort_unstable_by_key(|(_, a)| *a);
+            spans
+        };
+        let derived = |kind: SpanKind| -> Vec<(u64, u64)> {
+            let span = |stream: &u64| (span_id(ctx.trace, kind, *stream), *stream);
+            streams.iter().map(span).collect()
+        };
+        assert_eq!(addressed(SpanKind::WalFlush), derived(SpanKind::WalFlush));
+        assert_eq!(addressed(SpanKind::ReplShip), derived(SpanKind::ReplShip));
+        let waits: Vec<u64> = tree
+            .of_kind(SpanKind::QuorumWait)
+            .iter()
+            .map(|s| s.span)
+            .collect();
+        let mut want: Vec<u64> = derived(SpanKind::QuorumWait).iter().map(|s| s.0).collect();
+        want.sort_unstable();
+        let mut got = waits;
+        got.sort_unstable();
+        assert_eq!(got, want, "task {} quorum waits", t.id);
+        // Two replicas append each of the task's streams.
+        assert_eq!(
+            tree.of_kind(SpanKind::ReplicaAppend).len(),
+            2 * streams.len(),
+            "task {} replica appends",
+            t.id
+        );
+    }
 }

@@ -27,6 +27,7 @@ fn render_matches_the_golden_exposition() {
         .add(9);
     r.counter("dpack_repl_acked_batches_total", "stream=\"coord\"")
         .inc();
+    r.counter("dpack_repl_ship_rounds_total", "").add(3);
     // Gauges: integer-valued and fractional (rendered in f64's
     // shortest-roundtrip form).
     r.gauge("dpack_queue_depth", "").set_u64(7);

@@ -2,9 +2,10 @@
 //!
 //! The one module that knows records ([`crate::durability`]), group
 //! commit, two-phase-commit decisions and replication shipping. The
-//! ledger stages a batch on its filters under the shard locks, then
-//! asks [`Journal::commit_local`] or [`Journal::commit_cross`] how much
-//! of it became durable, and undoes the rest.
+//! ledger stages a cycle's batches on its filters under the shard
+//! locks, then asks [`Journal::commit_local`] or
+//! [`Journal::commit_cross`] how much of them became durable, and
+//! undoes the rest.
 //!
 //! * [`ShardLog`] — one shard's log and staging buffer. It lives
 //!   *inside* the shard mutex, so append order always equals mutation
@@ -14,7 +15,13 @@
 //!   exists), attempt ids, the [`ReplicationSink`], the failure and
 //!   compaction counters, the WAL-flush spans.
 //!
-//! Every append goes through [`Journal::flush`]; recovery
+//! Every append goes through [`Journal::flush_all`]: the logs of one
+//! step — a cycle's shard-local batches, a two-phase batch's per-shard
+//! intents, its coordinator decisions, one registration — are all
+//! appended, then shipped in **one** [`ReplicationSink::ship_all`]
+//! round. Per stream, ship order = append order = mutation order: the
+//! caller holds the lock that orders each stream from before its
+//! records are staged until the outcome is known. Recovery
 //! ([`Journal::open`]) decodes the logs, applies presumed abort itself
 //! and hands the ledger typed [`Replay`] events.
 
@@ -22,14 +29,15 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dpack_core::problem::{Block, BlockId, Task, TaskId};
-use dpack_obs::trace::{span_id, with_active_traces, SpanKind};
-use dpack_obs::{EventKind, FlightRecorder, Obs};
+use dpack_core::problem::{Block, BlockId, TaskId};
+use dpack_obs::trace::{span_id, SpanKind};
+use dpack_obs::{EventKind, FlightRecorder, Obs, TraceContext};
 use dpack_wal::{Wal, WalCounters, WalError, WalOptions, WalStorage, WalTelemetry};
 
 use crate::config::DurabilityOptions;
 use crate::durability::{self, BlockState, CoordRecord, ShardRecord};
-use crate::replication::{ReplStream, ReplicationSink};
+use crate::ledger::Traced;
+use crate::replication::{ReplStream, ReplicationSink, ShipBatch};
 use crate::stats::DurabilityStats;
 
 pub(crate) fn shard_dir(shard: usize) -> String {
@@ -79,8 +87,22 @@ impl ShardLog {
         self.bounds.push(self.scratch.len());
     }
 
-    fn is_staged(&self) -> bool {
-        self.bounds.len() > 1
+    /// The staged records as one group commit on this shard's stream,
+    /// on behalf of `traces`.
+    fn staged<'a>(&'a mut self, traces: &'a [TraceContext]) -> Flush<'a> {
+        let Self {
+            shard,
+            wal,
+            scratch,
+            bounds,
+        } = self;
+        Flush {
+            wal,
+            stream: ReplStream::Shard(*shard as u32),
+            records: bounds.windows(2).map(|w| &scratch[w[0]..w[1]]).collect(),
+            mode: Append::Group,
+            traces,
+        }
     }
 
     pub(crate) fn counters(&self) -> WalCounters {
@@ -88,37 +110,7 @@ impl ShardLog {
     }
 }
 
-/// Opens a WAL-flush span: reads the clock only when the thread has
-/// trace contexts pinned, so untraced commits (and the deterministic
-/// manual-clock suites, which count clock reads) see zero extra reads.
-fn flush_started(obs: &Obs) -> Option<u64> {
-    let mut started = None;
-    with_active_traces(|_| started = Some(obs.now_nanos()));
-    started
-}
-
-/// Closes the WAL-flush span for every pinned trace. `salt`
-/// distinguishes the flushed log (shard index, or the coordinator
-/// stream id) and doubles as the span's attribute.
-fn record_flush(obs: &Obs, started: Option<u64>, salt: u64) {
-    let Some(start) = started else { return };
-    let end = obs.now_nanos();
-    with_active_traces(|ctxs| {
-        for ctx in ctxs {
-            obs.spans.record(
-                ctx.trace,
-                span_id(ctx.trace, SpanKind::WalFlush, salt),
-                span_id(ctx.trace, SpanKind::Cycle, 0),
-                SpanKind::WalFlush,
-                start,
-                end,
-                salt,
-            );
-        }
-    });
-}
-
-/// How [`Journal::flush`] appends its records.
+/// How [`Journal::flush_all`] appends one log's records.
 #[derive(Clone, Copy, PartialEq)]
 enum Append {
     /// One group commit ([`Wal::append_batch`]): one write, one sync,
@@ -128,6 +120,16 @@ enum Append {
     /// stopping at the first failure — registrations and coordinator
     /// decisions.
     Singly,
+}
+
+/// One log's part of a [`Journal::flush_all`] step: where the records
+/// go, how, and which traced grants they belong to.
+struct Flush<'a> {
+    wal: &'a mut Wal,
+    stream: ReplStream,
+    records: Vec<&'a [u8]>,
+    mode: Append,
+    traces: &'a [TraceContext],
 }
 
 /// The ledger-wide half of the write-ahead machinery.
@@ -303,29 +305,31 @@ impl Journal {
         self.next_attempt.load(Ordering::Relaxed) == 0
     }
 
-    /// The one way records become durable: append them to `wal` (the
-    /// caller holds the lock that orders `stream`), count a failed
-    /// append, close the WAL-flush span, record an acknowledged shard
-    /// group commit in the flight recorder, and ship what was appended
-    /// — quorum durability rides the same boundary as the fsync.
-    /// `Ok(n)`: the first `n ≥ 1` records are durable here and on the
-    /// replicas (always all of them for [`Append::Group`]). `Err`:
-    /// nothing may be acknowledged — no record was appended, or the
-    /// ship failed and the appended ones are durable locally only.
-    fn flush(
-        &self,
-        wal: &mut Wal,
-        stream: ReplStream,
-        records: &[&[u8]],
-        mode: Append,
-    ) -> Result<usize, String> {
-        let span = self.obs.as_ref().and_then(flush_started);
+    /// Appends one log's records on the calling thread (the caller
+    /// holds the lock that orders the stream), counts a failed append,
+    /// and reports the flush: a WAL-flush span for each of its traced
+    /// grants — the clock is read only when there are some, so untraced
+    /// commits (and the deterministic manual-clock suites, which count
+    /// clock reads) see zero extra reads — and an acknowledged group
+    /// commit in the flight recorder. `Ok(n)`: the first `n` records are
+    /// in the log (all of them for [`Append::Group`]; 0 only if there
+    /// were none, and then nothing is done). `Err`: none is.
+    fn append(&self, flush: &mut Flush<'_>) -> Result<usize, String> {
+        if flush.records.is_empty() {
+            return Ok(0);
+        }
+        let traced = self.obs.as_ref().filter(|_| !flush.traces.is_empty());
+        let started = traced.map(Obs::now_nanos);
         let mut appended = 0;
-        let result = match mode {
-            Append::Group => wal.append_batch(records).map(|_| appended = records.len()),
-            Append::Singly => records
+        let result = match flush.mode {
+            Append::Group => flush
+                .wal
+                .append_batch(&flush.records)
+                .map(|_| appended = flush.records.len()),
+            Append::Singly => flush
+                .records
                 .iter()
-                .try_for_each(|record| wal.append(record).map(|()| appended += 1)),
+                .try_for_each(|record| flush.wal.append(record).map(|()| appended += 1)),
         };
         if let Err(e) = result {
             self.failed_appends.fetch_add(1, Ordering::Relaxed);
@@ -333,35 +337,96 @@ impl Journal {
                 return Err(e.to_string());
             }
         }
-        if let Some(obs) = &self.obs {
-            let salt = match stream {
-                ReplStream::Shard(shard) => u64::from(shard),
-                ReplStream::Coordinator => COORD_FLUSH_SALT,
-            };
-            record_flush(obs, span, salt);
-            if mode == Append::Group {
-                let count = appended as u64;
-                obs.recorder.record(EventKind::BatchFlushed, salt, count);
+        let Some(obs) = &self.obs else {
+            return Ok(appended);
+        };
+        // The flushed log — shard index, or the coordinator stream id —
+        // salts the span id and doubles as the span's attribute.
+        let salt = match flush.stream {
+            ReplStream::Shard(shard) => u64::from(shard),
+            ReplStream::Coordinator => COORD_FLUSH_SALT,
+        };
+        if let Some(start) = started {
+            let end = obs.now_nanos();
+            for ctx in flush.traces {
+                obs.spans.record(
+                    ctx.trace,
+                    span_id(ctx.trace, SpanKind::WalFlush, salt),
+                    span_id(ctx.trace, SpanKind::Cycle, 0),
+                    SpanKind::WalFlush,
+                    start,
+                    end,
+                    salt,
+                );
             }
         }
-        if let Some(sink) = &self.sink {
-            if let Err(e) = sink.ship(stream, &records[..appended]) {
-                self.failed_ships.fetch_add(1, Ordering::Relaxed);
-                return Err(e.to_string());
-            }
+        if flush.mode == Append::Group {
+            let count = appended as u64;
+            obs.recorder.record(EventKind::BatchFlushed, salt, count);
         }
         Ok(appended)
     }
 
-    /// Group-commits the records staged in `log`.
-    fn flush_staged(&self, log: &mut ShardLog) -> Result<usize, String> {
-        let views: Vec<&[u8]> = log
-            .bounds
-            .windows(2)
-            .map(|w| &log.scratch[w[0]..w[1]])
-            .collect();
-        let stream = ReplStream::Shard(log.shard as u32);
-        self.flush(&mut log.wal, stream, &views, Append::Group)
+    /// The one way records become durable: append every flush of the
+    /// step to its log — dealt over `workers` threads, the calling
+    /// thread taking the first share, so different logs' syncs
+    /// overlap — then ship every stream that appended something in one
+    /// [`ReplicationSink::ship_all`] round; quorum durability rides the
+    /// same boundary as the fsync, once per step. Per flush, `Ok(n)`:
+    /// the first `n` records are durable here and on the replicas
+    /// (always all of them for [`Append::Group`]; 0 only if it had
+    /// none). `Err`: nothing of that flush may be acknowledged — no
+    /// record was appended, or its own stream's ship failed and the
+    /// appended ones are durable locally only.
+    fn flush_all(&self, flushes: &mut [Flush<'_>], workers: usize) -> Vec<Result<usize, String>> {
+        // Contiguous shares, so the outcomes come back in the flushes'
+        // order.
+        let share = flushes.len().div_ceil(workers.max(1)).max(1);
+        let mut results: Vec<Result<usize, String>> = std::thread::scope(|scope| {
+            let mut shares = flushes.chunks_mut(share);
+            let mine = shares.next().into_iter().flatten();
+            let lanes: Vec<_> = shares
+                .map(|share| {
+                    let append = move || share.iter_mut().map(|f| self.append(f)).collect();
+                    scope.spawn(append)
+                })
+                .collect();
+            let mut results: Vec<_> = mine.map(|flush| self.append(flush)).collect();
+            for lane in lanes {
+                let theirs: Vec<_> = lane.join().expect("append worker panicked");
+                results.extend(theirs);
+            }
+            results
+        });
+        let Some(sink) = &self.sink else {
+            return results;
+        };
+        let (shipped, batches): (Vec<usize>, Vec<ShipBatch<'_>>) = flushes
+            .iter()
+            .zip(&results)
+            .enumerate()
+            .filter_map(|(i, (flush, appended))| {
+                let appended = *appended.as_ref().ok().filter(|n| **n > 0)?;
+                let batch = ShipBatch {
+                    stream: flush.stream,
+                    records: &flush.records[..appended],
+                    traces: flush.traces,
+                };
+                Some((i, batch))
+            })
+            .unzip();
+        if batches.is_empty() {
+            return results;
+        }
+        let outcomes = sink.ship_all(&batches);
+        debug_assert_eq!(outcomes.len(), batches.len(), "one outcome per batch");
+        for (i, outcome) in shipped.into_iter().zip(outcomes) {
+            if let Err(e) = outcome {
+                self.failed_ships.fetch_add(1, Ordering::Relaxed);
+                results[i] = Err(e.to_string());
+            }
+        }
+        results
     }
 
     /// Logs a block registration on its shard, before it becomes
@@ -374,40 +439,62 @@ impl Journal {
             capacity: block.capacity.values().to_vec(),
         }
         .encode();
-        let stream = ReplStream::Shard(log.shard as u32);
-        self.flush(&mut log.wal, stream, &[&record], Append::Singly)
-            .map(drop)
+        let flush = Flush {
+            wal: &mut log.wal,
+            stream: ReplStream::Shard(log.shard as u32),
+            records: vec![&record],
+            mode: Append::Singly,
+            traces: &[],
+        };
+        self.flush_all(&mut [flush], 1).remove(0).map(drop)
     }
 
-    /// Makes one shard's staged grants durable: one `Apply` record per
-    /// task, one group commit, one ship. Returns how many of `granted`
-    /// are — all, or none: a failed [`Wal::append_batch`] resurfaces
-    /// nothing and a failed ship is never promoted, so the caller
-    /// releases the whole batch.
-    pub(crate) fn commit_local(&self, log: &mut ShardLog, granted: &[&Task]) -> usize {
-        log.begin();
-        for task in granted {
-            let (demand, blocks) = (task.demand.values(), &task.blocks);
-            log.stage(|buf| durability::encode_apply_into(buf, task.id, demand, blocks));
+    /// Makes a cycle's staged shard-local grants durable. A batch is one
+    /// shard's log (its lock is held) and the grants staged on it, in
+    /// staging order: one `Apply` record per task and one group commit,
+    /// on behalf of the traced ones, the appends dealt over `workers`
+    /// threads; then one ship round for all the batches. Returns, per
+    /// batch, whether its grants are durable — all of them, or none: a
+    /// failed [`Wal::append_batch`] resurfaces nothing and a failed
+    /// ship is never promoted, so the caller releases that whole batch,
+    /// and only that one. (A batch with no grant has nothing to lose.)
+    pub(crate) fn commit_local(
+        &self,
+        batches: &mut [(&mut ShardLog, Vec<Traced<'_>>)],
+        workers: usize,
+    ) -> Vec<bool> {
+        let mut traces: Vec<Vec<TraceContext>> = Vec::with_capacity(batches.len());
+        for (log, granted) in batches.iter_mut() {
+            log.begin();
+            for (task, _) in granted.iter() {
+                let (demand, blocks) = (task.demand.values(), &task.blocks);
+                log.stage(|buf| durability::encode_apply_into(buf, task.id, demand, blocks));
+            }
+            traces.push(granted.iter().filter_map(|(_, trace)| *trace).collect());
         }
-        if !log.is_staged() {
-            return 0;
-        }
-        self.flush_staged(log).unwrap_or(0)
+        let mut flushes: Vec<Flush<'_>> = batches
+            .iter_mut()
+            .zip(&traces)
+            .map(|((log, _), traces)| log.staged(traces))
+            .collect();
+        let flushed = self.flush_all(&mut flushes, workers);
+        flushed.iter().map(Result::is_ok).collect()
     }
 
     /// Two-phase-commits staged cross-shard grants. `logs` are the
     /// logs of every shard lock the caller holds, ascending; `home`
     /// maps a block to its shard. Each task's per-shard `Intent`s join
-    /// their home shard's batch, one flush per shard; then each attempt
-    /// is decided by its own **single synchronous** coordinator
-    /// `Commit` append, and the decided prefix ships once. Returns how
-    /// many leading tasks of `granted` are decided — the caller must
-    /// release the rest, as recovery's presumed abort will.
+    /// their home shard's batch — one group commit per shard, one ship
+    /// round for all of them, on behalf of the traced tasks with a
+    /// block there; then each attempt is decided by its own **single
+    /// synchronous** coordinator `Commit` append, and the decided
+    /// prefix ships once. Returns how many leading tasks of `granted`
+    /// are decided — the caller must release the rest, as recovery's
+    /// presumed abort will.
     pub(crate) fn commit_cross(
         &self,
         logs: &mut [&mut ShardLog],
-        granted: &[&Task],
+        granted: &[Traced<'_>],
         home: impl Fn(BlockId) -> usize,
     ) -> usize {
         if granted.is_empty() {
@@ -418,10 +505,13 @@ impl Journal {
         }
         let mut attempts: Vec<(u64, TaskId)> = Vec::with_capacity(granted.len());
         let mut homed: Vec<BlockId> = Vec::new();
-        for task in granted {
+        // Per log, the traced tasks with an intent in it; and all of them.
+        let mut log_traces: Vec<Vec<TraceContext>> = vec![Vec::new(); logs.len()];
+        let traces: Vec<TraceContext> = granted.iter().filter_map(|(_, trace)| *trace).collect();
+        for (task, trace) in granted {
             let attempt = self.next_attempt.fetch_add(1, Ordering::Relaxed);
             attempts.push((attempt, task.id));
-            for log in logs.iter_mut() {
+            for (log, traced) in logs.iter_mut().zip(&mut log_traces) {
                 homed.clear();
                 homed.extend(task.blocks.iter().filter(|b| home(**b) == log.shard));
                 if homed.is_empty() {
@@ -431,21 +521,27 @@ impl Journal {
                 log.stage(|buf| {
                     durability::encode_intent_into(buf, attempt, task.id, demand, &homed)
                 });
+                traced.extend(*trace);
             }
         }
 
-        for log in logs.iter_mut() {
-            if log.is_staged() && self.flush_staged(log).is_err() {
-                // Presumed abort: no attempt in this batch got (or
-                // will get) a durable decision, so nothing is charged
-                // anywhere — on recovery or in memory. The Abort
-                // records are advisory (readers of the log can tell
-                // the attempts died) and themselves best-effort.
-                for (attempt, task) in attempts {
-                    self.coordinate(&[&CoordRecord::Abort { attempt, task }.encode()]);
-                }
-                return 0;
-            }
+        let mut intents: Vec<Flush<'_>> = logs
+            .iter_mut()
+            .zip(&log_traces)
+            .map(|(log, traced)| log.staged(traced))
+            .collect();
+        if self.flush_all(&mut intents, 1).iter().any(Result::is_err) {
+            // Presumed abort: no attempt in this batch got (or will
+            // get) a durable decision, so nothing is charged anywhere
+            // — on recovery or in memory. The Abort records are
+            // advisory (readers of the log can tell the attempts died)
+            // and themselves best-effort.
+            let aborts: Vec<Vec<u8>> = attempts
+                .into_iter()
+                .map(|(attempt, task)| CoordRecord::Abort { attempt, task }.encode())
+                .collect();
+            self.coordinate(&aborts, &traces);
+            return 0;
         }
 
         // Decide. A broken coordinator log stops at the first failed
@@ -458,16 +554,21 @@ impl Journal {
             .into_iter()
             .map(|(attempt, task)| CoordRecord::Commit { attempt, task }.encode())
             .collect();
-        let views: Vec<&[u8]> = decisions.iter().map(Vec::as_slice).collect();
-        self.coordinate(&views)
+        self.coordinate(&decisions, &traces)
     }
 
     /// Appends `records` to the coordinator log one by one and ships
-    /// them; returns how many leading ones are decided.
-    fn coordinate(&self, records: &[&[u8]]) -> usize {
+    /// them once; returns how many leading ones are decided.
+    fn coordinate(&self, records: &[Vec<u8>], traces: &[TraceContext]) -> usize {
         let mut coord = self.coord.lock().expect("coordinator lock poisoned");
-        self.flush(&mut coord, ReplStream::Coordinator, records, Append::Singly)
-            .unwrap_or(0)
+        let flush = Flush {
+            wal: &mut coord,
+            stream: ReplStream::Coordinator,
+            records: records.iter().map(Vec::as_slice).collect(),
+            mode: Append::Singly,
+            traces,
+        };
+        self.flush_all(&mut [flush], 1).remove(0).unwrap_or(0)
     }
 
     /// The log half of compaction, at the ledger's global quiescent

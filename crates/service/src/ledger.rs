@@ -19,32 +19,46 @@
 //!
 //! Every grant, on every kind of ledger, takes the same route. The
 //! involved shard locks are acquired in ascending shard order (a global
-//! order, so concurrent commits cannot deadlock). Under them each task
-//! of the batch is *staged* in order: its cold blocks are faulted in,
-//! every requested filter is checked, and only if **all** grant is the
-//! demand consumed — on the real filters, so the next task's check sees
-//! it. Otherwise nothing is charged anywhere and the task is released
-//! back to the caller. [`ShardedLedger::commit_shard_batch`] (one lock)
-//! and [`ShardedLedger::commit_cross_batch`] (the union of the batch's
-//! locks) are the entry points; [`ShardedLedger::commit_task`] is a
-//! batch of one.
+//! order, so concurrent commits cannot deadlock) and held from the
+//! first stage to the last restore. Under them each task of a batch is
+//! *staged* in order: its cold blocks are faulted in, every requested
+//! filter is checked, and only if **all** grant is the demand consumed
+//! — on the real filters, so the next task's check sees it. Otherwise
+//! nothing is charged anywhere and the task is released back to the
+//! caller. [`ShardedLedger::commit_local`] takes a cycle's shard-local
+//! grants, one batch per shard, under **one** hold of all their locks;
+//! [`ShardedLedger::commit_spanning`] takes the grants that span shards
+//! under the union of theirs. [`ShardedLedger::commit_shard_batch`] and
+//! [`ShardedLedger::commit_cross_batch`] are the same calls for one
+//! untraced batch, and [`ShardedLedger::commit_task`] is a batch of
+//! one.
 //!
 //! # Durability
 //!
 //! A ledger opened with [`ShardedLedger::open_durable`] has a journal,
 //! which adds two steps. While staging, the first touch of a block
-//! saves its entry as a **pre-image**; after staging, the journal makes
-//! the batch durable — one group-committed flush per shard, plus one
-//! synchronous coordinator decision per cross-shard attempt (see
-//! [`crate::durability`] for the records and the recovery argument), so
-//! durable throughput pays about one sync per shard per cycle. Staged
-//! mutations are invisible until the locks are released, and the locks
-//! are not released before the flush outcome is known: whatever did not
+//! saves its entry as a **pre-image** — one set per shard for the
+//! shard-local batches, so a shard can be undone alone. After staging,
+//! all on the calling thread, the journal makes the step durable: one
+//! group-committed flush per shard, the appends (and only they) dealt
+//! over the worker threads so the shards' syncs overlap, then — on a
+//! replicated ledger — **one** ship round carrying every stream that
+//! appended; plus, for spanning grants, one synchronous coordinator
+//! decision per attempt, shipped once (see [`crate::durability`] for
+//! the records and the recovery argument). A cycle thus pays about one
+//! sync per shard and at most three quorum waits (locals, intents,
+//! decisions), whatever the shard count. Per stream, ship order =
+//! append order = mutation order: the shard locks are held throughout,
+//! and the coordinator lock is taken after them. Staged mutations are
+//! invisible until the locks are released, and the locks are not
+//! released before every outcome is known: a batch is acknowledged iff
+//! its own stream was appended and reached quorum, and whatever did not
 //! become durable is undone by putting the pre-images back, bit for bit
-//! — an unlogged grant never becomes visible, and a failed flush, which
-//! recovery is guaranteed to resurface nothing of, releases its whole
-//! batch. [`ShardedLedger::compact`] folds the logs into per-shard
-//! snapshots at a global quiescent point.
+//! — an unlogged grant never becomes visible, and a shard whose flush
+//! or ship failed, which recovery and promotion are guaranteed to
+//! resurface nothing of, releases its whole batch while the other
+//! shards' grants stand. [`ShardedLedger::compact`] folds the logs into
+//! per-shard snapshots at a global quiescent point.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -54,7 +68,7 @@ use dpack_core::online::BlockLedger;
 use dpack_core::problem::{Block, BlockId, ProblemError, Task, TaskId};
 use dpack_wal::{WalError, WalStorage};
 
-use dpack_obs::{Clock, Histogram, Obs};
+use dpack_obs::{Clock, Histogram, Obs, TraceContext};
 
 use crate::config::{DurabilityOptions, TierConfig};
 use crate::durability::{self, BlockState};
@@ -69,8 +83,9 @@ use crate::store::{BlockStore, TierActivity, TierMeter};
 #[derive(Debug, Clone)]
 struct LedgerTelemetry {
     clock: Arc<dyn Clock>,
-    /// `dpack_shard_lock_hold_nanos`: time one batched commit holds a
-    /// shard lock (excluding the wait to acquire it).
+    /// `dpack_shard_lock_hold_nanos`: time a cycle's shard-local
+    /// commit holds its shard locks (excluding the wait to acquire
+    /// them).
     lock_hold: Histogram,
     /// `dpack_cross_commit_nanos`: one whole 2PC round.
     cross_commit: Histogram,
@@ -114,6 +129,11 @@ impl Drop for Held<'_> {
 /// What the blocks a durable batch touched held before it, so that
 /// whatever the journal fails to make durable can be undone exactly.
 type PreImages = BTreeMap<BlockId, BlockLedger>;
+
+/// A task on its way into the ledger, with its distributed-trace
+/// context if it is traced: the write-ahead flush and the replication
+/// ship that carry its grant record their spans under it.
+pub type Traced<'a> = (&'a Task, Option<TraceContext>);
 
 /// The sharded ledger: `S` lock-striped maps of block ledgers.
 #[derive(Debug)]
@@ -336,8 +356,9 @@ impl ShardedLedger {
     /// Attaches a replication sink: from now on every durable append —
     /// registration, group-commit batch, 2PC intent, coordinator
     /// decision — is shipped through `sink` after its local append and
-    /// before it is acknowledged, and a failed ship releases the work
-    /// exactly like a failed local append. See [`crate::replication`]
+    /// before it is acknowledged, the appends of one commit step in one
+    /// round, and a failed ship releases the work that rode it exactly
+    /// like a failed local append. See [`crate::replication`]
     /// for the model (and for why a replicated primary must be
     /// replaced by promotion, never restarted from its own logs).
     ///
@@ -619,71 +640,69 @@ impl ShardedLedger {
         }
     }
 
-    /// Stages `tasks` in order and, on a durable ledger, has the journal
-    /// make the granted ones durable — as one shard's `Apply` batch
-    /// (`local`) or as a two-phase commit. The journal answers with how
-    /// many leading grants are decided; short of all, the pre-images go
-    /// back, that prefix is charged again in staging order — the state
-    /// log replay reproduces — and the rest is released.
-    fn commit_held(&self, held: &mut Held<'_>, tasks: &[&Task], local: bool) -> Vec<CommitOutcome> {
-        let mut pre = self.journal.as_ref().map(|_| PreImages::new());
-        let mut outcomes: Vec<CommitOutcome> = tasks
-            .iter()
-            .map(|task| self.stage(held, task, pre.as_mut()))
-            .collect();
-        let (Some(journal), Some(pre)) = (&self.journal, pre) else {
-            return outcomes;
-        };
-        let staged: Vec<usize> = (0..tasks.len())
-            .filter(|i| outcomes[*i] == CommitOutcome::Committed)
-            .collect();
-        let granted: Vec<&Task> = staged.iter().map(|i| tasks[*i]).collect();
-        let mut logs: Vec<&mut ShardLog> = held
-            .shards
-            .iter_mut()
-            .map(|(_, stripe)| stripe.log.as_mut().expect("durable shards have a log"))
-            .collect();
-        let decided = if local {
-            journal.commit_local(logs[0], &granted)
-        } else {
-            journal.commit_cross(&mut logs, &granted, |b| self.shard_of(b))
-        };
-        if decided < staged.len() {
-            self.restore(held, pre);
-            for task in &granted[..decided] {
-                self.charge(held, task, None);
-            }
-            for i in &staged[decided..] {
-                outcomes[*i] = CommitOutcome::Released;
-            }
-        }
-        outcomes
-    }
-
-    /// Commits a scheduling cycle's shard-local grants as **one
-    /// group-committed batch** under a single acquisition of the shard
-    /// lock. Every task must have all of its blocks on `shard` (the
-    /// cycle's partition guarantees it).
-    ///
-    /// Semantics match committing the tasks one by one in order, and
-    /// the outcomes line up with `tasks`. On a durable ledger the
-    /// granted tasks flush with one write + one sync; a failed flush
-    /// releases the *whole* batch.
+    /// Commits a scheduling cycle's shard-local grants: one batch per
+    /// shard, ascending by shard, every task with all of its blocks on
+    /// that shard (the cycle's partition guarantees both). One hold of
+    /// all the involved locks; each batch staged on the calling thread
+    /// with the semantics of committing its tasks one by one; on a
+    /// durable ledger one journal step for all of them, its appends
+    /// dealt over `workers` threads (see the module docs). A batch whose
+    /// own append or ship failed is released whole, the others stand.
+    /// The outcomes line up with `batches` and their tasks.
     ///
     /// # Panics
     ///
     /// Panics if a task references an unregistered block, like
     /// [`ShardedLedger::commit_task`].
-    pub fn commit_shard_batch(&self, shard: usize, tasks: &[&Task]) -> Vec<CommitOutcome> {
-        if tasks.is_empty() {
+    pub fn commit_local(
+        &self,
+        batches: &[(usize, &[Traced<'_>])],
+        workers: usize,
+    ) -> Vec<Vec<CommitOutcome>> {
+        if batches.is_empty() {
             return Vec::new();
         }
-        debug_assert!(tasks
+        debug_assert!(batches.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(batches.iter().all(|(shard, tasks)| tasks
             .iter()
-            .all(|t| t.blocks.iter().all(|b| self.shard_of(*b) == shard)));
-        let mut held = self.hold([shard]);
+            .all(|(t, _)| t.blocks.iter().all(|b| self.shard_of(*b) == *shard))));
+        let mut held = self.hold(batches.iter().map(|(shard, _)| *shard));
         let since = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
-        let outcomes = self.commit_held(&mut held, tasks, true);
+        // One set of pre-images per shard: a shard is undone alone.
+        let mut pres: Vec<Option<PreImages>> = batches
+            .iter()
+            .map(|_| self.journal.as_ref().map(|_| PreImages::new()))
+            .collect();
+        let mut outcomes: Vec<Vec<CommitOutcome>> = batches
+            .iter()
+            .zip(&mut pres)
+            .map(|((_, tasks), pre)| {
+                let stage = |(task, _): &Traced<'_>| self.stage(&mut held, task, pre.as_mut());
+                tasks.iter().map(stage).collect()
+            })
+            .collect();
+        if let Some(journal) = &self.journal {
+            let mut logged: Vec<(&mut ShardLog, Vec<Traced<'_>>)> = held
+                .shards
+                .iter_mut()
+                .zip(batches.iter().zip(&outcomes))
+                .map(|((_, stripe), ((_, tasks), outcomes))| {
+                    let granted = tasks
+                        .iter()
+                        .zip(outcomes)
+                        .filter(|(_, outcome)| **outcome == CommitOutcome::Committed);
+                    let log = stripe.log.as_mut().expect("durable shards have a log");
+                    (log, granted.map(|(task, _)| *task).collect())
+                })
+                .collect();
+            let durable = journal.commit_local(&mut logged, workers);
+            for ((durable, pre), outcomes) in durable.into_iter().zip(pres).zip(&mut outcomes) {
+                if !durable {
+                    self.restore(&mut held, pre.expect("a durable ledger keeps pre-images"));
+                    outcomes.fill(CommitOutcome::Released);
+                }
+            }
+        }
         drop(held); // Spills: part of the hold the histogram reports.
         if let (Some(t), Some(since)) = (&self.telemetry, since) {
             t.lock_hold
@@ -692,33 +711,79 @@ impl ShardedLedger {
         outcomes
     }
 
+    /// [`ShardedLedger::commit_local`] for one shard's batch of
+    /// untraced tasks: one lock, one group commit, one ship.
+    pub fn commit_shard_batch(&self, shard: usize, tasks: &[&Task]) -> Vec<CommitOutcome> {
+        if tasks.is_empty() {
+            return Vec::new();
+        }
+        let untraced: Vec<Traced<'_>> = tasks.iter().map(|task| (*task, None)).collect();
+        self.commit_local(&[(shard, &untraced[..])], 1).remove(0)
+    }
+
     /// Commits a scheduling cycle's cross-shard grants as one batch
-    /// under the union of the involved shard locks, with the semantics
-    /// of [`ShardedLedger::commit_shard_batch`]. On a durable ledger
-    /// each granted task's per-shard `Intent` records join their home
-    /// shard's flush (one sync per shard), and then each attempt is
+    /// under the union of the involved shard locks, staged like a
+    /// shard-local batch; the outcomes line up with `tasks`. On a
+    /// durable ledger each granted task's per-shard `Intent` records
+    /// join their home shard's group commit, and then each attempt is
     /// decided by its own **single synchronous** coordinator `Commit`
     /// append — presumed abort: an intent whose decision never became
-    /// durable charges nothing, on recovery or in memory.
+    /// durable charges nothing, on recovery or in memory. The journal
+    /// answers with how many leading grants are decided; short of all,
+    /// the pre-images go back, that prefix is charged again in staging
+    /// order — the state log replay reproduces — and the rest is
+    /// released.
     ///
     /// # Panics
     ///
     /// Panics if a task references an unregistered block.
-    pub fn commit_cross_batch(&self, tasks: &[&Task]) -> Vec<CommitOutcome> {
+    pub fn commit_spanning(&self, tasks: &[Traced<'_>]) -> Vec<CommitOutcome> {
         if tasks.is_empty() {
             return Vec::new();
         }
         let since = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
         let involved: BTreeSet<usize> = tasks
             .iter()
-            .flat_map(|t| t.blocks.iter().map(|b| self.shard_of(*b)))
+            .flat_map(|(t, _)| t.blocks.iter().map(|b| self.shard_of(*b)))
             .collect();
-        let outcomes = self.commit_held(&mut self.hold(involved), tasks, false);
+        let held = &mut self.hold(involved);
+        let mut pre = self.journal.as_ref().map(|_| PreImages::new());
+        let mut outcomes: Vec<CommitOutcome> = tasks
+            .iter()
+            .map(|(task, _)| self.stage(held, task, pre.as_mut()))
+            .collect();
+        if let (Some(journal), Some(pre)) = (&self.journal, pre) {
+            let staged: Vec<usize> = (0..tasks.len())
+                .filter(|i| outcomes[*i] == CommitOutcome::Committed)
+                .collect();
+            let granted: Vec<Traced<'_>> = staged.iter().map(|i| tasks[*i]).collect();
+            let mut logs: Vec<&mut ShardLog> = held
+                .shards
+                .iter_mut()
+                .map(|(_, stripe)| stripe.log.as_mut().expect("durable shards have a log"))
+                .collect();
+            let decided = journal.commit_cross(&mut logs, &granted, |b| self.shard_of(b));
+            if decided < staged.len() {
+                self.restore(held, pre);
+                for (task, _) in &granted[..decided] {
+                    self.charge(held, task, None);
+                }
+                for i in &staged[decided..] {
+                    outcomes[*i] = CommitOutcome::Released;
+                }
+            }
+        }
         if let (Some(t), Some(since)) = (&self.telemetry, since) {
             t.cross_commit
                 .record(t.clock.now_nanos().saturating_sub(since));
         }
         outcomes
+    }
+
+    /// [`ShardedLedger::commit_spanning`] for untraced tasks.
+    pub fn commit_cross_batch(&self, tasks: &[&Task]) -> Vec<CommitOutcome> {
+        let untraced: Vec<Traced<'_>> = tasks.iter().map(|task| (*task, None)).collect();
+        self.commit_spanning(&untraced)
     }
 
     /// Folds the logs into per-shard snapshots and truncates the
@@ -1427,6 +1492,175 @@ mod tests {
             assert_eq!(commit(&refs), model.commit(batch));
             assert_bits(&l.block_states(), &model.states());
             assert_bits(&sink.fold(), &l.block_states());
+        }
+    }
+
+    /// One two-block task per shard of a four-shard ledger — blocks
+    /// `s` and `s + 4` — as the cycle's shard-local bundle.
+    fn one_batch_per_shard() -> Vec<Vec<Task>> {
+        (0..4u64)
+            .map(|s| {
+                let on_shard = |i| task(20 + 2 * s + i, vec![s, s + 4], 0.05 + 0.01 * i as f64);
+                (0..2u64).map(on_shard).collect()
+            })
+            .collect()
+    }
+
+    /// Commits `bundle` as one `commit_local` call over `workers`.
+    fn commit_bundle(
+        l: &ShardedLedger,
+        bundle: &[Vec<Task>],
+        workers: usize,
+    ) -> Vec<Vec<CommitOutcome>> {
+        let traced: Vec<Vec<Traced<'_>>> = bundle
+            .iter()
+            .map(|batch| batch.iter().map(|t| (t, None)).collect())
+            .collect();
+        let batches: Vec<(usize, &[Traced<'_>])> = traced
+            .iter()
+            .enumerate()
+            .map(|(shard, batch)| (shard, batch.as_slice()))
+            .collect();
+        l.commit_local(&batches, workers)
+    }
+
+    #[test]
+    fn one_refused_stream_of_a_bundle_releases_only_its_shard() {
+        for workers in [1, 2] {
+            let sink = Arc::new(FlakySink::default());
+            let mut l = durable(&SimStorage::new());
+            l.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
+            let (mut model, _, _) = charged(&l);
+            let bundle = one_batch_per_shard();
+            let shipped = sink.ships.load(Ordering::Relaxed);
+
+            // The bundle's four streams ship in shard order; the third
+            // (shard 2) is refused.
+            sink.refuse_in(3);
+            let outcomes = commit_bundle(&l, &bundle, workers);
+            assert_eq!(sink.ships.load(Ordering::Relaxed), shipped + 4);
+            for (shard, batch) in bundle.iter().enumerate() {
+                if shard == 2 {
+                    assert_eq!(outcomes[shard], [CommitOutcome::Released; 2]);
+                } else {
+                    assert_eq!(outcomes[shard], model.commit(batch), "shard {shard}");
+                }
+            }
+            // Blocks 2 and 6 hold their pre-images bit for bit; the
+            // other three shards' grants stand.
+            assert_bits(&l.block_states(), &model.states());
+            let stats = l.durability_stats().unwrap();
+            assert_eq!((stats.failed_ships, stats.failed_appends), (1, 0));
+            // A replica promoted from what was accepted folds to the
+            // live state — independently of the ledger.
+            assert_bits(&sink.fold(), &l.block_states());
+            assert!(l.unsound_blocks().is_empty());
+
+            // The stream goes on: shard 2's batch now commits alone.
+            let refs: Vec<&Task> = bundle[2].iter().collect();
+            assert_eq!(l.commit_shard_batch(2, &refs), model.commit(&bundle[2]));
+            assert_bits(&l.block_states(), &model.states());
+            assert_bits(&sink.fold(), &l.block_states());
+        }
+    }
+
+    /// A storage whose appends under `shard-2` fail cleanly while the
+    /// flag is up; everything else goes to the wrapped [`SimStorage`].
+    struct OneBadShard {
+        inner: Box<dyn WalStorage>,
+        failing: Arc<std::sync::atomic::AtomicBool>,
+        under_shard_2: bool,
+    }
+
+    impl OneBadShard {
+        fn wrap(&self, inner: Box<dyn WalStorage>, under_shard_2: bool) -> Box<dyn WalStorage> {
+            Box::new(Self {
+                inner,
+                failing: Arc::clone(&self.failing),
+                under_shard_2,
+            })
+        }
+    }
+
+    impl WalStorage for OneBadShard {
+        fn sub(&self, name: &str) -> std::io::Result<Box<dyn WalStorage>> {
+            let inner = self.inner.sub(name)?;
+            Ok(self.wrap(inner, self.under_shard_2 || name == "shard-2"))
+        }
+
+        fn list(&self) -> std::io::Result<Vec<String>> {
+            self.inner.list()
+        }
+
+        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+            self.inner.read(name)
+        }
+
+        fn append(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
+            if self.under_shard_2 && self.failing.load(Ordering::Relaxed) {
+                return Err(std::io::Error::other("injected shard-2 fault"));
+            }
+            self.inner.append(name, data)
+        }
+
+        fn truncate(&self, name: &str, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(name, len)
+        }
+
+        fn remove(&self, name: &str) -> std::io::Result<()> {
+            self.inner.remove(name)
+        }
+
+        fn clone_handle(&self) -> Box<dyn WalStorage> {
+            self.wrap(self.inner.clone_handle(), self.under_shard_2)
+        }
+    }
+
+    #[test]
+    fn a_failed_append_on_one_shard_keeps_its_stream_out_of_the_bundle() {
+        for workers in [1, 2] {
+            let sim = SimStorage::new();
+            let failing = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let storage = OneBadShard {
+                inner: Box::new(sim.clone()),
+                failing: Arc::clone(&failing),
+                under_shard_2: false,
+            };
+            let opts = DurabilityOptions::default();
+            let mut l = ShardedLedger::open_durable(grid(), 4, 1.0, 1, &storage, opts, &Obs::off())
+                .unwrap();
+            let sink = Arc::new(FlakySink::default());
+            l.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
+            let (mut model, _, _) = charged(&l);
+            let bundle = one_batch_per_shard();
+            let accepted = sink.accepted.lock().unwrap().len();
+
+            failing.store(true, Ordering::Relaxed);
+            let outcomes = commit_bundle(&l, &bundle, workers);
+            failing.store(false, Ordering::Relaxed);
+            // Shard 2 appended nothing, so nothing of it was shipped…
+            let streams: Vec<ReplStream> = sink.accepted.lock().unwrap()[accepted..]
+                .iter()
+                .map(|(stream, _)| *stream)
+                .collect();
+            let shard = ReplStream::Shard;
+            assert_eq!(streams, [shard(0), shard(1), shard(3)]);
+            // …and it alone is released.
+            for (shard, batch) in bundle.iter().enumerate() {
+                if shard == 2 {
+                    assert_eq!(outcomes[shard], [CommitOutcome::Released; 2]);
+                } else {
+                    assert_eq!(outcomes[shard], model.commit(batch), "shard {shard}");
+                }
+            }
+            assert_bits(&l.block_states(), &model.states());
+            let stats = l.durability_stats().unwrap();
+            assert_eq!((stats.failed_appends, stats.failed_ships), (1, 0));
+            assert_bits(&sink.fold(), &l.block_states());
+            // The failed batch resurfaces nowhere: recovery from the
+            // primary's own bytes agrees too (nothing was refused, so
+            // its logs hold exactly the acknowledged state).
+            assert_states_bit_identical(&l, &durable(&sim.surviving()));
         }
     }
 

@@ -15,7 +15,8 @@
 //! * [`BudgetService`] — the batched scheduling loop: per cycle, one
 //!   scheduling pass over every pending task (Alg. 1 wants each block's
 //!   best alpha from *all* its requesters), then a striped commit —
-//!   the grants on one shard as one batch per shard, dealt over scoped
+//!   the grants on one shard as one batch per shard, all under one
+//!   hold of their locks with the write-ahead syncs dealt over scoped
 //!   worker threads, and the grants spanning shards all-or-nothing.
 //! * [`ServiceStats`] / [`CycleStats`] — throughput, queue depth, cycle
 //!   latency and per-tenant grant rates, consumable by the bench
@@ -29,10 +30,11 @@
 //!   is one commit path: a batch is staged on the filters under the
 //!   shard locks, a durable ledger saving a pre-image of each block it
 //!   touches, and a cycle's grants on one shard flush as a single
-//!   group-committed write + sync
-//!   ([`ShardedLedger::commit_shard_batch`]), amortizing the fsync
-//!   that would otherwise gate durable throughput; what did not become
-//!   durable is undone from the pre-images before the locks drop. The
+//!   group-committed write + sync ([`ShardedLedger::commit_local`]),
+//!   amortizing the fsync that would otherwise gate durable throughput
+//!   — and, on a replicated ledger, all the shards' flushes ship to
+//!   the replicas in one quorum round; what did not become durable is
+//!   undone from the pre-images before the locks drop. The
 //!   private `journal` module is the one place that knows records,
 //!   group commit, coordinator decisions and replication shipping; see
 //!   [`durability`] for the record formats and crash-ordering argument.
@@ -95,7 +97,9 @@ pub use dpack_obs as obs;
 pub use admission::{AdmissionError, AdmissionQueue, Submission, TenantId};
 pub use config::{DurabilityOptions, SchedulerChoice, ServiceConfig, TierConfig};
 pub use ledger::{CommitOutcome, ShardedLedger};
-pub use replication::{ReplShipError, ReplStream, ReplicaApplyError, ReplicaWal, ReplicationSink};
+pub use replication::{
+    ReplShipError, ReplStream, ReplicaApplyError, ReplicaWal, ReplicationSink, ShipBatch,
+};
 pub use service::{BudgetService, ServiceHandle};
 pub use stats::{
     CycleStats, DurabilityStats, ServiceStats, StatsRetention, StatsSummary, TenantStats,

@@ -5,21 +5,24 @@
 //! # Model
 //!
 //! A replicated primary is an ordinary durable [`ShardedLedger`] with a
-//! [`ReplicationSink`] attached. Every flush point follows the same
-//! order:
+//! [`ReplicationSink`] attached. Every flush point — a cycle's
+//! shard-local batches, a two-phase batch's per-shard intents, its
+//! coordinator decisions, one registration — follows the same order:
 //!
-//! 1. **append locally** (exactly as an unreplicated durable ledger
-//!    would),
-//! 2. **ship** the appended records — one [`ReplicationSink::ship`]
-//!    call per local append/batch, on the stream named after the log it
-//!    went to ([`ReplStream::Shard`] or [`ReplStream::Coordinator`]),
-//! 3. **acknowledge** (keep the staged filter mutations / return the
-//!    grant) only if the ship succeeded.
+//! 1. **append locally**, every log of the step (exactly as an
+//!    unreplicated durable ledger would),
+//! 2. **ship** what was appended in **one round** — one
+//!    [`ReplicationSink::ship_all`] call carrying one [`ShipBatch`] per
+//!    log that appended something, each on the stream named after its
+//!    log ([`ReplStream::Shard`] or [`ReplStream::Coordinator`]),
+//! 3. **acknowledge** a batch (keep its staged filter mutations /
+//!    return its grants) only if its own stream's ship succeeded.
 //!
-//! A sink implementation forwards each ship to N replicas and reports
-//! success only once a configurable quorum has durably appended the
-//! batch — so group commit amortizes the replication round-trip
-//! exactly like it amortizes fsync. Because the replica appends
+//! A sink implementation forwards each round to N replicas and reports
+//! a batch shipped only once a configurable quorum has durably appended
+//! it — so group commit amortizes the replication round-trip exactly
+//! like it amortizes fsync, and a cycle pays the quorum wait once, not
+//! once per shard. Because the replica appends
 //! verbatim record bytes into logs with the same directory layout the
 //! primary uses (`shard-<s>`, `coord`), **promotion is the existing
 //! recovery path**: open the replica's storage with
@@ -47,10 +50,11 @@
 //! duplicate by the recovered-grant history (see
 //! [`BudgetService::recover`]).
 //!
-//! Sequencing: the ledger serializes ships per stream (shard ships
-//! happen under that shard's lock, coordinator ships under the
-//! coordinator lock), so a sink may assign per-stream sequence numbers
-//! at the call site without extra locking. [`ReplicaWal`] enforces
+//! Sequencing: the ledger serializes ships per stream (a round carries
+//! a shard's batch while that shard's lock is held, the coordinator's
+//! under the coordinator lock, and never two batches of one stream),
+//! so a sink may assign per-stream sequence numbers at the call site
+//! without extra locking. [`ReplicaWal`] enforces
 //! them: next-in-sequence appends, duplicates ack idempotently, gaps
 //! are refused.
 //!
@@ -71,6 +75,8 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use dpack_obs::trace::scoped_traces;
+use dpack_obs::TraceContext;
 use dpack_wal::{Wal, WalError, WalOptions, WalStorage};
 
 use crate::journal::{shard_dir, COORD_DIR};
@@ -174,23 +180,52 @@ impl fmt::Display for ReplShipError {
 
 impl std::error::Error for ReplShipError {}
 
+/// One log's appended records on their way to the replicas: a part of
+/// one [`ReplicationSink::ship_all`] round.
+#[derive(Debug, Clone, Copy)]
+pub struct ShipBatch<'a> {
+    /// The log the records were appended to.
+    pub stream: ReplStream,
+    /// The exact record bytes, in append order; never empty.
+    pub records: &'a [&'a [u8]],
+    /// The traced grants the records belong to: a sink records its
+    /// ship spans for these, and only these, on this batch's stream.
+    pub traces: &'a [TraceContext],
+}
+
 /// Where a replicated ledger ships every durable append. Implementors
 /// forward to replicas and answer once the quorum policy is met; the
 /// in-process implementation used by tests appends straight into a
 /// [`ReplicaWal`].
 ///
-/// `ship` is called once per local append or group-commit batch, with
-/// the exact record bytes in append order, after the local append
-/// succeeded and before anything is acknowledged. Calls are serialized
-/// per stream by the ledger's own locks. An `Err` releases the work.
+/// The ledger calls `ship_all` once per flush point (see the module
+/// docs), with one batch per log that appended something, after the
+/// local appends succeeded and before anything is acknowledged. Rounds
+/// are serialized per stream by the ledger's own locks, and one round
+/// never carries two batches of one stream. An `Err` for a batch
+/// releases that batch's work, and only that.
 pub trait ReplicationSink: Send + Sync + fmt::Debug {
-    /// Replicates one appended batch. `records` is never empty.
+    /// Replicates one appended batch on behalf of the calling thread's
+    /// pinned traces ([`scoped_traces`]). `records` is never empty.
     ///
     /// # Errors
     ///
     /// [`ReplShipError`] when the quorum policy cannot be met; the
     /// caller releases the batch.
     fn ship(&self, stream: ReplStream, records: &[&[u8]]) -> Result<(), ReplShipError>;
+
+    /// Replicates one round of batches, at most one per stream, and
+    /// answers for each in order: a batch is shipped iff its own stream
+    /// reached quorum. The default ships them one after another, each
+    /// under its own traces; a sink with a wire underneath overrides it
+    /// to send every batch before waiting for any ack.
+    fn ship_all(&self, batches: &[ShipBatch<'_>]) -> Vec<Result<(), ReplShipError>> {
+        let ship = |batch: &ShipBatch<'_>| {
+            let _pinned = scoped_traces(batch.traces.to_vec());
+            self.ship(batch.stream, batch.records)
+        };
+        batches.iter().map(ship).collect()
+    }
 }
 
 /// Why a replica refused (or failed) to apply a shipped batch.

@@ -36,9 +36,11 @@
 //!    (or DPF's per-task shares) fan out over the worker threads.
 //! 3. **Commit** — the pass's grants split by shard set. Grants whose
 //!    blocks all live on one shard go to the ledger as one batch per
-//!    shard, the batches fanned out over the workers so different
-//!    shards' write-ahead syncs overlap; then the grants spanning
-//!    shards commit as one two-phase batch, all-or-nothing per task.
+//!    shard in one call: it holds the shards' locks once, stages on
+//!    this thread, deals the write-ahead syncs over the workers so
+//!    they overlap, and ships every shard's batch to the replicas in
+//!    one quorum round. Then the grants spanning shards commit as one
+//!    two-phase batch, all-or-nothing per task.
 //! 4. **Finalize** — tickets resolve, granted and evicted ids stop
 //!    being live; stats record the cycle's volumes and phase timings.
 //!
@@ -65,16 +67,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dp_accounting::AlphaGrid;
-use dpack_core::fan_out;
 use dpack_core::online::AllocatedTask;
 use dpack_core::problem::{Block, BlockId, ProblemError, ProblemState, Task, TaskId};
-use dpack_obs::trace::{scoped_traces, span_id, SpanKind};
+use dpack_obs::trace::{span_id, SpanKind};
 use dpack_obs::{EventKind, Obs, TraceContext};
 use dpack_wal::{WalError, WalStorage};
 
 use crate::admission::{AdmissionError, AdmissionQueue, Submission, TenantId};
 use crate::config::{DurabilityOptions, ServiceConfig, TierConfig};
-use crate::ledger::{CommitOutcome, ShardedLedger};
+use crate::ledger::{CommitOutcome, ShardedLedger, Traced};
 use crate::stats::{CycleStats, ServiceStats};
 use crate::telemetry::ServiceTelemetry;
 use crate::ticket::{Decision, SubmissionTicket, TicketCell};
@@ -1075,64 +1076,52 @@ impl BudgetService {
 
     /// The commit phase: the pass's selection, split by shard set. The
     /// tasks whose blocks all live on one shard commit as **one batch
-    /// per shard** — a cycle's grants on one shard cost one write-ahead
-    /// sync — with the batches dealt over the worker threads (the cycle
-    /// thread takes the first share), so different shards' syncs
-    /// overlap. Then the tasks spanning shards commit as one two-phase
-    /// batch: their intents join their home shards' flushes, decisions
-    /// stay per-attempt. Every selected task fits the snapshot together
-    /// with all the others, so the order between the two groups decides
-    /// nothing; within a group, tasks keep their allocation order. What
-    /// commits leaves the pending set; everything else waits in place.
+    /// per shard** under one hold of the involved shard locks — a
+    /// cycle's grants on one shard cost one write-ahead sync, the
+    /// shards' syncs overlap on the worker threads, and all of them
+    /// ship to the replicas in one round (see
+    /// [`ShardedLedger::commit_local`]; an in-memory ledger commits
+    /// them in a plain loop). Then the tasks spanning shards commit as
+    /// one two-phase batch: their intents join their home shards'
+    /// flushes, decisions stay per-attempt. Every selected task fits
+    /// the snapshot together with all the others, so the order between
+    /// the two groups decides nothing; within a group, tasks keep their
+    /// allocation order. What commits leaves the pending set;
+    /// everything else waits in place.
     fn commit(&self, pending: &mut Pending, selected: &[usize], now: f64) -> Committed {
         let ledger = &self.ledger;
         let (tasks, tags) = (pending.state.tasks(), &pending.tags);
-        // Positions in `selected`, per shard and for the spanning group.
-        let mut local: Vec<Vec<usize>> = vec![Vec::new(); ledger.n_shards()];
-        let mut spanning: Vec<usize> = Vec::new();
+        // Per shard and for the spanning group: the tasks, each with
+        // its trace context, and their positions in `selected`.
+        let mut local: Vec<(Vec<Traced<'_>>, Vec<usize>)> =
+            vec![Default::default(); ledger.n_shards()];
+        let mut spanning: (Vec<Traced<'_>>, Vec<usize>) = Default::default();
         for (at, &i) in selected.iter().enumerate() {
-            match ledger.home_shard(&tasks[i]) {
-                Some(home) => local[home].push(at),
-                None => spanning.push(at),
-            }
+            let group = match ledger.home_shard(&tasks[i]) {
+                Some(home) => &mut local[home],
+                None => &mut spanning,
+            };
+            group.0.push((&tasks[i], tags[i].trace));
+            group.1.push(at);
         }
-        // One group's commit. The group's trace contexts are pinned on
-        // the committing thread: the ledger and replication layers read
-        // the scoped set to record their WAL-flush / ship spans without
-        // any signature change on the commit path.
-        let commit_group = |group: &[usize], shard: Option<usize>| {
-            let batch: Vec<&Task> = group.iter().map(|&at| &tasks[selected[at]]).collect();
-            let traces = group.iter().filter_map(|&at| tags[selected[at]].trace);
-            let _pinned = scoped_traces(traces.collect());
-            match shard {
-                Some(shard) => ledger.commit_shard_batch(shard, &batch),
-                None => ledger.commit_cross_batch(&batch),
-            }
-        };
-        let batches: Vec<(usize, &[usize])> = local
+        let batches: Vec<(usize, &[Traced<'_>])> = local
             .iter()
             .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .map(|(shard, group)| (shard, group.as_slice()))
+            .filter(|(_, (batch, _))| !batch.is_empty())
+            .map(|(shard, (batch, _))| (shard, batch.as_slice()))
             .collect();
-        let threads = self.config.workers.min(batches.len()).max(1);
         let mut outcomes = vec![CommitOutcome::Released; selected.len()];
-        let shares = fan_out(threads, |w| {
-            let mine = batches.iter().skip(w).step_by(threads);
-            mine.flat_map(|&(shard, group)| {
-                group.iter().copied().zip(commit_group(group, Some(shard)))
-            })
-            .collect::<Vec<_>>()
-        });
-        for (at, outcome) in shares.into_iter().flatten() {
-            outcomes[at] = outcome;
+        let committed = ledger.commit_local(&batches, self.config.workers);
+        let positions = batches.iter().map(|(shard, _)| &local[*shard].1);
+        for (at, outcome) in positions.flatten().zip(committed.into_iter().flatten()) {
+            outcomes[*at] = outcome;
         }
         let n_local = outcomes
             .iter()
             .filter(|o| **o == CommitOutcome::Committed)
             .count();
-        for (&at, outcome) in spanning.iter().zip(commit_group(&spanning, None)) {
-            outcomes[at] = outcome;
+        for (at, outcome) in spanning.1.iter().zip(ledger.commit_spanning(&spanning.0)) {
+            outcomes[*at] = outcome;
         }
 
         let mut keep = vec![true; tasks.len()];
@@ -1211,6 +1200,7 @@ impl ServiceHandle {
 mod tests {
     use super::*;
     use crate::config::SchedulerChoice;
+    use crate::replication::{ReplShipError, ReplStream, ReplicationSink, ShipBatch};
     use dp_accounting::RdpCurve;
     use dpack_core::online::{OnlineConfig, OnlineEngine};
     use dpack_core::schedulers::DPack;
@@ -1297,6 +1287,75 @@ mod tests {
         // Block 0 was not touched by the released task.
         let snap = service.ledger().snapshot_all(1.0);
         assert_eq!(snap[&0].epsilon(0), 1.0);
+    }
+
+    /// A sink that accepts everything and keeps, per ship round, the
+    /// streams it carried.
+    #[derive(Debug, Default)]
+    struct RoundCounter(Mutex<Vec<Vec<ReplStream>>>);
+
+    impl ReplicationSink for RoundCounter {
+        fn ship(&self, stream: ReplStream, _: &[&[u8]]) -> Result<(), ReplShipError> {
+            self.0.lock().unwrap().push(vec![stream]);
+            Ok(())
+        }
+
+        fn ship_all(&self, batches: &[ShipBatch<'_>]) -> Vec<Result<(), ReplShipError>> {
+            let streams = batches.iter().map(|b| b.stream).collect();
+            self.0.lock().unwrap().push(streams);
+            batches.iter().map(|_| Ok(())).collect()
+        }
+    }
+
+    #[test]
+    fn a_cycle_ships_in_at_most_three_rounds_whatever_the_shard_count() {
+        let sink = Arc::new(RoundCounter::default());
+        let mut service = BudgetService::recover(
+            grid(),
+            immediate_unlock(4, 2),
+            &dpack_wal::SimStorage::new(),
+            DurabilityOptions::default(),
+        )
+        .unwrap();
+        service.replicate_to(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
+        for j in 0..8u64 {
+            service
+                .register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
+                .unwrap();
+        }
+        let rounds = || std::mem::take(&mut *sink.0.lock().unwrap());
+        assert_eq!(rounds().len(), 8, "one round per registration");
+
+        // Shard-local grants on all four shards: one round, one batch
+        // per shard, in shard order.
+        for i in 0..8u64 {
+            service.submit(0, simple_task(i, vec![i], 0.2)).unwrap();
+        }
+        assert_eq!(service.run_cycle(1.0).local_granted, 8);
+        let shard = ReplStream::Shard;
+        assert_eq!(rounds(), [[shard(0), shard(1), shard(2), shard(3)]]);
+
+        // Local and spanning grants: the locals' round, the intents'
+        // round (tasks 10 and 11 span shards 0–1 and 2–3), and the
+        // decisions' round.
+        for i in 0..3u64 {
+            service
+                .submit(0, simple_task(20 + i, vec![i], 0.2))
+                .unwrap();
+        }
+        service.submit(0, simple_task(10, vec![0, 1], 0.2)).unwrap();
+        service.submit(0, simple_task(11, vec![2, 3], 0.2)).unwrap();
+        let cycle = service.run_cycle(2.0);
+        assert_eq!((cycle.local_granted, cycle.cross_granted), (3, 2));
+        assert_eq!(
+            rounds(),
+            [
+                vec![shard(0), shard(1), shard(2)],
+                vec![shard(0), shard(1), shard(2), shard(3)],
+                vec![ReplStream::Coordinator],
+            ]
+        );
+        assert_eq!(service.ledger().durability_stats().unwrap().failed_ships, 0);
     }
 
     #[test]

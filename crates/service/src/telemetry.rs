@@ -27,7 +27,7 @@
 //! | `dpack_grant_latency_nanos` | histogram | admission → committed grant |
 //! | `dpack_cycle_nanos` | histogram | whole-cycle duration |
 //! | `dpack_cycle_phase_nanos{phase=…}` | histogram | per-phase breakdown |
-//! | `dpack_shard_lock_hold_nanos` | histogram | shard-lock hold per batch |
+//! | `dpack_shard_lock_hold_nanos` | histogram | shard-lock hold per shard-local commit |
 //! | `dpack_cross_commit_nanos` | histogram | 2PC round duration |
 //! | `dpack_wal_append_nanos` | histogram | WAL write+sync latency |
 //! | `dpack_wal_batch_records` | histogram | records per flushed batch |

@@ -14,12 +14,17 @@
 //! * **Bit-identical promotion** — the promoted ledger equals the dead
 //!   primary's live ledger and an independent fold of the replica's
 //!   surviving records, bit for bit.
+//! * **One refused stream releases one shard** — a cycle ships its
+//!   shards' batches in one round; refusing any one stream of any round
+//!   (a shard's local batch, its intents, the coordinator's decisions)
+//!   releases exactly the work that rode it, and the three-way
+//!   identity above still holds.
 //! * **Idempotent failover resubmission** — resubmitting a grant the
 //!   promoted ledger already holds is refused as a duplicate; fresh
 //!   work is admitted.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dp_accounting::{AlphaGrid, RdpCurve};
@@ -68,14 +73,21 @@ fn opts() -> DurabilityOptions {
 struct InProcessSink {
     replica: ReplicaWal,
     seqs: Vec<AtomicU64>,
+    /// Refuse, once, the batch that would be this stream's `n`-th —
+    /// one stream of whatever ship round carries it — without
+    /// consuming its sequence number.
+    refuse: Option<(ReplStream, u64)>,
+    refused: AtomicBool,
 }
 
 impl InProcessSink {
-    fn new(replica: ReplicaWal) -> Self {
+    fn new(replica: ReplicaWal, refuse: Option<(ReplStream, u64)>) -> Self {
         let n = replica.n_shards();
         Self {
             replica,
             seqs: (0..=n).map(|_| AtomicU64::new(0)).collect(),
+            refuse,
+            refused: AtomicBool::new(false),
         }
     }
 }
@@ -86,6 +98,12 @@ impl ReplicationSink for InProcessSink {
             ReplStream::Shard(s) => s as usize,
             ReplStream::Coordinator => self.replica.n_shards(),
         };
+        let next = self.seqs[slot].load(Ordering::Relaxed) + 1;
+        if self.refuse == Some((stream, next)) && !self.refused.swap(true, Ordering::Relaxed) {
+            return Err(ReplShipError::Sink(format!(
+                "refused {stream} batch {next}"
+            )));
+        }
         let seq = self.seqs[slot].fetch_add(1, Ordering::Relaxed) + 1;
         let owned: Vec<Vec<u8>> = records.iter().map(|r| r.to_vec()).collect();
         self.replica
@@ -105,6 +123,7 @@ fn drive_replicated(
     sim_replica: &SimStorage,
     seed: u64,
     cycles: u64,
+    refuse: Option<(ReplStream, u64)>,
 ) -> Result<
     (
         BTreeMap<TaskId, Vec<BlockId>>,
@@ -124,7 +143,7 @@ fn drive_replicated(
         // Same for the replica-side crash budget: no replica, no run.
         Err(_) => return Ok((BTreeMap::new(), BTreeMap::new(), 0)),
     };
-    service.replicate_to(Arc::new(InProcessSink::new(replica)));
+    service.replicate_to(Arc::new(InProcessSink::new(replica, refuse)));
     for j in 0..N_BLOCKS {
         let _ = service.register_block(Block::new(j, RdpCurve::constant(&grid(), 8.0), 0.0));
     }
@@ -329,7 +348,7 @@ fn a_primary_crash_promotes_the_replica_with_exactly_the_acked_grants() {
         |&(seed, cycles, crash_at)| {
             let sim_p = SimStorage::with_crash_after(crash_at);
             let sim_r = SimStorage::new();
-            let (acked, live_states, _) = drive_replicated(&sim_p, &sim_r, seed, cycles)?;
+            let (acked, live_states, _) = drive_replicated(&sim_p, &sim_r, seed, cycles, None)?;
             check_promotion(&sim_r, &acked, &live_states, crash_at)
         },
     );
@@ -353,7 +372,7 @@ fn a_replica_crash_releases_unshipped_work_and_still_promotes_exactly() {
             let sim_p = SimStorage::new();
             let sim_r = SimStorage::with_crash_after(crash_at);
             let (acked, live_states, failed_ships) =
-                drive_replicated(&sim_p, &sim_r, seed, cycles)?;
+                drive_replicated(&sim_p, &sim_r, seed, cycles, None)?;
             witnessed_failures.fetch_add(failed_ships, Ordering::Relaxed);
             check_promotion(&sim_r, &acked, &live_states, crash_at)
         },
@@ -369,6 +388,29 @@ fn a_replica_crash_releases_unshipped_work_and_still_promotes_exactly() {
     }
 }
 
+/// No crash, one refusal: every stream in turn has its second, third
+/// and fourth batch refused once. The grants of that batch are
+/// released (never acked), everything else the same round carried
+/// stands, and live ≡ promoted ≡ independent fold.
+#[test]
+fn a_refused_stream_of_a_round_releases_only_what_rode_it() {
+    let streams = (0..SHARDS as u32)
+        .map(ReplStream::Shard)
+        .chain([ReplStream::Coordinator]);
+    for stream in streams {
+        for nth in 2..=4 {
+            let (sim_p, sim_r) = (SimStorage::new(), SimStorage::new());
+            let (acked, live_states, failed_ships) =
+                drive_replicated(&sim_p, &sim_r, 20250808, 6, Some((stream, nth)))
+                    .expect("refused run");
+            assert_eq!(failed_ships, 1, "{stream} batch {nth} was never shipped");
+            assert!(!acked.is_empty(), "seed must grant something");
+            check_promotion(&sim_r, &acked, &live_states, 0)
+                .unwrap_or_else(|e| panic!("{stream} batch {nth}: {e:?}"));
+        }
+    }
+}
+
 /// Crash-free failover: promote the replica of a healthy run, then
 /// resubmit — everything already acked is refused as a duplicate (no
 /// double charge), fresh work is admitted and granted.
@@ -377,7 +419,7 @@ fn failover_resubmission_is_idempotent_on_the_promoted_service() {
     let sim_p = SimStorage::new();
     let sim_r = SimStorage::new();
     let (acked, live_states, failed_ships) =
-        drive_replicated(&sim_p, &sim_r, 20250808, 6).expect("healthy run");
+        drive_replicated(&sim_p, &sim_r, 20250808, 6, None).expect("healthy run");
     assert_eq!(failed_ships, 0);
     assert!(!acked.is_empty(), "seed must grant something");
     check_promotion(&sim_r, &acked, &live_states, 0).expect("promotion invariants");

@@ -60,6 +60,27 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
   exit 1
 fi
 
+echo "==> checking a cycle pays one quorum round per commit step"
+# journal.rs appends every log of a step and then ships them in one
+# ReplicationSink::ship_all round — from exactly one place, so no
+# per-shard ship is reachable from a cycle — and service.rs commits a
+# cycle's shard-local grants in one ledger call: the worker threads are
+# the journal's, for the appends only. A fan-out of the commit itself
+# is how each shard came to pay its own quorum wait.
+journal_code="$(awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/service/src/journal.rs | grep -vE '^[^ ]+ *//' || true)"
+if [ "$(grep -cE '\.ship_all\(' <<<"${journal_code}")" != 1 ] \
+    || grep -E '\.ship\(' <<<"${journal_code}"; then
+  echo "ERROR: crates/service/src/journal.rs must reach the sink through ship_all, in exactly one place" >&2
+  exit 1
+fi
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    crates/service/src/service.rs \
+  | grep -E 'fan_out'; then
+  echo "ERROR: crates/service/src/service.rs fans the commit out again (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking new counter structs go through dpack-obs"
 # New metrics belong in the dpack-obs registry (named, labelled,
 # scrapable), not in one-off counter structs. The legacy pre-obs
@@ -229,10 +250,12 @@ fi
 # (one leader per term, acked grants survive any single-node loss,
 # bit-identical replica convergence, grant conservation) must replay
 # byte-identically from a fixed seed or a chaos failure report would
-# not reproduce.
-echo "==> replay determinism guard (cluster chaos suite)"
+# not reproduce. The self-heal suite rides along: its ship rounds
+# (a replica dying or hanging mid-round) run under manual clocks and
+# must be as repeatable.
+echo "==> replay determinism guard (cluster chaos and self-heal suites)"
 run_chaos_seeded() {
-  DPACK_CHECK_SEED=20250742 cargo test -q -p dpack-net --test cluster_chaos 2>&1 \
+  DPACK_CHECK_SEED=20250742 cargo test -q -p dpack-net --test cluster_chaos --test repl_selfheal 2>&1 \
     | sed 's/finished in [0-9.]*s//'
 }
 first="$(run_chaos_seeded)"
