@@ -40,8 +40,8 @@
 //!
 //! A [`ReplicaNode`] is the state behind
 //! [`crate::NetServer::bind_replica`]: a
-//! [`dpack_service::ReplicaWal`] with the primary's directory layout
-//! (so promotion is [`BudgetService::recover`] on its storage), an
+//! [`dpack_service::ReplicaWal`] with the primary's log layout (so
+//! promotion is [`BudgetService::recover`] on its storage), an
 //! election state (current term, vote bookkeeping), plus its own
 //! observability — `dpack_repl_*` metrics and
 //! [`EventKind::ReplicaApplied`] flight-recorder events. Terms are
@@ -1175,7 +1175,25 @@ mod tests {
     use super::*;
     use crate::transport::LoopbackTransport;
     use crate::ServiceCore;
+    use dpack_service::durability::LogRecord;
     use dpack_service::wal::SimStorage;
+
+    /// A record tagged with `stream`, as a primary ships it.
+    fn record(stream: ReplStream) -> Vec<u8> {
+        match stream {
+            ReplStream::Shard(shard) => LogRecord::Apply {
+                shard,
+                task: 0,
+                demand: vec![],
+                blocks: vec![],
+            },
+            ReplStream::Coordinator => LogRecord::Abort {
+                attempt: 0,
+                task: 0,
+            },
+        }
+        .encode()
+    }
 
     fn loopback_replica(sim: &SimStorage, shards: usize) -> (Arc<ReplicaNode>, NetClient) {
         let obs = Obs::off();
@@ -1196,10 +1214,11 @@ mod tests {
         let repl = Replicator::over_clients(vec![client_a, client_b], 2, 2, &obs);
         assert_eq!(repl.live(), 2);
 
-        let rec: &[&[u8]] = &[b"one", b"two"];
-        repl.ship(ReplStream::Shard(1), rec).unwrap();
-        repl.ship(ReplStream::Shard(1), &[b"three"]).unwrap();
-        repl.ship(ReplStream::Coordinator, &[b"c1"]).unwrap();
+        let one = record(ReplStream::Shard(1));
+        repl.ship(ReplStream::Shard(1), &[&one, &one]).unwrap();
+        repl.ship(ReplStream::Shard(1), &[&one]).unwrap();
+        repl.ship(ReplStream::Coordinator, &[&record(ReplStream::Coordinator)])
+            .unwrap();
         for node in [&node_a, &node_b] {
             assert_eq!(node.wal().durable_seq(ReplStream::Shard(1)), 2);
             assert_eq!(node.wal().durable_seq(ReplStream::Coordinator), 1);
@@ -1218,7 +1237,9 @@ mod tests {
         let obs = Obs::off();
         let repl = Replicator::over_clients(vec![client_a, client_b], 2, 1, &obs);
 
-        let err = repl.ship(ReplStream::Shard(0), &[b"r"]).unwrap_err();
+        let err = repl
+            .ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
+            .unwrap_err();
         assert_eq!(
             err,
             ReplShipError::QuorumLost {
@@ -1231,7 +1252,9 @@ mod tests {
         // recovers even if its storage does: quorum 2 of a 1-live
         // fleet keeps failing, and A (live) keeps applying.
         sim_b.set_append_errors(false);
-        assert!(repl.ship(ReplStream::Shard(0), &[b"r2"]).is_err());
+        assert!(repl
+            .ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
+            .is_err());
         assert_eq!(node_a.wal().durable_seq(ReplStream::Shard(0)), 2);
     }
 
@@ -1245,7 +1268,8 @@ mod tests {
         let obs = Obs::off();
         let repl = Replicator::over_clients(vec![client_a, client_b], 1, 1, &obs);
 
-        repl.ship(ReplStream::Shard(0), &[b"r"]).unwrap();
+        repl.ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
+            .unwrap();
         assert_eq!(repl.live(), 1);
         assert_eq!(node_a.wal().durable_seq(ReplStream::Shard(0)), 1);
         assert_eq!(node_b.wal().durable_seq(ReplStream::Shard(0)), 0);
@@ -1258,7 +1282,9 @@ mod tests {
         let grid = AlphaGrid::new(vec![4.0, 16.0]).unwrap();
         let service = Arc::new(BudgetService::new(grid, ServiceConfig::default()));
         let mut client = NetClient::loopback(service);
-        let err = client.replicate(0, 0, 1, vec![b"r".to_vec()]).unwrap_err();
+        let err = client
+            .replicate(0, 0, 1, vec![record(ReplStream::Shard(0))])
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1292,12 +1318,29 @@ mod tests {
     fn duplicate_and_gap_deliveries_answer_idempotently_and_with_gap_errors() {
         let sim = SimStorage::new();
         let (node, mut client) = loopback_replica(&sim, 1);
-        assert_eq!(client.replicate(0, 0, 1, vec![b"a".to_vec()]).unwrap(), 1);
-        assert_eq!(client.replicate(0, 0, 2, vec![b"b".to_vec()]).unwrap(), 2);
+        assert_eq!(
+            client
+                .replicate(0, 0, 1, vec![record(ReplStream::Shard(0))])
+                .unwrap(),
+            1
+        );
+        assert_eq!(
+            client
+                .replicate(0, 0, 2, vec![record(ReplStream::Shard(0))])
+                .unwrap(),
+            2
+        );
         // Duplicate: acked with the unchanged durable sequence.
-        assert_eq!(client.replicate(0, 0, 1, vec![b"a".to_vec()]).unwrap(), 2);
+        assert_eq!(
+            client
+                .replicate(0, 0, 1, vec![record(ReplStream::Shard(0))])
+                .unwrap(),
+            2
+        );
         // Gap: refused with the dedicated code.
-        let err = client.replicate(0, 0, 9, vec![b"z".to_vec()]).unwrap_err();
+        let err = client
+            .replicate(0, 0, 9, vec![record(ReplStream::Shard(0))])
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1316,12 +1359,24 @@ mod tests {
         let sim = SimStorage::new();
         let (node, mut client) = loopback_replica(&sim, 1);
         // Term 0 (legacy) ships flow while nothing newer was seen.
-        assert_eq!(client.replicate(0, 0, 1, vec![b"a".to_vec()]).unwrap(), 1);
+        assert_eq!(
+            client
+                .replicate(0, 0, 1, vec![record(ReplStream::Shard(0))])
+                .unwrap(),
+            1
+        );
         // A ship from term 3 is adopted...
-        assert_eq!(client.replicate(3, 0, 2, vec![b"b".to_vec()]).unwrap(), 2);
+        assert_eq!(
+            client
+                .replicate(3, 0, 2, vec![record(ReplStream::Shard(0))])
+                .unwrap(),
+            2
+        );
         assert_eq!(node.current_term(), 3);
         // ...after which the old term's ships bounce with StaleTerm.
-        let err = client.replicate(0, 0, 3, vec![b"c".to_vec()]).unwrap_err();
+        let err = client
+            .replicate(0, 0, 3, vec![record(ReplStream::Shard(0))])
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1346,7 +1401,9 @@ mod tests {
         let (_, again) = client.request_vote(1, 0, vec![0, 0]).unwrap();
         assert!(!again);
         // Ship a record so the voter's own ballot becomes [1, 0].
-        client.replicate(2, 0, 1, vec![b"r".to_vec()]).unwrap();
+        client
+            .replicate(2, 0, 1, vec![record(ReplStream::Shard(0))])
+            .unwrap();
         // A candidate whose ballot would lose acked work is refused —
         // and the term is consumed anyway (the refused candidate must
         // campaign above it, letting the better-placed node go first).
@@ -1377,7 +1434,12 @@ mod tests {
         assert_eq!(node.wal().lineage(), 2);
         assert_eq!(node.wal().vector(), vec![7, 3]);
         // Ships resume as a suffix of the installed base.
-        assert_eq!(client.replicate(2, 0, 8, vec![b"s".to_vec()]).unwrap(), 8);
+        assert_eq!(
+            client
+                .replicate(2, 0, 8, vec![record(ReplStream::Shard(0))])
+                .unwrap(),
+            8
+        );
         // A mid-resync node refuses to vote even for a covering ballot.
         assert_eq!(client.resync_stream(2, 0, 9, Vec::new()).unwrap(), 9);
         let (_, granted) = client.request_vote(9, 0, vec![99, 99]).unwrap();
@@ -1395,7 +1457,9 @@ mod tests {
         // fenced with StaleTerm, learns it is deposed, and fails every
         // later ship without touching the wire.
         let repl = Replicator::over_clients(vec![client], 1, 1, &obs);
-        let err = repl.ship(ReplStream::Shard(0), &[b"r"]).unwrap_err();
+        let err = repl
+            .ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
+            .unwrap_err();
         assert_eq!(
             err,
             ReplShipError::QuorumLost {
@@ -1404,19 +1468,23 @@ mod tests {
             }
         );
         assert!(repl.is_deposed());
-        assert!(repl.ship(ReplStream::Shard(0), &[b"r2"]).is_err());
+        assert!(repl
+            .ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
+            .is_err());
         assert_eq!(node.wal().durable_seq(ReplStream::Shard(0)), 0);
     }
 
     /// Four one-record batches, one per shard stream of an S = 4
     /// ledger.
     fn four_streams() -> Vec<ShipBatch<'static>> {
-        const RECORDS: [&[&[u8]]; 4] = [&[b"s0"], &[b"s1"], &[b"s2"], &[b"s3"]];
         (0..4u32)
-            .map(|s| ShipBatch {
-                stream: ReplStream::Shard(s),
-                records: RECORDS[s as usize],
-                traces: &[],
+            .map(|s| {
+                let tagged: &[u8] = Vec::leak(record(ReplStream::Shard(s)));
+                ShipBatch {
+                    stream: ReplStream::Shard(s),
+                    records: Vec::leak(vec![tagged]),
+                    traces: &[],
+                }
             })
             .collect()
     }
@@ -1433,7 +1501,8 @@ mod tests {
         assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
         // A single-stream `ship` is a round of one, and per-stream
         // sequences advance independently.
-        repl.ship(ReplStream::Shard(2), &[b"again"]).unwrap();
+        repl.ship(ReplStream::Shard(2), &[&record(ReplStream::Shard(2))])
+            .unwrap();
         assert_eq!(repl.vector(), [1, 1, 2, 1, 0]);
         for node in &nodes {
             assert_eq!(node.wal().vector(), repl.vector());
@@ -1486,7 +1555,8 @@ mod tests {
             1,
             "a fresh replica matches the fresh primary: rejoined without a resync"
         );
-        repl.ship(ReplStream::Shard(0), &[b"r"]).unwrap();
+        repl.ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
+            .unwrap();
         assert_eq!(node.wal().durable_seq(ReplStream::Shard(0)), 1);
     }
 }

@@ -15,11 +15,23 @@ use dpack_net::{
     Connector, LoopbackTransport, NetClient, NetError, ReplicaNode, Replicator, ServiceCore,
     Transport,
 };
+use dpack_service::durability::LogRecord;
 use dpack_service::wal::SimStorage;
 use dpack_service::{
     BudgetService, DurabilityOptions, ReplShipError, ReplStream, ReplicationSink, ServiceConfig,
     ShipBatch,
 };
+
+/// A record of shard `s`'s stream, tagged as a primary ships it.
+fn record(s: u32) -> Vec<u8> {
+    let apply = LogRecord::Apply {
+        shard: s,
+        task: 0,
+        demand: vec![],
+        blocks: vec![],
+    };
+    apply.encode()
+}
 
 /// A loopback transport whose acks can be made to hang: with the flag
 /// set, `recv_frame` surfaces [`NetError::Timeout`] — exactly what a
@@ -123,7 +135,8 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
     assert_eq!(counters("dpack_repl_resyncs_total"), 0);
 
     // Chapter 2: an ordinary acked ship.
-    repl.ship(ReplStream::Shard(0), &[b"a"]).expect("quorum");
+    repl.ship(ReplStream::Shard(0), &[&record(0)])
+        .expect("quorum");
     assert_eq!(node.wal().durable_seq(ReplStream::Shard(0)), 1);
     assert_eq!(durable_gauge(), 1);
 
@@ -131,7 +144,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
     // ack never comes: the ship times out, counts it, and drops the
     // replica to Suspect — the commit path never blocks on a hung peer.
     hang.store(true, Ordering::Release);
-    repl.ship(ReplStream::Shard(0), &[b"b"])
+    repl.ship(ReplStream::Shard(0), &[&record(0)])
         .expect_err("no ack");
     assert_eq!((repl.live(), live_gauge()), (0, 0));
     assert_eq!(counters("dpack_repl_ship_timeout_total"), 1);
@@ -176,7 +189,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
     // catch-up: quiesced snapshot install at the primary's vector,
     // then a committed lineage.
     hang.store(true, Ordering::Release);
-    repl.ship(ReplStream::Shard(0), &[b"c"])
+    repl.ship(ReplStream::Shard(0), &[&record(0)])
         .expect_err("no ack");
     assert_eq!(counters("dpack_repl_ship_timeout_total"), 2);
     assert_eq!(counters("dpack_repl_ship_failures_total"), 2);
@@ -204,7 +217,8 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
 
     // Chapter 7: ships resume as an ordinary suffix of the installed
     // base, and the final ledger of counters is exact.
-    repl.ship(ReplStream::Shard(0), &[b"d"]).expect("quorum");
+    repl.ship(ReplStream::Shard(0), &[&record(0)])
+        .expect("quorum");
     assert_eq!(node.wal().durable_seq(ReplStream::Shard(0)), 4);
     assert_eq!(durable_gauge(), 4);
     let metrics = obs.registry.snapshot();
@@ -223,12 +237,14 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
 
 /// One round of four one-record batches, one per shard stream.
 fn four_streams() -> Vec<ShipBatch<'static>> {
-    const RECORDS: [&[&[u8]]; 4] = [&[b"s0"], &[b"s1"], &[b"s2"], &[b"s3"]];
     (0..4u32)
-        .map(|s| ShipBatch {
-            stream: ReplStream::Shard(s),
-            records: RECORDS[s as usize],
-            traces: &[],
+        .map(|s| {
+            let tagged: &[u8] = Vec::leak(record(s));
+            ShipBatch {
+                stream: ReplStream::Shard(s),
+                records: Vec::leak(vec![tagged]),
+                traces: &[],
+            }
         })
         .collect()
 }

@@ -31,7 +31,7 @@ use crate::registry::Counter;
 /// | `TaskAdmitted` | task id | tenant |
 /// | `TaskGranted` | task id | virtual grant time (`f64::to_bits`) |
 /// | `TaskEvicted` | task id | virtual eviction time (`f64::to_bits`) |
-/// | `BatchFlushed` | shard | records in the flush |
+/// | `BatchFlushed` | shard (`u32::MAX`: coordinator) | records of the stream in the flush |
 /// | `RecoveryStarted` | shard count | 0 |
 /// | `RecoveryCoordinator` | committed attempts | highest attempt |
 /// | `RecoveryShard` | shard | records replayed |

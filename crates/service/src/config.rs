@@ -109,10 +109,8 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Worker threads `W`. A cycle's one scheduling pass fans its
     /// metric computation — DPack's alpha orders, DPF's per-task shares
-    /// — out over them, and the commit deals its per-shard grant
-    /// batches over them so different shards' write-ahead syncs
-    /// overlap. The cycle thread is one of the `W`. Never changes a
-    /// decision.
+    /// — out over them. The cycle thread is one of the `W`. Never
+    /// changes a decision.
     pub workers: usize,
     /// Scheduling period `T` in virtual time units (used by the
     /// background service loop to advance virtual time).

@@ -1,30 +1,50 @@
 //! WAL record formats for the durable ledger.
 //!
-//! Each ledger shard owns one `dpack-wal` log; a coordinator log holds
-//! the cross-shard two-phase-commit decisions. This module is the
-//! formats only — who appends what, when, and what a failed append
-//! undoes is `journal.rs`, the one module that uses them. The records:
+//! A durable ledger writes **one** `dpack-wal` log. Every record in it
+//! belongs to one *stream* — a shard's, or the cross-shard
+//! coordinator's — and names it in a tag ahead of its body, so the one
+//! log carries what would otherwise be one log per shard plus a
+//! coordinator log, and a commit step is one write + one sync however
+//! many streams it touches:
 //!
-//! * Shard log — [`ShardRecord::Block`] (a registration),
-//!   [`ShardRecord::Apply`] (a single-shard grant, logged *before* the
+//! ```text
+//! ┌───────────┬──────────────────────┬─────────┬──────┐
+//! │ stream u8 │ shard u32 LE         │ kind u8 │ body │
+//! │ 1 = shard │ (shard streams only) │         │      │
+//! │ 2 = coord │                      │         │      │
+//! └───────────┴──────────────────────┴─────────┴──────┘
+//! ```
+//!
+//! This module is the formats only — who appends what, when, and what
+//! a failed append undoes is `journal.rs`, the one module that writes
+//! them. The records ([`LogRecord`]):
+//!
+//! * Shard streams — [`LogRecord::Block`] (a registration),
+//!   [`LogRecord::Apply`] (a single-shard grant, logged *before* the
 //!   staged filter mutation becomes visible), and
-//!   [`ShardRecord::Intent`] (this shard's slice of a cross-shard
-//!   grant, logged before the coordinator decision).
-//! * Coordinator log — [`CoordRecord::Commit`] / [`CoordRecord::Abort`]
-//!   keyed by a service-unique *attempt id*, so a task id reused after
-//!   a grant (ids become reusable once resolved) can never alias an
-//!   earlier attempt's decision.
+//!   [`LogRecord::Intent`] (this shard's slice of a cross-shard grant,
+//!   logged before the coordinator decision).
+//! * The coordinator stream — [`LogRecord::Commit`] /
+//!   [`LogRecord::Abort`] keyed by a service-unique *attempt id*, so a
+//!   task id reused after a grant (ids become reusable once resolved)
+//!   can never alias an earlier attempt's decision.
+//! * Either stream — [`LogRecord::Base`], written only by a replica's
+//!   resync: the stream restarts from a snapshot at a replication
+//!   sequence number, superseding everything the stream logged before.
 //!
-//! Recovery replays each shard log in append order, applying `Apply`
-//! unconditionally and `Intent` iff the coordinator log contains a
-//! `Commit` for its attempt — presumed abort: an intent whose decision
-//! never became durable charges nothing anywhere, which is what makes
-//! cross-shard grants atomic across crashes. Because every record is
-//! appended (and acknowledged) under the same shard lock that orders
-//! the in-memory mutations, replay reproduces the exact mutation
-//! order, and float composition being replayed in that order makes the
-//! recovered filter state **bit-identical** — the property the
-//! recovery suites assert.
+//! Recovery folds the log shard by shard, each shard's records in log
+//! order, applying `Apply` unconditionally and `Intent` iff the
+//! coordinator stream contains a `Commit` for its attempt — presumed
+//! abort: an intent whose decision never became durable charges nothing
+//! anywhere, which is what makes cross-shard grants atomic across
+//! crashes. Because a shard's records are appended (and acknowledged)
+//! under the same shard lock that orders its in-memory mutations, its
+//! stream reproduces the exact mutation order, and float composition
+//! being replayed in that order makes the recovered filter state
+//! **bit-identical** — the property the recovery suites assert.
+//!
+//! A compaction snapshot and a resync base hold their blocks'
+//! persisted states ([`encode_snapshot`]).
 //!
 //! All integers and `f64` bit patterns are little-endian; curves are
 //! stored as raw `f64::to_bits` so round-trips are exact.
@@ -33,11 +53,15 @@ use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_core::problem::{BlockId, TaskId};
 use dpack_wal::WalError;
 
-/// A record in one shard's log.
+use crate::replication::ReplStream;
+
+/// One record of the ledger's log; every record belongs to one stream.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ShardRecord {
-    /// A block registered on this shard.
+pub enum LogRecord {
+    /// A block registered on shard `shard`.
     Block {
+        /// The shard whose stream the record is on.
+        shard: u32,
         /// The block id.
         id: BlockId,
         /// Its arrival time.
@@ -46,18 +70,22 @@ pub enum ShardRecord {
         capacity: Vec<f64>,
     },
     /// A single-shard grant: `demand` charged on `blocks`, all owned by
-    /// this shard. Durable before the mutation becomes visible.
+    /// shard `shard`. Durable before the mutation becomes visible.
     Apply {
+        /// The shard whose stream the record is on.
+        shard: u32,
         /// The granted task.
         task: TaskId,
         /// The task's demand curve.
         demand: Vec<f64>,
-        /// The charged blocks (this shard owns all of them).
+        /// The charged blocks.
         blocks: Vec<BlockId>,
     },
-    /// This shard's slice of a cross-shard grant; applied on recovery
-    /// iff the coordinator committed the attempt.
+    /// Shard `shard`'s slice of a cross-shard grant; applied on
+    /// recovery iff the coordinator committed the attempt.
     Intent {
+        /// The shard whose stream the record is on.
+        shard: u32,
         /// The service-unique attempt id.
         attempt: u64,
         /// The granted task.
@@ -67,29 +95,38 @@ pub enum ShardRecord {
         /// The charged blocks on this shard only.
         blocks: Vec<BlockId>,
     },
-}
-
-/// A record in the coordinator's log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoordRecord {
-    /// Every involved shard's intent is durable; the grant is decided.
+    /// On the coordinator's stream: every involved shard's intent of
+    /// `attempt` is durable; the grant is decided.
     Commit {
         /// The attempt this decision is for.
         attempt: u64,
         /// The task (for observability; recovery keys on `attempt`).
         task: TaskId,
     },
-    /// The attempt was abandoned after some intents were written
-    /// (advisory — recovery presumes abort for undecided attempts).
+    /// On the coordinator's stream: `attempt` was abandoned after its
+    /// intents were written (advisory — recovery presumes abort for
+    /// undecided attempts).
     Abort {
         /// The attempt this decision is for.
         attempt: u64,
         /// The task.
         task: TaskId,
     },
+    /// A replica's resync base: `stream` restarts at replication
+    /// sequence `seq` from `snapshot` (a shard snapshot,
+    /// [`encode_snapshot`]; empty for the coordinator), and nothing the
+    /// stream logged before counts any more.
+    Base {
+        /// The re-based stream.
+        stream: ReplStream,
+        /// The primary's sequence number the snapshot covers.
+        seq: u64,
+        /// The stream's state at `seq`.
+        snapshot: Vec<u8>,
+    },
 }
 
-/// Persisted per-block state inside a shard snapshot.
+/// Persisted per-block state inside a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockState {
     /// The block id.
@@ -178,6 +215,10 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn u32(&mut self) -> Result<u32, WalError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized")))
+    }
+
     fn u64(&mut self) -> Result<u64, WalError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
     }
@@ -191,7 +232,7 @@ impl<'a> Reader<'a> {
     /// must surface as [`WalError::Corrupt`], never as a huge
     /// allocation request.
     fn list_len(&mut self, elem_bytes: usize) -> Result<usize, WalError> {
-        let n = u32::from_le_bytes(self.take(4)?.try_into().expect("sized")) as usize;
+        let n = self.u32()? as usize;
         if n.checked_mul(elem_bytes)
             .is_none_or(|b| b > self.bytes.len())
         {
@@ -210,6 +251,20 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| self.u64()).collect()
     }
 
+    fn bytes(&mut self) -> Result<Vec<u8>, WalError> {
+        let n = self.list_len(1)?;
+        Ok(self.take(n)?.to_vec())
+    }
+
+    /// The stream tag a record opens with.
+    fn stream(&mut self) -> Result<ReplStream, WalError> {
+        match self.u8()? {
+            STREAM_SHARD => Ok(ReplStream::Shard(self.u32()?)),
+            STREAM_COORD => Ok(ReplStream::Coordinator),
+            tag => Err(WalError::Corrupt(format!("unknown stream tag {tag}"))),
+        }
+    }
+
     fn done(self) -> Result<(), WalError> {
         if self.bytes.is_empty() {
             Ok(())
@@ -221,136 +276,189 @@ impl<'a> Reader<'a> {
 
 // ---- record codecs ---------------------------------------------------
 
-const TAG_BLOCK: u8 = 1;
-const TAG_APPLY: u8 = 2;
-const TAG_INTENT: u8 = 3;
-const TAG_COMMIT: u8 = 1;
-const TAG_ABORT: u8 = 2;
+const STREAM_SHARD: u8 = 1;
+const STREAM_COORD: u8 = 2;
+const KIND_BLOCK: u8 = 1;
+const KIND_APPLY: u8 = 2;
+const KIND_INTENT: u8 = 3;
+const KIND_COMMIT: u8 = 1;
+const KIND_ABORT: u8 = 2;
+const KIND_BASE: u8 = 9;
 
-impl ShardRecord {
-    /// Serializes the record into a fresh buffer (cold paths; the
-    /// commit paths stage into a reusable scratch via
-    /// [`encode_apply_into`] and [`encode_intent_into`]).
+fn put_stream(buf: &mut Vec<u8>, stream: ReplStream) {
+    match stream {
+        ReplStream::Shard(shard) => {
+            buf.push(STREAM_SHARD);
+            buf.extend_from_slice(&shard.to_le_bytes());
+        }
+        ReplStream::Coordinator => buf.push(STREAM_COORD),
+    }
+}
+
+impl LogRecord {
+    /// Serializes the record (the grant paths use the borrowed
+    /// [`encode_apply_into`] and [`encode_intent_into`] instead, which
+    /// skip building the owned record and encode into a reused buffer).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let buf = &mut Vec::new();
         match self {
             Self::Block {
+                shard,
                 id,
                 arrival,
                 capacity,
             } => {
-                buf.push(TAG_BLOCK);
-                put_u64(&mut buf, *id);
-                put_f64(&mut buf, *arrival);
-                put_f64s(&mut buf, capacity);
+                put_stream(buf, ReplStream::Shard(*shard));
+                buf.push(KIND_BLOCK);
+                put_u64(buf, *id);
+                put_f64(buf, *arrival);
+                put_f64s(buf, capacity);
             }
             Self::Apply {
+                shard,
                 task,
                 demand,
                 blocks,
-            } => encode_apply_into(&mut buf, *task, demand, blocks),
+            } => encode_apply_into(buf, *shard, *task, demand, blocks),
             Self::Intent {
+                shard,
                 attempt,
                 task,
                 demand,
                 blocks,
-            } => encode_intent_into(&mut buf, *attempt, *task, demand, blocks),
+            } => encode_intent_into(buf, *shard, *attempt, *task, demand, blocks),
+            Self::Commit { attempt, task } | Self::Abort { attempt, task } => {
+                put_stream(buf, ReplStream::Coordinator);
+                buf.push(if matches!(self, Self::Commit { .. }) {
+                    KIND_COMMIT
+                } else {
+                    KIND_ABORT
+                });
+                put_u64(buf, *attempt);
+                put_u64(buf, *task);
+            }
+            Self::Base {
+                stream,
+                seq,
+                snapshot,
+            } => {
+                put_stream(buf, *stream);
+                buf.push(KIND_BASE);
+                put_u64(buf, *seq);
+                put_len(buf, snapshot.len());
+                buf.extend_from_slice(snapshot);
+            }
         }
-        buf
+        std::mem::take(buf)
     }
 
     /// Deserializes a record.
     ///
     /// # Errors
     ///
-    /// [`WalError::Corrupt`] on an unknown tag or malformed body.
+    /// [`WalError::Corrupt`] on an unknown stream tag or kind, a kind
+    /// its stream never logs, or a malformed body.
     pub fn decode(bytes: &[u8]) -> Result<Self, WalError> {
         let mut r = Reader::new(bytes);
-        let record = match r.u8()? {
-            TAG_BLOCK => Self::Block {
+        let record = match (r.stream()?, r.u8()?) {
+            (stream, KIND_BASE) => Self::Base {
+                stream,
+                seq: r.u64()?,
+                snapshot: r.bytes()?,
+            },
+            (ReplStream::Shard(shard), KIND_BLOCK) => Self::Block {
+                shard,
                 id: r.u64()?,
                 arrival: r.f64()?,
                 capacity: r.f64s()?,
             },
-            TAG_APPLY => Self::Apply {
+            (ReplStream::Shard(shard), KIND_APPLY) => Self::Apply {
+                shard,
                 task: r.u64()?,
                 demand: r.f64s()?,
                 blocks: r.u64s()?,
             },
-            TAG_INTENT => Self::Intent {
+            (ReplStream::Shard(shard), KIND_INTENT) => Self::Intent {
+                shard,
                 attempt: r.u64()?,
                 task: r.u64()?,
                 demand: r.f64s()?,
                 blocks: r.u64s()?,
             },
-            tag => return Err(WalError::Corrupt(format!("unknown shard record tag {tag}"))),
+            (ReplStream::Coordinator, KIND_COMMIT) => Self::Commit {
+                attempt: r.u64()?,
+                task: r.u64()?,
+            },
+            (ReplStream::Coordinator, KIND_ABORT) => Self::Abort {
+                attempt: r.u64()?,
+                task: r.u64()?,
+            },
+            (stream, kind) => {
+                return Err(WalError::Corrupt(format!(
+                    "record kind {kind} does not exist on stream {stream}"
+                )))
+            }
         };
         r.done()?;
         Ok(record)
     }
-}
 
-impl CoordRecord {
-    /// Serializes the record.
-    pub fn encode(&self) -> Vec<u8> {
-        let (tag, attempt, task) = match self {
-            Self::Commit { attempt, task } => (TAG_COMMIT, *attempt, *task),
-            Self::Abort { attempt, task } => (TAG_ABORT, *attempt, *task),
-        };
-        let mut buf = Vec::with_capacity(17);
-        buf.push(tag);
-        put_u64(&mut buf, attempt);
-        put_u64(&mut buf, task);
-        buf
-    }
-
-    /// Deserializes a record.
+    /// The stream a record's bytes belong to and, for a
+    /// [`LogRecord::Base`], the sequence number it re-bases at —
+    /// without decoding the body.
     ///
     /// # Errors
     ///
-    /// [`WalError::Corrupt`] on an unknown tag or malformed body.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WalError> {
+    /// [`WalError::Corrupt`] on an unknown stream tag or bytes too short
+    /// to hold the head.
+    pub fn head(bytes: &[u8]) -> Result<(ReplStream, Option<u64>), WalError> {
         let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let attempt = r.u64()?;
-        let task = r.u64()?;
-        r.done()?;
-        match tag {
-            TAG_COMMIT => Ok(Self::Commit { attempt, task }),
-            TAG_ABORT => Ok(Self::Abort { attempt, task }),
-            tag => Err(WalError::Corrupt(format!(
-                "unknown coordinator record tag {tag}"
-            ))),
-        }
+        let stream = r.stream()?;
+        let base = match r.u8()? {
+            KIND_BASE => Some(r.u64()?),
+            _ => None,
+        };
+        Ok((stream, base))
     }
 }
 
-/// Encodes an [`ShardRecord::Apply`] directly from borrowed parts —
-/// the hot commit path stages records without building the owned enum
-/// (no demand/blocks `Vec` clones, no per-record buffer).
-pub fn encode_apply_into(buf: &mut Vec<u8>, task: TaskId, demand: &[f64], blocks: &[BlockId]) {
-    buf.push(TAG_APPLY);
+/// Encodes a [`LogRecord::Apply`] on shard `shard`'s stream directly
+/// from borrowed parts — the hot commit path stages records without
+/// building the owned record (no demand/blocks `Vec` clones, no
+/// per-record buffer).
+pub fn encode_apply_into(
+    buf: &mut Vec<u8>,
+    shard: u32,
+    task: TaskId,
+    demand: &[f64],
+    blocks: &[BlockId],
+) {
+    put_stream(buf, ReplStream::Shard(shard));
+    buf.push(KIND_APPLY);
     put_u64(buf, task);
     put_f64s(buf, demand);
     put_u64s(buf, blocks);
 }
 
-/// Encodes a [`ShardRecord::Intent`] directly from borrowed parts.
+/// Encodes a [`LogRecord::Intent`] on shard `shard`'s stream directly
+/// from borrowed parts.
 pub fn encode_intent_into(
     buf: &mut Vec<u8>,
+    shard: u32,
     attempt: u64,
     task: TaskId,
     demand: &[f64],
     blocks: &[BlockId],
 ) {
-    buf.push(TAG_INTENT);
+    put_stream(buf, ReplStream::Shard(shard));
+    buf.push(KIND_INTENT);
     put_u64(buf, attempt);
     put_u64(buf, task);
     put_f64s(buf, demand);
     put_u64s(buf, blocks);
 }
 
-/// Serializes a shard snapshot (every block's persisted state).
+/// Serializes a snapshot: the persisted state of every block given.
 pub fn encode_snapshot(blocks: &[BlockState]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_len(&mut buf, blocks.len());
@@ -364,7 +472,7 @@ pub fn encode_snapshot(blocks: &[BlockState]) -> Vec<u8> {
     buf
 }
 
-/// Deserializes a shard snapshot.
+/// Deserializes a snapshot.
 ///
 /// # Errors
 ///
@@ -393,83 +501,103 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<BlockState>, WalError> {
 mod tests {
     use super::*;
 
+    /// Every record round-trips exactly, and its head names `stream`
+    /// (and a base's seq) without a body decode.
+    fn assert_round_trips(stream: ReplStream, records: &[LogRecord]) {
+        for rec in records {
+            let bytes = rec.encode();
+            assert_eq!(&LogRecord::decode(&bytes).unwrap(), rec);
+            let base = match rec {
+                LogRecord::Base { seq, .. } => Some(*seq),
+                _ => None,
+            };
+            assert_eq!(LogRecord::head(&bytes).unwrap(), (stream, base));
+        }
+    }
+
     #[test]
     fn shard_records_round_trip_bit_exactly() {
         let records = [
-            ShardRecord::Block {
+            LogRecord::Block {
+                shard: u32::MAX - 1,
                 id: 7,
                 arrival: 1.25,
                 capacity: vec![1.0, 0.1 + 0.2, f64::MIN_POSITIVE],
             },
-            ShardRecord::Apply {
+            LogRecord::Apply {
+                shard: u32::MAX - 1,
                 task: u64::MAX,
                 demand: vec![0.3, -0.0],
                 blocks: vec![1, 9, 42],
             },
-            ShardRecord::Intent {
+            LogRecord::Intent {
+                shard: u32::MAX - 1,
                 attempt: 3,
                 task: 8,
                 demand: vec![],
                 blocks: vec![0],
             },
+            LogRecord::Base {
+                stream: ReplStream::Shard(u32::MAX - 1),
+                seq: 12,
+                snapshot: vec![1, 2, 3],
+            },
         ];
-        for rec in &records {
-            let back = ShardRecord::decode(&rec.encode()).unwrap();
-            assert_eq!(&back, rec);
-        }
+        assert_round_trips(ReplStream::Shard(u32::MAX - 1), &records);
         // Bit-exactness of awkward floats (0.1+0.2 is not 0.3).
-        if let ShardRecord::Block { capacity, .. } =
-            ShardRecord::decode(&records[0].encode()).unwrap()
+        if let LogRecord::Block { capacity, .. } = LogRecord::decode(&records[0].encode()).unwrap()
         {
             assert_eq!(capacity[1].to_bits(), (0.1f64 + 0.2).to_bits());
         }
     }
 
     #[test]
-    fn borrowed_encoders_match_the_owned_records_byte_for_byte() {
-        // The zero-copy staging path must stay wire-compatible with
-        // the enum codecs recovery decodes with.
-        let demand = vec![0.25, 0.1 + 0.2];
-        let blocks = vec![3u64, 9];
-        let mut buf = Vec::new();
-        encode_apply_into(&mut buf, 42, &demand, &blocks);
-        assert_eq!(
-            buf,
-            ShardRecord::Apply {
-                task: 42,
-                demand: demand.clone(),
-                blocks: blocks.clone(),
-            }
-            .encode()
-        );
-        buf.clear();
-        encode_intent_into(&mut buf, 7, 42, &demand, &blocks);
-        assert_eq!(
-            buf,
-            ShardRecord::Intent {
-                attempt: 7,
-                task: 42,
-                demand,
-                blocks,
-            }
-            .encode()
+    fn coord_records_round_trip() {
+        assert_round_trips(
+            ReplStream::Coordinator,
+            &[
+                LogRecord::Commit {
+                    attempt: 5,
+                    task: 2,
+                },
+                LogRecord::Abort {
+                    attempt: 6,
+                    task: 3,
+                },
+                LogRecord::Base {
+                    stream: ReplStream::Coordinator,
+                    seq: 4,
+                    snapshot: vec![],
+                },
+            ],
         );
     }
 
     #[test]
-    fn coord_records_round_trip() {
-        for rec in [
-            CoordRecord::Commit {
-                attempt: 5,
-                task: 2,
-            },
-            CoordRecord::Abort {
-                attempt: 6,
-                task: 3,
-            },
-        ] {
-            assert_eq!(CoordRecord::decode(&rec.encode()).unwrap(), rec);
-        }
+    fn borrowed_encoders_match_the_owned_records_byte_for_byte() {
+        // The zero-copy staging path must stay wire-compatible with
+        // the record codec recovery decodes with.
+        let demand = vec![0.25, 0.1 + 0.2];
+        let blocks = vec![3u64, 9];
+        let mut buf = Vec::new();
+        encode_apply_into(&mut buf, 3, 42, &demand, &blocks);
+        let apply = LogRecord::Apply {
+            shard: 3,
+            task: 42,
+            demand: demand.clone(),
+            blocks: blocks.clone(),
+        };
+        assert_eq!(buf, apply.encode());
+        buf.clear();
+        encode_intent_into(&mut buf, 3, 7, 42, &demand, &blocks);
+        let intent = LogRecord::Intent {
+            shard: 3,
+            attempt: 7,
+            task: 42,
+            demand,
+            blocks,
+        };
+        assert_eq!(buf, intent.encode());
     }
 
     #[test]
@@ -497,18 +625,25 @@ mod tests {
 
     #[test]
     fn malformed_bytes_are_corrupt_not_panics() {
-        assert!(ShardRecord::decode(&[]).is_err());
-        assert!(ShardRecord::decode(&[99]).is_err());
-        assert!(CoordRecord::decode(&[1, 2, 3]).is_err());
+        assert!(LogRecord::decode(&[]).is_err());
+        assert!(LogRecord::decode(&[99]).is_err(), "unknown stream tag");
+        assert!(LogRecord::head(&[99, 0]).is_err());
+        assert!(
+            LogRecord::decode(&[STREAM_SHARD, 0, 0]).is_err(),
+            "torn shard index"
+        );
+        assert!(LogRecord::decode(&[STREAM_COORD, 1, 2, 3]).is_err());
+        // A kind the stream never logs: an Apply on the coordinator.
+        assert!(LogRecord::decode(&[STREAM_COORD, KIND_INTENT]).is_err());
         assert!(decode_snapshot(&[1, 0, 0, 0]).is_err());
         // Trailing garbage is rejected, not ignored.
-        let mut bytes = CoordRecord::Commit {
+        let mut bytes = LogRecord::Commit {
             attempt: 1,
             task: 1,
         }
         .encode();
         bytes.push(0);
-        assert!(CoordRecord::decode(&bytes).is_err());
+        assert!(LogRecord::decode(&bytes).is_err());
     }
 
     #[test]
@@ -517,9 +652,9 @@ mod tests {
         // multi-hundred-GB preallocation.
         assert!(decode_snapshot(&[0xFF, 0xFF, 0xFF, 0xFF]).is_err());
         // Same for a record's inner list lengths.
-        let mut bytes = vec![TAG_APPLY];
+        let mut bytes = vec![STREAM_SHARD, 0, 0, 0, 0, KIND_APPLY];
         bytes.extend_from_slice(&7u64.to_le_bytes()); // Task id.
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // Demand len.
-        assert!(ShardRecord::decode(&bytes).is_err());
+        assert!(LogRecord::decode(&bytes).is_err());
     }
 }

@@ -35,30 +35,25 @@
 //!
 //! # Durability
 //!
-//! A ledger opened with [`ShardedLedger::open_durable`] has a journal,
-//! which adds two steps. While staging, the first touch of a block
-//! saves its entry as a **pre-image** — one set per shard for the
-//! shard-local batches, so a shard can be undone alone. After staging,
-//! all on the calling thread, the journal makes the step durable: one
-//! group-committed flush per shard, the appends (and only they) dealt
-//! over the worker threads so the shards' syncs overlap, then — on a
-//! replicated ledger — **one** ship round carrying every stream that
-//! appended; plus, for spanning grants, one synchronous coordinator
-//! decision per attempt, shipped once (see [`crate::durability`] for
-//! the records and the recovery argument). A cycle thus pays about one
-//! sync per shard and at most three quorum waits (locals, intents,
-//! decisions), whatever the shard count. Per stream, ship order =
-//! append order = mutation order: the shard locks are held throughout,
-//! and the coordinator lock is taken after them. Staged mutations are
-//! invisible until the locks are released, and the locks are not
-//! released before every outcome is known: a batch is acknowledged iff
-//! its own stream was appended and reached quorum, and whatever did not
-//! become durable is undone by putting the pre-images back, bit for bit
-//! — an unlogged grant never becomes visible, and a shard whose flush
-//! or ship failed, which recovery and promotion are guaranteed to
-//! resurface nothing of, releases its whole batch while the other
-//! shards' grants stand. [`ShardedLedger::compact`] folds the logs into
-//! per-shard snapshots at a global quiescent point.
+//! A ledger opened with [`ShardedLedger::open_durable`] has a journal
+//! — one write-ahead log whose records name their shard's (or the
+//! coordinator's) stream — which adds two steps. While staging, the
+//! first touch of a block saves its entry as a **pre-image**, one set
+//! per shard for the shard-local batches. After staging, the journal
+//! makes the step durable with **one** group commit — one write, one
+//! sync — for every shard's batch, then **one** ship round on a
+//! replicated ledger; spanning grants take two more such steps, intents
+//! then decisions (see [`crate::durability`]). A cycle thus pays at
+//! most three syncs and three quorum waits, whatever the shard count.
+//! Per stream, ship order = append order = mutation order: the shard
+//! locks are held throughout, and the journal's lock is taken after
+//! them. Nothing staged is visible before every outcome is known, and
+//! whatever did not become durable is undone from the pre-images, bit
+//! for bit: a failed append releases every batch of its step (recovery
+//! resurfaces no record of it); a refused ship releases only the shard
+//! that rode it; a spanning step is decided all at once or not at all.
+//! [`ShardedLedger::compact`] folds the log into one snapshot at a
+//! global quiescent point.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -72,7 +67,7 @@ use dpack_obs::{Clock, Histogram, Obs, TraceContext};
 
 use crate::config::{DurabilityOptions, TierConfig};
 use crate::durability::{self, BlockState};
-use crate::journal::{self, Journal, Replay, ShardLog};
+use crate::journal::{self, Journal, Replay};
 use crate::replication::ReplicationSink;
 use crate::stats::DurabilityStats;
 use crate::store::{BlockStore, TierActivity, TierMeter};
@@ -91,25 +86,18 @@ struct LedgerTelemetry {
     cross_commit: Histogram,
 }
 
-/// One stripe: its blocks plus (when durable) its own log.
-#[derive(Debug, Default)]
-struct Shard {
-    blocks: BlockStore,
-    log: Option<ShardLog>,
-}
-
 /// The shards a commit holds locked, ascending by shard. A commit may
 /// grow their hot sets; dropping this is the one point where the
 /// stores are handed back, so the hot-tier bound is restored *there* —
 /// on every return path, including refused and released commits that
 /// faulted blocks in and charged nothing.
 struct Held<'a> {
-    shards: Vec<(usize, MutexGuard<'a, Shard>)>,
+    shards: Vec<(usize, MutexGuard<'a, BlockStore>)>,
     tier: &'a TierMeter,
 }
 
 impl Held<'_> {
-    fn shard(&mut self, shard: usize) -> &mut Shard {
+    fn shard(&mut self, shard: usize) -> &mut BlockStore {
         let at = self.shards.binary_search_by_key(&shard, |(s, _)| *s);
         &mut self.shards[at.expect("a commit locks every shard its tasks touch")].1
     }
@@ -119,8 +107,8 @@ impl Drop for Held<'_> {
     fn drop(&mut self) {
         // A panicking commit poisons the locks anyway; no I/O for it.
         if !std::thread::panicking() {
-            for (_, stripe) in &mut self.shards {
-                stripe.blocks.spill(self.tier);
+            for (_, blocks) in &mut self.shards {
+                blocks.spill(self.tier);
             }
         }
     }
@@ -141,7 +129,7 @@ pub struct ShardedLedger {
     grid: AlphaGrid,
     unlock_period: f64,
     unlock_steps: u32,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<BlockStore>>,
     /// The write-ahead half of a durable ledger (`None` in memory).
     journal: Option<Journal>,
     /// Task ids whose grants recovery re-applied, drained once by
@@ -187,7 +175,7 @@ impl ShardedLedger {
             grid,
             unlock_period,
             unlock_steps,
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             journal: None,
             recovered_grants: BTreeSet::new(),
             tiered: false,
@@ -197,19 +185,15 @@ impl ShardedLedger {
     }
 
     /// Attaches observability: commit paths report shard-lock holds,
-    /// 2PC round durations, and batch-flush events; every WAL (shard
-    /// and coordinator) reports append latency and batch sizes. No-op
+    /// 2PC round durations, and batch-flush events; the WAL reports
+    /// append latency and batch sizes. No-op
     /// for a fully disabled [`Obs`], keeping the un-instrumented paths
     /// byte-identical.
     pub fn instrument(&mut self, obs: &Obs) {
         if !obs.is_enabled() && obs.recorder.capacity() == 0 {
             return;
         }
-        let logs = self.shards.iter_mut().filter_map(|shard| {
-            let shard = shard.get_mut().expect("instrument before sharing");
-            shard.log.as_mut()
-        });
-        journal::instrument(obs, self.journal.as_mut(), logs);
+        journal::instrument(obs, self.journal.as_mut());
         self.telemetry = Some(LedgerTelemetry {
             lock_hold: obs.registry.histogram("dpack_shard_lock_hold_nanos", ""),
             cross_commit: obs.registry.histogram("dpack_cross_commit_nanos", ""),
@@ -220,7 +204,7 @@ impl ShardedLedger {
 
     /// Enables tiered block storage: each shard gets a checksummed
     /// segment store under `storage` (`tier-<s>`, sibling to the
-    /// WAL's `shard-<s>`, so a shared fault-injecting storage covers
+    /// WAL's namespace, so a shared fault-injecting storage covers
     /// both), and blocks beyond [`TierConfig::hot_capacity`] spill
     /// least-recently-touched first. Spill space is ephemeral — the
     /// WAL remains the only durability source and recovery
@@ -241,10 +225,8 @@ impl ShardedLedger {
         config: TierConfig,
     ) -> Result<(), WalError> {
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            let shard = shard.get_mut().expect("enable tier before sharing");
-            shard
-                .blocks
-                .enable_tier(storage.sub(&format!("tier-{s}"))?, config, &self.tier)?;
+            let blocks = shard.get_mut().expect("enable tier before sharing");
+            blocks.enable_tier(storage.sub(&format!("tier-{s}"))?, config, &self.tier)?;
         }
         self.tiered = true;
         Ok(())
@@ -263,7 +245,7 @@ impl ShardedLedger {
         }
         let mut activity = self.tier.activity();
         for s in 0..self.shards.len() {
-            let (segments, bytes) = self.lock(s).blocks.spill_footprint();
+            let (segments, bytes) = self.lock(s).spill_footprint();
             activity.segments += segments;
             activity.spill_bytes += bytes;
         }
@@ -282,9 +264,7 @@ impl ShardedLedger {
             let guard = self.lock(shard);
             let homed = ids.iter().filter(|id| self.shard_of(**id) == shard);
             all.extend(homed.filter_map(|id| {
-                let curve = guard
-                    .blocks
-                    .with_block(*id, &self.grid, |b| self.available(b, now))?;
+                let curve = guard.with_block(*id, &self.grid, |b| self.available(b, now))?;
                 Some((*id, curve))
             }));
         }
@@ -292,8 +272,8 @@ impl ShardedLedger {
     }
 
     /// Opens a durable ledger in `storage`, recovering whatever state
-    /// the logs hold: per-shard snapshots are restored, then each
-    /// shard's records replay in append order — `Apply` records
+    /// the log holds: the snapshot is restored, then shard by shard the
+    /// shard's records replay in log order — `Apply` records
     /// unconditionally, `Intent` records iff the coordinator committed
     /// their attempt (presumed abort otherwise) — reproducing the
     /// pre-crash filter state bit-identically. On empty storage this
@@ -303,9 +283,9 @@ impl ShardedLedger {
     ///
     /// # Errors
     ///
-    /// Storage errors, or [`WalError::Corrupt`] if the logs cannot be
-    /// interpreted (they validate frame-by-frame, so this means a
-    /// format mismatch, not a torn tail).
+    /// Storage errors, or [`WalError::Corrupt`] if the log cannot be
+    /// interpreted (it validates frame-by-frame, so this means a format
+    /// mismatch or a different shard count, not a torn tail).
     ///
     /// # Panics
     ///
@@ -321,25 +301,28 @@ impl ShardedLedger {
         obs: &Obs,
     ) -> Result<Self, WalError> {
         let mut ledger = Self::new(grid, shards, unlock_period, unlock_steps);
-        let (journal, logs) = Journal::open(storage, shards, opts, &obs.recorder, |s, event| {
-            ledger.replay(s, event)
+        let journal = Journal::open(storage, shards, opts, &obs.recorder, |event| {
+            ledger.replay(event)
         })?;
-        for (shard, log) in ledger.shards.iter_mut().zip(logs) {
-            shard.get_mut().expect("fresh ledger").log = Some(log);
-        }
         ledger.journal = Some(journal);
         Ok(ledger)
     }
 
-    /// Applies one recovered fact to `shard`, in the journal's order.
-    fn replay(&mut self, shard: usize, event: Replay) -> Result<(), WalError> {
-        let blocks = &mut self.shards[shard].get_mut().expect("fresh ledger").blocks;
+    /// Applies one recovered fact, in the journal's order, to the
+    /// shards its blocks live on.
+    fn replay(&mut self, event: Replay) -> Result<(), WalError> {
         match event {
-            Replay::Block(state) => blocks.put(state.id, state.to_ledger(&self.grid)?, &self.tier),
+            Replay::Block(state) => {
+                let home = self.shard_of(state.id);
+                let blocks = self.shards[home].get_mut().expect("fresh ledger");
+                blocks.put(state.id, state.to_ledger(&self.grid)?, &self.tier);
+            }
             Replay::Grant(task, demand, charged) => {
                 let demand = RdpCurve::new(&self.grid, demand)
                     .map_err(|e| WalError::Corrupt(format!("task {task}: {e}")))?;
                 for b in charged {
+                    let home = self.shard_of(b);
+                    let blocks = self.shards[home].get_mut().expect("fresh ledger");
                     let entry = blocks.hot_mut(b).ok_or_else(|| {
                         WalError::Corrupt(format!("task {task} charges unregistered block {b}"))
                     })?;
@@ -395,15 +378,15 @@ impl ShardedLedger {
             .attach_sink(sink);
     }
 
-    /// Per-shard snapshot payloads of the current block states — the
-    /// same bytes [`ShardedLedger::compact`] folds into the logs,
+    /// Per-shard snapshot payloads of the current block states — what
+    /// [`ShardedLedger::compact`] folds into the log, shard by shard,
     /// captured without writing anything. The resync path ships these
     /// as a lagging replica's new base (snapshot + suffix, reusing the
     /// compaction law); call at a replication-quiescent point so the
     /// payloads and the ship counters agree.
     pub fn shard_snapshot_payloads(&self) -> Vec<Vec<u8>> {
         (0..self.shards.len())
-            .map(|s| durability::encode_snapshot(&self.lock(s).blocks.states()))
+            .map(|s| durability::encode_snapshot(&self.lock(s).states()))
             .collect()
     }
 
@@ -431,7 +414,7 @@ impl ShardedLedger {
         (block % self.shards.len() as u64) as usize
     }
 
-    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard> {
+    fn lock(&self, shard: usize) -> MutexGuard<'_, BlockStore> {
         self.shards[shard]
             .lock()
             .expect("ledger shard lock poisoned")
@@ -487,17 +470,17 @@ impl ShardedLedger {
                 block.id
             )));
         }
-        let mut shard = self.lock(self.shard_of(block.id));
-        if shard.blocks.contains(block.id) {
+        let home = self.shard_of(block.id);
+        let mut blocks = self.lock(home);
+        if blocks.contains(block.id) {
             return Err(ProblemError(format!("duplicate block id {}", block.id)));
         }
-        if let (Some(journal), Some(log)) = (&self.journal, shard.log.as_mut()) {
+        if let Some(journal) = &self.journal {
             journal
-                .log_block(log, &block)
+                .log_block(home, &block)
                 .map_err(|e| ProblemError(format!("block {} not registered: {e}", block.id)))?;
         }
         // The one new hot block may push the store past its bound.
-        let blocks = &mut shard.blocks;
         blocks.put(block.id, BlockLedger::new(block), &self.tier);
         blocks.spill(&self.tier);
         Ok(())
@@ -505,15 +488,13 @@ impl ShardedLedger {
 
     /// Whether a block is registered (in either tier).
     pub fn contains(&self, block: BlockId) -> bool {
-        self.lock(self.shard_of(block)).blocks.contains(block)
+        self.lock(self.shard_of(block)).contains(block)
     }
 
     /// Total number of registered blocks, hot and cold (sums across
     /// shards).
     pub fn n_blocks(&self) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.lock(s).blocks.len())
-            .sum()
+        (0..self.shards.len()).map(|s| self.lock(s).len()).sum()
     }
 
     /// Snapshots one shard's available capacities at time `now` (§3.4
@@ -525,7 +506,7 @@ impl ShardedLedger {
     /// so it stays until a benchmark PR renames both.)
     pub fn snapshot_shard_uncached(&self, shard: usize, now: f64) -> BTreeMap<BlockId, RdpCurve> {
         let mut view = BTreeMap::new();
-        self.lock(shard).blocks.for_each(&self.grid, |id, b| {
+        self.lock(shard).for_each(&self.grid, |id, b| {
             view.insert(id, self.available(b, now));
         });
         view
@@ -560,7 +541,7 @@ impl ShardedLedger {
     pub fn block_states(&self) -> BTreeMap<BlockId, BlockState> {
         let mut all = BTreeMap::new();
         for s in 0..self.shards.len() {
-            let states = self.lock(s).blocks.states();
+            let states = self.lock(s).states();
             all.extend(states.into_iter().map(|state| (state.id, state)));
         }
         all
@@ -591,52 +572,48 @@ impl ShardedLedger {
     }
 
     /// Stages one task under the held locks — the one check → consume
-    /// sequence every commit runs (see the module docs). `Released` =
+    /// sequence every commit runs (see the module docs): the demand is
+    /// consumed on the real filters only if every one of them grants,
+    /// saving a block's entry in `pre` on its first touch. `Released` =
     /// nothing changed.
     fn stage(
         &self,
         held: &mut Held<'_>,
         task: &Task,
-        pre: Option<&mut PreImages>,
+        mut pre: Option<&mut PreImages>,
     ) -> CommitOutcome {
         for b in &task.blocks {
-            let blocks = &mut held.shard(self.shard_of(*b)).blocks;
+            let blocks = held.shard(self.shard_of(*b));
             if !blocks.ensure_hot(task.id, [*b], &self.grid, &self.tier) {
                 return CommitOutcome::Released;
             }
         }
         for b in &task.blocks {
-            let stripe = held.shard(self.shard_of(*b));
-            if !stripe.blocks.hot(task.id, *b).check(&task.demand) {
+            let blocks = held.shard(self.shard_of(*b));
+            if !blocks.hot(task.id, *b).check(&task.demand) {
                 return CommitOutcome::Released;
             }
         }
-        self.charge(held, task, pre);
-        CommitOutcome::Committed
-    }
-
-    /// Consumes a checked task's demand on the real filters, saving a
-    /// block's entry in `pre` on its first touch. Cannot fail after the
-    /// check: every involved lock is still held.
-    fn charge(&self, held: &mut Held<'_>, task: &Task, mut pre: Option<&mut PreImages>) {
         for b in &task.blocks {
-            let stripe = held.shard(self.shard_of(*b));
-            let entry = stripe.blocks.hot_mut(*b).expect("checked while staging");
+            let blocks = held.shard(self.shard_of(*b));
+            let entry = blocks.hot_mut(*b).expect("checked above");
             if let Some(pre) = pre.as_deref_mut() {
                 pre.entry(*b).or_insert_with(|| entry.clone());
             }
+            // Cannot fail after the check: every involved lock is held.
             entry
                 .commit(&task.demand)
                 .expect("filter re-check cannot fail under the held locks");
         }
+        CommitOutcome::Committed
     }
 
     /// Puts the pre-images back. Their blocks are all still hot:
     /// nothing spills before the locks drop.
     fn restore(&self, held: &mut Held<'_>, pre: PreImages) {
         for (b, entry) in pre {
-            let stripe = held.shard(self.shard_of(b));
-            *stripe.blocks.hot_mut(b).expect("staged blocks stay hot") = entry;
+            let blocks = held.shard(self.shard_of(b));
+            *blocks.hot_mut(b).expect("staged blocks stay hot") = entry;
         }
     }
 
@@ -645,20 +622,17 @@ impl ShardedLedger {
     /// that shard (the cycle's partition guarantees both). One hold of
     /// all the involved locks; each batch staged on the calling thread
     /// with the semantics of committing its tasks one by one; on a
-    /// durable ledger one journal step for all of them, its appends
-    /// dealt over `workers` threads (see the module docs). A batch whose
-    /// own append or ship failed is released whole, the others stand.
-    /// The outcomes line up with `batches` and their tasks.
+    /// durable ledger one journal step — one group commit, one ship
+    /// round — for all of them (see the module docs). A failed append
+    /// releases every batch; a batch whose own ship failed is released
+    /// whole while the others stand. The outcomes line up with
+    /// `batches` and their tasks.
     ///
     /// # Panics
     ///
     /// Panics if a task references an unregistered block, like
     /// [`ShardedLedger::commit_task`].
-    pub fn commit_local(
-        &self,
-        batches: &[(usize, &[Traced<'_>])],
-        workers: usize,
-    ) -> Vec<Vec<CommitOutcome>> {
+    pub fn commit_local(&self, batches: &[(usize, &[Traced<'_>])]) -> Vec<Vec<CommitOutcome>> {
         if batches.is_empty() {
             return Vec::new();
         }
@@ -682,20 +656,18 @@ impl ShardedLedger {
             })
             .collect();
         if let Some(journal) = &self.journal {
-            let mut logged: Vec<(&mut ShardLog, Vec<Traced<'_>>)> = held
-                .shards
-                .iter_mut()
-                .zip(batches.iter().zip(&outcomes))
-                .map(|((_, stripe), ((_, tasks), outcomes))| {
+            let logged: Vec<(usize, Vec<Traced<'_>>)> = batches
+                .iter()
+                .zip(&outcomes)
+                .map(|((shard, tasks), outcomes)| {
                     let granted = tasks
                         .iter()
                         .zip(outcomes)
                         .filter(|(_, outcome)| **outcome == CommitOutcome::Committed);
-                    let log = stripe.log.as_mut().expect("durable shards have a log");
-                    (log, granted.map(|(task, _)| *task).collect())
+                    (*shard, granted.map(|(task, _)| *task).collect())
                 })
                 .collect();
-            let durable = journal.commit_local(&mut logged, workers);
+            let durable = journal.commit_local(&logged);
             for ((durable, pre), outcomes) in durable.into_iter().zip(pres).zip(&mut outcomes) {
                 if !durable {
                     self.restore(&mut held, pre.expect("a durable ledger keeps pre-images"));
@@ -718,21 +690,19 @@ impl ShardedLedger {
             return Vec::new();
         }
         let untraced: Vec<Traced<'_>> = tasks.iter().map(|task| (*task, None)).collect();
-        self.commit_local(&[(shard, &untraced[..])], 1).remove(0)
+        self.commit_local(&[(shard, &untraced[..])]).remove(0)
     }
 
     /// Commits a scheduling cycle's cross-shard grants as one batch
     /// under the union of the involved shard locks, staged like a
     /// shard-local batch; the outcomes line up with `tasks`. On a
-    /// durable ledger each granted task's per-shard `Intent` records
-    /// join their home shard's group commit, and then each attempt is
-    /// decided by its own **single synchronous** coordinator `Commit`
-    /// append — presumed abort: an intent whose decision never became
-    /// durable charges nothing, on recovery or in memory. The journal
-    /// answers with how many leading grants are decided; short of all,
-    /// the pre-images go back, that prefix is charged again in staging
-    /// order — the state log replay reproduces — and the rest is
-    /// released.
+    /// durable ledger the granted tasks' per-shard `Intent` records
+    /// are one group commit and their coordinator `Commit`s another —
+    /// presumed abort: an intent whose decision never became durable
+    /// charges nothing, on recovery or in memory. The decisions are
+    /// durable all together or not at all, so unless the journal
+    /// answers that they are, the pre-images go back and every staged
+    /// grant is released.
     ///
     /// # Panics
     ///
@@ -757,19 +727,10 @@ impl ShardedLedger {
                 .filter(|i| outcomes[*i] == CommitOutcome::Committed)
                 .collect();
             let granted: Vec<Traced<'_>> = staged.iter().map(|i| tasks[*i]).collect();
-            let mut logs: Vec<&mut ShardLog> = held
-                .shards
-                .iter_mut()
-                .map(|(_, stripe)| stripe.log.as_mut().expect("durable shards have a log"))
-                .collect();
-            let decided = journal.commit_cross(&mut logs, &granted, |b| self.shard_of(b));
-            if decided < staged.len() {
+            if !journal.commit_cross(&granted, |b| self.shard_of(b)) {
                 self.restore(held, pre);
-                for (task, _) in &granted[..decided] {
-                    self.charge(held, task, None);
-                }
-                for i in &staged[decided..] {
-                    outcomes[*i] = CommitOutcome::Released;
+                for i in staged {
+                    outcomes[i] = CommitOutcome::Released;
                 }
             }
         }
@@ -786,46 +747,38 @@ impl ShardedLedger {
         self.commit_spanning(&untraced)
     }
 
-    /// Folds the logs into per-shard snapshots and truncates the
-    /// coordinator, at a global quiescent point (all shard locks, then
-    /// the coordinator's — the commit path's order). A log broken by
-    /// an earlier failed append is repaired first, so a *transient*
-    /// storage fault (ENOSPC, EIO) only suppresses grants until the
-    /// next compaction cycle instead of until a process restart.
+    /// Folds the log into one snapshot of every shard's blocks, at a
+    /// global quiescent point (all shard locks, then the journal's —
+    /// the commit path's order). A log broken by an earlier failed
+    /// append is repaired first, so a *transient* storage fault
+    /// (ENOSPC, EIO) only suppresses grants until the next compaction
+    /// cycle instead of until a process restart.
     ///
     /// On a non-durable ledger this is tier maintenance only.
     ///
     /// # Errors
     ///
     /// The first WAL error, counted in
-    /// [`DurabilityStats::failed_compactions`]; shards already
-    /// compacted stay compacted.
+    /// [`DurabilityStats::failed_compactions`].
     pub fn compact(&self) -> Result<(), WalError> {
-        let mut guards: Vec<MutexGuard<'_, Shard>> =
+        let mut guards: Vec<MutexGuard<'_, BlockStore>> =
             (0..self.shards.len()).map(|s| self.lock(s)).collect();
         // Tier maintenance first: rewrite spill segments dominated by
         // dead entries, so the cold tier's disk footprint tracks its
         // live set even on a non-durable ledger.
-        let spills = guards.iter_mut().try_for_each(|s| s.blocks.compact_spill());
+        let spills = guards.iter_mut().try_for_each(|s| s.compact_spill());
         let Some(journal) = &self.journal else {
             return spills;
         };
         // Every block, whichever tier holds it: the WAL stays the only
         // durable copy regardless of residency.
-        let shards = guards.iter_mut().map(|shard| {
-            let states = shard.blocks.states();
-            let log = shard.log.as_mut().expect("durable shards have a log");
-            (log, states)
-        });
-        journal.compact(spills, shards)
+        let states: Vec<BlockState> = guards.iter().flat_map(|blocks| blocks.states()).collect();
+        journal.compact(spills, &states)
     }
 
     /// Write-ahead activity counters (`None` for an in-memory ledger).
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        let journal = self.journal.as_ref()?;
-        let shard_counters = (0..self.shards.len())
-            .filter_map(|s| self.lock(s).log.as_ref().map(ShardLog::counters));
-        Some(journal.stats(shard_counters))
+        self.journal.as_ref().map(Journal::stats)
     }
 
     /// The Prop. 6 soundness invariant over the whole ledger: every
@@ -835,7 +788,7 @@ impl ShardedLedger {
     pub fn unsound_blocks(&self) -> Vec<BlockId> {
         let mut bad = Vec::new();
         for s in 0..self.shards.len() {
-            self.lock(s).blocks.for_each(&self.grid, |id, b| {
+            self.lock(s).for_each(&self.grid, |id, b| {
                 if !b.is_sound() {
                     bad.push(id);
                 }
@@ -848,16 +801,14 @@ impl ShardedLedger {
     /// Total demands granted across all blocks (each task counts once
     /// per requested block).
     pub fn granted_count(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|s| self.lock(s).blocks.granted())
-            .sum()
+        (0..self.shards.len()).map(|s| self.lock(s).granted()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durability::{CoordRecord, ShardRecord};
+    use crate::durability::LogRecord;
     use crate::replication::{ReplShipError, ReplStream};
     use dp_accounting::AlphaGrid;
     use dpack_wal::SimStorage;
@@ -1273,11 +1224,15 @@ mod tests {
             assert_bits(&l.block_states(), &model.states());
             assert!(l.unsound_blocks().is_empty());
             if let Some(sim) = &storage {
-                // Intents batched per home shard (the blocks span all
-                // four), decisions one synchronous append per attempt.
+                // 8 registrations, then one group commit of the six
+                // intents (three attempts over all four shards' streams)
+                // and one of the three decisions: 8 + 1 + 1 syncs. With
+                // a log per shard plus a coordinator log and one append
+                // per decision it was 8 + 4 + 3.
                 let stats = l.durability_stats().unwrap();
-                assert_eq!(stats.batches, 4, "{stats:?}");
-                assert_eq!(stats.sync_calls, 8 + 4 + 3, "{stats:?}");
+                assert_eq!(stats.batches, 2, "{stats:?}");
+                assert_eq!(stats.batched_records, 6 + 3, "{stats:?}");
+                assert_eq!(stats.sync_calls, 8 + 1 + 1, "{stats:?}");
                 assert_states_bit_identical(&l, &durable(&sim.surviving()));
             }
         }
@@ -1338,14 +1293,15 @@ mod tests {
     }
 
     #[test]
-    fn a_crash_between_decisions_keeps_exactly_the_decided_prefix() {
-        // What one coordinator decision (a 17-byte record) and the
-        // whole cross batch cost on disk; the decisions come last.
-        let decision = {
+    fn a_crash_inside_the_decisions_releases_every_attempt() {
+        // What the whole cross batch and its last write — the three
+        // coordinator decisions (18-byte records) as one group commit —
+        // cost on disk.
+        let decisions = {
             let probe = SimStorage::new();
             let (mut wal, _) =
                 dpack_wal::Wal::open(Box::new(probe.clone()), Default::default()).unwrap();
-            wal.append(&[0; 17]).unwrap();
+            wal.append_batch(&[&[0u8; 18][..]; 3]).unwrap();
             probe.bytes_written()
         };
         let batch = {
@@ -1356,25 +1312,17 @@ mod tests {
             l.commit_cross_batch(&cross.iter().collect::<Vec<_>>());
             probe.bytes_written() - before
         };
-        // Tear the first, second, third of the three decisions.
-        for decided in 0..3usize {
+        // Tear the decisions at every byte: the intents are durable, no
+        // decision is, and every attempt is released — in memory and on
+        // recovery alike.
+        for torn in 0..decisions {
             let sim = SimStorage::new();
             let l = durable(&sim);
-            let (mut model, _, cross) = charged(&l);
-            sim.arm_crash_after(batch - (3 - decided as u64) * decision + decision / 2);
+            let (model, _, cross) = charged(&l);
+            sim.arm_crash_after(batch - decisions + torn);
             let outcomes = l.commit_cross_batch(&cross.iter().collect::<Vec<_>>());
             assert!(sim.crashed());
-            // Attempts are tasks 10, 12, 13; task 11 is refused.
-            let mut want = [CommitOutcome::Released; 4];
-            let kept: Vec<Task> = [0, 2, 3][..decided]
-                .iter()
-                .map(|i| {
-                    want[*i] = CommitOutcome::Committed;
-                    cross[*i].clone()
-                })
-                .collect();
-            assert_eq!(outcomes, want, "{decided} decided");
-            model.commit(&kept);
+            assert_eq!(outcomes, [CommitOutcome::Released; 4], "torn at +{torn}");
             assert_bits(&l.block_states(), &model.states());
             assert_states_bit_identical(&l, &durable(&sim.surviving()));
         }
@@ -1414,39 +1362,45 @@ mod tests {
         /// iff a `Commit` for their attempt was accepted too.
         fn fold(&self) -> States {
             let accepted = self.accepted.lock().unwrap();
-            let records = |coordinator: bool| {
-                accepted
-                    .iter()
-                    .filter(move |(stream, _)| (*stream == ReplStream::Coordinator) == coordinator)
-                    .flat_map(|(_, records)| records)
-            };
-            let committed: BTreeSet<u64> = records(true)
-                .filter_map(|r| match CoordRecord::decode(r).unwrap() {
-                    CoordRecord::Commit { attempt, .. } => Some(attempt),
-                    CoordRecord::Abort { .. } => None,
+            let records: Vec<LogRecord> = accepted
+                .iter()
+                .flat_map(|(stream, records)| {
+                    records.iter().map(move |r| {
+                        let (tagged, _) = LogRecord::head(r).unwrap();
+                        assert_eq!(tagged, *stream, "a record shipped off its stream");
+                        LogRecord::decode(r).unwrap()
+                    })
+                })
+                .collect();
+            let committed: BTreeSet<u64> = records
+                .iter()
+                .filter_map(|r| match r {
+                    LogRecord::Commit { attempt, .. } => Some(*attempt),
+                    _ => None,
                 })
                 .collect();
             let mut replica = Model(BTreeMap::new());
-            for record in records(false) {
-                let (demand, blocks) = match ShardRecord::decode(record).unwrap() {
-                    ShardRecord::Block {
+            for record in records {
+                let (demand, blocks) = match record {
+                    LogRecord::Block {
                         id,
                         arrival,
                         capacity,
+                        ..
                     } => {
                         let capacity = RdpCurve::new(&grid(), capacity).unwrap();
                         let entry = BlockLedger::new(Block::new(id, capacity, arrival));
                         replica.0.insert(id, entry);
                         continue;
                     }
-                    ShardRecord::Apply { demand, blocks, .. } => (demand, blocks),
-                    ShardRecord::Intent {
+                    LogRecord::Apply { demand, blocks, .. } => (demand, blocks),
+                    LogRecord::Intent {
                         attempt,
                         demand,
                         blocks,
                         ..
                     } if committed.contains(&attempt) => (demand, blocks),
-                    ShardRecord::Intent { .. } => continue,
+                    _ => continue,
                 };
                 let demand = RdpCurve::new(&grid(), demand).unwrap();
                 for b in blocks {
@@ -1506,11 +1460,13 @@ mod tests {
             .collect()
     }
 
-    /// Commits `bundle` as one `commit_local` call over `workers`.
+    /// Commits `bundle` as one `commit_local` call. The bundle tests
+    /// run at both worker counts a cycle runs at; the commit itself no
+    /// longer depends on the count, which they hold it to.
     fn commit_bundle(
         l: &ShardedLedger,
         bundle: &[Vec<Task>],
-        workers: usize,
+        _workers: usize,
     ) -> Vec<Vec<CommitOutcome>> {
         let traced: Vec<Vec<Traced<'_>>> = bundle
             .iter()
@@ -1521,7 +1477,7 @@ mod tests {
             .enumerate()
             .map(|(shard, batch)| (shard, batch.as_slice()))
             .collect();
-        l.commit_local(&batches, workers)
+        l.commit_local(&batches)
     }
 
     #[test]
@@ -1564,104 +1520,44 @@ mod tests {
         }
     }
 
-    /// A storage whose appends under `shard-2` fail cleanly while the
-    /// flag is up; everything else goes to the wrapped [`SimStorage`].
-    struct OneBadShard {
-        inner: Box<dyn WalStorage>,
-        failing: Arc<std::sync::atomic::AtomicBool>,
-        under_shard_2: bool,
-    }
-
-    impl OneBadShard {
-        fn wrap(&self, inner: Box<dyn WalStorage>, under_shard_2: bool) -> Box<dyn WalStorage> {
-            Box::new(Self {
-                inner,
-                failing: Arc::clone(&self.failing),
-                under_shard_2,
-            })
-        }
-    }
-
-    impl WalStorage for OneBadShard {
-        fn sub(&self, name: &str) -> std::io::Result<Box<dyn WalStorage>> {
-            let inner = self.inner.sub(name)?;
-            Ok(self.wrap(inner, self.under_shard_2 || name == "shard-2"))
-        }
-
-        fn list(&self) -> std::io::Result<Vec<String>> {
-            self.inner.list()
-        }
-
-        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
-            self.inner.read(name)
-        }
-
-        fn append(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
-            if self.under_shard_2 && self.failing.load(Ordering::Relaxed) {
-                return Err(std::io::Error::other("injected shard-2 fault"));
-            }
-            self.inner.append(name, data)
-        }
-
-        fn truncate(&self, name: &str, len: u64) -> std::io::Result<()> {
-            self.inner.truncate(name, len)
-        }
-
-        fn remove(&self, name: &str) -> std::io::Result<()> {
-            self.inner.remove(name)
-        }
-
-        fn clone_handle(&self) -> Box<dyn WalStorage> {
-            self.wrap(self.inner.clone_handle(), self.under_shard_2)
-        }
-    }
-
     #[test]
-    fn a_failed_append_on_one_shard_keeps_its_stream_out_of_the_bundle() {
-        for workers in [1, 2] {
-            let sim = SimStorage::new();
-            let failing = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let storage = OneBadShard {
-                inner: Box::new(sim.clone()),
-                failing: Arc::clone(&failing),
-                under_shard_2: false,
-            };
-            let opts = DurabilityOptions::default();
-            let mut l = ShardedLedger::open_durable(grid(), 4, 1.0, 1, &storage, opts, &Obs::off())
-                .unwrap();
-            let sink = Arc::new(FlakySink::default());
-            l.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
-            let (mut model, _, _) = charged(&l);
-            let bundle = one_batch_per_shard();
-            let accepted = sink.accepted.lock().unwrap().len();
+    fn a_failed_journal_append_releases_the_whole_step() {
+        let sim = SimStorage::new();
+        let mut l = durable(&sim);
+        let sink = Arc::new(FlakySink::default());
+        l.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
+        let (mut model, _, _) = charged(&l);
+        let bundle = one_batch_per_shard();
+        let accepted = sink.accepted.lock().unwrap().len();
 
-            failing.store(true, Ordering::Relaxed);
-            let outcomes = commit_bundle(&l, &bundle, workers);
-            failing.store(false, Ordering::Relaxed);
-            // Shard 2 appended nothing, so nothing of it was shipped…
-            let streams: Vec<ReplStream> = sink.accepted.lock().unwrap()[accepted..]
-                .iter()
-                .map(|(stream, _)| *stream)
-                .collect();
-            let shard = ReplStream::Shard;
-            assert_eq!(streams, [shard(0), shard(1), shard(3)]);
-            // …and it alone is released.
-            for (shard, batch) in bundle.iter().enumerate() {
-                if shard == 2 {
-                    assert_eq!(outcomes[shard], [CommitOutcome::Released; 2]);
-                } else {
-                    assert_eq!(outcomes[shard], model.commit(batch), "shard {shard}");
-                }
-            }
-            assert_bits(&l.block_states(), &model.states());
-            let stats = l.durability_stats().unwrap();
-            assert_eq!((stats.failed_appends, stats.failed_ships), (1, 0));
-            assert_bits(&sink.fold(), &l.block_states());
-            // The failed batch resurfaces nowhere: recovery from the
-            // primary's own bytes agrees too (nothing was refused, so
-            // its logs hold exactly the acknowledged state).
-            assert_states_bit_identical(&l, &durable(&sim.surviving()));
+        // The step's one group commit fails: no record of any of the
+        // four shards' batches is durable…
+        sim.set_append_errors(true);
+        let outcomes = commit_bundle(&l, &bundle, 1);
+        sim.set_append_errors(false);
+        // …so nothing of the step was shipped, and every batch of it is
+        // released, its blocks back at their pre-images bit for bit.
+        assert_eq!(sink.accepted.lock().unwrap().len(), accepted);
+        assert_eq!(outcomes, vec![[CommitOutcome::Released; 2]; 4]);
+        assert_bits(&l.block_states(), &model.states());
+        let stats = l.durability_stats().unwrap();
+        assert_eq!((stats.failed_appends, stats.failed_ships), (1, 0));
+        // The failed step resurfaces nowhere: the replica's fold and
+        // recovery from the primary's own bytes agree with the live
+        // ledger (nothing was refused, so the log holds exactly the
+        // acknowledged state).
+        assert_bits(&sink.fold(), &l.block_states());
+        assert_states_bit_identical(&l, &durable(&sim.surviving()));
+
+        // Repaired, the same bundle commits whole, and all three agree.
+        l.compact().unwrap();
+        let outcomes = commit_bundle(&l, &bundle, 1);
+        for (shard, batch) in bundle.iter().enumerate() {
+            assert_eq!(outcomes[shard], model.commit(batch), "shard {shard}");
         }
+        assert_bits(&l.block_states(), &model.states());
+        assert_bits(&sink.fold(), &l.block_states());
+        assert_states_bit_identical(&l, &durable(&sim.surviving()));
     }
 
     #[test]
@@ -1679,15 +1575,22 @@ mod tests {
                 .filter(|e| e.kind == dpack_obs::EventKind::BatchFlushed);
             flushes.map(|e| (e.a, e.b)).collect()
         };
-        // So far: one shard-local grant on shard 1 and one three-shard
-        // attempt. Registrations and decisions are singleton appends,
-        // not group commits, and leave no event.
-        assert_eq!(flushed(), [(1, 1), (0, 1), (1, 1), (2, 1)]);
-        // Tasks 10 and 12 span shards 0 and 1: one group commit of two
-        // intents on each (task 11 is refused and logs nothing).
+        // So far: eight registrations (block j on shard j mod 4), one
+        // shard-local grant on shard 1, and one three-shard attempt —
+        // its intents on shards 0–2, then its decision on the
+        // coordinator's stream. Every stream a flush writes to reports
+        // its records.
+        const COORD: u64 = u32::MAX as u64;
+        let registered = [(0, 1), (1, 1), (2, 1), (3, 1)].repeat(2);
+        let charged = [(1, 1), (0, 1), (1, 1), (2, 1), (COORD, 1)];
+        assert_eq!(flushed(), [&registered[..], &charged[..]].concat());
+        // Tasks 10 and 12 span shards 0 and 1, task 12 shard 2 too: one
+        // group commit of two intents on each of shards 0 and 1 and one
+        // on shard 2 (task 11 is refused and logs nothing), then one of
+        // the two decisions.
         let refs: Vec<&Task> = cross[..3].iter().collect();
         assert_eq!(l.commit_cross_batch(&refs)[1], CommitOutcome::Released);
-        assert_eq!(flushed()[4..], [(0, 2), (1, 2), (2, 1)]);
+        assert_eq!(flushed()[13..], [(0, 2), (1, 2), (2, 1), (COORD, 2)]);
     }
 
     #[test]
@@ -1933,7 +1836,7 @@ mod tests {
                 .unwrap();
         }
         // The spill tier shares the WAL's storage (tier-<s> next to
-        // shard-<s>) — its files must never leak into what recovery
+        // the log) — its files must never leak into what recovery
         // reads.
         l.enable_tier(
             &sim,

@@ -16,24 +16,25 @@
 //!   scheduling pass over every pending task (Alg. 1 wants each block's
 //!   best alpha from *all* its requesters), then a striped commit —
 //!   the grants on one shard as one batch per shard, all under one
-//!   hold of their locks with the write-ahead syncs dealt over scoped
-//!   worker threads, and the grants spanning shards all-or-nothing.
+//!   hold of their locks and one write-ahead sync, and the grants
+//!   spanning shards all-or-nothing.
 //! * [`ServiceStats`] / [`CycleStats`] — throughput, queue depth, cycle
 //!   latency and per-tenant grant rates, consumable by the bench
 //!   binaries and convertible to the engine's
 //!   [`dpack_core::online::OnlineStats`] for the existing metrics.
 //! * **Durability** — a service opened with [`BudgetService::recover`]
-//!   writes ahead through `dpack-wal`: every grant is logged (per-shard
-//!   commit records; cross-shard grants via intent/commit/abort
-//!   two-phase records) before it becomes visible, and recovery
-//!   rebuilds the exact pre-crash ledger from snapshot + replay. There
-//!   is one commit path: a batch is staged on the filters under the
-//!   shard locks, a durable ledger saving a pre-image of each block it
-//!   touches, and a cycle's grants on one shard flush as a single
+//!   writes ahead through `dpack-wal` into one log whose records name
+//!   their shard's stream (commit records; cross-shard grants via
+//!   intent/commit/abort two-phase records on the coordinator's
+//!   stream) before they become visible, and recovery rebuilds the
+//!   exact pre-crash ledger from snapshot + replay. There is one
+//!   commit path: a batch is staged on the filters under the shard
+//!   locks, a durable ledger saving a pre-image of each block it
+//!   touches, and a cycle's grants on every shard flush as a single
 //!   group-committed write + sync ([`ShardedLedger::commit_local`]),
 //!   amortizing the fsync that would otherwise gate durable throughput
-//!   — and, on a replicated ledger, all the shards' flushes ship to
-//!   the replicas in one quorum round; what did not become durable is
+//!   — and, on a replicated ledger, every shard's slice ships to the
+//!   replicas in one quorum round; what did not become durable is
 //!   undone from the pre-images before the locks drop. The
 //!   private `journal` module is the one place that knows records,
 //!   group commit, coordinator decisions and replication shipping; see

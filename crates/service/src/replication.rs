@@ -5,16 +5,17 @@
 //! # Model
 //!
 //! A replicated primary is an ordinary durable [`ShardedLedger`] with a
-//! [`ReplicationSink`] attached. Every flush point — a cycle's
-//! shard-local batches, a two-phase batch's per-shard intents, its
-//! coordinator decisions, one registration — follows the same order:
+//! [`ReplicationSink`] attached. Its one log carries every shard's
+//! stream and the coordinator's, each record tagged with its stream
+//! ([`crate::durability`]). Every flush point — a cycle's shard-local
+//! batches, a two-phase batch's per-shard intents, its coordinator
+//! decisions, one registration — follows the same order:
 //!
-//! 1. **append locally**, every log of the step (exactly as an
-//!    unreplicated durable ledger would),
-//! 2. **ship** what was appended in **one round** — one
-//!    [`ReplicationSink::ship_all`] call carrying one [`ShipBatch`] per
-//!    log that appended something, each on the stream named after its
-//!    log ([`ReplStream::Shard`] or [`ReplStream::Coordinator`]),
+//! 1. **append locally**, the whole step as one group commit (exactly
+//!    as an unreplicated durable ledger would),
+//! 2. **ship** it in **one round** — one [`ReplicationSink::ship_all`]
+//!    call carrying one [`ShipBatch`] per stream the step wrote to
+//!    ([`ReplStream::Shard`] or [`ReplStream::Coordinator`]),
 //! 3. **acknowledge** a batch (keep its staged filter mutations /
 //!    return its grants) only if its own stream's ship succeeded.
 //!
@@ -22,12 +23,11 @@
 //! a batch shipped only once a configurable quorum has durably appended
 //! it — so group commit amortizes the replication round-trip exactly
 //! like it amortizes fsync, and a cycle pays the quorum wait once, not
-//! once per shard. Because the replica appends
-//! verbatim record bytes into logs with the same directory layout the
-//! primary uses (`shard-<s>`, `coord`), **promotion is the existing
-//! recovery path**: open the replica's storage with
-//! [`BudgetService::recover`] and the bit-identical replay proven for
-//! single-node crashes rebuilds the primary's state.
+//! once per shard. Because the replica appends the verbatim, already
+//! tagged record bytes into one log with the layout the primary uses,
+//! **promotion is the existing recovery path**: open the replica's
+//! storage with [`BudgetService::recover`] and the bit-identical replay
+//! proven for single-node crashes rebuilds the primary's state.
 //!
 //! # The invariant, and what a failed ship means
 //!
@@ -51,16 +51,16 @@
 //! [`BudgetService::recover`]).
 //!
 //! Sequencing: the ledger serializes ships per stream (a round carries
-//! a shard's batch while that shard's lock is held, the coordinator's
-//! under the coordinator lock, and never two batches of one stream),
-//! so a sink may assign per-stream sequence numbers at the call site
-//! without extra locking. [`ReplicaWal`] enforces
-//! them: next-in-sequence appends, duplicates ack idempotently, gaps
-//! are refused.
+//! a shard's batch while that shard's lock is held, every round under
+//! the journal's lock, and never two batches of one stream), so a sink
+//! may assign per-stream sequence numbers at the call site without
+//! extra locking. [`ReplicaWal`] enforces them: next-in-sequence
+//! appends, duplicates ack idempotently, gaps are refused.
 //!
-//! Replicas never snapshot or compact — their logs are the full record
-//! stream since the (empty) attach point, which is exactly what makes
-//! the promoted fold independent of the primary's compaction schedule.
+//! Replicas never snapshot or compact — their log is the full record
+//! stream since the (empty) attach point, plus the resync bases
+//! installed since, which is exactly what makes the promoted fold
+//! independent of the primary's compaction schedule.
 //! Attach replication only to a fresh ledger
 //! ([`ShardedLedger::set_replication`] asserts this); bootstrapping a
 //! replica from a non-empty primary is future work.
@@ -79,7 +79,8 @@ use dpack_obs::trace::scoped_traces;
 use dpack_obs::TraceContext;
 use dpack_wal::{Wal, WalError, WalOptions, WalStorage};
 
-use crate::journal::{shard_dir, COORD_DIR};
+use crate::durability::LogRecord;
+use crate::journal::LOG_DIR;
 
 /// Root sidecar: the term of the primary whose resync installed this
 /// replica's state (its *lineage*). 8 little-endian bytes. Absent or
@@ -93,12 +94,6 @@ const LINEAGE_FILE: &str = "lineage";
 /// finds it wipes back to unattached, so a torn resync or a deposed
 /// primary can never vote (or serve) with a bogus ballot.
 const DIRTY_FILE: &str = "dirty";
-
-/// Per-stream sidecar inside the stream's directory: the replication
-/// sequence number the installed snapshot covers. The stream's durable
-/// seq is this base plus the append units recovered after the
-/// snapshot. The WAL's own scan ignores the file (foreign name).
-const SEQBASE_FILE: &str = "seqbase";
 
 fn read_u64_file(storage: &dyn WalStorage, name: &str) -> Result<Option<u64>, WalError> {
     match storage.read(name) {
@@ -127,13 +122,14 @@ fn wipe_dir(storage: &dyn WalStorage) -> Result<(), WalError> {
     Ok(())
 }
 
-/// Which log a shipped batch belongs to. Streams are independent: each
-/// carries its own sequence numbers and maps to its own replica log.
+/// Which stream a shipped batch belongs to. Streams are independent:
+/// each carries its own sequence numbers, and its records carry its
+/// tag in the one log they share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReplStream {
-    /// One shard's write-ahead log.
+    /// One shard's stream.
     Shard(u32),
-    /// The cross-shard 2PC coordinator log.
+    /// The cross-shard 2PC coordinator's stream.
     Coordinator,
 }
 
@@ -180,11 +176,11 @@ impl fmt::Display for ReplShipError {
 
 impl std::error::Error for ReplShipError {}
 
-/// One log's appended records on their way to the replicas: a part of
-/// one [`ReplicationSink::ship_all`] round.
+/// One stream's appended records on their way to the replicas: a part
+/// of one [`ReplicationSink::ship_all`] round.
 #[derive(Debug, Clone, Copy)]
 pub struct ShipBatch<'a> {
-    /// The log the records were appended to.
+    /// The stream the records are tagged with.
     pub stream: ReplStream,
     /// The exact record bytes, in append order; never empty.
     pub records: &'a [&'a [u8]],
@@ -199,8 +195,8 @@ pub struct ShipBatch<'a> {
 /// [`ReplicaWal`].
 ///
 /// The ledger calls `ship_all` once per flush point (see the module
-/// docs), with one batch per log that appended something, after the
-/// local appends succeeded and before anything is acknowledged. Rounds
+/// docs), with one batch per stream the step wrote to, after the local
+/// append succeeded and before anything is acknowledged. Rounds
 /// are serialized per stream by the ledger's own locks, and one round
 /// never carries two batches of one stream. An `Err` for a batch
 /// releases that batch's work, and only that.
@@ -270,35 +266,38 @@ impl std::error::Error for ReplicaApplyError {
     }
 }
 
-/// One stream's log on the replica: the WAL plus the highest batch
-/// sequence durably applied to it. `seq` counts from the installed
-/// snapshot's base (0 when the stream was never resynced), so it is
-/// directly comparable with the primary's per-stream counter.
+/// The replica's log and every stream's highest batch sequence durably
+/// applied to it — shard streams first, coordinator last. A sequence
+/// counts from the stream's installed base (0 when the stream was never
+/// resynced), so it is directly comparable with the primary's
+/// per-stream counter.
 #[derive(Debug)]
-struct StreamLog {
+struct ReplicaLog {
     wal: Wal,
-    seq: u64,
+    seqs: Vec<u64>,
 }
 
-/// The replica side of WAL shipping: per-shard logs plus the
-/// coordinator log, laid out exactly like a primary's storage so
-/// promotion is [`BudgetService::recover`] on this storage.
+/// The replica side of WAL shipping: one log laid out exactly like a
+/// primary's, so promotion is [`BudgetService::recover`] on this
+/// storage.
 ///
-/// Each applied batch is one [`Wal::append_batch`] — one write + one
-/// sync, all-or-nothing — so the primary's group-commit boundaries are
-/// preserved on the replica's disk. Sequence numbers start at 1 per
-/// stream and survive restarts: a reopened replica counts the append
-/// units already in its logs ([`dpack_wal::Recovered::appends`]) and
-/// resumes from there, acking duplicates idempotently.
+/// Each applied batch is one [`Wal::append_batch`] of its records — one
+/// write + one sync, all-or-nothing — so the primary's group-commit
+/// boundaries are preserved on the replica's disk, and every record of
+/// it must carry the batch's stream tag. Sequence numbers start at 1
+/// per stream and survive restarts: a reopened replica counts, per
+/// stream, the append units in its log after the stream's latest resync
+/// base ([`dpack_wal::Recovered::units`]) and resumes from there, acking
+/// duplicates idempotently.
 ///
 /// [`BudgetService::recover`]: crate::service::BudgetService::recover
 pub struct ReplicaWal {
-    /// Root storage handle, retained for the resync path (sidecars,
-    /// stream wipes) past the borrowed `open` argument.
+    /// Root storage handle, retained for the resync path (markers, log
+    /// wipes) past the borrowed `open` argument.
     storage: Box<dyn WalStorage>,
     segment_bytes: u64,
-    shards: Vec<Mutex<StreamLog>>,
-    coord: Mutex<StreamLog>,
+    shards: usize,
+    log: Mutex<ReplicaLog>,
     /// The term of the primary that last resynced this node (0 =
     /// unattached). Mirrors the `lineage` sidecar.
     lineage: AtomicU64,
@@ -311,25 +310,39 @@ pub struct ReplicaWal {
 impl fmt::Debug for ReplicaWal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplicaWal")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shards)
             .field("lineage", &self.lineage.load(Ordering::Relaxed))
             .field("resyncing", &self.resyncing.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
+/// A stream's slot in a sequence vector of `shards` shard streams and
+/// the coordinator's, or why it has none.
+fn slot(stream: ReplStream, shards: usize) -> Result<usize, WalError> {
+    match stream {
+        ReplStream::Shard(s) if (s as usize) < shards => Ok(s as usize),
+        ReplStream::Shard(_) => Err(WalError::Corrupt(format!(
+            "{stream} addressed, but this replica has {shards} shards"
+        ))),
+        ReplStream::Coordinator => Ok(shards),
+    }
+}
+
 impl ReplicaWal {
-    /// Opens (or reopens) a replica's logs in `storage` with the same
-    /// directory layout a primary with `shards` shards uses.
+    /// Opens (or reopens) a replica's log in `storage` with the layout
+    /// a primary with `shards` shards uses.
     ///
     /// If a previous life left the `dirty` marker — a torn resync, or
     /// a stint as a promoted primary — everything is wiped first and
-    /// the node reopens unattached (empty logs, lineage 0): its ballot
+    /// the node reopens unattached (empty log, lineage 0): its ballot
     /// is zero and the current primary will fully resync it.
     ///
     /// # Errors
     ///
-    /// Storage and log-recovery errors from [`Wal::open`].
+    /// Storage and log-recovery errors from [`Wal::open`], and
+    /// [`WalError::Corrupt`] for a log whose records cannot be counted
+    /// into streams.
     ///
     /// # Panics
     ///
@@ -342,52 +355,60 @@ impl ReplicaWal {
         assert!(shards >= 1, "need at least one shard stream");
         let root = storage.clone_handle();
         if read_u64_file(root.as_ref(), DIRTY_FILE)?.is_some() {
-            Self::wipe_all(root.as_ref(), shards)?;
+            Self::wipe_all(root.as_ref())?;
         }
-        let opts = WalOptions { segment_bytes };
-        let open_one = |dir: &str| -> Result<StreamLog, WalError> {
-            let sub = root.sub(dir).map_err(WalError::Io)?;
-            let base = read_u64_file(sub.as_ref(), SEQBASE_FILE)?.unwrap_or(0);
-            let (wal, recovered) = Wal::open(sub, opts)?;
-            Ok(StreamLog {
-                wal,
-                seq: base + recovered.appends,
-            })
-        };
-        let shards = (0..shards)
-            .map(|s| Ok(Mutex::new(open_one(&shard_dir(s))?)))
-            .collect::<Result<Vec<_>, WalError>>()?;
-        let coord = Mutex::new(open_one(COORD_DIR)?);
+        let log = Self::open_log(root.as_ref(), shards, segment_bytes)?;
         let lineage = read_u64_file(root.as_ref(), LINEAGE_FILE)?.unwrap_or(0);
         Ok(Self {
             storage: root,
             segment_bytes,
             shards,
-            coord,
+            log: Mutex::new(log),
             lineage: AtomicU64::new(lineage),
             resyncing: AtomicBool::new(false),
         })
     }
 
-    fn stream_dirs(shards: usize) -> Vec<String> {
-        (0..shards)
-            .map(shard_dir)
-            .chain(std::iter::once(COORD_DIR.to_string()))
-            .collect()
+    /// Opens the log and counts each stream's sequence: a stream's
+    /// latest base sets it, every applied batch after it adds one.
+    fn open_log(
+        root: &dyn WalStorage,
+        shards: usize,
+        segment_bytes: u64,
+    ) -> Result<ReplicaLog, WalError> {
+        let (wal, recovered) = Wal::open(root.sub(LOG_DIR)?, WalOptions { segment_bytes })?;
+        let mut seqs = vec![0; shards + 1];
+        let mut records = recovered.records.iter();
+        for &unit in &recovered.units {
+            let mut heads = records.by_ref().take(unit).map(|r| LogRecord::head(r));
+            let (stream, base) = heads.next().expect("append units are never empty")?;
+            for head in heads {
+                if base.is_some() || head?.0 != stream {
+                    return Err(WalError::Corrupt(format!(
+                        "an append unit of {stream} holds another stream's record or a base"
+                    )));
+                }
+            }
+            let at = slot(stream, shards)?;
+            seqs[at] = base.unwrap_or(seqs[at] + 1);
+        }
+        Ok(ReplicaLog { wal, seqs })
     }
 
-    fn wipe_all(root: &dyn WalStorage, shards: usize) -> Result<(), WalError> {
-        for dir in Self::stream_dirs(shards) {
-            wipe_dir(root.sub(&dir).map_err(WalError::Io)?.as_ref())?;
-        }
+    fn wipe_all(root: &dyn WalStorage) -> Result<(), WalError> {
+        wipe_dir(root.sub(LOG_DIR)?.as_ref())?;
         root.remove(LINEAGE_FILE).map_err(WalError::Io)?;
         root.remove(DIRTY_FILE).map_err(WalError::Io)?;
         Ok(())
     }
 
+    fn lock(&self) -> MutexGuard<'_, ReplicaLog> {
+        self.log.lock().expect("replica log lock poisoned")
+    }
+
     /// Number of shard streams.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
     /// The term of the primary whose resync installed this node's
@@ -406,27 +427,24 @@ impl ReplicaWal {
     /// coordinator. This is the node's election ballot and heartbeat
     /// vector.
     pub fn vector(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("replica stream lock poisoned").seq)
-            .collect();
-        v.push(self.coord.lock().expect("replica stream lock poisoned").seq);
-        v
+        self.lock().seqs.clone()
     }
 
-    /// Replaces one stream with a snapshot install: the stream's
-    /// directory is wiped, the snapshot payload becomes the log's base
+    /// Re-bases one stream with a snapshot install: a
+    /// [`LogRecord::Base`] carrying the snapshot payload and `base_seq`
+    /// — the primary's counter at capture time — is appended to the
+    /// log, so recovery and promotion read the stream from that base on
     /// (the compaction law: later records are a suffix on top of it),
-    /// and the stream's sequence restarts at `base_seq` — the
-    /// primary's counter at capture time. The first install of a
-    /// resync round durably sets the `dirty` marker, so a crash
+    /// and the stream's sequence restarts at `base_seq`. A log broken
+    /// by an earlier failed apply is repaired first. The first install
+    /// of a resync round durably sets the `dirty` marker, so a crash
     /// mid-resync reopens unattached instead of half-installed.
     ///
     /// # Errors
     ///
-    /// Storage errors; the stream is left wiped-but-unusable and the
-    /// marker keeps it from being trusted.
+    /// Storage errors, and [`WalError::Corrupt`] for a shard this
+    /// replica does not have; the marker keeps the node from being
+    /// trusted.
     pub fn install_stream(
         &self,
         stream: ReplStream,
@@ -436,40 +454,22 @@ impl ReplicaWal {
         if !self.resyncing.swap(true, Ordering::AcqRel) {
             write_u64_file(self.storage.as_ref(), DIRTY_FILE, 1)?;
         }
-        let dir = match stream {
-            ReplStream::Shard(s) => {
-                if s as usize >= self.shards.len() {
-                    return Err(WalError::Corrupt(format!(
-                        "resync addressed shard {s} but this replica has {} shards",
-                        self.shards.len()
-                    )));
-                }
-                shard_dir(s as usize)
-            }
-            ReplStream::Coordinator => COORD_DIR.to_string(),
+        let at = slot(stream, self.shards)?;
+        let base = LogRecord::Base {
+            stream,
+            seq: base_seq,
+            snapshot: snapshot.to_vec(),
         };
-        let slot = match stream {
-            ReplStream::Shard(s) => &self.shards[s as usize],
-            ReplStream::Coordinator => &self.coord,
-        };
-        let mut log = slot.lock().expect("replica stream lock poisoned");
-        let sub = self.storage.sub(&dir).map_err(WalError::Io)?;
-        wipe_dir(sub.as_ref())?;
-        let (mut wal, _) = Wal::open(
-            sub.clone_handle(),
-            WalOptions {
-                segment_bytes: self.segment_bytes,
-            },
-        )?;
-        wal.snapshot(snapshot)?;
-        write_u64_file(sub.as_ref(), SEQBASE_FILE, base_seq)?;
-        *log = StreamLog { wal, seq: base_seq };
+        let mut log = self.lock();
+        log.wal.repair()?;
+        log.wal.append(&base.encode())?;
+        log.seqs[at] = base_seq;
         Ok(())
     }
 
     /// Commits a resync round: durably records the installing
     /// primary's term as this node's lineage and clears the `dirty`
-    /// marker. From here the node's logs are a faithful copy of the
+    /// marker. From here the node's log is a faithful copy of the
     /// primary's append stream at the captured point.
     ///
     /// # Errors
@@ -484,7 +484,7 @@ impl ReplicaWal {
         Ok(())
     }
 
-    /// Wipes the node back to unattached in place: empty logs, zero
+    /// Wipes the node back to unattached in place: empty log, zero
     /// vector, lineage 0. Used when the primary dies mid-resync — the
     /// half-installed streams must not vote, and the next primary will
     /// resync from scratch.
@@ -493,52 +493,25 @@ impl ReplicaWal {
     ///
     /// Storage errors; retry or reopen.
     pub fn reset_unattached(&self) -> Result<(), WalError> {
-        let opts = WalOptions {
-            segment_bytes: self.segment_bytes,
-        };
-        for (slot, dir) in self
-            .shards
-            .iter()
-            .chain(std::iter::once(&self.coord))
-            .zip(Self::stream_dirs(self.shards.len()))
-        {
-            let mut log = slot.lock().expect("replica stream lock poisoned");
-            let sub = self.storage.sub(&dir).map_err(WalError::Io)?;
-            wipe_dir(sub.as_ref())?;
-            let (wal, _) = Wal::open(sub, opts)?;
-            *log = StreamLog { wal, seq: 0 };
-        }
-        self.storage.remove(LINEAGE_FILE).map_err(WalError::Io)?;
-        self.storage.remove(DIRTY_FILE).map_err(WalError::Io)?;
+        let mut log = self.lock();
+        Self::wipe_all(self.storage.as_ref())?;
+        *log = Self::open_log(self.storage.as_ref(), self.shards, self.segment_bytes)?;
         self.lineage.store(0, Ordering::Release);
         self.resyncing.store(false, Ordering::Release);
         Ok(())
     }
 
-    /// Durably marks this node's logs as untrusted (the `dirty`
+    /// Durably marks this node's log as untrusted (the `dirty`
     /// marker): any later reopen wipes back to unattached. A node
     /// promoting to primary calls this first, because its service
     /// appends bypass the replica bookkeeping — a deposed primary must
-    /// rejoin empty and be resynced, never vote with its own logs.
+    /// rejoin empty and be resynced, never vote with its own log.
     ///
     /// # Errors
     ///
     /// Storage errors; do not promote without the marker down.
     pub fn mark_dirty(&self) -> Result<(), WalError> {
         write_u64_file(self.storage.as_ref(), DIRTY_FILE, 1)
-    }
-
-    fn log(&self, stream: ReplStream) -> Result<MutexGuard<'_, StreamLog>, ReplicaApplyError> {
-        let slot = match stream {
-            ReplStream::Coordinator => &self.coord,
-            ReplStream::Shard(s) => self.shards.get(s as usize).ok_or_else(|| {
-                ReplicaApplyError::Wal(WalError::Corrupt(format!(
-                    "replicate addressed shard {s} but this replica has {} shards",
-                    self.shards.len()
-                )))
-            })?,
-        };
-        Ok(slot.lock().expect("replica stream lock poisoned"))
     }
 
     /// Durably applies one shipped batch and returns the stream's
@@ -549,8 +522,10 @@ impl ReplicaWal {
     /// # Errors
     ///
     /// [`ReplicaApplyError::Gap`] when `seq` skips ahead,
-    /// [`ReplicaApplyError::Wal`] when the local append fails (the
-    /// batch is not applied; all-or-nothing like any WAL batch).
+    /// [`ReplicaApplyError::Wal`] when the batch is empty, addresses a
+    /// shard this replica does not have, holds a record not tagged with
+    /// `stream` (or a resync base), or the local append fails (the batch
+    /// is not applied; all-or-nothing like any WAL batch).
     pub fn apply(
         &self,
         stream: ReplStream,
@@ -564,14 +539,25 @@ impl ReplicaWal {
                 "empty replication batch".into(),
             )));
         }
-        let mut log = self.log(stream)?;
-        if seq <= log.seq {
-            return Ok(log.seq); // Duplicate delivery: already durable.
+        let at = slot(stream, self.shards).map_err(ReplicaApplyError::Wal)?;
+        for record in records {
+            // Reopen counts a stream's sequence from its records' tags.
+            let head = LogRecord::head(record).map_err(ReplicaApplyError::Wal)?;
+            if head != (stream, None) {
+                return Err(ReplicaApplyError::Wal(WalError::Corrupt(format!(
+                    "a {} record rode a {stream} batch",
+                    head.0
+                ))));
+            }
         }
-        if seq != log.seq + 1 {
+        let mut log = self.lock();
+        if seq <= log.seqs[at] {
+            return Ok(log.seqs[at]); // Duplicate delivery: already durable.
+        }
+        if seq != log.seqs[at] + 1 {
             return Err(ReplicaApplyError::Gap {
                 stream,
-                expected: log.seq + 1,
+                expected: log.seqs[at] + 1,
                 got: seq,
             });
         }
@@ -579,35 +565,14 @@ impl ReplicaWal {
         log.wal
             .append_batch(&views)
             .map_err(ReplicaApplyError::Wal)?;
-        log.seq = seq;
-        Ok(log.seq)
+        log.seqs[at] = seq;
+        Ok(seq)
     }
 
     /// The highest sequence durably applied on a stream (0 before the
     /// first batch).
     pub fn durable_seq(&self, stream: ReplStream) -> u64 {
-        self.log(stream).map_or(0, |log| log.seq)
-    }
-
-    /// Total records across all streams' logs (applied lifetime count).
-    pub fn records(&self) -> u64 {
-        let mut total = 0;
-        for slot in &self.shards {
-            total += slot
-                .lock()
-                .expect("replica stream lock poisoned")
-                .wal
-                .counters()
-                .records;
-        }
-        total
-            + self
-                .coord
-                .lock()
-                .expect("replica stream lock poisoned")
-                .wal
-                .counters()
-                .records
+        slot(stream, self.shards).map_or(0, |at| self.lock().seqs[at])
     }
 }
 
@@ -616,8 +581,21 @@ mod tests {
     use super::*;
     use dpack_wal::SimStorage;
 
-    fn records(n: u8) -> Vec<Vec<u8>> {
-        (0..n).map(|i| vec![i; 5]).collect()
+    /// `n` records tagged with `stream`, as a primary would ship them.
+    fn records(stream: ReplStream, n: u8) -> Vec<Vec<u8>> {
+        let record = |i: u8| match stream {
+            ReplStream::Shard(shard) => LogRecord::Apply {
+                shard,
+                task: u64::from(i),
+                demand: vec![],
+                blocks: vec![],
+            },
+            ReplStream::Coordinator => LogRecord::Abort {
+                attempt: u64::from(i),
+                task: u64::from(i),
+            },
+        };
+        (0..n).map(|i| record(i).encode()).collect()
     }
 
     #[test]
@@ -627,15 +605,15 @@ mod tests {
         assert_eq!(replica.n_shards(), 2);
         let stream = ReplStream::Shard(1);
         assert_eq!(replica.durable_seq(stream), 0);
-        assert_eq!(replica.apply(stream, 1, &records(3)).unwrap(), 1);
-        assert_eq!(replica.apply(stream, 2, &records(1)).unwrap(), 2);
+        assert_eq!(replica.apply(stream, 1, &records(stream, 3)).unwrap(), 1);
+        assert_eq!(replica.apply(stream, 2, &records(stream, 1)).unwrap(), 2);
         // Duplicate: idempotent ack, nothing appended.
-        let before = replica.records();
-        assert_eq!(replica.apply(stream, 1, &records(3)).unwrap(), 2);
-        assert_eq!(replica.records(), before);
+        let before = sim.bytes_written();
+        assert_eq!(replica.apply(stream, 1, &records(stream, 3)).unwrap(), 2);
+        assert_eq!(sim.bytes_written(), before);
         // Gap: refused.
         assert!(matches!(
-            replica.apply(stream, 4, &records(1)),
+            replica.apply(stream, 4, &records(stream, 1)),
             Err(ReplicaApplyError::Gap {
                 expected: 3,
                 got: 4,
@@ -645,22 +623,43 @@ mod tests {
         // Streams are independent.
         assert_eq!(
             replica
-                .apply(ReplStream::Coordinator, 1, &records(1))
+                .apply(
+                    ReplStream::Coordinator,
+                    1,
+                    &records(ReplStream::Coordinator, 1)
+                )
                 .unwrap(),
             1
         );
         assert_eq!(
-            replica.apply(ReplStream::Shard(0), 1, &records(2)).unwrap(),
+            replica
+                .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 2))
+                .unwrap(),
             1
         );
         assert!(matches!(
-            replica.apply(ReplStream::Shard(7), 1, &records(1)),
+            replica.apply(ReplStream::Shard(7), 1, &records(ReplStream::Shard(7), 1)),
             Err(ReplicaApplyError::Wal(WalError::Corrupt(_)))
         ));
         assert!(matches!(
             replica.apply(stream, 3, &[]),
             Err(ReplicaApplyError::Wal(WalError::Corrupt(_)))
         ));
+        // Every record must carry the batch's stream tag, and no batch
+        // may carry a resync base.
+        let base = LogRecord::Base {
+            stream,
+            seq: 9,
+            snapshot: vec![],
+        };
+        let other = records(ReplStream::Shard(0), 1);
+        for bad in [other, vec![base.encode()], vec![vec![0xEE; 3]]] {
+            assert!(matches!(
+                replica.apply(stream, 3, &bad),
+                Err(ReplicaApplyError::Wal(WalError::Corrupt(_)))
+            ));
+        }
+        assert_eq!(replica.durable_seq(stream), 2);
     }
 
     #[test]
@@ -668,10 +667,18 @@ mod tests {
         let sim = SimStorage::new();
         {
             let replica = ReplicaWal::open(&sim, 1, 1 << 16).unwrap();
-            replica.apply(ReplStream::Shard(0), 1, &records(4)).unwrap();
-            replica.apply(ReplStream::Shard(0), 2, &records(1)).unwrap();
             replica
-                .apply(ReplStream::Coordinator, 1, &records(1))
+                .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 4))
+                .unwrap();
+            replica
+                .apply(ReplStream::Shard(0), 2, &records(ReplStream::Shard(0), 1))
+                .unwrap();
+            replica
+                .apply(
+                    ReplStream::Coordinator,
+                    1,
+                    &records(ReplStream::Coordinator, 1),
+                )
                 .unwrap();
         }
         let survivor = sim.surviving();
@@ -680,14 +687,18 @@ mod tests {
         assert_eq!(replica.durable_seq(ReplStream::Coordinator), 1);
         // Redelivery of the last batch (primary retrying across the
         // restart) acks without duplicating records.
-        let before = replica.records();
+        let before = survivor.bytes_written();
         assert_eq!(
-            replica.apply(ReplStream::Shard(0), 2, &records(1)).unwrap(),
+            replica
+                .apply(ReplStream::Shard(0), 2, &records(ReplStream::Shard(0), 1))
+                .unwrap(),
             2
         );
-        assert_eq!(replica.records(), before);
+        assert_eq!(survivor.bytes_written(), before);
         assert_eq!(
-            replica.apply(ReplStream::Shard(0), 3, &records(2)).unwrap(),
+            replica
+                .apply(ReplStream::Shard(0), 3, &records(ReplStream::Shard(0), 2))
+                .unwrap(),
             3
         );
     }
@@ -696,7 +707,9 @@ mod tests {
     fn resync_install_restarts_the_stream_at_the_captured_base() {
         let sim = SimStorage::new();
         let replica = ReplicaWal::open(&sim, 2, 1 << 16).unwrap();
-        replica.apply(ReplStream::Shard(0), 1, &records(2)).unwrap();
+        replica
+            .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 2))
+            .unwrap();
         assert_eq!(replica.vector(), vec![1, 0, 0]);
         // Install shard 0 at base 7 (the primary's counter), coord at 3.
         replica
@@ -715,15 +728,19 @@ mod tests {
         assert_eq!(replica.vector(), vec![7, 2, 3]);
         // The suffix rides on top: next-in-sequence from the base.
         assert_eq!(
-            replica.apply(ReplStream::Shard(0), 8, &records(1)).unwrap(),
+            replica
+                .apply(ReplStream::Shard(0), 8, &records(ReplStream::Shard(0), 1))
+                .unwrap(),
             8
         );
         assert_eq!(
-            replica.apply(ReplStream::Shard(0), 7, &records(1)).unwrap(),
+            replica
+                .apply(ReplStream::Shard(0), 7, &records(ReplStream::Shard(0), 1))
+                .unwrap(),
             8
         );
         assert!(matches!(
-            replica.apply(ReplStream::Shard(0), 10, &records(1)),
+            replica.apply(ReplStream::Shard(0), 10, &records(ReplStream::Shard(0), 1)),
             Err(ReplicaApplyError::Gap {
                 expected: 9,
                 got: 10,
@@ -742,7 +759,9 @@ mod tests {
     fn a_torn_resync_reopens_unattached() {
         let sim = SimStorage::new();
         let replica = ReplicaWal::open(&sim, 1, 1 << 16).unwrap();
-        replica.apply(ReplStream::Shard(0), 1, &records(2)).unwrap();
+        replica
+            .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 2))
+            .unwrap();
         replica
             .install_stream(ReplStream::Shard(0), 9, b"half")
             .unwrap();
@@ -761,13 +780,17 @@ mod tests {
     fn mark_dirty_forces_a_wipe_on_reopen_and_reset_wipes_in_place() {
         let sim = SimStorage::new();
         let replica = ReplicaWal::open(&sim, 1, 1 << 16).unwrap();
-        replica.apply(ReplStream::Shard(0), 1, &records(2)).unwrap();
+        replica
+            .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 2))
+            .unwrap();
         replica.mark_dirty().unwrap();
         drop(replica);
         let replica = ReplicaWal::open(&sim.surviving(), 1, 1 << 16).unwrap();
         assert_eq!(replica.vector(), vec![0, 0]);
         // In-place reset: same thing without a restart.
-        replica.apply(ReplStream::Shard(0), 1, &records(1)).unwrap();
+        replica
+            .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 1))
+            .unwrap();
         replica
             .install_stream(ReplStream::Coordinator, 4, &[])
             .unwrap();
@@ -776,7 +799,9 @@ mod tests {
         assert_eq!(replica.lineage(), 0);
         assert!(!replica.is_resyncing());
         assert_eq!(
-            replica.apply(ReplStream::Shard(0), 1, &records(1)).unwrap(),
+            replica
+                .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 1))
+                .unwrap(),
             1
         );
     }
@@ -785,10 +810,12 @@ mod tests {
     fn a_crashed_replica_append_drops_the_whole_batch_and_seq() {
         let sim = SimStorage::new();
         let replica = ReplicaWal::open(&sim, 1, 1 << 16).unwrap();
-        replica.apply(ReplStream::Shard(0), 1, &records(2)).unwrap();
+        replica
+            .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 2))
+            .unwrap();
         sim.set_append_errors(true);
         assert!(matches!(
-            replica.apply(ReplStream::Shard(0), 2, &records(3)),
+            replica.apply(ReplStream::Shard(0), 2, &records(ReplStream::Shard(0), 3)),
             Err(ReplicaApplyError::Wal(_))
         ));
         // The failed batch never acked, so seq stays put.
@@ -799,7 +826,9 @@ mod tests {
         let replica = ReplicaWal::open(&survivor, 1, 1 << 16).unwrap();
         assert_eq!(replica.durable_seq(ReplStream::Shard(0)), 1);
         assert_eq!(
-            replica.apply(ReplStream::Shard(0), 2, &records(3)).unwrap(),
+            replica
+                .apply(ReplStream::Shard(0), 2, &records(ReplStream::Shard(0), 3))
+                .unwrap(),
             2
         );
     }

@@ -37,10 +37,11 @@
 //! 3. **Commit** — the pass's grants split by shard set. Grants whose
 //!    blocks all live on one shard go to the ledger as one batch per
 //!    shard in one call: it holds the shards' locks once, stages on
-//!    this thread, deals the write-ahead syncs over the workers so
-//!    they overlap, and ships every shard's batch to the replicas in
-//!    one quorum round. Then the grants spanning shards commit as one
-//!    two-phase batch, all-or-nothing per task.
+//!    this thread, makes every shard's batch durable with one
+//!    write-ahead group commit — one sync — and ships them to the
+//!    replicas in one quorum round. Then the grants spanning shards
+//!    commit as one two-phase batch: two more syncs and rounds, its
+//!    intents and its decisions.
 //! 4. **Finalize** — tickets resolve, granted and evicted ids stop
 //!    being live; stats record the cycle's volumes and phase timings.
 //!
@@ -273,7 +274,7 @@ impl BudgetService {
     /// storage this is a fresh durable service; after a crash it
     /// rebuilds the exact pre-crash ledger (bit-identical filter
     /// state, with in-flight cross-shard grants resolved atomically by
-    /// the coordinator log). Queued and pending tasks are *not*
+    /// the coordinator's decisions). Queued and pending tasks are *not*
     /// durable — an unacknowledged submission is the tenant's to
     /// retry, as in PrivateKube's etcd deployment.
     ///
@@ -363,8 +364,8 @@ impl BudgetService {
     /// recovery materializes every block hot from the WAL (the only
     /// durability source), then the hot set is spilled back down to
     /// the tier bound. Spill files live in `tier-<s>` directories next
-    /// to the WAL's `shard-<s>` under the same `storage` and are wiped
-    /// on open — they never affect what recovery reads.
+    /// to the WAL's log under the same `storage` and are wiped on
+    /// open — they never affect what recovery reads.
     ///
     /// # Errors
     ///
@@ -1077,13 +1078,12 @@ impl BudgetService {
     /// The commit phase: the pass's selection, split by shard set. The
     /// tasks whose blocks all live on one shard commit as **one batch
     /// per shard** under one hold of the involved shard locks — a
-    /// cycle's grants on one shard cost one write-ahead sync, the
-    /// shards' syncs overlap on the worker threads, and all of them
-    /// ship to the replicas in one round (see
+    /// cycle's shard-local grants cost one write-ahead sync for all the
+    /// shards, and ship to the replicas in one round (see
     /// [`ShardedLedger::commit_local`]; an in-memory ledger commits
     /// them in a plain loop). Then the tasks spanning shards commit as
-    /// one two-phase batch: their intents join their home shards'
-    /// flushes, decisions stay per-attempt. Every selected task fits
+    /// one two-phase batch: one group commit of their intents, one of
+    /// their decisions. Every selected task fits
     /// the snapshot together with all the others, so the order between
     /// the two groups decides nothing; within a group, tasks keep their
     /// allocation order. What commits leaves the pending set;
@@ -1111,7 +1111,7 @@ impl BudgetService {
             .map(|(shard, (batch, _))| (shard, batch.as_slice()))
             .collect();
         let mut outcomes = vec![CommitOutcome::Released; selected.len()];
-        let committed = ledger.commit_local(&batches, self.config.workers);
+        let committed = ledger.commit_local(&batches);
         let positions = batches.iter().map(|(shard, _)| &local[*shard].1);
         for (at, outcome) in positions.flatten().zip(committed.into_iter().flatten()) {
             outcomes[*at] = outcome;

@@ -87,15 +87,14 @@ impl CycleStats {
 /// ledger at every cycle boundary. All counters are lifetime totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
-    /// Records acknowledged across all shard logs + the coordinator.
+    /// Records acknowledged by the log, every stream's.
     pub records: u64,
     /// Framed bytes acknowledged.
     pub bytes: u64,
     /// Write-ahead failures that released work instead of charging it
     /// — nonzero means the storage crashed or errored. Counts failure
-    /// *events*, not released grants: one failed group-commit flush
-    /// releases its whole batch but counts once (and so does each
-    /// advisory `Abort` a still-failing coordinator log then refuses).
+    /// *events*, not released grants: one failed group commit releases
+    /// every batch of its step but counts once.
     pub failed_appends: u64,
     /// Replication ships that failed (quorum lost or a replica refused
     /// a batch) and released work a local append had already accepted.
@@ -108,13 +107,14 @@ pub struct DurabilityStats {
     /// Compactions that failed with a WAL error.
     pub failed_compactions: u64,
     /// Storage writes acknowledged — the fsync count on a syncing
-    /// backend. Group commit's whole point is keeping this near
-    /// `shards × cycles + compactions` instead of `records`.
+    /// backend. Group commit's whole point is keeping this near one
+    /// per commit step — at most three per cycle — plus one per
+    /// registration and compaction, instead of `records`.
     pub sync_calls: u64,
-    /// Group-commit batches flushed across all shard logs.
+    /// Group-commit batches flushed.
     pub batches: u64,
     /// Records that went through a batch (the rest were singleton
-    /// appends: registrations, coordinator decisions).
+    /// appends: registrations, steps of one record).
     pub batched_records: u64,
     /// Smallest flushed batch (0 until the first batch).
     pub batch_min: u64,

@@ -3,22 +3,24 @@
 //! *cycle schedule itself* is a pure function of the dpack-check seed.
 //!
 //! Each case draws a schedule of scheduling cycles (how many tasks
-//! arrive before each cycle, their shapes) and a crash byte offset.
-//! Since PR 4 a cycle's grants flush as one `append_batch` per shard,
-//! so the crash can land anywhere inside a batched write: before the
-//! batch header, mid-record, between two records of the batch, or in
-//! a cross-shard intent batch. The invariants, per seeded case:
+//! arrive before each cycle, their shapes) and a crash byte offset. A
+//! cycle's shard-local grants flush as one `append_batch` into the one
+//! log for every shard, so the crash can land anywhere inside a batched
+//! write: before the batch header, mid-record, between two records of
+//! the batch (or of two shards' slices of it), or in a cross-shard
+//! intent or decision batch. The invariants, per seeded case:
 //!
 //! * **Acked-prefix recovery** — the set of grants recovery applies is
 //!   exactly the set the live service acknowledged. A batch is
 //!   acknowledged as a unit, so a crash inside a batched write
 //!   surfaces *no* record of it: recovery never resurrects a grant
 //!   the service released, and never loses one it acked. Equivalently
-//!   the recovered log is a per-shard prefix of the acked record
-//!   sequence — the crashed batch is the dropped suffix.
+//!   the recovered log is a prefix of the acked record sequence — the
+//!   crashed batch is the dropped suffix.
 //! * **Independent fold** — the recovered ledger equals a test-local
-//!   fold of the surviving WAL records (plain `f64` composition in
-//!   log order), bit for bit, and equals the live ledger.
+//!   fold of the surviving WAL records (demultiplexed by their stream
+//!   tags, plain `f64` composition in log order), bit for bit, and
+//!   equals the live ledger.
 //! * **Conservation** — recovered per-block grant counts sum to one
 //!   charge per (acked task, requested block) pair.
 
@@ -27,10 +29,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, Failed, PropResult};
 use dpack_core::problem::{Block, BlockId, Task, TaskId};
-use dpack_service::durability::{decode_snapshot, BlockState, CoordRecord, ShardRecord};
+use dpack_service::durability::{decode_snapshot, BlockState, LogRecord};
 use dpack_service::wal::{SimStorage, Wal, WalOptions, WalStorage};
 use dpack_service::{
-    BudgetService, DurabilityOptions, SchedulerChoice, ServiceConfig, StatsRetention,
+    BudgetService, DurabilityOptions, DurabilityStats, SchedulerChoice, ServiceConfig,
+    StatsRetention,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -124,92 +127,95 @@ fn drive(
     Ok((acked, service.ledger().block_states()))
 }
 
-/// An independent replay of the surviving bytes: plain `f64` addition
-/// in log order, `Apply` unconditionally, `Intent` iff the coordinator
-/// committed the attempt. Returns `(block states, applied task set)`.
+/// An independent replay of the surviving bytes: the one log
+/// demultiplexed by stream tag, then plain `f64` addition in log order,
+/// `Apply` unconditionally, `Intent` iff the coordinator committed the
+/// attempt. Returns `(block states, applied task set)`.
 #[allow(clippy::type_complexity)]
 fn fold_surviving(
     sim: &SimStorage,
 ) -> Result<(BTreeMap<BlockId, BlockState>, BTreeSet<TaskId>), Failed> {
-    let open = |name: &str| {
-        let sub = sim
-            .surviving()
-            .sub(name)
-            .map_err(|e| Failed::new(format!("sub: {e}")))?;
-        Wal::open(
-            sub,
-            WalOptions {
-                segment_bytes: opts().segment_bytes,
-            },
-        )
-        .map(|(_, rec)| rec)
-        .map_err(|e| Failed::new(format!("open {name}: {e}")))
-    };
+    let fail = |e: dpack_service::wal::WalError| Failed::new(e.to_string());
+    let sub = sim
+        .surviving()
+        .sub("wal")
+        .map_err(|e| Failed::new(format!("sub: {e}")))?;
+    let segment_bytes = opts().segment_bytes;
+    let (_, log) = Wal::open(sub, WalOptions { segment_bytes }).map_err(fail)?;
     let mut committed: BTreeSet<u64> = BTreeSet::new();
-    for record in &open("coord")?.records {
-        if let CoordRecord::Commit { attempt, .. } =
-            CoordRecord::decode(record).map_err(|e| Failed::new(e.to_string()))?
-        {
-            committed.insert(attempt);
+    let mut shards: Vec<Vec<LogRecord>> = vec![Vec::new(); SHARDS];
+    for record in &log.records {
+        match LogRecord::decode(record).map_err(fail)? {
+            LogRecord::Commit { attempt, .. } => {
+                committed.insert(attempt);
+            }
+            LogRecord::Abort { .. } => {}
+            LogRecord::Base { .. } => return Err(Failed::new("a resync base on a primary")),
+            record @ (LogRecord::Block { shard, .. }
+            | LogRecord::Apply { shard, .. }
+            | LogRecord::Intent { shard, .. }) => shards
+                .get_mut(shard as usize)
+                .ok_or_else(|| Failed::new(format!("record on shard {shard}")))?
+                .push(record),
         }
     }
     let mut blocks: BTreeMap<BlockId, BlockState> = BTreeMap::new();
-    let mut applied: BTreeSet<TaskId> = BTreeSet::new();
-    for s in 0..SHARDS {
-        let shard = open(&format!("shard-{s}"))?;
-        if let Some(snap) = &shard.snapshot {
-            for state in decode_snapshot(snap).map_err(|e| Failed::new(e.to_string()))? {
-                blocks.insert(state.id, state);
-            }
+    if let Some(snap) = &log.snapshot {
+        for state in decode_snapshot(snap).map_err(fail)? {
+            blocks.insert(state.id, state);
         }
-        for record in &shard.records {
-            let (task, demand, charged) =
-                match ShardRecord::decode(record).map_err(|e| Failed::new(e.to_string()))? {
-                    ShardRecord::Block {
+    }
+    let mut applied: BTreeSet<TaskId> = BTreeSet::new();
+    for record in shards.into_iter().flatten() {
+        let (task, demand, charged) = match record {
+            LogRecord::Block {
+                id,
+                arrival,
+                capacity,
+                ..
+            } => {
+                blocks.insert(
+                    id,
+                    BlockState {
                         id,
                         arrival,
-                        capacity,
-                    } => {
-                        blocks.insert(
-                            id,
-                            BlockState {
-                                id,
-                                arrival,
-                                consumed: vec![0.0; capacity.len()],
-                                total: capacity,
-                                granted: 0,
-                            },
-                        );
-                        continue;
-                    }
-                    ShardRecord::Apply {
-                        task,
-                        demand,
-                        blocks,
-                    } => (task, demand, blocks),
-                    ShardRecord::Intent {
-                        attempt,
-                        task,
-                        demand,
-                        blocks,
-                    } => {
-                        if !committed.contains(&attempt) {
-                            continue;
-                        }
-                        (task, demand, blocks)
-                    }
-                };
-            for b in &charged {
-                let state = blocks
-                    .get_mut(b)
-                    .ok_or_else(|| Failed::new(format!("task {task} charges unknown block {b}")))?;
-                for (slot, d) in state.consumed.iter_mut().zip(&demand) {
-                    *slot += d; // Same op, same order as RdpCurve::compose.
-                }
-                state.granted += 1;
+                        consumed: vec![0.0; capacity.len()],
+                        total: capacity,
+                        granted: 0,
+                    },
+                );
+                continue;
             }
-            applied.insert(task);
+            LogRecord::Apply {
+                task,
+                demand,
+                blocks,
+                ..
+            } => (task, demand, blocks),
+            LogRecord::Intent {
+                attempt,
+                task,
+                demand,
+                blocks,
+                ..
+            } => {
+                if !committed.contains(&attempt) {
+                    continue;
+                }
+                (task, demand, blocks)
+            }
+            _ => unreachable!("only shard records were demultiplexed here"),
+        };
+        for b in &charged {
+            let state = blocks
+                .get_mut(b)
+                .ok_or_else(|| Failed::new(format!("task {task} charges unknown block {b}")))?;
+            for (slot, d) in state.consumed.iter_mut().zip(&demand) {
+                *slot += d; // Same op, same order as RdpCurve::compose.
+            }
+            state.granted += 1;
         }
+        applied.insert(task);
     }
     Ok((blocks, applied))
 }
@@ -329,13 +335,21 @@ fn crashes_aimed_inside_a_specific_batch_drop_it_wholesale() {
     );
 }
 
-/// The group-commit sync bound at service level: however many
-/// shard-local grants a cycle makes, each shard flushes them with at
-/// most one write + one sync, so after `C` cycles on `S` shards the
-/// grant path has spent at most `S × C` syncs in at most `S × C`
-/// batches — not one per grant.
+fn durability(service: &BudgetService) -> DurabilityStats {
+    service
+        .ledger()
+        .durability_stats()
+        .expect("durable service")
+}
+
+/// The group-commit sync count at service level: a cycle's shard-local
+/// grants on all `S` shards are one commit step — one write, one sync,
+/// one batch in the one log — whatever `S`, `W` and the grant count
+/// are; and a cycle that also grants tasks spanning shards adds exactly
+/// two steps, its intents and its decisions, however many attempts it
+/// makes.
 #[test]
-fn shard_local_grants_cost_at_most_one_sync_per_shard_per_cycle() {
+fn shard_local_grants_cost_one_sync_per_commit_step() {
     const CYCLES: u64 = 6;
     const PER_BLOCK: u64 = 3;
     let sim = SimStorage::new();
@@ -345,53 +359,56 @@ fn shard_local_grants_cost_at_most_one_sync_per_shard_per_cycle() {
             .register_block(Block::new(j, RdpCurve::constant(&grid(), 8.0), 0.0))
             .expect("unique blocks");
     }
+    let registered = durability(&service);
+    assert_eq!(registered.sync_calls, N_BLOCKS, "one sync per registration");
     let mut next_id = 0u64;
+    let mut submit = |blocks: Vec<u64>| {
+        next_id += 1;
+        let t = Task::new(next_id, 1.0, blocks, RdpCurve::constant(&grid(), 0.01), 0.0);
+        service.submit(0, t).expect("admitted");
+    };
     for step in 1..=CYCLES {
         for j in 0..N_BLOCKS {
             for _ in 0..PER_BLOCK {
-                next_id += 1;
-                let t = Task::new(
-                    next_id,
-                    1.0,
-                    vec![j],
-                    RdpCurve::constant(&grid(), 0.01),
-                    0.0,
-                );
-                service.submit(0, t).expect("admitted");
+                submit(vec![j]);
             }
         }
-        service.run_cycle(step as f64);
+        let before = durability(&service);
+        let cycle = service.run_cycle(step as f64);
+        let after = durability(&service);
+        let granted = N_BLOCKS * PER_BLOCK;
+        assert_eq!(cycle.granted() as u64, granted, "everything fits");
+        assert_eq!(after.sync_calls - before.sync_calls, 1, "cycle {step}");
+        assert_eq!(after.batches - before.batches, 1, "cycle {step}");
+        assert_eq!(after.batched_records - before.batched_records, granted);
     }
-    let granted = service.stats().granted.len() as u64;
-    assert_eq!(granted, CYCLES * N_BLOCKS * PER_BLOCK, "everything fits");
-
-    let stats = service.stats().durability.expect("durable service");
-    let bound = SHARDS as u64 * CYCLES;
-    assert!(
-        granted > bound,
-        "the bound must be tighter than one per grant"
+    // Local grants on every shard plus four attempts spanning two to
+    // four shards: locals, intents, decisions — three syncs.
+    for j in 0..N_BLOCKS {
+        submit(vec![j]);
+    }
+    for blocks in [vec![0, 1], vec![1, 2, 3], vec![4, 5], vec![3, 4, 5, 6]] {
+        submit(blocks);
+    }
+    let before = durability(&service);
+    let cycle = service.run_cycle(CYCLES as f64 + 1.0);
+    let after = durability(&service);
+    assert_eq!(
+        (cycle.local_granted, cycle.cross_granted),
+        (N_BLOCKS as usize, 4)
     );
-    assert_eq!(stats.batched_records, granted, "every grant rode a batch");
-    assert!(
-        stats.sync_calls - N_BLOCKS <= bound,
-        "grant path spent {} syncs, bound is {bound}",
-        stats.sync_calls - N_BLOCKS
-    );
-    assert!(
-        stats.batches <= bound,
-        "{} batches > {bound}",
-        stats.batches
-    );
+    assert_eq!(after.sync_calls - before.sync_calls, 3);
+    assert_eq!(after.batches - before.batches, 3);
 }
 
 /// The commit shape of one global pass: a single cycle whose one
 /// scheduling pass selects shard-local tasks on every shard *and* tasks
-/// spanning shards, so its grants leave as per-shard `Apply` batches
-/// (dealt over two workers) followed by one two-phase batch. Crashed at
-/// every byte that cycle writes — inside any shard batch, between
-/// them, in an intent batch, in or between coordinator decisions —
-/// recovery reproduces exactly the grants the journal decided, bit for
-/// bit, and no block is overdrawn.
+/// spanning shards, so its grants leave as one group commit of every
+/// shard's `Apply` records followed by one two-phase batch (a group
+/// commit of intents, one of decisions). Crashed at every byte that
+/// cycle writes — inside any shard's slice of the local batch, in the
+/// intents, in the decisions — recovery reproduces exactly the grants
+/// the journal decided, bit for bit, and no block is overdrawn.
 #[test]
 fn one_pass_granting_local_and_spanning_tasks_recovers_from_a_crash_at_every_byte() {
     // Two local tasks per block, then tasks spanning two to four

@@ -1,0 +1,222 @@
+//! Hostile bytes on the one log's record format: junk that passes the
+//! WAL's frame checksum must fail *typed* — [`WalError::Corrupt`] from
+//! recovery and replica reopen, [`ReplicaApplyError`] from a replica
+//! applying a shipped batch — and never panic.
+//!
+//! Each case draws one hostile record and puts it behind a valid prefix
+//! (registrations and a grant), framed by the WAL itself so the
+//! checksum holds:
+//!
+//! * an **unknown stream tag**;
+//! * a well-formed record on a **shard the ledger does not have**
+//!   (`shard ≥ S`);
+//! * a well-formed record **truncated** anywhere short of its end;
+//! * a well-formed record whose **tag disagrees with the stream** of
+//!   the `Replicate` batch it rides into a replica (or a resync base
+//!   riding a shipped batch).
+
+use dp_accounting::{AlphaGrid, RdpCurve};
+use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, vecs, Failed, PropResult};
+use dpack_core::problem::{Block, Task};
+use dpack_service::durability::{encode_snapshot, BlockState, LogRecord};
+use dpack_service::obs::Obs;
+use dpack_service::wal::{SimStorage, Wal, WalError, WalOptions, WalStorage};
+use dpack_service::{DurabilityOptions, ReplStream, ReplicaApplyError, ReplicaWal, ShardedLedger};
+
+const SHARDS: usize = 4;
+const SEGMENT_BYTES: u64 = 1 << 16;
+
+fn grid() -> AlphaGrid {
+    AlphaGrid::new(vec![2.0, 8.0]).unwrap()
+}
+
+/// A well-formed record of kind `kind % 6` — block, apply, intent,
+/// commit, abort, base — on shard `shard`'s stream (the coordinator's
+/// for the two decisions), its fields spun from `seed`.
+fn record(kind: u8, shard: u32, seed: u64) -> LogRecord {
+    let (demand, blocks) = (vec![f64::from_bits(seed); 2], vec![seed % 8, seed >> 61]);
+    match kind % 6 {
+        0 => LogRecord::Block {
+            shard,
+            id: seed,
+            arrival: 0.5,
+            capacity: demand,
+        },
+        1 => LogRecord::Apply {
+            shard,
+            task: seed,
+            demand,
+            blocks,
+        },
+        2 => LogRecord::Intent {
+            shard,
+            attempt: seed >> 3,
+            task: seed,
+            demand,
+            blocks,
+        },
+        3 => LogRecord::Commit {
+            attempt: seed,
+            task: seed,
+        },
+        4 => LogRecord::Abort {
+            attempt: seed,
+            task: seed,
+        },
+        _ => {
+            let state = BlockState {
+                id: seed,
+                arrival: 0.0,
+                total: demand.clone(),
+                consumed: demand,
+                granted: seed >> 40,
+            };
+            LogRecord::Base {
+                stream: ReplStream::Shard(shard),
+                seq: seed,
+                snapshot: encode_snapshot(&[state]),
+            }
+        }
+    }
+}
+
+fn open_ledger(storage: &SimStorage) -> Result<ShardedLedger, WalError> {
+    let opts = DurabilityOptions {
+        segment_bytes: SEGMENT_BYTES,
+        snapshot_every_cycles: None,
+    };
+    ShardedLedger::open_durable(grid(), SHARDS, 1.0, 1, storage, opts, &Obs::off())
+}
+
+/// A primary's log with registrations and two grants (one shard-local,
+/// one spanning shards), then `junk` appended as a record of its own.
+fn primary_log_with(junk: &[u8]) -> SimStorage {
+    let sim = SimStorage::new();
+    let ledger = open_ledger(&sim).expect("fresh storage opens");
+    for j in 0..8u64 {
+        let block = Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0);
+        ledger.register_block(block).expect("unique blocks");
+    }
+    let demand = RdpCurve::constant(&grid(), 0.1);
+    ledger.commit_task(&Task::new(1, 1.0, vec![2], demand.clone(), 0.0));
+    ledger.commit_task(&Task::new(2, 1.0, vec![0, 1], demand, 0.0));
+    drop(ledger);
+    append_raw(&sim, junk);
+    sim
+}
+
+/// Appends `record` to the log under `sim` through the WAL itself, so
+/// its frame checksum is valid whatever the bytes.
+fn append_raw(sim: &SimStorage, record: &[u8]) {
+    let sub = sim.sub("wal").expect("sim scopes");
+    let opts = WalOptions {
+        segment_bytes: SEGMENT_BYTES,
+    };
+    let (mut wal, _) = Wal::open(sub, opts).expect("the prefix is valid");
+    wal.append(record).expect("sim storage accepts");
+}
+
+/// Recovery from `sim` must fail with [`WalError::Corrupt`].
+fn recovery_is_corrupt(sim: &SimStorage, what: &str) -> PropResult {
+    match open_ledger(sim) {
+        Err(WalError::Corrupt(_)) => Ok(()),
+        Err(e) => Err(Failed::new(format!("{what}: recovery failed untyped: {e}"))),
+        Ok(_) => Err(Failed::new(format!("{what}: recovery accepted it"))),
+    }
+}
+
+/// A replica log holding one valid shipped batch, then `junk` as an
+/// append unit of its own: reopening must fail with
+/// [`WalError::Corrupt`].
+fn replica_reopen_is_corrupt(junk: &[u8], what: &str) -> PropResult {
+    let sim = SimStorage::new();
+    let replica = ReplicaWal::open(&sim, SHARDS, SEGMENT_BYTES).expect("fresh replica");
+    let valid = record(1, 0, 7).encode();
+    replica
+        .apply(ReplStream::Shard(0), 1, &[valid])
+        .map_err(|e| Failed::new(format!("valid batch refused: {e}")))?;
+    drop(replica);
+    append_raw(&sim, junk);
+    match ReplicaWal::open(&sim, SHARDS, SEGMENT_BYTES) {
+        Err(WalError::Corrupt(_)) => Ok(()),
+        Err(e) => Err(Failed::new(format!("{what}: reopen failed untyped: {e}"))),
+        Ok(_) => Err(Failed::new(format!("{what}: reopen accepted it"))),
+    }
+}
+
+#[test]
+fn junk_under_a_valid_checksum_fails_typed_and_never_panics() {
+    check_cases(
+        "junk_under_a_valid_checksum_fails_typed_and_never_panics",
+        64,
+        (
+            ints(0u8..4),
+            ints(0u8..6),
+            ints(0u64..u64::MAX),
+            vecs(ints(0u8..255), 0..48),
+        ),
+        |(case, kind, seed, bytes)| {
+            let (case, kind, seed) = (*case, *kind, *seed);
+            match case {
+                // An unknown stream tag: 0, or anything past the two.
+                0 => {
+                    let tag = [0, 3, 0x7F, 0xFF][(seed % 4) as usize];
+                    let junk: Vec<u8> = std::iter::once(tag).chain(bytes.iter().copied()).collect();
+                    prop_assert!(LogRecord::decode(&junk).is_err());
+                    recovery_is_corrupt(&primary_log_with(&junk), "unknown stream tag")?;
+                    replica_reopen_is_corrupt(&junk, "unknown stream tag")
+                }
+                // A well-formed record on a shard the ledger lacks.
+                1 => {
+                    let shard = SHARDS as u32 + (seed as u32 % (u32::MAX - SHARDS as u32));
+                    let kind = [0, 1, 2, 5][(kind % 4) as usize];
+                    let junk = record(kind, shard, seed).encode();
+                    recovery_is_corrupt(&primary_log_with(&junk), "shard past the ledger")?;
+                    replica_reopen_is_corrupt(&junk, "shard past the replica")
+                }
+                // A well-formed record cut short anywhere.
+                2 => {
+                    let full = record(kind, (seed % SHARDS as u64) as u32, seed).encode();
+                    let cut = (seed as usize ^ bytes.len()) % full.len();
+                    let junk = &full[..cut];
+                    prop_assert!(LogRecord::decode(junk).is_err(), "a prefix decoded");
+                    recovery_is_corrupt(&primary_log_with(junk), "truncated record")
+                }
+                // A shipped batch carrying a record of another stream.
+                _ => {
+                    let sim = SimStorage::new();
+                    let replica = ReplicaWal::open(&sim, SHARDS, SEGMENT_BYTES).expect("fresh");
+                    let frame = ReplStream::Shard((seed % SHARDS as u64) as u32);
+                    let ReplStream::Shard(on) = frame else {
+                        unreachable!()
+                    };
+                    let own = record(1, on, seed).encode();
+                    replica
+                        .apply(frame, 1, std::slice::from_ref(&own))
+                        .map_err(|e| Failed::new(format!("valid batch refused: {e}")))?;
+                    let before = replica.vector();
+                    let stray = match kind % 3 {
+                        0 => record(1, (on + 1 + (seed >> 8) as u32 % 3) % SHARDS as u32, seed),
+                        1 => record(3, on, seed),
+                        _ => record(5, on, seed),
+                    };
+                    let batch = vec![own, stray.encode()];
+                    match replica.apply(frame, 2, &batch) {
+                        Err(ReplicaApplyError::Wal(WalError::Corrupt(_))) => {}
+                        other => {
+                            return Err(Failed::new(format!(
+                                "{stray:?} rode a {frame} batch: {other:?}"
+                            )))
+                        }
+                    }
+                    prop_assert_eq!(replica.vector(), before.clone(), "the batch was applied");
+                    drop(replica);
+                    let reopened = ReplicaWal::open(&sim, SHARDS, SEGMENT_BYTES)
+                        .map_err(|e| Failed::new(format!("reopen: {e}")))?;
+                    prop_assert_eq!(reopened.vector(), before);
+                    Ok(())
+                }
+            }
+        },
+    );
+}

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, Failed, PropResult};
 use dpack_core::problem::{Block, BlockId, Task, TaskId};
-use dpack_service::durability::{decode_snapshot, BlockState, CoordRecord, ShardRecord};
+use dpack_service::durability::{decode_snapshot, BlockState, LogRecord};
 use dpack_service::obs::{Event, EventKind};
 use dpack_service::wal::{FsStorage, SimStorage, Wal, WalOptions, WalStorage};
 use dpack_service::{
@@ -257,29 +257,34 @@ fn wal_options() -> WalOptions {
     }
 }
 
-/// An independent replay of the surviving bytes: plain `f64` addition
-/// in log order (the same order recovery applies), no service code.
+/// An independent replay of the surviving bytes: the one log
+/// demultiplexed by stream tag, then plain `f64` addition in log order
+/// (the same order recovery applies), no service code.
 fn fold_reference(storage: &SimStorage) -> Result<Reference, Failed> {
-    let open = |name: &str| {
-        let sub = storage
-            .surviving()
-            .sub(name)
-            .map_err(|e| Failed::new(format!("sub: {e}")))?;
-        Wal::open(sub, wal_options())
-            .map(|(_, rec)| rec)
-            .map_err(|e| Failed::new(format!("open {name}: {e}")))
-    };
+    let fail = |e: dpack_service::wal::WalError| Failed::new(e.to_string());
+    let sub = storage
+        .surviving()
+        .sub("wal")
+        .map_err(|e| Failed::new(format!("sub: {e}")))?;
+    let (_, log) = Wal::open(sub, wal_options()).map_err(fail)?;
 
-    let coord = open("coord")?;
     let mut committed: BTreeMap<u64, TaskId> = BTreeMap::new();
-    for record in &coord.records {
-        if let CoordRecord::Commit { attempt, task } =
-            CoordRecord::decode(record).map_err(|e| Failed::new(e.to_string()))?
-        {
-            committed.insert(attempt, task);
+    let mut shards: Vec<Vec<LogRecord>> = vec![Vec::new(); SHARDS];
+    for record in &log.records {
+        match LogRecord::decode(record).map_err(fail)? {
+            LogRecord::Commit { attempt, task } => {
+                committed.insert(attempt, task);
+            }
+            LogRecord::Abort { .. } => {}
+            LogRecord::Base { .. } => return Err(Failed::new("a resync base on a primary")),
+            record @ (LogRecord::Block { shard, .. }
+            | LogRecord::Apply { shard, .. }
+            | LogRecord::Intent { shard, .. }) => shards
+                .get_mut(shard as usize)
+                .ok_or_else(|| Failed::new(format!("record on shard {shard}")))?
+                .push(record),
         }
     }
-
     let mut reference = Reference {
         blocks: BTreeMap::new(),
         applied: BTreeSet::new(),
@@ -304,20 +309,20 @@ fn fold_reference(storage: &SimStorage) -> Result<Reference, Failed> {
         Ok(())
     };
 
-    for s in 0..SHARDS {
-        let shard = open(&format!("shard-{s}"))?;
-        let mut blocks: BTreeMap<BlockId, BlockState> = BTreeMap::new();
-        if let Some(snap) = &shard.snapshot {
-            for state in decode_snapshot(snap).map_err(|e| Failed::new(e.to_string()))? {
-                blocks.insert(state.id, state);
-            }
+    let mut blocks: BTreeMap<BlockId, BlockState> = BTreeMap::new();
+    if let Some(snap) = &log.snapshot {
+        for state in decode_snapshot(snap).map_err(fail)? {
+            blocks.insert(state.id, state);
         }
-        for record in &shard.records {
-            match ShardRecord::decode(record).map_err(|e| Failed::new(e.to_string()))? {
-                ShardRecord::Block {
+    }
+    for records in shards {
+        for record in records {
+            match record {
+                LogRecord::Block {
                     id,
                     arrival,
                     capacity,
+                    ..
                 } => {
                     blocks.insert(
                         id,
@@ -330,16 +335,18 @@ fn fold_reference(storage: &SimStorage) -> Result<Reference, Failed> {
                         },
                     );
                 }
-                ShardRecord::Apply {
+                LogRecord::Apply {
                     task,
                     demand,
                     blocks: charged,
+                    ..
                 } => apply(&mut blocks, task, &demand, &charged)?,
-                ShardRecord::Intent {
+                LogRecord::Intent {
                     attempt,
                     task,
                     demand,
                     blocks: charged,
+                    ..
                 } => {
                     if committed.contains_key(&attempt) {
                         apply(&mut blocks, task, &demand, &charged)?;
@@ -353,10 +360,11 @@ fn fold_reference(storage: &SimStorage) -> Result<Reference, Failed> {
                         reference.undecided_intents.push((attempt, task));
                     }
                 }
+                _ => unreachable!("only shard records were demultiplexed here"),
             }
         }
-        reference.blocks.extend(blocks);
     }
+    reference.blocks = blocks;
     Ok(reference)
 }
 
@@ -443,10 +451,10 @@ fn crashed_service_recovers_exactly_the_acknowledged_state() {
 
             // 2PC atomicity at the log level: a committed attempt was
             // acknowledged, and its surviving intents charge only the
-            // task's requested blocks (a crash mid-compaction may have
-            // folded *some* of its intents into shard snapshots — the
-            // bit-identical state checks above prove those charges
-            // landed too). An undecided attempt is never acknowledged
+            // task's requested blocks (a compaction may have folded its
+            // intents into the snapshot — the bit-identical state
+            // checks above prove those charges landed too). An
+            // undecided attempt is never acknowledged
             // (unless a later retry of the same task committed).
             for (attempt, (task, covered)) in &reference.committed_attempts {
                 let requested: BTreeSet<BlockId> = run.admitted[task].iter().copied().collect();

@@ -22,15 +22,18 @@
 //! * **Idempotent failover resubmission** — resubmitting a grant the
 //!   promoted ledger already holds is refused as a duplicate; fresh
 //!   work is admitted.
+//! * **Reopen keeps the stream** — a replica restarted mid-stream
+//!   recovers every stream's sequence from its one log, takes the
+//!   stream up where it left off, and promotes to the primary's fold.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, Failed, PropResult};
 use dpack_core::problem::{Block, BlockId, Task, TaskId};
-use dpack_service::durability::{decode_snapshot, BlockState, CoordRecord, ShardRecord};
+use dpack_service::durability::{BlockState, LogRecord};
 use dpack_service::wal::{SimStorage, Wal, WalOptions, WalStorage};
 use dpack_service::{
     AdmissionError, BudgetService, DurabilityOptions, ReplShipError, ReplStream, ReplicaWal,
@@ -71,7 +74,7 @@ fn opts() -> DurabilityOptions {
 /// [`dpack_net::Replicator`]'s counter does.
 #[derive(Debug)]
 struct InProcessSink {
-    replica: ReplicaWal,
+    replica: Mutex<ReplicaWal>,
     seqs: Vec<AtomicU64>,
     /// Refuse, once, the batch that would be this stream's `n`-th —
     /// one stream of whatever ship round carries it — without
@@ -84,7 +87,7 @@ impl InProcessSink {
     fn new(replica: ReplicaWal, refuse: Option<(ReplStream, u64)>) -> Self {
         let n = replica.n_shards();
         Self {
-            replica,
+            replica: Mutex::new(replica),
             seqs: (0..=n).map(|_| AtomicU64::new(0)).collect(),
             refuse,
             refused: AtomicBool::new(false),
@@ -92,11 +95,27 @@ impl InProcessSink {
     }
 }
 
+impl InProcessSink {
+    /// The primary's per-stream counters: shard streams, coordinator.
+    fn vector(&self) -> Vec<u64> {
+        self.seqs
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// The replica process restarts on its own storage.
+    fn reopen(&self, storage: &SimStorage) {
+        let reopened = ReplicaWal::open(storage, SHARDS, opts().segment_bytes).expect("reopen");
+        *self.replica.lock().unwrap() = reopened;
+    }
+}
+
 impl ReplicationSink for InProcessSink {
     fn ship(&self, stream: ReplStream, records: &[&[u8]]) -> Result<(), ReplShipError> {
         let slot = match stream {
             ReplStream::Shard(s) => s as usize,
-            ReplStream::Coordinator => self.replica.n_shards(),
+            ReplStream::Coordinator => self.seqs.len() - 1,
         };
         let next = self.seqs[slot].load(Ordering::Relaxed) + 1;
         if self.refuse == Some((stream, next)) && !self.refused.swap(true, Ordering::Relaxed) {
@@ -107,6 +126,8 @@ impl ReplicationSink for InProcessSink {
         let seq = self.seqs[slot].fetch_add(1, Ordering::Relaxed) + 1;
         let owned: Vec<Vec<u8>> = records.iter().map(|r| r.to_vec()).collect();
         self.replica
+            .lock()
+            .unwrap()
             .apply(stream, seq, &owned)
             .map(|_| ())
             .map_err(|e| ReplShipError::Sink(e.to_string()))
@@ -186,92 +207,93 @@ fn drive_replicated(
     Ok((acked, service.ledger().block_states(), failed_ships))
 }
 
-/// An independent replay of the replica's surviving bytes: plain `f64`
-/// addition in log order, `Apply` unconditionally, `Intent` iff the
-/// coordinator committed the attempt.
+/// An independent replay of a node's surviving bytes: the one log
+/// demultiplexed by stream tag, then plain `f64` addition in log order,
+/// `Apply` unconditionally, `Intent` iff the coordinator committed the
+/// attempt.
 #[allow(clippy::type_complexity)]
 fn fold_surviving(
     sim: &SimStorage,
 ) -> Result<(BTreeMap<BlockId, BlockState>, BTreeSet<TaskId>), Failed> {
-    let open = |name: &str| {
-        let sub = sim
-            .surviving()
-            .sub(name)
-            .map_err(|e| Failed::new(format!("sub: {e}")))?;
-        Wal::open(
-            sub,
-            WalOptions {
-                segment_bytes: opts().segment_bytes,
-            },
-        )
-        .map(|(_, rec)| rec)
-        .map_err(|e| Failed::new(format!("open {name}: {e}")))
-    };
+    let fail = |e: dpack_service::wal::WalError| Failed::new(e.to_string());
+    let sub = sim
+        .surviving()
+        .sub("wal")
+        .map_err(|e| Failed::new(format!("sub: {e}")))?;
+    let segment_bytes = opts().segment_bytes;
+    let (_, log) = Wal::open(sub, WalOptions { segment_bytes }).map_err(fail)?;
+    if log.snapshot.is_some() {
+        return Err(Failed::new("nothing here compacts"));
+    }
     let mut committed: BTreeSet<u64> = BTreeSet::new();
-    for record in &open("coord")?.records {
-        if let CoordRecord::Commit { attempt, .. } =
-            CoordRecord::decode(record).map_err(|e| Failed::new(e.to_string()))?
-        {
-            committed.insert(attempt);
+    let mut shards: Vec<Vec<LogRecord>> = vec![Vec::new(); SHARDS];
+    for record in &log.records {
+        match LogRecord::decode(record).map_err(fail)? {
+            LogRecord::Commit { attempt, .. } => {
+                committed.insert(attempt);
+            }
+            LogRecord::Abort { .. } => {}
+            LogRecord::Base { .. } => return Err(Failed::new("nothing here resyncs")),
+            record @ (LogRecord::Block { shard, .. }
+            | LogRecord::Apply { shard, .. }
+            | LogRecord::Intent { shard, .. }) => shards
+                .get_mut(shard as usize)
+                .ok_or_else(|| Failed::new(format!("record on shard {shard}")))?
+                .push(record),
         }
     }
     let mut blocks: BTreeMap<BlockId, BlockState> = BTreeMap::new();
     let mut applied: BTreeSet<TaskId> = BTreeSet::new();
-    for s in 0..SHARDS {
-        let shard = open(&format!("shard-{s}"))?;
-        if let Some(snap) = &shard.snapshot {
-            for state in decode_snapshot(snap).map_err(|e| Failed::new(e.to_string()))? {
-                blocks.insert(state.id, state);
-            }
-        }
-        for record in &shard.records {
-            let (task, demand, charged) =
-                match ShardRecord::decode(record).map_err(|e| Failed::new(e.to_string()))? {
-                    ShardRecord::Block {
+    for record in shards.into_iter().flatten() {
+        let (task, demand, charged) = match record {
+            LogRecord::Block {
+                id,
+                arrival,
+                capacity,
+                ..
+            } => {
+                blocks.insert(
+                    id,
+                    BlockState {
                         id,
                         arrival,
-                        capacity,
-                    } => {
-                        blocks.insert(
-                            id,
-                            BlockState {
-                                id,
-                                arrival,
-                                consumed: vec![0.0; capacity.len()],
-                                total: capacity,
-                                granted: 0,
-                            },
-                        );
-                        continue;
-                    }
-                    ShardRecord::Apply {
-                        task,
-                        demand,
-                        blocks,
-                    } => (task, demand, blocks),
-                    ShardRecord::Intent {
-                        attempt,
-                        task,
-                        demand,
-                        blocks,
-                    } => {
-                        if !committed.contains(&attempt) {
-                            continue;
-                        }
-                        (task, demand, blocks)
-                    }
-                };
-            for b in &charged {
-                let state = blocks
-                    .get_mut(b)
-                    .ok_or_else(|| Failed::new(format!("task {task} charges unknown block {b}")))?;
-                for (slot, d) in state.consumed.iter_mut().zip(&demand) {
-                    *slot += d; // Same op, same order as RdpCurve::compose.
-                }
-                state.granted += 1;
+                        consumed: vec![0.0; capacity.len()],
+                        total: capacity,
+                        granted: 0,
+                    },
+                );
+                continue;
             }
-            applied.insert(task);
+            LogRecord::Apply {
+                task,
+                demand,
+                blocks,
+                ..
+            } => (task, demand, blocks),
+            LogRecord::Intent {
+                attempt,
+                task,
+                demand,
+                blocks,
+                ..
+            } => {
+                if !committed.contains(&attempt) {
+                    continue;
+                }
+                (task, demand, blocks)
+            }
+            _ => unreachable!("only shard records were demultiplexed here"),
+        };
+        for b in &charged {
+            let state = blocks
+                .get_mut(b)
+                .ok_or_else(|| Failed::new(format!("task {task} charges unknown block {b}")))?;
+            for (slot, d) in state.consumed.iter_mut().zip(&demand) {
+                *slot += d; // Same op, same order as RdpCurve::compose.
+            }
+            state.granted += 1;
         }
+        applied.insert(task);
     }
     Ok((blocks, applied))
 }
@@ -460,5 +482,73 @@ fn failover_resubmission_is_idempotent_on_the_promoted_service() {
         1,
         "the fresh task is granted on the promoted service"
     );
+    assert!(promoted.ledger().unsound_blocks().is_empty());
+}
+
+/// A replica restarted mid-stream: it reopens on its own storage, counts
+/// every stream's sequence back out of its one log — the vector it had
+/// before the restart — and takes the stream up where it left off.
+/// Promoted at the end, it holds exactly what an independent fold of
+/// the primary's own log holds, and what the live primary holds.
+#[test]
+fn a_replica_reopened_mid_stream_keeps_its_vector_and_promotes_to_the_primary_fold() {
+    let (sim_p, sim_r) = (SimStorage::new(), SimStorage::new());
+    let mut service = BudgetService::recover(grid(), config(), &sim_p, opts()).expect("primary");
+    let replica = ReplicaWal::open(&sim_r, SHARDS, opts().segment_bytes).expect("replica");
+    let sink = Arc::new(InProcessSink::new(replica, None));
+    service.replicate_to(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
+    for j in 0..N_BLOCKS {
+        service
+            .register_block(Block::new(j, RdpCurve::constant(&grid(), 8.0), 0.0))
+            .expect("unique blocks");
+    }
+    // Every cycle grants shard-local tasks and tasks spanning shards.
+    let cycle = |step: u64| {
+        for i in 0..8u64 {
+            let blocks = if i % 3 == 0 {
+                vec![i, (i + 1) % N_BLOCKS]
+            } else {
+                vec![i]
+            };
+            let eps = 0.01 * (1 + (step + i) % 5) as f64;
+            let t = Task::new(
+                100 * step + i,
+                1.0,
+                blocks,
+                RdpCurve::constant(&grid(), eps),
+                0.0,
+            );
+            service.submit(0, t).expect("admitted");
+        }
+        assert_eq!(service.run_cycle(step as f64).granted(), 8, "cycle {step}");
+    };
+    for step in 1..=3 {
+        cycle(step);
+    }
+    let before = sink.replica.lock().unwrap().vector();
+    assert_eq!(before, sink.vector(), "the replica holds the whole stream");
+    assert!(
+        before.iter().all(|seq| *seq > 0),
+        "every stream shipped: {before:?}"
+    );
+
+    sink.reopen(&sim_r);
+    assert_eq!(sink.replica.lock().unwrap().vector(), before);
+    for step in 4..=6 {
+        cycle(step);
+    }
+    assert_eq!(sink.replica.lock().unwrap().vector(), sink.vector());
+    let durable = service.ledger().durability_stats().expect("durable");
+    assert_eq!((durable.failed_appends, durable.failed_ships), (0, 0));
+
+    let live = service.ledger().block_states();
+    let (primary_fold, _) = fold_surviving(&sim_p).expect("primary log folds");
+    let promoted = BudgetService::recover(grid(), config(), &sim_r.surviving(), opts())
+        .expect("promote replica");
+    let promoted_states = promoted.ledger().block_states();
+    assert_states_bit_identical("promoted vs primary fold", &promoted_states, &primary_fold)
+        .and_then(|()| assert_states_bit_identical("promoted vs live", &promoted_states, &live))
+        .expect("promotion is bit-identical");
+    assert_eq!(promoted.ledger().granted_count(), 6 * (8 + 3));
     assert!(promoted.ledger().unsound_blocks().is_empty());
 }

@@ -135,13 +135,14 @@ pub struct Recovered {
     pub records: Vec<Vec<u8>>,
     /// Whether a torn tail was truncated during open.
     pub truncated_tail: bool,
-    /// Append operations recovered since that snapshot: each singleton
-    /// record and each all-or-nothing batch counts one (a one-record
-    /// [`Wal::append_batch`] writes no batch header, so it counts like
-    /// the plain append it degenerates to). A replication replica that
-    /// applies exactly one append per shipped batch resumes its stream
-    /// sequence from this.
-    pub appends: u64,
+    /// The append operations recovered since that snapshot, oldest
+    /// first, as the number of `records` each contributed: 1 for a
+    /// singleton record, the count for an all-or-nothing batch (a
+    /// one-record [`Wal::append_batch`] writes no batch header, so it
+    /// is a unit of 1 like the plain append it degenerates to). A
+    /// replication replica that applies exactly one append per shipped
+    /// batch resumes its stream sequences from this.
+    pub units: Vec<usize>,
 }
 
 /// Cumulative write counters of one [`Wal`].
@@ -335,21 +336,21 @@ fn parse_record(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
 
 /// Parses frames from the start of `bytes`; returns the records, the
 /// byte offset of the first invalid frame (== `bytes.len()` when the
-/// whole file is valid), and the append-unit count (one per singleton
-/// record, one per batch). A batch (header + `count` record frames) is
+/// whole file is valid), and the append units (the record count of
+/// each singleton record and each batch, in order). A batch (header + `count` record frames) is
 /// valid only as a unit: if any of its frames is torn, the whole batch
 /// — from its header on — is the torn tail.
-fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
+fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize, Vec<usize>) {
     let mut records = Vec::new();
     let mut at = 0usize;
-    let mut appends = 0u64;
+    let mut units = Vec::new();
     while bytes.len() - at >= HEADER {
         match bytes[at] {
             MAGIC => match parse_record(bytes, at) {
                 Some((payload, next)) => {
                     records.push(payload.to_vec());
                     at = next;
-                    appends += 1;
+                    units.push(1);
                 }
                 None => break,
             },
@@ -378,14 +379,14 @@ fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
                 if batch.len() < count as usize {
                     break;
                 }
+                units.push(batch.len());
                 records.append(&mut batch);
                 at = cursor;
-                appends += 1;
             }
             _ => break,
         }
     }
-    (records, at, appends)
+    (records, at, units)
 }
 
 /// Scans a storage namespace: picks the newest valid snapshot, replays
@@ -427,7 +428,7 @@ fn scan(storage: &dyn WalStorage, opts: WalOptions) -> Result<(Recovered, u64, u
     // crash between snapshot write and deletion).
     let mut truncated_tail = false;
     let mut records = Vec::new();
-    let mut appends = 0u64;
+    let mut units = Vec::new();
     let mut live: Vec<u64> = Vec::new();
     let mut stop = false;
     for &seq in &segs {
@@ -443,9 +444,9 @@ fn scan(storage: &dyn WalStorage, opts: WalOptions) -> Result<(Recovered, u64, u
             continue;
         }
         let bytes = storage.read(&seg_name(seq))?;
-        let (recs, valid, units) = parse_frames(&bytes);
+        let (recs, valid, unit) = parse_frames(&bytes);
         records.extend(recs);
-        appends += units;
+        units.extend(unit);
         live.push(seq);
         if valid < bytes.len() {
             storage.truncate(&seg_name(seq), valid as u64)?;
@@ -472,7 +473,7 @@ fn scan(storage: &dyn WalStorage, opts: WalOptions) -> Result<(Recovered, u64, u
             snapshot: snapshot.map(|(_, state)| state),
             records,
             truncated_tail,
-            appends,
+            units,
         },
         active_seq,
         active_len,
@@ -732,7 +733,7 @@ mod tests {
                 snapshot: None,
                 records: vec![],
                 truncated_tail: false,
-                appends: 0
+                units: vec![]
             }
         );
         for i in 0..20u8 {
@@ -745,7 +746,7 @@ mod tests {
             (0..20u8).map(|i| vec![i; 3]).collect::<Vec<_>>()
         );
         assert!(!rec.truncated_tail);
-        assert_eq!(rec.appends, 20);
+        assert_eq!(rec.units, vec![1; 20]);
     }
 
     #[test]
@@ -886,7 +887,7 @@ mod tests {
         let mut want = vec![b"solo".to_vec()];
         want.extend(batch);
         assert_eq!(rec.records, want);
-        assert_eq!(rec.appends, 2, "one solo unit + one batch unit");
+        assert_eq!(rec.units, [1, 5], "one solo unit + one batch unit");
     }
 
     #[test]
@@ -907,7 +908,7 @@ mod tests {
         assert_eq!(wal.counters().batch_min, 1);
         let (_, rec) = reopen(&sim);
         assert_eq!(rec.records, vec![b"only".to_vec()]);
-        assert_eq!(rec.appends, 1, "a degenerate batch is one append unit");
+        assert_eq!(rec.units, [1], "a degenerate batch is one append unit");
     }
 
     #[test]

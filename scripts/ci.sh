@@ -61,12 +61,12 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
 fi
 
 echo "==> checking a cycle pays one quorum round per commit step"
-# journal.rs appends every log of a step and then ships them in one
-# ReplicationSink::ship_all round — from exactly one place, so no
-# per-shard ship is reachable from a cycle — and service.rs commits a
-# cycle's shard-local grants in one ledger call: the worker threads are
-# the journal's, for the appends only. A fan-out of the commit itself
-# is how each shard came to pay its own quorum wait.
+# journal.rs appends a step's records to the one log and then ships
+# every stream's slice in one ReplicationSink::ship_all round — from
+# exactly one place, so no per-shard ship is reachable from a cycle —
+# and service.rs commits a cycle's shard-local grants in one ledger
+# call. A fan-out of the commit itself is how each shard came to pay
+# its own quorum wait.
 journal_code="$(awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
     crates/service/src/journal.rs | grep -vE '^[^ ]+ *//' || true)"
 if [ "$(grep -cE '\.ship_all\(' <<<"${journal_code}")" != 1 ] \
@@ -78,6 +78,18 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
     crates/service/src/service.rs \
   | grep -E 'fan_out'; then
   echo "ERROR: crates/service/src/service.rs fans the commit out again (see above)" >&2
+  exit 1
+fi
+
+echo "==> checking a durable ledger writes one log"
+# One Wal holds every shard's stream and the coordinator's: journal.rs
+# opens it once and appends on the calling thread, and no source names
+# the per-stream directories or sidecars it replaced.
+if [ "$(grep -cE 'Wal::open\(' <<<"${journal_code}")" != 1 ] \
+    || grep -E 'thread::scope|spawn' <<<"${journal_code}" \
+    || awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+      $(find crates/*/src -name '*.rs') | grep -E 'shard_dir|COORD_DIR|SEQBASE_FILE'; then
+  echo "ERROR: a durable ledger must write one log through one Wal (see above)" >&2
   exit 1
 fi
 
@@ -111,7 +123,8 @@ fi
 
 # The ruler simplicity PRs are measured with; printed, no threshold.
 echo "==> non-test lines: $(scripts/loc.sh \
-  | awk '$2 == "crates/service" { service = $1 } END { print $1 ", " service " in crates/service" }') (scripts/loc.sh)"
+  | awk '$2 == "crates/service" { service = $1 } $2 == "crates/net" { net = $1 }
+         END { print $1 ", " service " in crates/service, " net " in crates/net" }') (scripts/loc.sh)"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -142,6 +155,11 @@ echo "==> batch_crash, recovery, replication_crash, tiering, equivalence_sweep a
 DPACK_CHECK_CASES=500 cargo test -q -p dpack-service \
   --test batch_crash --test recovery --test replication_crash --test tiering \
   --test equivalence_sweep
+
+# Junk under a valid WAL frame checksum must fail typed, never panic.
+echo "==> hostile_log at DPACK_CHECK_CASES=2000"
+DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --test hostile_log
+
 
 # The vendored micro-benches must keep compiling *and running*; smoke
 # mode runs each benchmark for exactly one iteration.
