@@ -45,7 +45,7 @@
 //! over every pending task, and only the commit is striped (the one
 //! last-bit condition at `S > 1` is in the [`service`] module docs).
 //! The scheduling algorithms themselves are the unmodified `dpack-core`
-//! schedulers, fanned out through the orchestrator's parallel wrappers.
+//! schedulers; [`SchedulerChoice::schedule`] picks each pass's threads.
 //!
 //! # Examples
 //!

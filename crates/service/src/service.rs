@@ -33,7 +33,8 @@
 //!    evict timed-out tasks, in arrival order.
 //! 2. **Decide** — one snapshot of every shard, one pass of the
 //!    configured scheduler over every pending task; its alpha orders
-//!    (or DPF's per-task shares) fan out over the worker threads.
+//!    (or DPF's per-task shares) fan out over as many worker threads
+//!    as the pass's size pays for (none for a small pass).
 //! 3. **Commit** — the pass's grants split by shard set. Grants whose
 //!    blocks all live on one shard go to the ledger as one batch per
 //!    shard in one call: it holds the shards' locks once, stages on
@@ -42,8 +43,8 @@
 //!    replicas in one quorum round. Then the grants spanning shards
 //!    commit as one two-phase batch: two more syncs and rounds, its
 //!    intents and its decisions.
-//! 4. **Finalize** — tickets resolve, granted and evicted ids stop
-//!    being live; stats record the cycle's volumes and phase timings.
+//! 4. **Finalize** — tickets resolve as their tasks leave the live
+//!    table; stats record the cycle's volumes and phase timings.
 //!
 //! The pending set never reorders its tasks, so the pass sees exactly
 //! the state a from-scratch rebuild over the same pending tasks would
@@ -134,20 +135,17 @@ impl Pending {
     /// Evicts what timed out by `now` (the engine's rule: `now −
     /// arrival > timeout`), this cycle's arrivals included, so a stale
     /// submission can be evicted on its first cycle.
-    fn evict_expired(&mut self, now: f64, evicted: &mut Vec<(TenantId, TaskId)>) {
-        let mut expired = |tenant: TenantId, t: &Task| {
+    fn evict_expired(&mut self, now: f64, evicted: &mut Vec<TaskId>) {
+        let mut expired = |t: &Task| {
             let expired = t.timeout.is_some_and(|dt| now - t.arrival > dt);
             if expired {
-                evicted.push((tenant, t.id));
+                evicted.push(t.id);
             }
             expired
         };
-        let pending = self.state.tasks().iter().zip(&self.tags);
-        let keep: Vec<bool> = pending
-            .map(|(task, tag)| !expired(tag.tenant, task))
-            .collect();
+        let keep: Vec<bool> = self.state.tasks().iter().map(|t| !expired(t)).collect();
         self.retain(&keep);
-        self.arrivals.retain(|s| !expired(s.tenant, &s.task));
+        self.arrivals.retain(|s| !expired(&s.task));
     }
 
     /// The deduplicated union of block ids the pending tasks touch —
@@ -181,25 +179,33 @@ struct Committed {
     released: usize,
 }
 
-/// Tasks currently *live* — queued or pending. Ids are the commit
-/// keys, so admission rejects collisions (even across tenants)
-/// instead of letting one task double-charge and shadow the other;
-/// the per-tenant counts back the tenant quota, which holds until a
-/// task is granted or evicted (not merely drained), so a noisy tenant
-/// cannot grow the pending set without bound.
+/// Tasks currently *live* — queued or pending — each with its tenant
+/// and, for a [`BudgetService::submit_async`] task, its completion
+/// cell. Ids are the commit keys, so admission rejects collisions (even
+/// across tenants) instead of letting one task double-charge and shadow
+/// the other; the per-tenant counts back the tenant quota, which holds
+/// until a task is granted or evicted (not merely drained), so a noisy
+/// tenant cannot grow the pending set without bound.
 #[derive(Debug, Default)]
 struct LiveTasks {
-    ids: std::collections::BTreeSet<TaskId>,
+    tasks: std::collections::BTreeMap<TaskId, (TenantId, Option<Arc<TicketCell>>)>,
     per_tenant: std::collections::BTreeMap<TenantId, usize>,
 }
 
 impl LiveTasks {
-    /// Frees the id and quota slot.
-    fn release(&mut self, tenant: TenantId, id: TaskId) {
-        self.ids.remove(&id);
-        if let Some(c) = self.per_tenant.get_mut(&tenant) {
-            *c = c.saturating_sub(1);
+    /// Ends a live task with its decision: resolves its ticket, frees
+    /// the id and frees the quota slot, all under the one lock a
+    /// resubmission of the id must take.
+    fn decide(&mut self, id: TaskId, decision: Decision) {
+        let (tenant, ticket) = self.tasks.remove(&id).expect("only live tasks are decided");
+        if let Some(cell) = ticket {
+            cell.resolve(decision);
         }
+        let count = self
+            .per_tenant
+            .get_mut(&tenant)
+            .expect("its tenant is counted");
+        *count -= 1;
     }
 }
 
@@ -211,12 +217,6 @@ pub struct BudgetService {
     queue: AdmissionQueue,
     live: Mutex<LiveTasks>,
     stats: Mutex<ServiceStats>,
-    /// Completion cells for [`BudgetService::submit_async`] tasks, keyed
-    /// by task id; an entry lives exactly as long as its task is live.
-    /// Lock order: this lock is taken *before* the live/stats locks on
-    /// the submit path and alone on the resolution path, so no cycle
-    /// exists.
-    tickets: Mutex<std::collections::BTreeMap<TaskId, Arc<TicketCell>>>,
     /// Task ids whose grants recovery re-applied — immutable after
     /// construction. Admission rejects them as duplicates, so a tenant
     /// idempotently resubmitting in-flight work after failover cannot
@@ -415,7 +415,6 @@ impl BudgetService {
             durability,
             queue: AdmissionQueue::new(config.queue_capacity),
             live: Mutex::new(LiveTasks::default()),
-            tickets: Mutex::new(std::collections::BTreeMap::new()),
             recovered_granted,
             stats: Mutex::new(stats),
             cycle_lock: Mutex::new(pending),
@@ -523,18 +522,19 @@ impl BudgetService {
         // locks (block existence) and scans the demand curve, so
         // serializing producers through it would defeat the striping.
         let validated = self.validate(&task);
-        self.admit(tenant, task, validated, None)
+        self.admit(tenant, task, validated, None, None)
     }
 
     /// The admission tail shared by [`BudgetService::submit`] and
     /// [`BudgetService::submit_async`]: stateful gates + counters for
-    /// an already-validated task.
+    /// an already-validated task (and its ticket, if any).
     fn admit(
         &self,
         tenant: TenantId,
         task: Task,
         validated: Result<(), AdmissionError>,
         trace: Option<TraceContext>,
+        ticket: Option<Arc<TicketCell>>,
     ) -> Result<(), AdmissionError> {
         // The stats lock is held only across the enqueue and counter
         // updates, making them atomic with the task becoming visible
@@ -547,7 +547,7 @@ impl BudgetService {
         let task_id = task.id;
         let mut stats = self.stats.lock().expect("stats lock poisoned");
         let result = match validated {
-            Ok(()) => self.enqueue(tenant, task, trace),
+            Ok(()) => self.enqueue(tenant, task, trace, ticket),
             Err(e) => Err(e),
         };
         stats.submitted += 1;
@@ -648,12 +648,13 @@ impl BudgetService {
         tenant: TenantId,
         task: Task,
         trace: Option<TraceContext>,
+        ticket: Option<Arc<TicketCell>>,
     ) -> Result<(), AdmissionError> {
         // Hold the live-task lock across the queue push so two racing
         // submissions of the same id (or a quota-straddling pair)
-        // cannot both land.
+        // cannot both land, and so the ticket goes live with the task.
         let mut live = self.live.lock().expect("live-task lock poisoned");
-        if live.ids.contains(&task.id) || self.recovered_granted.contains(&task.id) {
+        if live.tasks.contains_key(&task.id) || self.recovered_granted.contains(&task.id) {
             return Err(AdmissionError::DuplicateTask { task: task.id });
         }
         let tenant_live = live.per_tenant.get(&tenant).copied().unwrap_or(0);
@@ -679,7 +680,7 @@ impl BudgetService {
             admitted_nanos,
             trace,
         })?;
-        live.ids.insert(id);
+        live.tasks.insert(id, (tenant, ticket));
         *live.per_tenant.entry(tenant).or_insert(0) += 1;
         Ok(())
     }
@@ -734,17 +735,9 @@ impl BudgetService {
         trace: Option<TraceContext>,
     ) -> Result<SubmissionTicket, AdmissionError> {
         let id = task.id;
-        // Validation (shard-lock probes, demand scan) runs before the
-        // ticket lock so concurrent async submitters keep the striped
-        // ledger's parallelism; the lock is held only across the short
-        // admit + insert, which is what makes the ticket visible to
-        // any cycle that can see the task (resolution takes this same
-        // lock).
         let validated = self.validate(&task);
-        let mut tickets = self.tickets.lock().expect("ticket map lock poisoned");
-        self.admit(tenant, task, validated, trace)?;
         let cell = Arc::new(TicketCell::default());
-        tickets.insert(id, Arc::clone(&cell));
+        self.admit(tenant, task, validated, trace, Some(Arc::clone(&cell)))?;
         Ok(SubmissionTicket::new(id, cell))
     }
 
@@ -814,7 +807,7 @@ impl BudgetService {
             s.task.timeout = s.task.timeout.or(self.config.default_timeout);
             s
         }));
-        let mut evicted: Vec<(TenantId, TaskId)> = Vec::new();
+        let mut evicted: Vec<TaskId> = Vec::new();
         pending.evict_expired(now, &mut evicted);
         self.pending.store(pending.len(), Ordering::Relaxed);
         let t_ingest = self.obs.now_nanos();
@@ -852,47 +845,27 @@ impl BudgetService {
                     .record(t_commit.saturating_sub(g.tag.admitted_nanos));
             }
         }
-        // Resolve submit_async completion handles now that the
-        // decisions are committed (taken with no other lock held; the
-        // submit path takes this lock before the live/stats locks).
-        // This must happen *before* the live-task release below: once
-        // an id stops being live it may be resubmitted, and a fresh
-        // ticket under a reused id must never receive (or shadow) the
-        // previous task's decision — until this block runs, a
-        // resubmission is still rejected as a duplicate.
-        {
-            let mut tickets = self.tickets.lock().expect("ticket map lock poisoned");
-            if !tickets.is_empty() {
-                for Grant { task, .. } in &granted {
-                    if let Some(cell) = tickets.remove(&task.id) {
-                        cell.resolve(Decision::Granted {
-                            allocated_at: task.allocated_at,
-                        });
-                    }
-                }
-                for (_, id) in &evicted {
-                    if let Some(cell) = tickets.remove(id) {
-                        cell.resolve(Decision::Evicted);
-                    }
-                }
-            }
-        }
-
-        // Granted and evicted tasks are no longer live: their ids may
-        // be reused and their tenants' quota slots free up. Their
-        // latency spans and flight-recorder events close here too —
-        // the recorder lock is a leaf, so holding the live lock across
-        // it creates no ordering cycle.
+        // Granted and evicted tasks are no longer live: their tickets
+        // resolve, their ids may be reused and their tenants' quota
+        // slots free up. Their flight-recorder events close here too —
+        // the recorder lock and the tickets' parking locks are leaves,
+        // so holding the live lock across them creates no ordering
+        // cycle.
         {
             let mut live = self.live.lock().expect("live-task lock poisoned");
-            for Grant { tag, task } in &granted {
-                live.release(tag.tenant, task.id);
+            for Grant { task, .. } in &granted {
+                live.decide(
+                    task.id,
+                    Decision::Granted {
+                        allocated_at: task.allocated_at,
+                    },
+                );
                 self.obs
                     .recorder
                     .record(EventKind::TaskGranted, task.id, now.to_bits());
             }
-            for (tenant, id) in &evicted {
-                live.release(*tenant, *id);
+            for id in &evicted {
+                live.decide(*id, Decision::Evicted);
                 self.obs
                     .recorder
                     .record(EventKind::TaskEvicted, *id, now.to_bits());
@@ -1014,7 +987,7 @@ impl BudgetService {
             stats.record_granted(task);
         }
         stats.released += released as u64;
-        for (_, id) in evicted {
+        for id in evicted {
             stats.record_evicted(id);
         }
         stats.scheduler_runtime += algorithm;
@@ -1560,6 +1533,84 @@ mod tests {
     }
 
     #[test]
+    fn resubmitted_ids_get_fresh_tickets_and_free_one_quota_slot() {
+        let storage = dpack_wal::SimStorage::new();
+        let opts = DurabilityOptions {
+            snapshot_every_cycles: None,
+            ..DurabilityOptions::default()
+        };
+        let config = ServiceConfig {
+            tenant_quota: 2,
+            default_timeout: Some(1.0),
+            ..immediate_unlock(2, 1)
+        };
+        let service = BudgetService::recover(grid(), config, &storage, opts).unwrap();
+        service
+            .register_block(Block::new(0, RdpCurve::constant(&grid(), 1.0), 0.0))
+            .unwrap();
+        let live = |s: &BudgetService| {
+            let live = s.live.lock().unwrap();
+            (live.tasks.len(), live.per_tenant.get(&3).copied())
+        };
+        // Demand 9.0 never fits the block; 0.2 always does.
+        let task = |id, eps, arrival| {
+            Task::new(id, 1.0, vec![0], RdpCurve::constant(&grid(), eps), arrival)
+        };
+
+        // Resubmitted after its grant: a fresh ticket that reads `None`
+        // until its own cycle grants it.
+        let first = service.submit_async(3, task(7, 0.2, 0.0)).unwrap();
+        service.run_cycle(1.0);
+        let at = |t: f64| Some(Decision::Granted { allocated_at: t });
+        assert_eq!(first.try_decision(), at(1.0));
+        assert_eq!(live(&service), (0, Some(0)));
+        let again = service.submit_async(3, task(7, 0.2, 1.0)).unwrap();
+        assert_eq!(again.try_decision(), None);
+        let doomed = service.submit_async(3, task(8, 9.0, 1.0)).unwrap();
+        assert_eq!(live(&service), (2, Some(2)));
+        assert!(matches!(
+            service.submit(3, task(9, 0.2, 1.0)),
+            Err(AdmissionError::QuotaExceeded { tenant: 3, .. })
+        ));
+        service.run_cycle(1.5);
+        assert_eq!(again.try_decision(), at(1.5));
+        assert_eq!(doomed.try_decision(), None);
+        assert_eq!(live(&service), (1, Some(1)));
+
+        // Resubmitted after its eviction: likewise.
+        service.run_cycle(3.0);
+        assert_eq!(doomed.try_decision(), Some(Decision::Evicted));
+        assert_eq!(live(&service), (0, Some(0)));
+        let redo = service.submit_async(3, task(8, 9.0, 3.0)).unwrap();
+        assert_eq!(redo.try_decision(), None);
+        // Each decision freed its quota slot exactly once: one more
+        // task fits, a second does not.
+        service.submit(3, task(10, 0.2, 3.0)).unwrap();
+        assert!(matches!(
+            service.submit(3, task(11, 0.2, 3.0)),
+            Err(AdmissionError::QuotaExceeded { tenant: 3, .. })
+        ));
+        service.run_cycle(3.5);
+        assert_eq!(redo.try_decision(), None);
+        service.run_cycle(5.0);
+        assert_eq!(redo.try_decision(), Some(Decision::Evicted));
+        assert_eq!(live(&service), (0, Some(0)));
+        assert_eq!(service.stats_summary().granted, 3);
+        drop(service);
+
+        // After recovery, a granted id is still refused; an evicted
+        // one is not.
+        let service = BudgetService::recover(grid(), config, &storage, opts).unwrap();
+        assert!(matches!(
+            service.submit_async(3, task(7, 0.2, 5.0)),
+            Err(AdmissionError::DuplicateTask { task: 7 })
+        ));
+        let fresh = service.submit_async(3, task(8, 0.2, 5.0)).unwrap();
+        assert_eq!(fresh.try_decision(), None);
+        assert_eq!(live(&service), (1, Some(1)));
+    }
+
+    #[test]
     fn unsorted_or_duplicate_block_lists_are_rejected() {
         let service = BudgetService::new(grid(), immediate_unlock(2, 1));
         for j in 0..2u64 {
@@ -1743,7 +1794,7 @@ mod tests {
             service.submit_async(2, simple_task(1, vec![9], 0.1)),
             Err(AdmissionError::UnknownBlock { .. })
         ));
-        assert!(service.tickets.lock().unwrap().is_empty());
+        assert!(service.live.lock().unwrap().tasks.is_empty());
     }
 
     #[test]
@@ -1789,7 +1840,7 @@ mod tests {
         });
         let service = handle.stop();
         assert_eq!(service.stats_summary().granted, 160);
-        assert!(service.tickets.lock().unwrap().is_empty());
+        assert!(service.live.lock().unwrap().tasks.is_empty());
         assert!(service.ledger().unsound_blocks().is_empty());
     }
 

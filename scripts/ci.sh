@@ -60,6 +60,16 @@ if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
   exit 1
 fi
 
+echo "==> checking a pass's threads are chosen in one place and tickets live in the live-task table"
+# SchedulerChoice::schedule (config.rs) sizes every pass from its tasks ×
+# orders; the ticket map beside the live-task table stays deleted.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    crates/service/src/*.rs | grep -vE '^[^ ]+ *//|^crates/service/src/config.rs:' \
+  | grep -E 'tickets:|Parallel(DPack|Dpf)|schedule_threaded|dpf_schedule|pass_threads'; then
+  echo "ERROR: only SchedulerChoice::schedule picks a pass's threads, and tickets live in LiveTasks (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking a cycle pays one quorum round per commit step"
 # journal.rs appends a step's records to the one log and then ships
 # every stream's slice in one ReplicationSink::ship_all round — from
@@ -144,6 +154,14 @@ cargo test -q
 # cheap (0.04 s at 64 cases), so it runs once more at 2000.
 echo "==> prop_dense_kernel at DPACK_CHECK_CASES=2000"
 DPACK_CHECK_CASES=2000 cargo test -q -p dpack-core --test prop_dense_kernel
+
+# Lost wake-ups hang and torn decisions fail a bit check; races show
+# best optimized, so the ticket race suite runs in release, 20 times.
+echo "==> ticket race suite in release, 20 runs"
+for run in $(seq 20); do
+  race="$(cargo test -q --release -p dpack-service --lib ticket::tests:: 2>&1)" \
+    || { echo "${race}" >&2; echo "ERROR: ticket race suite failed on run ${run}" >&2; exit 1; }
+done
 
 # Every commit stages on the real filters and undoes what the journal
 # could not make durable; these four suites are all that stands between
