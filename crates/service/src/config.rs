@@ -88,26 +88,20 @@ impl Default for DurabilityOptions {
 
 /// Sizing of the ledger's tiered block storage (enabled via
 /// [`crate::BudgetService::with_tier`] or
-/// [`crate::ShardedLedger::enable_tier`]). Follows the
-/// [`DurabilityOptions`] pattern: the config stays `Copy`, the spill
-/// storage handle is passed alongside.
+/// [`crate::ShardedLedger::enable_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
     /// Per-shard hot working-set bound: once a shard holds more than
-    /// this many blocks in memory, its least-recently-touched blocks
-    /// spill to the cold tier (down to ⅞ of this bound, so spills come
-    /// in batches rather than one per registration).
+    /// this many full blocks, its least-recently-touched blocks spill
+    /// to the cold tier of in-memory summaries (down to ⅞ of this
+    /// bound, so spills come in batches rather than one per
+    /// registration).
     pub hot_capacity: usize,
-    /// Cold-tier segment rotation threshold in bytes.
-    pub segment_bytes: u64,
 }
 
 impl Default for TierConfig {
     fn default() -> Self {
-        Self {
-            hot_capacity: 4096,
-            segment_bytes: 1 << 20,
-        }
+        Self { hot_capacity: 4096 }
     }
 }
 

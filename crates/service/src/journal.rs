@@ -37,8 +37,7 @@ use crate::ledger::Traced;
 use crate::replication::{ReplShipError, ReplStream, ReplicationSink, ShipBatch};
 use crate::stats::DurabilityStats;
 
-/// The namespace the ledger's log lives in, beside the tier's
-/// `tier-<s>` spill namespaces.
+/// The namespace the ledger's log lives in.
 pub(crate) const LOG_DIR: &str = "wal";
 
 /// The WAL-flush span salt for the coordinator's stream — mirrors the
@@ -541,27 +540,23 @@ impl Journal {
     }
 
     /// The log half of compaction, at the ledger's global quiescent
-    /// point (all shard locks held) and after its tier maintenance,
-    /// whose outcome `tier` fails — and counts as — the compaction.
-    /// Folds every block's `states` into one snapshot of the log: the
-    /// coordinator stream restarts empty, because every live intent is
-    /// now baked into its blocks' states. A crash inside leaves either
-    /// the old log or the snapshot ([`Wal::snapshot`]). A log broken by
-    /// an earlier failed append is [repaired](Wal::repair) first.
+    /// point (all shard locks held). Folds every block's `states` into
+    /// one snapshot of the log: the coordinator stream restarts empty,
+    /// because every live intent is now baked into its blocks' states.
+    /// A crash inside leaves either the old log or the snapshot
+    /// ([`Wal::snapshot`]). A log broken by an earlier failed append is
+    /// [repaired](Wal::repair) first.
     ///
     /// # Errors
     ///
     /// The first WAL error.
-    pub(crate) fn compact(
-        &self,
-        tier: Result<(), WalError>,
-        states: &[BlockState],
-    ) -> Result<(), WalError> {
-        let result = tier.and_then(|()| {
+    pub(crate) fn compact(&self, states: &[BlockState]) -> Result<(), WalError> {
+        let result = {
             let mut log = self.lock();
-            log.wal.repair()?;
-            log.wal.snapshot(&durability::encode_snapshot(states))
-        });
+            log.wal
+                .repair()
+                .and_then(|()| log.wal.snapshot(&durability::encode_snapshot(states)))
+        };
         let outcome = match result {
             Ok(()) => &self.compactions,
             Err(_) => &self.failed_compactions,

@@ -105,7 +105,7 @@ impl Held<'_> {
 
 impl Drop for Held<'_> {
     fn drop(&mut self) {
-        // A panicking commit poisons the locks anyway; no I/O for it.
+        // A panicking commit poisons the locks anyway; no spill for it.
         if !std::thread::panicking() {
             for (_, blocks) in &mut self.shards {
                 blocks.spill(self.tier);
@@ -202,34 +202,22 @@ impl ShardedLedger {
         self.tier.instrument(obs);
     }
 
-    /// Enables tiered block storage: each shard gets a checksummed
-    /// segment store under `storage` (`tier-<s>`, sibling to the
-    /// WAL's namespace, so a shared fault-injecting storage covers
-    /// both), and blocks beyond [`TierConfig::hot_capacity`] spill
-    /// least-recently-touched first. Spill space is ephemeral — the
-    /// WAL remains the only durability source and recovery
-    /// re-materializes everything hot — so opening wipes leftovers,
-    /// and the spill files of a shared `storage` never perturb what
-    /// recovery sees.
+    /// Enables tiered block storage: blocks beyond
+    /// [`TierConfig::hot_capacity`] per shard spill,
+    /// least-recently-touched first, to in-memory summaries that hold
+    /// every bit of the block (see `store.rs`). Nothing is written
+    /// anywhere: the WAL remains the only durability source, and
+    /// recovery re-materializes everything hot.
     ///
     /// Call before the ledger is shared (it takes `&mut self`); on a
     /// recovered ledger the hot set is spilled down to the bound
     /// immediately.
-    ///
-    /// # Errors
-    ///
-    /// Storage errors from opening (or wiping) the spill directories.
-    pub fn enable_tier(
-        &mut self,
-        storage: &dyn WalStorage,
-        config: TierConfig,
-    ) -> Result<(), WalError> {
-        for (s, shard) in self.shards.iter_mut().enumerate() {
+    pub fn enable_tier(&mut self, config: TierConfig) {
+        for shard in &mut self.shards {
             let blocks = shard.get_mut().expect("enable tier before sharing");
-            blocks.enable_tier(storage.sub(&format!("tier-{s}"))?, config, &self.tier)?;
+            blocks.enable_tier(config, &self.tier);
         }
         self.tiered = true;
-        Ok(())
     }
 
     /// Whether tiered block storage is enabled.
@@ -238,18 +226,9 @@ impl ShardedLedger {
     }
 
     /// Tier occupancy and traffic since start (`None` when tiering is
-    /// off). `spill_bytes` counts live (non-released) spill bytes.
+    /// off).
     pub fn tier_activity(&self) -> Option<TierActivity> {
-        if !self.tiered {
-            return None;
-        }
-        let mut activity = self.tier.activity();
-        for s in 0..self.shards.len() {
-            let (segments, bytes) = self.lock(s).spill_footprint();
-            activity.segments += segments;
-            activity.spill_bytes += bytes;
-        }
-        Some(activity)
+        self.tiered.then(|| self.tier.activity())
     }
 
     /// Available curves for exactly `ids` at `now`, taking shard locks
@@ -584,9 +563,7 @@ impl ShardedLedger {
     ) -> CommitOutcome {
         for b in &task.blocks {
             let blocks = held.shard(self.shard_of(*b));
-            if !blocks.ensure_hot(task.id, [*b], &self.grid, &self.tier) {
-                return CommitOutcome::Released;
-            }
+            blocks.ensure_hot(task.id, *b, &self.grid, &self.tier);
         }
         for b in &task.blocks {
             let blocks = held.shard(self.shard_of(*b));
@@ -754,26 +731,22 @@ impl ShardedLedger {
     /// (ENOSPC, EIO) only suppresses grants until the next compaction
     /// cycle instead of until a process restart.
     ///
-    /// On a non-durable ledger this is tier maintenance only.
+    /// On a non-durable ledger this is a no-op.
     ///
     /// # Errors
     ///
     /// The first WAL error, counted in
     /// [`DurabilityStats::failed_compactions`].
     pub fn compact(&self) -> Result<(), WalError> {
-        let mut guards: Vec<MutexGuard<'_, BlockStore>> =
-            (0..self.shards.len()).map(|s| self.lock(s)).collect();
-        // Tier maintenance first: rewrite spill segments dominated by
-        // dead entries, so the cold tier's disk footprint tracks its
-        // live set even on a non-durable ledger.
-        let spills = guards.iter_mut().try_for_each(|s| s.compact_spill());
         let Some(journal) = &self.journal else {
-            return spills;
+            return Ok(());
         };
+        let guards: Vec<MutexGuard<'_, BlockStore>> =
+            (0..self.shards.len()).map(|s| self.lock(s)).collect();
         // Every block, whichever tier holds it: the WAL stays the only
         // durable copy regardless of residency.
         let states: Vec<BlockState> = guards.iter().flat_map(|blocks| blocks.states()).collect();
-        journal.compact(spills, &states)
+        journal.compact(&states)
     }
 
     /// Write-ahead activity counters (`None` for an in-memory ledger).
@@ -1159,18 +1132,14 @@ mod tests {
         let plain = SimStorage::new();
         let durable_only = durable(&plain);
         register(&durable_only);
-        let spilling = SimStorage::new();
-        let mut tiered = durable(&spilling);
+        let logged = SimStorage::new();
+        let mut tiered = durable(&logged);
         register(&tiered);
-        let one_hot = TierConfig {
-            hot_capacity: 1,
-            segment_bytes: 512,
-        };
-        tiered.enable_tier(&spilling, one_hot).unwrap();
+        tiered.enable_tier(TierConfig { hot_capacity: 1 });
         vec![
             (ledger(4), None),
             (durable_only, Some(plain)),
-            (tiered, Some(spilling)),
+            (tiered, Some(logged)),
         ]
     }
 
@@ -1669,37 +1638,31 @@ mod tests {
         );
     }
 
-    /// An in-memory ledger with `blocks` unit-capacity blocks and the
-    /// tier enabled at the given hot bound, over its own spill storage.
-    fn tiered(shards: usize, blocks: u64, hot_capacity: usize) -> (ShardedLedger, SimStorage) {
-        let g = grid();
-        let mut l = ShardedLedger::new(g.clone(), shards, 1.0, 1);
-        for j in 0..blocks {
-            l.register_block(Block::new(j, RdpCurve::constant(&g, 1.0), 0.0))
-                .unwrap();
-        }
-        let sim = SimStorage::new();
-        l.enable_tier(
-            &sim,
-            TierConfig {
-                hot_capacity,
-                segment_bytes: 512,
-            },
-        )
-        .unwrap();
-        (l, sim)
-    }
-
     #[test]
     fn tiered_ledger_spills_and_faults_transparently() {
-        let (l, _sim) = tiered(1, 32, 4);
+        let storage = SimStorage::new();
+        let config = crate::ServiceConfig {
+            shards: 1,
+            unlock_steps: 1,
+            ..crate::ServiceConfig::default()
+        };
+        let service = crate::BudgetService::with_tier(
+            grid(),
+            config,
+            &storage,
+            TierConfig { hot_capacity: 4 },
+        )
+        .unwrap();
+        let l = service.ledger();
+        for j in 0..32u64 {
+            l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
+                .unwrap();
+        }
         assert!(l.tier_enabled());
         let a = l.tier_activity().unwrap();
         assert_eq!(a.hot_blocks + a.cold_blocks, 32);
         assert_eq!(a.cold_blocks, 28, "{a:?}");
         assert_eq!(a.spilled, 28);
-        assert_eq!(a.spill_failures, 0);
-        assert!(a.segments >= 1 && a.spill_bytes > 0, "{a:?}");
         // Cold blocks are still fully registered.
         assert_eq!(l.n_blocks(), 32);
         assert!((0..32u64).all(|j| l.contains(j)));
@@ -1716,7 +1679,7 @@ mod tests {
         let a = l.tier_activity().unwrap();
         assert_eq!(a.faults, 32, "every single-block commit faulted, {a:?}");
         assert_eq!(a.hot_blocks + a.cold_blocks, 32);
-        // A commit on a still-hot block is a hit — no fault, no I/O.
+        // A commit on a still-hot block is a hit — no fault.
         assert_eq!(
             l.commit_task(&task(200, vec![31], 0.1)),
             CommitOutcome::Committed
@@ -1730,6 +1693,10 @@ mod tests {
             CommitOutcome::Released
         );
         assert!(l.unsound_blocks().is_empty());
+        // The summaries are the cold tier: spills and faults wrote
+        // nothing to the storage handed to `with_tier`.
+        assert_eq!(storage.bytes_written(), 0);
+        assert!(storage.list().unwrap().is_empty());
     }
 
     #[test]
@@ -1750,14 +1717,7 @@ mod tests {
             l.commit_task(&task(j, vec![j, j + 6], 0.02 * (j + 1) as f64));
         }
         let before = l.snapshot_shard_uncached(0, 2.1);
-        l.enable_tier(
-            &SimStorage::new(),
-            TierConfig {
-                hot_capacity: 2,
-                segment_bytes: 512,
-            },
-        )
-        .unwrap();
+        l.enable_tier(TierConfig { hot_capacity: 2 });
         assert!(l.tier_activity().unwrap().cold_blocks >= 10);
         let after = l.snapshot_shard_uncached(0, 2.1);
         assert_eq!(before.len(), 12);
@@ -1791,14 +1751,7 @@ mod tests {
             l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                 .unwrap();
         }
-        l.enable_tier(
-            &sim,
-            TierConfig {
-                hot_capacity: 2,
-                segment_bytes: 512,
-            },
-        )
-        .unwrap();
+        l.enable_tier(TierConfig { hot_capacity: 2 });
         let bound = 2 * l.n_shards() as u64;
         assert!(l.tier_activity().unwrap().hot_blocks <= bound);
         // Over-capacity cross-shard demands over distinct cold blocks.
@@ -1835,17 +1788,7 @@ mod tests {
             l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                 .unwrap();
         }
-        // The spill tier shares the WAL's storage (tier-<s> next to
-        // the log) — its files must never leak into what recovery
-        // reads.
-        l.enable_tier(
-            &sim,
-            TierConfig {
-                hot_capacity: 2,
-                segment_bytes: 512,
-            },
-        )
-        .unwrap();
+        l.enable_tier(TierConfig { hot_capacity: 2 });
         for i in 0..24u64 {
             assert_eq!(
                 l.commit_task(&task(i, vec![i % 24, (i + 7) % 24], 0.1)),
@@ -1878,23 +1821,15 @@ mod tests {
                 l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                     .unwrap();
             }
-            l.enable_tier(
-                &sim.clone(),
-                TierConfig {
-                    hot_capacity: 2,
-                    segment_bytes: 512,
-                },
-            )
-            .unwrap();
+            l.enable_tier(TierConfig { hot_capacity: 2 });
             for i in 0..16u64 {
                 l.commit_task(&task(i, vec![i % 16, (i + 5) % 16], 0.05));
             }
             l
         };
         // Registration must finish (the driver unwraps it); sweep crash
-        // points across everything after — initial spill writes, WAL
-        // intents/decisions, and fault-in-triggered re-spills all share
-        // the one injected storage.
+        // points across everything after: the WAL's intents and
+        // decisions, interleaved with faults and spills.
         let registered = {
             let probe = SimStorage::new();
             let l = ShardedLedger::open_durable(
@@ -1924,45 +1859,12 @@ mod tests {
             let sim = SimStorage::with_crash_after(registered + span * frac / 8);
             let l = run(&sim);
             assert!(sim.crashed(), "crash point {frac}/8 never hit");
-            // Whatever the crash interrupted — spill or WAL — the
-            // in-memory ledger only ever charged durably-decided
-            // grants, so a reboot agrees bit-for-bit.
+            // Whatever step the crash interrupted, the in-memory ledger
+            // only ever charged durably-decided grants, so a reboot
+            // agrees bit-for-bit.
             let recovered = durable(&sim.surviving());
             assert_states_bit_identical(&l, &recovered);
             assert!(recovered.unsound_blocks().is_empty());
         }
-    }
-
-    #[test]
-    fn tier_compaction_reclaims_dead_spill_space() {
-        let (l, _sim) = tiered(1, 64, 8);
-        // Churn: every commit faults one block in (its old spill entry
-        // dies) and re-spills another, so dead bytes pile up.
-        let mut id = 1000u64;
-        for _ in 0..3 {
-            for j in 0..64u64 {
-                assert_eq!(
-                    l.commit_task(&task(id, vec![j], 0.001)),
-                    CommitOutcome::Committed
-                );
-                id += 1;
-            }
-        }
-        let before = l.tier_activity().unwrap();
-        assert!(before.cold_blocks >= 56, "{before:?}");
-        l.compact().unwrap(); // Non-durable: tier maintenance only.
-        let after = l.tier_activity().unwrap();
-        assert_eq!(after.cold_blocks, before.cold_blocks);
-        assert!(after.segments <= before.segments, "{before:?} -> {after:?}");
-        // The rewrite reproduced every entry: all blocks still fault in
-        // and the filters pick up exactly where they left off.
-        for j in 0..64u64 {
-            assert_eq!(
-                l.commit_task(&task(id, vec![j], 0.001)),
-                CommitOutcome::Committed
-            );
-            id += 1;
-        }
-        assert!(l.unsound_blocks().is_empty());
     }
 }

@@ -327,16 +327,17 @@ impl BudgetService {
     }
 
     /// An in-memory service with tiered block storage: the ledger
-    /// keeps a bounded hot working set per shard and spills the rest
-    /// to checksummed segment files under `storage` (ephemeral spill
-    /// space — nothing durable lives there). This is what holds a
+    /// keeps a bounded hot working set per shard and the rest as
+    /// compact in-memory summaries (see
+    /// [`ShardedLedger::enable_tier`]). This is what holds a
     /// million-block registry at a bounded resident set; scheduling
     /// cycles switch to demand-driven snapshots that touch only the
     /// blocks the cycle's tasks reference.
     ///
-    /// # Errors
-    ///
-    /// Storage errors from opening the spill directories.
+    /// `storage` is not used — the tier writes nothing — and this never
+    /// returns `Err`; the argument and the `Result` stay because the
+    /// benchmark crate calls this signature, until one service builder
+    /// replaces the constructors.
     ///
     /// # Panics
     ///
@@ -345,7 +346,7 @@ impl BudgetService {
     pub fn with_tier(
         grid: AlphaGrid,
         config: ServiceConfig,
-        storage: &dyn WalStorage,
+        _storage: &dyn WalStorage,
         tier: TierConfig,
     ) -> Result<Self, WalError> {
         let mut ledger = ShardedLedger::new(
@@ -354,7 +355,7 @@ impl BudgetService {
             config.unlock_period,
             config.unlock_steps,
         );
-        ledger.enable_tier(storage, tier)?;
+        ledger.enable_tier(tier);
         let obs = Obs::wall();
         ledger.instrument(&obs);
         Ok(Self::from_parts(ledger, config, None, obs))
@@ -363,14 +364,11 @@ impl BudgetService {
     /// [`BudgetService::recover`] with tiered block storage on top:
     /// recovery materializes every block hot from the WAL (the only
     /// durability source), then the hot set is spilled back down to
-    /// the tier bound. Spill files live in `tier-<s>` directories next
-    /// to the WAL's log under the same `storage` and are wiped on
-    /// open — they never affect what recovery reads.
+    /// the tier bound. The tier writes nothing to `storage`.
     ///
     /// # Errors
     ///
-    /// See [`BudgetService::recover`], plus storage errors from the
-    /// spill directories.
+    /// See [`BudgetService::recover`].
     pub fn recover_with_tier(
         grid: AlphaGrid,
         config: ServiceConfig,
@@ -388,7 +386,7 @@ impl BudgetService {
             opts,
             &obs,
         )?;
-        ledger.enable_tier(storage, tier)?;
+        ledger.enable_tier(tier);
         ledger.instrument(&obs);
         Ok(Self::from_parts(ledger, config, Some(opts), obs))
     }

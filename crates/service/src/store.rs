@@ -4,18 +4,20 @@
 //! A [`BlockStore`] holds every [`BlockLedger`] of one ledger shard.
 //! Untiered, that is one in-memory map. Tiered
 //! ([`BlockStore::enable_tier`]), at most `hot_capacity` blocks stay in
-//! the map; the least recently touched spill to a checksummed
-//! [`SegmentStore`] and leave a [`ColdBlock`] summary behind — enough
-//! to answer every read (existence, grant counts, persisted state,
-//! available curves, soundness) **bit-identically** without touching
-//! the spill file. Commits run on hot, full-vector state only:
+//! the map; the least recently touched are swapped for a [`ColdBlock`]
+//! summary — arrival, grant count, interned capacity and the
+//! consumption bits verbatim. The summary *is* the cold tier: it holds
+//! every bit of the block, so it answers every read (existence, grant
+//! counts, persisted state, available curves, soundness) and rebuilds
+//! the full entry **bit-identically**, with no copy anywhere else.
+//! Commits run on hot, full-vector state only:
 //! [`BlockStore::ensure_hot`] faults a task's cold blocks back in, and
 //! [`BlockStore::spill`] restores the bound afterwards.
 //!
 //! Where a block lives never changes a bit of what it is, so the
 //! ledger (striping, locking, WAL, replication) reads and commits
 //! through this one type and never learns which tier served it. The
-//! spill space is ephemeral: the WAL stays the only durability source.
+//! tier writes nothing: the WAL stays the only durability source.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,11 +26,9 @@ use dp_accounting::{AlphaGrid, CurveId, CurveInterner};
 use dpack_core::online::BlockLedger;
 use dpack_core::problem::{BlockId, TaskId};
 use dpack_obs::{Counter, Gauge, Obs};
-use dpack_wal::tier::{EntryRef, SegmentOptions, SegmentStore};
-use dpack_wal::{WalError, WalStorage};
 
 use crate::config::TierConfig;
-use crate::durability::{self, BlockState};
+use crate::durability::BlockState;
 
 /// Point-in-time tier occupancy and cumulative traffic (see
 /// [`crate::ShardedLedger::tier_activity`]).
@@ -44,12 +44,11 @@ pub struct TierActivity {
     pub faults: u64,
     /// Blocks ever spilled (a block re-spilled counts again).
     pub spilled: u64,
-    /// Failed spill writes or failed fault-in reads (the affected
-    /// blocks stayed hot / their grants were released, respectively).
+    /// Always 0: a spill or fault does no I/O and cannot fail. Kept
+    /// because the benchmark crate checks it.
     pub spill_failures: u64,
-    /// Live spill segment files across shards.
-    pub segments: u64,
-    /// Live (non-released) spill bytes across shards.
+    /// Always 0: nothing is spilled to disk. Kept because the
+    /// benchmark crate reports it.
     pub spill_bytes: u64,
 }
 
@@ -64,13 +63,11 @@ pub(crate) struct TierMeter {
     hits: AtomicU64,
     faults: AtomicU64,
     spilled: AtomicU64,
-    spill_failures: AtomicU64,
     hot_blocks: AtomicU64,
     cold_blocks: AtomicU64,
     obs_hits: Counter,
     obs_faults: Counter,
     obs_spilled: Counter,
-    obs_spill_failures: Counter,
     obs_hot: Gauge,
     obs_cold: Gauge,
 }
@@ -82,14 +79,12 @@ impl TierMeter {
         self.obs_hits = obs.registry.counter("dpack_tier_hits_total", "");
         self.obs_faults = obs.registry.counter("dpack_tier_faults_total", "");
         self.obs_spilled = obs.registry.counter("dpack_tier_spilled_total", "");
-        self.obs_spill_failures = obs.registry.counter("dpack_tier_spill_failures_total", "");
         self.obs_hot = obs.registry.gauge("dpack_tier_hot_blocks", "");
         self.obs_cold = obs.registry.gauge("dpack_tier_cold_blocks", "");
         self.sync_gauges();
     }
 
-    /// The counters as a [`TierActivity`] (spill footprint left zero:
-    /// the ledger folds it over its stores).
+    /// The counters as a [`TierActivity`].
     pub(crate) fn activity(&self) -> TierActivity {
         TierActivity {
             hot_blocks: self.hot_blocks.load(Ordering::Relaxed),
@@ -97,7 +92,6 @@ impl TierMeter {
             hits: self.hits.load(Ordering::Relaxed),
             faults: self.faults.load(Ordering::Relaxed),
             spilled: self.spilled.load(Ordering::Relaxed),
-            spill_failures: self.spill_failures.load(Ordering::Relaxed),
             ..TierActivity::default()
         }
     }
@@ -108,25 +102,17 @@ impl TierMeter {
         self.obs_cold
             .set_u64(self.cold_blocks.load(Ordering::Relaxed));
     }
-
-    fn spill_failed(&self) {
-        self.spill_failures.fetch_add(1, Ordering::Relaxed);
-        self.obs_spill_failures.inc();
-    }
 }
 
-/// The in-memory summary of a spilled block. The capacity curve is
-/// interned — a million blocks share a handful of capacity policies,
-/// so `total` is a 4-byte [`CurveId`] — while the consumption bits,
-/// which differ per block, are kept verbatim, and not at all for a
-/// block whose consumption is still exactly zero. The summary never
-/// changes while cold: commits fault the block in first, so all
-/// consumption arithmetic happens in hot, full-vector form.
+/// A spilled block, whole. The capacity curve is interned — a million
+/// blocks share a handful of capacity policies, so `total` is a 4-byte
+/// [`CurveId`] — while the consumption bits, which differ per block,
+/// are kept verbatim, and not at all for a block whose consumption is
+/// still exactly zero. The summary never changes while cold: commits
+/// fault the block in first, so all consumption arithmetic happens in
+/// hot, full-vector form.
 #[derive(Debug)]
 struct ColdBlock {
-    /// Where the full [`BlockState`] lives in the shard's segment
-    /// store (the fault-in source).
-    entry: EntryRef,
     arrival: f64,
     granted: u64,
     total: CurveId,
@@ -135,10 +121,9 @@ struct ColdBlock {
 }
 
 impl ColdBlock {
-    fn summarize(entry: EntryRef, b: &BlockLedger) -> Self {
+    fn summarize(b: &BlockLedger) -> Self {
         let consumed = b.consumed().values();
         Self {
-            entry,
             arrival: b.arrival(),
             granted: b.granted_count(),
             total: CurveInterner::global().intern(b.total().values()),
@@ -149,7 +134,7 @@ impl ColdBlock {
         }
     }
 
-    /// The persisted-form state, exact bits, no disk read.
+    /// The persisted-form state, exact bits.
     fn state(&self, id: BlockId) -> BlockState {
         let total = CurveInterner::global().resolve(self.total).to_vec();
         let consumed = match &self.consumed {
@@ -179,7 +164,6 @@ impl ColdBlock {
 /// mutex like everything else the commit paths mutate.
 #[derive(Debug)]
 struct TierState {
-    store: SegmentStore,
     /// Spill once the hot map exceeds this…
     hot_capacity: usize,
     /// …down to this (< `hot_capacity`, so spills batch).
@@ -198,44 +182,27 @@ impl TierState {
     }
 }
 
-/// Blocks per segment-store write during a spill: bounds the encode
-/// buffer while keeping fs spills down to a few syncs per event.
-const SPILL_BATCH: usize = 512;
-
 /// One shard's blocks, whichever tier each lives in. `tier: None` =
 /// everything stays hot and `cold` stays empty, the pre-tiering
 /// behavior — which is why the untiered suites run unmodified.
 #[derive(Debug, Default)]
 pub(crate) struct BlockStore {
     hot: BTreeMap<BlockId, BlockLedger>,
-    /// Spilled block → in-memory summary. A hash map: at million-block
-    /// scale the fault/spill paths hit this once per cold access, and
-    /// no caller depends on its order (collectors sort where it shows).
+    /// Spilled block → its summary. A hash map: at million-block scale
+    /// the fault/spill paths hit this once per cold access, and no
+    /// caller depends on its order (collectors sort where it shows).
     cold: HashMap<BlockId, ColdBlock>,
     tier: Option<TierState>,
 }
 
 impl BlockStore {
-    /// Puts a cold tier behind this store: a checksummed segment store
-    /// over `storage` (wiped on open — spill space is ephemeral), and a
-    /// hot set bounded by [`TierConfig::hot_capacity`] from here on. A
-    /// store that already holds more (recovery materializes everything
-    /// hot) spills down to the bound right away.
-    pub(crate) fn enable_tier(
-        &mut self,
-        storage: Box<dyn WalStorage>,
-        config: TierConfig,
-        meter: &TierMeter,
-    ) -> Result<(), WalError> {
-        let store = SegmentStore::open_with(
-            storage,
-            SegmentOptions {
-                segment_bytes: config.segment_bytes,
-            },
-        )?;
+    /// Puts a cold tier behind this store: a hot set bounded by
+    /// [`TierConfig::hot_capacity`] from here on. A store that already
+    /// holds more (recovery materializes everything hot) spills down to
+    /// the bound right away.
+    pub(crate) fn enable_tier(&mut self, config: TierConfig, meter: &TierMeter) {
         let hot_capacity = config.hot_capacity.max(1);
         self.tier = Some(TierState {
-            store,
             hot_capacity,
             low_water: hot_capacity - hot_capacity / 8,
             epoch: 0,
@@ -245,7 +212,6 @@ impl BlockStore {
             .hot_blocks
             .fetch_add(self.hot.len() as u64, Ordering::Relaxed);
         self.spill(meter);
-        Ok(())
     }
 
     /// Whether a block is registered (in either tier).
@@ -289,70 +255,43 @@ impl BlockStore {
         }
     }
 
-    /// Faults every cold block among `blocks` back into the hot map
-    /// and marks the hot ones touched. Returns `false` — the caller
-    /// releases `task` — if a spill read fails verification; the
-    /// summary stays cold and intact, so a later compaction rewrite or
-    /// retry can still serve it.
+    /// Makes block `id` hot for `task`'s commit and marks it touched: a
+    /// cold block is rebuilt from its summary ([`ColdBlock::ledger`]).
+    /// Untiered, every block is hot already.
     ///
     /// # Panics
     ///
-    /// Panics if a block is in neither tier, like [`BlockStore::hot`].
+    /// Panics if the block is in neither tier, like [`BlockStore::hot`].
     pub(crate) fn ensure_hot(
         &mut self,
         task: TaskId,
-        blocks: impl IntoIterator<Item = BlockId>,
+        id: BlockId,
         grid: &AlphaGrid,
         meter: &TierMeter,
-    ) -> bool {
+    ) {
         let Some(tier) = &mut self.tier else {
-            return true;
+            return;
         };
-        for b in blocks {
-            if self.hot.contains_key(&b) {
-                meter.hits.fetch_add(1, Ordering::Relaxed);
-                meter.obs_hits.inc();
-                tier.touch(b);
-                continue;
-            }
-            let Some(cold) = self.cold.get(&b) else {
-                panic!("task {task} references unregistered block {b}");
+        if self.hot.contains_key(&id) {
+            meter.hits.fetch_add(1, Ordering::Relaxed);
+            meter.obs_hits.inc();
+        } else {
+            let Some(cold) = self.cold.remove(&id) else {
+                panic!("task {task} references unregistered block {id}");
             };
-            let faulted = tier
-                .store
-                .read(&cold.entry)
-                .map_err(WalError::Io)
-                .and_then(|payload| {
-                    durability::decode_snapshot(&payload)?
-                        .into_iter()
-                        .find(|s| s.id == b)
-                        .ok_or_else(|| {
-                            WalError::Corrupt(format!("spill entry for block {b} holds another id"))
-                        })
-                })
-                .and_then(|state| state.to_ledger(grid));
-            let Ok(entry) = faulted else {
-                meter.spill_failed();
-                return false;
-            };
-            let cold = self.cold.remove(&b).expect("present above");
-            let _ = tier.store.release(&cold.entry);
-            self.hot.insert(b, entry);
-            tier.touch(b);
+            self.hot.insert(id, cold.ledger(id, grid));
             meter.faults.fetch_add(1, Ordering::Relaxed);
             meter.hot_blocks.fetch_add(1, Ordering::Relaxed);
             meter.cold_blocks.fetch_sub(1, Ordering::Relaxed);
             meter.obs_faults.inc();
+            meter.sync_gauges();
         }
-        meter.sync_gauges();
-        true
+        tier.touch(id);
     }
 
     /// Spills least-recently-touched hot blocks down to the low-water
-    /// mark once the hot map exceeds its bound. Writes go in
-    /// [`SPILL_BATCH`]-sized batched appends (one sync each on the fs
-    /// backend); a failed write keeps the victims hot — the tier is an
-    /// optimization, never a correctness dependency.
+    /// mark once the hot map exceeds its bound, swapping each for its
+    /// summary.
     pub(crate) fn spill(&mut self, meter: &TierMeter) {
         let Self { hot, cold, tier } = self;
         let Some(tier) = tier else {
@@ -363,77 +302,24 @@ impl BlockStore {
         }
         let excess = hot.len() - tier.low_water.min(tier.hot_capacity);
         let mut order: Vec<(u64, BlockId)> = tier.touch.iter().map(|(id, e)| (*e, *id)).collect();
-        order.sort_unstable();
-        order.truncate(excess);
-        for chunk in order.chunks(SPILL_BATCH) {
-            let payloads: Vec<Vec<u8>> = chunk
-                .iter()
-                .map(|(_, id)| durability::encode_snapshot(&[block_state(*id, &hot[id])]))
-                .collect();
-            let views: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-            let Ok(refs) = tier.store.append_batch(&views) else {
-                meter.spill_failed();
-                break;
-            };
-            for ((_, id), entry) in chunk.iter().zip(refs) {
-                let b = hot.remove(id).expect("victims come from the hot map");
-                tier.touch.remove(id);
-                cold.insert(*id, ColdBlock::summarize(entry, &b));
-            }
-            let n = chunk.len() as u64;
-            meter.spilled.fetch_add(n, Ordering::Relaxed);
-            meter.hot_blocks.fetch_sub(n, Ordering::Relaxed);
-            meter.cold_blocks.fetch_add(n, Ordering::Relaxed);
-            meter.obs_spilled.add(n);
+        // `excess < order.len()`: the low-water mark is at least 1.
+        order.select_nth_unstable(excess);
+        for (_, id) in &order[..excess] {
+            let b = hot.remove(id).expect("victims come from the hot map");
+            tier.touch.remove(id);
+            cold.insert(*id, ColdBlock::summarize(&b));
         }
+        let n = excess as u64;
+        meter.spilled.fetch_add(n, Ordering::Relaxed);
+        meter.hot_blocks.fetch_sub(n, Ordering::Relaxed);
+        meter.cold_blocks.fetch_add(n, Ordering::Relaxed);
+        meter.obs_spilled.add(n);
         meter.sync_gauges();
-    }
-
-    /// Rewrites the cold entries when released (dead) bytes dominate
-    /// the spill files — from the in-memory summaries, so the rewrite
-    /// costs no reads and reproduces the exact original payloads.
-    pub(crate) fn compact_spill(&mut self) -> Result<(), WalError> {
-        let Some(tier) = &mut self.tier else {
-            return Ok(());
-        };
-        if self.cold.is_empty() || tier.store.dead_bytes() * 2 <= tier.store.bytes() {
-            return Ok(());
-        }
-        let mut ids: Vec<BlockId> = self.cold.keys().copied().collect();
-        ids.sort_unstable(); // Deterministic rewrite order.
-
-        // Seal the active segment first: every segment being drained is
-        // then non-active, so releasing its last live entry deletes it.
-        tier.store.rotate();
-        for chunk in ids.chunks(SPILL_BATCH) {
-            let payloads: Vec<Vec<u8>> = chunk
-                .iter()
-                .map(|id| durability::encode_snapshot(&[self.cold[id].state(*id)]))
-                .collect();
-            let views: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-            let refs = tier.store.append_batch(&views)?;
-            for (id, entry) in chunk.iter().zip(refs) {
-                let cold = self.cold.get_mut(id).expect("listed above");
-                let old = std::mem::replace(&mut cold.entry, entry);
-                tier.store.release(&old)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// `(live spill segment files, live spill bytes)`; zeros untiered.
-    pub(crate) fn spill_footprint(&self) -> (u64, u64) {
-        self.tier.as_ref().map_or((0, 0), |t| {
-            (
-                t.store.segment_count() as u64,
-                t.store.bytes() - t.store.dead_bytes(),
-            )
-        })
     }
 
     /// Applies `read` to one block wherever it lives; `None` if it is
     /// not registered here. A cold block is rebuilt from its summary
-    /// for the call — no disk I/O, same bits as the hot entry had.
+    /// for the call — same bits as the hot entry had.
     pub(crate) fn with_block<R>(
         &self,
         id: BlockId,
@@ -483,5 +369,157 @@ fn block_state(id: BlockId, b: &BlockLedger) -> BlockState {
         total: b.total().values().to_vec(),
         consumed: b.consumed().values().to_vec(),
         granted: b.granted_count(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dp_accounting::{RdpCurve, BUDGET_RTOL};
+    use dpack_check::{bools, check_cases, ints, prop_assert, prop_assert_eq, vecs, weighted};
+
+    /// The capacity curves drawn blocks share: the tier interns them,
+    /// and the process-wide interner never frees.
+    const TOTALS: [[f64; 3]; 3] = [[1.0; 3], [0.5, 2.0, 10.0], [-0.25, 1e-3, 3.0]];
+
+    /// One consumption entry against capacity `cap`, by pick: the bit
+    /// patterns a summary must carry verbatim.
+    fn consumed_entry(pick: u8, cap: f64) -> f64 {
+        let edge = cap + BUDGET_RTOL * cap.abs().max(1.0);
+        match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(1),
+            3 => -f64::from_bits(0x000f_ffff_ffff_ffff),
+            4 => edge,           // Still fits `cap`…
+            5 => edge.next_up(), // …and no longer does.
+            _ => 0.37 * cap,
+        }
+    }
+
+    fn demand_entry(pick: u8) -> f64 {
+        [0.0, f64::from_bits(1), BUDGET_RTOL, 0.2, 0.6, 1.5][usize::from(pick)]
+    }
+
+    /// Every field of every state as bits, so `==` is bit identity.
+    fn state_bits(states: &[BlockState]) -> Vec<Vec<u64>> {
+        let state = |s: &BlockState| {
+            let head = [s.id, s.arrival.to_bits(), s.granted];
+            let curves = s.total.iter().chain(&s.consumed).map(|v| v.to_bits());
+            head.into_iter().chain(curves).collect()
+        };
+        states.iter().map(state).collect()
+    }
+
+    /// Fault-in rebuilds a cold block from its summary alone. Drawn
+    /// block states — consumption with `-0.0`, all `+0.0`, subnormals
+    /// and values on either side of the filter's tolerance edge, any
+    /// grant count — registered, spilled, faulted back and charged in a
+    /// tiered store read and decide exactly like in an untiered twin:
+    /// states, available curves and check outcomes, bit for bit.
+    #[test]
+    fn faulted_blocks_match_an_untiered_twin() {
+        let block = (
+            ints(0usize..TOTALS.len()),
+            bools(),
+            vecs(ints(0u8..7), 3..4),
+            weighted(vec![(2, 0u64), (1, 1), (1, 7), (1, 1 << 40)]),
+            weighted(vec![(1, 0.0), (1, -0.0), (1, 0.75), (1, 2.5)]),
+        );
+        let op = (ints(0u64..12), vecs(ints(0u8..6), 3..4), ints(0u32..8));
+        check_cases(
+            "faulted_blocks_match_an_untiered_twin",
+            64,
+            (
+                weighted(vec![(1, 1usize), (1, 2), (1, 7)]),
+                bools(),
+                ints(1u32..5),
+                vecs(block, 1..12),
+                vecs(op, 1..40),
+            ),
+            |(hot_capacity, late, unlock_steps, blocks, ops)| {
+                let grid = AlphaGrid::new(vec![2.0, 4.0, 8.0]).unwrap();
+                let config = TierConfig {
+                    hot_capacity: *hot_capacity,
+                };
+                let (meter, plain_meter) = (TierMeter::default(), TierMeter::default());
+                let (mut tiered, mut plain) = (BlockStore::default(), BlockStore::default());
+                if !*late {
+                    tiered.enable_tier(config, &meter);
+                }
+                let drawn: Vec<BlockState> = blocks
+                    .iter()
+                    .enumerate()
+                    .map(|(id, (total, fresh, picks, granted, arrival))| {
+                        let total = TOTALS[*total].to_vec();
+                        let consumed = match fresh {
+                            true => vec![0.0; total.len()],
+                            false => picks
+                                .iter()
+                                .zip(&total)
+                                .map(|(pick, cap)| consumed_entry(*pick, *cap))
+                                .collect(),
+                        };
+                        BlockState {
+                            id: id as BlockId,
+                            arrival: *arrival,
+                            total,
+                            consumed,
+                            granted: *granted,
+                        }
+                    })
+                    .collect();
+                for state in &drawn {
+                    let entry = || state.to_ledger(&grid).unwrap();
+                    tiered.put(state.id, entry(), &meter);
+                    tiered.spill(&meter);
+                    plain.put(state.id, entry(), &plain_meter);
+                }
+                if *late {
+                    tiered.enable_tier(config, &meter);
+                }
+                prop_assert_eq!(state_bits(&tiered.states()), state_bits(&drawn));
+
+                let n = drawn.len() as BlockId;
+                for (i, (pick, demand, now)) in ops.iter().enumerate() {
+                    let (task, id) = (i as TaskId, pick % n);
+                    let values = demand.iter().map(|p| demand_entry(*p)).collect();
+                    let demand = RdpCurve::new(&grid, values).unwrap();
+                    let decide = |store: &mut BlockStore, meter: &TierMeter| {
+                        store.ensure_hot(task, id, &grid, meter);
+                        let granted = store.hot(task, id).check(&demand);
+                        if granted {
+                            store.hot_mut(id).unwrap().commit(&demand).unwrap();
+                        }
+                        store.spill(meter);
+                        granted
+                    };
+                    let granted = decide(&mut plain, &plain_meter);
+                    prop_assert_eq!(decide(&mut tiered, &meter), granted, "op {}", i);
+                    prop_assert!(tiered.hot.len() <= *hot_capacity, "op {i}");
+
+                    let now = 0.5 * f64::from(*now);
+                    let view = |store: &BlockStore| {
+                        (0..n)
+                            .map(|b| {
+                                store.with_block(b, &grid, |l| {
+                                    let available = l.available(now, 1.0, *unlock_steps);
+                                    let bits = available.values().iter().map(|v| v.to_bits());
+                                    (bits.collect::<Vec<_>>(), l.check(&demand), l.is_sound())
+                                })
+                            })
+                            .collect::<Vec<_>>()
+                    };
+                    prop_assert_eq!(view(&tiered), view(&plain), "op {}", i);
+                    let states = state_bits(&tiered.states());
+                    prop_assert_eq!(states, state_bits(&plain.states()), "op {}", i);
+                    prop_assert_eq!(tiered.granted(), plain.granted());
+                }
+                let a = meter.activity();
+                prop_assert_eq!(a.hot_blocks + a.cold_blocks, n);
+                prop_assert_eq!(a.hits + a.faults, ops.len() as u64);
+                Ok(())
+            },
+        );
     }
 }

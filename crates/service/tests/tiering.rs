@@ -1,12 +1,11 @@
 //! Tiered block storage end-to-end: a service whose ledger spills
-//! cold blocks to segment files must make exactly the decisions the
-//! all-in-memory service makes (a block's bits never change by moving
+//! cold blocks to in-memory summaries must make exactly the decisions
+//! the untiered service makes (a block's bits never change by moving
 //! tier, and the demand-driven snapshots cover every block a cycle's
 //! tasks reference), and a durable tiered service must recover
-//! bit-identically — including across an injected crash, with the
-//! spill tier sharing the WAL's storage. Below the service, every view
-//! a tiered ledger serves must equal an untiered twin's at every step
-//! of a drawn commit schedule.
+//! bit-identically — including across an injected crash. Below the
+//! service, every view a tiered ledger serves must equal an untiered
+//! twin's at every step of a drawn commit schedule.
 
 use dp_accounting::{AlphaGrid, CurveInterner, RdpCurve};
 use dpack_check::{bools, check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, weighted};
@@ -50,7 +49,6 @@ fn config() -> ServiceConfig {
 fn tier() -> TierConfig {
     TierConfig {
         hot_capacity: 4, // 64 blocks / 4 shards = 16 per shard: most spill.
-        segment_bytes: 4096,
     }
 }
 
@@ -130,8 +128,8 @@ fn durable_tiered_service_recovers_bit_identically() {
     assert!(granted > 0);
 
     // Reboot from what survived — once tiered again, once plain
-    // durable: the spill files are ephemeral and recovery reads only
-    // the WAL, so all three agree bit for bit.
+    // durable: recovery reads only the WAL, so all three agree bit
+    // for bit.
     let rebooted =
         BudgetService::recover_with_tier(grid.clone(), config(), &sim.surviving(), opts, tier())
             .unwrap();
@@ -153,8 +151,8 @@ fn durable_tiered_service_recovers_bit_identically() {
     }
 
     // A crash part-way through the same run: whatever write it lands
-    // on (WAL or spill), recovery holds exactly the durably-decided
-    // grants and stays sound.
+    // on, recovery holds exactly the durably-decided grants and stays
+    // sound.
     let total = sim.bytes_written();
     for frac in [3u64, 5, 7] {
         let crashy = SimStorage::with_crash_after(total * frac / 8);
@@ -260,11 +258,9 @@ fn tiered_views_match_an_untiered_twin() {
             };
             let plain = open(&SimStorage::new());
             let mut tiered = open(&sim);
-            let tier = TierConfig {
+            tiered.enable_tier(TierConfig {
                 hot_capacity: *hot_capacity,
-                segment_bytes: 512,
-            };
-            tiered.enable_tier(&sim, tier).unwrap();
+            });
             let hot_bound = (*hot_capacity * *shards) as u64;
 
             for (i, (picks, eps, refuse, batch)) in schedule.iter().enumerate() {
@@ -332,11 +328,7 @@ fn spill_churn_does_not_grow_the_process_wide_interner() {
             .register_block(Block::new(j, RdpCurve::constant(&grid, 1e4), 0.0))
             .unwrap();
     }
-    let tier = TierConfig {
-        hot_capacity: 1,
-        segment_bytes: 4096,
-    };
-    ledger.enable_tier(&SimStorage::new(), tier).unwrap();
+    ledger.enable_tier(TierConfig { hot_capacity: 1 });
     let before = CurveInterner::global().len();
     // Alternating blocks: every commit faults one in and spills the
     // other, each time with a consumption vector never seen before.

@@ -5,7 +5,9 @@
 //! after a crash silently re-grants spent privacy budget. This crate
 //! is the durability layer the `dpack-service` sharded ledger writes
 //! through — PrivateKube persists the same state in etcd; here it is
-//! rebuilt natively with no dependencies.
+//! rebuilt natively with no dependencies. The log is the crate's one
+//! on-disk format: the ledger's cold tier keeps its blocks in memory
+//! and writes nothing here.
 //!
 //! * [`Wal`] — framed, checksummed records over rotating segments,
 //!   torn-tail truncation on [`Wal::open`], [`Wal::append_batch`]
@@ -43,9 +45,7 @@
 pub mod log;
 pub mod storage;
 pub mod temp;
-pub mod tier;
 
 pub use log::{AppendReceipt, Recovered, Wal, WalCounters, WalError, WalOptions, WalTelemetry};
 pub use storage::{FsStorage, SimStorage, WalStorage, CRASH_ERROR};
 pub use temp::TempDir;
-pub use tier::{EntryRef, SegmentOptions, SegmentStore};

@@ -47,10 +47,10 @@ pub trait WalStorage: Send + Sync {
     /// Propagates backend errors; a missing file is an error.
     fn read(&self, name: &str) -> io::Result<Vec<u8>>;
 
-    /// Reads `len` bytes at `offset` — the point-read the tiered
-    /// ledger's fault-in path uses, so cold-block access does not
-    /// re-read a whole segment. The default reads the whole file and
-    /// slices; backends with positioned reads should override it.
+    /// Reads `len` bytes at `offset`. No caller in the program; kept
+    /// because the benchmark crate's `TimedStorage` implements it,
+    /// until that decorator goes. The default reads the whole file and
+    /// slices; backends with positioned reads override it.
     ///
     /// # Errors
     ///
@@ -80,11 +80,11 @@ pub trait WalStorage: Send + Sync {
 
     /// [`WalStorage::append`] without the durability guarantee: the
     /// bytes may sit in OS caches indefinitely and vanish on power
-    /// loss. For ephemeral data only — the ledger's spill tier uses
-    /// this because cold blocks are rebuilt from the WAL after any
-    /// restart, so spending an fsync per spill batch buys nothing. The
-    /// default delegates to [`WalStorage::append`], so fault-injecting
-    /// backends cover both paths with the same crash budget.
+    /// loss. No caller in the program; kept because the benchmark
+    /// crate's `TimedStorage` implements it, until that decorator goes.
+    /// The default delegates to [`WalStorage::append`], so
+    /// fault-injecting backends cover both paths with the same crash
+    /// budget.
     ///
     /// # Errors
     ///
@@ -167,8 +167,8 @@ impl FsStorage {
     }
 
     /// The shared append body; `sync` chooses whether acknowledged
-    /// bytes are made durable (the WAL) or left to the page cache (the
-    /// ephemeral spill tier).
+    /// bytes are made durable ([`WalStorage::append`]) or left to the
+    /// page cache ([`WalStorage::append_nosync`]).
     fn append_impl(&self, name: &str, data: &[u8], sync: bool) -> io::Result<()> {
         use std::io::Write;
         let mut handles = self.handles.lock().expect("fs handle cache poisoned");
@@ -232,8 +232,7 @@ impl WalStorage for FsStorage {
         {
             // Positioned read through the cached handle: no open, no
             // seek, and no interference with the O_APPEND write
-            // position — the tiered ledger's fault-in path issues one
-            // of these per cold-block access.
+            // position.
             use std::os::unix::fs::FileExt;
             let mut handles = self.handles.lock().expect("fs handle cache poisoned");
             let file = match handles.entry(name.to_string()) {
@@ -583,7 +582,7 @@ mod tests {
 
     #[test]
     fn nosync_appends_read_back_through_the_cached_handle() {
-        // The spill tier's write/read cycle on the fs backend: unsynced
+        // A write/read cycle on the fs backend: unsynced
         // appends land in the page cache, point-reads reuse the cached
         // handle (first read on a cold cache opens it), and a truncate
         // moves EOF for both.

@@ -103,6 +103,19 @@ if [ "$(grep -cE 'Wal::open\(' <<<"${journal_code}")" != 1 ] \
   exit 1
 fi
 
+echo "==> checking the cold tier stays in memory"
+# A cold block is its in-memory summary (store.rs): a fault rebuilds it
+# from there and a spill writes nothing. The segment store that kept a
+# second copy on disk stays deleted, and nothing reads a range back or
+# appends unsynced; WalStorage keeps those two methods only for the
+# benchmark crate's TimedStorage.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs') \
+  | grep -E 'SegmentStore|EntryRef|MAGIC_TIER|"tier-|\.read_range\(|\.append_nosync\('; then
+  echo "ERROR: the cold tier must stay its in-memory summaries (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking new counter structs go through dpack-obs"
 # New metrics belong in the dpack-obs registry (named, labelled,
 # scrapable), not in one-off counter structs. The legacy pre-obs
@@ -177,6 +190,12 @@ DPACK_CHECK_CASES=500 cargo test -q -p dpack-service \
 # Junk under a valid WAL frame checksum must fail typed, never panic.
 echo "==> hostile_log at DPACK_CHECK_CASES=2000"
 DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --test hostile_log
+
+# A fault rebuilds a cold block from its summary alone, so the summary
+# must carry every bit pattern a filter can hold (-0.0, subnormals, the
+# tolerance edge); the store-level twin property is cheap (~1.5 s).
+echo "==> store fault-in property at DPACK_CHECK_CASES=2000"
+DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --lib store::tests::
 
 
 # The vendored micro-benches must keep compiling *and running*; smoke
