@@ -1,6 +1,7 @@
 //! Micro-benches for the scheduling kernels: one full `schedule()`
 //! pass per scheduler at two load levels (the Fig. 5 regime, without
-//! the Optimal solver), then the DPack pass stage by stage on the two
+//! the Optimal solver), then the DPack pass stage by stage — best
+//! alphas, efficiencies, order and pack, which sum to `schedule` — on the two
 //! instance shapes of the repo's benchmark (`offline_micro`, and one
 //! cycle's pending set of `online_alibaba`), so the stage split can be
 //! read without the traced benchmark run; and, on the second shape, what
@@ -101,6 +102,9 @@ fn stages(m: &mut Micro, shape: &str, state: &ProblemState) {
     m.bench(&format!("{shape}/best_alphas"), || dpack.best_alphas(state));
     m.bench(&format!("{shape}/efficiencies"), || {
         dpack.efficiencies(state, &best)
+    });
+    m.bench(&format!("{shape}/order"), || {
+        sort_by_efficiency(state, &eff)
     });
     m.bench(&format!("{shape}/pack"), || {
         pack(state, &order, PackingRule::Skip)

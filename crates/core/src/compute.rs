@@ -22,6 +22,8 @@
 
 use std::time::Instant;
 
+use dp_accounting::fits;
+
 use crate::problem::{Allocation, ProblemState, Task};
 use crate::schedulers::Scheduler;
 
@@ -70,9 +72,7 @@ impl ComputeCapacity {
     }
 
     fn admits(&self, used: ComputeDemand, extra: ComputeDemand) -> bool {
-        let rtol = |cap: f64| 1e-9 * cap.abs().max(1.0);
-        used.cpu + extra.cpu <= self.cpu + rtol(self.cpu)
-            && used.gpu + extra.gpu <= self.gpu + rtol(self.gpu)
+        fits(used.cpu + extra.cpu, self.cpu) && fits(used.gpu + extra.gpu, self.gpu)
     }
 }
 

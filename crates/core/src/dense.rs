@@ -4,7 +4,9 @@
 //! Kept in step with the state, row by row: block ids become `u32`
 //! indices (their rank in the capacity map), every task's block list
 //! becomes a CSR row, and demands and capacities become flat row-major
-//! `f64` matrices. The kernels — `DPack`'s best-alpha sweep and Eq. 6
+//! `f64` matrices, the demands also order-major (one column per
+//! order) for the best-alpha sweep, which reads one order of every task
+//! at a time. The kernels — `DPack`'s best-alpha sweep and Eq. 6
 //! metric, DPF's dominant shares, the `CANRUN` packing loop — then
 //! touch no map and allocate nothing per task.
 //!
@@ -17,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use dp_accounting::{fits, AlphaGrid, RdpCurve};
+use dp_accounting::{fit_limit, AlphaGrid, RdpCurve};
 
 use crate::problem::{BlockId, PackingRule, ProblemError, Task};
 
@@ -34,6 +36,9 @@ pub(crate) struct Dense {
     cols: Vec<u32>,
     /// `n_tasks × n_orders` demands.
     demand: Vec<f64>,
+    /// The same demands order-major: `columns[a][t]` is task `t`'s
+    /// demand at order `a`.
+    columns: Vec<Vec<f64>>,
     weight: Vec<f64>,
     /// `n_blocks × n_orders` available capacities.
     capacity: Vec<f64>,
@@ -55,6 +60,7 @@ impl Dense {
             rows: vec![0],
             cols: Vec::new(),
             demand: Vec::new(),
+            columns: vec![Vec::new(); n_orders],
             weight: Vec::new(),
             capacity: Vec::new(),
             requesters: Vec::new(),
@@ -66,6 +72,9 @@ impl Dense {
     pub(crate) fn reserve(&mut self, tasks: usize) {
         self.rows.reserve(tasks);
         self.demand.reserve(tasks * self.n_orders);
+        for column in &mut self.columns {
+            column.reserve_exact(tasks);
+        }
         self.weight.reserve(tasks);
     }
 
@@ -175,6 +184,9 @@ impl Dense {
         }
         self.rows.push(end);
         self.demand.extend_from_slice(t.demand.values());
+        for (column, &d) in self.columns.iter_mut().zip(t.demand.values()) {
+            column.push(d);
+        }
         self.uniform_weight &= self.weight.first().is_none_or(|w| *w == t.weight);
         self.weight.push(t.weight);
         Ok(())
@@ -189,15 +201,21 @@ impl Dense {
         let mut t = 0;
         while t < keep.len() {
             let run = keep[t..].iter().take_while(|kept| **kept).count();
-            let (from, to) = (self.rows[t] as usize, self.rows[t + run] as usize);
-            self.cols.copy_within(from..to, cols);
-            self.demand.copy_within(t * k..(t + run) * k, tasks * k);
-            self.weight.copy_within(t..t + run, tasks);
-            let moved_up = (from - cols) as u32;
-            for i in 0..run {
-                self.rows[tasks + i] = self.rows[t + i] - moved_up;
+            // Between two dropped tasks there is nothing to move.
+            if run > 0 {
+                let (from, to) = (self.rows[t] as usize, self.rows[t + run] as usize);
+                self.cols.copy_within(from..to, cols);
+                self.demand.copy_within(t * k..(t + run) * k, tasks * k);
+                for column in &mut self.columns {
+                    column.copy_within(t..t + run, tasks);
+                }
+                self.weight.copy_within(t..t + run, tasks);
+                let moved_up = (from - cols) as u32;
+                for i in 0..run {
+                    self.rows[tasks + i] = self.rows[t + i] - moved_up;
+                }
+                (tasks, cols, t) = (tasks + run, cols + to - from, t + run);
             }
-            (tasks, cols, t) = (tasks + run, cols + to - from, t + run);
             // The task that ended the run, if any, goes.
             if t < keep.len() {
                 for &j in &self.cols[self.rows[t] as usize..self.rows[t + 1] as usize] {
@@ -210,6 +228,9 @@ impl Dense {
         self.rows.truncate(tasks + 1);
         self.cols.truncate(cols);
         self.demand.truncate(tasks * k);
+        for column in &mut self.columns {
+            column.truncate(tasks);
+        }
         self.weight.truncate(tasks);
         self.uniform_weight = self.weight.windows(2).all(|w| w[0] == w[1]);
     }
@@ -276,15 +297,22 @@ impl Dense {
     /// still fits at some order. Returns the taken indices in order.
     pub(crate) fn pack(&self, ordered: &[usize], rule: PackingRule) -> Vec<usize> {
         let k = self.n_orders;
+        let limit: Vec<f64> = self.capacity.iter().map(|&c| fit_limit(c)).collect();
         let mut used = vec![0.0f64; self.capacity.len()];
         let mut taken = Vec::new();
         for &t in ordered {
             let demand = self.demand(t);
             let blocks = self.blocks_of(t);
+            // Every order is tested, without an early exit: the block's
+            // rows are short, and a branch-free fold beats one branch
+            // per order.
             let fits_all_blocks = blocks.iter().all(|&j| {
                 let used = &used[j as usize * k..][..k];
-                let capacity = self.capacity(j as usize);
-                (0..k).any(|a| fits(used[a] + demand[a], capacity[a]))
+                let limit = &limit[j as usize * k..][..k];
+                used.iter()
+                    .zip(demand)
+                    .zip(limit)
+                    .fold(false, |any, ((u, d), l)| any | (u + d <= *l))
             });
             if fits_all_blocks {
                 for &j in blocks {
@@ -310,7 +338,8 @@ const MIN_RUN: usize = 256;
 /// One block during a sweep.
 #[derive(Clone, Copy)]
 struct Slot {
-    capacity: f64,
+    /// [`fit_limit`] of the block's capacity at the order.
+    limit: f64,
     used: f64,
     /// Summed weight of the tasks packed so far.
     value: f64,
@@ -346,7 +375,7 @@ impl Sweep {
             let capacity = dense.capacity(j)[a];
             let open = capacity > 0.0 && dense.requesters[j] > 0;
             Slot {
-                capacity,
+                limit: fit_limit(capacity),
                 used: 0.0,
                 value: if open { 0.0 } else { f64::NEG_INFINITY },
                 open,
@@ -364,8 +393,12 @@ impl Sweep {
     fn walk(&mut self, dense: &Dense, a: usize, mut n_open: usize) {
         // `+ 0.0` folds -0.0 into 0.0, which compare equal.
         self.keys.clear();
-        self.keys
-            .extend((0..dense.n_tasks()).map(|t| ((dense.demand(t)[a] + 0.0).to_bits(), t as u32)));
+        self.keys.extend(
+            dense.columns[a]
+                .iter()
+                .enumerate()
+                .map(|(t, d)| ((d + 0.0).to_bits(), t as u32)),
+        );
         // Under contention the last block closes after a short prefix of
         // the order, so the order is produced run by run — the smallest
         // eighth of the keys, then twice as many of the rest, … — and
@@ -387,7 +420,7 @@ impl Sweep {
                     if !slot.open {
                         continue;
                     }
-                    if fits(slot.used + demand, slot.capacity) {
+                    if slot.used + demand <= slot.limit {
                         slot.used += demand;
                         slot.value += dense.weight[0];
                     } else {

@@ -119,7 +119,7 @@ pub struct ProblemState {
     grid: AlphaGrid,
     /// Available capacity per block, as last set.
     blocks: BTreeMap<BlockId, RdpCurve>,
-    /// Pending tasks, in arrival (push) order.
+    /// Pending tasks, in push order, which need not be `arrival` order.
     tasks: Vec<Task>,
     /// The index-typed view the scheduler kernels run on, one row per
     /// task; every mutation of `tasks` and `blocks` goes through it

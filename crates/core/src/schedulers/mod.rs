@@ -14,7 +14,7 @@ pub use optimal::Optimal;
 
 use std::time::Instant;
 
-use crate::problem::{Allocation, PackingRule, ProblemState, TaskId};
+use crate::problem::{Allocation, PackingRule, ProblemState};
 
 /// A privacy-budget scheduler.
 ///
@@ -36,18 +36,28 @@ pub trait Scheduler {
 /// scheduler in this crate (public so external scheduler wrappers order
 /// identically).
 pub fn sort_by_efficiency(state: &ProblemState, eff: &[f64]) -> Vec<usize> {
-    // Each task's keys are gathered into one tuple of integers that
-    // orders as the floats do, so the sort compares adjacent words
-    // instead of chasing `Task`s. The index as last key is what a
-    // stable sort of the indices would yield.
-    let mut keyed: Vec<(u64, u64, TaskId, usize)> = state
-        .tasks()
+    // The sort runs on 16-byte keys of integers that order as the
+    // efficiencies do, with the index as the tie-break; only a run of
+    // equal efficiencies then reads its tasks, to re-sort by `(arrival,
+    // id, index)`. That is the order of the full 4-key sort, and the
+    // index as last key is what a stable sort of the indices would
+    // yield. Dense indices fit in `u32`.
+    let tasks = state.tasks();
+    let mut keyed: Vec<(u64, u32)> = eff[..tasks.len()]
         .iter()
         .enumerate()
-        .map(|(i, t)| (!order_bits(eff[i]), order_bits(t.arrival), t.id, i))
+        .map(|(i, &e)| (!order_bits(e), i as u32))
         .collect();
     keyed.sort_unstable();
-    keyed.into_iter().map(|key| key.3).collect()
+    for run in keyed.chunk_by_mut(|a, b| a.0 == b.0) {
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|&(_, i)| {
+                let t = &tasks[i as usize];
+                (order_bits(t.arrival), t.id, i)
+            });
+        }
+    }
+    keyed.into_iter().map(|(_, i)| i as usize).collect()
 }
 
 /// A `u64` that orders as `x` does among non-NaN floats, with -0.0 and

@@ -60,8 +60,47 @@ pub use pure::PureDpAccountant;
 /// floating-point rounding.
 pub const BUDGET_RTOL: f64 = 1e-9;
 
+/// The largest consumption that [`fits`] `capacity`: `capacity` plus
+/// [`BUDGET_RTOL`] of its magnitude, or of 1 if that is smaller. This
+/// is the one place the tolerance is applied; a kernel that tests many
+/// sums against one capacity computes the limit once. NaN for
+/// `-inf`, which nothing fits.
+#[inline]
+pub fn fit_limit(capacity: f64) -> f64 {
+    capacity + BUDGET_RTOL * capacity.abs().max(1.0)
+}
+
 /// Returns `true` if `used <= capacity` up to [`BUDGET_RTOL`].
 #[inline]
 pub fn fits(used: f64, capacity: f64) -> bool {
-    used <= capacity + BUDGET_RTOL * capacity.abs().max(1.0)
+    used <= fit_limit(capacity)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fit_limit_is_the_largest_fitting_consumption() {
+        let capacities = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            1e-9,
+            1.0,
+            2.5,
+            1e300,
+            f64::INFINITY,
+        ];
+        for c in capacities {
+            let limit = fit_limit(c);
+            assert_eq!(fits(limit, c), c != f64::NEG_INFINITY, "capacity {c:e}");
+            if c.is_finite() {
+                assert!(!fits(limit.next_up(), c), "capacity {c:e}");
+            }
+        }
+        assert!(fit_limit(f64::NEG_INFINITY).is_nan());
+    }
 }

@@ -1173,6 +1173,7 @@ mod tests {
     use crate::config::SchedulerChoice;
     use crate::replication::{ReplShipError, ReplStream, ReplicationSink, ShipBatch};
     use dp_accounting::RdpCurve;
+    use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, vecs, weighted};
     use dpack_core::online::{OnlineConfig, OnlineEngine};
     use dpack_core::schedulers::DPack;
 
@@ -1449,6 +1450,90 @@ mod tests {
         service.submit(0, t).unwrap();
         let cycle = service.run_cycle(1.0);
         assert_eq!((cycle.granted(), cycle.evicted), (1, 1));
+    }
+
+    /// The live table as `(task ids, live tasks per tenant)`.
+    fn live_entries(service: &BudgetService) -> (Vec<TaskId>, Vec<(TenantId, usize)>) {
+        let live = service.live.lock().unwrap();
+        let ids = live.tasks.keys().copied().collect();
+        (ids, live.per_tenant.iter().map(|(t, n)| (*t, *n)).collect())
+    }
+
+    /// Hostile numbers — NaN, ±inf, negatives — drawn into any mix of
+    /// a task's demand, weight, arrival and timeout, as a remote tenant
+    /// can send them bit for bit. `submit_async` answers each with a
+    /// typed `InvalidTask` and no ticket, and the live table, the queue
+    /// and the tenant's quota are as they were: the task's id and the
+    /// tenant's last free slot then take one valid task, and no more.
+    #[test]
+    fn hostile_numbers_are_rejected_typed_at_admission() {
+        let hostile = weighted(vec![
+            (1, f64::NAN),
+            (1, f64::INFINITY),
+            (1, f64::NEG_INFINITY),
+            (1, -1.0),
+            (1, -f64::from_bits(1)),
+        ]);
+        // (field, value, order): demand at `order`, weight, arrival,
+        // timeout.
+        let poison = (ints(0u8..4), hostile, ints(0usize..2));
+        check_cases(
+            "hostile_numbers_are_rejected_typed_at_admission",
+            64,
+            vecs(poison, 1..4),
+            |poisons| {
+                let service = BudgetService::new(
+                    grid(),
+                    ServiceConfig {
+                        tenant_quota: 2,
+                        ..immediate_unlock(2, 1)
+                    },
+                );
+                service
+                    .register_block(Block::new(0, RdpCurve::constant(&grid(), 1.0), 0.0))
+                    .unwrap();
+                service
+                    .submit_async(3, simple_task(1, vec![0], 0.1))
+                    .unwrap();
+                let (live, depth) = (live_entries(&service), service.queue_depth());
+
+                let mut task = simple_task(2, vec![0], 0.1).with_timeout(5.0);
+                let mut demand = task.demand.values().to_vec();
+                for &(field, value, order) in poisons {
+                    match field {
+                        0 => demand[order] = value,
+                        1 => task.weight = value,
+                        // A negative arrival is legal: NaN stands in.
+                        2 if value.is_finite() => task.arrival = f64::NAN,
+                        2 => task.arrival = value,
+                        _ => task.timeout = Some(value),
+                    }
+                }
+                let mut demand = demand.into_iter();
+                task.demand = RdpCurve::from_fn(&grid(), |_| demand.next().unwrap());
+                let rejected = service.submit_async(3, task);
+                prop_assert!(
+                    matches!(rejected, Err(AdmissionError::InvalidTask { task: 2, .. })),
+                    "{poisons:?} got {:?}",
+                    rejected.map(|ticket| ticket.task_id())
+                );
+                prop_assert_eq!(live_entries(&service), live);
+                prop_assert_eq!(service.queue_depth(), depth);
+                prop_assert_eq!(service.stats().rejected_invalid, 1);
+
+                service
+                    .submit_async(3, simple_task(2, vec![0], 0.1))
+                    .unwrap();
+                prop_assert!(matches!(
+                    service.submit_async(3, simple_task(4, vec![0], 0.1)),
+                    Err(AdmissionError::QuotaExceeded {
+                        tenant: 3,
+                        quota: 2
+                    })
+                ));
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -375,7 +375,7 @@ fn block_state(id: BlockId, b: &BlockLedger) -> BlockState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_accounting::{RdpCurve, BUDGET_RTOL};
+    use dp_accounting::{fit_limit, RdpCurve, BUDGET_RTOL};
     use dpack_check::{bools, check_cases, ints, prop_assert, prop_assert_eq, vecs, weighted};
 
     /// The capacity curves drawn blocks share: the tier interns them,
@@ -385,7 +385,7 @@ mod tests {
     /// One consumption entry against capacity `cap`, by pick: the bit
     /// patterns a summary must carry verbatim.
     fn consumed_entry(pick: u8, cap: f64) -> f64 {
-        let edge = cap + BUDGET_RTOL * cap.abs().max(1.0);
+        let edge = fit_limit(cap);
         match pick {
             0 => 0.0,
             1 => -0.0,

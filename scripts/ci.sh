@@ -116,6 +116,19 @@ if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":
   exit 1
 fi
 
+echo "==> checking the budget tolerance is applied in one place"
+# dp_accounting::fit_limit is the largest consumption that fits a
+# capacity; `fits`, the scheduler kernels' precomputed limits and the
+# tests' tolerance edges all go through it, so no second copy of the
+# formula can drift from it. Tests below `#[cfg(test)]` may name anything.
+if awk 'FNR == 1 { on = 1; name = "" } /#\[cfg\(test\)\]/ { on = 0 }
+    on && match($0, /fn [a-z_0-9]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
+    on && /BUDGET_RTOL \*/ && name != "fit_limit" { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs') | grep .; then
+  echo "ERROR: only dp_accounting::fit_limit may apply BUDGET_RTOL (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking new counter structs go through dpack-obs"
 # New metrics belong in the dpack-obs registry (named, labelled,
 # scrapable), not in one-off counter structs. The legacy pre-obs

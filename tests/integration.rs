@@ -306,6 +306,89 @@ fn dpsgd_task_runs_under_scheduled_budget() {
     filter.try_consume(&demand).expect("fits the fresh block");
 }
 
+/// FNV-1a over `words`, so a pin of thousands of values fits a line.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// DPack's whole pass on `state`, as bits: the best alpha of every
+/// block, the digest of every efficiency's bits, how many tasks were
+/// scheduled and the digest of their ids in order, and the total
+/// weight's bits.
+fn dpack_pass_bits(state: &ProblemState) -> (Vec<Option<usize>>, u64, usize, u64, u64) {
+    let dpack = DPack::default();
+    let best = dpack.best_alphas(state);
+    let eff = dpack.efficiencies(state, &best);
+    let alloc = dpack.schedule(state);
+    (
+        best.into_values().collect(),
+        digest(eff.iter().map(|e| e.to_bits())),
+        alloc.scheduled.len(),
+        digest(alloc.scheduled.iter().copied()),
+        alloc.total_weight.to_bits(),
+    )
+}
+
+/// DPack's output on two generated instances, pinned bit for bit: a
+/// change to the kernel that is meant to be a pure speed-up must leave
+/// every value here as it is. The microbenchmark instance has one
+/// arrival, so ties in efficiency fall to ids; the Alibaba-DP one, with
+/// a fifth of its budget available, has spread arrivals.
+#[test]
+fn dpack_output_is_pinned_on_generated_instances() {
+    let micro = microbenchmark::generate(
+        &CurveLibrary::standard(),
+        &MicrobenchmarkConfig {
+            n_tasks: 2_000,
+            n_blocks: 20,
+            mu_blocks: 10.0,
+            sigma_blocks: 3.0,
+            sigma_alpha: 4.0,
+            eps_min: 0.01,
+            ..Default::default()
+        },
+        7,
+    );
+    let wl = alibaba::generate(
+        &AlibabaDpConfig {
+            n_blocks: 20,
+            n_tasks: 600,
+            ..Default::default()
+        },
+        7,
+    );
+    let blocks = wl
+        .blocks
+        .into_iter()
+        .map(|b| Block::new(b.id, b.capacity.scale(0.2), b.arrival))
+        .collect();
+    let alibaba = ProblemState::new(wl.grid, blocks, wl.tasks).expect("well-formed");
+    let micro_expected = (
+        vec![Some(4); 20],
+        12_729_741_289_205_607_553,
+        244,
+        11_731_725_570_568_264_239,
+        244.0f64.to_bits(),
+    );
+    let mut alibaba_alphas = vec![Some(6); 20];
+    for j in [9, 12, 13, 14, 15, 16, 17, 18, 19] {
+        alibaba_alphas[j] = Some(5);
+    }
+    let alibaba_expected = (
+        alibaba_alphas,
+        8_425_483_445_897_786_020,
+        298,
+        3_951_821_913_770_021_982,
+        298.0f64.to_bits(),
+    );
+    assert_eq!(dpack_pass_bits(&micro), micro_expected);
+    assert_eq!(dpack_pass_bits(&alibaba), alibaba_expected);
+}
+
 #[test]
 fn weighted_scheduling_threads_through_the_stack() {
     let wl = amazon::generate(
