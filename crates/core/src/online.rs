@@ -95,6 +95,33 @@ impl OnlineStats {
     }
 }
 
+/// The unlocked budget fraction of a block that arrived at `arrival`,
+/// at time `now`: `min(⌈(now − t_j)/T_u⌉, N)/N` (§3.4).
+pub fn unlocked_fraction(arrival: f64, now: f64, unlock_period: f64, unlock_steps: u32) -> f64 {
+    let steps = ((now - arrival) / unlock_period).ceil();
+    (steps.max(0.0)).min(unlock_steps as f64) / unlock_steps as f64
+}
+
+/// The §3.4 available capacity of a block, from its parts wherever they
+/// are kept: `frac · ε_jα − consumed_jα`, with `frac` from
+/// [`unlocked_fraction`]. Orders whose total capacity is non-positive
+/// stay non-positive (they are unusable regardless of unlocking).
+/// `consumed: None` is a block that has consumed nothing (`+0.0` at
+/// every order), which subtracts to the same bits.
+pub fn available_from_parts(
+    grid: &AlphaGrid,
+    total: &[f64],
+    consumed: Option<&[f64]>,
+    frac: f64,
+) -> RdpCurve {
+    let mut orders = total.iter().enumerate();
+    RdpCurve::from_fn(grid, |_| {
+        let (a, &total) = orders.next().expect("one capacity value per grid order");
+        let unlocked = if total > 0.0 { frac * total } else { total };
+        unlocked - consumed.map_or(0.0, |c| c[a])
+    })
+}
+
 /// A single block's budget ledger entry: total capacity, privacy
 /// filter, and arrival time, with the §3.4 gradual-unlocking snapshot
 /// and the atomic filter-commit step.
@@ -103,10 +130,10 @@ impl OnlineStats {
 /// enforces budgets — the [`OnlineEngine`] keeps one per block, and the
 /// `dpack-service` sharded ledger stripes them across locks — so
 /// unlocking arithmetic and filter semantics cannot drift between the
-/// simulator and the service.
+/// simulator and the service. The total capacity is the filter's: one
+/// curve, not a copy beside it.
 #[derive(Debug, Clone)]
 pub struct BlockLedger {
-    total: RdpCurve,
     filter: RenyiFilter,
     arrival: f64,
 }
@@ -116,8 +143,7 @@ impl BlockLedger {
     /// fresh privacy filter.
     pub fn new(block: Block) -> Self {
         Self {
-            filter: RenyiFilter::new(block.capacity.clone()),
-            total: block.capacity,
+            filter: RenyiFilter::new(block.capacity),
             arrival: block.arrival,
         }
     }
@@ -137,18 +163,21 @@ impl BlockLedger {
         consumed: RdpCurve,
         granted_count: u64,
     ) -> Result<Self, ProblemError> {
-        let filter = RenyiFilter::restore(total.clone(), consumed, granted_count)
+        let filter = RenyiFilter::restore(total, consumed, granted_count)
             .map_err(|e| ProblemError(format!("cannot restore block ledger: {e}")))?;
-        Ok(Self {
-            total,
-            filter,
-            arrival,
-        })
+        Ok(Self { filter, arrival })
+    }
+
+    /// The entry's parts, moved out: `(total, arrival, consumed,
+    /// granted_count)`, the inverse of [`BlockLedger::restore`].
+    pub fn into_parts(self) -> (RdpCurve, f64, RdpCurve, u64) {
+        let (total, consumed, granted) = self.filter.into_parts();
+        (total, self.arrival, consumed, granted)
     }
 
     /// The block's total capacity curve.
     pub fn total(&self) -> &RdpCurve {
-        &self.total
+        self.filter.capacity()
     }
 
     /// The block's arrival time in virtual time units.
@@ -166,27 +195,12 @@ impl BlockLedger {
         self.filter.granted_count()
     }
 
-    /// The unlocked budget fraction at time `now`:
-    /// `min(⌈(now − t_j)/T_u⌉, N)/N` (§3.4).
-    pub fn unlocked_fraction(&self, now: f64, unlock_period: f64, unlock_steps: u32) -> f64 {
-        let steps = ((now - self.arrival) / unlock_period).ceil();
-        (steps.max(0.0)).min(unlock_steps as f64) / unlock_steps as f64
-    }
-
-    /// The §3.4 available capacity at time `now`:
-    /// `min(⌈(now−t_j)/T_u⌉, N)/N · ε_jα − consumed_jα`. Orders whose
-    /// total capacity is non-positive stay non-positive (they are
-    /// unusable regardless of unlocking).
+    /// The §3.4 available capacity at time `now` (see
+    /// [`available_from_parts`]).
     pub fn available(&self, now: f64, unlock_period: f64, unlock_steps: u32) -> RdpCurve {
-        let frac = self.unlocked_fraction(now, unlock_period, unlock_steps);
-        let consumed = self.filter.consumed();
-        let grid = self.total.grid();
-        RdpCurve::from_fn(grid, |a| {
-            let idx = grid.index_of(a).expect("from_fn iterates grid orders");
-            let total = self.total.epsilon(idx);
-            let unlocked = if total > 0.0 { frac * total } else { total };
-            unlocked - consumed.epsilon(idx)
-        })
+        let frac = unlocked_fraction(self.arrival, now, unlock_period, unlock_steps);
+        let (total, consumed) = (self.total(), Some(self.consumed().values()));
+        available_from_parts(total.grid(), total.values(), consumed, frac)
     }
 
     /// Returns `true` iff the filter would grant `demand` (at least one
@@ -194,10 +208,7 @@ impl BlockLedger {
     /// is the scheduler's concern, the filter's bound is the block's
     /// global guarantee).
     pub fn check(&self, demand: &RdpCurve) -> bool {
-        self.filter
-            .check(demand)
-            .map(|d| d.granted)
-            .unwrap_or(false)
+        self.filter.grants(demand)
     }
 
     /// Charges `demand` against the filter.
@@ -216,9 +227,11 @@ impl BlockLedger {
     /// The Prop. 6 invariant: at least one Rényi order's cumulative
     /// consumption is within the block's total capacity.
     pub fn is_sound(&self) -> bool {
-        let grid = self.total.grid();
-        let consumed = self.filter.consumed();
-        (0..grid.len()).any(|a| dp_accounting::fits(consumed.epsilon(a), self.total.epsilon(a)))
+        let (total, consumed) = (self.total().values(), self.consumed().values());
+        consumed
+            .iter()
+            .zip(total)
+            .any(|(u, c)| dp_accounting::fits(*u, *c))
     }
 }
 

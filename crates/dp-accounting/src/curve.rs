@@ -102,6 +102,11 @@ impl RdpCurve {
         &self.eps
     }
 
+    /// The per-order values, moved out of the curve.
+    pub fn into_values(self) -> Vec<f64> {
+        self.eps
+    }
+
     /// The smallest value across orders (used as `ε_min` by the workload
     /// generators when values are normalized by block capacity).
     pub fn min_epsilon(&self) -> f64 {
@@ -123,6 +128,18 @@ impl RdpCurve {
             grid: self.grid.clone(),
             eps,
         })
+    }
+
+    /// [`RdpCurve::compose`] into `self`, without a new vector: the
+    /// same per-order `a + b`, so the same bits.
+    pub fn compose_in_place(&mut self, other: &RdpCurve) -> Result<(), AccountingError> {
+        if self.grid != other.grid {
+            return Err(AccountingError::GridMismatch);
+        }
+        for (a, b) in self.eps.iter_mut().zip(&other.eps) {
+            *a += b;
+        }
+        Ok(())
     }
 
     /// `k`-fold self-composition (e.g. `k` DP-SGD steps).

@@ -98,6 +98,30 @@ impl RenyiFilter {
         self.granted_count
     }
 
+    /// Consumption, capacity and bookkeeping, moved out of the filter:
+    /// `(capacity, consumed, granted_count)`, the inverse of
+    /// [`RenyiFilter::restore`].
+    pub fn into_parts(self) -> (RdpCurve, RdpCurve, u64) {
+        (self.capacity, self.consumed, self.granted_count)
+    }
+
+    /// Whether the filter would grant `demand`: `check(demand)`'s
+    /// `granted`, and `false` on a grid mismatch, without building the
+    /// decision.
+    pub fn grants(&self, demand: &RdpCurve) -> bool {
+        demand.grid() == self.capacity.grid() && self.room_for(demand)
+    }
+
+    /// Some order stays within capacity after charging `demand` — the
+    /// per-order `u + d` [`RdpCurve::compose`] computes. Grids are the
+    /// caller's to match.
+    fn room_for(&self, demand: &RdpCurve) -> bool {
+        let after = self.consumed.values().iter().zip(demand.values());
+        after
+            .zip(self.capacity.values())
+            .any(|((u, d), c)| crate::fits(u + d, *c))
+    }
+
     /// Evaluates a demand without committing it.
     pub fn check(&self, demand: &RdpCurve) -> Result<FilterDecision, AccountingError> {
         if demand.grid() != self.capacity.grid() {
@@ -116,18 +140,22 @@ impl RenyiFilter {
         })
     }
 
-    /// Charges a demand if the filter condition holds.
+    /// Charges a demand if the filter condition holds, adding it into
+    /// the consumption in place ([`RdpCurve::compose_in_place`]).
     ///
     /// # Errors
     ///
-    /// [`AccountingError::BudgetExhausted`] if no order stays within
-    /// capacity; the filter state is unchanged in that case.
+    /// [`AccountingError::GridMismatch`] if the demand is on another
+    /// grid, [`AccountingError::BudgetExhausted`] if no order stays
+    /// within capacity; the filter state is unchanged in both cases.
     pub fn try_consume(&mut self, demand: &RdpCurve) -> Result<(), AccountingError> {
-        let decision = self.check(demand)?;
-        if !decision.granted {
+        if demand.grid() != self.capacity.grid() {
+            return Err(AccountingError::GridMismatch);
+        }
+        if !self.room_for(demand) {
             return Err(AccountingError::BudgetExhausted);
         }
-        self.consumed = self.consumed.compose(demand)?;
+        self.consumed.compose_in_place(demand)?;
         self.granted_count += 1;
         Ok(())
     }

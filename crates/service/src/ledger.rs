@@ -13,7 +13,8 @@
 //! records, group commit, coordinator decisions, shipping, recovery —
 //! is the `Journal`'s (`journal.rs`): the ledger never sees a record.
 //! Snapshots are computed from the store on every call; nothing is
-//! cached between cycles.
+//! cached between cycles, and a snapshot reads a cold block from its
+//! summary without faulting it in.
 //!
 //! # One commit path
 //!
@@ -112,6 +113,34 @@ impl Drop for Held<'_> {
             }
         }
     }
+}
+
+/// Why a block may not be registered, if it may not — the rule
+/// registration applies live and recovery applies to every block it
+/// replays, so a log cannot restore what the live path refuses.
+///
+/// A non-finite arrival pins the §3.4 unlocked fraction at 0 forever
+/// (`(now − NaN).ceil()` never exceeds 0), leaving a block that exists
+/// but can never serve a grant — and every task referencing it
+/// admitted-but-undecidable. `+inf` capacity at any order is a filter
+/// that never refuses (Prop. 6 holds vacuously), and `RdpCurve::new`
+/// only rules out NaN. Negative finite capacities stay legal —
+/// `block_capacity` produces them at low orders.
+fn block_defect(arrival: f64, capacity: &[f64]) -> Option<&'static str> {
+    if !arrival.is_finite() {
+        return Some("arrival must be finite");
+    }
+    if capacity.iter().any(|c| !c.is_finite()) {
+        return Some("capacity must be finite at every order");
+    }
+    None
+}
+
+/// Whether a demand may be charged: finite and `>= 0` at every order
+/// (`-0.0` included) — admission's rule, and recovery's for every grant
+/// it replays. A negative or `-inf` demand would be a refund.
+pub(crate) fn demand_is_chargeable(demand: &[f64]) -> bool {
+    demand.iter().all(|d| d.is_finite() && *d >= 0.0)
 }
 
 /// What the blocks a durable batch touched held before it, so that
@@ -235,16 +264,17 @@ impl ShardedLedger {
     /// one at a time — the demand-driven view scheduling cycles read on
     /// a tiered ledger, so a cycle's snapshot cost scales with the
     /// blocks its tasks reference rather than with every block
-    /// registered. Bit-identical to [`ShardedLedger::snapshot_all`] on
+    /// registered. A cold block is read from its summary, with nothing
+    /// faulted in. Bit-identical to [`ShardedLedger::snapshot_all`] on
     /// the ids it covers, wherever they reside; unknown ids are skipped.
     pub fn snapshot_blocks_all(&self, now: f64, ids: &[BlockId]) -> BTreeMap<BlockId, RdpCurve> {
+        let (period, steps) = (self.unlock_period, self.unlock_steps);
         let mut all = BTreeMap::new();
         for shard in 0..self.shards.len() {
             let guard = self.lock(shard);
             let homed = ids.iter().filter(|id| self.shard_of(**id) == shard);
             all.extend(homed.filter_map(|id| {
-                let curve = guard.with_block(*id, &self.grid, |b| self.available(b, now))?;
-                Some((*id, curve))
+                Some((*id, guard.available(*id, &self.grid, now, period, steps)?))
             }));
         }
         all
@@ -292,11 +322,19 @@ impl ShardedLedger {
     fn replay(&mut self, event: Replay) -> Result<(), WalError> {
         match event {
             Replay::Block(state) => {
+                if let Some(defect) = block_defect(state.arrival, &state.total) {
+                    return Err(WalError::Corrupt(format!("block {} {defect}", state.id)));
+                }
                 let home = self.shard_of(state.id);
                 let blocks = self.shards[home].get_mut().expect("fresh ledger");
                 blocks.put(state.id, state.to_ledger(&self.grid)?, &self.tier);
             }
             Replay::Grant(task, demand, charged) => {
+                if !demand_is_chargeable(&demand) {
+                    return Err(WalError::Corrupt(format!(
+                        "task {task}: demand must be finite and >= 0 at every order"
+                    )));
+                }
                 let demand = RdpCurve::new(&self.grid, demand)
                     .map_err(|e| WalError::Corrupt(format!("task {task}: {e}")))?;
                 for b in charged {
@@ -408,11 +446,6 @@ impl ShardedLedger {
         }
     }
 
-    /// The §3.4 unlocked-minus-consumed capacity of one block at `now`.
-    fn available(&self, block: &BlockLedger, now: f64) -> RdpCurve {
-        block.available(now, self.unlock_period, self.unlock_steps)
-    }
-
     /// Registers a newly arrived block on its shard, durably when the
     /// ledger has a WAL (the registration is logged before it becomes
     /// visible).
@@ -427,27 +460,8 @@ impl ShardedLedger {
                 block.id
             )));
         }
-        // A non-finite arrival pins the §3.4 unlocked fraction at 0
-        // forever (`(now − NaN).ceil()` never exceeds 0), leaving a
-        // block that exists but can never serve a grant — and every
-        // task referencing it admitted-but-undecidable. Blocks arrive
-        // bit-verbatim over the wire, so reject it here like the task
-        // validator rejects non-finite arrivals.
-        if !block.arrival.is_finite() {
-            return Err(ProblemError(format!(
-                "block {} arrival must be finite",
-                block.id
-            )));
-        }
-        // Same for the capacity: `+inf` at any order is a filter that
-        // never refuses (Prop. 6 holds vacuously), and `RdpCurve::new`
-        // only rules out NaN. Negative finite values stay legal —
-        // `block_capacity` produces them at low orders.
-        if block.capacity.values().iter().any(|c| !c.is_finite()) {
-            return Err(ProblemError(format!(
-                "block {} capacity must be finite at every order",
-                block.id
-            )));
+        if let Some(defect) = block_defect(block.arrival, block.capacity.values()) {
+            return Err(ProblemError(format!("block {} {defect}", block.id)));
         }
         let home = self.shard_of(block.id);
         let mut blocks = self.lock(home);
@@ -484,11 +498,10 @@ impl ShardedLedger {
     /// per-shard cache that never hit; the benchmark crate calls it,
     /// so it stays until a benchmark PR renames both.)
     pub fn snapshot_shard_uncached(&self, shard: usize, now: f64) -> BTreeMap<BlockId, RdpCurve> {
-        let mut view = BTreeMap::new();
-        self.lock(shard).for_each(&self.grid, |id, b| {
-            view.insert(id, self.available(b, now));
-        });
-        view
+        let (period, steps) = (self.unlock_period, self.unlock_steps);
+        let blocks = self.lock(shard);
+        let available = |id| Some((id, blocks.available(id, &self.grid, now, period, steps)?));
+        blocks.ids().filter_map(available).collect()
     }
 
     /// Snapshots all shards' available capacities at time `now`, taking
@@ -761,11 +774,7 @@ impl ShardedLedger {
     pub fn unsound_blocks(&self) -> Vec<BlockId> {
         let mut bad = Vec::new();
         for s in 0..self.shards.len() {
-            self.lock(s).for_each(&self.grid, |id, b| {
-                if !b.is_sound() {
-                    bad.push(id);
-                }
-            });
+            bad.extend(self.lock(s).unsound());
         }
         bad.sort_unstable();
         bad
@@ -1703,7 +1712,7 @@ mod tests {
     fn snapshots_taken_mid_spill_stay_bit_identical() {
         // A block's bits don't change by moving tier: the whole-shard
         // view taken before the spill (all hot) equals the one taken
-        // after it (mostly rebuilt from cold summaries), under gradual
+        // after it (mostly read from cold summaries), under gradual
         // unlocking and with some blocks charged. The step-by-step
         // version against an untiered twin is the
         // `tiered_views_match_an_untiered_twin` property.

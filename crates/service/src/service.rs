@@ -77,7 +77,7 @@ use dpack_wal::{WalError, WalStorage};
 
 use crate::admission::{AdmissionError, AdmissionQueue, Submission, TenantId};
 use crate::config::{DurabilityOptions, ServiceConfig, TierConfig};
-use crate::ledger::{CommitOutcome, ShardedLedger, Traced};
+use crate::ledger::{self, CommitOutcome, ShardedLedger, Traced};
 use crate::stats::{CycleStats, ServiceStats};
 use crate::telemetry::ServiceTelemetry;
 use crate::ticket::{Decision, SubmissionTicket, TicketCell};
@@ -608,12 +608,7 @@ impl BudgetService {
                 reason: "timeout must be finite and >= 0",
             });
         }
-        if task
-            .demand
-            .values()
-            .iter()
-            .any(|d| !d.is_finite() || *d < 0.0)
-        {
+        if !ledger::demand_is_chargeable(task.demand.values()) {
             return Err(AdmissionError::InvalidTask {
                 task: task.id,
                 reason: "demand must be finite and >= 0 at every order",
@@ -1002,7 +997,7 @@ impl BudgetService {
     fn decide(&self, pending: &mut Pending, now: f64) -> (Vec<usize>, Duration) {
         // Two views, selected by what the ledger is, both measured.
         // Tiered (`tiered_zipf`, 50 000 blocks): the whole-ledger view
-        // would rebuild every cold block from its summary each cycle,
+        // would read every cold block's summary each cycle,
         // so read exactly the blocks the pending tasks reference —
         // identical bits for those blocks, and the schedulers never
         // look at unreferenced ones, so decisions don't change.

@@ -8,22 +8,28 @@
 //! summary — arrival, grant count, interned capacity and the
 //! consumption bits verbatim. The summary *is* the cold tier: it holds
 //! every bit of the block, so it answers every read (existence, grant
-//! counts, persisted state, available curves, soundness) and rebuilds
-//! the full entry **bit-identically**, with no copy anywhere else.
-//! Commits run on hot, full-vector state only:
+//! counts, persisted state, available curves, soundness) by itself, and
+//! a snapshot read of a cold block is one resolve and one curve, with
+//! no ledger rebuilt. Commits run on hot, full-vector state only:
 //! [`BlockStore::ensure_hot`] faults a task's cold blocks back in, and
-//! [`BlockStore::spill`] restores the bound afterwards.
+//! [`BlockStore::spill`] restores the bound afterwards. Both move the
+//! consumption between the entry and its summary instead of copying
+//! it, so a block changes tier **bit-identically**. A hot entry carries
+//! its last-touch epoch and, once it has been cold, its interned
+//! capacity id, so a re-spill neither looks up a recency map nor
+//! interns again.
 //!
 //! Where a block lives never changes a bit of what it is, so the
 //! ledger (striping, locking, WAL, replication) reads and commits
 //! through this one type and never learns which tier served it. The
 //! tier writes nothing: the WAL stays the only durability source.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dp_accounting::{AlphaGrid, CurveId, CurveInterner};
-use dpack_core::online::BlockLedger;
+use dp_accounting::{AlphaGrid, CurveId, CurveInterner, RdpCurve};
+use dpack_core::online::{self, BlockLedger};
 use dpack_core::problem::{BlockId, TaskId};
 use dpack_obs::{Counter, Gauge, Obs};
 
@@ -104,6 +110,18 @@ impl TierMeter {
     }
 }
 
+/// A hot block: its full entry, plus what the tier keeps beside it.
+#[derive(Debug)]
+struct HotBlock {
+    ledger: BlockLedger,
+    /// Last-touch epoch (0 until a tier touches it).
+    epoch: u64,
+    /// `ledger`'s capacity as interned when the block was last cold;
+    /// `None` for an entry that [`BlockStore::put`] placed, whose
+    /// capacity the next spill interns.
+    total: Option<CurveId>,
+}
+
 /// A spilled block, whole. The capacity curve is interned — a million
 /// blocks share a handful of capacity policies, so `total` is a 4-byte
 /// [`CurveId`] — while the consumption bits, which differ per block,
@@ -121,16 +139,49 @@ struct ColdBlock {
 }
 
 impl ColdBlock {
-    fn summarize(b: &BlockLedger) -> Self {
-        let consumed = b.consumed().values();
+    /// A spilled entry's summary; its consumption moves in, uncopied.
+    /// The one place the tier interns: only an entry that has not been
+    /// cold before lacks a capacity id.
+    fn summarize(hot: HotBlock) -> Self {
+        let (total, arrival, consumed, granted) = hot.ledger.into_parts();
+        let total = hot
+            .total
+            .unwrap_or_else(|| CurveInterner::global().intern(total.values()));
+        let consumed = consumed.into_values();
         Self {
-            arrival: b.arrival(),
-            granted: b.granted_count(),
-            total: CurveInterner::global().intern(b.total().values()),
+            arrival,
+            granted,
+            total,
             consumed: consumed
                 .iter()
                 .any(|v| v.to_bits() != 0)
-                .then(|| consumed.into()),
+                .then(|| consumed.into_boxed_slice()),
+        }
+    }
+
+    /// The full entry again, the summary's consumption moved into it
+    /// — the parts [`BlockLedger::restore`] takes, exactly the bits the
+    /// spilled entry held — carrying the capacity id for the next
+    /// spill.
+    fn fault_in(self, grid: &AlphaGrid) -> HotBlock {
+        let total = CurveInterner::global().resolve(self.total);
+        let consumed = match self.consumed {
+            Some(bits) => bits.into_vec(),
+            None => vec![0.0; total.len()],
+        };
+        let curve =
+            |values| RdpCurve::new(grid, values).expect("a summary holds a ledger's curves");
+        let ledger = BlockLedger::restore(
+            curve(total.to_vec()),
+            self.arrival,
+            curve(consumed),
+            self.granted,
+        )
+        .expect("a summary holds a ledger's curves");
+        HotBlock {
+            ledger,
+            epoch: 0,
+            total: Some(self.total),
         }
     }
 
@@ -150,13 +201,20 @@ impl ColdBlock {
         }
     }
 
-    /// Rebuilt as a [`BlockLedger`] — the *same* restore path recovery
-    /// uses, which is what makes every derived quantity (available
-    /// curves, soundness) bit-identical to the pre-spill hot state.
-    fn ledger(&self, id: BlockId, grid: &AlphaGrid) -> BlockLedger {
-        self.state(id)
-            .to_ledger(grid)
-            .expect("spilled state was a valid ledger")
+    /// The §3.4 available capacity at `now` from the summary alone —
+    /// one resolve, one curve — through the function a hot entry's
+    /// [`BlockLedger::available`] uses, so the bits are the same.
+    fn available(&self, grid: &AlphaGrid, now: f64, period: f64, steps: u32) -> RdpCurve {
+        let total = CurveInterner::global().resolve(self.total);
+        let frac = online::unlocked_fraction(self.arrival, now, period, steps);
+        online::available_from_parts(grid, &total, self.consumed.as_deref(), frac)
+    }
+
+    /// [`BlockLedger::is_sound`] on the summary.
+    fn is_sound(&self) -> bool {
+        let total = CurveInterner::global().resolve(self.total);
+        let consumed = |a: usize| self.consumed.as_ref().map_or(0.0, |c| c[a]);
+        (0..total.len()).any(|a| dp_accounting::fits(consumed(a), total[a]))
     }
 }
 
@@ -170,15 +228,15 @@ struct TierState {
     low_water: usize,
     /// Recency clock: bumped on every touch.
     epoch: u64,
-    /// Hot block → last-touch epoch (keys mirror the hot map).
-    touch: BTreeMap<BlockId, u64>,
+    /// The spill's `(epoch, id)` pairs, kept for its next call.
+    order: Vec<(u64, BlockId)>,
 }
 
 impl TierState {
     /// Bumps a hot block's recency epoch.
-    fn touch(&mut self, id: BlockId) {
+    fn touch(&mut self, hot: &mut HotBlock) {
         self.epoch += 1;
-        self.touch.insert(id, self.epoch);
+        hot.epoch = self.epoch;
     }
 }
 
@@ -187,7 +245,7 @@ impl TierState {
 /// behavior — which is why the untiered suites run unmodified.
 #[derive(Debug, Default)]
 pub(crate) struct BlockStore {
-    hot: BTreeMap<BlockId, BlockLedger>,
+    hot: BTreeMap<BlockId, HotBlock>,
     /// Spilled block → its summary. A hash map: at million-block scale
     /// the fault/spill paths hit this once per cold access, and no
     /// caller depends on its order (collectors sort where it shows).
@@ -206,8 +264,11 @@ impl BlockStore {
             hot_capacity,
             low_water: hot_capacity - hot_capacity / 8,
             epoch: 0,
-            touch: self.hot.keys().map(|id| (*id, 0)).collect(),
+            order: Vec::new(),
         });
+        for hot in self.hot.values_mut() {
+            hot.epoch = 0;
+        }
         meter
             .hot_blocks
             .fetch_add(self.hot.len() as u64, Ordering::Relaxed);
@@ -233,30 +294,41 @@ impl BlockStore {
     /// block (admission validates block existence, and blocks are
     /// never removed).
     pub(crate) fn hot(&self, task: TaskId, id: BlockId) -> &BlockLedger {
-        self.hot
-            .get(&id)
-            .unwrap_or_else(|| panic!("task {task} references unregistered block {id}"))
+        let hot = self.hot.get(&id);
+        &hot.unwrap_or_else(|| panic!("task {task} references unregistered block {id}"))
+            .ledger
     }
 
-    /// [`BlockStore::hot`], mutably.
+    /// [`BlockStore::hot`], mutably. The capacity must not change: a
+    /// carried capacity id stays the entry's.
     pub(crate) fn hot_mut(&mut self, id: BlockId) -> Option<&mut BlockLedger> {
-        self.hot.get_mut(&id)
+        self.hot.get_mut(&id).map(|hot| &mut hot.ledger)
     }
 
     /// Inserts a new block (hot, most recently touched) or replaces a
-    /// hot block's entry in place.
-    pub(crate) fn put(&mut self, id: BlockId, entry: BlockLedger, meter: &TierMeter) {
-        if self.hot.insert(id, entry).is_some() {
-            return;
-        }
+    /// hot block's entry in place, keeping its recency and dropping its
+    /// capacity id (the new entry's capacity may differ).
+    pub(crate) fn put(&mut self, id: BlockId, ledger: BlockLedger, meter: &TierMeter) {
+        let hot = match self.hot.entry(id) {
+            Entry::Occupied(entry) => {
+                let hot = entry.into_mut();
+                (hot.ledger, hot.total) = (ledger, None);
+                return;
+            }
+            Entry::Vacant(slot) => slot.insert(HotBlock {
+                ledger,
+                epoch: 0,
+                total: None,
+            }),
+        };
         if let Some(tier) = &mut self.tier {
-            tier.touch(id);
+            tier.touch(hot);
             meter.hot_blocks.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Makes block `id` hot for `task`'s commit and marks it touched: a
-    /// cold block is rebuilt from its summary ([`ColdBlock::ledger`]).
+    /// cold block is restored from its summary ([`ColdBlock::fault_in`]).
     /// Untiered, every block is hot already.
     ///
     /// # Panics
@@ -269,24 +341,29 @@ impl BlockStore {
         grid: &AlphaGrid,
         meter: &TierMeter,
     ) {
-        let Some(tier) = &mut self.tier else {
+        let Self { hot, cold, tier } = self;
+        let Some(tier) = tier else {
             return;
         };
-        if self.hot.contains_key(&id) {
-            meter.hits.fetch_add(1, Ordering::Relaxed);
-            meter.obs_hits.inc();
-        } else {
-            let Some(cold) = self.cold.remove(&id) else {
-                panic!("task {task} references unregistered block {id}");
-            };
-            self.hot.insert(id, cold.ledger(id, grid));
-            meter.faults.fetch_add(1, Ordering::Relaxed);
-            meter.hot_blocks.fetch_add(1, Ordering::Relaxed);
-            meter.cold_blocks.fetch_sub(1, Ordering::Relaxed);
-            meter.obs_faults.inc();
-            meter.sync_gauges();
-        }
-        tier.touch(id);
+        let hot = match hot.entry(id) {
+            Entry::Occupied(entry) => {
+                meter.hits.fetch_add(1, Ordering::Relaxed);
+                meter.obs_hits.inc();
+                entry.into_mut()
+            }
+            Entry::Vacant(slot) => {
+                let Some(summary) = cold.remove(&id) else {
+                    panic!("task {task} references unregistered block {id}");
+                };
+                meter.faults.fetch_add(1, Ordering::Relaxed);
+                meter.hot_blocks.fetch_add(1, Ordering::Relaxed);
+                meter.cold_blocks.fetch_sub(1, Ordering::Relaxed);
+                meter.obs_faults.inc();
+                meter.sync_gauges();
+                slot.insert(summary.fault_in(grid))
+            }
+        };
+        tier.touch(hot);
     }
 
     /// Spills least-recently-touched hot blocks down to the low-water
@@ -301,13 +378,14 @@ impl BlockStore {
             return;
         }
         let excess = hot.len() - tier.low_water.min(tier.hot_capacity);
-        let mut order: Vec<(u64, BlockId)> = tier.touch.iter().map(|(id, e)| (*e, *id)).collect();
+        let order = &mut tier.order;
+        order.clear();
+        order.extend(hot.iter().map(|(id, h)| (h.epoch, *id)));
         // `excess < order.len()`: the low-water mark is at least 1.
         order.select_nth_unstable(excess);
         for (_, id) in &order[..excess] {
-            let b = hot.remove(id).expect("victims come from the hot map");
-            tier.touch.remove(id);
-            cold.insert(*id, ColdBlock::summarize(&b));
+            let victim = hot.remove(id).expect("victims come from the hot map");
+            cold.insert(*id, ColdBlock::summarize(victim));
         }
         let n = excess as u64;
         meter.spilled.fetch_add(n, Ordering::Relaxed);
@@ -317,38 +395,44 @@ impl BlockStore {
         meter.sync_gauges();
     }
 
-    /// Applies `read` to one block wherever it lives; `None` if it is
-    /// not registered here. A cold block is rebuilt from its summary
-    /// for the call — same bits as the hot entry had.
-    pub(crate) fn with_block<R>(
+    /// Every registered block's id, hot ones first (id order), then
+    /// cold ones (no order).
+    pub(crate) fn ids(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.hot.keys().chain(self.cold.keys()).copied()
+    }
+
+    /// One block's §3.4 available capacity at `now` under the unlock
+    /// schedule `(period, steps)`, wherever it lives; `None` if it is
+    /// not registered here. A cold block is read from its summary:
+    /// nothing faults in, no ledger is rebuilt.
+    pub(crate) fn available(
         &self,
         id: BlockId,
         grid: &AlphaGrid,
-        read: impl FnOnce(&BlockLedger) -> R,
-    ) -> Option<R> {
+        now: f64,
+        period: f64,
+        steps: u32,
+    ) -> Option<RdpCurve> {
         match self.hot.get(&id) {
-            Some(b) => Some(read(b)),
-            None => Some(read(&self.cold.get(&id)?.ledger(id, grid))),
+            Some(hot) => Some(hot.ledger.available(now, period, steps)),
+            None => Some(self.cold.get(&id)?.available(grid, now, period, steps)),
         }
     }
 
-    /// [`BlockStore::with_block`] over every block, hot ones first (id
-    /// order), then cold ones (no order).
-    pub(crate) fn for_each(&self, grid: &AlphaGrid, mut read: impl FnMut(BlockId, &BlockLedger)) {
-        for (id, b) in &self.hot {
-            read(*id, b);
-        }
-        for (id, cold) in &self.cold {
-            read(*id, &cold.ledger(*id, grid));
-        }
+    /// Blocks that break the Prop. 6 invariant ([`BlockLedger::is_sound`]),
+    /// hot ones first (id order), then cold ones (no order).
+    pub(crate) fn unsound(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let hot = self.hot.iter().filter(|(_, hot)| !hot.ledger.is_sound());
+        let cold = self.cold.iter().filter(|(_, summary)| !summary.is_sound());
+        hot.map(|(id, _)| *id).chain(cold.map(|(id, _)| *id))
     }
 
     /// Every block's persisted-form state, ascending by id — what
     /// compaction and resync snapshot, exact to the bit. Cold blocks
     /// come from their summaries: no fault-in, no ledger rebuilt.
     pub(crate) fn states(&self) -> Vec<BlockState> {
-        let mut states: Vec<BlockState> =
-            self.hot.iter().map(|(id, b)| block_state(*id, b)).collect();
+        let hot = self.hot.iter();
+        let mut states: Vec<BlockState> = hot.map(|(id, h)| block_state(*id, &h.ledger)).collect();
         states.extend(self.cold.iter().map(|(id, c)| c.state(*id)));
         states.sort_by_key(|s| s.id);
         states
@@ -356,7 +440,7 @@ impl BlockStore {
 
     /// Demands granted across the store's blocks.
     pub(crate) fn granted(&self) -> u64 {
-        let hot: u64 = self.hot.values().map(BlockLedger::granted_count).sum();
+        let hot: u64 = self.hot.values().map(|h| h.ledger.granted_count()).sum();
         let cold: u64 = self.cold.values().map(|c| c.granted).sum();
         hot + cold
     }
@@ -411,12 +495,16 @@ mod tests {
         states.iter().map(state).collect()
     }
 
-    /// Fault-in rebuilds a cold block from its summary alone. Drawn
+    /// Fault-in restores a cold block from its summary alone. Drawn
     /// block states — consumption with `-0.0`, all `+0.0`, subnormals
     /// and values on either side of the filter's tolerance edge, any
-    /// grant count — registered, spilled, faulted back and charged in a
+    /// grant count — registered, spilled, faulted back, charged and
+    /// replaced (a `put` over a hot entry, with another capacity) in a
     /// tiered store read and decide exactly like in an untiered twin:
-    /// states, available curves and check outcomes, bit for bit.
+    /// states, the available curves the cycle reads
+    /// ([`BlockStore::available`], cold blocks from their summaries),
+    /// check outcomes and soundness, bit for bit; and every capacity id
+    /// a hot entry carries resolves to its capacity's bits.
     #[test]
     fn faulted_blocks_match_an_untiered_twin() {
         let block = (
@@ -426,7 +514,20 @@ mod tests {
             weighted(vec![(2, 0u64), (1, 1), (1, 7), (1, 1 << 40)]),
             weighted(vec![(1, 0.0), (1, -0.0), (1, 0.75), (1, 2.5)]),
         );
-        let op = (ints(0u64..12), vecs(ints(0u8..6), 3..4), ints(0u32..8));
+        // A charge, or (3 in 8) a `put` replacing the block's entry
+        // with a fresh one on capacity `TOTALS[k]`.
+        let replace = weighted(vec![
+            (5, None),
+            (1, Some(0usize)),
+            (1, Some(1)),
+            (1, Some(2)),
+        ]);
+        let op = (
+            ints(0u64..12),
+            vecs(ints(0u8..6), 3..4),
+            ints(0u32..8),
+            replace,
+        );
         check_cases(
             "faulted_blocks_match_an_untiered_twin",
             64,
@@ -481,15 +582,23 @@ mod tests {
                 prop_assert_eq!(state_bits(&tiered.states()), state_bits(&drawn));
 
                 let n = drawn.len() as BlockId;
-                for (i, (pick, demand, now)) in ops.iter().enumerate() {
+                for (i, (pick, demand, now, replace)) in ops.iter().enumerate() {
                     let (task, id) = (i as TaskId, pick % n);
                     let values = demand.iter().map(|p| demand_entry(*p)).collect();
                     let demand = RdpCurve::new(&grid, values).unwrap();
                     let decide = |store: &mut BlockStore, meter: &TierMeter| {
                         store.ensure_hot(task, id, &grid, meter);
                         let granted = store.hot(task, id).check(&demand);
-                        if granted {
-                            store.hot_mut(id).unwrap().commit(&demand).unwrap();
+                        match replace {
+                            Some(k) => {
+                                let total = RdpCurve::new(&grid, TOTALS[*k].to_vec()).unwrap();
+                                let fresh = dpack_core::problem::Block::new(id, total, 0.5);
+                                store.put(id, BlockLedger::new(fresh), meter);
+                            }
+                            None if granted => {
+                                store.hot_mut(id).unwrap().commit(&demand).unwrap();
+                            }
+                            None => {}
                         }
                         store.spill(meter);
                         granted
@@ -497,20 +606,32 @@ mod tests {
                     let granted = decide(&mut plain, &plain_meter);
                     prop_assert_eq!(decide(&mut tiered, &meter), granted, "op {}", i);
                     prop_assert!(tiered.hot.len() <= *hot_capacity, "op {i}");
+                    for (b, hot) in &tiered.hot {
+                        if let Some(total) = hot.total {
+                            let carried = CurveInterner::global().resolve(total);
+                            let bits =
+                                |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            let held = bits(hot.ledger.total().values());
+                            prop_assert_eq!(bits(&carried), held, "op {} block {}", i, b);
+                        }
+                    }
 
                     let now = 0.5 * f64::from(*now);
                     let view = |store: &BlockStore| {
                         (0..n)
                             .map(|b| {
-                                store.with_block(b, &grid, |l| {
-                                    let available = l.available(now, 1.0, *unlock_steps);
-                                    let bits = available.values().iter().map(|v| v.to_bits());
-                                    (bits.collect::<Vec<_>>(), l.check(&demand), l.is_sound())
-                                })
+                                let available = store.available(b, &grid, now, 1.0, *unlock_steps);
+                                available.map(|c| c.values().iter().map(|v| v.to_bits()).collect())
                             })
-                            .collect::<Vec<_>>()
+                            .collect::<Vec<Option<Vec<u64>>>>()
                     };
                     prop_assert_eq!(view(&tiered), view(&plain), "op {}", i);
+                    let unsound = |store: &BlockStore| {
+                        let mut ids: Vec<BlockId> = store.unsound().collect();
+                        ids.sort_unstable();
+                        ids
+                    };
+                    prop_assert_eq!(unsound(&tiered), unsound(&plain), "op {}", i);
                     let states = state_bits(&tiered.states());
                     prop_assert_eq!(states, state_bits(&plain.states()), "op {}", i);
                     prop_assert_eq!(tiered.granted(), plain.granted());

@@ -13,7 +13,12 @@
 //! * a well-formed record **truncated** anywhere short of its end;
 //! * a well-formed record whose **tag disagrees with the stream** of
 //!   the `Replicate` batch it rides into a replica (or a resync base
-//!   riding a shipped batch).
+//!   riding a shipped batch);
+//! * a well-formed record that holds a value the **live path refuses**:
+//!   a block (registration, resync base or compaction snapshot) with a
+//!   non-finite arrival or capacity, a grant (`Apply`, or a committed
+//!   `Intent`) with a negative or `-inf` demand — which would replay as
+//!   a filter that never refuses, or as a refund.
 
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, vecs, Failed, PropResult};
@@ -89,8 +94,8 @@ fn open_ledger(storage: &SimStorage) -> Result<ShardedLedger, WalError> {
 }
 
 /// A primary's log with registrations and two grants (one shard-local,
-/// one spanning shards), then `junk` appended as a record of its own.
-fn primary_log_with(junk: &[u8]) -> SimStorage {
+/// one spanning shards).
+fn primary_log() -> SimStorage {
     let sim = SimStorage::new();
     let ledger = open_ledger(&sim).expect("fresh storage opens");
     for j in 0..8u64 {
@@ -101,19 +106,112 @@ fn primary_log_with(junk: &[u8]) -> SimStorage {
     ledger.commit_task(&Task::new(1, 1.0, vec![2], demand.clone(), 0.0));
     ledger.commit_task(&Task::new(2, 1.0, vec![0, 1], demand, 0.0));
     drop(ledger);
+    sim
+}
+
+/// [`primary_log`], then `junk` appended as a record of its own.
+fn primary_log_with(junk: &[u8]) -> SimStorage {
+    let sim = primary_log();
     append_raw(&sim, junk);
     sim
 }
 
-/// Appends `record` to the log under `sim` through the WAL itself, so
-/// its frame checksum is valid whatever the bytes.
-fn append_raw(sim: &SimStorage, record: &[u8]) {
+/// The log under `sim`, reopened through the WAL itself, so whatever
+/// it writes carries a valid frame checksum whatever the bytes.
+fn raw_wal(sim: &SimStorage) -> Wal {
     let sub = sim.sub("wal").expect("sim scopes");
     let opts = WalOptions {
         segment_bytes: SEGMENT_BYTES,
     };
-    let (mut wal, _) = Wal::open(sub, opts).expect("the prefix is valid");
-    wal.append(record).expect("sim storage accepts");
+    Wal::open(sub, opts).expect("the prefix is valid").0
+}
+
+/// Appends `record` to the log under `sim`.
+fn append_raw(sim: &SimStorage, record: &[u8]) {
+    raw_wal(sim).append(record).expect("sim storage accepts");
+}
+
+/// [`primary_log`] plus one record of kind `kind % 5` — registration,
+/// resync base, compaction snapshot, `Apply`, committed `Intent` — that
+/// holds one value `register_block` or admission refuses, drawn from
+/// `seed`: a non-finite arrival or capacity for a block, a negative or
+/// `-inf` demand for a grant. Returns the log and what it holds.
+fn refused_value_log(kind: u8, seed: u64) -> (SimStorage, String) {
+    let unlivable = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(seed % 3) as usize];
+    let refund = [-0.5, -f64::from_bits(1), -1e300, f64::NEG_INFINITY][(seed >> 2) as usize % 4];
+    let order = (seed >> 4) as usize % 2;
+    let id = 100 + (seed >> 5) % 64;
+    let shard = (id % SHARDS as u64) as u32;
+    let (mut arrival, mut capacity) = (0.5, vec![1.0; 2]);
+    match (seed >> 11) % 2 {
+        0 => arrival = unlivable,
+        _ => capacity[order] = unlivable,
+    }
+    let state = BlockState {
+        id,
+        arrival,
+        total: capacity.clone(),
+        consumed: vec![0.0; 2],
+        granted: 0,
+    };
+    let mut demand = vec![0.1; 2];
+    demand[order] = refund;
+    let sim = primary_log();
+    let what = match kind % 5 {
+        0 => {
+            let block = LogRecord::Block {
+                shard,
+                id,
+                arrival,
+                capacity,
+            };
+            append_raw(&sim, &block.encode());
+            format!("{block:?}")
+        }
+        1 => {
+            let base = LogRecord::Base {
+                stream: ReplStream::Shard(shard),
+                seq: seed,
+                snapshot: encode_snapshot(std::slice::from_ref(&state)),
+            };
+            append_raw(&sim, &base.encode());
+            format!("a resync base holding {state:?}")
+        }
+        2 => {
+            let snapshot = encode_snapshot(std::slice::from_ref(&state));
+            raw_wal(&sim)
+                .snapshot(&snapshot)
+                .expect("sim storage accepts");
+            format!("a compaction snapshot holding {state:?}")
+        }
+        3 => {
+            let apply = LogRecord::Apply {
+                shard: 2,
+                task: 99,
+                demand,
+                blocks: vec![2],
+            };
+            append_raw(&sim, &apply.encode());
+            format!("{apply:?}")
+        }
+        _ => {
+            let intent = LogRecord::Intent {
+                shard: 2,
+                attempt: 1000,
+                task: 98,
+                demand,
+                blocks: vec![2],
+            };
+            append_raw(&sim, &intent.encode());
+            let commit = LogRecord::Commit {
+                attempt: 1000,
+                task: 98,
+            };
+            append_raw(&sim, &commit.encode());
+            format!("committed {intent:?}")
+        }
+    };
+    (sim, what)
 }
 
 /// Recovery from `sim` must fail with [`WalError::Corrupt`].
@@ -150,7 +248,7 @@ fn junk_under_a_valid_checksum_fails_typed_and_never_panics() {
         "junk_under_a_valid_checksum_fails_typed_and_never_panics",
         64,
         (
-            ints(0u8..4),
+            ints(0u8..5),
             ints(0u8..6),
             ints(0u64..u64::MAX),
             vecs(ints(0u8..255), 0..48),
@@ -181,6 +279,11 @@ fn junk_under_a_valid_checksum_fails_typed_and_never_panics() {
                     let junk = &full[..cut];
                     prop_assert!(LogRecord::decode(junk).is_err(), "a prefix decoded");
                     recovery_is_corrupt(&primary_log_with(junk), "truncated record")
+                }
+                // A well-formed record holding a value the live path refuses.
+                3 => {
+                    let (sim, what) = refused_value_log(kind, seed);
+                    recovery_is_corrupt(&sim, &what)
                 }
                 // A shipped batch carrying a record of another stream.
                 _ => {

@@ -129,6 +129,20 @@ if awk 'FNR == 1 { on = 1; name = "" } /#\[cfg\(test\)\]/ { on = 0 }
   exit 1
 fi
 
+echo "==> checking the tier interns in one place"
+# A hot entry carries the capacity id it had while cold, so a re-spill
+# interns nothing; only ColdBlock::summarize interns, for an entry that
+# was never cold. Any other call would take the process-wide interner's
+# lock on the fault or spill path again. Tests below `#[cfg(test)]` may
+# name anything.
+if awk 'FNR == 1 { on = 1; name = "" } /#\[cfg\(test\)\]/ { on = 0 }
+    on && match($0, /fn [a-z_0-9]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
+    on && /\.intern(_curve)?\(/ && name != "summarize" { print FILENAME ":" FNR ": " $0 }' \
+    crates/service/src/store.rs | grep .; then
+  echo "ERROR: in store.rs only ColdBlock::summarize may intern (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking new counter structs go through dpack-obs"
 # New metrics belong in the dpack-obs registry (named, labelled,
 # scrapable), not in one-off counter structs. The legacy pre-obs
@@ -206,9 +220,12 @@ DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --test hostile_log
 
 # A fault rebuilds a cold block from its summary alone, so the summary
 # must carry every bit pattern a filter can hold (-0.0, subnormals, the
-# tolerance edge); the store-level twin property is cheap (~1.5 s).
-echo "==> store fault-in property at DPACK_CHECK_CASES=2000"
+# tolerance edge); the store-level twin property is cheap (~2 s). The
+# filter's in-place check and charge must match the compose-based
+# definitions on the same bit patterns (~0.1 s).
+echo "==> store fault-in and filter in-place properties at DPACK_CHECK_CASES=2000"
 DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --lib store::tests::
+DPACK_CHECK_CASES=2000 cargo test -q -p dp-accounting --test prop_filter
 
 
 # The vendored micro-benches must keep compiling *and running*; smoke
