@@ -9,9 +9,11 @@
 //!   shards (`block_id mod S`), each holding its blocks'
 //!   [`dpack_core::online::BlockLedger`] filters, with a deadlock-free
 //!   two-phase commit for tasks spanning shards.
-//! * [`AdmissionQueue`] — a bounded multi-tenant submission queue with
-//!   backpressure and per-tenant quotas; [`BudgetService::submit`]
-//!   validates tasks against the ledger before they are queued.
+//! * **Admission** — [`BudgetService::submit`] validates a task against
+//!   the ledger, then takes one lock, the service's books, for the
+//!   duplicate-id check, the per-tenant quota, the bounded queue's
+//!   backpressure and the counters ([`AdmissionError`] says why a task
+//!   was refused).
 //! * [`BudgetService`] — the batched scheduling loop: per cycle, one
 //!   scheduling pass over every pending task (Alg. 1 wants each block's
 //!   best alpha from *all* its requesters), then a striped commit —
@@ -95,7 +97,7 @@ pub use dpack_wal as wal;
 /// and consume snapshots without a separate dependency.
 pub use dpack_obs as obs;
 
-pub use admission::{AdmissionError, AdmissionQueue, Submission, TenantId};
+pub use admission::{AdmissionError, Submission, TenantId};
 pub use config::{DurabilityOptions, SchedulerChoice, ServiceConfig, TierConfig};
 pub use ledger::{CommitOutcome, ShardedLedger};
 pub use replication::{

@@ -3,11 +3,14 @@
 //! A [`BudgetService`] is driven entirely through `&self` — producers
 //! submit tasks and register blocks from any thread while the
 //! scheduling loop runs cycles; all interior state is behind the
-//! striped ledger locks, the admission-queue lock, and the cycle lock.
-//! Cycles are serialized by the cycle lock (two overlapping cycles
-//! would double-schedule the same pending tasks), and so is block
-//! registration, so the block set is fixed for the length of a cycle;
-//! submissions stay concurrent throughout.
+//! striped ledger locks and two service locks. The **books** lock
+//! guards everything admission touches — the queue, the live-task
+//! table, each tenant's live count and counters, and the stats — so a
+//! submission takes it once, after validation has read block existence
+//! under the shard locks. The **cycle** lock serializes cycles (two
+//! overlapping cycles would double-schedule the same pending tasks),
+//! and block registration, so the block set is fixed for the length of
+//! a cycle; submissions stay concurrent throughout.
 //!
 //! **Decide globally, commit striped.** The paper's scheduler (§3,
 //! Alg. 1) picks each block's best alpha from *all* of the block's
@@ -19,18 +22,20 @@
 //!
 //! The pending set is a [`ProblemState`] the cycle lock owns and that
 //! survives from cycle to cycle — tasks and their dense scheduler rows,
-//! in arrival order — with each task's tenant, admission stamp and
-//! trace context beside it. A submission is *moved* in when it is
-//! ingested; from then on a cycle only writes the state's capacities
-//! over with a fresh ledger snapshot, schedules, commits, and compacts
-//! out what was granted or evicted. Nothing is cloned or rebuilt for a
+//! in arrival order — with each task's admission stamp and trace
+//! context beside it (its tenant is in the live-task table). A
+//! submission is *moved* in when it is ingested; from then on a cycle
+//! only writes the state's capacities over with a fresh ledger
+//! snapshot, schedules, commits, and compacts out what was granted or
+//! evicted. Nothing is cloned or rebuilt for a
 //! task that merely waits.
 //!
 //! One cycle runs four phases, mirroring the §6.4 "scheduling
 //! procedure" (ingest → snapshot → algorithm → commit):
 //!
-//! 1. **Ingest** — drain the admission queue into the pending set and
-//!    evict timed-out tasks, in arrival order.
+//! 1. **Ingest** — swap the admission queue out for the pending set's
+//!    empty arrivals buffer (each keeps its capacity for the next
+//!    cycle) and evict timed-out tasks, in arrival order.
 //! 2. **Decide** — one snapshot of every shard, one pass of the
 //!    configured scheduler over every pending task; its alpha orders
 //!    (or DPF's per-task shares) fan out over as many worker threads
@@ -43,8 +48,9 @@
 //!    replicas in one quorum round. Then the grants spanning shards
 //!    commit as one two-phase batch: two more syncs and rounds, its
 //!    intents and its decisions.
-//! 4. **Finalize** — tickets resolve as their tasks leave the live
-//!    table; stats record the cycle's volumes and phase timings.
+//! 4. **Finalize** — under one hold of the books lock, tickets resolve
+//!    as their tasks leave the live table and the grants and evictions
+//!    are counted; then one short hold records the cycle.
 //!
 //! The pending set never reorders its tasks, so the pass sees exactly
 //! the state a from-scratch rebuild over the same pending tasks would
@@ -64,8 +70,9 @@
 //! ([`CycleStats::released`]); it stays pending and is granted a cycle
 //! later than the engine grants it. No block is overdrawn either way.
 
+use std::collections::{hash_map::Entry, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use dp_accounting::AlphaGrid;
@@ -75,10 +82,10 @@ use dpack_obs::trace::{span_id, SpanKind};
 use dpack_obs::{EventKind, Obs, TraceContext};
 use dpack_wal::{WalError, WalStorage};
 
-use crate::admission::{AdmissionError, AdmissionQueue, Submission, TenantId};
+use crate::admission::{AdmissionError, Submission, TenantId};
 use crate::config::{DurabilityOptions, ServiceConfig, TierConfig};
 use crate::ledger::{self, CommitOutcome, ShardedLedger, Traced};
-use crate::stats::{CycleStats, ServiceStats};
+use crate::stats::{CycleStats, ServiceStats, TenantStats};
 use crate::telemetry::ServiceTelemetry;
 use crate::ticket::{Decision, SubmissionTicket, TicketCell};
 
@@ -86,12 +93,11 @@ use crate::ticket::{Decision, SubmissionTicket, TicketCell};
 /// ledger once per cycle and moved into the pending state.
 type Snapshot = std::collections::BTreeMap<BlockId, dp_accounting::RdpCurve>;
 
-/// What rides beside a pending task: who submitted it, when (telemetry
-/// clock, see [`Submission::admitted_nanos`]), and its distributed-trace
+/// What rides beside a pending task: when it was admitted (telemetry
+/// clock, see [`Submission::admitted_nanos`]) and its distributed-trace
 /// context if traced.
 #[derive(Debug, Clone, Copy)]
 struct Tag {
-    tenant: TenantId,
     admitted_nanos: u64,
     trace: Option<TraceContext>,
 }
@@ -105,8 +111,10 @@ struct Pending {
     /// One per task of `state`, in its order.
     tags: Vec<Tag>,
     /// Ingested this cycle. They enter `state` in the decide phase,
-    /// once it holds a snapshot taken after their blocks registered.
-    arrivals: Vec<Submission>,
+    /// once it holds a snapshot taken after their blocks registered,
+    /// which leaves the buffer empty for the next ingest to swap with
+    /// the admission queue.
+    arrivals: VecDeque<Submission>,
 }
 
 impl Pending {
@@ -116,7 +124,7 @@ impl Pending {
         Self {
             state,
             tags: Vec::new(),
-            arrivals: Vec::new(),
+            arrivals: VecDeque::new(),
         }
     }
 
@@ -179,33 +187,50 @@ struct Committed {
     released: usize,
 }
 
-/// Tasks currently *live* — queued or pending — each with its tenant
-/// and, for a [`BudgetService::submit_async`] task, its completion
-/// cell. Ids are the commit keys, so admission rejects collisions (even
-/// across tenants) instead of letting one task double-charge and shadow
-/// the other; the per-tenant counts back the tenant quota, which holds
-/// until a task is granted or evicted (not merely drained), so a noisy
-/// tenant cannot grow the pending set without bound.
-#[derive(Debug, Default)]
-struct LiveTasks {
-    tasks: std::collections::BTreeMap<TaskId, (TenantId, Option<Arc<TicketCell>>)>,
-    per_tenant: std::collections::BTreeMap<TenantId, usize>,
+/// One tenant's record: its live tasks, which the quota caps, and its
+/// counters.
+#[derive(Default)]
+struct TenantBook {
+    live: usize,
+    stats: TenantStats,
 }
 
-impl LiveTasks {
+/// Everything admission reads or writes, under the one lock a
+/// submission takes: the bounded FIFO queue, the tasks currently
+/// *live* — queued or pending — each with its tenant and, for a
+/// [`BudgetService::submit_async`] task, its completion cell, one
+/// record per tenant, and the stats. Ids are the commit keys, so
+/// admission rejects collisions (even across tenants) instead of
+/// letting one task double-charge and shadow the other; a tenant's
+/// live count backs its quota, which holds until a task is granted or
+/// evicted (not merely drained), so a noisy tenant cannot grow the
+/// pending set without bound. Counting under the lock that makes a
+/// task visible to a cycle means a monitor never sees a grant whose
+/// admission is not counted.
+struct Books {
+    queue: VecDeque<Submission>,
+    live: HashMap<TaskId, (TenantId, Option<Arc<TicketCell>>)>,
+    tenants: HashMap<TenantId, TenantBook>,
+    /// `tenants` stays empty here: [`BudgetService::stats`] fills it
+    /// from the tenant records.
+    stats: ServiceStats,
+}
+
+impl Books {
     /// Ends a live task with its decision: resolves its ticket, frees
-    /// the id and frees the quota slot, all under the one lock a
-    /// resubmission of the id must take.
-    fn decide(&mut self, id: TaskId, decision: Decision) {
-        let (tenant, ticket) = self.tasks.remove(&id).expect("only live tasks are decided");
+    /// the id and the quota slot, all under the one lock a
+    /// resubmission of the id must take. Returns the tenant's record.
+    fn decide(&mut self, id: TaskId, decision: Decision) -> &mut TenantBook {
+        let (tenant, ticket) = self.live.remove(&id).expect("only live tasks are decided");
         if let Some(cell) = ticket {
             cell.resolve(decision);
         }
-        let count = self
-            .per_tenant
+        let book = self
+            .tenants
             .get_mut(&tenant)
             .expect("its tenant is counted");
-        *count -= 1;
+        book.live -= 1;
+        book
     }
 }
 
@@ -214,9 +239,7 @@ pub struct BudgetService {
     config: ServiceConfig,
     durability: Option<DurabilityOptions>,
     ledger: ShardedLedger,
-    queue: AdmissionQueue,
-    live: Mutex<LiveTasks>,
-    stats: Mutex<ServiceStats>,
+    books: Mutex<Books>,
     /// Task ids whose grants recovery re-applied — immutable after
     /// construction. Admission rejects them as duplicates, so a tenant
     /// idempotently resubmitting in-flight work after failover cannot
@@ -229,7 +252,7 @@ pub struct BudgetService {
     /// counted them.
     pending: AtomicUsize,
     /// Cycles started (drives the compaction cadence without touching
-    /// the stats lock).
+    /// the books lock).
     cycles_run: AtomicU64,
     /// The observability context (registry + flight recorder + clock).
     obs: Arc<Obs>,
@@ -243,8 +266,13 @@ impl BudgetService {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configuration (zero shards/workers/steps,
-    /// non-positive periods, zero queue capacity).
+    /// Panics on degenerate configuration: zero shards, workers,
+    /// unlock steps, queue capacity, tenant quota or ingest batch; a
+    /// scheduling or unlock period that is not finite and > 0; a
+    /// default timeout that is not finite and >= 0 (a NaN, infinite or
+    /// negative one would never evict, pinning every task without its
+    /// own timeout — and its id and quota slot — forever, as would an
+    /// ingest batch of zero).
     pub fn new(grid: AlphaGrid, config: ServiceConfig) -> Self {
         Self::with_obs(grid, config, Obs::wall())
     }
@@ -306,6 +334,11 @@ impl BudgetService {
     /// # Errors
     ///
     /// See [`BudgetService::recover`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same degenerate configurations as
+    /// [`BudgetService::new`].
     pub fn recover_with_obs(
         grid: AlphaGrid,
         config: ServiceConfig,
@@ -369,6 +402,11 @@ impl BudgetService {
     /// # Errors
     ///
     /// See [`BudgetService::recover`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same degenerate configurations as
+    /// [`BudgetService::new`].
     pub fn recover_with_tier(
         grid: AlphaGrid,
         config: ServiceConfig,
@@ -404,17 +442,29 @@ impl BudgetService {
             "scheduling period must be finite and > 0"
         );
         assert!(config.tenant_quota >= 1, "tenant quota must be >= 1");
+        assert!(config.queue_capacity >= 1, "queue capacity must be >= 1");
+        assert!(config.ingest_batch >= 1, "ingest batch must be >= 1");
+        assert!(
+            config
+                .default_timeout
+                .is_none_or(|t| t.is_finite() && t >= 0.0),
+            "default timeout must be finite and >= 0"
+        );
         let mut stats = ServiceStats::with_retention(config.retention);
         stats.durability = ledger.durability_stats();
         let telemetry = ServiceTelemetry::new(&obs);
         let pending = Pending::new(ledger.grid());
+        let books = Books {
+            queue: VecDeque::new(),
+            live: HashMap::new(),
+            tenants: HashMap::new(),
+            stats,
+        };
         Self {
             ledger,
             durability,
-            queue: AdmissionQueue::new(config.queue_capacity),
-            live: Mutex::new(LiveTasks::default()),
+            books: Mutex::new(books),
             recovered_granted,
-            stats: Mutex::new(stats),
             cycle_lock: Mutex::new(pending),
             pending: AtomicUsize::new(0),
             cycles_run: AtomicU64::new(0),
@@ -516,7 +566,7 @@ impl BudgetService {
     /// [`AdmissionError`] describing the rejection; the service state
     /// is unchanged except for the rejection counters.
     pub fn submit(&self, tenant: TenantId, task: Task) -> Result<(), AdmissionError> {
-        // Validation runs before the stats lock — it probes shard
+        // Validation runs before the books lock — it probes shard
         // locks (block existence) and scans the demand curve, so
         // serializing producers through it would defeat the striping.
         let validated = self.validate(&task);
@@ -524,8 +574,10 @@ impl BudgetService {
     }
 
     /// The admission tail shared by [`BudgetService::submit`] and
-    /// [`BudgetService::submit_async`]: stateful gates + counters for
-    /// an already-validated task (and its ticket, if any).
+    /// [`BudgetService::submit_async`]: the stateful gates — duplicate
+    /// id, tenant quota, queue bound, in that order — and the counters
+    /// for an already-validated task (and its ticket, if any), under
+    /// one hold of the books lock.
     fn admit(
         &self,
         tenant: TenantId,
@@ -534,21 +586,51 @@ impl BudgetService {
         trace: Option<TraceContext>,
         ticket: Option<Arc<TicketCell>>,
     ) -> Result<(), AdmissionError> {
-        // The stats lock is held only across the enqueue and counter
-        // updates, making them atomic with the task becoming visible
-        // to a concurrent cycle — a monitor can never observe a grant
-        // whose admission is not yet counted. A cycle records its
-        // grants under this same lock after releasing every other
-        // lock, so there is no ordering cycle. The registry counters
-        // update at the same points under the same lock, so the two
-        // surfaces cannot diverge.
+        // Enqueueing and counting under the one lock makes them atomic
+        // with the task becoming visible to a cycle, which counts its
+        // grants under this same lock holding no shard lock, so there
+        // is no ordering cycle. The registry counters update at the
+        // same points under the same lock, so the two surfaces cannot
+        // diverge.
         let task_id = task.id;
-        let mut stats = self.stats.lock().expect("stats lock poisoned");
-        let result = match validated {
-            Ok(()) => self.enqueue(tenant, task, trace, ticket),
-            Err(e) => Err(e),
-        };
+        let books = &mut *self.books();
+        let book = books.tenants.entry(tenant).or_default();
+        let result = validated.and_then(|()| {
+            let Entry::Vacant(slot) = books.live.entry(task_id) else {
+                return Err(AdmissionError::DuplicateTask { task: task_id });
+            };
+            if self.recovered_granted.contains(&task_id) {
+                return Err(AdmissionError::DuplicateTask { task: task_id });
+            }
+            let quota = self.config.tenant_quota;
+            if book.live >= quota {
+                return Err(AdmissionError::QuotaExceeded { tenant, quota });
+            }
+            let capacity = self.config.queue_capacity;
+            if books.queue.len() >= capacity {
+                return Err(AdmissionError::QueueFull { capacity });
+            }
+            // Open the grant-latency span: the stamp rides in the
+            // submission itself (no side map), read only when
+            // telemetry is live. A traced submission always stamps —
+            // its root span starts here.
+            let admitted_nanos = if self.telemetry.grant_latency.is_enabled() || trace.is_some() {
+                self.obs.now_nanos()
+            } else {
+                0
+            };
+            books.queue.push_back(Submission {
+                task,
+                admitted_nanos,
+                trace,
+            });
+            slot.insert((tenant, ticket));
+            book.live += 1;
+            Ok(())
+        });
+        let stats = &mut books.stats;
         stats.submitted += 1;
+        book.stats.submitted += 1;
         self.telemetry.submitted.inc();
         match &result {
             Ok(()) => stats.admitted += 1,
@@ -557,17 +639,13 @@ impl BudgetService {
             Err(_) => stats.rejected_invalid += 1,
         }
         if result.is_ok() {
+            book.stats.admitted += 1;
             self.telemetry.admitted.inc();
             self.obs
                 .recorder
                 .record(EventKind::TaskAdmitted, task_id, u64::from(tenant));
         } else {
             self.telemetry.rejected.inc();
-        }
-        let t = stats.tenants.entry(tenant).or_default();
-        t.submitted += 1;
-        if result.is_ok() {
-            t.admitted += 1;
         }
         result
     }
@@ -631,50 +709,6 @@ impl BudgetService {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// The admission gates with state: duplicate id, tenant quota,
-    /// queue bound.
-    fn enqueue(
-        &self,
-        tenant: TenantId,
-        task: Task,
-        trace: Option<TraceContext>,
-        ticket: Option<Arc<TicketCell>>,
-    ) -> Result<(), AdmissionError> {
-        // Hold the live-task lock across the queue push so two racing
-        // submissions of the same id (or a quota-straddling pair)
-        // cannot both land, and so the ticket goes live with the task.
-        let mut live = self.live.lock().expect("live-task lock poisoned");
-        if live.tasks.contains_key(&task.id) || self.recovered_granted.contains(&task.id) {
-            return Err(AdmissionError::DuplicateTask { task: task.id });
-        }
-        let tenant_live = live.per_tenant.get(&tenant).copied().unwrap_or(0);
-        if tenant_live >= self.config.tenant_quota {
-            return Err(AdmissionError::QuotaExceeded {
-                tenant,
-                quota: self.config.tenant_quota,
-            });
-        }
-        let id = task.id;
-        // Open the grant-latency span: the stamp rides in the
-        // submission itself (no side map), read only when telemetry is
-        // live. A traced submission always stamps — its root span
-        // starts here.
-        let admitted_nanos = if self.telemetry.grant_latency.is_enabled() || trace.is_some() {
-            self.obs.now_nanos()
-        } else {
-            0
-        };
-        self.queue.push(Submission {
-            tenant,
-            task,
-            admitted_nanos,
-            trace,
-        })?;
-        live.tasks.insert(id, (tenant, ticket));
-        *live.per_tenant.entry(tenant).or_insert(0) += 1;
         Ok(())
     }
 
@@ -752,9 +786,13 @@ impl BudgetService {
         }
     }
 
+    fn books(&self) -> MutexGuard<'_, Books> {
+        self.books.lock().expect("books lock poisoned")
+    }
+
     /// Current admission-queue depth.
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.books().queue.len()
     }
 
     /// Tasks ingested but not yet granted or evicted, as of the last
@@ -767,13 +805,19 @@ impl BudgetService {
     /// per-event logs (see [`ServiceStats`] retention notes); poll
     /// [`BudgetService::stats_summary`] instead from hot loops.
     pub fn stats(&self) -> ServiceStats {
-        self.stats.lock().expect("stats lock poisoned").clone()
+        let books = self.books();
+        let mut stats = books.stats.clone();
+        let tenants = books.tenants.iter();
+        stats.tenants = tenants
+            .map(|(id, book)| (*id, book.stats.clone()))
+            .collect();
+        stats
     }
 
-    /// A fixed-size counter snapshot, computed under the stats lock
+    /// A fixed-size counter snapshot, computed under the books lock
     /// without cloning the per-event logs.
     pub fn stats_summary(&self) -> crate::stats::StatsSummary {
-        self.stats.lock().expect("stats lock poisoned").summary()
+        self.books().stats.summary()
     }
 
     /// Runs one scheduling cycle at virtual time `now`. Concurrent
@@ -792,14 +836,23 @@ impl BudgetService {
         let t_start = self.obs.now_nanos();
 
         // Phase 1: ingest the admission queue, then evict timed-out
-        // tasks in arrival order.
-        let batch = self.queue.drain(self.config.ingest_batch);
-        let ingested = batch.len();
-        let queue_depth = self.queue.len();
-        pending.arrivals.extend(batch.into_iter().map(|mut s| {
+        // tasks in arrival order. A whole queue is swapped for the
+        // empty arrivals buffer, so neither is reallocated next cycle.
+        let queue_depth = {
+            let queue = &mut self.books().queue;
+            let max = self.config.ingest_batch;
+            debug_assert!(pending.arrivals.is_empty(), "decide drains them");
+            if max >= queue.len() {
+                std::mem::swap(queue, &mut pending.arrivals);
+            } else {
+                pending.arrivals.extend(queue.drain(..max));
+            }
+            queue.len()
+        };
+        let ingested = pending.arrivals.len();
+        for s in &mut pending.arrivals {
             s.task.timeout = s.task.timeout.or(self.config.default_timeout);
-            s
-        }));
+        }
         let mut evicted: Vec<TaskId> = Vec::new();
         pending.evict_expired(now, &mut evicted);
         self.pending.store(pending.len(), Ordering::Relaxed);
@@ -839,30 +892,32 @@ impl BudgetService {
             }
         }
         // Granted and evicted tasks are no longer live: their tickets
-        // resolve, their ids may be reused and their tenants' quota
-        // slots free up. Their flight-recorder events close here too —
-        // the recorder lock and the tickets' parking locks are leaves,
-        // so holding the live lock across them creates no ordering
-        // cycle.
+        // resolve, their ids may be reused, their tenants' quota slots
+        // free up, and they are counted — all in one hold of the books
+        // lock, before compaction. Their flight-recorder events close
+        // here too — the recorder lock and the tickets' parking locks
+        // are leaves, so holding the books lock across them creates no
+        // ordering cycle.
         {
-            let mut live = self.live.lock().expect("live-task lock poisoned");
+            let mut books = self.books();
             for Grant { task, .. } in &granted {
-                live.decide(
-                    task.id,
-                    Decision::Granted {
-                        allocated_at: task.allocated_at,
-                    },
-                );
+                let allocated_at = task.allocated_at;
+                let tenant = books.decide(task.id, Decision::Granted { allocated_at });
+                tenant.stats.granted += 1;
+                tenant.stats.granted_weight += task.weight;
+                books.stats.record_granted(task.clone());
                 self.obs
                     .recorder
                     .record(EventKind::TaskGranted, task.id, now.to_bits());
             }
             for id in &evicted {
-                live.decide(*id, Decision::Evicted);
+                books.decide(*id, Decision::Evicted);
+                books.stats.record_evicted(*id);
                 self.obs
                     .recorder
                     .record(EventKind::TaskEvicted, *id, now.to_bits());
             }
+            books.stats.released += released as u64;
         }
 
         // Durable bookkeeping: fold the logs into snapshots on the
@@ -972,17 +1027,7 @@ impl BudgetService {
             algorithm,
             total: Duration::from_nanos(t_end.saturating_sub(t_start)),
         };
-        let mut stats = self.stats.lock().expect("stats lock poisoned");
-        for Grant { tag, task } in granted {
-            let t = stats.tenants.entry(tag.tenant).or_default();
-            t.granted += 1;
-            t.granted_weight += task.weight;
-            stats.record_granted(task);
-        }
-        stats.released += released as u64;
-        for id in evicted {
-            stats.record_evicted(id);
-        }
+        let stats = &mut self.books().stats;
         stats.scheduler_runtime += algorithm;
         stats.durability = durability;
         stats.record_cycle(cycle.clone());
@@ -1018,7 +1063,6 @@ impl BudgetService {
             .expect("blocks are never unregistered");
         for s in pending.arrivals.drain(..) {
             pending.tags.push(Tag {
-                tenant: s.tenant,
                 admitted_nanos: s.admitted_nanos,
                 trace: s.trace,
             });
@@ -1168,7 +1212,7 @@ mod tests {
     use crate::config::SchedulerChoice;
     use crate::replication::{ReplShipError, ReplStream, ReplicationSink, ShipBatch};
     use dp_accounting::RdpCurve;
-    use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, vecs, weighted};
+    use dpack_check::{bools, check_cases, ints, prop_assert, prop_assert_eq, vecs, weighted};
     use dpack_core::online::{OnlineConfig, OnlineEngine};
     use dpack_core::schedulers::DPack;
 
@@ -1348,6 +1392,43 @@ mod tests {
         assert_eq!(service.stats().evicted, vec![0]);
     }
 
+    /// A service on `config` over [`immediate_unlock`]`(1, 1)`.
+    fn degenerate(config: impl FnOnce(&mut ServiceConfig)) -> BudgetService {
+        let mut c = immediate_unlock(1, 1);
+        config(&mut c);
+        BudgetService::new(grid(), c)
+    }
+
+    #[test]
+    #[should_panic(expected = "default timeout must be finite and >= 0")]
+    fn a_nan_default_timeout_is_refused() {
+        degenerate(|c| c.default_timeout = Some(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "default timeout must be finite and >= 0")]
+    fn an_infinite_default_timeout_is_refused() {
+        degenerate(|c| c.default_timeout = Some(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "default timeout must be finite and >= 0")]
+    fn a_negative_default_timeout_is_refused() {
+        degenerate(|c| c.default_timeout = Some(-1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ingest batch must be >= 1")]
+    fn a_zero_ingest_batch_is_refused() {
+        degenerate(|c| c.ingest_batch = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue capacity must be >= 1")]
+    fn a_zero_queue_capacity_is_refused() {
+        degenerate(|c| c.queue_capacity = 0);
+    }
+
     #[test]
     fn invalid_submissions_are_counted_and_rejected() {
         let service = BudgetService::new(grid(), immediate_unlock(2, 1));
@@ -1447,11 +1528,254 @@ mod tests {
         assert_eq!((cycle.granted(), cycle.evicted), (1, 1));
     }
 
-    /// The live table as `(task ids, live tasks per tenant)`.
+    /// The live table as `(task ids, live tasks per tenant)`, both
+    /// sorted, tenants with no live task left out.
     fn live_entries(service: &BudgetService) -> (Vec<TaskId>, Vec<(TenantId, usize)>) {
-        let live = service.live.lock().unwrap();
-        let ids = live.tasks.keys().copied().collect();
-        (ids, live.per_tenant.iter().map(|(t, n)| (*t, *n)).collect())
+        let books = service.books();
+        let mut ids: Vec<_> = books.live.keys().copied().collect();
+        ids.sort_unstable();
+        let counts = books.tenants.iter().filter(|(_, b)| b.live > 0);
+        let mut counts: Vec<_> = counts.map(|(t, b)| (*t, b.live)).collect();
+        counts.sort_unstable();
+        (ids, counts)
+    }
+
+    /// A task as the admission model sees it.
+    #[derive(Debug, Clone, Copy)]
+    struct ModelTask {
+        tenant: TenantId,
+        id: TaskId,
+        /// Fits every block together with any other feasible task;
+        /// the others fit nowhere.
+        feasible: bool,
+        arrival: f64,
+        timeout: Option<f64>,
+        /// Its ticket's index in the run's ticket list.
+        ticket: Option<usize>,
+    }
+
+    /// The plain reference admission and ingest follow: a FIFO with a
+    /// bound, a live-id table, a per-tenant live cap, and a cycle that
+    /// drains a batch, evicts what expired and grants every feasible
+    /// task left.
+    #[derive(Debug, Default)]
+    struct AdmissionModel {
+        now: f64,
+        queue: std::collections::VecDeque<ModelTask>,
+        pending: Vec<ModelTask>,
+        live: std::collections::BTreeMap<TaskId, TenantId>,
+        /// submitted, admitted, rejected full, quota, invalid.
+        counters: [u64; 5],
+        tenants: std::collections::BTreeMap<TenantId, crate::stats::TenantStats>,
+        /// Each ticket's expected decision so far.
+        decisions: Vec<Option<Decision>>,
+    }
+
+    const MODEL_QUEUE: usize = 3;
+    const MODEL_QUOTA: usize = 2;
+    const MODEL_INGEST: usize = 2;
+    const MODEL_TIMEOUT: f64 = 3.0;
+
+    impl AdmissionModel {
+        fn live_entries(&self) -> (Vec<TaskId>, Vec<(TenantId, usize)>) {
+            let mut counts = std::collections::BTreeMap::new();
+            for tenant in self.live.values() {
+                *counts.entry(*tenant).or_insert(0) += 1;
+            }
+            (
+                self.live.keys().copied().collect(),
+                counts.into_iter().collect(),
+            )
+        }
+
+        fn submit(
+            &mut self,
+            task: ModelTask,
+            invalid: Option<AdmissionError>,
+        ) -> Result<(), AdmissionError> {
+            let tenant_live = self.live.values().filter(|t| **t == task.tenant).count();
+            let result = if let Some(e) = invalid {
+                Err(e)
+            } else if self.live.contains_key(&task.id) {
+                Err(AdmissionError::DuplicateTask { task: task.id })
+            } else if tenant_live >= MODEL_QUOTA {
+                Err(AdmissionError::QuotaExceeded {
+                    tenant: task.tenant,
+                    quota: MODEL_QUOTA,
+                })
+            } else if self.queue.len() >= MODEL_QUEUE {
+                Err(AdmissionError::QueueFull {
+                    capacity: MODEL_QUEUE,
+                })
+            } else {
+                self.live.insert(task.id, task.tenant);
+                self.queue.push_back(task);
+                Ok(())
+            };
+            let counter = match &result {
+                Ok(()) => 1,
+                Err(AdmissionError::QueueFull { .. }) => 2,
+                Err(AdmissionError::QuotaExceeded { .. }) => 3,
+                Err(_) => 4,
+            };
+            self.counters[0] += 1;
+            self.counters[counter] += 1;
+            let t = self.tenants.entry(task.tenant).or_default();
+            t.submitted += 1;
+            t.admitted += u64::from(result.is_ok());
+            result
+        }
+
+        /// One cycle at `now + 1`: `(ingested, evicted ids in order,
+        /// granted ids sorted)`.
+        fn cycle(&mut self) -> (usize, Vec<TaskId>, Vec<TaskId>) {
+            self.now += 1.0;
+            let now = self.now;
+            let ingested = self.queue.len().min(MODEL_INGEST);
+            self.pending
+                .extend(self.queue.drain(..ingested).map(|mut t| {
+                    t.timeout = t.timeout.or(Some(MODEL_TIMEOUT));
+                    t
+                }));
+            let (mut evicted, mut granted) = (Vec::new(), Vec::new());
+            let mut left = Vec::new();
+            for t in std::mem::take(&mut self.pending) {
+                let decision = if t.timeout.is_some_and(|dt| now - t.arrival > dt) {
+                    evicted.push(t.id);
+                    Decision::Evicted
+                } else if t.feasible {
+                    granted.push(t.id);
+                    let stats = self.tenants.get_mut(&t.tenant).unwrap();
+                    stats.granted += 1;
+                    stats.granted_weight += 1.0;
+                    Decision::Granted { allocated_at: now }
+                } else {
+                    left.push(t);
+                    continue;
+                };
+                self.live.remove(&t.id);
+                if let Some(at) = t.ticket {
+                    self.decisions[at] = Some(decision);
+                }
+            }
+            self.pending = left;
+            granted.sort_unstable();
+            (ingested, evicted, granted)
+        }
+    }
+
+    /// Admission and ingest against [`AdmissionModel`]: drawn runs of
+    /// `submit`/`submit_async` over a few tenants and repeated ids —
+    /// feasible tasks, doomed ones that time out, malformed ones —
+    /// against a three-slot queue and a two-task tenant quota, and
+    /// cycles that ingest two submissions each. Every answer is the
+    /// model's exact `Result`, and after every step the queue depth,
+    /// the sorted live table, the per-tenant live counts, the
+    /// admission counters, the tenant counters and every ticket agree
+    /// with it; every cycle ingests, evicts (in arrival order) and
+    /// grants what the model's FIFO does.
+    #[test]
+    fn admission_follows_a_plain_model() {
+        // (kind, tenant, id, async): kinds 0–2 run a cycle, 3–6 submit
+        // a feasible task, 7 and 8 a doomed one (with its own timeout
+        // or the default), 9 a malformed one.
+        let op = (ints(0u8..10), ints(0u32..3), ints(0u64..6), bools());
+        check_cases(
+            "admission_follows_a_plain_model",
+            64,
+            vecs(op, 1..48),
+            |ops| {
+                let service = BudgetService::new(
+                    grid(),
+                    ServiceConfig {
+                        queue_capacity: MODEL_QUEUE,
+                        tenant_quota: MODEL_QUOTA,
+                        ingest_batch: MODEL_INGEST,
+                        default_timeout: Some(MODEL_TIMEOUT),
+                        ..immediate_unlock(2, 1)
+                    },
+                );
+                for j in 0..2u64 {
+                    let b = Block::new(j, RdpCurve::constant(&grid(), 1_000.0), 0.0);
+                    service.register_block(b).unwrap();
+                }
+                let mut model = AdmissionModel::default();
+                let mut tickets = Vec::new();
+                for &(kind, tenant, id, is_async) in ops {
+                    if kind < 3 {
+                        let (ingested, evicted, granted) = model.cycle();
+                        let before = service.stats();
+                        let cycle = service.run_cycle(model.now);
+                        let after = service.stats();
+                        prop_assert_eq!(cycle.ingested, ingested);
+                        prop_assert_eq!(cycle.queue_depth, model.queue.len());
+                        prop_assert_eq!(service.pending_count(), model.pending.len());
+                        let fresh = after.evicted.iter().skip(before.evicted.len());
+                        prop_assert_eq!(fresh.copied().collect::<Vec<_>>(), evicted);
+                        let fresh = after.granted.iter().skip(before.granted.len());
+                        let mut ids: Vec<_> = fresh.map(|a| a.id).collect();
+                        ids.sort_unstable();
+                        prop_assert_eq!(ids, granted);
+                    } else {
+                        let feasible = kind < 7;
+                        let blocks = if id % 3 == 0 {
+                            vec![0, 1]
+                        } else {
+                            vec![id % 2]
+                        };
+                        let eps = if feasible { 0.01 } else { 1e6 };
+                        let mut task =
+                            Task::new(id, 1.0, blocks, RdpCurve::constant(&grid(), eps), model.now);
+                        task.timeout = (kind == 7).then_some(1.5);
+                        let invalid = (kind == 9).then(|| {
+                            if id % 2 == 0 {
+                                task.blocks = vec![9];
+                                AdmissionError::UnknownBlock { task: id, block: 9 }
+                            } else {
+                                task.weight = f64::NAN;
+                                AdmissionError::InvalidTask {
+                                    task: id,
+                                    reason: "weight must be finite and > 0",
+                                }
+                            }
+                        });
+                        let entry = ModelTask {
+                            tenant,
+                            id,
+                            feasible,
+                            arrival: model.now,
+                            timeout: task.timeout,
+                            ticket: is_async.then_some(tickets.len()),
+                        };
+                        let expected = model.submit(entry, invalid);
+                        let got = if is_async {
+                            service.submit_async(tenant, task).map(|ticket| {
+                                tickets.push(ticket);
+                                model.decisions.push(None);
+                            })
+                        } else {
+                            service.submit(tenant, task)
+                        };
+                        prop_assert_eq!(got, expected);
+                    }
+                    prop_assert_eq!(service.queue_depth(), model.queue.len());
+                    prop_assert_eq!(live_entries(&service), model.live_entries());
+                    let stats = service.stats();
+                    let counters = [
+                        stats.submitted,
+                        stats.admitted,
+                        stats.rejected_full,
+                        stats.rejected_quota,
+                        stats.rejected_invalid,
+                    ];
+                    prop_assert_eq!(counters, model.counters);
+                    prop_assert_eq!(&stats.tenants, &model.tenants);
+                    let decisions: Vec<_> = tickets.iter().map(|t| t.try_decision()).collect();
+                    prop_assert_eq!(decisions, model.decisions);
+                }
+                Ok(())
+            },
+        );
     }
 
     /// Hostile numbers — NaN, ±inf, negatives — drawn into any mix of
@@ -1627,8 +1951,8 @@ mod tests {
             .register_block(Block::new(0, RdpCurve::constant(&grid(), 1.0), 0.0))
             .unwrap();
         let live = |s: &BudgetService| {
-            let live = s.live.lock().unwrap();
-            (live.tasks.len(), live.per_tenant.get(&3).copied())
+            let books = s.books();
+            (books.live.len(), books.tenants.get(&3).map(|b| b.live))
         };
         // Demand 9.0 never fits the block; 0.2 always does.
         let task = |id, eps, arrival| {
@@ -1872,7 +2196,7 @@ mod tests {
             service.submit_async(2, simple_task(1, vec![9], 0.1)),
             Err(AdmissionError::UnknownBlock { .. })
         ));
-        assert!(service.live.lock().unwrap().tasks.is_empty());
+        assert!(service.books().live.is_empty());
     }
 
     #[test]
@@ -1918,7 +2242,7 @@ mod tests {
         });
         let service = handle.stop();
         assert_eq!(service.stats_summary().granted, 160);
-        assert!(service.live.lock().unwrap().tasks.is_empty());
+        assert!(service.books().live.is_empty());
         assert!(service.ledger().unsound_blocks().is_empty());
     }
 
@@ -2050,11 +2374,13 @@ mod tests {
             .register_block(Block::new(0, RdpCurve::constant(&grid(), 1.0), 0.0))
             .unwrap();
         service.submit(0, simple_task(1, vec![0], 0.3)).unwrap();
-        let queued = service.queue.drain(usize::MAX);
-        assert!(queued.iter().all(|s| s.admitted_nanos == 0));
-        for s in queued {
-            service.queue.push(s).unwrap();
-        }
+        let stamps: Vec<u64> = service
+            .books()
+            .queue
+            .iter()
+            .map(|s| s.admitted_nanos)
+            .collect();
+        assert_eq!(stamps, [0]);
         let cycle = service.run_cycle(1.0);
         assert_eq!(cycle.granted(), 1);
         assert!(service.obs().registry.snapshot().samples.is_empty());

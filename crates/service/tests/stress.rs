@@ -13,6 +13,10 @@
 //! * **Exact conservation** — granted + evicted + still-live (queued
 //!   or pending) + rejected == submitted, cross-checked against the
 //!   submitters' own counts.
+//! * **Counters balance at every read** — a monitor polling
+//!   `stats_summary` mid-run never sees a grant or eviction its
+//!   admission does not cover, nor a submission counted neither
+//!   admitted nor rejected.
 //! * **Two-phase commit atomicity** — the ledger's per-block grant
 //!   count equals the sum over granted tasks of their block counts: a
 //!   partially-committed cross-shard task would break the equality.
@@ -244,6 +248,33 @@ fn concurrent_seeded_stress_conserves_soundness_and_atomicity() {
         })
     };
 
+    // Live monitor: every summary read mid-run must already balance.
+    // A grant or eviction is never counted before its admission, and
+    // a submission is counted once, admitted or rejected, at the same
+    // instant it is counted submitted.
+    let monitor = {
+        let service = Arc::clone(&service);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut reads = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let s = service.stats_summary();
+                assert!(
+                    s.granted + s.evicted <= s.admitted,
+                    "decided before admitted: {s:?}"
+                );
+                assert_eq!(
+                    s.admitted + s.rejected,
+                    s.submitted,
+                    "torn admission: {s:?}"
+                );
+                reads += 1;
+                std::thread::yield_now();
+            }
+            reads
+        })
+    };
+
     let seed = 0xD9AC_2024;
     let logs: Vec<ThreadLog> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..N_THREADS)
@@ -263,6 +294,7 @@ fn concurrent_seeded_stress_conserves_soundness_and_atomicity() {
     }
     stop.store(true, Ordering::Relaxed);
     let final_now = cycle_thread.join().unwrap();
+    assert!(monitor.join().unwrap() > 0, "the monitor never read");
     // One quiescent cycle after the last submission, for a stable read.
     service.run_cycle(final_now as f64 + 1.0);
 

@@ -255,6 +255,9 @@ impl SimulationSpec {
         if spec.sim.scheduling_period <= 0.0 || spec.sim.scheduling_period.is_nan() {
             return Err(ConfigError("scheduling_period must be positive".into()));
         }
+        if matches!(spec.sim.task_timeout, Some(t) if !t.is_finite() || t < 0.0) {
+            return Err(ConfigError("task_timeout must be finite and >= 0".into()));
+        }
         if spec.durability != DurabilityKind::None && spec.backend != BackendKind::Service {
             return Err(ConfigError(
                 "durability requires 'backend = service'".into(),
@@ -395,6 +398,9 @@ mod tests {
         assert!(SimulationSpec::parse("seed = abc").is_err());
         assert!(SimulationSpec::parse("just a line").is_err());
         assert!(SimulationSpec::parse("n_blocks = 0").is_err());
+        for timeout in ["-1", "inf", "NaN"] {
+            assert!(SimulationSpec::parse(&format!("task_timeout = {timeout}")).is_err());
+        }
     }
 
     #[test]

@@ -62,11 +62,24 @@ fi
 
 echo "==> checking a pass's threads are chosen in one place and tickets live in the live-task table"
 # SchedulerChoice::schedule (config.rs) sizes every pass from its tasks ×
-# orders; the ticket map beside the live-task table stays deleted.
+# orders; the ticket map beside the live-task table (in Books) stays deleted.
 if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
     crates/service/src/*.rs | grep -vE '^[^ ]+ *//|^crates/service/src/config.rs:' \
   | grep -E 'tickets:|Parallel(DPack|Dpf)|schedule_threaded|dpf_schedule|pass_threads'; then
-  echo "ERROR: only SchedulerChoice::schedule picks a pass's threads, and tickets live in LiveTasks (see above)" >&2
+  echo "ERROR: only SchedulerChoice::schedule picks a pass's threads, and tickets live in Books (see above)" >&2
+  exit 1
+fi
+
+echo "==> checking a submission takes one service lock"
+# BudgetService (service.rs) holds two locks: `books` — the queue, the
+# live-task table, the tenant records and the stats, all a submission
+# touches — and `cycle_lock`. The queue type and live-task lock that
+# made admission take four stay deleted.
+locks="$(awk '/^pub struct BudgetService \{/ { on = 1 } on && /^\}/ { exit }
+    on && !/^ *\/\// && /Mutex</ { sub(/:.*/, ""); printf "%s", $1 " " }' crates/service/src/service.rs)"
+if [ "${locks}" != "books cycle_lock " ] || awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    crates/service/src/*.rs | grep -vE '^[^ ]+ *//' | grep -E 'AdmissionQueue|live: Mutex'; then
+  echo "ERROR: BudgetService's Mutex fields must be exactly books and cycle_lock, with no AdmissionQueue or live-task lock (got: ${locks})" >&2
   exit 1
 fi
 
@@ -194,6 +207,11 @@ cargo test -q
 # cheap (0.04 s at 64 cases), so it runs once more at 2000.
 echo "==> prop_dense_kernel at DPACK_CHECK_CASES=2000"
 DPACK_CHECK_CASES=2000 cargo test -q -p dpack-core --test prop_dense_kernel
+
+# Admission's gates, counters and FIFO ingest against a plain model
+# (~2 s at 2000 cases): the one check on their order and error values.
+echo "==> admission model property at DPACK_CHECK_CASES=2000"
+DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --lib service::tests::admission_follows_a_plain_model
 
 # Lost wake-ups hang and torn decisions fail a bit check; races show
 # best optimized, so the ticket race suite runs in release, 20 times.
