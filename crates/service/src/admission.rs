@@ -114,6 +114,75 @@ impl std::error::Error for AdmissionError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BudgetService, ServiceConfig};
+    use dp_accounting::{AlphaGrid, RdpCurve};
+    use dpack_core::problem::Block;
+
+    /// A single-shard service with one roomy block, immediate unlock
+    /// and the given queue bound and ingest batch.
+    fn service(queue_capacity: usize, ingest_batch: usize) -> BudgetService {
+        let g = AlphaGrid::single(2.0).unwrap();
+        let service = BudgetService::new(
+            g.clone(),
+            ServiceConfig {
+                unlock_steps: 1,
+                queue_capacity,
+                ingest_batch,
+                ..ServiceConfig::sequential()
+            },
+        );
+        let block = Block::new(0, RdpCurve::constant(&g, 1_000.0), 0.0);
+        service.register_block(block).unwrap();
+        service
+    }
+
+    fn task(id: TaskId) -> Task {
+        let g = AlphaGrid::single(2.0).unwrap();
+        Task::new(id, 1.0, vec![0], RdpCurve::constant(&g, 0.1), 0.0)
+    }
+
+    #[test]
+    fn fifo_order_is_preserved() {
+        // One task ingested per cycle, each granted the cycle it lands
+        // in: the grant order is the queue's drain order.
+        let service = service(16, 1);
+        for i in 0..5 {
+            service.submit(0, task(i)).unwrap();
+        }
+        for now in 1..=5 {
+            assert_eq!(service.run_cycle(f64::from(now)).ingested, 1);
+        }
+        let ids: Vec<TaskId> = service.stats().granted.iter().map(|a| a.id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        assert_eq!(service.queue_depth(), 0);
+    }
+
+    #[test]
+    fn capacity_bound_applies_backpressure() {
+        let service = service(2, 1);
+        service.submit(0, task(0)).unwrap();
+        service.submit(1, task(1)).unwrap();
+        assert_eq!(
+            service.submit(2, task(2)),
+            Err(AdmissionError::QueueFull { capacity: 2 })
+        );
+        // Draining frees space again.
+        assert_eq!(service.run_cycle(1.0).ingested, 1);
+        service.submit(2, task(2)).unwrap();
+        assert_eq!(service.queue_depth(), 2);
+    }
+
+    #[test]
+    fn partial_drain_respects_max() {
+        let service = service(16, 4);
+        for i in 0..6 {
+            service.submit(0, task(i)).unwrap();
+        }
+        let cycle = service.run_cycle(1.0);
+        assert_eq!(cycle.ingested, 4);
+        assert_eq!(cycle.queue_depth, 2);
+        assert_eq!(service.queue_depth(), 2);
+    }
 
     #[test]
     fn errors_render_messages() {
