@@ -36,7 +36,6 @@
 //! assert_eq!(allocation.scheduled.len(), 2);
 //! ```
 
-pub mod compute;
 mod dense;
 pub mod metrics;
 pub mod online;

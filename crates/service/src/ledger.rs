@@ -325,6 +325,15 @@ impl ShardedLedger {
                 if let Some(defect) = block_defect(state.arrival, &state.total) {
                     return Err(WalError::Corrupt(format!("block {} {defect}", state.id)));
                 }
+                // The live path charges only chargeable demands from 0,
+                // so consumption below 0 (or NaN) is a refund no grant
+                // made — and `-inf` a filter that never refuses.
+                if !state.consumed.iter().all(|c| *c >= 0.0) {
+                    return Err(WalError::Corrupt(format!(
+                        "block {} consumption must be >= 0 at every order",
+                        state.id
+                    )));
+                }
                 let home = self.shard_of(state.id);
                 let blocks = self.shards[home].get_mut().expect("fresh ledger");
                 blocks.put(state.id, state.to_ledger(&self.grid)?, &self.tier);

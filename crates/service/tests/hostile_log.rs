@@ -16,9 +16,11 @@
 //!   riding a shipped batch);
 //! * a well-formed record that holds a value the **live path refuses**:
 //!   a block (registration, resync base or compaction snapshot) with a
-//!   non-finite arrival or capacity, a grant (`Apply`, or a committed
-//!   `Intent`) with a negative or `-inf` demand — which would replay as
-//!   a filter that never refuses, or as a refund.
+//!   non-finite arrival or capacity, a block (resync base or compaction
+//!   snapshot) whose consumption is negative or `-inf` at some order, a
+//!   grant (`Apply`, or a committed `Intent`) with a negative or `-inf`
+//!   demand — which would replay as a filter that never refuses, or as
+//!   a refund.
 
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, vecs, Failed, PropResult};
@@ -135,23 +137,29 @@ fn append_raw(sim: &SimStorage, record: &[u8]) {
 /// resync base, compaction snapshot, `Apply`, committed `Intent` — that
 /// holds one value `register_block` or admission refuses, drawn from
 /// `seed`: a non-finite arrival or capacity for a block, a negative or
-/// `-inf` demand for a grant. Returns the log and what it holds.
+/// `-inf` consumption for a base's or snapshot's block (which the live
+/// path, charging only chargeable demands from 0, never holds), a
+/// negative or `-inf` demand for a grant. Returns the log and what it
+/// holds.
 fn refused_value_log(kind: u8, seed: u64) -> (SimStorage, String) {
     let unlivable = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(seed % 3) as usize];
     let refund = [-0.5, -f64::from_bits(1), -1e300, f64::NEG_INFINITY][(seed >> 2) as usize % 4];
     let order = (seed >> 4) as usize % 2;
     let id = 100 + (seed >> 5) % 64;
     let shard = (id % SHARDS as u64) as u32;
-    let (mut arrival, mut capacity) = (0.5, vec![1.0; 2]);
-    match (seed >> 11) % 2 {
+    let (mut arrival, mut capacity, mut consumed) = (0.5, vec![1.0; 2], vec![0.0; 2]);
+    // Only a snapshot's or a base's block carries a consumption.
+    let carries_consumption = matches!(kind % 5, 1 | 2);
+    match (seed >> 11) % 3 {
         0 => arrival = unlivable,
+        2 if carries_consumption => consumed[order] = refund,
         _ => capacity[order] = unlivable,
     }
     let state = BlockState {
         id,
         arrival,
         total: capacity.clone(),
-        consumed: vec![0.0; 2],
+        consumed,
         granted: 0,
     };
     let mut demand = vec![0.1; 2];
@@ -322,4 +330,21 @@ fn junk_under_a_valid_checksum_fails_typed_and_never_panics() {
             }
         },
     );
+}
+
+/// The four refunded-consumption logs — a compaction snapshot or a
+/// resync base whose block consumed `-0.5` (a refund) or `-inf` (a
+/// filter that never refuses) at one order — each fail recovery typed,
+/// whatever the drawn suite above happens to reach.
+#[test]
+fn refunded_consumption_in_a_snapshot_or_base_is_corrupt() {
+    for kind in [1, 2] {
+        // (seed >> 11) % 3 == 2 puts the refund in `consumed`, and
+        // (seed >> 2) % 4 picks -0.5 (0) or -inf (3).
+        for refund in [0, 3] {
+            let (sim, what) = refused_value_log(kind, (2 << 11) | (refund << 2));
+            assert!(what.contains("consumed: [-"), "{what}");
+            recovery_is_corrupt(&sim, &what).unwrap();
+        }
+    }
 }
