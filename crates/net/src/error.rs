@@ -17,6 +17,7 @@
 use std::fmt;
 use std::io;
 
+use dpack_service::wal::codec::CodecError;
 use dpack_service::AdmissionError;
 
 /// A stable, wire-encoded failure identifier. The discriminants are
@@ -217,6 +218,12 @@ impl std::error::Error for NetError {
 impl From<io::Error> for NetError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
+    }
+}
+
+impl From<CodecError> for NetError {
+    fn from(e: CodecError) -> Self {
+        Self::Protocol(e.0)
     }
 }
 

@@ -38,6 +38,7 @@ use std::time::Duration;
 
 use dpack_obs::trace::{span_id, SpanKind};
 use dpack_obs::{Clock, Counter, EventKind, FlightRecorder, Gauge, Histogram, TraceContext};
+use dpack_service::wal::codec::Reader;
 use dpack_service::{BudgetService, Decision, SubmissionTicket};
 
 use crate::error::{admission_code, ErrorCode, NetError};
@@ -67,7 +68,7 @@ fn clamp_reply(payload: Vec<u8>) -> Vec<u8> {
         return payload;
     }
     // `tag u8 ‖ request id u64` prefixes every encoded response.
-    let id = u64::from_le_bytes(payload[1..9].try_into().expect("sized"));
+    let id = Reader::new(&payload[1..]).u64().expect("a response");
     ResponseFrame {
         id,
         body: Response::Error {

@@ -46,11 +46,13 @@
 //! A compaction snapshot and a resync base hold their blocks'
 //! persisted states ([`encode_snapshot`]).
 //!
-//! All integers and `f64` bit patterns are little-endian; curves are
-//! stored as raw `f64::to_bits` so round-trips are exact.
+//! Every field is written and read by [`dpack_wal::codec`], the one
+//! place the field rules live (little-endian integers, curves as raw
+//! `f64::to_bits` so round-trips are exact, `u32`-counted lists).
 
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_core::problem::{BlockId, TaskId};
+use dpack_wal::codec::{self, Codec, CodecError, Reader};
 use dpack_wal::WalError;
 
 use crate::replication::ReplStream;
@@ -126,19 +128,21 @@ pub enum LogRecord {
     },
 }
 
-/// Persisted per-block state inside a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockState {
-    /// The block id.
-    pub id: BlockId,
-    /// Arrival time.
-    pub arrival: f64,
-    /// Total capacity values.
-    pub total: Vec<f64>,
-    /// Cumulative consumption values (exact bit patterns).
-    pub consumed: Vec<f64>,
-    /// Demands granted so far.
-    pub granted: u64,
+dpack_wal::codec_struct! {
+    /// Persisted per-block state inside a snapshot.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BlockState {
+        /// The block id.
+        pub id: BlockId,
+        /// Arrival time.
+        pub arrival: f64,
+        /// Total capacity values.
+        pub total: Vec<f64>,
+        /// Cumulative consumption values (exact bit patterns).
+        pub consumed: Vec<f64>,
+        /// Demands granted so far.
+        pub granted: u64,
+    }
 }
 
 impl BlockState {
@@ -160,122 +164,6 @@ fn curve(grid: &AlphaGrid, values: &[f64]) -> Result<RdpCurve, WalError> {
         .map_err(|e| WalError::Corrupt(format!("persisted curve does not fit the grid: {e}")))
 }
 
-fn corrupt(what: &str) -> WalError {
-    WalError::Corrupt(what.to_string())
-}
-
-// ---- primitive little-endian codec ----------------------------------
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_len(buf: &mut Vec<u8>, n: usize) {
-    let n = u32::try_from(n).expect("record list exceeds u32 length");
-    buf.extend_from_slice(&n.to_le_bytes());
-}
-
-fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_len(buf, vs.len());
-    for v in vs {
-        put_f64(buf, *v);
-    }
-}
-
-fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
-    put_len(buf, vs.len());
-    for v in vs {
-        put_u64(buf, *v);
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WalError> {
-        if self.bytes.len() < n {
-            return Err(corrupt("record truncated"));
-        }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WalError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WalError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WalError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
-    }
-
-    fn f64(&mut self) -> Result<f64, WalError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a list length and validates it against the bytes actually
-    /// remaining (`elem_bytes` per element) — a corrupt length prefix
-    /// must surface as [`WalError::Corrupt`], never as a huge
-    /// allocation request.
-    fn list_len(&mut self, elem_bytes: usize) -> Result<usize, WalError> {
-        let n = self.u32()? as usize;
-        if n.checked_mul(elem_bytes)
-            .is_none_or(|b| b > self.bytes.len())
-        {
-            return Err(corrupt("list length exceeds the record"));
-        }
-        Ok(n)
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, WalError> {
-        let n = self.list_len(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, WalError> {
-        let n = self.list_len(8)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WalError> {
-        let n = self.list_len(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// The stream tag a record opens with.
-    fn stream(&mut self) -> Result<ReplStream, WalError> {
-        match self.u8()? {
-            STREAM_SHARD => Ok(ReplStream::Shard(self.u32()?)),
-            STREAM_COORD => Ok(ReplStream::Coordinator),
-            tag => Err(WalError::Corrupt(format!("unknown stream tag {tag}"))),
-        }
-    }
-
-    fn done(self) -> Result<(), WalError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing bytes after record"))
-        }
-    }
-}
-
-// ---- record codecs ---------------------------------------------------
-
 const STREAM_SHARD: u8 = 1;
 const STREAM_COORD: u8 = 2;
 const KIND_BLOCK: u8 = 1;
@@ -285,13 +173,113 @@ const KIND_COMMIT: u8 = 1;
 const KIND_ABORT: u8 = 2;
 const KIND_BASE: u8 = 9;
 
-fn put_stream(buf: &mut Vec<u8>, stream: ReplStream) {
-    match stream {
-        ReplStream::Shard(shard) => {
-            buf.push(STREAM_SHARD);
-            buf.extend_from_slice(&shard.to_le_bytes());
+/// The stream tag a record opens with: 1 and the shard's `u32` index,
+/// or 2 for the coordinator.
+impl Codec for ReplStream {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            Self::Shard(shard) => (STREAM_SHARD, shard).put(out),
+            Self::Coordinator => STREAM_COORD.put(out),
         }
-        ReplStream::Coordinator => buf.push(STREAM_COORD),
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            STREAM_SHARD => Ok(Self::Shard(r.u32()?)),
+            STREAM_COORD => Ok(Self::Coordinator),
+            tag => Err(CodecError::new(format!("unknown stream tag {tag}"))),
+        }
+    }
+}
+
+impl Codec for LogRecord {
+    /// A coordinator base with an empty snapshot: stream, kind, seq and
+    /// the snapshot's count.
+    const MIN_BYTES: usize = 2 + 8 + 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Self::Block {
+                shard,
+                id,
+                arrival,
+                capacity,
+            } => {
+                (ReplStream::Shard(*shard), KIND_BLOCK).put(out);
+                (*id, *arrival).put(out);
+                capacity.put(out);
+            }
+            Self::Apply {
+                shard,
+                task,
+                demand,
+                blocks,
+            } => encode_apply_into(out, *shard, *task, demand, blocks),
+            Self::Intent {
+                shard,
+                attempt,
+                task,
+                demand,
+                blocks,
+            } => encode_intent_into(out, *shard, *attempt, *task, demand, blocks),
+            Self::Commit { attempt, task } => {
+                (ReplStream::Coordinator, KIND_COMMIT).put(out);
+                (*attempt, *task).put(out);
+            }
+            Self::Abort { attempt, task } => {
+                (ReplStream::Coordinator, KIND_ABORT).put(out);
+                (*attempt, *task).put(out);
+            }
+            Self::Base {
+                stream,
+                seq,
+                snapshot,
+            } => {
+                (*stream, KIND_BASE).put(out);
+                seq.put(out);
+                snapshot.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match (r.get()?, r.u8()?) {
+            (stream, KIND_BASE) => Self::Base {
+                stream,
+                seq: r.get()?,
+                snapshot: r.get()?,
+            },
+            (ReplStream::Shard(shard), KIND_BLOCK) => Self::Block {
+                shard,
+                id: r.get()?,
+                arrival: r.get()?,
+                capacity: r.get()?,
+            },
+            (ReplStream::Shard(shard), KIND_APPLY) => Self::Apply {
+                shard,
+                task: r.get()?,
+                demand: r.get()?,
+                blocks: r.get()?,
+            },
+            (ReplStream::Shard(shard), KIND_INTENT) => Self::Intent {
+                shard,
+                attempt: r.get()?,
+                task: r.get()?,
+                demand: r.get()?,
+                blocks: r.get()?,
+            },
+            (ReplStream::Coordinator, KIND_COMMIT) => Self::Commit {
+                attempt: r.get()?,
+                task: r.get()?,
+            },
+            (ReplStream::Coordinator, KIND_ABORT) => Self::Abort {
+                attempt: r.get()?,
+                task: r.get()?,
+            },
+            (stream, kind) => {
+                return Err(CodecError::new(format!(
+                    "record kind {kind} does not exist on stream {stream}"
+                )))
+            }
+        })
     }
 }
 
@@ -300,56 +288,7 @@ impl LogRecord {
     /// [`encode_apply_into`] and [`encode_intent_into`] instead, which
     /// skip building the owned record and encode into a reused buffer).
     pub fn encode(&self) -> Vec<u8> {
-        let buf = &mut Vec::new();
-        match self {
-            Self::Block {
-                shard,
-                id,
-                arrival,
-                capacity,
-            } => {
-                put_stream(buf, ReplStream::Shard(*shard));
-                buf.push(KIND_BLOCK);
-                put_u64(buf, *id);
-                put_f64(buf, *arrival);
-                put_f64s(buf, capacity);
-            }
-            Self::Apply {
-                shard,
-                task,
-                demand,
-                blocks,
-            } => encode_apply_into(buf, *shard, *task, demand, blocks),
-            Self::Intent {
-                shard,
-                attempt,
-                task,
-                demand,
-                blocks,
-            } => encode_intent_into(buf, *shard, *attempt, *task, demand, blocks),
-            Self::Commit { attempt, task } | Self::Abort { attempt, task } => {
-                put_stream(buf, ReplStream::Coordinator);
-                buf.push(if matches!(self, Self::Commit { .. }) {
-                    KIND_COMMIT
-                } else {
-                    KIND_ABORT
-                });
-                put_u64(buf, *attempt);
-                put_u64(buf, *task);
-            }
-            Self::Base {
-                stream,
-                seq,
-                snapshot,
-            } => {
-                put_stream(buf, *stream);
-                buf.push(KIND_BASE);
-                put_u64(buf, *seq);
-                put_len(buf, snapshot.len());
-                buf.extend_from_slice(snapshot);
-            }
-        }
-        std::mem::take(buf)
+        codec::encode(self)
     }
 
     /// Deserializes a record.
@@ -359,48 +298,7 @@ impl LogRecord {
     /// [`WalError::Corrupt`] on an unknown stream tag or kind, a kind
     /// its stream never logs, or a malformed body.
     pub fn decode(bytes: &[u8]) -> Result<Self, WalError> {
-        let mut r = Reader::new(bytes);
-        let record = match (r.stream()?, r.u8()?) {
-            (stream, KIND_BASE) => Self::Base {
-                stream,
-                seq: r.u64()?,
-                snapshot: r.bytes()?,
-            },
-            (ReplStream::Shard(shard), KIND_BLOCK) => Self::Block {
-                shard,
-                id: r.u64()?,
-                arrival: r.f64()?,
-                capacity: r.f64s()?,
-            },
-            (ReplStream::Shard(shard), KIND_APPLY) => Self::Apply {
-                shard,
-                task: r.u64()?,
-                demand: r.f64s()?,
-                blocks: r.u64s()?,
-            },
-            (ReplStream::Shard(shard), KIND_INTENT) => Self::Intent {
-                shard,
-                attempt: r.u64()?,
-                task: r.u64()?,
-                demand: r.f64s()?,
-                blocks: r.u64s()?,
-            },
-            (ReplStream::Coordinator, KIND_COMMIT) => Self::Commit {
-                attempt: r.u64()?,
-                task: r.u64()?,
-            },
-            (ReplStream::Coordinator, KIND_ABORT) => Self::Abort {
-                attempt: r.u64()?,
-                task: r.u64()?,
-            },
-            (stream, kind) => {
-                return Err(WalError::Corrupt(format!(
-                    "record kind {kind} does not exist on stream {stream}"
-                )))
-            }
-        };
-        r.done()?;
-        Ok(record)
+        Ok(codec::decode(bytes)?)
     }
 
     /// The stream a record's bytes belong to and, for a
@@ -413,7 +311,7 @@ impl LogRecord {
     /// to hold the head.
     pub fn head(bytes: &[u8]) -> Result<(ReplStream, Option<u64>), WalError> {
         let mut r = Reader::new(bytes);
-        let stream = r.stream()?;
+        let stream = r.get()?;
         let base = match r.u8()? {
             KIND_BASE => Some(r.u64()?),
             _ => None,
@@ -433,11 +331,10 @@ pub fn encode_apply_into(
     demand: &[f64],
     blocks: &[BlockId],
 ) {
-    put_stream(buf, ReplStream::Shard(shard));
-    buf.push(KIND_APPLY);
-    put_u64(buf, task);
-    put_f64s(buf, demand);
-    put_u64s(buf, blocks);
+    (ReplStream::Shard(shard), KIND_APPLY).put(buf);
+    task.put(buf);
+    demand.put(buf);
+    blocks.put(buf);
 }
 
 /// Encodes a [`LogRecord::Intent`] on shard `shard`'s stream directly
@@ -450,26 +347,15 @@ pub fn encode_intent_into(
     demand: &[f64],
     blocks: &[BlockId],
 ) {
-    put_stream(buf, ReplStream::Shard(shard));
-    buf.push(KIND_INTENT);
-    put_u64(buf, attempt);
-    put_u64(buf, task);
-    put_f64s(buf, demand);
-    put_u64s(buf, blocks);
+    (ReplStream::Shard(shard), KIND_INTENT).put(buf);
+    (attempt, task).put(buf);
+    demand.put(buf);
+    blocks.put(buf);
 }
 
 /// Serializes a snapshot: the persisted state of every block given.
 pub fn encode_snapshot(blocks: &[BlockState]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_len(&mut buf, blocks.len());
-    for b in blocks {
-        put_u64(&mut buf, b.id);
-        put_f64(&mut buf, b.arrival);
-        put_f64s(&mut buf, &b.total);
-        put_f64s(&mut buf, &b.consumed);
-        put_u64(&mut buf, b.granted);
-    }
-    buf
+    codec::encode(blocks)
 }
 
 /// Deserializes a snapshot.
@@ -478,23 +364,7 @@ pub fn encode_snapshot(blocks: &[BlockState]) -> Vec<u8> {
 ///
 /// [`WalError::Corrupt`] on a malformed payload.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<BlockState>, WalError> {
-    let mut r = Reader::new(bytes);
-    // Each block state is at least id + arrival + two list lengths +
-    // granted = 28 bytes; bounding by that keeps a corrupt count from
-    // turning into a huge allocation.
-    let n = r.list_len(28)?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(BlockState {
-            id: r.u64()?,
-            arrival: r.f64()?,
-            total: r.f64s()?,
-            consumed: r.f64s()?,
-            granted: r.u64()?,
-        });
-    }
-    r.done()?;
-    Ok(blocks)
+    Ok(codec::decode(bytes)?)
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use dpack_obs::trace::scoped_traces;
 use dpack_obs::TraceContext;
-use dpack_wal::{Wal, WalError, WalOptions, WalStorage};
+use dpack_wal::{codec, Wal, WalError, WalOptions, WalStorage};
 
 use crate::durability::LogRecord;
 use crate::journal::LOG_DIR;
@@ -97,12 +97,9 @@ const DIRTY_FILE: &str = "dirty";
 
 fn read_u64_file(storage: &dyn WalStorage, name: &str) -> Result<Option<u64>, WalError> {
     match storage.read(name) {
-        Ok(bytes) => {
-            let arr: [u8; 8] = bytes.as_slice().try_into().map_err(|_| {
-                WalError::Corrupt(format!("{name} sidecar is {} bytes, want 8", bytes.len()))
-            })?;
-            Ok(Some(u64::from_le_bytes(arr)))
-        }
+        Ok(bytes) => codec::decode(&bytes).map(Some).map_err(|_| {
+            WalError::Corrupt(format!("{name} sidecar is {} bytes, want 8", bytes.len()))
+        }),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(WalError::Io(e)),
     }
@@ -111,7 +108,7 @@ fn read_u64_file(storage: &dyn WalStorage, name: &str) -> Result<Option<u64>, Wa
 fn write_u64_file(storage: &dyn WalStorage, name: &str, value: u64) -> Result<(), WalError> {
     storage.remove(name).map_err(WalError::Io)?;
     storage
-        .append(name, &value.to_le_bytes())
+        .append(name, &codec::encode(&value))
         .map_err(WalError::Io)
 }
 

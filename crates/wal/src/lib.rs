@@ -15,6 +15,9 @@
 //!   recovered all-or-nothing), and [`Wal::snapshot`] compaction (see
 //!   the [`log`] module docs for the on-disk format and crash-ordering
 //!   argument).
+//! * [`codec`] — the one byte codec: the checksummed frame, the field
+//!   [`Reader`](codec::Reader) and [`Codec`](codec::Codec) trait every
+//!   log record, snapshot and wire message is written and read with.
 //! * [`WalStorage`] — the storage abstraction; [`FsStorage`] is the
 //!   real directory backend.
 //! * [`SimStorage`] — deterministic in-memory storage that injects a
@@ -42,6 +45,7 @@
 //! assert_eq!(recovered.records.len(), acknowledged);
 //! ```
 
+pub mod codec;
 pub mod log;
 pub mod storage;
 pub mod temp;

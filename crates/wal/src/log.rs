@@ -5,15 +5,8 @@
 //! A namespace holds segment files `seg-<seq>` and snapshot files
 //! `snap-<seq>` (`<seq>` is a 16-hex-digit sequence number, so lexical
 //! order is numeric order). Every record — in segments and snapshots
-//! alike — is framed as
-//!
-//! ```text
-//! ┌──────────┬────────────┬─────────────┬──────────────┐
-//! │ magic u8 │ len u32 LE │ check u64 LE│ payload[len] │
-//! └──────────┴────────────┴─────────────┴──────────────┘
-//! ```
-//!
-//! with `check = fnv1a64(len_le ‖ payload)`. A torn tail (a crash mid
+//! alike — is one frame under magic 0xD7 (the frame and its checks live
+//! in [`crate::codec`], shared with the wire). A torn tail (a crash mid
 //! `append`) leaves a frame whose bytes run out or whose checksum
 //! fails; [`Wal::open`] truncates the file at the last valid frame
 //! boundary, so recovery always yields a *prefix* of the acknowledged
@@ -23,16 +16,10 @@
 //!
 //! [`Wal::append_batch`] makes `N` records durable with **one** write
 //! and one sync: the records are framed back to back into a reusable
-//! scratch buffer, preceded by a batch header frame
-//!
-//! ```text
-//! ┌──────────┬─────────────┬─────────────┐
-//! │ 0xD8  u8 │ count u32 LE│ check u64 LE│
-//! └──────────┴─────────────┴─────────────┘
-//! ```
-//!
-//! and the whole thing is handed to the storage as a single append.
-//! Each record keeps its own frame, so a crash inside the batch tears
+//! scratch buffer, preceded by a batch header — a frame header under
+//! 0xD8 with no payload, whose length field is the record count
+//! ([`codec::batch_header_into`]) — and the whole thing is handed to
+//! the storage as a single append. Each record keeps its own frame, so a crash inside the batch tears
 //! at most one record — but a batch is acknowledged as a unit, so
 //! recovery treats it as a unit too: a header whose `count` frames are
 //! not all intact marks the torn tail, and truncation drops the batch
@@ -52,10 +39,9 @@
 use std::fmt;
 use std::io;
 
+use crate::codec::{self, Frame, HEADER};
 use crate::storage::WalStorage;
 
-/// Frame header: magic byte + payload length + checksum.
-const HEADER: usize = 1 + 4 + 8;
 /// First byte of every frame; anything else is corruption.
 const MAGIC: u8 = 0xD7;
 /// First byte of a batch header: `count` record frames follow and are
@@ -264,37 +250,9 @@ fn parse_name(name: &str) -> Option<(bool, u64)> {
         .map(|seq| (is_snap, seq))
 }
 
-/// FNV-1a 64, folded over `bytes` from `state` (start at
-/// [`FNV_INIT`]) — the same stable, dependency-free hash the check
-/// runner uses for seeds. Shared with the tier segment store
-/// ([`crate::tier`]) and the `dpack-net` wire frames, so the on-disk
-/// and on-wire formats carry one checksum.
-pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut hash = state;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// The FNV-1a 64 offset basis: the `state` a fresh [`fnv1a`] starts at.
-pub const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Frames a payload into `out`: magic, length, checksum, payload.
+/// Frames a record payload into `out`.
 fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-    let len = u32::try_from(payload.len()).expect("record exceeds u32 length");
-    assert!(
-        len <= MAX_RECORD,
-        "record exceeds the {MAX_RECORD}-byte cap"
-    );
-    let len_le = len.to_le_bytes();
-    let check = fnv1a(fnv1a(FNV_INIT, &len_le), payload);
-    out.reserve(HEADER + payload.len());
-    out.push(MAGIC);
-    out.extend_from_slice(&len_le);
-    out.extend_from_slice(&check.to_le_bytes());
-    out.extend_from_slice(payload);
+    codec::frame_into(out, MAGIC, MAX_RECORD, payload);
 }
 
 /// Frames a payload into a fresh buffer (cold paths and tests; hot
@@ -305,33 +263,14 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Frames a batch header into `out`: `count` record frames follow.
-fn frame_batch_header(out: &mut Vec<u8>, count: u32) {
-    let count_le = count.to_le_bytes();
-    let check = fnv1a(FNV_INIT, &count_le);
-    out.push(MAGIC_BATCH);
-    out.extend_from_slice(&count_le);
-    out.extend_from_slice(&check.to_le_bytes());
-}
-
 /// Parses one record frame at `bytes[at..]`; returns the payload and
 /// the offset past the frame, or `None` if the frame is torn, corrupt,
 /// or not a record frame.
 fn parse_record(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
-    let rest = &bytes[at..];
-    if rest.len() < HEADER || rest[0] != MAGIC {
-        return None;
+    match codec::parse_frame(&bytes[at..], MAGIC, MAX_RECORD) {
+        Frame::Whole(payload) => Some((payload, at + HEADER + payload.len())),
+        Frame::Short | Frame::Bad(_) => None,
     }
-    let len = u32::from_le_bytes(rest[1..5].try_into().expect("sized slice"));
-    if len > MAX_RECORD || rest.len() - HEADER < len as usize {
-        return None;
-    }
-    let check = u64::from_le_bytes(rest[5..13].try_into().expect("sized slice"));
-    let payload = &rest[HEADER..HEADER + len as usize];
-    if fnv1a(fnv1a(FNV_INIT, &len.to_le_bytes()), payload) != check {
-        return None;
-    }
-    Some((payload, at + HEADER + len as usize))
 }
 
 /// Parses frames from the start of `bytes`; returns the records, the
@@ -355,14 +294,11 @@ fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize, Vec<usize>) {
                 None => break,
             },
             MAGIC_BATCH => {
-                let rest = &bytes[at..];
-                let count = u32::from_le_bytes(rest[1..5].try_into().expect("sized slice"));
-                let check = u64::from_le_bytes(rest[5..13].try_into().expect("sized slice"));
-                if !(2..=MAX_BATCH).contains(&count)
-                    || fnv1a(FNV_INIT, &count.to_le_bytes()) != check
-                {
+                let Some(count) = codec::parse_batch_header(&bytes[at..], MAGIC_BATCH)
+                    .filter(|count| (2..=MAX_BATCH).contains(count))
+                else {
                     break;
-                }
+                };
                 // The batch stands or falls as a unit: collect all
                 // `count` frames before committing any of them.
                 let mut batch = Vec::with_capacity(count as usize);
@@ -602,7 +538,7 @@ impl Wal {
         );
         self.scratch.clear();
         if count >= 2 {
-            frame_batch_header(&mut self.scratch, count);
+            codec::batch_header_into(&mut self.scratch, MAGIC_BATCH, count);
         }
         for payload in payloads {
             frame_into(&mut self.scratch, payload);

@@ -142,6 +142,20 @@ if awk 'FNR == 1 { on = 1; name = "" } /#\[cfg\(test\)\]/ { on = 0 }
   exit 1
 fi
 
+echo "==> checking bytes are coded in one place"
+# crates/wal/src/codec.rs holds the one checksummed frame, the one field
+# Reader and the Codec trait that every log record, snapshot and wire
+# message is written and read with, so no other program code spells out
+# a byte order, a reader or a checksum. Tests below `#[cfg(test)]` may
+# name anything, and crates/check (the property-test harness) hashes
+# test names into seeds, not bytes into frames.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs' -not -path crates/wal/src/codec.rs -not -path 'crates/check/*') \
+  | grep -vE '^[^ ]+ *//' | grep -E '(to|from)_le_bytes|struct Reader\b|fnv1a\('; then
+  echo "ERROR: only crates/wal/src/codec.rs may code bytes; use its Reader and Codec (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking the tier interns in one place"
 # A hot entry carries the capacity id it had while cold, so a re-spill
 # interns nothing; only ColdBlock::summarize interns, for an entry that
