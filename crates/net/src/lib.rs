@@ -8,8 +8,8 @@
 //! vendored, deterministic, testable without sockets:
 //!
 //! * [`wire`] — a length-prefixed, checksummed binary protocol (the
-//!   WAL's magic+len+fnv1a framing discipline, on a socket) with
-//!   request/response codecs for submit, batch submit, block
+//!   WAL's frame and field rules from `dpack_wal::codec`, on a socket)
+//!   with request/response codecs for submit, batch submit, block
 //!   registration, stats, budget snapshots, metrics scrapes, and
 //!   flight-recorder dumps. Request ids make pipelining and
 //!   out-of-order completion first-class.

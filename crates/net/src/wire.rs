@@ -20,10 +20,11 @@
 //! (submissions resolve at a later scheduling cycle; stats answer
 //! immediately). Each message is described once, in the `messages!`
 //! tables below — its tag, its variant, and its fields in byte order —
-//! and each payload struct once, in a `codec_struct!`; the codec
-//! generates both directions from that one list, so curves round-trip
-//! bit-exactly and a hostile list length is a decode error, never a
-//! huge allocation.
+//! and each payload struct once, in a `codec_struct!`; both directions
+//! are generated from that one list. The codec's field rules carry
+//! curves as raw bits, so a budget round-trips exactly, and check every
+//! list length against the bytes left, so a hostile length prefix is a
+//! decode error, never a huge allocation.
 
 use std::fmt;
 
@@ -371,6 +372,7 @@ macro_rules! messages {
 
         impl Codec for $frame {
             const MIN_BYTES: usize = 1 + 8;
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
                 match &self.body {
                     $( $enum::$var $( { $($f),* } )? $( { 0: $tf } )? => {
@@ -381,6 +383,7 @@ macro_rules! messages {
                     } )*
                 }
             }
+            #[inline]
             fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
                 let (tag, id) = (r.u8()?, r.u64()?);
                 let body = match tag {

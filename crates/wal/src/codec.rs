@@ -71,12 +71,12 @@ impl From<CodecError> for WalError {
 /// FNV-1a 64 over `len_le ‖ payload`: a stable, dependency-free frame
 /// checksum.
 fn checksum(len: u32, payload: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in len.to_le_bytes().iter().chain(payload) {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    let fold = |hash: u64, bytes: &[u8]| {
+        bytes.iter().fold(hash, |hash, b| {
+            (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    };
+    fold(fold(0xcbf2_9ce4_8422_2325, &len.to_le_bytes()), payload)
 }
 
 fn header_into(out: &mut Vec<u8>, magic: u8, len: u32, payload: &[u8]) {
@@ -172,6 +172,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fewer than `n` bytes are left.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.bytes.len() < n {
             return Err(CodecError::new("bytes end mid-field"));
@@ -186,26 +187,31 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a `u8`.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f64` from its little-endian bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -216,6 +222,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// The count cannot fit in the bytes left.
+    #[inline]
     pub fn list_len(&mut self, min_elem: usize) -> Result<usize, CodecError> {
         let n = self.u32()? as usize;
         if n.checked_mul(min_elem).is_none_or(|b| b > self.bytes.len()) {
@@ -234,6 +241,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Bytes are left over.
+    #[inline]
     pub fn done(&self) -> Result<(), CodecError> {
         if self.bytes.is_empty() {
             Ok(())
@@ -286,6 +294,7 @@ pub trait Codec {
 }
 
 /// Encodes one value.
+#[inline]
 pub fn encode<T: Codec + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
     value.put(&mut out);
@@ -297,6 +306,7 @@ pub fn encode<T: Codec + ?Sized>(value: &T) -> Vec<u8> {
 /// # Errors
 ///
 /// The bytes do not hold exactly one `T`.
+#[inline]
 pub fn decode<T: Codec>(bytes: &[u8]) -> Result<T, CodecError> {
     let mut r = Reader::new(bytes);
     let value = T::get(&mut r)?;
@@ -351,15 +361,19 @@ pub fn capped<T: Codec>(r: &mut Reader<'_>, cap: u32, what: &str) -> Result<Vec<
 
 impl Codec for u8 {
     const MIN_BYTES: usize = 1;
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         out.push(*self);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         r.u8()
     }
+    #[inline]
     fn put_all(items: &[Self], out: &mut Vec<u8>) {
         out.extend_from_slice(items);
     }
+    #[inline]
     fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, CodecError> {
         Ok(r.take(n)?.to_vec())
     }
@@ -369,9 +383,11 @@ macro_rules! int_codec {
     ($($t:ident),*) => {$(
         impl Codec for $t {
             const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
                 r.$t()
             }
@@ -382,9 +398,11 @@ int_codec!(u16, u32, u64);
 
 impl Codec for f64 {
     const MIN_BYTES: usize = 8;
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         self.to_bits().put(out);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         r.f64()
     }
@@ -392,9 +410,11 @@ impl Codec for f64 {
 
 impl Codec for bool {
     const MIN_BYTES: usize = 1;
+    #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             0 => Ok(false),

@@ -19,12 +19,12 @@
 //! scratch buffer, preceded by a batch header — a frame header under
 //! 0xD8 with no payload, whose length field is the record count
 //! ([`codec::batch_header_into`]) — and the whole thing is handed to
-//! the storage as a single append. Each record keeps its own frame, so a crash inside the batch tears
-//! at most one record — but a batch is acknowledged as a unit, so
-//! recovery treats it as a unit too: a header whose `count` frames are
-//! not all intact marks the torn tail, and truncation drops the batch
-//! wholesale (only the torn suffix of the log — everything before the
-//! header is untouched). The invariant callers rely on is therefore
+//! the storage as a single append. Each record keeps its own frame, so
+//! a crash inside the batch tears at most one record — but a batch is
+//! acknowledged as a unit, so recovery treats it as a unit too: a
+//! header whose `count` frames are not all intact marks the torn tail,
+//! and truncation drops the batch wholesale (only the torn suffix of
+//! the log — everything before the header is untouched). The invariant callers rely on is therefore
 //! unchanged by batching: **a record is recovered iff its append was
 //! acknowledged** — never a prefix of a failed batch, which would
 //! surface grants the caller already released.
