@@ -9,6 +9,15 @@
 //! client matches them to handles by request id and stashes
 //! out-of-order arrivals.
 //!
+//! **Flush contract.** Over TCP, requests are coalesced: a `*_nowait`
+//! request reaches the server no later than this client's next
+//! receive, its next [`NetClient::flush`], or its drop (for a pooled
+//! connection, its return to the pool). A tenant that
+//! pipelines a burst and then waits on anything *other* than this
+//! client (another connection, an in-process counter, a clock) calls
+//! `flush` first. A burst therefore costs one socket write, not one
+//! per request.
+//!
 //! [`ClientPool`] shares a fixed set of connections across threads:
 //! [`ClientPool::get`] checks a connection out (blocking while all are
 //! busy) and the guard returns it on drop, panic-safe. A connection
@@ -83,6 +92,18 @@ impl NetClient {
     /// be discarded ([`ClientPool::get`] dials replacements).
     pub fn is_broken(&self) -> bool {
         self.broken
+    }
+
+    /// Writes out every request sent so far — see the flush contract in
+    /// the module docs. A failure marks the connection broken, as a
+    /// failed send does.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures (the requests may or may not have reached
+    /// the server).
+    pub fn flush(&mut self) -> Result<(), NetError> {
+        self.transport.flush().map_err(|e| self.fatal(e))
     }
 
     /// Marks the stream broken and passes the error through — the
@@ -205,7 +226,8 @@ impl NetClient {
     }
 
     /// Pipelines one submission; redeem the handle with
-    /// [`NetClient::wait_decision`].
+    /// [`NetClient::wait_decision`]. The request may wait in the
+    /// client until its next receive, [`NetClient::flush`] or drop.
     ///
     /// # Errors
     ///
@@ -750,7 +772,10 @@ impl ClientPool {
         }
     }
 
-    fn put_back(&self, client: NetClient) {
+    fn put_back(&self, mut client: NetClient) {
+        // An idle connection must not sit on its last user's pipelined
+        // requests; a failed flush marks it broken.
+        let _ = client.flush();
         {
             let mut state = self.state.lock().expect("pool lock poisoned");
             if client.is_broken() {

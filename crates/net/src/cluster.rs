@@ -364,7 +364,9 @@ impl ClusterNode {
         if node.reset_unattached().is_err() {
             return;
         }
-        node.observe_term(deposed_term);
+        // Best effort: the deposed term's vote was spent durably when
+        // this node campaigned for it.
+        let _ = node.observe_term(deposed_term);
         self.core.demote(Arc::new(node));
         self.leader = None;
         self.election_due = None;
@@ -437,7 +439,7 @@ impl ClusterNode {
                     peer.misses = 0;
                     peer.term = pong.term;
                     peer.is_primary = pong.is_primary;
-                    node.observe_term(pong.term);
+                    let _ = node.observe_term(pong.term);
                 }
                 _ => {
                     peer.client = None;
@@ -476,7 +478,9 @@ impl ClusterNode {
                 return;
             }
         }
-        let (term, ballot) = node.prepare_campaign();
+        let Ok((term, ballot)) = node.prepare_campaign() else {
+            return; // the term log failed: retry at the re-armed timeout
+        };
         self.last_seen_term = term;
         self.elections_total.inc();
         let mut votes = 1usize; // the self-vote consumed by prepare_campaign
@@ -492,7 +496,7 @@ impl ClusterNode {
                     if granted {
                         votes += 1;
                     } else {
-                        node.observe_term(voter_term);
+                        let _ = node.observe_term(voter_term);
                     }
                 }
                 Err(_) => peer.client = None,

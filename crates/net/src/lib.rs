@@ -17,9 +17,10 @@
 //!   failures, carrying **stable** [`ErrorCode`]s shared by both codec
 //!   directions; every [`dpack_service::AdmissionError`] variant has
 //!   its own frozen code.
-//! * [`server`] — [`NetServer`], a poll-based reactor over nonblocking
-//!   `std::net` sockets (connection sweep, per-connection buffers,
-//!   pipelined requests, graceful shutdown), answering submissions
+//! * [`server`] — [`NetServer`], a reactor over nonblocking `std::net`
+//!   sockets that waits on their readiness (connection sweep,
+//!   per-connection buffers, pipelined requests, graceful shutdown),
+//!   answering submissions
 //!   with **final decisions** via the service's async submission
 //!   surface ([`dpack_service::BudgetService::submit_async`]); and
 //!   [`ServiceCore`], the transport-independent request processor.
@@ -66,6 +67,7 @@
 pub mod client;
 pub mod cluster;
 pub mod error;
+mod readiness;
 pub mod repl;
 pub mod server;
 pub mod transport;

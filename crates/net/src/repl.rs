@@ -44,10 +44,15 @@
 //! promotion is [`BudgetService::recover`] on its storage), an
 //! election state (current term, vote bookkeeping), plus its own
 //! observability — `dpack_repl_*` metrics and
-//! [`EventKind::ReplicaApplied`] flight-recorder events. Terms are
-//! in-memory; what protects a restarted node from voting with stale
-//! state is the durable `dirty` marker ([`ReplicaWal::open`] wipes a
-//! mid-resync node back to unattached) plus the ballot rule below.
+//! [`EventKind::ReplicaApplied`] flight-recorder events. The term is
+//! **durable**: adopting a term consumes that term's vote, so the term
+//! is the whole election state, and every adoption is synced to the
+//! node's own `term` log before the reply that reveals it (Raft's
+//! persistent `currentTerm`/`votedFor`). A restarted voter therefore
+//! never votes twice in one term. What protects it from voting with
+//! stale *logs* is the durable `dirty` marker ([`ReplicaWal::open`]
+//! wipes a mid-resync node back to unattached) plus the ballot rule
+//! below.
 //!
 //! [`BudgetService::recover`]: dpack_service::BudgetService::recover
 
@@ -59,7 +64,7 @@ use std::time::Duration;
 
 use dpack_obs::trace::{span_id, with_active_traces, SpanKind, SpanRing};
 use dpack_obs::{Clock, Counter, EventKind, FlightRecorder, Gauge, Histogram, Obs};
-use dpack_service::wal::{WalError, WalStorage};
+use dpack_service::wal::{codec, Wal, WalError, WalOptions, WalStorage};
 use dpack_service::{
     BudgetService, ReplShipError, ReplStream, ReplicaApplyError, ReplicaWal, ReplicationSink,
     ShipBatch,
@@ -95,13 +100,44 @@ fn ballot_wins(cand_ballot: &[u64], cand_id: u64, own_ballot: &[u64], own_id: u6
     cand_id <= own_id
 }
 
+/// The namespace of a replica's storage that holds its term log. The
+/// replica log's wipe and a promoted service's recovery each read only
+/// their own namespaces, so the term outlives both.
+const TERM_DIR: &str = "term";
+
 /// The replica's view of the election: the highest term it has seen.
 /// Adopting a term consumes this node's vote for it — a voter grants
 /// only to the **first** candidate that moves it to a new term, which
-/// is what makes two leaders in one term impossible.
-#[derive(Debug, Default)]
+/// is what makes two leaders in one term impossible, across restarts
+/// too: the term is appended to `log` before it is adopted.
 struct ElectionState {
     term: u64,
+    /// One record per adopted term, in increasing order.
+    log: Wal,
+}
+
+impl ElectionState {
+    /// Rebuilds the term from the log in `storage`'s [`TERM_DIR`]: its
+    /// last record.
+    fn open(storage: &dyn WalStorage) -> Result<Self, WalError> {
+        let (log, recovered) = Wal::open(storage.sub(TERM_DIR)?, WalOptions::default())?;
+        let term = match recovered.records.last() {
+            Some(bytes) => codec::decode(bytes)?,
+            None => 0,
+        };
+        Ok(Self { term, log })
+    }
+
+    /// Adopts `term` if it is newer than anything seen, durably first:
+    /// on `Err` the term is not adopted (and so no vote is spent).
+    fn adopt(&mut self, term: u64) -> Result<(), WalError> {
+        if term > self.term {
+            self.log.repair()?;
+            self.log.append(&codec::encode(&term))?;
+            self.term = term;
+        }
+        Ok(())
+    }
 }
 
 /// Replica-side state: the replica's logs plus its instruments. Serve
@@ -136,7 +172,8 @@ impl ReplicaNode {
     /// primary with `shards` shards. Reopening resumes each stream's
     /// sequence from the surviving log — unless a `dirty` marker shows
     /// the node died mid-resync, in which case the logs are wiped back
-    /// to unattached (they were not a faithful prefix of anything).
+    /// to unattached (they were not a faithful prefix of anything) —
+    /// and the election term from the term log, which no wipe touches.
     ///
     /// # Errors
     ///
@@ -148,6 +185,7 @@ impl ReplicaNode {
         obs: Arc<Obs>,
     ) -> Result<Self, WalError> {
         let wal = ReplicaWal::open(storage, shards, segment_bytes)?;
+        let election = ElectionState::open(storage)?;
         let mut durable_gauges: Vec<Gauge> = (0..shards)
             .map(|s| {
                 obs.registry
@@ -171,7 +209,7 @@ impl ReplicaNode {
                 .counter("dpack_repl_duplicate_batches_total", ""),
             durable_gauges,
             node_id: 0,
-            election: Mutex::new(ElectionState::default()),
+            election: Mutex::new(election),
             wal,
             obs,
         })
@@ -201,28 +239,38 @@ impl ReplicaNode {
         &self.obs
     }
 
+    fn election(&self) -> std::sync::MutexGuard<'_, ElectionState> {
+        self.election.lock().expect("election lock poisoned")
+    }
+
     /// The highest election term this node has seen.
     pub fn current_term(&self) -> u64 {
-        self.election.lock().expect("election lock poisoned").term
+        self.election().term
     }
 
     /// Adopts `term` if it is newer than anything seen — how a
     /// candidate learns from a refusal carrying a higher term, and how
     /// a follower tracks its leader.
-    pub fn observe_term(&self, term: u64) {
-        let mut es = self.election.lock().expect("election lock poisoned");
-        if term > es.term {
-            es.term = term;
-        }
+    ///
+    /// # Errors
+    ///
+    /// The term log failed; the term is not adopted.
+    pub fn observe_term(&self, term: u64) -> Result<(), WalError> {
+        self.election().adopt(term)
     }
 
-    /// Starts a campaign: bumps to a fresh term (consuming this node's
-    /// own vote for it — the self-vote) and returns `(term, ballot)`
-    /// to send in [`crate::Request::Vote`] to the peers.
-    pub fn prepare_campaign(&self) -> (u64, Vec<u64>) {
-        let mut es = self.election.lock().expect("election lock poisoned");
-        es.term += 1;
-        (es.term, self.wal.vector())
+    /// Starts a campaign: durably bumps to a fresh term (consuming this
+    /// node's own vote for it — the self-vote) and returns `(term,
+    /// ballot)` to send in [`crate::Request::Vote`] to the peers.
+    ///
+    /// # Errors
+    ///
+    /// The term log failed; no campaign may start.
+    pub fn prepare_campaign(&self) -> Result<(u64, Vec<u64>), WalError> {
+        let mut es = self.election();
+        let term = es.term + 1;
+        es.adopt(term)?;
+        Ok((term, self.wal.vector()))
     }
 
     /// Whether a resync round is in flight (dirty marker set); a
@@ -249,9 +297,10 @@ impl ReplicaNode {
 
     /// Fences `term` against the highest seen: an older term is
     /// refused (the sender is a deposed primary), a newer one is
-    /// adopted. Returns the refusal reply, or `None` to proceed.
+    /// adopted — or refused with [`ErrorCode::Io`] if it cannot be made
+    /// durable. Returns the refusal reply, or `None` to proceed.
     fn fence(&self, term: u64, what: &str) -> Option<Response> {
-        let mut es = self.election.lock().expect("election lock poisoned");
+        let mut es = self.election();
         if term < es.term {
             return Some(Response::Error {
                 code: ErrorCode::StaleTerm,
@@ -261,10 +310,10 @@ impl ReplicaNode {
                 ),
             });
         }
-        if term > es.term {
-            es.term = term;
-        }
-        None
+        es.adopt(term).err().map(|e| Response::Error {
+            code: ErrorCode::Io,
+            message: format!("{what} from term {term} refused; the term log failed: {e}"),
+        })
     }
 
     /// Applies one shipped batch and builds the wire reply: a
@@ -315,10 +364,10 @@ impl ReplicaNode {
     /// Answers a heartbeat: adopts a newer sender term and reveals this
     /// node's term, role, lineage, and durable seq vector.
     pub(crate) fn pong(&self, sender_term: u64) -> Response {
-        let mut es = self.election.lock().expect("election lock poisoned");
-        if sender_term > es.term {
-            es.term = sender_term;
-        }
+        let mut es = self.election();
+        // A term that cannot be made durable is not adopted, and the
+        // pong reveals the one that is.
+        let _ = es.adopt(sender_term);
         Response::Pong {
             term: es.term,
             is_primary: false,
@@ -335,13 +384,12 @@ impl ReplicaNode {
     /// even on a ballot refusal, so a refused candidate retries above
     /// it and the better-placed node campaigns in between.
     pub(crate) fn vote(&self, term: u64, candidate: u64, ballot: &[u64]) -> Response {
-        let mut es = self.election.lock().expect("election lock poisoned");
-        let granted = term > es.term
+        let mut es = self.election();
+        let eligible = term > es.term
             && !self.wal.is_resyncing()
             && ballot_wins(ballot, candidate, &self.wal.vector(), self.node_id);
-        if term > es.term {
-            es.term = term;
-        }
+        // The grant is the durable term: no grant if it cannot be kept.
+        let granted = es.adopt(term).is_ok() && eligible;
         Response::VoteReply {
             term: es.term,
             granted,
@@ -1067,10 +1115,12 @@ impl ReplicationSink for Replicator {
             })
             .collect();
 
-        // Phase 1: pipeline the round to every up replica; a send
-        // failure marks the link Suspect on the spot. The traced
-        // grants' bare ids ride the wire so each replica can derive
-        // its append span.
+        // Phase 1: pipeline the round to every up replica, and flush
+        // each link before any ack is awaited — otherwise a link's
+        // frames would wait for the links before it to answer; a send
+        // or flush failure marks the link Suspect on the spot. The
+        // traced grants' bare ids ride the wire so each replica can
+        // derive its append span.
         let mut handles = Vec::with_capacity(self.links.len());
         for link in &self.links {
             if link.status() != LINK_UP {
@@ -1085,7 +1135,8 @@ impl ReplicationSink for Replicator {
                     c.replicate_nowait(term, flight.wire, flight.seq, records, traces)
                         .ok()
                 };
-                flights.iter().map(send).collect()
+                let sent = flights.iter().map(send).collect::<Option<Vec<_>>>()?;
+                c.flush().ok().map(|()| sent)
             });
             if sent.is_none() {
                 *client = None;
@@ -1391,6 +1442,59 @@ mod tests {
     }
 
     #[test]
+    fn a_restarted_voter_remembers_its_term_and_grants_no_second_vote() {
+        let sim = SimStorage::new();
+        let (node, mut client) = loopback_replica(&sim, 1);
+        let (_, granted) = client.request_vote(7, 1, vec![1, 0]).unwrap();
+        assert!(granted);
+        drop((node, client));
+        // Restart on what the storage kept: term 7's vote is spent.
+        let sim = sim.surviving();
+        let (node, mut client) = loopback_replica(&sim, 1);
+        assert_eq!(node.current_term(), 7);
+        let (term, granted) = client.request_vote(7, 2, vec![1, 0]).unwrap();
+        assert_eq!((term, granted), (7, false), "two votes in term 7");
+
+        // Every other adoption is durable too: a fenced ship, a pong,
+        // an observed term, a campaign — and no replica-log wipe
+        // touches it.
+        client
+            .replicate(9, 0, 1, vec![record(ReplStream::Shard(0))])
+            .unwrap();
+        assert_eq!(client.ping(11, vec![0, 0]).unwrap().term, 11);
+        node.observe_term(12).unwrap();
+        assert_eq!(node.prepare_campaign().unwrap().0, 13);
+        node.wal().mark_dirty().unwrap();
+        drop((node, client));
+        let sim = sim.surviving();
+        let (node, mut client) = loopback_replica(&sim, 1);
+        assert_eq!(node.wal().vector(), vec![0, 0], "the dirty log was wiped");
+        assert_eq!(node.current_term(), 13);
+
+        // A term that cannot be made durable is not adopted, and so
+        // spends no vote and starts no campaign.
+        sim.set_append_errors(true);
+        let (term, granted) = client.request_vote(14, 1, vec![1, 0]).unwrap();
+        assert_eq!((term, granted), (13, false));
+        assert!(node.prepare_campaign().is_err());
+        assert!(node.observe_term(20).is_err());
+        assert!(matches!(
+            client.replicate(20, 0, 1, vec![record(ReplStream::Shard(0))]),
+            Err(NetError::Remote {
+                code: ErrorCode::Io,
+                ..
+            })
+        ));
+        assert_eq!(client.ping(20, vec![0, 0]).unwrap().term, 13);
+        sim.set_append_errors(false);
+        let (term, granted) = client.request_vote(14, 1, vec![1, 0]).unwrap();
+        assert_eq!((term, granted), (14, true));
+        drop((node, client));
+        let (node, _client) = loopback_replica(&sim.surviving(), 1);
+        assert_eq!(node.current_term(), 14);
+    }
+
+    #[test]
     fn votes_grant_once_per_term_and_respect_the_ballot_order() {
         let sim = SimStorage::new();
         let (_node, mut client) = loopback_replica(&sim, 1);
@@ -1451,7 +1555,7 @@ mod tests {
         let sim = SimStorage::new();
         let (node, client) = loopback_replica(&sim, 1);
         // The replica has seen term 5 — a newer primary exists.
-        node.observe_term(5);
+        node.observe_term(5).unwrap();
         let obs = Obs::off();
         // A legacy (term-0) replicator shipping into that view is
         // fenced with StaleTerm, learns it is deposed, and fails every
@@ -1517,7 +1621,7 @@ mod tests {
     fn a_deposed_replicator_fails_every_batch_of_a_round() {
         let sim = SimStorage::new();
         let (node, client) = loopback_replica(&sim, 4);
-        node.observe_term(5);
+        node.observe_term(5).unwrap();
         let obs = Obs::wall();
         let repl = Replicator::over_clients(vec![client], 1, 4, &obs);
         let lost = Err(ReplShipError::QuorumLost {

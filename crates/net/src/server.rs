@@ -21,6 +21,15 @@
 //! out-of-order completion safe: a stats request answers immediately
 //! even while earlier submissions are still awaiting their cycle.
 //!
+//! A sweep that moves nothing waits on **readiness**: until the
+//! listener has a connection, a connection has bytes to read, or a
+//! stalled write buffer can drain (`ppoll(2)` on Linux, see
+//! `readiness.rs`) — bounded by `IDLE_PARK`, because a decision a
+//! cycle resolves wakes no socket and is noticed on the next sweep.
+//! A half-closed connection that only waits on decisions registers no
+//! interest — the kernel would report its hang-up on every wait — so
+//! it cannot keep the reactor spinning.
+//!
 //! The reactor never blocks on any one connection (a slow reader only
 //! grows its own write buffer) and a protocol violation answers with a
 //! final [`Response::Error`] frame before the connection closes.
@@ -42,6 +51,7 @@ use dpack_service::wal::codec::Reader;
 use dpack_service::{BudgetService, Decision, SubmissionTicket};
 
 use crate::error::{admission_code, ErrorCode, NetError};
+use crate::readiness::PollSet;
 use crate::repl::{ReplicaNode, Replicator};
 use crate::wire::{
     frame_into, FrameDecoder, Outcome, Request, RequestFrame, Response, ResponseFrame,
@@ -1222,9 +1232,10 @@ impl Drop for NetServer {
     }
 }
 
-/// How long the reactor parks when a sweep made no progress. Pending
-/// decisions resolve at scheduling-cycle granularity, so a sub-cycle
-/// park costs latency nobody observes.
+/// The longest the reactor waits for a socket when a sweep made no
+/// progress. Pending decisions resolve at scheduling-cycle granularity
+/// and wake no socket, so this bound is how soon a resolved decision
+/// is noticed; a sub-cycle bound costs latency nobody observes.
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
 /// Bytes one connection may feed into the processor per sweep — the
@@ -1252,9 +1263,13 @@ fn reactor(listener: TcpListener, core: ServiceCore, stop: &AtomicBool) {
     let telemetry = ReactorTelemetry::new(&core);
     let mut conns: Vec<Conn> = Vec::new();
     let mut next_ordinal = 0u64;
+    let mut interest = PollSet::default();
     while !stop.load(Ordering::Acquire) {
         let sweep_started = telemetry.as_ref().map(|t| t.clock.now_nanos());
         let mut progress = false;
+        // A failing accept (out of descriptors, say) can leave the
+        // listener readable: this sweep's wait must not trust it.
+        let mut accept_failed = false;
 
         // Accept whatever is queued.
         loop {
@@ -1275,7 +1290,10 @@ fn reactor(listener: TcpListener, core: ServiceCore, stop: &AtomicBool) {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(_) => {
+                    accept_failed = true;
+                    break;
+                }
             }
         }
 
@@ -1307,12 +1325,21 @@ fn reactor(listener: TcpListener, core: ServiceCore, stop: &AtomicBool) {
             }
         }
 
-        // No bytes moved and no decision resolved this sweep: park.
-        // Connections merely *waiting* on a scheduling cycle must not
-        // keep the reactor spinning — their decisions resolve at cycle
-        // granularity, far coarser than the park.
+        // No bytes moved and no decision resolved this sweep: wait
+        // until a socket is ready, for at most `IDLE_PARK`. Decisions
+        // resolve at cycle granularity and wake no socket; the bound
+        // is what polls them again.
         if !progress {
-            std::thread::park_timeout(IDLE_PARK);
+            if accept_failed {
+                std::thread::park_timeout(IDLE_PARK);
+            } else {
+                interest.clear();
+                interest.listener(&listener);
+                for conn in &conns {
+                    interest.stream(&conn.stream, !conn.eof, conn.wpos < conn.wbuf.len());
+                }
+                interest.wait(IDLE_PARK);
+            }
         }
     }
 }

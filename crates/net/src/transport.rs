@@ -21,8 +21,11 @@ use crate::wire::{frame_into, FrameDecoder};
 /// A bidirectional, ordered frame pipe to a server.
 ///
 /// `send_frame` takes the *message payload* (unframed); the transport
-/// adds the frame header. `recv_frame` returns the next inbound
-/// payload, blocking until one is available.
+/// adds the frame header. A transport may hold sent frames back to
+/// write several at once, but a frame reaches the peer no later than
+/// the next `recv_frame` that has to wait, the next `flush`, or the
+/// transport's drop. `recv_frame` returns the next inbound payload,
+/// blocking until one is available.
 pub trait Transport: Send {
     /// Sends one message payload.
     ///
@@ -39,6 +42,16 @@ pub trait Transport: Send {
     /// stream is corrupt.
     fn recv_frame(&mut self) -> Result<Vec<u8>, NetError>;
 
+    /// Writes out every frame sent so far. The default does nothing,
+    /// for transports that deliver each frame as it is sent.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures.
+    fn flush(&mut self) -> Result<(), NetError> {
+        Ok(())
+    }
+
     /// Bounds how long `recv_frame` blocks; an expired bound surfaces
     /// as [`NetError::Timeout`]. `None` restores indefinite blocking.
     /// The default implementation ignores the bound (in-process
@@ -53,11 +66,20 @@ pub trait Transport: Send {
     }
 }
 
-/// Frames over a blocking `TcpStream`.
+/// Frames queued past this many bytes are written at once, so a deep
+/// pipeline neither grows the buffer without bound nor waits for its
+/// first receive.
+const WRITE_COALESCE: usize = 64 * 1024;
+
+/// Frames over a blocking `TcpStream`. Sent frames collect in a buffer
+/// and go out in one `write` when a receive has to wait, the buffer
+/// passes [`WRITE_COALESCE`] bytes, on [`Transport::flush`], or on
+/// drop: a burst of pipelined requests costs one system call.
 pub struct TcpTransport {
     stream: TcpStream,
     decoder: FrameDecoder,
-    scratch: Vec<u8>,
+    /// Framed, not yet written requests.
+    wbuf: Vec<u8>,
 }
 
 impl TcpTransport {
@@ -73,16 +95,17 @@ impl TcpTransport {
         Ok(Self {
             stream,
             decoder: FrameDecoder::new(),
-            scratch: Vec::new(),
+            wbuf: Vec::new(),
         })
     }
 }
 
 impl Transport for TcpTransport {
     fn send_frame(&mut self, payload: &[u8]) -> Result<(), NetError> {
-        self.scratch.clear();
-        frame_into(&mut self.scratch, payload);
-        self.stream.write_all(&self.scratch)?;
+        frame_into(&mut self.wbuf, payload);
+        if self.wbuf.len() >= WRITE_COALESCE {
+            self.flush()?;
+        }
         Ok(())
     }
 
@@ -91,6 +114,8 @@ impl Transport for TcpTransport {
             if let Some(payload) = self.decoder.next_frame()? {
                 return Ok(payload);
             }
+            // About to block: the reply may answer a queued request.
+            self.flush()?;
             let mut chunk = [0u8; 8192];
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(NetError::Closed),
@@ -109,9 +134,27 @@ impl Transport for TcpTransport {
         }
     }
 
+    fn flush(&mut self) -> Result<(), NetError> {
+        if !self.wbuf.is_empty() {
+            // Cleared even on failure: a partly written buffer leaves
+            // the stream desynced, and the caller must drop it.
+            let wrote = self.stream.write_all(&self.wbuf);
+            self.wbuf.clear();
+            wrote?;
+        }
+        Ok(())
+    }
+
     fn set_read_timeout(&mut self, timeout: Option<std::time::Duration>) -> Result<(), NetError> {
         self.stream.set_read_timeout(timeout)?;
         Ok(())
+    }
+}
+
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        // Nobody is left to hear a failure.
+        let _ = self.flush();
     }
 }
 

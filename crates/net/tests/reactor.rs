@@ -1,0 +1,116 @@
+//! The reactor's idle wait, over real `127.0.0.1` sockets: an idle
+//! server answers as soon as a request arrives, and a connection that
+//! only waits on a decision does not keep the reactor sweeping.
+
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dp_accounting::{AlphaGrid, RdpCurve};
+use dpack_core::problem::{Block, Task};
+use dpack_net::wire::{frame_into, Request, RequestFrame, WireTask};
+use dpack_net::{NetClient, NetServer};
+use dpack_service::{BudgetService, ServiceConfig};
+
+/// The reactor's bound on one idle wait (`IDLE_PARK` in `server.rs`).
+const IDLE_PARK: Duration = Duration::from_micros(200);
+
+fn grid() -> AlphaGrid {
+    AlphaGrid::new(vec![2.0, 4.0, 16.0]).expect("valid grid")
+}
+
+fn service() -> Arc<BudgetService> {
+    Arc::new(BudgetService::new(
+        grid(),
+        ServiceConfig {
+            unlock_steps: 1,
+            ..ServiceConfig::default()
+        },
+    ))
+}
+
+fn sweeps(service: &BudgetService) -> u64 {
+    service
+        .obs()
+        .registry
+        .snapshot()
+        .histogram("dpack_reactor_sweep_nanos", "")
+        .map_or(0, |h| h.count)
+}
+
+/// A request to an idle server is answered when it arrives, not when
+/// the reactor's idle wait runs out: a fixed park made each of these
+/// round trips wait out most of `IDLE_PARK`.
+#[test]
+fn sequential_round_trips_to_an_idle_server_beat_the_idle_park() {
+    let service = service();
+    let server = NetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    for _ in 0..50 {
+        client.stats().expect("warm-up stats");
+    }
+    const CALLS: u32 = 500;
+    let started = Instant::now();
+    for _ in 0..CALLS {
+        client.stats().expect("stats");
+    }
+    let mean = started.elapsed() / CALLS;
+    assert!(
+        mean < IDLE_PARK / 2,
+        "a sequential round trip took {mean:?} on average, want < {:?}",
+        IDLE_PARK / 2
+    );
+    server.stop();
+}
+
+/// A half-closed connection waiting on a decision no cycle will make
+/// registers no interest: the kernel reports its hang-up on every
+/// wait, so registering it would turn the idle wait into a spin.
+#[test]
+fn a_half_closed_connection_awaiting_a_decision_does_not_spin_the_reactor() {
+    let service = service();
+    service
+        .register_block(Block::new(0, RdpCurve::constant(&grid(), 1.0), 0.0))
+        .expect("block");
+    let server = NetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    let task = Task::new(1, 1.0, vec![0], RdpCurve::constant(&grid(), 0.5), 0.0);
+    let mut out = Vec::new();
+    let submit = RequestFrame {
+        id: 1,
+        body: Request::Submit {
+            tenant: 0,
+            task: WireTask::from_task(&task),
+            trace: None,
+        },
+    };
+    frame_into(&mut out, &submit.encode());
+    raw.write_all(&out).expect("send the submission");
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+
+    // No cycle ever runs, so the decision stays pending; give the
+    // reactor time to admit the task and read the hang-up.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.stats_summary().submitted < 1 {
+        assert!(Instant::now() < deadline, "the submission never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+
+    let before = sweeps(&service);
+    let started = Instant::now();
+    std::thread::sleep(Duration::from_millis(100));
+    let swept = sweeps(&service) - before;
+    let elapsed = started.elapsed();
+    // One sweep per idle wait, twice over for sweeps and slow wakes,
+    // plus a small slack.
+    let bound = 2 * elapsed.as_micros() / IDLE_PARK.as_micros() + 50;
+    assert!(
+        u128::from(swept) <= bound,
+        "{swept} sweeps in {elapsed:?} (bound {bound}): the reactor spins"
+    );
+    assert_eq!(service.stats_summary().granted, 0, "no cycle ran");
+    drop(raw);
+    server.stop();
+}

@@ -211,6 +211,8 @@ fn remote_submission_is_bit_identical_to_in_process() {
             handles.push(client.submit_nowait((t.id % 3) as u32, t).expect("send"));
             sent += 1;
         }
+        // The wait below reads the server, not this client.
+        client.flush().expect("flush");
         while remote.stats_summary().submitted < sent {
             std::thread::sleep(Duration::from_micros(100));
         }
@@ -365,6 +367,7 @@ fn remote_client_scrapes_live_metrics_and_trace() {
     let pending = client
         .submit_nowait(3, &task(1, vec![0], 0.25, 0.0))
         .expect("send");
+    client.flush().expect("flush");
     while service.stats_summary().submitted < 1 {
         std::thread::sleep(Duration::from_micros(100));
     }
@@ -456,10 +459,82 @@ fn shutdown_closes_clients_cleanly() {
     let h = client
         .submit_nowait(0, &task(1, vec![0], 0.5, 0.0))
         .expect("send");
+    client.flush().expect("flush");
     std::thread::sleep(Duration::from_millis(20)); // Let the reactor ingest it.
     server.stop();
     match client.wait_decision(h) {
         Err(NetError::Closed | NetError::Io(_)) => {}
         other => panic!("expected a closed-connection error, got {other:?}"),
     }
+}
+
+/// The flush contract, first half: a pipelined request is written out
+/// when its client is dropped — or returned to its pool — so the
+/// server admits it.
+#[test]
+fn a_dropped_client_still_delivers_its_pipelined_submission() {
+    let service = service(1, 1);
+    service
+        .register_block(Block::new(0, RdpCurve::constant(&grid(), 1.0), 0.0))
+        .expect("block");
+    let server = NetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let admitted = |n: u64, what: &str| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while service.stats_summary().admitted < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the {what}'s submission never arrived"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let _ = client
+        .submit_nowait(0, &task(1, vec![0], 0.3, 0.0))
+        .expect("send");
+    drop(client);
+    admitted(1, "dropped client");
+    let pool = ClientPool::connect(server.local_addr(), 1).expect("pool");
+    let _ = pool
+        .get()
+        .submit_nowait(0, &task(2, vec![0], 0.3, 0.0))
+        .expect("send");
+    admitted(2, "returned pooled client");
+    server.stop();
+}
+
+/// The flush contract, second half: `flush` delivers every pipelined
+/// request, with no receive on the client.
+#[test]
+fn flush_delivers_a_pipelined_burst_without_a_receive() {
+    let service = service(1, 1);
+    service
+        .register_block(Block::new(0, RdpCurve::constant(&grid(), 1.0), 0.0))
+        .expect("block");
+    let server = NetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    const K: u64 = 16;
+    let handles: Vec<_> = (1..=K)
+        .map(|id| {
+            client
+                .submit_nowait(0, &task(id, vec![0], 0.01, 0.0))
+                .expect("send")
+        })
+        .collect();
+    client.flush().expect("flush");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while service.stats_summary().submitted < K {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "only {} of {K} flushed submissions arrived",
+            service.stats_summary().submitted
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(service.stats_summary().submitted, K);
+    service.run_cycle(1.0);
+    for handle in handles {
+        assert!(client.wait_decision(handle).expect("decision").is_granted());
+    }
+    server.stop();
 }

@@ -448,8 +448,11 @@ impl ReplicaWal {
         base_seq: u64,
         snapshot: &[u8],
     ) -> Result<(), WalError> {
-        if !self.resyncing.swap(true, Ordering::AcqRel) {
+        // Set only once the marker is durable: a failed marker write
+        // leaves the flag down, so the next install writes it again.
+        if !self.resyncing.load(Ordering::Acquire) {
             write_u64_file(self.storage.as_ref(), DIRTY_FILE, 1)?;
+            self.resyncing.store(true, Ordering::Release);
         }
         let at = slot(stream, self.shards)?;
         let base = LogRecord::Base {
@@ -771,6 +774,33 @@ mod tests {
         assert_eq!(replica.vector(), vec![0, 0]);
         assert_eq!(replica.lineage(), 0);
         assert!(!replica.is_resyncing());
+    }
+
+    #[test]
+    fn a_failed_dirty_marker_write_is_retried_by_the_next_install() {
+        let sim = SimStorage::new();
+        let replica = ReplicaWal::open(&sim, 1, 1 << 16).unwrap();
+        replica
+            .apply(ReplStream::Shard(0), 1, &records(ReplStream::Shard(0), 2))
+            .unwrap();
+        // A transient fault fails the first install before the marker
+        // is down.
+        sim.set_append_errors(true);
+        assert!(replica
+            .install_stream(ReplStream::Shard(0), 9, b"half")
+            .is_err());
+        assert!(!replica.is_resyncing(), "no marker, no resync in flight");
+        sim.set_append_errors(false);
+        // The retry must write the marker itself, or a crash before the
+        // commit reopens the half-installed log as trusted.
+        replica
+            .install_stream(ReplStream::Shard(0), 9, b"half")
+            .unwrap();
+        assert!(replica.is_resyncing());
+        drop(replica);
+        let replica = ReplicaWal::open(&sim.surviving(), 1, 1 << 16).unwrap();
+        assert_eq!(replica.vector(), vec![0, 0], "a made-up ballot survived");
+        assert_eq!(replica.lineage(), 0);
     }
 
     #[test]

@@ -156,6 +156,18 @@ if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":
   exit 1
 fi
 
+echo "==> checking unsafe lives in one place"
+# crates/net/src/readiness.rs declares the reactor's ppoll(2) shim, and
+# its one unsafe block is the workspace's only one: every other program
+# file is safe Rust. Tests below `#[cfg(test)]` may name anything.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs') | grep -vE '^[^ ]+ *//' | grep -wE 'unsafe' \
+  | grep -v '^crates/net/src/readiness.rs:' \
+  || [ "$(grep -v '^ *//' crates/net/src/readiness.rs | grep -cw 'unsafe')" != 1 ]; then
+  echo "ERROR: unsafe code belongs only in crates/net/src/readiness.rs, in one block (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking the tier interns in one place"
 # A hot entry carries the capacity id it had while cold, so a re-spill
 # interns nothing; only ColdBlock::summarize interns, for an entry that
