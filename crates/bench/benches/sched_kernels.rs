@@ -11,8 +11,9 @@
 
 use dpack_bench::micro::{Micro, MicroConfig};
 use dpack_core::problem::{pack, Block, PackingRule, ProblemState, Task};
-use dpack_core::schedulers::{sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, Scheduler};
-use orchestrator::ParallelDPack;
+use dpack_core::schedulers::{
+    sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, ParallelDPack, Scheduler,
+};
 use workloads::alibaba::{self, AlibabaDpConfig};
 use workloads::curves::CurveLibrary;
 use workloads::microbenchmark::{generate, MicrobenchmarkConfig};

@@ -18,7 +18,7 @@ fn main() {
     let delta = 1e-6;
 
     // Noise std-dev 2 for each mechanism, as in the figure. The paper
-    // does not state the subsampling rate; q = 0.5 (see DESIGN.md).
+    // does not state the subsampling rate; we use q = 0.5.
     let gaussian = GaussianMechanism::new(2.0).expect("valid").curve(&grid);
     let sampled = SubsampledGaussian::new(2.0, 0.5)
         .expect("valid")

@@ -1,70 +1,21 @@
-//! Tab. 2 (Q4): efficiency on the orchestrator substrate.
+//! Tab. 2 (Q4): efficiency on the budget service.
 //!
-//! Runs the same Alibaba-DP sample through the orchestrator (online,
-//! T = 5) under DPack and DPF. The paper reports 1269 vs 1100 allocated
-//! tasks (DPack ≈ +15%); the reproduction target is the ordering and
-//! rough margin, not the absolute counts (our trace is synthetic).
+//! Runs the same Alibaba-DP sample through `BudgetService` (online,
+//! T = 5; see `dpack_bench::run_q4`) under DPack and DPF. The paper
+//! reports 1269 vs 1100 allocated tasks (DPack ≈ +15%); the
+//! reproduction target is the ordering and rough margin, not the
+//! absolute counts (our trace is synthetic).
 
 use dpack_bench::table::{fmt, Table};
-use dpack_core::problem::Block;
-use dpack_core::schedulers::{DPack, Scheduler};
-use orchestrator::{LatencyModel, Orchestrator, OrchestratorConfig, ParallelDPack, ParallelDpf};
-use workloads::alibaba::{generate, AlibabaDpConfig};
-use workloads::OnlineWorkload;
-
-fn run<S: Scheduler>(wl: &OnlineWorkload, scheduler: S) -> usize {
-    let mut orch = Orchestrator::new(
-        scheduler,
-        wl.grid.clone(),
-        OrchestratorConfig {
-            scheduling_period: 5.0,
-            unlock_steps: 30,
-            latency: LatencyModel::kubernetes_like(),
-            threads: 4,
-        },
-    );
-    for b in wl.blocks.iter().take(10) {
-        orch.register_block(Block::new(b.id, b.capacity.clone(), 0.0))
-            .expect("unique");
-    }
-    let mut registered = 10usize.min(wl.blocks.len());
-    let mut tasks = wl.tasks.iter().peekable();
-    let horizon = wl.blocks.len() as f64 + 35.0 * 5.0;
-    let mut now = 5.0;
-    while now <= horizon {
-        while registered < wl.blocks.len() && wl.blocks[registered].arrival <= now {
-            orch.register_block(wl.blocks[registered].clone())
-                .expect("unique");
-            registered += 1;
-        }
-        while let Some(t) = tasks.peek() {
-            if t.arrival <= now {
-                orch.submit((*t).clone()).expect("alive");
-                tasks.next();
-            } else {
-                break;
-            }
-        }
-        orch.run_cycle(now).expect("budget soundness");
-        now += 5.0;
-    }
-    orch.stats().allocated.len()
-}
+use dpack_service::SchedulerChoice;
 
 fn main() {
     let args = dpack_bench::cli::Args::parse();
     let n = if args.full { 4200 } else { 2500 };
-    let wl = generate(
-        &AlibabaDpConfig {
-            n_blocks: 30,
-            n_tasks: n,
-            ..Default::default()
-        },
-        args.seed,
-    );
-    println!("Tab. 2 — orchestrator efficiency, Alibaba-DP ({n} submitted, T = 5)\n");
-    let dpack = run(&wl, ParallelDPack::new(DPack::default(), 4));
-    let dpf = run(&wl, ParallelDpf::strict(4));
+    println!("Tab. 2 — service efficiency, Alibaba-DP ({n} submitted, T = 5)\n");
+    let run = |scheduler| dpack_bench::run_q4(n, args.seed, scheduler, 5.0).allocated();
+    let dpack = run(SchedulerChoice::DPack);
+    let dpf = run(SchedulerChoice::DpfStrict);
     let mut t = Table::new(vec!["scheduler", "allocated"]);
     t.row(vec!["DPack".to_string(), dpack.to_string()]);
     t.row(vec!["DPF".to_string(), dpf.to_string()]);

@@ -39,6 +39,7 @@
 mod dense;
 pub mod metrics;
 pub mod online;
+mod parallel;
 pub mod problem;
 pub mod scenarios;
 pub mod schedulers;

@@ -70,19 +70,6 @@ pub fn fairness_report(
     }
 }
 
-/// An empirical CDF over `values`, returned as `(value, fraction ≤
-/// value)` points — used for the scheduling-delay CDFs of Fig. 8(b).
-pub fn empirical_cdf(values: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let n = sorted.len();
-    sorted
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, (i + 1) as f64 / n as f64))
-        .collect()
-}
-
 /// The `p`-quantile (0 ≤ p ≤ 1) of `values` by nearest-rank; `None` for
 /// an empty slice.
 pub fn quantile(values: &[f64], p: f64) -> Option<f64> {
@@ -121,17 +108,6 @@ mod tests {
         assert_eq!(r.qualifying_allocated, 1);
         assert!((r.allocated_fair_fraction() - 0.5).abs() < 1e-12);
         assert!((r.qualifying_fraction(tasks.len()) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_normalized() {
-        let cdf = empirical_cdf(&[3.0, 1.0, 2.0, 2.0]);
-        assert_eq!(cdf.len(), 4);
-        assert_eq!(cdf[0], (1.0, 0.25));
-        assert_eq!(cdf.last().unwrap(), &(3.0, 1.0));
-        for w in cdf.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1);
-        }
     }
 
     #[test]

@@ -362,8 +362,9 @@ impl<S: Scheduler> OnlineEngine<S> {
     /// # Errors
     ///
     /// Returns an error if the scheduler produced an allocation that a
-    /// privacy filter rejects — a budget-soundness violation that the
-    /// double-enforcement design (DESIGN.md §4) treats as fatal.
+    /// privacy filter rejects. The scheduler's feasibility rule and the
+    /// block filters enforce the same budget twice, so a refusal means
+    /// the two disagree: a budget-soundness violation, and fatal.
     pub fn run_step(&mut self, now: f64) -> Result<Allocation, ProblemError> {
         self.stats.steps += 1;
 

@@ -338,11 +338,6 @@ pub fn pack(state: &ProblemState, ordered: &[usize], rule: PackingRule) -> Vec<T
     taken.into_iter().map(|t| state.tasks()[t].id).collect()
 }
 
-/// [`pack`] with [`PackingRule::Skip`] — the default greedy discipline.
-pub fn greedy_pack(state: &ProblemState, ordered: &[usize]) -> Vec<TaskId> {
-    pack(state, ordered, PackingRule::Skip)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,7 +406,7 @@ mod tests {
             0.0,
         );
         let state = ProblemState::new(g, blocks, vec![t0, t1, t2]).unwrap();
-        let ids = greedy_pack(&state, &[0, 1, 2]);
+        let ids = pack(&state, &[0, 1, 2], PackingRule::Skip);
         // 0.4+0.4 = 0.8 fits order 0; a third would be 1.2 > 1.0 at order
         // 0 and 2.7 > 1.0 at order 1.
         assert_eq!(ids, vec![0, 1]);
@@ -428,7 +423,7 @@ mod tests {
         let t0 = Task::new(0, 1.0, vec![0, 1], RdpCurve::constant(&g, 0.2), 0.0);
         let t1 = Task::new(1, 1.0, vec![0, 1], RdpCurve::constant(&g, 0.2), 0.0);
         let state = ProblemState::new(g, blocks, vec![t0, t1]).unwrap();
-        let ids = greedy_pack(&state, &[0, 1]);
+        let ids = pack(&state, &[0, 1], PackingRule::Skip);
         assert_eq!(ids, vec![0]); // 0.4 > 0.3 on block 1 for the second.
     }
 

@@ -6,6 +6,7 @@ mod fcfs;
 mod greedy_area;
 mod optimal;
 
+pub use crate::parallel::ParallelDPack;
 pub use dpack::{DPack, KnapsackOracle};
 pub use dpf::{dominant_share, dpf_schedule, Dpf, DpfStrict};
 pub use fcfs::Fcfs;

@@ -15,10 +15,9 @@
 //! Both formulas are exact (respectively, valid upper bounds) at integer
 //! orders. At the three fractional orders of the standard grid (1.5,
 //! 1.75, 2.5) we use the monotone bound `ε(α) ≤ ε(⌈α⌉)`, which is sound
-//! because Rényi divergence is non-decreasing in the order. This choice
-//! is documented as substitution #4 in DESIGN.md and does not affect
-//! scheduling outcomes: every best alpha in the paper's evaluation lies
-//! in `{3, …, 64}`.
+//! because Rényi divergence is non-decreasing in the order. The bound is
+//! loose at those three orders but does not affect scheduling outcomes:
+//! every best alpha in the paper's evaluation lies in `{3, …, 64}`.
 
 use super::{GaussianMechanism, LaplaceMechanism, Mechanism};
 use crate::error::AccountingError;

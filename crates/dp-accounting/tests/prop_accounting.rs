@@ -49,8 +49,9 @@ fn mechanism_curves_are_monotone() {
 /// Subsampling never hurts at the orders where the formula is exact
 /// (integer α ≥ 2): the subsampled curve is bounded by the plain
 /// mechanism's. At the fractional grid orders our conservative
-/// ceiling bound may exceed the plain curve, which is sound but not
-/// tight — so those are excluded (substitution #4 in DESIGN.md).
+/// ceiling bound `ε(α) ≤ ε(⌈α⌉)` may exceed the plain curve, which is
+/// sound but not tight — so those are excluded (see the module docs of
+/// `dp_accounting::mechanisms::subsampled`).
 #[test]
 fn subsampling_amplifies() {
     check_cases(

@@ -305,14 +305,6 @@ impl ServiceCore {
         *self.cluster.write().expect("cluster view lock poisoned") = Some(view);
     }
 
-    /// The last pushed deployment view, if any.
-    pub fn cluster_view(&self) -> Option<WireClusterStatus> {
-        self.cluster
-            .read()
-            .expect("cluster view lock poisoned")
-            .clone()
-    }
-
     /// Requires every connection to present `secret` in its `Hello`
     /// before any other request is served (compared in constant time;
     /// failures count in `dpack_auth_rejected_total`).

@@ -82,14 +82,6 @@ impl Obs {
         Arc::new(Self::live(clock, seed))
     }
 
-    /// A live registry/recorder on an arbitrary clock. The clock is
-    /// **not** read here (a [`ManualClock`]'s reads are part of its
-    /// deterministic contract), so the tracer runs on the fixed
-    /// deterministic seed; see [`Obs::wall`] for the wall-seeded form.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Arc<Self> {
-        Arc::new(Self::live(clock, MANUAL_TRACER_SEED))
-    }
-
     fn live(clock: Arc<dyn Clock>, tracer_seed: u64) -> Self {
         let registry = Registry::new();
         let recorder = FlightRecorder::new(DEFAULT_RECORDER_CAPACITY)

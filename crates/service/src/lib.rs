@@ -77,6 +77,7 @@
 
 pub mod admission;
 pub mod config;
+mod driver;
 pub mod durability;
 mod journal;
 pub mod ledger;
@@ -99,11 +100,12 @@ pub use dpack_obs as obs;
 
 pub use admission::{AdmissionError, Submission, TenantId};
 pub use config::{DurabilityOptions, SchedulerChoice, ServiceConfig, TierConfig};
+pub use driver::ServiceHandle;
 pub use ledger::{CommitOutcome, ShardedLedger};
 pub use replication::{
     ReplShipError, ReplStream, ReplicaApplyError, ReplicaWal, ReplicationSink, ShipBatch,
 };
-pub use service::{BudgetService, ServiceHandle};
+pub use service::BudgetService;
 pub use stats::{
     CycleStats, DurabilityStats, ServiceStats, StatsRetention, StatsSummary, TenantStats,
 };

@@ -1160,57 +1160,12 @@ impl BudgetService {
     }
 }
 
-/// A service running cycles on a background thread at a fixed
-/// wall-clock interval — the always-on deployment shape. Virtual time
-/// advances by one scheduling period per cycle. The loop machinery is
-/// the orchestrator's [`orchestrator::CycleLoop`], which joins the
-/// thread on drop as well as on [`ServiceHandle::stop`].
-pub struct ServiceHandle {
-    service: Arc<BudgetService>,
-    cycle_loop: Option<orchestrator::CycleLoop>,
-}
-
-impl ServiceHandle {
-    /// Spawns the cycle thread.
-    pub fn spawn(service: Arc<BudgetService>, interval: Duration) -> Self {
-        let thread_service = Arc::clone(&service);
-        let cycle_loop = orchestrator::CycleLoop::spawn(
-            service.config.scheduling_period,
-            interval,
-            move |now| {
-                thread_service.run_cycle(now);
-            },
-        );
-        Self {
-            service,
-            cycle_loop: Some(cycle_loop),
-        }
-    }
-
-    /// The underlying service (for submissions and stats).
-    pub fn service(&self) -> &Arc<BudgetService> {
-        &self.service
-    }
-
-    /// Stops the cycle thread and returns the service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cycle thread panicked.
-    pub fn stop(mut self) -> Arc<BudgetService> {
-        self.cycle_loop
-            .take()
-            .expect("cycle loop runs until stop")
-            .stop();
-        Arc::clone(&self.service)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SchedulerChoice;
     use crate::replication::{ReplShipError, ReplStream, ReplicationSink, ShipBatch};
+    use crate::ServiceHandle;
     use dp_accounting::RdpCurve;
     use dpack_check::{bools, check_cases, ints, prop_assert, prop_assert_eq, vecs, weighted};
     use dpack_core::online::{OnlineConfig, OnlineEngine};

@@ -282,22 +282,6 @@ impl ServiceStats {
         (secs > 0.0).then(|| self.granted_total as f64 / secs)
     }
 
-    /// Mean cycle wall time over the service lifetime.
-    pub fn mean_cycle_time(&self) -> Option<Duration> {
-        (self.cycles_total > 0).then(|| self.cycle_time_total / self.cycles_total as u32)
-    }
-
-    /// Maximum cycle wall time over the *retained* cycles.
-    pub fn max_cycle_time(&self) -> Option<Duration> {
-        self.cycles.iter().map(|c| c.total).max()
-    }
-
-    /// Peak admission-queue depth observed at *retained* cycle
-    /// boundaries.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.cycles.iter().map(|c| c.queue_depth).max().unwrap_or(0)
-    }
-
     /// The fixed-size counter snapshot (no per-event data); exact
     /// under any retention.
     pub fn summary(&self) -> StatsSummary {
@@ -363,7 +347,6 @@ mod tests {
     fn derived_metrics() {
         let mut s = ServiceStats::default();
         assert_eq!(s.throughput(), None);
-        assert_eq!(s.mean_cycle_time(), None);
         s.record_cycle(cycle(2, 10));
         s.record_cycle(cycle(1, 30));
         for i in 0..3u64 {
@@ -371,9 +354,6 @@ mod tests {
         }
         assert_eq!(s.total_weight(), 6.0);
         assert_eq!(s.total_cycle_time(), Duration::from_millis(40));
-        assert_eq!(s.mean_cycle_time(), Some(Duration::from_millis(20)));
-        assert_eq!(s.max_cycle_time(), Some(Duration::from_millis(30)));
-        assert_eq!(s.peak_queue_depth(), 3);
         let thr = s.throughput().unwrap();
         assert!((thr - 75.0).abs() < 1e-9, "throughput {thr}");
         let online = s.to_online();
@@ -428,7 +408,6 @@ mod tests {
         assert_eq!(sum.cycle_time, Duration::from_millis(100));
         assert_eq!(s.total_weight(), 20.0);
         // Derived lifetime metrics use the counters, not the logs.
-        assert_eq!(s.mean_cycle_time(), Some(Duration::from_millis(10)));
         let thr = s.throughput().unwrap();
         assert!((thr - 100.0).abs() < 1e-9, "throughput {thr}");
         // The online view is the retained tail, with exact steps.

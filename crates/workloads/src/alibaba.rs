@@ -18,10 +18,10 @@
 //! * truncation: drop tasks requesting more than 100 blocks or whose
 //!   smallest normalized RDP ε falls outside `[0.001, 1]`.
 //!
-//! Tasks request the most recent blocks and carry weight 1. This is
-//! substitution #3 of DESIGN.md; what Fig. 6 needs from the workload is
-//! heterogeneity in block counts and best alphas, which the mapping
-//! reproduces by construction.
+//! Tasks request the most recent blocks and carry weight 1. The trace is
+//! synthetic, so absolute counts differ from the paper's; what Fig. 6
+//! needs from the workload is heterogeneity in block counts and best
+//! alphas, which the mapping reproduces by construction.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -9,8 +9,7 @@
 //!   2022 GPU-cluster trace is not redistributable here, so a synthetic
 //!   trace calibrated to its published marginals is generated first and
 //!   the paper's proxy mapping (machine type → mechanism, memory → ε,
-//!   network bytes → #blocks) is applied unchanged (substitution #3 in
-//!   DESIGN.md).
+//!   network bytes → #blocks) is applied unchanged.
 //! * [`amazon`] — the PrivateKube Amazon Reviews macrobenchmark: 24
 //!   neural-network task types plus 18 Laplace statistics tasks, with the
 //!   low block/alpha heterogeneity the paper reports, and the weighted

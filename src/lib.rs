@@ -9,15 +9,18 @@
 //!   filters, executable DP mechanisms and a miniature DP-SGD trainer.
 //! * [`solvers`] — knapsack machinery, including the exact privacy
 //!   knapsack (Eq. 5) replacing the paper's Gurobi baseline.
-//! * [`core`] — the schedulers (DPack, DPF, FCFS, greedy-area, Optimal)
-//!   and the §3.4 online engine.
+//! * [`core`] — the schedulers (DPack, DPF, FCFS, greedy-area, Optimal,
+//!   and `ParallelDPack`, DPack with a thread count) and the §3.4
+//!   online engine.
 //! * [`gen`] — the microbenchmark, Alibaba-DP and Amazon Reviews
 //!   workload generators.
 //! * [`sim`] — the discrete-event simulator.
-//! * [`orchestration`] — the PrivateKube-like orchestrator substrate.
 //! * [`service`] — the sharded, concurrent budget service: striped
 //!   ledger, bounded multi-tenant admission queue, batched scheduling
-//!   loop with two-phase cross-shard commits.
+//!   loop with two-phase cross-shard commits. The §6.4 experiments
+//!   (Fig. 8, Tab. 2) run on it.
+//! * [`net`] — the service's wire protocol, remote tenant frontend,
+//!   replication and self-healing cluster.
 //!
 //! # Examples
 //!
@@ -38,7 +41,6 @@ pub use dpack_core as core;
 pub use dpack_net as net;
 pub use dpack_service as service;
 pub use knapsack as solvers;
-pub use orchestrator as orchestration;
 pub use simulator as sim;
 pub use workloads as gen;
 

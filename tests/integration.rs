@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: workload generation → scheduling →
 //! budget enforcement, spanning `workloads`, `dpack-core`, `simulator`,
-//! `orchestrator` and `dp-accounting` together.
+//! `dpack-service` and `dp-accounting` together.
 
 use dpack::accounting::{block_capacity, fits, AlphaGrid, RdpCurve};
 use dpack::core::problem::{Block, ProblemState, Task};
@@ -140,8 +140,9 @@ fn online_simulation_respects_global_guarantee_end_to_end() {
 }
 
 #[test]
-fn orchestrator_and_simulator_agree_on_allocations() {
-    use dpack::orchestration::{LatencyModel, Orchestrator, OrchestratorConfig, ParallelDPack};
+fn service_and_simulator_agree_on_allocations() {
+    use dpack::service::{SchedulerChoice, ServiceConfig};
+    use dpack::sim::simulate_service;
 
     let wl = amazon::generate(
         &AmazonConfig {
@@ -151,60 +152,25 @@ fn orchestrator_and_simulator_agree_on_allocations() {
         },
         9,
     );
-    // Simulator run.
-    let sim = simulate(
+    let config = SimulationConfig {
+        scheduling_period: 1.0,
+        unlock_steps: 5,
+        task_timeout: None,
+        drain_steps: 10,
+    };
+    let sim = simulate(&wl, DPack::default(), &config);
+    // The service decides in one pass over every pending task whatever
+    // its worker count, so it grants what the engine grants.
+    let service = simulate_service(
         &wl,
-        DPack::default(),
-        &SimulationConfig {
-            scheduling_period: 1.0,
-            unlock_steps: 5,
-            task_timeout: None,
-            drain_steps: 10,
+        &ServiceConfig {
+            scheduler: SchedulerChoice::DPack,
+            workers: 3,
+            ..ServiceConfig::default()
         },
+        &config,
     );
-    // Orchestrator run with zero latency, same cadence: decisions must
-    // match because both drive the same engine and a decision-identical
-    // scheduler.
-    let mut orch = Orchestrator::new(
-        ParallelDPack::new(DPack::default(), 3),
-        wl.grid.clone(),
-        OrchestratorConfig {
-            scheduling_period: 1.0,
-            unlock_steps: 5,
-            latency: LatencyModel::zero(),
-            threads: 3,
-        },
-    );
-    let horizon = wl.blocks.len() as f64 + 10.0;
-    let mut blocks = wl.blocks.iter().peekable();
-    let mut tasks = wl.tasks.iter().peekable();
-    let mut now = 0.0;
-    while now <= horizon {
-        while let Some(b) = blocks.peek() {
-            if b.arrival <= now {
-                orch.register_block((*b).clone()).expect("unique");
-                blocks.next();
-            } else {
-                break;
-            }
-        }
-        while let Some(t) = tasks.peek() {
-            if t.arrival <= now {
-                orch.submit((*t).clone()).expect("alive");
-                tasks.next();
-            } else {
-                break;
-            }
-        }
-        if now > 0.0 {
-            orch.run_cycle(now).expect("sound");
-        }
-        now += 1.0;
-    }
-    let sim_ids = sim.allocated_ids();
-    let orch_ids: std::collections::BTreeSet<u64> =
-        orch.stats().allocated.iter().map(|a| a.id).collect();
-    assert_eq!(sim_ids, orch_ids);
+    assert_eq!(sim.allocated_ids(), service.allocated_ids());
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Cross-crate decision-equivalence tests on the microbenchmark and
-//! Alibaba-DP workloads: the orchestrator's parallel scheduler wrappers
-//! must be bit-identical to the single-threaded `dpack-core`
-//! schedulers, and the service — at any shard and worker count — must
-//! allocate what the online engine allocates.
+//! Alibaba-DP workloads: the parallel scheduler wrappers must be
+//! bit-identical to the single-threaded `dpack-core` schedulers, and
+//! the service — at any shard and worker count — must allocate what the
+//! online engine allocates.
 
-use dpack::core::schedulers::{DPack, Dpf, DpfStrict, Scheduler};
+use dpack::core::problem::PackingRule;
+use dpack::core::schedulers::{dpf_schedule, DPack, Dpf, DpfStrict, ParallelDPack, Scheduler};
 use dpack::gen::curves::CurveLibrary;
 use dpack::gen::microbenchmark::{generate, MicrobenchmarkConfig};
-use dpack::orchestration::{ParallelDPack, ParallelDpf};
 use dpack::service::{SchedulerChoice, ServiceConfig};
 use dpack::sim::{
     replay_workload, simulate, BackendKind, ReplayEvent, SchedulerKind, SimulationConfig,
@@ -79,12 +79,12 @@ fn parallel_dpf_is_bit_identical_on_the_microbenchmark() {
         let seq = Dpf.schedule(&state);
         let strict = DpfStrict.schedule(&state);
         for threads in [1, 3, 8] {
-            let par = ParallelDpf::new(threads).schedule(&state);
+            let par = dpf_schedule(&state, PackingRule::Skip, threads);
             assert_eq!(
                 par.scheduled, seq.scheduled,
                 "seed {seed}, threads {threads}"
             );
-            let par = ParallelDpf::strict(threads).schedule(&state);
+            let par = dpf_schedule(&state, PackingRule::Stop, threads);
             assert_eq!(par.scheduled, strict.scheduled, "strict, threads {threads}");
         }
     }
