@@ -1,13 +1,12 @@
-//! A tiny argument parser for the experiment binaries.
+//! A tiny argument parser for the `paper` runner.
 
-/// Parsed common arguments.
+/// Parsed arguments: the panels to run and the options they share.
 #[derive(Debug, Clone)]
 pub struct Args {
+    /// Panel or figure names to run (positional, e.g. `fig4 tab2`).
+    pub names: Vec<String>,
     /// RNG seed (`--seed`, default 42).
     pub seed: u64,
-    /// Panel selector for two-panel figures (`--panel a|b`, default
-    /// both).
-    pub panel: Option<char>,
     /// Paper-scale sizes instead of the quick defaults (`--full`).
     pub full: bool,
     /// Output directory for CSVs (`--out`, default `results`).
@@ -17,8 +16,8 @@ pub struct Args {
 impl Default for Args {
     fn default() -> Self {
         Self {
+            names: Vec::new(),
             seed: 42,
-            panel: None,
             full: false,
             out_dir: "results".into(),
         }
@@ -30,8 +29,8 @@ impl Args {
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed arguments — these are
-    /// developer-facing binaries.
+    /// Panics with a usage message on malformed arguments — this is a
+    /// developer-facing binary.
     pub fn parse() -> Self {
         Self::parse_from(std::env::args().skip(1))
     }
@@ -40,33 +39,25 @@ impl Args {
     pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Self {
         let mut args = Args::default();
         let mut it = iter.into_iter();
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
                 "--seed" => {
                     args.seed = it
                         .next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| panic!("--seed needs a u64"));
                 }
-                "--panel" => {
-                    let v = it.next().unwrap_or_else(|| panic!("--panel needs a|b"));
-                    let c = v.chars().next().unwrap_or('a').to_ascii_lowercase();
-                    assert!(c == 'a' || c == 'b', "--panel must be a or b");
-                    args.panel = Some(c);
-                }
                 "--full" => args.full = true,
                 "--out" => {
                     args.out_dir = it.next().unwrap_or_else(|| panic!("--out needs a path"));
                 }
-                other => panic!("unknown flag {other} (expected --seed/--panel/--full/--out)"),
+                flag if flag.starts_with("--") => {
+                    panic!("unknown flag {flag} (expected --seed/--full/--out)")
+                }
+                _ => args.names.push(arg),
             }
         }
         args
-    }
-
-    /// Whether to run a given panel.
-    pub fn wants_panel(&self, p: char) -> bool {
-        self.panel.is_none_or(|sel| sel == p)
     }
 }
 
@@ -81,32 +72,24 @@ mod tests {
     #[test]
     fn defaults() {
         let a = parse(&[]);
+        assert!(a.names.is_empty());
         assert_eq!(a.seed, 42);
-        assert_eq!(a.panel, None);
         assert!(!a.full);
-        assert!(a.wants_panel('a') && a.wants_panel('b'));
+        assert_eq!(a.out_dir, "results");
     }
 
     #[test]
     fn all_flags() {
-        let a = parse(&["--seed", "7", "--panel", "b", "--full", "--out", "tmp"]);
+        let a = parse(&["fig4", "--seed", "7", "--full", "tab2", "--out", "tmp"]);
+        assert_eq!(a.names, ["fig4", "tab2"]);
         assert_eq!(a.seed, 7);
-        assert_eq!(a.panel, Some('b'));
         assert!(a.full);
         assert_eq!(a.out_dir, "tmp");
-        assert!(!a.wants_panel('a'));
-        assert!(a.wants_panel('b'));
     }
 
     #[test]
     #[should_panic(expected = "unknown flag")]
     fn unknown_flag_panics() {
-        parse(&["--bogus"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "--panel must be")]
-    fn bad_panel_panics() {
-        parse(&["--panel", "c"]);
+        parse(&["--panel", "a"]);
     }
 }

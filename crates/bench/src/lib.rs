@@ -1,16 +1,16 @@
-//! Shared harness utilities for the experiment binaries.
+//! The paper's experiments and the micro-bench harness.
 //!
-//! Every figure and table of the paper has a binary under `src/bin/`,
-//! named after it (`fig1` … `fig9`, `tab2`); `fairness` is §6.3's
-//! efficiency–fairness study, `diag_gap` a diagnostic of the DPack/DPF
-//! gap on Alibaba-DP, and `simulate` the config-file runner. The
-//! binaries print the paper's rows/series as aligned tables and write
-//! CSVs under `results/`. All accept `--seed <u64>` and, where
-//! applicable, `--panel <a|b>` and `--full` (paper-scale instead of the
-//! quick default sizes).
+//! [`paper`] holds every panel of the paper's evaluation as one row of a
+//! table (`fig1` … `fig9`, `tab2`, §6.3's `fairness` study and `gap`, a
+//! diagnostic of the DPack/DPF gap on Alibaba-DP); the `paper` binary
+//! runs the rows it is given by name, prints their tables and writes
+//! their CSVs under `results/`. It accepts `--seed <u64>`, `--full`
+//! (paper-scale instead of the quick default sizes) and `--out <dir>`.
+//! [`micro`] is the std-only harness the `benches/` suites run on.
 
 pub mod cli;
 pub mod micro;
+pub mod paper;
 pub mod table;
 
 use dpack_service::{SchedulerChoice, ServiceConfig};

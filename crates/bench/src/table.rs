@@ -36,16 +36,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders an aligned text table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -132,7 +122,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("value"));
         assert!(lines[1].starts_with('-'));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -125,11 +125,12 @@ impl Scheduler for Dpf {
 /// dominant-share priority that DPF's max-min guarantee rests on. The
 /// two variants coincide on the paper's illustrative examples (Figs. 1
 /// and 3) and differ online exactly by the efficiency the paper
-/// attributes to DPack (see EXPERIMENTS.md for the sensitivity study:
-/// with skip semantics the online retry loop lets *any* ordering
-/// converge to a near-efficient allocation, which contradicts the
-/// paper's measured DPF; with strict semantics the DPack/DPF gap lands
-/// in the reported 1.3–1.7× band).
+/// attributes to DPack. With skip semantics the online retry loop lets
+/// *any* ordering converge to a near-efficient allocation, which
+/// contradicts the paper's measured DPF; with strict semantics the
+/// DPack/DPF gap lands in the reported 1.3–1.7× band. See README's
+/// "Which DPF is the paper's" paragraph, and the `paper` runner's `gap`
+/// panel for the sensitivity study.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DpfStrict;
 

@@ -87,11 +87,6 @@ impl ManualClock {
     pub fn set(&self, nanos: u64) {
         self.nanos.store(nanos, Ordering::Relaxed);
     }
-
-    /// The current reading without consuming a tick.
-    pub fn peek(&self) -> u64 {
-        self.nanos.load(Ordering::Relaxed)
-    }
 }
 
 impl Clock for ManualClock {
@@ -120,7 +115,6 @@ mod tests {
         c.advance(500);
         assert_eq!(c.now_nanos(), 2_500);
         c.set(10);
-        assert_eq!(c.peek(), 10);
         assert_eq!(c.now_nanos(), 10);
     }
 

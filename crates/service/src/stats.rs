@@ -270,11 +270,6 @@ impl ServiceStats {
         self.granted_weight_total
     }
 
-    /// Lifetime wall time spent in cycles.
-    pub fn total_cycle_time(&self) -> Duration {
-        self.cycle_time_total
-    }
-
     /// Granted tasks per second of cycle wall time (`None` before the
     /// first cycle finishes).
     pub fn throughput(&self) -> Option<f64> {
@@ -353,7 +348,7 @@ mod tests {
             s.record_granted(granted(i));
         }
         assert_eq!(s.total_weight(), 6.0);
-        assert_eq!(s.total_cycle_time(), Duration::from_millis(40));
+        assert_eq!(s.cycle_time_total, Duration::from_millis(40));
         let thr = s.throughput().unwrap();
         assert!((thr - 75.0).abs() < 1e-9, "throughput {thr}");
         let online = s.to_online();

@@ -23,12 +23,10 @@
 //! assert!(result.allocated() > 0);
 //! ```
 
-pub mod config;
 pub mod event;
 pub mod result;
 pub mod service_backend;
 
-pub use config::{BackendKind, DurabilityKind, SchedulerKind, SimulationSpec, WorkloadKind};
 pub use event::{Event, EventKind, EventQueue};
 pub use result::SimulationResult;
 pub use service_backend::{simulate_service, simulate_service_durable};

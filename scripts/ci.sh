@@ -211,6 +211,24 @@ if grep -rnE --include='*.rs' '\b(LatencyModel|busy_wait|CycleLoop)\b|\borchestr
   exit 1
 fi
 
+echo "==> checking the paper's experiments are rows of one runner"
+# crates/bench/src/paper.rs describes each panel of the evaluation once,
+# as a row of PANELS, and crates/bench/src/bin/paper.rs is the one
+# binary that runs them by name. The per-figure mains and the
+# key = value config-file simulator that switched between the engine
+# and the service stay deleted: call simulator::simulate (the
+# reference) or simulate_service (the product) directly.
+bench_bins="$(find crates/bench/src/bin -type f | sort)"
+if [ "${bench_bins}" != crates/bench/src/bin/paper.rs ]; then
+  echo "ERROR: crates/bench/src/bin must hold only paper.rs; add a row to PANELS in crates/bench/src/paper.rs instead; found:" >&2
+  echo "${bench_bins}" >&2
+  exit 1
+fi
+if grep -rnwE --include='*.rs' 'SimulationSpec|BackendKind' src crates tests examples; then
+  echo "ERROR: the config-file simulator stays deleted; call simulate or simulate_service directly (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking new counter structs go through dpack-obs"
 # New metrics belong in the dpack-obs registry (named, labelled,
 # scrapable), not in one-off counter structs. The legacy pre-obs
@@ -308,14 +326,15 @@ for b in ablation filters knapsack_solvers rdp_accounting sched_kernels; do
   cargo bench -q -p dpack-bench --bench "${b}" -- --smoke
 done
 
-# Fig. 8 and Tab. 2 replay their Alibaba-DP instances through the
-# service in well under a second each; run both so they cannot rot.
+# The paper runner's panels that finish in seconds (~5 s together),
+# Fig. 8 and Tab. 2 on the service among them, run so they cannot rot.
+# The slow ones (fig4a, fig5, fig6, fig7, gap) are left to a person.
 # Their CSVs go to a temporary directory, not results/.
-echo "==> Q4 smoke run (tab2, fig8)"
-q4_out="$(mktemp -d)"
-cargo run --release -q -p dpack-bench --bin tab2 -- --out "${q4_out}"
-cargo run --release -q -p dpack-bench --bin fig8 -- --out "${q4_out}"
-rm -rf "${q4_out}"
+echo "==> paper runner smoke run (fig1 fig2 fig3 fig4b fig8 fig9 tab2 fairness)"
+paper_out="$(mktemp -d)"
+cargo run --release -q -p dpack-bench --bin paper -- \
+  fig1 fig2 fig3 fig4b fig8 fig9 tab2 fairness --out "${paper_out}"
+rm -rf "${paper_out}"
 
 # The repo's one benchmark (BENCHMARK.json) is a workspace of its own
 # under benchmark/, so nothing above builds it: a signature change in

@@ -4,15 +4,13 @@
 //! the service — at any shard and worker count — must allocate what the
 //! online engine allocates.
 
-use dpack::core::problem::PackingRule;
+use dpack::core::problem::{Block, PackingRule};
 use dpack::core::schedulers::{dpf_schedule, DPack, Dpf, DpfStrict, ParallelDPack, Scheduler};
 use dpack::gen::curves::CurveLibrary;
 use dpack::gen::microbenchmark::{generate, MicrobenchmarkConfig};
+use dpack::gen::OnlineWorkload;
 use dpack::service::{SchedulerChoice, ServiceConfig};
-use dpack::sim::{
-    replay_workload, simulate, BackendKind, ReplayEvent, SchedulerKind, SimulationConfig,
-    SimulationSpec, WorkloadKind,
-};
+use dpack::sim::{replay_workload, simulate, simulate_service, ReplayEvent, SimulationConfig};
 
 fn micro_state(n_tasks: usize, seed: u64) -> dpack::core::problem::ProblemState {
     let lib = CurveLibrary::standard();
@@ -90,25 +88,51 @@ fn parallel_dpf_is_bit_identical_on_the_microbenchmark() {
     }
 }
 
+/// The microbenchmark replayed online (seed 42): 200 tasks over 8
+/// blocks, every block present at t = 0.
+fn online_micro() -> OnlineWorkload {
+    let state = generate(
+        &CurveLibrary::standard(),
+        &MicrobenchmarkConfig {
+            n_tasks: 200,
+            n_blocks: 8,
+            mu_blocks: 4.0,
+            sigma_blocks: 2.0,
+            sigma_alpha: 2.0,
+            eps_min: 0.05,
+            ..Default::default()
+        },
+        42,
+    );
+    OnlineWorkload {
+        grid: state.grid().clone(),
+        blocks: state
+            .blocks()
+            .iter()
+            .map(|(id, capacity)| Block::new(*id, capacity.clone(), 0.0))
+            .collect(),
+        tasks: state.tasks().to_vec(),
+    }
+}
+
 #[test]
 fn service_backend_at_one_shard_matches_the_engine_backend() {
-    for scheduler in [SchedulerKind::DPack, SchedulerKind::Dpf] {
-        let spec = SimulationSpec {
-            workload: WorkloadKind::Microbenchmark,
-            scheduler,
-            backend: BackendKind::Engine,
-            n_blocks: 8,
-            n_tasks: 200,
-            ..Default::default()
-        };
-        let engine = spec.run();
-        let service = SimulationSpec {
-            backend: BackendKind::Service,
+    let wl = online_micro();
+    let sim = SimulationConfig::default();
+    for (scheduler, engine) in [
+        (
+            SchedulerChoice::DPack,
+            simulate(&wl, DPack::default(), &sim),
+        ),
+        (SchedulerChoice::Dpf, simulate(&wl, Dpf, &sim)),
+    ] {
+        let config = ServiceConfig {
             shards: 1,
             workers: 1,
-            ..spec
-        }
-        .run();
+            scheduler,
+            ..ServiceConfig::default()
+        };
+        let service = simulate_service(&wl, &config, &sim);
         assert!(!engine.stats.allocated.is_empty());
         assert_eq!(
             service.stats.allocated, engine.stats.allocated,
@@ -120,22 +144,15 @@ fn service_backend_at_one_shard_matches_the_engine_backend() {
 
 #[test]
 fn sharded_service_backend_stays_sound_on_the_microbenchmark() {
-    let wl = SimulationSpec {
-        workload: WorkloadKind::Microbenchmark,
-        n_blocks: 8,
-        n_tasks: 200,
-        ..Default::default()
-    }
-    .build_workload();
-    let result = dpack::sim::simulate_service(
-        &wl,
+    let result = simulate_service(
+        &online_micro(),
         &ServiceConfig {
             shards: 4,
             workers: 2,
             scheduler: SchedulerChoice::DPack,
             ..ServiceConfig::default()
         },
-        &dpack::sim::SimulationConfig::default(),
+        &SimulationConfig::default(),
     );
     assert!(result.allocated() > 0);
     assert_eq!(
