@@ -13,6 +13,9 @@
 //!   count and deterministic per-case seeds.
 //! * Greedy input shrinking that minimizes failing cases and prints the
 //!   reproducing seed.
+//! * The history oracle ([`check_history`], [`diff_states`]): the rules
+//!   every crash, promotion and chaos suite judges its run by, stated
+//!   once over plain data.
 //!
 //! # Design: draw-stream generation
 //!
@@ -48,11 +51,13 @@
 //! });
 //! ```
 
+mod history;
 mod runner;
 mod shrink;
 mod source;
 mod strategy;
 
+pub use history::{check_history, diff_states, BlockView, Grant, History, HistoryError};
 pub use runner::{check, check_cases, run, Config, Failed, Failure, PropResult, RunSummary};
 pub use source::Source;
 pub use strategy::{

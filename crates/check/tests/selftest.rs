@@ -5,11 +5,13 @@
 //! with a printed seed that reproduces the exact same counterexample
 //! deterministically (the `DPACK_CHECK_SEED` workflow), using the
 //! programmatic [`run`] API so the panicking `check` wrapper stays
-//! untouched.
+//! untouched. The history oracle's rules each get a hand-built history
+//! that breaks exactly one of them.
 
+use dp_accounting::fit_limit;
 use dpack_check::{
-    bools, check, floats, ints, prop_assert, prop_assert_eq, run, vecs, Config, Failure,
-    PropResult, Strategy,
+    bools, check, check_history, diff_states, floats, ints, prop_assert, prop_assert_eq, run, vecs,
+    BlockView, Config, Failure, Grant, History, HistoryError, PropResult, Strategy,
 };
 
 fn config() -> Config {
@@ -135,4 +137,146 @@ fn discard_heavy_strategies_still_complete() {
             Ok(())
         },
     );
+}
+
+/// A correct history: three blocks, one consumed to exactly its limit at
+/// one order (and past it at the other, which Prop. 6 allows), a task
+/// spanning two blocks applied as one record per block, and a term
+/// whose one winner is reported twice.
+fn clean_history() -> History {
+    let view = |id, total: [f64; 2], consumed: [f64; 2], granted| BlockView {
+        id,
+        arrival: 0.0,
+        total: total.to_vec(),
+        consumed: consumed.to_vec(),
+        granted,
+    };
+    let blocks = vec![
+        view(0, [1.0, 2.0], [fit_limit(1.0), 3.0], 1),
+        view(1, [4.0, 4.0], [0.5, 0.5], 2),
+        view(2, [4.0, 4.0], [0.25, 0.25], 1),
+    ];
+    let grant = |task, blocks: &[u64], demand: [f64; 2]| Grant {
+        task,
+        blocks: blocks.to_vec(),
+        demand: demand.to_vec(),
+    };
+    History {
+        limits: blocks
+            .iter()
+            .map(|b| (b.id, b.total.iter().map(|c| fit_limit(*c)).collect()))
+            .collect(),
+        acked: vec![
+            grant(1, &[0], [fit_limit(1.0), 3.0]),
+            grant(2, &[1], [0.25, 0.25]),
+            grant(3, &[1, 2], [0.25, 0.25]),
+        ],
+        blocks,
+        applied: vec![(1, vec![0]), (2, vec![1]), (3, vec![1]), (3, vec![2])],
+        complete: true,
+        elections: vec![(1, 0), (2, 1), (2, 1), (3, 0)],
+    }
+}
+
+fn next_up(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1)
+}
+
+#[test]
+fn a_clean_history_passes_up_to_the_limit() {
+    let h = clean_history();
+    assert_eq!(check_history(&h), Ok(()));
+    diff_states("itself", &h.blocks, &h.blocks).expect("a ledger equals itself");
+    // Without task ids, the charge counts alone still balance.
+    let counted = History {
+        applied: Vec::new(),
+        complete: false,
+        ..clean_history()
+    };
+    assert_eq!(check_history(&counted), Ok(()));
+}
+
+#[test]
+fn one_past_the_limit_at_every_order_is_overdrawn() {
+    let mut h = clean_history();
+    h.blocks[0].consumed[0] = next_up(fit_limit(1.0));
+    assert_eq!(check_history(&h), Err(HistoryError::Overdrawn { block: 0 }));
+    // The grants alone overdraw it, whatever the ledger kept.
+    let mut h = clean_history();
+    h.acked[0].demand[0] = next_up(fit_limit(1.0));
+    assert_eq!(check_history(&h), Err(HistoryError::Overdrawn { block: 0 }));
+}
+
+#[test]
+fn an_acked_grant_the_log_lost_is_missing() {
+    let mut h = clean_history();
+    h.applied.remove(1);
+    let err = HistoryError::MissingGrant {
+        task: Some(2),
+        block: 1,
+    };
+    assert_eq!(check_history(&h), Err(err));
+    // After a snapshot only the block's charge count shows the loss.
+    let mut h = clean_history();
+    h.complete = false;
+    h.blocks[1].granted = 1;
+    let err = HistoryError::MissingGrant {
+        task: None,
+        block: 1,
+    };
+    assert_eq!(check_history(&h), Err(err));
+}
+
+#[test]
+fn a_record_applied_twice_is_charged_twice() {
+    let mut h = clean_history();
+    h.applied.push((1, vec![0]));
+    let err = HistoryError::ChargedTwice {
+        task: Some(1),
+        block: 0,
+    };
+    assert_eq!(check_history(&h), Err(err));
+    // Applied twice and acked twice is an id granted again, not twice.
+    let mut h = clean_history();
+    h.acked.push(h.acked[1].clone());
+    h.applied.push((2, vec![1]));
+    h.blocks[1].consumed = vec![0.75, 0.75];
+    h.blocks[1].granted = 3;
+    assert_eq!(check_history(&h), Ok(()));
+    let mut h = clean_history();
+    h.complete = false;
+    h.blocks[2].granted = 2;
+    let err = HistoryError::ChargedTwice {
+        task: None,
+        block: 2,
+    };
+    assert_eq!(check_history(&h), Err(err));
+}
+
+#[test]
+fn a_term_won_by_two_nodes_has_two_leaders() {
+    let mut h = clean_history();
+    h.elections.push((2, 0));
+    let err = HistoryError::TwoLeaders {
+        term: 2,
+        nodes: [1, 0],
+    };
+    assert_eq!(check_history(&h), Err(err));
+}
+
+#[test]
+fn one_flipped_bit_in_one_order_is_a_state_difference() {
+    let want = clean_history().blocks;
+    let mut got = want.clone();
+    got[1].consumed[1] = next_up(got[1].consumed[1]);
+    let failed = diff_states("flipped", &got, &want).expect_err("one bit differs");
+    assert!(
+        failed.message.contains("block BlockView { id: 1"),
+        "{failed}"
+    );
+    // -0.0 == 0.0 as numbers, not as bits.
+    let mut got = want.clone();
+    got[0].arrival = -0.0;
+    assert!(diff_states("signed zero", &got, &want).is_err());
+    assert!(diff_states("lost block", &want[1..], &want).is_err());
 }

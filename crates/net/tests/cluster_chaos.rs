@@ -19,18 +19,26 @@
 //!   granted total in the final fold, with power-of-two demands so
 //!   budget sums are exact in `f64`.
 //!
+//! `dpack_check::check_history` judges the first, second and fourth,
+//! and `dpack_check::diff_states` the third.
+//!
 //! Promotion is fully automatic: the harness only steps nodes and
 //! kills/revives them — every election, promotion, demotion, and
 //! resync below is the cluster protocol's own doing. Runs on
 //! dpack-check, so `DPACK_CHECK_SEED=<seed>` replays one schedule
 //! deterministically (the CI determinism guard double-runs it).
 
-use std::collections::{BTreeMap, BTreeSet};
+#[path = "../../service/tests/common/mod.rs"]
+mod common;
+
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use common::{grant, ledger};
 use dp_accounting::{AlphaGrid, RdpCurve};
-use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, vecs, Failed, Strategy};
+use dpack_check::{check_cases, check_history, diff_states, ints, prop_assert, prop_assert_eq};
+use dpack_check::{vecs, Failed, History, Strategy};
 use dpack_core::problem::{Block, Task};
 use dpack_net::obs::{EventKind, ManualClock, Obs};
 use dpack_net::{
@@ -328,18 +336,6 @@ impl Cluster {
     }
 }
 
-fn ledger_bits(service: &BudgetService) -> Vec<(u64, u64, Vec<u64>, Vec<u64>)> {
-    service
-        .ledger()
-        .block_states()
-        .into_iter()
-        .map(|(id, b)| {
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            (id, b.granted, bits(&b.total), bits(&b.consumed))
-        })
-        .collect()
-}
-
 // ---- the property -----------------------------------------------------
 
 /// One chaos schedule: per-task demand picks, which replica to crash
@@ -358,7 +354,7 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
         schedule_strategy(),
         |(demands, replica_pick, pad)| {
             let mut cluster = Cluster::new();
-            let mut granted_ids: BTreeSet<u64> = BTreeSet::new();
+            let mut acked = BTreeMap::new();
             let demand_of = |id: u64| demands[id as usize % demands.len()];
             let pad_ticks = *pad as usize;
 
@@ -378,7 +374,7 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
             let batch: Vec<Task> = (0..12).map(|id| task(id, demand_of(id))).collect();
             for (t, o) in batch.iter().zip(cluster.submit(leader_a, &batch)?) {
                 prop_assert!(o.is_granted(), "bootstrap task {} refused: {o}", t.id);
-                granted_ids.insert(t.id);
+                acked.insert(t.id, grant(t));
             }
 
             // Phase B: the leader crashes. A survivor must campaign,
@@ -411,7 +407,7 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
             let batch: Vec<Task> = (12..24).map(|id| task(id, demand_of(id))).collect();
             for (t, o) in batch.iter().zip(cluster.submit(leader_b, &batch)?) {
                 prop_assert!(o.is_granted(), "post-failover task {} refused: {o}", t.id);
-                granted_ids.insert(t.id);
+                acked.insert(t.id, grant(t));
             }
 
             // The crashed ex-leader rejoins: its storage carries the
@@ -432,7 +428,7 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
             let batch: Vec<Task> = (24..32).map(|id| task(id, demand_of(id))).collect();
             for (t, o) in batch.iter().zip(cluster.submit(leader_b, &batch)?) {
                 prop_assert!(o.is_granted(), "degraded task {} refused: {o}", t.id);
-                granted_ids.insert(t.id);
+                acked.insert(t.id, grant(t));
             }
             cluster.boot(victim);
             cluster.await_leader(2)?;
@@ -451,7 +447,7 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
             let batch: Vec<Task> = (32..40).map(|id| task(id, demand_of(id))).collect();
             for (t, o) in batch.iter().zip(cluster.submit(leader_d, &batch)?) {
                 prop_assert!(o.is_granted(), "storm task {} refused: {o}", t.id);
-                granted_ids.insert(t.id);
+                acked.insert(t.id, grant(t));
             }
             cluster.boot(leader_b);
             cluster.await_leader(2)?;
@@ -459,44 +455,31 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
                 cluster.tick();
             }
 
-            // Invariant: at most one LeaderElected event per term,
-            // across every incarnation's flight recorder.
-            let mut winners: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-            for obs in &cluster.all_obs {
-                for event in obs.recorder.dump() {
-                    if event.kind == EventKind::LeaderElected {
-                        winners.entry(event.a).or_default().insert(event.b);
-                    }
-                }
-            }
-            prop_assert!(!winners.is_empty(), "no election was recorded");
-            for (term, nodes) in &winners {
-                prop_assert!(
-                    nodes.len() == 1,
-                    "term {term} elected {} leaders: {nodes:?}",
-                    nodes.len()
-                );
-            }
-
-            // Invariant: conservation. Every unique Granted decision
-            // is charged exactly once in the live leader ledger.
-            prop_assert_eq!(granted_ids.len(), 40, "all 40 unique tasks were acked");
+            // Invariants: at most one LeaderElected event per term,
+            // across every incarnation's flight recorder; every unique
+            // Granted decision is charged exactly once in the live
+            // leader ledger; no block over budget.
+            let elections: Vec<(u64, u64)> = cluster
+                .all_obs
+                .iter()
+                .flat_map(|obs| obs.recorder.dump())
+                .filter(|event| event.kind == EventKind::LeaderElected)
+                .map(|event| (event.a, event.b))
+                .collect();
+            prop_assert!(!elections.is_empty(), "no election was recorded");
+            prop_assert_eq!(acked.len(), 40, "all 40 unique tasks were acked");
             let service = cluster.nodes[leader_d]
                 .as_ref()
                 .and_then(|n| n.core().service())
                 .ok_or_else(|| Failed::new("final leader lost its service".to_string()))?;
-            let live_bits = ledger_bits(&service);
-            let live_granted: u64 = live_bits.iter().map(|(_, g, _, _)| g).sum();
-            prop_assert_eq!(
-                live_granted,
-                granted_ids.len() as u64,
-                "the live ledger charges each acked grant exactly once"
-            );
-            prop_assert!(
-                service.ledger().unsound_blocks().is_empty(),
-                "no block over budget"
-            );
+            let acked = acked.into_values().collect();
+            let states = service.ledger().block_states();
             drop(service);
+            let live = common::views(&states);
+            check_history(&History {
+                elections,
+                ..common::history(acked, &states)
+            })?;
 
             // Invariant: convergence. Folding each replica's surviving
             // logs reproduces the live leader ledger bit for bit —
@@ -513,12 +496,7 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
                     DurabilityOptions::default(),
                 )
                 .map_err(|e| Failed::new(format!("fold replica {i}: {e}")))?;
-                prop_assert_eq!(
-                    &live_bits,
-                    &ledger_bits(&fold),
-                    "replica {} diverged from the leader",
-                    i
-                );
+                diff_states(&format!("replica {i} vs the leader"), &ledger(&fold), &live)?;
             }
             Ok(())
         },

@@ -6,12 +6,17 @@
 //! the ledger in a state bit-identical to the same stream submitted
 //! in-process.
 
+#[path = "../../service/tests/common/mod.rs"]
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::ledger;
 use dp_accounting::{AlphaGrid, RdpCurve};
+use dpack_check::diff_states;
 use dpack_core::problem::{Block, Task};
 use dpack_net::{ClientPool, ErrorCode, NetClient, NetError, NetServer, Outcome};
 use dpack_service::{BudgetService, ServiceConfig, ServiceHandle, StatsRetention};
@@ -151,18 +156,6 @@ fn seeded_workload(seed: u64) -> Vec<Vec<Task>> {
     chunks
 }
 
-fn ledger_bits(service: &BudgetService) -> Vec<(u64, u64, Vec<u64>, Vec<u64>)> {
-    service
-        .ledger()
-        .block_states()
-        .into_iter()
-        .map(|(id, b)| {
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            (id, b.granted, bits(&b.total), bits(&b.consumed))
-        })
-        .collect()
-}
-
 /// The equivalence criterion: the same seeded workload, submitted
 /// remotely over a real TCP socket vs in-process, produces
 /// bit-identical ledger state and identical grant/eviction counts.
@@ -236,7 +229,7 @@ fn remote_submission_is_bit_identical_to_in_process() {
     assert_eq!(a.admitted, b.admitted);
     let granted_remote = outcomes.values().filter(|o| o.is_granted()).count() as u64;
     assert_eq!(granted_remote, a.granted);
-    assert_eq!(ledger_bits(&local), ledger_bits(&remote));
+    diff_states("local vs remote", &ledger(&local), &ledger(&remote)).expect("bit-identical");
     assert!(
         a.granted > 0 && a.evicted > 0,
         "workload must exercise both"

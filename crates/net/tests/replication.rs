@@ -4,12 +4,17 @@
 //! tenants' pooled clients fail over — losing no acked grant and
 //! double-charging no resubmission.
 
+#[path = "../../service/tests/common/mod.rs"]
+mod common;
+
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{grant, ledger};
 use dp_accounting::{AlphaGrid, RdpCurve};
+use dpack_check::{check_history, diff_states};
 use dpack_core::problem::{Block, Task};
 use dpack_net::{ClientPool, ErrorCode, NetClient, NetServer, Outcome, ReplicaNode, Replicator};
 use dpack_service::wal::SimStorage;
@@ -35,18 +40,6 @@ fn config() -> ServiceConfig {
 
 fn task(id: u64, blocks: Vec<u64>, eps: f64) -> Task {
     Task::new(id, 1.0, blocks, RdpCurve::constant(&grid(), eps), 0.0)
-}
-
-fn ledger_bits(service: &BudgetService) -> Vec<(u64, u64, Vec<u64>, Vec<u64>)> {
-    service
-        .ledger()
-        .block_states()
-        .into_iter()
-        .map(|(id, b)| {
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            (id, b.granted, bits(&b.total), bits(&b.consumed))
-        })
-        .collect()
 }
 
 /// The replication acceptance scenario, end to end over real sockets:
@@ -143,7 +136,7 @@ fn promotion_after_primary_death_loses_no_acked_grant() {
     // in the service-level suite).
     let primary = cycles.stop();
     primary_server.stop();
-    let pre_kill = ledger_bits(&primary);
+    let pre_kill = ledger(&primary);
 
     // Promote replica A: recover a fresh service from its shipped
     // stream. The promoted ledger is bit-identical to the dead
@@ -153,11 +146,8 @@ fn promotion_after_primary_death_loses_no_acked_grant() {
     drop(node_a);
     let promoted = BudgetService::recover(grid(), config(), &sim_a, DurabilityOptions::default())
         .expect("promote replica a");
-    assert_eq!(
-        pre_kill,
-        ledger_bits(&promoted),
-        "promotion must lose no acked state"
-    );
+    diff_states("promoted vs dead primary", &ledger(&promoted), &pre_kill)
+        .expect("promotion must lose no acked state");
     let promoted = Arc::new(promoted);
     let promoted_server =
         NetServer::bind(Arc::clone(&promoted), promoted_addr).expect("bind promoted");
@@ -205,16 +195,14 @@ fn promotion_after_primary_death_loses_no_acked_grant() {
     let promoted = cycles.stop();
     promoted_server.stop();
     server_b.stop();
-    assert!(promoted.ledger().unsound_blocks().is_empty());
     // The 20 phase-2 grants are charged exactly once each on top of
-    // the recovered state: 40 grants total across the 8 blocks.
-    let granted: u64 = promoted
-        .ledger()
-        .block_states()
-        .values()
-        .map(|b| b.granted)
-        .sum();
-    let pre: u64 = pre_kill.iter().map(|(_, g, _, _)| g).sum();
+    // the recovered state, and no block is overdrawn.
+    let pre: u64 = pre_kill.iter().map(|b| b.granted).sum();
     assert_eq!(pre, 20, "phase 1 grants, one block each");
-    assert_eq!(granted, 40, "exact conservation across the failover");
+    let acked = (0..40)
+        .map(|id| grant(&task(id, vec![id % 8], 0.05)))
+        .collect();
+    let states = promoted.ledger().block_states();
+    check_history(&common::history(acked, &states))
+        .expect("exact conservation across the failover");
 }

@@ -17,20 +17,24 @@
 //!   the service released, and never loses one it acked. Equivalently
 //!   the recovered log is a prefix of the acked record sequence — the
 //!   crashed batch is the dropped suffix.
-//! * **Independent fold** — the recovered ledger equals a test-local
-//!   fold of the surviving WAL records (demultiplexed by their stream
-//!   tags, plain `f64` composition in log order), bit for bit, and
-//!   equals the live ledger.
-//! * **Conservation** — recovered per-block grant counts sum to one
-//!   charge per (acked task, requested block) pair.
+//! * **Independent fold** — the recovered ledger equals the reference
+//!   fold of the surviving WAL records (`common::fold_log`), bit for
+//!   bit, and equals the live ledger.
+//! * **A correct history** — `dpack_check::check_history` judges the
+//!   acked grants against the fold: no block overdrawn (Prop. 6), no
+//!   acked charge missing, none applied twice, and one charge per
+//!   (acked task, requested block) pair.
+
+mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use common::{acked, fold_log, grant, ledger};
 use dp_accounting::{AlphaGrid, RdpCurve};
-use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, Failed, PropResult};
-use dpack_core::problem::{Block, BlockId, Task, TaskId};
-use dpack_service::durability::{decode_snapshot, BlockState, LogRecord};
-use dpack_service::wal::{SimStorage, Wal, WalOptions, WalStorage};
+use dpack_check::{check_cases, check_history, diff_states, ints, prop_assert, Failed, Grant};
+use dpack_check::{BlockView, PropResult};
+use dpack_core::problem::{Block, Task, TaskId};
+use dpack_service::wal::SimStorage;
 use dpack_service::{
     BudgetService, DurabilityOptions, DurabilityStats, SchedulerChoice, ServiceConfig,
     StatsRetention,
@@ -68,30 +72,19 @@ fn opts() -> DurabilityOptions {
 }
 
 /// Drives a seeded cycle schedule against a durable service on `sim`.
-/// Returns `(acked task → its blocks, live block states)`.
-#[allow(clippy::type_complexity)]
-fn drive(
-    sim: &SimStorage,
-    seed: u64,
-    cycles: u64,
-) -> Result<
-    (
-        BTreeMap<TaskId, Vec<BlockId>>,
-        BTreeMap<BlockId, BlockState>,
-    ),
-    Failed,
-> {
+/// Returns `(acked grants, live ledger)`.
+fn drive(sim: &SimStorage, seed: u64, cycles: u64) -> Result<(Vec<Grant>, Vec<BlockView>), Failed> {
     let service = match BudgetService::recover(grid(), config(), sim, opts()) {
         Ok(s) => s,
         // The crash budget can kill even the empty open; that run
         // trivially recovers to an empty ledger.
-        Err(_) => return Ok((BTreeMap::new(), BTreeMap::new())),
+        Err(_) => return Ok((Vec::new(), Vec::new())),
     };
     for j in 0..N_BLOCKS {
         let _ = service.register_block(Block::new(j, RdpCurve::constant(&grid(), 8.0), 0.0));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut admitted: BTreeMap<TaskId, Vec<BlockId>> = BTreeMap::new();
+    let mut admitted: BTreeMap<TaskId, Grant> = BTreeMap::new();
     let mut next_id = 0u64;
     for step in 1..=cycles {
         for _ in 0..rng.random_range(0..12u32) {
@@ -105,148 +98,38 @@ fn drive(
                 (first..first + rng.random_range(2..4u64)).collect()
             };
             let eps = 0.01 + rng.random::<f64>() * 0.2;
-            let t = Task::new(
-                next_id,
-                1.0,
-                blocks.clone(),
-                RdpCurve::constant(&grid(), eps),
-                0.0,
-            );
+            let t = Task::new(next_id, 1.0, blocks, RdpCurve::constant(&grid(), eps), 0.0);
+            let granted = grant(&t);
             if service.submit(0, t).is_ok() {
-                admitted.insert(next_id, blocks);
+                admitted.insert(next_id, granted);
             }
         }
         service.run_cycle(step as f64);
     }
-    let acked: BTreeMap<TaskId, Vec<BlockId>> = service
-        .stats()
-        .granted
-        .iter()
-        .map(|a| (a.id, admitted[&a.id].clone()))
-        .collect();
-    Ok((acked, service.ledger().block_states()))
+    let acked = acked(&service, |id| admitted[&id].clone());
+    Ok((acked, ledger(&service)))
 }
 
-/// An independent replay of the surviving bytes: the one log
-/// demultiplexed by stream tag, then plain `f64` addition in log order,
-/// `Apply` unconditionally, `Intent` iff the coordinator committed the
-/// attempt. Returns `(block states, applied task set)`.
-#[allow(clippy::type_complexity)]
-fn fold_surviving(
-    sim: &SimStorage,
-) -> Result<(BTreeMap<BlockId, BlockState>, BTreeSet<TaskId>), Failed> {
-    let fail = |e: dpack_service::wal::WalError| Failed::new(e.to_string());
-    let sub = sim
-        .surviving()
-        .sub("wal")
-        .map_err(|e| Failed::new(format!("sub: {e}")))?;
-    let segment_bytes = opts().segment_bytes;
-    let (_, log) = Wal::open(sub, WalOptions { segment_bytes }).map_err(fail)?;
-    let mut committed: BTreeSet<u64> = BTreeSet::new();
-    let mut shards: Vec<Vec<LogRecord>> = vec![Vec::new(); SHARDS];
-    for record in &log.records {
-        match LogRecord::decode(record).map_err(fail)? {
-            LogRecord::Commit { attempt, .. } => {
-                committed.insert(attempt);
-            }
-            LogRecord::Abort { .. } => {}
-            LogRecord::Base { .. } => return Err(Failed::new("a resync base on a primary")),
-            record @ (LogRecord::Block { shard, .. }
-            | LogRecord::Apply { shard, .. }
-            | LogRecord::Intent { shard, .. }) => shards
-                .get_mut(shard as usize)
-                .ok_or_else(|| Failed::new(format!("record on shard {shard}")))?
-                .push(record),
-        }
-    }
-    let mut blocks: BTreeMap<BlockId, BlockState> = BTreeMap::new();
-    if let Some(snap) = &log.snapshot {
-        for state in decode_snapshot(snap).map_err(fail)? {
-            blocks.insert(state.id, state);
-        }
-    }
-    let mut applied: BTreeSet<TaskId> = BTreeSet::new();
-    for record in shards.into_iter().flatten() {
-        let (task, demand, charged) = match record {
-            LogRecord::Block {
-                id,
-                arrival,
-                capacity,
-                ..
-            } => {
-                blocks.insert(
-                    id,
-                    BlockState {
-                        id,
-                        arrival,
-                        consumed: vec![0.0; capacity.len()],
-                        total: capacity,
-                        granted: 0,
-                    },
-                );
-                continue;
-            }
-            LogRecord::Apply {
-                task,
-                demand,
-                blocks,
-                ..
-            } => (task, demand, blocks),
-            LogRecord::Intent {
-                attempt,
-                task,
-                demand,
-                blocks,
-                ..
-            } => {
-                if !committed.contains(&attempt) {
-                    continue;
-                }
-                (task, demand, blocks)
-            }
-            _ => unreachable!("only shard records were demultiplexed here"),
-        };
-        for b in &charged {
-            let state = blocks
-                .get_mut(b)
-                .ok_or_else(|| Failed::new(format!("task {task} charges unknown block {b}")))?;
-            for (slot, d) in state.consumed.iter_mut().zip(&demand) {
-                *slot += d; // Same op, same order as RdpCurve::compose.
-            }
-            state.granted += 1;
-        }
-        applied.insert(task);
-    }
-    Ok((blocks, applied))
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-fn assert_states_bit_identical(
-    what: &str,
-    got: &BTreeMap<BlockId, BlockState>,
-    want: &BTreeMap<BlockId, BlockState>,
-) -> PropResult {
-    prop_assert_eq!(
-        got.keys().collect::<Vec<_>>(),
-        want.keys().collect::<Vec<_>>(),
-        "{}: block set diverged",
-        what
+/// Judges one crashed run: the history the surviving log tells about
+/// the acked grants, no phantom grant in it, and the recovered ledger
+/// bit-identical to the live one and to the reference fold.
+fn check_crash(sim: &SimStorage, acked: Vec<Grant>, live: &[BlockView]) -> PropResult {
+    let fold = fold_log(sim, SHARDS, opts())?;
+    let acked_ids: BTreeSet<TaskId> = acked.iter().map(|g| g.task).collect();
+    prop_assert!(
+        fold.applied_tasks().is_subset(&acked_ids),
+        "a phantom grant"
     );
-    for (id, g) in got {
-        let w = &want[id];
-        prop_assert_eq!(g.granted, w.granted, "{}: block {} grant count", what, id);
-        prop_assert_eq!(
-            bits(&g.consumed),
-            bits(&w.consumed),
-            "{}: block {} consumed bits diverged",
-            what,
-            id
-        );
-    }
-    Ok(())
+    check_history(&fold.history(acked))?;
+    let recovered = BudgetService::recover(grid(), config(), &sim.surviving(), opts())
+        .map_err(|e| Failed::new(format!("recover: {e}")))?;
+    let recovered = ledger(&recovered);
+    diff_states("recovered vs live", &recovered, live)?;
+    diff_states(
+        "recovered vs fold",
+        &recovered,
+        &common::views(&fold.blocks),
+    )
 }
 
 #[test]
@@ -257,34 +140,8 @@ fn any_cycle_schedule_and_crash_byte_recovers_exactly_the_acked_grants() {
         (ints(0u64..u64::MAX), ints(1u64..8), ints(0u64..24_000)),
         |&(seed, cycles, crash_at)| {
             let sim = SimStorage::with_crash_after(crash_at);
-            let (acked, live_states) = drive(&sim, seed, cycles)?;
-            let (fold_states, applied) = fold_surviving(&sim)?;
-
-            // Acked-prefix recovery, both directions: a crashed batch
-            // resurfaces nothing (applied ⊆ acked), an acked batch
-            // loses nothing (acked ⊆ applied).
-            let acked_ids: BTreeSet<TaskId> = acked.keys().copied().collect();
-            prop_assert_eq!(
-                &applied,
-                &acked_ids,
-                "recovered grants are not exactly the acked set (crash_at {})",
-                crash_at
-            );
-
-            // The recovered ledger, the live ledger, and the
-            // independent fold agree bit for bit.
-            let recovered = BudgetService::recover(grid(), config(), &sim.surviving(), opts())
-                .map_err(|e| Failed::new(format!("recover: {e}")))?;
-            let recovered_states = recovered.ledger().block_states();
-            assert_states_bit_identical("recovered vs live", &recovered_states, &live_states)?;
-            assert_states_bit_identical("recovered vs fold", &recovered_states, &fold_states)?;
-
-            // Conservation: one charge per (acked task, block) pair.
-            let expected: u64 = acked.values().map(|blocks| blocks.len() as u64).sum();
-            let charged: u64 = recovered_states.values().map(|b| b.granted).sum();
-            prop_assert_eq!(charged, expected, "grant-count conservation broken");
-            prop_assert!(recovered.ledger().unsound_blocks().is_empty());
-            Ok(())
+            let (acked, live) = drive(&sim, seed, cycles)?;
+            check_crash(&sim, acked, &live)
         },
     );
 }
@@ -319,16 +176,10 @@ fn crashes_aimed_inside_a_specific_batch_drop_it_wholesale() {
             for frac in [0u64, 1, 2, 3] {
                 let crash_at = before + (after - before - 1) * frac / 3;
                 let sim = SimStorage::with_crash_after(crash_at);
-                let (acked, live_states) = drive(&sim, seed, 3)?;
-                let (fold_states, applied) = fold_surviving(&sim)?;
-                let acked_ids: BTreeSet<TaskId> = acked.keys().copied().collect();
-                prop_assert_eq!(
-                    &applied,
-                    &acked_ids,
-                    "crash at byte {} inside the cycle-3 writes leaked a partial batch",
-                    crash_at
-                );
-                assert_states_bit_identical("live vs fold", &live_states, &fold_states)?;
+                let (acked, live) = drive(&sim, seed, 3)?;
+                check_crash(&sim, acked, &live).map_err(|failed| {
+                    Failed::new(format!("crash at byte {crash_at} of cycle 3: {failed}"))
+                })?;
             }
             Ok(())
         },
@@ -425,7 +276,7 @@ fn one_pass_granting_local_and_spanning_tasks_recovers_from_a_crash_at_every_byt
         .collect();
     // Registers the blocks, runs the one cycle; returns the bytes
     // written before it, the cycle's grants by commit path, the acked
-    // ids and the live states.
+    // grants and the live ledger.
     let run_once = |sim: &SimStorage| {
         let service = BudgetService::recover(grid(), config(), sim, opts()).expect("open");
         for j in 0..N_BLOCKS {
@@ -438,9 +289,9 @@ fn one_pass_granting_local_and_spanning_tasks_recovers_from_a_crash_at_every_byt
             service.submit(0, t.clone()).expect("admitted");
         }
         let cycle = service.run_cycle(1.0);
-        let acked: BTreeSet<TaskId> = service.stats().granted.iter().map(|a| a.id).collect();
+        let acked = acked(&service, |id| grant(&tasks[id as usize]));
         let by_path = (cycle.local_granted, cycle.cross_granted);
-        (before, by_path, acked, service.ledger().block_states())
+        (before, by_path, acked, ledger(&service))
     };
     let probe = SimStorage::new();
     let (before, by_path, decided, _) = run_once(&probe);
@@ -449,19 +300,10 @@ fn one_pass_granting_local_and_spanning_tasks_recovers_from_a_crash_at_every_byt
 
     for crash_at in before..after {
         let sim = SimStorage::with_crash_after(crash_at);
-        let (_, by_path, acked, live_states) = run_once(&sim);
+        let (_, by_path, acked, live) = run_once(&sim);
         assert_eq!(by_path.0 + by_path.1, acked.len());
-        assert!(acked.is_subset(&decided) && acked.len() < decided.len());
-        let (fold_states, applied) = fold_surviving(&sim).expect("surviving bytes fold");
-        assert_eq!(applied, acked, "crash at byte {crash_at}");
-        let recovered = BudgetService::recover(grid(), config(), &sim.surviving(), opts())
-            .expect("surviving bytes recover");
-        let recovered_states = recovered.ledger().block_states();
-        assert_states_bit_identical("recovered vs live", &recovered_states, &live_states)
-            .and_then(|()| {
-                assert_states_bit_identical("recovered vs fold", &recovered_states, &fold_states)
-            })
+        assert!(acked.iter().all(|g| decided.contains(g)) && acked.len() < decided.len());
+        check_crash(&sim, acked, &live)
             .unwrap_or_else(|failed| panic!("crash at byte {crash_at}: {failed:?}"));
-        assert!(recovered.ledger().unsound_blocks().is_empty());
     }
 }

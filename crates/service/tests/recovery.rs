@@ -9,30 +9,36 @@
 //! suite asserts, per seeded case:
 //!
 //! * **Bit-identical reference replay** — the recovered ledger equals
-//!   a test-local fold of the surviving WAL records (plain f64
-//!   composition in log order), exact to the bit patterns.
-//! * **Durability, no phantoms** — the set of grants the live service
-//!   acknowledged equals the set recovery applies.
+//!   the reference fold of the surviving WAL records
+//!   (`common::fold_log`: plain f64 composition in log order), exact to
+//!   the bit patterns.
+//! * **A correct history, no phantoms** — `dpack_check::check_history`
+//!   judges the acked grants against the fold: Prop. 6, no acked grant
+//!   lost, none charged twice, one charge per (acked task, requested
+//!   block) pair; and the log applies no grant the live service never
+//!   acknowledged.
 //! * **2PC atomicity** — a committed cross-shard attempt has durable
 //!   intents covering exactly the task's blocks; an undecided attempt
 //!   charges nothing anywhere.
-//! * **Prop. 6 soundness** after recovery, and liveness (the recovered
-//!   service keeps granting).
+//! * **Liveness** — the recovered service keeps granting.
 //! * **Replay determinism** — recovering twice yields identical state.
 //!
 //! Everything is a pure function of the dpack-check seed except thread
 //! interleavings; every assertion is interleaving-independent.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use common::{acked, fold_log, grant, ledger, views};
 use dp_accounting::{AlphaGrid, RdpCurve};
-use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, Failed, PropResult};
+use dpack_check::{check_cases, check_history, diff_states, ints, prop_assert, prop_assert_eq};
+use dpack_check::{BlockView, Failed, Grant, PropResult};
 use dpack_core::problem::{Block, BlockId, Task, TaskId};
-use dpack_service::durability::{decode_snapshot, BlockState, LogRecord};
 use dpack_service::obs::{Event, EventKind};
-use dpack_service::wal::{FsStorage, SimStorage, Wal, WalOptions, WalStorage};
+use dpack_service::wal::{FsStorage, SimStorage};
 use dpack_service::{
     BudgetService, DurabilityOptions, SchedulerChoice, ServiceConfig, StatsRetention,
 };
@@ -124,8 +130,8 @@ fn assert_recovery_trace(trace: &[Event], acked: &BTreeSet<TaskId>) -> PropResul
     Ok(())
 }
 
-/// One seeded submitter; returns the blocks of every *admitted* task.
-fn submitter(service: &BudgetService, thread: u64, seed: u64) -> BTreeMap<TaskId, Vec<BlockId>> {
+/// One seeded submitter; returns the grant of every *admitted* task.
+fn submitter(service: &BudgetService, thread: u64, seed: u64) -> BTreeMap<TaskId, Grant> {
     let mut rng = StdRng::seed_from_u64(seed ^ (thread << 32));
     let mut admitted = BTreeMap::new();
     for i in 0..OPS_PER_THREAD {
@@ -140,17 +146,12 @@ fn submitter(service: &BudgetService, thread: u64, seed: u64) -> BTreeMap<TaskId
             (first..first + span).collect()
         };
         let eps = 0.01 + rng.random::<f64>() * 0.05;
-        let task = Task::new(
-            id,
-            1.0,
-            blocks.clone(),
-            RdpCurve::constant(&grid(), eps),
-            0.0,
-        );
+        let task = Task::new(id, 1.0, blocks, RdpCurve::constant(&grid(), eps), 0.0);
+        let granted = grant(&task);
         // Post-crash submissions still validate but their grants will
         // release at commit; both outcomes are fine for the model.
         if service.submit(thread as u32, task).is_ok() {
-            admitted.insert(id, blocks);
+            admitted.insert(id, granted);
         }
     }
     admitted
@@ -159,15 +160,19 @@ fn submitter(service: &BudgetService, thread: u64, seed: u64) -> BTreeMap<TaskId
 /// What one crashing service lifetime left behind.
 struct RunOutcome {
     sim: SimStorage,
-    /// Blocks of every admitted task.
-    admitted: BTreeMap<TaskId, Vec<BlockId>>,
-    /// Grant ids the live service acknowledged (its stats — grants are
+    /// The grants the live service acknowledged (its stats — grants are
     /// recorded only after the WAL append was durable).
-    acked: BTreeSet<TaskId>,
-    /// The live ledger's state at quiescence. In-memory mutations only
-    /// ever follow a durable append, so recovery must reproduce this
-    /// exactly — crash or no crash.
-    live_states: BTreeMap<BlockId, BlockState>,
+    acked: Vec<Grant>,
+    /// The live ledger at quiescence. In-memory mutations only ever
+    /// follow a durable append, so recovery must reproduce this exactly
+    /// — crash or no crash.
+    live: Vec<BlockView>,
+}
+
+impl RunOutcome {
+    fn acked_ids(&self) -> BTreeSet<TaskId> {
+        self.acked.iter().map(|g| g.task).collect()
+    }
 }
 
 /// Runs one crashing service lifetime to quiescence.
@@ -180,9 +185,8 @@ fn run_crashing_service(seed: u64, crash_at: u64) -> Result<RunOutcome, Failed> 
         Err(_) => {
             return Ok(RunOutcome {
                 sim,
-                admitted: BTreeMap::new(),
-                acked: BTreeSet::new(),
-                live_states: BTreeMap::new(),
+                acked: Vec::new(),
+                live: Vec::new(),
             })
         }
     };
@@ -211,7 +215,7 @@ fn run_crashing_service(seed: u64, crash_at: u64) -> Result<RunOutcome, Failed> 
             now
         })
     };
-    let admitted: BTreeMap<TaskId, Vec<BlockId>> = std::thread::scope(|s| {
+    let admitted: BTreeMap<TaskId, Grant> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..N_THREADS)
             .map(|t| {
                 let service = Arc::clone(&service);
@@ -231,178 +235,9 @@ fn run_crashing_service(seed: u64, crash_at: u64) -> Result<RunOutcome, Failed> 
         service.run_cycle((final_now + extra) as f64);
     }
 
-    let acked: BTreeSet<TaskId> = service.stats().granted.iter().map(|a| a.id).collect();
-    let live_states = service.ledger().block_states();
-    Ok(RunOutcome {
-        sim,
-        admitted,
-        acked,
-        live_states,
-    })
-}
-
-/// Decoded view of the surviving logs: per-block reference states and
-/// the applied task set, folded exactly as recovery must fold them.
-struct Reference {
-    blocks: BTreeMap<BlockId, BlockState>,
-    applied: BTreeSet<TaskId>,
-    /// attempt → (task, union of intent blocks across shards).
-    committed_attempts: BTreeMap<u64, (TaskId, BTreeSet<BlockId>)>,
-    undecided_intents: Vec<(u64, TaskId)>,
-}
-
-fn wal_options() -> WalOptions {
-    WalOptions {
-        segment_bytes: opts().segment_bytes,
-    }
-}
-
-/// An independent replay of the surviving bytes: the one log
-/// demultiplexed by stream tag, then plain `f64` addition in log order
-/// (the same order recovery applies), no service code.
-fn fold_reference(storage: &SimStorage) -> Result<Reference, Failed> {
-    let fail = |e: dpack_service::wal::WalError| Failed::new(e.to_string());
-    let sub = storage
-        .surviving()
-        .sub("wal")
-        .map_err(|e| Failed::new(format!("sub: {e}")))?;
-    let (_, log) = Wal::open(sub, wal_options()).map_err(fail)?;
-
-    let mut committed: BTreeMap<u64, TaskId> = BTreeMap::new();
-    let mut shards: Vec<Vec<LogRecord>> = vec![Vec::new(); SHARDS];
-    for record in &log.records {
-        match LogRecord::decode(record).map_err(fail)? {
-            LogRecord::Commit { attempt, task } => {
-                committed.insert(attempt, task);
-            }
-            LogRecord::Abort { .. } => {}
-            LogRecord::Base { .. } => return Err(Failed::new("a resync base on a primary")),
-            record @ (LogRecord::Block { shard, .. }
-            | LogRecord::Apply { shard, .. }
-            | LogRecord::Intent { shard, .. }) => shards
-                .get_mut(shard as usize)
-                .ok_or_else(|| Failed::new(format!("record on shard {shard}")))?
-                .push(record),
-        }
-    }
-    let mut reference = Reference {
-        blocks: BTreeMap::new(),
-        applied: BTreeSet::new(),
-        committed_attempts: BTreeMap::new(),
-        undecided_intents: Vec::new(),
-    };
-    let mut apply = |blocks: &mut BTreeMap<BlockId, BlockState>,
-                     task: TaskId,
-                     demand: &[f64],
-                     charged: &[BlockId]|
-     -> PropResult {
-        for b in charged {
-            let state = blocks
-                .get_mut(b)
-                .ok_or_else(|| Failed::new(format!("task {task} charges unknown block {b}")))?;
-            for (slot, d) in state.consumed.iter_mut().zip(demand) {
-                *slot += d; // Same op, same order as RdpCurve::compose.
-            }
-            state.granted += 1;
-        }
-        reference.applied.insert(task);
-        Ok(())
-    };
-
-    let mut blocks: BTreeMap<BlockId, BlockState> = BTreeMap::new();
-    if let Some(snap) = &log.snapshot {
-        for state in decode_snapshot(snap).map_err(fail)? {
-            blocks.insert(state.id, state);
-        }
-    }
-    for records in shards {
-        for record in records {
-            match record {
-                LogRecord::Block {
-                    id,
-                    arrival,
-                    capacity,
-                    ..
-                } => {
-                    blocks.insert(
-                        id,
-                        BlockState {
-                            id,
-                            arrival,
-                            consumed: vec![0.0; capacity.len()],
-                            total: capacity,
-                            granted: 0,
-                        },
-                    );
-                }
-                LogRecord::Apply {
-                    task,
-                    demand,
-                    blocks: charged,
-                    ..
-                } => apply(&mut blocks, task, &demand, &charged)?,
-                LogRecord::Intent {
-                    attempt,
-                    task,
-                    demand,
-                    blocks: charged,
-                    ..
-                } => {
-                    if committed.contains_key(&attempt) {
-                        apply(&mut blocks, task, &demand, &charged)?;
-                        reference
-                            .committed_attempts
-                            .entry(attempt)
-                            .or_insert_with(|| (task, BTreeSet::new()))
-                            .1
-                            .extend(charged.iter().copied());
-                    } else {
-                        reference.undecided_intents.push((attempt, task));
-                    }
-                }
-                _ => unreachable!("only shard records were demultiplexed here"),
-            }
-        }
-    }
-    reference.blocks = blocks;
-    Ok(reference)
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-fn assert_states_bit_identical(
-    what: &str,
-    got: &BTreeMap<BlockId, BlockState>,
-    want: &BTreeMap<BlockId, BlockState>,
-) -> PropResult {
-    prop_assert_eq!(
-        got.keys().collect::<Vec<_>>(),
-        want.keys().collect::<Vec<_>>(),
-        "{}: block set diverged",
-        what
-    );
-    for (id, g) in got {
-        let w = &want[id];
-        prop_assert_eq!(g.granted, w.granted, "{}: block {} grant count", what, id);
-        prop_assert_eq!(
-            bits(&g.consumed),
-            bits(&w.consumed),
-            "{}: block {} consumed bits diverged",
-            what,
-            id
-        );
-        prop_assert_eq!(
-            bits(&g.total),
-            bits(&w.total),
-            "{}: block {} total",
-            what,
-            id
-        );
-        prop_assert_eq!(g.arrival.to_bits(), w.arrival.to_bits());
-    }
-    Ok(())
+    let acked = acked(&service, |id| admitted[&id].clone());
+    let live = ledger(&service);
+    Ok(RunOutcome { sim, acked, live })
 }
 
 #[test]
@@ -413,41 +248,34 @@ fn crashed_service_recovers_exactly_the_acknowledged_state() {
         (ints(0u64..u64::MAX), ints(0u64..40_000)),
         |&(seed, crash_at)| {
             let run = run_crashing_service(seed, crash_at)?;
-            let reference = fold_reference(&run.sim)?;
+            let fold = fold_log(&run.sim, SHARDS, opts())?;
+            let acked = run.acked_ids();
+
+            // No phantoms: the surviving post-snapshot records name
+            // only acknowledged tasks. The history holds: Prop. 6, no
+            // acked grant lost or charged twice, and one charge per
+            // (acknowledged task, requested block) pair — a partially-
+            // applied 2PC grant would break the count.
+            prop_assert!(
+                fold.applied_tasks().is_subset(&acked),
+                "WAL applies a grant the service never acknowledged (crash_at {})",
+                crash_at
+            );
+            check_history(&fold.history(run.acked.clone()))?;
 
             // Bit-identical durability: the recovered ledger equals
             // the live ledger at quiescence (mutations only ever
-            // followed durable appends) *and* the independent fold of
+            // followed durable appends) *and* the reference fold of
             // the surviving records.
             let recovered = recover(&run.sim.surviving())?;
-            let recovered_states = recovered.ledger().block_states();
-            assert_states_bit_identical("recovered vs live", &recovered_states, &run.live_states)?;
-            assert_states_bit_identical("recovered vs fold", &recovered_states, &reference.blocks)?;
+            let recovered_states = ledger(&recovered);
+            diff_states("recovered vs live", &recovered_states, &run.live)?;
+            diff_states("recovered vs fold", &recovered_states, &views(&fold.blocks))?;
 
             // The flight recorder narrates the recovery, in order, and
             // names no task the live service never acknowledged.
             let trace = recovered.obs().recorder.dump();
-            assert_recovery_trace(&trace, &run.acked)?;
-
-            // No phantoms, exact conservation: the surviving post-
-            // snapshot records name only acknowledged tasks, and the
-            // recovered per-block grant counts sum to exactly one
-            // charge per (acknowledged task, requested block) pair —
-            // a partially-applied 2PC grant would break the equality.
-            prop_assert!(
-                reference.applied.is_subset(&run.acked),
-                "WAL applies a grant the service never acknowledged (crash_at {})",
-                crash_at
-            );
-            let expected_charges: u64 =
-                run.acked.iter().map(|t| run.admitted[t].len() as u64).sum();
-            let recovered_charges: u64 = recovered_states.values().map(|b| b.granted).sum();
-            prop_assert_eq!(
-                recovered_charges,
-                expected_charges,
-                "grant-count conservation broken (crash_at {})",
-                crash_at
-            );
+            assert_recovery_trace(&trace, &acked)?;
 
             // 2PC atomicity at the log level: a committed attempt was
             // acknowledged, and its surviving intents charge only the
@@ -456,44 +284,41 @@ fn crashed_service_recovers_exactly_the_acknowledged_state() {
             // checks above prove those charges landed too). An
             // undecided attempt is never acknowledged
             // (unless a later retry of the same task committed).
-            for (attempt, (task, covered)) in &reference.committed_attempts {
-                let requested: BTreeSet<BlockId> = run.admitted[task].iter().copied().collect();
+            let mut committed: BTreeMap<u64, (TaskId, BTreeSet<BlockId>)> = BTreeMap::new();
+            for (attempt, task, blocks, _) in fold.intents.iter().filter(|i| i.3) {
+                let entry = committed
+                    .entry(*attempt)
+                    .or_insert((*task, BTreeSet::new()));
+                entry.1.extend(blocks);
+            }
+            for (attempt, (task, covered)) in &committed {
+                let Some(acked_grant) = run.acked.iter().find(|g| g.task == *task) else {
+                    let never = format!(
+                        "attempt {attempt} committed but task {task} was never acknowledged"
+                    );
+                    return Err(Failed::new(never));
+                };
+                let requested: BTreeSet<BlockId> = acked_grant.blocks.iter().copied().collect();
                 prop_assert!(
                     covered.is_subset(&requested),
                     "attempt {} charges blocks task {} never requested",
                     attempt,
                     task
                 );
-                prop_assert!(
-                    run.acked.contains(task),
-                    "attempt {} committed but task {} was never acknowledged",
-                    attempt,
-                    task
-                );
             }
-            for (attempt, task) in &reference.undecided_intents {
-                let retried = reference
-                    .committed_attempts
-                    .values()
-                    .any(|(t, _)| t == task);
+            for (attempt, task, _, _) in fold.intents.iter().filter(|i| !i.3) {
+                let retried = committed.values().any(|(t, _)| t == task);
                 prop_assert!(
-                    !run.acked.contains(task) || retried,
+                    !acked.contains(task) || retried,
                     "attempt {attempt}: task {task} acknowledged without a durable decision"
                 );
             }
-
-            // Prop. 6 soundness survives the crash.
-            prop_assert_eq!(recovered.ledger().unsound_blocks(), Vec::<u64>::new());
 
             // Replay determinism: a second reboot agrees bit-for-bit —
             // including an identical event trace (recorder events carry
             // no timestamps, so the dumps match exactly).
             let again = recover(&run.sim.surviving())?;
-            assert_states_bit_identical(
-                "second recovery",
-                &again.ledger().block_states(),
-                &recovered_states,
-            )?;
+            diff_states("second recovery", &ledger(&again), &recovered_states)?;
             prop_assert_eq!(
                 again.obs().recorder.dump(),
                 trace,
@@ -527,12 +352,12 @@ fn uncrashed_service_recovers_bit_identically_to_the_live_ledger() {
         |&seed| {
             let run = run_crashing_service(seed, u64::MAX)?;
             prop_assert!(!run.acked.is_empty(), "workload granted nothing");
-            let recovered = recover(&run.sim.surviving())?;
-            let recovered_states = recovered.ledger().block_states();
-            assert_states_bit_identical("recovered vs live", &recovered_states, &run.live_states)?;
-            let reference = fold_reference(&run.sim)?;
-            assert_states_bit_identical("recovered vs fold", &recovered_states, &reference.blocks)?;
-            prop_assert!(reference.applied.is_subset(&run.acked));
+            let recovered = ledger(&recover(&run.sim.surviving())?);
+            diff_states("recovered vs live", &recovered, &run.live)?;
+            let fold = fold_log(&run.sim, SHARDS, opts())?;
+            diff_states("recovered vs fold", &recovered, &views(&fold.blocks))?;
+            prop_assert!(fold.applied_tasks().is_subset(&run.acked_ids()));
+            check_history(&fold.history(run.acked))?;
             Ok(())
         },
     );
@@ -560,6 +385,7 @@ fn fs_backed_service_recovers_across_restart() {
             ))
             .unwrap();
     }
+    let mut acked = Vec::new();
     for i in 0..20u64 {
         let blocks: Vec<u64> = if i % 3 == 0 {
             vec![i % N_BLOCKS, (i + 1) % N_BLOCKS] // Cross-shard.
@@ -567,6 +393,7 @@ fn fs_backed_service_recovers_across_restart() {
             vec![i % N_BLOCKS]
         };
         let t = Task::new(i, 1.0, blocks, RdpCurve::constant(&grid(), 0.05), 0.0);
+        acked.push(grant(&t));
         first.submit(0, t).unwrap();
     }
     for step in 1..=4u64 {
@@ -574,19 +401,14 @@ fn fs_backed_service_recovers_across_restart() {
     }
     let granted = first.stats().granted.len();
     assert_eq!(granted, 20, "everything fits");
-    let live_states = first.ledger().block_states();
+    let live = ledger(&first);
     assert!(first.stats().durability.unwrap().records > 0);
     drop(first);
 
     let rebooted = open().expect("reopen");
-    let recovered_states = rebooted.ledger().block_states();
-    assert_eq!(recovered_states.len(), live_states.len());
-    for (id, got) in &recovered_states {
-        let want = &live_states[id];
-        assert_eq!(got.granted, want.granted, "block {id}");
-        assert_eq!(bits(&got.consumed), bits(&want.consumed), "block {id}");
-    }
-    assert!(rebooted.ledger().unsound_blocks().is_empty());
+    diff_states("rebooted vs live", &ledger(&rebooted), &live).expect("bit-identical reboot");
+    let states = rebooted.ledger().block_states();
+    check_history(&common::history(acked, &states)).expect("the rebooted history holds");
     // And it keeps scheduling.
     let t = Task::new(999, 1.0, vec![0], RdpCurve::constant(&grid(), 0.01), 0.0);
     rebooted.submit(0, t).unwrap();

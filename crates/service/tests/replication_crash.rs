@@ -11,9 +11,12 @@
 //!   failed local append) releases the work, so acked ⊆ replica and
 //!   replica ⊆ acked both hold — even with the crash landing inside a
 //!   group-commit batch.
+//!   `dpack_check::check_history` judges the acked grants against the
+//!   replica's log this way, along with Prop. 6 and one charge per
+//!   (acked task, requested block) pair.
 //! * **Bit-identical promotion** — the promoted ledger equals the dead
-//!   primary's live ledger and an independent fold of the replica's
-//!   surviving records, bit for bit.
+//!   primary's live ledger and the reference fold of the replica's
+//!   surviving records (`common::fold_log`), bit for bit.
 //! * **One refused stream releases one shard** — a cycle ships its
 //!   shards' batches in one round; refusing any one stream of any round
 //!   (a shard's local batch, its intents, the coordinator's decisions)
@@ -26,15 +29,18 @@
 //!   recovers every stream's sequence from its one log, takes the
 //!   stream up where it left off, and promotes to the primary's fold.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use common::{acked, fold_log, grant, ledger};
 use dp_accounting::{AlphaGrid, RdpCurve};
-use dpack_check::{check_cases, ints, prop_assert, prop_assert_eq, Failed, PropResult};
-use dpack_core::problem::{Block, BlockId, Task, TaskId};
-use dpack_service::durability::{BlockState, LogRecord};
-use dpack_service::wal::{SimStorage, Wal, WalOptions, WalStorage};
+use dpack_check::{check_cases, check_history, diff_states, ints, prop_assert, Failed, Grant};
+use dpack_check::{BlockView, PropResult};
+use dpack_core::problem::{Block, Task, TaskId};
+use dpack_service::wal::SimStorage;
 use dpack_service::{
     AdmissionError, BudgetService, DurabilityOptions, ReplShipError, ReplStream, ReplicaWal,
     ReplicationSink, SchedulerChoice, ServiceConfig, StatsRetention,
@@ -136,40 +142,32 @@ impl ReplicationSink for InProcessSink {
 
 /// Drives the batch-crash suite's seeded cycle schedule against a
 /// replicated durable service: primary storage `sim_primary`, replica
-/// log on `sim_replica`. Returns `(acked task → its blocks, live
-/// block states, failed ship count)`.
-#[allow(clippy::type_complexity)]
+/// log on `sim_replica`. Returns `(acked grants, live ledger, failed
+/// ship count)`.
 fn drive_replicated(
     sim_primary: &SimStorage,
     sim_replica: &SimStorage,
     seed: u64,
     cycles: u64,
     refuse: Option<(ReplStream, u64)>,
-) -> Result<
-    (
-        BTreeMap<TaskId, Vec<BlockId>>,
-        BTreeMap<BlockId, BlockState>,
-        u64,
-    ),
-    Failed,
-> {
+) -> Result<(Vec<Grant>, Vec<BlockView>, u64), Failed> {
     let mut service = match BudgetService::recover(grid(), config(), sim_primary, opts()) {
         Ok(s) => s,
         // The crash budget can kill even the empty open; that run
         // trivially recovers to an empty ledger.
-        Err(_) => return Ok((BTreeMap::new(), BTreeMap::new(), 0)),
+        Err(_) => return Ok((Vec::new(), Vec::new(), 0)),
     };
     let replica = match ReplicaWal::open(sim_replica, SHARDS, opts().segment_bytes) {
         Ok(r) => r,
         // Same for the replica-side crash budget: no replica, no run.
-        Err(_) => return Ok((BTreeMap::new(), BTreeMap::new(), 0)),
+        Err(_) => return Ok((Vec::new(), Vec::new(), 0)),
     };
     service.replicate_to(Arc::new(InProcessSink::new(replica, refuse)));
     for j in 0..N_BLOCKS {
         let _ = service.register_block(Block::new(j, RdpCurve::constant(&grid(), 8.0), 0.0));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut admitted: BTreeMap<TaskId, Vec<BlockId>> = BTreeMap::new();
+    let mut admitted: BTreeMap<TaskId, Grant> = BTreeMap::new();
     let mut next_id = 0u64;
     for step in 1..=cycles {
         for _ in 0..rng.random_range(0..12u32) {
@@ -181,181 +179,39 @@ fn drive_replicated(
                 (first..first + rng.random_range(2..4u64)).collect()
             };
             let eps = 0.01 + rng.random::<f64>() * 0.2;
-            let t = Task::new(
-                next_id,
-                1.0,
-                blocks.clone(),
-                RdpCurve::constant(&grid(), eps),
-                0.0,
-            );
+            let t = Task::new(next_id, 1.0, blocks, RdpCurve::constant(&grid(), eps), 0.0);
+            let granted = grant(&t);
             if service.submit(0, t).is_ok() {
-                admitted.insert(next_id, blocks);
+                admitted.insert(next_id, granted);
             }
         }
         service.run_cycle(step as f64);
     }
-    let acked: BTreeMap<TaskId, Vec<BlockId>> = service
-        .stats()
-        .granted
-        .iter()
-        .map(|a| (a.id, admitted[&a.id].clone()))
-        .collect();
+    let acked = acked(&service, |id| admitted[&id].clone());
     let failed_ships = service
         .ledger()
         .durability_stats()
         .map_or(0, |d| d.failed_ships);
-    Ok((acked, service.ledger().block_states(), failed_ships))
+    Ok((acked, ledger(&service), failed_ships))
 }
 
-/// An independent replay of a node's surviving bytes: the one log
-/// demultiplexed by stream tag, then plain `f64` addition in log order,
-/// `Apply` unconditionally, `Intent` iff the coordinator committed the
-/// attempt.
-#[allow(clippy::type_complexity)]
-fn fold_surviving(
-    sim: &SimStorage,
-) -> Result<(BTreeMap<BlockId, BlockState>, BTreeSet<TaskId>), Failed> {
-    let fail = |e: dpack_service::wal::WalError| Failed::new(e.to_string());
-    let sub = sim
-        .surviving()
-        .sub("wal")
-        .map_err(|e| Failed::new(format!("sub: {e}")))?;
-    let segment_bytes = opts().segment_bytes;
-    let (_, log) = Wal::open(sub, WalOptions { segment_bytes }).map_err(fail)?;
-    if log.snapshot.is_some() {
-        return Err(Failed::new("nothing here compacts"));
-    }
-    let mut committed: BTreeSet<u64> = BTreeSet::new();
-    let mut shards: Vec<Vec<LogRecord>> = vec![Vec::new(); SHARDS];
-    for record in &log.records {
-        match LogRecord::decode(record).map_err(fail)? {
-            LogRecord::Commit { attempt, .. } => {
-                committed.insert(attempt);
-            }
-            LogRecord::Abort { .. } => {}
-            LogRecord::Base { .. } => return Err(Failed::new("nothing here resyncs")),
-            record @ (LogRecord::Block { shard, .. }
-            | LogRecord::Apply { shard, .. }
-            | LogRecord::Intent { shard, .. }) => shards
-                .get_mut(shard as usize)
-                .ok_or_else(|| Failed::new(format!("record on shard {shard}")))?
-                .push(record),
-        }
-    }
-    let mut blocks: BTreeMap<BlockId, BlockState> = BTreeMap::new();
-    let mut applied: BTreeSet<TaskId> = BTreeSet::new();
-    for record in shards.into_iter().flatten() {
-        let (task, demand, charged) = match record {
-            LogRecord::Block {
-                id,
-                arrival,
-                capacity,
-                ..
-            } => {
-                blocks.insert(
-                    id,
-                    BlockState {
-                        id,
-                        arrival,
-                        consumed: vec![0.0; capacity.len()],
-                        total: capacity,
-                        granted: 0,
-                    },
-                );
-                continue;
-            }
-            LogRecord::Apply {
-                task,
-                demand,
-                blocks,
-                ..
-            } => (task, demand, blocks),
-            LogRecord::Intent {
-                attempt,
-                task,
-                demand,
-                blocks,
-                ..
-            } => {
-                if !committed.contains(&attempt) {
-                    continue;
-                }
-                (task, demand, blocks)
-            }
-            _ => unreachable!("only shard records were demultiplexed here"),
-        };
-        for b in &charged {
-            let state = blocks
-                .get_mut(b)
-                .ok_or_else(|| Failed::new(format!("task {task} charges unknown block {b}")))?;
-            for (slot, d) in state.consumed.iter_mut().zip(&demand) {
-                *slot += d; // Same op, same order as RdpCurve::compose.
-            }
-            state.granted += 1;
-        }
-        applied.insert(task);
-    }
-    Ok((blocks, applied))
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-fn assert_states_bit_identical(
-    what: &str,
-    got: &BTreeMap<BlockId, BlockState>,
-    want: &BTreeMap<BlockId, BlockState>,
-) -> PropResult {
-    prop_assert_eq!(
-        got.keys().collect::<Vec<_>>(),
-        want.keys().collect::<Vec<_>>(),
-        "{}: block set diverged",
-        what
+/// Shared per-case check: the history the replica's surviving log
+/// tells about the acked grants, no phantom grant in it, and the
+/// ledger promoted from it bit-identical to the live primary's and to
+/// the reference fold.
+fn check_promotion(sim_replica: &SimStorage, acked: &[Grant], live: &[BlockView]) -> PropResult {
+    let fold = fold_log(sim_replica, SHARDS, opts())?;
+    let acked_ids: BTreeSet<TaskId> = acked.iter().map(|g| g.task).collect();
+    prop_assert!(
+        fold.applied_tasks().is_subset(&acked_ids),
+        "a phantom grant"
     );
-    for (id, g) in got {
-        let w = &want[id];
-        prop_assert_eq!(g.granted, w.granted, "{}: block {} grant count", what, id);
-        prop_assert_eq!(
-            bits(&g.consumed),
-            bits(&w.consumed),
-            "{}: block {} consumed bits diverged",
-            what,
-            id
-        );
-    }
-    Ok(())
-}
-
-/// Shared per-case check: promote from the replica's surviving bytes
-/// and hold every invariant against the acked set and the live ledger.
-fn check_promotion(
-    sim_replica: &SimStorage,
-    acked: &BTreeMap<TaskId, Vec<BlockId>>,
-    live_states: &BTreeMap<BlockId, BlockState>,
-    crash_at: u64,
-) -> PropResult {
-    let (fold_states, applied) = fold_surviving(sim_replica)?;
-    let acked_ids: BTreeSet<TaskId> = acked.keys().copied().collect();
-    prop_assert_eq!(
-        &applied,
-        &acked_ids,
-        "replica grants are not exactly the acked set (crash_at {})",
-        crash_at
-    );
-
+    check_history(&fold.history(acked.to_vec()))?;
     let promoted = BudgetService::recover(grid(), config(), &sim_replica.surviving(), opts())
         .map_err(|e| Failed::new(format!("promote: {e}")))?;
-    let promoted_states = promoted.ledger().block_states();
-    assert_states_bit_identical("promoted vs live", &promoted_states, live_states)?;
-    assert_states_bit_identical("promoted vs fold", &promoted_states, &fold_states)?;
-
-    // Conservation: one charge per (acked task, block) pair.
-    let expected: u64 = acked.values().map(|blocks| blocks.len() as u64).sum();
-    let charged: u64 = promoted_states.values().map(|b| b.granted).sum();
-    prop_assert_eq!(charged, expected, "grant-count conservation broken");
-    prop_assert!(promoted.ledger().unsound_blocks().is_empty());
-    Ok(())
+    let promoted = ledger(&promoted);
+    diff_states("promoted vs live", &promoted, live)?;
+    diff_states("promoted vs fold", &promoted, &common::views(&fold.blocks))
 }
 
 /// The tentpole sweep: kill the *primary's* storage at a seeded byte
@@ -370,8 +226,8 @@ fn a_primary_crash_promotes_the_replica_with_exactly_the_acked_grants() {
         |&(seed, cycles, crash_at)| {
             let sim_p = SimStorage::with_crash_after(crash_at);
             let sim_r = SimStorage::new();
-            let (acked, live_states, _) = drive_replicated(&sim_p, &sim_r, seed, cycles, None)?;
-            check_promotion(&sim_r, &acked, &live_states, crash_at)
+            let (acked, live, _) = drive_replicated(&sim_p, &sim_r, seed, cycles, None)?;
+            check_promotion(&sim_r, &acked, &live)
         },
     );
 }
@@ -393,10 +249,9 @@ fn a_replica_crash_releases_unshipped_work_and_still_promotes_exactly() {
         |&(seed, cycles, crash_at)| {
             let sim_p = SimStorage::new();
             let sim_r = SimStorage::with_crash_after(crash_at);
-            let (acked, live_states, failed_ships) =
-                drive_replicated(&sim_p, &sim_r, seed, cycles, None)?;
+            let (acked, live, failed_ships) = drive_replicated(&sim_p, &sim_r, seed, cycles, None)?;
             witnessed_failures.fetch_add(failed_ships, Ordering::Relaxed);
-            check_promotion(&sim_r, &acked, &live_states, crash_at)
+            check_promotion(&sim_r, &acked, &live)
         },
     );
     // A DPACK_CHECK_SEED replay runs exactly one drawn case, which may
@@ -422,12 +277,12 @@ fn a_refused_stream_of_a_round_releases_only_what_rode_it() {
     for stream in streams {
         for nth in 2..=4 {
             let (sim_p, sim_r) = (SimStorage::new(), SimStorage::new());
-            let (acked, live_states, failed_ships) =
+            let (acked, live, failed_ships) =
                 drive_replicated(&sim_p, &sim_r, 20250808, 6, Some((stream, nth)))
                     .expect("refused run");
             assert_eq!(failed_ships, 1, "{stream} batch {nth} was never shipped");
             assert!(!acked.is_empty(), "seed must grant something");
-            check_promotion(&sim_r, &acked, &live_states, 0)
+            check_promotion(&sim_r, &acked, &live)
                 .unwrap_or_else(|e| panic!("{stream} batch {nth}: {e:?}"));
         }
     }
@@ -440,23 +295,18 @@ fn a_refused_stream_of_a_round_releases_only_what_rode_it() {
 fn failover_resubmission_is_idempotent_on_the_promoted_service() {
     let sim_p = SimStorage::new();
     let sim_r = SimStorage::new();
-    let (acked, live_states, failed_ships) =
+    let (mut acked, live, failed_ships) =
         drive_replicated(&sim_p, &sim_r, 20250808, 6, None).expect("healthy run");
     assert_eq!(failed_ships, 0);
     assert!(!acked.is_empty(), "seed must grant something");
-    check_promotion(&sim_r, &acked, &live_states, 0).expect("promotion invariants");
+    check_promotion(&sim_r, &acked, &live).expect("promotion invariants");
 
     let promoted = BudgetService::recover(grid(), config(), &sim_r.surviving(), opts())
         .expect("promote replica");
     // Idempotent resubmission of every acked grant.
-    for (&id, blocks) in &acked {
-        let t = Task::new(
-            id,
-            1.0,
-            blocks.clone(),
-            RdpCurve::constant(&grid(), 0.01),
-            0.0,
-        );
+    for g in &acked {
+        let (id, blocks) = (g.task, g.blocks.clone());
+        let t = Task::new(id, 1.0, blocks, RdpCurve::constant(&grid(), 0.01), 0.0);
         match promoted.submit(0, t) {
             Err(AdmissionError::DuplicateTask { task }) => assert_eq!(task, id),
             other => panic!("acked task {id} must be refused as a duplicate, got {other:?}"),
@@ -470,6 +320,7 @@ fn failover_resubmission_is_idempotent_on_the_promoted_service() {
         RdpCurve::constant(&grid(), 0.01),
         0.0,
     );
+    acked.push(grant(&fresh));
     promoted.submit(0, fresh).expect("fresh task admitted");
     promoted.run_cycle(100.0);
     assert_eq!(
@@ -482,7 +333,8 @@ fn failover_resubmission_is_idempotent_on_the_promoted_service() {
         1,
         "the fresh task is granted on the promoted service"
     );
-    assert!(promoted.ledger().unsound_blocks().is_empty());
+    let states = promoted.ledger().block_states();
+    check_history(&common::history(acked, &states)).expect("the promoted history holds");
 }
 
 /// A replica restarted mid-stream: it reopens on its own storage, counts
@@ -503,7 +355,8 @@ fn a_replica_reopened_mid_stream_keeps_its_vector_and_promotes_to_the_primary_fo
             .expect("unique blocks");
     }
     // Every cycle grants shard-local tasks and tasks spanning shards.
-    let cycle = |step: u64| {
+    let mut acked = Vec::new();
+    let mut cycle = |step: u64| {
         for i in 0..8u64 {
             let blocks = if i % 3 == 0 {
                 vec![i, (i + 1) % N_BLOCKS]
@@ -518,6 +371,7 @@ fn a_replica_reopened_mid_stream_keeps_its_vector_and_promotes_to_the_primary_fo
                 RdpCurve::constant(&grid(), eps),
                 0.0,
             );
+            acked.push(grant(&t));
             service.submit(0, t).expect("admitted");
         }
         assert_eq!(service.run_cycle(step as f64).granted(), 8, "cycle {step}");
@@ -541,14 +395,15 @@ fn a_replica_reopened_mid_stream_keeps_its_vector_and_promotes_to_the_primary_fo
     let durable = service.ledger().durability_stats().expect("durable");
     assert_eq!((durable.failed_appends, durable.failed_ships), (0, 0));
 
-    let live = service.ledger().block_states();
-    let (primary_fold, _) = fold_surviving(&sim_p).expect("primary log folds");
+    let live = ledger(&service);
+    let primary = fold_log(&sim_p, SHARDS, opts()).expect("primary log folds");
+    check_history(&primary.history(acked)).expect("the primary history holds");
     let promoted = BudgetService::recover(grid(), config(), &sim_r.surviving(), opts())
         .expect("promote replica");
-    let promoted_states = promoted.ledger().block_states();
-    assert_states_bit_identical("promoted vs primary fold", &promoted_states, &primary_fold)
-        .and_then(|()| assert_states_bit_identical("promoted vs live", &promoted_states, &live))
+    let promoted_states = ledger(&promoted);
+    let primary_fold = common::views(&primary.blocks);
+    diff_states("promoted vs primary fold", &promoted_states, &primary_fold)
+        .and_then(|()| diff_states("promoted vs live", &promoted_states, &live))
         .expect("promotion is bit-identical");
     assert_eq!(promoted.ledger().granted_count(), 6 * (8 + 3));
-    assert!(promoted.ledger().unsound_blocks().is_empty());
 }

@@ -8,8 +8,11 @@
 //! xoshiro256++ stream); thread interleavings are not, so every
 //! assertion below is interleaving-independent:
 //!
-//! * **Filter soundness per block** — after any schedule of commits,
-//!   every block keeps a Rényi order within capacity (Prop. 6).
+//! * **A correct history** — `dpack_check::check_history` judges every
+//!   grant against the ledger: after any schedule of commits, every
+//!   block keeps a Rényi order within capacity (Prop. 6), and each
+//!   block carries exactly one charge per grant naming it, so a
+//!   partially-committed cross-shard task breaks the count.
 //! * **Exact conservation** — granted + evicted + still-live (queued
 //!   or pending) + rejected == submitted, cross-checked against the
 //!   submitters' own counts.
@@ -17,16 +20,17 @@
 //!   `stats_summary` mid-run never sees a grant or eviction its
 //!   admission does not cover, nor a submission counted neither
 //!   admitted nor rejected.
-//! * **Two-phase commit atomicity** — the ledger's per-block grant
-//!   count equals the sum over granted tasks of their block counts: a
-//!   partially-committed cross-shard task would break the equality.
 
-use std::collections::BTreeMap;
+mod common;
+
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{acked, grant};
 use dp_accounting::{AlphaGrid, RdpCurve};
+use dpack_check::check_history;
 use dpack_core::problem::{Block, Task, TaskId};
 use dpack_service::{AdmissionError, BudgetService, SchedulerChoice, ServiceConfig};
 use rand::rngs::StdRng;
@@ -77,10 +81,8 @@ fn service() -> Arc<BudgetService> {
 /// What one submitter observed, for the cross-checks.
 #[derive(Debug, Default, PartialEq)]
 struct ThreadLog {
-    /// (id, requested blocks) per *admitted* submission. Duplicate
-    /// resubmissions reuse the original block list, so the per-id
-    /// block count is well-defined across the whole run.
-    admitted: Vec<(TaskId, Vec<u64>)>,
+    /// Every *admitted* submission, in submission order.
+    admitted: Vec<Task>,
     rejected_invalid: u64,
     rejected_quota: u64,
     rejected_full: u64,
@@ -104,11 +106,9 @@ fn submitter(service: &BudgetService, thread: u64, seed: u64) -> ThreadLog {
         id
     };
     let submit = |log: &mut ThreadLog, task: Task| {
-        let blocks = task.blocks.clone();
-        let id = task.id;
         log.submitted += 1;
-        match service.submit(tenant, task) {
-            Ok(()) => log.admitted.push((id, blocks)),
+        match service.submit(tenant, task.clone()) {
+            Ok(()) => log.admitted.push(task),
             Err(AdmissionError::InvalidTask { .. })
             | Err(AdmissionError::UnknownBlock { .. })
             | Err(AdmissionError::GridMismatch { .. }) => log.rejected_invalid += 1,
@@ -150,8 +150,8 @@ fn submitter(service: &BudgetService, thread: u64, seed: u64) -> ThreadLog {
             60..=69 => {
                 let pick = (!log.admitted.is_empty())
                     .then(|| log.admitted[rng.random_range(0..log.admitted.len())].clone());
-                if let Some((id, blocks)) = pick {
-                    submit(&mut log, feasible_task(id, blocks, 0.02));
+                if let Some(task) = pick {
+                    submit(&mut log, feasible_task(task.id, task.blocks, 0.02));
                 }
             }
             // Quota-busting burst: more live tasks than the quota allows.
@@ -335,19 +335,27 @@ fn concurrent_seeded_stress_conserves_soundness_and_atomicity() {
         "conservation broken: {summary:?} live={live}"
     );
 
-    // Filter soundness per block (Prop. 6).
-    assert_eq!(service.ledger().unsound_blocks(), Vec::<u64>::new());
-
-    // Two-phase atomicity: the ledger charged exactly one grant per
-    // (granted task, requested block) pair — nothing partial. Task
-    // bodies are keyed by id (duplicates resubmit identical bodies),
-    // so the per-id block count is well-defined.
-    let blocks_of: BTreeMap<TaskId, usize> = logs
+    // The history: Prop. 6 on every block, and exactly one charge per
+    // (granted task, requested block) pair — nothing partial. An id is
+    // live at most once at a time, and a feasible admission leaves only
+    // by a grant (its timeout outlasts the run), so an id's k-th grant
+    // resolved its k-th feasible admission; at most one is left live.
+    let feasible = |t: &Task| t.demand.values().iter().any(|&d| d <= BLOCK_CAPACITY);
+    let mut bodies: BTreeMap<TaskId, VecDeque<&Task>> = BTreeMap::new();
+    for t in logs
         .iter()
-        .flat_map(|l| l.admitted.iter().map(|(id, blocks)| (*id, blocks.len())))
-        .collect();
-    let expected: u64 = stats.granted.iter().map(|a| blocks_of[&a.id] as u64).sum();
-    assert_eq!(service.ledger().granted_count(), expected);
+        .flat_map(|l| &l.admitted)
+        .filter(|t| feasible(t))
+    {
+        bodies.entry(t.id).or_default().push_back(t);
+    }
+    let acked = acked(&service, |id| {
+        let body = bodies.get_mut(&id).and_then(VecDeque::pop_front);
+        grant(body.expect("a grant resolves a feasible admission"))
+    });
+    assert!(bodies.values().all(|live| live.len() <= 1), "{bodies:?}");
+    let states = service.ledger().block_states();
+    check_history(&common::history(acked, &states)).expect("the history holds");
 
     // Per-tenant accounting adds up to the global grant count.
     let tenant_granted: u64 = stats.tenants.values().map(|t| t.granted).sum();

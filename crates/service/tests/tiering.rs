@@ -7,8 +7,12 @@
 //! service, every view a tiered ledger serves must equal an untiered
 //! twin's at every step of a drawn commit schedule.
 
+mod common;
+
+use common::{ledger, views};
 use dp_accounting::{AlphaGrid, CurveInterner, RdpCurve};
-use dpack_check::{bools, check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, weighted};
+use dpack_check::{bools, check_cases, diff_states, floats, ints, prop_assert, prop_assert_eq};
+use dpack_check::{vecs, weighted};
 use dpack_core::problem::{Block, BlockId, ProblemState, Task};
 use dpack_service::{
     BudgetService, CommitOutcome, DurabilityOptions, SchedulerChoice, ServiceConfig, ShardedLedger,
@@ -89,17 +93,7 @@ fn tiered_service_is_decision_identical_to_untiered() {
     assert_eq!(a.allocated, b.allocated, "tiering changed decisions");
 
     // Filter-state identity, bit for bit, wherever each block resides.
-    let (sa, sb) = (
-        plain.ledger().block_states(),
-        tiered.ledger().block_states(),
-    );
-    assert_eq!(sa.keys().collect::<Vec<_>>(), sb.keys().collect::<Vec<_>>());
-    for (id, x) in &sa {
-        let y = &sb[id];
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(x.granted, y.granted, "block {id}");
-        assert_eq!(bits(&x.consumed), bits(&y.consumed), "block {id}");
-    }
+    diff_states("tiered vs plain", &ledger(&tiered), &ledger(&plain)).expect("bit-identical");
 
     // The run genuinely exercised the tier: blocks spilled and commits
     // faulted them back in, while the hot set stayed at its bound.
@@ -135,17 +129,7 @@ fn durable_tiered_service_recovers_bit_identically() {
             .unwrap();
     let plain = BudgetService::recover(grid, config(), &sim.surviving(), opts).unwrap();
     for (name, other) in [("tiered", &rebooted), ("plain", &plain)] {
-        let (sa, sb) = (
-            service.ledger().block_states(),
-            other.ledger().block_states(),
-        );
-        assert_eq!(sa.len(), sb.len(), "{name}");
-        for (id, x) in &sa {
-            let y = &sb[id];
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(x.granted, y.granted, "{name} block {id}");
-            assert_eq!(bits(&x.consumed), bits(&y.consumed), "{name} block {id}");
-        }
+        diff_states(name, &ledger(other), &ledger(&service)).expect("bit-identical reboot");
         assert_eq!(other.ledger().granted_count(), granted, "{name}");
         assert!(other.ledger().unsound_blocks().is_empty(), "{name}");
     }
@@ -192,14 +176,10 @@ fn durable_tiered_service_recovers_bit_identically() {
     }
 }
 
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
 /// A snapshot view as bit patterns, so `==` means bit-identical.
 fn view_bits(view: BTreeMap<BlockId, RdpCurve>) -> BTreeMap<BlockId, Vec<u64>> {
-    let curves = view.into_iter();
-    curves.map(|(id, c)| (id, bits(c.values()))).collect()
+    let bits = |c: RdpCurve| c.values().iter().map(|v| v.to_bits()).collect();
+    view.into_iter().map(|(id, c)| (id, bits(c))).collect()
 }
 
 /// Where a block lives never shows: through a drawn schedule of
@@ -296,16 +276,8 @@ fn tiered_views_match_an_untiered_twin() {
                 let got = view_bits(tiered.snapshot_blocks_all(now, &ids));
                 prop_assert_eq!(got, want, "step {} ids {:?}", i, ids);
 
-                let state_bits = |l: &ShardedLedger| -> Vec<_> {
-                    let states = l.block_states().into_values();
-                    states
-                        .map(|s| {
-                            let curves = (bits(&s.total), bits(&s.consumed));
-                            (s.id, s.arrival.to_bits(), s.granted, curves)
-                        })
-                        .collect()
-                };
-                prop_assert_eq!(state_bits(&tiered), state_bits(&plain), "step {}", i);
+                let states = |l: &ShardedLedger| views(&l.block_states());
+                diff_states(&format!("step {i}"), &states(&tiered), &states(&plain))?;
                 prop_assert_eq!(tiered.granted_count(), plain.granted_count());
                 prop_assert_eq!(tiered.unsound_blocks(), plain.unsound_blocks());
             }

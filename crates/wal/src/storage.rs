@@ -131,13 +131,15 @@ pub struct FsStorage {
 }
 
 impl FsStorage {
-    /// Opens (creating if needed) a directory-backed storage.
+    /// Opens (creating if needed) a directory-backed storage. A
+    /// directory it creates is made durable like a file it creates: its
+    /// parent is synced, so its entry survives power loss.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation errors.
+    /// Propagates directory-creation and sync errors.
     pub fn new(dir: impl AsRef<Path>) -> io::Result<Self> {
-        std::fs::create_dir_all(dir.as_ref())?;
+        create_dirs(dir.as_ref())?;
         Ok(Self {
             dir: dir.as_ref().to_path_buf(),
             handles: Arc::new(Mutex::new(BTreeMap::new())),
@@ -149,21 +151,8 @@ impl FsStorage {
         &self.dir
     }
 
-    /// Makes this directory's entries durable. File data syncs are not
-    /// enough on their own: a newly created segment/snapshot file whose
-    /// directory entry was never fsynced can vanish wholesale on power
-    /// loss, losing acknowledged records.
     fn sync_dir(&self) -> io::Result<()> {
-        #[cfg(unix)]
-        {
-            std::fs::File::open(&self.dir)?.sync_all()
-        }
-        #[cfg(not(unix))]
-        {
-            // Directories cannot be opened for syncing here; metadata
-            // durability is best-effort on these platforms.
-            Ok(())
-        }
+        sync_dir(&self.dir)
     }
 
     /// The shared append body; `sync` chooses whether acknowledged
@@ -204,6 +193,45 @@ impl FsStorage {
         }
         Ok(())
     }
+}
+
+/// Makes `dir`'s entries durable. File data syncs are not enough on
+/// their own: a newly created file or directory whose entry was never
+/// fsynced can vanish wholesale on power loss, losing acknowledged
+/// records.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::fs::File::open(dir)?.sync_all()
+    }
+    #[cfg(not(unix))]
+    {
+        // Directories cannot be opened for syncing here; metadata
+        // durability is best-effort on these platforms.
+        let _ = dir;
+        Ok(())
+    }
+}
+
+/// Creates `dir` and its missing ancestors one at a time, outermost
+/// first, syncing the parent of each directory it creates; syncs
+/// nothing when `dir` already exists. As with `create_dir_all`, a path
+/// that exists but is not a directory is an error.
+fn create_dirs(dir: &Path) -> io::Result<()> {
+    if dir.as_os_str().is_empty() || dir.is_dir() {
+        return Ok(());
+    }
+    let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(parent) = parent {
+        create_dirs(parent)?;
+    }
+    match std::fs::create_dir(dir) {
+        // A racing opener made it since the check; its entry may not be
+        // durable yet either, so sync it all the same.
+        Err(e) if e.kind() != io::ErrorKind::AlreadyExists || !dir.is_dir() => return Err(e),
+        _ => {}
+    }
+    sync_dir(parent.unwrap_or(Path::new(".")))
 }
 
 impl WalStorage for FsStorage {
@@ -523,6 +551,26 @@ impl WalStorage for SimStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `FsStorage::new` creates every missing directory of its path, and
+    /// `sub` a missing child; an existing path opens again, and a path
+    /// that is a file, or runs through one, is an error.
+    #[test]
+    fn new_creates_missing_directories_and_refuses_files() {
+        let tmp = crate::TempDir::new("fs-dirs").unwrap();
+        let abc = tmp.path().join("a/b/c");
+        let storage = FsStorage::new(&abc).unwrap();
+        assert!(abc.is_dir());
+        storage.sub("term").unwrap();
+        assert!(abc.join("term").is_dir());
+        FsStorage::new(&abc).unwrap();
+        FsStorage::new(tmp.path().join("a/d")).unwrap();
+        assert!(tmp.path().join("a/d").is_dir());
+        let file = tmp.path().join("a/file");
+        std::fs::write(&file, b"").unwrap();
+        assert!(FsStorage::new(&file).is_err());
+        assert!(FsStorage::new(file.join("e")).is_err());
+    }
 
     #[test]
     fn sim_storage_appends_and_scopes() {

@@ -229,6 +229,28 @@ if grep -rnwE --include='*.rs' 'SimulationSpec|BackendKind' src crates tests exa
   exit 1
 fi
 
+echo "==> checking a history is judged in one place"
+# dpack_check::check_history states the rules of a correct run once
+# (Prop. 6, acked grants survive, nothing charged twice, one leader per
+# term) and dpack_check::diff_states is the one bit-exact ledger
+# comparison; crates/service/tests/common/mod.rs holds the one reference
+# fold of a durable log. The per-suite folds and comparisons they
+# replaced stay deleted: no test file outside a tests/common module
+# defines them, or decodes the records of a recovered log.
+history_copies="$(grep -rnE --include='*.rs' \
+    'fn (fold_surviving|fold_reference|assert_states_bit_identical|ledger_bits)\b' \
+    crates/*/tests tests | grep -v '/tests/common/' || true)"
+for f in $(grep -rlE --include='*.rs' 'LogRecord::decode\(' crates/*/tests tests | grep -v '/tests/common/'); do
+  if grep -qE 'in &*[a-z_.]+\.records\b|\.records\.(into_)?iter\(' "${f}"; then
+    history_copies+="${history_copies:+$'\n'}${f}: folds LogRecord::decode over a recovered log"
+  fi
+done
+if [ -n "${history_copies}" ]; then
+  echo "${history_copies}" >&2
+  echo "ERROR: judge a history with dpack_check::check_history and diff_states, and fold a log with crates/service/tests/common/mod.rs (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking new counter structs go through dpack-obs"
 # New metrics belong in the dpack-obs registry (named, labelled,
 # scrapable), not in one-off counter structs. The legacy pre-obs
