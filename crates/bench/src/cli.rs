@@ -13,17 +13,6 @@ pub struct Args {
     pub out_dir: String,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            names: Vec::new(),
-            seed: 42,
-            full: false,
-            out_dir: "results".into(),
-        }
-    }
-}
-
 impl Args {
     /// Parses `std::env::args()`.
     ///
@@ -37,7 +26,12 @@ impl Args {
 
     /// Parses from an explicit iterator (testable).
     pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Self {
-        let mut args = Args::default();
+        let mut args = Args {
+            names: Vec::new(),
+            seed: 42,
+            full: false,
+            out_dir: "results".into(),
+        };
         let mut it = iter.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {

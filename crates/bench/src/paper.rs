@@ -16,10 +16,10 @@ use dp_accounting::{rdp_to_dp, AlphaGrid, RdpCurve};
 use dpack_core::metrics::quantile;
 use dpack_core::problem::ProblemState;
 use dpack_core::scenarios::{fig1_state, fig3_state};
-use dpack_core::schedulers::{DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Optimal, Scheduler};
-use dpack_service::SchedulerChoice;
+use dpack_core::schedulers::{DPack, Dpf, GreedyArea, Optimal, Scheduler};
+use dpack_service::{SchedulerChoice as Choice, ServiceConfig};
 use knapsack::privacy::SolveLimits;
-use simulator::{simulate, SimulationConfig, SimulationResult};
+use simulator::{simulate_service, SimulationConfig, SimulationResult};
 use workloads::alibaba::AlibabaDpConfig;
 use workloads::amazon::AmazonConfig;
 use workloads::curves::{best_alpha, CurveLibrary};
@@ -405,15 +405,25 @@ fn alibaba(n_blocks: usize, n_tasks: usize, seed: u64) -> OnlineWorkload {
     workloads::alibaba::generate(&config, seed)
 }
 
-/// DPack, DPF (head-of-line, [`DpfStrict`]) and FCFS replaying one
-/// online workload: the three columns of Figs. 6, 7 and 9.
-fn online_three(workload: &OnlineWorkload, config: &SimulationConfig) -> [SimulationResult; 3] {
-    [
-        simulate(workload, DPack::default(), config),
-        simulate(workload, DpfStrict, config),
-        simulate(workload, Fcfs, config),
-    ]
+/// Replays an online workload on the budget service as deployed (its
+/// default sharding, S = 4 and W = 2) once under each scheduler.
+fn replay<const N: usize>(
+    workload: &OnlineWorkload,
+    schedulers: [Choice; N],
+    config: &SimulationConfig,
+) -> [SimulationResult; N] {
+    schedulers.map(|scheduler| {
+        let service = ServiceConfig {
+            scheduler,
+            ..ServiceConfig::default()
+        };
+        simulate_service(workload, &service, config)
+    })
 }
+
+/// DPack, DPF (head-of-line) and FCFS: the three columns of Figs. 6, 7
+/// and 9.
+const ONLINE_THREE: [Choice; 3] = [Choice::DPack, Choice::DpfStrict, Choice::Fcfs];
 
 /// A sweep row of Figs. 6 and 7: the swept value, DPack's, DPF's and
 /// FCFS's totals, and DPack/DPF.
@@ -432,19 +442,22 @@ fn versus_row(
     ]
 }
 
-/// Fig. 6 (Q3): online Alibaba-DP, T = 1, a timeout of 5. Expected:
-/// DPack 1.3–1.7× DPF; FCFS flat with load (it never prioritizes
-/// low-demand tasks). Each point is the swept value, the task count and the block count.
+/// Fig. 6's replay: T = 1, 50 unlock steps, a timeout of 5.
+const FIG6: SimulationConfig = SimulationConfig {
+    scheduling_period: 1.0,
+    unlock_steps: 50,
+    task_timeout: Some(5.0),
+    drain_steps: 55,
+};
+
+/// Fig. 6 (Q3): online Alibaba-DP under [`FIG6`]. Expected: DPack
+/// 1.3–1.7× DPF; FCFS flat with load (it never prioritizes low-demand
+/// tasks). Each point is the swept value, the task count and the block
+/// count.
 fn fig6(x: &str, points: impl IntoIterator<Item = (usize, usize, usize)>, seed: u64) -> Table {
-    let config = SimulationConfig {
-        scheduling_period: 1.0,
-        unlock_steps: 50,
-        task_timeout: Some(5.0),
-        drain_steps: 55,
-    };
     let mut table = Table::new(vec![x, "DPack", "DPF", "FCFS", "DPack/DPF"]);
     for (x, n_tasks, n_blocks) in points {
-        let results = online_three(&alibaba(n_blocks, n_tasks, seed), &config);
+        let results = replay(&alibaba(n_blocks, n_tasks, seed), ONLINE_THREE, &FIG6);
         table.row(versus_row(x.to_string(), &results, |r| {
             r.allocated() as f64
         }));
@@ -520,7 +533,7 @@ fn fig7(args: &Args, weighted: bool) -> Report {
         let workload = workloads::amazon::generate(&amazon, args.seed);
         table.row(versus_row(
             fmt(rate, 0),
-            &online_three(&workload, &config),
+            &replay(&workload, ONLINE_THREE, &config),
             total,
         ));
     }
@@ -561,8 +574,8 @@ fn fig8a(args: &Args) -> Report {
     ]);
     let ms = |d: Duration| fmt(d.as_secs_f64() * 1e3, 1);
     for &n in loads {
-        let dpack = run_q4(n, args.seed, SchedulerChoice::DPack, 25.0);
-        let dpf = run_q4(n, args.seed, SchedulerChoice::DpfStrict, 25.0);
+        let dpack = run_q4(n, args.seed, Choice::DPack, 25.0);
+        let dpf = run_q4(n, args.seed, Choice::DpfStrict, 25.0);
         table.row(vec![
             n.to_string(),
             ms(dpack.wall_time),
@@ -583,8 +596,8 @@ fn fig8a(args: &Args) -> Report {
 fn fig8b(args: &Args) -> Report {
     let n = if args.full { 4200 } else { 2000 };
     let delays = |scheduler| run_q4(n, args.seed, scheduler, 5.0).stats.delays();
-    let dpack = delays(SchedulerChoice::DPack);
-    let dpf = delays(SchedulerChoice::DpfStrict);
+    let dpack = delays(Choice::DPack);
+    let dpf = delays(Choice::DpfStrict);
     let mut table = Table::new(vec!["percentile", "DPack delay", "DPF delay"]);
     for p in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
         table.row(vec![
@@ -634,7 +647,7 @@ fn fig9(args: &Args) -> Report {
             task_timeout: None,
             drain_steps: (50.0 / period).ceil() as u32 + 5,
         };
-        let results = online_three(&workload, &config);
+        let results = replay(&workload, ONLINE_THREE, &config);
         let counts = results.iter().map(|r| r.allocated().to_string());
         let delays = results
             .iter()
@@ -663,8 +676,8 @@ fn fig9(args: &Args) -> Report {
 fn tab2(args: &Args) -> Report {
     let n = if args.full { 4200 } else { 2500 };
     let run = |scheduler| run_q4(n, args.seed, scheduler, 5.0).allocated();
-    let dpack = run(SchedulerChoice::DPack);
-    let dpf = run(SchedulerChoice::DpfStrict);
+    let dpack = run(Choice::DPack);
+    let dpf = run(Choice::DpfStrict);
     let mut table = Table::new(vec!["scheduler", "allocated"]);
     table.row(vec!["DPack".to_string(), dpack.to_string()]);
     table.row(vec!["DPF".to_string(), dpf.to_string()]);
@@ -687,13 +700,11 @@ fn fairness(args: &Args) -> Report {
     let n_tasks = if args.full { 60_000 } else { 15_000 };
     let workload = alibaba(90, n_tasks, args.seed);
     let config = SimulationConfig {
-        scheduling_period: 1.0,
         unlock_steps: N_FAIR,
-        task_timeout: Some(5.0),
-        drain_steps: 55,
+        ..FIG6
     };
-    let dpack = simulate(&workload, DPack::default(), &config).fairness(&workload.tasks, N_FAIR);
-    let dpf = simulate(&workload, DpfStrict, &config).fairness(&workload.tasks, N_FAIR);
+    let [dpack, dpf] = replay(&workload, [Choice::DPack, Choice::DpfStrict], &config)
+        .map(|r| r.fairness(&workload.tasks, N_FAIR));
     let mut table = Table::new(vec![
         "scheduler",
         "allocated",
@@ -738,8 +749,8 @@ fn fairness(args: &Args) -> Report {
 /// Where the DPack/DPF gap on Alibaba-DP lives: offline (one round,
 /// full budget) against online (T = 1, unlocked over 50 steps) at
 /// several timeouts, with skip-greedy [`Dpf`] and head-of-line
-/// [`DpfStrict`] side by side, and the shape of what each packs
-/// offline.
+/// [`Choice::DpfStrict`] side by side, and the shape of what
+/// each packs offline.
 fn gap(args: &Args) -> Report {
     let workload = alibaba(90, 45_000, args.seed);
     let capacity = &workload.blocks[0].capacity;
@@ -788,14 +799,15 @@ fn gap(args: &Args) -> Report {
     ]);
     for timeout in [Some(5.0), Some(10.0), Some(20.0), None] {
         let config = SimulationConfig {
-            scheduling_period: 1.0,
-            unlock_steps: 50,
             task_timeout: timeout,
-            drain_steps: 55,
+            ..FIG6
         };
-        let a = simulate(&workload, DPack::default(), &config).allocated();
-        let b = simulate(&workload, Dpf, &config).allocated();
-        let strict = simulate(&workload, DpfStrict, &config).allocated();
+        let [a, b, strict] = replay(
+            &workload,
+            [Choice::DPack, Choice::Dpf, Choice::DpfStrict],
+            &config,
+        )
+        .map(|r| r.allocated());
         table.row(vec![
             "online".to_string(),
             timeout.map_or("none".into(), |t| fmt(t, 0)),
@@ -846,5 +858,17 @@ mod tests {
         assert_eq!(select_one("fig4a"), ["fig4a"]);
         assert!(select_one("fig10").is_empty());
         assert!(select_one("ga").is_empty());
+    }
+
+    /// Fig. 6(a)'s smallest quick point at seed 42 (90 blocks, 5 000
+    /// tasks): the counts the engine reference gives, so a change to the
+    /// service's online decisions moves them.
+    #[test]
+    fn fig6_allocations_are_pinned() {
+        let results = replay(&alibaba(90, 5_000, 42), ONLINE_THREE, &FIG6);
+        assert_eq!(
+            results.each_ref().map(|r| r.allocated()),
+            [1_595, 1_179, 1_268]
+        );
     }
 }

@@ -86,16 +86,7 @@ impl Table {
                 c.to_string()
             }
         };
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
             out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }

@@ -17,6 +17,9 @@
 //! * [`online::OnlineEngine`] — the §3.4 batched online engine: schedule
 //!   every `T` time units, unlock `1/N` of each block's budget per step,
 //!   enforce per-block privacy filters (Prop. 6), evict timed-out tasks.
+//!   It is the plain reference model: the budget service
+//!   (`dpack-service`), which every online experiment runs on, is
+//!   tested to decide what it decides.
 //!
 //! # Examples
 //!

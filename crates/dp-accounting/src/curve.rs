@@ -107,12 +107,6 @@ impl RdpCurve {
         self.eps
     }
 
-    /// The smallest value across orders (used as `ε_min` by the workload
-    /// generators when values are normalized by block capacity).
-    pub fn min_epsilon(&self) -> f64 {
-        self.eps.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// Additive composition with another curve on the same grid.
     pub fn compose(&self, other: &RdpCurve) -> Result<RdpCurve, AccountingError> {
         if self.grid != other.grid {
@@ -180,33 +174,6 @@ impl RdpCurve {
         })
     }
 
-    /// Returns `true` if `self(α) ≤ cap(α)` (within tolerance) for **at
-    /// least one** order — the privacy-knapsack feasibility semantics of
-    /// Eq. 5.
-    pub fn fits_any_order(&self, cap: &RdpCurve) -> Result<bool, AccountingError> {
-        if self.grid != cap.grid {
-            return Err(AccountingError::GridMismatch);
-        }
-        Ok(self
-            .eps
-            .iter()
-            .zip(&cap.eps)
-            .any(|(d, c)| crate::fits(*d, *c)))
-    }
-
-    /// Returns `true` if `self(α) ≤ cap(α)` (within tolerance) for **all**
-    /// orders — the traditional multidimensional-knapsack semantics.
-    pub fn fits_all_orders(&self, cap: &RdpCurve) -> Result<bool, AccountingError> {
-        if self.grid != cap.grid {
-            return Err(AccountingError::GridMismatch);
-        }
-        Ok(self
-            .eps
-            .iter()
-            .zip(&cap.eps)
-            .all(|(d, c)| crate::fits(*d, *c)))
-    }
-
     /// Returns `true` if every order is (numerically) non-positive,
     /// meaning no further positive demand can fit at any order.
     pub fn is_depleted(&self) -> bool {
@@ -266,33 +233,22 @@ mod tests {
     }
 
     #[test]
-    fn fits_any_vs_all_order_semantics() {
-        let g = grid();
-        let cap = RdpCurve::new(&g, vec![1.0, 1.0, 1.0]).unwrap();
-        let d = RdpCurve::new(&g, vec![2.0, 0.5, 2.0]).unwrap();
-        assert!(d.fits_any_order(&cap).unwrap());
-        assert!(!d.fits_all_orders(&cap).unwrap());
-        let small = RdpCurve::constant(&g, 0.5);
-        assert!(small.fits_all_orders(&cap).unwrap());
-        let big = RdpCurve::constant(&g, 2.0);
-        assert!(!big.fits_any_order(&cap).unwrap());
-    }
-
-    #[test]
     fn exact_capacity_fit_is_accepted() {
         // A demand exactly equal to capacity must fit despite FP rounding.
         let g = grid();
         let cap = RdpCurve::new(&g, vec![0.3, 0.3, 0.3]).unwrap();
         let d = RdpCurve::new(&g, vec![0.1 + 0.2, 1.0, 1.0]).unwrap();
-        assert!(d.fits_any_order(&cap).unwrap());
+        assert!(crate::fits(d.epsilon(0), cap.epsilon(0)));
     }
 
     #[test]
-    fn min_epsilon_and_depletion() {
+    fn depletion_is_every_order_spent() {
         let g = grid();
         let c = RdpCurve::new(&g, vec![0.5, 0.2, 0.9]).unwrap();
-        assert_eq!(c.min_epsilon(), 0.2);
         assert!(!c.is_depleted());
+        assert!(!RdpCurve::new(&g, vec![-0.1, 0.0, 0.2])
+            .unwrap()
+            .is_depleted());
         assert!(RdpCurve::zero(&g).is_depleted());
         assert!(RdpCurve::new(&g, vec![-0.1, 0.0, -5.0])
             .unwrap()

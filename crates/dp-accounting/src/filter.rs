@@ -202,16 +202,6 @@ impl PureDpFilter {
         })
     }
 
-    /// Remaining `ε`.
-    pub fn remaining_epsilon(&self) -> f64 {
-        self.epsilon_budget - self.epsilon_used
-    }
-
-    /// Remaining `δ`.
-    pub fn remaining_delta(&self) -> f64 {
-        self.delta_budget - self.delta_used
-    }
-
     /// Returns `true` if `(ε, δ)` fits in the remaining budget.
     pub fn can_accept(&self, epsilon: f64, delta: f64) -> bool {
         crate::fits(self.epsilon_used + epsilon, self.epsilon_budget)
@@ -374,15 +364,17 @@ mod tests {
             f.try_consume(0.001, 0.0),
             Err(AccountingError::BudgetExhausted)
         );
-        assert!(f.remaining_epsilon().abs() < 1e-12);
-        assert!(f.remaining_delta().abs() < 1e-18);
+        // Both budgets are spent: no ε and no δ is left.
+        assert!(!f.can_accept(1e-3, 0.0));
+        assert!(!f.can_accept(0.0, 1e-8));
     }
 
     #[test]
     fn pure_filter_rejects_delta_overflow() {
         let mut f = PureDpFilter::new(10.0, 1e-6).unwrap();
         assert!(f.try_consume(0.1, 2e-6).is_err());
-        assert_eq!(f.remaining_epsilon(), 10.0);
+        // The refused charge spent nothing: the whole budget still fits.
+        assert!(f.try_consume(10.0, 1e-6).is_ok());
     }
 
     #[test]

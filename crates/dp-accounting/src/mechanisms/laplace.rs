@@ -36,16 +36,6 @@ impl LaplaceMechanism {
     pub fn scale(&self) -> f64 {
         self.scale
     }
-
-    /// Constructs the mechanism achieving pure `ε`-DP, i.e. `b = 1/ε`.
-    pub fn from_pure_epsilon(epsilon: f64) -> Result<Self, AccountingError> {
-        if !epsilon.is_finite() || epsilon <= 0.0 {
-            return Err(AccountingError::InvalidParameter(format!(
-                "epsilon must be finite and > 0 (got {epsilon})"
-            )));
-        }
-        Self::new(1.0 / epsilon)
-    }
 }
 
 impl Mechanism for LaplaceMechanism {
@@ -96,14 +86,6 @@ mod tests {
         let at_large = m.rdp_epsilon(10_000.0);
         assert!(at_large < pure);
         assert!(at_large > 0.95 * pure);
-    }
-
-    #[test]
-    fn from_pure_epsilon_inverts_scale() {
-        let m = LaplaceMechanism::from_pure_epsilon(0.1).unwrap();
-        assert!((m.scale() - 10.0).abs() < 1e-12);
-        assert!((m.pure_dp_epsilon().unwrap() - 0.1).abs() < 1e-12);
-        assert!(LaplaceMechanism::from_pure_epsilon(0.0).is_err());
     }
 
     #[test]

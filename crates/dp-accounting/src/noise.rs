@@ -1,6 +1,6 @@
 //! Executable noise mechanisms.
 //!
-//! These run *actual* DP computations (noisy counts, sums, histograms)
+//! These run *actual* DP computations (noisy counts, histograms)
 //! so that examples and integration tests can execute the tasks they
 //! schedule, not just account for them. The samplers are implemented
 //! directly (inverse-CDF Laplace, Box–Muller Gaussian) to stay within the
@@ -57,34 +57,6 @@ pub fn noisy_count<R: Rng + ?Sized, T>(
         )));
     }
     Ok(data.len() as f64 + sample_laplace(rng, 1.0 / epsilon))
-}
-
-/// A Laplace-noised sum of values clamped to `[lo, hi]`; the clamp bounds
-/// the per-record sensitivity to `max(|lo|, |hi|)`.
-///
-/// # Errors
-///
-/// Rejects non-positive `epsilon` or an empty/inverted clamp range.
-pub fn noisy_sum<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[f64],
-    lo: f64,
-    hi: f64,
-    epsilon: f64,
-) -> Result<f64, AccountingError> {
-    if !epsilon.is_finite() || epsilon <= 0.0 {
-        return Err(AccountingError::InvalidParameter(format!(
-            "epsilon must be finite and > 0 (got {epsilon})"
-        )));
-    }
-    if lo >= hi || !lo.is_finite() || !hi.is_finite() {
-        return Err(AccountingError::InvalidParameter(format!(
-            "clamp range must be finite and non-empty (got [{lo}, {hi}])"
-        )));
-    }
-    let sensitivity = lo.abs().max(hi.abs());
-    let sum: f64 = data.iter().map(|v| v.clamp(lo, hi)).sum();
-    Ok(sum + sample_laplace(rng, sensitivity / epsilon))
 }
 
 /// A Gaussian-noised histogram over `bins` buckets; each record
@@ -166,17 +138,6 @@ mod tests {
         let est = noisy_count(&mut r, &data, 1.0).unwrap();
         assert!((est - 1000.0).abs() < 30.0);
         assert!(noisy_count(&mut r, &data, 0.0).is_err());
-    }
-
-    #[test]
-    fn noisy_sum_clamps_outliers() {
-        let mut r = rng();
-        // One adversarial outlier must not shift the sum by more than hi.
-        let mut data = vec![1.0; 100];
-        data.push(1e9);
-        let est = noisy_sum(&mut r, &data, 0.0, 2.0, 5.0).unwrap();
-        assert!((est - 102.0).abs() < 5.0, "est {est}");
-        assert!(noisy_sum(&mut r, &data, 2.0, 0.0, 5.0).is_err());
     }
 
     #[test]

@@ -161,9 +161,10 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// A single-shard, single-worker configuration: no striping, no
-    /// threads. (Every configuration decides what a
-    /// [`dpack_core::online::OnlineEngine`] decides; this one also
-    /// charges each block in the engine's order, bit for bit.)
+    /// threads. It charges each block in the order a
+    /// [`dpack_core::online::OnlineEngine`] does, bit for bit, so it
+    /// decides what the engine decides without the last-bit condition of
+    /// `S > 1` (see the [`service`](crate::service) module docs).
     pub fn sequential() -> Self {
         Self {
             shards: 1,

@@ -54,21 +54,26 @@
 //!
 //! The pending set never reorders its tasks, so the pass sees exactly
 //! the state a from-scratch rebuild over the same pending tasks would
-//! give, and the shard count and worker count change neither the
-//! snapshot nor the pass: at every `S` and `W` the service allocates
-//! what the [`OnlineEngine`](dpack_core::online::OnlineEngine) — which
-//! does rebuild every step — allocates: same ids, same order, same
-//! steps, same evictions, which the equivalence sweep asserts. The
-//! bit-level claim is **per block**: a block is charged its shard-local
-//! grants in allocation order, then its spanning grants in allocation
-//! order — the order its shard's log replays, so recovery is
-//! bit-identical — where the engine charges one global allocation
-//! order. The two `f64` sums can differ in the last bit at `S > 1`, the
-//! one condition on the allocation claim: a selected task that fills a
-//! block to that last bit of the filter's tolerance edge can pass the
-//! pass's check and fail the ledger's. The filter releases it
-//! ([`CycleStats::released`]); it stays pending and is granted a cycle
-//! later than the engine grants it. No block is overdrawn either way.
+//! give, and the worker count changes neither the snapshot nor the
+//! pass: the service allocates what the
+//! [`OnlineEngine`](dpack_core::online::OnlineEngine) — which does
+//! rebuild every step — allocates: same ids, same order, same steps,
+//! same evictions, which the equivalence sweep asserts at
+//! `S ∈ {1, 2, 4}`. The bit-level claim is **per block**: a block is
+//! charged its shard-local grants in allocation order, then its
+//! spanning grants in allocation order — the order its shard's log
+//! replays, so recovery is bit-identical — where the engine charges one
+//! global allocation order. The two `f64` sums can differ in the last
+//! bit at `S > 1`, and that conditions the claim twice. A selected task
+//! that fills a block to that last bit of the filter's tolerance edge
+//! can pass the pass's check and fail the ledger's: the filter releases
+//! it ([`CycleStats::released`]), and it stays pending and is granted a
+//! cycle later than the engine grants it. And the next snapshot carries
+//! the last bit, so a pass whose choice rests on a near-tie can choose
+//! otherwise: on the weighted Amazon Reviews instance of
+//! `tests/integration.rs` (seed 3), every `S > 1` grants task 374 where
+//! the engine grants task 386, of equal weight. No block is overdrawn
+//! either way.
 
 use std::collections::{hash_map::Entry, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -766,24 +771,6 @@ impl BudgetService {
         let cell = Arc::new(TicketCell::default());
         self.admit(tenant, task, validated, trace, Some(Arc::clone(&cell)))?;
         Ok(SubmissionTicket::new(id, cell))
-    }
-
-    /// [`BudgetService::submit`] with backpressure handling: on a full
-    /// queue, parks briefly and retries until admitted or rejected for
-    /// another reason.
-    ///
-    /// # Errors
-    ///
-    /// Any [`AdmissionError`] except `QueueFull`.
-    pub fn submit_blocking(&self, tenant: TenantId, task: Task) -> Result<(), AdmissionError> {
-        loop {
-            match self.submit(tenant, task.clone()) {
-                Err(AdmissionError::QueueFull { .. }) => {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                other => return other,
-            }
-        }
     }
 
     fn books(&self) -> MutexGuard<'_, Books> {
@@ -2097,7 +2084,11 @@ mod tests {
                     for i in 0..50u64 {
                         let id = tenant as u64 * 1000 + i;
                         let t = simple_task(id, vec![id % 8], 0.05);
-                        service.submit_blocking(tenant, t).unwrap();
+                        // Backpressure: on a full queue, park and retry.
+                        while let Err(e) = service.submit(tenant, t.clone()) {
+                            assert!(matches!(e, AdmissionError::QueueFull { .. }), "{e:?}");
+                            std::thread::sleep(Duration::from_micros(50));
+                        }
                     }
                 });
             }

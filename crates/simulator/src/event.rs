@@ -1,171 +1,146 @@
-//! The event heap.
+//! The replay's event order: every event of a workload, sorted once.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use dpack_core::problem::{Block, Task};
+use workloads::OnlineWorkload;
 
-/// What happens at an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// Block `i` (index into the workload) becomes available.
-    BlockArrival(usize),
-    /// Task `i` (index into the workload) is submitted.
-    TaskArrival(usize),
-    /// A scheduling step runs.
-    ScheduleTick,
+use crate::SimulationConfig;
+
+/// One event of a workload replay, handed to the backend callback by
+/// [`replay_workload`].
+#[derive(Debug, Clone, Copy)]
+pub enum ReplayEvent<'a> {
+    /// A block becomes available.
+    Block(&'a Block),
+    /// A task is submitted.
+    Task(&'a Task),
+    /// A scheduling step runs at the given virtual time.
+    Tick(f64),
 }
 
-impl EventKind {
-    /// Priority *within* one timestamp: arrivals are visible to the tick
-    /// at the same instant.
-    fn rank(&self) -> u8 {
-        match self {
-            EventKind::BlockArrival(_) => 0,
-            EventKind::TaskArrival(_) => 1,
-            EventKind::ScheduleTick => 2,
+impl ReplayEvent<'_> {
+    /// The event's time and its priority *within* one timestamp: blocks,
+    /// then tasks, then the tick, so arrivals are visible to the tick at
+    /// the same instant.
+    fn time_and_rank(&self) -> (f64, u8) {
+        match *self {
+            ReplayEvent::Block(b) => (b.arrival, 0),
+            ReplayEvent::Task(t) => (t.arrival, 1),
+            ReplayEvent::Tick(now) => (now, 2),
         }
     }
 }
 
-/// A scheduled event.
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// Virtual time of the event.
-    pub time: f64,
-    /// Payload.
-    pub kind: EventKind,
-    /// Insertion sequence number, the final tie-breaker.
-    pub seq: u64,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp_key() == other.cmp_key()
-    }
-}
-impl Eq for Event {}
-
-impl Event {
-    fn cmp_key(&self) -> (u64, u8, u64) {
-        // total_cmp-compatible bits ordering for non-negative times.
-        (self.time.to_bits(), self.kind.rank(), self.seq)
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other.cmp_key().cmp(&self.cmp_key())
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A deterministic min-heap of events.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Event>,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules an event.
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative or non-finite times (virtual time starts at 0).
-    pub fn push(&mut self, time: f64, kind: EventKind) {
+/// Drives a workload's deterministic event loop — block arrivals, task
+/// arrivals, scheduling ticks every `T` until the drain horizon — and
+/// hands each event to `on_event` in simulation order: by time, then
+/// blocks before tasks before the tick, then in workload order. Shared
+/// by every backend so replays cannot drift.
+///
+/// # Panics
+///
+/// Panics on a negative or non-finite event time (virtual time starts
+/// at 0).
+pub fn replay_workload<F: FnMut(ReplayEvent<'_>)>(
+    workload: &OnlineWorkload,
+    config: &SimulationConfig,
+    on_event: F,
+) {
+    let last_arrival = workload
+        .blocks
+        .iter()
+        .map(|b| b.arrival)
+        .chain(workload.tasks.iter().map(|t| t.arrival))
+        .fold(0.0f64, f64::max);
+    let horizon = last_arrival + config.drain_steps as f64 * config.scheduling_period;
+    let ticks = std::iter::successors(Some(config.scheduling_period), |t| {
+        Some(t + config.scheduling_period)
+    })
+    .take_while(|&t| t <= horizon);
+    let mut events: Vec<ReplayEvent<'_>> = (workload.blocks.iter().map(ReplayEvent::Block))
+        .chain(workload.tasks.iter().map(ReplayEvent::Task))
+        .chain(ticks.map(ReplayEvent::Tick))
+        .collect();
+    for (time, _) in events.iter().map(ReplayEvent::time_and_rank) {
         assert!(
             time.is_finite() && time >= 0.0,
             "event time must be finite and >= 0 (got {time})"
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { time, kind, seq });
     }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
+    // `to_bits` orders non-negative finite times as the times do; the
+    // sort is stable, so workload order breaks the remaining ties.
+    events.sort_by_key(|e| {
+        let (time, rank) = e.time_and_rank();
+        (time.to_bits(), rank)
+    });
+    events.into_iter().for_each(on_event);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_accounting::{AlphaGrid, RdpCurve};
+
+    /// The events a replay of these (id, arrival) blocks and tasks hands
+    /// out, with ticks every `period` up to the last arrival: (kind, id)
+    /// for an arrival, ('T', time) for a tick.
+    fn replayed(blocks: &[(u64, f64)], tasks: &[(u64, f64)], period: f64) -> Vec<(char, f64)> {
+        let grid = AlphaGrid::single(2.0).unwrap();
+        let curve = RdpCurve::constant(&grid, 1.0);
+        let workload = OnlineWorkload {
+            blocks: blocks
+                .iter()
+                .map(|&(id, at)| Block::new(id, curve.clone(), at))
+                .collect(),
+            tasks: tasks
+                .iter()
+                .map(|&(id, at)| Task::new(id, 1.0, vec![0], curve.clone(), at))
+                .collect(),
+            grid,
+        };
+        let config = SimulationConfig {
+            scheduling_period: period,
+            drain_steps: 0,
+            ..SimulationConfig::default()
+        };
+        let mut out = Vec::new();
+        replay_workload(&workload, &config, |e| {
+            out.push(match e {
+                ReplayEvent::Block(b) => ('b', b.id as f64),
+                ReplayEvent::Task(t) => ('t', t.id as f64),
+                ReplayEvent::Tick(now) => ('T', now),
+            })
+        });
+        out
+    }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(2.0, EventKind::ScheduleTick);
-        q.push(1.0, EventKind::TaskArrival(0));
-        q.push(1.5, EventKind::BlockArrival(1));
-        let times: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
-        assert_eq!(times, vec![1.0, 1.5, 2.0]);
+        // Block 1 at 0.5, the one tick at 1.0, task 0 at 1.5.
+        assert_eq!(
+            replayed(&[(1, 0.5)], &[(0, 1.5)], 1.0),
+            [('b', 1.0), ('T', 1.0), ('t', 0.0)]
+        );
     }
 
     #[test]
     fn same_time_orders_blocks_tasks_tick() {
-        let mut q = EventQueue::new();
-        q.push(1.0, EventKind::ScheduleTick);
-        q.push(1.0, EventKind::TaskArrival(3));
-        q.push(1.0, EventKind::BlockArrival(2));
-        let kinds: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
         assert_eq!(
-            kinds,
-            vec![
-                EventKind::BlockArrival(2),
-                EventKind::TaskArrival(3),
-                EventKind::ScheduleTick
-            ]
+            replayed(&[(2, 1.0)], &[(3, 1.0)], 1.0),
+            [('b', 2.0), ('t', 3.0), ('T', 1.0)]
         );
     }
 
     #[test]
     fn insertion_order_breaks_remaining_ties() {
-        let mut q = EventQueue::new();
-        q.push(1.0, EventKind::TaskArrival(7));
-        q.push(1.0, EventKind::TaskArrival(8));
-        let ids: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::TaskArrival(i) => i,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, vec![7, 8]);
+        assert_eq!(
+            replayed(&[], &[(8, 1.0), (7, 1.0)], 1.0),
+            [('t', 8.0), ('t', 7.0), ('T', 1.0)]
+        );
     }
 
     #[test]
     #[should_panic(expected = "event time")]
     fn rejects_negative_time() {
-        EventQueue::new().push(-1.0, EventKind::ScheduleTick);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(0.0, EventKind::ScheduleTick);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
+        replayed(&[(0, -1.0)], &[], 1.0);
     }
 }

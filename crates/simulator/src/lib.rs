@@ -1,17 +1,21 @@
 //! Discrete-event simulator for online privacy-budget scheduling.
 //!
 //! The Rust counterpart of the paper's Python/simpy simulator (§5): a
-//! virtual clock in *block inter-arrival periods*, an event heap over
-//! block arrivals, task arrivals, and scheduling ticks every `T`, all
-//! driving the [`dpack_core::online::OnlineEngine`]. Deterministic: ties
-//! in event time are broken by event kind (blocks, then tasks, then the
-//! tick) and then by insertion order.
+//! virtual clock in *block inter-arrival periods*, and one replay loop,
+//! [`replay_workload`], over block arrivals, task arrivals and
+//! scheduling ticks every `T`. [`simulate_service`] replays a workload
+//! on the budget service — the product, which every online panel of the
+//! paper runs on. [`simulate`] replays it on
+//! [`dpack_core::online::OnlineEngine`], the plain reference model the
+//! equivalence tests hold the service to. Deterministic: ties in event
+//! time are broken by event kind (blocks, then tasks, then the tick)
+//! and then by workload order.
 //!
 //! # Examples
 //!
 //! ```
-//! use simulator::{SimulationConfig, simulate};
-//! use dpack_core::schedulers::DPack;
+//! use dpack_service::ServiceConfig;
+//! use simulator::{simulate_service, SimulationConfig};
 //! use workloads::amazon::{self, AmazonConfig};
 //!
 //! let wl = amazon::generate(&AmazonConfig {
@@ -19,7 +23,7 @@
 //!     mean_tasks_per_block: 20.0,
 //!     ..Default::default()
 //! }, 1);
-//! let result = simulate(&wl, DPack::default(), &SimulationConfig::default());
+//! let result = simulate_service(&wl, &ServiceConfig::default(), &SimulationConfig::default());
 //! assert!(result.allocated() > 0);
 //! ```
 
@@ -27,67 +31,15 @@ pub mod event;
 pub mod result;
 pub mod service_backend;
 
-pub use event::{Event, EventKind, EventQueue};
+pub use event::{replay_workload, ReplayEvent};
 pub use result::SimulationResult;
 pub use service_backend::{simulate_service, simulate_service_durable};
 
 use std::time::Instant;
 
 use dpack_core::online::{OnlineConfig, OnlineEngine};
-use dpack_core::problem::{Block, Task};
 use dpack_core::schedulers::Scheduler;
 use workloads::OnlineWorkload;
-
-/// One event of a workload replay, handed to the backend callback by
-/// [`replay_workload`].
-#[derive(Debug, Clone, Copy)]
-pub enum ReplayEvent<'a> {
-    /// A block becomes available.
-    Block(&'a Block),
-    /// A task is submitted.
-    Task(&'a Task),
-    /// A scheduling step runs at the given virtual time.
-    Tick(f64),
-}
-
-/// Drives a workload's deterministic event loop — block arrivals, task
-/// arrivals, scheduling ticks every `T` until the drain horizon — and
-/// hands each event to `on_event` in simulation order. Shared by the
-/// engine and service backends so the two replays cannot drift.
-pub fn replay_workload<F: FnMut(ReplayEvent<'_>)>(
-    workload: &OnlineWorkload,
-    config: &SimulationConfig,
-    mut on_event: F,
-) {
-    let mut queue = EventQueue::new();
-    for (i, b) in workload.blocks.iter().enumerate() {
-        queue.push(b.arrival, EventKind::BlockArrival(i));
-    }
-    for (i, t) in workload.tasks.iter().enumerate() {
-        queue.push(t.arrival, EventKind::TaskArrival(i));
-    }
-    // Scheduling ticks from T until the horizon.
-    let last_arrival = workload
-        .blocks
-        .iter()
-        .map(|b| b.arrival)
-        .chain(workload.tasks.iter().map(|t| t.arrival))
-        .fold(0.0f64, f64::max);
-    let horizon = last_arrival + config.drain_steps as f64 * config.scheduling_period;
-    let mut t = config.scheduling_period;
-    while t <= horizon {
-        queue.push(t, EventKind::ScheduleTick);
-        t += config.scheduling_period;
-    }
-
-    while let Some(ev) = queue.pop() {
-        match ev.kind {
-            EventKind::BlockArrival(i) => on_event(ReplayEvent::Block(&workload.blocks[i])),
-            EventKind::TaskArrival(i) => on_event(ReplayEvent::Task(&workload.tasks[i])),
-            EventKind::ScheduleTick => on_event(ReplayEvent::Tick(ev.time)),
-        }
-    }
-}
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,7 +66,9 @@ impl Default for SimulationConfig {
     }
 }
 
-/// Runs a workload to completion under one scheduler.
+/// Runs a workload to completion on the [`OnlineEngine`] reference
+/// model under one scheduler: what the equivalence tests compare
+/// [`simulate_service`] against.
 ///
 /// # Panics
 ///
@@ -139,19 +93,13 @@ pub fn simulate<S: Scheduler>(
     );
 
     replay_workload(workload, config, |event| match event {
-        ReplayEvent::Block(b) => {
-            engine
-                .add_block(b.clone())
-                .expect("workload blocks are unique and on the grid");
-        }
-        ReplayEvent::Task(t) => {
-            engine
-                .submit_task(t.clone())
-                .expect("workload tasks reference arrived blocks");
-        }
-        ReplayEvent::Tick(now) => {
-            engine.run_step(now).expect("budget-soundness invariant");
-        }
+        ReplayEvent::Block(b) => engine
+            .add_block(b.clone())
+            .expect("unique block on the grid"),
+        ReplayEvent::Task(t) => engine
+            .submit_task(t.clone())
+            .expect("task on arrived blocks"),
+        ReplayEvent::Tick(now) => drop(engine.run_step(now).expect("budget-soundness invariant")),
     });
 
     let final_pending = engine.pending().len();
@@ -170,7 +118,23 @@ mod tests {
     use super::*;
     use dp_accounting::{AlphaGrid, RdpCurve};
     use dpack_core::problem::{Block, Task};
-    use dpack_core::schedulers::{DPack, Dpf, Fcfs};
+    use dpack_service::{SchedulerChoice, ServiceConfig};
+
+    /// The replay on the service, at its default sharding.
+    fn run(
+        wl: &OnlineWorkload,
+        scheduler: SchedulerChoice,
+        cfg: &SimulationConfig,
+    ) -> SimulationResult {
+        simulate_service(
+            wl,
+            &ServiceConfig {
+                scheduler,
+                ..ServiceConfig::default()
+            },
+            cfg,
+        )
+    }
 
     /// A tiny hand-built workload: 3 blocks, tasks that all fit.
     fn tiny_workload() -> OnlineWorkload {
@@ -207,7 +171,7 @@ mod tests {
             drain_steps: 5,
             ..Default::default()
         };
-        let r = simulate(&wl, DPack::default(), &cfg);
+        let r = run(&wl, SchedulerChoice::DPack, &cfg);
         assert_eq!(r.allocated(), 6);
         assert_eq!(r.final_pending, 0);
         assert_eq!(r.n_submitted, 6);
@@ -239,7 +203,7 @@ mod tests {
             drain_steps: 3,
             ..Default::default()
         };
-        let r = simulate(&wl, Fcfs, &cfg);
+        let r = run(&wl, SchedulerChoice::Fcfs, &cfg);
         assert_eq!(r.allocated(), 3); // 3 × 0.3 ≤ 1.0 < 4 × 0.3.
         assert_eq!(r.final_pending, 7);
     }
@@ -247,18 +211,18 @@ mod tests {
     #[test]
     fn unlocking_delays_allocation() {
         let wl = tiny_workload();
-        let eager = simulate(
+        let eager = run(
             &wl,
-            DPack::default(),
+            SchedulerChoice::DPack,
             &SimulationConfig {
                 unlock_steps: 1,
                 drain_steps: 3,
                 ..Default::default()
             },
         );
-        let slow = simulate(
+        let slow = run(
             &wl,
-            DPack::default(),
+            SchedulerChoice::DPack,
             &SimulationConfig {
                 unlock_steps: 8,
                 drain_steps: 12,
@@ -276,8 +240,8 @@ mod tests {
     fn deterministic_across_runs() {
         let wl = tiny_workload();
         let cfg = SimulationConfig::default();
-        let a = simulate(&wl, Dpf, &cfg);
-        let b = simulate(&wl, Dpf, &cfg);
+        let a = run(&wl, SchedulerChoice::Dpf, &cfg);
+        let b = run(&wl, SchedulerChoice::Dpf, &cfg);
         assert_eq!(a.stats.allocated, b.stats.allocated);
     }
 
@@ -292,7 +256,7 @@ mod tests {
             drain_steps: 2,
             ..Default::default()
         };
-        let r = simulate(&wl, DPack::default(), &cfg);
+        let r = run(&wl, SchedulerChoice::DPack, &cfg);
         assert_eq!(r.allocated(), 6);
         assert!(r
             .stats

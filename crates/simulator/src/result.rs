@@ -11,7 +11,7 @@ use dpack_core::problem::{BlockId, Task, TaskId};
 /// The outcome of one simulated run.
 #[derive(Debug, Clone)]
 pub struct SimulationResult {
-    /// The engine's statistics (allocations with delays, evictions,
+    /// The run's statistics (allocations with delays, evictions,
     /// scheduler runtime, step count).
     pub stats: OnlineStats,
     /// Number of submitted tasks.
@@ -44,11 +44,7 @@ impl SimulationResult {
     /// Mean scheduling delay in virtual time; `None` if nothing ran.
     pub fn mean_delay(&self) -> Option<f64> {
         let d = self.stats.delays();
-        if d.is_empty() {
-            None
-        } else {
-            Some(d.iter().sum::<f64>() / d.len() as f64)
-        }
+        (!d.is_empty()).then(|| d.iter().sum::<f64>() / d.len() as f64)
     }
 
     /// The §6.3 fairness report for this run against the workload's full

@@ -1,13 +1,10 @@
 //! The `dpack-service` backend: replaying a workload through the
-//! sharded budget service instead of the single-threaded
-//! [`dpack_core::online::OnlineEngine`].
+//! sharded budget service.
 //!
-//! The same deterministic event loop as [`crate::simulate`] — block
-//! arrivals, task arrivals, scheduling ticks every `T` — but arrivals
-//! register/submit into a [`BudgetService`] and ticks run its batched
-//! cycle. The allocations are identical to the engine backend at every
-//! shard and worker count: the service decides in one global pass and
-//! only its commit is striped.
+//! Arrivals register/submit into a [`BudgetService`] and ticks run its
+//! batched cycle. The allocations are identical to the
+//! [`crate::simulate`] reference at every shard and worker count: the
+//! service decides in one global pass and only its commit is striped.
 
 use std::time::Instant;
 
@@ -20,9 +17,8 @@ use crate::{replay_workload, ReplayEvent, SimulationConfig, SimulationResult};
 /// Runs a workload to completion on the service backend.
 ///
 /// The service's `scheduling_period`, `unlock_steps` and
-/// `default_timeout` are taken from `config` (mirroring
-/// [`crate::simulate`]); sharding, worker count and scheduler choice
-/// come from `service_config`. The replay lifts the admission bounds
+/// `default_timeout` are taken from `config`; sharding, worker count and
+/// scheduler choice come from `service_config`. The replay lifts the admission bounds
 /// (queue capacity, tenant quota, ingest batch): a trace replay is
 /// single-threaded, so backpressure would deadlock it, and admission
 /// limits are a live-service concern — exercised by the service's own
@@ -36,8 +32,10 @@ use crate::{replay_workload, ReplayEvent, SimulationConfig, SimulationResult};
 /// # Panics
 ///
 /// Panics if the workload is internally inconsistent (tasks referencing
-/// blocks that never arrive, duplicate block or task ids) — the same
-/// inputs on which [`crate::simulate`] panics.
+/// blocks that never arrive, duplicate block or task ids) or if a
+/// block's privacy filter ends the run overdrawn — the budget-soundness
+/// invariant (Prop. 6) — the same runs on which [`crate::simulate`]
+/// panics.
 pub fn simulate_service(
     workload: &OnlineWorkload,
     service_config: &ServiceConfig,
@@ -98,21 +96,19 @@ fn run_service(
     };
 
     replay_workload(workload, config, |event| match event {
-        ReplayEvent::Block(b) => {
-            service
-                .register_block(b.clone())
-                .expect("workload blocks are unique and on the grid");
-        }
-        ReplayEvent::Task(t) => {
-            service
-                .submit(0, t.clone())
-                .expect("replay submissions must be admitted");
-        }
-        ReplayEvent::Tick(now) => {
-            service.run_cycle(now);
-        }
+        ReplayEvent::Block(b) => service
+            .register_block(b.clone())
+            .expect("unique block on the grid"),
+        ReplayEvent::Task(t) => service
+            .submit(0, t.clone())
+            .expect("replay admits every task"),
+        ReplayEvent::Tick(now) => drop(service.run_cycle(now)),
     });
 
+    assert!(
+        service.ledger().unsound_blocks().is_empty(),
+        "budget-soundness invariant"
+    );
     let final_pending = service.pending_count() + service.queue_depth();
     SimulationResult {
         stats: service.stats().to_online(),

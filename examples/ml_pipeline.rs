@@ -3,7 +3,7 @@
 //! The §2.1 scenario end-to-end: data arrives as daily blocks; a company
 //! schedules recurring DP workloads — a daily noisy usage count, a daily
 //! histogram, and periodic DP-SGD model retrains — under a global
-//! `(ε_G, δ_G)` guarantee per block. When the online engine grants a
+//! `(ε_G, δ_G)` guarantee per block. When the budget service grants a
 //! task, the example *actually executes* the DP computation on synthetic
 //! data (real noise, real training), demonstrating that granted budget
 //! corresponds to runnable mechanisms.
@@ -13,6 +13,7 @@
 use dpack::accounting::dpsgd::{self, DpSgdConfig};
 use dpack::accounting::noise::{noisy_count, noisy_histogram, sample_gaussian};
 use dpack::prelude::*;
+use dpack::service::{Decision, SubmissionTicket};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,19 +53,34 @@ fn main() {
     let grid = AlphaGrid::standard();
     let mut rng = StdRng::seed_from_u64(7);
 
-    // The engine enforces (10, 1e-7)-DP per daily block, unlocking
-    // budget over 10 scheduling steps.
+    // The service enforces (10, 1e-7)-DP per daily block, unlocking
+    // budget over 10 scheduling cycles, and runs DPack.
     let capacity = block_capacity(&grid, 10.0, 1e-7).expect("valid budget");
-    let mut engine = OnlineEngine::new(
-        DPack::default(),
+    let service = BudgetService::new(
         grid.clone(),
-        OnlineConfig {
-            scheduling_period: 1.0,
-            unlock_period: 1.0,
+        ServiceConfig {
             unlock_steps: 10,
             default_timeout: Some(7.0),
+            ..ServiceConfig::default()
         },
     );
+    // Submitted tasks whose ticket has not resolved yet.
+    let mut waiting: Vec<SubmissionTicket> = Vec::new();
+    // Runs one cycle and returns the tasks it granted.
+    let run_cycle = |waiting: &mut Vec<SubmissionTicket>, now: f64| {
+        service.run_cycle(now);
+        let mut granted = Vec::new();
+        waiting.retain(|ticket| match ticket.try_decision() {
+            None => true,
+            Some(decision) => {
+                if let Decision::Granted { .. } = decision {
+                    granted.push(ticket.task_id());
+                }
+                false
+            }
+        });
+        granted
+    };
 
     // Task templates.
     let count_demand = LaplaceMechanism::new(2.0).expect("valid").curve(&grid);
@@ -86,47 +102,33 @@ fn main() {
     for day in 0..days {
         // A new block of data arrives.
         data.push(synthesize_day(&mut rng, day));
-        engine
-            .add_block(Block::new(day, capacity.clone(), day as f64))
+        service
+            .register_block(Block::new(day, capacity.clone(), day as f64))
             .expect("unique block");
 
         // Daily statistics on the fresh block.
         for demand in [&count_demand, &hist_demand] {
-            engine
-                .submit_task(Task::new(
-                    next_task,
-                    1.0,
-                    vec![day],
-                    demand.clone(),
-                    day as f64,
-                ))
-                .expect("valid task");
+            let task = Task::new(next_task, 1.0, vec![day], demand.clone(), day as f64);
+            waiting.push(service.submit_async(0, task).expect("valid task"));
             next_task += 1;
         }
         // Every third day, retrain the churn model on the last 3 blocks.
         if day % 3 == 2 {
             let window: Vec<u64> = (day - 2..=day).collect();
-            engine
-                .submit_task(Task::new(
-                    next_task,
-                    1.0,
-                    window,
-                    sgd_demand.clone(),
-                    day as f64,
-                ))
-                .expect("valid task");
+            let task = Task::new(next_task, 1.0, window, sgd_demand.clone(), day as f64);
+            waiting.push(service.submit_async(0, task).expect("valid task"));
             next_task += 1;
         }
 
-        // One scheduling step at the end of the day.
-        let granted = engine.run_step(day as f64 + 1.0).expect("budget sound");
-        for id in &granted.scheduled {
+        // One scheduling cycle at the end of the day.
+        let granted = run_cycle(&mut waiting, day as f64 + 1.0);
+        for id in &granted {
             // Execute the granted task on its data.
             let is_training = *id >= 2 && (*id + 1) % 3 == 0 && *id % 2 == 0;
             executed.push((*id, is_training));
         }
         // Run the mechanisms for real on the newest block.
-        if granted.scheduled.contains(&(next_task - 2)) {
+        if granted.contains(&(next_task - 2)) {
             let est =
                 noisy_count(&mut rng, &data[day as usize].features, 0.5).expect("valid epsilon");
             println!(
@@ -134,7 +136,7 @@ fn main() {
                 data[day as usize].features.len()
             );
         }
-        if granted.scheduled.contains(&(next_task - 1)) && day % 3 != 2 {
+        if granted.contains(&(next_task - 1)) && day % 3 != 2 {
             let hist = noisy_histogram(&mut rng, &data[day as usize].country, 5, 4.0)
                 .expect("valid params");
             println!(
@@ -142,7 +144,7 @@ fn main() {
                 hist.iter().map(|h| h.round()).collect::<Vec<_>>()
             );
         }
-        if day % 3 == 2 && granted.scheduled.contains(&(next_task - 1)) {
+        if day % 3 == 2 && granted.contains(&(next_task - 1)) {
             // Train on the 3-day window.
             let (mut xs, mut ys) = (Vec::new(), Vec::new());
             for d in (day - 2)..=day {
@@ -157,14 +159,12 @@ fn main() {
         }
     }
 
-    // Drain remaining steps so queued tasks get their chance.
+    // Drain remaining cycles so queued tasks get their chance.
     for step in 0..12 {
-        engine
-            .run_step(days as f64 + 1.0 + step as f64)
-            .expect("budget sound");
+        run_cycle(&mut waiting, days as f64 + 1.0 + step as f64);
     }
 
-    let stats = engine.stats();
+    let stats = service.stats().to_online();
     println!(
         "\npipeline summary: {} tasks granted, {} evicted, mean delay {:.1} days",
         stats.allocated.len(),
@@ -172,6 +172,7 @@ fn main() {
         stats.delays().iter().sum::<f64>() / stats.allocated.len().max(1) as f64
     );
     // The global guarantee held throughout: every block's filter kept at
-    // least one Rényi order within capacity (enforced by the engine).
+    // least one Rényi order within capacity (enforced by the service).
+    assert!(service.ledger().unsound_blocks().is_empty());
     println!("every block kept its (10, 1e-7)-DP guarantee (filters enforced per grant)");
 }

@@ -228,6 +228,14 @@ if grep -rnwE --include='*.rs' 'SimulationSpec|BackendKind' src crates tests exa
   echo "ERROR: the config-file simulator stays deleted; call simulate or simulate_service directly (see above)" >&2
   exit 1
 fi
+# Every online panel replays on the product: simulate_service, or
+# run_q4 for Fig. 8 and Tab. 2. The OnlineEngine is only the reference
+# model the equivalence tests hold the service to, so the runner names
+# neither it nor simulate, its replay.
+if grep -nE '\bsimulate\(|\bOnlineEngine\b|\bdpack_core::online\b' crates/bench/src/paper.rs; then
+  echo "ERROR: paper.rs replays its online panels on the service (simulate_service), not on the engine reference (see above)" >&2
+  exit 1
+fi
 
 echo "==> checking a history is judged in one place"
 # dpack_check::check_history states the rules of a correct run once
@@ -348,14 +356,15 @@ for b in ablation filters knapsack_solvers rdp_accounting sched_kernels; do
   cargo bench -q -p dpack-bench --bench "${b}" -- --smoke
 done
 
-# The paper runner's panels that finish in seconds (~5 s together),
-# Fig. 8 and Tab. 2 on the service among them, run so they cannot rot.
-# The slow ones (fig4a, fig5, fig6, fig7, gap) are left to a person.
-# Their CSVs go to a temporary directory, not results/.
-echo "==> paper runner smoke run (fig1 fig2 fig3 fig4b fig8 fig9 tab2 fairness)"
+# The paper runner's panels that finish in seconds (~10-15 s together),
+# every online one but fig7b and gap among them, all on the service,
+# run so they cannot rot. The slow ones (fig4a, fig5, fig7b, gap) are
+# left to a person. Their CSVs go to a temporary directory, not
+# results/.
+echo "==> paper runner smoke run (fig1 fig2 fig3 fig4b fig6 fig7a fig8 fig9 tab2 fairness)"
 paper_out="$(mktemp -d)"
 cargo run --release -q -p dpack-bench --bin paper -- \
-  fig1 fig2 fig3 fig4b fig8 fig9 tab2 fairness --out "${paper_out}"
+  fig1 fig2 fig3 fig4b fig6 fig7a fig8 fig9 tab2 fairness --out "${paper_out}"
 rm -rf "${paper_out}"
 
 # The repo's one benchmark (BENCHMARK.json) is a workspace of its own

@@ -11,14 +11,16 @@
 //!   knapsack (Eq. 5) replacing the paper's Gurobi baseline.
 //! * [`core`] — the schedulers (DPack, DPF, FCFS, greedy-area, Optimal,
 //!   and `ParallelDPack`, DPack with a thread count) and the §3.4
-//!   online engine.
+//!   online engine, the plain reference model the service is tested
+//!   against.
 //! * [`gen`] — the microbenchmark, Alibaba-DP and Amazon Reviews
 //!   workload generators.
-//! * [`sim`] — the discrete-event simulator.
+//! * [`sim`] — the discrete-event simulator: one replay loop, which
+//!   drives the service (or, in the equivalence tests, the engine).
 //! * [`service`] — the sharded, concurrent budget service: striped
 //!   ledger, bounded multi-tenant admission queue, batched scheduling
-//!   loop with two-phase cross-shard commits. The §6.4 experiments
-//!   (Fig. 8, Tab. 2) run on it.
+//!   loop with two-phase cross-shard commits. Every online experiment
+//!   of §6 (Figs. 6–9, Tab. 2 and the fairness study) runs on it.
 //! * [`net`] — the service's wire protocol, remote tenant frontend,
 //!   replication and self-healing cluster.
 //!
@@ -53,11 +55,10 @@ pub mod prelude {
     pub use dp_accounting::{
         block_capacity, rdp_to_dp, AlphaGrid, DpGuarantee, RdpCurve, RenyiFilter,
     };
-    pub use dpack_core::online::{OnlineConfig, OnlineEngine, OnlineStats};
     pub use dpack_core::problem::{Allocation, Block, BlockId, ProblemState, Task, TaskId};
     pub use dpack_core::schedulers::{DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Optimal, Scheduler};
     pub use dpack_service::{BudgetService, SchedulerChoice, ServiceConfig};
-    pub use simulator::{simulate, simulate_service, SimulationConfig, SimulationResult};
+    pub use simulator::{simulate_service, SimulationConfig, SimulationResult};
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use dpack::gen::curves::CurveLibrary;
 use dpack::gen::microbenchmark::{generate, MicrobenchmarkConfig};
 use dpack::gen::OnlineWorkload;
 use dpack::service::{SchedulerChoice, ServiceConfig};
-use dpack::sim::{replay_workload, simulate, simulate_service, ReplayEvent, SimulationConfig};
+use dpack::sim::{simulate, simulate_service, SimulationConfig};
 
 fn micro_state(n_tasks: usize, seed: u64) -> dpack::core::problem::ProblemState {
     let lib = CurveLibrary::standard();
@@ -188,30 +188,20 @@ fn alibaba_instance_allocates_the_engine_count_at_every_sharding() {
         let engine = simulate(&workload, DPack::default(), &sim);
         assert_eq!(engine.allocated(), allocated, "seed {seed}");
         for (shards, workers) in [(1, 1), (4, 2)] {
-            let service = dpack::service::BudgetService::with_obs(
-                workload.grid.clone(),
-                ServiceConfig {
+            // `simulate_service` panics if it leaves a block unsound.
+            let service = simulate_service(
+                &workload,
+                &ServiceConfig {
                     shards,
                     workers,
-                    unlock_steps: sim.unlock_steps,
-                    default_timeout: sim.task_timeout,
-                    queue_capacity: usize::MAX,
-                    retention: dpack::service::StatsRetention::Unbounded,
                     ..ServiceConfig::default()
                 },
-                dpack::service::obs::Obs::off(),
+                &sim,
             );
-            replay_workload(&workload, &sim, |event| match event {
-                ReplayEvent::Block(b) => service.register_block(b.clone()).expect("unique"),
-                ReplayEvent::Task(t) => service.submit(0, t.clone()).expect("admitted"),
-                ReplayEvent::Tick(now) => drop(service.run_cycle(now)),
-            });
             assert_eq!(
-                service.stats().to_online().allocated,
-                engine.stats.allocated,
+                service.stats.allocated, engine.stats.allocated,
                 "seed {seed}, S = {shards}, W = {workers}"
             );
-            assert!(service.ledger().unsound_blocks().is_empty());
         }
     };
     std::thread::scope(|scope| {
