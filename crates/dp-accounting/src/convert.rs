@@ -197,10 +197,11 @@ mod tests {
             assert!((cap.epsilon(i) - (10.0 - ln / (a - 1.0))).abs() < 1e-12);
         }
         // Small orders are negative (unusable), large orders positive.
-        assert!(cap.epsilon_at_order(1.5).unwrap() < 0.0);
-        assert!(cap.epsilon_at_order(2.5).unwrap() < 0.0);
-        assert!(cap.epsilon_at_order(3.0).unwrap() > 0.0);
-        assert!(cap.epsilon_at_order(64.0).unwrap() > 0.0);
+        let at = |a: f64| cap.epsilon(grid.index_of(a).unwrap());
+        assert!(at(1.5) < 0.0);
+        assert!(at(2.5) < 0.0);
+        assert!(at(3.0) > 0.0);
+        assert!(at(64.0) > 0.0);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl RdpCurve {
         self.eps[idx]
     }
 
-    /// The `ε` value at an exact order `α`, if `α` is on the grid.
-    pub fn epsilon_at_order(&self, alpha: f64) -> Option<f64> {
-        self.grid.index_of(alpha).map(|i| self.eps[i])
-    }
-
     /// All per-order values, in grid order.
     pub fn values(&self) -> &[f64] {
         &self.eps
@@ -173,12 +168,6 @@ impl RdpCurve {
             eps,
         })
     }
-
-    /// Returns `true` if every order is (numerically) non-positive,
-    /// meaning no further positive demand can fit at any order.
-    pub fn is_depleted(&self) -> bool {
-        self.eps.iter().all(|&e| e <= crate::BUDGET_RTOL)
-    }
 }
 
 #[cfg(test)]
@@ -239,20 +228,6 @@ mod tests {
         let cap = RdpCurve::new(&g, vec![0.3, 0.3, 0.3]).unwrap();
         let d = RdpCurve::new(&g, vec![0.1 + 0.2, 1.0, 1.0]).unwrap();
         assert!(crate::fits(d.epsilon(0), cap.epsilon(0)));
-    }
-
-    #[test]
-    fn depletion_is_every_order_spent() {
-        let g = grid();
-        let c = RdpCurve::new(&g, vec![0.5, 0.2, 0.9]).unwrap();
-        assert!(!c.is_depleted());
-        assert!(!RdpCurve::new(&g, vec![-0.1, 0.0, 0.2])
-            .unwrap()
-            .is_depleted());
-        assert!(RdpCurve::zero(&g).is_depleted());
-        assert!(RdpCurve::new(&g, vec![-0.1, 0.0, -5.0])
-            .unwrap()
-            .is_depleted());
     }
 
     #[test]

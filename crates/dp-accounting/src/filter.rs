@@ -84,15 +84,6 @@ impl RenyiFilter {
         &self.consumed
     }
 
-    /// Remaining capacity (`capacity − consumed`); entries may be
-    /// negative at orders that have been over-consumed, which is legal as
-    /// long as some order remains non-negative.
-    pub fn remaining(&self) -> RdpCurve {
-        self.capacity
-            .sub(&self.consumed)
-            .expect("capacity and consumed always share a grid")
-    }
-
     /// Number of demands granted so far.
     pub fn granted_count(&self) -> u64 {
         self.granted_count
@@ -159,69 +150,6 @@ impl RenyiFilter {
         self.granted_count += 1;
         Ok(())
     }
-
-    /// Returns `true` if no strictly positive demand can ever be granted
-    /// again (every order's remaining capacity is non-positive).
-    pub fn is_depleted(&self) -> bool {
-        self.remaining().is_depleted()
-    }
-}
-
-/// A traditional-DP filter using basic composition: grants while
-/// `Σεᵢ ≤ ε_G` and `Σδᵢ ≤ δ_G`.
-#[derive(Debug, Clone)]
-pub struct PureDpFilter {
-    epsilon_budget: f64,
-    delta_budget: f64,
-    epsilon_used: f64,
-    delta_used: f64,
-}
-
-impl PureDpFilter {
-    /// Creates a filter with an `(ε_G, δ_G)` budget.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-positive `ε_G` or negative `δ_G`.
-    pub fn new(epsilon_budget: f64, delta_budget: f64) -> Result<Self, AccountingError> {
-        if !epsilon_budget.is_finite() || epsilon_budget <= 0.0 {
-            return Err(AccountingError::InvalidParameter(format!(
-                "epsilon budget must be finite and > 0 (got {epsilon_budget})"
-            )));
-        }
-        if !delta_budget.is_finite() || delta_budget < 0.0 {
-            return Err(AccountingError::InvalidParameter(format!(
-                "delta budget must be finite and >= 0 (got {delta_budget})"
-            )));
-        }
-        Ok(Self {
-            epsilon_budget,
-            delta_budget,
-            epsilon_used: 0.0,
-            delta_used: 0.0,
-        })
-    }
-
-    /// Returns `true` if `(ε, δ)` fits in the remaining budget.
-    pub fn can_accept(&self, epsilon: f64, delta: f64) -> bool {
-        crate::fits(self.epsilon_used + epsilon, self.epsilon_budget)
-            && crate::fits(self.delta_used + delta, self.delta_budget)
-    }
-
-    /// Charges `(ε, δ)` under basic composition.
-    ///
-    /// # Errors
-    ///
-    /// [`AccountingError::BudgetExhausted`] if the charge does not fit;
-    /// state is unchanged.
-    pub fn try_consume(&mut self, epsilon: f64, delta: f64) -> Result<(), AccountingError> {
-        if !self.can_accept(epsilon, delta) {
-            return Err(AccountingError::BudgetExhausted);
-        }
-        self.epsilon_used += epsilon;
-        self.delta_used += delta;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -259,16 +187,6 @@ mod tests {
         assert!(f.try_consume(&big).is_err());
         assert_eq!(f.consumed(), &before);
         assert_eq!(f.granted_count(), 0);
-    }
-
-    #[test]
-    fn depletion_detection() {
-        let g = grid();
-        let cap = RdpCurve::constant(&g, 1.0);
-        let mut f = RenyiFilter::new(cap);
-        assert!(!f.is_depleted());
-        f.try_consume(&RdpCurve::constant(&g, 1.0)).unwrap();
-        assert!(f.is_depleted());
     }
 
     #[test]
@@ -353,34 +271,5 @@ mod tests {
         // Mismatched grids are rejected.
         let other = RdpCurve::zero(&AlphaGrid::single(2.0).unwrap());
         assert!(RenyiFilter::restore(f.capacity().clone(), other, 0).is_err());
-    }
-
-    #[test]
-    fn pure_filter_basic_composition() {
-        let mut f = PureDpFilter::new(1.0, 1e-6).unwrap();
-        assert!(f.try_consume(0.5, 0.0).is_ok());
-        assert!(f.try_consume(0.5, 1e-6).is_ok());
-        assert_eq!(
-            f.try_consume(0.001, 0.0),
-            Err(AccountingError::BudgetExhausted)
-        );
-        // Both budgets are spent: no ε and no δ is left.
-        assert!(!f.can_accept(1e-3, 0.0));
-        assert!(!f.can_accept(0.0, 1e-8));
-    }
-
-    #[test]
-    fn pure_filter_rejects_delta_overflow() {
-        let mut f = PureDpFilter::new(10.0, 1e-6).unwrap();
-        assert!(f.try_consume(0.1, 2e-6).is_err());
-        // The refused charge spent nothing: the whole budget still fits.
-        assert!(f.try_consume(10.0, 1e-6).is_ok());
-    }
-
-    #[test]
-    fn pure_filter_rejects_bad_budgets() {
-        assert!(PureDpFilter::new(0.0, 0.0).is_err());
-        assert!(PureDpFilter::new(1.0, -1e-9).is_err());
-        assert!(PureDpFilter::new(f64::NAN, 0.0).is_err());
     }
 }

@@ -28,7 +28,8 @@
 //! let grid = AlphaGrid::standard();
 //! let curve = GaussianMechanism::new(2.0).unwrap().curve(&grid);
 //! // ε(α) = α / (2σ²); at α = 6 and σ = 2 this is 0.75.
-//! assert!((curve.epsilon_at_order(6.0).unwrap() - 0.75).abs() < 1e-12);
+//! let six = grid.index_of(6.0).unwrap();
+//! assert!((curve.epsilon(six) - 0.75).abs() < 1e-12);
 //! ```
 
 pub mod alpha;
@@ -47,7 +48,7 @@ pub use alpha::AlphaGrid;
 pub use convert::{block_capacity, rdp_to_dp, DpGuarantee};
 pub use curve::RdpCurve;
 pub use error::AccountingError;
-pub use filter::{FilterDecision, PureDpFilter, RenyiFilter};
+pub use filter::{FilterDecision, RenyiFilter};
 pub use intern::{CurveId, CurveInterner};
 pub use pure::PureDpAccountant;
 

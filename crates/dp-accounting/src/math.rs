@@ -2,13 +2,39 @@
 //!
 //! All binomial-coefficient arithmetic is done in log space so the
 //! subsampled-mechanism formulas remain stable up to the largest grid
-//! order (α = 64 on the standard grid) and beyond.
+//! order (α = 64 on the standard grid) and beyond. Only
+//! [`ln_factorial`] is public, so that `tests/prop_accounting.rs` can
+//! hold its table to the plain summation bit for bit.
 
-/// Natural log of `n!`, computed by direct summation.
+use std::sync::LazyLock;
+
+/// Orders below this read [`ln_factorial`] from a table built once.
+const TABLE_LEN: usize = 256;
+
+/// `ln n!` for `n < TABLE_LEN`, as the prefix fold `t[n] = t[n−1] +
+/// ln n` started from the summation's own start (an empty `f64` sum is
+/// `-0.0`): the same additions in the same order as the summation, so
+/// the same bits.
+static LN_FACTORIAL: LazyLock<[f64; TABLE_LEN]> = LazyLock::new(|| {
+    let mut t = [ln_factorial_sum(0); TABLE_LEN];
+    for n in 2..TABLE_LEN {
+        t[n] = t[n - 1] + (n as f64).ln();
+    }
+    t
+});
+
+/// Natural log of `n!`: `Σ_{i=2}^{n} ln i`, summed in order.
 ///
-/// Exact to `f64` accuracy for the small `n` (≤ a few hundred) used by
-/// integer-order RDP formulas; does not allocate.
+/// Below 256 it is one table read, bit-identical to the summation; a
+/// larger `n` is summed. Does not allocate.
 pub fn ln_factorial(n: u64) -> f64 {
+    match usize::try_from(n).ok().and_then(|i| LN_FACTORIAL.get(i)) {
+        Some(&v) => v,
+        None => ln_factorial_sum(n),
+    }
+}
+
+fn ln_factorial_sum(n: u64) -> f64 {
     (2..=n).map(|i| (i as f64).ln()).sum()
 }
 
@@ -17,7 +43,7 @@ pub fn ln_factorial(n: u64) -> f64 {
 /// # Panics
 ///
 /// Panics if `k > n`.
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_binomial(n: u64, k: u64) -> f64 {
     assert!(k <= n, "ln_binomial requires k <= n (got k={k}, n={n})");
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
@@ -26,7 +52,7 @@ pub fn ln_binomial(n: u64, k: u64) -> f64 {
 ///
 /// Returns `f64::NEG_INFINITY` for an empty slice, matching the convention
 /// `log(0) = -∞`.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
+pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
     let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if m == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
@@ -38,7 +64,7 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
 }
 
 /// Numerically stable `log(exp(a) + exp(b))`.
-pub fn log_add_exp(a: f64, b: f64) -> f64 {
+pub(crate) fn log_add_exp(a: f64, b: f64) -> f64 {
     if a == f64::NEG_INFINITY {
         return b;
     }
@@ -47,23 +73,6 @@ pub fn log_add_exp(a: f64, b: f64) -> f64 {
     }
     let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
     hi + (lo - hi).exp().ln_1p()
-}
-
-/// Stable `log(1 - exp(x))` for `x < 0`.
-///
-/// Uses the standard split at `ln 2` (Mächler, 2012).
-///
-/// # Panics
-///
-/// Panics if `x >= 0` (the result would be the log of a non-positive
-/// number).
-pub fn log1m_exp(x: f64) -> f64 {
-    assert!(x < 0.0, "log1m_exp requires x < 0 (got {x})");
-    if x > -std::f64::consts::LN_2 {
-        (-x.exp_m1()).ln()
-    } else {
-        (-x.exp()).ln_1p()
-    }
 }
 
 #[cfg(test)]
@@ -133,19 +142,5 @@ mod tests {
             assert!(close(log_add_exp(a, b), log_sum_exp(&[a, b]), 1e-12));
         }
         assert_eq!(log_add_exp(f64::NEG_INFINITY, 3.0), 3.0);
-    }
-
-    #[test]
-    fn log1m_exp_agrees_with_direct_in_safe_range() {
-        for &x in &[-0.1f64, -0.5, -1.0, -5.0] {
-            let direct = (1.0 - x.exp()).ln();
-            assert!(close(log1m_exp(x), direct, 1e-10), "x={x}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "x < 0")]
-    fn log1m_exp_rejects_non_negative() {
-        log1m_exp(0.0);
     }
 }

@@ -18,8 +18,17 @@
 //! because Rényi divergence is non-decreasing in the order. The bound is
 //! loose at those three orders but does not affect scheduling outcomes:
 //! every best alpha in the paper's evaluation lies in `{3, …, 64}`.
+//!
+//! Cost: an integer order `α` sums `α + 1` terms, each with one
+//! log-binomial, which [`crate::math::ln_factorial`]'s table makes three
+//! reads. [`SubsampledLaplace`]'s terms also need the base Laplace curve
+//! at every `j ≤ α`; its [`Mechanism::curve`] evaluates that curve once
+//! up to the grid's top order and lets every order read it, so a curve on
+//! the standard grid costs a few microseconds for either mechanism.
 
 use super::{GaussianMechanism, LaplaceMechanism, Mechanism};
+use crate::alpha::AlphaGrid;
+use crate::curve::RdpCurve;
 use crate::error::AccountingError;
 use crate::math::{ln_binomial, log_sum_exp};
 
@@ -31,6 +40,11 @@ fn check_rate(q: f64) -> Result<(), AccountingError> {
         )));
     }
     Ok(())
+}
+
+/// The integer order whose formula serves order `alpha`.
+fn ceil_order(alpha: f64) -> u64 {
+    alpha.ceil().max(2.0) as u64
 }
 
 /// The sampled Gaussian mechanism (SGM): Poisson-subsample with rate `q`,
@@ -108,8 +122,7 @@ impl Mechanism for SubsampledGaussian {
     fn rdp_epsilon(&self, alpha: f64) -> f64 {
         debug_assert!(alpha > 1.0);
         // Integer orders: exact formula. Fractional: sound ceiling bound.
-        let ceil = alpha.ceil().max(2.0) as u64;
-        self.integer_order(ceil)
+        self.integer_order(ceil_order(alpha))
     }
 }
 
@@ -151,20 +164,28 @@ impl SubsampledLaplace {
         self.q
     }
 
-    /// Integer-order amplification bound (Wang et al. 2019).
-    fn integer_order(&self, alpha: u64) -> f64 {
+    /// The base Laplace curve at the integer orders `0..=top`; orders 0
+    /// and 1 are placeholders no formula reads.
+    fn base_curve(&self, top: u64) -> Vec<f64> {
+        let orders = (2..=top).map(|j| self.base.rdp_epsilon(j as f64));
+        [0.0, 0.0].into_iter().chain(orders).collect()
+    }
+
+    /// Integer-order amplification bound (Wang et al. 2019), reading
+    /// `ε(j)` from `base = self.base_curve(≥ alpha)`.
+    fn integer_order(&self, alpha: u64, base: &[f64]) -> f64 {
         debug_assert!(alpha >= 2);
         if self.q == 0.0 {
             return 0.0;
         }
         if self.q == 1.0 {
-            return self.base.rdp_epsilon(alpha as f64);
+            return base[alpha as usize];
         }
         let ln_q = self.q.ln();
         let eps_inf = self.base.pure_dp_epsilon().expect("laplace is pure-DP");
         // ln(e^{ε∞} − 1); ε∞ > 0 so the argument is positive.
         let ln_em1 = eps_inf.exp_m1().ln();
-        let eps2 = self.base.rdp_epsilon(2.0);
+        let eps2 = base[2];
 
         // j = 2 term: C(α,2) q² · min{4(e^{ε(2)}−1), e^{ε(2)}·min{2, (e^{ε∞}−1)²}}.
         let ln_opt_a = (4.0 * eps2.exp_m1()).ln();
@@ -176,9 +197,7 @@ impl SubsampledLaplace {
         for j in 3..=alpha {
             let jf = j as f64;
             let ln_min = f64::min(2f64.ln(), jf * ln_em1);
-            terms.push(
-                ln_binomial(alpha, j) + jf * ln_q + (jf - 1.0) * self.base.rdp_epsilon(jf) + ln_min,
-            );
+            terms.push(ln_binomial(alpha, j) + jf * ln_q + (jf - 1.0) * base[j as usize] + ln_min);
         }
         log_sum_exp(&terms) / (alpha as f64 - 1.0)
     }
@@ -187,8 +206,16 @@ impl SubsampledLaplace {
 impl Mechanism for SubsampledLaplace {
     fn rdp_epsilon(&self, alpha: f64) -> f64 {
         debug_assert!(alpha > 1.0);
-        let ceil = alpha.ceil().max(2.0) as u64;
-        self.integer_order(ceil)
+        let ceil = ceil_order(alpha);
+        self.integer_order(ceil, &self.base_curve(ceil))
+    }
+
+    /// One evaluation of the base curve serves every order: the same
+    /// values as [`Self::rdp_epsilon`] per order.
+    fn curve(&self, grid: &AlphaGrid) -> RdpCurve {
+        let top = grid.orders().iter().map(|&a| ceil_order(a)).max();
+        let base = self.base_curve(top.unwrap_or(2));
+        RdpCurve::from_fn(grid, |a| self.integer_order(ceil_order(a), &base))
     }
 
     fn pure_dp_epsilon(&self) -> Option<f64> {
@@ -201,7 +228,6 @@ impl Mechanism for SubsampledLaplace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alpha::AlphaGrid;
 
     #[test]
     fn sgm_alpha2_closed_form() {

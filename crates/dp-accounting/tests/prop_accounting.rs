@@ -1,11 +1,12 @@
 //! Property-based tests for the accounting substrate, on `dpack-check`
 //! (ported from the former proptest suite; runs in tier-1).
 
+use dp_accounting::math::ln_factorial;
 use dp_accounting::mechanisms::{
     GaussianMechanism, LaplaceMechanism, Mechanism, SubsampledGaussian, SubsampledLaplace,
 };
 use dp_accounting::{block_capacity, fits, rdp_to_dp, AlphaGrid, RdpCurve, RenyiFilter};
-use dpack_check::{check_cases, floats, ints, prop_assert, vecs};
+use dpack_check::{check_cases, floats, ints, just, one_of, options, prop_assert, vecs, Strategy};
 
 const CASES: u32 = 128;
 
@@ -175,6 +176,127 @@ fn capacity_monotonicity() {
             let looser_delta = block_capacity(&grid, eps1, (delta * 10.0).min(0.5)).unwrap();
             for i in 0..grid.len() {
                 prop_assert!(looser_delta.epsilon(i) >= lo.epsilon(i) - 1e-12);
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The O(α²) formulas: `ln n!` summed afresh on every call, and every
+/// order of a subsampled curve built from its own binomials and, for
+/// the Laplace, its own base `ε(j)`. The fast paths must match them bit
+/// for bit.
+mod reference {
+    use dp_accounting::mechanisms::{LaplaceMechanism, Mechanism};
+
+    pub fn ln_factorial(n: u64) -> f64 {
+        (2..=n).map(|i| (i as f64).ln()).sum()
+    }
+
+    fn ln_binomial(n: u64, k: u64) -> f64 {
+        ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+    }
+
+    fn log_sum_exp(xs: &[f64]) -> f64 {
+        let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if m.is_infinite() {
+            return m;
+        }
+        m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
+    }
+
+    pub fn sgm(sigma: f64, q: f64, alpha: u64) -> f64 {
+        if q == 0.0 {
+            return 0.0;
+        }
+        if q == 1.0 {
+            return alpha as f64 / (2.0 * sigma * sigma);
+        }
+        let (ln_q, ln_1mq, s2) = (q.ln(), (1.0 - q).ln(), 2.0 * sigma * sigma);
+        let terms: Vec<f64> = (0..=alpha)
+            .map(|k| {
+                let kf = k as f64;
+                ln_binomial(alpha, k)
+                    + kf * ln_q
+                    + (alpha - k) as f64 * ln_1mq
+                    + (kf * kf - kf) / s2
+            })
+            .collect();
+        log_sum_exp(&terms) / (alpha as f64 - 1.0)
+    }
+
+    pub fn sublaplace(b: f64, q: f64, alpha: u64) -> f64 {
+        let base = LaplaceMechanism::new(b).unwrap();
+        if q == 0.0 {
+            return 0.0;
+        }
+        if q == 1.0 {
+            return base.rdp_epsilon(alpha as f64);
+        }
+        let ln_q = q.ln();
+        let ln_em1 = base.pure_dp_epsilon().unwrap().exp_m1().ln();
+        let eps2 = base.rdp_epsilon(2.0);
+        let ln_opt_a = (4.0 * eps2.exp_m1()).ln();
+        let ln_opt_b = eps2 + f64::min(2f64.ln(), 2.0 * ln_em1);
+        let ln_t2 = ln_binomial(alpha, 2) + 2.0 * ln_q + f64::min(ln_opt_a, ln_opt_b);
+        let mut terms = vec![0.0, ln_t2];
+        for j in 3..=alpha {
+            let jf = j as f64;
+            let ln_min = f64::min(2f64.ln(), jf * ln_em1);
+            terms.push(
+                ln_binomial(alpha, j) + jf * ln_q + (jf - 1.0) * base.rdp_epsilon(jf) + ln_min,
+            );
+        }
+        log_sum_exp(&terms) / (alpha as f64 - 1.0)
+    }
+}
+
+/// `ln_factorial` reads its table with the summation's bits, `-0.0` at
+/// `n < 2` included, and sums past the table's end.
+#[test]
+fn ln_factorial_is_the_summation_bit_for_bit() {
+    for n in 0..300 {
+        assert_eq!(
+            ln_factorial(n).to_bits(),
+            reference::ln_factorial(n).to_bits(),
+            "n = {n}"
+        );
+    }
+}
+
+/// Both subsampled curves, and `rdp_epsilon` at each of their orders,
+/// equal the O(α²) reference bit for bit, on drawn grids with fractional
+/// orders and, in half the cases, one order past the `ln n!` table.
+#[test]
+fn subsampled_curves_match_the_reference_bit_for_bit() {
+    let rate = one_of(vec![
+        floats(0.0..1.0).boxed(),
+        just(0.0).boxed(),
+        just(1.0).boxed(),
+    ]);
+    let orders = (vecs(floats(1.01..70.0), 1..8), options(ints(256u64..270)));
+    check_cases(
+        "subsampled_curves_match_the_reference_bit_for_bit",
+        CASES,
+        (floats(0.2..20.0), rate, orders),
+        |(noise, q, (low, high))| {
+            let mut orders = low.clone();
+            orders.extend(high.map(|a| a as f64));
+            let grid = AlphaGrid::new(orders).unwrap();
+            let sgm = SubsampledGaussian::new(*noise, *q).unwrap();
+            let lap = SubsampledLaplace::new(*noise, *q).unwrap();
+            let (sgm_curve, lap_curve) = (sgm.curve(&grid), lap.curve(&grid));
+            for (i, a) in grid.iter() {
+                let ceil = a.ceil().max(2.0) as u64;
+                let want = reference::sgm(*noise, *q, ceil).to_bits();
+                prop_assert!(sgm_curve.epsilon(i).to_bits() == want, "SGM curve at {a}");
+                prop_assert!(sgm.rdp_epsilon(a).to_bits() == want, "SGM at {a}");
+                let want = reference::sublaplace(*noise, *q, ceil).to_bits();
+                prop_assert!(
+                    lap_curve.epsilon(i).to_bits() == want,
+                    "Laplace curve at {a}"
+                );
+                prop_assert!(lap.rdp_epsilon(a).to_bits() == want, "Laplace at {a}");
             }
             Ok(())
         },

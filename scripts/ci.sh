@@ -343,10 +343,14 @@ DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --test hostile_log
 # must carry every bit pattern a filter can hold (-0.0, subnormals, the
 # tolerance edge); the store-level twin property is cheap (~2 s). The
 # filter's in-place check and charge must match the compose-based
-# definitions on the same bit patterns (~0.1 s).
-echo "==> store fault-in and filter in-place properties at DPACK_CHECK_CASES=2000"
+# definitions on the same bit patterns (~0.1 s). The table-backed
+# `ln_factorial` and the one-pass subsampled curves must match the
+# O(α²) reference formulas bit for bit on drawn grids (~8 s).
+echo "==> store fault-in, filter in-place and curve bit-identity properties at DPACK_CHECK_CASES=2000"
 DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --lib store::tests::
 DPACK_CHECK_CASES=2000 cargo test -q -p dp-accounting --test prop_filter
+DPACK_CHECK_CASES=2000 cargo test -q -p dp-accounting --test prop_accounting \
+  -- ln_factorial_is_the_summation_bit_for_bit subsampled_curves_match_the_reference_bit_for_bit
 
 
 # The vendored micro-benches must keep compiling *and running*; smoke
@@ -356,11 +360,11 @@ for b in ablation filters knapsack_solvers rdp_accounting sched_kernels; do
   cargo bench -q -p dpack-bench --bench "${b}" -- --smoke
 done
 
-# The paper runner's panels that finish in seconds (~10-15 s together),
-# every online one but fig7b and gap among them, all on the service,
-# run so they cannot rot. The slow ones (fig4a, fig5, fig7b, gap) are
-# left to a person. Their CSVs go to a temporary directory, not
-# results/.
+# The paper runner's panels that finish in seconds (~6-7 s together on
+# a 2-vCPU box), every online one but fig7b and gap among them, all on
+# the service, run so they cannot rot. The slow ones (fig4a, fig5,
+# fig7b, gap) are left to a person. Their CSVs go to a temporary
+# directory, not results/.
 echo "==> paper runner smoke run (fig1 fig2 fig3 fig4b fig6 fig7a fig8 fig9 tab2 fairness)"
 paper_out="$(mktemp -d)"
 cargo run --release -q -p dpack-bench --bin paper -- \
