@@ -151,23 +151,6 @@ impl RdpCurve {
             eps: self.eps.iter().map(|e| e * factor).collect(),
         }
     }
-
-    /// Order-wise difference `self − other` (used for remaining capacity).
-    pub fn sub(&self, other: &RdpCurve) -> Result<RdpCurve, AccountingError> {
-        if self.grid != other.grid {
-            return Err(AccountingError::GridMismatch);
-        }
-        let eps = self
-            .eps
-            .iter()
-            .zip(&other.eps)
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Self {
-            grid: self.grid.clone(),
-            eps,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -228,15 +211,6 @@ mod tests {
         let cap = RdpCurve::new(&g, vec![0.3, 0.3, 0.3]).unwrap();
         let d = RdpCurve::new(&g, vec![0.1 + 0.2, 1.0, 1.0]).unwrap();
         assert!(crate::fits(d.epsilon(0), cap.epsilon(0)));
-    }
-
-    #[test]
-    fn sub_computes_remaining() {
-        let g = grid();
-        let cap = RdpCurve::constant(&g, 1.0);
-        let used = RdpCurve::new(&g, vec![0.25, 1.5, 0.0]).unwrap();
-        let rem = cap.sub(&used).unwrap();
-        assert_eq!(rem.values(), &[0.75, -0.5, 1.0]);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod intern;
 pub mod math;
 pub mod mechanisms;
 pub mod noise;
-pub mod pure;
 
 pub use alpha::AlphaGrid;
 pub use convert::{block_capacity, rdp_to_dp, DpGuarantee};
@@ -50,7 +49,6 @@ pub use curve::RdpCurve;
 pub use error::AccountingError;
 pub use filter::{FilterDecision, RenyiFilter};
 pub use intern::{CurveId, CurveInterner};
-pub use pure::PureDpAccountant;
 
 /// Relative tolerance used for floating-point budget comparisons.
 ///

@@ -86,16 +86,14 @@ impl Default for DurabilityOptions {
     }
 }
 
-/// Sizing of the ledger's tiered block storage (enabled via
-/// [`crate::BudgetService::with_tier`] or
-/// [`crate::ShardedLedger::enable_tier`]).
+/// What [`crate::BudgetService::with_tier`] and
+/// [`crate::ShardedLedger::enable_tier`] take. Every block lives in one
+/// compact form (see `store.rs`), so there is nothing left to size:
+/// enabling the tier only selects the demand-driven snapshot a
+/// scheduling cycle reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Per-shard hot working-set bound: once a shard holds more than
-    /// this many full blocks, its least-recently-touched blocks spill
-    /// to the cold tier of in-memory summaries (down to ⅞ of this
-    /// bound, so spills come in batches rather than one per
-    /// registration).
+    /// Unused: kept because the benchmark crate sets it.
     pub hot_capacity: usize,
 }
 
@@ -103,6 +101,27 @@ impl Default for TierConfig {
     fn default() -> Self {
         Self { hot_capacity: 4096 }
     }
+}
+
+/// What [`crate::ShardedLedger::tier_activity`] reports: always zero,
+/// since no block moves between forms. Kept because the benchmark
+/// crate reads every field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TierActivity {
+    /// Always 0.
+    pub hot_blocks: u64,
+    /// Always 0.
+    pub cold_blocks: u64,
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub faults: u64,
+    /// Always 0.
+    pub spilled: u64,
+    /// Always 0.
+    pub spill_failures: u64,
+    /// Always 0.
+    pub spill_bytes: u64,
 }
 
 /// Parameters of a [`crate::BudgetService`].

@@ -50,7 +50,6 @@
 //! place the field rules live (little-endian integers, curves as raw
 //! `f64::to_bits` so round-trips are exact, `u32`-counted lists).
 
-use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_core::problem::{BlockId, TaskId};
 use dpack_wal::codec::{self, Codec, CodecError, Reader};
 use dpack_wal::WalError;
@@ -143,25 +142,6 @@ dpack_wal::codec_struct! {
         /// Demands granted so far.
         pub granted: u64,
     }
-}
-
-impl BlockState {
-    /// Restores the in-memory ledger entry.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Corrupt`] if the persisted curves do not fit `grid`.
-    pub fn to_ledger(&self, grid: &AlphaGrid) -> Result<dpack_core::online::BlockLedger, WalError> {
-        let total = curve(grid, &self.total)?;
-        let consumed = curve(grid, &self.consumed)?;
-        dpack_core::online::BlockLedger::restore(total, self.arrival, consumed, self.granted)
-            .map_err(|e| WalError::Corrupt(format!("block {}: {e}", self.id)))
-    }
-}
-
-fn curve(grid: &AlphaGrid, values: &[f64]) -> Result<RdpCurve, WalError> {
-    RdpCurve::new(grid, values.to_vec())
-        .map_err(|e| WalError::Corrupt(format!("persisted curve does not fit the grid: {e}")))
 }
 
 const STREAM_SHARD: u8 = 1;

@@ -6,15 +6,13 @@
 //! and commits that touch different shards never contend — the striped
 //! layout from the PrivateKube service design, rebuilt in-process.
 //!
-//! This module is striping, locking and the commit protocol. *Where* a
-//! shard keeps its blocks — all in memory, or a bounded hot set over a
-//! spilled cold tier — is the `BlockStore`'s business (`store.rs`): the
-//! ledger never sees a cold block. *How* a grant becomes durable —
-//! records, group commit, coordinator decisions, shipping, recovery —
-//! is the `Journal`'s (`journal.rs`): the ledger never sees a record.
-//! Snapshots are computed from the store on every call; nothing is
-//! cached between cycles, and a snapshot reads a cold block from its
-//! summary without faulting it in.
+//! This module is striping, locking and the commit protocol. *How* a
+//! shard keeps its blocks — one compact entry each, checked, charged
+//! and read in place — is the `BlockStore`'s business (`store.rs`).
+//! *How* a grant becomes durable — records, group commit, coordinator
+//! decisions, shipping, recovery — is the `Journal`'s (`journal.rs`):
+//! the ledger never sees a record. Snapshots are computed from the
+//! store on every call; nothing is cached between cycles.
 //!
 //! # One commit path
 //!
@@ -22,12 +20,12 @@
 //! involved shard locks are acquired in ascending shard order (a global
 //! order, so concurrent commits cannot deadlock) and held from the
 //! first stage to the last restore. Under them each task of a batch is
-//! *staged* in order: its cold blocks are faulted in, every requested
-//! filter is checked, and only if **all** grant is the demand consumed
-//! — on the real filters, so the next task's check sees it. Otherwise
-//! nothing is charged anywhere and the task is released back to the
-//! caller. [`ShardedLedger::commit_local`] takes a cycle's shard-local
-//! grants, one batch per shard, under **one** hold of all their locks;
+//! *staged* in order: every requested filter is checked, and only if
+//! **all** grant is the demand consumed — on the real filters, so the
+//! next task's check sees it. Otherwise nothing is charged anywhere and
+//! the task is released back to the caller.
+//! [`ShardedLedger::commit_local`] takes a cycle's shard-local grants,
+//! one batch per shard, under **one** hold of all their locks;
 //! [`ShardedLedger::commit_spanning`] takes the grants that span shards
 //! under the union of theirs. [`ShardedLedger::commit_shard_batch`] and
 //! [`ShardedLedger::commit_cross_batch`] are the same calls for one
@@ -60,18 +58,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use dp_accounting::{AlphaGrid, RdpCurve};
-use dpack_core::online::BlockLedger;
 use dpack_core::problem::{Block, BlockId, ProblemError, Task, TaskId};
 use dpack_wal::{WalError, WalStorage};
 
 use dpack_obs::{Clock, Histogram, Obs, TraceContext};
 
-use crate::config::{DurabilityOptions, TierConfig};
+use crate::config::{DurabilityOptions, TierActivity, TierConfig};
 use crate::durability::{self, BlockState};
 use crate::journal::{self, Journal, Replay};
 use crate::replication::ReplicationSink;
 use crate::stats::DurabilityStats;
-use crate::store::{BlockStore, TierActivity, TierMeter};
+use crate::store::{BlockEntry, BlockStore};
 
 /// Observability hooks the ledger reports into (attached by
 /// [`ShardedLedger::instrument`]; absent on an un-instrumented
@@ -87,31 +84,15 @@ struct LedgerTelemetry {
     cross_commit: Histogram,
 }
 
-/// The shards a commit holds locked, ascending by shard. A commit may
-/// grow their hot sets; dropping this is the one point where the
-/// stores are handed back, so the hot-tier bound is restored *there* —
-/// on every return path, including refused and released commits that
-/// faulted blocks in and charged nothing.
+/// The shards a commit holds locked, ascending by shard.
 struct Held<'a> {
     shards: Vec<(usize, MutexGuard<'a, BlockStore>)>,
-    tier: &'a TierMeter,
 }
 
 impl Held<'_> {
     fn shard(&mut self, shard: usize) -> &mut BlockStore {
         let at = self.shards.binary_search_by_key(&shard, |(s, _)| *s);
         &mut self.shards[at.expect("a commit locks every shard its tasks touch")].1
-    }
-}
-
-impl Drop for Held<'_> {
-    fn drop(&mut self) {
-        // A panicking commit poisons the locks anyway; no spill for it.
-        if !std::thread::panicking() {
-            for (_, blocks) in &mut self.shards {
-                blocks.spill(self.tier);
-            }
-        }
     }
 }
 
@@ -145,7 +126,7 @@ pub(crate) fn demand_is_chargeable(demand: &[f64]) -> bool {
 
 /// What the blocks a durable batch touched held before it, so that
 /// whatever the journal fails to make durable can be undone exactly.
-type PreImages = BTreeMap<BlockId, BlockLedger>;
+type PreImages = BTreeMap<BlockId, BlockEntry>;
 
 /// A task on its way into the ledger, with its distributed-trace
 /// context if it is traced: the write-ahead flush and the replication
@@ -167,8 +148,6 @@ pub struct ShardedLedger {
     recovered_grants: BTreeSet<TaskId>,
     /// Whether [`ShardedLedger::enable_tier`] has run.
     tiered: bool,
-    /// Tier occupancy and traffic, summed over the shards' stores.
-    tier: TierMeter,
     telemetry: Option<LedgerTelemetry>,
 }
 
@@ -208,7 +187,6 @@ impl ShardedLedger {
             journal: None,
             recovered_grants: BTreeSet::new(),
             tiered: false,
-            tier: TierMeter::default(),
             telemetry: None,
         }
     }
@@ -228,45 +206,35 @@ impl ShardedLedger {
             cross_commit: obs.registry.histogram("dpack_cross_commit_nanos", ""),
             clock: Arc::clone(obs.clock()),
         });
-        self.tier.instrument(obs);
     }
 
-    /// Enables tiered block storage: blocks beyond
-    /// [`TierConfig::hot_capacity`] per shard spill,
-    /// least-recently-touched first, to in-memory summaries that hold
-    /// every bit of the block (see `store.rs`). Nothing is written
-    /// anywhere: the WAL remains the only durability source, and
-    /// recovery re-materializes everything hot.
-    ///
-    /// Call before the ledger is shared (it takes `&mut self`); on a
-    /// recovered ledger the hot set is spilled down to the bound
-    /// immediately.
-    pub fn enable_tier(&mut self, config: TierConfig) {
-        for shard in &mut self.shards {
-            let blocks = shard.get_mut().expect("enable tier before sharing");
-            blocks.enable_tier(config, &self.tier);
-        }
+    /// Marks the ledger tiered: the one remaining effect is that a
+    /// service's scheduling cycles read the demand-driven view
+    /// ([`ShardedLedger::snapshot_blocks_all`]) instead of the whole
+    /// ledger. Every block keeps its one compact form either way (see
+    /// `store.rs`), so `config` sizes nothing and no block changes form.
+    pub fn enable_tier(&mut self, _config: TierConfig) {
         self.tiered = true;
     }
 
-    /// Whether tiered block storage is enabled.
+    /// Whether [`ShardedLedger::enable_tier`] has run.
     pub fn tier_enabled(&self) -> bool {
         self.tiered
     }
 
-    /// Tier occupancy and traffic since start (`None` when tiering is
-    /// off).
+    /// All zeros on a tiered ledger (no block moves between forms any
+    /// more), `None` otherwise; kept because the benchmark crate reads
+    /// it.
     pub fn tier_activity(&self) -> Option<TierActivity> {
-        self.tiered.then(|| self.tier.activity())
+        self.tiered.then(TierActivity::default)
     }
 
     /// Available curves for exactly `ids` at `now`, taking shard locks
     /// one at a time — the demand-driven view scheduling cycles read on
     /// a tiered ledger, so a cycle's snapshot cost scales with the
     /// blocks its tasks reference rather than with every block
-    /// registered. A cold block is read from its summary, with nothing
-    /// faulted in. Bit-identical to [`ShardedLedger::snapshot_all`] on
-    /// the ids it covers, wherever they reside; unknown ids are skipped.
+    /// registered. Bit-identical to [`ShardedLedger::snapshot_all`] on
+    /// the ids it covers; unknown ids are skipped.
     pub fn snapshot_blocks_all(&self, now: f64, ids: &[BlockId]) -> BTreeMap<BlockId, RdpCurve> {
         let (period, steps) = (self.unlock_period, self.unlock_steps);
         let mut all = BTreeMap::new();
@@ -334,9 +302,16 @@ impl ShardedLedger {
                         state.id
                     )));
                 }
+                let orders = self.grid.len();
+                if state.total.len() != orders || state.consumed.len() != orders {
+                    return Err(WalError::Corrupt(format!(
+                        "block {}: persisted curves do not fit the grid's {orders} orders",
+                        state.id
+                    )));
+                }
                 let home = self.shard_of(state.id);
                 let blocks = self.shards[home].get_mut().expect("fresh ledger");
-                blocks.put(state.id, state.to_ledger(&self.grid)?, &self.tier);
+                blocks.restore(state);
             }
             Replay::Grant(task, demand, charged) => {
                 if !demand_is_chargeable(&demand) {
@@ -349,12 +324,14 @@ impl ShardedLedger {
                 for b in charged {
                     let home = self.shard_of(b);
                     let blocks = self.shards[home].get_mut().expect("fresh ledger");
-                    let entry = blocks.hot_mut(b).ok_or_else(|| {
-                        WalError::Corrupt(format!("task {task} charges unregistered block {b}"))
-                    })?;
-                    entry.commit(&demand).map_err(|e| {
-                        WalError::Corrupt(format!("task {task} replay rejected: {e}"))
-                    })?;
+                    if !blocks.contains(b) {
+                        let e = format!("task {task} charges unregistered block {b}");
+                        return Err(WalError::Corrupt(e));
+                    }
+                    if !blocks.charge(b, demand.values()) {
+                        let e = format!("task {task} replay rejected: no order has room");
+                        return Err(WalError::Corrupt(e));
+                    }
                 }
                 self.recovered_grants.insert(task);
             }
@@ -451,7 +428,6 @@ impl ShardedLedger {
     fn hold(&self, shards: impl IntoIterator<Item = usize>) -> Held<'_> {
         Held {
             shards: shards.into_iter().map(|s| (s, self.lock(s))).collect(),
-            tier: &self.tier,
         }
     }
 
@@ -482,19 +458,16 @@ impl ShardedLedger {
                 .log_block(home, &block)
                 .map_err(|e| ProblemError(format!("block {} not registered: {e}", block.id)))?;
         }
-        // The one new hot block may push the store past its bound.
-        blocks.put(block.id, BlockLedger::new(block), &self.tier);
-        blocks.spill(&self.tier);
+        blocks.register(&block);
         Ok(())
     }
 
-    /// Whether a block is registered (in either tier).
+    /// Whether a block is registered.
     pub fn contains(&self, block: BlockId) -> bool {
         self.lock(self.shard_of(block)).contains(block)
     }
 
-    /// Total number of registered blocks, hot and cold (sums across
-    /// shards).
+    /// Total number of registered blocks (sums across shards).
     pub fn n_blocks(&self) -> usize {
         (0..self.shards.len()).map(|s| self.lock(s).len()).sum()
     }
@@ -509,8 +482,9 @@ impl ShardedLedger {
     pub fn snapshot_shard_uncached(&self, shard: usize, now: f64) -> BTreeMap<BlockId, RdpCurve> {
         let (period, steps) = (self.unlock_period, self.unlock_steps);
         let blocks = self.lock(shard);
-        let available = |id| Some((id, blocks.available(id, &self.grid, now, period, steps)?));
-        blocks.ids().filter_map(available).collect()
+        blocks
+            .available_all(&self.grid, now, period, steps)
+            .collect()
     }
 
     /// Snapshots all shards' available capacities at time `now`, taking
@@ -537,8 +511,7 @@ impl ShardedLedger {
 
     /// Every block's persisted-form state (arrival, capacity,
     /// consumption bit patterns, grant count) — the recovery suites
-    /// compare these across crash/recover runs, wherever each block
-    /// resides.
+    /// compare these across crash/recover runs.
     pub fn block_states(&self) -> BTreeMap<BlockId, BlockState> {
         let mut all = BTreeMap::new();
         for s in 0..self.shards.len() {
@@ -583,36 +556,35 @@ impl ShardedLedger {
         task: &Task,
         mut pre: Option<&mut PreImages>,
     ) -> CommitOutcome {
+        // A demand on another grid is refused like one without room.
+        let on_grid = task.demand.grid() == &self.grid;
+        let demand = task.demand.values();
         for b in &task.blocks {
             let blocks = held.shard(self.shard_of(*b));
-            blocks.ensure_hot(task.id, *b, &self.grid, &self.tier);
-        }
-        for b in &task.blocks {
-            let blocks = held.shard(self.shard_of(*b));
-            if !blocks.hot(task.id, *b).check(&task.demand) {
+            let granted = blocks.grants(*b, demand);
+            let granted = granted
+                .unwrap_or_else(|| panic!("task {} references unregistered block {b}", task.id));
+            if !(on_grid && granted) {
                 return CommitOutcome::Released;
             }
         }
         for b in &task.blocks {
             let blocks = held.shard(self.shard_of(*b));
-            let entry = blocks.hot_mut(*b).expect("checked above");
             if let Some(pre) = pre.as_deref_mut() {
-                pre.entry(*b).or_insert_with(|| entry.clone());
+                let entry = || blocks.entry(*b).expect("checked above").clone();
+                pre.entry(*b).or_insert_with(entry);
             }
             // Cannot fail after the check: every involved lock is held.
-            entry
-                .commit(&task.demand)
-                .expect("filter re-check cannot fail under the held locks");
+            let charged = blocks.charge(*b, demand);
+            assert!(charged, "filter re-check cannot fail under the held locks");
         }
         CommitOutcome::Committed
     }
 
-    /// Puts the pre-images back. Their blocks are all still hot:
-    /// nothing spills before the locks drop.
+    /// Puts the pre-images back.
     fn restore(&self, held: &mut Held<'_>, pre: PreImages) {
         for (b, entry) in pre {
-            let blocks = held.shard(self.shard_of(b));
-            *blocks.hot_mut(b).expect("staged blocks stay hot") = entry;
+            held.shard(self.shard_of(b)).reinstate(b, entry);
         }
     }
 
@@ -674,7 +646,7 @@ impl ShardedLedger {
                 }
             }
         }
-        drop(held); // Spills: part of the hold the histogram reports.
+        drop(held); // Unlocks: part of the hold the histogram reports.
         if let (Some(t), Some(since)) = (&self.telemetry, since) {
             t.lock_hold
                 .record(t.clock.now_nanos().saturating_sub(since));
@@ -765,8 +737,6 @@ impl ShardedLedger {
         };
         let guards: Vec<MutexGuard<'_, BlockStore>> =
             (0..self.shards.len()).map(|s| self.lock(s)).collect();
-        // Every block, whichever tier holds it: the WAL stays the only
-        // durable copy regardless of residency.
         let states: Vec<BlockState> = guards.iter().flat_map(|blocks| blocks.states()).collect();
         journal.compact(&states)
     }
@@ -802,6 +772,7 @@ mod tests {
     use crate::durability::LogRecord;
     use crate::replication::{ReplShipError, ReplStream};
     use dp_accounting::AlphaGrid;
+    use dpack_core::online::BlockLedger;
     use dpack_wal::SimStorage;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1144,8 +1115,7 @@ mod tests {
     }
 
     /// One ledger of each kind the one commit path serves, blocks
-    /// `0..8` registered: in memory, durable, and durable + tiered with
-    /// one hot block per shard — fewer than the batches below touch.
+    /// `0..8` registered: in memory, durable, and durable + tiered.
     fn every_kind() -> Vec<(ShardedLedger, Option<SimStorage>)> {
         let plain = SimStorage::new();
         let durable_only = durable(&plain);
@@ -1193,7 +1163,6 @@ mod tests {
 
     #[test]
     fn cross_batch_matches_sequential_commits_and_recovers() {
-        // Two blocks per shard, so the tiered ledger faults mid-batch.
         let tasks = vec![
             task(0, vec![0, 1, 4], 0.6),
             task(1, vec![1, 2, 3], 0.5), // Refused on block 1.
@@ -1657,136 +1626,24 @@ mod tests {
     }
 
     #[test]
-    fn tiered_ledger_spills_and_faults_transparently() {
+    fn with_tier_writes_nothing_to_its_storage() {
         let storage = SimStorage::new();
-        let config = crate::ServiceConfig {
-            shards: 1,
-            unlock_steps: 1,
-            ..crate::ServiceConfig::default()
-        };
         let service = crate::BudgetService::with_tier(
             grid(),
-            config,
+            crate::ServiceConfig::default(),
             &storage,
-            TierConfig { hot_capacity: 4 },
+            TierConfig::default(),
         )
         .unwrap();
         let l = service.ledger();
-        for j in 0..32u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
-                .unwrap();
+        register(l);
+        for j in 0..8u64 {
+            let t = task(j, vec![j], 0.5);
+            assert_eq!(l.commit_task(&t), CommitOutcome::Committed);
         }
         assert!(l.tier_enabled());
-        let a = l.tier_activity().unwrap();
-        assert_eq!(a.hot_blocks + a.cold_blocks, 32);
-        assert_eq!(a.cold_blocks, 28, "{a:?}");
-        assert_eq!(a.spilled, 28);
-        // Cold blocks are still fully registered.
-        assert_eq!(l.n_blocks(), 32);
-        assert!((0..32u64).all(|j| l.contains(j)));
-        // Commits on cold blocks fault them in transparently and still
-        // decide correctly; the hot set stays at its bound throughout.
-        for j in 0..32u64 {
-            assert_eq!(
-                l.commit_task(&task(j, vec![j], 0.5)),
-                CommitOutcome::Committed
-            );
-            assert!(l.tier_activity().unwrap().hot_blocks <= 4);
-        }
-        assert_eq!(l.granted_count(), 32);
-        let a = l.tier_activity().unwrap();
-        assert_eq!(a.faults, 32, "every single-block commit faulted, {a:?}");
-        assert_eq!(a.hot_blocks + a.cold_blocks, 32);
-        // A commit on a still-hot block is a hit — no fault.
-        assert_eq!(
-            l.commit_task(&task(200, vec![31], 0.1)),
-            CommitOutcome::Committed
-        );
-        let after = l.tier_activity().unwrap();
-        assert_eq!((after.hits, after.faults), (a.hits + 1, a.faults));
-        // The filter state round-tripped: a demand over the remaining
-        // capacity is refused no matter which tier the block sits in.
-        assert_eq!(
-            l.commit_task(&task(100, vec![0], 0.6)),
-            CommitOutcome::Released
-        );
-        assert!(l.unsound_blocks().is_empty());
-        // The summaries are the cold tier: spills and faults wrote
-        // nothing to the storage handed to `with_tier`.
         assert_eq!(storage.bytes_written(), 0);
         assert!(storage.list().unwrap().is_empty());
-    }
-
-    #[test]
-    fn snapshots_taken_mid_spill_stay_bit_identical() {
-        // A block's bits don't change by moving tier: the whole-shard
-        // view taken before the spill (all hot) equals the one taken
-        // after it (mostly read from cold summaries), under gradual
-        // unlocking and with some blocks charged. The step-by-step
-        // version against an untiered twin is the
-        // `tiered_views_match_an_untiered_twin` property.
-        let g = grid();
-        let mut l = ShardedLedger::new(g.clone(), 1, 1.0, 4);
-        for j in 0..12u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&g, 1.0), 0.3 * j as f64))
-                .unwrap();
-        }
-        for j in 0..6u64 {
-            l.commit_task(&task(j, vec![j, j + 6], 0.02 * (j + 1) as f64));
-        }
-        let before = l.snapshot_shard_uncached(0, 2.1);
-        l.enable_tier(TierConfig { hot_capacity: 2 });
-        assert!(l.tier_activity().unwrap().cold_blocks >= 10);
-        let after = l.snapshot_shard_uncached(0, 2.1);
-        assert_eq!(before.len(), 12);
-        assert_eq!(
-            before.keys().collect::<Vec<_>>(),
-            after.keys().collect::<Vec<_>>()
-        );
-        let bits = |c: &RdpCurve| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (id, want) in &before {
-            assert_eq!(bits(&after[id]), bits(want), "block {id}");
-        }
-    }
-
-    #[test]
-    fn refused_commits_keep_the_hot_tier_bound() {
-        // Every return path hands the shards back within the bound —
-        // also the ones that faulted blocks in and then charged nothing
-        // (a refused filter check, an empty staged batch).
-        let sim = SimStorage::new();
-        let mut l = ShardedLedger::open_durable(
-            grid(),
-            2,
-            1.0,
-            1,
-            &sim,
-            DurabilityOptions::default(),
-            &Obs::off(),
-        )
-        .unwrap();
-        for j in 0..64u64 {
-            l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
-                .unwrap();
-        }
-        l.enable_tier(TierConfig { hot_capacity: 2 });
-        let bound = 2 * l.n_shards() as u64;
-        assert!(l.tier_activity().unwrap().hot_blocks <= bound);
-        // Over-capacity cross-shard demands over distinct cold blocks.
-        for i in 0..15u64 {
-            let t = task(i, vec![2 * i, 2 * i + 1], 1.5);
-            assert_eq!(l.commit_task(&t), CommitOutcome::Released);
-            let hot = l.tier_activity().unwrap().hot_blocks;
-            assert!(hot <= bound, "commit_task left {hot} hot blocks");
-        }
-        for i in 15..30u64 {
-            let t = task(i, vec![2 * i, 2 * i + 1], 1.5);
-            assert_eq!(l.commit_cross_batch(&[&t]), [CommitOutcome::Released]);
-            let hot = l.tier_activity().unwrap().hot_blocks;
-            assert!(hot <= bound, "commit_cross_batch left {hot} hot blocks");
-        }
-        assert!(l.tier_activity().unwrap().faults >= 60);
-        assert_eq!(l.granted_count(), 0);
     }
 
     #[test]
@@ -1813,8 +1670,6 @@ mod tests {
                 CommitOutcome::Committed
             );
         }
-        // Compaction folds the cold summaries into the durable
-        // snapshots without faulting anything in.
         l.compact().unwrap();
         l.commit_task(&task(100, vec![3], 0.2));
         let recovered = durable(&sim.surviving());
@@ -1847,7 +1702,7 @@ mod tests {
         };
         // Registration must finish (the driver unwraps it); sweep crash
         // points across everything after: the WAL's intents and
-        // decisions, interleaved with faults and spills.
+        // decisions.
         let registered = {
             let probe = SimStorage::new();
             let l = ShardedLedger::open_durable(

@@ -99,7 +99,7 @@ pub use dpack_wal as wal;
 pub use dpack_obs as obs;
 
 pub use admission::{AdmissionError, Submission, TenantId};
-pub use config::{DurabilityOptions, SchedulerChoice, ServiceConfig, TierConfig};
+pub use config::{DurabilityOptions, SchedulerChoice, ServiceConfig, TierActivity, TierConfig};
 pub use driver::ServiceHandle;
 pub use ledger::{CommitOutcome, ShardedLedger};
 pub use replication::{
@@ -109,5 +109,4 @@ pub use service::BudgetService;
 pub use stats::{
     CycleStats, DurabilityStats, ServiceStats, StatsRetention, StatsSummary, TenantStats,
 };
-pub use store::TierActivity;
 pub use ticket::{Decision, SubmissionTicket};

@@ -364,18 +364,16 @@ impl BudgetService {
         Ok(Self::from_parts(ledger, config, Some(opts), obs))
     }
 
-    /// An in-memory service with tiered block storage: the ledger
-    /// keeps a bounded hot working set per shard and the rest as
-    /// compact in-memory summaries (see
-    /// [`ShardedLedger::enable_tier`]). This is what holds a
-    /// million-block registry at a bounded resident set; scheduling
-    /// cycles switch to demand-driven snapshots that touch only the
-    /// blocks the cycle's tasks reference.
+    /// An in-memory service whose scheduling cycles read demand-driven
+    /// snapshots, touching only the blocks the cycle's tasks reference
+    /// (see [`ShardedLedger::enable_tier`]) — the view for a
+    /// million-block registry of which each cycle touches a few. Every
+    /// block keeps the one compact form of any ledger.
     ///
-    /// `storage` is not used — the tier writes nothing — and this never
-    /// returns `Err`; the argument and the `Result` stay because the
-    /// benchmark crate calls this signature, until one service builder
-    /// replaces the constructors.
+    /// `storage` and `tier` are not used, and this never returns
+    /// `Err`; the arguments and the `Result` stay because the benchmark
+    /// crate calls this signature, until one service builder replaces
+    /// the constructors.
     ///
     /// # Panics
     ///
@@ -399,10 +397,9 @@ impl BudgetService {
         Ok(Self::from_parts(ledger, config, None, obs))
     }
 
-    /// [`BudgetService::recover`] with tiered block storage on top:
-    /// recovery materializes every block hot from the WAL (the only
-    /// durability source), then the hot set is spilled back down to
-    /// the tier bound. The tier writes nothing to `storage`.
+    /// [`BudgetService::recover`], with scheduling cycles that read
+    /// demand-driven snapshots like [`BudgetService::with_tier`]'s;
+    /// `tier` is not used.
     ///
     /// # Errors
     ///
@@ -1029,10 +1026,10 @@ impl BudgetService {
     fn decide(&self, pending: &mut Pending, now: f64) -> (Vec<usize>, Duration) {
         // Two views, selected by what the ledger is, both measured.
         // Tiered (`tiered_zipf`, 50 000 blocks): the whole-ledger view
-        // would read every cold block's summary each cycle,
-        // so read exactly the blocks the pending tasks reference —
-        // identical bits for those blocks, and the schedulers never
-        // look at unreferenced ones, so decisions don't change.
+        // would read every block each cycle, so read exactly the blocks
+        // the pending tasks reference — identical bits for those blocks,
+        // and the schedulers never look at unreferenced ones, so
+        // decisions don't change.
         // Untiered (`online_alibaba`, 45 blocks, ~3 200 pending tasks):
         // the whole-ledger view is cheaper than sorting the pending
         // tasks' block references — the demand-driven view everywhere

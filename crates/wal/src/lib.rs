@@ -6,8 +6,8 @@
 //! is the durability layer the `dpack-service` sharded ledger writes
 //! through — PrivateKube persists the same state in etcd; here it is
 //! rebuilt natively with no dependencies. The log is the crate's one
-//! on-disk format: the ledger's cold tier keeps its blocks in memory
-//! and writes nothing here.
+//! on-disk format: the ledger keeps its blocks in memory and persists
+//! them only through it.
 //!
 //! * [`Wal`] — framed, checksummed records over rotating segments,
 //!   torn-tail truncation on [`Wal::open`], [`Wal::append_batch`]

@@ -168,17 +168,18 @@ if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":
   exit 1
 fi
 
-echo "==> checking the tier interns in one place"
-# A hot entry carries the capacity id it had while cold, so a re-spill
-# interns nothing; only ColdBlock::summarize interns, for an entry that
-# was never cold. Any other call would take the process-wide interner's
-# lock on the fault or spill path again. Tests below `#[cfg(test)]` may
-# name anything.
+echo "==> checking the block store interns in one place"
+# A block entry keeps its capacity as an interned CurveId, resolved once
+# per distinct id into its store's own table by the one entry
+# constructor, BlockStore::put (registration and restore both go
+# through it). Any other call would take the process-wide interner's
+# lock on the check, charge or snapshot path. Tests below
+# `#[cfg(test)]` may name anything.
 if awk 'FNR == 1 { on = 1; name = "" } /#\[cfg\(test\)\]/ { on = 0 }
     on && match($0, /fn [a-z_0-9]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
-    on && /\.intern(_curve)?\(/ && name != "summarize" { print FILENAME ":" FNR ": " $0 }' \
+    on && /\.(intern(_curve)?|resolve)\(/ && name != "put" { print FILENAME ":" FNR ": " $0 }' \
     crates/service/src/store.rs | grep .; then
-  echo "ERROR: in store.rs only ColdBlock::summarize may intern (see above)" >&2
+  echo "ERROR: in store.rs only BlockStore::put may intern or resolve (see above)" >&2
   exit 1
 fi
 
@@ -339,14 +340,14 @@ DPACK_CHECK_CASES=500 cargo test -q -p dpack-service \
 echo "==> hostile_log at DPACK_CHECK_CASES=2000"
 DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --test hostile_log
 
-# A fault rebuilds a cold block from its summary alone, so the summary
-# must carry every bit pattern a filter can hold (-0.0, subnormals, the
-# tolerance edge); the store-level twin property is cheap (~2 s). The
-# filter's in-place check and charge must match the compose-based
-# definitions on the same bit patterns (~0.1 s). The table-backed
+# A block entry is checked, charged and read in place, so it must
+# decide and carry every bit pattern core's BlockLedger does (-0.0,
+# subnormals, the tolerance edge); the store-level property against it
+# is cheap (~2 s). The filter's in-place check and charge must match the
+# compose-based definitions on the same bit patterns (~0.1 s). The table-backed
 # `ln_factorial` and the one-pass subsampled curves must match the
 # O(α²) reference formulas bit for bit on drawn grids (~8 s).
-echo "==> store fault-in, filter in-place and curve bit-identity properties at DPACK_CHECK_CASES=2000"
+echo "==> store entry, filter in-place and curve bit-identity properties at DPACK_CHECK_CASES=2000"
 DPACK_CHECK_CASES=2000 cargo test -q -p dpack-service --lib store::tests::
 DPACK_CHECK_CASES=2000 cargo test -q -p dp-accounting --test prop_filter
 DPACK_CHECK_CASES=2000 cargo test -q -p dp-accounting --test prop_accounting \
