@@ -150,9 +150,9 @@ impl Micro {
         BenchReport {
             name: name.to_string(),
             iters: batch * self.config.samples as u64,
-            mean: Duration::from_secs_f64(mean),
-            p50: Duration::from_secs_f64(percentile(&per_iter_samples, 50.0)),
-            p99: Duration::from_secs_f64(percentile(&per_iter_samples, 99.0)),
+            mean: per_iter_duration(mean),
+            p50: per_iter_duration(percentile(&per_iter_samples, 50.0)),
+            p99: per_iter_duration(percentile(&per_iter_samples, 99.0)),
         }
     }
 
@@ -185,6 +185,13 @@ impl Micro {
     pub fn finish(self) {
         println!("{}", self.render());
     }
+}
+
+/// A per-iteration time in seconds, rounded up to whole nanoseconds:
+/// an iteration faster than 1 ns reads 1 ns, where `from_secs_f64`
+/// would truncate it to zero.
+fn per_iter_duration(secs: f64) -> Duration {
+    Duration::from_nanos((secs * 1e9).ceil() as u64)
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.

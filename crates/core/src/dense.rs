@@ -247,6 +247,12 @@ impl Dense {
         self.n_orders
     }
 
+    /// The ids of the blocks at least one task requests, ascending.
+    pub(crate) fn requested_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let counted = self.block_ids.iter().zip(&self.requesters);
+        counted.filter(|(_, n)| **n > 0).map(|(id, _)| *id)
+    }
+
     /// The block indices task `t` requests, in its own list order.
     pub(crate) fn blocks_of(&self, t: usize) -> &[u32] {
         &self.cols[self.rows[t] as usize..self.rows[t + 1] as usize]

@@ -262,6 +262,13 @@ impl ProblemState {
         &self.blocks
     }
 
+    /// The ids of the blocks some pending task requests, ascending —
+    /// read from the rows' per-block requester counts, so no task is
+    /// visited.
+    pub fn requested_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.dense.requested_blocks()
+    }
+
     /// The pending tasks.
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
@@ -425,6 +432,32 @@ mod tests {
         let state = ProblemState::new(g, blocks, vec![t0, t1]).unwrap();
         let ids = pack(&state, &[0, 1], PackingRule::Skip);
         assert_eq!(ids, vec![0]); // 0.4 > 0.3 on block 1 for the second.
+    }
+
+    #[test]
+    fn requested_blocks_follow_the_pending_rows() {
+        let g = grid();
+        let blocks = (0..6).map(|j| Block::new(j, RdpCurve::constant(&g, 1.0), 0.0));
+        let task = |id, blocks| Task::new(id, 1.0, blocks, RdpCurve::zero(&g), 0.0);
+        let mut state = ProblemState::new(
+            g.clone(),
+            blocks.collect(),
+            vec![task(0, vec![4, 1]), task(1, vec![1])],
+        )
+        .unwrap();
+        let requested = |s: &ProblemState| s.requested_blocks().collect::<Vec<_>>();
+        assert_eq!(requested(&state), vec![1, 4]);
+        state.push_task(task(2, vec![5, 0])).unwrap();
+        assert_eq!(requested(&state), vec![0, 1, 4, 5]);
+        state.retain_tasks(&[false, true, true]);
+        assert_eq!(requested(&state), vec![0, 1, 5]);
+        // A capacity map of exactly the requested blocks keeps them.
+        let view = state.blocks().clone().into_iter();
+        let view = view.filter(|(id, _)| [0, 1, 5].contains(id)).collect();
+        state.set_available(view).unwrap();
+        assert_eq!(requested(&state), vec![0, 1, 5]);
+        state.retain_tasks(&[true, false]);
+        assert_eq!(requested(&state), vec![1]);
     }
 
     #[test]

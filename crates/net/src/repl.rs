@@ -27,9 +27,7 @@
 //! quiesces shipping, pushes a per-stream snapshot at the current seq
 //! vector (the same state+suffix law compaction uses), and commits the
 //! round with its lineage, after which ships resume to it as an
-//! ordinary suffix. Legacy constructors ([`Replicator::connect`],
-//! [`Replicator::over_clients`]) never tend, preserving the original
-//! dead-stays-dead semantics.
+//! ordinary suffix.
 //!
 //! Every [`crate::Request::Replicate`] carries the primary's election
 //! **term**. A replica fences ships from terms older than the highest
@@ -609,38 +607,6 @@ impl Replicator {
             })
             .collect::<Result<Vec<_>, NetError>>()?;
         Ok(Self::over_links(links, quorum, n_shards, 0, &[], obs))
-    }
-
-    /// Builds a replicator over pre-connected clients, one per replica
-    /// — the loopback/test path ([`crate::LoopbackTransport::with_core`]
-    /// wired to [`crate::ServiceCore::replica`] cores). Links start
-    /// `Up` and cannot be redialed (the connector always fails), so a
-    /// failed link stays down.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Replicator::connect`].
-    pub fn over_clients(
-        clients: Vec<NetClient>,
-        quorum: usize,
-        n_shards: usize,
-        obs: &Obs,
-    ) -> Self {
-        let unaddressed: SocketAddr = ([0, 0, 0, 0], 0).into();
-        let links = clients
-            .into_iter()
-            .map(|c| Link {
-                addr: unaddressed,
-                connector: Box::new(|| Err(NetError::Closed)),
-                client: Mutex::new(Some(c)),
-                status: AtomicU8::new(LINK_UP),
-                fails: AtomicU32::new(0),
-                next_redial_nanos: AtomicU64::new(0),
-                acked: Vec::new(),
-                resyncs: AtomicU64::new(0),
-            })
-            .collect();
-        Self::over_links(links, quorum, n_shards, 0, &[], obs)
     }
 
     /// Builds a self-healing replicator over connectors. Every link
@@ -1249,21 +1215,42 @@ mod tests {
     fn loopback_replica(sim: &SimStorage, shards: usize) -> (Arc<ReplicaNode>, NetClient) {
         let obs = Obs::off();
         let node = Arc::new(ReplicaNode::open(sim, shards, 1 << 16, obs).unwrap());
-        let client = NetClient::new(Box::new(LoopbackTransport::with_core(
-            ServiceCore::replica(Arc::clone(&node)),
-        )));
+        let client = loopback_client(&node);
         (node, client)
+    }
+
+    fn loopback_client(node: &Arc<ReplicaNode>) -> NetClient {
+        let core = ServiceCore::replica(Arc::clone(node));
+        NetClient::new(Box::new(LoopbackTransport::with_core(core)))
+    }
+
+    /// A replicator over loopback links to `nodes`, every link tended
+    /// up once: a fresh replica rejoins a fresh primary on the spot.
+    /// Nothing tends it again, so a link that fails stays down.
+    fn replicator(
+        nodes: &[&Arc<ReplicaNode>],
+        quorum: usize,
+        shards: usize,
+        obs: &Obs,
+    ) -> Replicator {
+        let links = nodes.iter().map(|node| {
+            let node = Arc::clone(node);
+            let connector: Connector = Box::new(move || Ok(loopback_client(&node)));
+            (([0, 0, 0, 0], 0).into(), connector)
+        });
+        let repl = Replicator::with_connectors(links.collect(), quorum, shards, obs);
+        assert!(repl.tend(0, None));
+        assert_eq!(repl.live(), nodes.len());
+        repl
     }
 
     #[test]
     fn a_quorum_of_loopback_replicas_acks_a_ship() {
         let sim_a = SimStorage::new();
         let sim_b = SimStorage::new();
-        let (node_a, client_a) = loopback_replica(&sim_a, 2);
-        let (node_b, client_b) = loopback_replica(&sim_b, 2);
-        let obs = Obs::off();
-        let repl = Replicator::over_clients(vec![client_a, client_b], 2, 2, &obs);
-        assert_eq!(repl.live(), 2);
+        let (node_a, _) = loopback_replica(&sim_a, 2);
+        let (node_b, _) = loopback_replica(&sim_b, 2);
+        let repl = replicator(&[&node_a, &node_b], 2, 2, &Obs::off());
 
         let one = record(ReplStream::Shard(1));
         repl.ship(ReplStream::Shard(1), &[&one, &one]).unwrap();
@@ -1281,12 +1268,11 @@ mod tests {
     fn a_dead_replica_fails_quorum_and_stays_dead_without_tending() {
         let sim_a = SimStorage::new();
         let sim_b = SimStorage::new();
-        let (node_a, client_a) = loopback_replica(&sim_a, 1);
-        let (_node_b, client_b) = loopback_replica(&sim_b, 1);
+        let (node_a, _) = loopback_replica(&sim_a, 1);
+        let (node_b, _) = loopback_replica(&sim_b, 1);
+        let repl = replicator(&[&node_a, &node_b], 2, 1, &Obs::off());
         // Break replica B's log so its applies fail.
         sim_b.set_append_errors(true);
-        let obs = Obs::off();
-        let repl = Replicator::over_clients(vec![client_a, client_b], 2, 1, &obs);
 
         let err = repl
             .ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
@@ -1299,7 +1285,7 @@ mod tests {
             }
         );
         assert_eq!(repl.live(), 1, "the failed replica is out of the fleet");
-        // Nothing tends an over_clients replicator, so B never
+        // Nothing tends the replicator again, so B never
         // recovers even if its storage does: quorum 2 of a 1-live
         // fleet keeps failing, and A (live) keeps applying.
         sim_b.set_append_errors(false);
@@ -1313,11 +1299,10 @@ mod tests {
     fn quorum_one_survives_a_single_replica_failure() {
         let sim_a = SimStorage::new();
         let sim_b = SimStorage::new();
-        let (node_a, client_a) = loopback_replica(&sim_a, 1);
-        let (node_b, client_b) = loopback_replica(&sim_b, 1);
+        let (node_a, _) = loopback_replica(&sim_a, 1);
+        let (node_b, _) = loopback_replica(&sim_b, 1);
+        let repl = replicator(&[&node_a, &node_b], 1, 1, &Obs::off());
         sim_b.set_append_errors(true);
-        let obs = Obs::off();
-        let repl = Replicator::over_clients(vec![client_a, client_b], 1, 1, &obs);
 
         repl.ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
             .unwrap();
@@ -1553,14 +1538,13 @@ mod tests {
     #[test]
     fn a_deposed_primary_refuses_further_ships() {
         let sim = SimStorage::new();
-        let (node, client) = loopback_replica(&sim, 1);
+        let (node, _) = loopback_replica(&sim, 1);
+        let repl = replicator(&[&node], 1, 1, &Obs::off());
         // The replica has seen term 5 — a newer primary exists.
         node.observe_term(5).unwrap();
-        let obs = Obs::off();
-        // A legacy (term-0) replicator shipping into that view is
-        // fenced with StaleTerm, learns it is deposed, and fails every
-        // later ship without touching the wire.
-        let repl = Replicator::over_clients(vec![client], 1, 1, &obs);
+        // A term-0 replicator shipping into that view is fenced with
+        // StaleTerm, learns it is deposed, and fails every later ship
+        // without touching the wire.
         let err = repl
             .ship(ReplStream::Shard(0), &[&record(ReplStream::Shard(0))])
             .unwrap_err();
@@ -1595,11 +1579,11 @@ mod tests {
 
     #[test]
     fn a_round_ships_every_stream_and_counts_once() {
-        let (node_a, client_a) = loopback_replica(&SimStorage::new(), 4);
-        let (node_b, client_b) = loopback_replica(&SimStorage::new(), 4);
-        let nodes = [node_a, node_b];
+        let (node_a, _) = loopback_replica(&SimStorage::new(), 4);
+        let (node_b, _) = loopback_replica(&SimStorage::new(), 4);
         let obs = Obs::wall();
-        let repl = Replicator::over_clients(vec![client_a, client_b], 2, 4, &obs);
+        let repl = replicator(&[&node_a, &node_b], 2, 4, &obs);
+        let nodes = [node_a, node_b];
 
         let outcomes = repl.ship_all(&four_streams());
         assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
@@ -1620,10 +1604,10 @@ mod tests {
     #[test]
     fn a_deposed_replicator_fails_every_batch_of_a_round() {
         let sim = SimStorage::new();
-        let (node, client) = loopback_replica(&sim, 4);
-        node.observe_term(5).unwrap();
+        let (node, _) = loopback_replica(&sim, 4);
         let obs = Obs::wall();
-        let repl = Replicator::over_clients(vec![client], 1, 4, &obs);
+        let repl = replicator(&[&node], 1, 4, &obs);
+        node.observe_term(5).unwrap();
         let lost = Err(ReplShipError::QuorumLost {
             acked: 0,
             quorum: 1,

@@ -499,9 +499,10 @@ impl ServiceCore {
                 )
             }
             Request::Snapshot { now } => {
-                let ledger = service.ledger();
-                let blocks = (0..ledger.n_shards())
-                    .flat_map(|s| ledger.snapshot_shard_uncached(s, now))
+                let blocks = service
+                    .ledger()
+                    .snapshot_all(now)
+                    .into_iter()
                     .map(|(id, curve)| (id, curve.values().to_vec()))
                     .collect();
                 Step::Reply(

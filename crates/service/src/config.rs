@@ -86,11 +86,10 @@ impl Default for DurabilityOptions {
     }
 }
 
-/// What [`crate::BudgetService::with_tier`] and
-/// [`crate::ShardedLedger::enable_tier`] take. Every block lives in one
-/// compact form (see `store.rs`), so there is nothing left to size:
-/// enabling the tier only selects the demand-driven snapshot a
-/// scheduling cycle reads.
+/// What [`crate::BudgetService::with_tier`] takes, and ignores. Every
+/// block lives in one compact form (see `store.rs`) and every cycle
+/// reads only the blocks its tasks request, so there is nothing left
+/// to size or select. Kept only because the benchmark crate builds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
     /// Unused: kept because the benchmark crate sets it.
@@ -103,9 +102,9 @@ impl Default for TierConfig {
     }
 }
 
-/// What [`crate::ShardedLedger::tier_activity`] reports: always zero,
-/// since no block moves between forms. Kept because the benchmark
-/// crate reads every field.
+/// What [`crate::ShardedLedger::tier_activity`] would report; it
+/// reports `None`, since no block moves between forms. Kept only
+/// because the benchmark crate reads every field of its default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierActivity {
     /// Always 0.

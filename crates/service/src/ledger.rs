@@ -12,7 +12,10 @@
 //! *How* a grant becomes durable — records, group commit, coordinator
 //! decisions, shipping, recovery — is the `Journal`'s (`journal.rs`):
 //! the ledger never sees a record. Snapshots are computed from the
-//! store on every call; nothing is cached between cycles.
+//! store on every call; nothing is cached between cycles. A scheduling
+//! cycle reads [`ShardedLedger::snapshot_blocks_all`] over exactly the
+//! blocks its tasks request, so a registry of any size costs a cycle
+//! only the blocks in demand.
 //!
 //! # One commit path
 //!
@@ -63,7 +66,7 @@ use dpack_wal::{WalError, WalStorage};
 
 use dpack_obs::{Clock, Histogram, Obs, TraceContext};
 
-use crate::config::{DurabilityOptions, TierActivity, TierConfig};
+use crate::config::{DurabilityOptions, TierActivity};
 use crate::durability::{self, BlockState};
 use crate::journal::{self, Journal, Replay};
 use crate::replication::ReplicationSink;
@@ -146,8 +149,6 @@ pub struct ShardedLedger {
     /// [`ShardedLedger::take_recovered_grants`] — the duplicate
     /// history a promoted service rejects failover resubmissions with.
     recovered_grants: BTreeSet<TaskId>,
-    /// Whether [`ShardedLedger::enable_tier`] has run.
-    tiered: bool,
     telemetry: Option<LedgerTelemetry>,
 }
 
@@ -186,7 +187,6 @@ impl ShardedLedger {
             shards: (0..shards).map(|_| Mutex::default()).collect(),
             journal: None,
             recovered_grants: BTreeSet::new(),
-            tiered: false,
             telemetry: None,
         }
     }
@@ -208,33 +208,18 @@ impl ShardedLedger {
         });
     }
 
-    /// Marks the ledger tiered: the one remaining effect is that a
-    /// service's scheduling cycles read the demand-driven view
-    /// ([`ShardedLedger::snapshot_blocks_all`]) instead of the whole
-    /// ledger. Every block keeps its one compact form either way (see
-    /// `store.rs`), so `config` sizes nothing and no block changes form.
-    pub fn enable_tier(&mut self, _config: TierConfig) {
-        self.tiered = true;
-    }
-
-    /// Whether [`ShardedLedger::enable_tier`] has run.
-    pub fn tier_enabled(&self) -> bool {
-        self.tiered
-    }
-
-    /// All zeros on a tiered ledger (no block moves between forms any
-    /// more), `None` otherwise; kept because the benchmark crate reads
-    /// it.
+    /// Always `None`: no ledger has a tier, and no block moves between
+    /// forms. Kept only because the benchmark crate reads it.
     pub fn tier_activity(&self) -> Option<TierActivity> {
-        self.tiered.then(TierActivity::default)
+        None
     }
 
     /// Available curves for exactly `ids` at `now`, taking shard locks
-    /// one at a time — the demand-driven view scheduling cycles read on
-    /// a tiered ledger, so a cycle's snapshot cost scales with the
-    /// blocks its tasks reference rather than with every block
-    /// registered. Bit-identical to [`ShardedLedger::snapshot_all`] on
-    /// the ids it covers; unknown ids are skipped.
+    /// one at a time — the view every scheduling cycle reads, with the
+    /// ids its tasks request, so a cycle's snapshot cost scales with
+    /// those blocks rather than with every block registered.
+    /// Bit-identical to [`ShardedLedger::snapshot_all`] on the ids it
+    /// covers; unknown ids are skipped.
     pub fn snapshot_blocks_all(&self, now: f64, ids: &[BlockId]) -> BTreeMap<BlockId, RdpCurve> {
         let (period, steps) = (self.unlock_period, self.unlock_steps);
         let mut all = BTreeMap::new();
@@ -475,8 +460,7 @@ impl ShardedLedger {
     /// Snapshots one shard's available capacities at time `now` (§3.4
     /// unlocked-minus-consumed), holding only that shard's lock: every
     /// block's curve is recomputed under it, so the cost scales with
-    /// the blocks registered on the shard. This is the whole-shard view
-    /// an untiered scheduling cycle reads. (The name dates from a
+    /// the blocks registered on the shard. (The name dates from a
     /// per-shard cache that never hit; the benchmark crate calls it,
     /// so it stays until a benchmark PR renames both.)
     pub fn snapshot_shard_uncached(&self, shard: usize, now: f64) -> BTreeMap<BlockId, RdpCurve> {
@@ -488,7 +472,8 @@ impl ShardedLedger {
     }
 
     /// Snapshots all shards' available capacities at time `now`, taking
-    /// shard locks one at a time.
+    /// shard locks one at a time: the whole-ledger view a remote
+    /// tenant's `Snapshot` request reads.
     pub fn snapshot_all(&self, now: f64) -> BTreeMap<BlockId, RdpCurve> {
         let mut all = BTreeMap::new();
         for s in 0..self.shards.len() {
@@ -1115,20 +1100,12 @@ mod tests {
     }
 
     /// One ledger of each kind the one commit path serves, blocks
-    /// `0..8` registered: in memory, durable, and durable + tiered.
+    /// `0..8` registered: in memory and durable.
     fn every_kind() -> Vec<(ShardedLedger, Option<SimStorage>)> {
-        let plain = SimStorage::new();
-        let durable_only = durable(&plain);
-        register(&durable_only);
         let logged = SimStorage::new();
-        let mut tiered = durable(&logged);
-        register(&tiered);
-        tiered.enable_tier(TierConfig { hot_capacity: 1 });
-        vec![
-            (ledger(4), None),
-            (durable_only, Some(plain)),
-            (tiered, Some(logged)),
-        ]
+        let durable = durable(&logged);
+        register(&durable);
+        vec![(ledger(4), None), (durable, Some(logged))]
     }
 
     #[test]
@@ -1632,7 +1609,7 @@ mod tests {
             grid(),
             crate::ServiceConfig::default(),
             &storage,
-            TierConfig::default(),
+            crate::TierConfig::default(),
         )
         .unwrap();
         let l = service.ledger();
@@ -1641,7 +1618,7 @@ mod tests {
             let t = task(j, vec![j], 0.5);
             assert_eq!(l.commit_task(&t), CommitOutcome::Committed);
         }
-        assert!(l.tier_enabled());
+        assert_eq!(l.tier_activity(), None);
         assert_eq!(storage.bytes_written(), 0);
         assert!(storage.list().unwrap().is_empty());
     }
@@ -1649,7 +1626,7 @@ mod tests {
     #[test]
     fn durable_tiered_ledger_recovers_bit_identically() {
         let sim = SimStorage::new();
-        let mut l = ShardedLedger::open_durable(
+        let l = ShardedLedger::open_durable(
             grid(),
             4,
             1.0,
@@ -1663,7 +1640,6 @@ mod tests {
             l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                 .unwrap();
         }
-        l.enable_tier(TierConfig { hot_capacity: 2 });
         for i in 0..24u64 {
             assert_eq!(
                 l.commit_task(&task(i, vec![i % 24, (i + 7) % 24], 0.1)),
@@ -1680,7 +1656,7 @@ mod tests {
     #[test]
     fn crashes_under_a_tiered_durable_ledger_recover_bit_identically() {
         let run = |sim: &SimStorage| -> ShardedLedger {
-            let mut l = ShardedLedger::open_durable(
+            let l = ShardedLedger::open_durable(
                 grid(),
                 4,
                 1.0,
@@ -1694,7 +1670,6 @@ mod tests {
                 l.register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
                     .unwrap();
             }
-            l.enable_tier(TierConfig { hot_capacity: 2 });
             for i in 0..16u64 {
                 l.commit_task(&task(i, vec![i % 16, (i + 5) % 16], 0.05));
             }

@@ -16,7 +16,7 @@
 //! Alg. 1) picks each block's best alpha from *all* of the block's
 //! requesters and packs in one global efficiency order, so the service
 //! keeps **one** pending set and runs **one** scheduling pass per cycle
-//! over the whole ledger, however many shards the ledger has. Striping
+//! over every shard's blocks, however many shards the ledger has. Striping
 //! stays where it pays: submit-time validation, registration, snapshot
 //! reads and the commit each take only the shard locks they need.
 //!
@@ -36,7 +36,8 @@
 //! 1. **Ingest** — swap the admission queue out for the pending set's
 //!    empty arrivals buffer (each keeps its capacity for the next
 //!    cycle) and evict timed-out tasks, in arrival order.
-//! 2. **Decide** — one snapshot of every shard, one pass of the
+//! 2. **Decide** — one snapshot of exactly the blocks the pending tasks
+//!    request, one pass of the
 //!    configured scheduler over every pending task; its alpha orders
 //!    (or DPF's per-task shares) fan out over as many worker threads
 //!    as the pass's size pays for (none for a small pass).
@@ -161,15 +162,15 @@ impl Pending {
         self.arrivals.retain(|s| !expired(&s.task));
     }
 
-    /// The deduplicated union of block ids the pending tasks touch —
-    /// the key set of a tiered cycle's demand-driven snapshot.
-    fn referenced_blocks(&self) -> Vec<BlockId> {
-        let tasks = self.state.tasks().iter();
-        let mut ids: Vec<_> = tasks
-            .chain(self.arrivals.iter().map(|s| &s.task))
-            .flat_map(|t| t.blocks.iter().copied())
-            .collect();
-        ids.sort_unstable();
+    /// The blocks a cycle's snapshot covers, ascending and each once:
+    /// those the pending rows request, which the state counts, and
+    /// this cycle's arrivals' blocks.
+    fn requested_blocks(&self) -> Vec<BlockId> {
+        let mut ids: Vec<BlockId> = self.state.requested_blocks().collect();
+        ids.extend(self.arrivals.iter().flat_map(|s| &s.task.blocks));
+        // An ascending run and a short tail, which the stable sort
+        // merges rather than sorting from scratch.
+        ids.sort();
         ids.dedup();
         ids
     }
@@ -364,16 +365,14 @@ impl BudgetService {
         Ok(Self::from_parts(ledger, config, Some(opts), obs))
     }
 
-    /// An in-memory service whose scheduling cycles read demand-driven
-    /// snapshots, touching only the blocks the cycle's tasks reference
-    /// (see [`ShardedLedger::enable_tier`]) — the view for a
-    /// million-block registry of which each cycle touches a few. Every
-    /// block keeps the one compact form of any ledger.
+    /// [`BudgetService::new`]. A million-block registry needs nothing
+    /// of its own: every service's cycles read only the blocks their
+    /// tasks request.
     ///
     /// `storage` and `tier` are not used, and this never returns
-    /// `Err`; the arguments and the `Result` stay because the benchmark
-    /// crate calls this signature, until one service builder replaces
-    /// the constructors.
+    /// `Err`; the name and signature stay only because the benchmark
+    /// crate calls them, until one service builder replaces the
+    /// constructors.
     ///
     /// # Panics
     ///
@@ -383,52 +382,9 @@ impl BudgetService {
         grid: AlphaGrid,
         config: ServiceConfig,
         _storage: &dyn WalStorage,
-        tier: TierConfig,
+        _tier: TierConfig,
     ) -> Result<Self, WalError> {
-        let mut ledger = ShardedLedger::new(
-            grid,
-            config.shards,
-            config.unlock_period,
-            config.unlock_steps,
-        );
-        ledger.enable_tier(tier);
-        let obs = Obs::wall();
-        ledger.instrument(&obs);
-        Ok(Self::from_parts(ledger, config, None, obs))
-    }
-
-    /// [`BudgetService::recover`], with scheduling cycles that read
-    /// demand-driven snapshots like [`BudgetService::with_tier`]'s;
-    /// `tier` is not used.
-    ///
-    /// # Errors
-    ///
-    /// See [`BudgetService::recover`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same degenerate configurations as
-    /// [`BudgetService::new`].
-    pub fn recover_with_tier(
-        grid: AlphaGrid,
-        config: ServiceConfig,
-        storage: &dyn WalStorage,
-        opts: DurabilityOptions,
-        tier: TierConfig,
-    ) -> Result<Self, WalError> {
-        let obs = Obs::wall();
-        let mut ledger = ShardedLedger::open_durable(
-            grid,
-            config.shards,
-            config.unlock_period,
-            config.unlock_steps,
-            storage,
-            opts,
-            &obs,
-        )?;
-        ledger.enable_tier(tier);
-        ledger.instrument(&obs);
-        Ok(Self::from_parts(ledger, config, Some(opts), obs))
+        Ok(Self::new(grid, config))
     }
 
     fn from_parts(
@@ -1023,24 +979,16 @@ impl BudgetService {
     /// configured scheduler once over all of it. Returns the selected
     /// tasks' positions in the state, in allocation order, and the
     /// scheduler's runtime.
+    ///
+    /// The snapshot holds exactly the blocks the pending tasks and the
+    /// arrivals request, so its cost follows the demand, not the
+    /// registry. Those blocks read the same bits the whole ledger
+    /// would give, and no scheduler looks at a block no task requests,
+    /// so the decisions are the whole ledger's.
     fn decide(&self, pending: &mut Pending, now: f64) -> (Vec<usize>, Duration) {
-        // Two views, selected by what the ledger is, both measured.
-        // Tiered (`tiered_zipf`, 50 000 blocks): the whole-ledger view
-        // would read every block each cycle, so read exactly the blocks
-        // the pending tasks reference — identical bits for those blocks,
-        // and the schedulers never look at unreferenced ones, so
-        // decisions don't change.
-        // Untiered (`online_alibaba`, 45 blocks, ~3 200 pending tasks):
-        // the whole-ledger view is cheaper than sorting the pending
-        // tasks' block references — the demand-driven view everywhere
-        // lost every pair there (`decisions_per_s` −3.7 %) — and its
-        // ids only ever grow, so the pending rows stay as they are.
-        let ledger = &self.ledger;
-        let snapshot = if ledger.tier_enabled() {
-            ledger.snapshot_blocks_all(now, &pending.referenced_blocks())
-        } else {
-            ledger.snapshot_all(now)
-        };
+        let snapshot = self
+            .ledger
+            .snapshot_blocks_all(now, &pending.requested_blocks());
         pending
             .state
             .set_available(snapshot)
@@ -1237,6 +1185,35 @@ mod tests {
         // Block 0 was not touched by the released task.
         let snap = service.ledger().snapshot_all(1.0);
         assert_eq!(snap[&0].epsilon(0), 1.0);
+    }
+
+    #[test]
+    fn a_cycle_reads_only_the_blocks_its_tasks_request() {
+        let service = BudgetService::new(grid(), immediate_unlock(4, 1));
+        for j in 0..1_000u64 {
+            service
+                .register_block(Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0))
+                .unwrap();
+        }
+        let pending_blocks = || {
+            let pending = service.cycle_lock.lock().unwrap();
+            pending.state.blocks().keys().copied().collect::<Vec<_>>()
+        };
+        // More than a block holds: both wait, on three blocks.
+        service.submit(0, simple_task(0, vec![7], 2.0)).unwrap();
+        service
+            .submit(0, simple_task(1, vec![500, 999], 2.0))
+            .unwrap();
+        service.run_cycle(1.0);
+        assert_eq!(pending_blocks(), [7, 500, 999]);
+        // An arrival's block joins the view of the cycle that grants
+        // it, and leaves the next one.
+        service.submit(0, simple_task(2, vec![42], 0.5)).unwrap();
+        assert_eq!(service.run_cycle(2.0).local_granted, 1);
+        assert_eq!(pending_blocks(), [7, 42, 500, 999]);
+        service.run_cycle(3.0);
+        assert_eq!(pending_blocks(), [7, 500, 999]);
+        assert_eq!(service.pending_count(), 2);
     }
 
     /// A sink that accepts everything and keeps, per ship round, the

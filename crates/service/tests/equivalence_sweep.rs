@@ -10,6 +10,9 @@
 //! module docs make: one global pass decides, so the shard count and
 //! the worker count decide nothing — S ∈ {1, 2, 4} × W ∈ {1, 2}, with
 //! multi-block tasks that span shards and blocks registered mid-run.
+//! A service cycle reads only the blocks its tasks request, where the
+//! engine reads every block; so the second sweep also draws registries
+//! in which ten blocks in eleven are never requested.
 
 use dp_accounting::{block_capacity, AlphaGrid, RdpCurve};
 use dpack_check::{check_cases, floats, ints, options, prop_assert, prop_assert_eq, vecs};
@@ -230,18 +233,33 @@ const REGISTRATION_ORDER: [BlockId; 6] = [4, 5, 0, 2, 1, 3];
 /// (scale, arrival fraction, block mask, heavy) per task.
 type SpanningSpecs = Vec<(f64, f64, u8, bool)>;
 
+/// In a crowded registry, the requested block `k` is `k * SPREAD +
+/// SPREAD / 2`, and every other id below `6 * SPREAD` registers at step
+/// 1 and is never requested.
+const SPREAD: BlockId = 11;
+
 /// One new block per step (while there are any), then the tasks
 /// arriving in the step. A task asks for the registered blocks its mask
 /// picks — with six ids over up to four shards, most masks span shards
 /// — and for the newest, registered this very step, when it picks none.
-fn spanning_feed(specs: &SpanningSpecs, step: u64) -> (Vec<Block>, Vec<Task>) {
+/// A `crowded` feed spreads those ids out and registers the
+/// [`SPREAD`] fillers between them first.
+fn spanning_feed(specs: &SpanningSpecs, crowded: bool, step: u64) -> (Vec<Block>, Vec<Task>) {
     let g = grid();
     let now = step as f64;
-    let block = REGISTRATION_ORDER.get(step as usize - 1).map(|id| {
-        let cap = block_capacity(&g, 8.0, 1e-6).expect("valid");
-        Block::new(*id, cap, now - 1.0)
-    });
+    let cap = block_capacity(&g, 8.0, 1e-6).expect("valid");
+    let spread = |k: &BlockId| if crowded { k * SPREAD + SPREAD / 2 } else { *k };
+    let mut blocks: Vec<Block> = if crowded && step == 1 {
+        let requested: Vec<BlockId> = REGISTRATION_ORDER.iter().map(spread).collect();
+        let fillers = (0..6 * SPREAD).filter(|id| !requested.contains(id));
+        fillers.map(|id| Block::new(id, cap.clone(), 0.0)).collect()
+    } else {
+        Vec::new()
+    };
+    let block = REGISTRATION_ORDER.get(step as usize - 1);
+    blocks.extend(block.map(|k| Block::new(spread(k), cap, now - 1.0)));
     let registered = &REGISTRATION_ORDER[..(step as usize).min(REGISTRATION_ORDER.len())];
+    let registered: Vec<BlockId> = registered.iter().map(spread).collect();
     let tasks = specs
         .iter()
         .enumerate()
@@ -265,14 +283,14 @@ fn spanning_feed(specs: &SpanningSpecs, step: u64) -> (Vec<Block>, Vec<Task>) {
             })
         })
         .collect();
-    (block.into_iter().collect(), tasks)
+    (blocks, tasks)
 }
 
 /// At every shard count and worker count, in memory and write-ahead-
 /// logged, the service allocates exactly what the engine allocates —
 /// multi-block tasks spanning shards, unequal weights, timeouts, gradual
 /// unlocking, blocks registered mid-run and requested in the step they
-/// register.
+/// register, and registries mostly of blocks no task requests.
 #[test]
 fn service_matches_engine_at_every_shard_and_worker_count() {
     check_cases(
@@ -289,9 +307,10 @@ fn service_matches_engine_at_every_shard_and_worker_count() {
                 ),
                 1..40,
             ),
+            dpack_check::bools(),
         ),
-        |(knobs, specs): &(Knobs, SpanningSpecs)| {
-            let feed = |step| spanning_feed(specs, step);
+        |(knobs, specs, crowded): &(Knobs, SpanningSpecs, bool)| {
+            let feed = |step| spanning_feed(specs, *crowded, step);
             let engine = drive_engine(*knobs, &feed);
             let mut want_credited = vec![0u64; TENANTS as usize];
             for a in &engine.allocated {

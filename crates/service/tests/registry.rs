@@ -1,21 +1,20 @@
-//! A tiered service end to end: its cycles read the demand-driven
-//! snapshot, which must make exactly the decisions the untiered
-//! service's whole-ledger view makes (it covers every block a cycle's
-//! tasks reference), and a durable tiered service must recover
-//! bit-identically — including across an injected crash. Below the
-//! service, every view a tiered ledger serves must equal an untiered
-//! twin's at every step of a drawn commit schedule.
+//! The block registry: a durable service must recover bit-identically,
+//! including across an injected crash; the view a cycle reads over the
+//! blocks its tasks request must equal the whole view on those blocks
+//! at every step of a drawn commit schedule; and registering blocks
+//! must not grow the curve interner past their distinct capacities.
+//! That the requested-blocks view decides as the whole ledger does is
+//! `equivalence_sweep.rs`'s.
 
 mod common;
 
-use common::{ledger, views};
+use common::ledger;
 use dp_accounting::{AlphaGrid, CurveInterner, RdpCurve};
-use dpack_check::{bools, check_cases, diff_states, floats, ints, prop_assert_eq};
+use dpack_check::{bools, check_cases, diff_states, floats, ints, prop_assert, prop_assert_eq};
 use dpack_check::{vecs, weighted};
 use dpack_core::problem::{Block, BlockId, ProblemState, Task};
 use dpack_service::{
     BudgetService, CommitOutcome, DurabilityOptions, SchedulerChoice, ServiceConfig, ShardedLedger,
-    TierConfig,
 };
 use dpack_wal::SimStorage;
 use std::collections::BTreeMap;
@@ -49,10 +48,6 @@ fn config() -> ServiceConfig {
     }
 }
 
-fn tier() -> TierConfig {
-    TierConfig { hot_capacity: 4 }
-}
-
 fn feed(service: &BudgetService, state: &ProblemState) {
     for (id, cap) in state.blocks() {
         service
@@ -65,44 +60,13 @@ fn feed(service: &BudgetService, state: &ProblemState) {
 }
 
 #[test]
-fn tiered_service_is_decision_identical_to_untiered() {
-    let state = workload();
-    let grid: AlphaGrid = state.grid().clone();
-
-    let plain = BudgetService::new(grid.clone(), config());
-    feed(&plain, &state);
-
-    let sim = SimStorage::new();
-    let tiered = BudgetService::with_tier(grid, config(), &sim, tier()).unwrap();
-    feed(&tiered, &state);
-    assert!(tiered.ledger().tier_enabled());
-
-    for step in 1..=3 {
-        let now = step as f64;
-        plain.run_cycle(now);
-        tiered.run_cycle(now);
-    }
-
-    // Allocation-for-allocation identity.
-    let a = plain.stats().to_online();
-    let b = tiered.stats().to_online();
-    assert!(!a.allocated.is_empty());
-    assert_eq!(a.allocated, b.allocated, "tiering changed decisions");
-
-    // Filter-state identity, bit for bit.
-    diff_states("tiered vs plain", &ledger(&tiered), &ledger(&plain)).expect("bit-identical");
-    assert!(tiered.ledger().unsound_blocks().is_empty());
-}
-
-#[test]
-fn durable_tiered_service_recovers_bit_identically() {
+fn durable_service_recovers_bit_identically() {
     let state = workload();
     let grid: AlphaGrid = state.grid().clone();
     let sim = SimStorage::new();
     let opts = DurabilityOptions::default();
 
-    let service =
-        BudgetService::recover_with_tier(grid.clone(), config(), &sim, opts, tier()).unwrap();
+    let service = BudgetService::recover(grid.clone(), config(), &sim, opts).unwrap();
     feed(&service, &state);
     for step in 1..=2 {
         service.run_cycle(step as f64);
@@ -110,18 +74,12 @@ fn durable_tiered_service_recovers_bit_identically() {
     let granted = service.ledger().granted_count();
     assert!(granted > 0);
 
-    // Reboot from what survived — once tiered again, once plain
-    // durable: recovery reads only the WAL, so all three agree bit
-    // for bit.
-    let rebooted =
-        BudgetService::recover_with_tier(grid.clone(), config(), &sim.surviving(), opts, tier())
-            .unwrap();
-    let plain = BudgetService::recover(grid, config(), &sim.surviving(), opts).unwrap();
-    for (name, other) in [("tiered", &rebooted), ("plain", &plain)] {
-        diff_states(name, &ledger(other), &ledger(&service)).expect("bit-identical reboot");
-        assert_eq!(other.ledger().granted_count(), granted, "{name}");
-        assert!(other.ledger().unsound_blocks().is_empty(), "{name}");
-    }
+    // Reboot from what survived: recovery reads only the WAL, so the
+    // two agree bit for bit.
+    let rebooted = BudgetService::recover(grid, config(), &sim.surviving(), opts).unwrap();
+    diff_states("reboot", &ledger(&rebooted), &ledger(&service)).expect("bit-identical reboot");
+    assert_eq!(rebooted.ledger().granted_count(), granted);
+    assert!(rebooted.ledger().unsound_blocks().is_empty());
 
     // A crash part-way through the same run: whatever write it lands
     // on, recovery holds exactly the durably-decided grants and stays
@@ -129,13 +87,7 @@ fn durable_tiered_service_recovers_bit_identically() {
     let total = sim.bytes_written();
     for frac in [3u64, 5, 7] {
         let crashy = SimStorage::with_crash_after(total * frac / 8);
-        let svc = match BudgetService::recover_with_tier(
-            state.grid().clone(),
-            config(),
-            &crashy,
-            opts,
-            tier(),
-        ) {
+        let svc = match BudgetService::recover(state.grid().clone(), config(), &crashy, opts) {
             Ok(svc) => svc,
             Err(_) => continue, // Crash landed before the service opened.
         };
@@ -173,13 +125,11 @@ fn view_bits(view: BTreeMap<BlockId, RdpCurve>) -> BTreeMap<BlockId, Vec<u64>> {
 
 /// Through a drawn schedule of per-task, shard-batch and cross-batch
 /// commits — granted and refused, single- and cross-shard, in-memory
-/// and durable — a tiered ledger decides like its untiered twin and,
-/// after every step, serves the same whole-shard view, the same
-/// demand-driven view (the whole view restricted to the asked ids,
-/// unknown ones skipped), block states, grant count and soundness,
-/// `f64` bit for bit.
+/// and durable — a ledger serves, after every step, a requested-blocks
+/// view that is its whole view restricted to the asked ids (unknown
+/// ones skipped), `f64` bit for bit, and stays sound.
 #[test]
-fn tiered_views_match_an_untiered_twin() {
+fn requested_blocks_view_matches_the_whole_view() {
     let step = (
         vecs(ints(0u64..64), 1..4),
         floats(0.01..0.4),
@@ -187,7 +137,7 @@ fn tiered_views_match_an_untiered_twin() {
         bools(),
     );
     check_cases(
-        "tiered_views_match_an_untiered_twin",
+        "requested_blocks_view_matches_the_whole_view",
         64,
         (
             ints(1usize..4),
@@ -199,69 +149,52 @@ fn tiered_views_match_an_untiered_twin() {
         |(shards, n_blocks, unlock_steps, durable, schedule)| {
             let grid = AlphaGrid::new(vec![2.0, 8.0]).unwrap();
             let sim = SimStorage::new();
-            let open = |storage: &SimStorage| {
-                let ledger = if *durable {
-                    let opts = DurabilityOptions::default();
-                    ShardedLedger::open_durable(
-                        grid.clone(),
-                        *shards,
-                        1.0,
-                        *unlock_steps,
-                        storage,
-                        opts,
-                        &dpack_service::obs::Obs::off(),
-                    )
-                    .unwrap()
-                } else {
-                    ShardedLedger::new(grid.clone(), *shards, 1.0, *unlock_steps)
-                };
-                for j in 0..*n_blocks {
-                    let capacity = RdpCurve::constant(&grid, 1.0);
-                    ledger
-                        .register_block(Block::new(j, capacity, 0.3 * j as f64))
-                        .unwrap();
-                }
-                ledger
+            let ledger = if *durable {
+                let opts = DurabilityOptions::default();
+                ShardedLedger::open_durable(
+                    grid.clone(),
+                    *shards,
+                    1.0,
+                    *unlock_steps,
+                    &sim,
+                    opts,
+                    &dpack_service::obs::Obs::off(),
+                )
+                .unwrap()
+            } else {
+                ShardedLedger::new(grid.clone(), *shards, 1.0, *unlock_steps)
             };
-            let plain = open(&SimStorage::new());
-            let mut tiered = open(&sim);
-            tiered.enable_tier(tier());
+            for j in 0..*n_blocks {
+                let capacity = RdpCurve::constant(&grid, 1.0);
+                ledger
+                    .register_block(Block::new(j, capacity, 0.3 * j as f64))
+                    .unwrap();
+            }
 
             for (i, (picks, eps, refuse, batch)) in schedule.iter().enumerate() {
                 let blocks: Vec<BlockId> = picks.iter().map(|b| b % n_blocks).collect();
                 let eps = if *refuse { 1.5 } else { *eps };
                 let task = Task::new(i as u64, 1.0, blocks, RdpCurve::constant(&grid, eps), 0.0);
-                let home = plain.shard_of(task.blocks[0]);
-                let local = task.blocks.iter().all(|b| plain.shard_of(*b) == home);
-                let commit = |l: &ShardedLedger| match (*batch, local) {
-                    (false, _) => l.commit_task(&task),
-                    (true, true) => l.commit_shard_batch(home, &[&task])[0],
-                    (true, false) => l.commit_cross_batch(&[&task])[0],
+                let home = ledger.shard_of(task.blocks[0]);
+                let local = task.blocks.iter().all(|b| ledger.shard_of(*b) == home);
+                let outcome = match (*batch, local) {
+                    (false, _) => ledger.commit_task(&task),
+                    (true, true) => ledger.commit_shard_batch(home, &[&task])[0],
+                    (true, false) => ledger.commit_cross_batch(&[&task])[0],
                 };
-                let outcome = commit(&plain);
-                prop_assert_eq!(commit(&tiered), outcome, "step {}", i);
                 if *refuse {
                     prop_assert_eq!(outcome, CommitOutcome::Released);
                 }
 
                 let now = 0.7 * (i + 1) as f64;
-                for s in 0..*shards {
-                    let want = view_bits(plain.snapshot_shard_uncached(s, now));
-                    let got = view_bits(tiered.snapshot_shard_uncached(s, now));
-                    prop_assert_eq!(got, want, "step {} shard {}", i, s);
-                }
                 let mut ids: Vec<BlockId> = picks.iter().map(|b| (b * 7 + 3) % n_blocks).collect();
                 ids.extend(&task.blocks);
                 ids.push(n_blocks + 400); // Unknown: skipped.
-                let mut want = view_bits(plain.snapshot_all(now));
+                let mut want = view_bits(ledger.snapshot_all(now));
                 want.retain(|id, _| ids.contains(id));
-                let got = view_bits(tiered.snapshot_blocks_all(now, &ids));
+                let got = view_bits(ledger.snapshot_blocks_all(now, &ids));
                 prop_assert_eq!(got, want, "step {} ids {:?}", i, ids);
-
-                let states = |l: &ShardedLedger| views(&l.block_states());
-                diff_states(&format!("step {i}"), &states(&tiered), &states(&plain))?;
-                prop_assert_eq!(tiered.granted_count(), plain.granted_count());
-                prop_assert_eq!(tiered.unsound_blocks(), plain.unsound_blocks());
+                prop_assert!(ledger.unsound_blocks().is_empty(), "step {}", i);
             }
             Ok(())
         },

@@ -157,28 +157,6 @@ pub struct WalCounters {
     pub batch_max: u64,
 }
 
-impl WalCounters {
-    /// Folds another log's counters into this one (aggregating across
-    /// a multi-log service). Keeps the `batch_min == 0 ⇒ no batches
-    /// yet` convention in one place.
-    pub fn absorb(&mut self, other: WalCounters) {
-        self.records += other.records;
-        self.bytes += other.bytes;
-        self.snapshots += other.snapshots;
-        self.syncs += other.syncs;
-        self.batches += other.batches;
-        self.batched_records += other.batched_records;
-        self.batch_max = self.batch_max.max(other.batch_max);
-        if other.batch_min > 0 {
-            self.batch_min = if self.batch_min == 0 {
-                other.batch_min
-            } else {
-                self.batch_min.min(other.batch_min)
-            };
-        }
-    }
-}
-
 /// What one acknowledged [`Wal::append_batch`] made durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendReceipt {

@@ -146,11 +146,6 @@ impl FsStorage {
         })
     }
 
-    /// The backing directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn sync_dir(&self) -> io::Result<()> {
         sync_dir(&self.dir)
     }

@@ -116,16 +116,29 @@ if [ "$(grep -cE 'Wal::open\(' <<<"${journal_code}")" != 1 ] \
   exit 1
 fi
 
-echo "==> checking the cold tier stays in memory"
-# A cold block is its in-memory summary (store.rs): a fault rebuilds it
-# from there and a spill writes nothing. The segment store that kept a
-# second copy on disk stays deleted, and nothing reads a range back or
-# appends unsynced; WalStorage keeps those two methods only for the
-# benchmark crate's TimedStorage.
+echo "==> checking a block is kept only in its store and the log"
+# Every block is one in-memory entry in its shard's store (store.rs),
+# made durable only through the write-ahead log. The segment store that
+# kept a second copy on disk, with its entry references, frame magic and
+# files, stays deleted, and nothing reads a range back or appends
+# unsynced; WalStorage keeps those two methods only for the benchmark
+# crate's TimedStorage.
 if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
     $(find crates/*/src -name '*.rs') \
   | grep -E 'SegmentStore|EntryRef|MAGIC_TIER|"tier-|\.read_range\(|\.append_nosync\('; then
-  echo "ERROR: the cold tier must stay its in-memory summaries (see above)" >&2
+  echo "ERROR: a block must live only in its store's entry and the write-ahead log (see above)" >&2
+  exit 1
+fi
+
+echo "==> checking no flag picks a cycle's snapshot view"
+# Every service's cycle reads exactly the blocks its tasks request
+# (BudgetService::decide). The tier flag that chose between that view
+# and the whole ledger, and the constructor that set it, stay deleted
+# from every program file; tests below `#[cfg(test)]` may name anything.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src src examples benchmark/src -name '*.rs') \
+  | grep -E 'enable_tier|tier_enabled|recover_with_tier'; then
+  echo "ERROR: a flag picks the snapshot view again (see above)" >&2
   exit 1
 fi
 
@@ -331,9 +344,9 @@ done
 # (~20 s at 500 cases), so they run once more at 500. So does the
 # service ≡ OnlineEngine sweep (~15 s): it is what holds the sharded
 # service to the paper's allocation at every S and W.
-echo "==> batch_crash, recovery, replication_crash, tiering, equivalence_sweep at DPACK_CHECK_CASES=500"
+echo "==> batch_crash, recovery, replication_crash, registry, equivalence_sweep at DPACK_CHECK_CASES=500"
 DPACK_CHECK_CASES=500 cargo test -q -p dpack-service \
-  --test batch_crash --test recovery --test replication_crash --test tiering \
+  --test batch_crash --test recovery --test replication_crash --test registry \
   --test equivalence_sweep
 
 # Junk under a valid WAL frame checksum must fail typed, never panic.
