@@ -168,13 +168,6 @@ impl BlockLedger {
         Ok(Self { filter, arrival })
     }
 
-    /// The entry's parts, moved out: `(total, arrival, consumed,
-    /// granted_count)`, the inverse of [`BlockLedger::restore`].
-    pub fn into_parts(self) -> (RdpCurve, f64, RdpCurve, u64) {
-        let (total, consumed, granted) = self.filter.into_parts();
-        (total, self.arrival, consumed, granted)
-    }
-
     /// The block's total capacity curve.
     pub fn total(&self) -> &RdpCurve {
         self.filter.capacity()

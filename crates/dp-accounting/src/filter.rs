@@ -89,13 +89,6 @@ impl RenyiFilter {
         self.granted_count
     }
 
-    /// Consumption, capacity and bookkeeping, moved out of the filter:
-    /// `(capacity, consumed, granted_count)`, the inverse of
-    /// [`RenyiFilter::restore`].
-    pub fn into_parts(self) -> (RdpCurve, RdpCurve, u64) {
-        (self.capacity, self.consumed, self.granted_count)
-    }
-
     /// Whether the filter would grant `demand`: `check(demand)`'s
     /// `granted`, and `false` on a grid mismatch, without building the
     /// decision.

@@ -12,6 +12,13 @@
 //! core synchronously; the TCP reactor polls pending replies in its
 //! sweep.
 //!
+//! A request is dispatched in one order: the auth gate of a secured
+//! core first; then the role-independent requests (`Metrics`, `Trace`,
+//! `SpanDump`), answered from the observability context the core
+//! pinned at construction, which every role of the node shares; then
+//! the current role, primary or replica. Every immediate reply is
+//! encoded and clamped to one frame in one place.
+//!
 //! [`NetServer`] is the socket half: a single-threaded reactor over
 //! nonblocking `std::net` sockets in the house style — vendored,
 //! deterministic, no async runtime. Each sweep accepts new
@@ -58,15 +65,28 @@ use crate::wire::{
     WireClusterStatus, WireStats, MAX_FRAME,
 };
 
-/// Flight-recorder events one `Trace` reply may carry. Replies keep
-/// the **oldest** events past the cap, so a client paginating with
-/// `since` always makes progress toward the ring's head.
-const MAX_TRACE_EVENTS_PER_REPLY: usize = 65_536;
+/// Events one `Trace` reply, and spans one `SpanDump` reply, may
+/// carry. Replies keep the **oldest** entries past the cap, so a client
+/// paginating with `since` always makes progress toward the ring's
+/// head. The cap keeps worst-case replies a few MiB — comfortably
+/// inside the reply budget [`clamp_reply`] enforces.
+const MAX_DUMP_PER_REPLY: usize = 65_536;
 
-/// Spans one `SpanDump` reply may carry (same oldest-first pagination
-/// contract as `Trace`). Both caps keep worst-case replies a few MiB —
-/// comfortably inside the reply budget [`clamp_reply`] enforces.
-const MAX_SPANS_PER_REPLY: usize = 65_536;
+/// The encoded `Error` response to request `id` (0 for a connection's
+/// parting shot, which answers no one request).
+fn error_reply(id: u64, code: ErrorCode, message: impl Into<String>) -> Vec<u8> {
+    let message = message.into();
+    ResponseFrame {
+        id,
+        body: Response::Error { code, message },
+    }
+    .encode()
+}
+
+/// The encoded response to request `id`, clamped to one frame.
+fn encode_reply(id: u64, body: Response) -> Vec<u8> {
+    clamp_reply(ResponseFrame { id, body }.encode())
+}
 
 /// Replaces a reply that cannot fit in one frame with an `Error`
 /// response for the same request id. A tenant can legitimately request
@@ -79,17 +99,12 @@ fn clamp_reply(payload: Vec<u8>) -> Vec<u8> {
     }
     // `tag u8 ‖ request id u64` prefixes every encoded response.
     let id = Reader::new(&payload[1..]).u64().expect("a response");
-    ResponseFrame {
+    let size = payload.len();
+    error_reply(
         id,
-        body: Response::Error {
-            code: ErrorCode::Protocol,
-            message: format!(
-                "response of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
-                payload.len()
-            ),
-        },
-    }
-    .encode()
+        ErrorCode::Protocol,
+        format!("response of {size} bytes exceeds the {MAX_FRAME}-byte frame cap"),
+    )
 }
 
 /// One slot of a (possibly batched) submission reply.
@@ -155,13 +170,7 @@ impl PendingReply {
             let (task, outcome) = decisions.into_iter().next().expect("single slot");
             Response::Decision { task, outcome }
         };
-        clamp_reply(
-            ResponseFrame {
-                id: self.request_id,
-                body,
-            }
-            .encode(),
-        )
+        encode_reply(self.request_id, body)
     }
 
     /// Polls every undecided slot; returns the encoded response once
@@ -172,15 +181,8 @@ impl PendingReply {
             all &= slot.poll();
         }
         all.then(|| {
-            std::mem::replace(
-                self,
-                PendingReply {
-                    request_id: 0,
-                    batch: false,
-                    slots: Vec::new(),
-                },
-            )
-            .encode()
+            let slots = std::mem::take(&mut self.slots);
+            PendingReply { slots, ..*self }.encode()
         })
     }
 
@@ -208,7 +210,6 @@ pub enum Step {
 /// is *swappable* ([`ServiceCore::promote`] / [`ServiceCore::demote`]):
 /// self-healing failover changes what a node is without rebinding its
 /// socket or dropping its connections.
-#[derive(Clone)]
 enum Role {
     /// The full service surface (and the only role that accepts
     /// tenant traffic).
@@ -221,9 +222,9 @@ enum Role {
         repl: Option<Arc<Replicator>>,
     },
     /// A durability follower: answers [`Request::Replicate`],
-    /// heartbeats, votes, and resync installs (and its own
-    /// metrics/trace scrapes); every tenant request is refused with
-    /// [`ErrorCode::NotPrimary`] so failover probes move on.
+    /// heartbeats, votes, and resync installs; every tenant request is
+    /// refused with [`ErrorCode::NotPrimary`] so failover probes move
+    /// on.
     Replica(Arc<ReplicaNode>),
 }
 
@@ -266,14 +267,8 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// Wraps a shared service as a **primary**.
     pub fn new(service: Arc<BudgetService>) -> Self {
-        Self::new_replicated(service, None)
-    }
-
-    /// Wraps a shared service as a **primary** shipping to replicas:
-    /// the fan-out answers peer heartbeats with this node's term and
-    /// durable seq vector.
-    pub fn new_replicated(service: Arc<BudgetService>, repl: Option<Arc<Replicator>>) -> Self {
         let obs = Arc::clone(service.obs());
+        let repl = None;
         Self::from_role(Role::Primary { service, repl }, obs)
     }
 
@@ -348,13 +343,19 @@ impl ServiceCore {
 
     /// Swaps the role to primary — the decided end of a won election.
     /// In-flight requests finish under the old role; everything after
-    /// sees the new one.
-    pub fn promote(&self, service: Arc<BudgetService>, repl: Option<Arc<Replicator>>) {
+    /// sees the new one. The service shares this core's pinned
+    /// context, which answers the role-independent requests.
+    pub(crate) fn promote(&self, service: Arc<BudgetService>, repl: Option<Arc<Replicator>>) {
+        debug_assert!(
+            Arc::ptr_eq(service.obs(), &self.obs),
+            "one context per node"
+        );
         *self.role.write().expect("role lock poisoned") = Role::Primary { service, repl };
     }
 
     /// Swaps the role to replica — a deposed primary stepping down.
-    pub fn demote(&self, node: Arc<ReplicaNode>) {
+    pub(crate) fn demote(&self, node: Arc<ReplicaNode>) {
+        debug_assert!(Arc::ptr_eq(node.obs(), &self.obs), "one context per node");
         *self.role.write().expect("role lock poisoned") = Role::Replica(node);
     }
 
@@ -371,9 +372,9 @@ impl ServiceCore {
     /// # Errors
     ///
     /// [`NetError::Protocol`] when the payload does not decode — the
-    /// caller should send [`protocol_error_frame`] and drop the
-    /// connection, since frame boundaries can no longer be trusted to
-    /// carry meaning.
+    /// caller should send a final [`ErrorCode::Protocol`] error and drop
+    /// the connection, since frame boundaries can no longer be trusted
+    /// to carry meaning.
     pub fn handle(&self, payload: &[u8]) -> Result<Step, NetError> {
         let mut authed = true;
         self.handle_with(payload, &mut authed)
@@ -390,41 +391,54 @@ impl ServiceCore {
     pub fn handle_with(&self, payload: &[u8], authed: &mut bool) -> Result<Step, NetError> {
         let RequestFrame { id, body } = RequestFrame::decode(payload)?;
         if let Some(secret) = &self.secret {
-            match &body {
+            let refusal = match &body {
                 Request::Hello { token } => {
-                    let ok = token
+                    *authed = token
                         .as_deref()
                         .is_some_and(|t| constant_time_eq(t.as_bytes(), secret.as_bytes()));
-                    if !ok {
-                        self.auth_rejected.inc();
-                        *authed = false;
-                        return Ok(Step::Reply(clamp_reply(unauthorized_reply(
-                            id,
-                            "handshake token missing or wrong",
-                        ))));
-                    }
-                    *authed = true;
+                    (!*authed).then_some("handshake token missing or wrong")
                 }
-                _ if !*authed => {
-                    self.auth_rejected.inc();
-                    return Ok(Step::Reply(clamp_reply(unauthorized_reply(
-                        id,
-                        "request before a successful handshake on a secured node",
-                    ))));
+                _ => {
+                    (!*authed).then_some("request before a successful handshake on a secured node")
                 }
-                _ => {}
+            };
+            if let Some(message) = refusal {
+                self.auth_rejected.inc();
+                let reply = error_reply(id, ErrorCode::Unauthorized, message);
+                return Ok(Step::Reply(reply));
             }
         }
-        let step = match &*self.role.read().expect("role lock poisoned") {
-            Role::Primary { service, repl } => {
-                Self::handle_primary(service, repl.as_ref(), &self.cluster, id, body)
+        // Role-independent requests answer from the pinned context, so
+        // a replica's own instruments stay scrapeable — that is how an
+        // operator watches replication lag from outside.
+        let body = match body {
+            Request::Metrics => Response::Metrics {
+                samples: self.obs.registry.snapshot().samples,
+            },
+            Request::Trace { since } => {
+                let mut events = self.obs.recorder.dump_since(since);
+                events.truncate(MAX_DUMP_PER_REPLY);
+                Response::Trace { events }
             }
-            Role::Replica(node) => Self::handle_replica(node, &self.cluster, id, body),
+            Request::SpanDump { since } => {
+                let mut spans = self.obs.spans.dump_since(since);
+                spans.truncate(MAX_DUMP_PER_REPLY);
+                Response::SpanDump { spans }
+            }
+            body => match &*self.role.read().expect("role lock poisoned") {
+                Role::Primary { service, repl } => {
+                    return Ok(Self::handle_primary(
+                        service,
+                        repl.as_ref(),
+                        &self.cluster,
+                        id,
+                        body,
+                    ))
+                }
+                Role::Replica(node) => Self::handle_replica(node, &self.cluster, body),
+            },
         };
-        Ok(match step {
-            Step::Reply(payload) => Step::Reply(clamp_reply(payload)),
-            pending => pending,
-        })
+        Ok(Step::Reply(encode_reply(id, body)))
     }
 
     fn handle_primary(
@@ -434,23 +448,17 @@ impl ServiceCore {
         id: u64,
         body: Request,
     ) -> Step {
-        match body {
-            Request::Hello { .. } => Step::Reply(
-                ResponseFrame {
-                    id,
-                    body: Response::Hello {
-                        alphas: service.ledger().grid().orders().to_vec(),
-                    },
-                }
-                .encode(),
-            ),
+        let body = match body {
+            Request::Hello { .. } => Response::Hello {
+                alphas: service.ledger().grid().orders().to_vec(),
+            },
             Request::Submit {
                 tenant,
                 task,
                 trace,
             } => {
                 let slot = Self::submit_slot(service, tenant, task, trace);
-                Self::submission_step(id, false, vec![slot])
+                return Self::submission_step(id, false, vec![slot]);
             }
             Request::SubmitBatch {
                 tenant,
@@ -466,19 +474,16 @@ impl ServiceCore {
                     .zip(traces)
                     .map(|(t, ctx)| Self::submit_slot(service, tenant, t, ctx))
                     .collect();
-                Self::submission_step(id, true, slots)
+                return Self::submission_step(id, true, slots);
             }
             Request::RegisterBlock {
                 id: block_id,
                 arrival,
                 capacity,
-            } => {
-                let body = Self::register(service, block_id, arrival, capacity);
-                Step::Reply(ResponseFrame { id, body }.encode())
-            }
+            } => Self::register(service, block_id, arrival, capacity),
             Request::Stats => {
                 let summary = service.stats_summary();
-                let stats = WireStats {
+                Response::Stats(WireStats {
                     submitted: summary.submitted,
                     admitted: summary.admitted,
                     rejected: summary.rejected,
@@ -489,67 +494,22 @@ impl ServiceCore {
                     throughput: summary.throughput,
                     queue_depth: service.queue_depth() as u64,
                     pending: service.pending_count() as u64,
-                };
-                Step::Reply(
-                    ResponseFrame {
-                        id,
-                        body: Response::Stats(stats),
-                    }
-                    .encode(),
-                )
+                })
             }
-            Request::Snapshot { now } => {
-                let blocks = service
+            Request::Snapshot { now } => Response::Snapshot {
+                blocks: service
                     .ledger()
                     .snapshot_all(now)
                     .into_iter()
                     .map(|(id, curve)| (id, curve.values().to_vec()))
-                    .collect();
-                Step::Reply(
-                    ResponseFrame {
-                        id,
-                        body: Response::Snapshot { blocks },
-                    }
-                    .encode(),
-                )
-            }
-            Request::Metrics => Step::Reply(
-                ResponseFrame {
-                    id,
-                    body: Response::Metrics {
-                        samples: service.obs().registry.snapshot().samples,
-                    },
-                }
-                .encode(),
-            ),
-            Request::Trace { since } => {
-                let mut events = service.obs().recorder.dump_since(since);
-                events.truncate(MAX_TRACE_EVENTS_PER_REPLY);
-                Step::Reply(
-                    ResponseFrame {
-                        id,
-                        body: Response::Trace { events },
-                    }
-                    .encode(),
-                )
-            }
-            Request::SpanDump { since } => {
-                let mut spans = service.obs().spans.dump_since(since);
-                spans.truncate(MAX_SPANS_PER_REPLY);
-                Step::Reply(
-                    ResponseFrame {
-                        id,
-                        body: Response::SpanDump { spans },
-                    }
-                    .encode(),
-                )
-            }
+                    .collect(),
+            },
             Request::ClusterStatus => {
                 let pushed = cluster.read().expect("cluster view lock poisoned").clone();
                 let node_id = pushed
                     .as_ref()
                     .map_or_else(|| service.obs().spans.node(), |v| v.node_id);
-                let status = match repl {
+                Response::ClusterStatus(match repl {
                     // A shipping primary's live fields come straight
                     // from the replicator — terms, seq vector, and
                     // per-stream lag are authoritative there, not in
@@ -580,14 +540,7 @@ impl ServiceCore {
                         vector: Vec::new(),
                         peers: Vec::new(),
                     }),
-                };
-                Step::Reply(
-                    ResponseFrame {
-                        id,
-                        body: Response::ClusterStatus(status),
-                    }
-                    .encode(),
-                )
+                })
             }
             // A deposed primary shipping into the new primary learns
             // its term is over; any other inbound stream is a wiring
@@ -595,7 +548,7 @@ impl ServiceCore {
             // that the primary already owns.
             Request::Replicate { term, .. } => {
                 let my_term = repl.map_or(0, |r| r.term());
-                let body = if term < my_term {
+                if term < my_term {
                     Response::Error {
                         code: ErrorCode::StaleTerm,
                         message: format!(
@@ -607,8 +560,7 @@ impl ServiceCore {
                         code: ErrorCode::Protocol,
                         message: "replication stream sent to a primary".into(),
                     }
-                };
-                Step::Reply(ResponseFrame { id, body }.encode())
+                }
             }
             // The primary's heartbeat answer carries its term and ship
             // vector, so peers (and the redial fast path) can judge
@@ -618,52 +570,37 @@ impl ServiceCore {
                     Some(r) => (r.term(), r.lineage(), r.vector()),
                     None => (0, 0, Vec::new()),
                 };
-                Step::Reply(
-                    ResponseFrame {
-                        id,
-                        body: Response::Pong {
-                            term,
-                            is_primary: true,
-                            lineage,
-                            vector,
-                        },
-                    }
-                    .encode(),
-                )
+                Response::Pong {
+                    term,
+                    is_primary: true,
+                    lineage,
+                    vector,
+                }
             }
             // A live primary never votes: granting one would risk two
             // leaders in one term. The candidate hears the refusal
             // (with this primary's term) and backs off.
-            Request::Vote { .. } => Step::Reply(
-                ResponseFrame {
-                    id,
-                    body: Response::VoteReply {
-                        term: repl.map_or(0, |r| r.term()),
-                        granted: false,
-                    },
-                }
-                .encode(),
-            ),
-            Request::ResyncStream { .. } | Request::ResyncCommit { .. } => Step::Reply(
-                ResponseFrame {
-                    id,
-                    body: Response::Error {
-                        code: ErrorCode::NotPrimary,
-                        message: "resync install sent to a primary".into(),
-                    },
-                }
-                .encode(),
-            ),
-        }
+            Request::Vote { .. } => Response::VoteReply {
+                term: repl.map_or(0, |r| r.term()),
+                granted: false,
+            },
+            Request::ResyncStream { .. } | Request::ResyncCommit { .. } => Response::Error {
+                code: ErrorCode::NotPrimary,
+                message: "resync install sent to a primary".into(),
+            },
+            Request::Metrics | Request::Trace { .. } | Request::SpanDump { .. } => {
+                unreachable!("handle_with answers role-independent requests")
+            }
+        };
+        Step::Reply(encode_reply(id, body))
     }
 
     fn handle_replica(
         node: &Arc<ReplicaNode>,
         cluster: &RwLock<Option<WireClusterStatus>>,
-        id: u64,
         body: Request,
-    ) -> Step {
-        let body = match body {
+    ) -> Response {
+        match body {
             Request::Replicate {
                 term,
                 shard,
@@ -712,21 +649,6 @@ impl ServiceCore {
                 snapshot,
             } => node.install(term, shard, base_seq, &snapshot),
             Request::ResyncCommit { term, lineage } => node.commit_resync(term, lineage),
-            // A replica's own instruments stay scrapeable — that is
-            // how an operator watches replication lag from outside.
-            Request::Metrics => Response::Metrics {
-                samples: node.obs().registry.snapshot().samples,
-            },
-            Request::Trace { since } => {
-                let mut events = node.obs().recorder.dump_since(since);
-                events.truncate(MAX_TRACE_EVENTS_PER_REPLY);
-                Response::Trace { events }
-            }
-            Request::SpanDump { since } => {
-                let mut spans = node.obs().spans.dump_since(since);
-                spans.truncate(MAX_SPANS_PER_REPLY);
-                Response::SpanDump { spans }
-            }
             Request::ClusterStatus => {
                 let pushed = cluster.read().expect("cluster view lock poisoned").clone();
                 // A replica owns its term and durable vector; the
@@ -745,8 +667,7 @@ impl ServiceCore {
                 code: ErrorCode::NotPrimary,
                 message: "this node is a replica; submit to the primary".into(),
             },
-        };
-        Step::Reply(ResponseFrame { id, body }.encode())
+        }
     }
 
     /// Submits one wire task; an admission rejection *is* the final
@@ -815,55 +736,6 @@ impl ServiceCore {
     }
 }
 
-/// The unframed `Unauthorized` reply payload for request `id`.
-fn unauthorized_reply(id: u64, message: &str) -> Vec<u8> {
-    ResponseFrame {
-        id,
-        body: Response::Error {
-            code: ErrorCode::Unauthorized,
-            message: message.into(),
-        },
-    }
-    .encode()
-}
-
-/// The framed `Error` response a peer gets right before the server
-/// drops a connection that violated the protocol.
-pub fn protocol_error_frame(err: &NetError) -> Vec<u8> {
-    let mut out = Vec::new();
-    frame_into(
-        &mut out,
-        &ResponseFrame {
-            id: 0,
-            body: Response::Error {
-                code: ErrorCode::Protocol,
-                message: err.to_string(),
-            },
-        }
-        .encode(),
-    );
-    out
-}
-
-/// The framed parting shot for a connection that blew through the
-/// per-connection buffering caps (see [`MAX_CONN_BUFFER`] /
-/// [`MAX_CONN_PENDING`]).
-fn overload_error_frame(detail: String) -> Vec<u8> {
-    let mut out = Vec::new();
-    frame_into(
-        &mut out,
-        &ResponseFrame {
-            id: 0,
-            body: Response::Error {
-                code: ErrorCode::Overloaded,
-                message: detail,
-            },
-        }
-        .encode(),
-    );
-    out
-}
-
 /// The reactor's own instruments, registered on the embedded service's
 /// observability context — `None` (and cost-free) when that context is
 /// fully off.
@@ -900,10 +772,6 @@ impl ReactorTelemetry {
         self.violations.inc();
         self.recorder
             .record(EventKind::ProtocolViolation, conn_ordinal, 0);
-    }
-
-    fn overload(&self) {
-        self.overloaded.inc();
     }
 
     fn accept_reject(&self) {
@@ -958,7 +826,17 @@ impl Conn {
         frame_into(&mut self.wbuf, payload);
     }
 
-    /// Reads available bytes and processes complete frames. Returns
+    /// Queues the parting shot — a final `Error` frame — and marks the
+    /// connection to close once it is flushed. Returns `true`: the
+    /// connection lingers until then.
+    fn close_with(&mut self, code: ErrorCode, message: String) -> bool {
+        self.queue(&error_reply(0, code, message));
+        self.close_after_flush = true;
+        true
+    }
+
+    /// Reads available bytes and processes complete frames — or, once
+    /// the connection is closing, drains and discards them. Returns
     /// `false` when the connection is finished (EOF or fatal error),
     /// `true` with `progress` updated otherwise.
     fn pump_read(
@@ -967,40 +845,6 @@ impl Conn {
         telemetry: Option<&ReactorTelemetry>,
         progress: &mut bool,
     ) -> bool {
-        if self.close_after_flush {
-            // Lingering close: keep draining (and discarding) the
-            // peer's backlog so the final error frame is deliverable —
-            // closing with unread inbound bytes resets the connection
-            // and can destroy the parting shot in flight. Bounded, so
-            // a peer that never stops sending cannot hold the slot.
-            let mut chunk = [0u8; 8192];
-            let mut budget = READ_BUDGET;
-            loop {
-                if budget == 0 || self.eof {
-                    return true;
-                }
-                match self.stream.read(&mut chunk) {
-                    // Once the peer is done too, a flushed connection
-                    // closes cleanly; an unflushed one finishes after
-                    // its last flush (`pump_write` sees the eof).
-                    Ok(0) => {
-                        self.eof = true;
-                        return !self.fin_sent;
-                    }
-                    Ok(n) => {
-                        *progress = true;
-                        budget = budget.saturating_sub(n);
-                        self.drained += n;
-                        if self.drained > MAX_LINGER_DRAIN {
-                            return false; // Hostile flood: hard close.
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return false,
-                }
-            }
-        }
         if self.eof {
             return true; // Half-closed: just answer what is pending.
         }
@@ -1011,78 +855,83 @@ impl Conn {
         // run between budget slices. Unread bytes stay in the kernel
         // buffer (and eventually push back on the sender).
         let mut budget = READ_BUDGET;
-        loop {
-            if budget == 0 {
-                return true;
+        while budget > 0 {
+            let n = match self.stream.read(&mut chunk) {
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return e.kind() == ErrorKind::WouldBlock,
+            };
+            if n == 0 {
+                // A partial frame at EOF means the peer died
+                // mid-send — a dropped request, not a half-close,
+                // so it must leave a trace.
+                if !self.close_after_flush && self.decoder.buffered() > 0 {
+                    if let Some(t) = telemetry {
+                        t.violation(self.ordinal);
+                    }
+                }
+                // Half-close: a pipelining client may shut its write
+                // side down and still await the decisions. A closing
+                // connection whose peer is done too closes cleanly once
+                // flushed; an unflushed one finishes after its last
+                // flush (`pump_write` sees the eof).
+                self.eof = true;
+                return !self.fin_sent;
             }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // A partial frame at EOF means the peer died
-                    // mid-send — a dropped request, not a half-close,
-                    // so it must leave a trace.
-                    if self.decoder.buffered() > 0 {
+            *progress = true;
+            budget = budget.saturating_sub(n);
+            if self.close_after_flush {
+                // Lingering close: keep draining (and discarding) the
+                // peer's backlog so the final error frame is
+                // deliverable — closing with unread inbound bytes
+                // resets the connection and can destroy the parting
+                // shot in flight. Bounded, so a peer that never stops
+                // sending cannot hold the slot.
+                self.drained += n;
+                if self.drained > MAX_LINGER_DRAIN {
+                    return false; // Hostile flood: hard close.
+                }
+                continue;
+            }
+            self.decoder.extend(&chunk[..n]);
+            loop {
+                let step = match self.decoder.next_frame() {
+                    Ok(Some(payload)) => core.handle_with(&payload, &mut self.authed),
+                    Ok(None) => break,
+                    Err(e) => Err(e),
+                };
+                match step {
+                    Ok(Step::Reply(reply)) => self.queue(&reply),
+                    Ok(Step::Pending(p)) => self.pending.push(p),
+                    // A frame that does not decode, or a payload that
+                    // does not parse: a protocol violation.
+                    Err(e) => {
                         if let Some(t) = telemetry {
                             t.violation(self.ordinal);
                         }
-                    }
-                    // Half-close: a pipelining client may shut its
-                    // write side down and still await the decisions.
-                    self.eof = true;
-                    return true;
-                }
-                Ok(n) => {
-                    *progress = true;
-                    budget = budget.saturating_sub(n);
-                    self.decoder.extend(&chunk[..n]);
-                    loop {
-                        match self.decoder.next_frame() {
-                            Ok(Some(payload)) => match core.handle_with(&payload, &mut self.authed)
-                            {
-                                Ok(Step::Reply(reply)) => self.queue(&reply),
-                                Ok(Step::Pending(p)) => self.pending.push(p),
-                                Err(e) => {
-                                    if let Some(t) = telemetry {
-                                        t.violation(self.ordinal);
-                                    }
-                                    self.wbuf.extend_from_slice(&protocol_error_frame(&e));
-                                    self.close_after_flush = true;
-                                    return true;
-                                }
-                            },
-                            Ok(None) => break,
-                            Err(e) => {
-                                if let Some(t) = telemetry {
-                                    t.violation(self.ordinal);
-                                }
-                                self.wbuf.extend_from_slice(&protocol_error_frame(&e));
-                                self.close_after_flush = true;
-                                return true;
-                            }
-                        }
-                        // A reader that falls behind its own replies
-                        // (or floods submissions awaiting cycles) is
-                        // cut off at the caps — otherwise one slow
-                        // reader grows server memory without bound.
-                        let buffered = self.wbuf.len() - self.wpos;
-                        if buffered > MAX_CONN_BUFFER || self.pending.len() > MAX_CONN_PENDING {
-                            if let Some(t) = telemetry {
-                                t.overload();
-                            }
-                            self.wbuf.extend_from_slice(&overload_error_frame(format!(
-                                "connection exceeded buffering caps \
-                                 ({buffered} reply bytes unread, {} decisions pending)",
-                                self.pending.len()
-                            )));
-                            self.close_after_flush = true;
-                            return true;
-                        }
+                        return self.close_with(ErrorCode::Protocol, e.to_string());
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
+                // A reader that falls behind its own replies (or floods
+                // submissions awaiting cycles) is cut off at the caps —
+                // otherwise one slow reader grows server memory without
+                // bound.
+                let (buffered, pending) = (self.wbuf.len() - self.wpos, self.pending.len());
+                if buffered > MAX_CONN_BUFFER || pending > MAX_CONN_PENDING {
+                    if let Some(t) = telemetry {
+                        t.overloaded.inc();
+                    }
+                    return self.close_with(
+                        ErrorCode::Overloaded,
+                        format!(
+                            "connection exceeded buffering caps \
+                             ({buffered} reply bytes unread, {pending} decisions pending)"
+                        ),
+                    );
+                }
             }
         }
+        true
     }
 
     /// Polls pending decisions into the write buffer.
@@ -1340,6 +1189,55 @@ fn reactor(listener: TcpListener, core: ServiceCore, stop: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_accounting::AlphaGrid;
+    use dpack_obs::{Obs, SpanRing};
+    use dpack_service::wal::SimStorage;
+    use dpack_service::ServiceConfig;
+
+    /// The dumps' pagination contract on both roles: with more entries
+    /// retained than one reply carries, `since = 0` answers exactly the
+    /// oldest `cap` and the next page (`since = cap + 1`) the rest.
+    #[test]
+    fn trace_and_span_dumps_paginate_at_the_reply_cap_on_both_roles() {
+        let cap = MAX_DUMP_PER_REPLY as u64;
+        let mut obs = (*Obs::manual(1).0).clone();
+        obs.recorder = FlightRecorder::new(MAX_DUMP_PER_REPLY + 3);
+        obs.spans = SpanRing::new(MAX_DUMP_PER_REPLY + 3);
+        let obs = Arc::new(obs);
+        let grid = AlphaGrid::new(vec![2.0]).expect("valid grid");
+        let service = BudgetService::with_obs(grid, ServiceConfig::default(), Arc::clone(&obs));
+        let node = ReplicaNode::open(&SimStorage::new(), 1, 1 << 16, Arc::clone(&obs));
+        let cores = [
+            ServiceCore::new(Arc::new(service)),
+            ServiceCore::replica(Arc::new(node.expect("fresh replica"))),
+        ];
+        assert_eq!(obs.recorder.recorded() + obs.spans.recorded(), 0);
+        for i in 0..cap + 3 {
+            obs.recorder.record(EventKind::TaskAdmitted, i, 0);
+            obs.spans.record(1, i + 1, 0, SpanKind::Cycle, i, i + 1, 0);
+        }
+        let pages = [
+            (0, (1..=cap).collect()),
+            (cap + 1, vec![cap + 1, cap + 2, cap + 3]),
+        ];
+        for core in &cores {
+            let ask = |body| match core.handle(&RequestFrame { id: 9, body }.encode()) {
+                Ok(Step::Reply(reply)) => ResponseFrame::decode(&reply).expect("a response").body,
+                _ => panic!("a dump answers at once"),
+            };
+            for (since, want) in &pages {
+                let since = *since;
+                let Response::Trace { events } = ask(Request::Trace { since }) else {
+                    panic!("a trace reply");
+                };
+                assert_eq!(&events.iter().map(|e| e.seq).collect::<Vec<u64>>(), want);
+                let Response::SpanDump { spans } = ask(Request::SpanDump { since }) else {
+                    panic!("a span dump reply");
+                };
+                assert_eq!(&spans.iter().map(|s| s.seq).collect::<Vec<u64>>(), want);
+            }
+        }
+    }
 
     #[test]
     fn oversized_replies_degrade_to_an_error_frame_not_a_panic() {

@@ -17,14 +17,14 @@
 //!   timings exactly.
 //! * [`FlightRecorder`] — a fixed-capacity ring of structured
 //!   [`Event`]s with sequence numbers, dumpable for post-mortems and
-//!   assertable in crash-recovery tests.
+//!   assertable in crash-recovery tests. It and the [`SpanRing`] are
+//!   typed views over one lock-free seqlock ring (`ring.rs`).
 //! * [`expo`] — Prometheus-style text exposition over a
 //!   [`MetricsSnapshot`]; the same snapshot travels the dpack-net wire
 //!   as the `Metrics` response.
 //! * [`trace`] — distributed causal tracing: seeded trace/span ids, a
-//!   lock-free [`SpanRing`] sibling of the recorder, and the
-//!   [`SpanTree`] assembler that merges per-node dumps into one causal
-//!   tree per traced grant.
+//!   [`SpanRing`], and the [`SpanTree`] assembler that merges per-node
+//!   dumps into one causal tree per traced grant.
 //!
 //! [`Obs`] bundles the seams into the single handle the service,
 //! WAL, and reactor layers thread through their constructors.
@@ -34,6 +34,7 @@ pub mod expo;
 pub mod hist;
 pub mod recorder;
 pub mod registry;
+mod ring;
 pub mod trace;
 
 use std::sync::Arc;

@@ -12,17 +12,18 @@
 //! always reveals whether it is complete: a gap before the first
 //! retained seq means truncation).
 //!
-//! Recording is **lock-free**: one `fetch_add` claims a sequence
-//! number (and with it a slot), and a per-slot seqlock publishes the
-//! payload. Writers on the grant path never contend on a mutex; a
-//! concurrent [`FlightRecorder::dump`] simply skips slots caught
-//! mid-overwrite. Dumps taken at quiescence — how every test and
-//! post-mortem uses them — are exact and deterministic.
+//! Recording is **lock-free**: the recorder is a typed view over the
+//! crate's one seqlock ring (`ring.rs`, shared with the span ring),
+//! three words per event (`kind`, `a`, `b`) plus the eviction counter.
+//! Writers on the grant path never contend on a mutex; a concurrent
+//! [`FlightRecorder::dump`] simply skips slots caught mid-overwrite.
+//! Dumps taken at quiescence — how every test and post-mortem uses
+//! them — are exact and deterministic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::registry::Counter;
+use crate::ring::Ring;
 
 /// What happened. The payload words `a`/`b` are per-kind:
 ///
@@ -115,55 +116,10 @@ pub struct Event {
     pub b: u64,
 }
 
-/// One seqlock-published ring slot. `seq == 0` means empty or
-/// mid-write; writers clear `seq`, store the payload, then publish the
-/// new `seq` with `Release` so a reader that sees the same nonzero
-/// `seq` on both sides of its payload reads saw a consistent event.
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    kind: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
-
-    /// A consistent snapshot of the slot, or `None` if it is empty or
-    /// a writer raced the read.
-    fn read(&self) -> Option<Event> {
-        let before = self.seq.load(Ordering::Acquire);
-        if before == 0 {
-            return None;
-        }
-        let kind = self.kind.load(Ordering::Relaxed);
-        let a = self.a.load(Ordering::Relaxed);
-        let b = self.b.load(Ordering::Relaxed);
-        if self.seq.load(Ordering::Acquire) != before {
-            return None;
-        }
-        let kind = EventKind::from_u8(u8::try_from(kind).ok()?)?;
-        Some(Event {
-            seq: before,
-            kind,
-            a,
-            b,
-        })
-    }
-}
-
 #[derive(Debug)]
 struct RecorderInner {
-    next_seq: AtomicU64,
-    slots: Box<[Slot]>,
+    /// Entries are `[kind, a, b]`.
+    ring: Ring<3>,
     /// Counts ring evictions (a dump with a seq gap before its first
     /// retained event is a truncated dump — this makes the silent gap
     /// a scrapable `dpack_recorder_dropped_total` signal). Inert
@@ -182,8 +138,7 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: Arc::new(RecorderInner {
-                next_seq: AtomicU64::new(0),
-                slots: (0..capacity).map(|_| Slot::empty()).collect(),
+                ring: Ring::new(capacity),
                 dropped: Counter::disabled(),
             }),
         }
@@ -218,27 +173,15 @@ impl FlightRecorder {
 
     /// The retention capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.inner.ring.capacity()
     }
 
-    /// Appends one event, evicting the oldest at capacity. Lock-free:
-    /// one `fetch_add` claims the slot, a seqlock publishes it.
+    /// Appends one event, evicting the oldest at capacity. Lock-free
+    /// (see [`crate::ring`]).
     pub fn record(&self, kind: EventKind, a: u64, b: u64) {
-        let slots = &self.inner.slots;
-        if slots.is_empty() {
-            return;
-        }
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if seq > slots.len() as u64 {
-            // This claim overwrites the oldest retained event.
+        if self.inner.ring.push([u64::from(kind as u8), a, b]) {
             self.inner.dropped.inc();
         }
-        let slot = &slots[(seq - 1) as usize % slots.len()];
-        slot.seq.store(0, Ordering::Release); // Invalidate for readers.
-        slot.kind.store(u64::from(kind as u8), Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
     }
 
     /// The retained events in sequence order. Concurrent with writers,
@@ -251,20 +194,20 @@ impl FlightRecorder {
     /// The retained events with `seq >= since`, in sequence order —
     /// the incremental form a remote trace scrape uses.
     pub fn dump_since(&self, since: u64) -> Vec<Event> {
-        let mut events: Vec<Event> = self
-            .inner
-            .slots
-            .iter()
-            .filter_map(Slot::read)
-            .filter(|e| e.seq >= since)
-            .collect();
-        events.sort_by_key(|e| e.seq);
-        events
+        self.inner
+            .ring
+            .dump_since(since)
+            .into_iter()
+            .filter_map(|(seq, [kind, a, b])| {
+                let kind = EventKind::from_u8(u8::try_from(kind).ok()?)?;
+                Some(Event { seq, kind, a, b })
+            })
+            .collect()
     }
 
     /// Total events ever recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.inner.next_seq.load(Ordering::Relaxed)
+        self.inner.ring.recorded()
     }
 }
 

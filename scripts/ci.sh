@@ -181,6 +181,19 @@ if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":
   exit 1
 fi
 
+echo "==> checking there is one seqlock ring"
+# crates/obs/src/ring.rs is the one lock-free seqlock ring (one
+# fetch_add claims a slot; fences order the payload around the slot's
+# sequence word). The flight recorder and the span ring are typed views
+# over it, so no other program file declares a slot's `seq: AtomicU64`.
+# Tests below `#[cfg(test)]` may name anything.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs' -not -path crates/obs/src/ring.rs) \
+  | grep -vE '^[^ ]+ *//' | grep -E '\bseq: AtomicU64'; then
+  echo "ERROR: only crates/obs/src/ring.rs may hold a seqlock slot; record through its typed views (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking the block store interns in one place"
 # A block entry keeps its capacity as an interned CurveId, resolved once
 # per distinct id into its store's own table by the one entry
