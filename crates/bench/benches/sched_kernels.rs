@@ -4,16 +4,20 @@
 //! alphas, efficiencies, order and pack, which sum to `schedule` — on the two
 //! instance shapes of the repo's benchmark (`offline_micro`, and one
 //! cycle's pending set of `online_alibaba`), so the stage split can be
-//! read without the traced benchmark run; and, on the second shape, what
-//! it costs to bring the state from one cycle to the next — rebuilt
-//! from the pending tasks, or kept and edited. Runs on the vendored
-//! `dpack_bench::micro` harness (`--smoke` for the CI rot guard).
+//! read without the traced benchmark run; on the second shape, what it
+//! costs to bring the state from one cycle to the next — rebuilt from
+//! the pending tasks, or kept and edited; and what the service's ledger
+//! costs per block to write one cycle's capacity rows. Runs on the
+//! vendored `dpack_bench::micro` harness (`--smoke` for the CI rot
+//! guard).
 
+use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_bench::micro::{Micro, MicroConfig};
-use dpack_core::problem::{pack, Block, PackingRule, ProblemState, Task};
+use dpack_core::problem::{pack, Block, BlockId, PackingRule, ProblemState, Task};
 use dpack_core::schedulers::{
     sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, ParallelDPack, Scheduler,
 };
+use dpack_service::ShardedLedger;
 use workloads::alibaba::{self, AlibabaDpConfig};
 use workloads::curves::CurveLibrary;
 use workloads::microbenchmark::{generate, MicrobenchmarkConfig};
@@ -57,7 +61,8 @@ fn alibaba_shaped(smoke: bool) -> (ProblemState, Vec<Task>) {
 /// One in ten tasks leaves and as many arrive, step after step: the
 /// next cycle's state rebuilt from the pending tasks (cloned, as a
 /// cycle that keeps them elsewhere must) against the same state kept
-/// and edited in place. Both read a fresh copy of the capacities and
+/// and edited in place. The rebuild reads a fresh copy of the capacity
+/// map, the kept state has the same values written into its rows; both
 /// clone their arrivals.
 fn carry_over(m: &mut Micro, shape: &str, state: &ProblemState, arrivals: &[Task]) {
     let churn = state.tasks().len() / 10;
@@ -77,9 +82,16 @@ fn carry_over(m: &mut Micro, shape: &str, state: &ProblemState, arrivals: &[Task
         ProblemState::from_available(grid, available, pending.clone()).expect("same blocks")
     });
 
+    let ids: Vec<BlockId> = state.blocks().keys().copied().collect();
+    let values: Vec<f64> = state
+        .blocks()
+        .values()
+        .flat_map(|c| c.values())
+        .copied()
+        .collect();
     let (mut kept, mut step) = (state.clone(), 0);
     m.bench(
-        &format!("{shape}/carry-over/retain+push+set_available"),
+        &format!("{shape}/carry-over/retain+push+set_capacity"),
         || {
             let keep: Vec<bool> = keeps(step, kept.tasks().len()).collect();
             kept.retain_tasks(&keep);
@@ -87,11 +99,52 @@ fn carry_over(m: &mut Micro, shape: &str, state: &ProblemState, arrivals: &[Task
                 kept.push_task(task).expect("same blocks");
             }
             step += 1;
-            kept.set_available(state.blocks().clone())
-                .expect("same blocks");
+            let fill = |_: &[BlockId], rows: &mut [f64]| {
+                rows.copy_from_slice(&values);
+                Ok(())
+            };
+            kept.set_capacity(ids.clone(), fill).expect("same blocks");
             kept.tasks().len()
         },
     );
+}
+
+/// One cycle's capacity rows written by the service's ledger: about
+/// 300 requested blocks, ascending, of 50 000 on 4 shards, every third
+/// one charged once. Returns the nanoseconds per block.
+fn ledger_fill(m: &mut Micro, smoke: bool) -> f64 {
+    let (n_blocks, n_requested) = if smoke { (1_000, 30) } else { (50_000, 300) };
+    let grid = AlphaGrid::standard();
+    let ledger = ShardedLedger::new(grid.clone(), 4, 1.0, 4);
+    for j in 0..n_blocks {
+        let block = Block::new(j, RdpCurve::constant(&grid, 10.0), j as f64 * 1e-3);
+        ledger.register_block(block).expect("fresh id");
+        let charge = Task::new(j, 1.0, vec![j], RdpCurve::constant(&grid, 0.1), 0.0);
+        if j % 3 == 0 {
+            ledger.commit_task(&charge);
+        }
+    }
+    let mut draw = 0x9e37_79b9_7f4a_7c15u64;
+    let mut ids: Vec<BlockId> = (0..n_requested)
+        .map(|_| {
+            draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (draw >> 33) % n_blocks
+        })
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let mut rows = vec![0.0; ids.len() * grid.len()];
+    m.bench(
+        &format!("ledger/fill_available/{} of {n_blocks}", ids.len()),
+        || {
+            ledger
+                .fill_available(2.5, &ids, &mut rows)
+                .expect("registered");
+            rows[0]
+        },
+    );
+    let report = m.reports().last().expect("just measured");
+    report.mean.as_nanos() as f64 / ids.len() as f64
 }
 
 /// One row per stage of `DPack::schedule` on `state`.
@@ -145,5 +198,7 @@ fn main() {
     let (alibaba, arrivals) = alibaba_shaped(smoke);
     stages(&mut m, "alibaba 3000x45", &alibaba);
     carry_over(&mut m, "alibaba 3000x45", &alibaba, &arrivals);
+    let per_block = ledger_fill(&mut m, smoke);
     m.finish();
+    println!("ledger/fill_available: {per_block:.1} ns per block");
 }

@@ -2,24 +2,22 @@
 //! kernels run on.
 //!
 //! Kept in step with the state, row by row: block ids become `u32`
-//! indices (their rank in the capacity map), every task's block list
-//! becomes a CSR row, and demands and capacities become flat row-major
-//! `f64` matrices, the demands also order-major (one column per
-//! order) for the best-alpha sweep, which reads one order of every task
-//! at a time. The kernels — `DPack`'s best-alpha sweep and Eq. 6
-//! metric, DPF's dominant shares, the `CANRUN` packing loop — then
-//! touch no map and allocate nothing per task.
+//! indices (their rank among the ids of the last capacity set), every
+//! task's block list becomes a CSR row, and demands and capacities
+//! become flat row-major `f64` matrices, the demands also order-major
+//! (one column per order) for the best-alpha sweep, which reads one
+//! order of every task at a time. The kernels — `DPack`'s best-alpha
+//! sweep and Eq. 6 metric, DPF's dominant shares, the `CANRUN` packing
+//! loop — then touch no map and allocate nothing per task.
 //!
 //! The view changes in three ways only: [`Dense::push_task`] appends
 //! one validated row, [`Dense::retain_tasks`] compacts rows out in
-//! place, and [`Dense::set_available`] overwrites the capacities. Task
-//! order is never permuted, so a view that lived through any sequence
-//! of the three equals, bit for bit, one built from scratch over the
-//! same tasks.
+//! place, and [`Dense::set_capacity`] renumbers the blocks and has its
+//! caller write the capacity rows. Task order is never permuted, so a
+//! view that lived through any sequence of the three equals, bit for
+//! bit, one built from scratch over the same tasks.
 
-use std::collections::BTreeMap;
-
-use dp_accounting::{fit_limit, AlphaGrid, RdpCurve};
+use dp_accounting::{fit_limit, AlphaGrid};
 
 use crate::problem::{BlockId, PackingRule, ProblemError, Task};
 
@@ -78,41 +76,42 @@ impl Dense {
         self.weight.reserve(tasks);
     }
 
-    /// Overwrites the capacity matrix with `blocks`. The task rows stay
-    /// as they are when the block ids are unchanged or only extended
-    /// at the end; otherwise their block indices are renumbered.
+    /// Sets the blocks to `ids`, ascending, with the capacity rows `fill`
+    /// writes (one zeroed row of `n_orders` values per id). The task rows
+    /// keep their block indices when the ids extend the old ones.
     ///
     /// # Errors
     ///
-    /// Rejects curves off `grid`, more blocks than `u32` indices, and a
-    /// block set without a block some task requests. The view is
-    /// unchanged on error.
-    pub(crate) fn set_available(
+    /// Rejects ids out of order, more blocks than `u32` indices, an id
+    /// set without a block some task requests, and whatever `fill`
+    /// refuses. The view is unchanged on error.
+    pub(crate) fn set_capacity(
         &mut self,
-        grid: &AlphaGrid,
-        blocks: &BTreeMap<BlockId, RdpCurve>,
+        ids: Vec<BlockId>,
+        fill: impl FnOnce(&[BlockId], &mut [f64]) -> Result<(), ProblemError>,
     ) -> Result<(), ProblemError> {
-        if let Some((id, _)) = blocks.iter().find(|(_, c)| c.grid() != grid) {
-            return Err(ProblemError(format!("block {id} is on a different grid")));
+        if ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(ProblemError("block ids must be strictly ascending".into()));
         }
-        u32::try_from(blocks.len()).map_err(|_| too_large())?;
-        let ids: Vec<BlockId> = blocks.keys().copied().collect();
-        if ids.starts_with(&self.block_ids) {
-            self.requesters.resize(ids.len(), 0);
-        } else {
-            // Old index → new index; an old block nobody requests may go.
-            let mut moved = Vec::with_capacity(self.block_ids.len());
+        u32::try_from(ids.len()).map_err(|_| too_large())?;
+        // Old index → new index, unless the old ids are a prefix. A block
+        // nobody requests may go; no row points at it, so it is not sought.
+        let mut moved = None;
+        if !ids.starts_with(&self.block_ids) {
+            let moved = moved.insert(Vec::with_capacity(self.block_ids.len()));
             for (id, &n) in self.block_ids.iter().zip(&self.requesters) {
-                match ids.binary_search(id) {
-                    Ok(j) => moved.push(j as u32),
-                    Err(_) if n == 0 => moved.push(u32::MAX),
-                    Err(_) => {
-                        return Err(ProblemError(format!(
-                            "block {id} is gone but {n} pending tasks request it"
-                        )))
-                    }
-                }
+                let gone = || ProblemError(format!("block {id} is gone but {n} tasks request it"));
+                let j = if n == 0 {
+                    u32::MAX as usize
+                } else {
+                    ids.binary_search(id).map_err(|_| gone())?
+                };
+                moved.push(j as u32);
             }
+        }
+        let mut capacity = vec![0.0; ids.len() * self.n_orders];
+        fill(&ids, &mut capacity)?;
+        if let Some(moved) = moved {
             let mut requesters = vec![0u32; ids.len()];
             for (&j, &n) in moved.iter().zip(&self.requesters) {
                 if n > 0 {
@@ -123,13 +122,11 @@ impl Dense {
                 *j = moved[*j as usize];
             }
             self.requesters = requesters;
+        } else {
+            self.requesters.resize(ids.len(), 0);
         }
-        self.capacity.clear();
-        self.capacity.reserve(ids.len() * self.n_orders);
+        self.capacity = capacity;
         self.block_ids = ids;
-        for c in blocks.values() {
-            self.capacity.extend_from_slice(c.values());
-        }
         Ok(())
     }
 
@@ -245,6 +242,11 @@ impl Dense {
 
     pub(crate) fn n_orders(&self) -> usize {
         self.n_orders
+    }
+
+    /// Every block's id, ascending; a block's index is its position.
+    pub(crate) fn block_ids(&self) -> &[BlockId] {
+        &self.block_ids
     }
 
     /// The ids of the blocks at least one task requests, ascending.
@@ -465,6 +467,7 @@ pub(crate) fn fan_out<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) ->
 mod tests {
     use super::*;
     use crate::problem::{Block, ProblemState};
+    use dp_accounting::RdpCurve;
     use knapsack::{greedy::unit_profit_exact, Item};
 
     #[test]

@@ -103,23 +103,30 @@ pub fn unlocked_fraction(arrival: f64, now: f64, unlock_period: f64, unlock_step
 }
 
 /// The §3.4 available capacity of a block, from its parts wherever they
-/// are kept: `frac · ε_jα − consumed_jα`, with `frac` from
-/// [`unlocked_fraction`]. Orders whose total capacity is non-positive
-/// stay non-positive (they are unusable regardless of unlocking).
-/// `consumed: None` is a block that has consumed nothing (`+0.0` at
-/// every order), which subtracts to the same bits.
+/// are kept, written into `out`, one value per order: `frac · ε_jα −
+/// consumed_jα`, with `frac` from [`unlocked_fraction`]. Orders whose
+/// total capacity is non-positive stay non-positive (they are unusable
+/// regardless of unlocking). `consumed: None` is a block that has
+/// consumed nothing (`+0.0` at every order), which subtracts to the
+/// same bits.
+pub fn write_available(total: &[f64], consumed: Option<&[f64]>, frac: f64, out: &mut [f64]) {
+    for (a, (out, &total)) in out.iter_mut().zip(total).enumerate() {
+        let unlocked = if total > 0.0 { frac * total } else { total };
+        *out = unlocked - consumed.map_or(0.0, |c| c[a]);
+    }
+}
+
+/// [`write_available`] as a curve on `grid`.
 pub fn available_from_parts(
     grid: &AlphaGrid,
     total: &[f64],
     consumed: Option<&[f64]>,
     frac: f64,
 ) -> RdpCurve {
-    let mut orders = total.iter().enumerate();
-    RdpCurve::from_fn(grid, |_| {
-        let (a, &total) = orders.next().expect("one capacity value per grid order");
-        let unlocked = if total > 0.0 { frac * total } else { total };
-        unlocked - consumed.map_or(0.0, |c| c[a])
-    })
+    let mut values = vec![0.0; total.len()];
+    write_available(total, consumed, frac, &mut values);
+    let mut values = values.into_iter();
+    RdpCurve::from_fn(grid, |_| values.next().expect("one value per order"))
 }
 
 /// A single block's budget ledger entry: total capacity, privacy

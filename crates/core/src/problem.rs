@@ -1,6 +1,8 @@
 //! Problem types shared by all schedulers.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use dp_accounting::{AlphaGrid, RdpCurve};
@@ -110,24 +112,31 @@ impl Block {
 /// rounds, as the budget service's pending set does: arrivals are
 /// appended with [`ProblemState::push_task`], granted and evicted tasks
 /// compacted out with [`ProblemState::retain_tasks`], and each round's
-/// capacities written over the last with
-/// [`ProblemState::set_available`]. Tasks are never reordered, so a
+/// capacities written straight into the scheduler's rows with
+/// [`ProblemState::set_capacity`]. Tasks are never reordered, so a
 /// long-lived state is indistinguishable — to every scheduler, bit for
 /// bit — from one built from scratch over the same tasks.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ProblemState {
     grid: AlphaGrid,
-    /// Available capacity per block, as last set.
-    blocks: BTreeMap<BlockId, RdpCurve>,
     /// Pending tasks, in push order, which need not be `arrival` order.
     tasks: Vec<Task>,
     /// The index-typed view the scheduler kernels run on, one row per
-    /// task; every mutation of `tasks` and `blocks` goes through it
-    /// first, so the two never disagree.
+    /// task and per block; every mutation goes through it first.
     dense: Dense,
     /// Task indices sorted by `(id, index)`, for [`ProblemState::task`];
     /// kept sorted by insertion and compaction, never re-sorted.
     by_id: Vec<u32>,
+    /// [`ProblemState::blocks`], a copy of the capacity rows.
+    blocks: OnceLock<BTreeMap<BlockId, RdpCurve>>,
+}
+
+/// All but `blocks`, so a state prints the same whether it was built or not.
+impl fmt::Debug for ProblemState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields = (&self.grid, &self.tasks, &self.dense, &self.by_id);
+        write!(f, "ProblemState {fields:?}")
+    }
 }
 
 impl ProblemState {
@@ -154,9 +163,8 @@ impl ProblemState {
     }
 
     /// Builds a state directly from available-capacity curves (used by
-    /// the online engine and the budget service, which compute unlocked
-    /// capacities themselves): the empty state, its capacities set,
-    /// each task pushed.
+    /// the online engine, which computes unlocked capacities itself):
+    /// the empty state, its capacities set, each task pushed.
     ///
     /// # Errors
     ///
@@ -166,8 +174,15 @@ impl ProblemState {
         available: BTreeMap<BlockId, RdpCurve>,
         tasks: Vec<Task>,
     ) -> Result<Self, ProblemError> {
+        if let Some((id, _)) = available.iter().find(|(_, c)| c.grid() != &grid) {
+            return Err(ProblemError(format!("block {id} is on a different grid")));
+        }
         let mut dense = Dense::empty(grid.len());
-        dense.set_available(&grid, &available)?;
+        dense.set_capacity(available.keys().copied().collect(), |_, rows| {
+            let values = available.values().flat_map(|c| c.values());
+            rows.iter_mut().zip(values).for_each(|(row, v)| *row = *v);
+            Ok(())
+        })?;
         dense.reserve(tasks.len());
         for t in &tasks {
             dense.push_task(&grid, t)?;
@@ -177,10 +192,10 @@ impl ProblemState {
         by_id.sort_unstable_by_key(|&i| (tasks[i as usize].id, i));
         Ok(Self {
             grid,
-            blocks: available,
             tasks,
             dense,
             by_id,
+            blocks: OnceLock::new(),
         })
     }
 
@@ -234,21 +249,23 @@ impl ProblemState {
             .retain(|_| *flags.next().expect("one flag per task"));
     }
 
-    /// Replaces every block's available capacity. Pending tasks keep
-    /// their rows when the block ids are the old ones, or the old ones
-    /// with new ids behind them; any other change of the id set
-    /// renumbers the rows' block indices (unrequested blocks may go).
+    /// Replaces the blocks with `ids`, ascending, whose available
+    /// capacities `fill` writes into the scheduler's rows: one zeroed
+    /// row of `grid().len()` values per id, in order. Pending tasks keep
+    /// their rows when the ids are the old ones, or those with new ids
+    /// behind them; otherwise the rows' block indices are renumbered.
     ///
     /// # Errors
     ///
-    /// Rejects curves on a different grid and a block set that lacks a
-    /// block some pending task requests; the state is unchanged then.
-    pub fn set_available(
+    /// Rejects ids out of order, an id set that lacks a block some task
+    /// requests, and whatever `fill` refuses; the state is unchanged.
+    pub fn set_capacity(
         &mut self,
-        available: BTreeMap<BlockId, RdpCurve>,
+        ids: Vec<BlockId>,
+        fill: impl FnOnce(&[BlockId], &mut [f64]) -> Result<(), ProblemError>,
     ) -> Result<(), ProblemError> {
-        self.dense.set_available(&self.grid, &available)?;
-        self.blocks = available;
+        self.dense.set_capacity(ids, fill)?;
+        self.blocks.take();
         Ok(())
     }
 
@@ -257,9 +274,18 @@ impl ProblemState {
         &self.grid
     }
 
-    /// Available capacity per block, keyed by block id.
+    /// Available capacity per block, keyed by block id: a copy of the
+    /// capacity rows, built on the first call after each capacity set.
     pub fn blocks(&self) -> &BTreeMap<BlockId, RdpCurve> {
-        &self.blocks
+        self.blocks.get_or_init(|| {
+            let curve = |row: &[f64]| {
+                let mut values = row.iter();
+                RdpCurve::from_fn(&self.grid, |_| *values.next().expect("one per order"))
+            };
+            let ids = self.dense.block_ids().iter().enumerate();
+            ids.map(|(j, id)| (*id, curve(self.dense.capacity(j))))
+                .collect()
+        })
     }
 
     /// The ids of the blocks some pending task requests, ascending —
@@ -451,10 +477,13 @@ mod tests {
         assert_eq!(requested(&state), vec![0, 1, 4, 5]);
         state.retain_tasks(&[false, true, true]);
         assert_eq!(requested(&state), vec![0, 1, 5]);
-        // A capacity map of exactly the requested blocks keeps them.
-        let view = state.blocks().clone().into_iter();
-        let view = view.filter(|(id, _)| [0, 1, 5].contains(id)).collect();
-        state.set_available(view).unwrap();
+        // Capacities of exactly the requested blocks keep them.
+        state
+            .set_capacity(vec![0, 1, 5], |_, rows| {
+                rows.fill(1.0);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(requested(&state), vec![0, 1, 5]);
         state.retain_tasks(&[true, false]);
         assert_eq!(requested(&state), vec![1]);

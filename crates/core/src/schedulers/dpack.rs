@@ -119,7 +119,8 @@ impl DPack {
         threads: usize,
     ) -> BTreeMap<BlockId, Option<usize>> {
         let best = self.dense_best_alphas(state.dense(), threads);
-        state.blocks().keys().copied().zip(best).collect()
+        let ids = state.dense().block_ids().iter().copied();
+        ids.zip(best).collect()
     }
 
     /// Best alpha per block index. One pass per order fills in every
@@ -197,11 +198,8 @@ impl DPack {
         state: &ProblemState,
         best_alphas: &BTreeMap<BlockId, Option<usize>>,
     ) -> Vec<f64> {
-        let best: Vec<Option<usize>> = state
-            .blocks()
-            .keys()
-            .map(|b| best_alphas.get(b).copied().flatten())
-            .collect();
+        let ids = state.dense().block_ids().iter();
+        let best: Vec<Option<usize>> = ids.map(|b| best_alphas.get(b).copied().flatten()).collect();
         dense_efficiencies(state.dense(), &best)
     }
 

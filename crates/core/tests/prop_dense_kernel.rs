@@ -26,7 +26,9 @@ use dpack_check::{
     bools, check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, weighted, PropResult,
     Strategy,
 };
-use dpack_core::problem::{pack, Block, BlockId, PackingRule, ProblemState, Task, TaskId};
+use dpack_core::problem::{
+    pack, Block, BlockId, PackingRule, ProblemError, ProblemState, Task, TaskId,
+};
 use dpack_core::schedulers::{
     sort_by_efficiency, DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Scheduler,
 };
@@ -384,11 +386,13 @@ fn all_schedules(state: &ProblemState) -> Vec<(Vec<TaskId>, u64)> {
 /// `state` is what `from_available` builds over `tasks` and `caps`:
 /// the same fields — the dense view included; `Debug` prints an `f64`
 /// so that it reads back to the same bits, sign of zero and all, and no
-/// NaN gets in — and the same schedules.
+/// NaN gets in — the same block map, built from its rows, and the same
+/// schedules.
 fn same_as_rebuilt(state: &ProblemState, caps: &Caps, tasks: &[Task]) -> PropResult {
     let rebuilt =
         ProblemState::from_available(state.grid().clone(), caps.clone(), tasks.to_vec()).unwrap();
     prop_assert_eq!(format!("{state:?}"), format!("{rebuilt:?}"));
+    prop_assert_eq!(format!("{:?}", state.blocks()), format!("{caps:?}"));
     for t in tasks {
         prop_assert_eq!(state.index_of(t.id), rebuilt.index_of(t.id));
     }
@@ -419,10 +423,24 @@ fn unacceptable(grid: &AlphaGrid, known: BlockId, kind: u8) -> Task {
     task
 }
 
+/// Sets `state`'s capacities to `caps` through its capacity rows, as
+/// the service's ledger fills them.
+fn set_caps(state: &mut ProblemState, caps: &Caps) -> Result<(), ProblemError> {
+    let orders = state.grid().len();
+    state.set_capacity(caps.keys().copied().collect(), |_, rows| {
+        for (curve, row) in caps.values().zip(rows.chunks_exact_mut(orders)) {
+            row.copy_from_slice(curve.values());
+        }
+        Ok(())
+    })
+}
+
 /// A state driven through a drawn sequence of `push_task`,
-/// `retain_tasks` and `set_available` equals, after every step, the
+/// `retain_tasks` and `set_capacity` equals, after every step, the
 /// state built from scratch over the tasks and capacities it should
-/// hold by then; and a step the state refuses changes nothing.
+/// hold by then; and a step the state refuses changes nothing, its
+/// block map included — a capacity fill that fails after writing every
+/// row too.
 #[test]
 fn a_long_lived_state_equals_a_rebuilt_one() {
     let steps = vecs((ints(0u8..8), ints(0u8..64)), 0..28);
@@ -489,12 +507,26 @@ fn a_long_lived_state_equals_a_rebuilt_one() {
                             next.insert(toggled, universe[&toggled].clone());
                         }
                         let requested = tasks.iter().any(|t| t.blocks.contains(&toggled));
-                        if caps.contains_key(&toggled) && requested {
-                            prop_assert!(state.set_available(next).is_err());
-                            prop_assert_eq!(format!("{state:?}"), before);
+                        let view = format!("{:?}", state.blocks());
+                        let refused = if caps.contains_key(&toggled) && requested {
+                            Some(set_caps(&mut state, &next))
+                        } else if step == 7 && arg % 2 == 0 {
+                            // The ledger meets an id it does not hold
+                            // after writing every other row.
+                            let ids = next.keys().copied().collect();
+                            Some(state.set_capacity(ids, |_, rows| {
+                                rows.fill(0.5);
+                                Err(ProblemError("block 12345 is not registered".into()))
+                            }))
                         } else {
-                            prop_assert_eq!(state.set_available(next.clone()), Ok(()));
+                            prop_assert_eq!(set_caps(&mut state, &next), Ok(()));
                             caps = next;
+                            None
+                        };
+                        if let Some(refused) = refused {
+                            prop_assert!(refused.is_err());
+                            prop_assert_eq!(format!("{state:?}"), before);
+                            prop_assert_eq!(format!("{:?}", state.blocks()), view);
                         }
                     }
                 }

@@ -13,9 +13,9 @@
 //! decisions, shipping, recovery — is the `Journal`'s (`journal.rs`):
 //! the ledger never sees a record. Snapshots are computed from the
 //! store on every call; nothing is cached between cycles. A scheduling
-//! cycle reads [`ShardedLedger::snapshot_blocks_all`] over exactly the
-//! blocks its tasks request, so a registry of any size costs a cycle
-//! only the blocks in demand.
+//! cycle has [`ShardedLedger::fill_available`] write exactly the blocks
+//! its tasks request straight into its scheduler's capacity rows, so a
+//! registry of any size costs a cycle only the blocks in demand.
 //!
 //! # One commit path
 //!
@@ -214,23 +214,36 @@ impl ShardedLedger {
         None
     }
 
-    /// Available curves for exactly `ids` at `now`, taking shard locks
-    /// one at a time — the view every scheduling cycle reads, with the
-    /// ids its tasks request, so a cycle's snapshot cost scales with
-    /// those blocks rather than with every block registered.
-    /// Bit-identical to [`ShardedLedger::snapshot_all`] on the ids it
-    /// covers; unknown ids are skipped.
-    pub fn snapshot_blocks_all(&self, now: f64, ids: &[BlockId]) -> BTreeMap<BlockId, RdpCurve> {
+    /// Writes the §3.4 available capacity at `now` of `ids[i]` into row
+    /// `i` of `rows` (one value per grid order, one row per id, panics
+    /// otherwise) with the bits of [`ShardedLedger::snapshot_all`]'s
+    /// curve, taking each shard's lock once and allocating nothing.
+    ///
+    /// # Errors
+    ///
+    /// An id no shard holds; earlier shards' rows may be written by then.
+    pub fn fill_available(
+        &self,
+        now: f64,
+        ids: &[BlockId],
+        rows: &mut [f64],
+    ) -> Result<(), ProblemError> {
+        let orders = self.grid.len();
+        assert_eq!(rows.len(), ids.len() * orders, "one row per block id");
         let (period, steps) = (self.unlock_period, self.unlock_steps);
-        let mut all = BTreeMap::new();
         for shard in 0..self.shards.len() {
-            let guard = self.lock(shard);
-            let homed = ids.iter().filter(|id| self.shard_of(**id) == shard);
-            all.extend(homed.filter_map(|id| {
-                Some((*id, guard.available(*id, &self.grid, now, period, steps)?))
-            }));
+            let store = self.lock(shard);
+            let rows = ids.iter().zip(rows.chunks_exact_mut(orders));
+            for (id, row) in rows.filter(|(id, _)| self.shard_of(**id) == shard) {
+                if store
+                    .write_available(*id, now, period, steps, row)
+                    .is_none()
+                {
+                    return Err(ProblemError(format!("block {id} is not registered")));
+                }
+            }
         }
-        all
+        Ok(())
     }
 
     /// Opens a durable ledger in `storage`, recovering whatever state
@@ -871,6 +884,29 @@ mod tests {
         assert!((early[&0].epsilon(0) - 0.25).abs() < 1e-12);
         let late = l.snapshot_all(10.0);
         assert!((late[&0].epsilon(0) - 1.0).abs() < 1e-12);
+    }
+
+    /// A fill that meets an id no shard holds fails typed, and the state
+    /// it was filling keeps its rows and its block map — even though the
+    /// earlier shards' rows were written before the unknown id's shard
+    /// came up.
+    #[test]
+    fn an_unknown_block_leaves_the_filled_state_as_it_was() {
+        use dpack_core::problem::ProblemState;
+        let l = ledger(4);
+        let fill = |ids: &[BlockId], rows: &mut [f64]| l.fill_available(1.0, ids, rows);
+        let mut state = ProblemState::from_available(grid(), BTreeMap::new(), vec![]).unwrap();
+        state.set_capacity(vec![1, 4, 6], fill).unwrap();
+        state.push_task(task(0, vec![4, 6], 0.5)).unwrap();
+        let (before, view) = (format!("{state:?}"), format!("{:?}", state.blocks()));
+        // Block 9 is homed on shard 1, after shard 0's rows (blocks 0 and 4)
+        // are written.
+        let refused = state.set_capacity(vec![0, 4, 6, 9], fill);
+        let unknown = ProblemError("block 9 is not registered".into());
+        assert_eq!(refused, Err(unknown));
+        assert_eq!(format!("{state:?}"), before);
+        assert_eq!(format!("{:?}", state.blocks()), view);
+        assert_eq!(state.blocks()[&4].values(), [1.0, 1.0]);
     }
 
     #[test]

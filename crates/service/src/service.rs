@@ -95,10 +95,6 @@ use crate::stats::{CycleStats, ServiceStats, TenantStats};
 use crate::telemetry::ServiceTelemetry;
 use crate::ticket::{Decision, SubmissionTicket, TicketCell};
 
-/// An available-capacity snapshot, keyed by block id: read from the
-/// ledger once per cycle and moved into the pending state.
-type Snapshot = std::collections::BTreeMap<BlockId, dp_accounting::RdpCurve>;
-
 /// What rides beside a pending task: when it was admitted (telemetry
 /// clock, see [`Submission::admitted_nanos`]) and its distributed-trace
 /// context if traced.
@@ -125,7 +121,7 @@ struct Pending {
 
 impl Pending {
     fn new(grid: &AlphaGrid) -> Self {
-        let state = ProblemState::from_available(grid.clone(), Snapshot::new(), Vec::new())
+        let state = ProblemState::from_available(grid.clone(), Default::default(), Vec::new())
             .expect("the empty state is valid");
         Self {
             state,
@@ -162,7 +158,7 @@ impl Pending {
         self.arrivals.retain(|s| !expired(&s.task));
     }
 
-    /// The blocks a cycle's snapshot covers, ascending and each once:
+    /// The blocks a cycle's capacity rows cover, ascending and each once:
     /// those the pending rows request, which the state counts, and
     /// this cycle's arrivals' blocks.
     fn requested_blocks(&self) -> Vec<BlockId> {
@@ -974,24 +970,23 @@ impl BudgetService {
         cycle
     }
 
-    /// The decide phase: write a fresh snapshot's capacities over the
-    /// pending state, let this cycle's arrivals in, and run the
-    /// configured scheduler once over all of it. Returns the selected
-    /// tasks' positions in the state, in allocation order, and the
-    /// scheduler's runtime.
+    /// The decide phase: have the ledger write the available
+    /// capacities at `now` straight into the pending state's rows, let
+    /// this cycle's arrivals in, and run the configured scheduler once
+    /// over all of it. Returns the selected tasks' positions in the
+    /// state, in allocation order, and the scheduler's runtime.
     ///
-    /// The snapshot holds exactly the blocks the pending tasks and the
-    /// arrivals request, so its cost follows the demand, not the
+    /// The rows cover exactly the blocks the pending tasks and the
+    /// arrivals request, so their cost follows the demand, not the
     /// registry. Those blocks read the same bits the whole ledger
     /// would give, and no scheduler looks at a block no task requests,
     /// so the decisions are the whole ledger's.
     fn decide(&self, pending: &mut Pending, now: f64) -> (Vec<usize>, Duration) {
-        let snapshot = self
-            .ledger
-            .snapshot_blocks_all(now, &pending.requested_blocks());
+        let ids = pending.requested_blocks();
+        let fill = |ids: &[BlockId], rows: &mut [f64]| self.ledger.fill_available(now, ids, rows);
         pending
             .state
-            .set_available(snapshot)
+            .set_capacity(ids, fill)
             .expect("blocks are never unregistered");
         for s in pending.arrivals.drain(..) {
             pending.tags.push(Tag {

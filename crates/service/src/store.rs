@@ -8,7 +8,7 @@
 //! arithmetic of `dp_accounting::RenyiFilter` to the bit — a demand is
 //! granted iff some order has `fits(u + d, c)`, and a charge is
 //! `u += d` from `+0.0` — and the §3.4 available capacity through
-//! [`online::available_from_parts`], so a store answers exactly like
+//! [`online::write_available`], so a store answers exactly like
 //! core's `BlockLedger`, the `OnlineEngine`'s reference model.
 //!
 //! A million blocks share a handful of capacity policies, so an entry
@@ -168,22 +168,26 @@ impl BlockStore {
         self.blocks.insert(id, entry);
     }
 
-    /// The §3.4 available capacity at `now` under the unlock schedule
-    /// `(period, steps)` of one block, or `None` if it is not
-    /// registered here.
-    pub(crate) fn available(
+    /// Writes block `id`'s §3.4 available capacity at `now` under the
+    /// unlock schedule `(period, steps)` into `row`, one value per order;
+    /// `None` if it is not registered here.
+    pub(crate) fn write_available(
         &self,
         id: BlockId,
-        grid: &AlphaGrid,
         now: f64,
         period: f64,
         steps: u32,
-    ) -> Option<RdpCurve> {
+        row: &mut [f64],
+    ) -> Option<()> {
         let entry = self.blocks.get(&id)?;
-        Some(self.available_of(entry, grid, now, period, steps))
+        let frac = online::unlocked_fraction(entry.arrival, now, period, steps);
+        let total = self.capacities.get(entry.total);
+        online::write_available(total, entry.consumed.as_deref(), frac, row);
+        Some(())
     }
 
-    /// [`BlockStore::available`] of every block here, in no order.
+    /// The §3.4 available capacity of every block here, in no order —
+    /// [`BlockStore::write_available`]'s values as curves.
     pub(crate) fn available_all<'a>(
         &'a self,
         grid: &'a AlphaGrid,
@@ -191,21 +195,12 @@ impl BlockStore {
         period: f64,
         steps: u32,
     ) -> impl Iterator<Item = (BlockId, RdpCurve)> + 'a {
-        let available = move |e| self.available_of(e, grid, now, period, steps);
-        self.blocks.iter().map(move |(id, e)| (*id, available(e)))
-    }
-
-    fn available_of(
-        &self,
-        entry: &BlockEntry,
-        grid: &AlphaGrid,
-        now: f64,
-        period: f64,
-        steps: u32,
-    ) -> RdpCurve {
-        let frac = online::unlocked_fraction(entry.arrival, now, period, steps);
-        let total = self.capacities.get(entry.total);
-        online::available_from_parts(grid, total, entry.consumed.as_deref(), frac)
+        self.blocks.iter().map(move |(id, e)| {
+            let frac = online::unlocked_fraction(e.arrival, now, period, steps);
+            let total = self.capacities.get(e.total);
+            let available = online::available_from_parts(grid, total, e.consumed.as_deref(), frac);
+            (*id, available)
+        })
     }
 
     /// Blocks that break the Prop. 6 invariant — no order's consumption
@@ -313,8 +308,9 @@ mod tests {
     /// restored, then charged with drawn demands (`-0.0` entries
     /// included) or re-registered over their id on another capacity,
     /// agree with a `BlockLedger` twin after every step: check outcome,
-    /// charge outcome, the available curve at several `now`, soundness
-    /// and the persisted states, bit for bit.
+    /// charge outcome, the available capacity at several `now` (as a
+    /// written row and as a curve), soundness and the persisted states,
+    /// bit for bit.
     #[test]
     fn entries_match_the_block_ledger_bit_for_bit() {
         let origin = weighted(vec![
@@ -414,11 +410,20 @@ mod tests {
                     }
 
                     for now in [0.0, 0.5 * i as f64, 1.75, 40.0] {
+                        let all: BTreeMap<_, _> = store
+                            .available_all(&grid, now, 1.0, *unlock_steps)
+                            .collect();
+                        let mut row = vec![f64::NAN; grid.len()];
                         for (id, b) in &model {
-                            let got = store.available(*id, &grid, now, 1.0, *unlock_steps);
-                            let want = b.available(now, 1.0, *unlock_steps);
-                            prop_assert_eq!(got.map(|c| bits(&c)), Some(bits(&want)), "op {}", i);
+                            let want = bits(&b.available(now, 1.0, *unlock_steps));
+                            prop_assert_eq!(bits(&all[id]), want.clone(), "op {}", i);
+                            let written =
+                                store.write_available(*id, now, 1.0, *unlock_steps, &mut row);
+                            let row_bits: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
+                            prop_assert_eq!((written, row_bits), (Some(()), want), "op {}", i);
                         }
+                        let unknown = store.write_available(n, now, 1.0, 1, &mut row);
+                        prop_assert_eq!(unknown, None);
                     }
                     let mut unsound: Vec<BlockId> = store.unsound().collect();
                     unsound.sort_unstable();

@@ -1,10 +1,10 @@
 //! The block registry: a durable service must recover bit-identically,
-//! including across an injected crash; the view a cycle reads over the
-//! blocks its tasks request must equal the whole view on those blocks
-//! at every step of a drawn commit schedule; and registering blocks
-//! must not grow the curve interner past their distinct capacities.
-//! That the requested-blocks view decides as the whole ledger does is
-//! `equivalence_sweep.rs`'s.
+//! including across an injected crash; the capacity rows a cycle has
+//! the ledger fill for the blocks its tasks request must equal the
+//! whole view on those blocks at every step of a drawn commit schedule;
+//! and registering blocks must not grow the curve interner past their
+//! distinct capacities. That the requested-blocks rows decide as the
+//! whole ledger does is `equivalence_sweep.rs`'s.
 
 mod common;
 
@@ -12,12 +12,11 @@ use common::ledger;
 use dp_accounting::{AlphaGrid, CurveInterner, RdpCurve};
 use dpack_check::{bools, check_cases, diff_states, floats, ints, prop_assert, prop_assert_eq};
 use dpack_check::{vecs, weighted};
-use dpack_core::problem::{Block, BlockId, ProblemState, Task};
+use dpack_core::problem::{Block, BlockId, ProblemError, ProblemState, Task};
 use dpack_service::{
     BudgetService, CommitOutcome, DurabilityOptions, SchedulerChoice, ServiceConfig, ShardedLedger,
 };
 use dpack_wal::SimStorage;
-use std::collections::BTreeMap;
 use workloads::curves::CurveLibrary;
 use workloads::microbenchmark::{generate, MicrobenchmarkConfig};
 
@@ -117,17 +116,12 @@ fn durable_service_recovers_bit_identically() {
     }
 }
 
-/// A snapshot view as bit patterns, so `==` means bit-identical.
-fn view_bits(view: BTreeMap<BlockId, RdpCurve>) -> BTreeMap<BlockId, Vec<u64>> {
-    let bits = |c: RdpCurve| c.values().iter().map(|v| v.to_bits()).collect();
-    view.into_iter().map(|(id, c)| (id, bits(c))).collect()
-}
-
 /// Through a drawn schedule of per-task, shard-batch and cross-batch
 /// commits — granted and refused, single- and cross-shard, in-memory
-/// and durable — a ledger serves, after every step, a requested-blocks
-/// view that is its whole view restricted to the asked ids (unknown
-/// ones skipped), `f64` bit for bit, and stays sound.
+/// and durable — a ledger fills, after every step, the capacity rows of
+/// the asked ids (in any order, repeats included) with its whole view's
+/// curves for them, `f64` bit for bit; refuses an id it does not hold,
+/// by name; and stays sound.
 #[test]
 fn requested_blocks_view_matches_the_whole_view() {
     let step = (
@@ -189,11 +183,21 @@ fn requested_blocks_view_matches_the_whole_view() {
                 let now = 0.7 * (i + 1) as f64;
                 let mut ids: Vec<BlockId> = picks.iter().map(|b| (b * 7 + 3) % n_blocks).collect();
                 ids.extend(&task.blocks);
-                ids.push(n_blocks + 400); // Unknown: skipped.
-                let mut want = view_bits(ledger.snapshot_all(now));
-                want.retain(|id, _| ids.contains(id));
-                let got = view_bits(ledger.snapshot_blocks_all(now, &ids));
+                let whole = ledger.snapshot_all(now);
+                let want: Vec<u64> = ids
+                    .iter()
+                    .flat_map(|id| whole[id].values())
+                    .map(|v| v.to_bits())
+                    .collect();
+                let mut rows = vec![f64::NAN; want.len()];
+                prop_assert_eq!(ledger.fill_available(now, &ids, &mut rows), Ok(()));
+                let got: Vec<u64> = rows.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(got, want, "step {} ids {:?}", i, ids);
+                let unknown = n_blocks + 400;
+                ids.push(unknown);
+                let mut rows = vec![0.0; ids.len() * grid.len()];
+                let refused = ProblemError(format!("block {unknown} is not registered"));
+                prop_assert_eq!(ledger.fill_available(now, &ids, &mut rows), Err(refused));
                 prop_assert!(ledger.unsound_blocks().is_empty(), "step {}", i);
             }
             Ok(())

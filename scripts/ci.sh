@@ -142,6 +142,21 @@ if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":
   exit 1
 fi
 
+echo "==> checking a cycle's capacities go straight into the scheduler's rows"
+# BudgetService::decide has the ledger write each requested block's
+# available capacity into its pending state's rows
+# (ShardedLedger::fill_available through ProblemState::set_capacity).
+# The per-cycle curve map that was built and then copied into those rows
+# stays deleted, and ProblemState::blocks, a map built from the rows on
+# demand, is for callers outside the service. Tests below `#[cfg(test)]`
+# may name anything.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    crates/service/src/*.rs | grep -vE '^[^ ]+ *//' \
+  | grep -E 'snapshot_blocks_all|\.blocks\(\)'; then
+  echo "ERROR: crates/service/src builds a block map for a cycle again (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking the budget tolerance is applied in one place"
 # dp_accounting::fit_limit is the largest consumption that fits a
 # capacity; `fits`, the scheduler kernels' precomputed limits and the
