@@ -19,9 +19,9 @@
 //! * **Failure detection** — every [`ClusterConfig::heartbeat_nanos`] a
 //!   follower pings each peer with its term and durable seq vector.
 //!   A reply resets the peer to `Up`; a miss increments a counter and
-//!   moves the peer `Up → Suspect`, and
-//!   [`ClusterConfig::miss_threshold`] misses move it to `Down`
-//!   (each transition is a [`EventKind::PeerStateChanged`] event).
+//!   moves the peer `Up → Suspect`, and [`SUSPECT_FAILS_TO_DOWN`]
+//!   misses move it to `Down` (each transition is a
+//!   [`EventKind::PeerStateChanged`] event).
 //! * **Leader tracking** — pongs carry `is_primary` and the peer's
 //!   term; the follower believes the highest-term peer that answers as
 //!   primary, and adopts any newer term it sees.
@@ -43,9 +43,10 @@
 //!   Replicas rejoin through [`Replicator::tend`]'s redial + resync
 //!   path before they count toward the write quorum again.
 //! * **Demotion** — a primary whose replicator learns of a newer term
-//!   wipes its logs back to unattached (its unacked suffix may not
-//!   have survived the election) and swaps back to a replica role; the
-//!   new primary resyncs it like any rejoining node.
+//!   reopens its storage as a replica, which wipes its logs back to
+//!   unattached (the promotion's dirty mark: its unacked suffix may not
+//!   have survived the election); the new primary resyncs it like any
+//!   rejoining node.
 
 use std::fmt;
 use std::net::SocketAddr;
@@ -62,7 +63,9 @@ use crate::client::NetClient;
 use crate::error::NetError;
 use crate::repl::{Connector, ReplicaNode, Replicator};
 use crate::server::ServiceCore;
-use crate::wire::{WireClusterStatus, WirePeer};
+use crate::wire::{
+    WireClusterStatus, WirePeer, PEER_DOWN, PEER_SUSPECT, PEER_UP, SUSPECT_FAILS_TO_DOWN,
+};
 
 /// A cloneable connection factory to one peer — the cluster mints
 /// per-purpose [`Connector`]s (failure detector, replication links)
@@ -113,8 +116,6 @@ pub struct ClusterConfig {
     pub majority: usize,
     /// Failure-detector ping interval.
     pub heartbeat_nanos: u64,
-    /// Consecutive misses that take a peer `Suspect → Down`.
-    pub miss_threshold: u32,
     /// Base election timeout after leader loss.
     pub election_base_nanos: u64,
     /// Per-id election stagger: node `i` waits `base + i × stagger`,
@@ -126,17 +127,13 @@ pub struct ClusterConfig {
     pub ship_timeout: Option<Duration>,
 }
 
-/// Peer health as tracked by the failure detector; the numeric values
-/// are what [`EventKind::PeerStateChanged`] events carry in `b`.
-const PEER_UP: u8 = 0;
-const PEER_SUSPECT: u8 = 1;
-const PEER_DOWN: u8 = 2;
-
 struct PeerLink {
     id: u64,
     addr: SocketAddr,
     connector: SharedConnector,
     client: Option<NetClient>,
+    /// [`PEER_UP`], [`PEER_SUSPECT`] or [`PEER_DOWN`], also what
+    /// [`EventKind::PeerStateChanged`] events carry in `b`.
     status: u8,
     misses: u32,
     /// The peer's term and role as of its last pong.
@@ -163,6 +160,9 @@ pub struct ClusterNode {
     /// Highest term seen at the end of the last step — a jump means
     /// someone else is campaigning, so back off our own timeout.
     last_seen_term: u64,
+    /// Scheduling cycles [`ClusterNode::tick`] has run; the next runs
+    /// at virtual time `(vstep + 1) × scheduling_period`.
+    vstep: u64,
     term_gauge: Gauge,
     is_primary_gauge: Gauge,
     elections_total: Counter,
@@ -182,9 +182,9 @@ impl fmt::Debug for ClusterNode {
 
 impl ClusterNode {
     /// Opens the member over its durable storage, starting as a
-    /// replica. If the storage carries a `dirty` marker (the node died
-    /// mid-resync, or led and was deposed) the logs are wiped back to
-    /// unattached — the node rejoins through resync.
+    /// replica. If the storage carries the dirty mark (the node died
+    /// mid-resync, or led) the logs are wiped back to unattached — the
+    /// node rejoins through resync.
     ///
     /// # Errors
     ///
@@ -238,6 +238,7 @@ impl ClusterNode {
             election_due: None,
             next_heartbeat_nanos: 0,
             last_seen_term: 0,
+            vstep: 0,
         })
     }
 
@@ -295,6 +296,19 @@ impl ClusterNode {
         self.publish_view();
     }
 
+    /// One driver tick at clock reading `now_nanos`: a
+    /// [`ClusterNode::step`], then — while this node holds the primary
+    /// role — one scheduling cycle at its next virtual step, one
+    /// `scheduling_period` after the last.
+    pub fn tick(&mut self, now_nanos: u64) {
+        self.step(now_nanos);
+        if let Some(service) = self.core.service() {
+            self.vstep += 1;
+            #[allow(clippy::cast_precision_loss)]
+            service.run_cycle(self.vstep as f64 * self.config.service.scheduling_period);
+        }
+    }
+
     /// Pushes what only the cluster driver knows — node ids, peer
     /// addresses and failure-detector states, the believed leader —
     /// into the core, where [`crate::Request::ClusterStatus`] overlays
@@ -345,9 +359,9 @@ impl ClusterNode {
     }
 
     /// Swaps back to a replica role after deposition. The old logs may
-    /// hold an unacked suffix the new primary never saw, so they are
-    /// wiped to unattached; the new primary resyncs this node like any
-    /// rejoiner.
+    /// hold an unacked suffix the new primary never saw; the dirty mark
+    /// the promotion set makes the reopen wipe them to unattached, and
+    /// the new primary resyncs this node like any rejoiner.
     fn demote(&mut self, deposed_term: u64) {
         let node = match ReplicaNode::open(
             self.storage.as_ref(),
@@ -361,9 +375,6 @@ impl ClusterNode {
             // retries the demotion.
             Err(_) => return,
         };
-        if node.reset_unattached().is_err() {
-            return;
-        }
         // Best effort: the deposed term's vote was spent durably when
         // this node campaigned for it.
         let _ = node.observe_term(deposed_term);
@@ -446,7 +457,7 @@ impl ClusterNode {
                     peer.misses = peer.misses.saturating_add(1);
                     peer.is_primary = false;
                     self.heartbeat_misses_total.inc();
-                    let next = if peer.misses >= self.config.miss_threshold {
+                    let next = if peer.misses >= SUSPECT_FAILS_TO_DOWN {
                         PEER_DOWN
                     } else {
                         PEER_SUSPECT
@@ -479,7 +490,7 @@ impl ClusterNode {
             }
         }
         let Ok((term, ballot)) = node.prepare_campaign() else {
-            return; // the term log failed: retry at the re-armed timeout
+            return; // the standing log failed: retry at the re-armed timeout
         };
         self.last_seen_term = term;
         self.elections_total.inc();
@@ -515,7 +526,7 @@ impl ClusterNode {
     /// least one replica has resynced, which is exactly the write
     /// majority the acked-durability invariant needs.
     fn promote(&mut self, term: u64, node: &Arc<ReplicaNode>) {
-        // The marker makes a later reopen of this storage wipe to
+        // The mark makes a later reopen of this storage wipe to
         // unattached: once we append as a primary, these logs stop
         // being a faithful replica stream.
         if node.wal().mark_dirty().is_err() {
@@ -563,10 +574,8 @@ impl ClusterNode {
     }
 }
 
-/// Production driver: a thread stepping a [`ClusterNode`] on a
-/// wall-clock interval and running scheduling cycles (with advancing
-/// virtual time, one period per cycle) whenever the node holds the
-/// primary role.
+/// Production driver: a thread calling [`ClusterNode::tick`] on a
+/// wall-clock interval.
 pub struct ClusterRunner {
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<ClusterNode>>,
@@ -577,17 +586,9 @@ impl ClusterRunner {
     pub fn spawn(mut node: ClusterNode, interval: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let period = node.config.service.scheduling_period;
         let thread = std::thread::spawn(move || {
-            let mut vstep = 1u64;
             while !flag.load(Ordering::Relaxed) {
-                let now = node.obs.now_nanos();
-                node.step(now);
-                if let Some(service) = node.core.service() {
-                    #[allow(clippy::cast_precision_loss)]
-                    service.run_cycle(vstep as f64 * period);
-                    vstep += 1;
-                }
+                node.tick(node.obs.now_nanos());
                 std::thread::sleep(interval);
             }
             node

@@ -39,18 +39,18 @@
 //! A [`ReplicaNode`] is the state behind
 //! [`crate::NetServer::bind_replica`]: a
 //! [`dpack_service::ReplicaWal`] with the primary's log layout (so
-//! promotion is [`BudgetService::recover`] on its storage), an
-//! election state (current term, vote bookkeeping), plus its own
-//! observability — `dpack_repl_*` metrics and
-//! [`EventKind::ReplicaApplied`] flight-recorder events. The term is
-//! **durable**: adopting a term consumes that term's vote, so the term
-//! is the whole election state, and every adoption is synced to the
-//! node's own `term` log before the reply that reveals it (Raft's
-//! persistent `currentTerm`/`votedFor`). A restarted voter therefore
-//! never votes twice in one term. What protects it from voting with
-//! stale *logs* is the durable `dirty` marker ([`ReplicaWal::open`]
-//! wipes a mid-resync node back to unattached) plus the ballot rule
-//! below.
+//! promotion is [`BudgetService::recover`] on its storage), plus its
+//! own observability — `dpack_repl_*` metrics and
+//! [`EventKind::ReplicaApplied`] flight-recorder events. The election
+//! term is part of the replica's durable standing, beside its lineage
+//! and dirty mark (see [`dpack_service::replication`]): adopting a term
+//! consumes that term's vote, so the term is the whole election state,
+//! and every adoption is synced to the standing log before the reply
+//! that reveals it (Raft's persistent `currentTerm`/`votedFor`). A
+//! restarted voter therefore never votes twice in one term. What
+//! protects it from voting with stale *logs* is the dirty mark
+//! ([`ReplicaWal::open`] wipes a mid-resync or once-promoted node back
+//! to unattached) plus the ballot rule below.
 //!
 //! [`BudgetService::recover`]: dpack_service::BudgetService::recover
 
@@ -62,7 +62,7 @@ use std::time::Duration;
 
 use dpack_obs::trace::{span_id, with_active_traces, SpanKind, SpanRing};
 use dpack_obs::{Clock, Counter, EventKind, FlightRecorder, Gauge, Histogram, Obs};
-use dpack_service::wal::{codec, Wal, WalError, WalOptions, WalStorage};
+use dpack_service::wal::{WalError, WalStorage};
 use dpack_service::{
     BudgetService, ReplShipError, ReplStream, ReplicaApplyError, ReplicaWal, ReplicationSink,
     ShipBatch,
@@ -70,7 +70,9 @@ use dpack_service::{
 
 use crate::client::NetClient;
 use crate::error::{ErrorCode, NetError};
-use crate::wire::{Response, WirePeer, REPL_COORD_STREAM};
+use crate::wire::{
+    Response, WirePeer, PEER_DOWN, PEER_SUSPECT, PEER_UP, REPL_COORD_STREAM, SUSPECT_FAILS_TO_DOWN,
+};
 
 fn wire_stream(shard: u32) -> ReplStream {
     if shard == REPL_COORD_STREAM {
@@ -98,46 +100,6 @@ fn ballot_wins(cand_ballot: &[u64], cand_id: u64, own_ballot: &[u64], own_id: u6
     cand_id <= own_id
 }
 
-/// The namespace of a replica's storage that holds its term log. The
-/// replica log's wipe and a promoted service's recovery each read only
-/// their own namespaces, so the term outlives both.
-const TERM_DIR: &str = "term";
-
-/// The replica's view of the election: the highest term it has seen.
-/// Adopting a term consumes this node's vote for it — a voter grants
-/// only to the **first** candidate that moves it to a new term, which
-/// is what makes two leaders in one term impossible, across restarts
-/// too: the term is appended to `log` before it is adopted.
-struct ElectionState {
-    term: u64,
-    /// One record per adopted term, in increasing order.
-    log: Wal,
-}
-
-impl ElectionState {
-    /// Rebuilds the term from the log in `storage`'s [`TERM_DIR`]: its
-    /// last record.
-    fn open(storage: &dyn WalStorage) -> Result<Self, WalError> {
-        let (log, recovered) = Wal::open(storage.sub(TERM_DIR)?, WalOptions::default())?;
-        let term = match recovered.records.last() {
-            Some(bytes) => codec::decode(bytes)?,
-            None => 0,
-        };
-        Ok(Self { term, log })
-    }
-
-    /// Adopts `term` if it is newer than anything seen, durably first:
-    /// on `Err` the term is not adopted (and so no vote is spent).
-    fn adopt(&mut self, term: u64) -> Result<(), WalError> {
-        if term > self.term {
-            self.log.repair()?;
-            self.log.append(&codec::encode(&term))?;
-            self.term = term;
-        }
-        Ok(())
-    }
-}
-
 /// Replica-side state: the replica's logs plus its instruments. Serve
 /// it with [`crate::NetServer::bind_replica`] (or a loopback core via
 /// [`crate::ServiceCore::replica`] in tests).
@@ -148,7 +110,6 @@ pub struct ReplicaNode {
     /// with [`ReplicaNode::with_node_id`]; standalone replicas
     /// (never candidates) can leave the default 0.
     node_id: u64,
-    election: Mutex<ElectionState>,
     applied_batches: Counter,
     applied_records: Counter,
     duplicate_batches: Counter,
@@ -168,10 +129,11 @@ impl fmt::Debug for ReplicaNode {
 impl ReplicaNode {
     /// Opens (or reopens) replica logs in `storage`, laid out for a
     /// primary with `shards` shards. Reopening resumes each stream's
-    /// sequence from the surviving log — unless a `dirty` marker shows
-    /// the node died mid-resync, in which case the logs are wiped back
-    /// to unattached (they were not a faithful prefix of anything) —
-    /// and the election term from the term log, which no wipe touches.
+    /// sequence from the surviving log — unless the dirty mark shows
+    /// the node died mid-resync or served as a primary, in which case
+    /// the log is wiped back to unattached (it was not a faithful prefix
+    /// of anything) — and the election term from the standing, which no
+    /// wipe touches.
     ///
     /// # Errors
     ///
@@ -183,23 +145,15 @@ impl ReplicaNode {
         obs: Arc<Obs>,
     ) -> Result<Self, WalError> {
         let wal = ReplicaWal::open(storage, shards, segment_bytes)?;
-        let election = ElectionState::open(storage)?;
-        let mut durable_gauges: Vec<Gauge> = (0..shards)
-            .map(|s| {
-                obs.registry
-                    .gauge("dpack_repl_durable_seq", &format!("stream=\"shard-{s}\""))
+        let streams = (0..shards as u32).map(ReplStream::Shard);
+        let durable_gauges = streams
+            .chain([ReplStream::Coordinator])
+            .map(|stream| {
+                let label = format!("stream=\"{stream}\"");
+                obs.registry.gauge("dpack_repl_durable_seq", &label)
             })
             .collect();
-        durable_gauges.push(
-            obs.registry
-                .gauge("dpack_repl_durable_seq", "stream=\"coord\""),
-        );
-        // Reopened logs may already be ahead of zero.
-        for (s, gauge) in durable_gauges.iter().take(shards).enumerate() {
-            gauge.set_u64(wal.durable_seq(ReplStream::Shard(s as u32)));
-        }
-        durable_gauges[shards].set_u64(wal.durable_seq(ReplStream::Coordinator));
-        Ok(Self {
+        let node = Self {
             applied_batches: obs.registry.counter("dpack_repl_applied_batches_total", ""),
             applied_records: obs.registry.counter("dpack_repl_applied_records_total", ""),
             duplicate_batches: obs
@@ -207,10 +161,12 @@ impl ReplicaNode {
                 .counter("dpack_repl_duplicate_batches_total", ""),
             durable_gauges,
             node_id: 0,
-            election: Mutex::new(election),
             wal,
             obs,
-        })
+        };
+        // Reopened logs may already be ahead of zero.
+        node.publish_durable();
+        Ok(node)
     }
 
     /// Sets this node's deployment id (the election tiebreak).
@@ -237,13 +193,9 @@ impl ReplicaNode {
         &self.obs
     }
 
-    fn election(&self) -> std::sync::MutexGuard<'_, ElectionState> {
-        self.election.lock().expect("election lock poisoned")
-    }
-
     /// The highest election term this node has seen.
     pub fn current_term(&self) -> u64 {
-        self.election().term
+        self.wal.term()
     }
 
     /// Adopts `term` if it is newer than anything seen — how a
@@ -252,9 +204,9 @@ impl ReplicaNode {
     ///
     /// # Errors
     ///
-    /// The term log failed; the term is not adopted.
+    /// The standing log failed; the term is not adopted.
     pub fn observe_term(&self, term: u64) -> Result<(), WalError> {
-        self.election().adopt(term)
+        self.wal.adopt_term(|_| term).map(drop)
     }
 
     /// Starts a campaign: durably bumps to a fresh term (consuming this
@@ -263,15 +215,13 @@ impl ReplicaNode {
     ///
     /// # Errors
     ///
-    /// The term log failed; no campaign may start.
+    /// The standing log failed; no campaign may start.
     pub fn prepare_campaign(&self) -> Result<(u64, Vec<u64>), WalError> {
-        let mut es = self.election();
-        let term = es.term + 1;
-        es.adopt(term)?;
-        Ok((term, self.wal.vector()))
+        let held = self.wal.adopt_term(|held| held + 1)?;
+        Ok((held + 1, self.wal.vector()))
     }
 
-    /// Whether a resync round is in flight (dirty marker set); a
+    /// Whether a resync round is in flight (dirty mark set); a
     /// mid-resync node holds unusable logs and must not vote.
     pub fn is_resyncing(&self) -> bool {
         self.wal.is_resyncing()
@@ -284,13 +234,22 @@ impl ReplicaNode {
     ///
     /// Storage errors; retry or reopen.
     pub fn reset_unattached(&self) -> Result<(), WalError> {
-        let reset = self.wal.reset_unattached();
-        if reset.is_ok() {
-            for gauge in &self.durable_gauges {
-                gauge.set_u64(0);
-            }
+        self.wal.reset_unattached()?;
+        self.publish_durable();
+        Ok(())
+    }
+
+    /// Publishes every stream's durable sequence to its gauge.
+    fn publish_durable(&self) {
+        for (gauge, seq) in self.durable_gauges.iter().zip(self.wal.vector()) {
+            gauge.set_u64(seq);
         }
-        reset
+    }
+
+    /// The durable-seq gauge of wire stream `shard`; the coordinator's
+    /// ([`REPL_COORD_STREAM`]) is the last.
+    fn durable_gauge(&self, shard: u32) -> &Gauge {
+        &self.durable_gauges[(shard as usize).min(self.wal.n_shards())]
     }
 
     /// Fences `term` against the highest seen: an older term is
@@ -298,20 +257,19 @@ impl ReplicaNode {
     /// adopted — or refused with [`ErrorCode::Io`] if it cannot be made
     /// durable. Returns the refusal reply, or `None` to proceed.
     fn fence(&self, term: u64, what: &str) -> Option<Response> {
-        let mut es = self.election();
-        if term < es.term {
-            return Some(Response::Error {
+        match self.wal.adopt_term(|_| term) {
+            Ok(held) if term < held => Some(Response::Error {
                 code: ErrorCode::StaleTerm,
                 message: format!(
-                    "{what} from term {term} refused; this replica follows term {}",
-                    es.term
+                    "{what} from term {term} refused; this replica follows term {held}"
                 ),
-            });
+            }),
+            Ok(_) => None,
+            Err(e) => Some(Response::Error {
+                code: ErrorCode::Io,
+                message: format!("{what} from term {term} refused; the standing log failed: {e}"),
+            }),
         }
-        es.adopt(term).err().map(|e| Response::Error {
-            code: ErrorCode::Io,
-            message: format!("{what} from term {term} refused; the term log failed: {e}"),
-        })
     }
 
     /// Applies one shipped batch and builds the wire reply: a
@@ -337,11 +295,7 @@ impl ReplicaNode {
                 } else {
                     self.duplicate_batches.inc();
                 }
-                let slot = match stream {
-                    ReplStream::Shard(s) => s as usize,
-                    ReplStream::Coordinator => self.wal.n_shards(),
-                };
-                self.durable_gauges[slot].set_u64(durable);
+                self.durable_gauge(shard).set_u64(durable);
                 Response::ReplicateAck {
                     shard,
                     seq,
@@ -362,12 +316,11 @@ impl ReplicaNode {
     /// Answers a heartbeat: adopts a newer sender term and reveals this
     /// node's term, role, lineage, and durable seq vector.
     pub(crate) fn pong(&self, sender_term: u64) -> Response {
-        let mut es = self.election();
         // A term that cannot be made durable is not adopted, and the
         // pong reveals the one that is.
-        let _ = es.adopt(sender_term);
+        let _ = self.observe_term(sender_term);
         Response::Pong {
-            term: es.term,
+            term: self.wal.term(),
             is_primary: false,
             lineage: self.wal.lineage(),
             vector: self.wal.vector(),
@@ -382,14 +335,12 @@ impl ReplicaNode {
     /// even on a ballot refusal, so a refused candidate retries above
     /// it and the better-placed node campaigns in between.
     pub(crate) fn vote(&self, term: u64, candidate: u64, ballot: &[u64]) -> Response {
-        let mut es = self.election();
-        let eligible = term > es.term
-            && !self.wal.is_resyncing()
+        let eligible = !self.wal.is_resyncing()
             && ballot_wins(ballot, candidate, &self.wal.vector(), self.node_id);
         // The grant is the durable term: no grant if it cannot be kept.
-        let granted = es.adopt(term).is_ok() && eligible;
+        let granted = self.wal.adopt_term(|_| term).is_ok_and(|held| term > held) && eligible;
         Response::VoteReply {
-            term: es.term,
+            term: self.wal.term(),
             granted,
         }
     }
@@ -410,11 +361,7 @@ impl ReplicaNode {
         let stream = wire_stream(shard);
         match self.wal.install_stream(stream, base_seq, snapshot) {
             Ok(()) => {
-                let slot = match stream {
-                    ReplStream::Shard(s) => s as usize,
-                    ReplStream::Coordinator => self.wal.n_shards(),
-                };
-                self.durable_gauges[slot].set_u64(base_seq);
+                self.durable_gauge(shard).set_u64(base_seq);
                 Response::ResyncAck {
                     stream: shard,
                     durable: base_seq,
@@ -428,7 +375,7 @@ impl ReplicaNode {
     }
 
     /// Commits a resync round: persists the installing primary's
-    /// lineage and clears the dirty marker. The ack echoes the lineage
+    /// lineage and clears the dirty mark. The ack echoes the lineage
     /// under the coordinator stream id.
     pub(crate) fn commit_resync(&self, term: u64, lineage: u64) -> Response {
         if let Some(refusal) = self.fence(term, "resync commit") {
@@ -451,27 +398,20 @@ impl ReplicaNode {
 /// lets tests inject loopback or failing connections.
 pub type Connector = Box<dyn Fn() -> Result<NetClient, NetError> + Send + Sync>;
 
-/// Link health. `Up` receives ships; `Suspect` and `Down` are skipped
-/// and redialed by [`Replicator::tend`] — `Suspect` is a fresh failure
-/// (first redial comes quickly), `Down` is a link that also failed its
-/// redials (backoff has grown).
-const LINK_UP: u8 = 0;
-const LINK_SUSPECT: u8 = 1;
-const LINK_DOWN: u8 = 2;
-
 /// First redial delay after a failure; doubles per consecutive
 /// failure up to [`REDIAL_CAP_NANOS`].
 const REDIAL_BASE_NANOS: u64 = 50_000_000;
 /// Redial backoff ceiling (5s).
 const REDIAL_CAP_NANOS: u64 = 5_000_000_000;
-/// Consecutive redial failures that demote `Suspect` to `Down`.
-const SUSPECT_FAILS_TO_DOWN: u32 = 3;
 
 /// One replica link and its failure-detector state.
 struct Link {
     addr: SocketAddr,
     connector: Connector,
     client: Mutex<Option<NetClient>>,
+    /// A [`PEER_UP`] link receives ships; a `Suspect` (fresh failure)
+    /// or `Down` (its redials failed too) one is skipped and redialed
+    /// by [`Replicator::tend`].
     status: AtomicU8,
     /// Consecutive failed redial/probe rounds (backoff exponent).
     fails: AtomicU32,
@@ -598,7 +538,7 @@ impl Replicator {
                     addr,
                     connector: Box::new(move || NetClient::connect(addr)),
                     client: Mutex::new(Some(NetClient::connect(addr)?)),
-                    status: AtomicU8::new(LINK_UP),
+                    status: AtomicU8::new(PEER_UP),
                     fails: AtomicU32::new(0),
                     next_redial_nanos: AtomicU64::new(0),
                     acked: Vec::new(),
@@ -652,7 +592,7 @@ impl Replicator {
                 addr,
                 connector,
                 client: Mutex::new(None),
-                status: AtomicU8::new(LINK_DOWN),
+                status: AtomicU8::new(PEER_DOWN),
                 fails: AtomicU32::new(0),
                 next_redial_nanos: AtomicU64::new(0),
                 acked: Vec::new(),
@@ -734,7 +674,7 @@ impl Replicator {
             if let Some(c) = client.as_mut() {
                 if c.set_read_timeout(Some(timeout)).is_err() {
                     *client = None;
-                    link.status.store(LINK_SUSPECT, Ordering::Release);
+                    link.status.store(PEER_SUSPECT, Ordering::Release);
                 }
             }
         }
@@ -744,7 +684,7 @@ impl Replicator {
     /// Replicas whose links are up (receiving ships and counted toward
     /// quorum).
     pub fn live(&self) -> usize {
-        self.links.iter().filter(|l| l.status() == LINK_UP).count()
+        self.links.iter().filter(|l| l.status() == PEER_UP).count()
     }
 
     /// The configured quorum.
@@ -788,7 +728,7 @@ impl Replicator {
             let slowest = self
                 .links
                 .iter()
-                .filter(|l| l.status() == LINK_UP)
+                .filter(|l| l.status() == PEER_UP)
                 .map(|l| l.acked[slot].load(Ordering::Acquire))
                 .min()
                 .unwrap_or(0);
@@ -830,7 +770,7 @@ impl Replicator {
     /// Marks a link failed right now: out of the ship path, first
     /// redial due after the base backoff.
     fn suspect(&self, link: &Link) {
-        link.status.store(LINK_SUSPECT, Ordering::Release);
+        link.status.store(PEER_SUSPECT, Ordering::Release);
         link.fails.store(0, Ordering::Release);
         link.next_redial_nanos.store(
             self.clock.now_nanos().saturating_add(REDIAL_BASE_NANOS),
@@ -843,7 +783,7 @@ impl Replicator {
     fn backoff(&self, link: &Link, now_nanos: u64) {
         let fails = link.fails.fetch_add(1, Ordering::AcqRel) + 1;
         if fails >= SUSPECT_FAILS_TO_DOWN {
-            link.status.store(LINK_DOWN, Ordering::Release);
+            link.status.store(PEER_DOWN, Ordering::Release);
         }
         let delay = REDIAL_BASE_NANOS
             .checked_shl(fails.min(16).saturating_sub(1))
@@ -855,7 +795,7 @@ impl Replicator {
 
     fn mark_up(&self, link: &Link) {
         link.fails.store(0, Ordering::Release);
-        link.status.store(LINK_UP, Ordering::Release);
+        link.status.store(PEER_UP, Ordering::Release);
     }
 
     /// One failure-detector round: redials every non-`Up` link whose
@@ -873,7 +813,7 @@ impl Replicator {
             return false;
         }
         for (i, link) in self.links.iter().enumerate() {
-            if link.status() == LINK_UP {
+            if link.status() == PEER_UP {
                 continue;
             }
             if now_nanos < link.next_redial_nanos.load(Ordering::Acquire) {
@@ -1089,7 +1029,7 @@ impl ReplicationSink for Replicator {
         // derive its append span.
         let mut handles = Vec::with_capacity(self.links.len());
         for link in &self.links {
-            if link.status() != LINK_UP {
+            if link.status() != PEER_UP {
                 handles.push(None);
                 continue;
             }
@@ -1477,6 +1417,130 @@ mod tests {
         drop((node, client));
         let (node, _client) = loopback_replica(&sim.surviving(), 1);
         assert_eq!(node.current_term(), 14);
+    }
+
+    /// What a rebooted node stands on: term, lineage, seq vector.
+    type Seen = (u64, u64, Vec<u64>);
+
+    /// Reboots a node on what `sim` kept and reads its standing; a node
+    /// that reopens unattached must also hold an empty replica log.
+    fn reboot(sim: &SimStorage) -> Seen {
+        let sim = sim.surviving();
+        let node = ReplicaNode::open(&sim, 1, 1 << 16, Obs::off()).expect("the node reopens");
+        let seen = (
+            node.current_term(),
+            node.wal().lineage(),
+            node.wal().vector(),
+        );
+        if seen.1 == 0 {
+            // The primary's log layout: one `wal/` namespace.
+            let log = sim.sub("wal").unwrap();
+            let files = log.list().unwrap();
+            assert!(
+                files.iter().all(|f| log.read(f).unwrap().is_empty()),
+                "an unattached node kept log bytes"
+            );
+        }
+        seen
+    }
+
+    /// Crashes a node at every byte `write` appends (after `setup`), on
+    /// copies of `base`, and checks that each reboot shows `old` or,
+    /// once the write could have landed, `new`.
+    fn crash_every_byte(
+        what: &str,
+        base: &SimStorage,
+        setup: fn(&ReplicaNode),
+        write: fn(&ReplicaNode),
+        old: &Seen,
+        new: &Seen,
+    ) {
+        let run = |crash_at: Option<u64>| {
+            let sim = base.surviving();
+            let node = ReplicaNode::open(&sim, 1, 1 << 16, Obs::off()).unwrap();
+            setup(&node);
+            let before = sim.bytes_written();
+            if let Some(at) = crash_at {
+                sim.arm_crash_after(at);
+            }
+            write(&node);
+            (sim.bytes_written() - before, sim)
+        };
+        let (bytes, sim) = run(None);
+        assert!(bytes > 0, "{what} wrote nothing");
+        assert_eq!(&reboot(&sim), new, "{what} ran whole");
+        for at in 0..bytes {
+            let (_, sim) = run(Some(at));
+            assert!(sim.crashed(), "{what}: no crash at byte {at}");
+            let seen = reboot(&sim);
+            assert!(
+                seen == *old || seen == *new,
+                "{what} crashed at byte {at} of {bytes}: reopened as {seen:?}, \
+                 want {old:?} or {new:?}"
+            );
+        }
+    }
+
+    /// Every write of a replica's standing — a term adoption, the first
+    /// install's dirty mark, a resync commit, a promotion's dirty mark
+    /// — crashed at any byte reboots to the old standing or the new
+    /// one, and a dirty mark reboots the node unattached with its term.
+    #[test]
+    fn a_crash_inside_any_standing_write_reboots_to_the_old_or_the_new_standing() {
+        // A node resynced by the primary of term 3, one batch on top.
+        let base = SimStorage::new();
+        {
+            let node = ReplicaNode::open(&base, 1, 1 << 16, Obs::off()).unwrap();
+            node.observe_term(3).unwrap();
+            let wal = node.wal();
+            wal.install_stream(ReplStream::Shard(0), 4, b"base")
+                .unwrap();
+            wal.install_stream(ReplStream::Coordinator, 1, &[]).unwrap();
+            wal.commit_resync(3).unwrap();
+            wal.apply(ReplStream::Shard(0), 5, &[record(ReplStream::Shard(0))])
+                .unwrap();
+        }
+        let attached: Seen = (3, 3, vec![5, 1]);
+        let unattached = |term| (term, 0, vec![0, 0]);
+        assert_eq!(reboot(&base), attached);
+
+        let nothing: fn(&ReplicaNode) = |_| {};
+        crash_every_byte(
+            "a term adoption",
+            &base,
+            nothing,
+            |node| drop(node.observe_term(7)),
+            &attached,
+            &(7, 3, vec![5, 1]),
+        );
+        crash_every_byte(
+            "the first install",
+            &base,
+            nothing,
+            |node| drop(node.wal().install_stream(ReplStream::Shard(0), 9, b"new")),
+            &attached,
+            &unattached(3),
+        );
+        crash_every_byte(
+            "a resync commit",
+            &base,
+            |node| {
+                node.observe_term(4).unwrap();
+                let wal = node.wal();
+                wal.install_stream(ReplStream::Shard(0), 9, b"new").unwrap();
+            },
+            |node| drop(node.wal().commit_resync(4)),
+            &unattached(4),
+            &(4, 4, vec![9, 1]),
+        );
+        crash_every_byte(
+            "a promotion's dirty mark",
+            &base,
+            nothing,
+            |node| drop(node.wal().mark_dirty()),
+            &attached,
+            &unattached(3),
+        );
     }
 
     #[test]

@@ -294,6 +294,17 @@ codec_struct! {
     }
 }
 
+/// A healthy peer (a replica link that receives ships). The `PEER_*`
+/// states are what [`WirePeer::state`] carries, for the cluster's
+/// failure detector and the replicator's links alike.
+pub const PEER_UP: u8 = 0;
+/// A peer that failed once: skipped and redialed.
+pub const PEER_SUSPECT: u8 = 1;
+/// A peer that failed [`SUSPECT_FAILS_TO_DOWN`] times in a row.
+pub const PEER_DOWN: u8 = 2;
+/// Consecutive failures (missed pings, failed redials) to `Down`.
+pub const SUSPECT_FAILS_TO_DOWN: u32 = 3;
+
 codec_struct! {
     /// A peer as one node sees it, inside a [`WireClusterStatus`].
     #[derive(Debug, Clone, PartialEq)]
@@ -302,9 +313,10 @@ codec_struct! {
         pub id: u64,
         /// The peer's advertised address.
         pub addr: String,
-        /// Failure-detector state: 0 = up, 1 = suspect, 2 = down.
+        /// Failure-detector state: [`PEER_UP`], [`PEER_SUSPECT`] or
+        /// [`PEER_DOWN`].
         pub state: u8 = |r| match r.u8()? {
-            s @ 0..=2 => Ok(s),
+            s @ PEER_UP..=PEER_DOWN => Ok(s),
             s => Err(CodecError::new(format!("bad peer state {s}"))),
         },
         /// The peer's last observed election term.

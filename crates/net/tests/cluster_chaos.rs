@@ -179,7 +179,6 @@ struct Cluster {
     /// Every observability context ever created, dead nodes included —
     /// the leader-per-term audit reads all of their flight recorders.
     all_obs: Vec<Arc<Obs>>,
-    vsteps: Vec<u64>,
     now: u64,
 }
 
@@ -191,7 +190,6 @@ impl Cluster {
             nodes: (0..N).map(|_| None).collect(),
             clocks: (0..N).map(|_| None).collect(),
             all_obs: Vec::new(),
-            vsteps: vec![0; N],
             now: 0,
         };
         for i in 0..N {
@@ -224,7 +222,6 @@ impl Cluster {
             quorum: 1,
             majority: 2,
             heartbeat_nanos: HEARTBEAT,
-            miss_threshold: 3,
             election_base_nanos: ELECTION_BASE,
             election_stagger_nanos: ELECTION_STAGGER,
             ship_timeout: None,
@@ -242,7 +239,6 @@ impl Cluster {
         self.all_obs.push(obs);
         self.clocks[i] = Some(clock);
         self.nodes[i] = Some(node);
-        self.vsteps[i] = 0;
     }
 
     /// Crashes node `i`: its process state is gone, its storage
@@ -254,10 +250,9 @@ impl Cluster {
         self.clocks[i] = None;
     }
 
-    /// One virtual 5ms step: every live node's clock advances, its
-    /// protocol steps, and — if it holds the primary role — it runs
-    /// one scheduling cycle, exactly like [`dpack_net::ClusterRunner`]
-    /// does on a wall-clock thread.
+    /// One virtual 5ms step: every live node's clock advances and it
+    /// ticks ([`ClusterNode::tick`]), exactly like
+    /// [`dpack_net::ClusterRunner`] does on a wall-clock thread.
     fn tick(&mut self) {
         self.now += TICK;
         for i in 0..N {
@@ -268,12 +263,7 @@ impl Cluster {
                 .as_ref()
                 .expect("live nodes keep their clock")
                 .set(self.now);
-            node.step(self.now);
-            if let Some(service) = node.core().service() {
-                self.vsteps[i] += 1;
-                #[allow(clippy::cast_precision_loss)]
-                service.run_cycle(self.vsteps[i] as f64);
-            }
+            node.tick(self.now);
         }
     }
 

@@ -122,7 +122,6 @@ struct Cluster {
     clocks: Vec<Arc<ManualClock>>,
     obs: Vec<Arc<Obs>>,
     stepping: Vec<bool>,
-    vsteps: Vec<u64>,
     now: u64,
 }
 
@@ -153,7 +152,6 @@ impl Cluster {
                 quorum: 1,
                 majority: 2,
                 heartbeat_nanos: 2 * TICK,
-                miss_threshold: 3,
                 election_base_nanos: 6 * TICK,
                 election_stagger_nanos: 2 * TICK,
                 ship_timeout: None,
@@ -172,7 +170,6 @@ impl Cluster {
             clocks,
             obs: all_obs,
             stepping: vec![true; N],
-            vsteps: vec![0; N],
             now: 0,
         }
     }
@@ -184,12 +181,7 @@ impl Cluster {
                 continue;
             }
             self.clocks[i].set(self.now);
-            self.nodes[i].step(self.now);
-            if let Some(service) = self.nodes[i].core().service() {
-                self.vsteps[i] += 1;
-                #[allow(clippy::cast_precision_loss)]
-                service.run_cycle(self.vsteps[i] as f64);
-            }
+            self.nodes[i].tick(self.now);
         }
     }
 

@@ -65,58 +65,85 @@
 //! ([`ShardedLedger::set_replication`] asserts this); bootstrapping a
 //! replica from a non-empty primary is future work.
 //!
+//! # The standing
+//!
+//! Beside its log, a replica keeps one durable *standing* — its highest
+//! adopted election term, the lineage of its last resync and the dirty
+//! mark — as one record of a small log of its own (`standing/`, outside
+//! the replica log's wipes). Every change appends a whole record, so a
+//! crash anywhere in a write reads back the old standing or the new one
+//! (the log drops a torn tail). A write the storage refused may still
+//! resurface after a crash (a failed sync can leave its bytes behind),
+//! and each is conservative if it does: a higher term spends a vote
+//! nobody got, a dirty mark wipes the node to unattached, and a resync
+//! commit is sent only once every stream is installed.
+//!
 //! [`ShardedLedger`]: crate::ledger::ShardedLedger
 //! [`ShardedLedger::set_replication`]:
 //! crate::ledger::ShardedLedger::set_replication
 //! [`BudgetService::recover`]: crate::service::BudgetService::recover
 
 use std::fmt;
-use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use dpack_obs::trace::scoped_traces;
 use dpack_obs::TraceContext;
-use dpack_wal::{codec, Wal, WalError, WalOptions, WalStorage};
+use dpack_wal::{codec, codec_struct, Wal, WalError, WalOptions, WalStorage};
 
 use crate::durability::LogRecord;
 use crate::journal::LOG_DIR;
 
-/// Root sidecar: the term of the primary whose resync installed this
-/// replica's state (its *lineage*). 8 little-endian bytes. Absent or
-/// zero means unattached — the node has never completed a resync and
-/// must be fully resynced before its logs mean anything.
-const LINEAGE_FILE: &str = "lineage";
+/// The standing log's namespace; no wipe or promotion reads it.
+const STANDING_DIR: &str = "standing";
 
-/// Root marker: present while the node's logs must not be trusted — a
-/// resync is mid-install, or the node served as a primary (whose own
-/// service appends are not in the replica bookkeeping). A reopen that
-/// finds it wipes back to unattached, so a torn resync or a deposed
-/// primary can never vote (or serve) with a bogus ballot.
-const DIRTY_FILE: &str = "dirty";
-
-fn read_u64_file(storage: &dyn WalStorage, name: &str) -> Result<Option<u64>, WalError> {
-    match storage.read(name) {
-        Ok(bytes) => codec::decode(&bytes).map(Some).map_err(|_| {
-            WalError::Corrupt(format!("{name} sidecar is {} bytes, want 8", bytes.len()))
-        }),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(WalError::Io(e)),
+codec_struct! {
+    /// One record of the standing log; the last whole one holds.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Standing {
+        /// The highest election term adopted (adopting spends its vote).
+        term: u64,
+        /// The term of the primary whose resync installed the log; 0 =
+        /// unattached (never resynced, the log means nothing).
+        lineage: u64,
+        /// The log is untrusted — mid-resync, or it served a primary,
+        /// whose appends bypass the replica bookkeeping — so a reopen
+        /// wipes it to unattached instead of voting or serving on it.
+        dirty: bool,
     }
 }
 
-fn write_u64_file(storage: &dyn WalStorage, name: &str, value: u64) -> Result<(), WalError> {
-    storage.remove(name).map_err(WalError::Io)?;
-    storage
-        .append(name, &codec::encode(&value))
-        .map_err(WalError::Io)
+/// The standing log and the last standing it made durable.
+struct StandingLog {
+    wal: Wal,
+    now: Standing,
 }
 
-fn wipe_dir(storage: &dyn WalStorage) -> Result<(), WalError> {
-    for name in storage.list().map_err(WalError::Io)? {
-        storage.remove(&name).map_err(WalError::Io)?;
+impl StandingLog {
+    /// Durably applies `change` to the standing (on `Err` it stays as
+    /// it was), repairing a log an earlier failed write broke.
+    fn update(&mut self, change: impl FnOnce(&mut Standing)) -> Result<(), WalError> {
+        let mut next = self.now;
+        change(&mut next);
+        self.wal.repair()?;
+        self.wal.append(&codec::encode(&next))?;
+        self.now = next;
+        Ok(())
     }
-    Ok(())
+
+    /// Wipes the replica log in `root` back to unattached: dirty-marked
+    /// first, so a crash mid-wipe reopens dirty and wipes again, then
+    /// cleared with lineage 0. The term is kept.
+    fn wipe(&mut self, root: &dyn WalStorage) -> Result<(), WalError> {
+        if !self.now.dirty {
+            self.update(|s| s.dirty = true)?;
+        }
+        let log = root.sub(LOG_DIR)?;
+        for name in log.list().map_err(WalError::Io)? {
+            log.remove(&name).map_err(WalError::Io)?;
+        }
+        self.update(|s| (s.lineage, s.dirty) = (0, false))
+    }
 }
 
 /// Which stream a shipped batch belongs to. Streams are independent:
@@ -289,15 +316,14 @@ struct ReplicaLog {
 ///
 /// [`BudgetService::recover`]: crate::service::BudgetService::recover
 pub struct ReplicaWal {
-    /// Root storage handle, retained for the resync path (markers, log
-    /// wipes) past the borrowed `open` argument.
+    /// Root storage handle, retained for the resync path (log wipes)
+    /// past the borrowed `open` argument.
     storage: Box<dyn WalStorage>,
     segment_bytes: u64,
     shards: usize,
     log: Mutex<ReplicaLog>,
-    /// The term of the primary that last resynced this node (0 =
-    /// unattached). Mirrors the `lineage` sidecar.
-    lineage: AtomicU64,
+    /// Taken after `log` when both are held.
+    standing: Mutex<StandingLog>,
     /// Set between the first stream install and the resync commit;
     /// while set, the node's vector mixes old and new streams and must
     /// not be used as an election ballot.
@@ -308,7 +334,7 @@ impl fmt::Debug for ReplicaWal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplicaWal")
             .field("shards", &self.shards)
-            .field("lineage", &self.lineage.load(Ordering::Relaxed))
+            .field("standing", &self.standing().now)
             .field("resyncing", &self.resyncing.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -328,12 +354,13 @@ fn slot(stream: ReplStream, shards: usize) -> Result<usize, WalError> {
 
 impl ReplicaWal {
     /// Opens (or reopens) a replica's log in `storage` with the layout
-    /// a primary with `shards` shards uses.
+    /// a primary with `shards` shards uses, and its standing.
     ///
-    /// If a previous life left the `dirty` marker — a torn resync, or
-    /// a stint as a promoted primary — everything is wiped first and
-    /// the node reopens unattached (empty log, lineage 0): its ballot
-    /// is zero and the current primary will fully resync it.
+    /// If a previous life left the dirty mark — a torn resync, or a
+    /// stint as a promoted primary — the log is wiped first and the
+    /// node reopens unattached (empty log, lineage 0) with its term
+    /// kept: its ballot is zero and the current primary will fully
+    /// resync it.
     ///
     /// # Errors
     ///
@@ -351,17 +378,20 @@ impl ReplicaWal {
     ) -> Result<Self, WalError> {
         assert!(shards >= 1, "need at least one shard stream");
         let root = storage.clone_handle();
-        if read_u64_file(root.as_ref(), DIRTY_FILE)?.is_some() {
-            Self::wipe_all(root.as_ref())?;
+        let (wal, recovered) = Wal::open(root.sub(STANDING_DIR)?, WalOptions::default())?;
+        let last = recovered.records.last();
+        let now = last.map_or(Ok(Standing::default()), |r| codec::decode(r))?;
+        let mut standing = StandingLog { wal, now };
+        if standing.now.dirty {
+            standing.wipe(root.as_ref())?;
         }
         let log = Self::open_log(root.as_ref(), shards, segment_bytes)?;
-        let lineage = read_u64_file(root.as_ref(), LINEAGE_FILE)?.unwrap_or(0);
         Ok(Self {
             storage: root,
             segment_bytes,
             shards,
             log: Mutex::new(log),
-            lineage: AtomicU64::new(lineage),
+            standing: Mutex::new(standing),
             resyncing: AtomicBool::new(false),
         })
     }
@@ -392,15 +422,12 @@ impl ReplicaWal {
         Ok(ReplicaLog { wal, seqs })
     }
 
-    fn wipe_all(root: &dyn WalStorage) -> Result<(), WalError> {
-        wipe_dir(root.sub(LOG_DIR)?.as_ref())?;
-        root.remove(LINEAGE_FILE).map_err(WalError::Io)?;
-        root.remove(DIRTY_FILE).map_err(WalError::Io)?;
-        Ok(())
-    }
-
     fn lock(&self) -> MutexGuard<'_, ReplicaLog> {
         self.log.lock().expect("replica log lock poisoned")
+    }
+
+    fn standing(&self) -> MutexGuard<'_, StandingLog> {
+        self.standing.lock().expect("standing lock poisoned")
     }
 
     /// Number of shard streams.
@@ -411,7 +438,30 @@ impl ReplicaWal {
     /// The term of the primary whose resync installed this node's
     /// state; 0 = unattached (never resynced).
     pub fn lineage(&self) -> u64 {
-        self.lineage.load(Ordering::Acquire)
+        self.standing().now.lineage
+    }
+
+    /// The highest election term this node has adopted.
+    pub fn term(&self) -> u64 {
+        self.standing().now.term
+    }
+
+    /// Adopts `pick(held)` as the election term if it is newer than the
+    /// `held` one, durably first, and returns `held` — in one critical
+    /// section, so only one caller can see a new term newer than
+    /// `held`, which is what spends a vote once.
+    ///
+    /// # Errors
+    ///
+    /// The standing log failed; the term is not adopted.
+    pub fn adopt_term(&self, pick: impl FnOnce(u64) -> u64) -> Result<u64, WalError> {
+        let mut standing = self.standing();
+        let held = standing.now.term;
+        let term = pick(held);
+        if term > held {
+            standing.update(|s| s.term = term)?;
+        }
+        Ok(held)
     }
 
     /// Whether a resync is mid-install (streams mix old and new bases;
@@ -434,13 +484,13 @@ impl ReplicaWal {
     /// (the compaction law: later records are a suffix on top of it),
     /// and the stream's sequence restarts at `base_seq`. A log broken
     /// by an earlier failed apply is repaired first. The first install
-    /// of a resync round durably sets the `dirty` marker, so a crash
+    /// of a resync round durably sets the dirty mark, so a crash
     /// mid-resync reopens unattached instead of half-installed.
     ///
     /// # Errors
     ///
     /// Storage errors, and [`WalError::Corrupt`] for a shard this
-    /// replica does not have; the marker keeps the node from being
+    /// replica does not have; the mark keeps the node from being
     /// trusted.
     pub fn install_stream(
         &self,
@@ -448,10 +498,10 @@ impl ReplicaWal {
         base_seq: u64,
         snapshot: &[u8],
     ) -> Result<(), WalError> {
-        // Set only once the marker is durable: a failed marker write
-        // leaves the flag down, so the next install writes it again.
+        // Set only once the mark is durable: a failed mark leaves the
+        // flag down, so the next install writes it again.
         if !self.resyncing.load(Ordering::Acquire) {
-            write_u64_file(self.storage.as_ref(), DIRTY_FILE, 1)?;
+            self.mark_dirty()?;
             self.resyncing.store(true, Ordering::Release);
         }
         let at = slot(stream, self.shards)?;
@@ -467,51 +517,49 @@ impl ReplicaWal {
         Ok(())
     }
 
-    /// Commits a resync round: durably records the installing
-    /// primary's term as this node's lineage and clears the `dirty`
-    /// marker. From here the node's log is a faithful copy of the
+    /// Commits a resync round: one standing write records the
+    /// installing primary's term as this node's lineage and clears the
+    /// dirty mark. From here the node's log is a faithful copy of the
     /// primary's append stream at the captured point.
     ///
     /// # Errors
     ///
-    /// Storage errors; the marker stays set, so the node remains
+    /// Storage errors; the mark stays set, so the node remains
     /// untrusted until the next successful resync.
     pub fn commit_resync(&self, lineage: u64) -> Result<(), WalError> {
-        write_u64_file(self.storage.as_ref(), LINEAGE_FILE, lineage)?;
-        self.storage.remove(DIRTY_FILE).map_err(WalError::Io)?;
-        self.lineage.store(lineage, Ordering::Release);
+        self.standing()
+            .update(|s| (s.lineage, s.dirty) = (lineage, false))?;
         self.resyncing.store(false, Ordering::Release);
         Ok(())
     }
 
     /// Wipes the node back to unattached in place: empty log, zero
-    /// vector, lineage 0. Used when the primary dies mid-resync — the
-    /// half-installed streams must not vote, and the next primary will
-    /// resync from scratch.
+    /// vector, lineage 0, term kept. Used when the primary dies
+    /// mid-resync — the half-installed streams must not vote, and the
+    /// next primary will resync from scratch.
     ///
     /// # Errors
     ///
-    /// Storage errors; retry or reopen.
+    /// Storage errors; retry or reopen (a reopen finishes the wipe).
     pub fn reset_unattached(&self) -> Result<(), WalError> {
         let mut log = self.lock();
-        Self::wipe_all(self.storage.as_ref())?;
+        self.standing().wipe(self.storage.as_ref())?;
         *log = Self::open_log(self.storage.as_ref(), self.shards, self.segment_bytes)?;
-        self.lineage.store(0, Ordering::Release);
         self.resyncing.store(false, Ordering::Release);
         Ok(())
     }
 
-    /// Durably marks this node's log as untrusted (the `dirty`
-    /// marker): any later reopen wipes back to unattached. A node
-    /// promoting to primary calls this first, because its service
-    /// appends bypass the replica bookkeeping — a deposed primary must
-    /// rejoin empty and be resynced, never vote with its own log.
+    /// Durably marks this node's log as untrusted (the dirty mark): any
+    /// later reopen wipes back to unattached. A node promoting to
+    /// primary calls this first, because its service appends bypass the
+    /// replica bookkeeping — a deposed primary must rejoin empty and be
+    /// resynced, never vote with its own log.
     ///
     /// # Errors
     ///
-    /// Storage errors; do not promote without the marker down.
+    /// Storage errors; do not promote without the mark down.
     pub fn mark_dirty(&self) -> Result<(), WalError> {
-        write_u64_file(self.storage.as_ref(), DIRTY_FILE, 1)
+        self.standing().update(|s| s.dirty = true)
     }
 
     /// Durably applies one shipped batch and returns the stream's
@@ -765,7 +813,7 @@ mod tests {
         replica
             .install_stream(ReplStream::Shard(0), 9, b"half")
             .unwrap();
-        // No commit: the dirty marker is still down, so the reopened
+        // No commit: the dirty mark is still down, so the reopened
         // node wipes back to a zero ballot instead of voting with a
         // half-installed vector.
         drop(replica);

@@ -404,8 +404,7 @@ impl BudgetService {
                 .is_none_or(|t| t.is_finite() && t >= 0.0),
             "default timeout must be finite and >= 0"
         );
-        let mut stats = ServiceStats::with_retention(config.retention);
-        stats.durability = ledger.durability_stats();
+        let stats = ServiceStats::with_retention(config.retention);
         let telemetry = ServiceTelemetry::new(&obs);
         let pending = Pending::new(ledger.grid());
         let books = Books {
@@ -965,7 +964,6 @@ impl BudgetService {
         };
         let stats = &mut self.books().stats;
         stats.scheduler_runtime += algorithm;
-        stats.durability = durability;
         stats.record_cycle(cycle.clone());
         cycle
     }

@@ -215,9 +215,6 @@ pub struct ServiceStats {
     pub cycle_time_total: Duration,
     /// Per-tenant counters.
     pub tenants: BTreeMap<TenantId, TenantStats>,
-    /// Write-ahead-log activity (`None` for an in-memory service);
-    /// refreshed at cycle boundaries.
-    pub durability: Option<DurabilityStats>,
     retention: StatsRetention,
 }
 

@@ -402,7 +402,7 @@ fn fs_backed_service_recovers_across_restart() {
     let granted = first.stats().granted.len();
     assert_eq!(granted, 20, "everything fits");
     let live = ledger(&first);
-    assert!(first.stats().durability.unwrap().records > 0);
+    assert!(first.ledger().durability_stats().unwrap().records > 0);
     drop(first);
 
     let rebooted = open().expect("reopen");

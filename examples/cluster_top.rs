@@ -27,6 +27,7 @@ use dpack::accounting::{AlphaGrid, RdpCurve};
 use dpack::core::problem::{Block, Task};
 use dpack_net::obs::trace::{assemble_trees, SlowTraceSampler, SpanTree};
 use dpack_net::obs::{MetricsSnapshot, Obs, Tracer, Value};
+use dpack_net::wire::{PEER_DOWN, PEER_SUSPECT, PEER_UP};
 use dpack_net::{
     ClusterConfig, ClusterNode, ClusterPeer, ClusterRunner, NetClient, NetServer, WireClusterStatus,
 };
@@ -40,9 +41,9 @@ const UNTRACED: u64 = 8;
 
 fn state_name(state: u8) -> &'static str {
     match state {
-        0 => "up",
-        1 => "suspect",
-        2 => "down",
+        PEER_UP => "up",
+        PEER_SUSPECT => "suspect",
+        PEER_DOWN => "down",
         _ => "?",
     }
 }
@@ -202,7 +203,6 @@ fn main() {
                 quorum: 1,
                 majority: 2,
                 heartbeat_nanos: 20_000_000,
-                miss_threshold: 3,
                 election_base_nanos: 100_000_000,
                 election_stagger_nanos: 50_000_000,
                 ship_timeout: Some(Duration::from_millis(500)),
@@ -316,7 +316,7 @@ fn main() {
         primary
             .peers
             .iter()
-            .all(|p| p.state == 0 && p.lag.iter().all(|&l| l == 0)),
+            .all(|p| p.state == PEER_UP && p.lag.iter().all(|&l| l == 0)),
         "settled cluster: every peer up, no lag"
     );
 

@@ -116,6 +116,19 @@ if [ "$(grep -cE 'Wal::open\(' <<<"${journal_code}")" != 1 ] \
   exit 1
 fi
 
+echo "==> checking a replica keeps its standing in one log"
+# ReplicaWal (crates/service/src/replication.rs) holds a replica's whole
+# durable standing — term, lineage, dirty mark — in one crash-safe log,
+# so dpack-net opens no log of its own, and the sidecar files written by
+# remove-then-append stay deleted. Tests below `#[cfg(test)]` may open
+# anything.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    crates/net/src/*.rs | grep -vE '^[^ ]+ *//' | grep -E '\bWal::open\(' \
+  || grep -nE 'read_u64_file|write_u64_file' crates/service/src/*.rs; then
+  echo "ERROR: a replica's standing lives only in ReplicaWal's one log (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking a block is kept only in its store and the log"
 # Every block is one in-memory entry in its shard's store (store.rs),
 # made durable only through the write-ahead log. The segment store that
