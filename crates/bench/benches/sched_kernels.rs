@@ -4,7 +4,9 @@
 //! alphas, efficiencies, order and pack, which sum to `schedule` — on the two
 //! instance shapes of the repo's benchmark (`offline_micro`, and one
 //! cycle's pending set of `online_alibaba`), so the stage split can be
-//! read without the traced benchmark run; on the second shape, what it
+//! read without the traced benchmark run; the order stage again on the
+//! same tasks shuffled, whose ties the sort must re-sort by arrival and
+//! id (both shapes arrive in that order); on the second shape, what it
 //! costs to bring the state from one cycle to the next — rebuilt from
 //! the pending tasks, or kept and edited; and what the service's ledger
 //! costs per block to write one cycle's capacity rows. Runs on the
@@ -147,7 +149,21 @@ fn ledger_fill(m: &mut Micro, smoke: bool) -> f64 {
     report.mean.as_nanos() as f64 / ids.len() as f64
 }
 
-/// One row per stage of `DPack::schedule` on `state`.
+/// `state`'s tasks pushed in a fixed shuffled order, so its
+/// efficiency sort re-sorts its ties by arrival and id.
+fn shuffled(state: &ProblemState) -> ProblemState {
+    let mut tasks = state.tasks().to_vec();
+    let mut draw = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (1..tasks.len()).rev() {
+        draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        tasks.swap(i, (draw >> 33) as usize % (i + 1));
+    }
+    let (grid, available) = (state.grid().clone(), state.blocks().clone());
+    ProblemState::from_available(grid, available, tasks).expect("same blocks")
+}
+
+/// One row per stage of `DPack::schedule` on `state`, and the order
+/// stage again on its tasks shuffled.
 fn stages(m: &mut Micro, shape: &str, state: &ProblemState) {
     let dpack = DPack::default();
     let best = dpack.best_alphas(state);
@@ -159,6 +175,12 @@ fn stages(m: &mut Micro, shape: &str, state: &ProblemState) {
     });
     m.bench(&format!("{shape}/order"), || {
         sort_by_efficiency(state, &eff)
+    });
+    let shuffled = shuffled(state);
+    assert!(!shuffled.in_arrival_order(), "a shuffle out of order");
+    let shuffled_eff = dpack.efficiencies(&shuffled, &dpack.best_alphas(&shuffled));
+    m.bench(&format!("{shape}/order/shuffled"), || {
+        sort_by_efficiency(&shuffled, &shuffled_eff)
     });
     m.bench(&format!("{shape}/pack"), || {
         pack(state, &order, PackingRule::Skip)

@@ -325,6 +325,7 @@ impl_tuple_strategy!(A, B, C);
 impl_tuple_strategy!(A, B, C, D);
 impl_tuple_strategy!(A, B, C, D, E);
 impl_tuple_strategy!(A, B, C, D, E, F);
+impl_tuple_strategy!(A, B, C, D, E, F, G);
 
 #[cfg(test)]
 mod tests {

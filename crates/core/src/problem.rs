@@ -8,6 +8,7 @@ use std::time::Duration;
 use dp_accounting::{AlphaGrid, RdpCurve};
 
 use crate::dense::Dense;
+use crate::schedulers::order_bits;
 
 /// Task identifier, unique within a workload.
 pub type TaskId = u64;
@@ -76,6 +77,20 @@ impl Task {
         self.timeout = Some(timeout);
         self
     }
+
+    /// First come, first served: arrival, then id, as one integer pair
+    /// (the arrival through `order_bits`, so the pair orders every
+    /// `f64` the way the efficiency sort breaks its ties).
+    pub(crate) fn arrival_key(&self) -> (u64, TaskId) {
+        (order_bits(self.arrival), self.id)
+    }
+}
+
+/// Whether `tasks` is in nondecreasing [`Task::arrival_key`] order.
+fn in_arrival_order(tasks: &[Task]) -> bool {
+    tasks
+        .windows(2)
+        .all(|w| w[0].arrival_key() <= w[1].arrival_key())
 }
 
 /// A data block with an RDP budget.
@@ -116,6 +131,16 @@ impl Block {
 /// [`ProblemState::set_capacity`]. Tasks are never reordered, so a
 /// long-lived state is indistinguishable — to every scheduler, bit for
 /// bit — from one built from scratch over the same tasks.
+///
+/// The state also knows one fact about its tasks exactly:
+/// [`ProblemState::in_arrival_order`], whether they stand in
+/// nondecreasing `(arrival, id)` order along the index (arrivals
+/// compared as the efficiency sort compares them). Building computes
+/// it, a push compares the new task with the last one, a retain keeps
+/// it while it holds (a subsequence of a sorted list is sorted) and
+/// recomputes it over the kept tasks while it does not. So it is a
+/// function of the tasks alone, and a long-lived state prints the same
+/// as a rebuilt one.
 #[derive(Clone)]
 pub struct ProblemState {
     grid: AlphaGrid,
@@ -127,6 +152,9 @@ pub struct ProblemState {
     /// Task indices sorted by `(id, index)`, for [`ProblemState::task`];
     /// kept sorted by insertion and compaction, never re-sorted.
     by_id: Vec<u32>,
+    /// Whether `tasks` is in nondecreasing [`Task::arrival_key`] order;
+    /// see [`ProblemState::in_arrival_order`].
+    in_arrival_order: bool,
     /// [`ProblemState::blocks`], a copy of the capacity rows.
     blocks: OnceLock<BTreeMap<BlockId, RdpCurve>>,
 }
@@ -134,7 +162,13 @@ pub struct ProblemState {
 /// All but `blocks`, so a state prints the same whether it was built or not.
 impl fmt::Debug for ProblemState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let fields = (&self.grid, &self.tasks, &self.dense, &self.by_id);
+        let fields = (
+            &self.grid,
+            &self.tasks,
+            &self.dense,
+            &self.by_id,
+            self.in_arrival_order,
+        );
         write!(f, "ProblemState {fields:?}")
     }
 }
@@ -192,6 +226,7 @@ impl ProblemState {
         by_id.sort_unstable_by_key(|&i| (tasks[i as usize].id, i));
         Ok(Self {
             grid,
+            in_arrival_order: in_arrival_order(&tasks),
             tasks,
             dense,
             by_id,
@@ -212,13 +247,18 @@ impl ProblemState {
             .by_id
             .partition_point(|&i| self.tasks[i as usize].id <= task.id);
         self.by_id.insert(at, self.tasks.len() as u32);
+        self.in_arrival_order &= self
+            .tasks
+            .last()
+            .is_none_or(|last| last.arrival_key() <= task.arrival_key());
         self.tasks.push(task);
         Ok(())
     }
 
     /// Drops every task whose flag in `keep` (one per task, in
     /// [`ProblemState::tasks`] order) is `false`. The kept tasks close
-    /// ranks in place and stay in order.
+    /// ranks in place and stay in order; out of `(arrival, id)` order
+    /// before, they are checked for it again.
     ///
     /// # Panics
     ///
@@ -247,6 +287,9 @@ impl ProblemState {
         let mut flags = keep.iter();
         self.tasks
             .retain(|_| *flags.next().expect("one flag per task"));
+        if !self.in_arrival_order {
+            self.in_arrival_order = in_arrival_order(&self.tasks);
+        }
     }
 
     /// Replaces the blocks with `ids`, ascending, whose available
@@ -298,6 +341,14 @@ impl ProblemState {
     /// The pending tasks.
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
+    }
+
+    /// Whether the pending tasks stand in nondecreasing `(arrival, id)`
+    /// order along the index, arrivals compared as
+    /// [`crate::schedulers::sort_by_efficiency`] compares them. Then
+    /// that sort breaks ties by index alone and reads no task.
+    pub fn in_arrival_order(&self) -> bool {
+        self.in_arrival_order
     }
 
     /// The position in [`ProblemState::tasks`] of the (first) task with
@@ -487,6 +538,45 @@ mod tests {
         assert_eq!(requested(&state), vec![0, 1, 5]);
         state.retain_tasks(&[true, false]);
         assert_eq!(requested(&state), vec![1]);
+    }
+
+    #[test]
+    fn the_arrival_order_flag_follows_the_tasks() {
+        let g = grid();
+        let blocks = vec![Block::new(0, RdpCurve::constant(&g, 1.0), 0.0)];
+        let task = |id, arrival| Task::new(id, 1.0, vec![0], RdpCurve::zero(&g), arrival);
+        // Ties in arrival go by id; -0.0 and 0.0 are one arrival.
+        let in_order = vec![task(4, -0.0), task(5, 0.0), task(1, 1.0), task(1, 1.0)];
+        let mut state = ProblemState::new(g.clone(), blocks.clone(), in_order).unwrap();
+        assert!(state.in_arrival_order(), "set at build");
+        state.push_task(task(2, 1.0)).unwrap();
+        assert!(state.in_arrival_order(), "kept by an in-order push");
+        state.push_task(task(9, 0.5)).unwrap();
+        assert!(!state.in_arrival_order(), "cleared by an earlier arrival");
+        state.retain_tasks(&[false, true, true, true, true, true]);
+        assert!(!state.in_arrival_order(), "the offender is still pending");
+        state.retain_tasks(&[true, true, false, false, true]);
+        assert!(!state.in_arrival_order(), "(0, 5), (1, 1), (0.5, 9)");
+        state.retain_tasks(&[true, true, false]);
+        assert!(state.in_arrival_order(), "the offender dropped");
+        state.push_task(task(0, 1.0)).unwrap();
+        assert!(!state.in_arrival_order(), "cleared by a smaller id");
+        state.retain_tasks(&[true, false, true]);
+        assert!(state.in_arrival_order(), "restored again");
+        state.retain_tasks(&[true, false]);
+        assert!(state.in_arrival_order(), "kept by a retain while it holds");
+        // A refused push leaves the flag as it was.
+        let mut refused = task(3, -2.0);
+        refused.blocks = vec![7];
+        let before = format!("{state:?}");
+        assert!(state.push_task(refused).is_err());
+        assert_eq!(format!("{state:?}"), before);
+        assert!(state.in_arrival_order());
+        state.push_task(task(7, -1.0)).unwrap();
+        // The flag is a function of the tasks: a rebuild agrees.
+        let rebuilt = ProblemState::new(g, blocks, state.tasks().to_vec()).unwrap();
+        assert_eq!(format!("{state:?}"), format!("{rebuilt:?}"));
+        assert!(!rebuilt.in_arrival_order());
     }
 
     #[test]

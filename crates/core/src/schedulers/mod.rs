@@ -36,13 +36,17 @@ pub trait Scheduler {
 /// time then id — the deterministic ordering used by every greedy
 /// scheduler in this crate (public so external scheduler wrappers order
 /// identically).
+///
+/// The sort runs on 16-byte keys of integers that order as the
+/// efficiencies do, with the index as the tie-break. When the state is
+/// [`ProblemState::in_arrival_order`], index order is `(arrival, id)`
+/// order, so that sort is the answer and no task is read. Otherwise
+/// each run of equal efficiencies reads its tasks and is sorted again
+/// by `(arrival, id, index)`. Either way the result is the order of
+/// the full 4-key sort, with the index as last key, which is what a
+/// stable sort of the indices would yield.
 pub fn sort_by_efficiency(state: &ProblemState, eff: &[f64]) -> Vec<usize> {
-    // The sort runs on 16-byte keys of integers that order as the
-    // efficiencies do, with the index as the tie-break; only a run of
-    // equal efficiencies then reads its tasks, to re-sort by `(arrival,
-    // id, index)`. That is the order of the full 4-key sort, and the
-    // index as last key is what a stable sort of the indices would
-    // yield. Dense indices fit in `u32`.
+    // Dense indices fit in `u32`.
     let tasks = state.tasks();
     let mut keyed: Vec<(u64, u32)> = eff[..tasks.len()]
         .iter()
@@ -50,12 +54,11 @@ pub fn sort_by_efficiency(state: &ProblemState, eff: &[f64]) -> Vec<usize> {
         .map(|(i, &e)| (!order_bits(e), i as u32))
         .collect();
     keyed.sort_unstable();
-    for run in keyed.chunk_by_mut(|a, b| a.0 == b.0) {
-        if run.len() > 1 {
-            run.sort_unstable_by_key(|&(_, i)| {
-                let t = &tasks[i as usize];
-                (order_bits(t.arrival), t.id, i)
-            });
+    if !state.in_arrival_order() {
+        for run in keyed.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.len() > 1 {
+                run.sort_unstable_by_key(|&(_, i)| (tasks[i as usize].arrival_key(), i));
+            }
         }
     }
     keyed.into_iter().map(|(_, i)| i as usize).collect()
@@ -63,7 +66,7 @@ pub fn sort_by_efficiency(state: &ProblemState, eff: &[f64]) -> Vec<usize> {
 
 /// A `u64` that orders as `x` does among non-NaN floats, with -0.0 and
 /// 0.0 equal as they compare (NaNs land beyond the infinities).
-fn order_bits(x: f64) -> u64 {
+pub(crate) fn order_bits(x: f64) -> u64 {
     let bits = (x + 0.0).to_bits();
     if bits >> 63 == 0 {
         bits | 1 << 63
@@ -117,12 +120,20 @@ mod tests {
             Task::new(1, 1.0, vec![0], RdpCurve::zero(&g), 3.0),
             Task::new(2, 1.0, vec![0], RdpCurve::zero(&g), 3.0),
         ];
-        let state = crate::problem::ProblemState::new(g, blocks, tasks).unwrap();
+        let state = crate::problem::ProblemState::new(g.clone(), blocks, tasks).unwrap();
+        assert!(!state.in_arrival_order());
         // Equal efficiency: fall back to arrival then id.
         let order = sort_by_efficiency(&state, &[1.0, 1.0, 1.0]);
         assert_eq!(order, vec![1, 2, 0]);
         // Higher efficiency wins regardless of arrival.
         let order = sort_by_efficiency(&state, &[5.0, 1.0, 1.0]);
         assert_eq!(order, vec![0, 1, 2]);
+        // The same tasks in arrival order: ties go by index, unread.
+        let in_order = [1, 2, 0].map(|i| state.tasks()[i].clone()).to_vec();
+        let blocks = vec![Block::new(0, RdpCurve::constant(&g, 1.0), 0.0)];
+        let state = crate::problem::ProblemState::new(g, blocks, in_order).unwrap();
+        assert!(state.in_arrival_order());
+        assert_eq!(sort_by_efficiency(&state, &[1.0, 1.0, 1.0]), vec![0, 1, 2]);
+        assert_eq!(sort_by_efficiency(&state, &[1.0, 1.0, 5.0]), vec![2, 0, 1]);
     }
 }

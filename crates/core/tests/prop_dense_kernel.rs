@@ -9,7 +9,10 @@
 //! corners: equal and unequal weights, duplicate demand curves (ties at
 //! every order), `0.0`, `-0.0` and `+inf` demands, depleted orders,
 //! blocks nobody requests, sparse block ids, single-order grids
-//! (Prop. 4) and the stop-at-first-misfit rule.
+//! (Prop. 4) and the stop-at-first-misfit rule. Half the instances
+//! hold their tasks in `(arrival, id)` order, so the efficiency sort's
+//! in-order path (ties by index, no task read) and its fallback (ties
+//! re-sorted by arrival and id) both meet the reference.
 //!
 //! A state may also outlive a scheduling round — tasks pushed, tasks
 //! compacted out, capacities written over — as the budget service's
@@ -17,9 +20,12 @@
 //! sequence of those edits and holds it, after every edit, against the
 //! state built from scratch over the same tasks: every field to the
 //! bit, every scheduler's output, and nothing changed by a refused
-//! edit.
+//! edit. Some edits push a straggler (an arrival earlier than every
+//! pending task) and later drop it again, so the state's arrival-order
+//! flag is cleared and restored along the way.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use dp_accounting::{fits, AlphaGrid, RdpCurve};
 use dpack_check::{
@@ -154,7 +160,8 @@ const SPARSE_IDS: [BlockId; 6] = [2, 3, 17, 1_000, 1 << 40, u64::MAX];
 const WEIGHTS: [f64; 4] = [1.0, 2.0, 3.0, 0.75];
 
 /// (orders, sparse ids, equal weights, capacities, demand palette,
-/// tasks as (palette entry, weight pick, block mask, arrival)).
+/// tasks as (palette entry, weight pick, block mask, arrival), tasks in
+/// `(arrival, id)` order).
 type Spec = (
     usize,
     bool,
@@ -162,17 +169,18 @@ type Spec = (
     Vec<Vec<f64>>,
     Vec<Vec<f64>>,
     Vec<(usize, usize, u8, u8)>,
+    bool,
 );
 
 fn build(spec: &Spec) -> (AlphaGrid, Caps, Vec<Task>) {
-    let (n_orders, sparse, equal_weights, caps, palette, task_specs) = spec;
+    let (n_orders, sparse, equal_weights, caps, palette, task_specs, in_order) = spec;
     let grid = AlphaGrid::new([2.0, 4.0, 8.0, 16.0][..*n_orders].to_vec()).unwrap();
     let ids: Vec<BlockId> = (0..caps.len())
         .map(|j| if *sparse { SPARSE_IDS[j] } else { j as BlockId })
         .collect();
     let curve = |values: &Vec<f64>| RdpCurve::new(&grid, values[..*n_orders].to_vec()).unwrap();
     let caps: Caps = ids.iter().copied().zip(caps.iter().map(curve)).collect();
-    let tasks = task_specs
+    let mut tasks: Vec<Task> = task_specs
         .iter()
         .enumerate()
         .map(|(i, &(entry, weight, mask, arrival))| {
@@ -190,7 +198,17 @@ fn build(spec: &Spec) -> (AlphaGrid, Caps, Vec<Task>) {
             Task::new(id, weight, blocks, demand, arrival as f64)
         })
         .collect();
+    if *in_order {
+        tasks.sort_by(|x, y| x.arrival.total_cmp(&y.arrival).then(x.id.cmp(&y.id)));
+    }
     (grid, caps, tasks)
+}
+
+/// Whether `tasks` is in nondecreasing `(arrival, id)` order, as written.
+fn ref_in_arrival_order(tasks: &[Task]) -> bool {
+    tasks
+        .windows(2)
+        .all(|w| (w[0].arrival, w[0].id) <= (w[1].arrival, w[1].id))
 }
 
 fn spec() -> impl Strategy<Value = Spec> {
@@ -218,6 +236,7 @@ fn spec() -> impl Strategy<Value = Spec> {
             ),
             0..31,
         ),
+        bools(),
     )
 }
 
@@ -236,6 +255,7 @@ fn same(what: &str, got: &dpack_core::Allocation, want: &Outcome) -> PropResult 
 /// Every scheduler on the dense view against the reference.
 fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResult {
     let state = ProblemState::from_available(grid, caps.clone(), tasks.clone()).unwrap();
+    prop_assert_eq!(state.in_arrival_order(), ref_in_arrival_order(&tasks));
     let skip = PackingRule::Skip;
 
     // DPack: best alphas, Eq. 6, order, CANRUN.
@@ -315,6 +335,8 @@ fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResul
 
 #[test]
 fn dense_schedulers_match_the_literal_algorithm() {
+    // Cases of two tasks or more, per path of the efficiency sort.
+    let paths = [AtomicU32::new(0), AtomicU32::new(0)];
     check_cases(
         "dense_schedulers_match_the_literal_algorithm",
         CASES,
@@ -328,8 +350,17 @@ fn dense_schedulers_match_the_literal_algorithm() {
                 prop_assert_eq!(state.index_of(t.id), Some(i));
             }
             prop_assert_eq!(state.task(31), None);
+            if tasks.len() > 1 {
+                paths[usize::from(state.in_arrival_order())].fetch_add(1, Ordering::Relaxed);
+            }
             matches_reference(grid, caps, tasks)
         },
+    );
+    let [fallback, in_order] = paths.map(AtomicU32::into_inner);
+    // A replayed seed or a cut case count may draw one path only.
+    assert!(
+        fallback + in_order < 64 || fallback.min(in_order) > 0,
+        "{fallback} fallback / {in_order} in-order cases"
     );
 }
 
@@ -392,6 +423,7 @@ fn same_as_rebuilt(state: &ProblemState, caps: &Caps, tasks: &[Task]) -> PropRes
     let rebuilt =
         ProblemState::from_available(state.grid().clone(), caps.clone(), tasks.to_vec()).unwrap();
     prop_assert_eq!(format!("{state:?}"), format!("{rebuilt:?}"));
+    prop_assert_eq!(state.in_arrival_order(), ref_in_arrival_order(tasks));
     prop_assert_eq!(format!("{:?}", state.blocks()), format!("{caps:?}"));
     for t in tasks {
         prop_assert_eq!(state.index_of(t.id), rebuilt.index_of(t.id));
@@ -443,7 +475,7 @@ fn set_caps(state: &mut ProblemState, caps: &Caps) -> Result<(), ProblemError> {
 /// row too.
 #[test]
 fn a_long_lived_state_equals_a_rebuilt_one() {
-    let steps = vecs((ints(0u8..8), ints(0u8..64)), 0..28);
+    let steps = vecs((ints(0u8..10), ints(0u8..64)), 0..28);
     check_cases(
         "a_long_lived_state_equals_a_rebuilt_one",
         CASES,
@@ -456,6 +488,9 @@ fn a_long_lived_state_equals_a_rebuilt_one() {
             let mut caps: Caps = universe.clone().into_iter().step_by(2).collect();
             let mut tasks: Vec<Task> = Vec::new();
             let mut pool = pool.into_iter();
+            // Stragglers take ids above the pool's and ever earlier
+            // arrivals.
+            let mut stragglers = 0u64;
             let mut state = ProblemState::from_available(grid.clone(), caps.clone(), vec![])
                 .expect("no tasks to refuse");
             for &(step, arg) in steps {
@@ -495,6 +530,27 @@ fn a_long_lived_state_equals_a_rebuilt_one() {
                         state.retain_tasks(&keep);
                         let mut flags = keep.iter();
                         tasks.retain(|_| *flags.next().unwrap());
+                    }
+                    // A straggler, out of order behind any pending task.
+                    8 => {
+                        let Some(first) = caps.keys().next() else {
+                            continue;
+                        };
+                        stragglers += 1;
+                        let demand = RdpCurve::constant(&grid, f64::from(arg) / 64.0);
+                        let arrival = -(stragglers as f64);
+                        let task = Task::new(31 + stragglers, 1.5, vec![*first], demand, arrival);
+                        prop_assert_eq!(state.push_task(task.clone()), Ok(()));
+                        prop_assert!(tasks.is_empty() || !state.in_arrival_order());
+                        tasks.push(task);
+                    }
+                    // Every straggler leaves.
+                    9 => {
+                        let keep: Vec<bool> = tasks.iter().map(|t| t.id < 32).collect();
+                        state.retain_tasks(&keep);
+                        tasks.retain(|t| t.id < 32);
+                        // What is left of an in-order pool is in order.
+                        prop_assert!(!spec.6 || state.in_arrival_order());
                     }
                     // New capacities, with one block more or one less.
                     _ => {

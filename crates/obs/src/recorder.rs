@@ -120,10 +120,11 @@ pub struct Event {
 struct RecorderInner {
     /// Entries are `[kind, a, b]`.
     ring: Ring<3>,
-    /// Counts ring evictions (a dump with a seq gap before its first
-    /// retained event is a truncated dump — this makes the silent gap
-    /// a scrapable `dpack_recorder_dropped_total` signal). Inert
-    /// unless wired to a live registry.
+    /// Counts events the ring lost: evicted, or dropped by a writer
+    /// that met another in its slot (a dump with a seq gap is a
+    /// truncated dump — this makes the silent gap a scrapable
+    /// `dpack_recorder_dropped_total` signal). Inert unless wired to a
+    /// live registry.
     dropped: Counter,
 }
 
@@ -144,7 +145,7 @@ impl FlightRecorder {
         }
     }
 
-    /// Wires the eviction counter (typically the registry's
+    /// Wires the lost-event counter (typically the registry's
     /// `dpack_recorder_dropped_total`). Call before the recorder is
     /// cloned/shared.
     ///
@@ -159,8 +160,9 @@ impl FlightRecorder {
         self
     }
 
-    /// Total events evicted by the ring (recorded − retained): the
-    /// truncation a dump's leading seq gap silently implies.
+    /// Total events the ring lost, evicted or dropped (recorded −
+    /// retained, at quiescence): the truncation a dump's seq gaps
+    /// silently imply.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.get()
     }
@@ -176,8 +178,9 @@ impl FlightRecorder {
         self.inner.ring.capacity()
     }
 
-    /// Appends one event, evicting the oldest at capacity. Lock-free
-    /// (see [`crate::ring`]).
+    /// Appends one event, evicting the oldest at capacity; dropped
+    /// instead if a writer a lap away holds its slot. Lock-free (see
+    /// [`crate::ring`]).
     pub fn record(&self, kind: EventKind, a: u64, b: u64) {
         if self.inner.ring.push([u64::from(kind as u8), a, b]) {
             self.inner.dropped.inc();
@@ -205,7 +208,7 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Total events ever recorded (including evicted ones).
+    /// Total events ever recorded (including evicted and dropped ones).
     pub fn recorded(&self) -> u64 {
         self.inner.ring.recorded()
     }

@@ -2,26 +2,39 @@
 //! record into: a fixed number of slots, each holding `W` `u64` payload
 //! words behind a per-slot seqlock.
 //!
-//! One `fetch_add` claims a sequence number (from 1) and with it the
-//! slot `(seq - 1) % capacity`; the writer invalidates the slot
-//! (`seq = 0`), stores the payload, then publishes `seq`. A reader
-//! that sees the same nonzero `seq` on both sides of its payload
-//! loads saw a consistent entry; anything else is a slot caught
-//! mid-overwrite and is skipped. The ring holds the most recent
-//! `capacity` entries; older ones fall off the front while sequence
-//! numbers keep counting.
+//! One `fetch_add` draws a sequence number (from 1) and with it the
+//! slot `(seq - 1) % capacity`. The writer claims the slot with one
+//! compare-and-swap of its `seq`, from empty (0) or from an older
+//! published entry to [`WRITING`], stores the payload, then publishes
+//! `seq`. Two writers a lap or more apart draw the same slot; the CAS
+//! lets only one of them hold it, so their payload stores never
+//! interleave. A writer that finds the slot mid-write, or already
+//! holding a newer entry, drops its own entry and reports it lost, as
+//! an eviction is. A reader that sees the same published `seq` on both
+//! sides of its payload loads saw a consistent entry; anything else is
+//! a slot caught mid-write and is skipped. The ring holds the most
+//! recent `capacity` entries, less any dropped; older ones fall off
+//! the front while sequence numbers keep counting.
 //!
 //! The payload words are `Relaxed` atomics, so the two fences carry
 //! the ordering (Boehm, "Can Seqlocks Get Along with Programming
 //! Language Memory Models?", MSPC '12): the writer's `Release` fence
-//! keeps its payload stores after the invalidation, and the reader's
+//! keeps its payload stores after the claim, and the reader's
 //! `Acquire` fence keeps its payload loads before the re-check of
 //! `seq`. Without them a weakly ordered CPU can let a torn slot pass
-//! as consistent; on x86 both are compiler barriers only.
+//! as consistent; on x86 both are compiler barriers only. The claim
+//! itself is an `Acquire` CAS that reads the previous writer's
+//! `Release` publish, so the new payload stores come after the old
+//! ones.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-/// One seqlock-published slot. `seq == 0` means empty or mid-write.
+/// A slot's `seq` while a writer holds it; sequence numbers never
+/// reach the top bit.
+const WRITING: u64 = 1 << 63;
+
+/// One seqlock-published slot. `seq` is 0 while empty, [`WRITING`]
+/// while claimed, and the entry's sequence number once published.
 #[derive(Debug)]
 struct Slot<const W: usize> {
     seq: AtomicU64,
@@ -40,7 +53,7 @@ impl<const W: usize> Slot<W> {
     /// or a writer raced the read.
     fn read(&self) -> Option<(u64, [u64; W])> {
         let before = self.seq.load(Ordering::Acquire);
-        if before == 0 {
+        if before == 0 || before == WRITING {
             return None;
         }
         let words = std::array::from_fn(|i| self.words[i].load(Ordering::Relaxed));
@@ -72,21 +85,63 @@ impl<const W: usize> Ring<W> {
     }
 
     /// Appends one entry, evicting the oldest at capacity; returns
-    /// whether this claim evicted one. Lock-free: one `fetch_add`
-    /// claims the slot, the seqlock publishes it.
+    /// whether an entry was lost: one this write evicted, or its own,
+    /// dropped because another writer held the slot. Lock-free: one
+    /// `fetch_add` draws the slot, one CAS claims it, the seqlock
+    /// publishes it.
     pub(crate) fn push(&self, words: [u64; W]) -> bool {
         if self.slots.is_empty() {
             return false;
         }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = &self.slots[(seq - 1) as usize % self.slots.len()];
-        slot.seq.store(0, Ordering::Relaxed); // Invalidate for readers.
-        fence(Ordering::Release);
-        for (word, value) in slot.words.iter().zip(words) {
-            word.store(value, Ordering::Relaxed);
+        let Some(claim) = self.claim(self.draw()) else {
+            return true;
+        };
+        let evicted = claim.evicted;
+        for (i, value) in words.into_iter().enumerate() {
+            claim.store(i, value);
         }
-        slot.seq.store(seq, Ordering::Release);
-        seq > self.slots.len() as u64
+        claim.publish();
+        evicted
+    }
+
+    /// The next sequence number.
+    fn draw(&self) -> u64 {
+        self.next_seq.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Holds `seq`'s slot for its writer, or `None` if another writer
+    /// holds it or has already published a newer entry there.
+    fn claim(&self, seq: u64) -> Option<Claim<'_, W>> {
+        let capacity = self.slots.len();
+        // A mask where it can be (the default capacities), a division
+        // otherwise.
+        let at = if capacity.is_power_of_two() {
+            (seq - 1) as usize & (capacity - 1)
+        } else {
+            (seq - 1) as usize % capacity
+        };
+        let slot = &self.slots[at];
+        // Expect the entry one lap back, so the usual claim is one CAS
+        // with no load before it.
+        let mut held = seq.saturating_sub(capacity as u64);
+        loop {
+            match slot.seq.compare_exchange_weak(
+                held,
+                WRITING,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(now) if now == WRITING || now > seq => return None,
+                Err(now) => held = now,
+            }
+        }
+        fence(Ordering::Release);
+        Some(Claim {
+            slot,
+            seq,
+            evicted: held != 0,
+        })
     }
 
     /// The retained entries with `seq >= since`, in sequence order.
@@ -103,9 +158,27 @@ impl<const W: usize> Ring<W> {
         entries
     }
 
-    /// Total entries ever recorded (including evicted ones).
+    /// Total entries ever recorded (including evicted and dropped ones).
     pub(crate) fn recorded(&self) -> u64 {
         self.next_seq.load(Ordering::Relaxed)
+    }
+}
+
+/// A slot held by one writer, from its claim to its publish.
+struct Claim<'a, const W: usize> {
+    slot: &'a Slot<W>,
+    seq: u64,
+    /// Whether the slot held a published entry, now lost.
+    evicted: bool,
+}
+
+impl<const W: usize> Claim<'_, W> {
+    fn store(&self, i: usize, value: u64) {
+        self.slot.words[i].store(value, Ordering::Relaxed);
+    }
+
+    fn publish(self) {
+        self.slot.seq.store(self.seq, Ordering::Release);
     }
 }
 
@@ -138,5 +211,40 @@ mod tests {
         assert_eq!(ring.recorded(), 200_000);
         let last: Vec<u64> = ring.dump_since(0).iter().map(|&(seq, _)| seq).collect();
         assert_eq!(last, [199_997, 199_998, 199_999, 200_000]);
+    }
+
+    #[test]
+    fn writers_a_lap_apart_never_interleave_in_one_slot() {
+        // On a one-slot ring every writer draws the same slot. The
+        // first is preempted between its first and second word; the
+        // second runs start to finish in the gap, then the first
+        // resumes. Sharing the slot would publish `(1, [2, 1])`.
+        let ring: Ring<2> = Ring::new(1);
+        let (first, second) = (ring.draw(), ring.draw());
+        let first = ring.claim(first).expect("an empty slot");
+        first.store(0, 1);
+        if let Some(second) = ring.claim(second) {
+            second.store(0, 2);
+            second.store(1, 2);
+            second.publish();
+        }
+        first.store(1, 1);
+        first.publish();
+        assert_eq!(ring.dump_since(0), [(1, [1, 1])], "the late writer dropped");
+
+        // A writer that draws before a newer one but claims after it
+        // publishes finds the newer entry and drops its own.
+        let (older, newer) = (ring.draw(), ring.draw());
+        let claim = ring.claim(newer).expect("slot published");
+        assert!(claim.evicted);
+        claim.store(0, 4);
+        claim.store(1, 4);
+        claim.publish();
+        assert!(ring.claim(older).is_none(), "a newer entry stands");
+        assert_eq!(ring.dump_since(0), [(4, [4, 4])]);
+        // Every entry is lost once: evicted or dropped.
+        assert!(ring.push([5, 5]));
+        assert_eq!(ring.dump_since(0), [(5, [5, 5])]);
+        assert_eq!(ring.recorded(), 5);
     }
 }

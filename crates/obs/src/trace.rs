@@ -271,8 +271,9 @@ impl SpanRing {
         self.inner.node.load(Ordering::Relaxed)
     }
 
-    /// Appends one span, evicting the oldest at capacity. Lock-free
-    /// (see [`crate::ring`]).
+    /// Appends one span, evicting the oldest at capacity; dropped
+    /// instead if a writer a lap away holds its slot. Lock-free (see
+    /// [`crate::ring`]).
     #[allow(clippy::similar_names, clippy::too_many_arguments)]
     pub fn record(
         &self,
@@ -324,7 +325,7 @@ impl SpanRing {
             .collect()
     }
 
-    /// Total spans ever recorded (including evicted ones).
+    /// Total spans ever recorded (including evicted and dropped ones).
     pub fn recorded(&self) -> u64 {
         self.inner.ring.recorded()
     }

@@ -211,9 +211,10 @@ fi
 
 echo "==> checking there is one seqlock ring"
 # crates/obs/src/ring.rs is the one lock-free seqlock ring (one
-# fetch_add claims a slot; fences order the payload around the slot's
-# sequence word). The flight recorder and the span ring are typed views
-# over it, so no other program file declares a slot's `seq: AtomicU64`.
+# fetch_add draws a slot, one CAS claims it; fences order the payload
+# around the slot's sequence word). The flight recorder and the span
+# ring are typed views over it, so no other program file declares a
+# slot's `seq: AtomicU64`.
 # Tests below `#[cfg(test)]` may name anything.
 if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
     $(find crates/*/src -name '*.rs' -not -path crates/obs/src/ring.rs) \
