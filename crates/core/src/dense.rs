@@ -135,10 +135,9 @@ impl Dense {
     ///
     /// # Errors
     ///
-    /// Rejects curves off `grid`, non-positive or non-finite weights,
-    /// empty block lists, unknown blocks, negative or NaN demands, and
-    /// instances too large for `u32` indices. The view is unchanged on
-    /// error.
+    /// Rejects curves off `grid`, a [`Task::defect`], unknown blocks,
+    /// and instances too large for `u32` indices. The view is unchanged
+    /// on error.
     pub(crate) fn push_task(&mut self, grid: &AlphaGrid, t: &Task) -> Result<(), ProblemError> {
         if t.demand.grid() != grid {
             return Err(ProblemError(format!(
@@ -146,20 +145,8 @@ impl Dense {
                 t.id
             )));
         }
-        if !t.weight.is_finite() || t.weight <= 0.0 {
-            return Err(ProblemError(format!(
-                "task {} has invalid weight {}",
-                t.id, t.weight
-            )));
-        }
-        if t.blocks.is_empty() {
-            return Err(ProblemError(format!("task {} requests no blocks", t.id)));
-        }
-        if t.demand.values().iter().any(|d| d.is_nan() || *d < 0.0) {
-            return Err(ProblemError(format!(
-                "task {} has negative or NaN demand",
-                t.id
-            )));
+        if let Some(defect) = t.defect() {
+            return Err(ProblemError(format!("task {} {defect}", t.id)));
         }
         let row = self.cols.len();
         u32::try_from(self.n_tasks() + 1).map_err(|_| too_large())?;

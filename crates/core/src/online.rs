@@ -252,7 +252,8 @@ impl<S: Scheduler> OnlineEngine<S> {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive scheduling period or zero unlock steps.
+    /// Panics on a scheduling or unlock period not finite and `> 0`,
+    /// zero unlock steps, and a default timeout not finite and `>= 0`.
     pub fn new(scheduler: S, grid: AlphaGrid, config: OnlineConfig) -> Self {
         assert!(
             config.scheduling_period > 0.0 && config.scheduling_period.is_finite(),
@@ -263,6 +264,12 @@ impl<S: Scheduler> OnlineEngine<S> {
             "unlock period must be finite and > 0"
         );
         assert!(config.unlock_steps >= 1, "unlock steps must be >= 1");
+        assert!(
+            config
+                .default_timeout
+                .is_none_or(|t| t.is_finite() && t >= 0.0),
+            "default timeout must be finite and >= 0"
+        );
         Self {
             scheduler,
             config,
@@ -305,13 +312,17 @@ impl<S: Scheduler> OnlineEngine<S> {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate ids and grid mismatches.
+    /// Rejects a curve on another grid, a [`Block::defect`] (a
+    /// non-finite arrival or capacity), and a duplicate id.
     pub fn add_block(&mut self, block: Block) -> Result<(), ProblemError> {
         if block.capacity.grid() != &self.grid {
             return Err(ProblemError(format!(
                 "block {} is on a different grid",
                 block.id
             )));
+        }
+        if let Some(defect) = block.defect() {
+            return Err(ProblemError(format!("block {} {defect}", block.id)));
         }
         if self.blocks.contains_key(&block.id) {
             return Err(ProblemError(format!("duplicate block id {}", block.id)));
@@ -324,15 +335,21 @@ impl<S: Scheduler> OnlineEngine<S> {
     ///
     /// # Errors
     ///
-    /// Rejects grid mismatches and references to unknown blocks (tasks
-    /// must request blocks that have already arrived, as in the paper's
-    /// "most recent blocks" policy).
+    /// Rejects a curve on another grid, a [`Task::defect`] (a block
+    /// list empty or not strictly ascending, a weight not finite and
+    /// `> 0`, a non-finite arrival, a timeout not finite and `>= 0`, a
+    /// demand not finite and `>= 0` at some order), and unknown blocks
+    /// (tasks request blocks that have arrived, as in the paper's "most
+    /// recent blocks" policy), so no queued task fails a later step.
     pub fn submit_task(&mut self, mut task: Task) -> Result<(), ProblemError> {
         if task.demand.grid() != &self.grid {
             return Err(ProblemError(format!(
                 "task {} is on a different grid",
                 task.id
             )));
+        }
+        if let Some(defect) = task.defect() {
+            return Err(ProblemError(format!("task {} {defect}", task.id)));
         }
         for b in &task.blocks {
             if !self.blocks.contains_key(b) {
@@ -600,11 +617,44 @@ mod tests {
         let mut e = engine(1);
         e.add_block(simple_block(0, 0.0)).unwrap();
         assert!(e.add_block(simple_block(0, 0.0)).is_err());
+        // What the service's registration refuses, the engine refuses.
+        let endless = Block::new(1, RdpCurve::constant(&grid(), f64::INFINITY), 0.0);
+        assert!(e.add_block(endless).is_err(), "+inf capacity");
+        assert!(
+            e.add_block(simple_block(1, f64::NAN)).is_err(),
+            "NaN arrival"
+        );
+        assert_eq!(e.total_capacities().len(), 1);
         let t = Task::new(0, 1.0, vec![9], RdpCurve::zero(&grid()), 0.0);
         assert!(e.submit_task(t).is_err());
         let other = AlphaGrid::single(2.0).unwrap();
         let t = Task::new(0, 1.0, vec![0], RdpCurve::zero(&other), 0.0);
         assert!(e.submit_task(t).is_err());
+    }
+
+    #[test]
+    fn a_refused_task_cannot_wedge_the_engine() {
+        let mut e = engine(1);
+        e.add_block(simple_block(0, 0.0)).unwrap();
+        let mut weightless = simple_task(1, 0.1, 0.0);
+        weightless.weight = 0.0;
+        assert_eq!(
+            e.submit_task(weightless),
+            Err(ProblemError("task 1 weight must be finite and > 0".into()))
+        );
+        e.submit_task(simple_task(2, 0.1, 0.0)).unwrap();
+        assert_eq!(e.run_step(1.0).unwrap().scheduled, vec![2]);
+        assert!(e.pending().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "default timeout must be finite and >= 0")]
+    fn a_non_finite_default_timeout_is_refused() {
+        let config = OnlineConfig {
+            default_timeout: Some(f64::NAN),
+            ..OnlineConfig::default()
+        };
+        OnlineEngine::new(DPack::default(), grid(), config);
     }
 
     #[test]

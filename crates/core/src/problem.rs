@@ -6,9 +6,9 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use dp_accounting::{AlphaGrid, RdpCurve};
+use knapsack::order_bits;
 
 use crate::dense::Dense;
-use crate::schedulers::order_bits;
 
 /// Task identifier, unique within a workload.
 pub type TaskId = u64;
@@ -78,8 +78,41 @@ impl Task {
         self
     }
 
+    /// Why this task may not be scheduled, if it may not — the one rule
+    /// that states, the online engine and the service's admission all
+    /// apply: a non-empty, strictly ascending block list (a repeated
+    /// block would be charged twice), a finite weight `> 0`, a finite
+    /// arrival and timeout (else `now − arrival > dt` never holds and
+    /// the task never leaves the queue), a timeout `>= 0`, and a
+    /// chargeable demand ([`Task::demand_defect`]). The grid and the
+    /// blocks' existence depend on where the task goes.
+    pub fn defect(&self) -> Option<&'static str> {
+        Some(if self.blocks.is_empty() {
+            "requests no blocks"
+        } else if self.blocks.windows(2).any(|w| w[0] >= w[1]) {
+            "block list must be strictly ascending (sorted, no duplicates)"
+        } else if !(self.weight.is_finite() && self.weight > 0.0) {
+            "weight must be finite and > 0"
+        } else if !self.arrival.is_finite() {
+            "arrival must be finite"
+        } else if self.timeout.is_some_and(|t| !(t.is_finite() && t >= 0.0)) {
+            "timeout must be finite and >= 0"
+        } else {
+            return Self::demand_defect(self.demand.values());
+        })
+    }
+
+    /// Why a demand may not be charged, if it may not: finite and `>= 0`
+    /// at every order (`-0.0` included), or it is a refund or a charge
+    /// no filter accounts — [`Task::defect`]'s demand half, which
+    /// recovery applies to every grant it replays.
+    pub fn demand_defect(demand: &[f64]) -> Option<&'static str> {
+        let chargeable = demand.iter().all(|d| d.is_finite() && *d >= 0.0);
+        (!chargeable).then_some("demand must be finite and >= 0 at every order")
+    }
+
     /// First come, first served: arrival, then id, as one integer pair
-    /// (the arrival through `order_bits`, so the pair orders every
+    /// (the arrival through [`order_bits`], so the pair orders every
     /// `f64` the way the efficiency sort breaks its ties).
     pub(crate) fn arrival_key(&self) -> (u64, TaskId) {
         (order_bits(self.arrival), self.id)
@@ -114,6 +147,26 @@ impl Block {
             capacity,
             arrival,
         }
+    }
+
+    /// Why this block may not be registered, if it may not — the one
+    /// rule that states, the online engine, the service's ledger and
+    /// its recovery all apply (see [`Block::defect_of`]).
+    pub fn defect(&self) -> Option<&'static str> {
+        Self::defect_of(self.arrival, self.capacity.values())
+    }
+
+    /// [`Block::defect`] of a block with this arrival and capacity. A
+    /// non-finite arrival pins the §3.4 unlocked fraction at 0 forever,
+    /// so the block never serves a grant; a `+inf` capacity is a filter
+    /// that never refuses. Negative finite capacities stay legal:
+    /// [`dp_accounting::block_capacity`] produces them at low orders.
+    pub fn defect_of(arrival: f64, capacity: &[f64]) -> Option<&'static str> {
+        if !arrival.is_finite() {
+            return Some("arrival must be finite");
+        }
+        let finite = capacity.iter().all(|c| c.is_finite());
+        (!finite).then_some("capacity must be finite at every order")
     }
 }
 
@@ -179,9 +232,12 @@ impl ProblemState {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate block ids, tasks referencing unknown blocks,
-    /// grid mismatches, non-positive or non-finite task weights, and
-    /// negative or NaN demands.
+    /// Rejects a block with a [`Block::defect`] (a non-finite arrival
+    /// or capacity), duplicate block ids, a curve on another grid, a
+    /// task with a [`Task::defect`] (a block list empty or not strictly
+    /// ascending, a weight not finite and `> 0`, a non-finite arrival,
+    /// a timeout not finite and `>= 0`, a demand not finite and `>= 0`
+    /// at some order), and a task requesting an unknown block.
     pub fn new(
         grid: AlphaGrid,
         blocks: Vec<Block>,
@@ -189,6 +245,9 @@ impl ProblemState {
     ) -> Result<Self, ProblemError> {
         let mut map = BTreeMap::new();
         for b in blocks {
+            if let Some(defect) = b.defect() {
+                return Err(ProblemError(format!("block {} {defect}", b.id)));
+            }
             if map.insert(b.id, b.capacity).is_some() {
                 return Err(ProblemError(format!("duplicate block id {}", b.id)));
             }
@@ -202,7 +261,8 @@ impl ProblemState {
     ///
     /// # Errors
     ///
-    /// The same validation as [`ProblemState::new`].
+    /// Rejects a curve on another grid, and every task
+    /// [`ProblemState::push_task`] refuses.
     pub fn from_available(
         grid: AlphaGrid,
         available: BTreeMap<BlockId, RdpCurve>,
@@ -238,8 +298,12 @@ impl ProblemState {
     ///
     /// # Errors
     ///
-    /// The per-task validation of [`ProblemState::new`], against the
-    /// blocks last set; a refused task leaves the state as it was.
+    /// Rejects a curve on another grid, a [`Task::defect`] (a block
+    /// list empty or not strictly ascending, a weight not finite and
+    /// `> 0`, a non-finite arrival, a timeout not finite and `>= 0`, a
+    /// demand not finite and `>= 0` at some order), a block the last
+    /// capacities lack, and more tasks than `u32` indices. A refused
+    /// task leaves the state as it was.
     pub fn push_task(&mut self, task: Task) -> Result<(), ProblemError> {
         self.dense.push_task(&self.grid, &task)?;
         // Behind every task of the same id: the new index is the largest.
@@ -443,6 +507,16 @@ mod tests {
         // No blocks.
         let t = Task::new(0, 1.0, vec![], RdpCurve::zero(&g), 0.0);
         assert!(ProblemState::new(g.clone(), vec![b.clone()], vec![t]).is_err());
+        // What the service's admission refuses: +inf demand, NaN arrival.
+        let t = Task::new(0, 1.0, vec![0], RdpCurve::constant(&g, f64::INFINITY), 0.0);
+        assert!(ProblemState::new(g.clone(), vec![b.clone()], vec![t]).is_err());
+        let t = Task::new(0, 1.0, vec![0], RdpCurve::zero(&g), f64::NAN);
+        assert!(ProblemState::new(g.clone(), vec![b.clone()], vec![t]).is_err());
+        // What its registration refuses: +inf capacity, NaN arrival.
+        let endless = Block::new(0, RdpCurve::constant(&g, f64::INFINITY), 0.0);
+        assert!(ProblemState::new(g.clone(), vec![endless], vec![]).is_err());
+        let never = Block::new(0, RdpCurve::constant(&g, 1.0), f64::NAN);
+        assert!(ProblemState::new(g.clone(), vec![never], vec![]).is_err());
         // Duplicate block id.
         assert!(ProblemState::new(g.clone(), vec![b.clone(), b.clone()], vec![]).is_err());
         // Grid mismatch.

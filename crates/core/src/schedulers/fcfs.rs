@@ -7,7 +7,8 @@ use crate::schedulers::{allocate, Scheduler};
 
 /// Allocates tasks strictly in arrival order (ties by id), skipping any
 /// task that no longer fits. No prioritization of low-demand tasks —
-/// which is why FCFS flatlines as load grows (Fig. 6).
+/// which is why FCFS flatlines as load grows (Fig. 6). A state that is
+/// [`ProblemState::in_arrival_order`] is taken in index order, unsorted.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fcfs;
 
@@ -18,14 +19,11 @@ impl Scheduler for Fcfs {
 
     fn schedule(&self, state: &ProblemState) -> Allocation {
         let started = Instant::now();
-        let mut order: Vec<usize> = (0..state.tasks().len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ta, tb) = (&state.tasks()[a], &state.tasks()[b]);
-            ta.arrival
-                .partial_cmp(&tb.arrival)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(ta.id.cmp(&tb.id))
-        });
+        let tasks = state.tasks();
+        let mut order: Vec<usize> = (0..tasks.len()).collect();
+        if !state.in_arrival_order() {
+            order.sort_unstable_by_key(|&i| (tasks[i].arrival_key(), i));
+        }
         allocate(state, &order, PackingRule::Skip, started)
     }
 }

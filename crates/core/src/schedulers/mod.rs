@@ -15,6 +15,8 @@ pub use optimal::Optimal;
 
 use std::time::Instant;
 
+use knapsack::order_bits;
+
 use crate::problem::{Allocation, PackingRule, ProblemState};
 
 /// A privacy-budget scheduler.
@@ -62,17 +64,6 @@ pub fn sort_by_efficiency(state: &ProblemState, eff: &[f64]) -> Vec<usize> {
         }
     }
     keyed.into_iter().map(|(_, i)| i as usize).collect()
-}
-
-/// A `u64` that orders as `x` does among non-NaN floats, with -0.0 and
-/// 0.0 equal as they compare (NaNs land beyond the infinities).
-pub(crate) fn order_bits(x: f64) -> u64 {
-    let bits = (x + 0.0).to_bits();
-    if bits >> 63 == 0 {
-        bits | 1 << 63
-    } else {
-        !bits
-    }
 }
 
 /// Builds an [`Allocation`] from the indices (into `state.tasks()`) of

@@ -7,7 +7,8 @@
 //! must allocate the same tasks in the same order with the same
 //! `total_weight` to the last bit, on instances built to hit the
 //! corners: equal and unequal weights, duplicate demand curves (ties at
-//! every order), `0.0`, `-0.0` and `+inf` demands, depleted orders,
+//! every order), `0.0`, `-0.0` and `f64::MAX` demands (a state refuses
+//! `+inf`, so the largest finite demand stands in), depleted orders,
 //! blocks nobody requests, sparse block ids, single-order grids
 //! (Prop. 4) and the stop-at-first-misfit rule. Half the instances
 //! hold their tasks in `(arrival, id)` order, so the efficiency sort's
@@ -217,7 +218,7 @@ fn spec() -> impl Strategy<Value = Spec> {
     let demand = floats(0.0..1.2).prop_map(|x| match (x * 100.0) as u32 % 10 {
         0 => 0.0,
         1 => -0.0,
-        2 => f64::INFINITY,
+        2 => f64::MAX,
         3 => 0.25,
         _ => x,
     });
@@ -393,8 +394,13 @@ fn hand_built_block_lists_and_nan_demands() {
     };
     let state = |blocks, task: &Task| ProblemState::new(grid.clone(), blocks, vec![task.clone()]);
     let mut task = Task::new(0, 1.0, vec![5], RdpCurve::constant(&grid, 0.6), 0.0);
-    // The fields are public: a block list may bypass `Task::new`'s sort.
+    // The fields are public: a block list may bypass `Task::new`'s sort,
+    // and is refused (a repeated block would be charged twice).
     task.blocks = vec![9, 5];
+    assert!(state(blocks(&[5, 9]), &task).is_err(), "unsorted list");
+    task.blocks = vec![5, 5];
+    assert!(state(blocks(&[5, 9]), &task).is_err(), "repeated block");
+    task.blocks = vec![5, 9];
     let allocation = DPack::default().schedule(&state(blocks(&[5, 9]), &task).unwrap());
     assert_eq!(allocation.scheduled, vec![0]);
     assert!(state(blocks(&[5]), &task).is_err(), "unknown block 9");

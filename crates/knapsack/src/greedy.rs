@@ -1,6 +1,9 @@
 //! Greedy density-ordered knapsack heuristics.
 
+use std::cmp::Reverse;
+
 use crate::item::{density_order, Item, Solution};
+use crate::order_bits;
 
 /// Packs items in descending profit-density order, skipping items that
 /// do not fit.
@@ -45,12 +48,7 @@ pub fn greedy_with_best_item(items: &[Item], capacity: f64) -> Solution {
         .iter()
         .enumerate()
         .filter(|(_, it)| crate::fits(it.weight, capacity))
-        .max_by(|a, b| {
-            a.1.profit
-                .partial_cmp(&b.1.profit)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.0.cmp(&a.0))
-        });
+        .max_by_key(|&(i, it)| (order_bits(it.profit), Reverse(i)));
     match best_single {
         Some((i, it)) if it.profit > g.profit => Solution::from_indices(items, vec![i]),
         _ => g,
@@ -72,13 +70,7 @@ pub fn unit_profit_exact(items: &[Item], capacity: f64) -> Option<Solution> {
         return None;
     }
     let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| {
-        items[a]
-            .weight
-            .partial_cmp(&items[b].weight)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    order.sort_unstable_by_key(|&i| (order_bits(items[i].weight), i));
     let mut used = 0.0;
     let mut selected = Vec::new();
     for i in order {

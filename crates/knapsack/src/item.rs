@@ -88,15 +88,7 @@ impl Solution {
 /// Indices of `items` sorted by descending density, ties by ascending
 /// index — the canonical greedy order used across the crate.
 pub fn density_order(items: &[Item]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| {
-        items[b]
-            .density()
-            .partial_cmp(&items[a].density())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    order
+    crate::descending_order(items.len(), |i| items[i].density())
 }
 
 #[cfg(test)]

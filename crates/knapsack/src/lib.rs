@@ -50,3 +50,24 @@ pub const CAP_RTOL: f64 = 1e-9;
 pub fn fits(used: f64, capacity: f64) -> bool {
     used <= capacity + CAP_RTOL * capacity.abs().max(1.0)
 }
+
+/// A `u64` that orders as `x` does among non-NaN floats, with -0.0 and
+/// 0.0 equal as they compare (NaNs land beyond the infinities, by
+/// sign) — the one total order every float sort in the workspace uses.
+#[inline]
+pub fn order_bits(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The indices `0..n` by descending `key`, ties by ascending index,
+/// each key computed once and compared through [`order_bits`].
+pub fn descending_order(n: usize, key: impl Fn(usize) -> f64) -> Vec<usize> {
+    let mut keyed: Vec<(u64, usize)> = (0..n).map(|i| (!order_bits(key(i)), i)).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}

@@ -6,6 +6,7 @@
 //! minimum over dimensions of the single-dimension Dantzig bound, which
 //! is valid because any completion must respect each dimension.
 
+use crate::descending_order;
 use crate::item::Solution;
 
 /// An item with one demand per dimension.
@@ -175,7 +176,6 @@ pub fn solve(items: &[MultiItem], capacities: &[f64], node_budget: u64) -> Multi
         );
     }
     // Order by profit per unit of average normalized demand.
-    let mut order: Vec<usize> = (0..items.len()).collect();
     let score = |i: usize| -> f64 {
         let it = &items[i];
         let denom: f64 = it
@@ -190,12 +190,7 @@ pub fn solve(items: &[MultiItem], capacities: &[f64], node_budget: u64) -> Multi
             it.profit / denom
         }
     };
-    order.sort_by(|&a, &b| {
-        score(b)
-            .partial_cmp(&score(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    let order = descending_order(items.len(), score);
 
     let mut pos_of = vec![0usize; items.len()];
     for (p, &i) in order.iter().enumerate() {
@@ -211,14 +206,7 @@ pub fn solve(items: &[MultiItem], capacities: &[f64], node_budget: u64) -> Multi
                     items[i].profit / w
                 }
             };
-            let mut o: Vec<usize> = (0..items.len()).collect();
-            o.sort_by(|&a, &b| {
-                density(b)
-                    .partial_cmp(&density(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            o
+            descending_order(items.len(), density)
         })
         .collect();
 

@@ -11,6 +11,7 @@
 
 use std::time::{Duration, Instant};
 
+use crate::descending_order;
 use crate::item::Solution;
 use crate::multidim::{solve as solve_multidim, MultiItem};
 
@@ -305,14 +306,7 @@ fn greedy_seeds(inst: &PrivacyInstance) -> (f64, Vec<usize>) {
                 it.profit / denom
             }
         };
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&x, &y| {
-            score(y)
-                .partial_cmp(&score(x))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.cmp(&y))
-        });
-        let cand = greedy_pack_order(inst, &order);
+        let cand = greedy_pack_order(inst, &descending_order(n, score));
         if cand.0 > best.0 {
             best = cand;
         }
@@ -386,13 +380,7 @@ pub fn solve_with_warm_start(
             it.profit / denom
         }
     };
-    let mut order: Vec<usize> = (0..inst.items.len()).collect();
-    order.sort_by(|&a, &b| {
-        score(b)
-            .partial_cmp(&score(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    let order = descending_order(inst.items.len(), score);
 
     let mut suffix = vec![0.0; order.len() + 1];
     for p in (0..order.len()).rev() {
@@ -415,14 +403,7 @@ pub fn solve_with_warm_start(
                             inst.items[i].profit / w
                         }
                     };
-                    let mut o: Vec<usize> = (0..inst.items.len()).collect();
-                    o.sort_by(|&x, &y| {
-                        density(y)
-                            .partial_cmp(&density(x))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(x.cmp(&y))
-                    });
-                    o
+                    descending_order(inst.items.len(), density)
                 })
                 .collect()
         })

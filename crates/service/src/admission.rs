@@ -67,8 +67,7 @@ pub enum AdmissionError {
         /// The submitted task.
         task: TaskId,
     },
-    /// The task is malformed (no blocks, non-positive or non-finite
-    /// weight, negative demand).
+    /// The task is malformed: it has a `Task::defect`.
     InvalidTask {
         /// The submitted task.
         task: TaskId,

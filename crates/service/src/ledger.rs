@@ -99,34 +99,6 @@ impl Held<'_> {
     }
 }
 
-/// Why a block may not be registered, if it may not — the rule
-/// registration applies live and recovery applies to every block it
-/// replays, so a log cannot restore what the live path refuses.
-///
-/// A non-finite arrival pins the §3.4 unlocked fraction at 0 forever
-/// (`(now − NaN).ceil()` never exceeds 0), leaving a block that exists
-/// but can never serve a grant — and every task referencing it
-/// admitted-but-undecidable. `+inf` capacity at any order is a filter
-/// that never refuses (Prop. 6 holds vacuously), and `RdpCurve::new`
-/// only rules out NaN. Negative finite capacities stay legal —
-/// `block_capacity` produces them at low orders.
-fn block_defect(arrival: f64, capacity: &[f64]) -> Option<&'static str> {
-    if !arrival.is_finite() {
-        return Some("arrival must be finite");
-    }
-    if capacity.iter().any(|c| !c.is_finite()) {
-        return Some("capacity must be finite at every order");
-    }
-    None
-}
-
-/// Whether a demand may be charged: finite and `>= 0` at every order
-/// (`-0.0` included) — admission's rule, and recovery's for every grant
-/// it replays. A negative or `-inf` demand would be a refund.
-pub(crate) fn demand_is_chargeable(demand: &[f64]) -> bool {
-    demand.iter().all(|d| d.is_finite() && *d >= 0.0)
-}
-
 /// What the blocks a durable batch touched held before it, so that
 /// whatever the journal fails to make durable can be undone exactly.
 type PreImages = BTreeMap<BlockId, BlockEntry>;
@@ -288,7 +260,9 @@ impl ShardedLedger {
     fn replay(&mut self, event: Replay) -> Result<(), WalError> {
         match event {
             Replay::Block(state) => {
-                if let Some(defect) = block_defect(state.arrival, &state.total) {
+                // The rule registration applies live, so a log cannot
+                // restore what the live path refuses.
+                if let Some(defect) = Block::defect_of(state.arrival, &state.total) {
                     return Err(WalError::Corrupt(format!("block {} {defect}", state.id)));
                 }
                 // The live path charges only chargeable demands from 0,
@@ -312,10 +286,8 @@ impl ShardedLedger {
                 blocks.restore(state);
             }
             Replay::Grant(task, demand, charged) => {
-                if !demand_is_chargeable(&demand) {
-                    return Err(WalError::Corrupt(format!(
-                        "task {task}: demand must be finite and >= 0 at every order"
-                    )));
+                if let Some(defect) = Task::demand_defect(&demand) {
+                    return Err(WalError::Corrupt(format!("task {task}: {defect}")));
                 }
                 let demand = RdpCurve::new(&self.grid, demand)
                     .map_err(|e| WalError::Corrupt(format!("task {task}: {e}")))?;
@@ -435,7 +407,8 @@ impl ShardedLedger {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate ids, grid mismatches, and failed WAL appends.
+    /// Rejects grid mismatches, a [`Block::defect`], duplicate ids, and
+    /// failed WAL appends.
     pub fn register_block(&self, block: Block) -> Result<(), ProblemError> {
         if block.capacity.grid() != &self.grid {
             return Err(ProblemError(format!(
@@ -443,7 +416,7 @@ impl ShardedLedger {
                 block.id
             )));
         }
-        if let Some(defect) = block_defect(block.arrival, block.capacity.values()) {
+        if let Some(defect) = block.defect() {
             return Err(ProblemError(format!("block {} {defect}", block.id)));
         }
         let home = self.shard_of(block.id);

@@ -90,7 +90,7 @@ use dpack_wal::{WalError, WalStorage};
 
 use crate::admission::{AdmissionError, Submission, TenantId};
 use crate::config::{DurabilityOptions, ServiceConfig, TierConfig};
-use crate::ledger::{self, CommitOutcome, ShardedLedger, Traced};
+use crate::ledger::{CommitOutcome, ShardedLedger, Traced};
 use crate::stats::{CycleStats, ServiceStats, TenantStats};
 use crate::telemetry::ServiceTelemetry;
 use crate::ticket::{Decision, SubmissionTicket, TicketCell};
@@ -605,53 +605,17 @@ impl BudgetService {
 
     /// Everything the cycle loop assumes about a pending task is
     /// enforced here — a malformed submission must be a rejected
-    /// submission, never a panic inside the scheduling loop.
+    /// submission, never a panic inside the scheduling loop. Core's
+    /// [`Task::defect`] is the rule for the task itself; the grid and
+    /// the blocks are the service's to check.
     fn validate(&self, task: &Task) -> Result<(), AdmissionError> {
         if task.demand.grid() != self.ledger.grid() {
             return Err(AdmissionError::GridMismatch { task: task.id });
         }
-        if task.blocks.is_empty() {
+        if let Some(reason) = task.defect() {
             return Err(AdmissionError::InvalidTask {
                 task: task.id,
-                reason: "requests no blocks",
-            });
-        }
-        if !task.weight.is_finite() || task.weight <= 0.0 {
-            return Err(AdmissionError::InvalidTask {
-                task: task.id,
-                reason: "weight must be finite and > 0",
-            });
-        }
-        // A non-finite arrival or timeout would make the eviction rule
-        // `now − arrival > dt` unsatisfiable: the task could never be
-        // evicted, pinning its id, quota slot, and any completion
-        // ticket forever — remotely submittable state that never
-        // drains, so it must be an admission rejection.
-        if !task.arrival.is_finite() {
-            return Err(AdmissionError::InvalidTask {
-                task: task.id,
-                reason: "arrival must be finite",
-            });
-        }
-        if task.timeout.is_some_and(|t| !t.is_finite() || t < 0.0) {
-            return Err(AdmissionError::InvalidTask {
-                task: task.id,
-                reason: "timeout must be finite and >= 0",
-            });
-        }
-        if !ledger::demand_is_chargeable(task.demand.values()) {
-            return Err(AdmissionError::InvalidTask {
-                task: task.id,
-                reason: "demand must be finite and >= 0 at every order",
-            });
-        }
-        // `Task::new` sorts and deduplicates, but the fields are
-        // public — a hand-built task with a repeated block would
-        // double-charge one filter at commit time, so reject it here.
-        if task.blocks.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(AdmissionError::InvalidTask {
-                task: task.id,
-                reason: "block list must be strictly ascending (sorted, no duplicates)",
+                reason,
             });
         }
         for b in &task.blocks {

@@ -41,7 +41,8 @@ pub struct OnlineWorkload {
 }
 
 impl OnlineWorkload {
-    /// Sanity-checks orderings and references; used by generator tests.
+    /// Sanity-checks orderings, references and every task against
+    /// core's `Task::defect`; used by generator tests.
     pub fn validate(&self) -> Result<(), String> {
         for w in self.tasks.windows(2) {
             if w[0].arrival > w[1].arrival {
@@ -53,8 +54,8 @@ impl OnlineWorkload {
             if t.blocks.iter().any(|b| *b >= max_block) {
                 return Err(format!("task {} requests nonexistent block", t.id));
             }
-            if t.blocks.is_empty() {
-                return Err(format!("task {} requests no blocks", t.id));
+            if let Some(defect) = t.defect() {
+                return Err(format!("task {} {defect}", t.id));
             }
         }
         Ok(())

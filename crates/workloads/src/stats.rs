@@ -130,12 +130,8 @@ impl Zipf {
     /// Draws a rank in `1..=n` (rank 1 is the most likely).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random::<f64>();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).unwrap_or(std::cmp::Ordering::Less))
-        {
-            Ok(i) | Err(i) => (i + 1).min(self.cumulative.len()),
-        }
+        let i = self.cumulative.partition_point(|c| *c < u);
+        (i + 1).min(self.cumulative.len())
     }
 }
 

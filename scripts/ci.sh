@@ -183,6 +183,19 @@ if awk 'FNR == 1 { on = 1; name = "" } /#\[cfg\(test\)\]/ { on = 0 }
   exit 1
 fi
 
+echo "==> checking every float sort uses one total order"
+# knapsack::order_bits is the one total order on f64 (-0.0 and 0.0
+# equal, NaN beyond the infinities); every float sort keys on it, or on
+# knapsack::descending_order, Task::arrival_key or total_cmp. A
+# partial_cmp comparator is no total order once a NaN gets in, and the
+# standard sort may panic on one. Tests below `#[cfg(test)]` may name
+# anything.
+if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src src -name '*.rs') | grep -vE '^[^ ]+ *//' | grep -E 'partial_cmp'; then
+  echo "ERROR: program code compares floats with partial_cmp; key on knapsack::order_bits (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking bytes are coded in one place"
 # crates/wal/src/codec.rs holds the one checksummed frame, the one field
 # Reader and the Codec trait that every log record, snapshot and wire

@@ -3,11 +3,18 @@
 //! tier-1).
 
 use dpack::accounting::{block_capacity, fits, AlphaGrid, RdpCurve, RenyiFilter};
+use dpack::core::online::{OnlineConfig, OnlineEngine};
 use dpack::core::problem::{Block, ProblemState, Task};
-use dpack::core::schedulers::{DPack, Dpf, Fcfs, GreedyArea, Optimal, Scheduler};
-use dpack::solvers::privacy::{alpha_enumeration, solve, SolveLimits};
-use dpack::solvers::{exact, fptas, greedy, Item};
-use dpack_check::{check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, Failed, Strategy};
+use dpack::core::schedulers::{DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Optimal, Scheduler};
+use dpack::solvers::item::density_order;
+use dpack::solvers::multidim::{self, MultiItem};
+use dpack::solvers::privacy::{
+    alpha_enumeration, solve, PrivacyInstance, PrivacyItem, SolveLimits,
+};
+use dpack::solvers::{descending_order, exact, fptas, greedy, order_bits, Item};
+use dpack_check::{
+    check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, weighted, Failed, Strategy,
+};
 use dpack_wal::{SimStorage, Wal, WalOptions};
 
 const CASES: u32 = 64;
@@ -350,6 +357,176 @@ fn capacity_round_trip() {
                     prop_assert!((back - eps_g).abs() < 1e-9);
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// NaN, ±∞, negatives, `-0.0`, subnormals of both signs, and a plain
+/// value — the numbers admission has to sort into legal and not.
+fn poison() -> impl Strategy<Value = f64> {
+    weighted(vec![
+        (1, f64::NAN),
+        (1, f64::INFINITY),
+        (1, f64::NEG_INFINITY),
+        (1, -1.0),
+        (1, -0.0),
+        (1, f64::from_bits(1)),
+        (1, -f64::from_bits(1)),
+        (2, 0.25),
+    ])
+}
+
+/// What may stand in each poisoned field: a task's demand at an order
+/// (0), weight (1), arrival (2) and timeout (3), a block's capacity at
+/// an order (4) and arrival (5).
+fn legal(field: u8, value: f64) -> bool {
+    match field {
+        0 | 3 => value.is_finite() && value >= 0.0,
+        1 => value.is_finite() && value > 0.0,
+        _ => value.is_finite(),
+    }
+}
+
+/// Hostile numbers never panic and never get in. A state, a push and
+/// the online engine take a task or block exactly when every poisoned
+/// field holds a legal value, and then every scheduler runs; a refused
+/// task never keeps the engine from granting a good one beside it. The
+/// knapsack constructors and `PrivacyInstance::validate` refuse the
+/// same numbers, and the solvers' float sorts order any key, NaN
+/// included.
+#[test]
+fn hostile_numbers_are_refused_typed_and_never_panic() {
+    let poisons = vecs((ints(0u8..6), poison(), ints(0usize..3)), 1..4);
+    check_cases(
+        "hostile_numbers_are_refused_typed_and_never_panic",
+        CASES,
+        (poisons, vecs(poison(), 1..8)),
+        |(poisons, values)| {
+            let g = small_grid();
+            let clean_block = |id| Block::new(id, RdpCurve::constant(&g, 1.0), 0.0);
+            let good = Task::new(1, 1.0, vec![0], RdpCurve::constant(&g, 0.1), 0.0);
+            let mut task =
+                Task::new(2, 1.0, vec![0, 1], RdpCurve::constant(&g, 0.1), 0.0).with_timeout(5.0);
+            let mut block = clean_block(1);
+            let (mut demand, mut capacity) = (vec![0.1; g.len()], vec![1.0; g.len()]);
+            for &(field, value, order) in poisons {
+                match field {
+                    0 => demand[order] = value,
+                    1 => task.weight = value,
+                    2 => task.arrival = value,
+                    3 => task.timeout = Some(value),
+                    4 => capacity[order] = value,
+                    _ => block.arrival = value,
+                }
+            }
+            let (mut demand, mut capacity) = (demand.into_iter(), capacity.into_iter());
+            task.demand = RdpCurve::from_fn(&g, |_| demand.next().unwrap());
+            block.capacity = RdpCurve::from_fn(&g, |_| capacity.next().unwrap());
+            // The value each field ends up with: a later poison of the
+            // same field (and order) overwrites an earlier one.
+            let last: std::collections::BTreeMap<_, _> = poisons
+                .iter()
+                .map(|&(field, value, order)| {
+                    let order = if matches!(field, 0 | 4) { order } else { 0 };
+                    ((field, order), value)
+                })
+                .collect();
+            let legal_in = |fields: &[u8]| {
+                last.iter()
+                    .filter(|((field, _), _)| fields.contains(field))
+                    .all(|(&(field, _), &value)| legal(field, value))
+            };
+            let (task_ok, block_ok) = (legal_in(&[0, 1, 2, 3]), legal_in(&[4, 5]));
+
+            let schedulers: [&dyn Scheduler; 6] = [
+                &DPack::default(),
+                &Dpf,
+                &DpfStrict,
+                &GreedyArea,
+                &Fcfs,
+                &Optimal::unbounded(),
+            ];
+            let blocks = vec![clean_block(0), block.clone()];
+            let built = ProblemState::new(g.clone(), blocks, vec![good.clone(), task.clone()]);
+            prop_assert_eq!(built.is_ok(), task_ok && block_ok, "{:?}", built.err());
+            let blocks = vec![clean_block(0), clean_block(1)];
+            let mut state = ProblemState::new(g.clone(), blocks, vec![good.clone()]).unwrap();
+            let pushed = state.push_task(task.clone());
+            prop_assert_eq!(pushed.is_ok(), task_ok, "{:?}", pushed.err());
+            prop_assert_eq!(state.tasks().len(), 1 + usize::from(task_ok));
+            for state in built.iter().chain([&state]) {
+                for scheduler in schedulers {
+                    scheduler.schedule(state);
+                }
+            }
+
+            let config = OnlineConfig {
+                unlock_steps: 1,
+                ..OnlineConfig::default()
+            };
+            let mut engine = OnlineEngine::new(DPack::default(), g.clone(), config);
+            engine.add_block(clean_block(0)).unwrap();
+            prop_assert_eq!(engine.add_block(block).is_ok(), block_ok);
+            engine.submit_task(good).unwrap();
+            let submitted = engine.submit_task(task);
+            prop_assert_eq!(submitted.is_ok(), task_ok && block_ok);
+            let step = engine.run_step(1.0);
+            prop_assert!(
+                step.as_ref().is_ok_and(|a| a.scheduled.contains(&1)),
+                "{step:?}"
+            );
+
+            for &v in values {
+                let fine = legal(0, v);
+                prop_assert_eq!(Item::new(v, 1.0).is_ok(), fine);
+                prop_assert_eq!(Item::new(1.0, v).is_ok(), fine);
+                prop_assert_eq!(MultiItem::new(vec![1.0, v], 1.0).is_ok(), fine);
+                prop_assert_eq!(MultiItem::new(vec![1.0], v).is_ok(), fine);
+            }
+            let inst = |demand: f64, profit: f64| PrivacyInstance {
+                capacity: vec![values.clone()],
+                items: vec![PrivacyItem {
+                    demand: vec![vec![demand; values.len()]],
+                    profit,
+                }],
+            };
+            for &v in values {
+                prop_assert_eq!(inst(v, 1.0).validate().is_ok(), legal(0, v));
+                prop_assert_eq!(inst(0.5, v).validate().is_ok(), legal(0, v));
+            }
+            // Hostile capacities pass `validate`; the solvers must not trip.
+            solve(&inst(0.5, 1.0), SolveLimits::default());
+            let items = vec![MultiItem::new(vec![0.5; values.len()], 1.0).unwrap(); 3];
+            multidim::solve(&items, values, 10_000);
+
+            // `Item` literals bypass `Item::new`: the sorts take any key.
+            let items: Vec<Item> = values
+                .iter()
+                .flat_map(|&v| {
+                    [
+                        Item {
+                            weight: v,
+                            profit: 1.0,
+                        },
+                        Item {
+                            weight: 1.0,
+                            profit: v,
+                        },
+                    ]
+                })
+                .collect();
+            let order = density_order(&items);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            prop_assert_eq!(seen, (0..items.len()).collect::<Vec<_>>());
+            let key = |i: usize| order_bits(items[i].density());
+            prop_assert!(order
+                .windows(2)
+                .all(|w| (!key(w[0]), w[0]) < (!key(w[1]), w[1])));
+            prop_assert_eq!(descending_order(items.len(), |i| items[i].density()), order);
+            greedy::greedy_with_best_item(&items, 1.0);
+            greedy::unit_profit_exact(&items, 1.0);
             Ok(())
         },
     );
