@@ -9,9 +9,10 @@
 //! id (both shapes arrive in that order); on the second shape, what it
 //! costs to bring the state from one cycle to the next — rebuilt from
 //! the pending tasks, or kept and edited; and what the service's ledger
-//! costs per block to write one cycle's capacity rows. Runs on the
-//! vendored `dpack_bench::micro` harness (`--smoke` for the CI rot
-//! guard).
+//! costs per block to write one cycle's capacity rows; and one
+//! flight-recorder event on the service's lapped ring, which every
+//! admission, grant and eviction records. Runs on the vendored
+//! `dpack_bench::micro` harness (`--smoke` for the CI rot guard).
 
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_bench::micro::{Micro, MicroConfig};
@@ -19,6 +20,7 @@ use dpack_core::problem::{pack, Block, BlockId, PackingRule, ProblemState, Task}
 use dpack_core::schedulers::{
     sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, ParallelDPack, Scheduler,
 };
+use dpack_service::obs::{EventKind, Obs};
 use dpack_service::ShardedLedger;
 use workloads::alibaba::{self, AlibabaDpConfig};
 use workloads::curves::CurveLibrary;
@@ -192,6 +194,21 @@ fn stages(m: &mut Micro, shape: &str, state: &ProblemState) {
     });
 }
 
+/// One event into a live context's recorder (4 096 slots) after it
+/// has lapped, so every record evicts the oldest.
+fn recorder(m: &mut Micro) {
+    let obs = Obs::wall();
+    let capacity = obs.recorder.capacity() as u64;
+    for i in 0..2 * capacity {
+        obs.recorder.record(EventKind::TaskGranted, i, 0);
+    }
+    let mut i = 2 * capacity;
+    m.bench(&format!("recorder/record (lapped {capacity})"), || {
+        i += 1;
+        obs.recorder.record(EventKind::TaskGranted, i, 0)
+    });
+}
+
 fn main() {
     let lib = CurveLibrary::standard();
     let mut m = Micro::new("sched_kernels — full schedule() passes, then DPack stages");
@@ -221,6 +238,7 @@ fn main() {
     stages(&mut m, "alibaba 3000x45", &alibaba);
     carry_over(&mut m, "alibaba 3000x45", &alibaba, &arrivals);
     let per_block = ledger_fill(&mut m, smoke);
+    recorder(&mut m);
     m.finish();
     println!("ledger/fill_available: {per_block:.1} ns per block");
 }

@@ -8,7 +8,7 @@
 //! at step time `t` (the `c_t` formula of §3.4). Unused unlocked budget
 //! carries over; unallocated tasks wait, subject to per-task timeouts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
 
 use dp_accounting::{AlphaGrid, RdpCurve, RenyiFilter};
@@ -244,6 +244,8 @@ pub struct OnlineEngine<S: Scheduler> {
     grid: AlphaGrid,
     blocks: BTreeMap<BlockId, BlockLedger>,
     pending: Vec<Task>,
+    /// The ids of `pending`, each pending once: a grant commits by id.
+    pending_ids: HashSet<TaskId>,
     stats: OnlineStats,
 }
 
@@ -276,6 +278,7 @@ impl<S: Scheduler> OnlineEngine<S> {
             grid,
             blocks: BTreeMap::new(),
             pending: Vec::new(),
+            pending_ids: HashSet::new(),
             stats: OnlineStats::default(),
         }
     }
@@ -340,7 +343,8 @@ impl<S: Scheduler> OnlineEngine<S> {
     /// `> 0`, a non-finite arrival, a timeout not finite and `>= 0`, a
     /// demand not finite and `>= 0` at some order), and unknown blocks
     /// (tasks request blocks that have arrived, as in the paper's "most
-    /// recent blocks" policy), so no queued task fails a later step.
+    /// recent blocks" policy), so no queued task fails a later step;
+    /// and an id already pending, as a grant commits by id.
     pub fn submit_task(&mut self, mut task: Task) -> Result<(), ProblemError> {
         if task.demand.grid() != &self.grid {
             return Err(ProblemError(format!(
@@ -358,6 +362,9 @@ impl<S: Scheduler> OnlineEngine<S> {
                     task.id
                 )));
             }
+        }
+        if !self.pending_ids.insert(task.id) {
+            return Err(ProblemError(format!("task {} is already pending", task.id)));
         }
         if task.timeout.is_none() {
             task.timeout = self.config.default_timeout;
@@ -386,14 +393,14 @@ impl<S: Scheduler> OnlineEngine<S> {
         self.stats.steps += 1;
 
         // Evict timed-out tasks first.
-        let mut still_pending = Vec::with_capacity(self.pending.len());
-        for t in self.pending.drain(..) {
-            match t.timeout {
-                Some(dt) if now - t.arrival > dt => self.stats.evicted.push(t.id),
-                _ => still_pending.push(t),
+        self.pending.retain(|t| {
+            let expired = t.timeout.is_some_and(|dt| now - t.arrival > dt);
+            if expired {
+                self.pending_ids.remove(&t.id);
+                self.stats.evicted.push(t.id);
             }
-        }
-        self.pending = still_pending;
+            !expired
+        });
 
         // Snapshot available capacities.
         let available: BTreeMap<BlockId, RdpCurve> = self
@@ -438,9 +445,10 @@ impl<S: Scheduler> OnlineEngine<S> {
         }
 
         // Remove granted tasks from the queue.
-        let granted: std::collections::BTreeSet<TaskId> =
-            allocation.scheduled.iter().copied().collect();
-        self.pending.retain(|t| !granted.contains(&t.id));
+        for id in &allocation.scheduled {
+            self.pending_ids.remove(id);
+        }
+        self.pending.retain(|t| self.pending_ids.contains(&t.id));
 
         Ok(allocation)
     }
@@ -630,6 +638,25 @@ mod tests {
         let other = AlphaGrid::single(2.0).unwrap();
         let t = Task::new(0, 1.0, vec![0], RdpCurve::zero(&other), 0.0);
         assert!(e.submit_task(t).is_err());
+    }
+
+    #[test]
+    fn a_pending_id_is_refused_a_second_time() {
+        let mut e = engine(1);
+        e.add_block(simple_block(0, 0.0)).unwrap();
+        e.submit_task(simple_task(7, 0.1, 0.0)).unwrap();
+        assert_eq!(
+            e.submit_task(simple_task(7, 0.5, 0.0)),
+            Err(ProblemError("task 7 is already pending".into()))
+        );
+        assert_eq!(e.run_step(1.0).unwrap().scheduled, vec![7]);
+        assert_eq!(e.stats().allocated.len(), 1);
+        // The block is charged exactly what was granted.
+        assert_eq!(e.blocks[&0].consumed().values(), [0.1; 3]);
+        // A granted id is free again.
+        e.submit_task(simple_task(7, 0.5, 0.0)).unwrap();
+        assert_eq!(e.run_step(2.0).unwrap().scheduled, vec![7]);
+        assert!(e.pending().is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct PrivacyItem {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrivacyInstance {
     /// `capacity[j][a]`: remaining budget of block `j` at order index
-    /// `a`. Non-positive entries mark unusable orders.
+    /// `a`, finite. Non-positive entries mark unusable orders.
     pub capacity: Vec<Vec<f64>>,
     /// The tasks.
     pub items: Vec<PrivacyItem>,
@@ -57,6 +57,9 @@ impl PrivacyInstance {
         let a = self.orders();
         if self.capacity.iter().any(|c| c.len() != a) {
             return Err("ragged capacity matrix".into());
+        }
+        if self.capacity.iter().flatten().any(|c| !c.is_finite()) {
+            return Err("non-finite capacity".into());
         }
         for (i, it) in self.items.iter().enumerate() {
             if it.demand.len() != m || it.demand.iter().any(|d| d.len() != a) {

@@ -1239,6 +1239,64 @@ mod tests {
         }
     }
 
+    /// After promote → demote → promote the service families are the
+    /// new primary's own counts: a demoted node exports none of them,
+    /// and the next primary starts from zero, as after a restart.
+    #[test]
+    fn each_promotion_exports_the_new_primary_s_own_counts() {
+        use dp_accounting::RdpCurve;
+        use dpack_core::problem::{Block, Task};
+        use dpack_obs::Value;
+        let obs = Obs::manual(1).0;
+        let grid = AlphaGrid::new(vec![2.0]).expect("valid grid");
+        let config = ServiceConfig {
+            unlock_steps: 1,
+            ..ServiceConfig::default()
+        };
+        let primary = |grants: u64| {
+            let service = BudgetService::with_obs(grid.clone(), config, Arc::clone(&obs));
+            let capacity = RdpCurve::constant(&grid, 1.0);
+            service
+                .register_block(Block::new(0, capacity, 0.0))
+                .unwrap();
+            for id in 0..grants {
+                let task = Task::new(id, 1.0, vec![0], RdpCurve::constant(&grid, 0.1), 0.0);
+                service.submit(0, task).unwrap();
+            }
+            service.run_cycle(1.0);
+            Arc::new(service)
+        };
+        let granted = || {
+            obs.registry
+                .snapshot()
+                .get("dpack_granted_total", "")
+                .cloned()
+        };
+        let core = ServiceCore::new(primary(3));
+        assert_eq!(granted(), Some(Value::Counter(3)));
+        let node = ReplicaNode::open(&SimStorage::new(), 1, 1 << 16, Arc::clone(&obs));
+        core.demote(Arc::new(node.expect("fresh replica")));
+        let scraped = obs.registry.snapshot();
+        for family in [
+            "dpack_granted_total",
+            "dpack_queue_depth",
+            "dpack_wal_records",
+        ] {
+            assert!(
+                scraped.get(family, "").is_none(),
+                "a replica exports no {family}"
+            );
+        }
+        let second = primary(2);
+        core.promote(Arc::clone(&second), None);
+        assert_eq!(second.stats().granted_total, 2);
+        assert_eq!(
+            granted(),
+            Some(Value::Counter(2)),
+            "the new primary's own count"
+        );
+    }
+
     #[test]
     fn oversized_replies_degrade_to_an_error_frame_not_a_panic() {
         // A synthetic response payload past the frame cap (any tag; the

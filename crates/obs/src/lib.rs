@@ -10,15 +10,18 @@
 //! * [`Registry`] — atomic counters and gauges plus log-bucketed,
 //!   lock-free [`Histogram`]s (power-of-two buckets, mergeable
 //!   [`HistogramSnapshot`]s with p50/p95/p99/max), registered by name
-//!   and label set. Handles from a [`Registry::disabled`] registry are
-//!   inert, so instrumentation costs one branch when unused.
+//!   and label set, and **views** ([`Registry::counter_view`]) read at
+//!   scrape time from what their owner already counts. Handles from a
+//!   [`Registry::disabled`] registry are inert, so instrumentation
+//!   costs one branch when unused.
 //! * [`Clock`] — the time seam. Production uses [`WallClock`];
 //!   deterministic tests substitute a [`ManualClock`] and assert span
 //!   timings exactly.
 //! * [`FlightRecorder`] — a fixed-capacity ring of structured
 //!   [`Event`]s with sequence numbers, dumpable for post-mortems and
 //!   assertable in crash-recovery tests. It and the [`SpanRing`] are
-//!   typed views over one lock-free seqlock ring (`ring.rs`).
+//!   typed views over one lock-free seqlock ring (`ring.rs`), whose
+//!   losses (`dpack_recorder_dropped_total`) follow from its seq.
 //! * [`expo`] — Prometheus-style text exposition over a
 //!   [`MetricsSnapshot`]; the same snapshot travels the dpack-net wire
 //!   as the `Metrics` response.
@@ -85,8 +88,11 @@ impl Obs {
 
     fn live(clock: Arc<dyn Clock>, tracer_seed: u64) -> Self {
         let registry = Registry::new();
-        let recorder = FlightRecorder::new(DEFAULT_RECORDER_CAPACITY)
-            .with_dropped_counter(registry.counter("dpack_recorder_dropped_total", ""));
+        let recorder = FlightRecorder::new(DEFAULT_RECORDER_CAPACITY);
+        let lost = recorder.clone();
+        registry.counter_view("dpack_recorder_dropped_total", "", move || {
+            Some(lost.dropped())
+        });
         Self {
             registry,
             recorder,

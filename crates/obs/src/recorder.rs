@@ -14,7 +14,8 @@
 //!
 //! Recording is **lock-free**: the recorder is a typed view over the
 //! crate's one seqlock ring (`ring.rs`, shared with the span ring),
-//! three words per event (`kind`, `a`, `b`) plus the eviction counter.
+//! three words per event (`kind`, `a`, `b`), and pays only the ring's
+//! own atomics: what the ring lost follows from its sequence number.
 //! Writers on the grant path never contend on a mutex; a concurrent
 //! [`FlightRecorder::dump`] simply skips slots caught mid-overwrite.
 //! Dumps taken at quiescence — how every test and post-mortem uses
@@ -22,7 +23,6 @@
 
 use std::sync::Arc;
 
-use crate::registry::Counter;
 use crate::ring::Ring;
 
 /// What happened. The payload words `a`/`b` are per-kind:
@@ -116,55 +116,26 @@ pub struct Event {
     pub b: u64,
 }
 
-#[derive(Debug)]
-struct RecorderInner {
-    /// Entries are `[kind, a, b]`.
-    ring: Ring<3>,
-    /// Counts events the ring lost: evicted, or dropped by a writer
-    /// that met another in its slot (a dump with a seq gap is a
-    /// truncated dump — this makes the silent gap a scrapable
-    /// `dpack_recorder_dropped_total` signal). Inert unless wired to a
-    /// live registry.
-    dropped: Counter,
-}
-
-/// A shared, fixed-capacity event ring. Cloning shares the ring.
+/// A shared, fixed-capacity event ring. Cloning shares the ring;
+/// entries are `[kind, a, b]`.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    inner: Arc<RecorderInner>,
+    ring: Arc<Ring<3>>,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the most recent `capacity` events.
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Arc::new(RecorderInner {
-                ring: Ring::new(capacity),
-                dropped: Counter::disabled(),
-            }),
+            ring: Arc::new(Ring::new(capacity)),
         }
     }
 
-    /// Wires the lost-event counter (typically the registry's
-    /// `dpack_recorder_dropped_total`). Call before the recorder is
-    /// cloned/shared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorder is already shared.
-    #[must_use]
-    pub fn with_dropped_counter(mut self, dropped: Counter) -> Self {
-        Arc::get_mut(&mut self.inner)
-            .expect("wire the dropped counter before sharing")
-            .dropped = dropped;
-        self
-    }
-
-    /// Total events the ring lost, evicted or dropped (recorded −
-    /// retained, at quiescence): the truncation a dump's seq gaps
-    /// silently imply.
+    /// Events the ring lost, evicted or dropped: recorded − retained
+    /// at quiescence, the truncation a dump's seq gaps imply, scraped
+    /// as `dpack_recorder_dropped_total`.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.get()
+        self.ring.lost()
     }
 
     /// A recorder that drops everything (capacity 0): recording is an
@@ -175,16 +146,14 @@ impl FlightRecorder {
 
     /// The retention capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.ring.capacity()
+        self.ring.capacity()
     }
 
     /// Appends one event, evicting the oldest at capacity; dropped
     /// instead if a writer a lap away holds its slot. Lock-free (see
     /// [`crate::ring`]).
     pub fn record(&self, kind: EventKind, a: u64, b: u64) {
-        if self.inner.ring.push([u64::from(kind as u8), a, b]) {
-            self.inner.dropped.inc();
-        }
+        self.ring.push([u64::from(kind as u8), a, b]);
     }
 
     /// The retained events in sequence order. Concurrent with writers,
@@ -197,8 +166,7 @@ impl FlightRecorder {
     /// The retained events with `seq >= since`, in sequence order —
     /// the incremental form a remote trace scrape uses.
     pub fn dump_since(&self, since: u64) -> Vec<Event> {
-        self.inner
-            .ring
+        self.ring
             .dump_since(since)
             .into_iter()
             .filter_map(|(seq, [kind, a, b])| {
@@ -210,7 +178,7 @@ impl FlightRecorder {
 
     /// Total events ever recorded (including evicted and dropped ones).
     pub fn recorded(&self) -> u64 {
-        self.inner.ring.recorded()
+        self.ring.recorded()
     }
 }
 
@@ -257,13 +225,19 @@ mod tests {
 
     #[test]
     fn evictions_count_on_the_dropped_counter() {
-        let counter = crate::registry::Registry::new().counter("dpack_recorder_dropped_total", "");
-        let r = FlightRecorder::new(3).with_dropped_counter(counter.clone());
+        let (obs, _) = crate::Obs::manual(1);
+        let r = FlightRecorder::new(3);
         for i in 0..10u64 {
             r.record(EventKind::BatchFlushed, i, 0);
         }
         assert_eq!(r.dropped(), 7, "10 recorded, 3 retained");
-        assert_eq!(counter.get(), 7, "the registry sees the truncation");
+        assert_eq!(r.dropped(), r.recorded() - r.dump().len() as u64);
+        let over = crate::DEFAULT_RECORDER_CAPACITY as u64 + 5;
+        for i in 0..over {
+            obs.recorder.record(EventKind::BatchFlushed, i, 0);
+        }
+        let scraped = obs.registry.snapshot();
+        assert_eq!(scraped.counter_total("dpack_recorder_dropped_total"), 5);
     }
 
     #[test]
@@ -297,6 +271,7 @@ mod tests {
             assert!(pair[0].seq < pair[1].seq, "strictly ordered dump");
         }
         assert!(dump.iter().all(|e| e.seq >= 1 && e.seq <= 4_000));
+        assert_eq!(r.dropped(), r.recorded() - dump.len() as u64);
     }
 
     #[test]

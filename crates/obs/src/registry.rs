@@ -9,22 +9,25 @@
 //! takes the registry lock once; the handles it returns are lock-free
 //! atomics, so the hot paths never touch the registry again.
 //!
+//! A **view** is a counter or gauge whose value its owner already
+//! keeps: a closure [`Registry::snapshot`] calls, so the owner's hot
+//! path writes nothing for it. It renders, and travels the wire,
+//! exactly like a cell of the same kind.
+//!
 //! A registry created with [`Registry::disabled`] hands out inert
 //! handles — recording through them is a single predictable branch —
-//! which is both the "near-zero cost when unused" contract and the
-//! off-leg of the instrumentation-overhead benchmark.
+//! and drops its views, which is both the "near-zero cost when unused"
+//! contract and the off-leg of the instrumentation-overhead benchmark.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::hist::{Histogram, HistogramSnapshot};
 
 /// A monotone counter handle. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
-pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
-}
+pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
     /// A no-op handle.
@@ -39,23 +42,21 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.cell {
+        if let Some(cell) = &self.0 {
             cell.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// The current total.
     pub fn get(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
 
 /// A last-write-wins gauge handle storing an `f64`. Cloning shares the
 /// cell.
 #[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    cell: Option<Arc<AtomicU64>>,
-}
+pub struct Gauge(Option<Arc<AtomicU64>>);
 
 impl Gauge {
     /// A no-op handle.
@@ -65,7 +66,7 @@ impl Gauge {
 
     /// Sets the gauge.
     pub fn set(&self, v: f64) {
-        if let Some(cell) = &self.cell {
+        if let Some(cell) = &self.0 {
             cell.store(v.to_bits(), Ordering::Relaxed);
         }
     }
@@ -77,18 +78,19 @@ impl Gauge {
 
     /// The current value.
     pub fn get(&self) -> f64 {
-        self.cell
+        self.0
             .as_ref()
             .map_or(0.0, |c| f64::from_bits(c.load(Ordering::Relaxed)))
     }
 }
 
-/// One registered instrument.
-#[derive(Debug, Clone)]
+/// One registered instrument; a view is a closure read at scrape time.
+#[derive(Clone)]
 enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
+    View(Arc<dyn View<Value>>),
 }
 
 /// The value of one sample in a [`MetricsSnapshot`].
@@ -214,127 +216,23 @@ impl MetricsSnapshot {
     }
 }
 
-#[derive(Debug, Default)]
-struct RegistryInner {
-    metrics: Mutex<BTreeMap<(String, String), Instrument>>,
-}
-
 /// The process-wide (or service-wide) instrument registry. Cloning
 /// shares the underlying table.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Registry {
-    inner: Option<Arc<RegistryInner>>,
+    metrics: Option<Arc<Mutex<Table>>>,
 }
 
-impl Registry {
-    /// A live registry.
-    pub fn new() -> Self {
-        Self {
-            inner: Some(Arc::new(RegistryInner::default())),
-        }
-    }
+/// The instruments by (name, labels).
+type Table = BTreeMap<(String, String), Instrument>;
 
-    /// A registry that hands out inert handles and snapshots empty.
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// Whether instruments registered here record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    fn register<T: Clone>(
-        &self,
-        name: &str,
-        labels: &str,
-        disabled: T,
-        make: impl FnOnce() -> Instrument,
-        pick: impl FnOnce(&Instrument) -> Option<T>,
-    ) -> T {
-        let Some(inner) = &self.inner else {
-            return disabled;
-        };
-        let mut metrics = inner.metrics.lock().expect("registry lock poisoned");
-        let entry = metrics
-            .entry((name.to_string(), labels.to_string()))
-            .or_insert_with(make);
-        // A name registered as two different kinds is a programming
-        // error; the second caller gets an inert handle rather than a
-        // panic on a monitoring path.
-        pick(entry).unwrap_or(disabled)
-    }
-
-    /// Registers (or re-opens) a counter.
-    pub fn counter(&self, name: &str, labels: &str) -> Counter {
-        self.register(
-            name,
-            labels,
-            Counter::disabled(),
-            || {
-                Instrument::Counter(Counter {
-                    cell: Some(Arc::new(AtomicU64::new(0))),
-                })
-            },
-            |i| match i {
-                Instrument::Counter(c) => Some(c.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Registers (or re-opens) a gauge.
-    pub fn gauge(&self, name: &str, labels: &str) -> Gauge {
-        self.register(
-            name,
-            labels,
-            Gauge::disabled(),
-            || {
-                Instrument::Gauge(Gauge {
-                    cell: Some(Arc::new(AtomicU64::new(0f64.to_bits()))),
-                })
-            },
-            |i| match i {
-                Instrument::Gauge(g) => Some(g.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Registers (or re-opens) a histogram.
-    pub fn histogram(&self, name: &str, labels: &str) -> Histogram {
-        self.register(
-            name,
-            labels,
-            Histogram::disabled(),
-            || Instrument::Histogram(Histogram::new()),
-            |i| match i {
-                Instrument::Histogram(h) => Some(h.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// Samples every registered instrument, in (name, labels) order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let Some(inner) = &self.inner else {
-            return MetricsSnapshot::default();
-        };
-        let metrics = inner.metrics.lock().expect("registry lock poisoned");
-        MetricsSnapshot {
-            samples: metrics
-                .iter()
-                .map(|((name, labels), instrument)| Sample {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: match instrument {
-                        Instrument::Counter(c) => Value::Counter(c.get()),
-                        Instrument::Gauge(g) => Value::Gauge(g.get()),
-                        Instrument::Histogram(h) => Value::Histogram(Box::new(h.snapshot())),
-                    },
-                })
-                .collect(),
-        }
+impl std::fmt::Debug for Registry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.is_enabled() {
+            "Registry"
+        } else {
+            "Registry(disabled)"
+        })
     }
 }
 
@@ -343,6 +241,118 @@ impl Default for Registry {
         Self::new()
     }
 }
+
+impl Registry {
+    /// A live registry.
+    pub fn new() -> Self {
+        Self {
+            metrics: Some(Arc::default()),
+        }
+    }
+
+    /// A registry that hands out inert handles and snapshots empty.
+    pub fn disabled() -> Self {
+        Self { metrics: None }
+    }
+
+    /// Whether instruments registered here record anything.
+    pub fn is_enabled(&self) -> bool {
+        self.metrics.is_some()
+    }
+
+    fn lock(&self) -> Option<MutexGuard<'_, Table>> {
+        let metrics = self.metrics.as_ref()?;
+        Some(metrics.lock().expect("registry lock poisoned"))
+    }
+
+    /// What (name, labels) holds, registered by `make` if nothing does;
+    /// `None` in a disabled registry.
+    fn open(&self, name: &str, labels: &str, make: fn() -> Instrument) -> Option<Instrument> {
+        let key = (name.to_string(), labels.to_string());
+        Some(self.lock()?.entry(key).or_insert_with(make).clone())
+    }
+
+    /// Registers (or re-opens) a counter. A pair registered as another
+    /// kind is a programming error; the caller gets an inert handle
+    /// rather than a panic on a monitoring path.
+    pub fn counter(&self, name: &str, labels: &str) -> Counter {
+        match self.open(name, labels, || {
+            Instrument::Counter(Counter(Some(Arc::default())))
+        }) {
+            Some(Instrument::Counter(c)) => c,
+            _ => Counter::disabled(),
+        }
+    }
+
+    /// Registers (or re-opens) a gauge, as [`Registry::counter`].
+    pub fn gauge(&self, name: &str, labels: &str) -> Gauge {
+        match self.open(name, labels, || {
+            Instrument::Gauge(Gauge(Some(Arc::default())))
+        }) {
+            Some(Instrument::Gauge(g)) => g,
+            _ => Gauge::disabled(),
+        }
+    }
+
+    /// Registers (or re-opens) a histogram, as [`Registry::counter`].
+    pub fn histogram(&self, name: &str, labels: &str) -> Histogram {
+        match self.open(name, labels, || Instrument::Histogram(Histogram::new())) {
+            Some(Instrument::Histogram(h)) => h,
+            _ => Histogram::disabled(),
+        }
+    }
+
+    /// Registers a counter whose total `read` computes at scrape time
+    /// from state its owner already keeps; `None` leaves the sample out
+    /// (say, once the owner is dropped). Replaces what the pair held,
+    /// so a new owner takes the family over.
+    pub fn counter_view(&self, name: &str, labels: &str, read: impl View<u64>) {
+        self.view(name, labels, Arc::new(move || read().map(Value::Counter)));
+    }
+
+    /// [`Registry::counter_view`] for a gauge.
+    pub fn gauge_view(&self, name: &str, labels: &str, read: impl View<f64>) {
+        self.view(name, labels, Arc::new(move || read().map(Value::Gauge)));
+    }
+
+    fn view(&self, name: &str, labels: &str, read: Arc<dyn View<Value>>) {
+        if let Some(mut metrics) = self.lock() {
+            metrics.insert((name.into(), labels.into()), Instrument::View(read));
+        }
+    }
+
+    /// Samples every registered instrument, in (name, labels) order.
+    /// Views are read after the registry's lock is released, so a view
+    /// may take its owner's locks in any order.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let Some(metrics) = self.lock().map(|m| m.clone()) else {
+            return MetricsSnapshot::default();
+        };
+        let samples = metrics
+            .into_iter()
+            .filter_map(|((name, labels), instrument)| {
+                let value = match instrument {
+                    Instrument::Counter(c) => Value::Counter(c.get()),
+                    Instrument::Gauge(g) => Value::Gauge(g.get()),
+                    Instrument::Histogram(h) => Value::Histogram(Box::new(h.snapshot())),
+                    Instrument::View(read) => read()?,
+                };
+                Some(Sample {
+                    name,
+                    labels,
+                    value,
+                })
+            });
+        MetricsSnapshot {
+            samples: samples.collect(),
+        }
+    }
+}
+
+/// What a view reads: `None` leaves its sample out of a snapshot.
+pub trait View<T>: Fn() -> Option<T> + Send + Sync + 'static {}
+
+impl<T, F: Fn() -> Option<T> + Send + Sync + 'static> View<T> for F {}
 
 #[cfg(test)]
 mod tests {
@@ -398,6 +408,46 @@ mod tests {
         h.record(1);
         assert_eq!(c.get(), 0);
         assert!(r.snapshot().samples.is_empty());
+    }
+
+    #[test]
+    fn a_view_renders_like_a_cell_with_the_same_reading() {
+        let cells = Registry::new();
+        cells.counter("a_total", "").add(5);
+        cells.gauge("b", "x=\"1\"").set(2.5);
+        cells.histogram("c", "").record(3);
+        let views = Registry::new();
+        views.counter_view("a_total", "", || Some(5));
+        views.gauge_view("b", "x=\"1\"", || Some(2.5));
+        views.histogram("c", "").record(3);
+        assert_eq!(views.snapshot(), cells.snapshot());
+        assert_eq!(views.snapshot().render(), cells.snapshot().render());
+    }
+
+    #[test]
+    fn views_are_read_at_scrape_time_and_replaced_by_the_next_owner() {
+        let r = Registry::new();
+        let level = Arc::new(AtomicU64::new(1));
+        let source = Arc::downgrade(&level);
+        r.counter_view("v_total", "", move || {
+            Some(source.upgrade()?.load(Ordering::Relaxed))
+        });
+        assert_eq!(r.snapshot().counter_total("v_total"), 1);
+        level.store(4, Ordering::Relaxed);
+        assert_eq!(r.snapshot().counter_total("v_total"), 4);
+        drop(level);
+        assert!(
+            r.snapshot().samples.is_empty(),
+            "a gone source leaves the scrape"
+        );
+        r.counter_view("v_total", "", || Some(9));
+        assert_eq!(r.snapshot().get("v_total", ""), Some(&Value::Counter(9)));
+        // A view holds the pair: a cell registered there is inert.
+        r.counter("v_total", "").inc();
+        assert_eq!(r.snapshot().counter_total("v_total"), 9);
+        let off = Registry::disabled();
+        off.gauge_view("g", "", || Some(1.0));
+        assert!(off.snapshot().samples.is_empty());
     }
 
     #[test]

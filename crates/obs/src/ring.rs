@@ -9,8 +9,9 @@
 //! `seq`. Two writers a lap or more apart draw the same slot; the CAS
 //! lets only one of them hold it, so their payload stores never
 //! interleave. A writer that finds the slot mid-write, or already
-//! holding a newer entry, drops its own entry and reports it lost, as
-//! an eviction is. A reader that sees the same published `seq` on both
+//! holding a newer entry, drops its own entry; it is lost, as an
+//! evicted one is, and [`Ring::lost`] counts both from the sequence
+//! number alone, with no write of its own. A reader that sees the same published `seq` on both
 //! sides of its payload loads saw a consistent entry; anything else is
 //! a slot caught mid-write and is skipped. The ring holds the most
 //! recent `capacity` entries, less any dropped; older ones fall off
@@ -84,24 +85,20 @@ impl<const W: usize> Ring<W> {
         self.slots.len()
     }
 
-    /// Appends one entry, evicting the oldest at capacity; returns
-    /// whether an entry was lost: one this write evicted, or its own,
-    /// dropped because another writer held the slot. Lock-free: one
-    /// `fetch_add` draws the slot, one CAS claims it, the seqlock
-    /// publishes it.
-    pub(crate) fn push(&self, words: [u64; W]) -> bool {
+    /// Appends one entry, evicting the oldest at capacity, or drops
+    /// it if another writer holds its slot. Lock-free: one `fetch_add`
+    /// draws the slot, one CAS claims it, the seqlock publishes it.
+    pub(crate) fn push(&self, words: [u64; W]) {
         if self.slots.is_empty() {
-            return false;
+            return;
         }
         let Some(claim) = self.claim(self.draw()) else {
-            return true;
+            return;
         };
-        let evicted = claim.evicted;
         for (i, value) in words.into_iter().enumerate() {
             claim.store(i, value);
         }
         claim.publish();
-        evicted
     }
 
     /// The next sequence number.
@@ -137,11 +134,7 @@ impl<const W: usize> Ring<W> {
             }
         }
         fence(Ordering::Release);
-        Some(Claim {
-            slot,
-            seq,
-            evicted: held != 0,
-        })
+        Some(Claim { slot, seq })
     }
 
     /// The retained entries with `seq >= since`, in sequence order.
@@ -162,14 +155,20 @@ impl<const W: usize> Ring<W> {
     pub(crate) fn recorded(&self) -> u64 {
         self.next_seq.load(Ordering::Relaxed)
     }
+
+    /// Entries lost, evicted or dropped: recorded − retained, exact at
+    /// quiescence, where every slot drawn holds a published entry (a
+    /// writer that drops its own met one that publishes).
+    pub(crate) fn lost(&self) -> u64 {
+        let recorded = self.recorded();
+        recorded - recorded.min(self.capacity() as u64)
+    }
 }
 
 /// A slot held by one writer, from its claim to its publish.
 struct Claim<'a, const W: usize> {
     slot: &'a Slot<W>,
     seq: u64,
-    /// Whether the slot held a published entry, now lost.
-    evicted: bool,
 }
 
 impl<const W: usize> Claim<'_, W> {
@@ -236,15 +235,19 @@ mod tests {
         // publishes finds the newer entry and drops its own.
         let (older, newer) = (ring.draw(), ring.draw());
         let claim = ring.claim(newer).expect("slot published");
-        assert!(claim.evicted);
         claim.store(0, 4);
         claim.store(1, 4);
         claim.publish();
         assert!(ring.claim(older).is_none(), "a newer entry stands");
         assert_eq!(ring.dump_since(0), [(4, [4, 4])]);
         // Every entry is lost once: evicted or dropped.
-        assert!(ring.push([5, 5]));
+        ring.push([5, 5]);
         assert_eq!(ring.dump_since(0), [(5, [5, 5])]);
         assert_eq!(ring.recorded(), 5);
+        assert_eq!(
+            ring.lost(),
+            ring.recorded() - ring.dump_since(0).len() as u64
+        );
+        assert_eq!(ring.lost(), 4);
     }
 }

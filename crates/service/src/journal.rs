@@ -24,12 +24,12 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use dpack_core::problem::{Block, BlockId, TaskId};
 use dpack_obs::trace::{span_id, SpanKind};
 use dpack_obs::{EventKind, FlightRecorder, Obs, TraceContext};
-use dpack_wal::{Wal, WalError, WalOptions, WalStorage, WalTelemetry};
+use dpack_wal::{Wal, WalError, WalOptions, WalStorage};
 
 use crate::config::DurabilityOptions;
 use crate::durability::{self, BlockState, LogRecord};
@@ -101,7 +101,7 @@ pub(crate) struct Journal {
     next_attempt: AtomicU64,
     /// Where every durable append is shipped before it is acknowledged
     /// (see [`crate::replication`]); `None` on an unreplicated ledger.
-    sink: Option<Arc<dyn ReplicationSink>>,
+    sink: OnceLock<Arc<dyn ReplicationSink>>,
     /// Steps whose local append failed.
     failed_appends: AtomicU64,
     /// Stream batches whose ship failed *after* the local append
@@ -114,20 +114,19 @@ pub(crate) struct Journal {
     obs: Option<Obs>,
 }
 
-/// Registers the WAL latency and batch-size families — unconditionally,
-/// so scrapes of an in-memory service expose them too — and attaches
-/// them, the flush spans and the flight recorder to `journal`, if the
-/// ledger has one.
+/// Attaches the WAL's latency and batch-size histograms, the flush
+/// spans and the flight recorder to `journal`. A ledger without one
+/// registers the two histograms all the same, so scrapes of an
+/// in-memory service list the same families.
 pub(crate) fn instrument(obs: &Obs, journal: Option<&mut Journal>) {
-    let telemetry = WalTelemetry {
-        clock: Arc::clone(obs.clock()),
-        append_nanos: obs.registry.histogram("dpack_wal_append_nanos", ""),
-        batch_records: obs.registry.histogram("dpack_wal_batch_records", ""),
+    let Some(journal) = journal else {
+        obs.registry.histogram("dpack_wal_append_nanos", "");
+        obs.registry.histogram("dpack_wal_batch_records", "");
+        return;
     };
-    let Some(journal) = journal else { return };
     journal.obs = Some(obs.clone());
     let log = journal.log.get_mut().expect("instrument before sharing");
-    log.wal.instrument(telemetry);
+    log.wal.instrument(obs);
 }
 
 impl Journal {
@@ -272,7 +271,7 @@ impl Journal {
                 bounds: Vec::new(),
             }),
             next_attempt: AtomicU64::new(max_attempt.map_or(0, |a| a + 1)),
-            sink: None,
+            sink: OnceLock::new(),
             failed_appends: AtomicU64::new(0),
             failed_ships: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
@@ -281,9 +280,11 @@ impl Journal {
         })
     }
 
-    /// From now on every flush ships through `sink`.
-    pub(crate) fn attach_sink(&mut self, sink: Arc<dyn ReplicationSink>) {
-        self.sink = Some(sink);
+    /// From now on every flush ships through `sink`; panics if one
+    /// already does.
+    pub(crate) fn attach_sink(&self, sink: Arc<dyn ReplicationSink>) {
+        let attached = self.sink.set(sink).is_ok();
+        assert!(attached, "a journal ships through one replication sink");
     }
 
     /// Whether no cross-shard attempt was ever issued (or recovered).
@@ -365,7 +366,7 @@ impl Journal {
             }
         }
         let mut outcomes = vec![Ok(()); parts.len()];
-        let Some(sink) = &self.sink else {
+        let Some(sink) = self.sink.get() else {
             return Ok(outcomes);
         };
         let (shipped, batches): (Vec<usize>, Vec<ShipBatch<'_>>) = written()

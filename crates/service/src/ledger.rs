@@ -320,11 +320,12 @@ impl ShardedLedger {
     ///
     /// # Panics
     ///
-    /// Panics on a non-durable ledger (there is nothing to ship) and
-    /// on a ledger that already holds state — replicas start empty, so
+    /// Panics on a non-durable ledger (there is nothing to ship), on
+    /// one that already ships through a sink, and on a ledger that
+    /// already holds state — replicas start empty, so
     /// attaching mid-stream would promote to a truncated history;
     /// bootstrap/catch-up is future work.
-    pub fn set_replication(&mut self, sink: Arc<dyn ReplicationSink>) {
+    pub fn set_replication(&self, sink: Arc<dyn ReplicationSink>) {
         assert!(
             self.n_blocks() == 0 && self.journal.as_ref().is_none_or(Journal::no_attempts),
             "attach replication to a fresh ledger (replica bootstrap is not supported)"
@@ -343,10 +344,11 @@ impl ShardedLedger {
     ///
     /// # Panics
     ///
-    /// Panics on a non-durable ledger.
-    pub fn set_replication_resumed(&mut self, sink: Arc<dyn ReplicationSink>) {
+    /// Panics on a non-durable ledger, and on one that already ships
+    /// through a sink.
+    pub fn set_replication_resumed(&self, sink: Arc<dyn ReplicationSink>) {
         self.journal
-            .as_mut()
+            .as_ref()
             .expect("replication ships the write-ahead stream; open the ledger durable first")
             .attach_sink(sink);
     }
@@ -1360,7 +1362,7 @@ mod tests {
         // attempts span shards 0, 1, 2); its decision ship.
         for (cross_batch, refused) in [(false, 1), (true, 2), (true, 4)] {
             let sink = Arc::new(FlakySink::default());
-            let mut l = durable(&SimStorage::new());
+            let l = durable(&SimStorage::new());
             l.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
             let (mut model, local, cross) = charged(&l);
             let batch = if cross_batch { &cross } else { &local };
@@ -1426,7 +1428,7 @@ mod tests {
     fn one_refused_stream_of_a_bundle_releases_only_its_shard() {
         for workers in [1, 2] {
             let sink = Arc::new(FlakySink::default());
-            let mut l = durable(&SimStorage::new());
+            let l = durable(&SimStorage::new());
             l.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
             let (mut model, _, _) = charged(&l);
             let bundle = one_batch_per_shard();
@@ -1465,7 +1467,7 @@ mod tests {
     #[test]
     fn a_failed_journal_append_releases_the_whole_step() {
         let sim = SimStorage::new();
-        let mut l = durable(&sim);
+        let l = durable(&sim);
         let sink = Arc::new(FlakySink::default());
         l.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>);
         let (mut model, _, _) = charged(&l);

@@ -77,7 +77,7 @@
 //! either way.
 
 use std::collections::{hash_map::Entry, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -208,14 +208,15 @@ struct TenantBook {
 /// evicted (not merely drained), so a noisy tenant cannot grow the
 /// pending set without bound. Counting under the lock that makes a
 /// task visible to a cycle means a monitor never sees a grant whose
-/// admission is not counted.
-struct Books {
-    queue: VecDeque<Submission>,
+/// admission is not counted. The registry's service families read
+/// these counts at scrape time (see [`crate::telemetry`]).
+pub(crate) struct Books {
+    pub(crate) queue: VecDeque<Submission>,
     live: HashMap<TaskId, (TenantId, Option<Arc<TicketCell>>)>,
     tenants: HashMap<TenantId, TenantBook>,
     /// `tenants` stays empty here: [`BudgetService::stats`] fills it
     /// from the tenant records.
-    stats: ServiceStats,
+    pub(crate) stats: ServiceStats,
 }
 
 impl Books {
@@ -240,8 +241,10 @@ impl Books {
 pub struct BudgetService {
     config: ServiceConfig,
     durability: Option<DurabilityOptions>,
-    ledger: ShardedLedger,
-    books: Mutex<Books>,
+    /// Shared with the registry's views, which hold it by `Weak`; so
+    /// are the books and the pending count.
+    ledger: Arc<ShardedLedger>,
+    books: Arc<Mutex<Books>>,
     /// Task ids whose grants recovery re-applied — immutable after
     /// construction. Admission rejects them as duplicates, so a tenant
     /// idempotently resubmitting in-flight work after failover cannot
@@ -252,10 +255,7 @@ pub struct BudgetService {
     cycle_lock: Mutex<Pending>,
     /// Tasks pending, as the running (or else the last) cycle last
     /// counted them.
-    pending: AtomicUsize,
-    /// Cycles started (drives the compaction cadence without touching
-    /// the books lock).
-    cycles_run: AtomicU64,
+    pending: Arc<AtomicUsize>,
     /// The observability context (registry + flight recorder + clock).
     obs: Arc<Obs>,
     telemetry: ServiceTelemetry,
@@ -404,23 +404,22 @@ impl BudgetService {
                 .is_none_or(|t| t.is_finite() && t >= 0.0),
             "default timeout must be finite and >= 0"
         );
-        let stats = ServiceStats::with_retention(config.retention);
-        let telemetry = ServiceTelemetry::new(&obs);
-        let pending = Pending::new(ledger.grid());
-        let books = Books {
+        let books = Arc::new(Mutex::new(Books {
             queue: VecDeque::new(),
             live: HashMap::new(),
             tenants: HashMap::new(),
-            stats,
-        };
+            stats: ServiceStats::with_retention(config.retention),
+        }));
+        let cycle_lock = Mutex::new(Pending::new(ledger.grid()));
+        let (ledger, pending) = (Arc::new(ledger), Arc::new(AtomicUsize::new(0)));
+        let telemetry = ServiceTelemetry::new(&obs, &books, &pending, &ledger);
         Self {
             ledger,
             durability,
-            books: Mutex::new(books),
+            books,
             recovered_granted,
-            cycle_lock: Mutex::new(pending),
-            pending: AtomicUsize::new(0),
-            cycles_run: AtomicU64::new(0),
+            cycle_lock,
+            pending,
             obs,
             telemetry,
             config,
@@ -542,9 +541,7 @@ impl BudgetService {
         // Enqueueing and counting under the one lock makes them atomic
         // with the task becoming visible to a cycle, which counts its
         // grants under this same lock holding no shard lock, so there
-        // is no ordering cycle. The registry counters update at the
-        // same points under the same lock, so the two surfaces cannot
-        // diverge.
+        // is no ordering cycle.
         let task_id = task.id;
         let books = &mut *self.books();
         let book = books.tenants.entry(tenant).or_default();
@@ -584,7 +581,6 @@ impl BudgetService {
         let stats = &mut books.stats;
         stats.submitted += 1;
         book.stats.submitted += 1;
-        self.telemetry.submitted.inc();
         match &result {
             Ok(()) => stats.admitted += 1,
             Err(AdmissionError::QueueFull { .. }) => stats.rejected_full += 1,
@@ -593,12 +589,9 @@ impl BudgetService {
         }
         if result.is_ok() {
             book.stats.admitted += 1;
-            self.telemetry.admitted.inc();
             self.obs
                 .recorder
                 .record(EventKind::TaskAdmitted, task_id, u64::from(tenant));
-        } else {
-            self.telemetry.rejected.inc();
         }
         result
     }
@@ -726,7 +719,6 @@ impl BudgetService {
     pub fn run_cycle(&self, now: f64) -> CycleStats {
         let mut pending = self.cycle_lock.lock().expect("cycle lock poisoned");
         let pending = &mut *pending;
-        let cycle_index = self.cycles_run.fetch_add(1, Ordering::Relaxed) + 1;
         // Five telemetry-clock reads bound the cycle's phases: t0
         // (start), after ingest/evict, after the scheduling pass, after
         // the commit, and at the end. Under a ManualClock with tick T
@@ -737,8 +729,10 @@ impl BudgetService {
         // Phase 1: ingest the admission queue, then evict timed-out
         // tasks in arrival order. A whole queue is swapped for the
         // empty arrivals buffer, so neither is reallocated next cycle.
-        let queue_depth = {
-            let queue = &mut self.books().queue;
+        // The books count the cycles this lock has run to their end.
+        let (cycle_index, queue_depth) = {
+            let books = &mut *self.books();
+            let queue = &mut books.queue;
             let max = self.config.ingest_batch;
             debug_assert!(pending.arrivals.is_empty(), "decide drains them");
             if max >= queue.len() {
@@ -746,7 +740,7 @@ impl BudgetService {
             } else {
                 pending.arrivals.extend(queue.drain(..max));
             }
-            queue.len()
+            (books.stats.cycles_total + 1, queue.len())
         };
         let ingested = pending.arrivals.len();
         for s in &mut pending.arrivals {
@@ -829,25 +823,10 @@ impl BudgetService {
                 let _ = self.compact();
             }
         }
-        let durability = self.ledger.durability_stats();
 
-        // Close the cycle's spans and publish the cycle-level registry
-        // values (counters mirror the ServiceStats fields; the WAL
-        // gauges re-export the durability counters).
+        // Close the cycle's spans. The counters and gauges need no
+        // write: the registry reads them from the books at scrape time.
         let t_end = self.obs.now_nanos();
-        self.telemetry.cycles.inc();
-        self.telemetry.granted.add(granted.len() as u64);
-        self.telemetry.evicted.add(evicted.len() as u64);
-        self.telemetry.queue_depth.set_u64(queue_depth as u64);
-        self.telemetry.pending_tasks.set_u64(pending_after as u64);
-        if let Some(d) = &durability {
-            self.telemetry.wal_records.set_u64(d.records);
-            self.telemetry.wal_bytes.set_u64(d.bytes);
-            self.telemetry.wal_syncs.set_u64(d.sync_calls);
-            self.telemetry.wal_batches.set_u64(d.batches);
-            self.telemetry.wal_failed_appends.set_u64(d.failed_appends);
-            self.telemetry.compactions.set_u64(d.compactions);
-        }
         self.telemetry
             .phase_ingest
             .record(t_ingest.saturating_sub(t_start));
@@ -2262,6 +2241,110 @@ mod tests {
         assert_eq!(cycle.granted(), 1);
         assert!(service.obs().registry.snapshot().samples.is_empty());
         assert!(service.obs().recorder.dump().is_empty());
+    }
+
+    /// Every service counter and gauge family of a scrape against the
+    /// record it is a view of.
+    fn assert_scrape_is_the_record(service: &BudgetService, step: &str) {
+        use dpack_obs::Value;
+        let scraped = service.obs().registry.snapshot();
+        let s = service.stats_summary();
+        let counters = [
+            ("dpack_submitted_total", s.submitted),
+            ("dpack_admitted_total", s.admitted),
+            ("dpack_rejected_total", s.rejected),
+            ("dpack_granted_total", s.granted),
+            ("dpack_evicted_total", s.evicted),
+            ("dpack_cycles_total", s.cycles),
+        ];
+        for (name, want) in counters {
+            let got = scraped.get(name, "");
+            assert_eq!(got, Some(&Value::Counter(want)), "{name} after {step}");
+        }
+        let d = service.ledger().durability_stats().unwrap_or_default();
+        let gauges = [
+            ("dpack_queue_depth", service.queue_depth() as u64),
+            ("dpack_pending_tasks", service.pending_count() as u64),
+            ("dpack_wal_records", d.records),
+            ("dpack_wal_bytes", d.bytes),
+            ("dpack_wal_syncs", d.sync_calls),
+            ("dpack_wal_batches", d.batches),
+            ("dpack_wal_failed_appends", d.failed_appends),
+            ("dpack_compactions", d.compactions),
+        ];
+        for (name, want) in gauges {
+            let got = scraped.get(name, "");
+            assert_eq!(got, Some(&Value::Gauge(want as f64)), "{name} after {step}");
+        }
+    }
+
+    #[test]
+    fn a_scrape_reads_the_service_record_at_any_point() {
+        let durable = BudgetService::recover(
+            grid(),
+            immediate_unlock(2, 1),
+            &dpack_wal::SimStorage::new(),
+            DurabilityOptions::default(),
+        )
+        .unwrap();
+        let in_memory = BudgetService::new(grid(), immediate_unlock(2, 1));
+        for service in [durable, in_memory] {
+            let check = |step| assert_scrape_is_the_record(&service, step);
+            check("construction");
+            for j in 0..2u64 {
+                let block = Block::new(j, RdpCurve::constant(&grid(), 1.0), 0.0);
+                service.register_block(block).unwrap();
+            }
+            check("registration");
+            for id in 0..3 {
+                service
+                    .submit(0, simple_task(id, vec![id % 2], 0.4))
+                    .unwrap();
+            }
+            let mut late = simple_task(3, vec![0], 0.9);
+            late.timeout = Some(0.5);
+            service.submit(1, late).unwrap();
+            assert!(service.submit(1, simple_task(4, vec![9], 0.1)).is_err());
+            check("admission, before any cycle");
+            service.run_cycle(1.0);
+            check("a cycle");
+            service.run_cycle(2.0);
+            check("an eviction");
+            service.compact().unwrap();
+            check("a compaction");
+            let block = Block::new(2, RdpCurve::constant(&grid(), 1.0), 0.0);
+            service.register_block(block).unwrap();
+            check("a registration after the last cycle");
+            let durable = service.ledger().durability_stats().is_some();
+            let s = service.stats_summary();
+            assert_eq!((s.submitted, s.rejected, s.evicted), (5, 1, 1));
+            assert_eq!(s.granted, 3, "durable: {durable}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_service_leaves_the_scrape_and_the_next_one_counts_afresh() {
+        let obs = Obs::wall();
+        let first = BudgetService::with_obs(grid(), immediate_unlock(1, 1), Arc::clone(&obs));
+        first.submit(0, simple_task(0, vec![0], 0.1)).unwrap_err();
+        first.run_cycle(1.0);
+        assert_scrape_is_the_record(&first, "the first service's cycle");
+        drop(first);
+        let scraped = obs.registry.snapshot();
+        for sample in &scraped.samples {
+            assert!(
+                matches!(sample.value, dpack_obs::Value::Histogram(_))
+                    || sample.name == "dpack_recorder_dropped_total",
+                "{} outlived its service",
+                sample.name
+            );
+        }
+        let second = BudgetService::with_obs(grid(), immediate_unlock(1, 1), Arc::clone(&obs));
+        assert_scrape_is_the_record(&second, "a second service on the same context");
+        assert_eq!(
+            obs.registry.snapshot().counter_total("dpack_cycles_total"),
+            0
+        );
     }
 
     #[test]

@@ -83,8 +83,8 @@ impl CycleStats {
     }
 }
 
-/// Write-ahead-log activity of a durable service — refreshed from the
-/// ledger at every cycle boundary. All counters are lifetime totals.
+/// Write-ahead-log activity of a durable service, read when asked for
+/// (`dpack_wal_*` are views of it). All counters are lifetime totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Records acknowledged by the log, every stream's.

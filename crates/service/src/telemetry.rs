@@ -1,57 +1,30 @@
 //! The service's registered instrument set.
 //!
-//! Every metric the service exports lives here, registered eagerly at
-//! construction so the exposition always shows the full family list
-//! (a scraper can alert on `dpack_wal_failed_appends` without waiting
-//! for the first failure). `ServiceStats` remains the structured
-//! in-process record; the registry is the canonical *export* surface —
-//! both are updated at the same points under the same locks, so they
-//! cannot diverge.
+//! Every family is registered eagerly at construction, so the
+//! exposition always lists them all (a scraper can alert on
+//! `dpack_wal_failed_appends` before the first failure). The service
+//! writes only its histograms. Each counter and gauge is a **view** the
+//! registry reads at scrape time from the record the service keeps
+//! anyway (the books' `StatsSummary` and queue, the pending count, the
+//! ledger's [`DurabilityStats`], 0 in memory), so each event is counted
+//! once and a scrape equals those accessors at any point. Views hold
+//! their sources by `Weak`: a dropped service's families leave the
+//! scrape, and the next service on the same context (a promoted node's
+//! new primary) counts from its own start, as after a restart.
 //!
-//! | metric | kind | meaning |
-//! |---|---|---|
-//! | `dpack_submitted_total` | counter | submissions offered |
-//! | `dpack_admitted_total` | counter | submissions admitted |
-//! | `dpack_rejected_total` | counter | submissions rejected (any reason) |
-//! | `dpack_granted_total` | counter | tasks granted |
-//! | `dpack_evicted_total` | counter | tasks evicted on timeout |
-//! | `dpack_cycles_total` | counter | scheduling cycles run |
-//! | `dpack_queue_depth` | gauge | admission-queue depth after ingest |
-//! | `dpack_pending_tasks` | gauge | pending set after the cycle |
-//! | `dpack_wal_records` | gauge | WAL records acknowledged |
-//! | `dpack_wal_bytes` | gauge | WAL bytes acknowledged |
-//! | `dpack_wal_syncs` | gauge | storage write+sync calls |
-//! | `dpack_wal_batches` | gauge | group-commit batches |
-//! | `dpack_wal_failed_appends` | gauge | appends that broke a log |
-//! | `dpack_compactions` | gauge | log compactions completed |
-//! | `dpack_grant_latency_nanos` | histogram | admission → committed grant |
-//! | `dpack_cycle_nanos` | histogram | whole-cycle duration |
-//! | `dpack_cycle_phase_nanos{phase=…}` | histogram | per-phase breakdown |
-//! | `dpack_shard_lock_hold_nanos` | histogram | shard-lock hold per shard-local commit |
-//! | `dpack_cross_commit_nanos` | histogram | 2PC round duration |
-//! | `dpack_wal_append_nanos` | histogram | WAL write+sync latency |
-//! | `dpack_wal_batch_records` | histogram | records per flushed batch |
+//! What each family means is README's "Metric families" table.
 
-use dpack_obs::{Counter, Gauge, Histogram, Obs};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Handles for every service-level instrument. All of them are inert
-/// when the underlying registry is disabled.
-#[derive(Debug, Clone)]
+use dpack_obs::{Histogram, Obs};
+
+use crate::ledger::ShardedLedger;
+use crate::service::Books;
+use crate::stats::{DurabilityStats, StatsSummary};
+
+/// The service's histograms, inert when the registry is disabled.
 pub(crate) struct ServiceTelemetry {
-    pub submitted: Counter,
-    pub admitted: Counter,
-    pub rejected: Counter,
-    pub granted: Counter,
-    pub evicted: Counter,
-    pub cycles: Counter,
-    pub queue_depth: Gauge,
-    pub pending_tasks: Gauge,
-    pub wal_records: Gauge,
-    pub wal_bytes: Gauge,
-    pub wal_syncs: Gauge,
-    pub wal_batches: Gauge,
-    pub wal_failed_appends: Gauge,
-    pub compactions: Gauge,
     pub grant_latency: Histogram,
     pub cycle_nanos: Histogram,
     pub phase_ingest: Histogram,
@@ -61,23 +34,46 @@ pub(crate) struct ServiceTelemetry {
 }
 
 impl ServiceTelemetry {
-    pub fn new(obs: &Obs) -> Self {
+    /// Registers the histograms, and every counter and gauge family as
+    /// a view over the service's books, pending count and ledger.
+    pub fn new(
+        obs: &Obs,
+        books: &Arc<Mutex<Books>>,
+        pending: &Arc<AtomicUsize>,
+        ledger: &Arc<ShardedLedger>,
+    ) -> Self {
         let r = &obs.registry;
+        let counters: [Family<StatsSummary>; 6] = [
+            ("dpack_submitted_total", |s| s.submitted),
+            ("dpack_admitted_total", |s| s.admitted),
+            ("dpack_rejected_total", |s| s.rejected),
+            ("dpack_granted_total", |s| s.granted),
+            ("dpack_evicted_total", |s| s.evicted),
+            ("dpack_cycles_total", |s| s.cycles),
+        ];
+        for (name, field) in counters {
+            let get = over(books, move |b| field(&read(b).stats.summary()));
+            r.counter_view(name, "", get);
+        }
+        let queue_depth = over(books, |b| read(b).queue.len() as f64);
+        r.gauge_view("dpack_queue_depth", "", queue_depth);
+        let pending = over(pending, |p| p.load(Ordering::Relaxed) as f64);
+        r.gauge_view("dpack_pending_tasks", "", pending);
+        let durability: [Family<DurabilityStats>; 6] = [
+            ("dpack_wal_records", |d| d.records),
+            ("dpack_wal_bytes", |d| d.bytes),
+            ("dpack_wal_syncs", |d| d.sync_calls),
+            ("dpack_wal_batches", |d| d.batches),
+            ("dpack_wal_failed_appends", |d| d.failed_appends),
+            ("dpack_compactions", |d| d.compactions),
+        ];
+        for (name, field) in durability {
+            let get = over(ledger, move |l| {
+                field(&l.durability_stats().unwrap_or_default()) as f64
+            });
+            r.gauge_view(name, "", get);
+        }
         Self {
-            submitted: r.counter("dpack_submitted_total", ""),
-            admitted: r.counter("dpack_admitted_total", ""),
-            rejected: r.counter("dpack_rejected_total", ""),
-            granted: r.counter("dpack_granted_total", ""),
-            evicted: r.counter("dpack_evicted_total", ""),
-            cycles: r.counter("dpack_cycles_total", ""),
-            queue_depth: r.gauge("dpack_queue_depth", ""),
-            pending_tasks: r.gauge("dpack_pending_tasks", ""),
-            wal_records: r.gauge("dpack_wal_records", ""),
-            wal_bytes: r.gauge("dpack_wal_bytes", ""),
-            wal_syncs: r.gauge("dpack_wal_syncs", ""),
-            wal_batches: r.gauge("dpack_wal_batches", ""),
-            wal_failed_appends: r.gauge("dpack_wal_failed_appends", ""),
-            compactions: r.gauge("dpack_compactions", ""),
             grant_latency: r.histogram("dpack_grant_latency_nanos", ""),
             cycle_nanos: r.histogram("dpack_cycle_nanos", ""),
             phase_ingest: r.histogram("dpack_cycle_phase_nanos", "phase=\"ingest\""),
@@ -86,4 +82,20 @@ impl ServiceTelemetry {
             phase_finalize: r.histogram("dpack_cycle_phase_nanos", "phase=\"finalize\""),
         }
     }
+}
+
+/// A family's name and the field of the record it reads.
+type Family<T> = (&'static str, fn(&T) -> u64);
+
+/// `get` over `source`, held by `Weak`: `None` once it is dropped.
+fn over<T: Send + Sync + 'static, V>(
+    source: &Arc<T>,
+    get: impl Fn(&T) -> V + Send + Sync + 'static,
+) -> impl Fn() -> Option<V> + Send + Sync + 'static {
+    let source = Arc::downgrade(source);
+    move || Some(get(&*source.upgrade()?))
+}
+
+fn read(books: &Mutex<Books>) -> MutexGuard<'_, Books> {
+    books.lock().expect("books lock poisoned")
 }

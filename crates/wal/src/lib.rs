@@ -50,6 +50,6 @@ pub mod log;
 pub mod storage;
 pub mod temp;
 
-pub use log::{AppendReceipt, Recovered, Wal, WalCounters, WalError, WalOptions, WalTelemetry};
+pub use log::{AppendReceipt, Recovered, Wal, WalCounters, WalError, WalOptions};
 pub use storage::{FsStorage, SimStorage, WalStorage, CRASH_ERROR};
 pub use temp::TempDir;

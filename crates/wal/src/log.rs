@@ -166,18 +166,11 @@ pub struct AppendReceipt {
     pub bytes: u64,
 }
 
-/// Observability hooks one [`Wal`] reports into (see
-/// [`Wal::instrument`]). All handles come from `dpack-obs`; a disabled
-/// histogram makes every record a single branch.
-#[derive(Debug, Clone)]
-pub struct WalTelemetry {
-    /// The time seam the append latency spans are measured on.
-    pub clock: std::sync::Arc<dyn dpack_obs::Clock>,
-    /// Latency of each storage write+sync (`dpack_wal_append_nanos`):
-    /// the fsync cost group commit amortizes.
-    pub append_nanos: dpack_obs::Histogram,
-    /// Acknowledged batch sizes (`dpack_wal_batch_records`).
-    pub batch_records: dpack_obs::Histogram,
+/// What an instrumented [`Wal`] reports into (see [`Wal::instrument`]).
+struct Timing {
+    clock: std::sync::Arc<dyn dpack_obs::Clock>,
+    append_nanos: dpack_obs::Histogram,
+    batch_records: dpack_obs::Histogram,
 }
 
 /// An append-only write-ahead log over a [`WalStorage`] namespace.
@@ -189,7 +182,7 @@ pub struct Wal {
     active_len: u64,
     broken: bool,
     counters: WalCounters,
-    telemetry: Option<WalTelemetry>,
+    timing: Option<Timing>,
     /// Reusable framing buffer: appends and batch flushes encode into
     /// it instead of allocating per record.
     scratch: Vec<u8>,
@@ -419,19 +412,24 @@ impl Wal {
                 active_len,
                 broken: false,
                 counters: WalCounters::default(),
-                telemetry: None,
+                timing: None,
                 scratch: Vec::new(),
             },
             recovered,
         ))
     }
 
-    /// Attaches observability hooks: every subsequent storage
-    /// write+sync is timed on the telemetry clock into `append_nanos`,
-    /// and every acknowledged batch reports its size into
-    /// `batch_records`. Un-instrumented logs skip all of it.
-    pub fn instrument(&mut self, telemetry: WalTelemetry) {
-        self.telemetry = Some(telemetry);
+    /// Registers the log's two histograms on `obs`: from now on every
+    /// storage write+sync (the fsync cost group commit amortizes) is
+    /// timed on its clock into `dpack_wal_append_nanos`, and every
+    /// acknowledged batch reports its size into
+    /// `dpack_wal_batch_records`. Un-instrumented logs skip all of it.
+    pub fn instrument(&mut self, obs: &dpack_obs::Obs) {
+        self.timing = Some(Timing {
+            clock: std::sync::Arc::clone(obs.clock()),
+            append_nanos: obs.registry.histogram("dpack_wal_append_nanos", ""),
+            batch_records: obs.registry.histogram("dpack_wal_batch_records", ""),
+        });
     }
 
     /// Re-scans the storage and resumes a [broken](WalError::Broken)
@@ -469,7 +467,7 @@ impl Wal {
         }
         self.scratch.clear();
         frame_into(&mut self.scratch, payload);
-        let started = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
+        let started = self.timing.as_ref().map(|t| t.clock.now_nanos());
         let wrote = self
             .storage
             .append(&seg_name(self.active_seq), &self.scratch);
@@ -521,7 +519,7 @@ impl Wal {
         for payload in payloads {
             frame_into(&mut self.scratch, payload);
         }
-        let started = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
+        let started = self.timing.as_ref().map(|t| t.clock.now_nanos());
         let wrote = self
             .storage
             .append(&seg_name(self.active_seq), &self.scratch);
@@ -531,7 +529,7 @@ impl Wal {
             return Err(WalError::Io(e));
         }
         let n = payloads.len() as u64;
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = &self.timing {
             t.batch_records.record(n);
         }
         self.counters.records += n;
@@ -556,7 +554,7 @@ impl Wal {
     /// writes are timed too: a slow failing disk is exactly what the
     /// histogram should show.
     fn observe_write(&self, started: Option<u64>) {
-        if let (Some(t), Some(started)) = (&self.telemetry, started) {
+        if let (Some(t), Some(started)) = (&self.timing, started) {
             t.append_nanos
                 .record(t.clock.now_nanos().saturating_sub(started));
         }
@@ -589,7 +587,7 @@ impl Wal {
             return Err(WalError::Broken);
         }
         let new_base = self.active_seq + 1;
-        let started = self.telemetry.as_ref().map(|t| t.clock.now_nanos());
+        let started = self.timing.as_ref().map(|t| t.clock.now_nanos());
         let wrote = self.storage.append(&snap_name(new_base), &frame(state));
         self.observe_write(started);
         if let Err(e) = wrote {
@@ -926,24 +924,18 @@ mod tests {
 
     #[test]
     fn instrumented_writes_report_exact_spans_and_batch_sizes() {
-        use dpack_obs::{Histogram, ManualClock};
         let sim = SimStorage::new();
         let (mut wal, _) = Wal::open(Box::new(sim), WalOptions::default()).unwrap();
-        let clock = std::sync::Arc::new(ManualClock::with_tick(10));
-        let append_nanos = Histogram::new();
-        let batch_records = Histogram::new();
-        wal.instrument(WalTelemetry {
-            clock,
-            append_nanos: append_nanos.clone(),
-            batch_records: batch_records.clone(),
-        });
+        let (obs, _clock) = dpack_obs::Obs::manual(10);
+        wal.instrument(&obs);
         wal.append(b"solo").unwrap();
         wal.append_batch(&[b"a", b"b", b"c"]).unwrap();
         // Each write spans exactly two auto-ticking clock reads.
-        let spans = append_nanos.snapshot();
+        let scraped = obs.registry.snapshot();
+        let spans = scraped.histogram("dpack_wal_append_nanos", "").unwrap();
         assert_eq!(spans.count, 2);
         assert_eq!(spans.sum, 20);
-        let sizes = batch_records.snapshot();
+        let sizes = scraped.histogram("dpack_wal_batch_records", "").unwrap();
         assert_eq!(sizes.count, 1);
         assert_eq!(sizes.max, 3);
     }

@@ -331,7 +331,8 @@ fi
 echo "==> checking new counter structs go through dpack-obs"
 # New metrics belong in the dpack-obs registry (named, labelled,
 # scrapable), not in one-off counter structs. The legacy pre-obs
-# structs below are frozen; anything new fails the gate.
+# structs below are frozen, and the list is exact: anything new fails
+# the gate, and so does an entry whose struct is gone.
 adhoc_allow="$(cat <<'EOF'
 crates/core/src/online.rs:OnlineStats
 crates/net/src/wire.rs:WireStats
@@ -340,7 +341,6 @@ crates/service/src/stats.rs:DurabilityStats
 crates/service/src/stats.rs:ServiceStats
 crates/service/src/stats.rs:TenantStats
 crates/wal/src/log.rs:WalCounters
-crates/wal/src/log.rs:WalTelemetry
 EOF
 )"
 adhoc_found="$(grep -rn --include='*.rs' -E 'pub struct [A-Za-z]*(Counters|Stats|Telemetry)\b' \
@@ -349,10 +349,22 @@ adhoc_found="$(grep -rn --include='*.rs' -E 'pub struct [A-Za-z]*(Counters|Stats
   | sed -E 's|^([^:]+):[0-9]+:.*pub struct ([A-Za-z]+).*|\1:\2|' \
   | sort -u || true)"
 adhoc_new="$(comm -13 <(sort -u <<<"${adhoc_allow}") <(echo "${adhoc_found}") || true)"
-if [ -n "${adhoc_new}" ]; then
-  echo "ERROR: new ad-hoc counter/stats struct(s) outside dpack-obs:" >&2
-  echo "${adhoc_new}" >&2
-  echo "register counters/gauges/histograms on the dpack-obs registry instead" >&2
+adhoc_gone="$(comm -23 <(sort -u <<<"${adhoc_allow}") <(echo "${adhoc_found}") || true)"
+if [ -n "${adhoc_new}${adhoc_gone}" ]; then
+  echo "ERROR: counter/stats structs outside dpack-obs must match the frozen list exactly" >&2
+  echo "new (register on the dpack-obs registry instead): ${adhoc_new:-none}" >&2
+  echo "gone (drop them from the list): ${adhoc_gone:-none}" >&2
+  exit 1
+fi
+
+echo "==> checking the service counts each event once"
+# The service's counters and gauges are views the registry reads from
+# its record at scrape time (crates/service/src/telemetry.rs), so its
+# program code registers no counter or gauge cell to write beside it.
+if awk '/#\[cfg\(test\)\]/ { nextfile }
+    /\.(counter|gauge)\(/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit !bad }' crates/service/src/*.rs >&2; then
+  echo "ERROR: crates/service/src registers counter/gauge cells; register a view over its record instead (see above)" >&2
   exit 1
 fi
 
