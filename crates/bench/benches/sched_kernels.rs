@@ -198,14 +198,14 @@ fn stages(m: &mut Micro, shape: &str, state: &ProblemState) {
 /// has lapped, so every record evicts the oldest.
 fn recorder(m: &mut Micro) {
     let obs = Obs::wall();
-    let capacity = obs.recorder.capacity() as u64;
+    let capacity = obs.recorder().capacity() as u64;
     for i in 0..2 * capacity {
-        obs.recorder.record(EventKind::TaskGranted, i, 0);
+        obs.recorder().record(EventKind::TaskGranted, i, 0);
     }
     let mut i = 2 * capacity;
     m.bench(&format!("recorder/record (lapped {capacity})"), || {
         i += 1;
-        obs.recorder.record(EventKind::TaskGranted, i, 0)
+        obs.recorder().record(EventKind::TaskGranted, i, 0)
     });
 }
 

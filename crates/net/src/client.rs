@@ -11,26 +11,22 @@
 //!
 //! **Flush contract.** Over TCP, requests are coalesced: a `*_nowait`
 //! request reaches the server no later than this client's next
-//! receive, its next [`NetClient::flush`], or its drop (for a pooled
-//! connection, its return to the pool). A tenant that
+//! receive, its next [`NetClient::flush`], or its drop. A tenant that
 //! pipelines a burst and then waits on anything *other* than this
 //! client (another connection, an in-process counter, a clock) calls
 //! `flush` first. A burst therefore costs one socket write, not one
 //! per request.
 //!
-//! [`ClientPool`] shares a fixed set of connections across threads:
-//! [`ClientPool::get`] checks a connection out (blocking while all are
-//! busy) and the guard returns it on drop, panic-safe. A connection
-//! that surfaced a transport or protocol error is **broken** — its
-//! pipelining stream can no longer be trusted to stay in sync — so the
-//! pool discards it on return and dials a replacement on the next
-//! checkout. [`ClientPool::connect_failover`] makes that redial a
-//! primary probe across candidate addresses, which is the client half
-//! of replicated-service failover.
+//! A connection that surfaced a transport or protocol error is
+//! **broken** ([`NetClient::is_broken`]): its pipelining stream can no
+//! longer be trusted to stay in sync, so the tenant drops it and
+//! redials. [`NetClient::connect_primary`] makes that redial a primary
+//! probe across candidate addresses, which is the client half of
+//! replicated-service failover.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dp_accounting::AlphaGrid;
@@ -44,6 +40,11 @@ use crate::wire::{
     WireTask, MAX_FRAME,
 };
 use dpack_obs::{Span, TraceContext};
+
+/// How a caller (re)opens a connection to one peer: the replicator's
+/// links and a cluster node's peers redial through it, and tests inject
+/// loopback or failing connections through it.
+pub type Connector = Arc<dyn Fn() -> Result<NetClient, NetError> + Send + Sync>;
 
 /// A claim on one in-flight request's response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +83,27 @@ impl NetClient {
         Ok(Self::new(Box::new(TcpTransport::connect(addr)?)))
     }
 
+    /// Connects to the current **primary** among `addrs`, probing the
+    /// candidates in order: the first that accepts the connection *and*
+    /// answers the handshake with `token` wins. A replica that is alive
+    /// but not promoted answers [`crate::ErrorCode::NotPrimary`] and is
+    /// skipped, as is a candidate that refuses the connection.
+    ///
+    /// # Errors
+    ///
+    /// The last candidate's error when no candidate is currently
+    /// primary ([`NetError::Closed`] for an empty list).
+    pub fn connect_primary(addrs: &[SocketAddr], token: Option<&str>) -> Result<Self, NetError> {
+        let mut last = NetError::Closed;
+        for &addr in addrs {
+            match Self::connect(addr).and_then(|mut c| c.handshake(token).map(|_| c)) {
+                Ok(client) => return Ok(client),
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
+    }
+
     /// A client wired straight to an in-process service (no sockets);
     /// see [`LoopbackTransport`] for the receive semantics.
     pub fn loopback(service: Arc<BudgetService>) -> Self {
@@ -89,7 +111,7 @@ impl NetClient {
     }
 
     /// Whether this connection's stream desynced; a broken client must
-    /// be discarded ([`ClientPool::get`] dials replacements).
+    /// be discarded and redialed (see [`NetClient::connect_primary`]).
     pub fn is_broken(&self) -> bool {
         self.broken
     }
@@ -434,24 +456,6 @@ impl NetClient {
         }
     }
 
-    /// Ships one replication batch and blocks for the durability ack;
-    /// returns the replica's durable sequence for the stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetClient::wait_replicate_ack`].
-    pub fn replicate(
-        &mut self,
-        term: u64,
-        shard: u32,
-        seq: u64,
-        records: Vec<Vec<u8>>,
-    ) -> Result<u64, NetError> {
-        let handle = self.replicate_nowait(term, shard, seq, records, Vec::new())?;
-        let (_, _, durable) = self.wait_replicate_ack(handle)?;
-        Ok(durable)
-    }
-
     /// Reads the node's introspection answer: its role, term, durable
     /// seq vector, and its live view of every peer (state, per-stream
     /// replication lag when it is the primary, resync/backoff state).
@@ -468,8 +472,8 @@ impl NetClient {
     }
 
     /// Dumps the node's span ring from sequence number `since` (0 for
-    /// everything retained). One call returns at most a reply-budget
-    /// page; see [`NetClient::span_dump_all`] for the paginating form.
+    /// everything retained). A scraper that polls remembers the last
+    /// seq it saw and passes `last + 1`.
     ///
     /// # Errors
     ///
@@ -479,26 +483,6 @@ impl NetClient {
         match self.recv_for(handle)? {
             Response::SpanDump { spans } => Ok(spans),
             other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// Drains the node's entire retained span ring, following the
-    /// server's reply-budget pagination (each page's last seq + 1
-    /// seeds the next request) until a page comes back empty.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures.
-    pub fn span_dump_all(&mut self) -> Result<Vec<Span>, NetError> {
-        let mut all = Vec::new();
-        let mut since = 0u64;
-        loop {
-            let page = self.span_dump(since)?;
-            let Some(last) = page.last() else {
-                return Ok(all);
-            };
-            since = last.seq + 1;
-            all.extend(page);
         }
     }
 
@@ -603,218 +587,4 @@ pub struct PongInfo {
     pub lineage: u64,
     /// The peer's durable per-stream seq vector (shards, then coord).
     pub vector: Vec<u64>,
-}
-
-/// How long [`ClientPool::get`] parks after a failed redial before
-/// probing again — long enough not to hammer a server (or failover
-/// candidate) that is still coming up, short enough that a promotion
-/// window adds little client-visible latency.
-const REDIAL_BACKOFF: Duration = Duration::from_millis(20);
-
-/// What the pool knows while holding its lock.
-struct PoolState {
-    idle: Vec<NetClient>,
-    /// Live connections: idle plus checked out. Discarding a broken
-    /// connection decrements this below the pool size, which is the
-    /// signal for a later [`ClientPool::get`] to dial a replacement.
-    total: usize,
-}
-
-/// A fixed-size pool of protocol clients shared across threads.
-///
-/// The pool self-heals: a connection returned in a
-/// [`NetClient::is_broken`] state is dropped instead of re-idled, and
-/// the next checkout that finds the pool under size redials through
-/// the pool's connector. With [`ClientPool::connect_failover`] the
-/// connector probes candidate addresses for the current primary, so a
-/// borrower that lost its connection to a dead primary transparently
-/// comes back holding a connection to the promoted replica.
-pub struct ClientPool {
-    state: Mutex<PoolState>,
-    available: Condvar,
-    size: usize,
-    connector: Box<dyn Fn() -> Result<NetClient, NetError> + Send + Sync>,
-}
-
-impl ClientPool {
-    /// Opens `size` TCP connections to one server.
-    ///
-    /// # Errors
-    ///
-    /// The first connection failure (already-opened connections drop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    pub fn connect(
-        addr: impl ToSocketAddrs + Copy + Send + Sync + 'static,
-        size: usize,
-    ) -> Result<Self, NetError> {
-        Self::with_connector(move || NetClient::connect(addr), size)
-    }
-
-    /// Opens `size` connections to the current **primary** among
-    /// `addrs`, probing candidates in order; later redials (after a
-    /// broken connection is discarded) re-probe, which is how the pool
-    /// follows a failover to a promoted replica.
-    ///
-    /// A candidate is skipped when the TCP connect fails *or* when it
-    /// answers the handshake with
-    /// [`crate::ErrorCode::NotPrimary`] — a replica that is alive but
-    /// not promoted.
-    ///
-    /// # Errors
-    ///
-    /// The last candidate's error when no candidate is currently
-    /// primary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0` or `addrs` is empty.
-    pub fn connect_failover(addrs: Vec<SocketAddr>, size: usize) -> Result<Self, NetError> {
-        assert!(!addrs.is_empty(), "failover needs at least one candidate");
-        Self::with_connector(move || Self::probe(&addrs), size)
-    }
-
-    /// Builds a pool over an arbitrary connector (the seam the tests
-    /// use to inject loopback or hostile connections).
-    ///
-    /// # Errors
-    ///
-    /// The first connector failure while opening the initial `size`
-    /// connections.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    pub fn with_connector(
-        connector: impl Fn() -> Result<NetClient, NetError> + Send + Sync + 'static,
-        size: usize,
-    ) -> Result<Self, NetError> {
-        assert!(size >= 1, "a pool needs at least one connection");
-        let idle = (0..size)
-            .map(|_| connector())
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            state: Mutex::new(PoolState { idle, total: size }),
-            available: Condvar::new(),
-            size,
-            connector: Box::new(connector),
-        })
-    }
-
-    /// One failover probe: the first candidate that accepts the
-    /// connection *and* answers the handshake as a primary wins.
-    fn probe(addrs: &[SocketAddr]) -> Result<NetClient, NetError> {
-        let mut last = NetError::Closed;
-        for &addr in addrs {
-            match NetClient::connect(addr).and_then(|mut c| c.grid().map(|_| c)) {
-                Ok(client) => return Ok(client),
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
-    }
-
-    /// The pool's connection count.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Connections currently alive (idle plus checked out). Less than
-    /// [`ClientPool::size`] exactly while discarded broken connections
-    /// await their replacement redial.
-    pub fn live(&self) -> usize {
-        self.state.lock().expect("pool lock poisoned").total
-    }
-
-    /// Checks a connection out, blocking while all are in use. The
-    /// guard derefs to [`NetClient`] and returns the connection on
-    /// drop — including on panic, so a poisoned caller cannot leak
-    /// pool capacity. When the pool is under size (broken connections
-    /// were discarded), this dials a replacement instead of waiting —
-    /// retrying with backoff until the connector succeeds, which during
-    /// failover means until a candidate is promoted.
-    pub fn get(&self) -> PooledClient<'_> {
-        let mut state = self.state.lock().expect("pool lock poisoned");
-        loop {
-            if let Some(client) = state.idle.pop() {
-                return PooledClient {
-                    pool: self,
-                    client: Some(client),
-                };
-            }
-            if state.total < self.size {
-                // Reserve the slot, then dial outside the lock so
-                // other borrowers keep flowing while we connect.
-                state.total += 1;
-                drop(state);
-                match (self.connector)() {
-                    Ok(client) => {
-                        return PooledClient {
-                            pool: self,
-                            client: Some(client),
-                        }
-                    }
-                    Err(_) => {
-                        let mut relocked = self.state.lock().expect("pool lock poisoned");
-                        relocked.total -= 1;
-                        let (s, _) = self
-                            .available
-                            .wait_timeout(relocked, REDIAL_BACKOFF)
-                            .expect("pool lock poisoned");
-                        state = s;
-                        continue;
-                    }
-                }
-            }
-            state = self.available.wait(state).expect("pool lock poisoned");
-        }
-    }
-
-    fn put_back(&self, mut client: NetClient) {
-        // An idle connection must not sit on its last user's pipelined
-        // requests; a failed flush marks it broken.
-        let _ = client.flush();
-        {
-            let mut state = self.state.lock().expect("pool lock poisoned");
-            if client.is_broken() {
-                // Discard: the freed slot lets the next `get` redial.
-                state.total -= 1;
-            } else {
-                state.idle.push(client);
-            }
-        }
-        // Wake a waiter either way — it either takes the idled
-        // connection or sees the freed slot and redials.
-        self.available.notify_one();
-    }
-}
-
-/// A checked-out pool connection; returns itself on drop.
-pub struct PooledClient<'a> {
-    pool: &'a ClientPool,
-    client: Option<NetClient>,
-}
-
-impl std::ops::Deref for PooledClient<'_> {
-    type Target = NetClient;
-
-    fn deref(&self) -> &NetClient {
-        self.client.as_ref().expect("present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledClient<'_> {
-    fn deref_mut(&mut self) -> &mut NetClient {
-        self.client.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledClient<'_> {
-    fn drop(&mut self) {
-        if let Some(client) = self.client.take() {
-            self.pool.put_back(client);
-        }
-    }
 }

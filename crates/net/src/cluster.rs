@@ -59,18 +59,12 @@ use dpack_obs::{Counter, EventKind, Gauge, Obs};
 use dpack_service::wal::{WalError, WalStorage};
 use dpack_service::{BudgetService, DurabilityOptions, ReplicationSink, ServiceConfig};
 
-use crate::client::NetClient;
-use crate::error::NetError;
-use crate::repl::{Connector, ReplicaNode, Replicator};
+use crate::client::{Connector, NetClient};
+use crate::repl::{ReplicaNode, Replicator};
 use crate::server::ServiceCore;
 use crate::wire::{
     WireClusterStatus, WirePeer, PEER_DOWN, PEER_SUSPECT, PEER_UP, SUSPECT_FAILS_TO_DOWN,
 };
-
-/// A cloneable connection factory to one peer — the cluster mints
-/// per-purpose [`Connector`]s (failure detector, replication links)
-/// from it.
-pub type SharedConnector = Arc<dyn Fn() -> Result<NetClient, NetError> + Send + Sync>;
 
 /// One peer of a [`ClusterNode`]: its deployment id, advertised
 /// address, and how to open a connection to it.
@@ -81,8 +75,9 @@ pub struct ClusterPeer {
     /// The peer's advertised address (informational; dialing goes
     /// through the connector).
     pub addr: SocketAddr,
-    /// Connection factory for this peer.
-    pub connector: SharedConnector,
+    /// Connection factory for this peer, shared by the failure
+    /// detector and, once this node is primary, its replication link.
+    pub connector: Connector,
 }
 
 impl fmt::Debug for ClusterPeer {
@@ -130,7 +125,7 @@ pub struct ClusterConfig {
 struct PeerLink {
     id: u64,
     addr: SocketAddr,
-    connector: SharedConnector,
+    connector: Connector,
     client: Option<NetClient>,
     /// [`PEER_UP`], [`PEER_SUSPECT`] or [`PEER_DOWN`], also what
     /// [`EventKind::PeerStateChanged`] events carry in `b`.
@@ -197,7 +192,7 @@ impl ClusterNode {
     ) -> Result<Self, WalError> {
         // Spans recorded anywhere on this member carry its id, so
         // multi-node span dumps merge into one causal tree.
-        obs.spans.set_node(config.node_id);
+        obs.spans().set_node(config.node_id);
         let node = ReplicaNode::open(
             storage.as_ref(),
             config.service.shards,
@@ -440,7 +435,7 @@ impl ClusterNode {
             match reply {
                 Some(Ok(pong)) => {
                     if peer.status != PEER_UP {
-                        self.obs.recorder.record(
+                        self.obs.recorder().record(
                             EventKind::PeerStateChanged,
                             peer.id,
                             u64::from(PEER_UP),
@@ -463,7 +458,7 @@ impl ClusterNode {
                         PEER_SUSPECT
                     };
                     if next != peer.status {
-                        self.obs.recorder.record(
+                        self.obs.recorder().record(
                             EventKind::PeerStateChanged,
                             peer.id,
                             u64::from(next),
@@ -543,13 +538,10 @@ impl ClusterNode {
             Ok(s) => s,
             Err(_) => return, // retry at the re-armed election timeout
         };
-        let connectors: Vec<(SocketAddr, Connector)> = self
+        let connectors = self
             .peers
             .iter()
-            .map(|p| {
-                let dial = Arc::clone(&p.connector);
-                (p.addr, Box::new(move || dial()) as Connector)
-            })
+            .map(|p| (p.addr, Arc::clone(&p.connector)))
             .collect();
         let mut repl = Replicator::resume(
             connectors,
@@ -567,7 +559,7 @@ impl ClusterNode {
         self.core.promote(Arc::new(service), Some(repl));
         self.elections_won_total.inc();
         self.obs
-            .recorder
+            .recorder()
             .record(EventKind::LeaderElected, term, self.config.node_id);
         self.leader = None;
         self.election_due = None;

@@ -26,8 +26,9 @@
 //!   [`ServiceCore`], the transport-independent request processor.
 //! * [`transport`] / [`client`] — the [`Transport`] seam with a real
 //!   [`TcpTransport`] and an in-memory [`LoopbackTransport`], under a
-//!   pipelining [`NetClient`] and a panic-safe [`ClientPool`] (with a
-//!   primary-probing failover mode for replicated deployments).
+//!   pipelining [`NetClient`], one per connection, whose
+//!   [`NetClient::connect_primary`] probes candidate addresses for the
+//!   current primary of a replicated deployment.
 //! * [`repl`] / [`cluster`] — quorum WAL shipping ([`Replicator`] on
 //!   the primary, [`ReplicaNode`] on the receivers) and the
 //!   self-healing deployment member ([`ClusterNode`]): heartbeat
@@ -73,10 +74,10 @@ pub mod server;
 pub mod transport;
 pub mod wire;
 
-pub use client::{ClientPool, NetClient, PongInfo, PooledClient, ReplyHandle};
-pub use cluster::{ClusterConfig, ClusterNode, ClusterPeer, ClusterRunner, SharedConnector};
+pub use client::{Connector, NetClient, PongInfo, ReplyHandle};
+pub use cluster::{ClusterConfig, ClusterNode, ClusterPeer, ClusterRunner};
 pub use error::{admission_code, ErrorCode, NetError};
-pub use repl::{Connector, ReplicaNode, Replicator};
+pub use repl::{ReplicaNode, Replicator};
 pub use server::{NetServer, PendingReply, ServiceCore, Step};
 pub use transport::{LoopbackTransport, TcpTransport, Transport};
 pub use wire::{

@@ -68,7 +68,7 @@ use dpack_service::{
     ShipBatch,
 };
 
-use crate::client::NetClient;
+use crate::client::{Connector, NetClient};
 use crate::error::{ErrorCode, NetError};
 use crate::wire::{
     Response, WirePeer, PEER_DOWN, PEER_SUSPECT, PEER_UP, REPL_COORD_STREAM, SUSPECT_FAILS_TO_DOWN,
@@ -290,7 +290,7 @@ impl ReplicaNode {
                     self.applied_batches.inc();
                     self.applied_records.add(records.len() as u64);
                     self.obs
-                        .recorder
+                        .recorder()
                         .record(EventKind::ReplicaApplied, u64::from(shard), seq);
                 } else {
                     self.duplicate_batches.inc();
@@ -393,10 +393,6 @@ impl ReplicaNode {
         }
     }
 }
-
-/// How a [`Replicator`] link (re)opens its connection — the seam that
-/// lets tests inject loopback or failing connections.
-pub type Connector = Box<dyn Fn() -> Result<NetClient, NetError> + Send + Sync>;
 
 /// First redial delay after a failure; doubles per consecutive
 /// failure up to [`REDIAL_CAP_NANOS`].
@@ -536,7 +532,7 @@ impl Replicator {
             .map(|&addr| {
                 Ok(Link {
                     addr,
-                    connector: Box::new(move || NetClient::connect(addr)),
+                    connector: Arc::new(move || NetClient::connect(addr)),
                     client: Mutex::new(Some(NetClient::connect(addr)?)),
                     status: AtomicU8::new(PEER_UP),
                     fails: AtomicU32::new(0),
@@ -552,26 +548,12 @@ impl Replicator {
     /// Builds a self-healing replicator over connectors. Every link
     /// starts `Down` with an immediate redial due — the first
     /// [`Replicator::tend`] dials, probes, and (if needed) resyncs
-    /// each replica before it counts toward quorum.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Replicator::connect`].
-    pub fn with_connectors(
-        connectors: Vec<(SocketAddr, Connector)>,
-        quorum: usize,
-        n_shards: usize,
-        obs: &Obs,
-    ) -> Self {
-        Self::resume(connectors, quorum, n_shards, &[], 0, obs)
-    }
-
-    /// [`Replicator::with_connectors`] for a **promoted** primary:
-    /// resumes the per-stream sequence counters from `seqs` (the seq
-    /// vector the promoting node folded its logs at; shard streams
-    /// first, coordinator last — pass `&[]` for a fresh stream) and
-    /// stamps `term` as this primary's election term and lineage.
-    /// Attach with
+    /// each replica before it counts toward quorum. The per-stream
+    /// sequence counters resume from `seqs` (the seq vector a promoted
+    /// node folded its logs at; shard streams first, coordinator last
+    /// — pass `&[]` for a fresh stream), and `term` is stamped as this
+    /// primary's election term and lineage (0 for a fresh one). A
+    /// promoted primary attaches with
     /// [`dpack_service::ShardedLedger::set_replication_resumed`].
     ///
     /// # Panics
@@ -642,8 +624,8 @@ impl Replicator {
             deposed: AtomicBool::new(false),
             ship_timeout: None,
             clock: Arc::clone(obs.clock()),
-            recorder: obs.recorder.clone(),
-            spans: obs.spans.clone(),
+            recorder: obs.recorder().clone(),
+            spans: obs.spans().clone(),
             lag_gauges,
             shipped_batches: obs.registry.counter("dpack_repl_shipped_batches_total", ""),
             shipped_records: obs.registry.counter("dpack_repl_shipped_records_total", ""),
@@ -1159,6 +1141,14 @@ mod tests {
         (node, client)
     }
 
+    /// Ships one shard-0 record at `seq` and waits for the ack: the
+    /// replica's durable seq on the stream.
+    fn replicate(client: &mut NetClient, term: u64, seq: u64) -> Result<u64, NetError> {
+        let records = vec![record(ReplStream::Shard(0))];
+        let handle = client.replicate_nowait(term, 0, seq, records, Vec::new())?;
+        Ok(client.wait_replicate_ack(handle)?.2)
+    }
+
     fn loopback_client(node: &Arc<ReplicaNode>) -> NetClient {
         let core = ServiceCore::replica(Arc::clone(node));
         NetClient::new(Box::new(LoopbackTransport::with_core(core)))
@@ -1175,10 +1165,10 @@ mod tests {
     ) -> Replicator {
         let links = nodes.iter().map(|node| {
             let node = Arc::clone(node);
-            let connector: Connector = Box::new(move || Ok(loopback_client(&node)));
+            let connector: Connector = Arc::new(move || Ok(loopback_client(&node)));
             (([0, 0, 0, 0], 0).into(), connector)
         });
-        let repl = Replicator::with_connectors(links.collect(), quorum, shards, obs);
+        let repl = Replicator::resume(links.collect(), quorum, shards, &[], 0, obs);
         assert!(repl.tend(0, None));
         assert_eq!(repl.live(), nodes.len());
         repl
@@ -1258,9 +1248,7 @@ mod tests {
         let grid = AlphaGrid::new(vec![4.0, 16.0]).unwrap();
         let service = Arc::new(BudgetService::new(grid, ServiceConfig::default()));
         let mut client = NetClient::loopback(service);
-        let err = client
-            .replicate(0, 0, 1, vec![record(ReplStream::Shard(0))])
-            .unwrap_err();
+        let err = replicate(&mut client, 0, 1).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1294,29 +1282,12 @@ mod tests {
     fn duplicate_and_gap_deliveries_answer_idempotently_and_with_gap_errors() {
         let sim = SimStorage::new();
         let (node, mut client) = loopback_replica(&sim, 1);
-        assert_eq!(
-            client
-                .replicate(0, 0, 1, vec![record(ReplStream::Shard(0))])
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            client
-                .replicate(0, 0, 2, vec![record(ReplStream::Shard(0))])
-                .unwrap(),
-            2
-        );
+        assert_eq!(replicate(&mut client, 0, 1).unwrap(), 1);
+        assert_eq!(replicate(&mut client, 0, 2).unwrap(), 2);
         // Duplicate: acked with the unchanged durable sequence.
-        assert_eq!(
-            client
-                .replicate(0, 0, 1, vec![record(ReplStream::Shard(0))])
-                .unwrap(),
-            2
-        );
+        assert_eq!(replicate(&mut client, 0, 1).unwrap(), 2);
         // Gap: refused with the dedicated code.
-        let err = client
-            .replicate(0, 0, 9, vec![record(ReplStream::Shard(0))])
-            .unwrap_err();
+        let err = replicate(&mut client, 0, 9).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1335,24 +1306,12 @@ mod tests {
         let sim = SimStorage::new();
         let (node, mut client) = loopback_replica(&sim, 1);
         // Term 0 (legacy) ships flow while nothing newer was seen.
-        assert_eq!(
-            client
-                .replicate(0, 0, 1, vec![record(ReplStream::Shard(0))])
-                .unwrap(),
-            1
-        );
+        assert_eq!(replicate(&mut client, 0, 1).unwrap(), 1);
         // A ship from term 3 is adopted...
-        assert_eq!(
-            client
-                .replicate(3, 0, 2, vec![record(ReplStream::Shard(0))])
-                .unwrap(),
-            2
-        );
+        assert_eq!(replicate(&mut client, 3, 2).unwrap(), 2);
         assert_eq!(node.current_term(), 3);
         // ...after which the old term's ships bounce with StaleTerm.
-        let err = client
-            .replicate(0, 0, 3, vec![record(ReplStream::Shard(0))])
-            .unwrap_err();
+        let err = replicate(&mut client, 0, 3).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1383,9 +1342,7 @@ mod tests {
         // Every other adoption is durable too: a fenced ship, a pong,
         // an observed term, a campaign — and no replica-log wipe
         // touches it.
-        client
-            .replicate(9, 0, 1, vec![record(ReplStream::Shard(0))])
-            .unwrap();
+        replicate(&mut client, 9, 1).unwrap();
         assert_eq!(client.ping(11, vec![0, 0]).unwrap().term, 11);
         node.observe_term(12).unwrap();
         assert_eq!(node.prepare_campaign().unwrap().0, 13);
@@ -1404,7 +1361,7 @@ mod tests {
         assert!(node.prepare_campaign().is_err());
         assert!(node.observe_term(20).is_err());
         assert!(matches!(
-            client.replicate(20, 0, 1, vec![record(ReplStream::Shard(0))]),
+            replicate(&mut client, 20, 1),
             Err(NetError::Remote {
                 code: ErrorCode::Io,
                 ..
@@ -1554,9 +1511,7 @@ mod tests {
         let (_, again) = client.request_vote(1, 0, vec![0, 0]).unwrap();
         assert!(!again);
         // Ship a record so the voter's own ballot becomes [1, 0].
-        client
-            .replicate(2, 0, 1, vec![record(ReplStream::Shard(0))])
-            .unwrap();
+        replicate(&mut client, 2, 1).unwrap();
         // A candidate whose ballot would lose acked work is refused —
         // and the term is consumed anyway (the refused candidate must
         // campaign above it, letting the better-placed node go first).
@@ -1587,12 +1542,7 @@ mod tests {
         assert_eq!(node.wal().lineage(), 2);
         assert_eq!(node.wal().vector(), vec![7, 3]);
         // Ships resume as a suffix of the installed base.
-        assert_eq!(
-            client
-                .replicate(2, 0, 8, vec![record(ReplStream::Shard(0))])
-                .unwrap(),
-            8
-        );
+        assert_eq!(replicate(&mut client, 2, 8).unwrap(), 8);
         // A mid-resync node refuses to vote even for a covering ballot.
         assert_eq!(client.resync_stream(2, 0, 9, Vec::new()).unwrap(), 9);
         let (_, granted) = client.request_vote(9, 0, vec![99, 99]).unwrap();
@@ -1693,13 +1643,13 @@ mod tests {
         let node = Arc::new(ReplicaNode::open(&sim, 1, 1 << 16, Obs::off()).unwrap());
         let obs = Obs::off();
         let target = Arc::clone(&node);
-        let connector: Connector = Box::new(move || {
+        let connector: Connector = Arc::new(move || {
             Ok(NetClient::new(Box::new(LoopbackTransport::with_core(
                 ServiceCore::replica(Arc::clone(&target)),
             ))))
         });
-        let repl =
-            Replicator::with_connectors(vec![(([0, 0, 0, 0], 0).into(), connector)], 1, 1, &obs);
+        let links = vec![(([0, 0, 0, 0], 0).into(), connector)];
+        let repl = Replicator::resume(links, 1, 1, &[], 0, &obs);
         assert_eq!(repl.live(), 0, "connector links start Down");
         assert!(repl.tend(0, None));
         assert_eq!(

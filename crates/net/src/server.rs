@@ -65,13 +65,6 @@ use crate::wire::{
     WireClusterStatus, WireStats, MAX_FRAME,
 };
 
-/// Events one `Trace` reply, and spans one `SpanDump` reply, may
-/// carry. Replies keep the **oldest** entries past the cap, so a client
-/// paginating with `since` always makes progress toward the ring's
-/// head. The cap keeps worst-case replies a few MiB — comfortably
-/// inside the reply budget [`clamp_reply`] enforces.
-const MAX_DUMP_PER_REPLY: usize = 65_536;
-
 /// The encoded `Error` response to request `id` (0 for a connection's
 /// parting shot, which answers no one request).
 fn error_reply(id: u64, code: ErrorCode, message: impl Into<String>) -> Vec<u8> {
@@ -415,16 +408,12 @@ impl ServiceCore {
             Request::Metrics => Response::Metrics {
                 samples: self.obs.registry.snapshot().samples,
             },
-            Request::Trace { since } => {
-                let mut events = self.obs.recorder.dump_since(since);
-                events.truncate(MAX_DUMP_PER_REPLY);
-                Response::Trace { events }
-            }
-            Request::SpanDump { since } => {
-                let mut spans = self.obs.spans.dump_since(since);
-                spans.truncate(MAX_DUMP_PER_REPLY);
-                Response::SpanDump { spans }
-            }
+            Request::Trace { since } => Response::Trace {
+                events: self.obs.recorder().dump_since(since),
+            },
+            Request::SpanDump { since } => Response::SpanDump {
+                spans: self.obs.spans().dump_since(since),
+            },
             body => match &*self.role.read().expect("role lock poisoned") {
                 Role::Primary { service, repl } => {
                     return Ok(Self::handle_primary(
@@ -508,7 +497,7 @@ impl ServiceCore {
                 let pushed = cluster.read().expect("cluster view lock poisoned").clone();
                 let node_id = pushed
                     .as_ref()
-                    .map_or_else(|| service.obs().spans.node(), |v| v.node_id);
+                    .map_or_else(|| service.obs().spans().node(), |v| v.node_id);
                 Response::ClusterStatus(match repl {
                     // A shipping primary's live fields come straight
                     // from the replicator — terms, seq vector, and
@@ -615,7 +604,7 @@ impl ServiceCore {
                 let reply = node.apply(term, shard, seq, &records);
                 if let (Some(start), Response::ReplicateAck { .. }) = (started, &reply) {
                     let end = node.obs().clock().now_nanos();
-                    let ring = &node.obs().spans;
+                    let ring = node.obs().spans();
                     // Salted with this node's id so sibling replicas'
                     // append spans stay distinct when dumps merge; the
                     // parent is the primary's ship span for the same
@@ -753,12 +742,12 @@ struct ReactorTelemetry {
 impl ReactorTelemetry {
     fn new(core: &ServiceCore) -> Option<Self> {
         let obs = core.obs();
-        if !obs.is_enabled() && obs.recorder.capacity() == 0 {
+        if !obs.is_enabled() && obs.recorder().capacity() == 0 {
             return None;
         }
         Some(Self {
             clock: Arc::clone(obs.clock()),
-            recorder: obs.recorder.clone(),
+            recorder: obs.recorder().clone(),
             sweep_nanos: obs.registry.histogram("dpack_reactor_sweep_nanos", ""),
             open_connections: obs.registry.gauge("dpack_open_connections", ""),
             conn_queue_depth: obs.registry.gauge("dpack_conn_queue_depth", ""),
@@ -1190,20 +1179,16 @@ fn reactor(listener: TcpListener, core: ServiceCore, stop: &AtomicBool) {
 mod tests {
     use super::*;
     use dp_accounting::AlphaGrid;
-    use dpack_obs::{Obs, SpanRing};
+    use dpack_obs::Obs;
     use dpack_service::wal::SimStorage;
     use dpack_service::ServiceConfig;
 
-    /// The dumps' pagination contract on both roles: with more entries
-    /// retained than one reply carries, `since = 0` answers exactly the
-    /// oldest `cap` and the next page (`since = cap + 1`) the rest.
+    /// A dump answers every retained entry in one reply on both roles:
+    /// a ring past its capacity still fits one frame, `since = last + 1`
+    /// answers nothing new, and the scrape reads the recorder's losses.
     #[test]
-    fn trace_and_span_dumps_paginate_at_the_reply_cap_on_both_roles() {
-        let cap = MAX_DUMP_PER_REPLY as u64;
-        let mut obs = (*Obs::manual(1).0).clone();
-        obs.recorder = FlightRecorder::new(MAX_DUMP_PER_REPLY + 3);
-        obs.spans = SpanRing::new(MAX_DUMP_PER_REPLY + 3);
-        let obs = Arc::new(obs);
+    fn trace_and_span_dumps_answer_the_whole_ring_in_one_reply_on_both_roles() {
+        let obs = Obs::manual(1).0;
         let grid = AlphaGrid::new(vec![2.0]).expect("valid grid");
         let service = BudgetService::with_obs(grid, ServiceConfig::default(), Arc::clone(&obs));
         let node = ReplicaNode::open(&SimStorage::new(), 1, 1 << 16, Arc::clone(&obs));
@@ -1211,31 +1196,51 @@ mod tests {
             ServiceCore::new(Arc::new(service)),
             ServiceCore::replica(Arc::new(node.expect("fresh replica"))),
         ];
-        assert_eq!(obs.recorder.recorded() + obs.spans.recorded(), 0);
-        for i in 0..cap + 3 {
-            obs.recorder.record(EventKind::TaskAdmitted, i, 0);
-            obs.spans.record(1, i + 1, 0, SpanKind::Cycle, i, i + 1, 0);
+        let (recorder, spans) = (obs.recorder(), obs.spans());
+        assert_eq!(recorder.recorded() + spans.recorded(), 0);
+        let events = recorder.capacity() as u64 + 3;
+        for i in 0..events {
+            recorder.record(EventKind::TaskAdmitted, i, 0);
         }
-        let pages = [
-            (0, (1..=cap).collect()),
-            (cap + 1, vec![cap + 1, cap + 2, cap + 3]),
-        ];
+        let span_count = spans.capacity() as u64 + 3;
+        for i in 0..span_count {
+            spans.record(1, i + 1, 0, SpanKind::Cycle, i, i + 1, 0);
+        }
+        assert_eq!(recorder.dropped(), 3);
         for core in &cores {
             let ask = |body| match core.handle(&RequestFrame { id: 9, body }.encode()) {
-                Ok(Step::Reply(reply)) => ResponseFrame::decode(&reply).expect("a response").body,
+                Ok(Step::Reply(reply)) => {
+                    assert!(reply.len() <= MAX_FRAME as usize);
+                    ResponseFrame::decode(&reply).expect("a response").body
+                }
                 _ => panic!("a dump answers at once"),
             };
-            for (since, want) in &pages {
-                let since = *since;
-                let Response::Trace { events } = ask(Request::Trace { since }) else {
-                    panic!("a trace reply");
-                };
-                assert_eq!(&events.iter().map(|e| e.seq).collect::<Vec<u64>>(), want);
-                let Response::SpanDump { spans } = ask(Request::SpanDump { since }) else {
-                    panic!("a span dump reply");
-                };
-                assert_eq!(&spans.iter().map(|s| s.seq).collect::<Vec<u64>>(), want);
-            }
+            let Response::Trace { events: dump } = ask(Request::Trace { since: 0 }) else {
+                panic!("a trace reply");
+            };
+            let seqs: Vec<u64> = dump.iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, (4..=events).collect::<Vec<u64>>());
+            let since = events + 1;
+            assert!(
+                matches!(ask(Request::Trace { since }), Response::Trace { events } if events.is_empty())
+            );
+            let Response::SpanDump { spans: dump } = ask(Request::SpanDump { since: 0 }) else {
+                panic!("a span dump reply");
+            };
+            let seqs: Vec<u64> = dump.iter().map(|s| s.seq).collect();
+            assert_eq!(seqs, (4..=span_count).collect::<Vec<u64>>());
+            let since = span_count + 1;
+            assert!(
+                matches!(ask(Request::SpanDump { since }), Response::SpanDump { spans } if spans.is_empty())
+            );
+            let Response::Metrics { samples } = ask(Request::Metrics) else {
+                panic!("a metrics reply");
+            };
+            let scraped = dpack_obs::MetricsSnapshot { samples };
+            assert_eq!(
+                scraped.counter_total("dpack_recorder_dropped_total"),
+                recorder.dropped()
+            );
         }
     }
 

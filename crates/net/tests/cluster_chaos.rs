@@ -452,7 +452,7 @@ fn chaos_schedule_elects_once_per_term_and_conserves_every_acked_grant() {
             let elections: Vec<(u64, u64)> = cluster
                 .all_obs
                 .iter()
-                .flat_map(|obs| obs.recorder.dump())
+                .flat_map(|obs| obs.recorder().dump())
                 .filter(|event| event.kind == EventKind::LeaderElected)
                 .map(|event| (event.a, event.b))
                 .collect();

@@ -1,10 +1,9 @@
-//! Remote-frontend hardening: broken connections leave the pool,
-//! hostile servers cannot corrupt the pipeline, slow readers are cut
-//! off at the buffering caps, and dying clients leave a trace.
+//! Remote-frontend hardening: a broken connection says so and is
+//! redialed, hostile servers cannot corrupt the pipeline, slow readers
+//! are cut off at the buffering caps, and dying clients leave a trace.
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,10 +11,10 @@ use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_core::problem::{Block, Task};
 use dpack_net::wire::{frame_into, FrameDecoder};
 use dpack_net::{
-    ClientPool, ErrorCode, NetClient, NetError, NetServer, Request, RequestFrame, Response,
-    ResponseFrame, ServiceCore, Transport,
+    ErrorCode, NetClient, NetError, NetServer, Request, RequestFrame, Response, ResponseFrame,
+    ServiceCore, Transport,
 };
-use dpack_service::{BudgetService, ServiceConfig, ServiceHandle, StatsRetention};
+use dpack_service::{BudgetService, ServiceConfig, StatsRetention};
 
 fn grid() -> AlphaGrid {
     AlphaGrid::new(vec![2.0, 4.0, 16.0]).expect("valid grid")
@@ -38,48 +37,31 @@ fn task(id: u64, blocks: Vec<u64>, eps: f64) -> Task {
     Task::new(id, 1.0, blocks, RdpCurve::constant(&grid(), eps), 0.0)
 }
 
-/// A connection that dies mid-use is marked broken, discarded on drop,
-/// and the pool replenishes by redialing — landing on whichever
+/// A connection whose server dies mid-use is marked broken, and the
+/// redial through [`NetClient::connect_primary`] lands on whichever
 /// candidate is alive.
 #[test]
-fn a_broken_connection_is_discarded_and_the_pool_redials() {
-    let svc_a = service(1, 1);
-    let svc_b = service(1, 1);
-    let server_a = NetServer::bind(Arc::clone(&svc_a), "127.0.0.1:0").expect("bind a");
-    let server_b = NetServer::bind(Arc::clone(&svc_b), "127.0.0.1:0").expect("bind b");
-    let (addr_a, addr_b) = (server_a.local_addr(), server_b.local_addr());
-    let dials = Arc::new(AtomicUsize::new(0));
-    let dial_count = Arc::clone(&dials);
-    let pool = ClientPool::with_connector(
-        move || {
-            dial_count.fetch_add(1, Ordering::SeqCst);
-            NetClient::connect(addr_a).or_else(|_| NetClient::connect(addr_b))
-        },
-        1,
-    )
-    .expect("pool");
-    assert_eq!(pool.live(), 1);
+fn a_broken_connection_is_flagged_and_connect_primary_redials() {
+    let server_a = NetServer::bind(service(1, 1), "127.0.0.1:0").expect("bind a");
+    let server_b = NetServer::bind(service(1, 1), "127.0.0.1:0").expect("bind b");
+    let candidates = [server_a.local_addr(), server_b.local_addr()];
 
-    // A healthy round trip through server A.
-    assert_eq!(pool.get().grid().expect("hello"), grid());
-    assert_eq!(pool.live(), 1);
+    // The first live candidate wins: a healthy round trip through A.
+    let mut client = NetClient::connect_primary(&candidates, None).expect("dial a");
+    assert_eq!(client.grid().expect("hello"), grid());
+    assert!(!client.is_broken());
 
-    // Kill server A while the connection is checked out: the next
-    // round trip on it fails mid-pipeline.
-    {
-        let mut client = pool.get();
-        server_a.stop();
-        let err = client.grid().expect_err("server died");
-        assert!(matches!(err, NetError::Closed | NetError::Io(_)), "{err:?}");
-        assert!(client.is_broken(), "a dead transport poisons the client");
-    } // Drop returns it; the pool must discard, not re-idle.
-    assert_eq!(pool.live(), 0, "the broken connection left the pool");
+    // Kill server A under the connection: the next round trip on it
+    // fails, and the client says it must not be reused.
+    server_a.stop();
+    let err = client.grid().expect_err("server died");
+    assert!(matches!(err, NetError::Closed | NetError::Io(_)), "{err:?}");
+    assert!(client.is_broken(), "a dead transport poisons the client");
 
-    // The next checkout redials and lands on B; the pool is whole again.
-    let before = dials.load(Ordering::SeqCst);
-    assert_eq!(pool.get().grid().expect("hello via b"), grid());
-    assert!(dials.load(Ordering::SeqCst) > before, "must have redialed");
-    assert_eq!(pool.live(), 1);
+    // The redial skips the dead address and lands on B.
+    let mut client = NetClient::connect_primary(&candidates, None).expect("dial b");
+    assert_eq!(client.grid().expect("hello via b"), grid());
+    assert!(!client.is_broken());
     server_b.stop();
 }
 
@@ -295,49 +277,6 @@ fn a_client_dying_mid_frame_leaves_a_trace() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    server.stop();
-}
-
-/// Pool contention with a panicking borrower: all connections checked
-/// out, one borrower panics mid-request — nothing deadlocks and the
-/// pool keeps its capacity.
-#[test]
-fn a_panicking_borrower_neither_deadlocks_nor_shrinks_the_pool() {
-    let service = service(4, 2);
-    for j in 0..8u64 {
-        service
-            .register_block(Block::new(j, RdpCurve::constant(&grid(), 4.0), 0.0))
-            .expect("block");
-    }
-    let server = NetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-    let cycles = ServiceHandle::spawn(Arc::clone(&service), Duration::from_millis(1));
-    let pool = ClientPool::connect(server.local_addr(), 2).expect("pool");
-
-    std::thread::scope(|s| {
-        let panicker = s.spawn(|| {
-            let mut client = pool.get();
-            // An unknown block, so the orphaned reply is a rejection
-            // and the grant count below stays exact.
-            let _ = client.submit_nowait(9, &task(10_000, vec![99], 0.01));
-            panic!("borrower dies mid-request");
-        });
-        for tenant in 0..6u32 {
-            let pool = &pool;
-            s.spawn(move || {
-                for i in 0..10u64 {
-                    let id = u64::from(tenant) * 100 + i;
-                    let t = task(id, vec![id % 8], 0.05);
-                    let outcome = pool.get().submit(tenant, &t).expect("submit");
-                    assert!(outcome.is_granted(), "fits: {outcome}");
-                }
-            });
-        }
-        assert!(panicker.join().is_err(), "the borrower must have panicked");
-    });
-    // The panicked borrower's connection came back; full capacity.
-    assert_eq!(pool.live(), 2);
-    assert_eq!(service.stats_summary().granted, 60);
-    cycles.stop();
     server.stop();
 }
 

@@ -18,7 +18,7 @@ use common::ledger;
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_check::diff_states;
 use dpack_core::problem::{Block, Task};
-use dpack_net::{ClientPool, ErrorCode, NetClient, NetError, NetServer, Outcome};
+use dpack_net::{ErrorCode, NetClient, NetError, NetServer, Outcome};
 use dpack_service::{BudgetService, ServiceConfig, ServiceHandle, StatsRetention};
 use rand::{RngExt, SeedableRng};
 
@@ -311,38 +311,6 @@ fn batch_submissions_answer_with_every_decision() {
     server.stop();
 }
 
-#[test]
-fn connection_pool_shares_clients_across_threads() {
-    let service = service(4, 2);
-    for j in 0..8u64 {
-        service
-            .register_block(Block::new(j, RdpCurve::constant(&grid(), 4.0), 0.0))
-            .expect("block");
-    }
-    let server = NetServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-    let cycles = ServiceHandle::spawn(Arc::clone(&service), Duration::from_millis(1));
-    let pool = ClientPool::connect(server.local_addr(), 2).expect("pool");
-    assert_eq!(pool.size(), 2);
-    std::thread::scope(|s| {
-        for tenant in 0..6u32 {
-            let pool = &pool;
-            s.spawn(move || {
-                for i in 0..10u64 {
-                    let id = u64::from(tenant) * 100 + i;
-                    let t = task(id, vec![id % 8], 0.05, 0.0);
-                    // Checkout spans one full round trip; contention
-                    // forces waiting on the condvar path.
-                    let outcome = pool.get().submit(tenant, &t).expect("submit");
-                    assert!(outcome.is_granted(), "fits: {outcome}");
-                }
-            });
-        }
-    });
-    assert_eq!(service.stats_summary().granted, 60);
-    cycles.stop();
-    server.stop();
-}
-
 /// The observability acceptance: a remote client scrapes live metrics
 /// and the flight recorder over a real TCP socket, and the scrape
 /// reflects the submissions it just made.
@@ -462,8 +430,7 @@ fn shutdown_closes_clients_cleanly() {
 }
 
 /// The flush contract, first half: a pipelined request is written out
-/// when its client is dropped — or returned to its pool — so the
-/// server admits it.
+/// when its client is dropped, so the server admits it.
 #[test]
 fn a_dropped_client_still_delivers_its_pipelined_submission() {
     let service = service(1, 1);
@@ -487,12 +454,6 @@ fn a_dropped_client_still_delivers_its_pipelined_submission() {
         .expect("send");
     drop(client);
     admitted(1, "dropped client");
-    let pool = ClientPool::connect(server.local_addr(), 1).expect("pool");
-    let _ = pool
-        .get()
-        .submit_nowait(0, &task(2, vec![0], 0.3, 0.0))
-        .expect("send");
-    admitted(2, "returned pooled client");
     server.stop();
 }
 

@@ -97,7 +97,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
         let node = Arc::clone(&node);
         let reachable = Arc::clone(&reachable);
         let hang = Arc::clone(&hang);
-        Box::new(move || {
+        Arc::new(move || {
             if !reachable.load(Ordering::Acquire) {
                 return Err(NetError::Closed);
             }
@@ -107,9 +107,9 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
             })))
         })
     };
+    let links = vec![(([127, 0, 0, 1], 0).into(), connector)];
     let repl =
-        Replicator::with_connectors(vec![(([127, 0, 0, 1], 0).into(), connector)], 1, 1, &obs)
-            .with_ship_timeout(Duration::from_millis(100));
+        Replicator::resume(links, 1, 1, &[], 0, &obs).with_ship_timeout(Duration::from_millis(100));
 
     let counters = |name: &str| obs.registry.snapshot().counter_total(name);
     let live_gauge = || match obs.registry.snapshot().get("dpack_repl_live_replicas", "") {
@@ -208,7 +208,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
     );
     assert!(!node.is_resyncing(), "the round was committed");
     let resyncs = obs
-        .recorder
+        .recorder()
         .dump()
         .iter()
         .filter(|e| e.kind == EventKind::ReplicaResynced)
@@ -256,16 +256,16 @@ fn a_hung_replica_costs_a_round_one_timeout_not_one_per_frame() {
     let hang = Arc::new(AtomicBool::new(false));
     let connector: Connector = {
         let (node, hang) = (Arc::clone(&node), Arc::clone(&hang));
-        Box::new(move || {
+        Arc::new(move || {
             Ok(NetClient::new(Box::new(HangableTransport {
                 inner: LoopbackTransport::with_core(ServiceCore::replica(Arc::clone(&node))),
                 hang: Arc::clone(&hang),
             })))
         })
     };
+    let links = vec![(([127, 0, 0, 1], 0).into(), connector)];
     let repl =
-        Replicator::with_connectors(vec![(([127, 0, 0, 1], 0).into(), connector)], 1, 4, &obs)
-            .with_ship_timeout(Duration::from_millis(100));
+        Replicator::resume(links, 1, 4, &[], 0, &obs).with_ship_timeout(Duration::from_millis(100));
     assert!(repl.tend(clock.now_nanos(), None));
     assert_eq!(repl.live(), 1);
 
@@ -336,7 +336,7 @@ fn a_replica_that_dies_mid_round_is_suspected_once_and_resyncs_to_the_primary_ve
     let waits = Arc::new(AtomicUsize::new(0));
     let steady_connector: Connector = {
         let node = Arc::clone(&steady);
-        Box::new(move || {
+        Arc::new(move || {
             Ok(NetClient::new(Box::new(LoopbackTransport::with_core(
                 ServiceCore::replica(Arc::clone(&node)),
             ))))
@@ -345,7 +345,7 @@ fn a_replica_that_dies_mid_round_is_suspected_once_and_resyncs_to_the_primary_ve
     let flaky_connector: Connector = {
         let (node, sim, waits) = (Arc::clone(&flaky), sim_flaky.clone(), Arc::clone(&waits));
         let dials = AtomicUsize::new(0);
-        Box::new(move || {
+        Arc::new(move || {
             // Frame 1 is the rejoin heartbeat; frames 2.. are the round.
             let first = dials.fetch_add(1, Ordering::Relaxed) == 0;
             Ok(NetClient::new(Box::new(BreaksMidRound {
@@ -358,13 +358,9 @@ fn a_replica_that_dies_mid_round_is_suspected_once_and_resyncs_to_the_primary_ve
         })
     };
     let addr = |port: u16| ([127, 0, 0, 1], port).into();
-    let repl = Replicator::with_connectors(
-        vec![(addr(1), steady_connector), (addr(2), flaky_connector)],
-        1,
-        SHARDS,
-        &obs,
-    )
-    .with_ship_timeout(Duration::from_millis(100));
+    let links = vec![(addr(1), steady_connector), (addr(2), flaky_connector)];
+    let repl = Replicator::resume(links, 1, SHARDS, &[], 0, &obs)
+        .with_ship_timeout(Duration::from_millis(100));
     assert!(repl.tend(clock.now_nanos(), Some(&service)));
     assert_eq!(repl.live(), 2);
     let probes = waits.swap(0, Ordering::Relaxed);

@@ -1,8 +1,8 @@
 //! Replicated service over real `127.0.0.1` sockets: the primary
 //! ships its write-ahead stream to two replicas and acks grants only
 //! at quorum; the primary then dies, one replica is promoted, and the
-//! tenants' pooled clients fail over — losing no acked grant and
-//! double-charging no resubmission.
+//! tenant's client redials the candidate list — losing no acked grant
+//! and double-charging no resubmission.
 
 #[path = "../../service/tests/common/mod.rs"]
 mod common;
@@ -16,7 +16,9 @@ use common::{grant, ledger};
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_check::{check_history, diff_states};
 use dpack_core::problem::{Block, Task};
-use dpack_net::{ClientPool, ErrorCode, NetClient, NetServer, Outcome, ReplicaNode, Replicator};
+use dpack_net::{
+    ErrorCode, NetClient, NetError, NetServer, Outcome, ReplicaNode, Replicator, ServiceCore,
+};
 use dpack_service::wal::SimStorage;
 use dpack_service::{
     BudgetService, DurabilityOptions, ServiceConfig, ServiceHandle, StatsRetention,
@@ -50,9 +52,9 @@ fn task(id: u64, blocks: Vec<u64>, eps: f64) -> Task {
 /// 2. The primary dies. Replica A is promoted by recovering a fresh
 ///    service from A's shipped write-ahead stream — bit-identical to
 ///    the dead primary's live ledger.
-/// 3. The tenants' pool follows the failover candidate list (which
-///    starts with a *replica*, exercising the `NotPrimary` probe
-///    skip). Resubmitting every acked task is refused as a duplicate
+/// 3. The tenant's client breaks on the dead primary and redials
+///    the failover candidate list (which starts with a *replica*,
+///    exercising the `NotPrimary` probe skip). Resubmitting every acked task is refused as a duplicate
 ///    — no double charge — and 20 fresh tasks land on the promoted
 ///    service. Exact conservation, client side: 40 unique tasks, 40
 ///    final decisions.
@@ -102,13 +104,12 @@ fn promotion_after_primary_death_loses_no_acked_grant() {
 
     // The candidate list leads with replica A: probes must skip past
     // its `NotPrimary` refusal to find the real primary.
-    let pool = ClientPool::connect_failover(vec![addr_a, primary_addr, promoted_addr], 2)
-        .expect("failover pool");
+    let candidates = [addr_a, primary_addr, promoted_addr];
+    let mut client = NetClient::connect_primary(&candidates, None).expect("the primary");
 
     // Phase 1: 20 grants through the replicated primary.
     for id in 0..20u64 {
-        let outcome = pool
-            .get()
+        let outcome = client
             .submit(0, &task(id, vec![id % 8], 0.05))
             .expect("submit");
         assert!(outcome.is_granted(), "fits: {outcome}");
@@ -124,7 +125,7 @@ fn promotion_after_primary_death_loses_no_acked_grant() {
             "replica applied nothing"
         );
         match probe.grid() {
-            Err(dpack_net::NetError::Remote {
+            Err(NetError::Remote {
                 code: ErrorCode::NotPrimary,
                 ..
             }) => {}
@@ -153,19 +154,21 @@ fn promotion_after_primary_death_loses_no_acked_grant() {
         NetServer::bind(Arc::clone(&promoted), promoted_addr).expect("bind promoted");
     let cycles = ServiceHandle::spawn(Arc::clone(&promoted), Duration::from_millis(1));
 
-    // Phase 2: the pool's idle connections still point at the dead
-    // primary; each failed round trip discards one and the redial
-    // probes through to the promoted service. Tenants resubmit
-    // everything already acked (refused as duplicates — no double
-    // charge) plus 20 fresh tasks.
+    // Phase 2: the client still points at the dead primary; its
+    // failed round trip breaks it, and the redial probes through to
+    // the promoted service. The tenant resubmits everything already
+    // acked (refused as duplicates — no double charge) plus 20 fresh
+    // tasks.
     let mut outcomes = BTreeMap::new();
     for id in 0..40u64 {
         let t = task(id, vec![id % 8], 0.05);
         let outcome = loop {
-            match pool.get().submit(0, &t) {
+            match client.submit(0, &t) {
                 Ok(o) => break o,
-                // A dead-primary connection: dropped broken, redialed.
-                Err(_) => continue,
+                Err(e) => {
+                    assert!(client.is_broken(), "a dead primary breaks the client: {e}");
+                    client = NetClient::connect_primary(&candidates, None).expect("promoted");
+                }
             }
         };
         outcomes.insert(id, outcome);
@@ -205,4 +208,38 @@ fn promotion_after_primary_death_loses_no_acked_grant() {
     let states = promoted.ledger().block_states();
     check_history(&common::history(acked, &states))
         .expect("exact conservation across the failover");
+}
+
+/// Failover finds a secured primary: the probe handshakes with the
+/// tenant's token, so a primary built `with_secret` behind a replica is
+/// found with the right token, and a wrong one fails typed.
+#[test]
+fn connect_primary_finds_a_secured_primary_behind_a_replica() {
+    let seg = DurabilityOptions::default().segment_bytes;
+    let node = ReplicaNode::open(&SimStorage::new(), SHARDS, seg, dpack_obs::Obs::wall());
+    let replica =
+        NetServer::bind_replica(Arc::new(node.expect("replica")), "127.0.0.1:0").expect("bind");
+    let service = Arc::new(BudgetService::new(grid(), config()));
+    let core = ServiceCore::new(service).with_secret("cluster-secret");
+    let primary = NetServer::bind_core(core, "127.0.0.1:0").expect("bind secured primary");
+    let candidates = [replica.local_addr(), primary.local_addr()];
+
+    let mut client = NetClient::connect_primary(&candidates, Some("cluster-secret"))
+        .expect("the secured primary");
+    assert_eq!(
+        client
+            .stats()
+            .expect("served after the handshake")
+            .submitted,
+        0
+    );
+    match NetClient::connect_primary(&candidates, Some("wrong")).map(|_| ()) {
+        Err(NetError::Remote {
+            code: ErrorCode::Unauthorized,
+            ..
+        }) => {}
+        other => panic!("a wrong token must be refused as unauthorized, got {other:?}"),
+    }
+    replica.stop();
+    primary.stop();
 }

@@ -267,7 +267,7 @@ fn traced_grants_assemble_into_exact_cross_node_trees_and_status_lag_matches_the
         .map(|i| {
             dial(&cluster.net, i)
                 .expect("dial node")
-                .span_dump_all()
+                .span_dump(0)
                 .expect("span dump")
         })
         .collect();
@@ -541,7 +541,7 @@ fn on_four_shards_a_traced_grant_is_shipped_on_its_own_streams_only() {
     let dumps: Vec<Vec<Span>> = (0..N)
         .map(|i| {
             let mut node = dial(&cluster.net, i).expect("dial node");
-            node.span_dump_all().expect("span dump")
+            node.span_dump(0).expect("span dump")
         })
         .collect();
     let trees = assemble_trees(dumps);

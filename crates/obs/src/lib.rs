@@ -68,10 +68,10 @@ const MANUAL_TRACER_SEED: u64 = 0x00DA_0000_7ACE_0001;
 pub struct Obs {
     /// The instrument registry.
     pub registry: Registry,
-    /// The event ring.
-    pub recorder: FlightRecorder,
-    /// The span ring distributed traces record into.
-    pub spans: SpanRing,
+    /// Fixed at construction: `dpack_recorder_dropped_total` reads this
+    /// ring's losses.
+    recorder: FlightRecorder,
+    spans: SpanRing,
     tracer: Arc<Tracer>,
     clock: Arc<dyn Clock>,
 }
@@ -131,6 +131,16 @@ impl Obs {
         )
     }
 
+    /// The event ring.
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.recorder
+    }
+
+    /// The span ring distributed traces record into.
+    pub fn spans(&self) -> &SpanRing {
+        &self.spans
+    }
+
     /// The clock seam.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
@@ -162,8 +172,8 @@ mod tests {
         assert!(obs.is_enabled());
         obs.registry.counter("c", "").inc();
         assert_eq!(obs.registry.snapshot().counter_total("c"), 1);
-        obs.recorder.record(EventKind::TaskAdmitted, 1, 0);
-        assert_eq!(obs.recorder.dump().len(), 1);
+        obs.recorder().record(EventKind::TaskAdmitted, 1, 0);
+        assert_eq!(obs.recorder().dump().len(), 1);
     }
 
     #[test]
@@ -171,9 +181,9 @@ mod tests {
         let obs = Obs::off();
         assert!(!obs.is_enabled());
         obs.registry.counter("c", "").inc();
-        obs.recorder.record(EventKind::TaskAdmitted, 1, 0);
+        obs.recorder().record(EventKind::TaskAdmitted, 1, 0);
         assert!(obs.registry.snapshot().samples.is_empty());
-        assert!(obs.recorder.dump().is_empty());
+        assert!(obs.recorder().dump().is_empty());
         assert_eq!(obs.now_nanos(), 0);
     }
 

@@ -234,7 +234,7 @@ mod tests {
         assert_eq!(r.dropped(), r.recorded() - r.dump().len() as u64);
         let over = crate::DEFAULT_RECORDER_CAPACITY as u64 + 5;
         for i in 0..over {
-            obs.recorder.record(EventKind::BatchFlushed, i, 0);
+            obs.recorder().record(EventKind::BatchFlushed, i, 0);
         }
         let scraped = obs.registry.snapshot();
         assert_eq!(scraped.counter_total("dpack_recorder_dropped_total"), 5);

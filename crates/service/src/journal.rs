@@ -350,7 +350,7 @@ impl Journal {
                 };
                 if let (Some(start), Some(end)) = (started, ended) {
                     for ctx in &part.traces {
-                        obs.spans.record(
+                        obs.spans().record(
                             ctx.trace,
                             span_id(ctx.trace, SpanKind::WalFlush, salt),
                             span_id(ctx.trace, SpanKind::Cycle, 0),
@@ -362,7 +362,7 @@ impl Journal {
                     }
                 }
                 let count = part.records.len() as u64;
-                obs.recorder.record(EventKind::BatchFlushed, salt, count);
+                obs.recorder().record(EventKind::BatchFlushed, salt, count);
             }
         }
         let mut outcomes = vec![Ok(()); parts.len()];

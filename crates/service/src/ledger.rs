@@ -169,7 +169,7 @@ impl ShardedLedger {
     /// for a fully disabled [`Obs`], keeping the un-instrumented paths
     /// byte-identical.
     pub fn instrument(&mut self, obs: &Obs) {
-        if !obs.is_enabled() && obs.recorder.capacity() == 0 {
+        if !obs.is_enabled() && obs.recorder().capacity() == 0 {
             return;
         }
         journal::instrument(obs, self.journal.as_mut());
@@ -248,7 +248,7 @@ impl ShardedLedger {
         obs: &Obs,
     ) -> Result<Self, WalError> {
         let mut ledger = Self::new(grid, shards, unlock_period, unlock_steps);
-        let journal = Journal::open(storage, shards, opts, &obs.recorder, |event| {
+        let journal = Journal::open(storage, shards, opts, obs.recorder(), |event| {
             ledger.replay(event)
         })?;
         ledger.journal = Some(journal);
@@ -1513,7 +1513,7 @@ mod tests {
         l.instrument(&obs);
         let (_, _, cross) = charged(&l);
         let flushed = || -> Vec<(u64, u64)> {
-            let events = obs.recorder.dump();
+            let events = obs.recorder().dump();
             let flushes = events
                 .iter()
                 .filter(|e| e.kind == dpack_obs::EventKind::BatchFlushed);

@@ -590,7 +590,7 @@ impl BudgetService {
         if result.is_ok() {
             book.stats.admitted += 1;
             self.obs
-                .recorder
+                .recorder()
                 .record(EventKind::TaskAdmitted, task_id, u64::from(tenant));
         }
         result
@@ -800,14 +800,14 @@ impl BudgetService {
                 tenant.stats.granted_weight += task.weight;
                 books.stats.record_granted(task.clone());
                 self.obs
-                    .recorder
+                    .recorder()
                     .record(EventKind::TaskGranted, task.id, now.to_bits());
             }
             for id in &evicted {
                 books.decide(*id, Decision::Evicted);
                 books.stats.record_evicted(*id);
                 self.obs
-                    .recorder
+                    .recorder()
                     .record(EventKind::TaskEvicted, *id, now.to_bits());
             }
             books.stats.released += released as u64;
@@ -854,7 +854,7 @@ impl BudgetService {
             .iter()
             .filter_map(|g| Some((g.tag.trace?, g.tag.admitted_nanos)));
         for (ctx, admitted) in traced {
-            let spans = &self.obs.spans;
+            let spans = &self.obs.spans();
             let cycle_span = span_id(ctx.trace, SpanKind::Cycle, 0);
             spans.record(ctx.trace, ctx.span, 0, SpanKind::Grant, admitted, t_end, 0);
             spans.record(
@@ -2176,7 +2176,7 @@ mod tests {
             .unwrap();
         assert_eq!((commit.count, commit.sum), (1, 3 * TICK));
         // The flight recorder saw admission then grant, in order.
-        let events = obs.recorder.dump();
+        let events = obs.recorder().dump();
         let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, [EventKind::TaskAdmitted, EventKind::TaskGranted]);
         assert_eq!(events[0].a, 42);
@@ -2240,7 +2240,7 @@ mod tests {
         let cycle = service.run_cycle(1.0);
         assert_eq!(cycle.granted(), 1);
         assert!(service.obs().registry.snapshot().samples.is_empty());
-        assert!(service.obs().recorder.dump().is_empty());
+        assert!(service.obs().recorder().dump().is_empty());
     }
 
     /// Every service counter and gauge family of a scrape against the

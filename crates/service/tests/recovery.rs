@@ -274,7 +274,7 @@ fn crashed_service_recovers_exactly_the_acknowledged_state() {
 
             // The flight recorder narrates the recovery, in order, and
             // names no task the live service never acknowledged.
-            let trace = recovered.obs().recorder.dump();
+            let trace = recovered.obs().recorder().dump();
             assert_recovery_trace(&trace, &acked)?;
 
             // 2PC atomicity at the log level: a committed attempt was
@@ -320,7 +320,7 @@ fn crashed_service_recovers_exactly_the_acknowledged_state() {
             let again = recover(&run.sim.surviving())?;
             diff_states("second recovery", &ledger(&again), &recovered_states)?;
             prop_assert_eq!(
-                again.obs().recorder.dump(),
+                again.obs().recorder().dump(),
                 trace,
                 "recovery event traces diverged between identical reboots"
             );

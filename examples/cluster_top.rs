@@ -302,7 +302,7 @@ fn main() {
         let mut c = NetClient::connect(*addr).expect("dial for scrape");
         statuses.push(c.cluster_status().expect("ClusterStatus"));
         snapshots.push(c.metrics().expect("metrics"));
-        dumps.push(c.span_dump_all().expect("span dump"));
+        dumps.push(c.span_dump(0).expect("span dump"));
     }
 
     println!("== ClusterStatus ({NODES}-node scrape) ==");

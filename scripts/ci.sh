@@ -129,6 +129,20 @@ if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":
   exit 1
 fi
 
+echo "==> checking a peer is reached one way"
+# A tenant or a peer holds one NetClient per connection and redials
+# through one connector type (client.rs); a broken client is dropped and
+# NetClient::connect_primary finds the primary again. The thread-shared
+# pool and its second connector type stay deleted. Tests below
+# `#[cfg(test)]` may name anything.
+net_code="$(awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
+  crates/net/src/*.rs | grep -vE '^[^ ]+ *//')"
+if grep -E '\b(ClientPool|PooledClient|SharedConnector|Condvar)\b' <<<"${net_code}" \
+    || [ "$(grep -cE '\btype +[A-Za-z_]*Connector\b' <<<"${net_code}")" -gt 1 ]; then
+  echo "ERROR: crates/net reaches a peer through one NetClient per connection and one Connector type (see above)" >&2
+  exit 1
+fi
+
 echo "==> checking a block is kept only in its store and the log"
 # Every block is one in-memory entry in its shard's store (store.rs),
 # made durable only through the write-ahead log. The segment store that
