@@ -41,7 +41,16 @@
 //! [`dpack_service::ReplicaWal`] with the primary's log layout (so
 //! promotion is [`BudgetService::recover`] on its storage), plus its
 //! own observability — `dpack_repl_*` metrics and
-//! [`EventKind::ReplicaApplied`] flight-recorder events. The election
+//! [`EventKind::ReplicaApplied`] flight-recorder events.
+//!
+//! Each role's replication *levels* — a primary's per-stream lag and
+//! live-replica count, a replica's per-stream durable seq — are
+//! registry views over state the role keeps anyway, held by `Weak`:
+//! a scrape reads them as they are now, and they leave the scrape
+//! with the role that owns them. The *counts* stay cells: totals over
+//! the node's lifetime, whatever role it served.
+//!
+//! The election
 //! term is part of the replica's durable standing, beside its lineage
 //! and dirty mark (see [`dpack_service::replication`]): adopting a term
 //! consumes that term's vote, so the term is the whole election state,
@@ -61,7 +70,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dpack_obs::trace::{span_id, with_active_traces, SpanKind, SpanRing};
-use dpack_obs::{Clock, Counter, EventKind, FlightRecorder, Gauge, Histogram, Obs};
+use dpack_obs::{Clock, Counter, EventKind, FlightRecorder, Histogram, Obs};
 use dpack_service::wal::{WalError, WalStorage};
 use dpack_service::{
     BudgetService, ReplShipError, ReplStream, ReplicaApplyError, ReplicaWal, ReplicationSink,
@@ -100,11 +109,12 @@ fn ballot_wins(cand_ballot: &[u64], cand_id: u64, own_ballot: &[u64], own_id: u6
     cand_id <= own_id
 }
 
-/// Replica-side state: the replica's logs plus its instruments. Serve
+/// Replica-side state: the replica's logs plus its instruments, among
+/// them a `dpack_repl_durable_seq{stream}` view over the logs. Serve
 /// it with [`crate::NetServer::bind_replica`] (or a loopback core via
 /// [`crate::ServiceCore::replica`] in tests).
 pub struct ReplicaNode {
-    wal: ReplicaWal,
+    wal: Arc<ReplicaWal>,
     obs: Arc<Obs>,
     /// This node's id in the deployment — the election tiebreak. Set it
     /// with [`ReplicaNode::with_node_id`]; standalone replicas
@@ -113,8 +123,6 @@ pub struct ReplicaNode {
     applied_batches: Counter,
     applied_records: Counter,
     duplicate_batches: Counter,
-    /// One durable-seq gauge per shard stream, coordinator last.
-    durable_gauges: Vec<Gauge>,
 }
 
 impl fmt::Debug for ReplicaNode {
@@ -144,29 +152,24 @@ impl ReplicaNode {
         segment_bytes: u64,
         obs: Arc<Obs>,
     ) -> Result<Self, WalError> {
-        let wal = ReplicaWal::open(storage, shards, segment_bytes)?;
-        let streams = (0..shards as u32).map(ReplStream::Shard);
-        let durable_gauges = streams
-            .chain([ReplStream::Coordinator])
-            .map(|stream| {
-                let label = format!("stream=\"{stream}\"");
-                obs.registry.gauge("dpack_repl_durable_seq", &label)
-            })
-            .collect();
-        let node = Self {
+        let wal = Arc::new(ReplicaWal::open(storage, shards, segment_bytes)?);
+        for (stream, label) in stream_labels(shards) {
+            let source = Arc::downgrade(&wal);
+            obs.registry
+                .gauge_view("dpack_repl_durable_seq", &label, move || {
+                    Some(source.upgrade()?.durable_seq(stream) as f64)
+                });
+        }
+        Ok(Self {
             applied_batches: obs.registry.counter("dpack_repl_applied_batches_total", ""),
             applied_records: obs.registry.counter("dpack_repl_applied_records_total", ""),
             duplicate_batches: obs
                 .registry
                 .counter("dpack_repl_duplicate_batches_total", ""),
-            durable_gauges,
             node_id: 0,
             wal,
             obs,
-        };
-        // Reopened logs may already be ahead of zero.
-        node.publish_durable();
-        Ok(node)
+        })
     }
 
     /// Sets this node's deployment id (the election tiebreak).
@@ -234,22 +237,7 @@ impl ReplicaNode {
     ///
     /// Storage errors; retry or reopen.
     pub fn reset_unattached(&self) -> Result<(), WalError> {
-        self.wal.reset_unattached()?;
-        self.publish_durable();
-        Ok(())
-    }
-
-    /// Publishes every stream's durable sequence to its gauge.
-    fn publish_durable(&self) {
-        for (gauge, seq) in self.durable_gauges.iter().zip(self.wal.vector()) {
-            gauge.set_u64(seq);
-        }
-    }
-
-    /// The durable-seq gauge of wire stream `shard`; the coordinator's
-    /// ([`REPL_COORD_STREAM`]) is the last.
-    fn durable_gauge(&self, shard: u32) -> &Gauge {
-        &self.durable_gauges[(shard as usize).min(self.wal.n_shards())]
+        self.wal.reset_unattached()
     }
 
     /// Fences `term` against the highest seen: an older term is
@@ -295,7 +283,6 @@ impl ReplicaNode {
                 } else {
                     self.duplicate_batches.inc();
                 }
-                self.durable_gauge(shard).set_u64(durable);
                 Response::ReplicateAck {
                     shard,
                     seq,
@@ -360,13 +347,10 @@ impl ReplicaNode {
         }
         let stream = wire_stream(shard);
         match self.wal.install_stream(stream, base_seq, snapshot) {
-            Ok(()) => {
-                self.durable_gauge(shard).set_u64(base_seq);
-                Response::ResyncAck {
-                    stream: shard,
-                    durable: base_seq,
-                }
-            }
+            Ok(()) => Response::ResyncAck {
+                stream: shard,
+                durable: base_seq,
+            },
             Err(e) => Response::Error {
                 code: ErrorCode::Io,
                 message: e.to_string(),
@@ -429,6 +413,34 @@ impl Link {
     }
 }
 
+/// How many of `links` are up (receiving ships and counted toward
+/// quorum).
+fn live(links: &[Link]) -> usize {
+    links.iter().filter(|l| l.status() == PEER_UP).count()
+}
+
+/// Stream `slot`'s replication lag: its shipped seq minus the slowest
+/// **up** replica's acked seq. With no up replica everything shipped
+/// is unacked, so the lag is the seq itself.
+fn lag(links: &[Link], seqs: &[AtomicU64], slot: usize) -> u64 {
+    let slowest = links
+        .iter()
+        .filter(|l| l.status() == PEER_UP)
+        .map(|l| l.acked[slot].load(Ordering::Acquire))
+        .min()
+        .unwrap_or(0);
+    seqs[slot].load(Ordering::Acquire).saturating_sub(slowest)
+}
+
+/// Every stream with its `stream` label, in seq-vector order: shard
+/// streams first, coordinator last.
+fn stream_labels(shards: usize) -> impl Iterator<Item = (ReplStream, String)> {
+    (0..shards as u32)
+        .map(ReplStream::Shard)
+        .chain([ReplStream::Coordinator])
+        .map(|stream| (stream, format!("stream=\"{stream}\"")))
+}
+
 /// What one tend round concluded about a link.
 enum Probe {
     /// The link is caught up (fast path or after a resync) — mark Up.
@@ -448,13 +460,17 @@ enum Probe {
 /// a promoted primary resuming an existing stream — build it with
 /// [`Replicator::resume`] and attach with
 /// [`dpack_service::ShardedLedger::set_replication_resumed`].
+///
+/// `dpack_repl_lag{stream}` and `dpack_repl_live_replicas` are views
+/// over its links and seqs ([`Replicator::live`] and the lag columns
+/// of [`Replicator::peer_status`] read the same state).
 pub struct Replicator {
-    links: Vec<Link>,
+    links: Arc<[Link]>,
     quorum: usize,
     n_shards: usize,
     /// Next-1 sequence per stream; shard streams first, coordinator
     /// last.
-    seqs: Vec<AtomicU64>,
+    seqs: Arc<[AtomicU64]>,
     /// This primary's election term, carried in every ship.
     term: AtomicU64,
     /// The lineage stamped on resynced replicas (the primary's own
@@ -472,9 +488,6 @@ pub struct Replicator {
     recorder: FlightRecorder,
     /// Where traced ships record their `ReplShip`/`QuorumWait` spans.
     spans: SpanRing,
-    /// Per-stream replication lag (primary seq − the slowest up
-    /// replica's acked seq); shard streams first, coordinator last.
-    lag_gauges: Vec<Gauge>,
     shipped_batches: Counter,
     shipped_records: Counter,
     acked_batches: Counter,
@@ -482,7 +495,6 @@ pub struct Replicator {
     ship_timeout_total: Counter,
     redials_total: Counter,
     resyncs_total: Counter,
-    live_replicas: Gauge,
     /// Pipelined quorum rounds ([`ReplicationSink::ship_all`] calls);
     /// `shipped_batches` counts the per-stream batches they carried.
     ship_rounds: Counter,
@@ -589,7 +601,7 @@ impl Replicator {
         quorum: usize,
         n_shards: usize,
         term: u64,
-        seqs: &[u64],
+        resumed: &[u64],
         obs: &Obs,
     ) -> Self {
         assert!(
@@ -598,27 +610,31 @@ impl Replicator {
         );
         assert!(n_shards >= 1, "need at least one shard stream");
         assert!(
-            seqs.is_empty() || seqs.len() == n_shards + 1,
+            resumed.is_empty() || resumed.len() == n_shards + 1,
             "a resumed seq vector must cover every shard stream plus the coordinator"
         );
         for link in &mut links {
             link.acked = (0..=n_shards).map(|_| AtomicU64::new(0)).collect();
         }
-        let lag_gauges = (0..n_shards)
-            .map(|s| {
-                obs.registry
-                    .gauge("dpack_repl_lag", &format!("stream=\"shard-{s}\""))
-            })
-            .chain(std::iter::once(
-                obs.registry.gauge("dpack_repl_lag", "stream=\"coord\""),
-            ))
+        let links: Arc<[Link]> = links.into();
+        let seqs: Arc<[AtomicU64]> = (0..=n_shards)
+            .map(|s| AtomicU64::new(resumed.get(s).copied().unwrap_or(0)))
             .collect();
-        let this = Self {
+        for (slot, (_, label)) in stream_labels(n_shards).enumerate() {
+            let (links, seqs) = (Arc::downgrade(&links), Arc::downgrade(&seqs));
+            obs.registry.gauge_view("dpack_repl_lag", &label, move || {
+                Some(lag(&links.upgrade()?, &seqs.upgrade()?, slot) as f64)
+            });
+        }
+        let source = Arc::downgrade(&links);
+        obs.registry
+            .gauge_view("dpack_repl_live_replicas", "", move || {
+                Some(live(&source.upgrade()?) as f64)
+            });
+        Self {
             quorum,
             n_shards,
-            seqs: (0..=n_shards)
-                .map(|s| AtomicU64::new(seqs.get(s).copied().unwrap_or(0)))
-                .collect(),
+            seqs,
             term: AtomicU64::new(term),
             lineage: AtomicU64::new(term),
             deposed: AtomicBool::new(false),
@@ -626,7 +642,6 @@ impl Replicator {
             clock: Arc::clone(obs.clock()),
             recorder: obs.recorder().clone(),
             spans: obs.spans().clone(),
-            lag_gauges,
             shipped_batches: obs.registry.counter("dpack_repl_shipped_batches_total", ""),
             shipped_records: obs.registry.counter("dpack_repl_shipped_records_total", ""),
             acked_batches: obs.registry.counter("dpack_repl_acked_batches_total", ""),
@@ -634,13 +649,10 @@ impl Replicator {
             ship_timeout_total: obs.registry.counter("dpack_repl_ship_timeout_total", ""),
             redials_total: obs.registry.counter("dpack_repl_redials_total", ""),
             resyncs_total: obs.registry.counter("dpack_repl_resyncs_total", ""),
-            live_replicas: obs.registry.gauge("dpack_repl_live_replicas", ""),
             ship_rounds: obs.registry.counter("dpack_repl_ship_rounds_total", ""),
             quorum_wait_nanos: obs.registry.histogram("dpack_repl_quorum_wait_nanos", ""),
             links,
-        };
-        this.live_replicas.set_u64(this.live() as u64);
-        this
+        }
     }
 
     /// Bounds how long a ship round waits for any single replica — one
@@ -651,7 +663,7 @@ impl Replicator {
     #[must_use]
     pub fn with_ship_timeout(mut self, timeout: Duration) -> Self {
         self.ship_timeout = Some(timeout);
-        for link in &self.links {
+        for link in self.links.iter() {
             let mut client = link.client.lock().expect("replica link lock poisoned");
             if let Some(c) = client.as_mut() {
                 if c.set_read_timeout(Some(timeout)).is_err() {
@@ -666,7 +678,7 @@ impl Replicator {
     /// Replicas whose links are up (receiving ships and counted toward
     /// quorum).
     pub fn live(&self) -> usize {
-        self.links.iter().filter(|l| l.status() == PEER_UP).count()
+        live(&self.links)
     }
 
     /// The configured quorum.
@@ -700,30 +712,13 @@ impl Replicator {
             .collect()
     }
 
-    /// Refreshes the `dpack_repl_lag` gauges: per stream, the
-    /// primary's shipped seq minus the slowest **up** replica's acked
-    /// seq. With no up replica everything shipped is unacked, so the
-    /// lag is the seq itself.
-    fn refresh_lag(&self) {
-        for (slot, gauge) in self.lag_gauges.iter().enumerate() {
-            let seq = self.seqs[slot].load(Ordering::Acquire);
-            let slowest = self
-                .links
-                .iter()
-                .filter(|l| l.status() == PEER_UP)
-                .map(|l| l.acked[slot].load(Ordering::Acquire))
-                .min()
-                .unwrap_or(0);
-            gauge.set_u64(seq.saturating_sub(slowest));
-        }
-    }
-
     /// A point-in-time view of every replica link for cluster
     /// introspection: address, Up/Suspect/Down state, per-stream lag
     /// against this primary's seq vector, remaining redial backoff,
-    /// and resyncs pushed. Peer ids and terms are the cluster
-    /// driver's knowledge, not the replicator's — they are left 0 for
-    /// the caller to fill.
+    /// and resyncs pushed. Every peer carries this primary's term and
+    /// `is_primary: false`; peer ids are the cluster driver's
+    /// knowledge, not the replicator's, so they are left 0 for the
+    /// caller to fill.
     pub fn peer_status(&self) -> Vec<WirePeer> {
         let vector = self.vector();
         let now = self.clock.now_nanos();
@@ -817,13 +812,10 @@ impl Replicator {
                 Probe::NotYet => self.backoff(link, now_nanos),
                 Probe::Deposed => {
                     self.deposed.store(true, Ordering::Release);
-                    self.live_replicas.set_u64(self.live() as u64);
                     return false;
                 }
             }
         }
-        self.live_replicas.set_u64(self.live() as u64);
-        self.refresh_lag();
         true
     }
 
@@ -1010,7 +1002,7 @@ impl ReplicationSink for Replicator {
         // traced grants' bare ids ride the wire so each replica can
         // derive its append span.
         let mut handles = Vec::with_capacity(self.links.len());
-        for link in &self.links {
+        for link in self.links.iter() {
             if link.status() != PEER_UP {
                 handles.push(None);
                 continue;
@@ -1067,10 +1059,8 @@ impl ReplicationSink for Replicator {
             }
         }
 
-        self.live_replicas.set_u64(self.live() as u64);
         let ended = self.clock.now_nanos();
         self.quorum_wait_nanos.record(ended.saturating_sub(started));
-        self.refresh_lag();
         let deposed = self.is_deposed();
         let outcome = |flight: InFlight<'_>| {
             let stream_salt = u64::from(flight.wire);

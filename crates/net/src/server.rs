@@ -1302,6 +1302,73 @@ mod tests {
         );
     }
 
+    /// A role's replication levels leave with it: a promoted replica
+    /// stops exporting its durable seqs, and a demoted primary its lag
+    /// and live-replica count, so a merged scrape sums live roles only.
+    #[test]
+    fn a_role_change_takes_its_replication_levels_with_it() {
+        use crate::client::Connector;
+        use dpack_obs::Value;
+        use dpack_service::durability::LogRecord;
+        let obs = Obs::manual(1).0;
+        let level = |name: &str, stream: &str| {
+            let labels = if stream.is_empty() {
+                String::new()
+            } else {
+                format!("stream=\"{stream}\"")
+            };
+            match obs.registry.snapshot().get(name, &labels) {
+                Some(Value::Gauge(v)) => Some(*v as u64),
+                None => None,
+                other => panic!("{name} is no gauge: {other:?}"),
+            }
+        };
+        let gone = |name: &str| {
+            obs.registry
+                .snapshot()
+                .samples
+                .iter()
+                .all(|s| s.name != name)
+        };
+        let node = ReplicaNode::open(&SimStorage::new(), 1, 1 << 16, Arc::clone(&obs));
+        let node = Arc::new(node.expect("fresh replica"));
+        let block = LogRecord::Block {
+            shard: 0,
+            id: 0,
+            arrival: 0.0,
+            capacity: vec![1.0],
+        };
+        let applied = node.apply(0, 0, 1, &[block.encode()]);
+        assert!(matches!(applied, Response::ReplicateAck { durable: 1, .. }));
+        let core = ServiceCore::replica(node);
+        assert_eq!(level("dpack_repl_durable_seq", "shard-0"), Some(1));
+
+        let grid = AlphaGrid::new(vec![2.0]).expect("valid grid");
+        let service = BudgetService::with_obs(grid, ServiceConfig::default(), Arc::clone(&obs));
+        let refused: Connector = Arc::new(|| Err(NetError::Closed));
+        let links = vec![(([127, 0, 0, 1], 0).into(), refused)];
+        let repl = Arc::new(Replicator::resume(links, 1, 1, &[5, 0], 1, &obs));
+        core.promote(Arc::new(service), Some(Arc::clone(&repl)));
+        assert!(repl.tend(0, None));
+        assert_eq!(level("dpack_repl_lag", "shard-0"), Some(5));
+        assert_eq!(level("dpack_repl_lag", "coord"), Some(0));
+        assert_eq!(level("dpack_repl_live_replicas", ""), Some(0));
+        assert!(
+            gone("dpack_repl_durable_seq"),
+            "a primary exports no durable seq"
+        );
+
+        drop(repl);
+        let fresh = ReplicaNode::open(&SimStorage::new(), 1, 1 << 16, Arc::clone(&obs));
+        core.demote(Arc::new(fresh.expect("fresh replica")));
+        assert!(gone("dpack_repl_lag"), "a replica exports no lag");
+        assert!(
+            gone("dpack_repl_live_replicas"),
+            "a replica exports no live count"
+        );
+        assert_eq!(level("dpack_repl_durable_seq", "shard-0"), Some(0));
+    }
+
     #[test]
     fn oversized_replies_degrade_to_an_error_frame_not_a_panic() {
         // A synthetic response payload past the frame cap (any tag; the

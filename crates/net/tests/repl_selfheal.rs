@@ -1,8 +1,8 @@
 //! Self-healing replication, observed through its instruments: the
-//! `dpack_repl_*` counters and the live-replica gauge must tell the
-//! exact story of a replica's life — hang, suspect, backoff, redial,
-//! fast-path rejoin, state loss, full resync — under a [`ManualClock`]
-//! so every backoff window is crossed deliberately.
+//! `dpack_repl_*` counters and the live-replica and lag gauges must
+//! tell the exact story of a replica's life — hang, suspect, backoff,
+//! redial, fast-path rejoin, state loss, full resync — under a
+//! [`ManualClock`] so every backoff window is crossed deliberately.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -124,13 +124,28 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
         Some(Value::Gauge(v)) => *v as u64,
         other => panic!("missing durable gauge: {other:?}"),
     };
+    // Each lag gauge reads what `peer_status` shows: the largest lag
+    // among Up (state 0) links, or the stream's seq when none is up.
+    let lag_agrees = || {
+        let scraped = obs.registry.snapshot();
+        let peers = repl.peer_status();
+        for (slot, (stream, seq)) in ["shard-0", "coord"].iter().zip(repl.vector()).enumerate() {
+            let up = peers.iter().filter(|p| p.state == 0);
+            let want = up.map(|p| p.lag[slot]).max().unwrap_or(seq);
+            let labels = format!("stream=\"{stream}\"");
+            let got = scraped.get("dpack_repl_lag", &labels);
+            assert_eq!(got, Some(&Value::Gauge(want as f64)), "{stream} lag");
+        }
+    };
 
     // Chapter 1: connector links start Down; the first tend dials and
     // rejoins on the fast path (a fresh replica matches a fresh
     // primary — lineage 0, all-zero vector — so no resync).
     assert_eq!((repl.live(), live_gauge()), (0, 0));
+    lag_agrees();
     assert!(repl.tend(clock.now_nanos(), Some(&service)));
     assert_eq!((repl.live(), live_gauge()), (1, 1));
+    lag_agrees();
     assert_eq!(counters("dpack_repl_redials_total"), 1);
     assert_eq!(counters("dpack_repl_resyncs_total"), 0);
 
@@ -139,6 +154,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
         .expect("quorum");
     assert_eq!(node.wal().durable_seq(ReplStream::Shard(0)), 1);
     assert_eq!(durable_gauge(), 1);
+    lag_agrees();
 
     // Chapter 3: the replica wedges. The batch is delivered but its
     // ack never comes: the ship times out, counts it, and drops the
@@ -147,6 +163,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
     repl.ship(ReplStream::Shard(0), &[&record(0)])
         .expect_err("no ack");
     assert_eq!((repl.live(), live_gauge()), (0, 0));
+    lag_agrees();
     assert_eq!(counters("dpack_repl_ship_timeout_total"), 1);
     assert_eq!(counters("dpack_repl_ship_failures_total"), 1);
 
@@ -171,6 +188,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
         "refused dials are probe failures, not redials"
     );
     assert_eq!(repl.live(), 0);
+    lag_agrees();
 
     // Chapter 5: the replica is back, state intact. The timed-out
     // batch *did* land (send succeeded), so its durable vector matches
@@ -182,6 +200,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
     assert_eq!(counters("dpack_repl_redials_total"), 2);
     assert_eq!(counters("dpack_repl_resyncs_total"), 0);
     assert_eq!(node.wal().vector(), repl.vector());
+    lag_agrees();
 
     // Chapter 6: the replica wedges again and then loses its state
     // (an operator wipe / disk replacement — the logs restart empty).
@@ -195,6 +214,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
     assert_eq!(counters("dpack_repl_ship_failures_total"), 2);
     node.reset_unattached().expect("wipe");
     assert_eq!(durable_gauge(), 0, "the wipe zeroes the replica's gauges");
+    lag_agrees();
     hang.store(false, Ordering::Release);
     clock.advance(BASE_BACKOFF);
     assert!(repl.tend(clock.now_nanos(), Some(&service)));
@@ -207,6 +227,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
         "the resync re-bases the replica at the primary's seq vector"
     );
     assert!(!node.is_resyncing(), "the round was committed");
+    lag_agrees();
     let resyncs = obs
         .recorder()
         .dump()
@@ -221,6 +242,7 @@ fn the_self_healing_counters_tell_the_exact_lifecycle_story() {
         .expect("quorum");
     assert_eq!(node.wal().durable_seq(ReplStream::Shard(0)), 4);
     assert_eq!(durable_gauge(), 4);
+    lag_agrees();
     let metrics = obs.registry.snapshot();
     for (name, want) in [
         ("dpack_repl_shipped_batches_total", 4),

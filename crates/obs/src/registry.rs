@@ -162,7 +162,10 @@ impl MetricsSnapshot {
     /// Folds `other` into this snapshot sample-by-sample — the
     /// cluster-wide aggregation over per-node scrapes: counters sum,
     /// gauges sum (levels like queue depths and lags add across
-    /// nodes), histograms merge bucket-wise. A (name, labels) pair
+    /// nodes), histograms merge bucket-wise. A role's levels are views
+    /// that leave a node's scrape with the role, so the sum covers the
+    /// roles alive at scrape time, not a deposed one's last reading.
+    /// A (name, labels) pair
     /// present on only one side passes through; a kind mismatch keeps
     /// the existing side (same forgiveness as registering a name
     /// twice at different kinds). Output order stays (name, labels).

@@ -217,7 +217,9 @@ fn main() {
     }
 
     // Wait for a leader whose replicator sees both replicas, asking
-    // over the wire like any monitor would.
+    // over the wire like any monitor would. Only a live replicator
+    // exports `dpack_repl_live_replicas`, so a deposed primary never
+    // answers with its last count.
     let deadline = Instant::now() + Duration::from_secs(10);
     let leader = loop {
         let ready = (0..NODES).find(|&i| {
