@@ -1,9 +1,10 @@
 //! Micro-benches for the scheduling kernels: one full `schedule()`
 //! pass per scheduler at two load levels (the Fig. 5 regime, without
 //! the Optimal solver), then the DPack pass stage by stage — best
-//! alphas, efficiencies, order and pack, which sum to `schedule` — on the two
-//! instance shapes of the repo's benchmark (`offline_micro`, and one
-//! cycle's pending set of `online_alibaba`), so the stage split can be
+//! alphas, efficiencies, order and pack, which sum to `schedule` — on three
+//! instance shapes of the repo's benchmark (`offline_micro`, one
+//! cycle's pending set of `online_alibaba`, and one cycle of
+//! `tiered_zipf`, whose tasks all fit), so the stage split can be
 //! read without the traced benchmark run; the order stage again on the
 //! same tasks shuffled, whose ties the sort must re-sort by arrival and
 //! id (both shapes arrive in that order); on the second shape, what it
@@ -60,6 +61,53 @@ fn alibaba_shaped(smoke: bool) -> (ProblemState, Vec<Task>) {
     let state =
         ProblemState::new(w.grid, blocks, w.tasks).expect("generated instance is well-formed");
     (state, alibaba::generate(&config, 8).tasks)
+}
+
+/// What one `tiered_zipf` cycle sees: 256 equal-weight tasks of one or
+/// two blocks picked from 50 000, one pick in five uniform and the rest
+/// log-uniform (close to that workload's `Zipf(n, 1.0)` head), over the
+/// ~290 blocks they request at capacity 1.0. Every task asks for the
+/// same constant demand, 0.9 over ~8 000 (the busiest block's touches
+/// in a full run), so the whole set fits at every order.
+fn zipf_shaped(smoke: bool) -> ProblemState {
+    let (n_tasks, n_blocks) = if smoke {
+        (32, 1_000u64)
+    } else {
+        (256, 50_000u64)
+    };
+    let grid = AlphaGrid::standard();
+    let mut draw = 0x2545_f491_4f6c_dd1du64;
+    let mut uniform = move || {
+        draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        (draw >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut pick = move || {
+        let rank = if uniform() < 0.2 {
+            uniform() * n_blocks as f64
+        } else {
+            (n_blocks as f64).powf(uniform()) - 1.0
+        };
+        (rank as u64).min(n_blocks - 1)
+    };
+    let demand = RdpCurve::constant(&grid, 0.9 / 8_000.0);
+    let tasks: Vec<Task> = (0..n_tasks)
+        .map(|id| {
+            let mut blocks = vec![pick()];
+            if id % 2 == 0 {
+                blocks.push(pick());
+            }
+            Task::new(id, 1.0, blocks, demand.clone(), 0.0)
+        })
+        .collect();
+    let mut ids: Vec<BlockId> = tasks.iter().flat_map(|t| t.blocks.clone()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let capacity = RdpCurve::constant(&grid, 1.0);
+    let blocks = ids
+        .into_iter()
+        .map(|id| Block::new(id, capacity.clone(), 0.0))
+        .collect();
+    ProblemState::new(grid, blocks, tasks).expect("generated instance is well-formed")
 }
 
 /// One in ten tasks leaves and as many arrive, step after step: the
@@ -236,6 +284,9 @@ fn main() {
     stages(&mut m, "micro 20000x100", &micro_shaped(&lib, smoke));
     let (alibaba, arrivals) = alibaba_shaped(smoke);
     stages(&mut m, "alibaba 3000x45", &alibaba);
+    let zipf = zipf_shaped(smoke);
+    let shape = format!("zipf {}x{}", zipf.tasks().len(), zipf.blocks().len());
+    stages(&mut m, &shape, &zipf);
     carry_over(&mut m, "alibaba 3000x45", &alibaba, &arrivals);
     let per_block = ledger_fill(&mut m, smoke);
     recorder(&mut m);

@@ -326,6 +326,7 @@ impl_tuple_strategy!(A, B, C, D);
 impl_tuple_strategy!(A, B, C, D, E);
 impl_tuple_strategy!(A, B, C, D, E, F);
 impl_tuple_strategy!(A, B, C, D, E, F, G);
+impl_tuple_strategy!(A, B, C, D, E, F, G, H);
 
 #[cfg(test)]
 mod tests {

@@ -341,6 +341,46 @@ struct Slot {
     open: bool,
 }
 
+/// The column-sum certificate of one pass over an equal-weight view. A block
+/// is *settled* at the first order where it is usable and its limit holds the
+/// order's [`joint_bound`]: the walk's and `CANRUN`'s running sums over its
+/// requesters are float sums of subsets of that column and never decrease, so
+/// all subsets fit there in any order, and [`Sweep::run`] sums the weight the
+/// walk would take, to the bit. No later order can beat that value.
+pub(crate) struct Certificate {
+    /// Per block, the order it settles at; `n_orders` if none.
+    settled_at: Vec<usize>,
+    /// Sweeps visit the orders `0..orders`: past them all blocks settled.
+    pub(crate) orders: usize,
+    /// Every requested block settles: every subset of the tasks fits.
+    pub(crate) all_settled: bool,
+}
+
+impl Certificate {
+    /// The certificate of `dense`, which must have equal weights.
+    pub(crate) fn new(dense: &Dense) -> Self {
+        let k = dense.n_orders;
+        // Past the largest capacity's limit a column settles nothing.
+        let cut = fit_limit(dense.capacity.iter().fold(0.0, |m: f64, c| m.max(*c)));
+        let bounds: Vec<f64> = dense.columns.iter().map(|c| joint_bound(c, cut)).collect();
+        let settles = |(a, c): &(usize, &f64)| **c > 0.0 && bounds[*a] <= fit_limit(**c);
+        // One past the last order a block settles at; k + 1 if one never does.
+        let (mut settled_at, mut until) = (vec![k; dense.n_blocks()], 0);
+        for (j, at) in settled_at.iter_mut().enumerate() {
+            if dense.requesters[j] > 0 {
+                let first = dense.capacity(j).iter().enumerate().find(settles);
+                *at = first.map_or(k, |(a, _)| a);
+                until = until.max(*at + 1);
+            }
+        }
+        Self {
+            settled_at,
+            orders: until.min(k),
+            all_settled: until <= k,
+        }
+    }
+}
+
 /// All single-block knapsacks of one order at once, for equal weights —
 /// the kernel behind `DPack`'s best alphas — with its buffers.
 ///
@@ -362,17 +402,28 @@ pub(crate) struct Sweep {
 
 impl Sweep {
     /// Every block's knapsack value at order `a`, by block index;
-    /// `f64::NEG_INFINITY` for a block that is unusable at `a` or that
-    /// nobody requests. `dense` must have equal weights.
-    pub(crate) fn run(&mut self, dense: &Dense, a: usize) -> impl Iterator<Item = f64> + '_ {
+    /// `f64::NEG_INFINITY` for a block unusable at `a`, requested by
+    /// nobody, or settled earlier by `cert` (of `dense`).
+    pub(crate) fn run(
+        &mut self,
+        dense: &Dense,
+        cert: &Certificate,
+        a: usize,
+    ) -> impl Iterator<Item = f64> + '_ {
         self.slots.clear();
         self.slots.extend((0..dense.n_blocks()).map(|j| {
-            let capacity = dense.capacity(j)[a];
-            let open = capacity > 0.0 && dense.requesters[j] > 0;
+            let (capacity, requesters) = (dense.capacity(j)[a], dense.requesters[j]);
+            let usable = capacity > 0.0 && requesters > 0 && a <= cert.settled_at[j];
+            let open = usable && a < cert.settled_at[j];
+            let value = match (usable, open) {
+                (false, _) => f64::NEG_INFINITY,
+                (true, true) => 0.0,
+                (true, false) => (0..requesters).fold(0.0, |v, _| v + dense.weight[0]),
+            };
             Slot {
                 limit: fit_limit(capacity),
                 used: 0.0,
-                value: if open { 0.0 } else { f64::NEG_INFINITY },
+                value,
                 open,
             }
         }));
@@ -433,9 +484,26 @@ impl Sweep {
     }
 }
 
+/// An upper bound on every float sum of `column`, or of a subset of it, in
+/// any order (`f64::INFINITY` once a partial sum passes `cut`): its sum `T`
+/// in eight lanes, widened to `T · (1 + 4·n·ε)`, as sums of `n` terms `≥ 0`
+/// lie within `(1 ± ε/2)^(n-1)` of the exact sum (Higham, §4.2).
+fn joint_bound(column: &[f64], cut: f64) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    for part in column.chunks(512) {
+        for chunk in part.chunks(8) {
+            lanes.iter_mut().zip(chunk).for_each(|(lane, d)| *lane += d);
+        }
+        if lanes.iter().sum::<f64>() > cut {
+            return f64::INFINITY;
+        }
+    }
+    lanes.iter().sum::<f64>() * (1.0 + 4.0 * column.len() as f64 * f64::EPSILON)
+}
+
 /// Runs `f(0)` on the calling thread and `f(1)`, …, `f(threads - 1)` on
-/// scoped workers, returning the results in that order. Each call picks
-/// its share of the work from its number.
+/// scoped workers, returning the results in that order. Each call may
+/// pick its share of the work from its number.
 pub(crate) fn fan_out<T: Send>(threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
         let f = &f;
@@ -490,9 +558,11 @@ mod tests {
         let state = ProblemState::new(g, blocks, tasks).unwrap();
         let dense = state.dense();
         let (starts, members) = dense.by_block();
+        let certificate = Certificate::new(dense);
+        assert_eq!((certificate.orders, certificate.all_settled), (3, false));
         let mut sweeper = Sweep::default();
         for a in 0..dense.n_orders() {
-            let swept: Vec<f64> = sweeper.run(dense, a).collect();
+            let swept: Vec<f64> = sweeper.run(dense, &certificate, a).collect();
             for j in 0..dense.n_blocks() {
                 let requesters = &members[starts[j]..starts[j + 1]];
                 let items: Vec<Item> = requesters

@@ -1,11 +1,12 @@
 //! DPack (Alg. 1 of the paper).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::dense::{fan_out, Dense, Sweep};
+use crate::dense::{fan_out, Certificate, Dense, Sweep};
 use crate::problem::{Allocation, BlockId, PackingRule, ProblemState};
-use crate::schedulers::{allocate, sort_by_efficiency, Scheduler};
+use crate::schedulers::{allocate, finish_allocation, sort_by_efficiency, Scheduler};
 use knapsack::{
     fptas::fptas_value, greedy::greedy_with_best_item, greedy::unit_profit_exact, Item,
 };
@@ -118,36 +119,38 @@ impl DPack {
         state: &ProblemState,
         threads: usize,
     ) -> BTreeMap<BlockId, Option<usize>> {
-        let best = self.dense_best_alphas(state.dense(), threads);
+        let (best, _) = self.dense_best_alphas(state.dense(), threads);
         let ids = state.dense().block_ids().iter().copied();
         ids.zip(best).collect()
     }
 
-    /// Best alpha per block index. One pass per order fills in every
-    /// block's knapsack value at that order; a block keeps the first
-    /// order that reaches its highest value.
-    fn dense_best_alphas(&self, dense: &Dense, threads: usize) -> Vec<Option<usize>> {
+    /// Best alpha per block index, and whether all tasks fit jointly. One
+    /// pass per order fills in every block's knapsack value at that order;
+    /// a block keeps the first order that reaches its highest value.
+    fn dense_best_alphas(&self, dense: &Dense, threads: usize) -> (Vec<Option<usize>>, bool) {
         // Equal weights everywhere: every knapsack is "longest prefix
-        // by ascending demand", and one sweep per order finds them all.
-        // Otherwise each (block, order) knapsack is solved on its own
-        // over the block's requester list.
+        // by ascending demand", and one sweep per unsettled order finds
+        // them all. Otherwise each (block, order) knapsack is solved on
+        // its own over the block's requester list.
         let sweep = self.oracle == KnapsackOracle::Auto && dense.uniform_weight();
+        let certificate = sweep.then(|| Certificate::new(dense));
         let by_block = (!sweep).then(|| dense.by_block());
-        // Worker `w` takes orders `w`, `w + threads`, …: low orders
-        // are often unusable and cost nothing, so strides balance
-        // where contiguous ranges would not.
-        let threads = threads.clamp(1, dense.n_orders().max(1));
-        let mut parts = fan_out(threads, |w| {
+        let orders = certificate.as_ref().map_or(dense.n_orders(), |c| c.orders);
+        // Orders cost anything from a slot per block to a full sort, so
+        // each worker takes the next one left; its own still ascend.
+        let next = AtomicUsize::new(0);
+        let take = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&a| a < orders);
+        let threads = threads.clamp(1, orders.max(1));
+        let mut parts = fan_out(threads, |_| {
             let mut best: Best = vec![(f64::NEG_INFINITY, None); dense.n_blocks()];
             let (mut sweeper, mut items) = (Sweep::default(), Vec::new());
-            for a in (w..dense.n_orders()).step_by(threads) {
-                match &by_block {
-                    None => {
-                        for (j, value) in sweeper.run(dense, a).enumerate() {
-                            offer(&mut best, j, a, value);
-                        }
+            while let Some(a) = take() {
+                if let Some(certificate) = &certificate {
+                    for (j, value) in sweeper.run(dense, certificate, a).enumerate() {
+                        offer(&mut best, j, a, value);
                     }
-                    Some(lists) => self.solve_order(dense, lists, a, &mut items, &mut best),
+                } else if let Some(lists) = &by_block {
+                    self.solve_order(dense, lists, a, &mut items, &mut best);
                 }
             }
             best
@@ -163,7 +166,8 @@ impl DPack {
                 }
             }
         }
-        best.into_iter().map(|(_, alpha)| alpha).collect()
+        let all_fit = certificate.is_some_and(|c| c.all_settled);
+        (best.into_iter().map(|(_, alpha)| alpha).collect(), all_fit)
     }
 
     /// Solves order `a`'s knapsack of every block that is usable there,
@@ -205,12 +209,16 @@ impl DPack {
 
     /// [`Scheduler::schedule`] with the best-alpha step on `threads`
     /// threads; the allocation does not depend on the thread count.
+    /// `CANRUN` is skipped where every subset of the tasks is certified to fit.
     pub fn schedule_threaded(&self, state: &ProblemState, threads: usize) -> Allocation {
         let started = Instant::now();
         let dense = state.dense();
-        let best = self.dense_best_alphas(dense, threads);
+        let (best, all_fit) = self.dense_best_alphas(dense, threads);
         let eff = dense_efficiencies(dense, &best);
         let order = sort_by_efficiency(state, &eff);
+        if all_fit {
+            return finish_allocation(state, &order, started, None);
+        }
         allocate(state, &order, PackingRule::Skip, started)
     }
 }

@@ -24,11 +24,17 @@
 //! edit. Some edits push a straggler (an arrival earlier than every
 //! pending task) and later drop it again, so the state's arrival-order
 //! flag is cleared and restored along the way.
+//!
+//! Half the instances scale their demands down until most sets fit
+//! jointly, so DPack's column-sum certificate — every subset of a
+//! block's requesters fits, so the sweep need not walk and `CANRUN`
+//! takes every task — meets the reference as often as the walk does;
+//! a hand-built case sits one ulp past the certificate's reach.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use dp_accounting::{fits, AlphaGrid, RdpCurve};
+use dp_accounting::{fit_limit, fits, AlphaGrid, RdpCurve};
 use dpack_check::{
     bools, check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, weighted, PropResult,
     Strategy,
@@ -162,7 +168,7 @@ const WEIGHTS: [f64; 4] = [1.0, 2.0, 3.0, 0.75];
 
 /// (orders, sparse ids, equal weights, capacities, demand palette,
 /// tasks as (palette entry, weight pick, block mask, arrival), tasks in
-/// `(arrival, id)` order).
+/// `(arrival, id)` order, demand scale).
 type Spec = (
     usize,
     bool,
@@ -171,10 +177,11 @@ type Spec = (
     Vec<Vec<f64>>,
     Vec<(usize, usize, u8, u8)>,
     bool,
+    f64,
 );
 
 fn build(spec: &Spec) -> (AlphaGrid, Caps, Vec<Task>) {
-    let (n_orders, sparse, equal_weights, caps, palette, task_specs, in_order) = spec;
+    let (n_orders, sparse, equal_weights, caps, palette, task_specs, in_order, scale) = spec;
     let grid = AlphaGrid::new([2.0, 4.0, 8.0, 16.0][..*n_orders].to_vec()).unwrap();
     let ids: Vec<BlockId> = (0..caps.len())
         .map(|j| if *sparse { SPARSE_IDS[j] } else { j as BlockId })
@@ -195,7 +202,11 @@ fn build(spec: &Spec) -> (AlphaGrid, Caps, Vec<Task>) {
             let weight = if *equal_weights { 1.5 } else { WEIGHTS[weight] };
             // Ids are distinct but not in task order.
             let id = (i as TaskId * 7 + 3) % 31;
-            let demand = curve(&palette[entry % palette.len()]);
+            let scaled: Vec<f64> = palette[entry % palette.len()]
+                .iter()
+                .map(|d| d * scale)
+                .collect();
+            let demand = curve(&scaled);
             Task::new(id, weight, blocks, demand, arrival as f64)
         })
         .collect();
@@ -238,7 +249,25 @@ fn spec() -> impl Strategy<Value = Spec> {
             0..31,
         ),
         bools(),
+        // 31 tasks of at most 1.2 · 2⁻⁷ sum below the smallest positive
+        // capacity; only `f64::MAX` stays out of reach.
+        weighted(vec![(1, 1.0), (1, 2f64.powi(-7))]),
     )
+}
+
+/// Whether every requested block has an order where all of `tasks`'
+/// demands there, summed and widened by `1 + 4·n·ε`, stay within its
+/// limit — DPack's certificate that `CANRUN` takes every task. Summed
+/// in index order, where the kernel sums in lanes, so a case at the
+/// margin may count on the other side; no result depends on it.
+fn ref_fits_jointly(caps: &Caps, tasks: &[Task]) -> bool {
+    let widen = 1.0 + 4.0 * tasks.len() as f64 * f64::EPSILON;
+    let bound = |a: usize| tasks.iter().map(|t| t.demand.epsilon(a)).sum::<f64>() * widen;
+    let fits = |b: &BlockId| {
+        let c = &caps[b];
+        (0..c.grid().len()).any(|a| c.epsilon(a) > 0.0 && bound(a) <= fit_limit(c.epsilon(a)))
+    };
+    tasks.iter().flat_map(|t| &t.blocks).all(fits)
 }
 
 // ---- Properties. ------------------------------------------------------
@@ -336,8 +365,10 @@ fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResul
 
 #[test]
 fn dense_schedulers_match_the_literal_algorithm() {
-    // Cases of two tasks or more, per path of the efficiency sort.
+    // Cases of two tasks or more, per path of the efficiency sort, and
+    // per path of DPack's packing: walked and packed, or certified.
     let paths = [AtomicU32::new(0), AtomicU32::new(0)];
+    let packing = [AtomicU32::new(0), AtomicU32::new(0)];
     check_cases(
         "dense_schedulers_match_the_literal_algorithm",
         CASES,
@@ -353,16 +384,50 @@ fn dense_schedulers_match_the_literal_algorithm() {
             prop_assert_eq!(state.task(31), None);
             if tasks.len() > 1 {
                 paths[usize::from(state.in_arrival_order())].fetch_add(1, Ordering::Relaxed);
+                let certified = spec.2 && ref_fits_jointly(&caps, &tasks);
+                packing[usize::from(certified)].fetch_add(1, Ordering::Relaxed);
             }
             matches_reference(grid, caps, tasks)
         },
     );
-    let [fallback, in_order] = paths.map(AtomicU32::into_inner);
     // A replayed seed or a cut case count may draw one path only.
-    assert!(
-        fallback + in_order < 64 || fallback.min(in_order) > 0,
-        "{fallback} fallback / {in_order} in-order cases"
-    );
+    for (what, counts) in [
+        ("fallback / in-order", paths),
+        ("walked / certified", packing),
+    ] {
+        let [one, other] = counts.map(AtomicU32::into_inner);
+        assert!(
+            one + other < 64 || one.min(other) > 0,
+            "{one} / {other} {what} cases"
+        );
+    }
+}
+
+/// The certificate's margin at work: demands `L`, `u/2`, `u/2` on one
+/// block whose limit is `L`, `u = ulp(L)` with `L`'s last bit even. In
+/// index order they sum to exactly `L` (each half-ulp add ties to even),
+/// but the walk and `CANRUN` add the halves first and reach `L + u`, so
+/// the `L` task misfits. The widened sum must not certify the block.
+#[test]
+fn a_sum_one_ulp_past_the_limit_is_not_certified() {
+    let grid = AlphaGrid::single(2.0).unwrap();
+    let capacity = [1.0, 1.5, 2.0, 0.8, 3.0]
+        .into_iter()
+        .find(|c| fit_limit(*c).to_bits() & 1 == 0)
+        .expect("a limit with an even last bit");
+    let limit = fit_limit(capacity);
+    let half_ulp = (limit.next_up() - limit) / 2.0;
+    assert_eq!(limit + half_ulp + half_ulp, limit, "index order");
+    assert_eq!(half_ulp + half_ulp + limit, limit.next_up(), "walk order");
+    let tasks: Vec<Task> = [limit, half_ulp, half_ulp]
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| Task::new(i as TaskId, 1.0, vec![0], RdpCurve::constant(&grid, d), 0.0))
+        .collect();
+    let caps: Caps = [(0, RdpCurve::constant(&grid, capacity))].into();
+    let state = ProblemState::from_available(grid.clone(), caps.clone(), tasks.clone()).unwrap();
+    assert_eq!(DPack::default().schedule(&state).scheduled, vec![1, 2]);
+    matches_reference(grid, caps, tasks).unwrap();
 }
 
 /// With one order DPack's metric is the area metric (Prop. 4), so on
