@@ -1,13 +1,15 @@
 //! Micro-benches for the scheduling kernels: one full `schedule()`
 //! pass per scheduler at two load levels (the Fig. 5 regime, without
 //! the Optimal solver), then the DPack pass stage by stage — best
-//! alphas, efficiencies, order and pack, which sum to `schedule` — on three
-//! instance shapes of the repo's benchmark (`offline_micro`, one
-//! cycle's pending set of `online_alibaba`, and one cycle of
-//! `tiered_zipf`, whose tasks all fit), so the stage split can be
-//! read without the traced benchmark run; the order stage again on the
-//! same tasks shuffled, whose ties the sort must re-sort by arrival and
-//! id (both shapes arrive in that order); on the second shape, what it
+//! alphas, efficiencies, then `canrun` (the efficiency order and
+//! `CANRUN`, fused), which sum to `schedule` — on three instance shapes
+//! of the repo's benchmark (`offline_micro`, one cycle's pending set of
+//! `online_alibaba`, and one cycle of `tiered_zipf`, whose tasks all
+//! fit, so its `schedule` takes the full `order` and packs nothing), so
+//! the stage split can be read without the traced benchmark run; the
+//! unfused `order` and `pack` beside them; `order` and `canrun` again
+//! on the same tasks shuffled, whose ties must be re-sorted by arrival
+//! and id (every shape arrives in that order); on the second shape, what it
 //! costs to bring the state from one cycle to the next — rebuilt from
 //! the pending tasks, or kept and edited; and what the service's ledger
 //! costs per block to write one cycle's capacity rows; and one
@@ -19,7 +21,7 @@ use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_bench::micro::{Micro, MicroConfig};
 use dpack_core::problem::{pack, Block, BlockId, PackingRule, ProblemState, Task};
 use dpack_core::schedulers::{
-    sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, ParallelDPack, Scheduler,
+    pack_by_efficiency, sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, ParallelDPack, Scheduler,
 };
 use dpack_service::obs::{EventKind, Obs};
 use dpack_service::ShardedLedger;
@@ -212,13 +214,16 @@ fn shuffled(state: &ProblemState) -> ProblemState {
     ProblemState::from_available(grid, available, tasks).expect("same blocks")
 }
 
-/// One row per stage of `DPack::schedule` on `state`, and the order
-/// stage again on its tasks shuffled.
+/// One row per stage of `DPack::schedule` on `state`, the unfused order
+/// and pack, and the order stages again on its tasks shuffled.
 fn stages(m: &mut Micro, shape: &str, state: &ProblemState) {
     let dpack = DPack::default();
     let best = dpack.best_alphas(state);
     let eff = dpack.efficiencies(state, &best);
     let order = sort_by_efficiency(state, &eff);
+    let fused = pack_by_efficiency(state, &eff, PackingRule::Skip);
+    let ids: Vec<_> = fused.iter().map(|&t| state.tasks()[t].id).collect();
+    assert_eq!(ids, pack(state, &order, PackingRule::Skip));
     m.bench(&format!("{shape}/best_alphas"), || dpack.best_alphas(state));
     m.bench(&format!("{shape}/efficiencies"), || {
         dpack.efficiencies(state, &best)
@@ -234,6 +239,12 @@ fn stages(m: &mut Micro, shape: &str, state: &ProblemState) {
     });
     m.bench(&format!("{shape}/pack"), || {
         pack(state, &order, PackingRule::Skip)
+    });
+    m.bench(&format!("{shape}/canrun"), || {
+        pack_by_efficiency(state, &eff, PackingRule::Skip)
+    });
+    m.bench(&format!("{shape}/canrun/shuffled"), || {
+        pack_by_efficiency(&shuffled, &shuffled_eff, PackingRule::Skip)
     });
     m.bench(&format!("{shape}/schedule"), || dpack.schedule(state));
     let parallel = ParallelDPack::new(dpack, 2);

@@ -3,7 +3,7 @@
 //! The original micro-bench suites were written against `criterion`,
 //! which is unavailable offline — so the harness is rebuilt here at
 //! the scale this workspace needs: warmup-calibrated fixed-iteration
-//! timing with a mean/p50/p99 table (rendered by
+//! timing with a mean/min/p50/p99 table (rendered by
 //! [`crate::table::Table`]). The measurement loop batches iterations
 //! so that one sample is long enough for `Instant` to resolve, which
 //! is what makes nanosecond-scale functions (filter checks, curve
@@ -74,6 +74,9 @@ pub struct BenchReport {
     pub iters: u64,
     /// Mean time per iteration.
     pub mean: Duration,
+    /// Fastest per-sample time per iteration: the least disturbed by
+    /// the rest of the machine, so the one to compare across builds.
+    pub min: Duration,
     /// Median per-sample time per iteration.
     pub p50: Duration,
     /// 99th-percentile per-sample time per iteration.
@@ -115,6 +118,7 @@ impl Micro {
                 name: name.to_string(),
                 iters: 1,
                 mean: d,
+                min: d,
                 p50: d,
                 p99: d,
             }
@@ -151,6 +155,7 @@ impl Micro {
             name: name.to_string(),
             iters: batch * self.config.samples as u64,
             mean: per_iter_duration(mean),
+            min: per_iter_duration(per_iter_samples[0]),
             p50: per_iter_duration(percentile(&per_iter_samples, 50.0)),
             p99: per_iter_duration(percentile(&per_iter_samples, 99.0)),
         }
@@ -163,12 +168,13 @@ impl Micro {
 
     /// Renders the result table (also printed by [`Micro::finish`]).
     pub fn render(&self) -> String {
-        let mut t = Table::new(vec!["bench", "iters", "mean", "p50", "p99"]);
+        let mut t = Table::new(vec!["bench", "iters", "mean", "min", "p50", "p99"]);
         for r in &self.reports {
             t.row(vec![
                 r.name.clone(),
                 r.iters.to_string(),
                 fmt_duration(r.mean),
+                fmt_duration(r.min),
                 fmt_duration(r.p50),
                 fmt_duration(r.p99),
             ]);
@@ -254,6 +260,7 @@ mod tests {
         // calls = warmup + measured; measured is exactly `iters`.
         assert!(calls >= r.iters, "{calls} < {}", r.iters);
         assert!(r.mean > Duration::ZERO);
+        assert!(r.min <= r.p50, "min {:?} > p50 {:?}", r.min, r.p50);
         assert!(r.p99 >= r.p50, "p99 {:?} < p50 {:?}", r.p99, r.p50);
     }
 

@@ -10,6 +10,17 @@
 //! sweep and Eq. 6 metric, DPF's dominant shares, the `CANRUN` packing
 //! loop — then touch no map and allocate nothing per task.
 //!
+//! The two kernels that walk a sorted order — the best-alpha sweep over
+//! one order's demands ([`Sweep`]) and `CANRUN` over the efficiency order
+//! ([`Dense::pack_by_efficiency`]) — sort it one run at a time, through
+//! one run loop, and act on each run before the next is sorted. Under
+//! contention the sweep's blocks all close, and the packing's rest all
+//! misfits, a short way into the order, so the tail is never sorted:
+//! the packing drops every task of the unsorted rest that can no longer
+//! fit, first by a per-block test (a *full* block fits not even the
+//! least demand of any task), then by the exact one. `Dense::pack`, the
+//! plain loop over a given order, is left to FCFS and `problem::pack`.
+//!
 //! The view changes in three ways only: [`Dense::push_task`] appends
 //! one validated row, [`Dense::retain_tasks`] compacts rows out in
 //! place, and [`Dense::set_capacity`] renumbers the blocks and has its
@@ -17,7 +28,10 @@
 //! view that lived through any sequence of the three equals, bit for
 //! bit, one built from scratch over the same tasks.
 
+use std::cmp::Ordering;
+
 use dp_accounting::{fit_limit, AlphaGrid};
+use knapsack::order_bits;
 
 use crate::problem::{BlockId, PackingRule, ProblemError, Task};
 
@@ -291,37 +305,158 @@ impl Dense {
     /// is taken iff, after adding its demand, every requested block
     /// still fits at some order. Returns the taken indices in order.
     pub(crate) fn pack(&self, ordered: &[usize], rule: PackingRule) -> Vec<usize> {
-        let k = self.n_orders;
-        let limit: Vec<f64> = self.capacity.iter().map(|&c| fit_limit(c)).collect();
-        let mut used = vec![0.0f64; self.capacity.len()];
+        let mut books = Books::new(self);
         let mut taken = Vec::new();
         for &t in ordered {
-            let demand = self.demand(t);
-            let blocks = self.blocks_of(t);
-            // Every order is tested, without an early exit: the block's
-            // rows are short, and a branch-free fold beats one branch
-            // per order.
-            let fits_all_blocks = blocks.iter().all(|&j| {
-                let used = &used[j as usize * k..][..k];
-                let limit = &limit[j as usize * k..][..k];
-                used.iter()
-                    .zip(demand)
-                    .zip(limit)
-                    .fold(false, |any, ((u, d), l)| any | (u + d <= *l))
-            });
-            if fits_all_blocks {
-                for &j in blocks {
-                    let used = &mut used[j as usize * k..][..k];
-                    for (u, d) in used.iter_mut().zip(demand) {
-                        *u += d;
-                    }
-                }
+            if books.take(self, t) {
                 taken.push(t);
             } else if rule == PackingRule::Stop {
                 break;
             }
         }
         taken
+    }
+
+    /// `CANRUN` over the tasks by descending `eff`, ties by index — or,
+    /// given `arrivals` (the state's tasks, out of arrival order), by
+    /// `(arrival, id, index)`: exactly what [`Dense::pack`] takes from
+    /// that order under `rule`, without sorting what it could no longer
+    /// take.
+    ///
+    /// The order is produced run by run, as [`Sweep::walk`] produces its
+    /// own, and each run is packed as it comes. Under
+    /// [`PackingRule::Stop`] the first misfit ends the pass and the rest
+    /// is never sorted. Under [`PackingRule::Skip`], after a run that met
+    /// a misfit, every task of the unsorted rest that misfits now is
+    /// dropped for good: the running sums only grow, and float addition
+    /// is monotone, so it would misfit when its turn came too. A block
+    /// is *full* when even the least demand of any task at each order no
+    /// longer fits it there; a task requesting a full block is dropped
+    /// without reading its demand.
+    pub(crate) fn pack_by_efficiency(
+        &self,
+        eff: &[f64],
+        arrivals: Option<&[Task]>,
+        rule: PackingRule,
+    ) -> Vec<usize> {
+        let mut keys: Vec<(u64, u32)> = eff[..self.n_tasks()]
+            .iter()
+            .enumerate()
+            .map(|(t, &e)| (!order_bits(e), t as u32))
+            .collect();
+        match arrivals {
+            None => self.pack_in_runs(&mut keys, Ord::cmp, rule),
+            Some(tasks) => {
+                // Copied out once: ties are compared many times over.
+                let arrival: Vec<_> = tasks.iter().map(Task::arrival_key).collect();
+                let tie = |t: u32| (arrival[t as usize], t);
+                let cmp = |x: &(u64, u32), y: &(u64, u32)| {
+                    x.0.cmp(&y.0).then_with(|| tie(x.1).cmp(&tie(y.1)))
+                };
+                self.pack_in_runs(&mut keys, cmp, rule)
+            }
+        }
+    }
+
+    /// [`Dense::pack_by_efficiency`] over `keys` in `cmp` order.
+    fn pack_in_runs(
+        &self,
+        keys: &mut [(u64, u32)],
+        cmp: impl Fn(&(u64, u32), &(u64, u32)) -> Ordering,
+        rule: PackingRule,
+    ) -> Vec<usize> {
+        let k = self.n_orders;
+        let mut books = Books::new(self);
+        // Whether the sums moved since the last drop.
+        let (mut taken, mut moved) = (Vec::new(), false);
+        // Per order, the least demand of any task; built at the first drop.
+        let mut least = Vec::new();
+        let mut full = vec![false; self.n_blocks()];
+        in_runs(keys, cmp, |run, rest| {
+            let mut misfit = false;
+            for &(_, t) in run {
+                if books.take(self, t as usize) {
+                    taken.push(t as usize);
+                    moved = true;
+                } else if rule == PackingRule::Stop {
+                    return None;
+                } else {
+                    misfit = true;
+                }
+            }
+            // The rest is sifted once a run met a misfit — a sign that
+            // much of the rest misfits too — and the sums moved since the
+            // last sifting; under `Stop` a misfit has ended the pass.
+            if rest.is_empty() || !misfit || !std::mem::take(&mut moved) {
+                return Some(rest.len());
+            }
+            if least.is_empty() {
+                least = self.columns.iter().map(|c| least_of(c)).collect();
+            }
+            for (j, full) in full.iter_mut().enumerate() {
+                let (used, limit) = (&books.used[j * k..][..k], &books.limit[j * k..][..k]);
+                *full = (0..k).all(|a| used[a] + least[a] > limit[a]);
+            }
+            let mut kept = 0;
+            for i in 0..rest.len() {
+                let t = rest[i].1 as usize;
+                let blocks = self.blocks_of(t);
+                if !blocks.iter().any(|&j| full[j as usize]) && books.fits(self, t) {
+                    rest[kept] = rest[i];
+                    kept += 1;
+                }
+            }
+            Some(kept)
+        });
+        taken
+    }
+}
+
+/// The running sums of one `CANRUN` pass, one per (block, order), and
+/// the limits they are held to: [`fit_limit`] of each capacity.
+struct Books {
+    limit: Vec<f64>,
+    used: Vec<f64>,
+}
+
+impl Books {
+    fn new(dense: &Dense) -> Self {
+        Self {
+            limit: dense.capacity.iter().map(|&c| fit_limit(c)).collect(),
+            used: vec![0.0; dense.capacity.len()],
+        }
+    }
+
+    /// Whether task `t` fits on top of the sums: every block it requests
+    /// holds, with its demand added, at some order. Every order is
+    /// tested, without an early exit: the block's rows are short, and a
+    /// branch-free fold beats one branch per order.
+    fn fits(&self, dense: &Dense, t: usize) -> bool {
+        let (k, demand) = (dense.n_orders, dense.demand(t));
+        dense.blocks_of(t).iter().all(|&j| {
+            let used = &self.used[j as usize * k..][..k];
+            let limit = &self.limit[j as usize * k..][..k];
+            used.iter()
+                .zip(demand)
+                .zip(limit)
+                .fold(false, |any, ((u, d), l)| any | (u + d <= *l))
+        })
+    }
+
+    /// Adds task `t`'s demand to the sums if it [`fits`](Books::fits);
+    /// whether it did.
+    fn take(&mut self, dense: &Dense, t: usize) -> bool {
+        if !self.fits(dense, t) {
+            return false;
+        }
+        let (k, demand) = (dense.n_orders, dense.demand(t));
+        for &j in dense.blocks_of(t) {
+            let used = &mut self.used[j as usize * k..][..k];
+            for (u, d) in used.iter_mut().zip(demand) {
+                *u += d;
+            }
+        }
+        true
     }
 }
 
@@ -445,24 +580,12 @@ impl Sweep {
                 .enumerate()
                 .map(|(t, d)| ((d + 0.0).to_bits(), t as u32)),
         );
-        // Under contention the last block closes after a short prefix of
-        // the order, so the order is produced run by run — the smallest
-        // eighth of the keys, then twice as many of the rest, … — and
-        // the tail is never sorted. Keys are distinct, so the runs
-        // concatenate to exactly the fully sorted order.
-        let mut rest = &mut self.keys[..];
-        let mut run = (rest.len() / FIRST_RUN_SHARE).max(MIN_RUN);
-        while !rest.is_empty() {
-            let len = run.min(rest.len());
-            if len < rest.len() {
-                rest.select_nth_unstable(len);
-            }
-            let (head, tail) = rest.split_at_mut(len);
-            head.sort_unstable();
-            for &(bits, t) in head.iter() {
+        let slots = &mut self.slots;
+        in_runs(&mut self.keys, Ord::cmp, |run, rest| {
+            for &(bits, t) in run {
                 let demand = f64::from_bits(bits);
                 for &j in dense.blocks_of(t as usize) {
-                    let slot = &mut self.slots[j as usize];
+                    let slot = &mut slots[j as usize];
                     if !slot.open {
                         continue;
                     }
@@ -473,15 +596,59 @@ impl Sweep {
                         slot.open = false;
                         n_open -= 1;
                         if n_open == 0 {
-                            return;
+                            return None;
                         }
                     }
                 }
             }
-            rest = tail;
-            run *= 2;
+            Some(rest.len())
+        });
+    }
+}
+
+/// Hands `step` the `keys` in ascending `cmp` order, one sorted run at a
+/// time — the smallest [`FIRST_RUN_SHARE`]th of the keys (at least
+/// [`MIN_RUN`]), then twice as many of the rest, … — with the unsorted
+/// rest beside it. `step` returns how many of the rest go on (it moved
+/// them to the front), or `None` to stop. Under contention a pass ends,
+/// or has nothing left to take, after a short prefix of the order, and
+/// the tail is never sorted. Keys are distinct under `cmp`, so the runs
+/// concatenate to exactly the fully sorted order of the keys kept.
+fn in_runs<K>(
+    keys: &mut [K],
+    cmp: impl Fn(&K, &K) -> Ordering,
+    mut step: impl FnMut(&[K], &mut [K]) -> Option<usize>,
+) {
+    let mut rest = keys;
+    let mut run = (rest.len() / FIRST_RUN_SHARE).max(MIN_RUN);
+    while !rest.is_empty() {
+        let len = run.min(rest.len());
+        if len < rest.len() {
+            rest.select_nth_unstable_by(len, &cmp);
+        }
+        let (head, tail) = rest.split_at_mut(len);
+        head.sort_unstable_by(&cmp);
+        let Some(kept) = step(head, tail) else {
+            return;
+        };
+        rest = &mut tail[..kept];
+        run *= 2;
+    }
+}
+
+/// The least value of `column`, which holds no NaN; `+inf` if empty.
+/// Eight independent lanes, each a compare-and-select, so it runs as
+/// packed minima.
+fn least_of(column: &[f64]) -> f64 {
+    let mut lanes = [f64::INFINITY; 8];
+    let chunks = column.chunks_exact(8);
+    let last = chunks.remainder();
+    for chunk in chunks.chain([last]) {
+        for (lane, d) in lanes.iter_mut().zip(chunk) {
+            *lane = if *d < *lane { *d } else { *lane };
         }
     }
+    lanes.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 /// An upper bound on every float sum of `column`, or of a subset of it, in

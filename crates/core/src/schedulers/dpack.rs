@@ -215,11 +215,11 @@ impl DPack {
         let dense = state.dense();
         let (best, all_fit) = self.dense_best_alphas(dense, threads);
         let eff = dense_efficiencies(dense, &best);
-        let order = sort_by_efficiency(state, &eff);
         if all_fit {
+            let order = sort_by_efficiency(state, &eff);
             return finish_allocation(state, &order, started, None);
         }
-        allocate(state, &order, PackingRule::Skip, started)
+        allocate(state, &eff, PackingRule::Skip, started)
     }
 }
 

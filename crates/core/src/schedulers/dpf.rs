@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use crate::dense::{fan_out, Dense};
 use crate::problem::{Allocation, PackingRule, ProblemState, Task};
-use crate::schedulers::{allocate, sort_by_efficiency, Scheduler};
+use crate::schedulers::{allocate, Scheduler};
 use dp_accounting::RdpCurve;
 
 /// The fairness-oriented scheduler of PrivateKube, viewed as a greedy
@@ -102,8 +102,7 @@ pub fn dpf_schedule(state: &ProblemState, rule: PackingRule, threads: usize) -> 
         dpf_efficiencies(dense, (w * chunk).min(n)..((w + 1) * chunk).min(n))
     })
     .concat();
-    let order = sort_by_efficiency(state, &eff);
-    allocate(state, &order, rule, started)
+    allocate(state, &eff, rule, started)
 }
 
 impl Scheduler for Dpf {

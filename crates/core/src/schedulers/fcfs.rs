@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use crate::problem::{Allocation, PackingRule, ProblemState};
-use crate::schedulers::{allocate, Scheduler};
+use crate::schedulers::{finish_allocation, Scheduler};
 
 /// Allocates tasks strictly in arrival order (ties by id), skipping any
 /// task that no longer fits. No prioritization of low-demand tasks —
@@ -24,7 +24,8 @@ impl Scheduler for Fcfs {
         if !state.in_arrival_order() {
             order.sort_unstable_by_key(|&i| (tasks[i].arrival_key(), i));
         }
-        allocate(state, &order, PackingRule::Skip, started)
+        let taken = state.dense().pack(&order, PackingRule::Skip);
+        finish_allocation(state, &taken, started, None)
     }
 }
 

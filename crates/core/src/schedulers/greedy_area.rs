@@ -4,7 +4,7 @@
 use std::time::Instant;
 
 use crate::problem::{Allocation, PackingRule, ProblemState};
-use crate::schedulers::{allocate, sort_by_efficiency, Scheduler};
+use crate::schedulers::{allocate, Scheduler};
 
 /// Greedy scheduler ordering tasks by
 ///
@@ -54,8 +54,7 @@ impl Scheduler for GreedyArea {
                 }
             })
             .collect();
-        let order = sort_by_efficiency(state, &eff);
-        allocate(state, &order, PackingRule::Skip, started)
+        allocate(state, &eff, PackingRule::Skip, started)
     }
 }
 

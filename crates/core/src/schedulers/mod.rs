@@ -47,6 +47,11 @@ pub trait Scheduler {
 /// by `(arrival, id, index)`. Either way the result is the order of
 /// the full 4-key sort, with the index as last key, which is what a
 /// stable sort of the indices would yield.
+///
+/// The schedulers pack through [`pack_by_efficiency`], which yields the
+/// same order run by run; a full sort is left only to `DPack`'s pass in
+/// which every task fits (nothing to pack, see
+/// [`DPack::schedule_threaded`]), the tests and the benches.
 pub fn sort_by_efficiency(state: &ProblemState, eff: &[f64]) -> Vec<usize> {
     // Dense indices fit in `u32`.
     let tasks = state.tasks();
@@ -84,15 +89,26 @@ pub fn finish_allocation(
     }
 }
 
-/// Packs `order` under `rule` and wraps the result up — the tail every
-/// ordering-based scheduler shares.
+/// `CANRUN` of Alg. 1 over the tasks in efficiency order: the indices
+/// (into `state.tasks()`) that packing [`sort_by_efficiency`]`(state,
+/// eff)` under `rule` takes, in allocation order. The order is sorted one
+/// run at a time as the packing reaches it, and under
+/// [`PackingRule::Skip`] a task that misfits is dropped unsorted, so a
+/// contended pass sorts little more than what it can still pack.
+pub fn pack_by_efficiency(state: &ProblemState, eff: &[f64], rule: PackingRule) -> Vec<usize> {
+    let arrivals = (!state.in_arrival_order()).then(|| state.tasks());
+    state.dense().pack_by_efficiency(eff, arrivals, rule)
+}
+
+/// Packs the efficiency order of `eff` under `rule` and wraps the result
+/// up — the tail every efficiency-ordered scheduler shares.
 pub(crate) fn allocate(
     state: &ProblemState,
-    order: &[usize],
+    eff: &[f64],
     rule: PackingRule,
     started: Instant,
 ) -> Allocation {
-    let taken = state.dense().pack(order, rule);
+    let taken = pack_by_efficiency(state, eff, rule);
     finish_allocation(state, &taken, started, None)
 }
 

@@ -36,14 +36,14 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use dp_accounting::{fit_limit, fits, AlphaGrid, RdpCurve};
 use dpack_check::{
-    bools, check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, weighted, PropResult,
-    Strategy,
+    bools, check_cases, floats, ints, prop_assert, prop_assert_eq, vecs, weighted, Failed,
+    PropResult, Strategy,
 };
 use dpack_core::problem::{
     pack, Block, BlockId, PackingRule, ProblemError, ProblemState, Task, TaskId,
 };
 use dpack_core::schedulers::{
-    sort_by_efficiency, DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Scheduler,
+    pack_by_efficiency, sort_by_efficiency, DPack, Dpf, DpfStrict, Fcfs, GreedyArea, Scheduler,
 };
 use knapsack::{dp::integer_profit_exact, fptas::fptas_value, greedy::unit_profit_exact, Item};
 
@@ -88,21 +88,34 @@ fn ref_dpack_efficiency(caps: &Caps, t: &Task, best: &BTreeMap<BlockId, Option<u
     ref_metric(t.weight, shares.map(|s| s.into_iter().sum()))
 }
 
+/// Per block, what the tasks run so far have used at each order.
+type Used = BTreeMap<BlockId, Vec<f64>>;
+
+/// `CANRUN`: every block `t` requests still fits at some order.
+fn ref_can_run(caps: &Caps, used: &Used, t: &Task) -> bool {
+    let d = t.demand.values();
+    t.blocks.iter().all(|b| {
+        let u = |a| used.get(b).map_or(0.0, |u| u[a]);
+        (0..d.len()).any(|a| fits(u(a) + d[a], caps[b].epsilon(a)))
+    })
+}
+
+/// Adds `t`'s demand to every block it requests.
+fn ref_charge(used: &mut Used, t: &Task) {
+    let d = t.demand.values();
+    for b in &t.blocks {
+        let u = used.entry(*b).or_insert_with(|| vec![0.0; d.len()]);
+        (0..d.len()).for_each(|a| u[a] += d[a]);
+    }
+}
+
 /// The greedy loop of Alg. 1: "if CANRUN then run", in `order`.
 fn ref_canrun(caps: &Caps, tasks: &[Task], order: &[usize], rule: PackingRule) -> Outcome {
-    let mut used: BTreeMap<BlockId, Vec<f64>> = BTreeMap::new();
+    let mut used = Used::new();
     let mut run: Vec<&Task> = Vec::new();
     for t in order.iter().map(|&i| &tasks[i]) {
-        let d = t.demand.values();
-        let can_run = t.blocks.iter().all(|b| {
-            let u = |a| used.get(b).map_or(0.0, |u| u[a]);
-            (0..d.len()).any(|a| fits(u(a) + d[a], caps[b].epsilon(a)))
-        });
-        if can_run {
-            for b in &t.blocks {
-                let u = used.entry(*b).or_insert_with(|| vec![0.0; d.len()]);
-                (0..d.len()).for_each(|a| u[a] += d[a]);
-            }
+        if ref_can_run(caps, &used, t) {
+            ref_charge(&mut used, t);
             run.push(t);
         } else if rule == PackingRule::Stop {
             break;
@@ -282,8 +295,13 @@ fn same(what: &str, got: &dpack_core::Allocation, want: &Outcome) -> PropResult 
     Ok(())
 }
 
-/// Every scheduler on the dense view against the reference.
-fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResult {
+/// The efficiency orders of DPack, DPF and greedy area, as the reference
+/// builds them.
+type Orders = [Vec<usize>; 3];
+
+/// Every scheduler on the dense view against the reference; returns the
+/// efficiency orders it held them to.
+fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> Result<Orders, Failed> {
     let state = ProblemState::from_available(grid, caps.clone(), tasks.clone()).unwrap();
     prop_assert_eq!(state.in_arrival_order(), ref_in_arrival_order(&tasks));
     let skip = PackingRule::Skip;
@@ -308,20 +326,23 @@ fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResul
             .collect::<Vec<_>>(),
         eff.iter().map(|e| e.to_bits()).collect::<Vec<_>>()
     );
-    let order = ref_order(&tasks, &eff);
-    prop_assert_eq!(&sort_by_efficiency(&state, &eff), &order);
-    let want = ref_canrun(&caps, &tasks, &order, skip);
+    let dpack_order = ref_order(&tasks, &eff);
+    let order = &dpack_order;
+    prop_assert_eq!(&sort_by_efficiency(&state, &eff), order);
+    let want = ref_canrun(&caps, &tasks, order, skip);
     same("DPack", &dpack.schedule(&state), &want)?;
     same(
         "DPack on 3 threads",
         &dpack.schedule_threaded(&state, 3),
         &want,
     )?;
-    prop_assert_eq!(&pack(&state, &order, skip), &want.0);
-    prop_assert_eq!(
-        &pack(&state, &order, PackingRule::Stop),
-        &ref_canrun(&caps, &tasks, &order, PackingRule::Stop).0
-    );
+    prop_assert_eq!(&pack(&state, order, skip), &want.0);
+    let stop = ref_canrun(&caps, &tasks, order, PackingRule::Stop).0;
+    prop_assert_eq!(&pack(&state, order, PackingRule::Stop), &stop);
+    let ids = |taken: Vec<usize>| taken.into_iter().map(|t| tasks[t].id).collect::<Vec<_>>();
+    prop_assert_eq!(&ids(pack_by_efficiency(&state, &eff, skip)), &want.0);
+    let rule = PackingRule::Stop;
+    prop_assert_eq!(&ids(pack_by_efficiency(&state, &eff, rule)), &stop);
 
     // DPF, skip and strict: weight over the largest share.
     let eff: Vec<f64> = tasks
@@ -331,13 +352,14 @@ fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResul
             ref_metric(t.weight, dominant)
         })
         .collect();
-    let order = ref_order(&tasks, &eff);
+    let dpf_order = ref_order(&tasks, &eff);
+    let order = &dpf_order;
     same(
         "DPF",
         &Dpf.schedule(&state),
-        &ref_canrun(&caps, &tasks, &order, skip),
+        &ref_canrun(&caps, &tasks, order, skip),
     )?;
-    let strict = ref_canrun(&caps, &tasks, &order, PackingRule::Stop);
+    let strict = ref_canrun(&caps, &tasks, order, PackingRule::Stop);
     same("DPF(strict)", &DpfStrict.schedule(&state), &strict)?;
 
     // Greedy area: weight over the summed shares.
@@ -345,11 +367,11 @@ fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResul
         .iter()
         .map(|t| ref_metric(t.weight, ref_shares(&caps, t).map(|s| s.into_iter().sum())))
         .collect();
-    let order = ref_order(&tasks, &eff);
+    let area_order = ref_order(&tasks, &eff);
     same(
         "GreedyArea",
         &GreedyArea.schedule(&state),
-        &ref_canrun(&caps, &tasks, &order, skip),
+        &ref_canrun(&caps, &tasks, &area_order, skip),
     )?;
 
     // FCFS: arrival, then id.
@@ -360,7 +382,7 @@ fn matches_reference(grid: AlphaGrid, caps: Caps, tasks: Vec<Task>) -> PropResul
         &ref_canrun(&caps, &tasks, &order, skip),
     )?;
 
-    Ok(())
+    Ok([dpack_order, dpf_order, area_order])
 }
 
 #[test]
@@ -387,7 +409,7 @@ fn dense_schedulers_match_the_literal_algorithm() {
                 let certified = spec.2 && ref_fits_jointly(&caps, &tasks);
                 packing[usize::from(certified)].fetch_add(1, Ordering::Relaxed);
             }
-            matches_reference(grid, caps, tasks)
+            matches_reference(grid, caps, tasks).map(drop)
         },
     );
     // A replayed seed or a cut case count may draw one path only.
@@ -428,6 +450,179 @@ fn a_sum_one_ulp_past_the_limit_is_not_certified() {
     let state = ProblemState::from_available(grid.clone(), caps.clone(), tasks.clone()).unwrap();
     assert_eq!(DPack::default().schedule(&state).scheduled, vec![1, 2]);
     matches_reference(grid, caps, tasks).unwrap();
+}
+
+// ---- Contended passes: the order packed run by run. -------------------
+
+/// Contended instances are large, so they run fewer cases.
+const CONTENDED_CASES: u32 = 64;
+
+/// The first run of an efficiency order, as the kernel sizes it: an
+/// eighth of the tasks, and at least 256.
+fn first_run(n: usize) -> usize {
+    (n / 8).max(256).min(n)
+}
+
+/// What the kernel meets where it first sifts the unsorted rest of a
+/// `Skip` pass over `order`, worked out by the reference for the end of
+/// the first run (if that run took a task and met a misfit): how many
+/// tasks of the rest request a *full* block (the least demand of any task
+/// misfits it at every order) and how many others misfit. Then how many
+/// tasks the pass takes past the first run.
+fn ref_first_sifting(caps: &Caps, tasks: &[Task], order: &[usize]) -> [usize; 3] {
+    let (head, rest) = order.split_at(first_run(order.len()));
+    let mut used = Used::new();
+    let (mut took, mut misfit) = (false, false);
+    for t in head.iter().map(|&i| &tasks[i]) {
+        if ref_can_run(caps, &used, t) {
+            ref_charge(&mut used, t);
+            took = true;
+        } else {
+            misfit = true;
+        }
+    }
+    let (mut full_block, mut misfits) = (0, 0);
+    if took && misfit {
+        let orders = caps.values().next().map_or(0, |c| c.grid().len());
+        let demands = |a: usize| tasks.iter().map(move |t| t.demand.epsilon(a));
+        let least: Vec<f64> = (0..orders)
+            .map(|a| demands(a).fold(f64::INFINITY, f64::min))
+            .collect();
+        let full = |b: &BlockId| {
+            let u = |a: usize| used.get(b).map_or(0.0, |u| u[a]);
+            (0..orders).all(|a| !fits(u(a) + least[a], caps[b].epsilon(a)))
+        };
+        for t in rest.iter().map(|&i| &tasks[i]) {
+            if t.blocks.iter().any(full) {
+                full_block += 1;
+            } else if !ref_can_run(caps, &used, t) {
+                misfits += 1;
+            }
+        }
+    }
+    let mut later = 0;
+    for t in rest.iter().map(|&i| &tasks[i]) {
+        if ref_can_run(caps, &used, t) {
+            ref_charge(&mut used, t);
+            later += 1;
+        }
+    }
+    [full_block, misfits, later]
+}
+
+/// (orders, capacities, demand palette, exponent palette, tasks as
+/// (demand entry, exponent entry, two block picks, arrival), tasks in
+/// `(arrival, id)` order).
+type Contended = (
+    usize,
+    Vec<Vec<f64>>,
+    Vec<Vec<f64>>,
+    Vec<i32>,
+    Vec<(usize, usize, u8, u8, u8)>,
+    bool,
+);
+
+fn contended() -> impl Strategy<Value = Contended> {
+    let capacity = weighted(vec![(1, -1.0), (1, 0.4), (3, 1.0), (2, 2.5)]);
+    let task = (
+        ints(0usize..8),
+        ints(0usize..4),
+        ints(0u8..6),
+        ints(0u8..8),
+        ints(0u8..3),
+    );
+    (
+        ints(1usize..5),
+        vecs(vecs(capacity, 4..5), 2..7),
+        vecs(vecs(floats(0.05..1.0), 4..5), 1..9),
+        vecs(ints(0i32..4), 1..4),
+        vecs(task, 600..1_500),
+        bools(),
+    )
+}
+
+/// Equal-weight tasks over a few blocks, the low ones hot: a task asks
+/// for the lower of its two picks, and for the second too unless it
+/// falls past the last block. Its demand is a palette curve scaled by
+/// `10^-e`, `e` drawn from the instance's exponent palette, so an
+/// instance ranges from packing a few tasks per block to packing
+/// hundreds.
+fn build_contended(spec: &Contended) -> (AlphaGrid, Caps, Vec<Task>) {
+    let (n_orders, caps, palette, exponents, task_specs, in_order) = spec;
+    let grid = AlphaGrid::new([2.0, 4.0, 8.0, 16.0][..*n_orders].to_vec()).unwrap();
+    let curve = |values: &[f64]| RdpCurve::new(&grid, values[..*n_orders].to_vec()).unwrap();
+    let caps: Caps = (0..).zip(caps.iter().map(|c| curve(c))).collect();
+    let n_blocks = caps.len() as u8;
+    let mut tasks: Vec<Task> = task_specs
+        .iter()
+        .enumerate()
+        .map(|(i, &(entry, exponent, pick, other, arrival))| {
+            let mut blocks = vec![BlockId::from(pick.min(other) % n_blocks)];
+            if other < n_blocks {
+                blocks.push(BlockId::from(other));
+            }
+            let scale = 0.1f64.powi(exponents[exponent % exponents.len()]);
+            let demand: Vec<f64> = palette[entry % palette.len()]
+                .iter()
+                .map(|d| d * scale)
+                .collect();
+            // Distinct ids, not in task order.
+            let id = (i as TaskId * 7 + 3) % 1_511;
+            Task::new(id, 1.0, blocks, curve(&demand), f64::from(arrival))
+        })
+        .collect();
+    if *in_order {
+        tasks.sort_by(|x, y| x.arrival.total_cmp(&y.arrival).then(x.id.cmp(&y.id)));
+    }
+    (grid, caps, tasks)
+}
+
+/// Large contended instances, in and out of arrival order, against the
+/// reference — the kernel sorts and packs their efficiency orders a run
+/// at a time and sifts what can no longer fit out of the unsorted rest.
+/// A batch of cases must reach each path of that: a run boundary, a task
+/// dropped for requesting a full block, one dropped by the exact test,
+/// a task taken past the first run, and a strict DPF pass that stops
+/// past it.
+#[test]
+fn contended_passes_match_the_literal_algorithm() {
+    let seen: [AtomicU32; 6] = Default::default();
+    check_cases(
+        "contended_passes_match_the_literal_algorithm",
+        CONTENDED_CASES,
+        contended(),
+        |spec| {
+            let (grid, caps, tasks) = build_contended(spec);
+            let n = tasks.len();
+            let orders = matches_reference(grid, caps.clone(), tasks.clone())?;
+            seen[0].fetch_add(1, Ordering::Relaxed);
+            seen[1].fetch_add(u32::from(n > first_run(n)), Ordering::Relaxed);
+            for order in &orders {
+                let sifted = ref_first_sifting(&caps, &tasks, order);
+                for (count, found) in seen[2..5].iter().zip(sifted) {
+                    count.fetch_add(u32::from(found > 0), Ordering::Relaxed);
+                }
+            }
+            let stopped_at = ref_canrun(&caps, &tasks, &orders[1], PackingRule::Stop)
+                .0
+                .len();
+            let past_first_run = (first_run(n)..n).contains(&stopped_at);
+            seen[5].fetch_add(u32::from(past_first_run), Ordering::Relaxed);
+            Ok(())
+        },
+    );
+    let [cases, seen @ ..] = seen.map(AtomicU32::into_inner);
+    let paths = [
+        "run boundaries",
+        "full-block drops",
+        "exact drops",
+        "takes past the first run",
+        "strict stops past the first run",
+    ];
+    // A replayed seed or a cut case count may miss a path.
+    for (what, count) in paths.iter().zip(seen) {
+        assert!(cases < 64 || count > 0, "no {what} in {cases} cases");
+    }
 }
 
 /// With one order DPack's metric is the area metric (Prop. 4), so on

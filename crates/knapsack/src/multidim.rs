@@ -6,6 +6,8 @@
 //! minimum over dimensions of the single-dimension Dantzig bound, which
 //! is valid because any completion must respect each dimension.
 
+use std::fmt;
+
 use crate::descending_order;
 use crate::item::Solution;
 
@@ -36,6 +38,21 @@ impl MultiItem {
         Ok(Self { weights, profit })
     }
 }
+
+/// A capacity [`solve`] refuses: NaN or infinite, as a block's is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NonFiniteCapacity {
+    /// The dimension it stands at.
+    pub dimension: usize,
+}
+
+impl fmt::Display for NonFiniteCapacity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "capacity of dimension {} is not finite", self.dimension)
+    }
+}
+
+impl std::error::Error for NonFiniteCapacity {}
 
 /// Result of a bounded multidimensional solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,6 +167,10 @@ impl Search<'_> {
 /// Solves the multidimensional knapsack exactly, exploring at most
 /// `node_budget` nodes.
 ///
+/// # Errors
+///
+/// Refuses a capacity that is NaN or infinite.
+///
 /// # Panics
 ///
 /// Panics if any item's dimension count differs from `capacities.len()`.
@@ -164,10 +185,18 @@ impl Search<'_> {
 /// let t2 = MultiItem::new(vec![0.8, 0.0, 0.0], 1.0).unwrap();
 /// let t3 = MultiItem::new(vec![0.0, 0.8, 0.0], 1.0).unwrap();
 /// let t4 = MultiItem::new(vec![0.0, 0.0, 0.8], 1.0).unwrap();
-/// let out = solve(&[t1, t2, t3, t4], &[1.0, 1.0, 1.0], u64::MAX);
+/// let out = solve(&[t1, t2, t3, t4], &[1.0, 1.0, 1.0], u64::MAX).unwrap();
 /// assert_eq!(out.solution.profit, 3.0); // T2 + T3 + T4 beats T1.
+/// assert!(solve(&[], &[1.0, f64::NAN], u64::MAX).is_err());
 /// ```
-pub fn solve(items: &[MultiItem], capacities: &[f64], node_budget: u64) -> MultiOutcome {
+pub fn solve(
+    items: &[MultiItem],
+    capacities: &[f64],
+    node_budget: u64,
+) -> Result<MultiOutcome, NonFiniteCapacity> {
+    if let Some(dimension) = capacities.iter().position(|c| !c.is_finite()) {
+        return Err(NonFiniteCapacity { dimension });
+    }
     for it in items {
         assert_eq!(
             it.weights.len(),
@@ -224,11 +253,11 @@ pub fn solve(items: &[MultiItem], capacities: &[f64], node_budget: u64) -> Multi
         exhausted: false,
     };
     search.dfs(0, 0.0);
-    MultiOutcome {
+    Ok(MultiOutcome {
         solution: search.best,
         proven_optimal: !search.exhausted,
         nodes: search.nodes,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -262,7 +291,7 @@ mod tests {
         let t2 = MultiItem::new(vec![0.8, 0.0, 0.0], 1.0).unwrap();
         let t3 = MultiItem::new(vec![0.0, 0.8, 0.0], 1.0).unwrap();
         let t4 = MultiItem::new(vec![0.0, 0.0, 0.8], 1.0).unwrap();
-        let out = solve(&[t1, t2, t3, t4], &[1.0; 3], u64::MAX);
+        let out = solve(&[t1, t2, t3, t4], &[1.0; 3], u64::MAX).unwrap();
         assert!(out.proven_optimal);
         assert_eq!(out.solution.profit, 3.0);
         assert_eq!(out.solution.selected, vec![1, 2, 3]);
@@ -287,7 +316,7 @@ mod tests {
                 })
                 .collect();
             let caps: Vec<f64> = (0..m).map(|_| 1.0 + next() * 5.0).collect();
-            let out = solve(&items, &caps, u64::MAX);
+            let out = solve(&items, &caps, u64::MAX).unwrap();
             let bf = brute_force(&items, &caps);
             assert!(
                 (out.solution.profit - bf).abs() < 1e-9,
@@ -303,7 +332,7 @@ mod tests {
         let items: Vec<MultiItem> = (0..25)
             .map(|i| MultiItem::new(vec![1.0 + (i % 3) as f64, (i % 5) as f64], 1.0).unwrap())
             .collect();
-        let out = solve(&items, &[10.0, 10.0], 5);
+        let out = solve(&items, &[10.0, 10.0], 5).unwrap();
         assert!(!out.proven_optimal);
         assert!(out.nodes <= 6);
     }
@@ -312,7 +341,19 @@ mod tests {
     #[should_panic(expected = "dimension count")]
     fn dimension_mismatch_panics() {
         let item = MultiItem::new(vec![1.0], 1.0).unwrap();
-        solve(&[item], &[1.0, 1.0], u64::MAX);
+        let _ = solve(&[item], &[1.0, 1.0], u64::MAX);
+    }
+
+    #[test]
+    fn non_finite_capacities_are_refused() {
+        let items = [MultiItem::new(vec![0.5, 0.5], 1.0).unwrap()];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let refused = solve(&items, &[1.0, bad], u64::MAX);
+            assert_eq!(refused, Err(NonFiniteCapacity { dimension: 1 }));
+        }
+        // A negative capacity is finite: nothing fits it, nothing is refused.
+        let out = solve(&items, &[-1.0, 1.0], u64::MAX).unwrap();
+        assert_eq!(out.solution.profit, 0.0);
     }
 
     #[test]

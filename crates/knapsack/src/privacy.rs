@@ -472,7 +472,8 @@ pub fn alpha_enumeration(inst: &PrivacyInstance) -> Solution {
                     profit: it.profit,
                 })
                 .collect();
-            let out = solve_multidim(&items, &caps, u64::MAX);
+            let out = solve_multidim(&items, &caps, u64::MAX)
+                .expect("a validated instance has finite capacities");
             if out.solution.profit > best.profit {
                 best = out.solution;
             }

@@ -122,7 +122,7 @@ fn multidim_feasible_and_sane() {
                     .unwrap()
                 })
                 .collect();
-            let out = solve_multidim(&items, caps, u64::MAX);
+            let out = solve_multidim(&items, caps, u64::MAX).unwrap();
             prop_assert!(out.proven_optimal);
             // Feasibility.
             let mut used = vec![0.0; m];

@@ -393,8 +393,9 @@ fn legal(field: u8, value: f64) -> bool {
 /// field holds a legal value, and then every scheduler runs; a refused
 /// task never keeps the engine from granting a good one beside it. The
 /// knapsack constructors and `PrivacyInstance::validate` refuse the
-/// same numbers (`validate` a non-finite capacity too, as a block
-/// does), and the solvers' float sorts order any key, NaN included.
+/// same numbers (`validate` and `multidim::solve` a non-finite capacity
+/// too, as a block does), and the solvers' float sorts order any key,
+/// NaN included.
 #[test]
 fn hostile_numbers_are_refused_typed_and_never_panic() {
     let poisons = vecs((ints(0u8..6), poison(), ints(0usize..3)), 1..4);
@@ -498,12 +499,13 @@ fn hostile_numbers_are_refused_typed_and_never_panic() {
                 prop_assert_eq!(inst(0.5, v).validate().is_ok(), fine);
             }
             // `solve` takes only what `validate` takes; `multidim`'s
-            // solver checks nothing and must not trip on any capacity.
+            // solver refuses exactly the non-finite capacities.
             if capacity_ok {
                 solve(&inst(0.5, 1.0), SolveLimits::default());
             }
             let items = vec![MultiItem::new(vec![0.5; values.len()], 1.0).unwrap(); 3];
-            multidim::solve(&items, values, 10_000);
+            let solved = multidim::solve(&items, values, 10_000);
+            prop_assert_eq!(solved.is_err(), !capacity_ok, "{solved:?}");
 
             // `Item` literals bypass `Item::new`: the sorts take any key.
             let items: Vec<Item> = values
