@@ -3,8 +3,8 @@
 //! the Optimal solver), then the DPack pass stage by stage — best
 //! alphas, efficiencies, then `canrun` (the efficiency order and
 //! `CANRUN`, fused), which sum to `schedule` — on three instance shapes
-//! of the repo's benchmark (`offline_micro`, one cycle's pending set of
-//! `online_alibaba`, and one cycle of `tiered_zipf`, whose tasks all
+//! of the repo's benchmark (`offline_micro`, a mid-run cycle's pending
+//! set of `online_alibaba`, and one cycle of `tiered_zipf`, whose tasks all
 //! fit, so its `schedule` takes the full `order` and packs nothing), so
 //! the stage split can be read without the traced benchmark run; the
 //! unfused `order` and `pack` beside them; `order` and `canrun` again
@@ -17,14 +17,18 @@
 //! admission, grant and eviction records. Runs on the vendored
 //! `dpack_bench::micro` harness (`--smoke` for the CI rot guard).
 
+use std::cell::RefCell;
+
 use dp_accounting::{AlphaGrid, RdpCurve};
 use dpack_bench::micro::{Micro, MicroConfig};
-use dpack_core::problem::{pack, Block, BlockId, PackingRule, ProblemState, Task};
+use dpack_core::online::{OnlineConfig, OnlineEngine};
+use dpack_core::problem::{pack, Allocation, Block, BlockId, PackingRule, ProblemState, Task};
 use dpack_core::schedulers::{
     pack_by_efficiency, sort_by_efficiency, DPack, Dpf, Fcfs, GreedyArea, ParallelDPack, Scheduler,
 };
 use dpack_service::obs::{EventKind, Obs};
 use dpack_service::ShardedLedger;
+use simulator::{replay_workload, ReplayEvent, SimulationConfig};
 use workloads::alibaba::{self, AlibabaDpConfig};
 use workloads::curves::CurveLibrary;
 use workloads::microbenchmark::{generate, MicrobenchmarkConfig};
@@ -44,25 +48,74 @@ fn micro_shaped(lib: &CurveLibrary, smoke: bool) -> ProblemState {
     generate(lib, &cfg, 7)
 }
 
-/// What one `online_alibaba` cycle sees: ~3 000 pending Alibaba-DP
-/// tasks over 45 blocks with a fifth of their budget unlocked. Also
-/// returns as many tasks again, over the same blocks, to arrive later.
+/// A `DPack` that keeps the last state it was handed.
+struct Capture(RefCell<Option<ProblemState>>);
+
+impl Scheduler for Capture {
+    fn name(&self) -> &'static str {
+        "DPack"
+    }
+
+    fn schedule(&self, state: &ProblemState) -> Allocation {
+        *self.0.borrow_mut() = Some(state.clone());
+        DPack::default().schedule(state)
+    }
+}
+
+/// What an `online_alibaba` cycle sees mid-run: that workload's seed-7
+/// Alibaba-DP instance (45 blocks, 20 000 tasks) replayed through
+/// `OnlineEngine` as the workload runs it (T = 1, 50 unlock steps,
+/// timeout 10), and the state DPack is handed at step 25: 4 013 pending
+/// tasks over 26 blocks (smoke: 20 blocks, 600 tasks, step 10). Also
+/// returns the tasks that arrive before the next step, over the same
+/// blocks.
 fn alibaba_shaped(smoke: bool) -> (ProblemState, Vec<Task>) {
-    let (n_tasks, n_blocks) = if smoke { (300, 20) } else { (3_000, 45) };
+    let (n_blocks, n_tasks, step) = if smoke {
+        (20, 600, 10)
+    } else {
+        (45, 20_000, 25)
+    };
     let config = AlibabaDpConfig {
         n_blocks,
         n_tasks,
         ..Default::default()
     };
-    let w = alibaba::generate(&config, 7);
-    let blocks = w
-        .blocks
+    let workload = alibaba::generate(&config, 7);
+    let online = OnlineConfig {
+        scheduling_period: 1.0,
+        unlock_period: 1.0,
+        unlock_steps: 50,
+        default_timeout: Some(10.0),
+    };
+    let sim = SimulationConfig {
+        scheduling_period: online.scheduling_period,
+        unlock_steps: online.unlock_steps,
+        task_timeout: online.default_timeout,
+        drain_steps: 0,
+    };
+    let mut engine = OnlineEngine::new(Capture(RefCell::default()), workload.grid.clone(), online);
+    let last = step as f64;
+    replay_workload(&workload, &sim, |event| match event {
+        ReplayEvent::Block(b) => engine.add_block(b.clone()).expect("unique block"),
+        ReplayEvent::Task(t) if t.arrival <= last => engine
+            .submit_task(t.clone())
+            .expect("task on arrived blocks"),
+        ReplayEvent::Tick(now) if now <= last => {
+            drop(engine.run_step(now).expect("budget-soundness invariant"))
+        }
+        _ => {}
+    });
+    let state = engine
+        .scheduler()
+        .0
+        .take()
+        .expect("DPack ran at the last step");
+    let arrivals = workload
+        .tasks
         .into_iter()
-        .map(|b| Block::new(b.id, b.capacity.scale(0.2), b.arrival))
+        .filter(|t| t.arrival > last && t.arrival < last + 1.0)
         .collect();
-    let state =
-        ProblemState::new(w.grid, blocks, w.tasks).expect("generated instance is well-formed");
-    (state, alibaba::generate(&config, 8).tasks)
+    (state, arrivals)
 }
 
 /// What one `tiered_zipf` cycle sees: 256 equal-weight tasks of one or
@@ -294,11 +347,16 @@ fn main() {
     let smoke = MicroConfig::from_args().smoke;
     stages(&mut m, "micro 20000x100", &micro_shaped(&lib, smoke));
     let (alibaba, arrivals) = alibaba_shaped(smoke);
-    stages(&mut m, "alibaba 3000x45", &alibaba);
+    let alibaba_shape = format!(
+        "alibaba {}x{}",
+        alibaba.tasks().len(),
+        alibaba.blocks().len()
+    );
+    stages(&mut m, &alibaba_shape, &alibaba);
     let zipf = zipf_shaped(smoke);
     let shape = format!("zipf {}x{}", zipf.tasks().len(), zipf.blocks().len());
     stages(&mut m, &shape, &zipf);
-    carry_over(&mut m, "alibaba 3000x45", &alibaba, &arrivals);
+    carry_over(&mut m, &alibaba_shape, &alibaba, &arrivals);
     let per_block = ledger_fill(&mut m, smoke);
     recorder(&mut m);
     m.finish();

@@ -478,9 +478,9 @@ pub enum PackingRule {
 /// adding its demand, **every** requested block still fits at **some**
 /// order (`CANRUN` of Alg. 1).
 ///
-/// Returns scheduled task ids in allocation order. Shared by every
-/// ordering-based scheduler so that efficiency differences come from the
-/// ordering (and packing rule) alone.
+/// Returns scheduled task ids in allocation order. `Fcfs` packs with the
+/// same loop, and the benchmark's probe and `sched_kernels` call this;
+/// the efficiency schedulers pack through [`crate::schedulers::pack_by_efficiency`].
 pub fn pack(state: &ProblemState, ordered: &[usize], rule: PackingRule) -> Vec<TaskId> {
     let taken = state.dense().pack(ordered, rule);
     taken.into_iter().map(|t| state.tasks()[t].id).collect()

@@ -24,310 +24,124 @@ tree_before="$(git status --porcelain)"
 # Fixed case budget by default, overridable for nightly-style runs.
 export DPACK_CHECK_CASES="${DPACK_CHECK_CASES:-64}"
 
-echo "==> checking that no stale feature gate remains"
-if grep -rn "proptest-tests" --include="*.rs" --include="*.toml" \
-    src crates tests Cargo.toml 2>/dev/null; then
-  echo "ERROR: stale 'proptest-tests' gate found — the property suites run un-gated on dpack-check" >&2
-  exit 1
-fi
-if grep -rn "criterion-benches" --include="*.rs" --include="*.toml" \
-    src crates tests Cargo.toml 2>/dev/null; then
-  echo "ERROR: stale 'criterion-benches' gate found — the micro-benches run un-gated on the vendored harness" >&2
-  exit 1
-fi
-
-echo "==> checking the ledger stays behind its journal"
-# ledger.rs stages on the filters and asks journal.rs whether the batch
-# became durable; records, group commit and WAL options are the
-# journal's alone, and the per-record and in-memory commit forks stay
-# deleted. Tests below `#[cfg(test)]` may name anything.
-if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
-    crates/service/src/ledger.rs \
-  | grep -E 'ShardRecord|CoordRecord|append_batch|WalOptions|log_grant|commit_one_local'; then
-  echo "ERROR: crates/service/src/ledger.rs names journal-side machinery (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking the cycle stays one pending set and one pass"
-# service.rs decides once per cycle over every pending task and stripes
-# only the commit; per-shard pending lanes, their routing and a
-# per-lane commit target are how a sharded service came to grant 21 %
-# fewer Alibaba-DP tasks than one ledger, and stay deleted.
-if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
-    crates/service/src/service.rs \
-  | grep -E 'CommitTarget|Lanes|Vec<(Lane|Pending)>'; then
-  echo "ERROR: crates/service/src/service.rs shards the scheduling decision again (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking a pass's threads are chosen in one place and tickets live in the live-task table"
-# SchedulerChoice::schedule (config.rs) sizes every pass from its tasks ×
-# orders; the ticket map beside the live-task table (in Books) stays deleted.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    crates/service/src/*.rs | grep -vE '^[^ ]+ *//|^crates/service/src/config.rs:' \
-  | grep -E 'tickets:|Parallel(DPack|Dpf)|schedule_threaded|dpf_schedule|pass_threads'; then
-  echo "ERROR: only SchedulerChoice::schedule picks a pass's threads, and tickets live in Books (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking a submission takes one service lock"
-# BudgetService (service.rs) holds two locks: `books` — the queue, the
-# live-task table, the tenant records and the stats, all a submission
-# touches — and `cycle_lock`. The queue type and live-task lock that
-# made admission take four stay deleted.
+echo "==> checking the design guards"
+# Each row of the table pins one design decision, in two lines: SCOPE
+# FILES REGEX COUNT PLANTED, then the reason, printed when the row fails.
+# FILES are comma-separated globs (globstar, dotglob); an entry !PREFIX
+# drops the paths before it that start with PREFIX. REGEX (grep -E;
+# write a space as \s) runs over the `FILE:LINE: text` lines of SCOPE:
+# `all` lines; `program`, the lines above a .rs file's first
+# #[cfg(test)]; `code`, the program lines that are not // comments;
+# `fn:NAME`, the program lines outside every fn NAME. COUNT lines may
+# match: 0, 1 or <=1. PLANTED is a line the regex must catch; every run
+# checks it, and that the files exist, so no edit leaves a row toothless
+# unnoticed.
+lines() {
+  local scope="$1"
+  shift
+  awk -v scope="${scope}" '
+    FNR == 1 { fn = "" }
+    scope != "all" && FILENAME ~ /\.rs$/ && /#\[cfg\(test\)\]/ { nextfile }
+    scope == "code" && /^ *\/\// { next }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    scope != ("fn:" fn) { print FILENAME ":" FNR ": " $0 }' "$@"
+}
+failed=0
+fail() { echo "ERROR: $*" >&2; failed=1; }
+shopt -s globstar nullglob dotglob
+while read -r scope globs regex count planted && read -r why; do
+  grep -qE -- "${regex}" <<<"${planted}" || fail "/${regex}/ no longer catches its planted line: ${planted}"
+  files=()
+  for f in ${globs//,/ }; do
+    if [[ "${f}" != '!'* ]]; then files+=("${f}"); continue; fi
+    for i in "${!files[@]}"; do [[ "${files[i]}" != "${f#!}"* ]] || unset 'files[i]'; done
+  done
+  [ "${#files[@]}" -gt 0 ] && scoped="$(lines "${scope}" "${files[@]}")" \
+    || { fail "${globs} names no readable file"; continue; }
+  hits="$(grep -E -- "${regex}" <<<"${scoped}" || true)"
+  case "${count}:$(grep -c . <<<"${hits}" || true)" in
+    0:0 | 1:1 | '<=1':[01]) ;;
+    *) [ -z "${hits}" ] || echo "${hits}" >&2; fail "${count} line(s) may match /${regex}/: ${why}" ;;
+  esac
+done <<'EOF'
+all src/**/*.rs,src/**/*.toml,crates/**/*.rs,crates/**/*.toml,tests/**/*.rs,tests/**/*.toml,Cargo.toml proptest-tests 0 proptest-tests = []
+  a stale 'proptest-tests' gate: the property suites run un-gated on dpack-check
+all src/**/*.rs,src/**/*.toml,crates/**/*.rs,crates/**/*.toml,tests/**/*.rs,tests/**/*.toml,Cargo.toml criterion-benches 0 criterion-benches = ["dep:criterion"]
+  a stale 'criterion-benches' gate: the micro-benches run un-gated on the vendored harness
+program crates/service/src/ledger.rs ShardRecord|CoordRecord|append_batch|WalOptions|log_grant|commit_one_local 0 fn log_grant(&self, record: ShardRecord) {}
+  ledger.rs stages on the filters and asks journal.rs whether a batch became durable: records, group commit and WAL options are the journal's, and the per-record and in-memory commit forks stay deleted
+program crates/service/src/service.rs CommitTarget|Lanes|Vec<(Lane|Pending)> 0 lanes: Vec<Lane>,
+  the cycle decides once over every pending task and stripes only the commit: per-shard pending lanes, their routing and a per-lane commit target granted 21 % fewer Alibaba-DP tasks than one ledger
+code crates/service/src/*.rs,!crates/service/src/config.rs tickets:|Parallel(DPack|Dpf)|schedule_threaded|dpf_schedule|pass_threads 0 let threads = pass_threads(tasks, orders);
+  only SchedulerChoice::schedule (config.rs) sizes a pass's threads, from its tasks x orders; tickets live in the live-task table (Books), with no map beside it
+code crates/service/src/*.rs AdmissionQueue|live:\sMutex 0 live: Mutex<HashMap<TaskId, Live>>,
+  a submission takes the one books lock: the admission queue type and the live-task lock that made it take four stay deleted
+code crates/service/src/journal.rs \.ship_all\( 1 self.sink.ship_all(&slices)?;
+  journal.rs ships every stream's slice of a commit step in one ReplicationSink::ship_all round, from exactly one place, so a cycle pays one quorum wait
+code crates/service/src/journal.rs \.ship\( 0 sink.ship(shard, &records)?;
+  no per-shard ship is reachable from a cycle: journal.rs reaches the sink only through ship_all
+program crates/service/src/service.rs fan_out 0 self.fan_out(grants);
+  service.rs commits a cycle's shard-local grants in one ledger call: a fanned-out commit is how each shard came to pay its own quorum wait
+code crates/service/src/journal.rs Wal::open\( 1 let wal = Wal::open(storage, options)?;
+  a durable ledger writes one log: one Wal holds every shard's stream and the coordinator's, opened once in journal.rs
+code crates/service/src/journal.rs thread::scope|spawn 0 std::thread::spawn(move || wal.append(batch));
+  journal.rs appends to the one log on the calling thread
+program crates/*/src/**/*.rs shard_dir|COORD_DIR|SEQBASE_FILE 0 let dir = shard_dir(&root, shard);
+  the per-stream log directories and sidecars the one log replaced stay deleted
+code crates/net/src/*.rs \bWal::open\( 0 let log = Wal::open(dir, WalOptions::default())?;
+  a replica's durable standing (term, lineage, dirty mark) lives in ReplicaWal's one crash-safe log (crates/service/src/replication.rs): dpack-net opens no log of its own
+all crates/service/src/*.rs read_u64_file|write_u64_file 0 write_u64_file(&path, term)?;
+  the sidecar files a replica wrote by remove-then-append stay deleted: its standing lives only in ReplicaWal's log
+code crates/net/src/*.rs \b(ClientPool|PooledClient|SharedConnector|Condvar)\b 0 pool: ClientPool,
+  a tenant or peer holds one NetClient per connection, drops a broken one and finds the primary again with connect_primary: the thread-shared pool stays deleted
+code crates/net/src/*.rs \btype\s+[A-Za-z_]*Connector\b <=1 pub type Connector = Arc<dyn Fn() -> NetClient>;
+  crates/net redials through one connector type (client.rs): the pool's second connector type stays deleted
+program crates/*/src/**/*.rs SegmentStore|EntryRef|MAGIC_TIER|"tier-|\.read_range\(|\.append_nosync\( 0 let bytes = storage.read_range(offset, len)?;
+  a block lives only in its store's entry (store.rs) and the write-ahead log: the segment store's second copy on disk stays deleted, and nothing reads a range back or appends unsynced (WalStorage keeps both for the benchmark's TimedStorage)
+program crates/*/src/**/*.rs,src/**/*.rs,examples/**/*.rs,benchmark/src/**/*.rs enable_tier|tier_enabled|recover_with_tier 0 if self.tier_enabled {
+  every cycle reads exactly the blocks its tasks request (BudgetService::decide): the tier flag that chose the whole ledger instead, and its constructor, stay deleted
+code crates/service/src/*.rs snapshot_blocks_all|\.blocks\(\) 0 let curves = ledger.snapshot_blocks_all();
+  a cycle's ledger writes each requested block's capacity straight into its state's rows (fill_available through set_capacity): the per-cycle curve map stays deleted, and ProblemState::blocks is for callers outside the service
+fn:fit_limit crates/*/src/**/*.rs BUDGET_RTOL\s\* 0 let limit = capacity + BUDGET_RTOL * capacity.abs();
+  dp_accounting::fit_limit is the one tolerance formula behind Prop. 6's filter check: fits, the kernels' limits and the tests' edges all go through it, so no copy can drift
+code crates/*/src/**/*.rs,src/**/*.rs partial_cmp 0 order.sort_by(|a, b| a.partial_cmp(b).unwrap());
+  every float sort keys on knapsack::order_bits (or descending_order, Task::arrival_key, total_cmp): partial_cmp is no total order once a NaN gets in, and the standard sort may panic on one
+code crates/*/src/**/*.rs,!crates/wal/src/codec.rs,!crates/check/ (to|from)_le_bytes|struct\sReader\b|fnv1a\( 0 let term = u64::from_le_bytes(buf);
+  crates/wal/src/codec.rs holds the one checksummed frame, field Reader and Codec for every log record, snapshot and wire message (crates/check hashes test names into seeds, not bytes)
+code crates/*/src/**/*.rs,!crates/net/src/readiness.rs \bunsafe\b 0 let slot = unsafe { &*ptr };
+  every program file but crates/net/src/readiness.rs is safe Rust
+code crates/net/src/readiness.rs \bunsafe\b 1 let ready = unsafe { ppoll(fds, nfds, &timeout, null()) };
+  readiness.rs declares the reactor's ppoll(2) shim, and its one unsafe block is the workspace's only one
+code crates/*/src/**/*.rs,!crates/obs/src/ring.rs \bseq:\sAtomicU64 0 seq: AtomicU64,
+  crates/obs/src/ring.rs is the one seqlock ring (fetch_add draws a slot, a CAS claims it, fences order the payload): the flight recorder and the span ring are typed views over it
+fn:put crates/service/src/store.rs \.(intern(_curve)?|resolve)\( 0 let capacity = interner.resolve(id);
+  an entry's capacity CurveId is resolved once into its store's own table by BlockStore::put (registration and restore): anywhere else the interner's process-wide lock lands on the check, charge or snapshot path
+all src/**/*.rs,crates/**/*.rs,tests/**/*.rs,examples/**/*.rs \b(LatencyModel|busy_wait|CycleLoop)\b|\borchestrator:: 0 use orchestrator::CycleLoop;
+  Fig. 8 and Tab. 2 run on BudgetService (dpack_bench::run_q4): the second engine's latency model, sleeps and cycle loop stay deleted, and no code names the orchestrator crate
+all src/**/*.rs,crates/**/*.rs,tests/**/*.rs,examples/**/*.rs \b(SimulationSpec|BackendKind)\b 0 let spec = SimulationSpec::parse(&text)?;
+  the key = value config-file simulator stays deleted: call simulator::simulate (the reference) or simulate_service (the product) directly
+all crates/bench/src/paper.rs \bsimulate\(|\bOnlineEngine\b|\bdpack_core::online\b 0 let result = simulate(&workload, DPack::default(), &sim);
+  every online panel replays on the service (simulate_service, or run_q4 for Fig. 8 and Tab. 2): OnlineEngine is only the reference the equivalence tests hold it to
+code crates/service/src/*.rs \.(counter|gauge)\( 0 let granted = registry.counter("dpack_granted_total", "");
+  the service's counters and gauges are views the registry reads from its record at scrape time (telemetry.rs): no cell is written beside it
+code crates/net/src/repl.rs \.gauge\( 0 let lag = registry.gauge("dpack_repl_lag", "");
+  replication levels are views that leave with their role: repl.rs registers no gauge cell (its counters stay cells)
+EOF
+shopt -u globstar nullglob dotglob
 locks="$(awk '/^pub struct BudgetService \{/ { on = 1 } on && /^\}/ { exit }
     on && !/^ *\/\// && /Mutex</ { sub(/:.*/, ""); printf "%s", $1 " " }' crates/service/src/service.rs)"
-if [ "${locks}" != "books cycle_lock " ] || awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
-    crates/service/src/*.rs | grep -vE '^[^ ]+ *//' | grep -E 'AdmissionQueue|live: Mutex'; then
-  echo "ERROR: BudgetService's Mutex fields must be exactly books and cycle_lock, with no AdmissionQueue or live-task lock (got: ${locks})" >&2
-  exit 1
+[ "${locks}" = "books cycle_lock " ] || fail "BudgetService's Mutex fields must be exactly books (the queue, live-task table, tenant records and stats: all a submission touches) and cycle_lock (got: ${locks})"
+[ "$(find crates/orchestrator/src -type f)" = crates/orchestrator/src/lib.rs ] \
+  && [ "$(cat crates/orchestrator/src/lib.rs)" = 'pub use dpack_core::schedulers::ParallelDPack;' ] \
+  || fail "crates/orchestrator/src must be lib.rs holding only the ParallelDPack re-export: the second online engine stays deleted"
+if awk '/^[[:space:]]*\[/ { section = $0 }
+    (/^[[:space:]]*orchestrator[[:space:]]*=/ && section != "[target.\x27cfg(any())\x27.dependencies]") \
+      || /dependencies\.orchestrator\]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }' Cargo.toml crates/*/Cargo.toml; then
+  fail "no crate may depend on orchestrator, a member only because benchmark/Cargo.toml names it (its one entry sits in a never-compiled cfg(any()) table); use dpack_core::schedulers"
 fi
-
-echo "==> checking a cycle pays one quorum round per commit step"
-# journal.rs appends a step's records to the one log and then ships
-# every stream's slice in one ReplicationSink::ship_all round — from
-# exactly one place, so no per-shard ship is reachable from a cycle —
-# and service.rs commits a cycle's shard-local grants in one ledger
-# call. A fan-out of the commit itself is how each shard came to pay
-# its own quorum wait.
-journal_code="$(awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
-    crates/service/src/journal.rs | grep -vE '^[^ ]+ *//' || true)"
-if [ "$(grep -cE '\.ship_all\(' <<<"${journal_code}")" != 1 ] \
-    || grep -E '\.ship\(' <<<"${journal_code}"; then
-  echo "ERROR: crates/service/src/journal.rs must reach the sink through ship_all, in exactly one place" >&2
-  exit 1
-fi
-if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
-    crates/service/src/service.rs \
-  | grep -E 'fan_out'; then
-  echo "ERROR: crates/service/src/service.rs fans the commit out again (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking a durable ledger writes one log"
-# One Wal holds every shard's stream and the coordinator's: journal.rs
-# opens it once and appends on the calling thread, and no source names
-# the per-stream directories or sidecars it replaced.
-if [ "$(grep -cE 'Wal::open\(' <<<"${journal_code}")" != 1 ] \
-    || grep -E 'thread::scope|spawn' <<<"${journal_code}" \
-    || awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-      $(find crates/*/src -name '*.rs') | grep -E 'shard_dir|COORD_DIR|SEQBASE_FILE'; then
-  echo "ERROR: a durable ledger must write one log through one Wal (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking a replica keeps its standing in one log"
-# ReplicaWal (crates/service/src/replication.rs) holds a replica's whole
-# durable standing — term, lineage, dirty mark — in one crash-safe log,
-# so dpack-net opens no log of its own, and the sidecar files written by
-# remove-then-append stay deleted. Tests below `#[cfg(test)]` may open
-# anything.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    crates/net/src/*.rs | grep -vE '^[^ ]+ *//' | grep -E '\bWal::open\(' \
-  || grep -nE 'read_u64_file|write_u64_file' crates/service/src/*.rs; then
-  echo "ERROR: a replica's standing lives only in ReplicaWal's one log (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking a peer is reached one way"
-# A tenant or a peer holds one NetClient per connection and redials
-# through one connector type (client.rs); a broken client is dropped and
-# NetClient::connect_primary finds the primary again. The thread-shared
-# pool and its second connector type stay deleted. Tests below
-# `#[cfg(test)]` may name anything.
-net_code="$(awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-  crates/net/src/*.rs | grep -vE '^[^ ]+ *//')"
-if grep -E '\b(ClientPool|PooledClient|SharedConnector|Condvar)\b' <<<"${net_code}" \
-    || [ "$(grep -cE '\btype +[A-Za-z_]*Connector\b' <<<"${net_code}")" -gt 1 ]; then
-  echo "ERROR: crates/net reaches a peer through one NetClient per connection and one Connector type (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking a block is kept only in its store and the log"
-# Every block is one in-memory entry in its shard's store (store.rs),
-# made durable only through the write-ahead log. The segment store that
-# kept a second copy on disk, with its entry references, frame magic and
-# files, stays deleted, and nothing reads a range back or appends
-# unsynced; WalStorage keeps those two methods only for the benchmark
-# crate's TimedStorage.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    $(find crates/*/src -name '*.rs') \
-  | grep -E 'SegmentStore|EntryRef|MAGIC_TIER|"tier-|\.read_range\(|\.append_nosync\('; then
-  echo "ERROR: a block must live only in its store's entry and the write-ahead log (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking no flag picks a cycle's snapshot view"
-# Every service's cycle reads exactly the blocks its tasks request
-# (BudgetService::decide). The tier flag that chose between that view
-# and the whole ledger, and the constructor that set it, stay deleted
-# from every program file; tests below `#[cfg(test)]` may name anything.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    $(find crates/*/src src examples benchmark/src -name '*.rs') \
-  | grep -E 'enable_tier|tier_enabled|recover_with_tier'; then
-  echo "ERROR: a flag picks the snapshot view again (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking a cycle's capacities go straight into the scheduler's rows"
-# BudgetService::decide has the ledger write each requested block's
-# available capacity into its pending state's rows
-# (ShardedLedger::fill_available through ProblemState::set_capacity).
-# The per-cycle curve map that was built and then copied into those rows
-# stays deleted, and ProblemState::blocks, a map built from the rows on
-# demand, is for callers outside the service. Tests below `#[cfg(test)]`
-# may name anything.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    crates/service/src/*.rs | grep -vE '^[^ ]+ *//' \
-  | grep -E 'snapshot_blocks_all|\.blocks\(\)'; then
-  echo "ERROR: crates/service/src builds a block map for a cycle again (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking the budget tolerance is applied in one place"
-# dp_accounting::fit_limit is the largest consumption that fits a
-# capacity; `fits`, the scheduler kernels' precomputed limits and the
-# tests' tolerance edges all go through it, so no second copy of the
-# formula can drift from it. Tests below `#[cfg(test)]` may name anything.
-if awk 'FNR == 1 { on = 1; name = "" } /#\[cfg\(test\)\]/ { on = 0 }
-    on && match($0, /fn [a-z_0-9]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
-    on && /BUDGET_RTOL \*/ && name != "fit_limit" { print FILENAME ":" FNR ": " $0 }' \
-    $(find crates/*/src -name '*.rs') | grep .; then
-  echo "ERROR: only dp_accounting::fit_limit may apply BUDGET_RTOL (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking every float sort uses one total order"
-# knapsack::order_bits is the one total order on f64 (-0.0 and 0.0
-# equal, NaN beyond the infinities); every float sort keys on it, or on
-# knapsack::descending_order, Task::arrival_key or total_cmp. A
-# partial_cmp comparator is no total order once a NaN gets in, and the
-# standard sort may panic on one. Tests below `#[cfg(test)]` may name
-# anything.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    $(find crates/*/src src -name '*.rs') | grep -vE '^[^ ]+ *//' | grep -E 'partial_cmp'; then
-  echo "ERROR: program code compares floats with partial_cmp; key on knapsack::order_bits (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking bytes are coded in one place"
-# crates/wal/src/codec.rs holds the one checksummed frame, the one field
-# Reader and the Codec trait that every log record, snapshot and wire
-# message is written and read with, so no other program code spells out
-# a byte order, a reader or a checksum. Tests below `#[cfg(test)]` may
-# name anything, and crates/check (the property-test harness) hashes
-# test names into seeds, not bytes into frames.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    $(find crates/*/src -name '*.rs' -not -path crates/wal/src/codec.rs -not -path 'crates/check/*') \
-  | grep -vE '^[^ ]+ *//' | grep -E '(to|from)_le_bytes|struct Reader\b|fnv1a\('; then
-  echo "ERROR: only crates/wal/src/codec.rs may code bytes; use its Reader and Codec (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking unsafe lives in one place"
-# crates/net/src/readiness.rs declares the reactor's ppoll(2) shim, and
-# its one unsafe block is the workspace's only one: every other program
-# file is safe Rust. Tests below `#[cfg(test)]` may name anything.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    $(find crates/*/src -name '*.rs') | grep -vE '^[^ ]+ *//' | grep -wE 'unsafe' \
-  | grep -v '^crates/net/src/readiness.rs:' \
-  || [ "$(grep -v '^ *//' crates/net/src/readiness.rs | grep -cw 'unsafe')" != 1 ]; then
-  echo "ERROR: unsafe code belongs only in crates/net/src/readiness.rs, in one block (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking there is one seqlock ring"
-# crates/obs/src/ring.rs is the one lock-free seqlock ring (one
-# fetch_add draws a slot, one CAS claims it; fences order the payload
-# around the slot's sequence word). The flight recorder and the span
-# ring are typed views over it, so no other program file declares a
-# slot's `seq: AtomicU64`.
-# Tests below `#[cfg(test)]` may name anything.
-if awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { print FILENAME ":" FNR ": " $0 }' \
-    $(find crates/*/src -name '*.rs' -not -path crates/obs/src/ring.rs) \
-  | grep -vE '^[^ ]+ *//' | grep -E '\bseq: AtomicU64'; then
-  echo "ERROR: only crates/obs/src/ring.rs may hold a seqlock slot; record through its typed views (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking the block store interns in one place"
-# A block entry keeps its capacity as an interned CurveId, resolved once
-# per distinct id into its store's own table by the one entry
-# constructor, BlockStore::put (registration and restore both go
-# through it). Any other call would take the process-wide interner's
-# lock on the check, charge or snapshot path. Tests below
-# `#[cfg(test)]` may name anything.
-if awk 'FNR == 1 { on = 1; name = "" } /#\[cfg\(test\)\]/ { on = 0 }
-    on && match($0, /fn [a-z_0-9]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
-    on && /\.(intern(_curve)?|resolve)\(/ && name != "put" { print FILENAME ":" FNR ": " $0 }' \
-    crates/service/src/store.rs | grep .; then
-  echo "ERROR: in store.rs only BlockStore::put may intern or resolve (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking there is one online service"
-# Fig. 8 and Tab. 2 run on BudgetService (dpack_bench::run_q4). The
-# second engine that wrapped OnlineEngine behind a channel, its injected
-# latency sleeps and its cycle loop stay deleted: crates/orchestrator is
-# one re-export, a workspace member only because benchmark/Cargo.toml
-# names it by path, and no crate compiles against it. The one manifest
-# entry allowed to name it sits in a never-compiled `cfg(any())` table,
-# which only keeps an edge benchmark/Cargo.lock records.
-orchestrator_src="$(find crates/orchestrator/src -type f)"
-if [ "${orchestrator_src}" != crates/orchestrator/src/lib.rs ] \
-    || [ "$(cat crates/orchestrator/src/lib.rs)" != 'pub use dpack_core::schedulers::ParallelDPack;' ]; then
-  echo "ERROR: crates/orchestrator/src must be lib.rs holding only the ParallelDPack re-export" >&2
-  exit 1
-fi
-if awk '
-  /^[[:space:]]*\[/ { section = $0 }
-  (/^[[:space:]]*orchestrator[[:space:]]*=/ && section != "[target.\x27cfg(any())\x27.dependencies]") \
-    || /dependencies\.orchestrator\]/ { print FILENAME ":" FNR ": " $0; found = 1 }
-  END { exit !found }
-' Cargo.toml crates/*/Cargo.toml; then
-  echo "ERROR: no crate may depend on orchestrator; use dpack_core::schedulers (see above)" >&2
-  exit 1
-fi
-if grep -rnE --include='*.rs' '\b(LatencyModel|busy_wait|CycleLoop)\b|\borchestrator::' \
-    src crates tests examples; then
-  echo "ERROR: the orchestrator's latency model and cycle loop stay deleted, and no code names the crate (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking the paper's experiments are rows of one runner"
-# crates/bench/src/paper.rs describes each panel of the evaluation once,
-# as a row of PANELS, and crates/bench/src/bin/paper.rs is the one
-# binary that runs them by name. The per-figure mains and the
-# key = value config-file simulator that switched between the engine
-# and the service stay deleted: call simulator::simulate (the
-# reference) or simulate_service (the product) directly.
 bench_bins="$(find crates/bench/src/bin -type f | sort)"
-if [ "${bench_bins}" != crates/bench/src/bin/paper.rs ]; then
-  echo "ERROR: crates/bench/src/bin must hold only paper.rs; add a row to PANELS in crates/bench/src/paper.rs instead; found:" >&2
-  echo "${bench_bins}" >&2
-  exit 1
-fi
-if grep -rnwE --include='*.rs' 'SimulationSpec|BackendKind' src crates tests examples; then
-  echo "ERROR: the config-file simulator stays deleted; call simulate or simulate_service directly (see above)" >&2
-  exit 1
-fi
-# Every online panel replays on the product: simulate_service, or
-# run_q4 for Fig. 8 and Tab. 2. The OnlineEngine is only the reference
-# model the equivalence tests hold the service to, so the runner names
-# neither it nor simulate, its replay.
-if grep -nE '\bsimulate\(|\bOnlineEngine\b|\bdpack_core::online\b' crates/bench/src/paper.rs; then
-  echo "ERROR: paper.rs replays its online panels on the service (simulate_service), not on the engine reference (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking a history is judged in one place"
-# dpack_check::check_history states the rules of a correct run once
-# (Prop. 6, acked grants survive, nothing charged twice, one leader per
-# term) and dpack_check::diff_states is the one bit-exact ledger
-# comparison; crates/service/tests/common/mod.rs holds the one reference
-# fold of a durable log. The per-suite folds and comparisons they
-# replaced stay deleted: no test file outside a tests/common module
-# defines them, or decodes the records of a recovered log.
+[ "${bench_bins}" = crates/bench/src/bin/paper.rs ] || fail "crates/bench/src/bin must hold only paper.rs, the one runner of the evaluation; add a row to PANELS in crates/bench/src/paper.rs instead of a main; found: ${bench_bins}"
 history_copies="$(grep -rnE --include='*.rs' \
     'fn (fold_surviving|fold_reference|assert_states_bit_identical|ledger_bits)\b' \
     crates/*/tests tests | grep -v '/tests/common/' || true)"
@@ -336,17 +150,7 @@ for f in $(grep -rlE --include='*.rs' 'LogRecord::decode\(' crates/*/tests tests
     history_copies+="${history_copies:+$'\n'}${f}: folds LogRecord::decode over a recovered log"
   fi
 done
-if [ -n "${history_copies}" ]; then
-  echo "${history_copies}" >&2
-  echo "ERROR: judge a history with dpack_check::check_history and diff_states, and fold a log with crates/service/tests/common/mod.rs (see above)" >&2
-  exit 1
-fi
-
-echo "==> checking new counter structs go through dpack-obs"
-# New metrics belong in the dpack-obs registry (named, labelled,
-# scrapable), not in one-off counter structs. The legacy pre-obs
-# structs below are frozen, and the list is exact: anything new fails
-# the gate, and so does an entry whose struct is gone.
+[ -z "${history_copies}" ] || { echo "${history_copies}" >&2; fail "judge a history with dpack_check::check_history and diff_states (Prop. 6, acked grants, charges, one leader per term), and fold a log with crates/service/tests/common/mod.rs"; }
 adhoc_allow="$(cat <<'EOF'
 crates/core/src/online.rs:OnlineStats
 crates/net/src/wire.rs:WireStats
@@ -357,33 +161,12 @@ crates/service/src/stats.rs:TenantStats
 crates/wal/src/log.rs:WalCounters
 EOF
 )"
-adhoc_found="$(grep -rn --include='*.rs' -E 'pub struct [A-Za-z]*(Counters|Stats|Telemetry)\b' \
-    src crates 2>/dev/null \
-  | grep -v '^crates/obs/' \
-  | sed -E 's|^([^:]+):[0-9]+:.*pub struct ([A-Za-z]+).*|\1:\2|' \
-  | sort -u || true)"
+adhoc_found="$(grep -rn --include='*.rs' -E 'pub struct [A-Za-z]*(Counters|Stats|Telemetry)\b' src crates 2>/dev/null \
+  | grep -v '^crates/obs/' | sed -E 's|^([^:]+):[0-9]+:.*pub struct ([A-Za-z]+).*|\1:\2|' | sort -u || true)"
 adhoc_new="$(comm -13 <(sort -u <<<"${adhoc_allow}") <(echo "${adhoc_found}") || true)"
 adhoc_gone="$(comm -23 <(sort -u <<<"${adhoc_allow}") <(echo "${adhoc_found}") || true)"
-if [ -n "${adhoc_new}${adhoc_gone}" ]; then
-  echo "ERROR: counter/stats structs outside dpack-obs must match the frozen list exactly" >&2
-  echo "new (register on the dpack-obs registry instead): ${adhoc_new:-none}" >&2
-  echo "gone (drop them from the list): ${adhoc_gone:-none}" >&2
-  exit 1
-fi
-
-echo "==> checking the service counts each event once"
-# The service's counters and gauges are views the registry reads from
-# its record at scrape time (crates/service/src/telemetry.rs), so its
-# program code registers no counter or gauge cell to write beside it.
-# Replication levels are views too (crates/net/src/repl.rs): its
-# program code registers no gauge cell; its counters stay cells.
-if awk '/#\[cfg\(test\)\]/ { nextfile }
-    /^[[:space:]]*\/\// { next }
-    (FILENAME ~ /repl\.rs$/ ? /\.gauge\(/ : /\.(counter|gauge)\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
-    END { exit !bad }' crates/service/src/*.rs crates/net/src/repl.rs >&2; then
-  echo "ERROR: program code registers counter/gauge cells where a view over its owner's state belongs (see above)" >&2
-  exit 1
-fi
+[ -z "${adhoc_new}${adhoc_gone}" ] || fail "counter/stats structs outside dpack-obs must match the frozen legacy list exactly; register new metrics on the dpack-obs registry (new: ${adhoc_new:-none}; gone, drop from the list: ${adhoc_gone:-none})"
+[ "${failed}" = 0 ] || exit 1
 
 # The ruler simplicity PRs are measured with; printed, no threshold.
 echo "==> non-test lines: $(scripts/loc.sh \
